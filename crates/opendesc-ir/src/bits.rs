@@ -21,6 +21,11 @@ pub fn width_mask(width: u16) -> u128 {
 /// Write `width` bits of `value` into `buf` starting at absolute bit
 /// offset `offset`. Bits beyond `width` in `value` are ignored.
 ///
+/// Byte-aligned fields of byte-multiple width are one big-endian copy;
+/// everything else moves up to a byte per step (the head byte's low
+/// bits, whole middle bytes, the tail byte's high bits), touching no
+/// bit outside the field.
+///
 /// # Panics
 /// Panics if the range `[offset, offset + width)` does not fit in `buf`,
 /// or if `width > 128`.
@@ -33,27 +38,29 @@ pub fn write_bits(buf: &mut [u8], offset: u32, width: u16, value: u128) {
         buf.len() * 8
     );
     // Mask the value to its width so stray high bits cannot leak.
-    let value = if width == 128 {
-        value
-    } else {
-        value & ((1u128 << width) - 1)
-    };
-    for i in 0..width {
-        // Bit i of the field (0 = most significant) lands at absolute bit
-        // position offset + i; within a byte, bit 0 is the MSB (0x80).
-        let bit = (value >> (width - 1 - i)) & 1;
-        let abs = offset as usize + i as usize;
-        let byte = abs / 8;
-        let shift = 7 - (abs % 8);
-        if bit == 1 {
-            buf[byte] |= 1 << shift;
-        } else {
-            buf[byte] &= !(1 << shift);
-        }
+    let value = value & width_mask(width);
+    if (offset | u32::from(width)) & 7 == 0 {
+        write_bytes_be(buf, offset as usize / 8, width as usize / 8, value);
+        return;
+    }
+    let mut pos = offset as usize;
+    let mut left = width as usize;
+    while left > 0 {
+        // `n` field bits land in this byte, `shift` above its LSB; bit 0
+        // of a byte is the MSB (0x80).
+        let used = pos % 8;
+        let n = (8 - used).min(left);
+        let shift = 8 - used - n;
+        let ones = (0xFFu16 >> (8 - n)) as u8;
+        let chunk = (value >> (left - n)) as u8 & ones;
+        buf[pos / 8] = (buf[pos / 8] & !(ones << shift)) | (chunk << shift);
+        pos += n;
+        left -= n;
     }
 }
 
 /// Read `width` bits starting at absolute bit offset `offset` from `buf`.
+/// Same stepping as [`write_bits`].
 ///
 /// # Panics
 /// Panics if the range does not fit in `buf` or `width > 128`.
@@ -65,13 +72,20 @@ pub fn read_bits(buf: &[u8], offset: u32, width: u16) -> u128 {
         "bit range {offset}..{end} out of buffer of {} bits",
         buf.len() * 8
     );
+    if (offset | u32::from(width)) & 7 == 0 {
+        return read_bytes_be(buf, offset as usize / 8, width as usize / 8);
+    }
+    let mut pos = offset as usize;
+    let mut left = width as usize;
     let mut out: u128 = 0;
-    for i in 0..width {
-        let abs = offset as usize + i as usize;
-        let byte = abs / 8;
-        let shift = 7 - (abs % 8);
-        let bit = (buf[byte] >> shift) & 1;
-        out = (out << 1) | bit as u128;
+    while left > 0 {
+        let used = pos % 8;
+        let n = (8 - used).min(left);
+        let shift = 8 - used - n;
+        let ones = (0xFFu16 >> (8 - n)) as u8;
+        out = (out << n) | ((buf[pos / 8] >> shift) & ones) as u128;
+        pos += n;
+        left -= n;
     }
     out
 }
@@ -96,6 +110,29 @@ pub fn read_bytes_be(buf: &[u8], offset_bytes: usize, width_bytes: usize) -> u12
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The bit-serial reference `write_bits` is checked against: bit `i`
+    /// of the field (0 = most significant) lands at absolute bit
+    /// `offset + i`, and bit 0 of a byte is its MSB (0x80).
+    fn write_bits_serial(buf: &mut [u8], offset: u32, width: u16, value: u128) {
+        for i in 0..width as usize {
+            let abs = offset as usize + i;
+            let shift = 7 - (abs % 8);
+            if (value >> (width as usize - 1 - i)) & 1 == 1 {
+                buf[abs / 8] |= 1 << shift;
+            } else {
+                buf[abs / 8] &= !(1 << shift);
+            }
+        }
+    }
+
+    /// Bit-serial reference for `read_bits`.
+    fn read_bits_serial(buf: &[u8], offset: u32, width: u16) -> u128 {
+        (0..width as usize).fold(0, |out, i| {
+            let abs = offset as usize + i;
+            (out << 1) | ((buf[abs / 8] >> (7 - (abs % 8))) & 1) as u128
+        })
+    }
 
     #[test]
     fn aligned_big_endian_layout() {
@@ -165,7 +202,44 @@ mod tests {
         write_bits(&mut buf, 4, 8, 0);
     }
 
+    #[test]
+    #[should_panic(expected = "out of buffer")]
+    fn out_of_range_read_panics() {
+        read_bits(&[0u8; 2], 9, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of buffer")]
+    fn out_of_range_aligned_write_panics() {
+        write_bits(&mut [0u8; 1], 0, 16, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 128 bits")]
+    fn over_wide_write_panics() {
+        write_bits(&mut [0u8; 32], 0, 129, 0);
+    }
+
     proptest! {
+        /// Any offset, any width up to 128, any value, any prior buffer
+        /// contents: the byte-stepping kernels equal the bit-serial
+        /// oracle, which also pins that neighbouring bits are untouched.
+        #[test]
+        fn kernels_match_bit_serial_oracle(
+            offset in 0u32..=130,
+            width in 1u16..=128,
+            value in any::<u128>(),
+            fill in proptest::collection::vec(any::<u8>(), 33..=33),
+        ) {
+            let mut fast = fill.clone();
+            let mut slow = fill.clone();
+            write_bits(&mut fast, offset, width, value);
+            write_bits_serial(&mut slow, offset, width, value);
+            prop_assert_eq!(&fast, &slow);
+            prop_assert_eq!(read_bits(&fill, offset, width), read_bits_serial(&fill, offset, width));
+            prop_assert_eq!(read_bits(&fast, offset, width), value & width_mask(width));
+        }
+
         #[test]
         fn roundtrip_any_field(
             offset in 0u32..64,

@@ -34,11 +34,13 @@ impl HostMem {
     }
 
     /// Read `len` bytes at `addr`. The access must lie within a single
-    /// registered buffer (no cross-buffer reads, like an IOMMU).
+    /// registered buffer (no cross-buffer reads, like an IOMMU). Both
+    /// come from descriptors the host wrote: a range that overflows
+    /// resolves to nothing.
     pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
         let (base, buf) = self.bufs.range(..=addr).next_back()?;
-        let off = (addr - base) as usize;
-        buf.get(off..off + len)
+        let off = usize::try_from(addr - base).ok()?;
+        buf.get(off..off.checked_add(len)?)
     }
 
     /// Overwrite the head of the buffer containing `addr` (device DMA
@@ -94,6 +96,14 @@ mod tests {
         let _b = m.alloc(&[2u8; 8]);
         assert_eq!(m.read(a, 8), Some(&[1u8; 8][..]));
         assert_eq!(m.read(a, 9), None, "read past buffer end must fail");
+    }
+
+    #[test]
+    fn overflowing_range_never_resolves() {
+        let mut m = HostMem::new();
+        let a = m.alloc(&[7u8; 8]);
+        assert_eq!(m.read(a + 1, usize::MAX), None);
+        assert_eq!(m.read(u64::MAX, usize::MAX), None);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Substitutes for the hardware the paper targets (e1000/ixgbe-class
 //! fixed-function NICs, mlx5-class partially programmable NICs, QDMA-class
-//! fully programmable NICs). The simulator's completion writeback is
-//! driven by the *same contract* the compiler analyzes: either by
-//! interpreting the `CmptDeparser`, or by a fast table-driven path proven
-//! equivalent by tests. Includes descriptor rings, a PCIe/DMA cost model,
+//! fully programmable NICs). The simulator's completion writeback and
+//! TX descriptor parse are driven by the *same contract* the compiler
+//! analyzes: either by interpreting the `CmptDeparser` / `DescParser`,
+//! or by table-driven paths resolved once per programmed context and
+//! proven equivalent by tests. Includes descriptor rings, a PCIe/DMA cost model,
 //! an offload engine delegating to the softnic reference implementations,
 //! a deterministic workload generator, and fault injection.
 pub mod aggregate;

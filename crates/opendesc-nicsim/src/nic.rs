@@ -7,6 +7,15 @@
 //! enumerated completion layout. A property test asserts the two agree,
 //! which is exactly the host/NIC semantic-alignment property OpenDesc is
 //! about.
+//!
+//! The device treats the programmed layout the way the host's compiled
+//! plan does — as a fact resolved once per context, not per packet.
+//! [`SimNic::configure`] / [`SimNic::reprogram_queue`] pick the active
+//! completion path and lower the offload program to the semantics that
+//! path's slots carry (a value the layout has no slot for is never
+//! computed); [`SimNic::configure_tx`] does the same for the TX
+//! descriptor layout (see [`crate::tx`]). [`WritebackMode`] selects
+//! reference or table-driven execution for both directions.
 
 use crate::dma::{DmaConfig, DmaMeter};
 use crate::hostmem::HostMem;
@@ -17,8 +26,8 @@ use opendesc_ir::bits::write_bits;
 use opendesc_ir::interp::run_deparser;
 use opendesc_ir::value::Value;
 use opendesc_ir::{
-    enumerate_paths, extract, Assignment, Cfg, CompletionPath, SemanticId, SemanticRegistry,
-    DEFAULT_MAX_PATHS,
+    enumerate_paths, enumerate_tx_layouts, extract, Assignment, Cfg, CompletionPath,
+    DescriptorLayout, SemanticId, SemanticRegistry, DEFAULT_MAX_PATHS,
 };
 use opendesc_p4::typecheck::{parse_and_check, CheckedProgram};
 use opendesc_p4::types::Ty;
@@ -28,13 +37,17 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
 
-/// How the simulated device serializes completions.
+/// How the simulated device executes its contract, in both directions:
+/// completion serialization and TX descriptor parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WritebackMode {
-    /// Interpret the deparser AST for every packet (reference semantics).
+    /// Interpret the deparser AST for every packet and the descriptor
+    /// parser AST for every descriptor, and compute every supported
+    /// semantic (reference semantics).
     Interpret,
-    /// Table-driven writeback from the active enumerated layout; falls
-    /// back to interpretation when the active path cannot be determined.
+    /// Table-driven from the active enumerated layout, computing only
+    /// the semantics it carries; falls back to interpretation when the
+    /// active layout cannot be determined from the context.
     #[default]
     Fast,
 }
@@ -344,9 +357,10 @@ pub struct SimNic {
     /// struct mentions).
     pub supported: Vec<SemanticId>,
     engine: OffloadEngine,
-    /// `supported` lowered to device ops, once at construction (kept in
-    /// sync by [`SimNic::new`]; mutating `supported` afterwards requires
-    /// recompiling via [`OffloadProgram::compile`]).
+    /// The semantics the device computes per frame, lowered to device
+    /// ops whenever the active path or the mode changes: those the
+    /// active path's slots carry, or all of `supported` when every
+    /// completion is interpreted.
     offload_prog: OffloadProgram,
     /// Reusable per-frame offload record (deliver-path scratch).
     rec_scratch: MetaRecord,
@@ -357,7 +371,7 @@ pub struct SimNic {
     frame_pool: Vec<Vec<u8>>,
     context: Assignment,
     active_path: Option<usize>,
-    mode: WritebackMode,
+    pub(crate) mode: WritebackMode,
     pub cq: DescRing,
     pub dma_cfg: DmaConfig,
     pub dma: DmaMeter,
@@ -384,6 +398,15 @@ pub struct SimNic {
     pub host_mem: HostMem,
     /// Per-queue H2C (TX) context programmed by the driver.
     pub(crate) h2c_context: Assignment,
+    /// Every descriptor layout the `DescParser` accepts, enumerated once
+    /// (empty without a parser, or when enumeration fails).
+    pub(crate) tx_layouts: Vec<DescriptorLayout>,
+    /// The layout `h2c_context` selects, as a field table (see
+    /// [`SimNic::active_tx_layout`]).
+    pub(crate) tx_path: Option<crate::tx::TxPath>,
+    /// Reusable descriptor and wire-frame storage (TX drain scratch).
+    pub(crate) tx_desc_scratch: Vec<u8>,
+    pub(crate) tx_frame_scratch: Vec<u8>,
     /// TX-side counters.
     pub tx_stats: crate::tx::TxStats,
     /// RX buffer-provisioning state (see [`crate::rxbuf`]).
@@ -434,9 +457,14 @@ impl SimNic {
             }
         }
 
+        let tx_layouts = model
+            .desc_parser
+            .as_deref()
+            .and_then(|parser| enumerate_tx_layouts(&checked, parser, &mut reg).ok())
+            .unwrap_or_default();
+
         let slot = model.completion_slot_bytes.max(1);
         let faults = FaultConfig::default();
-        let offload_prog = OffloadProgram::compile(&reg, &supported);
         let mut nic = SimNic {
             checked,
             reg,
@@ -444,7 +472,7 @@ impl SimNic {
             paths,
             supported,
             engine: OffloadEngine::default(),
-            offload_prog,
+            offload_prog: OffloadProgram::default(),
             rec_scratch: MetaRecord::default(),
             wb_scratch: Vec::new(),
             frame_pool: Vec::new(),
@@ -465,17 +493,23 @@ impl SimNic {
             tx_ring: DescRing::new(ring_entries, 64),
             host_mem: HostMem::new(),
             h2c_context: Assignment::new(),
+            tx_layouts,
+            tx_path: None,
+            tx_desc_scratch: Vec::new(),
+            tx_frame_scratch: Vec::new(),
             tx_stats: crate::tx::TxStats::default(),
             rx_pool: crate::rxbuf::RxBufferPool::default(),
             model,
         };
         nic.refresh_active_path();
+        nic.refresh_tx_path();
         Ok(nic)
     }
 
-    /// Set writeback mode.
+    /// Set the execution mode (both directions).
     pub fn set_mode(&mut self, mode: WritebackMode) {
         self.mode = mode;
+        self.refresh_active_path();
     }
 
     /// Configure fault injection. Rejects out-of-range probabilities;
@@ -587,11 +621,21 @@ impl SimNic {
         self.active_path.map(|i| &self.paths[i])
     }
 
+    /// Resolve the active completion path from the programmed context
+    /// and lower the offload program to what it carries. Table-driven
+    /// writeback reads nothing but the path's slots, so a supported
+    /// semantic without a slot is dead work; the interpreter may read
+    /// anything, so it gets the full list.
     fn refresh_active_path(&mut self) {
         self.active_path = self
             .paths
             .iter()
             .position(|p| p.guard.iter().all(|c| c.eval(&self.context) == Some(true)));
+        let mut computed = self.supported.clone();
+        if let (WritebackMode::Fast, Some(i)) = (self.mode, self.active_path) {
+            computed.retain(|sem| self.paths[i].slot_for(*sem).is_some());
+        }
+        self.offload_prog = OffloadProgram::compile(&self.reg, &computed);
     }
 
     /// Deliver one frame from the wire. Computes offloads, serializes the
@@ -834,9 +878,22 @@ impl SimNic {
         let Some(Ty::Struct(sid)) = self.checked.types.lookup(&self.model.ctx_type) else {
             return Value::bits(0, 0);
         };
+        self.context_value(sid, &self.model.ctx_param, &self.context)
+    }
+
+    /// A value of context struct `sid` for parameter `param`, holding
+    /// the entries of `context` rooted at that parameter (zero
+    /// elsewhere) — what the contract's interpreters read as the
+    /// programmed per-queue context, RX or TX.
+    pub(crate) fn context_value(
+        &self,
+        sid: opendesc_p4::types::StructId,
+        param: &str,
+        context: &Assignment,
+    ) -> Value {
         let mut v = Value::struct_of(sid, &self.checked.types);
-        for (fref, val) in &self.context {
-            if fref.path.first().map(String::as_str) != Some(self.model.ctx_param.as_str()) {
+        for (fref, val) in context {
+            if fref.path.first().map(String::as_str) != Some(param) {
                 continue;
             }
             let segs: Vec<&str> = fref.path[1..].iter().map(String::as_str).collect();
@@ -990,6 +1047,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn restricted_offloads_write_the_same_completions() {
+        // Fast mode computes only what the active path carries. Against
+        // a twin forced back onto the full program, every completion
+        // must be byte-identical, on every model and solvable path.
+        let frames = [frame(), testpkt::seeded_frame(3), vec![0u8; 14]];
+        let mut restricted_somewhere = false;
+        for model in models::catalog() {
+            let paths = SimNic::new(model.clone(), 16).unwrap().paths;
+            for (i, path) in paths.iter().enumerate() {
+                let Some(ctx) = path.solve_context() else {
+                    continue;
+                };
+                let mut nic = SimNic::new(model.clone(), 16).unwrap();
+                let mut full = SimNic::new(model.clone(), 16).unwrap();
+                nic.configure(ctx.clone()).unwrap();
+                full.configure(ctx).unwrap();
+                full.offload_prog = OffloadProgram::compile(&full.reg, &full.supported);
+                restricted_somewhere |= nic.offload_prog.len() < full.offload_prog.len();
+                for f in &frames {
+                    nic.deliver(f).unwrap();
+                    full.deliver(f).unwrap();
+                    assert_eq!(
+                        nic.receive(),
+                        full.receive(),
+                        "model {} path {i}: restricted program changed the completion",
+                        model.name
+                    );
+                }
+            }
+        }
+        assert!(restricted_somewhere, "no path drops a supported semantic");
+        // Interpreting reads whatever the deparser names: full program.
+        let mut nic = SimNic::new(models::e1000e(), 16).unwrap();
+        nic.set_mode(WritebackMode::Interpret);
+        nic.configure(asn(&[("use_rss", 1, 1)])).unwrap();
+        assert_eq!(nic.offload_prog.len(), nic.supported.len());
+    }
+
+    #[test]
+    fn reprogram_onto_a_layout_delivers_its_newly_carried_semantics() {
+        // use_rss=1 carries no checksum, so the device stops computing
+        // it; reprogramming to use_rss=0 must bring it back on the very
+        // next frame, exactly as on a queue configured that way at boot.
+        let mut nic = SimNic::new(models::e1000e(), 16).unwrap();
+        nic.configure(asn(&[("use_rss", 1, 1)])).unwrap();
+        let csum = nic.reg.id(names::IP_CHECKSUM).unwrap();
+        assert!(nic.offload_prog.ops().iter().all(|(sem, _)| *sem != csum));
+        nic.deliver(&frame()).unwrap();
+        nic.receive().unwrap();
+        nic.reprogram_queue(Some(asn(&[("use_rss", 1, 0)])))
+            .unwrap();
+        nic.deliver(&frame()).unwrap();
+        let (_, cmpt) = nic.receive().unwrap();
+        assert_eq!(&cmpt[2..4], &[0xFF, 0xFF], "checksum status delivered");
+
+        let mut booted = SimNic::new(models::e1000e(), 16).unwrap();
+        booted.configure(asn(&[("use_rss", 1, 0)])).unwrap();
+        booted.deliver(&frame()).unwrap();
+        assert_eq!(cmpt, booted.receive().unwrap().1);
     }
 
     #[test]

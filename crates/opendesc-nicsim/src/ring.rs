@@ -33,7 +33,8 @@ impl std::error::Error for RingError {}
 /// A single-producer single-consumer descriptor ring.
 #[derive(Debug, Clone)]
 pub struct DescRing {
-    slots: Vec<Vec<u8>>,
+    /// `capacity × slot_size` bytes, slot `i` at `i * slot_size`.
+    slots: Vec<u8>,
     /// Valid byte length of each slot's current entry.
     lens: Vec<u16>,
     /// Writeback sequence tag of each slot's current entry — the
@@ -57,7 +58,7 @@ impl DescRing {
     pub fn new(capacity: usize, slot_size: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         DescRing {
-            slots: vec![vec![0u8; slot_size]; cap],
+            slots: vec![0u8; cap * slot_size],
             lens: vec![0; cap],
             seqs: vec![0; cap],
             slot_size,
@@ -118,7 +119,8 @@ impl DescRing {
             return Err(RingError::Full);
         }
         let idx = (self.prod as usize) & self.mask;
-        self.slots[idx][..entry.len()].copy_from_slice(entry);
+        let at = idx * self.slot_size;
+        self.slots[at..at + entry.len()].copy_from_slice(entry);
         self.lens[idx] = entry.len() as u16;
         self.seqs[idx] = seq;
         self.prod += 1;
@@ -151,7 +153,7 @@ impl DescRing {
         }
         let idx = (self.cons as usize) & self.mask;
         self.cons += 1;
-        Some((&self.slots[idx][..self.lens[idx] as usize], self.seqs[idx]))
+        Some((self.entry(idx), self.seqs[idx]))
     }
 
     /// Re-tag every produced-but-unconsumed entry (published or not)
@@ -179,7 +181,13 @@ impl DescRing {
             return None;
         }
         let idx = (self.cons as usize) & self.mask;
-        Some(&self.slots[idx][..self.lens[idx] as usize])
+        Some(self.entry(idx))
+    }
+
+    /// The valid bytes of slot `idx`.
+    fn entry(&self, idx: usize) -> &[u8] {
+        let at = idx * self.slot_size;
+        &self.slots[at..at + self.lens[idx] as usize]
     }
 
     /// Total produced over the ring's lifetime.

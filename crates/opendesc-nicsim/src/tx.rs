@@ -1,25 +1,42 @@
 //! The simulated NIC's transmit path (paper §3, channels ① and ②).
 //!
-//! The host posts descriptors into the TX ring; the device executes the
-//! contract's `DescParser` over the raw bytes (per-queue H2C context
-//! steering the parse), resolves `buf_addr`/`buf_len` against host
-//! memory, honors the offload hints the descriptor carries (checksum
-//! insertion, VLAN insertion — computed by the same softnic reference
-//! code the host would use as fallback), and emits the wire frame.
+//! The host posts descriptors into the TX ring; the device parses them
+//! per the contract's `DescParser` (per-queue H2C context steering the
+//! parse), resolves `buf_addr`/`buf_len` against host memory, honors the
+//! offload hints the descriptor carries (checksum insertion, VLAN
+//! insertion — computed by the same softnic reference code the host
+//! would use as fallback), and emits the wire frame.
+//!
+//! Like the completion side, the parse has two executions of the one
+//! contract. The reference interprets the `DescParser` AST for every
+//! descriptor. The table-driven path resolves the descriptor layout once
+//! per programmed context ([`SimNic::configure_tx`], and at
+//! construction for parsers that never get configured) and then reads
+//! five `(offset, width)` fields per descriptor. The layout is chosen by
+//! the reference itself: the interpreter runs once over an all-zero
+//! probe descriptor under the programmed context, and the enumerated
+//! [`DescriptorLayout`] with the same state walk becomes active — so no
+//! second evaluator of `select` can disagree with the first. The table
+//! is used only when that choice provably holds for every descriptor
+//! (see [`SimNic::active_tx_layout`]); otherwise, and always in
+//! [`WritebackMode::Interpret`], each descriptor goes through the
+//! interpreter.
 
-use crate::nic::{NicError, SimNic};
+use crate::hostmem::HostMem;
+use crate::nic::{NicError, SimNic, WritebackMode};
 use crate::ring::RingError;
-use opendesc_ir::interp::run_desc_parser;
+use opendesc_ir::bits::read_bits;
+use opendesc_ir::interp::{run_desc_parser, InterpError, ParserRun};
 use opendesc_ir::semantics::names;
 use opendesc_ir::value::Value;
-use opendesc_ir::{Assignment, SemanticId};
+use opendesc_ir::{Assignment, DescriptorLayout, SemanticId};
 use opendesc_p4::ast;
 use opendesc_p4::types::{ExternKind, Ty};
 use opendesc_softnic::fixup;
 use std::collections::HashMap;
 
 /// TX-side counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxStats {
     /// Descriptors consumed from the ring.
     pub descs: u64,
@@ -31,6 +48,53 @@ pub struct TxStats {
     pub bad_buffers: u64,
 }
 
+/// One descriptor field the device reads: `(offset_bits, width_bits)`.
+type Field = (u32, u16);
+
+/// The active descriptor layout reduced to what the device reads per
+/// descriptor — the TX twin of RX's active completion path.
+#[derive(Debug, Clone)]
+pub(crate) struct TxPath {
+    /// Index into `SimNic::tx_layouts`.
+    layout: usize,
+    size_bits: u32,
+    buf_addr: Field,
+    buf_len: Field,
+    vlan_insert: Option<Field>,
+    ip_csum: Option<Field>,
+    l4_csum: Option<Field>,
+}
+
+/// What one descriptor asks of the device, whichever path parsed it.
+/// An offload hint the layout does not carry reads as 0, like one the
+/// host left clear.
+struct TxHints {
+    buf_addr: u128,
+    buf_len: u128,
+    vlan_insert: u128,
+    ip_csum: u128,
+    l4_csum: u128,
+}
+
+impl TxPath {
+    /// The interpreter's `extract`s fail exactly when the descriptor is
+    /// shorter than the walk's headers; longer is fine (the tail is
+    /// never read).
+    fn read(&self, desc: &[u8]) -> Result<TxHints, TxError> {
+        if desc.len() * 8 < self.size_bits as usize {
+            return Err(TxError::ParseReject);
+        }
+        let get = |(offset, width): Field| read_bits(desc, offset, width);
+        Ok(TxHints {
+            buf_addr: get(self.buf_addr),
+            buf_len: get(self.buf_len),
+            vlan_insert: self.vlan_insert.map_or(0, get),
+            ip_csum: self.ip_csum.map_or(0, get),
+            l4_csum: self.l4_csum.map_or(0, get),
+        })
+    }
+}
+
 impl SimNic {
     /// Whether the model defines a TX descriptor parser.
     pub fn tx_available(&self) -> bool {
@@ -40,6 +104,125 @@ impl SimNic {
     /// Program the H2C (TX) per-queue context.
     pub fn configure_tx(&mut self, ctx: Assignment) {
         self.h2c_context = ctx;
+        self.refresh_tx_path();
+    }
+
+    /// The descriptor layout the programmed H2C context selects, when
+    /// the context alone decides it; `None` means every descriptor is
+    /// interpreted. That is the case when the contract's parser rejects
+    /// the probe under this context (no layout matches), when its walk
+    /// is not among the enumerated layouts, when a state on the walk
+    /// does anything but `extract` into the `out` descriptor or
+    /// `select`s on something other than fields of the `in` context
+    /// parameter (a descriptor field, a computed expression), or when
+    /// the layout lacks `buf_addr`/`buf_len` or carries one of the five
+    /// consumed semantics twice.
+    pub fn active_tx_layout(&self) -> Option<&DescriptorLayout> {
+        self.tx_path.as_ref().map(|p| &self.tx_layouts[p.layout])
+    }
+
+    pub(crate) fn refresh_tx_path(&mut self) {
+        self.tx_path = self.resolve_tx_path();
+    }
+
+    fn resolve_tx_path(&self) -> Option<TxPath> {
+        let name = self.model.desc_parser.as_deref()?;
+        let parser = self.checked.program.parser(name)?;
+        let probe = vec![0u8; self.tx_ring.slot_size()];
+        let walk = self.run_tx_parser(name, &probe).ok()?.trace;
+        let layout = self.tx_layouts.iter().position(|l| l.states == walk)?;
+        if !self.context_decides(parser, &walk) {
+            return None;
+        }
+        // `Err` = carried twice: which copy the interpreter's harvest
+        // reports is its business, not something to replicate.
+        let slots = &self.tx_layouts[layout].slots;
+        let field = |sem: &str| -> Result<Option<Field>, ()> {
+            let id = self.reg.id(sem);
+            let mut hits = slots.iter().filter(|s| id.is_some() && s.semantic == id);
+            match (hits.next(), hits.next()) {
+                (first, None) => Ok(first.map(|s| (s.offset_bits, s.width_bits))),
+                _ => Err(()),
+            }
+        };
+        Some(TxPath {
+            layout,
+            size_bits: self.tx_layouts[layout].size_bits,
+            buf_addr: field(names::BUF_ADDR).ok()??,
+            buf_len: field(names::BUF_LEN).ok()??,
+            vlan_insert: field(names::TX_VLAN_INSERT).ok()?,
+            ip_csum: field(names::TX_IP_CSUM).ok()?,
+            l4_csum: field(names::TX_L4_CSUM).ok()?,
+        })
+    }
+
+    /// Whether every descriptor takes `walk` under the programmed
+    /// context: each state on it only `extract`s into the `out`
+    /// descriptor (so nothing else is written and every extracted header
+    /// is harvested), and each `select` reads only fields of an H2C
+    /// context parameter (so no descriptor content steers the parse).
+    fn context_decides(&self, parser: &ast::ParserDecl, walk: &[String]) -> bool {
+        let mut desc_in = None;
+        let mut out = None;
+        for p in &parser.params {
+            match self.checked.param_ty(p) {
+                Some(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn)) => {
+                    desc_in = Some(p.name.name.as_str());
+                }
+                Some(Ty::Extern(_)) | None => {}
+                Some(_) if p.dir == Some(ast::Direction::Out) => out = Some(p.name.name.as_str()),
+                Some(_) => {}
+            }
+        }
+        let extracts_into_out = |stmt: &ast::Stmt| {
+            let ast::StmtKind::Expr(e) = &stmt.kind else {
+                return false;
+            };
+            let ast::ExprKind::Call { callee, args } = &e.kind else {
+                return false;
+            };
+            callee
+                .as_path()
+                .is_some_and(|c| c.len() == 2 && Some(c[0]) == desc_in && c[1] == "extract")
+                && args.len() == 1
+                && args[0].as_path().is_some_and(|a| Some(a[0]) == out)
+        };
+        let reads_context = |e: &ast::Expr| {
+            e.as_path()
+                .is_some_and(|path| self.h2c_params(parser).any(|(p, _)| p == path[0]))
+        };
+        walk.iter().all(|name| {
+            let Some(st) = parser
+                .states
+                .iter()
+                .flatten()
+                .find(|s| s.name.name == *name)
+            else {
+                return false;
+            };
+            st.stmts.iter().all(extracts_into_out)
+                && match &st.transition {
+                    Some(ast::Transition::Select { exprs, .. }) => exprs.iter().all(reads_context),
+                    _ => true,
+                }
+        })
+    }
+
+    /// The parser's H2C context parameters — `in`-direction structs,
+    /// the ones [`configure_tx`](SimNic::configure_tx) values reach.
+    fn h2c_params<'a>(
+        &'a self,
+        parser: &'a ast::ParserDecl,
+    ) -> impl Iterator<Item = (&'a str, opendesc_p4::types::StructId)> + 'a {
+        parser
+            .params
+            .iter()
+            .filter_map(|p| match (p.dir, self.checked.param_ty(p)) {
+                (Some(ast::Direction::In), Some(Ty::Struct(sid))) => {
+                    Some((p.name.name.as_str(), sid))
+                }
+                _ => None,
+            })
     }
 
     /// Register a frame buffer in DMA-visible host memory.
@@ -89,119 +272,95 @@ impl SimNic {
     /// [`process_tx`](SimNic::process_tx) without collecting the wire
     /// frames: processes every published descriptor and returns the
     /// number of frames emitted. The forwarding engine's device-side
-    /// drain — wire frames that nobody inspects are not retained.
+    /// drain — wire frames that nobody inspects are not retained, and
+    /// after warm-up nothing is allocated.
     pub fn process_tx_drain(&mut self) -> u64 {
         let before = self.tx_stats.frames;
-        self.process_tx();
+        self.run_tx(|_| {});
         self.tx_stats.frames - before
     }
 
     /// Device side: consume published descriptors, parse them with the
     /// contract, apply requested offloads, and return the wire frames.
     pub fn process_tx(&mut self) -> Vec<Vec<u8>> {
-        let Some(parser_name) = self.model.desc_parser.clone() else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        while let Some(desc) = self.tx_ring.consume().map(|d| d.to_vec()) {
+        self.run_tx(|frame| out.push(frame.to_vec()));
+        out
+    }
+
+    /// Consume every published descriptor, handing each wire frame to
+    /// `emit`. Descriptor and frame live in scratch reused across calls.
+    fn run_tx(&mut self, mut emit: impl FnMut(&[u8])) {
+        let Some(parser) = self.model.desc_parser.as_deref() else {
+            return;
+        };
+        let mut desc = std::mem::take(&mut self.tx_desc_scratch);
+        let mut frame = std::mem::take(&mut self.tx_frame_scratch);
+        while let Some(d) = self.tx_ring.consume() {
+            desc.clear();
+            desc.extend_from_slice(d);
             self.tx_stats.descs += 1;
-            match self.tx_one(&parser_name, &desc) {
-                Ok(frame) => {
+            let hints = match (self.mode, &self.tx_path) {
+                (WritebackMode::Fast, Some(path)) => path.read(&desc),
+                _ => self.interpret_desc(parser, &desc),
+            };
+            match hints.and_then(|h| build_frame(&self.host_mem, &h, &mut frame)) {
+                Ok(()) => {
                     self.tx_stats.frames += 1;
                     self.dma.record(&self.dma_cfg, frame.len() as u32);
-                    out.push(frame);
+                    emit(&frame);
                 }
                 Err(TxError::ParseReject) => self.tx_stats.parse_rejects += 1,
                 Err(TxError::BadBuffer) => self.tx_stats.bad_buffers += 1,
             }
         }
-        out
+        self.tx_desc_scratch = desc;
+        self.tx_frame_scratch = frame;
     }
 
-    fn tx_one(&mut self, parser_name: &str, desc: &[u8]) -> Result<Vec<u8>, TxError> {
-        // H2C context value for the parser's `in` struct param.
-        let mut args: HashMap<String, Value> = HashMap::new();
-        if let Some(parser) = self.checked.program.parser(parser_name) {
-            for p in &parser.params {
-                let ty = self.checked.param_ty(p);
-                if p.dir == Some(ast::Direction::In)
-                    && !matches!(
-                        ty,
-                        Some(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn))
-                    )
-                {
-                    if let Some(Ty::Struct(sid)) = ty {
-                        let mut v = Value::struct_of(sid, &self.checked.types);
-                        for (fref, val) in &self.h2c_context {
-                            if fref.path.first().map(String::as_str) != Some(p.name.name.as_str()) {
-                                continue;
-                            }
-                            let segs: Vec<&str> =
-                                fref.path[1..].iter().map(String::as_str).collect();
-                            if let Some(slot) = v.get_path_mut(&segs) {
-                                *slot = Value::bits(fref.width, *val);
-                            }
-                        }
-                        args.insert(p.name.name.clone(), v);
-                    }
-                }
-            }
-        }
-        let run = run_desc_parser(&self.checked, parser_name, desc, &args)
+    /// Execute the contract's parser `name` over `desc` under the
+    /// programmed H2C context.
+    fn run_tx_parser(&self, name: &str, desc: &[u8]) -> Result<ParserRun, InterpError> {
+        let parser = self.checked.program.parser(name);
+        let args: HashMap<String, Value> = parser
+            .into_iter()
+            .flat_map(|parser| self.h2c_params(parser))
+            .map(|(param, sid)| {
+                let value = self.context_value(sid, param, &self.h2c_context);
+                (param.to_string(), value)
+            })
+            .collect();
+        run_desc_parser(&self.checked, name, desc, &args)
+    }
+
+    /// Reference parse: interpret the `parser` AST over `desc` and
+    /// harvest the semantic-annotated fields of the result.
+    fn interpret_desc(&self, parser: &str, desc: &[u8]) -> Result<TxHints, TxError> {
+        let run = self
+            .run_tx_parser(parser, desc)
             .map_err(|_| TxError::ParseReject)?;
-
-        // Harvest semantic-annotated fields from the parsed descriptor.
-        let hints = self.harvest_semantics(&run.descriptor);
-        let addr = self
-            .sem_value(&hints, names::BUF_ADDR)
-            .ok_or(TxError::BadBuffer)?;
-        let len = self
-            .sem_value(&hints, names::BUF_LEN)
-            .ok_or(TxError::BadBuffer)? as usize;
-        let mut frame = self
-            .host_mem
-            .read(addr as u64, len)
-            .ok_or(TxError::BadBuffer)?
-            .to_vec();
-
-        // Apply offload hints (same reference code as the host fallback).
-        if self
-            .sem_value(&hints, names::TX_VLAN_INSERT)
-            .is_some_and(|v| v != 0)
-        {
-            let tci = self.sem_value(&hints, names::TX_VLAN_INSERT).unwrap() as u16;
-            if let Some(tagged) = fixup::insert_vlan(&frame, tci) {
-                frame = tagged;
-            }
-        }
-        if self
-            .sem_value(&hints, names::TX_IP_CSUM)
-            .is_some_and(|v| v != 0)
-        {
-            fixup::fill_ipv4_checksum(&mut frame);
-        }
-        if self
-            .sem_value(&hints, names::TX_L4_CSUM)
-            .is_some_and(|v| v != 0)
-        {
-            fixup::fill_l4_checksum(&mut frame);
-        }
-        Ok(frame)
+        let mut fields = Vec::new();
+        self.harvest_semantics(&run.descriptor, &mut fields);
+        let get = |name: &str| {
+            let id = self.reg.id(name)?;
+            fields.iter().find(|(s, _)| *s == id).map(|(_, v)| *v)
+        };
+        Ok(TxHints {
+            buf_addr: get(names::BUF_ADDR).ok_or(TxError::BadBuffer)?,
+            buf_len: get(names::BUF_LEN).ok_or(TxError::BadBuffer)?,
+            vlan_insert: get(names::TX_VLAN_INSERT).unwrap_or(0),
+            ip_csum: get(names::TX_IP_CSUM).unwrap_or(0),
+            l4_csum: get(names::TX_L4_CSUM).unwrap_or(0),
+        })
     }
 
-    /// Extract `(semantic, value)` pairs from a parsed descriptor value
+    /// Collect `(semantic, value)` pairs from a parsed descriptor value
     /// tree: every valid header field carrying an `@semantic` annotation.
-    fn harvest_semantics(&self, v: &Value) -> Vec<(SemanticId, u128)> {
-        let mut out = Vec::new();
-        self.harvest_rec(v, &mut out);
-        out
-    }
-
-    fn harvest_rec(&self, v: &Value, out: &mut Vec<(SemanticId, u128)>) {
+    fn harvest_semantics(&self, v: &Value, out: &mut Vec<(SemanticId, u128)>) {
         match v {
             Value::Struct(fields) => {
                 for f in fields.values() {
-                    self.harvest_rec(f, out);
+                    self.harvest_semantics(f, out);
                 }
             }
             Value::Header {
@@ -221,11 +380,29 @@ impl SimNic {
             _ => {}
         }
     }
+}
 
-    fn sem_value(&self, hints: &[(SemanticId, u128)], name: &str) -> Option<u128> {
-        let id = self.reg.id(name)?;
-        hints.iter().find(|(s, _)| *s == id).map(|(_, v)| *v)
+/// Resolve the descriptor's buffer against host memory into `frame` and
+/// apply the offload hints (same reference code as the host fallback).
+/// Descriptor contents are host input: an address or length the device
+/// cannot represent, or a range that is not one registered buffer, is a
+/// bad buffer, never a truncation.
+fn build_frame(mem: &HostMem, hints: &TxHints, frame: &mut Vec<u8>) -> Result<(), TxError> {
+    let addr = u64::try_from(hints.buf_addr).map_err(|_| TxError::BadBuffer)?;
+    let len = usize::try_from(hints.buf_len).map_err(|_| TxError::BadBuffer)?;
+    let buf = mem.read(addr, len).ok_or(TxError::BadBuffer)?;
+    frame.clear();
+    frame.extend_from_slice(buf);
+    if hints.vlan_insert != 0 {
+        fixup::insert_vlan_in_place(frame, hints.vlan_insert as u16);
     }
+    if hints.ip_csum != 0 {
+        fixup::fill_ipv4_checksum(frame);
+    }
+    if hints.l4_csum != 0 {
+        fixup::fill_l4_checksum(frame);
+    }
+    Ok(())
 }
 
 enum TxError {

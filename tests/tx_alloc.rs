@@ -1,11 +1,13 @@
-//! Zero-allocation guarantee for the batched TX submission path.
+//! Zero-allocation guarantee for the batched TX path, host and device.
 //!
 //! A counting global allocator wraps `System`; after one warm-up round
-//! the steady state — filling a [`TxBatch`] arena and submitting it
-//! through [`TxQueue::submit`], software fixups and bytecode deparse
-//! included — must perform no heap allocation at all. This file holds
-//! exactly one test: the counter is process-global, so any concurrent
-//! test would pollute the measurement.
+//! the steady state — filling a [`TxBatch`] arena, submitting it through
+//! [`TxQueue::submit`] (software fixups and bytecode deparse included)
+//! and draining it on the device with `SimNic::process_tx_drain`
+//! (table-driven descriptor read, buffer copy, VLAN insert and checksum
+//! fill in reused scratch) — must perform no heap allocation at all.
+//! This file holds exactly one test: the counter is process-global, so
+//! any concurrent test would pollute the measurement.
 
 use opendesc::compiler::{
     compile_tx, CompiledTxPlan, Intent, Selector, TxBatch, TxQueue, TxRequest,
@@ -82,8 +84,9 @@ fn steady_state_batched_submit_allocates_nothing() {
         vlan: Some(0x0123),
     };
 
-    // One warm-up round fills whatever lazily grows (nothing should,
-    // but the claim under test is the steady state, not first touch).
+    // One warm-up round fills whatever lazily grows (the device's
+    // descriptor and frame scratch); the claim under test is the steady
+    // state, not first touch.
     for _ in 0..32 {
         assert!(batch.push(&frame, req));
     }
@@ -98,18 +101,26 @@ fn steady_state_batched_submit_allocates_nothing() {
             assert!(batch.push(&frame, req));
         }
         let placed = q.submit(&mut nic, &mut batch).unwrap();
+        let submitted = ALLOCS.load(Ordering::SeqCst);
+        let drained = nic.process_tx_drain();
         let after = ALLOCS.load(Ordering::SeqCst);
-        assert_eq!(placed, 32);
+        assert_eq!((placed, drained), (32, 32));
         assert_eq!(
-            after - before,
+            submitted - before,
             0,
             "round {round}: batched submit hit the allocator"
         );
-        // Device-side drain and reclaim happen outside the window: the
-        // guarantee is about the host submission path.
+        assert_eq!(
+            after - submitted,
+            0,
+            "round {round}: device TX drain hit the allocator"
+        );
         batch.clear();
-        assert_eq!(nic.process_tx_drain(), 32);
     }
+    assert!(
+        nic.active_tx_layout().is_some(),
+        "drain was not table-driven"
+    );
     assert_eq!(q.stats.frames, 5 * 32);
     assert_eq!(q.stats.doorbells, 5);
 }
