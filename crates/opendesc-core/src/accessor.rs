@@ -190,47 +190,6 @@ impl AccessorSet {
             })
             .collect()
     }
-
-    /// Columnar hardware read (the §5 SIMD-accessors direction): one
-    /// accessor across a whole batch of completion records, in chunks of
-    /// four with a scalar remainder. The benefit measured by E8/E12 comes
-    /// from amortizing the per-field offset computation and keeping the
-    /// loads of a chunk independent for the CPU's ILP.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `cmpts`.
-    pub fn read_column<C: AsRef<[u8]>>(&self, acc_idx: usize, cmpts: &[C], out: &mut [u128]) {
-        let a = &self.accessors[acc_idx];
-        debug_assert_eq!(a.kind, AccessorKind::Hardware);
-        let n = cmpts.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v0 = a.read(cmpts[i].as_ref());
-            let v1 = a.read(cmpts[i + 1].as_ref());
-            let v2 = a.read(cmpts[i + 2].as_ref());
-            let v3 = a.read(cmpts[i + 3].as_ref());
-            out[i] = v0;
-            out[i + 1] = v1;
-            out[i + 2] = v2;
-            out[i + 3] = v3;
-            i += 4;
-        }
-        while i < n {
-            out[i] = a.read(cmpts[i].as_ref());
-            i += 1;
-        }
-    }
-
-    /// Fixed 4-descriptor batch read, kept for the E8 bench; a thin
-    /// wrapper over [`read_column`].
-    ///
-    /// [`read_column`]: AccessorSet::read_column
-    #[inline]
-    pub fn read_batch4(&self, acc_idx: usize, cmpts: [&[u8]; 4]) -> [u128; 4] {
-        let mut out = [0u128; 4];
-        self.read_column(acc_idx, &cmpts, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -308,38 +267,6 @@ mod tests {
         let frame = opendesc_softnic::testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", None);
         let vals = set.read_packet(&reg, &mut soft, &frame, &[0u8; 8]);
         assert_eq!(vals, vec![None]);
-    }
-
-    #[test]
-    fn batch4_reads_match_scalar_reads() {
-        let (path, reg) = mlx5_mini_path();
-        let rss = reg.id(names::RSS_HASH).unwrap();
-        let set = AccessorSet::synthesize(&path, &[(rss, "rss".into(), 32)]);
-        let c: Vec<[u8; 8]> = (0u8..4).map(|i| [i, 1, 2, 3, 4, 5, 6, 7]).collect();
-        let batch = set.read_batch4(0, [&c[0], &c[1], &c[2], &c[3]]);
-        for i in 0..4 {
-            assert_eq!(batch[i], set.accessors[0].read(&c[i]));
-        }
-    }
-
-    #[test]
-    fn read_column_matches_scalar_with_remainder() {
-        let (path, reg) = mlx5_mini_path();
-        let rss = reg.id(names::RSS_HASH).unwrap();
-        let len = reg.id(names::PKT_LEN).unwrap();
-        let set =
-            AccessorSet::synthesize(&path, &[(rss, "rss".into(), 32), (len, "len".into(), 16)]);
-        // 7 completions: one 4-chunk plus a 3-record scalar remainder.
-        let cmpts: Vec<Vec<u8>> = (0u8..7)
-            .map(|i| vec![i, i ^ 0xFF, 2 * i, 3, 4, 5, 6, 7])
-            .collect();
-        for acc_idx in 0..set.accessors.len() {
-            let mut out = vec![0u128; cmpts.len()];
-            set.read_column(acc_idx, &cmpts, &mut out);
-            for (c, got) in cmpts.iter().zip(&out) {
-                assert_eq!(*got, set.accessors[acc_idx].read(c));
-            }
-        }
     }
 
     proptest! {

@@ -20,9 +20,12 @@ use crate::intent::Intent;
 use crate::lower::{lower, LowerError, LoweredPlan};
 use crate::robust::ValidatorSpec;
 use crate::tx::{compile_tx, CompiledTxPlan};
+use crate::vm::PlanProgram;
 use opendesc_ir::{Assignment, SemanticRegistry};
 use opendesc_nicsim::models::NicModel;
+use opendesc_nicsim::nic::NicError;
 use std::collections::HashMap;
+use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
@@ -37,9 +40,9 @@ pub struct CompiledRx {
     /// queues sharing the artifact share one spec.
     validator: ValidatorSpec,
     /// The plan's bytecode + verified-eBPF form, lowered once here. An
-    /// `Err` records why the plan cannot run on the VM path (the tree
-    /// interpreter remains as fallback for directly-attached drivers;
-    /// the cache refuses to serve such artifacts at all).
+    /// `Err` records why the plan has no executable form: nothing else
+    /// may run it, so the cache never serves such an artifact and
+    /// `OpenDescDriver::attach`/`request_relayout` refuse it.
     lowered: Result<LoweredPlan, LowerError>,
 }
 
@@ -73,6 +76,19 @@ impl CompiledRx {
     pub fn lowering_error(&self) -> Option<&LowerError> {
         self.lowered.as_ref().err()
     }
+
+    /// The verified bytecode the datapath executes.
+    ///
+    /// # Panics
+    /// On an artifact whose [`lowering_error`](CompiledRx::lowering_error)
+    /// is `Some`. Attach and relayout refuse those, so a driver can only
+    /// hold one if its public `iface` field was overwritten from outside.
+    pub(crate) fn program(&self) -> &PlanProgram {
+        match &self.lowered {
+            Ok(l) => &l.prog,
+            Err(e) => panic!("driver holds an artifact attach would have refused: {e}"),
+        }
+    }
 }
 
 impl Deref for CompiledRx {
@@ -85,6 +101,34 @@ impl Deref for CompiledRx {
 impl From<CompiledInterface> for CompiledRx {
     fn from(iface: CompiledInterface) -> Self {
         CompiledRx::new(iface)
+    }
+}
+
+/// Why [`OpenDescDriver::attach`](crate::datapath::OpenDescDriver::attach)
+/// refused an artifact.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttachError {
+    /// The device rejected the artifact's context.
+    Nic(NicError),
+    /// The plan has no verifier-accepted bytecode form, and the driver
+    /// executes nothing else.
+    Unlowerable(LowerError),
+}
+
+impl fmt::Display for AttachError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttachError::Nic(e) => write!(f, "nic: {e}"),
+            AttachError::Unlowerable(e) => write!(f, "plan has no verified program: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for AttachError {}
+
+impl From<NicError> for AttachError {
+    fn from(e: NicError) -> Self {
+        AttachError::Nic(e)
     }
 }
 

@@ -7,23 +7,20 @@
 //! fields through constant-time accessors, invoking SoftNIC shims only
 //! for semantics the layout does not carry.
 
-use crate::accessor::AccessorSet;
-use crate::cache::CompiledRx;
+use crate::cache::{AttachError, CompiledRx};
 use crate::compiler::CompiledInterface;
 use crate::evolve::{FlipProgress, RelayoutCounters};
-use crate::plan::RxPlan;
 use crate::robust::{
     HealthConfig, HealthState, QueueHealth, SeqTracker, SeqVerdict, ValidationMode,
     ValidationStats, Watchdog, WatchdogConfig,
 };
 use crate::vm;
-use opendesc_ir::bits::width_mask;
 use opendesc_ir::SemanticId;
 use opendesc_nicsim::nic::{NicError, SimNic};
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, SoftNic};
 use opendesc_telemetry::{MetricRegistry, QueueTelemetry, TraceKind};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// Metadata for one received packet, ordered like the intent's fields.
@@ -53,9 +50,15 @@ impl RxPacket {
 /// storage is recycled across calls, so a steady-state poll loop stops
 /// allocating entirely. Metadata is column-major — all packets' values
 /// of one field are contiguous (`meta[field * cap + pkt]`) — which is
-/// what the columnar hardware reader fills.
+/// what the columnar hardware reader fills. The columns are shaped for
+/// one artifact; a poll under a different one (after a relayout)
+/// reshapes them in place first.
 #[derive(Debug, Default)]
 pub struct RxBatch {
+    /// The artifact `sems` and `meta` are shaped for. Weak, so a batch
+    /// never pins a superseded plan in the cache, yet keeps the
+    /// allocation's address from being reused by a later artifact.
+    built_for: Weak<CompiledRx>,
     /// Packets currently held (set by the last `poll_batch_into`).
     len: usize,
     /// Capacity in packets.
@@ -68,8 +71,6 @@ pub struct RxBatch {
     cmpts: Vec<Vec<u8>>,
     /// Column-major metadata: `meta[field * cap + pkt]`.
     meta: Vec<Option<u128>>,
-    /// Scratch column for the hardware batch reader.
-    hwcol: Vec<u128>,
     /// Steering sideband per packet (device-reported RSS hash), consumed
     /// to prime the shim memo; recycled like the other columns.
     hints: Vec<Option<u32>>,
@@ -80,25 +81,29 @@ pub struct RxBatch {
 }
 
 impl RxBatch {
-    fn new(iface: &CompiledInterface, cap: usize) -> RxBatch {
-        let sems: Vec<SemanticId> = iface
-            .accessors
-            .accessors
-            .iter()
-            .map(|a| a.semantic)
-            .collect();
-        let fields = sems.len();
-        RxBatch {
-            len: 0,
+    fn new(iface: &Arc<CompiledRx>, cap: usize) -> RxBatch {
+        let mut batch = RxBatch {
             cap,
-            sems,
             frames: (0..cap).map(|_| Vec::new()).collect(),
             cmpts: (0..cap).map(|_| Vec::new()).collect(),
-            meta: vec![None; fields * cap],
-            hwcol: vec![0; cap],
             hints: vec![None; cap],
             short: vec![false; cap],
-        }
+            ..RxBatch::default()
+        };
+        batch.reshape(iface);
+        batch
+    }
+
+    /// Rebuild the per-field columns for `iface`, emptying the batch;
+    /// per-packet storage depends only on the capacity and is kept.
+    fn reshape(&mut self, iface: &Arc<CompiledRx>) {
+        self.built_for = Arc::downgrade(iface);
+        self.len = 0;
+        self.sems.clear();
+        self.sems
+            .extend(iface.accessors.accessors.iter().map(|a| a.semantic));
+        self.meta.clear();
+        self.meta.resize(self.sems.len() * self.cap, None);
     }
 
     /// Packets received by the last poll.
@@ -177,7 +182,13 @@ enum Disposition {
 /// The compiled interface is held through a shared immutable
 /// [`CompiledRx`]: N queues attached with the same artifact hold one
 /// compilation, not N copies (`iface` still reads like a
-/// `CompiledInterface` via `Deref`).
+/// `CompiledInterface` via `Deref`). What the driver executes is that
+/// artifact's verified bytecode ([`crate::vm`]) and nothing else: an
+/// artifact that did not lower is refused at [`attach`] and at
+/// [`request_relayout`].
+///
+/// [`attach`]: OpenDescDriver::attach
+/// [`request_relayout`]: OpenDescDriver::request_relayout
 ///
 /// The driver distrusts the device's *behavior*, not just its layout
 /// (see [`crate::robust`]): completions pass sequence and length
@@ -198,18 +209,9 @@ pub struct OpenDescDriver {
     /// and the trace ring. Driver-owned, so hot-path updates need no
     /// synchronization; disabled it costs one branch per hook.
     tel: QueueTelemetry,
-    /// Recycled completion-record storage for the per-packet [`poll`]
-    /// path (`receive_into_hinted` clears and refills it), so a
-    /// steady-state poll loop stops allocating for completions.
-    ///
-    /// [`poll`]: OpenDescDriver::poll
-    scratch_cmpt: Vec<u8>,
-    /// Recycled metadata-values scratch for the per-packet [`poll`]
-    /// path; its contents move into the returned [`RxPacket`] by copy,
-    /// never by reallocation.
-    ///
-    /// [`poll`]: OpenDescDriver::poll
-    scratch_values: Vec<Option<u128>>,
+    /// `poll`'s one-slot batch; boxed so lending it to the pipeline
+    /// moves a pointer, and `None` only while a `poll` has it out.
+    one: Option<Box<RxBatch>>,
     /// Pending drain-and-flip, if a relayout is underway (see
     /// [`crate::evolve`]).
     flip: FlipState,
@@ -238,7 +240,9 @@ enum FlipState {
 impl OpenDescDriver {
     /// Attach a compiled interface to a NIC: programs the selected
     /// context via the control channel and returns the ready driver.
-    pub fn attach(nic: SimNic, iface: CompiledInterface) -> Result<Self, NicError> {
+    /// An interface whose plan did not lower to verified bytecode is
+    /// refused before the device is touched.
+    pub fn attach(nic: SimNic, iface: CompiledInterface) -> Result<Self, AttachError> {
         Self::attach_shared(nic, Arc::new(CompiledRx::new(iface)))
     }
 
@@ -246,12 +250,16 @@ impl OpenDescDriver {
     /// artifact — the sharded engine's path: every worker's queue
     /// attaches the same `Arc` (typically from the
     /// [`PlanCache`](crate::cache::PlanCache)).
-    pub fn attach_shared(mut nic: SimNic, iface: Arc<CompiledRx>) -> Result<Self, NicError> {
+    pub fn attach_shared(mut nic: SimNic, iface: Arc<CompiledRx>) -> Result<Self, AttachError> {
+        if let Some(e) = iface.lowering_error() {
+            return Err(AttachError::Unlowerable(e.clone()));
+        }
         if let Some(ctx) = &iface.context {
             nic.configure(ctx.clone())?;
         }
         Ok(OpenDescDriver {
             nic,
+            one: Some(Box::new(RxBatch::new(&iface, 1))),
             iface,
             soft: SoftNic::new(),
             mode: ValidationMode::default(),
@@ -260,8 +268,6 @@ impl OpenDescDriver {
             health: HealthState::default(),
             watchdog: Watchdog::default(),
             tel: QueueTelemetry::default(),
-            scratch_cmpt: Vec::new(),
-            scratch_values: Vec::new(),
             flip: FlipState::Idle,
             generation: 0,
             device_rolled: false,
@@ -394,8 +400,9 @@ impl OpenDescDriver {
     /// Old-layout completions the device had in flight are re-tagged
     /// into the stale-generation fault class and discarded by sequence
     /// admission rather than misparsed. The *host* plan swap still
-    /// happens only at commit (the caller's batch storage is shaped for
-    /// the current plan), gated by `device_rolled`.
+    /// happens only at commit (recovery runs inside a poll, whose batch
+    /// is already shaped for the current plan), gated by
+    /// `device_rolled`.
     fn recover(&mut self) {
         let mut rolled = false;
         if let FlipState::Draining(new) = &self.flip {
@@ -443,9 +450,25 @@ impl OpenDescDriver {
     /// recovers. A newer request supersedes a pending one (latest
     /// intent wins).
     ///
+    /// An artifact that did not lower to verified bytecode is refused,
+    /// as at attach: counted and traced, and otherwise a no-op — plan,
+    /// generation, device context and any pending flip stay as they
+    /// were, and the returned progress is that of the flip still
+    /// standing.
+    ///
     /// [`advance_relayout`]: OpenDescDriver::advance_relayout
     pub fn request_relayout(&mut self, new: Arc<CompiledRx>) -> FlipProgress {
         self.evolve.requested += 1;
+        if new.lowering_error().is_some() {
+            self.evolve.refused += 1;
+            self.tel
+                .event(TraceKind::RelayoutRefused, self.generation + 1, 0);
+            return match self.flip {
+                FlipState::Idle => FlipProgress::Idle,
+                FlipState::Deferred(_) => FlipProgress::Deferred,
+                FlipState::Draining(_) => FlipProgress::Draining,
+            };
+        }
         if self.health() == QueueHealth::Degraded {
             if !matches!(self.flip, FlipState::Deferred(_)) {
                 self.evolve.deferred += 1;
@@ -511,8 +534,8 @@ impl OpenDescDriver {
     /// roll-forward already did it), then the host plan swap. Strictly
     /// ordered — the old plan parses every completion up to the ring
     /// tick, the new plan everything after — so no completion is ever
-    /// read through the wrong layout. Callers that hold batch storage
-    /// must rebuild it after a commit (the plan's shape changed).
+    /// read through the wrong layout. Batch storage shaped for the old
+    /// plan reshapes itself on its next poll.
     fn commit_relayout(&mut self, polls_spent: u64) -> FlipProgress {
         let FlipState::Draining(new) = std::mem::replace(&mut self.flip, FlipState::Idle) else {
             unreachable!("commit only from Draining");
@@ -537,13 +560,10 @@ impl OpenDescDriver {
     /// frame, so it must not mask hidden completions as progress).
     /// `true` = deliver, `false` = discard (duplicate or stale
     /// writeback).
-    /// Clean admissions are NOT traced here: on the batched hot path a
-    /// per-packet ring write would eat the E15 overhead budget, and the
-    /// batch's `BatchPolled` event already summarizes them. Anomalies
-    /// (discard verdicts) always trace; the per-packet [`poll`] path
-    /// traces its writebacks itself.
-    ///
-    /// [`poll`]: OpenDescDriver::poll
+    /// Clean admissions are NOT traced here: a per-packet ring write
+    /// would eat the E15 overhead budget, so `drain_batch` traces only
+    /// the first writeback of each batch and `BatchPolled` summarizes
+    /// the rest. Anomalies (discard verdicts) always trace.
     fn admit_seq(&mut self, seq: u64) -> bool {
         if self.mode == ValidationMode::Off {
             self.watchdog.note_progress(1);
@@ -583,172 +603,24 @@ impl OpenDescDriver {
         }
     }
 
-    /// Execute one admitted packet into `values`, applying the
-    /// truncation guard, the mode/health disposition, and structural
-    /// checks; updates validation stats and health.
+    /// Host-side: poll one packet with its requested metadata — a
+    /// one-slot batch through [`poll_batch_into`], so the same
+    /// admission pipeline runs: duplicated/stale completions are
+    /// discarded (the drain keeps consuming), truncated or failing ones
+    /// are re-served degraded, and an empty poll with work outstanding
+    /// feeds the watchdog.
     ///
-    /// All three dispositions run the lowered, verifier-accepted
-    /// bytecode ([`crate::vm`]) when the interface carries one; the
-    /// tree interpreter in [`crate::plan`] is only the fallback for
-    /// plans that could not be lowered (and the differential-test
-    /// oracle).
-    fn execute_checked(
-        &mut self,
-        frame: &[u8],
-        cmpt: &[u8],
-        rss_hint: Option<u32>,
-        values: &mut [Option<u128>],
-    ) {
-        let iface = Arc::clone(&self.iface);
-        let plan = &iface.plan;
-        let set = &iface.accessors;
-        let spec = iface.validator();
-        let prog = iface.lowered().map(|l| &l.prog);
-        // Truncated writeback: shorter than the layout promises; no
-        // accessor may touch it (reads would run past the end).
-        if self.mode != ValidationMode::Off && cmpt.len() < spec.expected_len {
-            self.vstats.truncated += 1;
-            self.health.on_fault();
-            self.tel.event(
-                TraceKind::Truncated,
-                cmpt.len() as u64,
-                spec.expected_len as u64,
-            );
-            match prog {
-                Some(p) => p.run_degraded(&mut self.soft, frame, values),
-                None => plan.execute_degraded(&mut self.soft, frame, values),
-            }
-            self.vstats.degraded_packets += 1;
-            self.vstats.accepted += 1;
-            if self.tel.enabled() {
-                self.tel.fields_sw += plan.degraded.len() as u64;
-                self.tel.event(TraceKind::DegradedServe, 0, 0);
-            }
-            return;
-        }
-        match self.disposition() {
-            Disposition::Degraded => {
-                match prog {
-                    Some(p) => p.run_degraded(&mut self.soft, frame, values),
-                    None => plan.execute_degraded(&mut self.soft, frame, values),
-                }
-                self.vstats.degraded_packets += 1;
-                self.health.on_clean();
-                if self.tel.enabled() {
-                    self.tel.fields_sw += plan.degraded.len() as u64;
-                    self.tel.event(TraceKind::DegradedServe, 0, 0);
-                }
-            }
-            Disposition::Verified => {
-                let repaired = match prog {
-                    Some(p) => p.run_verified(&mut self.soft, frame, cmpt, values),
-                    None => plan.execute_verified(set, &mut self.soft, frame, cmpt, values),
-                };
-                if repaired > 0 {
-                    self.vstats.repaired_fields += repaired as u64;
-                    self.health.on_fault();
-                    self.tel.event(TraceKind::Repaired, repaired as u64, 0);
-                } else {
-                    self.health.on_clean();
-                }
-                if self.tel.enabled() {
-                    self.tel.fields_hw += plan.hw.len() as u64;
-                    self.tel.fields_sw += plan.sw.len() as u64;
-                }
-            }
-            Disposition::Trusted => {
-                match prog {
-                    Some(p) => p.run_trusted(&mut self.soft, frame, cmpt, rss_hint, values),
-                    None => {
-                        plan.execute_into_primed(set, &mut self.soft, frame, cmpt, rss_hint, values)
-                    }
-                }
-                if self.tel.enabled() {
-                    self.tel.fields_hw += plan.hw.len() as u64;
-                    self.tel.fields_sw += plan.sw.len() as u64;
-                }
-                if self.mode == ValidationMode::Off {
-                    return;
-                }
-                let (fail, proven) = spec.check_values_all(frame.len(), |i| values[i]);
-                if fail.is_some() {
-                    self.vstats.structural_failures += 1;
-                    self.health.on_fault();
-                    self.tel.event(TraceKind::StructuralFailure, 0, 0);
-                    // Selective re-serve: fields the structural checks
-                    // just proved against frame truth keep their
-                    // validated values, as do software slots (already
-                    // frame-derived — minus hint-fed ones, whose memo
-                    // was primed by untrusted device sideband). Only
-                    // the remainder is recomputed.
-                    let keep = proven | plan.keep_sw_mask(rss_hint.is_some());
-                    match prog {
-                        Some(p) => {
-                            p.run_degraded_partial_at(&mut self.soft, frame, keep, values, 1, 0)
-                        }
-                        None => plan.execute_degraded_partial(&mut self.soft, frame, keep, values),
-                    }
-                    self.vstats.degraded_packets += 1;
-                    self.tel.event(TraceKind::DegradedServe, 0, 0);
-                } else {
-                    self.health.on_clean();
-                }
-            }
-        }
-        self.vstats.accepted += 1;
-    }
-
-    /// Host-side: poll one packet with its requested metadata.
-    ///
-    /// Runs the full admission pipeline: duplicated/stale completions
-    /// are discarded (the loop keeps polling), truncated or failing
-    /// completions are re-served through degraded execution, and an
-    /// empty poll with work outstanding feeds the watchdog — when it
-    /// trips, the ring is reset/re-armed and polling retries once.
+    /// [`poll_batch_into`]: OpenDescDriver::poll_batch_into
     pub fn poll(&mut self) -> Option<RxPacket> {
-        let before = self.health();
-        let r = self.poll_inner();
-        self.note_health_transition(before);
-        r
-    }
-
-    fn poll_inner(&mut self) -> Option<RxPacket> {
-        // Frames move into the returned packet, so their storage is
-        // per-call; completion and values scratch recycle across polls.
-        let mut frame = Vec::new();
-        let mut cmpt = std::mem::take(&mut self.scratch_cmpt);
-        let mut values = std::mem::take(&mut self.scratch_values);
-        let result = loop {
-            let Some(side) = self.nic.receive_into_hinted(&mut frame, &mut cmpt) else {
-                if self.watchdog.observe_empty() {
-                    self.recover();
-                    continue;
-                }
-                break None;
-            };
-            if !self.admit_seq(side.seq) {
-                continue;
-            }
-            self.tel.event(TraceKind::Writeback, side.seq, 0);
-            values.clear();
-            values.resize(self.iface.plan.steps.len(), None);
-            self.execute_checked(&frame, &cmpt, side.rss_hint, &mut values);
-            let meta = self
-                .iface
-                .accessors
-                .accessors
-                .iter()
-                .zip(values.iter())
-                .map(|(a, v)| (a.semantic, *v))
-                .collect();
-            break Some(RxPacket {
-                frame: std::mem::take(&mut frame),
-                meta,
-            });
-        };
-        self.scratch_cmpt = cmpt;
-        self.scratch_values = values;
-        result
+        let mut one = self.one.take().expect("every poll puts its batch back");
+        let pkt = (self.poll_batch_into(&mut one) == 1).then(|| RxPacket {
+            frame: std::mem::take(&mut one.frames[0]),
+            meta: std::iter::zip(&one.sems, &one.meta)
+                .map(|(s, v)| (*s, *v))
+                .collect(),
+        });
+        self.one = Some(one);
+        pkt
     }
 
     /// Poll up to `n` packets.
@@ -777,17 +649,14 @@ impl OpenDescDriver {
     /// fields via the compiled shim plan (one parse per packet, memoized
     /// intra-packet repeats). Returns the number of packets received.
     ///
-    /// Runs the same admission pipeline as [`poll`] (sequence discard,
-    /// truncation guard, mode/health disposition, watchdog) and produces
-    /// bit-identical metadata to calling [`poll`] per packet.
-    ///
-    /// [`poll`]: OpenDescDriver::poll
+    /// This is the driver's only admission pipeline: sequence discard,
+    /// truncation guard, mode/health disposition, watchdog. A batch
+    /// shaped for another artifact — one that predates a relayout, or
+    /// that another driver made — is reshaped for this one first.
     pub fn poll_batch_into(&mut self, batch: &mut RxBatch) -> usize {
-        assert_eq!(
-            batch.sems.len(),
-            self.iface.accessors.accessors.len(),
-            "batch was built for a different interface"
-        );
+        if batch.built_for.as_ptr() != Arc::as_ptr(&self.iface) {
+            batch.reshape(&self.iface);
+        }
         // Telemetry discipline: a handful of integer histogram records
         // per *batch* (not per packet), skipped entirely when disabled.
         // Even the two `Instant` reads are too hot for every cycle at
@@ -823,28 +692,24 @@ impl OpenDescDriver {
                     .trace
                     .record(TraceKind::BatchPolled, n as u64, occupancy);
             }
-            self.note_health_transition(health_before);
+            // Operands are severity ranks: 0 = Healthy, 1 = Recovering,
+            // 2 = Degraded.
+            let health_after = self.health();
+            if health_after != health_before {
+                self.tel.event(
+                    TraceKind::HealthTransition,
+                    health_rank(health_before),
+                    health_rank(health_after),
+                );
+            }
         }
         n
     }
 
-    /// Record a health-machine move since `before`, if any, into the
-    /// trace ring (operands are severity ranks: 0 = Healthy,
-    /// 1 = Recovering, 2 = Degraded).
-    fn note_health_transition(&mut self, before: QueueHealth) {
-        let after = self.health();
-        if after != before {
-            self.tel.event(
-                TraceKind::HealthTransition,
-                health_rank(before),
-                health_rank(after),
-            );
-        }
-    }
-
     /// Drain the rings into recycled frame/completion storage, keeping
     /// each packet's steering sideband and truncation flag alongside it;
-    /// duplicated/stale completions are discarded here.
+    /// duplicated/stale completions are discarded here. The one place
+    /// the host consumes the device's rings.
     fn drain_batch(&mut self, batch: &mut RxBatch) -> usize {
         let expected_len = self.iface.validator().expected_len;
         let mut n = 0;
@@ -858,12 +723,20 @@ impl OpenDescDriver {
             if !self.admit_seq(side.seq) {
                 continue;
             }
+            if n == 0 {
+                self.tel.event(TraceKind::Writeback, side.seq, 0);
+            }
             batch.hints[n] = side.rss_hint;
             let short = self.mode != ValidationMode::Off && batch.cmpts[n].len() < expected_len;
             batch.short[n] = short;
             if short {
                 self.vstats.truncated += 1;
                 self.health.on_fault();
+                self.tel.event(
+                    TraceKind::Truncated,
+                    batch.cmpts[n].len() as u64,
+                    expected_len as u64,
+                );
             }
             n += 1;
         }
@@ -876,102 +749,52 @@ impl OpenDescDriver {
     /// the batch re-serve that packet degraded and demote health for the
     /// *next* batch.
     ///
-    /// When the interface carries a lowered [`PlanProgram`] (every
-    /// verifier-accepted plan does), all three dispositions execute the
-    /// bytecode; hardware fields additionally run one *instruction*
-    /// across the whole batch ([`vm::load_column`]), amortizing dispatch
-    /// to once per field per batch. The tree interpreter remains only as
-    /// the fallback for unlowerable plans.
+    /// All three dispositions execute the artifact's verified
+    /// [`PlanProgram`]; trusted hardware fields additionally run one
+    /// *instruction* across the whole batch ([`vm::load_column`]),
+    /// amortizing dispatch to once per field per batch.
     ///
     /// [`PlanProgram`]: crate::vm::PlanProgram
     fn fill_batch(&mut self, batch: &mut RxBatch) {
         let iface = Arc::clone(&self.iface);
         let plan = &iface.plan;
-        let set = &iface.accessors;
         let spec = iface.validator();
-        let prog = iface.lowered().map(|l| &l.prog);
+        let prog = iface.program();
         let n = batch.len;
         let cap = batch.cap;
-        let fields = batch.sems.len();
-        match self.disposition() {
-            Disposition::Degraded => {
-                for pkt in 0..n {
-                    match prog {
-                        Some(p) => p.run_degraded_at(
-                            &mut self.soft,
-                            &batch.frames[pkt],
-                            &mut batch.meta,
-                            cap,
-                            pkt,
-                        ),
-                        None => degrade_one(
-                            plan,
-                            &mut self.soft,
-                            fields,
-                            cap,
-                            pkt,
-                            &batch.frames[pkt],
-                            &mut batch.meta,
-                        ),
-                    }
-                    self.vstats.degraded_packets += 1;
-                    self.vstats.accepted += 1;
-                    if !batch.short[pkt] {
-                        self.health.on_clean();
-                    }
-                }
-                if self.tel.enabled() {
-                    self.tel.fields_sw += (n * plan.degraded.len()) as u64;
-                    self.tel.event(TraceKind::DegradedServe, n as u64, 0);
-                }
-            }
-            Disposition::Verified => {
+        let disposition = self.disposition();
+        match disposition {
+            Disposition::Degraded | Disposition::Verified => {
+                // A completion that cannot be trusted — any, while the
+                // queue is Degraded; a truncated one, always — is never
+                // read: the packet is served from frame bytes alone.
                 let mut degraded = 0usize;
                 for pkt in 0..n {
-                    if batch.short[pkt] {
+                    self.vstats.accepted += 1;
+                    if disposition == Disposition::Degraded || batch.short[pkt] {
                         degraded += 1;
-                        match prog {
-                            Some(p) => p.run_degraded_at(
-                                &mut self.soft,
-                                &batch.frames[pkt],
-                                &mut batch.meta,
-                                cap,
-                                pkt,
-                            ),
-                            None => degrade_one(
-                                plan,
-                                &mut self.soft,
-                                fields,
-                                cap,
-                                pkt,
-                                &batch.frames[pkt],
-                                &mut batch.meta,
-                            ),
-                        }
+                        prog.run_degraded_partial_at(
+                            &mut self.soft,
+                            &batch.frames[pkt],
+                            0,
+                            &mut batch.meta,
+                            cap,
+                            pkt,
+                        );
                         self.vstats.degraded_packets += 1;
-                        self.vstats.accepted += 1;
+                        if !batch.short[pkt] {
+                            self.health.on_clean();
+                        }
                         continue;
                     }
-                    let repaired = match prog {
-                        Some(p) => p.run_verified_at(
-                            &mut self.soft,
-                            &batch.frames[pkt],
-                            &batch.cmpts[pkt],
-                            &mut batch.meta,
-                            cap,
-                            pkt,
-                        ),
-                        None => verify_one(
-                            plan,
-                            set,
-                            &mut self.soft,
-                            cap,
-                            pkt,
-                            &batch.frames[pkt],
-                            &batch.cmpts[pkt],
-                            &mut batch.meta,
-                        ),
-                    };
+                    let repaired = prog.run_verified_at(
+                        &mut self.soft,
+                        &batch.frames[pkt],
+                        &batch.cmpts[pkt],
+                        &mut batch.meta,
+                        cap,
+                        pkt,
+                    );
                     if repaired > 0 {
                         self.vstats.repaired_fields += repaired as u64;
                         self.health.on_fault();
@@ -980,12 +803,14 @@ impl OpenDescDriver {
                     } else {
                         self.health.on_clean();
                     }
-                    self.vstats.accepted += 1;
                 }
                 if self.tel.enabled() {
                     self.tel.fields_sw +=
                         (degraded * plan.degraded.len() + (n - degraded) * plan.sw.len()) as u64;
                     self.tel.fields_hw += ((n - degraded) * plan.hw.len()) as u64;
+                    if disposition == Disposition::Degraded {
+                        self.tel.event(TraceKind::DegradedServe, n as u64, 0);
+                    }
                 }
             }
             Disposition::Trusted => {
@@ -993,51 +818,24 @@ impl OpenDescDriver {
                 // Hardware fields: one column at a time across the whole
                 // batch; truncated records fall back to per-packet guarded
                 // reads (`None` for the short ones).
-                match prog {
-                    Some(p) => {
-                        for insn in p.hw_insns() {
-                            let base = insn.dst as usize * cap;
-                            if any_short {
-                                for pkt in 0..n {
-                                    batch.meta[base + pkt] = if batch.short[pkt] {
-                                        None
-                                    } else {
-                                        Some(vm::exec_load(insn, &batch.cmpts[pkt]))
-                                    };
-                                }
+                for insn in prog.hw_insns() {
+                    let base = insn.dst as usize * cap;
+                    if any_short {
+                        for pkt in 0..n {
+                            batch.meta[base + pkt] = if batch.short[pkt] {
+                                None
                             } else {
-                                vm::load_column(
-                                    insn,
-                                    &batch.cmpts[..n],
-                                    &mut batch.meta[base..base + n],
-                                );
-                            }
+                                Some(vm::exec_load(insn, &batch.cmpts[pkt]))
+                            };
                         }
-                    }
-                    None => {
-                        for &acc_idx in &plan.hw {
-                            let base = acc_idx * cap;
-                            if any_short {
-                                for pkt in 0..n {
-                                    batch.meta[base + pkt] = if batch.short[pkt] {
-                                        None
-                                    } else {
-                                        Some(set.accessors[acc_idx].read(&batch.cmpts[pkt]))
-                                    };
-                                }
-                            } else {
-                                set.read_column(acc_idx, &batch.cmpts[..n], &mut batch.hwcol[..n]);
-                                for pkt in 0..n {
-                                    batch.meta[base + pkt] = Some(batch.hwcol[pkt]);
-                                }
-                            }
-                        }
+                    } else {
+                        vm::load_column(insn, &batch.cmpts[..n], &mut batch.meta[base..base + n]);
                     }
                 }
                 // Software fields: parse each frame once, share it across
                 // shims; a device-reported hash primes the memo so
                 // software RSS steps are lookups, not Toeplitz runs.
-                if plan.needs_parse() {
+                if prog.needs_parse() {
                     for pkt in 0..n {
                         if batch.short[pkt] {
                             continue;
@@ -1048,28 +846,14 @@ impl OpenDescDriver {
                         if let Some(h) = batch.hints[pkt] {
                             memo.prime_rss(h);
                         }
-                        match prog {
-                            Some(p) => {
-                                for insn in p.sw_insns() {
-                                    batch.meta[insn.dst as usize * cap + pkt] = vm::exec_shim(
-                                        &mut self.soft,
-                                        insn,
-                                        parsed.as_ref(),
-                                        frame.len(),
-                                        &mut memo,
-                                    );
-                                }
-                            }
-                            None => {
-                                for &(acc_idx, op) in &plan.sw {
-                                    batch.meta[acc_idx * cap + pkt] = parsed
-                                        .as_ref()
-                                        .and_then(|p| {
-                                            self.soft.exec_op(op, p, frame.len(), &mut memo)
-                                        })
-                                        .map(|v| v as u128);
-                                }
-                            }
+                        for insn in prog.sw_insns() {
+                            batch.meta[insn.dst as usize * cap + pkt] = vm::exec_shim(
+                                &mut self.soft,
+                                insn,
+                                parsed.as_ref(),
+                                frame.len(),
+                                &mut memo,
+                            );
                         }
                     }
                 }
@@ -1082,72 +866,42 @@ impl OpenDescDriver {
                     return;
                 }
                 for pkt in 0..n {
-                    if batch.short[pkt] {
-                        match prog {
-                            Some(p) => p.run_degraded_at(
-                                &mut self.soft,
-                                &batch.frames[pkt],
-                                &mut batch.meta,
-                                cap,
-                                pkt,
-                            ),
-                            None => degrade_one(
-                                plan,
-                                &mut self.soft,
-                                fields,
-                                cap,
-                                pkt,
-                                &batch.frames[pkt],
-                                &mut batch.meta,
-                            ),
-                        }
-                        self.vstats.degraded_packets += 1;
-                        self.vstats.accepted += 1;
-                        if self.tel.enabled() {
-                            self.tel.fields_sw += plan.degraded.len() as u64;
-                            self.tel.event(TraceKind::DegradedServe, 1, pkt as u64);
-                        }
-                        continue;
-                    }
-                    let frame_len = batch.frames[pkt].len();
-                    let (fail, proven) =
-                        spec.check_values_all(frame_len, |i| batch.meta[i * cap + pkt]);
-                    if fail.is_some() {
-                        self.vstats.structural_failures += 1;
-                        self.health.on_fault();
-                        self.tel.event(TraceKind::StructuralFailure, pkt as u64, 0);
-                        // Selective re-serve: structurally-proven fields
-                        // and frame-derived software slots (minus
-                        // hint-fed ones) keep their values; only the
-                        // remainder is recomputed.
-                        let keep = proven | plan.keep_sw_mask(batch.hints[pkt].is_some());
-                        match prog {
-                            Some(p) => p.run_degraded_partial_at(
-                                &mut self.soft,
-                                &batch.frames[pkt],
-                                keep,
-                                &mut batch.meta,
-                                cap,
-                                pkt,
-                            ),
-                            None => degrade_partial_one(
-                                plan,
-                                &mut self.soft,
-                                fields,
-                                cap,
-                                pkt,
-                                keep,
-                                &batch.frames[pkt],
-                                &mut batch.meta,
-                            ),
-                        }
-                        self.vstats.degraded_packets += 1;
-                        if self.tel.enabled() {
-                            self.tel.fields_sw += plan.degraded.len() as u64;
-                            self.tel.event(TraceKind::DegradedServe, 1, pkt as u64);
-                        }
+                    // A truncated record re-serves everything (`keep` 0
+                    // is full degraded execution). A structural failure
+                    // re-serves selectively: structurally-proven fields
+                    // and frame-derived software slots (minus hint-fed
+                    // ones) keep their values; only the remainder is
+                    // recomputed.
+                    let keep = if batch.short[pkt] {
+                        Some(0)
                     } else {
-                        self.health.on_clean();
+                        let frame_len = batch.frames[pkt].len();
+                        let (fail, proven) =
+                            spec.check_values_all(frame_len, |i| batch.meta[i * cap + pkt]);
+                        fail.map(|_| {
+                            self.vstats.structural_failures += 1;
+                            self.health.on_fault();
+                            self.tel.event(TraceKind::StructuralFailure, pkt as u64, 0);
+                            proven | plan.keep_sw_mask(batch.hints[pkt].is_some())
+                        })
+                    };
+                    match keep {
+                        Some(keep) => {
+                            prog.run_degraded_partial_at(
+                                &mut self.soft,
+                                &batch.frames[pkt],
+                                keep,
+                                &mut batch.meta,
+                                cap,
+                                pkt,
+                            );
+                            self.vstats.degraded_packets += 1;
+                            if self.tel.enabled() {
+                                self.tel.fields_sw += plan.degraded.len() as u64;
+                                self.tel.event(TraceKind::DegradedServe, 1, pkt as u64);
+                            }
+                        }
+                        None => self.health.on_clean(),
                     }
                     self.vstats.accepted += 1;
                 }
@@ -1164,109 +918,6 @@ fn health_rank(h: QueueHealth) -> u64 {
         QueueHealth::Healthy => 0,
         QueueHealth::Recovering => 1,
         QueueHealth::Degraded => 2,
-    }
-}
-
-/// Tree-interpreter fallback for verified execution of one batched
-/// packet (same contract as [`RxPlan::execute_verified`], on
-/// column-major storage); returns repaired-field count. Only reached
-/// when the plan could not be lowered to bytecode.
-#[allow(clippy::too_many_arguments)]
-fn verify_one(
-    plan: &RxPlan,
-    set: &AccessorSet,
-    soft: &mut SoftNic,
-    cap: usize,
-    pkt: usize,
-    frame: &[u8],
-    cmpt: &[u8],
-    meta: &mut [Option<u128>],
-) -> u32 {
-    let parsed = ParsedFrame::parse(frame);
-    let mut memo = ShimMemo::default();
-    for &acc_idx in &plan.hw {
-        meta[acc_idx * cap + pkt] = Some(set.accessors[acc_idx].read(cmpt));
-    }
-    let mut repaired = 0u32;
-    for &(acc_idx, op) in &plan.hw_check {
-        let want = parsed
-            .as_ref()
-            .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-            .map(|v| width_mask(set.accessors[acc_idx].width_bits) & v as u128);
-        if let Some(w) = want {
-            let slot = &mut meta[acc_idx * cap + pkt];
-            if *slot != Some(w) {
-                *slot = Some(w);
-                repaired += 1;
-            }
-        }
-    }
-    for &(acc_idx, op) in &plan.sw {
-        meta[acc_idx * cap + pkt] = parsed
-            .as_ref()
-            .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-            .map(|v| v as u128);
-    }
-    repaired
-}
-
-/// Tree-interpreter fallback for selective degraded re-serve of one
-/// batched packet (same contract as
-/// [`RxPlan::execute_degraded_partial`], on column-major storage).
-#[allow(clippy::too_many_arguments)]
-fn degrade_partial_one(
-    plan: &RxPlan,
-    soft: &mut SoftNic,
-    fields: usize,
-    cap: usize,
-    pkt: usize,
-    keep: u128,
-    frame: &[u8],
-    meta: &mut [Option<u128>],
-) {
-    if fields > 128 {
-        return degrade_one(plan, soft, fields, cap, pkt, frame, meta);
-    }
-    for f in 0..fields {
-        if keep & (1u128 << f) == 0 {
-            meta[f * cap + pkt] = None;
-        }
-    }
-    let parsed = ParsedFrame::parse(frame);
-    let mut memo = ShimMemo::default();
-    for &(acc_idx, op) in &plan.degraded {
-        if acc_idx < 128 && keep & (1u128 << acc_idx) != 0 {
-            continue;
-        }
-        meta[acc_idx * cap + pkt] = parsed
-            .as_ref()
-            .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-            .map(|v| v as u128);
-    }
-}
-
-/// Degraded-mode recomputation of one batched packet: clear every field
-/// slot, then fill the recomputable ones from frame bytes (same contract
-/// as [`RxPlan::execute_degraded`], on column-major storage).
-fn degrade_one(
-    plan: &RxPlan,
-    soft: &mut SoftNic,
-    fields: usize,
-    cap: usize,
-    pkt: usize,
-    frame: &[u8],
-    meta: &mut [Option<u128>],
-) {
-    for f in 0..fields {
-        meta[f * cap + pkt] = None;
-    }
-    let parsed = ParsedFrame::parse(frame);
-    let mut memo = ShimMemo::default();
-    for &(acc_idx, op) in &plan.degraded {
-        meta[acc_idx * cap + pkt] = parsed
-            .as_ref()
-            .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-            .map(|v| v as u128);
     }
 }
 
@@ -1379,9 +1030,23 @@ mod tests {
             let singles = a.poll_batch(7);
             let mut batch = b.make_batch(7);
             assert_eq!(b.poll_batch_into(&mut batch), 7, "{name}");
+            // `poll` is a one-slot batch, so `singles` holds cap-1
+            // against cap-7 column addressing; the independent side is
+            // the tree interpreter over what each slot holds.
+            let mut soft = SoftNic::new();
+            let mut oracle = vec![None; b.iface.plan.steps.len()];
             for (pkt, single) in singles.iter().enumerate() {
                 assert_eq!(batch.frame(pkt), &single.frame[..], "{name}");
+                b.iface.plan.execute_into_primed(
+                    &b.iface.accessors,
+                    &mut soft,
+                    batch.frame(pkt),
+                    batch.cmpt(pkt),
+                    batch.rss_hint(pkt),
+                    &mut oracle,
+                );
                 for (field, (sem, want)) in single.meta.iter().enumerate() {
+                    assert_eq!(batch.value_at(field, pkt), oracle[field], "{name}");
                     assert_eq!(batch.value_at(field, pkt), *want, "{name}");
                     assert_eq!(batch.get(pkt, *sem), *want, "{name}");
                 }
@@ -1463,6 +1128,24 @@ mod tests {
         let s = drv.validation_stats();
         assert_eq!(s.truncated, 1);
         assert_eq!(s.degraded_packets, 1);
+        // A multi-packet batch records each truncation too, with the
+        // length the record had and the length the layout promised.
+        drv.set_telemetry_enabled(true);
+        for key in ["trunc:a", "trunc:b"] {
+            drv.deliver(&kvs_frame(key)).unwrap();
+        }
+        let mut batch = drv.make_batch(4);
+        assert_eq!(drv.poll_batch_into(&mut batch), 2);
+        let expected = drv.iface.validator().expected_len as u64;
+        let truncated: Vec<_> = drv
+            .telemetry()
+            .trace
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == TraceKind::Truncated)
+            .collect();
+        assert_eq!(truncated.len(), 2);
+        assert!(truncated.iter().all(|e| e.a < expected && e.b == expected));
     }
 
     #[test]

@@ -68,6 +68,9 @@ pub struct RelayoutCounters {
     /// Watchdog resets mid-flip that rolled the device forward to the
     /// new ring generation.
     pub rolled_forward: u64,
+    /// Requests refused because the incoming artifact has no verified
+    /// bytecode form; the queue stayed on its plan.
+    pub refused: u64,
 }
 
 impl RelayoutCounters {
@@ -79,6 +82,7 @@ impl RelayoutCounters {
         reg.counter(&format!("{scope}.deferred"), self.deferred);
         reg.counter(&format!("{scope}.completed"), self.completed);
         reg.counter(&format!("{scope}.rolled_forward"), self.rolled_forward);
+        reg.counter(&format!("{scope}.refused"), self.refused);
     }
 }
 

@@ -45,7 +45,7 @@ pub mod vm;
 
 pub use accessor::{Accessor, AccessorKind, AccessorSet};
 pub use baseline::{GenericMbuf, GenericMbufDriver, LcdDriver};
-pub use cache::{CompiledRx, PlanCache};
+pub use cache::{AttachError, CompiledRx, PlanCache};
 pub use compiler::{CompileError, CompiledInterface, Compiler};
 pub use datapath::{OpenDescDriver, RxBatch, RxPacket};
 pub use equiv::{capabilities, diff, intent_equivalent, ContractDiff, IntentEquivalence};

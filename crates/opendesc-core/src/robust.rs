@@ -18,9 +18,9 @@
 //!    structural checks (`Structural`, the default) or a full SoftNIC
 //!    cross-check of every recomputable hardware field (`Full`);
 //! 3. **degraded execution** — on any failure the packet is re-executed
-//!    through the SoftNIC shims ([`RxPlan::execute_degraded`]), so the
-//!    application still observes correct (or absent) values, never
-//!    garbage.
+//!    through the SoftNIC shims (the program's degraded stream,
+//!    [`PlanProgram::run_degraded_partial_at`]), so the application
+//!    still observes correct (or absent) values, never garbage.
 //!
 //! A [`HealthState`] machine aggregates the evidence per queue:
 //! `Healthy` trusts the device and runs the cheap path; any fault drops
@@ -32,7 +32,7 @@
 //! requests a ring reset/re-arm, which un-wedges hung queues and
 //! republishes lost doorbells.
 //!
-//! [`RxPlan::execute_degraded`]: crate::plan::RxPlan::execute_degraded
+//! [`PlanProgram::run_degraded_partial_at`]: crate::vm::PlanProgram::run_degraded_partial_at
 
 use crate::accessor::{AccessorKind, AccessorSet};
 use opendesc_ir::bits::width_mask;

@@ -16,15 +16,19 @@
 //!   cells only after joining — counters never bounce cache lines and
 //!   never need atomics.
 //!
-//! Workers run under `std::thread::scope`, so queues are borrowed into
-//! threads and handed back without `Arc<Mutex<…>>` wrapping. Timing is
-//! measured per worker around the *drain* sections only (the host
-//! datapath under test), so aggregate throughput — total packets over
-//! the busiest worker's busy time — is the parallel drain's wall clock
-//! when each worker has a core of its own, and remains an honest
-//! per-core measurement when the host has fewer cores than queues.
+//! Every run entry point is three pieces: a worker's *feed* step (wire
+//! side, untimed), its *drain* loop (the only poller here; each batch
+//! goes to a closure — a no-op, a collector, or the forward verdict
+//! loop), and `on_each_worker`, which runs a round on scoped threads —
+//! queues are borrowed in and handed back without `Arc<Mutex<…>>`
+//! wrapping — or in order. Timing is measured per worker around the
+//! drain only (the host datapath under test), so aggregate throughput
+//! — total packets over the busiest worker's busy time — is the
+//! parallel drain's wall clock when each worker has a core of its own,
+//! and remains an honest per-core measurement when the host has fewer
+//! cores than queues.
 
-use crate::cache::{CompiledRx, PlanCache};
+use crate::cache::{AttachError, CompiledRx, PlanCache};
 use crate::compiler::CompileError;
 use crate::datapath::{OpenDescDriver, RxBatch};
 use crate::evolve::{EvolveConfig, FlipProgress, FlipRecord, RelayoutOutcome};
@@ -75,6 +79,18 @@ impl From<CompileError> for ShardError {
 impl From<NicError> for ShardError {
     fn from(e: NicError) -> Self {
         ShardError::Nic(e)
+    }
+}
+
+impl From<AttachError> for ShardError {
+    fn from(e: AttachError) -> Self {
+        match e {
+            AttachError::Nic(e) => ShardError::Nic(e),
+            // The same report the cache gives for a plan it will not serve.
+            AttachError::Unlowerable(e) => {
+                ShardError::Compile(CompileError::Lowering(e.to_string()))
+            }
+        }
     }
 }
 
@@ -158,83 +174,51 @@ impl RxWorker {
         self.rbase = self.drv.watchdog_resets();
     }
 
-    /// Feed `pool` into the owned queue and drain it through the
-    /// compiled batched datapath. The feed emulates the device's
-    /// steering stage (parse + hash ride along via `deliver_steered`)
-    /// and runs untimed; only the drain — the host datapath under test —
-    /// accrues `busy_ns`. Frames are fed in batch-capacity chunks so the
-    /// completion ring never overflows.
-    pub fn pump(&mut self, pool: &[ShardFrame]) {
-        let cap = self.batch.capacity().max(1);
-        for chunk in pool.chunks(cap) {
-            for sf in chunk {
-                let parsed = ParsedFrame::parse(&sf.bytes);
-                // Through the driver wrapper so the watchdog sees the
-                // fed count (its outstanding-work heartbeat).
-                self.drv
-                    .deliver_steered(&sf.bytes, parsed.as_ref(), sf.rss)
-                    .expect("configured queue accepts steered frames");
-                self.stats.value.steered += 1;
-            }
-            let t0 = Instant::now();
-            loop {
-                let n = self.drv.poll_batch_into(&mut self.batch);
-                if n == 0 {
-                    break;
-                }
-                self.stats.value.packets += n as u64;
-                self.stats.value.batches += 1;
-            }
-            self.stats.value.busy_ns += t0.elapsed().as_nanos() as u64;
+    /// Wire side of one chunk: steer-stage state (parse + hash) rides
+    /// along via `deliver_steered`. Untimed. A chunk is at most one
+    /// batch capacity, so the completion ring never overflows.
+    fn feed(&mut self, chunk: &[ShardFrame]) {
+        for sf in chunk {
+            let parsed = ParsedFrame::parse(&sf.bytes);
+            // Through the driver wrapper so the watchdog sees the fed
+            // count (its outstanding-work heartbeat).
+            self.drv
+                .deliver_steered(&sf.bytes, parsed.as_ref(), sf.rss)
+                .expect("configured queue accepts steered frames");
+            self.stats.value.steered += 1;
         }
     }
 
-    /// [`pump`](RxWorker::pump) that also retains every delivered frame
-    /// in drain order — the adaptive-steering correctness harness
-    /// (allocates; untimed).
-    pub fn pump_collect(&mut self, pool: &[ShardFrame], out: &mut Vec<Vec<u8>>) {
-        let cap = self.batch.capacity().max(1);
-        for chunk in pool.chunks(cap) {
-            for sf in chunk {
-                let parsed = ParsedFrame::parse(&sf.bytes);
-                self.drv
-                    .deliver_steered(&sf.bytes, parsed.as_ref(), sf.rss)
-                    .expect("configured queue accepts steered frames");
-                self.stats.value.steered += 1;
-            }
-            while let Some(pkt) = self.drv.poll() {
-                self.stats.value.packets += 1;
-                out.push(pkt.frame);
-            }
-        }
-    }
-
-    /// One recovery poll pass: drain whatever the queue has published
-    /// right now. An empty pass feeds the watchdog's stall detector, so
-    /// repeated ticks are how a wedged queue (hang, lost doorbell) gets
-    /// reset and its stranded completions republished. Returns packets
-    /// drained; with `out`, frames are retained in drain order.
-    pub fn drain_tick(&mut self, mut out: Option<&mut Vec<Vec<u8>>>) -> usize {
+    /// The drain loop every run path shares: poll until the queue
+    /// reports nothing published (or `max_polls` are spent), handing
+    /// each drained batch — and the device, for a TX half on the same
+    /// queue pair — to `each`. Only this section accrues `busy_ns`. An
+    /// empty pass feeds the watchdog's stall detector, so repeated
+    /// drains are how a wedged queue (hang, lost doorbell) gets reset
+    /// and its stranded completions republished.
+    fn drain(&mut self, max_polls: u32, mut each: impl FnMut(&RxBatch, &mut SimNic)) {
         let t0 = Instant::now();
-        let mut drained = 0usize;
-        loop {
+        for _ in 0..max_polls {
             let n = self.drv.poll_batch_into(&mut self.batch);
             if n == 0 {
                 break;
             }
-            if let Some(sink) = out.as_deref_mut() {
-                for pkt in 0..n {
-                    sink.push(self.batch.frame(pkt).to_vec());
-                }
-            }
-            drained += n;
             self.stats.value.packets += n as u64;
             self.stats.value.batches += 1;
+            each(&self.batch, &mut self.drv.nic);
         }
-        if drained > 0 {
-            self.stats.value.busy_ns += t0.elapsed().as_nanos() as u64;
+        self.stats.value.busy_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Feed `pool` into the owned queue in batch-capacity chunks and
+    /// drain each through the compiled batched datapath, handing every
+    /// batch to `each` (a collector copies frames out of it; the perf
+    /// path passes a no-op).
+    fn pump(&mut self, pool: &[ShardFrame], mut each: impl FnMut(&RxBatch, &mut SimNic)) {
+        for chunk in pool.chunks(self.batch.capacity().max(1)) {
+            self.feed(chunk);
+            self.drain(u32::MAX, &mut each);
         }
-        drained
     }
 
     /// Frames fed to this queue and not yet drained (see
@@ -252,66 +236,42 @@ impl RxWorker {
 
     /// Drive a pending flip to resolution: drain in-flight work under
     /// the *outgoing* plan (up to `budget` polls, then force-commit
-    /// with the stragglers forgiven), commit, and rebuild the batch
-    /// storage for the incoming plan's shape. Drained frames are
-    /// retained into `out` when given — they are delivered packets, not
-    /// casualties. A parked (`Deferred`) request returns immediately;
-    /// the caller retries at a later boundary, after health recovers.
-    /// Returns the final progress and the drain polls spent.
-    pub fn continue_relayout(
+    /// with the stragglers forgiven) and commit. Batches drained on the
+    /// way go to `each` — they are delivered packets, not casualties.
+    /// A parked (`Deferred`) request returns immediately; the caller
+    /// retries at a later boundary, after health recovers. Returns the
+    /// final progress and the drain polls spent.
+    fn continue_relayout(
         &mut self,
         budget: u32,
-        mut out: Option<&mut Vec<Vec<u8>>>,
+        mut each: impl FnMut(&RxBatch, &mut SimNic),
     ) -> (FlipProgress, u32) {
         let mut polls = 0u32;
         loop {
             match self.drv.advance_relayout(polls as u64) {
+                FlipProgress::Draining if polls >= budget => {
+                    return (self.drv.force_relayout(polls as u64), polls);
+                }
                 FlipProgress::Draining => {
-                    if polls >= budget {
-                        let prog = self.drv.force_relayout(polls as u64);
-                        if matches!(prog, FlipProgress::Committed(_)) {
-                            self.batch = self.drv.make_batch(self.batch.capacity());
-                        }
-                        return (prog, polls);
-                    }
-                    let t0 = Instant::now();
-                    let n = self.drv.poll_batch_into(&mut self.batch);
+                    self.drain(1, &mut each);
                     polls += 1;
-                    if n > 0 {
-                        self.stats.value.packets += n as u64;
-                        self.stats.value.batches += 1;
-                        self.stats.value.busy_ns += t0.elapsed().as_nanos() as u64;
-                        if let Some(sink) = out.as_deref_mut() {
-                            for pkt in 0..n {
-                                sink.push(self.batch.frame(pkt).to_vec());
-                            }
-                        }
-                    }
                 }
-                prog => {
-                    if matches!(prog, FlipProgress::Committed(_)) {
-                        // The committed plan may carry a different
-                        // accessor shape; the old batch storage would
-                        // trip `poll_batch_into`'s interface assert.
-                        self.batch = self.drv.make_batch(self.batch.capacity());
-                    }
-                    return (prog, polls);
-                }
+                prog => return (prog, polls),
             }
         }
     }
 
     /// Drain everything pending into owned `(frame, metadata)` pairs —
-    /// the equivalence-test view of the datapath (allocates; [`pump`] is
-    /// the perf path). Metadata is in accessor order.
-    ///
-    /// [`pump`]: RxWorker::pump
+    /// the equivalence-test view of the datapath (allocates; the run
+    /// paths drain into a no-op). Metadata is in accessor order.
     pub fn drain_collect(&mut self) -> Vec<DrainedPacket> {
         let mut out = Vec::new();
-        while let Some(pkt) = self.drv.poll() {
-            let meta = pkt.meta.iter().map(|(_, v)| *v).collect();
-            out.push((pkt.frame, meta));
-        }
+        self.drain(u32::MAX, |b, _| {
+            out.extend((0..b.len()).map(|pkt| {
+                let meta = (0..b.semantics().len()).map(|f| b.value_at(f, pkt));
+                (b.frame(pkt).to_vec(), meta.collect())
+            }));
+        });
         out
     }
 
@@ -586,31 +546,23 @@ impl ShardedRx {
         }
     }
 
-    /// One parallel round: worker `q` pumps `pools[q]` on its own scoped
-    /// thread. Stats are reset first, so the report describes exactly
-    /// this round. The per-packet path inside each thread touches only
-    /// worker-owned state; the only joins are the thread joins.
-    pub fn run(&mut self, pools: &[Vec<ShardFrame>]) -> ShardReport {
+    /// One round: stats are reset first, so the report describes
+    /// exactly this round; worker `q` pumps `pools[q]`.
+    fn round(&mut self, pools: &[Vec<ShardFrame>], parallel: bool) -> ShardReport {
         assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
-        let per_worker: Vec<WorkerStats> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .zip(pools)
-                .map(|(w, pool)| {
-                    s.spawn(move || {
-                        w.reset_stats();
-                        w.pump(pool);
-                        w.stats()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
+        let per_worker = on_each_worker(&mut self.workers, parallel, |q, w| {
+            w.reset_stats();
+            w.pump(&pools[q], |_, _| {});
+            w.stats()
         });
         ShardReport { per_worker }
+    }
+
+    /// One parallel round: worker `q` pumps `pools[q]` on its own scoped
+    /// thread. The per-packet path inside each thread touches only
+    /// worker-owned state; the only joins are the thread joins.
+    pub fn run(&mut self, pools: &[Vec<ShardFrame>]) -> ShardReport {
+        self.round(pools, true)
     }
 
     /// [`run`](ShardedRx::run) without threads: workers pump one after
@@ -625,18 +577,7 @@ impl ShardedRx {
     /// busiest worker) is then exactly what the parallel run achieves
     /// given one core per worker.
     pub fn run_sequential(&mut self, pools: &[Vec<ShardFrame>]) -> ShardReport {
-        assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
-        let per_worker = self
-            .workers
-            .iter_mut()
-            .zip(pools)
-            .map(|(w, pool)| {
-                w.reset_stats();
-                w.pump(pool);
-                w.stats()
-            })
-            .collect();
-        ShardReport { per_worker }
+        self.round(pools, false)
     }
 
     /// Switch poll-cycle telemetry (histograms + trace rings) on or off
@@ -710,13 +651,13 @@ impl ShardedRx {
         total: usize,
         cfg: &AdaptiveConfig,
     ) -> AdaptiveOutcome {
-        self.run_adaptive_impl(wl, total, cfg, None)
+        self.run_adaptive_impl(wl, total, cfg, &mut |_, _, _| {})
     }
 
     /// [`run_adaptive`](ShardedRx::run_adaptive) that also retains every
     /// delivered frame as `(interval, queue, frame)` in drain order —
     /// the correctness harness for multiset conservation and per-flow
-    /// order under live migrations. Frames drain untimed here.
+    /// order under live migrations.
     pub fn run_adaptive_collect(
         &mut self,
         wl: &Workload,
@@ -724,7 +665,7 @@ impl ShardedRx {
         cfg: &AdaptiveConfig,
     ) -> (AdaptiveOutcome, Vec<(u32, usize, Vec<u8>)>) {
         let mut delivered = Vec::with_capacity(total);
-        let out = self.run_adaptive_impl(wl, total, cfg, Some(&mut delivered));
+        let out = self.run_adaptive_impl(wl, total, cfg, &mut retain_into(&mut delivered));
         (out, delivered)
     }
 
@@ -733,26 +674,85 @@ impl ShardedRx {
         wl: &Workload,
         total: usize,
         cfg: &AdaptiveConfig,
-        mut collect: Option<&mut Vec<(u32, usize, Vec<u8>)>>,
+        sink: &mut BatchSink<'_>,
     ) -> AdaptiveOutcome {
         let nq = self.workers.len();
+        let mut reb = cfg.rebalance.clone().map(Rebalancer::new);
+        let (mut prev_busy, mut prev_pkts) = (vec![0u64; nq], vec![0u64; nq]);
+        // Interval boundary: fold the busy/packet deltas, check
+        // quiescence, and let the rebalancer rewrite the RETA.
+        let rebalance: &mut Boundary<'_> = &mut |eng, _, bucket_pkts, _| {
+            let Some(reb) = &mut reb else { return };
+            let mut busy_delta = vec![0u64; nq];
+            let mut pkts_delta = vec![0u64; nq];
+            let mut quiesced = vec![false; nq];
+            for (q, w) in eng.workers.iter().enumerate() {
+                busy_delta[q] = w.stats.value.busy_ns - prev_busy[q];
+                pkts_delta[q] = w.stats.value.packets - prev_pkts[q];
+                prev_busy[q] = w.stats.value.busy_ns;
+                prev_pkts[q] = w.stats.value.packets;
+                quiesced[q] = w.in_flight() == 0;
+            }
+            let moves = reb.plan(
+                eng.steerer.reta(),
+                bucket_pkts,
+                &busy_delta,
+                &pkts_delta,
+                &quiesced,
+            );
+            for m in &moves {
+                eng.steerer.set_reta(m.bucket, m.to);
+            }
+        };
+        let (_, stolen_chunks) =
+            self.run_intervals(wl, total, cfg.interval, cfg.steal, sink, rebalance);
+        AdaptiveOutcome {
+            report: self.report(),
+            rebalance: reb.map(|r| r.stats()),
+            stolen_chunks,
+            reta: *self.steerer.reta(),
+        }
+    }
+
+    /// Every worker's counters as they stand.
+    fn report(&self) -> ShardReport {
+        ShardReport {
+            per_worker: self.workers.iter().map(|w| w.stats()).collect(),
+        }
+    }
+
+    /// The interval driver under [`run_adaptive`] and [`run_evolving`]:
+    /// per control interval, generate `interval` frames, steer them
+    /// with the *live* RETA (tallying per-bucket arrivals), optionally
+    /// hand surplus chunks between pools, pump every worker in turn
+    /// (drained batches go to `sink`, tagged with interval and queue),
+    /// then run `boundary` — the one place the two loops differ. Ends
+    /// with a bounded recovery drain. Returns the number of intervals
+    /// run and the chunks the steal planner moved.
+    ///
+    /// [`run_adaptive`]: ShardedRx::run_adaptive
+    /// [`run_evolving`]: ShardedRx::run_evolving
+    fn run_intervals(
+        &mut self,
+        wl: &Workload,
+        total: usize,
+        interval: usize,
+        steal: bool,
+        sink: &mut BatchSink<'_>,
+        boundary: &mut Boundary<'_>,
+    ) -> (u32, u64) {
         for w in &mut self.workers {
             w.reset_stats();
         }
-        let mut reb = cfg.rebalance.clone().map(Rebalancer::new);
         let mut gen = PktGen::new(wl.clone());
-        let mut pools: Vec<Vec<ShardFrame>> = (0..nq).map(|_| Vec::new()).collect();
-        let mut sink: Vec<Vec<u8>> = Vec::new();
-        let (mut prev_busy, mut prev_pkts) = (vec![0u64; nq], vec![0u64; nq]);
+        let mut pools: Vec<Vec<ShardFrame>> = self.workers.iter().map(|_| Vec::new()).collect();
         let mut stolen_chunks = 0u64;
         let mut stream_idx = 0u64;
         let mut remaining = total;
-        let mut interval = 0u32;
+        let mut index = 0u32;
         while remaining > 0 {
-            let n = remaining.min(cfg.interval.max(1));
+            let n = remaining.min(interval.max(1));
             remaining -= n;
-            // Steer this interval's slice of the stream with the *live*
-            // RETA, tallying per-bucket arrivals for the load estimate.
             let mut bucket_pkts = [0u64; RETA_SIZE];
             for p in &mut pools {
                 p.clear();
@@ -772,48 +772,18 @@ impl ShardedRx {
             // Work stealing, modeled at the same whole-chunk granularity
             // as the parallel path: surplus tail chunks of overloaded
             // pools hand off to the emptiest pools before the pump.
-            if cfg.steal {
+            if steal {
                 let chunk = self.workers[0].batch.capacity().max(1);
                 stolen_chunks += steal_surplus_chunks(&mut pools, chunk);
             }
             for (q, (w, pool)) in self.workers.iter_mut().zip(&pools).enumerate() {
-                match collect.as_deref_mut() {
-                    Some(master) => {
-                        sink.clear();
-                        w.pump_collect(pool, &mut sink);
-                        master.extend(sink.drain(..).map(|f| (interval, q, f)));
-                    }
-                    None => w.pump(pool),
-                }
+                w.pump(pool, |b, _| sink(index, q, b));
             }
-            // Interval boundary: fold the busy/packet deltas, check
-            // quiescence, and let the rebalancer rewrite the RETA.
-            if let Some(reb) = &mut reb {
-                let mut busy_delta = vec![0u64; nq];
-                let mut pkts_delta = vec![0u64; nq];
-                let mut quiesced = vec![false; nq];
-                for (q, w) in self.workers.iter().enumerate() {
-                    busy_delta[q] = w.stats.value.busy_ns - prev_busy[q];
-                    pkts_delta[q] = w.stats.value.packets - prev_pkts[q];
-                    prev_busy[q] = w.stats.value.busy_ns;
-                    prev_pkts[q] = w.stats.value.packets;
-                    quiesced[q] = w.in_flight() == 0;
-                }
-                let moves = reb.plan(
-                    self.steerer.reta(),
-                    &bucket_pkts,
-                    &busy_delta,
-                    &pkts_delta,
-                    &quiesced,
-                );
-                for m in &moves {
-                    self.steerer.set_reta(m.bucket, m.to);
-                }
-            }
-            interval += 1;
+            boundary(self, index, &bucket_pkts, sink);
+            index += 1;
         }
         // Recovery drain: a faulted queue (hang, lost doorbell) may end
-        // the run with frames in flight. Empty ticks feed the watchdog
+        // the run with frames in flight. Empty drains feed the watchdog
         // until it resets the ring and the stranded completions drain —
         // bounded, so a genuinely dead queue cannot wedge the loop.
         for _ in 0..64 {
@@ -821,26 +791,10 @@ impl ShardedRx {
                 break;
             }
             for (q, w) in self.workers.iter_mut().enumerate() {
-                match collect.as_deref_mut() {
-                    Some(master) => {
-                        sink.clear();
-                        w.drain_tick(Some(&mut sink));
-                        master.extend(sink.drain(..).map(|f| (interval, q, f)));
-                    }
-                    None => {
-                        w.drain_tick(None);
-                    }
-                }
+                w.drain(u32::MAX, |b, _| sink(index, q, b));
             }
         }
-        AdaptiveOutcome {
-            report: ShardReport {
-                per_worker: self.workers.iter().map(|w| w.stats()).collect(),
-            },
-            rebalance: reb.map(|r| r.stats()),
-            stolen_chunks,
-            reta: *self.steerer.reta(),
-        }
+        (index, stolen_chunks)
     }
 
     /// Process `total` frames of `wl` in control intervals while
@@ -857,7 +811,7 @@ impl ShardedRx {
         total: usize,
         cfg: &EvolveConfig,
     ) -> RelayoutOutcome {
-        self.run_evolving_impl(wl, total, cfg, None)
+        self.run_evolving_impl(wl, total, cfg, &mut |_, _, _| {})
     }
 
     /// [`run_evolving`](ShardedRx::run_evolving) that also retains
@@ -871,7 +825,7 @@ impl ShardedRx {
         cfg: &EvolveConfig,
     ) -> (RelayoutOutcome, Vec<(u32, usize, Vec<u8>)>) {
         let mut delivered = Vec::with_capacity(total);
-        let out = self.run_evolving_impl(wl, total, cfg, Some(&mut delivered));
+        let out = self.run_evolving_impl(wl, total, cfg, &mut retain_into(&mut delivered));
         (out, delivered)
     }
 
@@ -880,103 +834,34 @@ impl ShardedRx {
         wl: &Workload,
         total: usize,
         cfg: &EvolveConfig,
-        mut collect: Option<&mut Vec<(u32, usize, Vec<u8>)>>,
+        sink: &mut BatchSink<'_>,
     ) -> RelayoutOutcome {
-        let nq = self.workers.len();
-        for w in &mut self.workers {
-            w.reset_stats();
-        }
-        let mut gen = PktGen::new(wl.clone());
-        let mut pools: Vec<Vec<ShardFrame>> = (0..nq).map(|_| Vec::new()).collect();
-        let mut sink: Vec<Vec<u8>> = Vec::new();
         let mut flips: Vec<FlipRecord> = Vec::new();
-        let mut parked = vec![false; nq];
-        let mut stream_idx = 0u64;
-        let mut remaining = total;
-        let mut interval = 0u32;
-        while remaining > 0 {
-            let n = remaining.min(cfg.interval.max(1));
-            remaining -= n;
-            for p in &mut pools {
-                p.clear();
-            }
-            for _ in 0..n {
-                let bytes = gen.next_frame();
-                let (queue, rss) = {
-                    let v = self.steerer.steer(stream_idx, &bytes);
-                    (v.queue, v.rss)
-                };
-                stream_idx += 1;
-                pools[queue].push(ShardFrame { bytes, rss });
-            }
-            for (q, (w, pool)) in self.workers.iter_mut().zip(&pools).enumerate() {
-                match collect.as_deref_mut() {
-                    Some(master) => {
-                        sink.clear();
-                        w.pump_collect(pool, &mut sink);
-                        master.extend(sink.drain(..).map(|f| (interval, q, f)));
-                    }
-                    None => w.pump(pool),
-                }
-            }
-            // Boundary: submit due requests engine-wide, then drive
-            // every pending flip — fresh ones and requests parked at an
-            // earlier boundary whose queue may have recovered since.
+        let mut parked = vec![false; self.workers.len()];
+        // Boundary: submit due requests engine-wide, then drive every
+        // pending flip — fresh ones and requests parked at an earlier
+        // boundary whose queue may have recovered since.
+        let relayout: &mut Boundary<'_> = &mut |eng, interval, _, sink| {
             for req in cfg.schedule.iter().filter(|r| r.at_interval == interval) {
-                for (q, w) in self.workers.iter_mut().enumerate() {
+                for (q, w) in eng.workers.iter_mut().enumerate() {
                     if w.request_relayout(Arc::clone(&req.rx)) == FlipProgress::Deferred {
                         parked[q] = true;
                     }
                 }
             }
-            self.drive_pending_flips(
-                cfg.budget,
-                interval,
-                &mut parked,
-                &mut flips,
-                &mut collect,
-                &mut sink,
-            );
-            interval += 1;
-        }
-        // Recovery drain, as in the adaptive loop: bounded empty ticks
-        // so a wedged queue resets and its stranded completions drain.
-        for _ in 0..64 {
-            if self.workers.iter().all(|w| w.in_flight() == 0) {
-                break;
-            }
-            for (q, w) in self.workers.iter_mut().enumerate() {
-                match collect.as_deref_mut() {
-                    Some(master) => {
-                        sink.clear();
-                        w.drain_tick(Some(&mut sink));
-                        master.extend(sink.drain(..).map(|f| (interval, q, f)));
-                    }
-                    None => {
-                        w.drain_tick(None);
-                    }
-                }
-            }
-        }
+            eng.drive_pending_flips(cfg.budget, interval, &mut parked, &mut flips, sink);
+        };
+        let (intervals, _) = self.run_intervals(wl, total, cfg.interval, false, sink, relayout);
         // Final boundary for flips still parked: a queue whose health
         // recovered during the tail traffic can still commit.
-        self.drive_pending_flips(
-            cfg.budget,
-            interval,
-            &mut parked,
-            &mut flips,
-            &mut collect,
-            &mut sink,
-        );
+        self.drive_pending_flips(cfg.budget, intervals, &mut parked, &mut flips, sink);
         let unresolved = self
             .workers
             .iter()
             .filter(|w| w.driver().flip_pending())
             .count();
         RelayoutOutcome {
-            report: ShardReport {
-                per_worker: self.workers.iter().map(|w| w.stats()).collect(),
-            },
+            report: self.report(),
             flips,
             unresolved,
         }
@@ -989,19 +874,13 @@ impl ShardedRx {
         interval: u32,
         parked: &mut [bool],
         flips: &mut Vec<FlipRecord>,
-        collect: &mut Option<&mut Vec<(u32, usize, Vec<u8>)>>,
-        sink: &mut Vec<Vec<u8>>,
+        sink: &mut BatchSink<'_>,
     ) {
         for (q, w) in self.workers.iter_mut().enumerate() {
             if !w.driver().flip_pending() {
                 continue;
             }
-            sink.clear();
-            let retain = collect.is_some();
-            let (prog, polls) = w.continue_relayout(budget, retain.then_some(&mut *sink));
-            if let Some(master) = collect.as_deref_mut() {
-                master.extend(sink.drain(..).map(|f| (interval, q, f)));
-            }
+            let (prog, polls) = w.continue_relayout(budget, |b, _| sink(interval, q, b));
             if let FlipProgress::Committed(g) = prog {
                 flips.push(FlipRecord {
                     interval,
@@ -1019,19 +898,53 @@ impl ShardedRx {
     /// [`deliver`](ShardedRx::deliver) phase), collecting each worker's
     /// `(frame, metadata)` pairs — the equivalence-test entry point.
     pub fn drain_collect_parallel(&mut self) -> Vec<Vec<DrainedPacket>> {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .map(|w| s.spawn(move || w.drain_collect()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        })
+        on_each_worker(&mut self.workers, true, |_, w| w.drain_collect())
     }
 }
+
+/// Run `work` once per worker — each on its own scoped thread when
+/// `parallel`, otherwise one after another on the calling thread — and
+/// return the results in worker order. Scoped threads borrow the
+/// workers and hand them back at the join, which is the only
+/// synchronization a round needs.
+fn on_each_worker<W: Send, R: Send>(
+    workers: &mut [W],
+    parallel: bool,
+    work: impl Fn(usize, &mut W) -> R + Sync,
+) -> Vec<R> {
+    let work = &work;
+    if !parallel {
+        return workers
+            .iter_mut()
+            .enumerate()
+            .map(|(q, w)| work(q, w))
+            .collect();
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .enumerate()
+            .map(|(q, w)| s.spawn(move || work(q, w)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
+}
+
+/// Where the interval loops send each drained batch: `(interval,
+/// queue, batch)`. The plain runs pass a no-op.
+type BatchSink<'a> = dyn FnMut(u32, usize, &RxBatch) + 'a;
+
+/// The "collect" sink: copy every frame out of the batch, tagged.
+fn retain_into(out: &mut Vec<(u32, usize, Vec<u8>)>) -> impl FnMut(u32, usize, &RxBatch) + '_ {
+    move |interval, q, b| out.extend((0..b.len()).map(|pkt| (interval, q, b.frame(pkt).to_vec())))
+}
+
+/// What runs at an interval boundary: `(engine, interval index, the
+/// interval's arrivals per RETA bucket, sink)`.
+type Boundary<'a> = dyn FnMut(&mut ShardedRx, u32, &[u64; RETA_SIZE], &mut BatchSink<'_>) + 'a;
 
 /// Configuration of one [`ShardedRx::run_adaptive`] run.
 #[derive(Debug, Clone)]
@@ -1194,7 +1107,7 @@ impl EngineWorker {
     /// [`relayout`](ShardedEngine::relayout) left pending — the two
     /// directions flip as one unit, on the RX commit edge.
     fn finish_relayout(&mut self, budget: u32) -> (FlipProgress, u32) {
-        let (prog, polls) = self.rx.continue_relayout(budget, None);
+        let (prog, polls) = self.rx.continue_relayout(budget, |_, _| {});
         if matches!(prog, FlipProgress::Committed(_)) {
             if let Some(tx) = self.pending_tx.take() {
                 self.txq.set_plan(&mut self.rx.drv.nic, tx);
@@ -1216,30 +1129,18 @@ impl EngineWorker {
         fwd: &ForwardFn,
         mut collect: Option<&mut Vec<Vec<u8>>>,
     ) {
-        let cap = self.rx.batch.capacity().max(1);
-        for chunk in pool.chunks(cap) {
-            for sf in chunk {
-                let parsed = ParsedFrame::parse(&sf.bytes);
-                self.rx
-                    .drv
-                    .deliver_steered(&sf.bytes, parsed.as_ref(), sf.rss)
-                    .expect("configured queue accepts steered frames");
-                self.rx.stats.value.steered += 1;
-            }
-            let mut t0 = Instant::now();
-            loop {
-                let n = self.rx.drv.poll_batch_into(&mut self.rx.batch);
-                if n == 0 {
-                    break;
-                }
-                self.rx.stats.value.packets += n as u64;
-                self.rx.stats.value.batches += 1;
+        for chunk in pool.chunks(self.rx.batch.capacity().max(1)) {
+            self.rx.feed(chunk);
+            // Time the drain spent waiting on the device (ring
+            // back-pressure), taken back off the host clock below.
+            let mut stalled_ns = 0u64;
+            self.rx.drain(u32::MAX, |batch, nic| {
                 self.txb.clear();
-                for pkt in 0..n {
-                    match fwd(&self.rx.batch, pkt, &mut self.rewrite) {
+                for pkt in 0..batch.len() {
+                    match fwd(batch, pkt, &mut self.rewrite) {
                         TxVerdict::Drop => self.tstats.value.dropped += 1,
                         TxVerdict::Forward(req) => {
-                            if self.txb.push(self.rx.batch.frame(pkt), req) {
+                            if self.txb.push(batch.frame(pkt), req) {
                                 self.tstats.value.forwarded += 1;
                             } else {
                                 self.tstats.value.dropped += 1;
@@ -1259,34 +1160,39 @@ impl EngineWorker {
                 while from < self.txb.len() {
                     from += self
                         .txq
-                        .submit_from(&mut self.rx.drv.nic, &mut self.txb, from)
+                        .submit_from(nic, &mut self.txb, from)
                         .expect("descriptor fits the ring slot");
                     if from < self.txb.len() {
-                        // Ring back-pressure: pause the clock while the
-                        // device consumes, then resubmit the remainder.
-                        self.rx.stats.value.busy_ns += t0.elapsed().as_nanos() as u64;
-                        self.drain_device(&mut collect);
-                        t0 = Instant::now();
+                        // Ring back-pressure: the device consumes, then
+                        // the remainder is resubmitted.
+                        let t = Instant::now();
+                        drain_device(nic, &mut self.tstats.value, &mut collect);
+                        stalled_ns += t.elapsed().as_nanos() as u64;
                     }
                 }
-            }
-            self.rx.stats.value.busy_ns += t0.elapsed().as_nanos() as u64;
+            });
+            let busy = &mut self.rx.stats.value.busy_ns;
+            *busy = busy.saturating_sub(stalled_ns);
             // Off the clock: the device consumes this chunk's frames.
-            self.drain_device(&mut collect);
+            drain_device(&mut self.rx.drv.nic, &mut self.tstats.value, &mut collect);
         }
     }
+}
 
-    fn drain_device(&mut self, collect: &mut Option<&mut Vec<Vec<u8>>>) {
-        match collect.as_deref_mut() {
-            Some(out) => {
-                let frames = self.rx.drv.nic.process_tx();
-                self.tstats.value.wire_frames += frames.len() as u64;
-                out.extend(frames);
-            }
-            None => {
-                self.tstats.value.wire_frames += self.rx.drv.nic.process_tx_drain();
-            }
+/// Let the device consume what the TX ring holds, counting (or, with
+/// `collect`, retaining) the wire frames it emits.
+fn drain_device(
+    nic: &mut SimNic,
+    tstats: &mut TxWorkerStats,
+    collect: &mut Option<&mut Vec<Vec<u8>>>,
+) {
+    match collect.as_deref_mut() {
+        Some(out) => {
+            let frames = nic.process_tx();
+            tstats.wire_frames += frames.len() as u64;
+            out.extend(frames);
         }
+        None => tstats.wire_frames += nic.process_tx_drain(),
     }
 }
 
@@ -1454,31 +1360,34 @@ impl ShardedEngine {
             .collect()
     }
 
+    /// One round: every worker resets its stats, runs `work` with the
+    /// shared verdict function, and reports its RX and TX cells; what
+    /// `work` returns comes back per worker, in queue order.
+    fn round<R: Send>(
+        &mut self,
+        pools: &[Vec<ShardFrame>],
+        parallel: bool,
+        work: impl Fn(usize, &mut EngineWorker, &ForwardFn) -> R + Sync,
+    ) -> (EngineReport, Vec<R>) {
+        assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
+        let fwd: &ForwardFn = &*self.forward;
+        let cells = on_each_worker(&mut self.workers, parallel, |q, w| {
+            w.reset_stats();
+            let out = work(q, w, fwd);
+            ((w.rx.stats(), w.tstats.value), out)
+        });
+        let (cells, outs): (Vec<_>, Vec<R>) = cells.into_iter().unzip();
+        let (rx, tx) = cells.into_iter().unzip();
+        (EngineReport { rx, tx }, outs)
+    }
+
     /// One parallel round: worker `q` pumps and forwards `pools[q]` on
     /// its own scoped thread. Stats are reset first.
     pub fn run(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
-        assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
-        let fwd: &ForwardFn = &*self.forward;
-        let cells: Vec<(WorkerStats, TxWorkerStats)> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .zip(pools)
-                .map(|(w, pool)| {
-                    s.spawn(move || {
-                        w.reset_stats();
-                        w.pump_forward(pool, fwd, None);
-                        (w.rx.stats(), w.tstats.value)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine worker thread panicked"))
-                .collect()
-        });
-        let (rx, tx) = cells.into_iter().unzip();
-        EngineReport { rx, tx }
+        self.round(pools, true, |q, w, fwd| {
+            w.pump_forward(&pools[q], fwd, None)
+        })
+        .0
     }
 
     /// [`run`](ShardedEngine::run) with whole-batch work stealing: each
@@ -1502,48 +1411,28 @@ impl ShardedEngine {
     /// entry point trades order for tail latency, exactly like the
     /// sequential steal planner in [`ShardedRx::run_adaptive`].
     pub fn run_stealing(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
-        assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
         let n = self.workers.len();
         let chunk = self.workers[0].rx.batch.capacity().max(1);
         let cursors: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let fwd: &ForwardFn = &*self.forward;
-        let cells: Vec<(WorkerStats, TxWorkerStats)> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .enumerate()
-                .map(|(q, w)| {
-                    let cursors = &cursors;
-                    s.spawn(move || {
-                        w.reset_stats();
-                        // Own pool first, then the neighbours in ring
-                        // order — victims only lose chunks nobody else
-                        // has claimed.
-                        for victim in (q..q + n).map(|i| i % n) {
-                            loop {
-                                let from = cursors[victim].fetch_add(chunk, Ordering::Relaxed);
-                                if from >= pools[victim].len() {
-                                    break;
-                                }
-                                let to = (from + chunk).min(pools[victim].len());
-                                w.pump_forward(&pools[victim][from..to], fwd, None);
-                                if victim != q {
-                                    w.rx.stats.value.stolen_batches += 1;
-                                    w.rx.stats.value.stolen_pkts += (to - from) as u64;
-                                }
-                            }
-                        }
-                        (w.rx.stats(), w.tstats.value)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine worker thread panicked"))
-                .collect()
-        });
-        let (rx, tx) = cells.into_iter().unzip();
-        EngineReport { rx, tx }
+        self.round(pools, true, |q, w, fwd| {
+            // Own pool first, then the neighbours in ring order —
+            // victims only lose chunks nobody else has claimed.
+            for victim in (q..q + n).map(|i| i % n) {
+                loop {
+                    let from = cursors[victim].fetch_add(chunk, Ordering::Relaxed);
+                    if from >= pools[victim].len() {
+                        break;
+                    }
+                    let to = (from + chunk).min(pools[victim].len());
+                    w.pump_forward(&pools[victim][from..to], fwd, None);
+                    if victim != q {
+                        w.rx.stats.value.stolen_batches += 1;
+                        w.rx.stats.value.stolen_pkts += (to - from) as u64;
+                    }
+                }
+            }
+        })
+        .0
     }
 
     /// [`run`](ShardedEngine::run) without threads — the measurement
@@ -1551,43 +1440,21 @@ impl ShardedEngine {
     /// [`ShardedRx::run_sequential`]: per-worker timings stay honest on
     /// hosts with fewer cores than queues.
     pub fn run_sequential(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
-        assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
-        let fwd: &ForwardFn = &*self.forward;
-        let cells: Vec<(WorkerStats, TxWorkerStats)> = self
-            .workers
-            .iter_mut()
-            .zip(pools)
-            .map(|(w, pool)| {
-                w.reset_stats();
-                w.pump_forward(pool, fwd, None);
-                (w.rx.stats(), w.tstats.value)
-            })
-            .collect();
-        let (rx, tx) = cells.into_iter().unzip();
-        EngineReport { rx, tx }
+        self.round(pools, false, |q, w, fwd| {
+            w.pump_forward(&pools[q], fwd, None)
+        })
+        .0
     }
 
     /// [`run_sequential`](ShardedEngine::run_sequential) that also
     /// retains every emitted wire frame, per queue — the
     /// equivalence-test entry point.
     pub fn run_collect(&mut self, pools: &[Vec<ShardFrame>]) -> (EngineReport, Vec<Vec<Vec<u8>>>) {
-        assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
-        let fwd: &ForwardFn = &*self.forward;
-        let mut wires = Vec::with_capacity(self.workers.len());
-        let cells: Vec<(WorkerStats, TxWorkerStats)> = self
-            .workers
-            .iter_mut()
-            .zip(pools)
-            .map(|(w, pool)| {
-                let mut wire = Vec::new();
-                w.reset_stats();
-                w.pump_forward(pool, fwd, Some(&mut wire));
-                wires.push(wire);
-                (w.rx.stats(), w.tstats.value)
-            })
-            .collect();
-        let (rx, tx) = cells.into_iter().unzip();
-        (EngineReport { rx, tx }, wires)
+        self.round(pools, false, |q, w, fwd| {
+            let mut wire = Vec::new();
+            w.pump_forward(&pools[q], fwd, Some(&mut wire));
+            wire
+        })
     }
 
     /// One unified snapshot for the whole engine: the RX side registers

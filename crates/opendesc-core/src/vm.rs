@@ -14,17 +14,21 @@
 //!
 //! One [`PlanProgram`] carries three instruction streams — `trusted`,
 //! `verified`, and `degraded` — mirroring the three execution
-//! dispositions of the self-healing datapath. All runners take a
-//! `(stride, idx)` output addressing pair so the same code serves the
-//! row-major per-packet path (`stride = 1, idx = 0`) and the
-//! column-major batched path (`stride = cap, idx = pkt`). Batched
-//! hardware loads additionally go through [`load_column`], which runs
-//! one *instruction* across the whole batch — amortizing even the
-//! jump-table dispatch to once per field per batch.
+//! dispositions of the self-healing datapath, which executes nothing
+//! but this program. The verified and degraded runners take a
+//! `(stride, idx)` output addressing pair: the datapath's column-major
+//! batch passes `stride = cap, idx = pkt`, and the row-major wrappers
+//! the equivalence suites call pass `stride = 1, idx = 0`. The trusted
+//! stream the datapath runs transposed: each hardware load goes
+//! through [`load_column`], which runs one *instruction* across the
+//! whole batch — amortizing even the jump-table dispatch to once per
+//! field per batch — and the shims run per packet through
+//! [`exec_shim`]; [`PlanProgram::run_trusted`] is the same stream one
+//! packet at a time, for the suites.
 //!
-//! The legacy tree interpreter stays as the differential-test oracle
-//! (`tests/vm_equivalence.rs`); every runner here is bit-identical to
-//! its `RxPlan::execute_*` counterpart by construction and by test.
+//! The tree interpreter in [`crate::plan`] is the differential-test
+//! oracle: `tests/vm_equivalence.rs` and [`crate::conformance`] hold
+//! every runner here equal to its `RxPlan::execute_*` counterpart.
 
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
@@ -211,8 +215,9 @@ pub fn exec_store(insn: &BcInsn, hints: &[u128], desc: &mut [u8]) {
 }
 
 /// Run one load instruction across a whole batch of completion records,
-/// unrolled four-wide like `AccessorSet::read_column` — but with the
-/// load shape resolved once, not re-derived per record.
+/// unrolled four-wide so a chunk's loads stay independent for the CPU's
+/// ILP, with the load shape resolved once, not re-derived per record.
+#[inline]
 pub fn load_column<C: AsRef<[u8]>>(insn: &BcInsn, cmpts: &[C], out: &mut [Option<u128>]) {
     let n = cmpts.len();
     let mut i = 0;
@@ -233,8 +238,8 @@ pub fn load_column<C: AsRef<[u8]>>(insn: &BcInsn, cmpts: &[C], out: &mut [Option
     }
 }
 
-/// Execute one `SHIM` instruction (shared by the per-packet and batched
-/// software loops).
+/// Execute one `SHIM` instruction (shared by the datapath's batched
+/// software loop and the runners below).
 #[inline(always)]
 pub fn exec_shim(
     soft: &mut SoftNic,
@@ -267,20 +272,17 @@ impl PlanProgram {
         self.hw_len < self.trusted.len()
     }
 
-    /// Trusted execution of one packet; output slot `s` lands at
-    /// `out[s * stride + idx]` (row-major callers pass `stride = 1,
-    /// idx = 0`; the batched column-major path passes `stride = cap,
-    /// idx = pkt`). Bit-identical to `RxPlan::execute_into_primed`.
-    #[allow(clippy::too_many_arguments)] // mirrors the datapath call sites' full per-packet context
-    pub fn run_trusted_at(
+    /// Trusted execution of one packet into `out[..slots]` — the
+    /// per-packet statement of what the datapath's column loads and
+    /// shim loop compute, held equal to `RxPlan::execute_into_primed`
+    /// by the equivalence suites.
+    pub fn run_trusted(
         &self,
         soft: &mut SoftNic,
         frame: &[u8],
         cmpt: &[u8],
         rss_hint: Option<u32>,
         out: &mut [Option<u128>],
-        stride: usize,
-        idx: usize,
     ) {
         let parsed = if self.needs_parse() {
             ParsedFrame::parse(frame)
@@ -292,8 +294,7 @@ impl PlanProgram {
             memo.prime_rss(h);
         }
         for insn in &self.trusted {
-            let slot = insn.dst as usize * stride + idx;
-            out[slot] = if insn.op == op::SHIM {
+            out[insn.dst as usize] = if insn.op == op::SHIM {
                 exec_shim(soft, insn, parsed.as_ref(), frame.len(), &mut memo)
             } else {
                 Some(exec_load(insn, cmpt))
@@ -301,24 +302,11 @@ impl PlanProgram {
         }
     }
 
-    /// [`run_trusted_at`](PlanProgram::run_trusted_at) with row-major
-    /// addressing.
-    #[inline]
-    pub fn run_trusted(
-        &self,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-        rss_hint: Option<u32>,
-        out: &mut [Option<u128>],
-    ) {
-        self.run_trusted_at(soft, frame, cmpt, rss_hint, out, 1, 0)
-    }
-
     /// Verified execution: hardware loads, compare-and-repair against
-    /// the SoftNIC reference, unprimed software shims. Returns the
-    /// number of repaired fields. Bit-identical to
-    /// `RxPlan::execute_verified`.
+    /// the SoftNIC reference, unprimed software shims. Output slot `s`
+    /// lands at `out[s * stride + idx]`. Returns the number of repaired
+    /// fields. Held equal to `RxPlan::execute_verified` by the
+    /// equivalence suites.
     pub fn run_verified_at(
         &self,
         soft: &mut SoftNic,
@@ -373,30 +361,20 @@ impl PlanProgram {
         self.run_verified_at(soft, frame, cmpt, out, 1, 0)
     }
 
-    /// Degraded execution: the completion is untrusted and never read;
-    /// every slot is cleared, then the recomputable ones are filled from
-    /// frame bytes. Bit-identical to `RxPlan::execute_degraded`.
-    pub fn run_degraded_at(
-        &self,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        out: &mut [Option<u128>],
-        stride: usize,
-        idx: usize,
-    ) {
-        self.run_degraded_partial_at(soft, frame, 0, out, stride, idx)
-    }
-
-    /// Row-major [`run_degraded_at`](PlanProgram::run_degraded_at).
+    /// Degraded execution, row-major: the completion is untrusted and
+    /// never read; every slot is cleared, then the recomputable ones are
+    /// filled from frame bytes. Held equal to `RxPlan::execute_degraded`
+    /// by the equivalence suites.
     #[inline]
     pub fn run_degraded(&self, soft: &mut SoftNic, frame: &[u8], out: &mut [Option<u128>]) {
-        self.run_degraded_at(soft, frame, out, 1, 0)
+        self.run_degraded_partial_at(soft, frame, 0, out, 1, 0)
     }
 
     /// Selective degraded re-serve: slots whose bit is set in `keep`
     /// retain their already-validated value; every other slot is
     /// cleared and recomputed from frame bytes (device-only fields come
-    /// out `None`). `keep = 0` is exactly full degraded execution.
+    /// out `None`). `keep = 0` is full degraded execution, which is how
+    /// the datapath serves a packet whose completion it will not read.
     pub fn run_degraded_partial_at(
         &self,
         soft: &mut SoftNic,

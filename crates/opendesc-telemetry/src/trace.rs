@@ -48,6 +48,10 @@ pub enum TraceKind {
     /// the new ring generation (`a` = new generation, `b` = old-layout
     /// completions stranded and stale-tagged by the reprogram).
     RelayoutRolledForward,
+    /// A relayout request was refused because the incoming artifact has
+    /// no verified bytecode form (`a` = the generation it would have
+    /// become); the queue keeps its plan.
+    RelayoutRefused,
 }
 
 /// One fixed-size trace record.

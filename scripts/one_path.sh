@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Fails if the RX datapath or the run loops fork again (ISSUE 13): the
+# driver executes the verified bytecode and nothing else, through one
+# admission pipeline, and the engines run through one drain loop and
+# one thread scope. Checks the non-test part of each file (up to the
+# first `#[cfg(test)]`), comments excluded.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+src=crates/opendesc-core/src
+
+code() { sed '/#\[cfg(test)\]/,$d' "$1" | grep -v '^\s*//' || true; }
+sites() { grep -cF -- "$1" || true; }
+fail=0
+expect() { # what, found, allowed
+    if [ "$2" -gt "$3" ]; then
+        echo "one_path: $1: $2 (at most $3)" >&2
+        fail=1
+    fi
+}
+
+for f in datapath shard; do
+    for pat in execute_into execute_verified execute_degraded '.lowered()'; do
+        expect "$f.rs mentions the tree interpreter or an optional program ($pat)" \
+            "$(code $src/$f.rs | sites "$pat")" 0
+    done
+done
+total=0
+for f in "$src"/*.rs "$src"/codegen/*.rs; do
+    total=$((total + $(code "$f" | sites 'receive_into_hinted(')))
+done
+expect "receive_into_hinted( call sites in opendesc-core" "$total" 1
+expect "poll_batch_into( call sites in shard.rs" "$(code $src/shard.rs | sites 'poll_batch_into(')" 1
+expect "thread::scope sites in shard.rs" "$(code $src/shard.rs | sites 'thread::scope')" 1
+exit $fail

@@ -10,6 +10,7 @@ use opendesc::compiler::{Compiler, Intent, OpenDescDriver};
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::{models, NicModel, SimNic};
 use opendesc::softnic::testpkt;
+use opendesc::softnic::SoftNic;
 use proptest::prelude::*;
 
 /// Software-shim-heavy intent (everything except `timestamp`, which
@@ -100,6 +101,12 @@ proptest! {
             // Odd capacity: forces partial batches and the scalar
             // remainder of the 4-wide columnar reader.
             let mut batch = b.make_batch(7);
+            // `poll` is a one-slot batch through the same pipeline, so
+            // the comparison above holds cap-1 against cap-N addressing;
+            // the independent side is the tree interpreter, run over the
+            // very completion, frame and hint each batch slot holds.
+            let mut oracle_soft = SoftNic::new();
+            let mut oracle = vec![None; b.iface.plan.steps.len()];
             let mut idx = 0;
             loop {
                 let n = b.poll_batch_into(&mut batch);
@@ -110,6 +117,23 @@ proptest! {
                     prop_assert!(idx < singles.len(), "{}: batched path returned extra packets", name);
                     let single = &singles[idx];
                     prop_assert_eq!(batch.frame(pkt), &single.frame[..], "{}: frame bytes diverged", name);
+                    b.iface.plan.execute_into_primed(
+                        &b.iface.accessors,
+                        &mut oracle_soft,
+                        batch.frame(pkt),
+                        batch.cmpt(pkt),
+                        batch.rss_hint(pkt),
+                        &mut oracle,
+                    );
+                    for (field, want) in oracle.iter().enumerate() {
+                        prop_assert_eq!(
+                            batch.value_at(field, pkt),
+                            *want,
+                            "{}: field {} diverged from the tree-interpreter oracle",
+                            name,
+                            field
+                        );
+                    }
                     for (field, (sem, want)) in single.meta.iter().enumerate() {
                         prop_assert_eq!(
                             batch.value_at(field, pkt),

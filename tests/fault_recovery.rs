@@ -370,6 +370,9 @@ proptest! {
             .unwrap();
         }
         drv.nic.set_faults(FaultConfig::default()).unwrap();
+        // Trace the drain (not the doorbells above, so the ring holds
+        // every event of it).
+        drv.set_telemetry_enabled(true);
         let mut delivered = 0u64;
         for _ in 0..32 {
             while drv.poll().is_some() {
@@ -377,6 +380,25 @@ proptest! {
             }
         }
         let ctx = format!("faults={:?} CHAOS_SEED={}", faults, env_seed());
+        // Every truncated record the validator counted is on the trace,
+        // with the length it had and the length the layout promised.
+        let trace = &drv.telemetry().trace;
+        prop_assert_eq!(trace.dropped(), 0, "{}: trace ring wrapped", ctx);
+        let truncated: Vec<_> = trace
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == opendesc::compiler::TraceKind::Truncated)
+            .collect();
+        prop_assert_eq!(
+            truncated.len() as u64,
+            drv.validation_stats().truncated,
+            "{}: truncations missing from the trace",
+            ctx
+        );
+        for e in &truncated {
+            prop_assert!(e.a < e.b, "{}: truncated event {:?} is not short", ctx, e);
+            prop_assert_eq!(e.b, drv.iface.validator().expected_len as u64, "{}", ctx);
+        }
         let dev = &drv.nic.stats;
         let host = drv.validation_stats();
         // Device losses: dropped, hang-swallowed, ring-full. Everything

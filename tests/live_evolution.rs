@@ -465,3 +465,161 @@ fn watchdog_reset_mid_flip_lands_on_the_new_generation() {
         "no replay admitted across generations"
     );
 }
+
+/// Property 5 (fail closed): an artifact whose plan did not lower to
+/// verifier-accepted bytecode has no executable form. Attach refuses
+/// it; a relayout onto it is refused too, leaving generation, plan and
+/// device context exactly as they were — counted and traced, not
+/// executed.
+#[test]
+fn unlowerable_artifacts_are_refused_at_attach_and_at_relayout() {
+    use opendesc::compiler::{Accessor, AccessorSet, AttachError, Compiler, LowerError, RxPlan};
+    use opendesc::ir::SemanticId;
+
+    let mut reg = SemanticRegistry::with_builtins();
+    let good = Compiler::default()
+        .compile_model(&models::e1000e(), &intent_k(&mut reg, 3), &mut reg)
+        .unwrap();
+    // A layout lying about its completion size (the field sits at bytes
+    // [8, 12) of a record declared 8 bytes long: the verifier refuses
+    // to prove the window), and one with more fields than the
+    // bytecode's slot masks address.
+    let liar = AccessorSet {
+        accessors: vec![Accessor::hardware(SemanticId(0), "liar", 64, 32)],
+        completion_bytes: 8,
+    };
+    let wide = AccessorSet {
+        accessors: (0..129)
+            .map(|i| Accessor::software(SemanticId(0), &format!("f{i}"), 8))
+            .collect(),
+        completion_bytes: good.accessors.completion_bytes,
+    };
+    for (what, set) in [("liar", liar), ("wide", wide)] {
+        let mut bad = good.clone();
+        bad.plan = RxPlan::compile(&set, &bad.reg);
+        bad.accessors = set;
+        let bad = Arc::new(CompiledRx::new(bad));
+        match (what, bad.lowering_error()) {
+            ("liar", Some(LowerError::Verify { .. }))
+            | ("wide", Some(LowerError::TooManyFields { .. })) => {}
+            (_, other) => panic!("{what}: expected a lowering error, got {other:?}"),
+        }
+
+        let nic = SimNic::new(models::e1000e(), 64).unwrap();
+        let err = OpenDescDriver::attach_shared(nic, Arc::clone(&bad))
+            .err()
+            .unwrap_or_else(|| panic!("{what}: attach must refuse an unlowerable artifact"));
+        assert!(matches!(err, AttachError::Unlowerable(_)), "{what}: {err}");
+
+        let nic = SimNic::new(models::e1000e(), 64).unwrap();
+        let mut drv = OpenDescDriver::attach(nic, good.clone()).unwrap();
+        drv.set_telemetry_enabled(true);
+        let plan_before = Arc::clone(&drv.iface);
+        let ring_generation = drv.nic.ring_generation();
+        assert_eq!(
+            drv.request_relayout(Arc::clone(&bad)),
+            FlipProgress::Idle,
+            "{what}"
+        );
+        assert!(
+            !drv.flip_pending(),
+            "{what}: a refused request must not pend"
+        );
+        assert_eq!(drv.advance_relayout(0), FlipProgress::Idle, "{what}");
+        assert_eq!(drv.generation(), 0, "{what}");
+        assert!(
+            Arc::ptr_eq(&drv.iface, &plan_before),
+            "{what}: plan swapped"
+        );
+        assert_eq!(drv.nic.ring_generation(), ring_generation, "{what}");
+        assert_eq!(drv.nic.stats.reprograms, 0, "{what}: device reprogrammed");
+        let c = drv.relayout_counters();
+        assert_eq!((c.requested, c.refused, c.completed), (1, 1, 0), "{what}");
+        let events = drv.telemetry().trace.events();
+        let refused = events
+            .iter()
+            .find(|e| e.kind == TraceKind::RelayoutRefused)
+            .unwrap_or_else(|| panic!("{what}: the refusal must trace"));
+        assert_eq!(refused.a, 1, "{what}: names the generation it refused");
+        // The queue keeps serving under the plan it had.
+        drv.deliver(&clean_frame(0)).unwrap();
+        let pkt = drv.poll().expect("old plan still serves");
+        assert_eq!(pkt.meta.len(), plan_before.accessors.accessors.len());
+    }
+}
+
+/// A batch built before a flip is not a trap: polled after the commit
+/// it is reshaped for the plan now running, even when the old and new
+/// intents have the same number of fields (so nothing about its size
+/// gives the staleness away), and every value it then reports is the
+/// SoftNIC reference *under the new semantics*. A batch another
+/// driver made for a differently-shaped artifact is adopted the same
+/// way instead of tripping an assertion.
+#[test]
+fn a_batch_built_before_a_flip_reshapes_for_the_new_plan() {
+    use opendesc::compiler::AccessorKind;
+    use opendesc::ir::bits::width_mask;
+    use opendesc::softnic::SoftNic;
+
+    let cache = PlanCache::default();
+    let mut reg = SemanticRegistry::with_builtins();
+    let model = models::e1000e();
+    let old = cache
+        .get_or_compile(&model, &intent_k(&mut reg, 0), &mut reg)
+        .unwrap();
+    let new = cache
+        .get_or_compile(&model, &intent_k(&mut reg, 1), &mut reg)
+        .unwrap();
+    let sems =
+        |rx: &CompiledRx| -> Vec<_> { rx.accessors.accessors.iter().map(|a| a.semantic).collect() };
+    assert_eq!(sems(&old).len(), sems(&new).len(), "same arity");
+    assert_ne!(sems(&old), sems(&new), "different semantics");
+
+    let mut drv =
+        OpenDescDriver::attach_shared(SimNic::new(model.clone(), 64).unwrap(), old.clone())
+            .unwrap();
+    let mut batch = drv.make_batch(4);
+    for i in 0..2 {
+        drv.deliver(&clean_frame(i)).unwrap();
+    }
+    assert_eq!(drv.poll_batch_into(&mut batch), 2);
+    assert_eq!(batch.semantics(), &sems(&old)[..]);
+
+    assert_eq!(drv.request_relayout(new.clone()), FlipProgress::Draining);
+    assert_eq!(drv.advance_relayout(0), FlipProgress::Committed(1));
+
+    let check = |drv: &OpenDescDriver, batch: &opendesc::compiler::RxBatch, n: usize| {
+        assert_eq!(batch.semantics(), &sems(&new)[..], "stale field list");
+        let mut soft = SoftNic::new();
+        for pkt in 0..n {
+            for (field, acc) in drv.iface.accessors.accessors.iter().enumerate() {
+                let name = drv.iface.reg.name(acc.semantic);
+                let r = soft
+                    .compute_by_name(name, batch.frame(pkt))
+                    .expect("clean frames have a reference for every field");
+                let want = match acc.kind {
+                    AccessorKind::Hardware => r as u128 & width_mask(acc.width_bits),
+                    AccessorKind::Software => r as u128,
+                };
+                assert_eq!(batch.value_at(field, pkt), Some(want), "{name}");
+                assert_eq!(batch.get(pkt, acc.semantic), Some(want), "{name}");
+            }
+        }
+    };
+    for i in 2..5 {
+        drv.deliver(&clean_frame(i)).unwrap();
+    }
+    assert_eq!(drv.poll_batch_into(&mut batch), 3, "old batch still polls");
+    check(&drv, &batch, 3);
+
+    // A batch from a driver running an eight-field artifact.
+    let wide = cache
+        .get_or_compile(&model, &intent_k(&mut reg, 3), &mut reg)
+        .unwrap();
+    let other = OpenDescDriver::attach_shared(SimNic::new(model, 64).unwrap(), wide).unwrap();
+    let mut foreign = other.make_batch(2);
+    assert_ne!(foreign.semantics().len(), sems(&new).len());
+    drv.deliver(&clean_frame(9)).unwrap();
+    assert_eq!(drv.poll_batch_into(&mut foreign), 1);
+    check(&drv, &foreign, 1);
+}
