@@ -19,8 +19,8 @@
 
 use crate::models::NicModel;
 use crate::nic::{NicError, SimNic};
+use opendesc_softnic::rss_frame;
 use opendesc_softnic::wire::ParsedFrame;
-use opendesc_softnic::{rss_ipv4, rss_ipv4_l4, MSFT_RSS_KEY};
 use std::ops::{Deref, DerefMut};
 
 /// A value padded out to its own cache line.
@@ -189,13 +189,7 @@ impl Steerer {
                 }
             }
             SteerPolicy::Rss => {
-                let rss = parsed.as_ref().and_then(|p| {
-                    let ip = p.ipv4?;
-                    Some(match p.ports() {
-                        Some((sp, dp)) => rss_ipv4_l4(&MSFT_RSS_KEY, ip.src(), ip.dst(), sp, dp),
-                        None => rss_ipv4(&MSFT_RSS_KEY, ip.src(), ip.dst()),
-                    })
-                });
+                let rss = parsed.as_ref().and_then(rss_frame);
                 let (queue, bucket) = match rss {
                     Some(h) => {
                         let b = h as usize & (RETA_SIZE - 1);
@@ -433,6 +427,20 @@ mod tests {
         assert_eq!(v.queue, 0);
         assert!(v.parsed.is_none());
         assert!(v.rss.is_none());
+    }
+
+    #[test]
+    fn steering_hash_is_the_microsoft_vectors_hash() {
+        use opendesc_softnic::testpkt::{ipv4_no_l4, tcp4, MSFT_RSS_VECTORS};
+        let st = Steerer::new(SteerPolicy::Rss, 4);
+        for &(dst, src, dst_port, src_port, want_ip, want_tcp) in MSFT_RSS_VECTORS {
+            let (s, d) = (src.to_be_bytes(), dst.to_be_bytes());
+            let tcp = tcp4(s, d, src_port, dst_port, b"", None);
+            let v = st.steer(0, &tcp);
+            assert_eq!(v.rss, Some(want_tcp), "ipv4+tcp src={src:#x}");
+            assert_eq!(v.bucket, Some(want_tcp as usize & (RETA_SIZE - 1)));
+            assert_eq!(st.steer(0, &ipv4_no_l4(s, d)).rss, Some(want_ip));
+        }
     }
 
     #[test]

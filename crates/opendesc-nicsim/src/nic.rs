@@ -11,9 +11,11 @@
 //! The device treats the programmed layout the way the host's compiled
 //! plan does — as a fact resolved once per context, not per packet.
 //! [`SimNic::configure`] / [`SimNic::reprogram_queue`] pick the active
-//! completion path and lower the offload program to the semantics that
-//! path's slots carry (a value the layout has no slot for is never
-//! computed); [`SimNic::configure_tx`] does the same for the TX
+//! completion path and compile the offload program against it: only the
+//! semantics its slots carry (a value the layout has no slot for is
+//! never computed), each op holding the slots it writes, so a delivered
+//! frame's values go from the offload engine straight into the
+//! completion bytes; [`SimNic::configure_tx`] does the same for the TX
 //! descriptor layout (see [`crate::tx`]). [`WritebackMode`] selects
 //! reference or table-driven execution for both directions.
 
@@ -359,10 +361,11 @@ pub struct SimNic {
     engine: OffloadEngine,
     /// The semantics the device computes per frame, lowered to device
     /// ops whenever the active path or the mode changes: those the
-    /// active path's slots carry, or all of `supported` when every
-    /// completion is interpreted.
+    /// active path's slots carry, each with its slots, or all of
+    /// `supported` (and no slots) when every completion is interpreted.
     offload_prog: OffloadProgram,
-    /// Reusable per-frame offload record (deliver-path scratch).
+    /// Reusable per-frame offload record (scratch of the interpreted
+    /// deliver path; table-driven delivery builds no record).
     rec_scratch: MetaRecord,
     /// Reusable completion writeback buffer (deliver-path scratch).
     wb_scratch: Vec<u8>,
@@ -622,20 +625,24 @@ impl SimNic {
     }
 
     /// Resolve the active completion path from the programmed context
-    /// and lower the offload program to what it carries. Table-driven
-    /// writeback reads nothing but the path's slots, so a supported
+    /// and compile the offload program against it. Table-driven
+    /// writeback fills nothing but the path's slots, so a supported
     /// semantic without a slot is dead work; the interpreter may read
-    /// anything, so it gets the full list.
+    /// anything, so it gets the full list (and no slot table).
     fn refresh_active_path(&mut self) {
         self.active_path = self
             .paths
             .iter()
             .position(|p| p.guard.iter().all(|c| c.eval(&self.context) == Some(true)));
+        let layout = match self.mode {
+            WritebackMode::Fast => self.active_path.map(|i| &self.paths[i]),
+            WritebackMode::Interpret => None,
+        };
         let mut computed = self.supported.clone();
-        if let (WritebackMode::Fast, Some(i)) = (self.mode, self.active_path) {
-            computed.retain(|sem| self.paths[i].slot_for(*sem).is_some());
+        if let Some(path) = layout {
+            computed.retain(|sem| path.slot_for(*sem).is_some());
         }
-        self.offload_prog = OffloadProgram::compile(&self.reg, &computed);
+        self.offload_prog = OffloadProgram::compile(&self.reg, &computed, layout);
     }
 
     /// Deliver one frame from the wire. Computes offloads, serializes the
@@ -673,25 +680,42 @@ impl SimNic {
             return Ok(());
         }
         // Buffer mode: the frame needs a posted receive buffer; the DMA
-        // write happens here, ahead of the completion.
-        if self.rx_pool.enabled && !self.rx_buffer_write(frame) {
-            return Ok(());
-        }
-        // Offloads into the reusable record: pre-lowered ops, one parse
-        // (zero when the steering stage already did it).
-        self.engine.process_program_with(
-            &self.offload_prog,
-            frame,
-            parsed,
-            rss_hint,
-            &mut self.rec_scratch,
-        );
-        // Serialize the completion into the reusable writeback buffer.
-        match (self.mode, self.active_path) {
-            (WritebackMode::Fast, Some(i)) => {
-                Self::write_fast(&self.paths[i], &self.rec_scratch, &mut self.wb_scratch);
+        // write happens here, ahead of the completion. A frame the ring
+        // has no slot for is refused first: a buffer claimed for it
+        // would sit in the filled queue with no completion and pair
+        // with the next frame's.
+        if self.rx_pool.enabled {
+            if self.cq.is_full() {
+                self.stats.dropped_ring_full += 1;
+                return Ok(());
             }
+            if !self.rx_buffer_write(frame) {
+                return Ok(());
+            }
+        }
+        // Offloads, pre-lowered ops over one parse (zero when the
+        // steering stage already did it), serialized into the reusable
+        // writeback buffer.
+        match (self.mode, self.active_path) {
+            // The program was compiled against the active path: each
+            // value goes straight into its slots.
+            (WritebackMode::Fast, Some(_)) => self.engine.process_into_completion(
+                &self.offload_prog,
+                frame,
+                parsed,
+                rss_hint,
+                &mut self.wb_scratch,
+            ),
+            // Reference: a record of every supported semantic, handed
+            // to the contract's deparser.
             _ => {
+                self.engine.process_program_with(
+                    &self.offload_prog,
+                    frame,
+                    parsed,
+                    rss_hint,
+                    &mut self.rec_scratch,
+                );
                 let out = self.interpret_writeback(&self.rec_scratch)?;
                 self.wb_scratch.clear();
                 self.wb_scratch.extend_from_slice(&out);
@@ -839,26 +863,18 @@ impl SimNic {
         ok.then_some(sideband)
     }
 
-    /// Table-driven completion writeback from enumerated layout `i`.
+    /// Table-driven serialization of a record under enumerated layout
+    /// `i` — the record-based form of what the compiled offload program
+    /// writes on delivery, kept for [`writeback_both`](Self::writeback_both).
     fn fast_writeback(&self, i: usize, record: &MetaRecord) -> Vec<u8> {
-        let mut buf = Vec::new();
-        Self::write_fast(&self.paths[i], record, &mut buf);
-        buf
-    }
-
-    /// Table-driven writeback into a reusable buffer (associated fn so
-    /// the deliver path can borrow `paths`/`rec_scratch`/`wb_scratch`
-    /// disjointly).
-    fn write_fast(path: &CompletionPath, record: &MetaRecord, buf: &mut Vec<u8>) {
-        buf.clear();
-        buf.resize(path.size_bytes() as usize, 0);
+        let path = &self.paths[i];
+        let mut buf = vec![0; path.size_bytes() as usize];
         for slot in &path.slots {
-            if let Some(sem) = slot.semantic {
-                if let Some(v) = record.get(sem) {
-                    write_bits(buf, slot.offset_bits, slot.width_bits, v);
-                }
+            if let Some(v) = slot.semantic.and_then(|sem| record.get(sem)) {
+                write_bits(&mut buf, slot.offset_bits, slot.width_bits, v);
             }
         }
+        buf
     }
 
     /// Reference writeback: interpret the deparser AST.
@@ -938,8 +954,10 @@ impl SimNic {
         v
     }
 
-    /// Run a frame through the offload engine only (no rings): useful for
-    /// tests comparing writeback modes.
+    /// Run a frame through the offload engine only (no rings), into a
+    /// fresh record: the op loop delivery runs, with the record the
+    /// interpreter serializes as its sink. Useful for tests comparing
+    /// writeback modes.
     pub fn offload_record(&mut self, frame: &[u8]) -> MetaRecord {
         let mut rec = MetaRecord::default();
         self.engine
@@ -1028,6 +1046,44 @@ mod tests {
         assert_eq!(&cmpt[2..4], &[0xFF, 0xFF]);
     }
 
+    /// The shapes a completion has to be right for: UDP (VLAN-tagged
+    /// KVS GET), VLAN-tagged TCP, a seeded frame and a non-IP runt.
+    fn probe_frames() -> Vec<Vec<u8>> {
+        vec![
+            frame(),
+            testpkt::tcp4(
+                [10, 2, 0, 1],
+                [10, 2, 0, 9],
+                443,
+                51000,
+                b"hello",
+                Some(0x2005),
+            ),
+            testpkt::seeded_frame(3),
+            vec![0u8; 14],
+        ]
+    }
+
+    /// Deliver `frames` to a table-driven queue and to an interpreting
+    /// twin on the same context; what the host receives must be equal,
+    /// byte for byte, frame and completion.
+    fn assert_delivery_matches_interpreter(model: &NicModel, ctx: &Assignment, what: &str) {
+        let mut fast = SimNic::new(model.clone(), 16).unwrap();
+        let mut interp = SimNic::new(model.clone(), 16).unwrap();
+        interp.set_mode(WritebackMode::Interpret);
+        fast.configure(ctx.clone()).unwrap();
+        interp.configure(ctx.clone()).unwrap();
+        for (n, f) in probe_frames().iter().enumerate() {
+            fast.deliver(f).unwrap();
+            interp.deliver(f).unwrap();
+            assert_eq!(
+                fast.receive(),
+                interp.receive(),
+                "{what} frame {n}: compiled writeback and interpreter disagree"
+            );
+        }
+    }
+
     #[test]
     fn fast_and_interpret_writeback_agree() {
         for model in models::catalog() {
@@ -1037,7 +1093,7 @@ mod tests {
                 let Some(ctx) = nic.paths[i].solve_context() else {
                     continue;
                 };
-                nic.configure(ctx).unwrap();
+                nic.configure(ctx.clone()).unwrap();
                 let rec = nic.offload_record(&frame());
                 let (interp, fast) = nic.writeback_both(&rec).unwrap();
                 assert_eq!(
@@ -1045,6 +1101,10 @@ mod tests {
                     "model {} path {i}: interpreter and fast writeback disagree",
                     model.name
                 );
+                // And as delivered: the compiled program writes no
+                // record, so hold its bytes to the interpreter's too.
+                let what = format!("model {} path {i}", model.name);
+                assert_delivery_matches_interpreter(&model, &ctx, &what);
             }
         }
     }
@@ -1054,7 +1114,6 @@ mod tests {
         // Fast mode computes only what the active path carries. Against
         // a twin forced back onto the full program, every completion
         // must be byte-identical, on every model and solvable path.
-        let frames = [frame(), testpkt::seeded_frame(3), vec![0u8; 14]];
         let mut restricted_somewhere = false;
         for model in models::catalog() {
             let paths = SimNic::new(model.clone(), 16).unwrap().paths;
@@ -1066,9 +1125,10 @@ mod tests {
                 let mut full = SimNic::new(model.clone(), 16).unwrap();
                 nic.configure(ctx.clone()).unwrap();
                 full.configure(ctx).unwrap();
-                full.offload_prog = OffloadProgram::compile(&full.reg, &full.supported);
+                full.offload_prog =
+                    OffloadProgram::compile(&full.reg, &full.supported, full.active_path());
                 restricted_somewhere |= nic.offload_prog.len() < full.offload_prog.len();
-                for f in &frames {
+                for f in &probe_frames() {
                     nic.deliver(f).unwrap();
                     full.deliver(f).unwrap();
                     assert_eq!(
@@ -1089,6 +1149,65 @@ mod tests {
     }
 
     #[test]
+    fn a_semantic_in_two_ragged_slots_is_computed_once_and_written_twice() {
+        // No catalog layout repeats a semantic or leaves the byte grid;
+        // this one does both, with the stateful semantics, so an op run
+        // once per slot (instead of once per packet) would show.
+        let spec = models::ProgSpec {
+            name: "ragged-twice".into(),
+            layouts: vec![models::ProgLayout {
+                fields: vec![
+                    models::ProgField::sem("tag_a", "flow_tag", 20),
+                    models::ProgField::pad("gen", 3),
+                    models::ProgField::sem("ctx_a", "crypto_ctx", 13),
+                    models::ProgField::sem("len", "pkt_len", 14),
+                    models::ProgField::sem("tag_b", "flow_tag", 11),
+                    models::ProgField::sem("hash", "rss_hash", 32),
+                    models::ProgField::sem("ctx_b", "crypto_ctx", 9),
+                    models::ProgField::sem("ts", "timestamp", 64),
+                    models::ProgField::sem("ts_low", "timestamp", 16),
+                ],
+            }],
+            guard: models::ProgGuard::Unconditional,
+            tail: None,
+            tx: None,
+        };
+        let model = models::programmable(&spec).unwrap();
+        let ctx = Assignment::new();
+        assert_delivery_matches_interpreter(&model, &ctx, "ragged-twice");
+
+        let mut nic = SimNic::new(model, 16).unwrap();
+        nic.configure(ctx).unwrap();
+        let path = nic.active_path().unwrap().clone();
+        let field = |cmpt: &[u8], name: &str| {
+            let slot = path.slots.iter().find(|s| s.name.ends_with(name)).unwrap();
+            opendesc_ir::bits::read_bits(cmpt, slot.offset_bits, slot.width_bits)
+        };
+        // Five distinct flows, one packet each: a fresh flow tag and a
+        // fresh crypto context per packet, each advancing by exactly 1.
+        for n in 0..5u8 {
+            let f = testpkt::udp4(
+                [10, 0, 0, 1],
+                [10, 0, 0, 2],
+                100 + n as u16,
+                200,
+                b"x",
+                None,
+            );
+            nic.deliver(&f).unwrap();
+            let (_, cmpt) = nic.receive().unwrap();
+            let want = u128::from(n) + 1;
+            assert_eq!(field(&cmpt, "tag_a"), want, "packet {n}: flow tag");
+            assert_eq!(field(&cmpt, "tag_b"), want, "packet {n}: flow tag copy");
+            assert_eq!(field(&cmpt, "ctx_a"), want, "packet {n}: crypto ctx");
+            assert_eq!(field(&cmpt, "ctx_b"), want, "packet {n}: crypto ctx copy");
+            assert_eq!(field(&cmpt, "len"), f.len() as u128);
+            assert_eq!(field(&cmpt, "gen"), 0, "untagged bits stay zero");
+            assert_eq!(field(&cmpt, "ts_low"), field(&cmpt, "ts") & 0xFFFF);
+        }
+    }
+
+    #[test]
     fn reprogram_onto_a_layout_delivers_its_newly_carried_semantics() {
         // use_rss=1 carries no checksum, so the device stops computing
         // it; reprogramming to use_rss=0 must bring it back on the very
@@ -1096,7 +1215,7 @@ mod tests {
         let mut nic = SimNic::new(models::e1000e(), 16).unwrap();
         nic.configure(asn(&[("use_rss", 1, 1)])).unwrap();
         let csum = nic.reg.id(names::IP_CHECKSUM).unwrap();
-        assert!(nic.offload_prog.ops().iter().all(|(sem, _)| *sem != csum));
+        assert!(nic.offload_prog.ops().iter().all(|op| op.sem != csum));
         nic.deliver(&frame()).unwrap();
         nic.receive().unwrap();
         nic.reprogram_queue(Some(asn(&[("use_rss", 1, 0)])))
@@ -1395,13 +1514,7 @@ mod tests {
         let parsed = ParsedFrame::parse(&f).unwrap();
         let ip = parsed.ipv4.unwrap();
         let (sp, dp) = parsed.ports().unwrap();
-        let h = opendesc_softnic::rss_ipv4_l4(
-            &opendesc_softnic::MSFT_RSS_KEY,
-            ip.src(),
-            ip.dst(),
-            sp,
-            dp,
-        );
+        let h = opendesc_softnic::rss_ipv4_l4(ip.src(), ip.dst(), sp, dp);
 
         let mut plain = SimNic::new(models::e1000e(), 16).unwrap();
         plain.configure(asn(&[("use_rss", 1, 1)])).unwrap();
@@ -1448,6 +1561,52 @@ mod tests {
             Some(4),
             "dropped frame's hint must not appear"
         );
+    }
+
+    #[test]
+    fn buffer_mode_ring_full_drop_claims_no_buffer() {
+        // Ring of 2, eight posted buffers: frame 3 finds the ring full.
+        // It must be refused before a buffer is claimed for it — an
+        // orphan in the filled queue would pair frame 3's bytes with
+        // frame 4's completion and shift every later pair by one.
+        let mut nic = SimNic::new(models::e1000e(), 2).unwrap();
+        nic.configure(asn(&[("use_rss", 1, 1)])).unwrap();
+        nic.enable_rx_buffers();
+        nic.post_rx_buffers(8, 2048);
+        let numbered = |n: u16| {
+            testpkt::udp4(
+                [10, 0, 0, 1],
+                [10, 0, 0, 2],
+                n,
+                9,
+                &vec![n as u8; 10 * n as usize],
+                None,
+            )
+        };
+        for n in 1..=3 {
+            nic.deliver(&numbered(n)).unwrap();
+        }
+        assert_eq!(nic.stats.dropped_ring_full, 1);
+        assert_eq!(
+            nic.rx_buffers_free(),
+            6,
+            "the dropped frame holds no buffer"
+        );
+        let pkt_len = |cmpt: &[u8]| u16::from_be_bytes(cmpt[4..6].try_into().unwrap()) as usize;
+        for n in 1..=2 {
+            let (f, cmpt) = nic.receive().unwrap();
+            assert_eq!(f, numbered(n));
+            assert_eq!(pkt_len(&cmpt), f.len());
+        }
+        assert!(nic.receive().is_none());
+        nic.deliver(&numbered(4)).unwrap();
+        let (f, cmpt) = nic.receive().unwrap();
+        assert_eq!(f, numbered(4), "frame 4 arrives with its own bytes");
+        assert_eq!(pkt_len(&cmpt), f.len(), "and its own completion");
+        assert!(nic.receive().is_none());
+        assert_eq!(nic.rx_buffers_free(), 8, "every buffer came back");
+        assert_eq!(nic.stats.dropped_ring_full, 1);
+        assert_eq!(nic.stats.completions, 3);
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! The simulated NIC's offload engine.
 //!
-//! For each received frame the engine produces a [`MetaRecord`]: the
-//! values of every semantic the device model supports. The completion
-//! deparser (executed from the contract) then serializes whichever subset
-//! the active layout carries. The engine delegates stateless semantics to
-//! the SoftNIC reference implementations — hardware and software compute
-//! identical values by construction — and adds the device-only ones
-//! (timestamps from the device clock).
+//! For each received frame the engine runs an [`OffloadProgram`]: one op
+//! per semantic the device computes. Compiled against the active
+//! completion layout, every op carries the slots its value lands in and
+//! the engine writes the completion record directly
+//! ([`OffloadEngine::process_into_completion`]); compiled without one it
+//! fills a [`MetaRecord`] for the contract's deparser to serialize — the
+//! reference. Both run the same op loop. The engine delegates stateless
+//! semantics to the SoftNIC reference implementations — hardware and
+//! software compute identical values by construction — and adds the
+//! device-only ones (timestamps from the device clock).
 
+use opendesc_ir::bits::write_bits;
 use opendesc_ir::semantics::{names, SemanticRegistry};
-use opendesc_ir::SemanticId;
+use opendesc_ir::{CompletionPath, SemanticId};
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
 
@@ -69,18 +73,65 @@ pub enum DeviceOp {
     Shim(ShimOp),
 }
 
-/// The device's supported-semantic list lowered to ops, once per queue —
-/// the engine-side twin of the host's compiled shim plan.
+/// Where a value lands in the completion record: one field of the active
+/// layout, resolved when the program is compiled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DestSlot {
+    pub offset_bits: u32,
+    pub width_bits: u16,
+}
+
+impl DestSlot {
+    /// Write the low `width_bits` of `value` into `buf` at this slot —
+    /// what [`write_bits`] does, with the byte-aligned power-of-two
+    /// widths (most fields of every catalog layout) as single stores.
+    #[inline]
+    fn store(self, buf: &mut [u8], value: u64) {
+        let at = (self.offset_bits / 8) as usize;
+        match (self.offset_bits % 8, self.width_bits) {
+            (0, 8) => buf[at] = value as u8,
+            (0, 16) => buf[at..at + 2].copy_from_slice(&(value as u16).to_be_bytes()),
+            (0, 32) => buf[at..at + 4].copy_from_slice(&(value as u32).to_be_bytes()),
+            (0, 64) => buf[at..at + 8].copy_from_slice(&value.to_be_bytes()),
+            _ => write_bits(buf, self.offset_bits, self.width_bits, value.into()),
+        }
+    }
+}
+
+/// One step of an [`OffloadProgram`]: a semantic, the op computing it,
+/// and (through [`OffloadProgram::slots_of`]) where its value goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OffloadOp {
+    pub sem: SemanticId,
+    pub op: DeviceOp,
+    /// This op's range of the program's slot table.
+    slots: (u16, u16),
+}
+
+/// A list of semantics lowered to device ops, once per queue context —
+/// the engine-side twin of the host's compiled shim plan. Each semantic
+/// is one op and runs once per packet, however many slots carry it.
 #[derive(Debug, Clone, Default)]
 pub struct OffloadProgram {
-    ops: Vec<(SemanticId, DeviceOp)>,
+    ops: Vec<OffloadOp>,
+    /// Destination slots of every op, grouped by op.
+    slots: Vec<DestSlot>,
+    /// Size of the record the slots index into (0 without a layout).
+    record_bytes: usize,
 }
 
 impl OffloadProgram {
-    /// Lower `supported` against the registry. Names resolve to ops here,
-    /// never again per packet.
-    pub fn compile(reg: &SemanticRegistry, supported: &[SemanticId]) -> OffloadProgram {
-        let ops = supported
+    /// Lower `sems` against the registry, and against `layout` when the
+    /// completion will be written table-driven: each op then carries
+    /// every slot of the layout tagged with its semantic. Names resolve
+    /// to ops, and semantics to offsets, here — never again per packet.
+    pub fn compile(
+        reg: &SemanticRegistry,
+        sems: &[SemanticId],
+        layout: Option<&CompletionPath>,
+    ) -> OffloadProgram {
+        let mut slots = Vec::new();
+        let ops = sems
             .iter()
             .map(|&sem| {
                 let op = match reg.name(sem) {
@@ -88,14 +139,37 @@ impl OffloadProgram {
                     names::CRYPTO_CTX => DeviceOp::CryptoCtx,
                     name => DeviceOp::Shim(ShimOp::from_name(name)),
                 };
-                (sem, op)
+                let start = slots.len() as u16;
+                let carried = layout.iter().flat_map(|p| &p.slots);
+                slots.extend(
+                    carried
+                        .filter(|s| s.semantic == Some(sem))
+                        .map(|s| DestSlot {
+                            offset_bits: s.offset_bits,
+                            width_bits: s.width_bits,
+                        }),
+                );
+                OffloadOp {
+                    sem,
+                    op,
+                    slots: (start, slots.len() as u16),
+                }
             })
             .collect();
-        OffloadProgram { ops }
+        OffloadProgram {
+            ops,
+            slots,
+            record_bytes: layout.map_or(0, |p| p.size_bytes() as usize),
+        }
     }
 
-    pub fn ops(&self) -> &[(SemanticId, DeviceOp)] {
+    pub fn ops(&self) -> &[OffloadOp] {
         &self.ops
+    }
+
+    /// The completion slots `op` (one of [`ops`](Self::ops)) writes.
+    pub fn slots_of(&self, op: &OffloadOp) -> &[DestSlot] {
+        &self.slots[op.slots.0 as usize..op.slots.1 as usize]
     }
 
     pub fn len(&self) -> usize {
@@ -145,17 +219,14 @@ impl OffloadEngine {
     /// the device clock by the frame's wire time.
     ///
     /// One-shot convenience that lowers `supported` per call; the deliver
-    /// hot path compiles an [`OffloadProgram`] once and runs
-    /// [`process_program_into`] instead.
-    ///
-    /// [`process_program_into`]: OffloadEngine::process_program_into
+    /// hot path compiles an [`OffloadProgram`] once per context instead.
     pub fn process(
         &mut self,
         reg: &SemanticRegistry,
         supported: &[SemanticId],
         frame: &[u8],
     ) -> MetaRecord {
-        let prog = OffloadProgram::compile(reg, supported);
+        let prog = OffloadProgram::compile(reg, supported, None);
         let mut rec = MetaRecord::default();
         self.process_program_into(&prog, frame, &mut rec);
         rec
@@ -181,10 +252,9 @@ impl OffloadEngine {
     /// queue, and a real pipeline never repeats either — pass the parse
     /// as `steer_parsed` and the hash as `rss_hint` and this engine reuses
     /// both instead of recomputing. `steer_parsed = None` parses here;
-    /// `rss_hint = None` leaves RSS to the shim. The hint must come from
-    /// the same key/tuple rules as the reference implementation (true for
-    /// [`crate::multiqueue::Steerer`], which delegates to the softnic
-    /// Toeplitz over the default key).
+    /// `rss_hint = None` leaves RSS to the shim. The hint must be the
+    /// frame's own [`opendesc_softnic::rss_frame`] (true for
+    /// [`crate::multiqueue::Steerer`], which calls it).
     ///
     /// [`process_program_into`]: OffloadEngine::process_program_into
     pub fn process_program_with(
@@ -195,11 +265,51 @@ impl OffloadEngine {
         rss_hint: Option<u32>,
         rec: &mut MetaRecord,
     ) {
+        rec.clear();
+        self.run_ops(prog, frame, steer_parsed, rss_hint, |op, v| {
+            rec.set(op.sem, v.into())
+        });
+    }
+
+    /// Run a program compiled against a completion layout over one frame
+    /// and write the completion record itself into `record` (cleared and
+    /// sized to the layout first): every value goes from its op straight
+    /// to the slots the op carries, bits no op writes stay zero. Same
+    /// arguments and same device-state effects as
+    /// [`process_program_with`](OffloadEngine::process_program_with).
+    pub fn process_into_completion(
+        &mut self,
+        prog: &OffloadProgram,
+        frame: &[u8],
+        steer_parsed: Option<&ParsedFrame<'_>>,
+        rss_hint: Option<u32>,
+        record: &mut Vec<u8>,
+    ) {
+        record.clear();
+        record.resize(prog.record_bytes, 0);
+        self.run_ops(prog, frame, steer_parsed, rss_hint, |op, v| {
+            for slot in prog.slots_of(op) {
+                slot.store(record, v);
+            }
+        });
+    }
+
+    /// The op loop every entry point shares: advance the device clock,
+    /// parse once (or not at all, given `steer_parsed`), run each op of
+    /// `prog` once and hand each value it produced to `sink`.
+    #[inline]
+    fn run_ops(
+        &mut self,
+        prog: &OffloadProgram,
+        frame: &[u8],
+        steer_parsed: Option<&ParsedFrame<'_>>,
+        rss_hint: Option<u32>,
+        mut sink: impl FnMut(&OffloadOp, u64),
+    ) {
         // Wire time: preamble(8) + frame + FCS(4) + IFG(12) bytes.
         let wire_bytes = frame.len() as u64 + 24;
         self.clock_ns += ((wire_bytes * 8) as f64 / self.link_gbps) as u64;
 
-        rec.clear();
         let local;
         let parsed = match steer_parsed {
             Some(p) => Some(p),
@@ -212,20 +322,20 @@ impl OffloadEngine {
         if let Some(h) = rss_hint {
             memo.prime_rss(h);
         }
-        for &(sem, op) in &prog.ops {
-            let v = match op {
-                DeviceOp::Timestamp => Some(self.clock_ns as u128),
+        for op in &prog.ops {
+            let v = match op.op {
+                DeviceOp::Timestamp => Some(self.clock_ns),
                 DeviceOp::CryptoCtx => {
                     let id = self.next_crypto_ctx;
                     self.next_crypto_ctx = self.next_crypto_ctx.wrapping_add(1).max(1);
-                    Some(id as u128)
+                    Some(u64::from(id))
                 }
-                DeviceOp::Shim(shim) => parsed
-                    .and_then(|p| self.soft.exec_op(shim, p, frame.len(), &mut memo))
-                    .map(|v| v as u128),
+                DeviceOp::Shim(shim) => {
+                    parsed.and_then(|p| self.soft.exec_op(shim, p, frame.len(), &mut memo))
+                }
             };
             if let Some(v) = v {
-                rec.set(sem, v);
+                sink(op, v);
             }
         }
     }
@@ -317,7 +427,7 @@ mod tests {
     fn program_path_matches_one_shot_process() {
         let reg = SemanticRegistry::with_builtins();
         let sems: Vec<SemanticId> = reg.iter().map(|(id, _)| id).collect();
-        let prog = OffloadProgram::compile(&reg, &sems);
+        let prog = OffloadProgram::compile(&reg, &sems, None);
         assert_eq!(prog.len(), sems.len());
         let frames = [
             testpkt::udp4(
@@ -348,7 +458,7 @@ mod tests {
         // be observationally identical to parsing/hashing from scratch.
         let reg = SemanticRegistry::with_builtins();
         let sems: Vec<SemanticId> = reg.iter().map(|(id, _)| id).collect();
-        let prog = OffloadProgram::compile(&reg, &sems);
+        let prog = OffloadProgram::compile(&reg, &sems, None);
         let f = testpkt::udp4(
             [10, 0, 0, 1],
             [10, 0, 0, 2],
@@ -370,10 +480,77 @@ mod tests {
     }
 
     #[test]
+    fn slot_store_is_write_bits() {
+        // Single-store widths on and off the byte grid, ragged widths,
+        // and a slot wider than the value; all-ones so masking shows.
+        let shapes = [
+            (0, 8),
+            (8, 16),
+            (16, 32),
+            (64, 64),
+            (4, 8),
+            (3, 16),
+            (1, 32),
+            (7, 64),
+            (0, 13),
+            (24, 24),
+            (21, 3),
+            (0, 128),
+            (40, 100),
+        ];
+        for (offset_bits, width_bits) in shapes {
+            for value in [u64::MAX, 0, 0x0123_4567_89AB_CDEF] {
+                for fill in [0x00, 0xFF] {
+                    let mut got = [fill; 24];
+                    let mut want = [fill; 24];
+                    DestSlot {
+                        offset_bits,
+                        width_bits,
+                    }
+                    .store(&mut got, value);
+                    write_bits(&mut want, offset_bits, width_bits, value.into());
+                    assert_eq!(got, want, "offset {offset_bits} width {width_bits}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn completion_sink_writes_what_the_record_sink_collects() {
+        // One op loop, two sinks: the completion written through the
+        // compiled slots must be the record's values at the path's slots.
+        let nic = crate::SimNic::new(crate::models::mlx5(), 16).unwrap();
+        let f = testpkt::udp4(
+            [10, 0, 0, 1],
+            [10, 0, 0, 2],
+            1000,
+            2000,
+            b"get k\r\n",
+            Some(7),
+        );
+        for path in &nic.paths {
+            let prog = OffloadProgram::compile(&nic.reg, &nic.supported, Some(path));
+            let (mut a, mut b) = (OffloadEngine::default(), OffloadEngine::default());
+            let mut rec = MetaRecord::default();
+            a.process_program_into(&prog, &f, &mut rec);
+            let mut cmpt = vec![0xAA; 3]; // stale contents must not survive
+            b.process_into_completion(&prog, &f, None, None, &mut cmpt);
+            let mut want = vec![0u8; path.size_bytes() as usize];
+            for slot in &path.slots {
+                if let Some(v) = slot.semantic.and_then(|sem| rec.get(sem)) {
+                    write_bits(&mut want, slot.offset_bits, slot.width_bits, v);
+                }
+            }
+            assert_eq!(cmpt, want, "path {}", path.id);
+            assert_eq!(a.now_ns(), b.now_ns());
+        }
+    }
+
+    #[test]
     fn reused_record_carries_nothing_across_frames() {
         let reg = SemanticRegistry::with_builtins();
         let sems = ids(&reg, &[names::RSS_HASH, names::VLAN_TCI, names::PKT_LEN]);
-        let prog = OffloadProgram::compile(&reg, &sems);
+        let prog = OffloadProgram::compile(&reg, &sems, None);
         let mut eng = OffloadEngine::default();
         let mut rec = MetaRecord::default();
         let tagged = testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", Some(0x0ABC));

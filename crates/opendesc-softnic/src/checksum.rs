@@ -15,15 +15,44 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !fold(sum_words(data, 0))
 }
 
-fn sum_words(data: &[u8], mut acc: u32) -> u32 {
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        acc += u16::from_be_bytes([c[0], c[1]]) as u32;
+/// One's-complement sum of `data` as big-endian 16-bit words (an odd
+/// tail byte is padded with a zero), added to `acc`.
+///
+/// RFC 1071 §2: the sum depends neither on the width it is taken in nor
+/// on the byte order, as long as the result is swapped back. So the
+/// body is read 8 bytes per step in native order and added as two
+/// 32-bit lanes to 64-bit accumulators — no lane can carry out (that
+/// would take 32 GiB of input), which leaves the loop free of carry
+/// chains and byte swaps — and only the last seven bytes at most go 16
+/// bits at a time. The end-around carries are brought back once, at the
+/// end, down to 16 bits; that value is swapped into network order and
+/// added to `acc`. The result is congruent to the halfword-serial sum
+/// modulo `0xFFFF` and zero only when that sum is, which is all
+/// [`fold`] looks at.
+fn sum_words(data: &[u8], acc: u32) -> u32 {
+    let mut words = data.chunks_exact(8);
+    let (mut even, mut odd) = (0u64, 0u64);
+    for w in &mut words {
+        let w = u64::from_ne_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        even += w & 0xFFFF_FFFF;
+        odd += w >> 32;
     }
-    if let [last] = chunks.remainder() {
-        acc += u16::from_be_bytes([*last, 0]) as u32;
+    let mut sum = even + odd;
+    let mut halves = words.remainder().chunks_exact(2);
+    for h in &mut halves {
+        sum += u64::from(u16::from_ne_bytes([h[0], h[1]]));
     }
-    acc
+    if let [last] = halves.remainder() {
+        sum += u64::from(u16::from_ne_bytes([*last, 0]));
+    }
+    // 2^32 ≡ 2^16 ≡ 1 (mod 0xFFFF): 64 → 33 → 18 → 17 → 16 bits.
+    let sum = (sum >> 32) + (sum & 0xFFFF_FFFF);
+    let sum = (sum >> 16) + (sum & 0xFFFF);
+    let sum = (sum >> 16) + (sum & 0xFFFF);
+    let sum = (sum >> 16) + (sum & 0xFFFF);
+    let sum = u64::from(u16::from_be(sum as u16)) + u64::from(acc);
+    // A carry out of bit 31 leaves the low half at most 0xFFFE.
+    ((sum >> 32) + (sum & 0xFFFF_FFFF)) as u32
 }
 
 fn fold(mut acc: u32) -> u16 {
@@ -90,6 +119,83 @@ mod tests {
     use crate::testpkt;
     use crate::wire::ParsedFrame;
     use proptest::prelude::*;
+
+    /// The halfword-serial sum `sum_words` replaced, kept as its oracle.
+    fn sum_words_serial(data: &[u8], mut acc: u32) -> u32 {
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            acc += u16::from_be_bytes([c[0], c[1]]) as u32;
+        }
+        if let [last] = chunks.remainder() {
+            acc += u16::from_be_bytes([*last, 0]) as u32;
+        }
+        acc
+    }
+
+    /// What the serial sum would fold to from seed `acc`, for seeds so
+    /// large its `u32` accumulator would overflow: one's-complement
+    /// addition is associative, so fold the two parts and add them.
+    fn folded_serial(data: &[u8], acc: u32) -> u16 {
+        fold(fold(sum_words_serial(data, 0)) as u32 + fold(acc) as u32)
+    }
+
+    #[test]
+    fn word_sum_matches_serial_sum_at_every_length_and_alignment() {
+        // Backing buffers whose sums carry differently: a byte ramp,
+        // all-ones (every add carries) and zeros with one high bit.
+        let n = 1600 + 8;
+        let ramp: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
+        let ones = vec![0xFFu8; n];
+        let mut sparse = vec![0u8; n];
+        sparse[n / 2] = 0x80;
+        // The largest seed a pseudo-header produces (addresses, protocol
+        // and length all-ones) is still far from overflowing the oracle.
+        let pseudo_max = 4 * 0xFFFF + 0xFF + 0xFFFF;
+        for buf in [&ramp, &ones, &sparse] {
+            for start in 0..8 {
+                for len in 0..=1600 {
+                    let data = &buf[start..start + len];
+                    for acc in [0, 1, 0xFFFF, pseudo_max] {
+                        assert_eq!(
+                            fold(sum_words(data, acc)),
+                            fold(sum_words_serial(data, acc)),
+                            "start {start} len {len} acc {acc:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_sum_takes_seeds_up_to_u32_max() {
+        // `sum_words` hands back any `u32`, and `ipv4_header_checksum`
+        // feeds one call's result to the next as its seed.
+        let ones = [0xFFu8; 41];
+        let ramp: Vec<u8> = (0..41).map(|i| (i * 29 + 3) as u8).collect();
+        for buf in [&ones[..], &ramp[..]] {
+            for len in 0..=buf.len() {
+                for acc in [
+                    u32::MAX,
+                    u32::MAX - 1,
+                    0xFFFF_0000,
+                    0xFFFE_FFFF,
+                    0x8000_0000,
+                ] {
+                    assert_eq!(
+                        fold(sum_words(&buf[..len], acc)),
+                        folded_serial(&buf[..len], acc),
+                        "len {len} acc {acc:#x}"
+                    );
+                }
+            }
+        }
+        // Zero stays zero and nothing else becomes it: `fold` tells a
+        // sum of 0 from a sum of 0xFFFF.
+        assert_eq!(sum_words(&[0u8; 64], 0), 0);
+        assert_ne!(sum_words(&[0xFFu8; 64], 0), 0);
+        assert_eq!(fold(sum_words(&[0xFFu8; 64], 0)), 0xFFFF);
+    }
 
     #[test]
     fn rfc1071_worked_example() {

@@ -8,7 +8,7 @@
 //! here so hardware and software compute identical values.
 
 use crate::checksum::{verify_ipv4_checksum, verify_l4_checksum};
-use crate::toeplitz::{rss_ipv4_l4, MSFT_RSS_KEY};
+use crate::toeplitz::rss_frame;
 use crate::wire::{ethertype, ipproto, ParsedFrame};
 use opendesc_ir::semantics::{names, SemanticRegistry};
 use opendesc_ir::SemanticId;
@@ -94,10 +94,10 @@ impl ShimMemo {
     /// Seed the RSS slot with a hash computed elsewhere — the steering
     /// stage of a multi-queue NIC already ran Toeplitz over the flow
     /// tuple, and a real device reports that hash in the completion, so
-    /// the host shims must not pay for it again. Only prime with a value
-    /// produced by the *same* key and tuple rules as [`SoftNic::rss`]
-    /// (the default MSFT key), or shim outputs will diverge from the
-    /// reference.
+    /// the host shims must not pay for it again. Every hash in the
+    /// system is taken under the one key ([`crate::MSFT_RSS_KEY`]), so a
+    /// hash the steering stage computed over this frame's tuple is the
+    /// value [`SoftNic::rss`] would return.
     pub fn prime_rss(&mut self, rss: u32) {
         self.rss = Some(Some(rss));
     }
@@ -132,7 +132,6 @@ pub mod rx_status {
 /// cost the selection objective charges for it).
 #[derive(Debug, Clone)]
 pub struct SoftNic {
-    rss_key: [u8; 40],
     /// Emulated flow table: 5-tuple hash → tag, insertion-ordered ids.
     flow_table: HashMap<u64, u32>,
     next_flow_tag: u32,
@@ -150,7 +149,6 @@ impl Default for SoftNic {
 impl SoftNic {
     pub fn new() -> Self {
         SoftNic {
-            rss_key: MSFT_RSS_KEY,
             flow_table: HashMap::new(),
             next_flow_tag: 1,
             shim_ops: 0,
@@ -170,12 +168,6 @@ impl SoftNic {
     pub fn register_metrics(&self, reg: &mut opendesc_telemetry::MetricRegistry, scope: &str) {
         reg.counter(&format!("{scope}.shim_ops"), self.shim_ops);
         reg.counter(&format!("{scope}.flows"), self.flow_table.len() as u64);
-    }
-
-    /// Use a non-default RSS key.
-    pub fn with_rss_key(mut self, key: [u8; 40]) -> Self {
-        self.rss_key = key;
-        self
     }
 
     /// Compute semantic `sem` over `frame`. Returns `None` when the
@@ -278,13 +270,9 @@ impl SoftNic {
     }
 
     /// Toeplitz RSS over the 4-tuple (falls back to the 2-tuple for
-    /// non-TCP/UDP IPv4 traffic).
+    /// non-TCP/UDP IPv4 traffic); see [`rss_frame`].
     pub fn rss(&self, p: &ParsedFrame<'_>) -> Option<u32> {
-        let ip = p.ipv4.as_ref()?;
-        match p.ports() {
-            Some((sp, dp)) => Some(rss_ipv4_l4(&self.rss_key, ip.src(), ip.dst(), sp, dp)),
-            None => Some(crate::toeplitz::rss_ipv4(&self.rss_key, ip.src(), ip.dst())),
-        }
+        rss_frame(p)
     }
 
     /// Packet-type bitmap (see [`ptype`]).
@@ -354,9 +342,9 @@ pub fn kvs_key_hash(payload: &[u8]) -> Option<u32> {
 
 // Send audit (sharded RX engine): every worker thread owns its own
 // `SoftNic` + `ShimMemo`, so both must be `Send`. The flow table is a
-// plain owned `HashMap` and the RSS key an inline array — nothing holds
-// interior mutability or shared references. Checked at compile time so a
-// future field can't silently break the multi-core datapath.
+// plain owned `HashMap` — nothing holds interior mutability or shared
+// references. Checked at compile time so a future field can't silently
+// break the multi-core datapath.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<SoftNic>();
@@ -367,6 +355,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::testpkt;
+    use crate::toeplitz::rss_ipv4_l4;
 
     fn udp_frame() -> Vec<u8> {
         testpkt::udp4([10, 1, 0, 1], [10, 1, 0, 2], 5000, 6000, b"payload", None)
@@ -378,7 +367,6 @@ mod tests {
         let f = udp_frame();
         let got = sn.compute_by_name(names::RSS_HASH, &f).unwrap();
         let want = rss_ipv4_l4(
-            &MSFT_RSS_KEY,
             u32::from_be_bytes([10, 1, 0, 1]),
             u32::from_be_bytes([10, 1, 0, 2]),
             5000,

@@ -111,6 +111,28 @@ fn build4(
     f
 }
 
+/// An Ethernet/IPv4 frame whose protocol is neither TCP nor UDP (ICMP
+/// echo, eight zero bytes): parses with addresses and no ports, the
+/// shape RSS hashes as a 2-tuple.
+pub fn ipv4_no_l4(src_ip: [u8; 4], dst_ip: [u8; 4]) -> Vec<u8> {
+    let mut f = udp4(src_ip, dst_ip, 0, 0, b"", None);
+    f[14 + 9] = ipproto::ICMP;
+    let csum = ipv4_header_checksum(&f[14..34]);
+    f[24..26].copy_from_slice(&csum.to_be_bytes());
+    f
+}
+
+/// The five IPv4 verification vectors from the Microsoft RSS
+/// specification ("Verifying the RSS Hash Calculation"). Each row:
+/// (dst, src, dst_port, src_port, ipv4_hash, ipv4_tcp_hash).
+pub const MSFT_RSS_VECTORS: &[(u32, u32, u16, u16, u32, u32)] = &[
+    (0xA18E6450, 0x420995BB, 1766, 2794, 0x323e8fc2, 0x51ccc178),
+    (0x41458C53, 0xC75C6F02, 4739, 14230, 0xd718262a, 0xc626b0ea),
+    (0x0C16CFB8, 0x1813C65F, 38024, 12898, 0xd2d0a5de, 0x5c2b394a),
+    (0xD18EA306, 0x261BCD1E, 2217, 48228, 0x82989176, 0xafc7327f),
+    (0xCABC7F02, 0x9927A3BF, 1303, 44251, 0x5d1809c5, 0x10e828a2),
+];
+
 /// A memcached-style KVS GET request payload: `get <key>\r\n`.
 pub fn kvs_get_payload(key: &str) -> Vec<u8> {
     format!("get {key}\r\n").into_bytes()
