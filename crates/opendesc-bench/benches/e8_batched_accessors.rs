@@ -3,11 +3,11 @@
 //!
 //! DPDK drivers hand-maintain SSE/NEON variants that read four
 //! descriptors at a time; OpenDesc could *generate* them. This bench
-//! measures what the *software* 4-wide column loader the datapath runs
+//! measures what the *software* column loader the datapath runs
 //! (`vm::load_column` over the lowered program's hardware loads) buys
 //! over per-record `Accessor::read`s of the same four completions. Any
-//! difference comes from resolving the load shape once per field and
-//! keeping a chunk's loads independent, not from SIMD: the real
+//! difference comes from resolving the load shape once per field, not
+//! per record, not from SIMD: the real
 //! vectorized-RX win requires emitting genuine SIMD loads per layout —
 //! the paper's "generate SIMD accessors" future-work item. Numbers are
 //! recorded in EXPERIMENTS.md.

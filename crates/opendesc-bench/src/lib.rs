@@ -952,14 +952,23 @@ pub mod e15 {
 
 /// E16 — the plan-bytecode-VM acceptance matrix: the same
 /// model × path grid as E12, re-measured now that every datapath
-/// executes the lowered [`PlanProgram`] bytecode, plus the two ratio
-/// metrics the perf gate bands with hard floors:
+/// executes the lowered [`PlanProgram`] bytecode, plus three ratio
+/// metrics the perf gate bands:
 ///
-/// * `plan_vs_per_packet_<model>` — the VM plan path against the seed
-///   per-packet accessor loop, both timed in the same interleaved run
-///   (floor 1.0: the compiled path must not lose to per-packet reads
-///   anywhere, the regression the interpreted plans had on 3 of 4
-///   models in the committed `BENCH_e12.json`).
+/// * `batched_vs_per_packet_<model>` — the batched bytecode path
+///   against the seed per-packet accessor loop, both timed in the same
+///   interleaved run (floor 1.0: the compiled pipeline must not lose
+///   to per-packet reads anywhere, the regression the interpreted
+///   plans had on 3 of 4 models in the committed `BENCH_e12.json`).
+/// * `plan_vs_per_packet_<model>` — `poll()` against the same loop,
+///   banded but with no floor. Since PR 13 `poll()` is a one-slot
+///   batch through the one pipeline, so this ratio no longer compares
+///   two executors: it prices a batch of one, which on the
+///   all-hardware models sits at parity with the seed loop (0.975–1.03
+///   per attempt since PR 14 made that loop's Toeplitz ~10× cheaper).
+///   A floor of 1.0 on a quantity whose honest value is 1.0 fails on
+///   noise, about every other run; the band still catches `poll()`
+///   falling behind the loop it replaced.
 /// * `batched_vs_e12_batched_<model>` — the batched bytecode path
 ///   against the committed pre-VM E12 batched numbers
 ///   ([`e16::E12_BATCHED_BASELINE`]), floor 1.5.
@@ -974,7 +983,7 @@ pub mod e15 {
 /// it actually ships in. All three paths receive the identical steered
 /// stream; the per-packet baseline has no way to consume the sideband,
 /// so the change costs it nothing — the hint can only make the
-/// `plan_vs_per_packet` floor easier for the paths that exploit it,
+/// `batched_vs_per_packet` floor easier for the paths that exploit it,
 /// which is precisely the point: the floor compares the shipped
 /// configuration of each path, not a handicapped one.
 ///
@@ -1006,7 +1015,7 @@ pub mod e16 {
     ];
 
     /// Acceptance floors (also encoded in the gate's rule table).
-    pub const MIN_PLAN_RATIO: f64 = 1.0;
+    pub const MIN_BATCHED_VS_PER_PACKET: f64 = 1.0;
     pub const MIN_BATCHED_RATIO: f64 = 1.5;
 
     /// Deliver one round through the device steering stage: parse and
@@ -1075,10 +1084,17 @@ pub mod e16 {
             .unwrap_or(f64::NAN)
     }
 
-    /// VM plan path vs the seed per-packet accessor loop, same run
-    /// (self-normalized: machine speed divides out).
+    /// `poll()` (a one-slot batch) vs the seed per-packet accessor
+    /// loop, same run (self-normalized: machine speed divides out).
+    /// Recorded and banded, not floored — see the module docs.
     pub fn plan_vs_per_packet(rows: &[Row], model: &str) -> f64 {
         mpps(rows, model, "plan") / mpps(rows, model, "per_packet")
+    }
+
+    /// Batched bytecode path vs the seed per-packet accessor loop,
+    /// same rows of the same run: the self-normalized acceptance ratio.
+    pub fn batched_vs_per_packet(rows: &[Row], model: &str) -> f64 {
+        mpps(rows, model, "batched") / mpps(rows, model, "per_packet")
     }
 
     /// Batched bytecode path vs the committed pre-VM E12 batched number
@@ -1092,12 +1108,12 @@ pub mod e16 {
         mpps(rows, model, "batched") / base
     }
 
-    /// Worst (smallest) plan-vs-per-packet ratio across the matrix —
-    /// what the emitter's floor assertion checks.
-    pub fn worst_plan_ratio(rows: &[Row]) -> f64 {
+    /// Worst (smallest) batched-vs-per-packet ratio across the matrix
+    /// — what the emitter's floor assertion checks.
+    pub fn worst_batched_vs_per_packet(rows: &[Row]) -> f64 {
         E12_BATCHED_BASELINE
             .iter()
-            .map(|(m, _)| plan_vs_per_packet(rows, m))
+            .map(|(m, _)| batched_vs_per_packet(rows, m))
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -1130,6 +1146,13 @@ pub mod e16 {
                 "  \"plan_vs_per_packet_{}\": {:.4},\n",
                 m,
                 plan_vs_per_packet(rows, m)
+            ));
+        }
+        for (m, _) in E12_BATCHED_BASELINE {
+            s.push_str(&format!(
+                "  \"batched_vs_per_packet_{}\": {:.4},\n",
+                m,
+                batched_vs_per_packet(rows, m)
             ));
         }
         for (i, (m, _)) in E12_BATCHED_BASELINE.iter().enumerate() {
@@ -2193,20 +2216,28 @@ pub mod gate {
         if metric.contains("overhead_ratio") {
             return hb(0.03);
         }
-        // The E16 acceptance ratios carry hard floors on top of their
-        // bands. `plan_vs_per_packet` divides two paths measured in the
-        // same interleaved run (machine speed cancels), so it gates
-        // even under `--relative-only`; the VM plan path losing to the
-        // seed accessors anywhere is exactly the regression E16 exists
-        // to catch. The band is wide because the denominator (the
-        // slowest path in the matrix) carries the most scheduler noise
-        // run-to-run; the hard floor is the acceptance criterion.
-        if metric.contains("plan_vs_per_packet") {
+        // The E16 same-run ratios divide two paths measured in one
+        // interleaved run (machine speed cancels), so they gate even
+        // under `--relative-only`. `batched_vs_per_packet` carries the
+        // hard floor: the compiled pipeline losing to the seed
+        // accessors anywhere is exactly the regression E16 exists to
+        // catch. `plan_vs_per_packet` is `poll()`, a batch of one,
+        // whose honest value on the all-hardware models is parity — a
+        // floor there fails on noise, so it keeps its band alone (see
+        // the `e16` module docs). The band is wide because the
+        // denominator (the slowest path in the matrix) carries the
+        // most scheduler noise run-to-run. (E12's
+        // `speedup_batched_vs_per_packet_e1000e` is a different key
+        // and takes the `speedup` rule below.)
+        if metric.starts_with("batched_vs_per_packet") {
             return Some(Rule {
                 direction: Direction::HigherBetter,
                 tolerance: 0.15,
-                floor: Some(1.0),
+                floor: Some(super::e16::MIN_BATCHED_VS_PER_PACKET),
             });
+        }
+        if metric.contains("plan_vs_per_packet") {
+            return hb(0.15);
         }
         // `batched_vs_e12_batched` divides a live measurement by a
         // *committed constant*, so despite being written as a ratio it
@@ -2778,11 +2809,11 @@ mod tests {
         // band but below the floor still fails, and a value above the
         // floor is judged by the band alone.
         let base = opendesc_telemetry::parse_json(
-            r#"{"plan_vs_per_packet_qdma": 1.02, "batched_vs_e12_batched_qdma": 1.55}"#,
+            r#"{"batched_vs_per_packet_qdma": 1.02, "batched_vs_e12_batched_qdma": 1.55}"#,
         )
         .unwrap();
         let below = opendesc_telemetry::parse_json(
-            r#"{"plan_vs_per_packet_qdma": 0.99, "batched_vs_e12_batched_qdma": 1.49}"#,
+            r#"{"batched_vs_per_packet_qdma": 0.99, "batched_vs_e12_batched_qdma": 1.49}"#,
         )
         .unwrap();
         let res = gate::compare("e16", &base, &below);
@@ -2796,7 +2827,7 @@ mod tests {
             assert!(r.change.abs() < r.rule.tolerance, "{}", r.metric);
         }
         let above = opendesc_telemetry::parse_json(
-            r#"{"plan_vs_per_packet_qdma": 1.00, "batched_vs_e12_batched_qdma": 1.50}"#,
+            r#"{"batched_vs_per_packet_qdma": 1.00, "batched_vs_e12_batched_qdma": 1.50}"#,
         )
         .unwrap();
         assert!(
@@ -2807,13 +2838,32 @@ mod tests {
         assert!(gate::markdown_table(&res).contains("floor ≥ 1"));
         // --relative-only demotes the constant-denominator batched
         // ratio (machine-speed-proportional) but keeps the same-run
-        // plan ratio gated.
+        // ratio gated.
         let mut demoted = gate::compare("e16", &base, &below);
         gate::demote_absolute(&mut demoted);
-        assert!(!gate::all_pass(&demoted), "plan ratio still gates");
-        let plan_only: Vec<_> = demoted.iter().filter(|r| r.gated).collect();
-        assert_eq!(plan_only.len(), 1);
-        assert!(plan_only[0].metric.contains("plan_vs_per_packet"));
+        assert!(!gate::all_pass(&demoted), "same-run ratio still gates");
+        let same_run: Vec<_> = demoted.iter().filter(|r| r.gated).collect();
+        assert_eq!(same_run.len(), 1);
+        assert!(same_run[0].metric.starts_with("batched_vs_per_packet"));
+        // `poll()` at parity with the seed loop is its honest value:
+        // banded against the baseline, no floor; and the new rule does
+        // not capture E12's differently-named speedup.
+        let parity = |v: f64| {
+            opendesc_telemetry::parse_json(&format!(r#"{{"plan_vs_per_packet_qdma": {v}}}"#))
+                .unwrap()
+        };
+        assert!(gate::all_pass(&gate::compare(
+            "e16",
+            &parity(1.02),
+            &parity(0.975)
+        )));
+        assert!(!gate::all_pass(&gate::compare(
+            "e16",
+            &parity(1.02),
+            &parity(0.85)
+        )));
+        let e12_speedup = gate::rule_for("speedup_batched_vs_per_packet_e1000e").unwrap();
+        assert_eq!((e12_speedup.tolerance, e12_speedup.floor), (0.20, None));
     }
 
     #[test]
@@ -2847,20 +2897,22 @@ mod tests {
         let json = e16::to_json(&rows);
         assert!(json.contains("\"experiment\": \"e16_vm_datapath\""));
         for m in ["e1000e", "ixgbe", "mlx5", "qdma"] {
-            assert!(json.contains(&format!("plan_vs_per_packet_{m}")));
-            assert!(json.contains(&format!("batched_vs_e12_batched_{m}")));
+            assert!(json.contains(&format!("\"plan_vs_per_packet_{m}\"")));
+            assert!(json.contains(&format!("\"batched_vs_per_packet_{m}\"")));
+            assert!(json.contains(&format!("\"batched_vs_e12_batched_{m}\"")));
             assert!(e16::plan_vs_per_packet(&rows, m).is_finite());
+            assert!(e16::batched_vs_per_packet(&rows, m).is_finite());
             assert!(e16::batched_vs_e12(&rows, m).is_finite());
         }
-        assert!(e16::worst_plan_ratio(&rows).is_finite());
+        assert!(e16::worst_batched_vs_per_packet(&rows).is_finite());
         assert!(e16::worst_batched_ratio(&rows).is_finite());
         let doc = opendesc_telemetry::parse_json(&json).expect("e16 record parses");
         let gated = gate::flatten(&doc)
             .iter()
             .filter(|(k, _)| gate::rule_for(k).is_some())
             .count();
-        // 12 mpps rows + 4 plan ratios + 4 batched ratios.
-        assert_eq!(gated, 20, "every E16 metric the gate expects is present");
+        // 12 mpps rows + 4 plan ratios + 2 × 4 batched ratios.
+        assert_eq!(gated, 24, "every E16 metric the gate expects is present");
     }
 
     #[test]

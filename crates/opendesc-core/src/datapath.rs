@@ -53,6 +53,11 @@ impl RxPacket {
 /// what the columnar hardware reader fills. The columns are shaped for
 /// one artifact; a poll under a different one (after a relayout)
 /// reshapes them in place first.
+///
+/// The per-packet readers are `#[inline]` and state their bounds as a
+/// `[..len]` slice, then `[pkt]`: in an application's loop over packets
+/// the slice is invariant and hoists out, which leaves one `pkt < len`
+/// check per read.
 #[derive(Debug, Default)]
 pub struct RxBatch {
     /// The artifact `sems` and `meta` are shaped for. Weak, so a batch
@@ -107,6 +112,7 @@ impl RxBatch {
     }
 
     /// Packets received by the last poll.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -126,21 +132,23 @@ impl RxBatch {
     }
 
     /// Frame bytes of packet `pkt` (`pkt < len`).
+    #[inline]
     pub fn frame(&self, pkt: usize) -> &[u8] {
-        assert!(pkt < self.len);
-        &self.frames[pkt]
+        &self.frames[..self.len][pkt]
     }
 
     /// Completion record of packet `pkt` (`pkt < len`).
+    #[inline]
     pub fn cmpt(&self, pkt: usize) -> &[u8] {
-        assert!(pkt < self.len);
-        &self.cmpts[pkt]
+        &self.cmpts[..self.len][pkt]
     }
 
-    /// Metadata by field position (accessor order) and packet.
+    /// Metadata by field position (accessor order,
+    /// `field < semantics().len()`) and packet (`pkt < len`).
+    #[inline]
     pub fn value_at(&self, field: usize, pkt: usize) -> Option<u128> {
-        assert!(pkt < self.len);
-        self.meta[field * self.cap + pkt]
+        assert!(field < self.sems.len());
+        self.column(field)[pkt]
     }
 
     /// Metadata by semantic and packet.
@@ -150,15 +158,16 @@ impl RxBatch {
     }
 
     /// One field's values across the batch (`[..len]`).
+    #[inline]
     pub fn column(&self, field: usize) -> &[Option<u128>] {
         &self.meta[field * self.cap..field * self.cap + self.len]
     }
 
     /// The steering-stage RSS hash delivered with packet `pkt`, if the
     /// device reported one.
+    #[inline]
     pub fn rss_hint(&self, pkt: usize) -> Option<u32> {
-        assert!(pkt < self.len);
-        self.hints[pkt]
+        self.hints[..self.len][pkt]
     }
 }
 
@@ -865,7 +874,18 @@ impl OpenDescDriver {
                 if self.mode == ValidationMode::Off {
                     return;
                 }
+                // Structural checks by column, 64 packets (one fail
+                // bit each) at a time; a truncated record's hardware
+                // columns hold `None` and fail nothing.
+                let mut fail = 0u64;
                 for pkt in 0..n {
+                    if pkt % 64 == 0 {
+                        let end = n.min(pkt + 64);
+                        fail = spec.failing_packets(
+                            |p| batch.frames[pkt + p].len(),
+                            |i| &batch.meta[i * cap + pkt..i * cap + end],
+                        );
+                    }
                     // A truncated record re-serves everything (`keep` 0
                     // is full degraded execution). A structural failure
                     // re-serves selectively: structurally-proven fields
@@ -874,16 +894,16 @@ impl OpenDescDriver {
                     // recomputed.
                     let keep = if batch.short[pkt] {
                         Some(0)
-                    } else {
+                    } else if fail >> (pkt % 64) & 1 != 0 {
                         let frame_len = batch.frames[pkt].len();
-                        let (fail, proven) =
+                        let (_, proven) =
                             spec.check_values_all(frame_len, |i| batch.meta[i * cap + pkt]);
-                        fail.map(|_| {
-                            self.vstats.structural_failures += 1;
-                            self.health.on_fault();
-                            self.tel.event(TraceKind::StructuralFailure, pkt as u64, 0);
-                            proven | plan.keep_sw_mask(batch.hints[pkt].is_some())
-                        })
+                        self.vstats.structural_failures += 1;
+                        self.health.on_fault();
+                        self.tel.event(TraceKind::StructuralFailure, pkt as u64, 0);
+                        Some(proven | plan.keep_sw_mask(batch.hints[pkt].is_some()))
+                    } else {
+                        None
                     };
                     match keep {
                         Some(keep) => {
@@ -1248,6 +1268,114 @@ mod tests {
             // correct: recomputable fields match the wire truth.
             assert_eq!(batch.get(pkt, vlan), Some(0x0123));
         }
+    }
+
+    #[test]
+    fn structural_failures_are_found_in_every_chunk_of_a_wide_batch() {
+        use crate::accessor::AccessorKind;
+        use opendesc_nicsim::FaultConfig;
+        // 190 packets: three 64-packet passes of the column validator,
+        // the last one partial.
+        let (mut drv, _) = driver_for(models::e1000e());
+        drv.nic
+            .set_faults(faults(FaultConfig::builder().corrupt_chance(1.0).seed(31)))
+            .unwrap();
+        for i in 0..190 {
+            drv.deliver(&kvs_frame(&format!("wide:{i}"))).unwrap();
+        }
+        drv.set_telemetry_enabled(true);
+        let mut batch = drv.make_batch(190);
+        assert_eq!(drv.poll_batch_into(&mut batch), 190);
+        // The oracle, per packet, over the completion the batch holds.
+        let iface = Arc::clone(&drv.iface);
+        let expected: Vec<u64> = (0..190)
+            .filter(|&pkt| {
+                let read = |i: usize| {
+                    let a = &iface.accessors.accessors[i];
+                    (a.kind == AccessorKind::Hardware).then(|| a.read(batch.cmpt(pkt)))
+                };
+                let (failed, _) = iface
+                    .validator()
+                    .check_values_all(batch.frame(pkt).len(), read);
+                failed.is_some()
+            })
+            .map(|pkt| pkt as u64)
+            .collect();
+        for chunk in [0..64, 64..128, 128..190] {
+            assert!(
+                expected.iter().any(|p| chunk.contains(p)),
+                "no corrupted checked field in packets {chunk:?}: pick another seed"
+            );
+        }
+        let traced: Vec<u64> = drv
+            .telemetry()
+            .trace
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == TraceKind::StructuralFailure)
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(traced, expected);
+        let s = drv.validation_stats();
+        assert_eq!(s.structural_failures, expected.len() as u64);
+        assert_eq!(s.degraded_packets, expected.len() as u64);
+        assert_eq!(s.accepted, 190);
+    }
+
+    /// A four-slot batch holding two packets. Each accessor states its
+    /// bounds once (`[..len]`, then `[pkt]`) so an inlined loop can
+    /// hoist them; the `should_panic` tests below pin that the check
+    /// is still there, for `pkt >= len` within once-filled capacity
+    /// and for `field >= semantics().len()`.
+    fn two_of_four() -> RxBatch {
+        let (mut drv, _) = driver_for(models::e1000e());
+        let mut batch = drv.make_batch(4);
+        for round in 0..2 {
+            for i in 0..(4 - 2 * round) {
+                drv.deliver(&kvs_frame(&format!("edge:{i}"))).unwrap();
+            }
+            assert_eq!(drv.poll_batch_into(&mut batch), 4 - 2 * round);
+        }
+        assert!(batch.value_at(batch.semantics().len() - 1, 1).is_some());
+        batch
+    }
+
+    #[test]
+    #[should_panic]
+    fn value_at_past_the_last_poll_panics() {
+        two_of_four().value_at(0, 2);
+    }
+
+    #[test]
+    #[should_panic]
+    fn value_at_past_the_last_field_panics() {
+        let batch = two_of_four();
+        batch.value_at(batch.semantics().len(), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn value_at_of_a_field_that_wraps_into_another_column_panics() {
+        // `field * cap + pkt` overflows to column 1's storage.
+        two_of_four().value_at(usize::MAX / 4 + 2, 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn frame_past_the_last_poll_panics() {
+        two_of_four().frame(2);
+    }
+
+    #[test]
+    #[should_panic]
+    fn cmpt_past_the_last_poll_panics() {
+        two_of_four().cmpt(2);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rss_hint_past_the_last_poll_panics() {
+        two_of_four().rss_hint(2);
     }
 
     #[test]

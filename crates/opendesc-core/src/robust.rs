@@ -69,6 +69,25 @@ pub enum FieldCheck {
     PacketType,
 }
 
+impl FieldCheck {
+    /// Whether a nonzero value `v` read from a `width`-bit slot of a
+    /// `frame_len`-byte frame's completion satisfies the invariant.
+    #[inline(always)]
+    fn holds(self, v: u128, width: u16, frame_len: usize) -> bool {
+        match self {
+            FieldCheck::PktLen => v == frame_len as u128 & width_mask(width),
+            FieldCheck::CsumStatus => {
+                v == csum_status::GOOD as u128 || v == csum_status::BAD as u128
+            }
+            FieldCheck::RxStatus => {
+                let want = (rx_status::DD | rx_status::EOP) as u128 & width_mask(width);
+                v & want == want
+            }
+            FieldCheck::PacketType => v & ptype::ETH as u128 != 0,
+        }
+    }
+}
+
 /// Layout-derived validation spec: computed once per compiled artifact
 /// (inside [`CompiledRx`](crate::cache::CompiledRx)) and shared
 /// read-only by every queue running that artifact.
@@ -123,31 +142,10 @@ impl ValidatorSpec {
         frame_len: usize,
         get: impl Fn(usize) -> Option<u128>,
     ) -> Option<FieldCheck> {
-        for &(i, width, c) in &self.checks {
-            let Some(v) = get(i) else { continue };
-            if v == 0 {
-                continue;
-            }
-            let ok = match c {
-                FieldCheck::PktLen => v == frame_len as u128 & width_mask(width),
-                FieldCheck::CsumStatus => {
-                    v == csum_status::GOOD as u128 || v == csum_status::BAD as u128
-                }
-                FieldCheck::RxStatus => {
-                    let want = (rx_status::DD | rx_status::EOP) as u128 & width_mask(width);
-                    v & want == want
-                }
-                FieldCheck::PacketType => v & ptype::ETH as u128 != 0,
-            };
-            if !ok {
-                return Some(c);
-            }
-        }
-        None
+        self.check_values_all(frame_len, get).0
     }
 
-    /// [`check_values`](ValidatorSpec::check_values), but evaluating
-    /// *every* check instead of short-circuiting, and additionally
+    /// [`check_values`](ValidatorSpec::check_values), additionally
     /// returning a bitmask of the accessor slots whose value was nonzero
     /// and passed its check — fields the validator affirmatively proved
     /// structurally intact. On a structural failure, degraded re-serving
@@ -166,18 +164,7 @@ impl ValidatorSpec {
             if v == 0 {
                 continue;
             }
-            let ok = match c {
-                FieldCheck::PktLen => v == frame_len as u128 & width_mask(width),
-                FieldCheck::CsumStatus => {
-                    v == csum_status::GOOD as u128 || v == csum_status::BAD as u128
-                }
-                FieldCheck::RxStatus => {
-                    let want = (rx_status::DD | rx_status::EOP) as u128 & width_mask(width);
-                    v & want == want
-                }
-                FieldCheck::PacketType => v & ptype::ETH as u128 != 0,
-            };
-            if ok {
+            if c.holds(v, width, frame_len) {
                 if i < 128 {
                     proven |= 1u128 << i;
                 }
@@ -186,6 +173,42 @@ impl ValidatorSpec {
             }
         }
         (failed, proven)
+    }
+
+    /// The checks of [`check_values_all`](ValidatorSpec::check_values_all)
+    /// run by column over a batch of at most 64 packets: `column(i)` is
+    /// accessor `i`'s values, one per packet, and `frame_len(p)` packet
+    /// `p`'s frame length. Bit `p` of the result is set when packet `p`
+    /// fails some check — exactly the packets `check_values_all` reports
+    /// a failure for, which is where the caller turns for `proven`. Each
+    /// check is matched once and scans its column in a loop of its own.
+    pub fn failing_packets<'a>(
+        &self,
+        frame_len: impl Fn(usize) -> usize,
+        column: impl Fn(usize) -> &'a [Option<u128>],
+    ) -> u64 {
+        #[inline(always)]
+        fn scan(col: &[Option<u128>], ok: impl Fn(usize, u128) -> bool) -> u64 {
+            assert!(col.len() <= 64, "one fail bit per packet");
+            let mut fail = 0;
+            for (p, v) in col.iter().enumerate() {
+                let bad = matches!(*v, Some(v) if v != 0 && !ok(p, v));
+                fail |= (bad as u64) << p;
+            }
+            fail
+        }
+        use FieldCheck::*;
+        let mut fail = 0;
+        for &(i, width, c) in &self.checks {
+            let col = column(i);
+            fail |= match c {
+                PktLen => scan(col, |p, v| PktLen.holds(v, width, frame_len(p))),
+                CsumStatus => scan(col, |_, v| CsumStatus.holds(v, width, 0)),
+                RxStatus => scan(col, |_, v| RxStatus.holds(v, width, 0)),
+                PacketType => scan(col, |_, v| PacketType.holds(v, width, 0)),
+            };
+        }
+        fail
     }
 }
 
@@ -573,6 +596,65 @@ mod tests {
     use crate::compiler::Compiler;
     use crate::intent::Intent;
     use opendesc_nicsim::models;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The column pass flags exactly the packets the per-packet
+        /// oracle fails; the datapath calls the oracle itself on those
+        /// for `proven`, so its `(failed, proven)` is the oracle's.
+        #[test]
+        fn column_pass_agrees_with_the_per_packet_oracle(
+            checks in proptest::collection::vec((0usize..8, 0usize..4, 0usize..4), 0..=6),
+            lens in proptest::collection::vec(60usize..1515, 1..=64),
+            cells in proptest::collection::vec(0u8..10, 8 * 64),
+        ) {
+            let spec = ValidatorSpec {
+                expected_len: 0,
+                checks: checks
+                    .iter()
+                    .map(|&(i, w, c)| {
+                        let check = [
+                            FieldCheck::PktLen,
+                            FieldCheck::CsumStatus,
+                            FieldCheck::RxStatus,
+                            FieldCheck::PacketType,
+                        ][c];
+                        (i, [8, 16, 32, 128][w], check)
+                    })
+                    .collect(),
+            };
+            // Absent, zero, and values that pass some checks and fail
+            // others, whatever the slot width.
+            let n = lens.len();
+            let columns: Vec<Vec<Option<u128>>> = (0..8)
+                .map(|i| {
+                    (0..n)
+                        .map(|p| {
+                            let len = lens[p] as u128;
+                            match cells[i * 64 + p] {
+                                0 => None,
+                                1 => Some(0),
+                                2 => Some(len),
+                                3 => Some(len & 0xFF),
+                                4 => Some(len + 1),
+                                5 => Some(csum_status::GOOD as u128),
+                                6 => Some((rx_status::DD | rx_status::EOP) as u128),
+                                7 => Some(ptype::ETH as u128 | 1 << 40),
+                                8 => Some(0x1234),
+                                _ => Some(u128::MAX),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let fail = spec.failing_packets(|p| lens[p], |i| &columns[i][..]);
+            prop_assert_eq!(fail.checked_shr(n as u32).unwrap_or(0), 0, "bits past the batch");
+            for p in 0..n {
+                let (failed, _) = spec.check_values_all(lens[p], |i| columns[i][p]);
+                prop_assert_eq!(fail >> p & 1 != 0, failed.is_some(), "packet {} of {}", p, n);
+            }
+        }
+    }
 
     #[test]
     fn seq_tracker_admits_fresh_flags_duplicate_and_stale() {

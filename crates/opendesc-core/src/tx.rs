@@ -470,6 +470,7 @@ impl TxBatch {
 
     /// Copy a frame into the next arena slot. `false` when the batch is
     /// full or the frame exceeds `max_frame`.
+    #[inline]
     pub fn push(&mut self, frame: &[u8], req: TxRequest) -> bool {
         if self.lens.len() == self.cap || frame.len() > self.max_frame {
             return false;
@@ -482,6 +483,7 @@ impl TxBatch {
     }
 
     /// The `i`-th frame at its current length (post-fixup after submit).
+    #[inline]
     pub fn frame(&self, i: usize) -> &[u8] {
         &self.arena[i * self.slot_bytes..i * self.slot_bytes + self.lens[i] as usize]
     }
@@ -586,7 +588,11 @@ impl TxQueue {
     /// [`submit`](TxQueue::submit) starting at batch index `from` — the
     /// resubmission path after ring back-pressure. Fix-ups are safe to
     /// re-run on an already-fixed slot (VLAN insertion refuses a tagged
-    /// frame; checksum fills are idempotent).
+    /// frame; checksum fills are idempotent). A frame that does not fit
+    /// its DMA buffer (a batch built for larger frames than the queue
+    /// was attached for) is not posted: the submit stops there, like a
+    /// full ring, rather than hand the device a descriptor over stale
+    /// bytes.
     pub fn submit_from(
         &mut self,
         nic: &mut SimNic,
@@ -595,9 +601,10 @@ impl TxQueue {
     ) -> Result<usize, NicError> {
         let free = self.slots.len() as u64 - self.in_flight(nic);
         let pending = batch.len().saturating_sub(from);
-        let n = (pending as u64).min(free) as usize;
+        let room = (pending as u64).min(free) as usize;
         let plan = Arc::clone(&self.plan);
-        for i in from..from + n {
+        let mut n = 0;
+        for i in from..from + room {
             let req = batch.reqs[i];
             let mut len = batch.lens[i] as usize;
             {
@@ -619,7 +626,9 @@ impl TxQueue {
             }
             batch.lens[i] = len as u32;
             let dma = self.slots[(self.submitted % self.slots.len() as u64) as usize];
-            nic.host_mem.write(dma, batch.frame(i));
+            if !nic.host_mem.write(dma, batch.frame(i)) {
+                break;
+            }
             let hints: [u128; txreg::COUNT] = [
                 dma as u128,
                 len as u128,
@@ -633,6 +642,7 @@ impl TxQueue {
             plan.prog.run_deparse(&hints, &mut self.desc_scratch);
             nic.post_tx_deferred(&self.desc_scratch)?;
             self.submitted += 1;
+            n += 1;
         }
         if n > 0 {
             nic.ring_tx_doorbell();
@@ -1012,6 +1022,45 @@ mod tests {
         assert_eq!(nic.process_tx_drain(), 4);
         assert_eq!(nic.tx_stats.frames, 12);
         assert_eq!(nic.tx_stats.parse_rejects, 0);
+        assert_eq!(nic.tx_stats.bad_buffers, 0);
+    }
+
+    #[test]
+    fn a_frame_that_misses_its_dma_buffer_is_not_posted() {
+        let mut reg = SemanticRegistry::with_builtins();
+        let intent = tx_intent(&mut reg);
+        let model = models::qdma_default();
+        let compiled = compile_tx(
+            &Selector::default(),
+            &model.p4_source,
+            "DescParser",
+            &model.name,
+            &intent,
+            &mut reg,
+        )
+        .unwrap();
+        let mut nic = SimNic::new(model, 8).unwrap();
+        let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
+        // DMA buffers sized for 64-byte frames, a batch that takes more.
+        let mut q = TxQueue::attach(&mut nic, plan, 64);
+        let small = zeroed_frame();
+        let big = testpkt::udp4([10, 0, 0, 1], [10, 0, 0, 2], 1, 2, &[0x42; 100], None);
+        assert!(small.len() <= 64 && big.len() > 68);
+        let mut batch = TxBatch::new(4, 256);
+        for f in [&small, &big, &small] {
+            assert!(batch.push(f, TxRequest::default()));
+        }
+        // The submit stops at the frame that did not land: one posted,
+        // one doorbell, a stall, and nothing of the second on the ring.
+        assert_eq!(q.submit(&mut nic, &mut batch).unwrap(), 1);
+        assert_eq!(q.in_flight(&nic), 1);
+        assert_eq!(
+            (q.stats.frames, q.stats.doorbells, q.stats.stalls),
+            (1, 1, 1)
+        );
+        assert_eq!(q.submit_from(&mut nic, &mut batch, 1).unwrap(), 0);
+        assert_eq!(q.stats.doorbells, 1, "no doorbell for nothing placed");
+        assert_eq!(nic.process_tx(), vec![small]);
         assert_eq!(nic.tx_stats.bad_buffers, 0);
     }
 

@@ -176,18 +176,22 @@ pub struct PlanProgram {
 pub fn exec_load(insn: &BcInsn, cmpt: &[u8]) -> u128 {
     let off = insn.a as usize;
     match insn.op {
-        op::LD_BE1 => cmpt[off] as u128,
-        op::LD_BE2 => u16::from_be_bytes([cmpt[off], cmpt[off + 1]]) as u128,
-        op::LD_BE4 => {
-            u32::from_be_bytes(cmpt[off..off + 4].try_into().expect("4-byte load")) as u128
-        }
-        op::LD_BE8 => {
-            u64::from_be_bytes(cmpt[off..off + 8].try_into().expect("8-byte load")) as u128
-        }
+        op::LD_BE1 => ld_be::<1>(cmpt, off),
+        op::LD_BE2 => ld_be::<2>(cmpt, off),
+        op::LD_BE4 => ld_be::<4>(cmpt, off),
+        op::LD_BE8 => ld_be::<8>(cmpt, off),
         op::LD_BYTES => read_bytes_be(cmpt, off, insn.b as usize),
         op::LD_BITS => read_bits(cmpt, insn.a as u32, insn.b),
         other => unreachable!("opcode {other:#x} is not a load"),
     }
+}
+
+/// The `LD_BE<N>` load shape: `N` ≤ 8 big-endian bytes at `off`.
+#[inline(always)]
+fn ld_be<const N: usize>(cmpt: &[u8], off: usize) -> u128 {
+    let mut be = [0u8; 8];
+    be[8 - N..].copy_from_slice(&cmpt[off..off + N]);
+    u64::from_be_bytes(be) as u128
 }
 
 /// Execute one store instruction: serialize `hints[insn.dst]` into the
@@ -214,27 +218,26 @@ pub fn exec_store(insn: &BcInsn, hints: &[u128], desc: &mut [u8]) {
     }
 }
 
-/// Run one load instruction across a whole batch of completion records,
-/// unrolled four-wide so a chunk's loads stay independent for the CPU's
-/// ILP, with the load shape resolved once, not re-derived per record.
+/// Run one load instruction across a whole batch of completion records:
+/// the load shape is matched once per column, and each shape's loop
+/// over the records has nothing left to dispatch on.
 #[inline]
 pub fn load_column<C: AsRef<[u8]>>(insn: &BcInsn, cmpts: &[C], out: &mut [Option<u128>]) {
-    let n = cmpts.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let v0 = exec_load(insn, cmpts[i].as_ref());
-        let v1 = exec_load(insn, cmpts[i + 1].as_ref());
-        let v2 = exec_load(insn, cmpts[i + 2].as_ref());
-        let v3 = exec_load(insn, cmpts[i + 3].as_ref());
-        out[i] = Some(v0);
-        out[i + 1] = Some(v1);
-        out[i + 2] = Some(v2);
-        out[i + 3] = Some(v3);
-        i += 4;
+    #[inline(always)]
+    fn fill<C: AsRef<[u8]>>(cmpts: &[C], out: &mut [Option<u128>], ld: impl Fn(&[u8]) -> u128) {
+        for (o, c) in out[..cmpts.len()].iter_mut().zip(cmpts) {
+            *o = Some(ld(c.as_ref()));
+        }
     }
-    while i < n {
-        out[i] = Some(exec_load(insn, cmpts[i].as_ref()));
-        i += 1;
+    let off = insn.a as usize;
+    match insn.op {
+        op::LD_BE1 => fill(cmpts, out, |c| ld_be::<1>(c, off)),
+        op::LD_BE2 => fill(cmpts, out, |c| ld_be::<2>(c, off)),
+        op::LD_BE4 => fill(cmpts, out, |c| ld_be::<4>(c, off)),
+        op::LD_BE8 => fill(cmpts, out, |c| ld_be::<8>(c, off)),
+        op::LD_BYTES => fill(cmpts, out, |c| read_bytes_be(c, off, insn.b as usize)),
+        op::LD_BITS => fill(cmpts, out, |c| read_bits(c, insn.a as u32, insn.b)),
+        other => unreachable!("opcode {other:#x} is not a load"),
     }
 }
 

@@ -64,6 +64,7 @@ pub fn write_bits(buf: &mut [u8], offset: u32, width: u16, value: u128) {
 ///
 /// # Panics
 /// Panics if the range does not fit in `buf` or `width > 128`.
+#[inline]
 pub fn read_bits(buf: &[u8], offset: u32, width: u16) -> u128 {
     assert!(width <= 128, "field width {width} exceeds 128 bits");
     let end = offset as usize + width as usize;
@@ -99,6 +100,7 @@ pub fn write_bytes_be(buf: &mut [u8], offset_bytes: usize, width_bytes: usize, v
 }
 
 /// Fast path for byte-aligned reads; see [`write_bytes_be`].
+#[inline]
 pub fn read_bytes_be(buf: &[u8], offset_bytes: usize, width_bytes: usize) -> u128 {
     assert!(width_bytes <= 16);
     let mut be = [0u8; 16];

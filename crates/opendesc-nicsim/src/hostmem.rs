@@ -43,17 +43,22 @@ impl HostMem {
         buf.get(off..off.checked_add(len)?)
     }
 
-    /// Overwrite the head of the buffer containing `addr` (device DMA
-    /// write). Returns `false` when the write does not fit.
+    /// Overwrite `data.len()` bytes at `addr` (a DMA write), under
+    /// [`read`](HostMem::read)'s rule: the range must lie within a
+    /// single registered buffer. Returns `false`, having written
+    /// nothing, when it does not.
+    #[must_use = "a write that did not land left stale bytes behind"]
     pub fn write(&mut self, addr: u64, data: &[u8]) -> bool {
         let Some((base, buf)) = self.bufs.range_mut(..=addr).next_back() else {
             return false;
         };
-        let off = (addr - base) as usize;
-        if off + data.len() > buf.len() {
+        let Some(dst) = usize::try_from(addr - base)
+            .ok()
+            .and_then(|off| buf.get_mut(off..off.checked_add(data.len())?))
+        else {
             return false;
-        }
-        buf[off..off + data.len()].copy_from_slice(data);
+        };
+        dst.copy_from_slice(data);
         true
     }
 
@@ -104,6 +109,26 @@ mod tests {
         let a = m.alloc(&[7u8; 8]);
         assert_eq!(m.read(a + 1, usize::MAX), None);
         assert_eq!(m.read(u64::MAX, usize::MAX), None);
+    }
+
+    #[test]
+    fn writes_land_whole_or_not_at_all() {
+        let mut m = HostMem::new();
+        let a = m.alloc(&[0u8; 8]);
+        let b = m.alloc(&[9u8; 8]);
+        assert!(m.write(a + 2, b"abc"));
+        assert_eq!(m.read(a, 8), Some(&b"\0\0abc\0\0\0"[..]));
+        // Past the end of the buffer, below the first buffer, and at an
+        // offset whose range overflows: refused, nothing written.
+        assert!(!m.write(a + 6, b"xyz"));
+        assert!(!m.write(0, b"x"));
+        assert!(!m.write(u64::MAX, b"xy"));
+        assert!(
+            !m.write(a + 64, b"x"),
+            "the gap between buffers is no one's"
+        );
+        assert_eq!(m.read(a, 8), Some(&b"\0\0abc\0\0\0"[..]));
+        assert_eq!(m.read(b, 8), Some(&[9u8; 8][..]));
     }
 
     #[test]

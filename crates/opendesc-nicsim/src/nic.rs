@@ -829,6 +829,7 @@ impl SimNic {
     /// steering sideband for the popped completion, so the host plan can
     /// prime its shim memo with the device-computed hash instead of
     /// rerunning Toeplitz. Returns `None` when no packet is pending.
+    #[inline]
     pub fn receive_into_hinted(
         &mut self,
         frame: &mut Vec<u8>,

@@ -108,6 +108,7 @@ impl DescRing {
     /// honest device tags each entry with its absolute produce index; a
     /// faulty one may re-use a tag (duplicated writeback) or write one
     /// from a previous ring generation (stale DD bit).
+    #[inline]
     pub fn produce_tagged(&mut self, entry: &[u8], seq: u64) -> Result<(), RingError> {
         if entry.len() > self.slot_size {
             return Err(RingError::EntryTooLarge {
@@ -147,6 +148,7 @@ impl DescRing {
 
     /// [`consume`](DescRing::consume) that also surfaces the entry's
     /// sequence tag, so the host can run generation/duplicate checks.
+    #[inline]
     pub fn consume_with_seq(&mut self) -> Option<(&[u8], u64)> {
         if self.cons >= self.doorbell {
             return None;
@@ -185,6 +187,7 @@ impl DescRing {
     }
 
     /// The valid bytes of slot `idx`.
+    #[inline]
     fn entry(&self, idx: usize) -> &[u8] {
         let at = idx * self.slot_size;
         &self.slots[at..at + self.lens[idx] as usize]

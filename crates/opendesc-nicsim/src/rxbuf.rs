@@ -61,7 +61,12 @@ impl SimNic {
             return false;
         }
         self.rx_pool.free.pop_front();
-        self.host_mem.write(addr, frame);
+        if !self.host_mem.write(addr, frame) {
+            // The posted buffer is not (or no longer) `cap` bytes of
+            // host memory: nothing landed, so nothing is handed up.
+            self.rx_pool.oversize_drops += 1;
+            return false;
+        }
         self.rx_pool.filled.push_back((addr, frame.len()));
         true
     }
@@ -155,6 +160,26 @@ mod tests {
         nic.deliver(&frame(32)).unwrap();
         let (got, _) = nic.receive().unwrap();
         assert_eq!(got.len(), frame(32).len());
+    }
+
+    #[test]
+    fn a_posted_buffer_that_is_gone_drops_the_frame_not_stale_bytes() {
+        let mut nic = nic();
+        let addrs = nic.post_rx_buffers(2, 2048);
+        // The host released the first buffer while it was still posted:
+        // the DMA write has nowhere to land.
+        assert!(nic.host_mem.free(addrs[0]));
+        nic.deliver(&frame(64)).unwrap();
+        assert_eq!(nic.rx_pool.oversize_drops, 1);
+        assert_eq!(
+            nic.stats.rx_frames, 0,
+            "no completion for a frame that did not land"
+        );
+        assert!(nic.receive().is_none());
+        // The dead buffer left the queue; the next one serves traffic.
+        let f = frame(32);
+        nic.deliver(&f).unwrap();
+        assert_eq!(nic.receive().unwrap().0, f);
     }
 
     #[test]

@@ -74,6 +74,7 @@ pub fn ipv4_header_checksum(header: &[u8]) -> u16 {
 
 /// Verify an IPv4 header in place (including its checksum field): valid
 /// iff the one's-complement sum is 0xFFFF (folded ~0).
+#[inline]
 pub fn verify_ipv4_checksum(header: &[u8]) -> bool {
     internet_checksum(header) == 0
 }

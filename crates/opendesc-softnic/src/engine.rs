@@ -207,6 +207,7 @@ impl SoftNic {
     /// though `ParsedFrame` only borrows the frame). `memo` carries
     /// intra-packet shared results; pass the same memo for every op of one
     /// packet and a fresh/reset one for the next.
+    #[inline]
     pub fn exec_op(
         &mut self,
         op: ShimOp,
@@ -260,6 +261,7 @@ impl SoftNic {
     /// even when several ops need it (`rss_hash` + `queue_hint`).
     ///
     /// [`rss`]: SoftNic::rss
+    #[inline]
     pub fn rss_memo(&self, p: &ParsedFrame<'_>, memo: &mut ShimMemo) -> Option<u32> {
         if let Some(cached) = memo.rss {
             return cached;
@@ -271,11 +273,13 @@ impl SoftNic {
 
     /// Toeplitz RSS over the 4-tuple (falls back to the 2-tuple for
     /// non-TCP/UDP IPv4 traffic); see [`rss_frame`].
+    #[inline]
     pub fn rss(&self, p: &ParsedFrame<'_>) -> Option<u32> {
         rss_frame(p)
     }
 
     /// Packet-type bitmap (see [`ptype`]).
+    #[inline]
     pub fn packet_type(&self, p: &ParsedFrame<'_>) -> u16 {
         let mut t = ptype::ETH;
         if p.vlan_tci.is_some() {
@@ -322,6 +326,7 @@ impl SoftNic {
 /// the reference implementation of the `kvs_key_hash` semantic (the
 /// paper's Fig. 1 "result of a specific feature" example, after
 /// FlexNIC's KVS offload).
+#[inline]
 pub fn kvs_key_hash(payload: &[u8]) -> Option<u32> {
     let rest = payload.strip_prefix(b"get ")?;
     let end = rest

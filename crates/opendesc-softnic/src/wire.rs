@@ -20,10 +20,12 @@ pub mod ipproto {
     pub const ICMP: u8 = 1;
 }
 
+#[inline]
 fn be16(b: &[u8], off: usize) -> Option<u16> {
     Some(u16::from_be_bytes([*b.get(off)?, *b.get(off + 1)?]))
 }
 
+#[inline]
 fn be32(b: &[u8], off: usize) -> Option<u32> {
     Some(u32::from_be_bytes([
         *b.get(off)?,
@@ -41,29 +43,35 @@ pub struct EthFrame<'a> {
 
 impl<'a> EthFrame<'a> {
     /// Wrap a frame; `None` if shorter than the 14-byte Ethernet header.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Option<Self> {
         (bytes.len() >= 14).then_some(EthFrame { bytes })
     }
 
+    #[inline]
     pub fn dst_mac(&self) -> [u8; 6] {
         self.bytes[0..6].try_into().unwrap()
     }
 
+    #[inline]
     pub fn src_mac(&self) -> [u8; 6] {
         self.bytes[6..12].try_into().unwrap()
     }
 
     /// Outer ethertype (may be the VLAN TPID).
+    #[inline]
     pub fn outer_ethertype(&self) -> u16 {
         be16(self.bytes, 12).unwrap()
     }
 
     /// Whether a single 802.1Q tag is present.
+    #[inline]
     pub fn has_vlan(&self) -> bool {
         matches!(self.outer_ethertype(), ethertype::VLAN | ethertype::QINQ)
     }
 
     /// VLAN tag control information, if tagged.
+    #[inline]
     pub fn vlan_tci(&self) -> Option<u16> {
         if self.has_vlan() {
             be16(self.bytes, 14)
@@ -73,6 +81,7 @@ impl<'a> EthFrame<'a> {
     }
 
     /// Ethertype of the encapsulated payload, after any VLAN tag.
+    #[inline]
     pub fn ethertype(&self) -> Option<u16> {
         if self.has_vlan() {
             be16(self.bytes, 16)
@@ -82,6 +91,7 @@ impl<'a> EthFrame<'a> {
     }
 
     /// Byte offset of the L3 header.
+    #[inline]
     pub fn l3_offset(&self) -> usize {
         if self.has_vlan() {
             18
@@ -91,11 +101,13 @@ impl<'a> EthFrame<'a> {
     }
 
     /// L3 payload slice.
+    #[inline]
     pub fn l3(&self) -> &'a [u8] {
         &self.bytes[self.l3_offset().min(self.bytes.len())..]
     }
 
     /// Whole frame.
+    #[inline]
     pub fn as_bytes(&self) -> &'a [u8] {
         self.bytes
     }
@@ -109,6 +121,7 @@ pub struct Ipv4View<'a> {
 
 impl<'a> Ipv4View<'a> {
     /// Wrap an IPv4 packet; validates version nibble and minimum length.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Option<Self> {
         if bytes.len() < 20 || bytes[0] >> 4 != 4 {
             return None;
@@ -118,39 +131,48 @@ impl<'a> Ipv4View<'a> {
     }
 
     /// Header length in bytes.
+    #[inline]
     pub fn header_len(&self) -> usize {
         ((self.bytes[0] & 0xF) as usize) * 4
     }
 
+    #[inline]
     pub fn total_len(&self) -> u16 {
         be16(self.bytes, 2).unwrap()
     }
 
+    #[inline]
     pub fn ident(&self) -> u16 {
         be16(self.bytes, 4).unwrap()
     }
 
+    #[inline]
     pub fn ttl(&self) -> u8 {
         self.bytes[8]
     }
 
+    #[inline]
     pub fn protocol(&self) -> u8 {
         self.bytes[9]
     }
 
+    #[inline]
     pub fn checksum(&self) -> u16 {
         be16(self.bytes, 10).unwrap()
     }
 
+    #[inline]
     pub fn src(&self) -> u32 {
         be32(self.bytes, 12).unwrap()
     }
 
+    #[inline]
     pub fn dst(&self) -> u32 {
         be32(self.bytes, 16).unwrap()
     }
 
     /// L4 payload (after the IPv4 header, clipped to `total_len`).
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         let start = self.header_len();
         let end = (self.total_len() as usize).min(self.bytes.len());
@@ -158,6 +180,7 @@ impl<'a> Ipv4View<'a> {
     }
 
     /// The raw header bytes.
+    #[inline]
     pub fn header(&self) -> &'a [u8] {
         &self.bytes[..self.header_len()]
     }
@@ -170,6 +193,7 @@ pub struct TcpView<'a> {
 }
 
 impl<'a> TcpView<'a> {
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Option<Self> {
         if bytes.len() < 20 {
             return None;
@@ -178,22 +202,27 @@ impl<'a> TcpView<'a> {
         (off >= 20 && bytes.len() >= off).then_some(TcpView { bytes })
     }
 
+    #[inline]
     pub fn src_port(&self) -> u16 {
         be16(self.bytes, 0).unwrap()
     }
 
+    #[inline]
     pub fn dst_port(&self) -> u16 {
         be16(self.bytes, 2).unwrap()
     }
 
+    #[inline]
     pub fn header_len(&self) -> usize {
         ((self.bytes[12] >> 4) as usize) * 4
     }
 
+    #[inline]
     pub fn checksum(&self) -> u16 {
         be16(self.bytes, 16).unwrap()
     }
 
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.bytes[self.header_len().min(self.bytes.len())..]
     }
@@ -206,30 +235,37 @@ pub struct UdpView<'a> {
 }
 
 impl<'a> UdpView<'a> {
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Option<Self> {
         (bytes.len() >= 8).then_some(UdpView { bytes })
     }
 
+    #[inline]
     pub fn src_port(&self) -> u16 {
         be16(self.bytes, 0).unwrap()
     }
 
+    #[inline]
     pub fn dst_port(&self) -> u16 {
         be16(self.bytes, 2).unwrap()
     }
 
+    #[inline]
     pub fn len(&self) -> u16 {
         be16(self.bytes, 4).unwrap()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() <= 8
     }
 
+    #[inline]
     pub fn checksum(&self) -> u16 {
         be16(self.bytes, 6).unwrap()
     }
 
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         let end = (self.len() as usize).min(self.bytes.len());
         &self.bytes[8.min(end)..end]
@@ -248,6 +284,7 @@ pub struct ParsedFrame<'a> {
 
 impl<'a> ParsedFrame<'a> {
     /// Parse as far as the frame allows; L2 must be present.
+    #[inline]
     pub fn parse(bytes: &'a [u8]) -> Option<Self> {
         let eth = EthFrame::new(bytes)?;
         let vlan_tci = eth.vlan_tci();
@@ -274,6 +311,7 @@ impl<'a> ParsedFrame<'a> {
     }
 
     /// The L4 source/destination ports, from whichever transport parsed.
+    #[inline]
     pub fn ports(&self) -> Option<(u16, u16)> {
         if let Some(t) = &self.tcp {
             return Some((t.src_port(), t.dst_port()));
@@ -285,6 +323,7 @@ impl<'a> ParsedFrame<'a> {
     }
 
     /// The application payload, if a transport parsed.
+    #[inline]
     pub fn l4_payload(&self) -> Option<&'a [u8]> {
         if let Some(t) = &self.tcp {
             return Some(t.payload());
@@ -296,6 +335,7 @@ impl<'a> ParsedFrame<'a> {
     }
 
     /// Byte offset of the L4 payload within the frame, if resolvable.
+    #[inline]
     pub fn payload_offset(&self) -> Option<u16> {
         let ip = self.ipv4.as_ref()?;
         let l4 = self.eth.l3_offset() + ip.header_len();

@@ -26,11 +26,12 @@
 #                   budget itself.
 #   BENCH_e16.json  the E12 matrix re-measured on the plan-bytecode VM
 #                   under steered delivery, plus the per-model
-#                   plan-vs-per-packet (floor 1.0) and
-#                   batched-vs-E12-batched (floor 1.5) ratios (PR 6
-#                   acceptance); the emitter asserts both floors itself
-#                   (the absolute one only when
-#                   OPENDESC_BENCH_RELATIVE_ONLY is unset).
+#                   batched-vs-per-packet (floor 1.0),
+#                   plan-vs-per-packet (`poll()`, a batch of one:
+#                   banded, no floor) and batched-vs-E12-batched
+#                   (floor 1.5) ratios (PR 6 acceptance); the emitter
+#                   asserts both floors itself (the absolute one only
+#                   when OPENDESC_BENCH_RELATIVE_ONLY is unset).
 #   BENCH_e17.json  the full-duplex engine: aggregate forward Mpps per
 #                   (model, queue count) on the sharded RX→TX path,
 #                   plus the batched-vs-seed TX submission ratio (floor
