@@ -1,12 +1,21 @@
-//! Shared helpers for the experiment benches (E1–E10).
+//! The experiment harness: shared helpers for the criterion benches
+//! E1–E11 (the paper's own figures), and the E12–E20 experiment table
+//! behind the one `bench` binary.
 //!
-//! Each bench target regenerates one experiment from `EXPERIMENTS.md`:
-//! it prints the experiment's table/series to stdout (so the rows can be
-//! recorded) and registers Criterion measurements for the timed parts.
-
-use opendesc_core::{Compiler, Intent, OpenDescDriver};
+//! E1–E11: each bench target regenerates one experiment from
+//! `EXPERIMENTS.md`, printing its table/series and registering
+//! Criterion measurements for the timed parts.
+//!
+//! E12–E20: one [`Experiment`] entry each in [`EXPERIMENTS`] — a
+//! `measure` function that returns a generic [`Record`], and the
+//! [`Gate`]s that are the only statement of its bands and floors.
+//! `bench run` measures, asserts the floors and writes
+//! `BENCH_eNN.json`; `bench gate` compares two directories of records
+//! under the same gates.
+use opendesc_core::{Compiler, Intent, OpenDescDriver, WorkerStats};
 use opendesc_ir::{names, SemanticRegistry};
 use opendesc_nicsim::{models, NicModel, PktGen, SimNic, Workload};
+use opendesc_telemetry::Json;
 
 /// Named intents used across experiments.
 pub fn intent_catalog(reg: &mut SemanticRegistry) -> Vec<(String, Intent)> {
@@ -85,20 +94,318 @@ pub fn model_catalog() -> Vec<NicModel> {
     models::catalog()
 }
 
-/// Format a `u64` slice as a JSON array (no serde in the tree) — the
-/// per-queue busy/occupancy columns every sharded experiment now emits.
-pub fn json_u64s(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(|n| n.to_string()).collect();
-    format!("[{}]", items.join(", "))
+/// One cell of a [`Record`] row. The variant says what the column *is*,
+/// so the writer, the printer and the gate's row names all read it off
+/// the row instead of agreeing on a list of column names.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// Identity column (model, path, telemetry arm): part of the row's
+    /// name, `rows[model=e1000e,…]`, never a metric.
+    Id(String),
+    /// Numeric identity column (queue count, fault rate).
+    IdNum(f64),
+    /// A measured value, written with four decimals.
+    Val(f64),
+    /// A count.
+    Count(u64),
+    /// One count per queue — the skew an aggregate hides. Written as a
+    /// JSON array, which the gate never lifts (it reads scalars only).
+    PerQueue(Vec<u64>),
+}
+
+impl Cell {
+    pub fn id(s: &str) -> Cell {
+        Cell::Id(s.to_string())
+    }
+
+    fn is_id(&self) -> bool {
+        matches!(self, Cell::Id(_) | Cell::IdNum(_))
+    }
+
+    fn json(&self) -> String {
+        match self {
+            Cell::Id(s) => format!("\"{s}\""),
+            Cell::IdNum(x) => format!("{x}"),
+            Cell::Val(x) => format!("{x:.4}"),
+            Cell::Count(n) => n.to_string(),
+            Cell::PerQueue(v) => {
+                let items: Vec<String> = v.iter().map(u64::to_string).collect();
+                format!("[{}]", items.join(", "))
+            }
+        }
+    }
+}
+
+/// One row: `(column, cell)` in column order, identity columns first.
+pub type Row = Vec<(&'static str, Cell)>;
+
+/// Whether a record's multi-queue throughput was achieved by threads
+/// running side by side, or computed from workers timed one at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parallel {
+    /// The figure is what ran: one queue on one core (E12/E14/E16), or
+    /// counts with no clock at all (E20).
+    Run,
+    /// Aggregate Mpps is `total_pkts / max_busy_ns` from
+    /// `run_sequential`-style rounds: each worker timed in isolation,
+    /// the busiest one taken as the critical path — what N cores would
+    /// achieve, computed on however many this host has (`cores`).
+    Modelled,
+}
+
+/// What every experiment returns: one shape, one writer, one printer.
+#[derive(Debug, Clone)]
+pub struct Record {
+    /// Long name, e.g. `e13_sharded_rx`.
+    pub experiment: &'static str,
+    pub unit: &'static str,
+    /// Hardware threads of the measuring host.
+    pub cores: usize,
+    /// Packets per measured round (0 where nothing is timed).
+    pub pkts_per_round: usize,
+    /// Measured rounds behind each row's estimator.
+    pub rounds: usize,
+    pub parallel: Parallel,
+    pub rows: Vec<Row>,
+    /// Top-level scalars: the acceptance ratios and informational counts.
+    pub summary: Vec<(String, f64)>,
+}
+
+/// Top-level numbers that describe the run, not its result; `flatten`
+/// skips them so they can never match a gate.
+const RUN_FIELDS: [&str; 3] = ["cores", "pkts_per_round", "rounds"];
+
+/// Identity columns of records written before the `identity` field
+/// existed (the committed baselines until they are next regenerated).
+const LEGACY_IDENTITY: [&str; 5] = ["model", "path", "queues", "rate", "telemetry"];
+
+/// Integers as integers, everything else with four decimals.
+fn num(x: f64) -> String {
+    if x.fract() == 0.0 && x.abs() < 1e15 {
+        format!("{}", x as i64)
+    } else {
+        format!("{x:.4}")
+    }
+}
+
+impl Record {
+    pub fn new(
+        experiment: &'static str,
+        unit: &'static str,
+        pkts_per_round: usize,
+        rounds: usize,
+        parallel: Parallel,
+        rows: Vec<Row>,
+    ) -> Record {
+        Record {
+            experiment,
+            unit,
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            pkts_per_round,
+            rounds,
+            parallel,
+            rows,
+            summary: Vec::new(),
+        }
+    }
+
+    /// Append one summary scalar.
+    pub fn put(&mut self, key: impl Into<String>, value: f64) {
+        self.summary.push((key.into(), value));
+    }
+
+    /// The `BENCH_eNN.json` text (hand-formatted: no serde in the
+    /// tree). One row per line so a diff of two records reads by row.
+    pub fn to_json(&self) -> String {
+        let mut top = vec![
+            format!("\"experiment\": \"{}\"", self.experiment),
+            format!("\"unit\": \"{}\"", self.unit),
+            format!("\"cores\": {}", self.cores),
+            format!("\"pkts_per_round\": {}", self.pkts_per_round),
+            format!("\"rounds\": {}", self.rounds),
+            format!(
+                "\"parallel\": \"{}\"",
+                match self.parallel {
+                    Parallel::Run => "run",
+                    Parallel::Modelled => "modelled",
+                }
+            ),
+        ];
+        if let Some(first) = self.rows.first() {
+            let ids: Vec<String> = first
+                .iter()
+                .filter(|(_, c)| c.is_id())
+                .map(|(k, _)| format!("\"{k}\""))
+                .collect();
+            top.push(format!("\"identity\": [{}]", ids.join(", ")));
+            let rows: Vec<String> = self
+                .rows
+                .iter()
+                .map(|r| {
+                    let cells: Vec<String> = r
+                        .iter()
+                        .map(|(k, c)| format!("\"{k}\": {}", c.json()))
+                        .collect();
+                    format!("    {{{}}}", cells.join(", "))
+                })
+                .collect();
+            top.push(format!("\"rows\": [\n{}\n  ]", rows.join(",\n")));
+        }
+        top.extend(
+            self.summary
+                .iter()
+                .map(|(k, v)| format!("\"{k}\": {}", num(*v))),
+        );
+        format!("{{\n  {}\n}}\n", top.join(",\n  "))
+    }
+
+    /// The record as `bench run` prints it: a column per scalar cell
+    /// (per-queue arrays stay in the JSON), then the summary.
+    pub fn table(&self) -> String {
+        let text = |c: &Cell| match c {
+            Cell::Id(s) => Some(s.clone()),
+            Cell::IdNum(x) => Some(format!("{x}")),
+            Cell::Val(x) => Some(format!("{x:.3}")),
+            Cell::Count(n) => Some(n.to_string()),
+            Cell::PerQueue(_) => None,
+        };
+        // Header line first, then one line per row.
+        let mut grid: Vec<Vec<String>> = Vec::new();
+        if let Some(first) = self.rows.first() {
+            let shown = first.iter().filter(|(_, c)| text(c).is_some());
+            grid.push(shown.map(|(k, _)| k.to_string()).collect());
+        }
+        grid.extend(
+            self.rows
+                .iter()
+                .map(|r| r.iter().filter_map(|(_, c)| text(c)).collect()),
+        );
+        let mut out = String::new();
+        for line in &grid {
+            let cells: Vec<String> = (0..line.len())
+                .map(|i| {
+                    let w = grid.iter().map(|l| l[i].len()).max().unwrap_or(0);
+                    format!("{:>w$}", line[i])
+                })
+                .collect();
+            out.push_str(&cells.join("  "));
+            out.push('\n');
+        }
+        for (k, v) in &self.summary {
+            out.push_str(&format!("{k} = {}\n", num(*v)));
+        }
+        out
+    }
+
+    /// Every scalar the record holds, named as the gate names them —
+    /// read back from the JSON text, so what `bench run` checks is what
+    /// `bench gate` will later read.
+    pub fn flat(&self) -> Vec<(String, f64)> {
+        let doc =
+            opendesc_telemetry::parse_json(&self.to_json()).expect("record writes valid JSON");
+        flatten(&doc)
+    }
+
+    /// One named scalar (see [`flatten`] for the names).
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.flat()
+            .into_iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v)
+    }
+
+    /// `metric(num) / metric(den)` — how every acceptance ratio is
+    /// derived from the rows it summarises.
+    pub fn ratio(&self, num: &str, den: &str) -> f64 {
+        let get = |name: &str| {
+            self.metric(name)
+                .unwrap_or_else(|| panic!("{}: no metric {name}", self.experiment))
+        };
+        get(num) / get(den)
+    }
+}
+
+/// Flatten a bench record into named scalars. Top-level numbers keep
+/// their key; numbers inside `rows` are named
+/// `rows[model=e1000e,queues=4].mpps` from the row's identity columns
+/// (the record's `identity` list, in row order), so the same row in
+/// baseline and current lines up by name regardless of row order.
+pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    let Some(obj) = doc.as_obj() else {
+        return out;
+    };
+    let identity: Vec<&str> = match doc.get("identity").and_then(Json::as_arr) {
+        Some(ids) => ids.iter().filter_map(Json::as_str).collect(),
+        None => LEGACY_IDENTITY.to_vec(),
+    };
+    for (k, v) in obj {
+        if let Some(x) = v.as_f64() {
+            if !RUN_FIELDS.contains(&k.as_str()) {
+                out.push((k.clone(), x));
+            }
+            continue;
+        }
+        if k != "rows" {
+            continue;
+        }
+        for row in v.as_arr().unwrap_or_default() {
+            let Some(fields) = row.as_obj() else { continue };
+            let id: Vec<String> = fields
+                .iter()
+                .filter(|(fk, _)| identity.contains(&fk.as_str()))
+                .filter_map(|(fk, fv)| match fv {
+                    Json::Str(s) => Some(format!("{fk}={s}")),
+                    Json::Num(n) => Some(format!("{fk}={n}")),
+                    _ => None,
+                })
+                .collect();
+            let id = id.join(",");
+            for (fk, fv) in fields {
+                if identity.contains(&fk.as_str()) {
+                    continue;
+                }
+                if let Some(x) = fv.as_f64() {
+                    out.push((format!("rows[{id}].{fk}"), x));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The row tail every sharded experiment shares: aggregate Mpps over
+/// the busiest worker, the totals, and the per-queue columns with
+/// their p99/p50 busy-time imbalance (1.0 = flat) — skew stays visible
+/// in every record, not just E18's.
+pub fn worker_cells(mpps: f64, total_pkts: u64, workers: &[WorkerStats]) -> Row {
+    let pkts: Vec<u64> = workers.iter().map(|w| w.packets).collect();
+    let busy: Vec<u64> = workers.iter().map(|w| w.busy_ns).collect();
+    vec![
+        ("mpps", Cell::Val(mpps)),
+        ("total_pkts", Cell::Count(total_pkts)),
+        (
+            "max_busy_ns",
+            Cell::Count(busy.iter().copied().max().unwrap_or(0)),
+        ),
+        ("sum_busy_ns", Cell::Count(busy.iter().sum())),
+        (
+            "busy_p99_p50",
+            Cell::Val(opendesc_core::imbalance_p99_p50(&busy)),
+        ),
+        ("per_queue_pkts", Cell::PerQueue(pkts)),
+        ("per_queue_busy_ns", Cell::PerQueue(busy)),
+    ]
 }
 
 /// E12 — RX datapath paths (per-packet seed-style vs compiled plan vs
-/// zero-alloc batched), shared by the criterion bench and the quick-mode
-/// JSON emitter (`scripts/bench.sh` → `BENCH_e12.json`).
+/// zero-alloc batched). Also home of the eight-semantic intent, the
+/// four-model matrix and the model × path harness that E13–E19 reuse.
 pub mod e12 {
-    use opendesc_core::{AccessorKind, Compiler, Intent, OpenDescDriver, RxBatch};
+    use crate::{Cell, Parallel, Record, Row};
+    use opendesc_core::{AccessorKind, Intent, OpenDescDriver, RxBatch};
     use opendesc_ir::{names, SemanticRegistry};
-    use opendesc_nicsim::{models, NicModel, PktGen, SimNic, Workload};
+    use opendesc_nicsim::{models, NicModel, PktGen, Workload};
     use opendesc_softnic::SoftNic;
     use std::time::Instant;
 
@@ -107,9 +414,11 @@ pub mod e12 {
     /// Batch capacity of the zero-alloc path (a typical NAPI budget).
     pub const BATCH_CAP: usize = 32;
 
-    /// The software-shim-heavy intent E12 measures: on fixed-function
-    /// models most of these fall to SoftNIC shims, with `rss_hash` +
-    /// `queue_hint` sharing one memoized RSS computation.
+    /// The software-shim-heavy intent every datapath experiment
+    /// measures (E12–E16, E18, E19), so their records compose: on
+    /// fixed-function models most of these fall to SoftNIC shims, with
+    /// `rss_hash` + `queue_hint` sharing one memoized RSS computation;
+    /// on mlx5/qdma the same intent is all-hardware.
     pub fn intent(reg: &mut SemanticRegistry) -> Intent {
         Intent::builder("e12-datapath")
             .want(reg, names::RSS_HASH)
@@ -123,7 +432,7 @@ pub mod e12 {
             .build()
     }
 
-    /// The four models of the E12 matrix.
+    /// The four models of the datapath matrices.
     pub fn model_matrix() -> Vec<NicModel> {
         vec![
             models::e1000e(),
@@ -137,11 +446,7 @@ pub mod e12 {
     pub fn driver(model: NicModel, ring: usize) -> OpenDescDriver {
         let mut reg = SemanticRegistry::with_builtins();
         let intent = intent(&mut reg);
-        let compiled = Compiler::default()
-            .compile_model(&model, &intent, &mut reg)
-            .expect("e12 intent compiles");
-        let nic = SimNic::new(model, ring).expect("model valid");
-        OpenDescDriver::attach(nic, compiled).expect("context programs")
+        crate::make_driver(model, &intent, &mut reg, ring)
     }
 
     /// Deterministic mixed traffic: UDP across 32 flows, half the frames
@@ -216,24 +521,20 @@ pub mod e12 {
         (n, acc)
     }
 
-    /// One measured row of the E12 matrix.
-    #[derive(Debug, Clone)]
-    pub struct Row {
-        pub model: String,
-        pub path: &'static str,
-        pub mpps: f64,
-        pub ns_per_pkt: f64,
-    }
-
     pub const PATHS: [&str; 3] = ["per_packet", "plan", "batched"];
 
-    /// Run the full matrix with a wall-clock harness (`Instant`-based;
-    /// the criterion bench re-times the same drains). Only the drain is
-    /// timed — ring filling happens outside the clock, as in E3. The
-    /// three paths are interleaved round-robin so clock drift hits them
-    /// equally, and each path is scored by its *fastest* round (the
-    /// min-estimator, robust to scheduler noise on shared machines).
-    pub fn run_quick(rounds: usize) -> Vec<Row> {
+    /// Run the model × path matrix with a wall-clock harness
+    /// (`Instant`-based). `fill` puts one round of frames on a driver's
+    /// ring — E12 through the hintless wire path, E16 through the
+    /// steering stage — and runs off the clock, as in E3: only the
+    /// drain is timed. The three paths are interleaved round-robin so
+    /// clock drift hits them equally, and each path is scored by its
+    /// *fastest* round (the min-estimator, robust to scheduler noise on
+    /// shared machines).
+    pub fn matrix(
+        rounds: usize,
+        mut fill: impl FnMut(&mut OpenDescDriver, &[Vec<u8>]),
+    ) -> Vec<Row> {
         let frames = traffic(ROUND);
         let mut rows = Vec::new();
         for model in model_matrix() {
@@ -249,9 +550,7 @@ pub mod e12 {
             for round in 0..=rounds {
                 for (pi, path) in PATHS.iter().enumerate() {
                     let drv = &mut drvs[pi];
-                    for f in &frames {
-                        drv.deliver(f).expect("ring sized for the round");
-                    }
+                    fill(drv, &frames);
                     let t = Instant::now();
                     let (n, acc) = match *path {
                         "per_packet" => drain_per_packet(drv, &mut soft),
@@ -266,64 +565,52 @@ pub mod e12 {
                 }
             }
             std::hint::black_box(sink);
-            for (pi, path) in PATHS.iter().enumerate() {
-                let ns = best[pi];
-                rows.push(Row {
-                    model: model.name.clone(),
-                    path,
-                    mpps: 1e3 / ns,
-                    ns_per_pkt: ns,
-                });
+            for (path, ns) in PATHS.iter().zip(best) {
+                rows.push(vec![
+                    ("model", Cell::id(&model.name)),
+                    ("path", Cell::id(path)),
+                    ("mpps", Cell::Val(1e3 / ns)),
+                    ("ns_per_pkt", Cell::Val(ns)),
+                ]);
             }
         }
         rows
     }
 
-    /// Batched-vs-seed-per-packet speedup on one model.
-    pub fn speedup(rows: &[Row], model: &str) -> f64 {
-        let find = |path: &str| {
-            rows.iter()
-                .find(|r| r.model == model && r.path == path)
-                .map(|r| r.mpps)
-                .unwrap_or(f64::NAN)
-        };
-        find("batched") / find("per_packet")
-    }
-
-    /// Hand-formatted JSON (no serde in the tree): the perf-trajectory
-    /// record `scripts/bench.sh` writes to `BENCH_e12.json`.
-    pub fn to_json(rows: &[Row]) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e12_rx_datapath\",\n");
-        s.push_str("  \"unit\": \"Mpps\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"model\": \"{}\", \"path\": \"{}\", \"mpps\": {:.4}, \"ns_per_pkt\": {:.1}}}{}\n",
-                r.model, r.path, r.mpps, r.ns_per_pkt, sep
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"speedup_batched_vs_per_packet_e1000e\": {:.2}\n",
-            speedup(rows, "e1000e")
-        ));
-        s.push_str("}\n");
-        s
+    pub fn measure(rounds: usize) -> Record {
+        let rows = matrix(rounds, |drv, frames| {
+            for f in frames {
+                drv.deliver(f).expect("ring sized for the round");
+            }
+        });
+        let mut rec = Record::new(
+            "e12_rx_datapath",
+            "Mpps",
+            ROUND,
+            rounds,
+            Parallel::Run,
+            rows,
+        );
+        let speedup = rec.ratio(
+            "rows[model=e1000e,path=batched].mpps",
+            "rows[model=e1000e,path=per_packet].mpps",
+        );
+        rec.put("speedup_batched_vs_per_packet_e1000e", speedup);
+        rec
     }
 }
 
 /// E13 — sharded multi-core RX: aggregate throughput of the parallel
-/// per-queue datapath at 1/2/4/8 queues, shared by the criterion bench
-/// and the quick-mode JSON emitter (`scripts/bench.sh` →
-/// `BENCH_e13.json`).
+/// per-queue datapath at 1/2/4/8 queues. E12's intent and models, so
+/// the two compose: E12's batched single-queue numbers are E13's
+/// 1-queue baseline shape.
 pub mod e13 {
-    use opendesc_core::{Intent, PlanCache, ShardReport, ShardedRx};
-    use opendesc_ir::{names, SemanticRegistry};
+    use super::e12;
+    use crate::{worker_cells, Cell, Parallel, Record};
+    use opendesc_core::{PlanCache, ShardReport, ShardedRx};
+    use opendesc_ir::SemanticRegistry;
     use opendesc_nicsim::pktgen::{ShardFrame, ShardedPktGen};
-    use opendesc_nicsim::{models, NicModel, SteerPolicy, Workload};
+    use opendesc_nicsim::{NicModel, SteerPolicy, Workload};
 
     /// Queue counts of the scaling series.
     pub const QUEUE_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -334,33 +621,6 @@ pub mod e13 {
     /// Per-queue completion ring; workers feed in `BATCH_CAP` chunks so
     /// this only needs headroom over one chunk.
     pub const RING: usize = 256;
-
-    /// Same field mix as E12 (software-shim-heavy on fixed-function
-    /// models, all-hardware on mlx5/qdma) so the two experiments
-    /// compose: E12's batched single-queue numbers are E13's 1-queue
-    /// baseline shape.
-    pub fn intent(reg: &mut SemanticRegistry) -> Intent {
-        Intent::builder("e13-sharded")
-            .want(reg, names::RSS_HASH)
-            .want(reg, names::QUEUE_HINT)
-            .want(reg, names::VLAN_TCI)
-            .want(reg, names::PKT_LEN)
-            .want(reg, names::PACKET_TYPE)
-            .want(reg, names::PAYLOAD_OFFSET)
-            .want(reg, names::KVS_KEY_HASH)
-            .want(reg, names::IP_CHECKSUM)
-            .build()
-    }
-
-    /// The four models of the E13 matrix.
-    pub fn model_matrix() -> Vec<NicModel> {
-        vec![
-            models::e1000e(),
-            models::ixgbe(),
-            models::mlx5(),
-            models::qdma_default(),
-        ]
-    }
 
     /// 128 flows so RSS spreads work across up to 8 queues with low
     /// imbalance; otherwise E12's traffic shape.
@@ -379,7 +639,7 @@ pub mod e13 {
     pub fn engine(model: &NicModel, queues: usize) -> ShardedRx {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
-        let i = intent(&mut reg);
+        let i = e12::intent(&mut reg);
         ShardedRx::new_uniform(
             &cache,
             model,
@@ -398,27 +658,6 @@ pub mod e13 {
         ShardedPktGen::generate(workload(), eng.steerer(), ROUND).into_pools()
     }
 
-    /// One measured row of the E13 matrix.
-    #[derive(Debug, Clone)]
-    pub struct Row {
-        pub model: String,
-        pub queues: usize,
-        /// Aggregate Mpps: total packets over the busiest worker's
-        /// datapath time.
-        pub mpps: f64,
-        pub total_pkts: u64,
-        /// Critical path of the round (busiest worker).
-        pub max_busy_ns: u64,
-        /// Total datapath work (single-core equivalent).
-        pub sum_busy_ns: u64,
-        /// Per-queue drained packets — the skew the aggregate hides.
-        pub per_queue_pkts: Vec<u64>,
-        /// Per-queue busy time, same order.
-        pub per_queue_busy_ns: Vec<u64>,
-        /// p99/p50 imbalance across per-queue busy time (1.0 = flat).
-        pub busy_p99_p50: f64,
-    }
-
     /// Run the scaling matrix. Round 0 exercises the real scoped-thread
     /// engine (and checks nothing is lost in parallel); the measured
     /// rounds use the sequential harness so each worker's `busy_ns` is
@@ -426,9 +665,9 @@ pub mod e13 {
     /// that is the honest aggregate on hosts with fewer cores than
     /// queues. Each configuration is scored by its best round
     /// (min-estimator over `max_busy_ns`).
-    pub fn run_quick(rounds: usize) -> Vec<Row> {
+    pub fn measure(rounds: usize) -> Record {
         let mut rows = Vec::new();
-        for model in model_matrix() {
+        for model in e12::model_matrix() {
             for &q in &QUEUE_COUNTS {
                 let mut eng = engine(&model, q);
                 let pools = pools(&eng);
@@ -439,86 +678,41 @@ pub mod e13 {
                     "{} x{q}: parallel warm-up lost packets",
                     model.name
                 );
-                let mut best: Option<ShardReport> = None;
-                for _ in 0..rounds.max(1) {
-                    let rep = eng.run_sequential(&pools);
-                    let better = match &best {
-                        None => true,
-                        Some(b) => rep.max_busy_ns() < b.max_busy_ns(),
-                    };
-                    if better {
-                        best = Some(rep);
-                    }
-                }
-                let rep = best.expect("at least one measured round");
-                let per_queue_pkts: Vec<u64> = rep.per_worker.iter().map(|w| w.packets).collect();
-                let per_queue_busy_ns: Vec<u64> =
-                    rep.per_worker.iter().map(|w| w.busy_ns).collect();
-                let busy_p99_p50 = opendesc_core::imbalance_p99_p50(&per_queue_busy_ns);
-                rows.push(Row {
-                    model: model.name.clone(),
-                    queues: q,
-                    mpps: rep.aggregate_mpps(),
-                    total_pkts: rep.total_packets(),
-                    max_busy_ns: rep.max_busy_ns(),
-                    sum_busy_ns: rep.sum_busy_ns(),
-                    per_queue_pkts,
-                    per_queue_busy_ns,
-                    busy_p99_p50,
-                });
+                let rep = (0..rounds.max(1))
+                    .map(|_| eng.run_sequential(&pools))
+                    .min_by_key(ShardReport::max_busy_ns)
+                    .expect("at least one measured round");
+                let mut row = vec![
+                    ("model", Cell::id(&model.name)),
+                    ("queues", Cell::IdNum(q as f64)),
+                ];
+                row.extend(worker_cells(
+                    rep.aggregate_mpps(),
+                    rep.total_packets(),
+                    &rep.per_worker,
+                ));
+                rows.push(row);
             }
         }
-        rows
-    }
-
-    /// Aggregate-throughput ratio between two queue counts on a model.
-    pub fn scaling(rows: &[Row], model: &str, hi: usize, lo: usize) -> f64 {
-        let find = |q: usize| {
-            rows.iter()
-                .find(|r| r.model == model && r.queues == q)
-                .map(|r| r.mpps)
-                .unwrap_or(f64::NAN)
-        };
-        find(hi) / find(lo)
-    }
-
-    /// Hand-formatted JSON (no serde in the tree): the perf-trajectory
-    /// record `scripts/bench.sh` writes to `BENCH_e13.json`.
-    pub fn to_json(rows: &[Row]) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e13_sharded_rx\",\n");
-        s.push_str("  \"unit\": \"Mpps aggregate\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"model\": \"{}\", \"queues\": {}, \"mpps\": {:.4}, \"total_pkts\": {}, \"max_busy_ns\": {}, \"sum_busy_ns\": {}, \"busy_p99_p50\": {:.3}, \"per_queue_pkts\": {}, \"per_queue_busy_ns\": {}}}{}\n",
-                r.model,
-                r.queues,
-                r.mpps,
-                r.total_pkts,
-                r.max_busy_ns,
-                r.sum_busy_ns,
-                r.busy_p99_p50,
-                crate::json_u64s(&r.per_queue_pkts),
-                crate::json_u64s(&r.per_queue_busy_ns),
-                sep
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"scaling_4q_vs_1q_e1000e\": {:.2}\n",
-            scaling(rows, "e1000e", 4, 1)
-        ));
-        s.push_str("}\n");
-        s
+        let mut rec = Record::new(
+            "e13_sharded_rx",
+            "Mpps aggregate",
+            ROUND,
+            rounds,
+            Parallel::Modelled,
+            rows,
+        );
+        let scaling = rec.ratio(
+            "rows[model=e1000e,queues=4].mpps",
+            "rows[model=e1000e,queues=1].mpps",
+        );
+        rec.put("scaling_4q_vs_1q_e1000e", scaling);
+        rec
     }
 }
 
 /// E14 — goodput under injected device faults and watchdog recovery
-/// time, shared by the criterion bench and the quick-mode JSON emitter
-/// (`scripts/bench.sh` → `BENCH_e14.json`).
+/// time.
 ///
 /// Goodput: the E12 batched drain at the production-default
 /// `Structural` validation, on a device injecting every metadata-fault
@@ -536,42 +730,16 @@ pub mod e13 {
 /// `stall_polls` by construction, measured rather than assumed).
 pub mod e14 {
     use super::e12;
-    use opendesc_core::{Compiler, Intent, OpenDescDriver, RxBatch, ValidationMode};
-    use opendesc_ir::{names, SemanticRegistry};
-    use opendesc_nicsim::{models, FaultConfig, NicModel, SimNic};
+    /// Packets fed per measured round and batch capacity of the drain:
+    /// E12's, so the zero-fault row is its batched column again.
+    pub use super::e12::{BATCH_CAP, ROUND};
+    use crate::{Cell, Parallel, Record};
+    use opendesc_core::{OpenDescDriver, RxBatch, ValidationMode};
+    use opendesc_nicsim::{models, FaultConfig, NicModel};
     use std::time::Instant;
 
     /// Per-class fault rates of the goodput series.
     pub const FAULT_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.10];
-    /// Packets fed per measured round.
-    pub const ROUND: usize = 256;
-    /// Batch capacity of the drain (as in E12).
-    pub const BATCH_CAP: usize = 32;
-
-    /// Same field mix as E12/E13 so the zero-fault row is directly
-    /// comparable to E12's batched column (plus the validation cost).
-    pub fn intent(reg: &mut SemanticRegistry) -> Intent {
-        Intent::builder("e14-faults")
-            .want(reg, names::RSS_HASH)
-            .want(reg, names::QUEUE_HINT)
-            .want(reg, names::VLAN_TCI)
-            .want(reg, names::PKT_LEN)
-            .want(reg, names::PACKET_TYPE)
-            .want(reg, names::PAYLOAD_OFFSET)
-            .want(reg, names::KVS_KEY_HASH)
-            .want(reg, names::IP_CHECKSUM)
-            .build()
-    }
-
-    /// The four models of the E14 matrix.
-    pub fn model_matrix() -> Vec<NicModel> {
-        vec![
-            models::e1000e(),
-            models::ixgbe(),
-            models::mlx5(),
-            models::qdma_default(),
-        ]
-    }
 
     /// Every metadata-fault class at rate `r` (drops excluded: a frame
     /// the device never completes says nothing about the host's fault
@@ -588,36 +756,6 @@ pub mod e14 {
             .seed(seed)
             .build()
             .expect("rates are probabilities")
-    }
-
-    /// Compile the E14 intent on `model` and attach a driver at the
-    /// production-default `Structural` validation mode.
-    pub fn driver(model: NicModel, ring: usize) -> OpenDescDriver {
-        let mut reg = SemanticRegistry::with_builtins();
-        let i = intent(&mut reg);
-        let compiled = Compiler::default()
-            .compile_model(&model, &i, &mut reg)
-            .expect("e14 intent compiles");
-        let nic = SimNic::new(model, ring).expect("model valid");
-        let drv = OpenDescDriver::attach(nic, compiled).expect("context programs");
-        debug_assert_eq!(drv.validation_mode(), ValidationMode::Structural);
-        drv
-    }
-
-    /// One measured row of the E14 matrix.
-    #[derive(Debug, Clone)]
-    pub struct Row {
-        pub model: String,
-        /// Per-class fault rate.
-        pub rate: f64,
-        /// Delivered (good) packets per microsecond of drain time.
-        pub goodput_mpps: f64,
-        pub delivered: u64,
-        /// Replays + stale tags the host discarded.
-        pub discarded: u64,
-        /// Packets re-served through the all-software degraded path.
-        pub degraded: u64,
-        pub watchdog_resets: u64,
     }
 
     /// Batched drain with trailing empty polls so the watchdog can
@@ -637,16 +775,18 @@ pub mod e14 {
         n
     }
 
-    /// Run the goodput matrix: 4 models × `FAULT_RATES`, best-of-round
-    /// timing (min-estimator, as in E12). Only the drain is timed.
-    pub fn run_quick(rounds: usize) -> Vec<Row> {
+    /// Run the goodput matrix — 4 models × `FAULT_RATES`, best-of-round
+    /// timing (min-estimator, as in E12), only the drain timed — then
+    /// the e1000e recovery measurement.
+    pub fn measure(rounds: usize) -> Record {
         let frames = e12::traffic(ROUND);
         let mut rows = Vec::new();
-        for model in model_matrix() {
+        for model in e12::model_matrix() {
             for &rate in &FAULT_RATES {
                 // Duplicates can double completions: ring holds 2 rounds
-                // plus headroom.
-                let mut drv = driver(model.clone(), ROUND * 4);
+                // plus headroom. The production-default validation mode.
+                let mut drv = e12::driver(model.clone(), ROUND * 4);
+                debug_assert_eq!(drv.validation_mode(), ValidationMode::Structural);
                 let mut batch = drv.make_batch(BATCH_CAP);
                 let mut best = f64::INFINITY;
                 let mut delivered = 0u64;
@@ -668,18 +808,39 @@ pub mod e14 {
                     }
                 }
                 let v = drv.validation_stats();
-                rows.push(Row {
-                    model: model.name.clone(),
-                    rate,
-                    goodput_mpps: if best.is_finite() { 1e3 / best } else { 0.0 },
-                    delivered,
-                    discarded: v.duplicates + v.stale,
-                    degraded: v.degraded_packets,
-                    watchdog_resets: drv.watchdog_resets(),
-                });
+                rows.push(vec![
+                    ("model", Cell::id(&model.name)),
+                    ("rate", Cell::IdNum(rate)),
+                    // Delivered (good) packets per microsecond of drain time.
+                    (
+                        "goodput_mpps",
+                        Cell::Val(if best.is_finite() { 1e3 / best } else { 0.0 }),
+                    ),
+                    ("delivered", Cell::Count(delivered)),
+                    // Replays + stale tags the host discarded.
+                    ("discarded", Cell::Count(v.duplicates + v.stale)),
+                    // Packets re-served through the all-software degraded path.
+                    ("degraded", Cell::Count(v.degraded_packets)),
+                    ("watchdog_resets", Cell::Count(drv.watchdog_resets())),
+                ]);
             }
         }
-        rows
+        let mut rec = Record::new(
+            "e14_fault_recovery",
+            "Mpps goodput",
+            ROUND,
+            rounds,
+            Parallel::Run,
+            rows,
+        );
+        let retention = rec.ratio(
+            "rows[model=e1000e,rate=0.1].goodput_mpps",
+            "rows[model=e1000e,rate=0].goodput_mpps",
+        );
+        rec.put("goodput_retention_10pct_e1000e", retention);
+        let recovery = recovery_polls(models::e1000e());
+        rec.put("recovery_polls_e1000e", recovery as f64);
+        rec
     }
 
     /// Recovery-time measurement on one model: wedge the queue with
@@ -688,7 +849,7 @@ pub mod e14 {
     /// the first reset fires after `stall_polls` empty polls, so the
     /// expected value is `stall_polls + 1`.
     pub fn recovery_polls(model: NicModel) -> u64 {
-        let mut drv = driver(model, 64);
+        let mut drv = e12::driver(model, 64);
         drv.nic
             .set_faults(
                 FaultConfig::builder()
@@ -711,58 +872,11 @@ pub mod e14 {
             assert!(polls < 1024, "queue never recovered");
         }
     }
-
-    /// Goodput retained at `rate` relative to the zero-fault row.
-    pub fn retention(rows: &[Row], model: &str, rate: f64) -> f64 {
-        let find = |r: f64| {
-            rows.iter()
-                .find(|row| row.model == model && (row.rate - r).abs() < 1e-12)
-                .map(|row| row.goodput_mpps)
-                .unwrap_or(f64::NAN)
-        };
-        find(rate) / find(0.0)
-    }
-
-    /// Hand-formatted JSON (no serde in the tree): the perf-trajectory
-    /// record `scripts/bench.sh` writes to `BENCH_e14.json`.
-    pub fn to_json(rows: &[Row], recovery_polls_e1000e: u64) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e14_fault_recovery\",\n");
-        s.push_str("  \"unit\": \"Mpps goodput\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"model\": \"{}\", \"rate\": {:.2}, \"goodput_mpps\": {:.4}, \"delivered\": {}, \"discarded\": {}, \"degraded\": {}, \"watchdog_resets\": {}}}{}\n",
-                r.model,
-                r.rate,
-                r.goodput_mpps,
-                r.delivered,
-                r.discarded,
-                r.degraded,
-                r.watchdog_resets,
-                sep
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"goodput_retention_10pct_e1000e\": {:.3},\n",
-            retention(rows, "e1000e", 0.10)
-        ));
-        s.push_str(&format!(
-            "  \"recovery_polls_e1000e\": {}\n",
-            recovery_polls_e1000e
-        ));
-        s.push_str("}\n");
-        s
-    }
 }
 
 /// E15 — telemetry overhead: the E13 4-queue sharded drain on e1000e
 /// with poll-cycle telemetry (histograms + trace ring) switched on vs
-/// off, shared by the quick-mode JSON emitter (`scripts/bench.sh` →
-/// `BENCH_e15.json`).
+/// off.
 ///
 /// The telemetry layer's hot-path budget is ≤3% of throughput: clock
 /// reads and histogram records happen per *batch*, trace events only at
@@ -772,37 +886,12 @@ pub mod e14 {
 /// E12/E13), so the ratio compares best-case against best-case.
 pub mod e15 {
     use super::e13;
-    use opendesc_core::{ShardReport, Snapshot};
+    use crate::{Cell, Parallel, Record};
+    use opendesc_core::{Hist, MetricValue, ShardReport};
     use opendesc_nicsim::models;
 
     /// Queue count of the overhead configuration (the E13 midpoint).
     pub const QUEUES: usize = 4;
-    /// Throughput the telemetry-on run must retain (the ≤3% budget).
-    pub const MIN_RATIO: f64 = 0.97;
-
-    /// One measured configuration.
-    #[derive(Debug, Clone)]
-    pub struct Row {
-        pub model: String,
-        /// "on" or "off".
-        pub telemetry: &'static str,
-        pub mpps: f64,
-        pub total_pkts: u64,
-        pub max_busy_ns: u64,
-    }
-
-    /// The E15 measurement: best per-arm rows, the overhead ratio, and
-    /// the engine's metric snapshot (telemetry-on rounds filled it).
-    #[derive(Debug, Clone)]
-    pub struct Outcome {
-        pub rows: Vec<Row>,
-        /// Telemetry-on throughput relative to telemetry-off: the
-        /// median over round pairs of `off_busy / on_busy` (summed
-        /// across workers); 1.0 = free, and >1.0 means the difference
-        /// is below measurement noise.
-        pub ratio: f64,
-        pub snapshot: Snapshot,
-    }
 
     /// Keep the round with the smallest **summed** worker busy time.
     /// The sum scores the round on all four workers' measurements at
@@ -836,7 +925,7 @@ pub mod e15 {
     /// A min/min-of-arms estimator was tried first and flaked: at
     /// ~0.35 ms of busy time per round its arm minima wander ±4%,
     /// wider than the 3% budget being tested.
-    pub fn run_quick(rounds: usize) -> Outcome {
+    pub fn measure(rounds: usize) -> Record {
         let model = models::e1000e();
         let mut eng = e13::engine(&model, QUEUES);
         let pools = e13::pools(&eng);
@@ -865,14 +954,13 @@ pub mod e15 {
                 }
                 (best.expect("REPS > 0"), total)
             }
-            let ((rep_off, off_busy), (rep_on, on_busy)) = if j % 2 == 0 {
-                let o = arm(&mut eng, &pools, false);
-                let n = arm(&mut eng, &pools, true);
-                (o, n)
+            let on_first = j % 2 == 1;
+            let first = arm(&mut eng, &pools, on_first);
+            let second = arm(&mut eng, &pools, !on_first);
+            let ((rep_off, off_busy), (rep_on, on_busy)) = if on_first {
+                (second, first)
             } else {
-                let n = arm(&mut eng, &pools, true);
-                let o = arm(&mut eng, &pools, false);
-                (o, n)
+                (first, second)
             };
             ratios.push(off_busy as f64 / on_busy.max(1) as f64);
             better(rep_off, &mut best_off);
@@ -880,73 +968,48 @@ pub mod e15 {
         }
         ratios.sort_by(f64::total_cmp);
         let ratio = ratios[ratios.len() / 2];
-        let row = |rep: &ShardReport, telemetry: &'static str| Row {
-            model: model.name.clone(),
-            telemetry,
-            mpps: rep.aggregate_mpps(),
-            total_pkts: rep.total_packets(),
-            max_busy_ns: rep.max_busy_ns(),
+        let row = |rep: &ShardReport, telemetry: &str| {
+            vec![
+                ("model", Cell::id(&model.name)),
+                ("telemetry", Cell::id(telemetry)),
+                ("mpps", Cell::Val(rep.aggregate_mpps())),
+                ("total_pkts", Cell::Count(rep.total_packets())),
+                ("max_busy_ns", Cell::Count(rep.max_busy_ns())),
+            ]
         };
-        let (off, on) = (
-            best_off.expect("measured rounds"),
-            best_on.expect("measured rounds"),
-        );
-        let rows = vec![row(&off, "off"), row(&on, "on")];
+        let rows = vec![
+            row(&best_off.expect("measured rounds"), "off"),
+            row(&best_on.expect("measured rounds"), "on"),
+        ];
+        // The telemetry-on rounds filled the engine's metric snapshot;
+        // its histogram stats ride along as informational fields.
         eng.set_telemetry_enabled(true);
-        Outcome {
-            rows,
-            ratio,
-            snapshot: eng.snapshot(),
-        }
-    }
-
-    /// Hand-formatted JSON (no serde in the tree): the record
-    /// `scripts/bench.sh` writes to `BENCH_e15.json`. Histogram stats
-    /// from the telemetry-on run ride along as informational fields
-    /// (`_ns`-suffixed, so determinism tooling and the gate skip them).
-    pub fn to_json(out: &Outcome) -> String {
-        let (rows, snapshot) = (&out.rows, &out.snapshot);
-        let hist_stat = |name: &str, pick: fn(&opendesc_core::Hist) -> u64| match snapshot.get(name)
-        {
-            Some(opendesc_core::MetricValue::Hist(h)) => pick(h),
-            _ => 0,
+        let snapshot = eng.snapshot();
+        let poll: &Hist = match snapshot.get("rx.engine.time.poll_ns") {
+            Some(MetricValue::Hist(h)) => h,
+            other => panic!("engine poll histogram missing: {other:?}"),
         };
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e15_telemetry_overhead\",\n");
-        s.push_str("  \"unit\": \"Mpps aggregate\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"model\": \"{}\", \"telemetry\": \"{}\", \"mpps\": {:.4}, \"total_pkts\": {}, \"max_busy_ns\": {}}}{}\n",
-                r.model, r.telemetry, r.mpps, r.total_pkts, r.max_busy_ns, sep
-            ));
+        assert!(poll.count() > 0, "telemetry-on run recorded no poll cycles");
+        assert!(snapshot.counter("rx.engine.worker.packets") as usize >= e13::ROUND);
+        let mut rec = Record::new(
+            "e15_telemetry_overhead",
+            "Mpps aggregate",
+            e13::ROUND,
+            rounds,
+            Parallel::Modelled,
+            rows,
+        );
+        // Telemetry-on throughput relative to telemetry-off; 1.0 = free.
+        // The gate treats ratios ≥ 1.0 (the difference is below
+        // measurement noise) as equal-to-baseline.
+        rec.put("overhead_ratio_on_vs_off_e1000e", ratio.min(1.0));
+        rec.put("poll_p50_ns", poll.quantile(0.5) as f64);
+        rec.put("poll_p99_ns", poll.quantile(0.99) as f64);
+        for field in ["fields_hw", "fields_sw"] {
+            let n = snapshot.counter(&format!("rx.engine.{field}"));
+            rec.put(field, n as f64);
         }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"overhead_ratio_on_vs_off_e1000e\": {:.4},\n",
-            // The gate treats ratios ≥ 1.0 as equal-to-baseline noise.
-            out.ratio.min(1.0)
-        ));
-        s.push_str(&format!(
-            "  \"poll_p50_ns\": {},\n",
-            hist_stat("rx.engine.time.poll_ns", |h| h.quantile(0.5))
-        ));
-        s.push_str(&format!(
-            "  \"poll_p99_ns\": {},\n",
-            hist_stat("rx.engine.time.poll_ns", |h| h.quantile(0.99))
-        ));
-        s.push_str(&format!(
-            "  \"fields_hw\": {},\n",
-            snapshot.counter("rx.engine.fields_hw")
-        ));
-        s.push_str(&format!(
-            "  \"fields_sw\": {}\n",
-            snapshot.counter("rx.engine.fields_sw")
-        ));
-        s.push_str("}\n");
-        s
+        rec
     }
 }
 
@@ -990,16 +1053,10 @@ pub mod e15 {
 /// [`PlanProgram`]: opendesc_core::PlanProgram
 pub mod e16 {
     use super::e12;
-    pub use super::e12::{BATCH_CAP, PATHS, ROUND};
+    use crate::{Parallel, Record};
     use opendesc_core::OpenDescDriver;
     use opendesc_nicsim::multiqueue::Steerer;
     use opendesc_nicsim::SteerPolicy;
-    use opendesc_softnic::SoftNic;
-    use std::time::Instant;
-
-    /// Rows reuse the E12 shape so the gate's flattener lines the two
-    /// records up by the same `(model, path)` identity.
-    pub type Row = e12::Row;
 
     /// The committed pre-VM batched throughput per model — the
     /// `BENCH_e12.json` baseline at the time the interpreter tax was
@@ -1014,10 +1071,6 @@ pub mod e16 {
         ("qdma", 5.1289),
     ];
 
-    /// Acceptance floors (also encoded in the gate's rule table).
-    pub const MIN_BATCHED_VS_PER_PACKET: f64 = 1.0;
-    pub const MIN_BATCHED_RATIO: f64 = 1.5;
-
     /// Deliver one round through the device steering stage: parse and
     /// Toeplitz once per frame on the way in (untimed, as in E13), so
     /// the completion sideband carries the hash the device computed.
@@ -1029,154 +1082,44 @@ pub mod e16 {
         }
     }
 
-    /// Run the E16 matrix with the same wall-clock harness as
-    /// [`e12::run_quick`]: interleaved round-robin paths, warm-up round,
-    /// min-estimator per path. Only the drain is timed; steering-stage
+    /// The E12 matrix ([`e12::matrix`]: same harness, same drains) under
+    /// steered delivery, plus the three per-model ratios. Steering-stage
     /// work happens outside the clock.
-    pub fn run_quick(rounds: usize) -> Vec<Row> {
-        let frames = e12::traffic(ROUND);
+    pub fn measure(rounds: usize) -> Record {
         let steer = Steerer::new(SteerPolicy::Rss, 1);
-        let mut rows = Vec::new();
-        for model in e12::model_matrix() {
-            let mut drvs: Vec<OpenDescDriver> = PATHS
-                .iter()
-                .map(|_| e12::driver(model.clone(), ROUND * 2))
-                .collect();
-            let mut soft = SoftNic::new();
-            let mut batch = drvs[2].make_batch(BATCH_CAP);
-            let mut best = [f64::INFINITY; 3];
-            let mut sink = 0u128;
-            for round in 0..=rounds {
-                for (pi, path) in PATHS.iter().enumerate() {
-                    let drv = &mut drvs[pi];
-                    deliver_steered_round(drv, &steer, &frames);
-                    let t = Instant::now();
-                    let (n, acc) = match *path {
-                        "per_packet" => e12::drain_per_packet(drv, &mut soft),
-                        "plan" => e12::drain_plan(drv),
-                        _ => e12::drain_batched(drv, &mut batch),
-                    };
-                    let ns = t.elapsed().as_nanos() as f64 / n as f64;
-                    sink ^= acc;
-                    if round > 0 && ns < best[pi] {
-                        best[pi] = ns;
-                    }
-                }
-            }
-            std::hint::black_box(sink);
-            for (pi, path) in PATHS.iter().enumerate() {
-                let ns = best[pi];
-                rows.push(Row {
-                    model: model.name.clone(),
-                    path,
-                    mpps: 1e3 / ns,
-                    ns_per_pkt: ns,
-                });
+        let rows = e12::matrix(rounds, |drv, frames| {
+            deliver_steered_round(drv, &steer, frames)
+        });
+        let mut rec = Record::new(
+            "e16_vm_datapath",
+            "Mpps",
+            e12::ROUND,
+            rounds,
+            Parallel::Run,
+            rows,
+        );
+        let mpps = |m: &str, path: &str| format!("rows[model={m},path={path}].mpps");
+        // `poll()` (a one-slot batch) and the batched path, each vs the
+        // seed per-packet loop of the same run (self-normalized: machine
+        // speed divides out); then batched vs the frozen pre-VM number
+        // (absolute in disguise: the denominator is a constant).
+        for path in ["plan", "batched"] {
+            for (m, _) in E12_BATCHED_BASELINE {
+                let r = rec.ratio(&mpps(m, path), &mpps(m, "per_packet"));
+                rec.put(format!("{path}_vs_per_packet_{m}"), r);
             }
         }
-        rows
-    }
-
-    fn mpps(rows: &[Row], model: &str, path: &str) -> f64 {
-        rows.iter()
-            .find(|r| r.model == model && r.path == path)
-            .map(|r| r.mpps)
-            .unwrap_or(f64::NAN)
-    }
-
-    /// `poll()` (a one-slot batch) vs the seed per-packet accessor
-    /// loop, same run (self-normalized: machine speed divides out).
-    /// Recorded and banded, not floored — see the module docs.
-    pub fn plan_vs_per_packet(rows: &[Row], model: &str) -> f64 {
-        mpps(rows, model, "plan") / mpps(rows, model, "per_packet")
-    }
-
-    /// Batched bytecode path vs the seed per-packet accessor loop,
-    /// same rows of the same run: the self-normalized acceptance ratio.
-    pub fn batched_vs_per_packet(rows: &[Row], model: &str) -> f64 {
-        mpps(rows, model, "batched") / mpps(rows, model, "per_packet")
-    }
-
-    /// Batched bytecode path vs the committed pre-VM E12 batched number
-    /// (absolute in disguise: the denominator is a frozen constant).
-    pub fn batched_vs_e12(rows: &[Row], model: &str) -> f64 {
-        let base = E12_BATCHED_BASELINE
-            .iter()
-            .find(|(m, _)| *m == model)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN);
-        mpps(rows, model, "batched") / base
-    }
-
-    /// Worst (smallest) batched-vs-per-packet ratio across the matrix
-    /// — what the emitter's floor assertion checks.
-    pub fn worst_batched_vs_per_packet(rows: &[Row]) -> f64 {
-        E12_BATCHED_BASELINE
-            .iter()
-            .map(|(m, _)| batched_vs_per_packet(rows, m))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Worst (smallest) batched-vs-E12 ratio across the matrix.
-    pub fn worst_batched_ratio(rows: &[Row]) -> f64 {
-        E12_BATCHED_BASELINE
-            .iter()
-            .map(|(m, _)| batched_vs_e12(rows, m))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Hand-formatted JSON (no serde in the tree): the perf-trajectory
-    /// record `scripts/bench.sh` writes to `BENCH_e16.json`.
-    pub fn to_json(rows: &[Row]) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e16_vm_datapath\",\n");
-        s.push_str("  \"unit\": \"Mpps\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"model\": \"{}\", \"path\": \"{}\", \"mpps\": {:.4}, \"ns_per_pkt\": {:.1}}}{}\n",
-                r.model, r.path, r.mpps, r.ns_per_pkt, sep
-            ));
+        for (m, base) in E12_BATCHED_BASELINE {
+            let r = rec.metric(&mpps(m, "batched")).expect("matrix row") / base;
+            rec.put(format!("batched_vs_e12_batched_{m}"), r);
         }
-        s.push_str("  ],\n");
-        for (m, _) in E12_BATCHED_BASELINE {
-            s.push_str(&format!(
-                "  \"plan_vs_per_packet_{}\": {:.4},\n",
-                m,
-                plan_vs_per_packet(rows, m)
-            ));
-        }
-        for (m, _) in E12_BATCHED_BASELINE {
-            s.push_str(&format!(
-                "  \"batched_vs_per_packet_{}\": {:.4},\n",
-                m,
-                batched_vs_per_packet(rows, m)
-            ));
-        }
-        for (i, (m, _)) in E12_BATCHED_BASELINE.iter().enumerate() {
-            let sep = if i + 1 < E12_BATCHED_BASELINE.len() {
-                ","
-            } else {
-                ""
-            };
-            s.push_str(&format!(
-                "  \"batched_vs_e12_batched_{}\": {:.4}{}\n",
-                m,
-                batched_vs_e12(rows, m),
-                sep
-            ));
-        }
-        s.push_str("}\n");
-        s
+        rec
     }
 }
 
 /// E17 — the full-duplex engine: the doorbell-batched TX path head to
 /// head against the seed per-send driver, and RX→TX forward throughput
-/// across shard counts, shared by the quick-mode JSON emitter
-/// (`scripts/bench.sh` → `BENCH_e17.json`).
+/// across shard counts.
 ///
 /// Head-to-head: the same frames and the same offload request go out
 /// twice on e1000e — once through the seed `TxDriver::send` (per-send
@@ -1193,6 +1136,7 @@ pub mod e16 {
 /// measured rounds use the sequential harness so `busy_ns` stays honest
 /// on small hosts, scored by min-estimator over `max_busy_ns`.
 pub mod e17 {
+    use crate::{worker_cells, Cell, Parallel, Record};
     use opendesc_core::{
         compile_tx, CompiledTxPlan, EngineReport, ForwardFn, Intent, PlanCache, Selector,
         ShardedEngine, TxBatch, TxDriver, TxQueue, TxRequest, TxVerdict,
@@ -1203,24 +1147,16 @@ pub mod e17 {
     use std::sync::Arc;
     use std::time::Instant;
 
-    /// Queue counts of the forward-scaling series.
-    pub const QUEUE_COUNTS: [usize; 4] = [1, 2, 4, 8];
-    /// Frames per round, across all queues.
-    pub const ROUND: usize = 2048;
-    /// Per-worker batch capacity (RX poll budget and TX batch size).
-    pub const BATCH_CAP: usize = 32;
-    /// Per-queue ring; engine workers feed in `BATCH_CAP` chunks.
-    pub const RING: usize = 256;
+    /// The forward-scaling series runs E13's shape: queue counts,
+    /// frames per round, per-queue ring, and one batch capacity for the
+    /// RX poll budget and the TX batch.
+    pub use super::e13::{BATCH_CAP, QUEUE_COUNTS, RING, ROUND};
     /// Largest frame the TX arenas accept (the workload tops out well
     /// under this; small so 8 queues of pre-registered slots stay cheap).
     pub const MAX_FRAME: usize = 512;
     /// TX ring for the head-to-head, sized so a full round is in flight
     /// before the untimed device drain — no mid-measurement stalls.
     pub const TX_RING: usize = ROUND * 2;
-
-    /// Acceptance floors (also encoded in the gate's rule table).
-    pub const MIN_TX_RATIO: f64 = 2.0;
-    pub const MIN_SCALING: f64 = 2.0;
 
     /// RX side of the forward path: steer on the device RSS hash, know
     /// the length — the minimal forwarding contract.
@@ -1249,12 +1185,9 @@ pub mod e17 {
     /// untagged so every frame takes the same TX fixup path.
     pub fn workload() -> Workload {
         Workload {
-            flows: 128,
-            payload: (18, 256),
-            transport: opendesc_nicsim::Transport::Udp,
             vlan_fraction: 0.0,
             seed: 17,
-            ..Workload::default()
+            ..super::e13::workload()
         }
     }
 
@@ -1352,29 +1285,9 @@ pub mod e17 {
         ShardedPktGen::generate(workload(), eng.steerer(), ROUND).into_pools()
     }
 
-    /// One measured row of the forward-scaling matrix.
-    #[derive(Debug, Clone)]
-    pub struct Row {
-        pub model: String,
-        pub queues: usize,
-        /// Aggregate forward Mpps: forwarded packets over the busiest
-        /// worker's busy time (drain + verdict + batched submit).
-        pub mpps: f64,
-        pub total_pkts: u64,
-        pub max_busy_ns: u64,
-        pub sum_busy_ns: u64,
-        /// Per-worker forwarded-packet and busy-time columns plus the
-        /// p99/p50 busy-time imbalance ratio — skew stays visible in
-        /// every benchmark record, not just E18's.
-        pub per_queue_pkts: Vec<u64>,
-        pub per_queue_busy_ns: Vec<u64>,
-        pub busy_p99_p50: f64,
-    }
-
     /// Run the scaling matrix (see the module docs for the harness
-    /// discipline) and the TX head-to-head. Returns the rows plus the
-    /// seed/batched ns-per-frame ratio.
-    pub fn run_quick(rounds: usize) -> (Vec<Row>, f64) {
+    /// discipline) and the TX head-to-head.
+    pub fn measure(rounds: usize) -> Record {
         let mut rows = Vec::new();
         for model in model_matrix() {
             for &q in &QUEUE_COUNTS {
@@ -1388,89 +1301,51 @@ pub mod e17 {
                     model.name
                 );
                 assert_eq!(
+                    warm.total_forwarded() as usize,
+                    ROUND,
+                    "{} x{q}: the forward-everything verdict dropped packets",
+                    model.name
+                );
+                assert_eq!(
                     warm.total_wire_frames(),
                     warm.total_forwarded(),
                     "{} x{q}: forwarded frames must reach the wire",
                     model.name
                 );
-                let mut best: Option<EngineReport> = None;
-                for _ in 0..rounds.max(1) {
-                    let rep = eng.run_sequential(&pools);
-                    let better = match &best {
-                        None => true,
-                        Some(b) => rep.max_busy_ns() < b.max_busy_ns(),
-                    };
-                    if better {
-                        best = Some(rep);
-                    }
-                }
-                let rep = best.expect("at least one measured round");
-                let per_queue_pkts: Vec<u64> = rep.rx.iter().map(|w| w.packets).collect();
-                let per_queue_busy_ns: Vec<u64> = rep.rx.iter().map(|w| w.busy_ns).collect();
-                let busy_p99_p50 = opendesc_core::imbalance_p99_p50(&per_queue_busy_ns);
-                rows.push(Row {
-                    model: model.name.clone(),
-                    queues: q,
-                    mpps: rep.aggregate_forward_mpps(),
-                    total_pkts: rep.total_forwarded(),
-                    max_busy_ns: rep.max_busy_ns(),
-                    sum_busy_ns: rep.sum_busy_ns(),
-                    per_queue_pkts,
-                    per_queue_busy_ns,
-                    busy_p99_p50,
-                });
+                let rep = (0..rounds.max(1))
+                    .map(|_| eng.run_sequential(&pools))
+                    .min_by_key(EngineReport::max_busy_ns)
+                    .expect("at least one measured round");
+                let mut row = vec![
+                    ("model", Cell::id(&model.name)),
+                    ("queues", Cell::IdNum(q as f64)),
+                ];
+                // Forwarded packets over the busiest worker's busy time
+                // (drain + verdict + batched submit).
+                row.extend(worker_cells(
+                    rep.aggregate_forward_mpps(),
+                    rep.total_forwarded(),
+                    &rep.rx,
+                ));
+                rows.push(row);
             }
         }
         let (seed_ns, batched_ns) = tx_head_to_head(rounds);
-        (rows, seed_ns / batched_ns)
-    }
-
-    /// Aggregate-forward-throughput ratio between two queue counts.
-    pub fn scaling(rows: &[Row], model: &str, hi: usize, lo: usize) -> f64 {
-        let find = |q: usize| {
-            rows.iter()
-                .find(|r| r.model == model && r.queues == q)
-                .map(|r| r.mpps)
-                .unwrap_or(f64::NAN)
-        };
-        find(hi) / find(lo)
-    }
-
-    /// Hand-formatted JSON (no serde in the tree): the perf-trajectory
-    /// record `scripts/bench.sh` writes to `BENCH_e17.json`.
-    pub fn to_json(rows: &[Row], tx_ratio: f64) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e17_full_duplex\",\n");
-        s.push_str("  \"unit\": \"Mpps aggregate forward\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"model\": \"{}\", \"queues\": {}, \"mpps\": {:.4}, \"total_pkts\": {}, \"max_busy_ns\": {}, \"sum_busy_ns\": {}, \"busy_p99_p50\": {:.3}, \"per_queue_pkts\": {}, \"per_queue_busy_ns\": {}}}{}\n",
-                r.model,
-                r.queues,
-                r.mpps,
-                r.total_pkts,
-                r.max_busy_ns,
-                r.sum_busy_ns,
-                r.busy_p99_p50,
-                crate::json_u64s(&r.per_queue_pkts),
-                crate::json_u64s(&r.per_queue_busy_ns),
-                sep
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"tx_batched_vs_seed_e1000e\": {:.4},\n",
-            tx_ratio
-        ));
-        s.push_str(&format!(
-            "  \"forward_scaling_4q_e1000e\": {:.2}\n",
-            scaling(rows, "e1000e", 4, 1)
-        ));
-        s.push_str("}\n");
-        s
+        let mut rec = Record::new(
+            "e17_full_duplex",
+            "Mpps aggregate forward",
+            ROUND,
+            rounds,
+            Parallel::Modelled,
+            rows,
+        );
+        let scaling = rec.ratio(
+            "rows[model=e1000e,queues=4].mpps",
+            "rows[model=e1000e,queues=1].mpps",
+        );
+        rec.put("tx_batched_vs_seed_e1000e", seed_ns / batched_ns);
+        rec.put("forward_scaling_4q_e1000e", scaling);
+        rec
     }
 }
 
@@ -1495,9 +1370,10 @@ pub mod e17 {
 /// ratios (adaptive over static, measured in one run so machine speed
 /// divides out) hold only with the two combined.
 pub mod e18 {
-    use opendesc_core::{AdaptiveConfig, AdaptiveOutcome, PlanCache, ShardedRx};
-    use opendesc_ir::SemanticRegistry;
-    use opendesc_nicsim::{models, NicModel, SteerPolicy, Workload};
+    use super::e13;
+    use crate::{worker_cells, Cell, Parallel, Record};
+    use opendesc_core::{AdaptiveConfig, AdaptiveOutcome};
+    use opendesc_nicsim::{models, NicModel, Workload};
 
     /// Queue counts of the skew matrix — the scale regime where a
     /// single hot queue strands the most capacity.
@@ -1508,10 +1384,6 @@ pub mod e18 {
     pub const TOTAL: usize = 16_384;
     /// Frames per control interval — the rebalance decision cadence.
     pub const INTERVAL: usize = 2_048;
-    /// Per-worker batch capacity; also the steal-chunk granularity.
-    pub const BATCH_CAP: usize = 32;
-    /// Per-queue completion ring.
-    pub const RING: usize = 256;
     /// Flow population (512 flows over 128 RETA buckets keeps every
     /// bucket populated at 64 queues).
     pub const FLOWS: u32 = 512;
@@ -1519,16 +1391,8 @@ pub mod e18 {
     /// the RETA cannot split, only stealing can.
     pub const ELEPHANTS: u32 = 2;
 
-    /// Acceptance floors (also encoded in the gate's rule table): the
-    /// adaptive arm must deliver ≥1.2x the static aggregate Mpps at
-    /// α = 1.3, materially flatten per-queue occupancy, and cost ≤20%
-    /// under uniform traffic where there is nothing to fix.
-    pub const MIN_ADAPTIVE_GAIN: f64 = 1.2;
-    pub const MIN_IMBALANCE_IMPROVEMENT: f64 = 1.3;
-    pub const MIN_UNIFORM_RATIO: f64 = 0.8;
-
     /// The matrix runs on e1000e only: fixed-function RX means the
-    /// eight-field E13 intent is shim-heavy, so busy time is dominated
+    /// eight-field E12 intent is shim-heavy, so busy time is dominated
     /// by honest per-packet work rather than poll overhead.
     pub fn model() -> NicModel {
         models::e1000e()
@@ -1546,56 +1410,6 @@ pub mod e18 {
         wl
     }
 
-    /// Build a `queues`-wide engine (RSS steering, E13's intent).
-    pub fn engine(model: &NicModel, queues: usize) -> ShardedRx {
-        let cache = PlanCache::default();
-        let mut reg = SemanticRegistry::with_builtins();
-        let i = super::e13::intent(&mut reg);
-        ShardedRx::new_uniform(
-            &cache,
-            model,
-            &i,
-            &mut reg,
-            queues,
-            RING,
-            SteerPolicy::Rss,
-            BATCH_CAP,
-        )
-        .expect("e18 engine builds")
-    }
-
-    /// One measured cell of the skew matrix.
-    #[derive(Debug, Clone)]
-    pub struct Row {
-        pub model: String,
-        /// Row identity for the gate's flattener: `<mode>_<dist>`
-        /// (e.g. `adaptive_zipf1.3`), in the `path` column it already
-        /// keys row names on.
-        pub path: String,
-        pub queues: usize,
-        /// Zipf exponent; 0 encodes the uniform control row.
-        pub alpha: f64,
-        pub adaptive: bool,
-        /// Aggregate Mpps: total packets over the busiest worker's
-        /// busy time — the figure skew destroys.
-        pub mpps: f64,
-        pub total_pkts: u64,
-        pub max_busy_ns: u64,
-        pub sum_busy_ns: u64,
-        pub per_queue_pkts: Vec<u64>,
-        pub per_queue_busy_ns: Vec<u64>,
-        /// p99/p50 across per-queue drained packets (occupancy skew).
-        pub occ_p99_p50: f64,
-        /// p99/p50 across per-queue busy time.
-        pub busy_p99_p50: f64,
-        /// RETA rewrites the rebalancer issued (0 in the static arm).
-        pub migrations: u64,
-        /// Moves deferred by drain-before-remap quiescence.
-        pub deferred: u64,
-        /// Whole drain-chunks stolen across queues.
-        pub stolen_chunks: u64,
-    }
-
     fn dist_label(alpha: Option<f64>) -> String {
         match alpha {
             Some(a) => format!("zipf{a}"),
@@ -1609,11 +1423,13 @@ pub mod e18 {
     /// attempts (min-estimator over `max_busy_ns`), with one warm
     /// attempt discarded. The RETA resets to `i % queues` before every
     /// attempt so convergence is always paid in-measurement.
-    pub fn run_quick(rounds: usize) -> Vec<Row> {
+    pub fn measure(rounds: usize) -> Record {
         let model = model();
         let mut rows = Vec::new();
         for &q in &QUEUE_COUNTS {
-            let mut eng = engine(&model, q);
+            // E13's engine: same intent, ring and batch capacity — the
+            // batch capacity is also the steal-chunk granularity.
+            let mut eng = e13::engine(&model, q);
             let dists: Vec<Option<f64>> = std::iter::once(None)
                 .chain(ALPHAS.iter().map(|&a| Some(a)))
                 .collect();
@@ -1631,7 +1447,7 @@ pub mod e18 {
                     let mut best: Option<AdaptiveOutcome> = None;
                     for round in 0..=rounds.max(1) {
                         eng.steerer_mut().reset_reta();
-                        let out = eng.run_adaptive(&wl, TOTAL, &cfg);
+                        let out = eng.run_adaptive(&wl, TOTAL, &cfg, &mut |_, _, _| {});
                         assert_eq!(
                             out.report.total_packets() as usize,
                             TOTAL,
@@ -1648,114 +1464,69 @@ pub mod e18 {
                     }
                     let out = best.expect("at least one measured round");
                     let rep = &out.report;
-                    let per_queue_pkts: Vec<u64> =
-                        rep.per_worker.iter().map(|w| w.packets).collect();
-                    let per_queue_busy_ns: Vec<u64> =
-                        rep.per_worker.iter().map(|w| w.busy_ns).collect();
                     let mode = if adaptive { "adaptive" } else { "static" };
-                    rows.push(Row {
-                        model: model.name.clone(),
-                        path: format!("{mode}_{}", dist_label(alpha)),
-                        queues: q,
-                        alpha: alpha.unwrap_or(0.0),
-                        adaptive,
-                        mpps: rep.aggregate_mpps(),
-                        total_pkts: rep.total_packets(),
-                        max_busy_ns: rep.max_busy_ns(),
-                        sum_busy_ns: rep.sum_busy_ns(),
-                        occ_p99_p50: out.occupancy_imbalance(),
-                        busy_p99_p50: out.busy_imbalance(),
-                        per_queue_pkts,
-                        per_queue_busy_ns,
-                        migrations: out.rebalance.map(|r| r.migrations).unwrap_or(0),
-                        deferred: out.rebalance.map(|r| r.deferred).unwrap_or(0),
-                        stolen_chunks: out.stolen_chunks,
-                    });
+                    let mut row = vec![
+                        ("model", Cell::id(&model.name)),
+                        // `<mode>_<dist>`, e.g. `adaptive_zipf1.3`.
+                        ("path", Cell::Id(format!("{mode}_{}", dist_label(alpha)))),
+                        ("queues", Cell::IdNum(q as f64)),
+                        // Zipf exponent; 0 encodes the uniform control row.
+                        ("alpha", Cell::Val(alpha.unwrap_or(0.0))),
+                    ];
+                    // Total packets over the busiest worker's busy time
+                    // — the figure skew destroys.
+                    row.extend(worker_cells(
+                        rep.aggregate_mpps(),
+                        rep.total_packets(),
+                        &rep.per_worker,
+                    ));
+                    let reb = out.rebalance.unwrap_or_default();
+                    row.extend([
+                        // p99/p50 across per-queue drained packets.
+                        ("occ_p99_p50", Cell::Val(out.occupancy_imbalance())),
+                        // RETA rewrites issued (0 in the static arm), and
+                        // moves deferred by drain-before-remap quiescence.
+                        ("migrations", Cell::Count(reb.migrations)),
+                        ("deferred", Cell::Count(reb.deferred)),
+                        // Whole drain-chunks stolen across queues.
+                        ("stolen_chunks", Cell::Count(out.stolen_chunks)),
+                    ]);
+                    rows.push(row);
                 }
             }
         }
-        rows
-    }
-
-    fn find(rows: &[Row], queues: usize, alpha: f64, adaptive: bool) -> Option<&Row> {
-        rows.iter().find(|r| {
-            r.queues == queues && (r.alpha - alpha).abs() < 1e-9 && r.adaptive == adaptive
-        })
-    }
-
-    /// Adaptive over static aggregate Mpps for one cell — both arms of
-    /// one run, so machine speed divides out (gates under
-    /// `--relative-only`).
-    pub fn mpps_gain(rows: &[Row], queues: usize, alpha: f64) -> f64 {
-        let s = find(rows, queues, alpha, false)
-            .map(|r| r.mpps)
-            .unwrap_or(f64::NAN);
-        let a = find(rows, queues, alpha, true)
-            .map(|r| r.mpps)
-            .unwrap_or(f64::NAN);
-        a / s
-    }
-
-    /// Static over adaptive p99/p50 occupancy — how much flatter the
-    /// adaptive arm leaves the per-queue packet distribution (>1 means
-    /// the skew shrank).
-    pub fn imbalance_improvement(rows: &[Row], queues: usize, alpha: f64) -> f64 {
-        let s = find(rows, queues, alpha, false)
-            .map(|r| r.occ_p99_p50)
-            .unwrap_or(f64::NAN);
-        let a = find(rows, queues, alpha, true)
-            .map(|r| r.occ_p99_p50)
-            .unwrap_or(f64::NAN);
-        s / a.max(1.0)
-    }
-
-    /// Hand-formatted JSON (no serde in the tree): the perf-trajectory
-    /// record `scripts/bench.sh` writes to `BENCH_e18.json`.
-    pub fn to_json(rows: &[Row]) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e18_adaptive_steering\",\n");
-        s.push_str("  \"unit\": \"Mpps aggregate\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"model\": \"{}\", \"path\": \"{}\", \"queues\": {}, \"alpha\": {:.1}, \"mpps\": {:.4}, \"total_pkts\": {}, \"max_busy_ns\": {}, \"sum_busy_ns\": {}, \"occ_p99_p50\": {:.3}, \"busy_p99_p50\": {:.3}, \"migrations\": {}, \"deferred\": {}, \"stolen_chunks\": {}, \"per_queue_pkts\": {}, \"per_queue_busy_ns\": {}}}{}\n",
-                r.model,
-                r.path,
-                r.queues,
-                r.alpha,
-                r.mpps,
-                r.total_pkts,
-                r.max_busy_ns,
-                r.sum_busy_ns,
-                r.occ_p99_p50,
-                r.busy_p99_p50,
-                r.migrations,
-                r.deferred,
-                r.stolen_chunks,
-                crate::json_u64s(&r.per_queue_pkts),
-                crate::json_u64s(&r.per_queue_busy_ns),
-                sep
-            ));
-        }
-        s.push_str("  ],\n");
+        let mut rec = Record::new(
+            "e18_adaptive_steering",
+            "Mpps aggregate",
+            TOTAL,
+            rounds,
+            Parallel::Modelled,
+            rows,
+        );
+        // Adaptive over static, both arms of one run, so machine speed
+        // divides out. Mpps gain, and how much flatter the adaptive arm
+        // leaves the per-queue packet distribution (static p99/p50 over
+        // adaptive, >1 means the skew shrank).
+        let get = |rec: &Record, arm: &str, dist: &str, q: usize, col: &str| {
+            rec.metric(&format!(
+                "rows[model=e1000e,path={arm}_{dist},queues={q}].{col}"
+            ))
+            .expect("matrix row")
+        };
         for &q in &QUEUE_COUNTS {
-            s.push_str(&format!(
-                "  \"adaptive_vs_static_mpps_alpha13_q{q}_e1000e\": {:.4},\n",
-                mpps_gain(rows, q, 1.3)
-            ));
-            s.push_str(&format!(
-                "  \"imbalance_improvement_alpha13_q{q}_e1000e\": {:.4},\n",
-                imbalance_improvement(rows, q, 1.3)
-            ));
+            let cell = |arm: &str, col: &str| get(&rec, arm, "zipf1.3", q, col);
+            let gain = cell("adaptive", "mpps") / cell("static", "mpps");
+            let flatter = cell("static", "occ_p99_p50") / cell("adaptive", "occ_p99_p50").max(1.0);
+            rec.put(format!("adaptive_vs_static_mpps_alpha13_q{q}_e1000e"), gain);
+            rec.put(
+                format!("imbalance_improvement_alpha13_q{q}_e1000e"),
+                flatter,
+            );
         }
-        s.push_str(&format!(
-            "  \"adaptive_vs_static_mpps_uniform_q16_e1000e\": {:.4}\n",
-            mpps_gain(rows, 16, 0.0)
-        ));
-        s.push_str("}\n");
-        s
+        let uniform = |arm: &str| get(&rec, arm, "uniform", 16, "mpps");
+        let gain = uniform("adaptive") / uniform("static");
+        rec.put("adaptive_vs_static_mpps_uniform_q16_e1000e", gain);
+        rec
     }
 }
 
@@ -1775,17 +1546,16 @@ pub mod e19 {
     //! phase retains every generated frame, and post-relayout
     //! throughput holds ≥95% of pre — a queue that comes back slower
     //! after evolving its contract has leaked state across the flip.
+    use super::e12;
+    use super::e13::{self, BATCH_CAP, RING};
+    use crate::{Cell, Parallel, Record};
     use opendesc_core::{EvolveConfig, Intent, PlanCache, RelayoutRequest, ShardedRx};
     use opendesc_ir::{names, SemanticRegistry};
     use opendesc_nicsim::pktgen::ShardedPktGen;
     use opendesc_nicsim::{SteerPolicy, Workload};
 
-    /// Queues per engine.
+    /// Queues per engine (E13's ring and batch capacity).
     pub const QUEUES: usize = 4;
-    /// Per-queue completion ring.
-    pub const RING: usize = 256;
-    /// Per-worker batch capacity.
-    pub const BATCH_CAP: usize = 32;
     /// Frames per measurement phase (pre / migrate / post each).
     pub const TOTAL: usize = 8_192;
     /// Frames per control interval in the migration phase.
@@ -1794,10 +1564,6 @@ pub mod e19 {
     /// engine ends back on the starting intent and pre/post measure
     /// the same artifact.
     pub const MIGRATIONS: usize = 4;
-
-    /// Acceptance floors (also encoded in the gate's rule table).
-    pub const MIN_POST_PRE: f64 = 0.95;
-    pub const MAX_FLIP_POLLS: u64 = opendesc_core::FLIP_POLL_BUDGET as u64;
 
     /// The lean alternate layout the engine migrates onto and back off
     /// of — a strict subset of E13's eight fields, so the negotiated
@@ -1812,31 +1578,9 @@ pub mod e19 {
 
     /// E13's traffic shape, reseeded.
     pub fn workload() -> Workload {
-        let mut wl = super::e13::workload();
+        let mut wl = e13::workload();
         wl.seed = 19;
         wl
-    }
-
-    /// One model's measured cell.
-    #[derive(Debug, Clone)]
-    pub struct Row {
-        pub model: String,
-        /// Row identity for the gate's flattener.
-        pub path: String,
-        pub queues: usize,
-        /// Steady-state aggregate Mpps before any relayout.
-        pub pre_mpps: f64,
-        /// Aggregate Mpps of the migration phase itself (flips inline).
-        pub migrate_mpps: f64,
-        /// Steady-state aggregate Mpps after the engine flipped back.
-        pub post_mpps: f64,
-        /// Flips committed across the migration phase.
-        pub flips: u64,
-        /// Worst drain-and-flip latency observed, in polls.
-        pub max_flip_polls: u64,
-        /// Frames delivered / generated in the migration phase.
-        pub delivered: u64,
-        pub generated: u64,
     }
 
     /// Paired steady-state measurement: each round runs the
@@ -1885,45 +1629,41 @@ pub mod e19 {
         pairs[pairs.len() / 2]
     }
 
-    /// Run the migrate → paired pre/post sequence on every E13 model.
-    /// The migration phase asserts its invariants on every attempt and
-    /// keeps the best-throughput one, with the flip-poll maximum taken
-    /// across all attempts (the conservative read); the steady phases
-    /// are then measured back-to-back on a control engine (pre) and
-    /// the evolved engine (post), best paired ratio of `rounds`.
-    pub fn run_quick(rounds: usize) -> Vec<Row> {
+    /// Run the migrate → paired pre/post sequence on every E12 model.
+    /// The migration phase asserts its invariants on every attempt —
+    /// no flip parked, every queue commits every migration, every
+    /// generated frame delivered (a relayout that loses packets is not
+    /// live evolution, it is a restart) — and keeps the
+    /// best-throughput one, with the flip-poll maximum taken across all
+    /// attempts (the conservative read); the steady phases are then
+    /// measured back-to-back on a control engine (pre) and the evolved
+    /// engine (post), median paired ratio of `rounds`.
+    pub fn measure(rounds: usize) -> Record {
         let wl = workload();
         let mut rows = Vec::new();
-        for model in super::e13::model_matrix() {
+        let mut summary = Vec::new();
+        for model in e12::model_matrix() {
             let cache = PlanCache::default();
             let mut reg = SemanticRegistry::with_builtins();
-            let full = super::e13::intent(&mut reg);
+            let full = e12::intent(&mut reg);
             let lean = alt_intent(&mut reg);
-            let mut eng = ShardedRx::new_uniform(
-                &cache,
-                &model,
-                &full,
-                &mut reg,
-                QUEUES,
-                RING,
-                SteerPolicy::Rss,
-                BATCH_CAP,
-            )
-            .expect("e19 engine builds on every E13 model");
-            // The never-relayouted control: same cache, same compiled
-            // plan, same steering — the "pre" side of the paired
-            // steady measurement.
-            let mut control = ShardedRx::new_uniform(
-                &cache,
-                &model,
-                &full,
-                &mut reg,
-                QUEUES,
-                RING,
-                SteerPolicy::Rss,
-                BATCH_CAP,
-            )
-            .expect("e19 control engine builds on every E13 model");
+            // The evolving engine, and the never-relayouted control:
+            // same cache, same compiled plan, same steering — the "pre"
+            // side of the paired steady measurement.
+            let mut build = || {
+                ShardedRx::new_uniform(
+                    &cache,
+                    &model,
+                    &full,
+                    &mut reg,
+                    QUEUES,
+                    RING,
+                    SteerPolicy::Rss,
+                    BATCH_CAP,
+                )
+                .expect("e19 engine builds on every E12 model")
+            };
+            let (mut eng, mut control) = (build(), build());
 
             // Four scheduled migrations: full -> lean -> full -> lean
             // -> full, each landing at an odd interval boundary under a
@@ -1942,10 +1682,9 @@ pub mod e19 {
                 })
                 .collect();
             let cfg = EvolveConfig::new(INTERVAL, schedule);
-            let mut best: Option<(f64, u64, u64)> = None;
-            let mut max_polls = 0u64;
+            let (mut migrate_mpps, mut max_polls) = (0.0f64, 0u64);
             for round in 0..=rounds.max(1) {
-                let out = eng.run_evolving(&wl, TOTAL, &cfg);
+                let out = eng.run_evolving(&wl, TOTAL, &cfg, &mut |_, _, _| {});
                 assert_eq!(out.unresolved, 0, "{}: relayout parked mid-run", model.name);
                 assert_eq!(
                     out.flips.len(),
@@ -1960,101 +1699,58 @@ pub mod e19 {
                     model.name
                 );
                 max_polls = max_polls.max(out.max_flip_polls() as u64);
-                let mpps = out.report.aggregate_mpps();
-                let better = best.as_ref().is_none_or(|(m, _, _)| mpps > *m);
-                if round > 0 && better {
-                    best = Some((mpps, out.flips.len() as u64, out.report.total_packets()));
+                if round > 0 {
+                    migrate_mpps = migrate_mpps.max(out.report.aggregate_mpps());
                 }
             }
-            let (migrate_mpps, flips, delivered) = best.expect("at least one measured round");
+            // What every attempt above was asserted to commit and deliver.
+            let (flips, delivered) = ((QUEUES * MIGRATIONS) as u64, TOTAL as u64);
 
             let (pre_mpps, post_mpps) = paired_steady_mpps(&mut control, &mut eng, &wl, rounds);
             cache.evict_superseded();
 
-            rows.push(Row {
-                model: model.name.clone(),
-                path: "live_evolution".into(),
-                queues: QUEUES,
-                pre_mpps,
-                migrate_mpps,
-                post_mpps,
-                flips,
-                max_flip_polls: max_polls,
-                delivered,
-                generated: TOTAL as u64,
-            });
+            let name = &model.name;
+            rows.push(vec![
+                ("model", Cell::id(name)),
+                ("path", Cell::id("live_evolution")),
+                ("queues", Cell::IdNum(QUEUES as f64)),
+                // Steady-state aggregate Mpps before any relayout, of
+                // the migration phase itself (flips inline), and after
+                // the engine flipped back.
+                ("pre_mpps", Cell::Val(pre_mpps)),
+                ("migrate_mpps", Cell::Val(migrate_mpps)),
+                ("post_mpps", Cell::Val(post_mpps)),
+                ("flips", Cell::Count(flips)),
+                // Worst drain-and-flip latency observed, in polls.
+                ("max_flip_polls", Cell::Count(max_polls)),
+                // Frames delivered / generated in the migration phase.
+                ("delivered", Cell::Count(delivered)),
+                ("generated", Cell::Count(TOTAL as u64)),
+            ]);
+            // Post over pre: both sides of one paired run, so machine
+            // speed divides out.
+            summary.extend([
+                (
+                    format!("post_vs_pre_relayout_throughput_{name}"),
+                    post_mpps / pre_mpps,
+                ),
+                (format!("relayout_polls_max_{name}"), max_polls as f64),
+                (
+                    format!("relayout_retention_{name}"),
+                    delivered as f64 / TOTAL as f64,
+                ),
+            ]);
         }
-        rows
-    }
-
-    fn find<'a>(rows: &'a [Row], model: &str) -> Option<&'a Row> {
-        rows.iter().find(|r| r.model == model)
-    }
-
-    /// Post-relayout over pre-relayout steady-state Mpps — both phases
-    /// of one run on one engine, so machine speed divides out (gates
-    /// under `--relative-only`).
-    pub fn post_vs_pre(rows: &[Row], model: &str) -> f64 {
-        find(rows, model)
-            .map(|r| r.post_mpps / r.pre_mpps)
-            .unwrap_or(f64::NAN)
-    }
-
-    /// Migration-phase retention: delivered over generated frames.
-    pub fn retention(rows: &[Row], model: &str) -> f64 {
-        find(rows, model)
-            .map(|r| r.delivered as f64 / r.generated as f64)
-            .unwrap_or(f64::NAN)
-    }
-
-    /// Hand-formatted JSON (no serde in the tree): the perf-trajectory
-    /// record `scripts/bench.sh` writes to `BENCH_e19.json`.
-    pub fn to_json(rows: &[Row]) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e19_live_evolution\",\n");
-        s.push_str("  \"unit\": \"Mpps aggregate\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"model\": \"{}\", \"path\": \"{}\", \"queues\": {}, \"pre_mpps\": {:.4}, \"migrate_mpps\": {:.4}, \"post_mpps\": {:.4}, \"flips\": {}, \"max_flip_polls\": {}, \"delivered\": {}, \"generated\": {}}}{}\n",
-                r.model,
-                r.path,
-                r.queues,
-                r.pre_mpps,
-                r.migrate_mpps,
-                r.post_mpps,
-                r.flips,
-                r.max_flip_polls,
-                r.delivered,
-                r.generated,
-                sep
-            ));
-        }
-        s.push_str("  ],\n");
-        for r in rows {
-            s.push_str(&format!(
-                "  \"post_vs_pre_relayout_throughput_{}\": {:.4},\n",
-                r.model,
-                post_vs_pre(rows, &r.model)
-            ));
-            s.push_str(&format!(
-                "  \"relayout_polls_max_{}\": {},\n",
-                r.model, r.max_flip_polls
-            ));
-        }
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "  \"relayout_retention_{}\": {:.4}{}\n",
-                r.model,
-                retention(rows, &r.model),
-                sep
-            ));
-        }
-        s.push_str("}\n");
-        s
+        let mut rec = Record::new(
+            "e19_live_evolution",
+            "Mpps aggregate",
+            TOTAL,
+            rounds,
+            Parallel::Modelled,
+            rows,
+        );
+        rec.summary = summary;
+        rec
     }
 }
 
@@ -2072,486 +1768,515 @@ pub mod e20 {
     //! deterministic in the seed, and the gate holds
     //! `conformance_clean` at 1.0 and `layouts_negotiated` at ≥ 200 —
     //! the issue's acceptance criteria.
-    pub use opendesc_core::conformance::{run, Report};
+    use crate::{Parallel, Record};
+    use opendesc_core::conformance::run;
 
     /// Default fuzzing shape: 64 NICs × 4 intents = 256 negotiated
     /// triples, comfortably above the 200-layout acceptance floor.
     pub const NICS: u64 = 64;
     pub const INTENTS_PER_NIC: u64 = 4;
-    /// Acceptance floor on negotiated layouts (also in the gate table).
-    pub const MIN_LAYOUTS: f64 = 200.0;
+    /// The seed of the committed record.
+    pub const SEED: u64 = 20;
 
-    /// The bench-record run: fixed shape, caller-chosen seed.
-    pub fn run_quick(seed: u64) -> Report {
-        run(seed, NICS, INTENTS_PER_NIC)
+    /// The fixed-shape, fixed-seed run (`rounds` has nothing to repeat:
+    /// every number is a deterministic count).
+    pub fn measure(_rounds: usize) -> Record {
+        let r = run(SEED, NICS, INTENTS_PER_NIC);
+        for d in &r.divergences {
+            eprintln!(
+                "divergence: nic {} mask {:#010b}: {}",
+                d.nic_idx, d.intent_mask, d.detail
+            );
+        }
+        assert!(
+            r.ebpf_refused > 0,
+            "the adversarial sweep must produce verifier refusals"
+        );
+        // 1.0 when every cross-path check agreed (SoftNIC reference ==
+        // tree oracle == bytecode VM == eBPF windows, TX deparse bytes
+        // == TxWriter) and every manifest round-tripped byte-stably;
+        // 0.0 otherwise. Deterministic, so the gate holds it at 1.0.
+        let clean = r.divergences.is_empty() && r.manifests_roundtripped == r.layouts_negotiated;
+        let mut rec = Record::new(
+            "e20_conformance",
+            "negotiated layouts (deterministic counts)",
+            0,
+            1,
+            Parallel::Run,
+            Vec::new(),
+        );
+        rec.summary = [
+            ("seed", r.seed),
+            ("nics", r.nics),
+            ("layouts_negotiated", r.layouts_negotiated),
+            ("manifests_roundtripped", r.manifests_roundtripped),
+            ("ebpf_refused", r.ebpf_refused),
+            ("tx_checked", r.tx_checked),
+            ("divergences", r.divergences.len() as u64),
+            ("conformance_clean", clean as u64),
+        ]
+        .map(|(k, v)| (k.to_string(), v as f64))
+        .to_vec();
+        rec
     }
+}
 
-    /// 1.0 when every cross-path check agreed and every manifest
-    /// round-tripped; 0.0 otherwise. Deterministic, so the gate can
-    /// hold it at exactly 1.0.
-    pub fn clean_metric(r: &Report) -> f64 {
-        if r.divergences.is_empty() && r.manifests_roundtripped == r.layouts_negotiated {
-            1.0
-        } else {
-            0.0
+/// Which way a metric is allowed to move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    HigherBetter,
+    LowerBetter,
+}
+
+/// The only statement of a metric's band and floor: `bench run` asserts
+/// the floors before it writes a record, `bench gate` applies band and
+/// floor against a baseline. Counts, byte sizes and `_ns` timings have
+/// no `Gate` and are informational.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// A metric name as [`flatten`] spells it; one `*` matches any run
+    /// of characters (`*mpps`, `batched_vs_per_packet_*`).
+    pub metric: &'static str,
+    pub direction: Direction,
+    /// Allowed relative regression against the baseline (0.10 = 10%).
+    pub tolerance: f64,
+    /// Hard acceptance floor on the *current* value, independent of how
+    /// the baseline moved: the band says "no worse than last time", the
+    /// floor restates an acceptance criterion ("batched never loses to
+    /// per-packet"). A budget when the direction is `LowerBetter`.
+    pub floor: Option<f64>,
+    /// An **absolute** wall-clock measurement — an Mpps row, or a ratio
+    /// whose denominator is a constant measured on another machine
+    /// state — as opposed to a self-normalized one (two measurements of
+    /// one run, which divide machine speed out). Absolute throughput
+    /// swings ±40% between identical back-to-back runs on shared
+    /// hosts, wider than any honest band, so these rows are always
+    /// reported and never gated; absolute cost is `benchmark/`'s job.
+    pub absolute: bool,
+}
+
+impl Gate {
+    pub const fn higher(metric: &'static str, tolerance: f64) -> Gate {
+        Gate {
+            metric,
+            direction: Direction::HigherBetter,
+            tolerance,
+            floor: None,
+            absolute: false,
         }
     }
 
-    /// Hand-formatted JSON (no serde in the tree): the record
-    /// `scripts/bench.sh` writes to `BENCH_e20.json`.
-    pub fn to_json(r: &Report) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e20_conformance\",\n");
-        s.push_str("  \"unit\": \"negotiated layouts (deterministic counts)\",\n");
-        s.push_str(&format!("  \"seed\": {},\n", r.seed));
-        s.push_str(&format!("  \"nics\": {},\n", r.nics));
-        s.push_str(&format!(
-            "  \"layouts_negotiated\": {},\n",
-            r.layouts_negotiated
-        ));
-        s.push_str(&format!(
-            "  \"manifests_roundtripped\": {},\n",
-            r.manifests_roundtripped
-        ));
-        s.push_str(&format!("  \"ebpf_refused\": {},\n", r.ebpf_refused));
-        s.push_str(&format!("  \"tx_checked\": {},\n", r.tx_checked));
-        s.push_str(&format!("  \"divergences\": {},\n", r.divergences.len()));
-        s.push_str(&format!(
-            "  \"conformance_clean\": {:.1}\n",
-            clean_metric(r)
-        ));
-        s.push_str("}\n");
-        s
+    pub const fn lower(metric: &'static str, tolerance: f64) -> Gate {
+        Gate {
+            direction: Direction::LowerBetter,
+            ..Gate::higher(metric, tolerance)
+        }
     }
 
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn quick_run_meets_the_acceptance_floors() {
-            let r = run(7, 8, 4);
-            assert_eq!(r.layouts_negotiated, 32);
-            assert_eq!(clean_metric(&r), 1.0);
-            assert!(r.ebpf_refused > 0);
+    pub const fn floor(self, floor: f64) -> Gate {
+        Gate {
+            floor: Some(floor),
+            ..self
         }
+    }
 
-        #[test]
-        fn json_record_is_parseable_and_gated() {
-            let r = run(7, 4, 2);
-            let doc = opendesc_telemetry::parse_json(&to_json(&r)).expect("valid JSON");
-            let flat = crate::gate::flatten(&doc);
-            let clean = flat
-                .iter()
-                .find(|(k, _)| k == "conformance_clean")
-                .expect("clean metric present");
-            assert_eq!(clean.1, 1.0);
-            assert!(
-                crate::gate::rule_for("conformance_clean").is_some(),
-                "clean metric must be gated"
-            );
-            assert!(
-                crate::gate::rule_for("layouts_negotiated").is_some(),
-                "negotiated count must be gated"
-            );
+    pub const fn absolute(self) -> Gate {
+        Gate {
+            absolute: true,
+            ..self
+        }
+    }
+
+    pub fn matches(&self, name: &str) -> bool {
+        match self.metric.split_once('*') {
+            None => self.metric == name,
+            Some((head, tail)) => {
+                name.len() >= head.len() + tail.len()
+                    && name.starts_with(head)
+                    && name.ends_with(tail)
+            }
         }
     }
 }
 
-/// The CI perf-regression gate: read a current `BENCH_*.json` record and
-/// its committed baseline, extract the gated metrics, apply per-metric
-/// tolerance bands, and render the comparison as a markdown table for
-/// the job summary. `bench_gate` (the bin) exits nonzero when any gated
-/// metric regresses past its band.
-pub mod gate {
-    use opendesc_telemetry::Json;
+/// One row of the experiment table.
+pub struct Experiment {
+    /// Short name: the CLI argument and the `BENCH_<name>.json` stem.
+    pub name: &'static str,
+    pub title: &'static str,
+    /// Measurements `bench run` may take before a missed floor is
+    /// final. A single attempt can be poisoned for its whole lifetime
+    /// by scheduler luck, bad physical-page luck for the instrument
+    /// arrays, or the allocation-layout lottery a fresh engine build
+    /// draws (observed as a run-wide ~5% skew that no within-run
+    /// estimator can cancel); a real regression rides the code, not the
+    /// build, and fails every attempt.
+    pub attempts: u32,
+    /// Measured rounds per attempt, handed to `measure`.
+    pub rounds: usize,
+    pub measure: fn(usize) -> Record,
+    pub gates: &'static [Gate],
+}
 
-    /// Which way a metric is allowed to move.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Direction {
-        HigherBetter,
-        LowerBetter,
+/// Every Mpps row of every record: banded for the table, never gated.
+const MPPS: Gate = Gate::higher("*mpps", 0.10).absolute();
+
+/// Mpps + ns/pkt per (model, path), and the e1000e batched-vs-per-packet
+/// speedup (PR 1 acceptance: batched + compiled must beat the seed path
+/// ≥ 2× on the software-shim-heavy model). The speedup divides two
+/// measurements taken in *different phases* of the run, so machine
+/// drift between the phases leaks in: a wider band than within-phase
+/// ratios get.
+const E12: Experiment = Experiment {
+    name: "e12",
+    title: "RX datapath: per-packet vs plan vs batched, mixed UDP/VLAN traffic",
+    attempts: 1,
+    rounds: 10,
+    measure: e12::measure,
+    gates: &[
+        MPPS,
+        Gate::higher("speedup_batched_vs_per_packet_e1000e", 0.20).floor(2.0),
+    ],
+};
+
+/// Aggregate Mpps per (model, queue count) and the e1000e
+/// 4-queue-vs-1 scaling ratio (PR 3 acceptance: ≥ 2×). Cross-phase
+/// like E12's speedup, hence the same band.
+const E13: Experiment = Experiment {
+    name: "e13",
+    title: "sharded RX: aggregate over the busiest worker, RSS steering, 1/2/4/8 queues",
+    attempts: 1,
+    rounds: 10,
+    measure: e13::measure,
+    gates: &[
+        MPPS,
+        Gate::higher("scaling_4q_vs_1q_e1000e", 0.20).floor(2.0),
+    ],
+};
+
+/// Goodput per (model, fault rate) at `Structural` validation plus the
+/// e1000e watchdog recovery time (PR 4 acceptance: every (model, rate)
+/// cell still delivers, and a wedged queue is back within 16 polls).
+/// Recovery latency may grow at most 25%.
+const E14: Experiment = Experiment {
+    name: "e14",
+    title: "goodput under device faults (Structural validation) + watchdog recovery",
+    attempts: 1,
+    rounds: 10,
+    measure: e14::measure,
+    gates: &[
+        MPPS,
+        Gate::higher("goodput_retention_10pct_e1000e", 0.15),
+        Gate::lower("recovery_polls_e1000e", 0.25).floor(16.0),
+        // "Delivered something": the band is the floor (> 0).
+        Gate::higher("*.delivered", 1.0).floor(1.0),
+    ],
+};
+
+/// Aggregate Mpps with poll-cycle telemetry on vs off on the e1000e
+/// 4-queue sharded config (PR 5 acceptance: telemetry-on retains ≥ 97%
+/// — the ≤ 3% hot-path budget). The band is the budget again: ≥ 0.97
+/// of the *baseline's* ratio would double-count, so it gates like
+/// throughput.
+const E15: Experiment = Experiment {
+    name: "e15",
+    title: "telemetry overhead: e1000e x4 queues, paired off/on rounds",
+    attempts: 3,
+    rounds: 100,
+    measure: e15::measure,
+    gates: &[
+        MPPS,
+        Gate::higher("overhead_ratio_on_vs_off_e1000e", 0.03).floor(0.97),
+    ],
+};
+
+/// The E12 matrix on the plan-bytecode VM under steered delivery (PR 6
+/// acceptance). `batched_vs_per_packet` carries the hard floor: the
+/// compiled pipeline losing to the seed accessors anywhere is exactly
+/// the regression E16 exists to catch. `plan_vs_per_packet` is
+/// `poll()`, a batch of one, whose honest value on the all-hardware
+/// models is parity — a floor there fails on noise, so it keeps its
+/// band alone (see the `e16` module docs). Both bands are wide because
+/// the denominator (the slowest path in the matrix) carries the most
+/// scheduler noise run-to-run. `batched_vs_e12_batched` divides a live
+/// measurement by a *committed constant*, so despite being written as
+/// a ratio it moves 1:1 with machine speed: absolute.
+const E16: Experiment = Experiment {
+    name: "e16",
+    title: "VM datapath: the E12 matrix on plan bytecode, steered delivery",
+    attempts: 3,
+    rounds: 10,
+    measure: e16::measure,
+    gates: &[
+        MPPS,
+        Gate::higher("plan_vs_per_packet_*", 0.15),
+        Gate::higher("batched_vs_per_packet_*", 0.15).floor(1.0),
+        Gate::higher("batched_vs_e12_batched_*", 0.20)
+            .floor(1.5)
+            .absolute(),
+    ],
+};
+
+/// The full-duplex engine (PR 7 acceptance): batched TX submission must
+/// at least halve the per-frame cost of the seed send loop, and four
+/// full-duplex queues must at least double single-queue aggregate
+/// forward throughput. Both are self-normalized — two paths of one
+/// interleaved run, two queue counts of one phase. The band is wide:
+/// these ratios swing ±30% with the allocation-layout lottery a fresh
+/// engine build draws (observed 2.2–4.1 on identical code), so a tight
+/// band flaps while the floor does the real gating.
+const E17: Experiment = Experiment {
+    name: "e17",
+    title: "full-duplex forward on the sharded RX→TX path, 32-frame TX batches",
+    attempts: 3,
+    rounds: 3,
+    measure: e17::measure,
+    gates: &[
+        MPPS,
+        Gate::higher("tx_batched_vs_seed_e1000e", 0.50).floor(2.0),
+        Gate::higher("forward_scaling_4q_e1000e", 0.50).floor(2.0),
+    ],
+};
+
+/// Adaptive steering under skew (PR 8 acceptance). All ratios divide
+/// the adaptive arm by the static arm of the *same* run (same engine,
+/// same deterministic stream). At Zipf α = 1.3 with elephants adaptive
+/// steering must buy ≥ 1.2× aggregate Mpps and flatten p99/p50
+/// per-queue occupancy ≥ 1.3×; under uniform traffic the control loop
+/// may cost at most 20% (there is nothing for it to fix, it just must
+/// not get in the way). Bands are wide: the static arm's hot-queue busy
+/// time (the denominator) carries the most scheduler noise in the whole
+/// suite (observed ±12% even on an idle host), and the measured margins
+/// sit 3–18× above the floors, so the floors are the criterion and the
+/// bands only catch a collapse.
+const E18: Experiment = Experiment {
+    name: "e18",
+    title: "adaptive vs static RETA on e1000e x16/x64, uniform and Zipf + elephants",
+    attempts: 3,
+    rounds: 3,
+    measure: e18::measure,
+    gates: &[
+        MPPS,
+        Gate::higher("adaptive_vs_static_mpps_alpha13_*", 0.35).floor(1.2),
+        Gate::higher("imbalance_improvement_*", 0.50).floor(1.3),
+        Gate::higher("adaptive_vs_static_mpps_uniform_*", 0.30).floor(0.8),
+    ],
+};
+
+/// Live interface evolution (PR 9 acceptance): steady state before and
+/// after four scheduled intent migrations under traffic, 4 queues,
+/// every E12 model. A queue that comes back ≥ 5% slower after evolving
+/// its contract leaked state across the flip; the band is wide because
+/// the ratio hovers around 1.0 with paired-run jitter on both sides —
+/// the floor is the real criterion. `relayout_polls_max` is a
+/// deterministic drain count, not a timing: wide band, and the 16-poll
+/// budget is the real (inclusive) criterion. Retention is 1.0 by
+/// construction whenever `measure` returns (it asserts conservation on
+/// every attempt). Ten attempts, because all four models must clear
+/// 0.95 in *one* of them and about four attempts in ten miss on a
+/// shared 2-core host (each builds fresh engine pairs, and the build's
+/// allocation layout biases a whole attempt by a few percent).
+const E19: Experiment = Experiment {
+    name: "e19",
+    title: "live evolution: 4 migrations under traffic, paired pre/post steady state",
+    attempts: 10,
+    rounds: 9,
+    measure: e19::measure,
+    gates: &[
+        MPPS,
+        Gate::higher("post_vs_pre_relayout_throughput_*", 0.25).floor(0.95),
+        Gate::lower("relayout_polls_max_*", 1.0).floor(opendesc_core::FLIP_POLL_BUDGET as f64),
+        Gate::higher("relayout_retention_*", 0.15),
+    ],
+};
+
+/// Differential conformance fuzzing (PR 10 acceptance): generated NICs
+/// × random intents, zero divergence across all execution forms and
+/// ≥ 200 negotiated layouts per seed. Deterministic counts, not
+/// timings: zero tolerance, and machine speed is irrelevant.
+const E20: Experiment = Experiment {
+    name: "e20",
+    title: "conformance fuzzing: 64 generated NICs x 4 intents, seed 20",
+    attempts: 1,
+    rounds: 1,
+    measure: e20::measure,
+    gates: &[
+        Gate::higher("layouts_negotiated", 0.0).floor(200.0),
+        Gate::higher("conformance_clean", 0.0).floor(1.0),
+    ],
+};
+
+/// The experiment table: what `bench run` measures and `bench gate`
+/// compares, in order.
+pub static EXPERIMENTS: [Experiment; 9] = [E12, E13, E14, E15, E16, E17, E18, E19, E20];
+
+impl Experiment {
+    pub fn by_name(name: &str) -> Option<&'static Experiment> {
+        EXPERIMENTS.iter().find(|e| e.name == name)
     }
 
-    /// A gated metric's tolerance band.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Rule {
-        pub direction: Direction,
-        /// Allowed relative regression (0.10 = 10%).
-        pub tolerance: f64,
-        /// Hard acceptance floor on the *current* value, independent of
-        /// how the baseline moved: a `HigherBetter` metric must also
-        /// stay `>= floor` to pass. Used by the E16 ratios, whose bands
-        /// encode absolute acceptance criteria (plan path never loses
-        /// to per-packet, batched at least 1.5x the pre-VM batched),
-        /// not just "no worse than last time".
-        pub floor: Option<f64>,
+    fn gate_for(&self, metric: &str) -> Option<Gate> {
+        self.gates.iter().find(|g| g.matches(metric)).copied()
     }
 
-    /// The tolerance table, keyed on metric-name shape. Throughput-like
-    /// numbers (Mpps, speedups, scaling, retention) may drop at most
-    /// 10–15%; recovery latency may grow at most 25%; the telemetry
-    /// overhead ratio gets the E15 budget directly (≥0.97 of baseline's
-    /// ratio would double-count, so it gates like throughput). Counts,
-    /// byte sizes, and `_ns` timings are informational, not gated.
-    pub fn rule_for(metric: &str) -> Option<Rule> {
-        let hb = |tolerance| {
-            Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance,
-                floor: None,
-            })
-        };
-        if metric.contains("retention") {
-            return hb(0.15);
-        }
-        if metric.contains("recovery_polls") {
-            return Some(Rule {
-                direction: Direction::LowerBetter,
-                tolerance: 0.25,
-                floor: None,
-            });
-        }
-        if metric.contains("overhead_ratio") {
-            return hb(0.03);
-        }
-        // The E16 same-run ratios divide two paths measured in one
-        // interleaved run (machine speed cancels), so they gate even
-        // under `--relative-only`. `batched_vs_per_packet` carries the
-        // hard floor: the compiled pipeline losing to the seed
-        // accessors anywhere is exactly the regression E16 exists to
-        // catch. `plan_vs_per_packet` is `poll()`, a batch of one,
-        // whose honest value on the all-hardware models is parity — a
-        // floor there fails on noise, so it keeps its band alone (see
-        // the `e16` module docs). The band is wide because the
-        // denominator (the slowest path in the matrix) carries the
-        // most scheduler noise run-to-run. (E12's
-        // `speedup_batched_vs_per_packet_e1000e` is a different key
-        // and takes the `speedup` rule below.)
-        if metric.starts_with("batched_vs_per_packet") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.15,
-                floor: Some(super::e16::MIN_BATCHED_VS_PER_PACKET),
-            });
-        }
-        if metric.contains("plan_vs_per_packet") {
-            return hb(0.15);
-        }
-        // `batched_vs_e12_batched` divides a live measurement by a
-        // *committed constant*, so despite being written as a ratio it
-        // moves 1:1 with machine speed — an absolute metric in
-        // disguise (see `is_absolute`).
-        if metric.contains("batched_vs_e12") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.20,
-                floor: Some(1.5),
-            });
-        }
-        // The E17 acceptance ratios. Both are self-normalized —
-        // `tx_batched_vs_seed` divides two paths measured in the same
-        // interleaved run, `forward_scaling_4q` divides two queue
-        // counts of the same emitter phase — so both gate even under
-        // `--relative-only`, with the acceptance floor (2x) as the
-        // hard criterion on top of the drift band. The band is wide:
-        // these ratios swing ±30% with the allocation-layout lottery a
-        // fresh engine build draws (observed 2.2–4.1 on identical
-        // code), so a tight band flaps while the floor does the real
-        // gating. Note the order: `forward_scaling_4q` would otherwise
-        // fall through to the generic floorless `scaling` rule below.
-        if metric.contains("tx_batched_vs_seed") || metric.contains("forward_scaling") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.50,
-                floor: Some(2.0),
-            });
-        }
-        // The E18 acceptance ratios. All divide the adaptive arm by the
-        // static arm of the *same* run (same engine, same deterministic
-        // stream), so they gate under `--relative-only`. The α=1.3
-        // cells carry the issue's hard floors: adaptive steering must
-        // buy ≥1.2x aggregate Mpps and materially flatten per-queue
-        // occupancy; under uniform traffic the control loop may cost at
-        // most 20% (floor 0.8 — there is nothing for it to fix, it
-        // just must not get in the way). Bands are wide: the static
-        // arm's hot-queue busy time (the denominator) carries the most
-        // scheduler noise in the whole suite (observed ±12% even on an
-        // idle host), and the measured margins sit 3–18x above the
-        // floors, so the floors are the criterion and the bands only
-        // catch a collapse.
-        if metric.contains("adaptive_vs_static_mpps_alpha13") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.35,
-                floor: Some(super::e18::MIN_ADAPTIVE_GAIN),
-            });
-        }
-        if metric.contains("imbalance_improvement") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.50,
-                floor: Some(super::e18::MIN_IMBALANCE_IMPROVEMENT),
-            });
-        }
-        if metric.contains("adaptive_vs_static_mpps_uniform") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.30,
-                floor: Some(super::e18::MIN_UNIFORM_RATIO),
-            });
-        }
-        // The E19 acceptance metrics. `post_vs_pre_relayout_throughput`
-        // divides paired back-to-back measurements of the evolved
-        // engine and a never-relayouted control (machine speed divides
-        // out, so it gates under `--relative-only`) and carries the
-        // issue's hard floor: a queue that comes back ≥5% slower after
-        // evolving its contract leaked state across the flip. The band
-        // is wide because the ratio hovers around 1.0 with paired-run
-        // jitter on both sides — the floor is the real criterion.
-        // `relayout_polls_max` is a deterministic drain count, not a
-        // timing — its band is wide and the 16-poll budget is the real
-        // (inclusive) criterion.
-        if metric.contains("post_vs_pre_relayout") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.25,
-                floor: Some(super::e19::MIN_POST_PRE),
-            });
-        }
-        if metric.contains("relayout_polls") {
-            return Some(Rule {
-                direction: Direction::LowerBetter,
-                tolerance: 1.0,
-                floor: Some(super::e19::MAX_FLIP_POLLS as f64),
-            });
-        }
-        // The E20 conformance metrics are deterministic counts, not
-        // timings: zero tolerance, and the floors are the issue's
-        // acceptance criteria (zero divergence across all execution
-        // forms; ≥ 200 negotiated layouts per seed). Machine speed is
-        // irrelevant, so both gate under `--relative-only`.
-        if metric.contains("conformance_clean") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.0,
-                floor: Some(1.0),
-            });
-        }
-        if metric.contains("layouts_negotiated") {
-            return Some(Rule {
-                direction: Direction::HigherBetter,
-                tolerance: 0.0,
-                floor: Some(super::e20::MIN_LAYOUTS),
-            });
-        }
-        // Speedup and scaling factors divide two measurements taken in
-        // *different phases* of an emitter run (batched vs per-packet,
-        // 4-queue vs 1-queue), so machine drift between the phases
-        // leaks in; they get a wider band than within-phase ratios.
-        if metric.contains("speedup") || metric.contains("scaling") {
-            return hb(0.20);
-        }
-        if metric.ends_with("mpps") {
-            return hb(0.10);
-        }
-        None
-    }
-
-    /// Whether a gated metric is an **absolute** wall-clock measurement
-    /// (Mpps rows), as opposed to a self-normalized one (speedups,
-    /// scaling factors, retention, recovery polls, the telemetry
-    /// overhead ratio — all ratios of measurements taken within one
-    /// run, which divide machine speed out). Absolute metrics gate
-    /// reliably only on dedicated hardware; on shared runners, where
-    /// observed run-to-run throughput swings ±40%, `bench_gate
-    /// --relative-only` restricts the gate to the self-normalized set.
-    ///
-    /// `batched_vs_e12_batched` counts as absolute even though it is
-    /// spelled as a ratio: its denominator is a committed constant, so
-    /// the quotient tracks machine speed exactly like a raw Mpps row.
-    pub fn is_absolute(metric: &str) -> bool {
-        metric.ends_with("mpps") || metric.contains("batched_vs_e12")
-    }
-
-    /// Flatten a bench record into named scalars. Top-level numbers keep
-    /// their key; numbers inside `rows` get a key built from the row's
-    /// identifying fields (`model`, `path`, `queues`, `rate`,
-    /// `telemetry`), so the same row in baseline and current lines up by
-    /// name regardless of row order.
-    pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
-        const ID_FIELDS: [&str; 5] = ["model", "path", "queues", "rate", "telemetry"];
-        let mut out = Vec::new();
-        let Some(obj) = doc.as_obj() else {
-            return out;
-        };
-        for (k, v) in obj {
-            if let Some(x) = v.as_f64() {
-                out.push((k.clone(), x));
-                continue;
+    /// Measure, re-measuring while a gated floor misses and attempts
+    /// remain. Returns the last record and what it still fails — rows
+    /// of [`check_floors`], absolute ones included for the caller to
+    /// report.
+    pub fn run(&self) -> (Record, Vec<GateResult>) {
+        let mut attempt = 1;
+        loop {
+            let rec = (self.measure)(self.rounds);
+            let missed = check_floors(self, &rec);
+            if attempt == self.attempts || missed.iter().all(|m| !m.gated) {
+                return (rec, missed);
             }
-            if k != "rows" {
-                continue;
+            for m in missed.iter().filter(|m| m.gated) {
+                eprintln!(
+                    "{}: attempt {attempt} of {}: {} = {:.4} misses its floor; re-measuring",
+                    self.name, self.attempts, m.metric, m.current
+                );
             }
-            let Some(rows) = v.as_arr() else { continue };
-            for row in rows {
-                let Some(fields) = row.as_obj() else { continue };
-                let mut id = String::new();
-                for want in ID_FIELDS {
-                    let Some(val) = row.get(want) else { continue };
-                    let part = match val {
-                        Json::Str(s) => s.clone(),
-                        Json::Num(n) => format!("{n}"),
-                        _ => continue,
+            attempt += 1;
+        }
+    }
+}
+
+/// The floors `record` misses: the record gated against itself, so
+/// every band holds by equality and only floors can fail. Panics if a
+/// gate names a metric the record does not carry — an emitter that
+/// dropped a gated metric must not pass for lack of evidence.
+pub fn check_floors(exp: &Experiment, record: &Record) -> Vec<GateResult> {
+    let doc = opendesc_telemetry::parse_json(&record.to_json()).expect("record writes valid JSON");
+    let flat = flatten(&doc);
+    for g in exp.gates {
+        assert!(
+            flat.iter().any(|(k, _)| g.matches(k)),
+            "{}: record carries no metric matching gate {}",
+            exp.name,
+            g.metric
+        );
+    }
+    let mut res = compare(exp, &doc, &doc);
+    res.retain(|r| !r.pass);
+    res
+}
+
+/// One gated comparison.
+#[derive(Debug, Clone)]
+pub struct GateResult {
+    pub experiment: &'static str,
+    pub metric: String,
+    pub baseline: f64,
+    pub current: f64,
+    /// Signed relative change, `(current - baseline) / baseline`.
+    pub change: f64,
+    pub gate: Gate,
+    pub pass: bool,
+    /// False for absolute rows: shown in the table, excluded from
+    /// [`all_pass`].
+    pub gated: bool,
+}
+
+/// Compare a current record against its baseline under `exp.gates`.
+/// Every gated metric present in the baseline must be present in the
+/// current record (a silently dropped metric fails the gate); metrics
+/// new in the current record are not gated this run — they gate once
+/// the baseline is re-committed.
+pub fn compare(exp: &Experiment, baseline: &Json, current: &Json) -> Vec<GateResult> {
+    let cur = flatten(current);
+    let mut out = Vec::new();
+    for (metric, b) in flatten(baseline) {
+        let Some(gate) = exp.gate_for(&metric) else {
+            continue;
+        };
+        let c = cur.iter().find(|(k, _)| *k == metric).map(|(_, v)| *v);
+        let (current, change, pass) = match c {
+            None => (f64::NAN, f64::NAN, false),
+            Some(c) => {
+                let change = if b != 0.0 { (c - b) / b } else { 0.0 };
+                // Strict at the boundary: a drop of exactly the
+                // tolerance FAILS. Exact equality always passes — the
+                // strict comparisons would otherwise reject an
+                // unchanged zero-valued metric (e.g. a flip-poll count
+                // of 0 in both baseline and current), where nothing
+                // moved.
+                let in_band = c == b
+                    || match gate.direction {
+                        Direction::HigherBetter => c > b * (1.0 - gate.tolerance),
+                        Direction::LowerBetter => c < b * (1.0 + gate.tolerance),
                     };
-                    if !id.is_empty() {
-                        id.push(',');
-                    }
-                    id.push_str(&format!("{want}={part}"));
-                }
-                for (fk, fv) in fields {
-                    if ID_FIELDS.contains(&fk.as_str()) {
-                        continue;
-                    }
-                    if let Some(x) = fv.as_f64() {
-                        out.push((format!("rows[{id}].{fk}"), x));
-                    }
-                }
+                // The floor is inclusive (it restates an acceptance
+                // criterion like "ratio >= 1.0", where exactly 1.0
+                // means the path broke even — allowed).
+                let above_floor = gate.floor.is_none_or(|f| match gate.direction {
+                    Direction::HigherBetter => c >= f,
+                    Direction::LowerBetter => c <= f,
+                });
+                (c, change, in_band && above_floor)
             }
+        };
+        out.push(GateResult {
+            experiment: exp.name,
+            metric,
+            baseline: b,
+            current,
+            change,
+            gate,
+            pass,
+            gated: !gate.absolute,
+        });
+    }
+    out
+}
+
+/// All gated metrics within their bands?
+pub fn all_pass(results: &[GateResult]) -> bool {
+    results.iter().all(|r| r.pass || !r.gated)
+}
+
+/// Render the comparison as a GitHub-flavored markdown table (the
+/// perf-gate job appends this to `$GITHUB_STEP_SUMMARY`).
+pub fn markdown_table(results: &[GateResult]) -> String {
+    let mut s = String::new();
+    s.push_str("| experiment | metric | baseline | current | change | band | verdict |\n");
+    s.push_str("|---|---|---:|---:|---:|---|---|\n");
+    for r in results {
+        let (sign, cmp) = match r.gate.direction {
+            Direction::HigherBetter => ("≥ −", "≥"),
+            Direction::LowerBetter => ("≤ +", "≤"),
+        };
+        let mut band = format!("{sign}{:.0}%", r.gate.tolerance * 100.0);
+        if let Some(f) = r.gate.floor {
+            band.push_str(&format!(", floor {cmp} {f}"));
         }
-        out
+        let verdict = if !r.gated {
+            "ℹ️ info"
+        } else if r.pass {
+            "✅ pass"
+        } else {
+            "❌ FAIL"
+        };
+        let (current, change) = if r.current.is_nan() {
+            ("missing".to_string(), "—".to_string())
+        } else {
+            (
+                format!("{:.4}", r.current),
+                format!("{:+.1}%", r.change * 100.0),
+            )
+        };
+        s.push_str(&format!(
+            "| {} | {} | {:.4} | {} | {} | {} | {} |\n",
+            r.experiment, r.metric, r.baseline, current, change, band, verdict
+        ));
     }
-
-    /// One gated comparison.
-    #[derive(Debug, Clone)]
-    pub struct GateResult {
-        pub experiment: String,
-        pub metric: String,
-        pub baseline: f64,
-        pub current: f64,
-        /// Signed relative change, `(current - baseline) / baseline`.
-        pub change: f64,
-        pub rule: Rule,
-        pub pass: bool,
-        /// When false the row is informational: shown in the table but
-        /// excluded from [`all_pass`] (the `--relative-only` demotion).
-        pub gated: bool,
-    }
-
-    /// Compare a current record against its baseline. Every gated
-    /// metric present in the baseline must be present in the current
-    /// record (a silently dropped metric fails the gate); metrics new
-    /// in the current record are not gated this run — they gate once
-    /// the baseline is re-committed.
-    pub fn compare(experiment: &str, baseline: &Json, current: &Json) -> Vec<GateResult> {
-        let base = flatten(baseline);
-        let cur = flatten(current);
-        let mut out = Vec::new();
-        for (metric, b) in &base {
-            let Some(rule) = rule_for(metric) else {
-                continue;
-            };
-            let c = cur.iter().find(|(k, _)| k == metric).map(|(_, v)| *v);
-            let (current_v, change, pass) = match c {
-                None => (f64::NAN, f64::NAN, false),
-                Some(c) => {
-                    let change = if *b != 0.0 { (c - b) / b } else { 0.0 };
-                    // Strict at the boundary: a throughput drop of
-                    // exactly the tolerance (−10%) FAILS. Exact
-                    // equality always passes — the strict comparisons
-                    // would otherwise reject an unchanged zero-valued
-                    // metric (e.g. a flip-poll count of 0 in both
-                    // baseline and current), where nothing moved.
-                    let in_band = c == *b
-                        || match rule.direction {
-                            Direction::HigherBetter => c > b * (1.0 - rule.tolerance),
-                            Direction::LowerBetter => c < b * (1.0 + rule.tolerance),
-                        };
-                    // The floor is inclusive (it restates an acceptance
-                    // criterion like "ratio >= 1.0", where exactly 1.0
-                    // means the plan path broke even — allowed).
-                    let above_floor = rule.floor.is_none_or(|f| match rule.direction {
-                        Direction::HigherBetter => c >= f,
-                        Direction::LowerBetter => c <= f,
-                    });
-                    (c, change, in_band && above_floor)
-                }
-            };
-            out.push(GateResult {
-                experiment: experiment.to_string(),
-                metric: metric.clone(),
-                baseline: *b,
-                current: current_v,
-                change,
-                rule,
-                pass,
-                gated: true,
-            });
-        }
-        out
-    }
-
-    /// Demote absolute wall-clock metrics to informational rows (see
-    /// [`is_absolute`]) — the `--relative-only` mode for shared runners.
-    pub fn demote_absolute(results: &mut [GateResult]) {
-        for r in results {
-            if is_absolute(&r.metric) {
-                r.gated = false;
-            }
-        }
-    }
-
-    /// All gated metrics within their bands?
-    pub fn all_pass(results: &[GateResult]) -> bool {
-        results.iter().all(|r| r.pass || !r.gated)
-    }
-
-    /// Render the comparison as a GitHub-flavored markdown table (the
-    /// perf-gate job appends this to `$GITHUB_STEP_SUMMARY`).
-    pub fn markdown_table(results: &[GateResult]) -> String {
-        let mut s = String::new();
-        s.push_str("| experiment | metric | baseline | current | change | band | verdict |\n");
-        s.push_str("|---|---|---:|---:|---:|---|---|\n");
-        for r in results {
-            let mut band = match r.rule.direction {
-                Direction::HigherBetter => format!("≥ −{:.0}%", r.rule.tolerance * 100.0),
-                Direction::LowerBetter => format!("≤ +{:.0}%", r.rule.tolerance * 100.0),
-            };
-            if let Some(f) = r.rule.floor {
-                let cmp = match r.rule.direction {
-                    Direction::HigherBetter => "≥",
-                    Direction::LowerBetter => "≤",
-                };
-                band.push_str(&format!(", floor {cmp} {f}"));
-            }
-            let verdict = if !r.gated {
-                "ℹ️ info"
-            } else if r.pass {
-                "✅ pass"
-            } else {
-                "❌ FAIL"
-            };
-            let (current, change) = if r.current.is_nan() {
-                ("missing".to_string(), "—".to_string())
-            } else {
-                (
-                    format!("{:.4}", r.current),
-                    format!("{:+.1}%", r.change * 100.0),
-                )
-            };
-            s.push_str(&format!(
-                "| {} | {} | {:.4} | {} | {} | {} | {} |\n",
-                r.experiment, r.metric, r.baseline, current, change, band, verdict
-            ));
-        }
-        s
-    }
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opendesc_telemetry::parse_json;
 
     #[test]
     fn intent_catalog_compiles_everywhere_possible() {
@@ -2575,614 +2300,272 @@ mod tests {
         assert_eq!(geomean(&[]), 0.0);
     }
 
-    #[test]
-    fn e13_engine_conserves_packets_and_emits_json() {
-        // Small engine sanity: parallel and sequential runs drain every
-        // generated frame, and the JSON record carries the scaling key
-        // the smoke assertion reads.
-        let model = opendesc_nicsim::models::e1000e();
-        let mut eng = e13::engine(&model, 4);
-        let pools = e13::pools(&eng);
-        assert_eq!(pools.iter().map(Vec::len).sum::<usize>(), e13::ROUND);
-        let rep = eng.run(&pools);
-        assert_eq!(rep.total_packets() as usize, e13::ROUND);
-        let rows = vec![
-            e13::Row {
-                model: "e1000e".into(),
-                queues: 1,
-                mpps: 2.0,
-                total_pkts: 10,
-                max_busy_ns: 100,
-                sum_busy_ns: 100,
-                per_queue_pkts: vec![10],
-                per_queue_busy_ns: vec![100],
-                busy_p99_p50: 1.0,
-            },
-            e13::Row {
-                model: "e1000e".into(),
-                queues: 4,
-                mpps: 7.0,
-                total_pkts: 10,
-                max_busy_ns: 30,
-                sum_busy_ns: 110,
-                per_queue_pkts: vec![1, 2, 3, 4],
-                per_queue_busy_ns: vec![20, 25, 35, 30],
-                busy_p99_p50: 35.0 / 30.0,
-            },
-        ];
-        assert!((e13::scaling(&rows, "e1000e", 4, 1) - 3.5).abs() < 1e-9);
-        let json = e13::to_json(&rows);
-        assert!(json.contains("\"experiment\": \"e13_sharded_rx\""));
-        assert!(json.contains("scaling_4q_vs_1q_e1000e"));
-        // The per-queue skew columns survive the JSON round-trip, and
-        // the array-valued ones stay informational in the gate (its
-        // flattener only lifts scalars).
-        assert!(json.contains("\"per_queue_pkts\": [1, 2, 3, 4]"));
-        assert!(json.contains("\"busy_p99_p50\""));
-        let doc = opendesc_telemetry::parse_json(&json).expect("e13 record parses");
-        let flat = gate::flatten(&doc);
-        assert!(flat.iter().any(|(k, _)| k.contains("busy_p99_p50")));
-        assert!(!flat.iter().any(|(k, _)| k.contains("per_queue_pkts")));
+    fn doc(metric: &str, v: f64) -> Json {
+        parse_json(&format!("{{\"{metric}\": {v}}}")).unwrap()
     }
 
+    /// Every `Gate` of every experiment, against synthetic records: in
+    /// band passes, unchanged passes, one step past the band fails, one
+    /// step past the floor fails even with the baseline beside it,
+    /// exactly the floor passes — and an absolute gate computes the
+    /// same verdicts but never fails the run.
     #[test]
-    fn e14_faulted_drain_delivers_and_emits_json() {
-        // One small faulted round per model: the drain must deliver
-        // packets despite every fault class firing, the validator must
-        // observe the injected faults, and the recovery measurement must
-        // stay within the watchdog's bound. JSON carries the headline
-        // keys the smoke assertion reads.
-        for model in e14::model_matrix() {
-            let name = model.name.clone();
-            let mut drv = e14::driver(model, 256);
-            drv.nic.set_faults(e14::fault_config(0.10, 14)).unwrap();
-            for f in e12::traffic(48) {
-                drv.deliver(&f).unwrap();
-            }
-            let mut batch = drv.make_batch(e14::BATCH_CAP);
-            let mut delivered = 0u64;
-            let mut empties = 0u32;
-            while empties < 16 {
-                let got = drv.poll_batch_into(&mut batch);
-                if got == 0 {
-                    empties += 1;
-                } else {
-                    empties = 0;
-                    delivered += got as u64;
+    fn every_gate_binds_at_its_band_and_its_floor() {
+        let eps = 1e-6;
+        for exp in &EXPERIMENTS {
+            for g in exp.gates {
+                let name = g.metric.replace('*', "x");
+                assert!(g.matches(&name), "{} {}", exp.name, g.metric);
+                let verdict = |b: f64, c: f64| {
+                    let res = compare(exp, &doc(&name, b), &doc(&name, c));
+                    assert_eq!(res.len(), 1, "{} {name}: one gate, one row", exp.name);
+                    assert_eq!(res[0].gated, !g.absolute);
+                    assert_eq!(all_pass(&res), res[0].pass || g.absolute);
+                    res[0].pass
+                };
+                // `worse(x, by)`: x moved `by` (relative) the wrong way.
+                let worse = |x: f64, by: f64| match g.direction {
+                    Direction::HigherBetter => x * (1.0 - by),
+                    Direction::LowerBetter => x * (1.0 + by),
+                };
+                // A baseline whose in-band neighbourhood clears the floor.
+                let base = match (g.floor, g.direction) {
+                    (Some(f), Direction::HigherBetter) => f.max(1.0) * 4.0,
+                    (Some(f), Direction::LowerBetter) => f / 4.0,
+                    (None, _) => 10.0,
+                };
+                let ctx = format!("{} {}", exp.name, g.metric);
+                assert!(verdict(base, base), "{ctx}: unchanged");
+                if g.floor.is_none() || g.direction == Direction::LowerBetter {
+                    assert!(verdict(0.0, 0.0), "{ctx}: unchanged zero");
+                }
+                assert!(
+                    verdict(base, worse(base, g.tolerance / 2.0)),
+                    "{ctx}: half the tolerance is in band"
+                );
+                assert!(
+                    !verdict(base, worse(base, g.tolerance + eps)),
+                    "{ctx}: past the band"
+                );
+                if let Some(f) = g.floor {
+                    assert!(verdict(f, f), "{ctx}: the floor is inclusive");
+                    assert!(
+                        !verdict(worse(f, eps), worse(f, eps)),
+                        "{ctx}: past the floor, whatever the baseline did"
+                    );
                 }
             }
-            assert!(delivered > 0, "{name}: faulted drain delivered nothing");
-            assert!(
-                drv.validation_stats().faults() + drv.nic.stats.injected_faults() > 0,
-                "{name}: 10% per-class rates injected nothing"
-            );
         }
-        let recovery = e14::recovery_polls(opendesc_nicsim::models::e1000e());
-        assert!(recovery <= 16, "recovery took {recovery} polls");
-        let rows = vec![
-            e14::Row {
-                model: "e1000e".into(),
-                rate: 0.0,
-                goodput_mpps: 4.0,
-                delivered: 100,
-                discarded: 0,
-                degraded: 0,
-                watchdog_resets: 0,
-            },
-            e14::Row {
-                model: "e1000e".into(),
-                rate: 0.10,
-                goodput_mpps: 3.0,
-                delivered: 90,
-                discarded: 5,
-                degraded: 8,
-                watchdog_resets: 1,
-            },
-        ];
-        assert!((e14::retention(&rows, "e1000e", 0.10) - 0.75).abs() < 1e-9);
-        let json = e14::to_json(&rows, recovery);
-        assert!(json.contains("\"experiment\": \"e14_fault_recovery\""));
-        assert!(json.contains("goodput_retention_10pct_e1000e"));
-        assert!(json.contains("recovery_polls_e1000e"));
     }
 
+    /// The cases the sweep above cannot phrase generically.
     #[test]
-    fn e15_overhead_run_emits_json_and_snapshot() {
-        // One measured round: both configurations drain the full round,
-        // the record carries the gate's ratio key, and the telemetry-on
-        // snapshot actually filled the poll histogram.
-        let out = e15::run_quick(2);
-        assert_eq!(out.rows.len(), 2);
-        for r in &out.rows {
-            assert_eq!(
-                r.total_pkts as usize,
-                e13::ROUND,
-                "{} run lost packets",
-                r.telemetry
-            );
-            assert!(r.mpps.is_finite() && r.mpps > 0.0);
-        }
-        assert!(out.ratio.is_finite() && out.ratio > 0.0);
-        match out.snapshot.get("rx.engine.time.poll_ns") {
-            Some(opendesc_core::MetricValue::Hist(h)) => {
-                assert!(h.count() > 0, "telemetry-on run recorded no poll cycles")
-            }
-            other => panic!("engine poll histogram missing: {other:?}"),
-        }
-        assert!(out.snapshot.counter("rx.engine.worker.packets") as usize >= e13::ROUND);
-        let json = e15::to_json(&out);
-        assert!(json.contains("\"experiment\": \"e15_telemetry_overhead\""));
-        assert!(json.contains("overhead_ratio_on_vs_off_e1000e"));
-        // The record round-trips through the gate's parser.
-        let doc = opendesc_telemetry::parse_json(&json).expect("e15 record parses");
-        assert!(!gate::flatten(&doc).is_empty());
-    }
-
-    #[test]
-    fn gate_fails_synthetic_throughput_regression() {
-        // The acceptance case: a −10% throughput regression must trip
-        // the gate; a −5% one must not. Recovery polls gate the other
-        // direction (+25% fails).
-        let baseline = opendesc_telemetry::parse_json(
-            r#"{
-                "experiment": "e13_sharded_rx",
-                "rows": [
-                    {"model": "e1000e", "queues": 4, "mpps": 10.0, "total_pkts": 2048}
-                ],
-                "scaling_4q_vs_1q_e1000e": 3.0,
-                "recovery_polls_e1000e": 8
-            }"#,
+    fn gate_edges() {
+        let e13 = Experiment::by_name("e13").unwrap();
+        let baseline = parse_json(
+            r#"{"rows": [{"model": "e1000e", "queues": 4, "mpps": 10.0, "total_pkts": 2048}],
+                "scaling_4q_vs_1q_e1000e": 3.0, "cores": 2, "rounds": 10, "pkts_per_round": 2048}"#,
         )
         .unwrap();
-        let regressed = opendesc_telemetry::parse_json(
-            r#"{
-                "experiment": "e13_sharded_rx",
-                "rows": [
-                    {"model": "e1000e", "queues": 4, "mpps": 9.0, "total_pkts": 2048}
-                ],
-                "scaling_4q_vs_1q_e1000e": 3.0,
-                "recovery_polls_e1000e": 8
-            }"#,
-        )
-        .unwrap();
-        let ok = opendesc_telemetry::parse_json(
-            r#"{
-                "experiment": "e13_sharded_rx",
-                "rows": [
-                    {"model": "e1000e", "queues": 4, "mpps": 9.5, "total_pkts": 2048}
-                ],
-                "scaling_4q_vs_1q_e1000e": 3.1,
-                "recovery_polls_e1000e": 9
-            }"#,
-        )
-        .unwrap();
-        let bad = gate::compare("e13", &baseline, &regressed);
-        assert!(!gate::all_pass(&bad), "-10% mpps must fail the gate");
-        let failed: Vec<_> = bad
-            .iter()
-            .filter(|r| !r.pass)
-            .map(|r| r.metric.as_str())
-            .collect();
-        assert_eq!(failed, ["rows[model=e1000e,queues=4].mpps"]);
-        let good = gate::compare("e13", &baseline, &ok);
-        assert!(
-            gate::all_pass(&good),
-            "-5% mpps is within the band: {good:?}"
-        );
-        // total_pkts is informational: no rule, so never in the results.
-        assert!(bad.iter().all(|r| !r.metric.contains("total_pkts")));
-        // Recovery latency gates lower-better.
-        let slow = opendesc_telemetry::parse_json(r#"{"recovery_polls_e1000e": 10}"#).unwrap();
-        let base = opendesc_telemetry::parse_json(r#"{"recovery_polls_e1000e": 8}"#).unwrap();
-        assert!(
-            !gate::all_pass(&gate::compare("e14", &base, &slow)),
-            "+25% polls must fail"
-        );
-        // A gated metric missing from the current record fails loudly.
-        let empty = opendesc_telemetry::parse_json(r#"{}"#).unwrap();
-        assert!(!gate::all_pass(&gate::compare("e14", &base, &empty)));
-        // The table renders one row per gated metric.
-        let table = gate::markdown_table(&bad);
-        assert!(table.contains("FAIL") && table.contains("mpps"));
-        // --relative-only demotes the absolute Mpps row to informational
-        // (shown but unable to fail), while a regression in a
-        // self-normalized metric still trips the gate.
-        let mut demoted = gate::compare("e13", &baseline, &regressed);
-        gate::demote_absolute(&mut demoted);
-        assert!(gate::all_pass(&demoted), "demoted mpps must not fail");
-        assert!(gate::markdown_table(&demoted).contains("info"));
-        let slow_scaling =
-            opendesc_telemetry::parse_json(r#"{"scaling_4q_vs_1q_e1000e": 2.0}"#).unwrap();
-        let scale_base =
-            opendesc_telemetry::parse_json(r#"{"scaling_4q_vs_1q_e1000e": 3.0}"#).unwrap();
-        let mut rel = gate::compare("e13", &scale_base, &slow_scaling);
-        gate::demote_absolute(&mut rel);
-        assert!(
-            !gate::all_pass(&rel),
-            "scaling regressions gate in relative-only mode"
-        );
-    }
-
-    #[test]
-    fn gate_floors_bind_independently_of_baseline() {
-        // The E16 ratios carry hard floors: a value inside its relative
-        // band but below the floor still fails, and a value above the
-        // floor is judged by the band alone.
-        let base = opendesc_telemetry::parse_json(
-            r#"{"batched_vs_per_packet_qdma": 1.02, "batched_vs_e12_batched_qdma": 1.55}"#,
-        )
-        .unwrap();
-        let below = opendesc_telemetry::parse_json(
-            r#"{"batched_vs_per_packet_qdma": 0.99, "batched_vs_e12_batched_qdma": 1.49}"#,
-        )
-        .unwrap();
-        let res = gate::compare("e16", &base, &below);
-        assert_eq!(res.len(), 2, "both ratios are gated: {res:?}");
-        for r in &res {
-            assert!(
-                !r.pass,
-                "{}: inside the band but below the floor must fail",
-                r.metric
-            );
-            assert!(r.change.abs() < r.rule.tolerance, "{}", r.metric);
-        }
-        let above = opendesc_telemetry::parse_json(
-            r#"{"batched_vs_per_packet_qdma": 1.00, "batched_vs_e12_batched_qdma": 1.50}"#,
-        )
-        .unwrap();
-        assert!(
-            gate::all_pass(&gate::compare("e16", &base, &above)),
-            "floors are inclusive: exactly 1.0 / 1.5 passes"
-        );
-        // The table spells the floor out next to the band.
-        assert!(gate::markdown_table(&res).contains("floor ≥ 1"));
-        // --relative-only demotes the constant-denominator batched
-        // ratio (machine-speed-proportional) but keeps the same-run
-        // ratio gated.
-        let mut demoted = gate::compare("e16", &base, &below);
-        gate::demote_absolute(&mut demoted);
-        assert!(!gate::all_pass(&demoted), "same-run ratio still gates");
-        let same_run: Vec<_> = demoted.iter().filter(|r| r.gated).collect();
-        assert_eq!(same_run.len(), 1);
-        assert!(same_run[0].metric.starts_with("batched_vs_per_packet"));
-        // `poll()` at parity with the seed loop is its honest value:
-        // banded against the baseline, no floor; and the new rule does
-        // not capture E12's differently-named speedup.
-        let parity = |v: f64| {
-            opendesc_telemetry::parse_json(&format!(r#"{{"plan_vs_per_packet_qdma": {v}}}"#))
-                .unwrap()
+        let with = |mpps: f64, scaling: f64| {
+            parse_json(&format!(
+                r#"{{"rows": [{{"model": "e1000e", "queues": 4, "mpps": {mpps}, "total_pkts": 9}}],
+                    "scaling_4q_vs_1q_e1000e": {scaling}, "cores": 64, "rounds": 1}}"#
+            ))
+            .unwrap()
         };
-        assert!(gate::all_pass(&gate::compare(
-            "e16",
-            &parity(1.02),
-            &parity(0.975)
-        )));
-        assert!(!gate::all_pass(&gate::compare(
-            "e16",
-            &parity(1.02),
-            &parity(0.85)
-        )));
-        let e12_speedup = gate::rule_for("speedup_batched_vs_per_packet_e1000e").unwrap();
-        assert_eq!((e12_speedup.tolerance, e12_speedup.floor), (0.20, None));
+        // −10% on an Mpps row is out of band (strict at the boundary),
+        // −5% is in; either way the row is informational.
+        let bad = compare(e13, &baseline, &with(9.0, 3.0));
+        let failed: Vec<_> = bad.iter().filter(|r| !r.pass).map(|r| &r.metric).collect();
+        assert_eq!(failed, ["rows[model=e1000e,queues=4].mpps"]);
+        assert!(all_pass(&bad), "absolute rows never fail the run");
+        assert!(markdown_table(&bad).contains("info"));
+        assert!(compare(e13, &baseline, &with(9.5, 3.1))
+            .iter()
+            .all(|r| r.pass));
+        // Counts and the run-description fields have no gate: never in
+        // the results, however far they moved.
+        assert_eq!(bad.len(), 2, "{bad:?}");
+        // A self-normalized regression does fail it, and the table
+        // spells the floor next to the band.
+        let slow = compare(e13, &baseline, &with(10.0, 1.9));
+        assert!(!all_pass(&slow));
+        let table = markdown_table(&slow);
+        assert!(table.contains("FAIL") && table.contains("≥ −20%, floor ≥ 2"));
+        // A gated metric missing from the current record fails loudly.
+        let gone = compare(e13, &baseline, &parse_json("{}").unwrap());
+        assert!(!all_pass(&gone) && markdown_table(&gone).contains("missing"));
+        // Recovery latency gates lower-better: +25% fails.
+        let e14 = Experiment::by_name("e14").unwrap();
+        let polls = |v: f64| doc("recovery_polls_e1000e", v);
+        assert!(!all_pass(&compare(e14, &polls(8.0), &polls(10.0))));
+        assert!(all_pass(&compare(e14, &polls(8.0), &polls(9.0))));
+        // E16: inside the band but under the floor fails; the
+        // constant-denominator ratio is reported, never gated; `poll()`
+        // at parity with the seed loop is banded with no floor.
+        let e16 = Experiment::by_name("e16").unwrap();
+        let pair = |a: f64, b: f64| {
+            parse_json(&format!(
+                r#"{{"batched_vs_per_packet_qdma": {a}, "batched_vs_e12_batched_qdma": {b}}}"#
+            ))
+            .unwrap()
+        };
+        let res = compare(e16, &pair(1.02, 1.55), &pair(0.99, 1.49));
+        assert_eq!(res.len(), 2, "both ratios have a gate: {res:?}");
+        for r in &res {
+            assert!(!r.pass && r.change.abs() < r.gate.tolerance, "{r:?}");
+        }
+        let gated: Vec<_> = res.iter().filter(|r| r.gated).collect();
+        assert_eq!(gated.len(), 1);
+        assert!(gated[0].metric.starts_with("batched_vs_per_packet"));
+        assert!(all_pass(&compare(e16, &pair(1.02, 1.55), &pair(1.0, 1.5))));
+        let parity = |v: f64| doc("plan_vs_per_packet_qdma", v);
+        assert!(all_pass(&compare(e16, &parity(1.02), &parity(0.975))));
+        assert!(!all_pass(&compare(e16, &parity(1.02), &parity(0.85))));
+        // E12's differently-named speedup is its own gate, not E16's.
+        let speedup = Experiment::by_name("e12")
+            .unwrap()
+            .gate_for("speedup_batched_vs_per_packet_e1000e")
+            .unwrap();
+        assert_eq!((speedup.tolerance, speedup.floor), (0.20, Some(2.0)));
     }
 
+    /// Every experiment, one measured round: `measure` itself asserts
+    /// conservation on every attempt (warm-up rounds, migration phases,
+    /// the E15 snapshot); here the record must round-trip through the
+    /// gate's parser, carry every metric its gates name, describe its
+    /// run, and account for every packet in its rows.
     #[test]
-    fn e16_steered_paths_agree_and_emit_json() {
-        // Same cross-path agreement as E12, under steered delivery:
-        // the device-computed hash sideband primes the plan paths' memo
-        // but must change no metadata value any path produces.
+    fn every_experiment_measures_a_gateable_record() {
+        for exp in &EXPERIMENTS {
+            let rec = (exp.measure)(1);
+            let json = rec.to_json();
+            let doc = parse_json(&json).unwrap_or_else(|e| panic!("{}: {e}\n{json}", exp.name));
+            assert!(rec.experiment.starts_with(exp.name));
+            for key in ["cores", "pkts_per_round", "rounds", "parallel"] {
+                assert!(doc.get(key).is_some(), "{}: no {key}", exp.name);
+            }
+            let flat = flatten(&doc);
+            // Panics if a gate names a metric the record lacks. Floors
+            // on timing ratios may miss in a one-round debug build;
+            // the deterministic ones may not.
+            let missed = check_floors(exp, &rec);
+            for m in missed.iter().filter(|m| m.gated) {
+                assert!(
+                    !["delivered", "polls", "layouts", "clean"]
+                        .iter()
+                        .any(|k| m.metric.contains(k)),
+                    "{}: {} = {}",
+                    exp.name,
+                    m.metric,
+                    m.current
+                );
+            }
+            for (k, v) in &flat {
+                assert!(v.is_finite(), "{}: {k} = {v}", exp.name);
+                // Run-description fields and per-queue arrays are never
+                // metrics; an Mpps cell is a measurement that happened;
+                // a row's total is the round.
+                assert!(!RUN_FIELDS.contains(&k.as_str()) && !k.contains("per_queue"));
+                if k.ends_with("mpps") {
+                    assert!(*v > 0.0, "{}: {k}", exp.name);
+                }
+                if k.ends_with(".total_pkts") || k.ends_with(".generated") {
+                    assert_eq!(*v as usize, rec.pkts_per_round, "{}: {k}", exp.name);
+                }
+            }
+            let row = |id: &str, col: &str| {
+                rec.metric(&format!("rows[{id}].{col}"))
+                    .unwrap_or_else(|| panic!("{}: no rows[{id}].{col}", exp.name))
+            };
+            match exp.name {
+                "e13" | "e17" => {
+                    assert!(flat.iter().any(|(k, _)| k.ends_with("busy_p99_p50")));
+                    assert!(json.contains("\"per_queue_pkts\": ["));
+                }
+                // 10% per-class rates must be seen by the validator.
+                "e14" => {
+                    for m in ["e1000e", "ixgbe", "mlx5", "qdma"] {
+                        let id = format!("model={m},rate=0.1");
+                        assert!(row(&id, "discarded") + row(&id, "degraded") > 0.0, "{m}");
+                    }
+                }
+                // Skew at α=1.3 must trigger migrations, elephants must
+                // force stealing, and occupancy must come out flatter.
+                "e18" => {
+                    let adaptive = "model=e1000e,path=adaptive_zipf1.3,queues=16";
+                    let fixed = "model=e1000e,path=static_zipf1.3,queues=16";
+                    assert!(row(adaptive, "migrations") > 0.0);
+                    assert!(row(adaptive, "stolen_chunks") > 0.0);
+                    assert_eq!(row(fixed, "migrations") + row(fixed, "stolen_chunks"), 0.0);
+                    assert!(row(adaptive, "occ_p99_p50") < row(fixed, "occ_p99_p50"));
+                }
+                "e19" => {
+                    for m in ["e1000e", "ixgbe", "mlx5", "qdma"] {
+                        let id = format!("model={m},path=live_evolution,queues=4");
+                        assert_eq!(row(&id, "delivered"), row(&id, "generated"), "{m}");
+                        assert_eq!(row(&id, "flips") as usize, e19::QUEUES * e19::MIGRATIONS);
+                        assert_eq!(rec.metric(&format!("relayout_retention_{m}")), Some(1.0));
+                    }
+                }
+                _ => {}
+            }
+            assert!(!rec.table().is_empty());
+        }
+    }
+
+    /// All three drains must hand back the same packet count and the
+    /// same XOR-fold of every metadata value, on every model — under
+    /// hintless wire delivery (E12) and under steered delivery (E16),
+    /// where the device-computed hash sideband primes the plan paths'
+    /// memo but must change no metadata value any path produces.
+    #[test]
+    fn drain_paths_agree_under_wire_and_steered_delivery() {
         let frames = e12::traffic(24);
         let steer = opendesc_nicsim::multiqueue::Steerer::new(opendesc_nicsim::SteerPolicy::Rss, 1);
-        for model in e12::model_matrix() {
-            let name = model.name.clone();
-            let mut a = e12::driver(model.clone(), 64);
-            let mut b = e12::driver(model.clone(), 64);
-            let mut c = e12::driver(model, 64);
-            for drv in [&mut a, &mut b, &mut c] {
-                e16::deliver_steered_round(drv, &steer, &frames);
-            }
-            let mut soft = opendesc_softnic::SoftNic::new();
-            let mut batch = c.make_batch(7); // odd cap: exercises remainder
-            let seed = e12::drain_per_packet(&mut a, &mut soft);
-            let plan = e12::drain_plan(&mut b);
-            let batched = e12::drain_batched(&mut c, &mut batch);
-            assert_eq!(seed, plan, "{name}: steered plan drain diverged");
-            assert_eq!(seed, batched, "{name}: steered batched drain diverged");
-            assert_eq!(seed.0, 24, "{name}: lost packets");
-        }
-        // The emitter produces one row per (model, path) plus both
-        // per-model ratio keys, and round-trips through the gate.
-        let rows = e16::run_quick(1);
-        assert_eq!(rows.len(), 4 * e16::PATHS.len());
-        let json = e16::to_json(&rows);
-        assert!(json.contains("\"experiment\": \"e16_vm_datapath\""));
-        for m in ["e1000e", "ixgbe", "mlx5", "qdma"] {
-            assert!(json.contains(&format!("\"plan_vs_per_packet_{m}\"")));
-            assert!(json.contains(&format!("\"batched_vs_per_packet_{m}\"")));
-            assert!(json.contains(&format!("\"batched_vs_e12_batched_{m}\"")));
-            assert!(e16::plan_vs_per_packet(&rows, m).is_finite());
-            assert!(e16::batched_vs_per_packet(&rows, m).is_finite());
-            assert!(e16::batched_vs_e12(&rows, m).is_finite());
-        }
-        assert!(e16::worst_batched_vs_per_packet(&rows).is_finite());
-        assert!(e16::worst_batched_ratio(&rows).is_finite());
-        let doc = opendesc_telemetry::parse_json(&json).expect("e16 record parses");
-        let gated = gate::flatten(&doc)
-            .iter()
-            .filter(|(k, _)| gate::rule_for(k).is_some())
-            .count();
-        // 12 mpps rows + 4 plan ratios + 2 × 4 batched ratios.
-        assert_eq!(gated, 24, "every E16 metric the gate expects is present");
-    }
-
-    #[test]
-    fn e17_engine_conserves_frames_and_emits_json() {
-        // Small full-duplex sanity: the forward-everything engine puts
-        // every generated frame back on the wire, the head-to-head
-        // returns finite per-frame times, and the record carries both
-        // acceptance keys with working gate rules.
-        let model = opendesc_nicsim::models::e1000e();
-        let mut eng = e17::engine(&model, 4);
-        let pools = e17::pools(&eng);
-        assert_eq!(pools.iter().map(Vec::len).sum::<usize>(), e17::ROUND);
-        let rep = eng.run(&pools);
-        assert_eq!(rep.total_rx_packets() as usize, e17::ROUND);
-        assert_eq!(rep.total_forwarded() as usize, e17::ROUND);
-        assert_eq!(rep.total_wire_frames(), rep.total_forwarded());
-        let (seed_ns, batched_ns) = e17::tx_head_to_head(1);
-        assert!(seed_ns.is_finite() && seed_ns > 0.0);
-        assert!(batched_ns.is_finite() && batched_ns > 0.0);
-        let rows = vec![
-            e17::Row {
-                model: "e1000e".into(),
-                queues: 1,
-                mpps: 3.0,
-                total_pkts: 10,
-                max_busy_ns: 100,
-                sum_busy_ns: 100,
-                per_queue_pkts: vec![10],
-                per_queue_busy_ns: vec![100],
-                busy_p99_p50: 1.0,
-            },
-            e17::Row {
-                model: "e1000e".into(),
-                queues: 4,
-                mpps: 9.0,
-                total_pkts: 10,
-                max_busy_ns: 33,
-                sum_busy_ns: 120,
-                per_queue_pkts: vec![2, 3, 2, 3],
-                per_queue_busy_ns: vec![27, 33, 28, 32],
-                busy_p99_p50: 33.0 / 32.0,
-            },
-        ];
-        assert!((e17::scaling(&rows, "e1000e", 4, 1) - 3.0).abs() < 1e-9);
-        let json = e17::to_json(&rows, 2.5);
-        assert!(json.contains("\"experiment\": \"e17_full_duplex\""));
-        assert!(json.contains("tx_batched_vs_seed_e1000e"));
-        assert!(json.contains("forward_scaling_4q_e1000e"));
-        let doc = opendesc_telemetry::parse_json(&json).expect("e17 record parses");
-        assert!(!gate::flatten(&doc).is_empty());
-        // Both acceptance ratios carry the 2.0 floor (and must not fall
-        // through to the floorless generic `scaling` rule), gate as
-        // self-normalized metrics under --relative-only, and fail below
-        // the floor even inside the relative band.
-        for metric in ["tx_batched_vs_seed_e1000e", "forward_scaling_4q_e1000e"] {
-            let rule = gate::rule_for(metric).expect("e17 ratio is gated");
-            assert_eq!(rule.floor, Some(2.0), "{metric}");
-            assert!(!gate::is_absolute(metric), "{metric}");
-        }
-        let base = opendesc_telemetry::parse_json(
-            r#"{"tx_batched_vs_seed_e1000e": 2.05, "forward_scaling_4q_e1000e": 2.05}"#,
-        )
-        .unwrap();
-        let below = opendesc_telemetry::parse_json(
-            r#"{"tx_batched_vs_seed_e1000e": 1.95, "forward_scaling_4q_e1000e": 1.95}"#,
-        )
-        .unwrap();
-        let mut res = gate::compare("e17", &base, &below);
-        gate::demote_absolute(&mut res);
-        assert_eq!(res.len(), 2);
-        for r in &res {
-            assert!(r.gated, "{}: still gated under --relative-only", r.metric);
-            assert!(!r.pass, "{}: below the floor must fail", r.metric);
-            assert!(r.change.abs() < r.rule.tolerance, "{}", r.metric);
-        }
-    }
-
-    #[test]
-    fn e12_paths_agree_and_emit_json() {
-        // All three drains must hand back the same packet count and the
-        // same XOR-fold of every metadata value, on every model.
-        let frames = e12::traffic(24);
-        for model in e12::model_matrix() {
-            let name = model.name.clone();
-            let mut a = e12::driver(model.clone(), 64);
-            let mut b = e12::driver(model.clone(), 64);
-            let mut c = e12::driver(model, 64);
-            for f in &frames {
-                a.deliver(f).unwrap();
-                b.deliver(f).unwrap();
-                c.deliver(f).unwrap();
-            }
-            let mut soft = opendesc_softnic::SoftNic::new();
-            let mut batch = c.make_batch(7); // odd cap: exercises remainder
-            let seed = e12::drain_per_packet(&mut a, &mut soft);
-            let plan = e12::drain_plan(&mut b);
-            let batched = e12::drain_batched(&mut c, &mut batch);
-            assert_eq!(seed, plan, "{name}: plan drain diverged");
-            assert_eq!(seed, batched, "{name}: batched drain diverged");
-            assert_eq!(seed.0, 24, "{name}: lost packets");
-        }
-        // The JSON emitter produces one row per (model, path).
-        let rows = e12::run_quick(1);
-        assert_eq!(rows.len(), 4 * e12::PATHS.len());
-        let json = e12::to_json(&rows);
-        assert!(json.contains("\"experiment\": \"e12_rx_datapath\""));
-        assert!(json.contains("speedup_batched_vs_per_packet_e1000e"));
-        for r in &rows {
-            assert!(r.mpps.is_finite() && r.mpps > 0.0, "{}/{}", r.model, r.path);
-        }
-    }
-
-    #[test]
-    fn e18_adaptive_beats_static_and_emits_json() {
-        // One small matrix cell (16 queues, α=1.3) through the real
-        // harness: both arms conserve every frame, the adaptive arm
-        // actually migrates and steals, and the record carries the
-        // gated ratio keys with working rules.
-        let model = e18::model();
-        let mut eng = e18::engine(&model, 16);
-        let wl = e18::workload(Some(1.3));
-        eng.steerer_mut().reset_reta();
-        let cfg = opendesc_core::AdaptiveConfig {
-            interval: e18::INTERVAL,
-            ..Default::default()
-        };
-        let adaptive = eng.run_adaptive(&wl, e18::TOTAL, &cfg);
-        assert_eq!(adaptive.report.total_packets() as usize, e18::TOTAL);
-        let reb = adaptive.rebalance.expect("adaptive arm has a rebalancer");
-        assert!(reb.migrations > 0, "skew at α=1.3 must trigger migrations");
-        assert!(adaptive.stolen_chunks > 0, "elephants must force stealing");
-        eng.steerer_mut().reset_reta();
-        let cfg = opendesc_core::AdaptiveConfig::static_reta(e18::INTERVAL);
-        let fixed = eng.run_adaptive(&wl, e18::TOTAL, &cfg);
-        assert_eq!(fixed.report.total_packets() as usize, e18::TOTAL);
-        assert!(
-            adaptive.occupancy_imbalance() < fixed.occupancy_imbalance(),
-            "adaptive occupancy p99/p50 {} must beat static {}",
-            adaptive.occupancy_imbalance(),
-            fixed.occupancy_imbalance()
-        );
-        // The emitter + gate plumbing, on the quickest possible matrix.
-        let rows = e18::run_quick(1);
-        assert_eq!(
-            rows.len(),
-            e18::QUEUE_COUNTS.len() * 2 * (e18::ALPHAS.len() + 1)
-        );
-        let json = e18::to_json(&rows);
-        assert!(json.contains("\"experiment\": \"e18_adaptive_steering\""));
-        let doc = opendesc_telemetry::parse_json(&json).expect("e18 record parses");
-        let flat = gate::flatten(&doc);
-        for metric in [
-            "adaptive_vs_static_mpps_alpha13_q16_e1000e",
-            "adaptive_vs_static_mpps_alpha13_q64_e1000e",
-            "imbalance_improvement_alpha13_q16_e1000e",
-            "imbalance_improvement_alpha13_q64_e1000e",
-            "adaptive_vs_static_mpps_uniform_q16_e1000e",
-        ] {
-            assert!(
-                flat.iter().any(|(k, _)| k == metric),
-                "record must carry {metric}"
-            );
-            let rule = gate::rule_for(metric).expect("e18 ratio is gated");
-            assert!(rule.floor.is_some(), "{metric} carries a hard floor");
-            // Self-normalized: stays gated under --relative-only.
-            assert!(!gate::is_absolute(metric), "{metric}");
-        }
-        // Below-floor values fail even when the baseline moved with
-        // them (the floor restates the issue's acceptance criterion).
-        let base = opendesc_telemetry::parse_json(
-            r#"{"adaptive_vs_static_mpps_alpha13_q16_e1000e": 1.25}"#,
-        )
-        .unwrap();
-        let below = opendesc_telemetry::parse_json(
-            r#"{"adaptive_vs_static_mpps_alpha13_q16_e1000e": 1.15}"#,
-        )
-        .unwrap();
-        let mut res = gate::compare("e18", &base, &below);
-        gate::demote_absolute(&mut res);
-        assert_eq!(res.len(), 1);
-        assert!(res[0].gated, "still gated under --relative-only");
-        assert!(!res[0].pass, "below the 1.2 floor must fail");
-    }
-
-    #[test]
-    fn e19_relayout_record_carries_gated_floors() {
-        // One model through the real harness (the full four-model
-        // matrix is the emitter's job): pre → migrate → post with the
-        // lean/full intent pair, zero loss, all flips within budget.
-        let cache = opendesc_core::PlanCache::default();
-        let mut reg = opendesc_ir::SemanticRegistry::with_builtins();
-        let full = e13::intent(&mut reg);
-        let lean = e19::alt_intent(&mut reg);
-        let model = opendesc_nicsim::models::e1000e();
-        let mut eng = opendesc_core::ShardedRx::new_uniform(
-            &cache,
-            &model,
-            &full,
-            &mut reg,
-            e19::QUEUES,
-            e19::RING,
-            opendesc_nicsim::SteerPolicy::Rss,
-            e19::BATCH_CAP,
-        )
-        .unwrap();
-        cache.begin_generation();
-        let rx = cache.get_or_compile(&model, &lean, &mut reg).unwrap();
-        let cfg = opendesc_core::EvolveConfig::new(
-            e19::INTERVAL,
-            vec![opendesc_core::RelayoutRequest { at_interval: 1, rx }],
-        );
-        let out = eng.run_evolving(&e19::workload(), e19::TOTAL, &cfg);
-        assert_eq!(out.report.total_packets() as usize, e19::TOTAL);
-        assert_eq!(out.unresolved, 0);
-        assert_eq!(out.flips.len(), e19::QUEUES);
-        assert!(out.max_flip_polls() as u64 <= e19::MAX_FLIP_POLLS);
-
-        // The record schema and its gate rules, without re-measuring:
-        // a hand-built row exercises to_json + rule_for end to end.
-        let rows = vec![e19::Row {
-            model: "e1000e".into(),
-            path: "live_evolution".into(),
-            queues: e19::QUEUES,
-            pre_mpps: 10.0,
-            migrate_mpps: 9.0,
-            post_mpps: 9.9,
-            flips: (e19::QUEUES * e19::MIGRATIONS) as u64,
-            max_flip_polls: 3,
-            delivered: e19::TOTAL as u64,
-            generated: e19::TOTAL as u64,
-        }];
-        let json = e19::to_json(&rows);
-        assert!(json.contains("\"experiment\": \"e19_live_evolution\""));
-        let doc = opendesc_telemetry::parse_json(&json).expect("e19 record parses");
-        let flat = gate::flatten(&doc);
-        for metric in [
-            "post_vs_pre_relayout_throughput_e1000e",
-            "relayout_polls_max_e1000e",
-            "relayout_retention_e1000e",
-        ] {
-            assert!(
-                flat.iter().any(|(k, _)| k == metric),
-                "record must carry {metric}"
-            );
-            let rule = gate::rule_for(metric).expect("e19 metric is gated");
-            // Self-normalized or deterministic: stays gated under
-            // --relative-only.
-            assert!(!gate::is_absolute(metric), "{metric}");
-            if !metric.contains("retention") {
-                assert!(rule.floor.is_some(), "{metric} carries a hard floor");
+        for steered in [false, true] {
+            for model in e12::model_matrix() {
+                let name = model.name.clone();
+                let mut drvs = [(); 3].map(|_| e12::driver(model.clone(), 64));
+                for drv in &mut drvs {
+                    if steered {
+                        e16::deliver_steered_round(drv, &steer, &frames);
+                    } else {
+                        frames.iter().for_each(|f| drv.deliver(f).unwrap());
+                    }
+                }
+                let [a, b, c] = &mut drvs;
+                let mut soft = opendesc_softnic::SoftNic::new();
+                let mut batch = c.make_batch(7); // odd cap: exercises remainder
+                let seed = e12::drain_per_packet(a, &mut soft);
+                assert_eq!(seed, e12::drain_plan(b), "{name}: plan drain diverged");
+                assert_eq!(
+                    seed,
+                    e12::drain_batched(c, &mut batch),
+                    "{name}: batched drain diverged"
+                );
+                assert_eq!(seed.0, 24, "{name}: lost packets");
             }
         }
-        // The throughput floor binds even when the baseline moved with
-        // the regression, and exactly 0.95 passes (inclusive).
-        let base =
-            opendesc_telemetry::parse_json(r#"{"post_vs_pre_relayout_throughput_e1000e": 0.97}"#)
-                .unwrap();
-        let below =
-            opendesc_telemetry::parse_json(r#"{"post_vs_pre_relayout_throughput_e1000e": 0.94}"#)
-                .unwrap();
-        let at =
-            opendesc_telemetry::parse_json(r#"{"post_vs_pre_relayout_throughput_e1000e": 0.95}"#)
-                .unwrap();
-        assert!(!gate::all_pass(&gate::compare("e19", &base, &below)));
-        assert!(gate::all_pass(&gate::compare("e19", &base, &at)));
-        // A flip-poll count over the 16-poll budget fails regardless of
-        // the band; an unchanged zero passes (equality short-circuit).
-        let pbase = opendesc_telemetry::parse_json(r#"{"relayout_polls_max_e1000e": 0}"#).unwrap();
-        let pover = opendesc_telemetry::parse_json(r#"{"relayout_polls_max_e1000e": 17}"#).unwrap();
-        assert!(!gate::all_pass(&gate::compare("e19", &pbase, &pover)));
-        assert!(gate::all_pass(&gate::compare("e19", &pbase, &pbase)));
+    }
+
+    /// The baselines committed before records named their identity
+    /// columns still flatten to the same row names as fresh ones.
+    #[test]
+    fn legacy_records_line_up_with_marked_ones() {
+        let legacy = parse_json(
+            r#"{"rows": [{"model": "qdma", "rate": 0.10, "goodput_mpps": 4.2, "delivered": 7}]}"#,
+        )
+        .unwrap();
+        let mut rec = Record::new("e14_x", "u", 0, 0, Parallel::Run, Vec::new());
+        rec.rows.push(vec![
+            ("model", Cell::id("qdma")),
+            ("rate", Cell::IdNum(0.10)),
+            ("goodput_mpps", Cell::Val(4.2)),
+            ("delivered", Cell::Count(7)),
+        ]);
+        assert_eq!(flatten(&legacy), rec.flat());
+        assert_eq!(rec.metric("rows[model=qdma,rate=0.1].delivered"), Some(7.0));
     }
 }

@@ -64,9 +64,9 @@ pub use robust::{
 };
 pub use select::{Objective, PathScore, SelectError, Selection, Selector};
 pub use shard::{
-    AdaptiveConfig, AdaptiveOutcome, DrainedPacket, EngineHealthReport, EngineReport, EngineWorker,
-    ForwardFn, QueueHealthReport, RxWorker, ShardError, ShardReport, ShardedEngine, ShardedRx,
-    TxVerdict, TxWorkerStats, WorkerStats,
+    retain_into, AdaptiveConfig, AdaptiveOutcome, BatchSink, DrainedPacket, EngineHealthReport,
+    EngineReport, EngineWorker, ForwardFn, QueueHealthReport, RxWorker, ShardError, ShardReport,
+    ShardedEngine, ShardedRx, TxVerdict, TxWorkerStats, WorkerStats,
 };
 pub use tx::{
     compile_tx, lower_tx, txreg, CompiledTx, CompiledTxPlan, TxBatch, TxDriver, TxQueue,

@@ -44,7 +44,6 @@ use opendesc_nicsim::pktgen::{PktGen, ShardFrame, Workload};
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_telemetry::{MetricRegistry, Snapshot};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -114,11 +113,6 @@ pub struct WorkerStats {
     pub watchdog_resets: u64,
     /// Queue health at the time the stats were read.
     pub health: QueueHealth,
-    /// Whole chunks this worker stole from other queues' pools
-    /// ([`ShardedEngine::run_stealing`]); zero on the non-stealing paths.
-    pub stolen_batches: u64,
-    /// Packets inside those stolen chunks.
-    pub stolen_pkts: u64,
 }
 
 /// One queue + its driver + its recycled batch + its padded stat cell.
@@ -645,31 +639,12 @@ impl ShardedRx {
     /// workers pump one after another, generation and steering run off
     /// the clock, so the aggregate (total packets over the busiest
     /// worker's busy time) models one core per worker.
-    pub fn run_adaptive(
-        &mut self,
-        wl: &Workload,
-        total: usize,
-        cfg: &AdaptiveConfig,
-    ) -> AdaptiveOutcome {
-        self.run_adaptive_impl(wl, total, cfg, &mut |_, _, _| {})
-    }
-
-    /// [`run_adaptive`](ShardedRx::run_adaptive) that also retains every
-    /// delivered frame as `(interval, queue, frame)` in drain order —
-    /// the correctness harness for multiset conservation and per-flow
+    ///
+    /// Every drained batch goes to `sink`, tagged `(interval, queue)`:
+    /// the measured runs pass a no-op, the correctness harness passes
+    /// [`retain_into`] to check multiset conservation and per-flow
     /// order under live migrations.
-    pub fn run_adaptive_collect(
-        &mut self,
-        wl: &Workload,
-        total: usize,
-        cfg: &AdaptiveConfig,
-    ) -> (AdaptiveOutcome, Vec<(u32, usize, Vec<u8>)>) {
-        let mut delivered = Vec::with_capacity(total);
-        let out = self.run_adaptive_impl(wl, total, cfg, &mut retain_into(&mut delivered));
-        (out, delivered)
-    }
-
-    fn run_adaptive_impl(
+    pub fn run_adaptive(
         &mut self,
         wl: &Workload,
         total: usize,
@@ -804,32 +779,10 @@ impl ShardedRx {
     /// the live RETA but no rebalancing — relayout is the only control
     /// action, so flip latency is not confounded with RETA moves.
     /// Requests parked on a `Degraded` queue are retried at every later
-    /// boundary and commit once health recovers.
+    /// boundary and commit once health recovers. Drained batches —
+    /// including those a drain-and-flip pulls in — go to `sink`, as in
+    /// [`run_adaptive`](ShardedRx::run_adaptive).
     pub fn run_evolving(
-        &mut self,
-        wl: &Workload,
-        total: usize,
-        cfg: &EvolveConfig,
-    ) -> RelayoutOutcome {
-        self.run_evolving_impl(wl, total, cfg, &mut |_, _, _| {})
-    }
-
-    /// [`run_evolving`](ShardedRx::run_evolving) that also retains
-    /// every delivered frame as `(interval, queue, frame)` in drain
-    /// order — the correctness harness for multiset conservation and
-    /// per-flow order across flips.
-    pub fn run_evolving_collect(
-        &mut self,
-        wl: &Workload,
-        total: usize,
-        cfg: &EvolveConfig,
-    ) -> (RelayoutOutcome, Vec<(u32, usize, Vec<u8>)>) {
-        let mut delivered = Vec::with_capacity(total);
-        let out = self.run_evolving_impl(wl, total, cfg, &mut retain_into(&mut delivered));
-        (out, delivered)
-    }
-
-    fn run_evolving_impl(
         &mut self,
         wl: &Workload,
         total: usize,
@@ -934,11 +887,12 @@ fn on_each_worker<W: Send, R: Send>(
 }
 
 /// Where the interval loops send each drained batch: `(interval,
-/// queue, batch)`. The plain runs pass a no-op.
-type BatchSink<'a> = dyn FnMut(u32, usize, &RxBatch) + 'a;
+/// queue, batch)`. The measured runs pass a no-op (`&mut |_, _, _| {}`).
+pub type BatchSink<'a> = dyn FnMut(u32, usize, &RxBatch) + 'a;
 
-/// The "collect" sink: copy every frame out of the batch, tagged.
-fn retain_into(out: &mut Vec<(u32, usize, Vec<u8>)>) -> impl FnMut(u32, usize, &RxBatch) + '_ {
+/// The "collect" sink: copy every frame out of the batch as
+/// `(interval, queue, frame)`, in drain order.
+pub fn retain_into(out: &mut Vec<(u32, usize, Vec<u8>)>) -> impl FnMut(u32, usize, &RxBatch) + '_ {
     move |interval, q, b| out.extend((0..b.len()).map(|pkt| (interval, q, b.frame(pkt).to_vec())))
 }
 
@@ -1014,10 +968,9 @@ impl AdaptiveOutcome {
 
 /// The sequential model of whole-batch work stealing: move surplus tail
 /// chunks (one drain batch each) from the fullest pools onto the
-/// emptiest until no hand-off can shrink the gap below one chunk. Same
-/// granularity as the parallel claim-cursor path
-/// ([`ShardedEngine::run_stealing`]): thieves take whole batches, and
-/// process them with their own compiled plan on their own queue.
+/// emptiest until no hand-off can shrink the gap below one chunk.
+/// Thieves take whole batches, and process them with their own compiled
+/// plan on their own queue.
 /// Returns chunks moved. Each move strictly shrinks the hot/cold gap by
 /// `2×chunk`, so the loop terminates.
 fn steal_surplus_chunks(pools: &mut [Vec<ShardFrame>], chunk: usize) -> u64 {
@@ -1386,51 +1339,6 @@ impl ShardedEngine {
     pub fn run(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
         self.round(pools, true, |q, w, fwd| {
             w.pump_forward(&pools[q], fwd, None)
-        })
-        .0
-    }
-
-    /// [`run`](ShardedEngine::run) with whole-batch work stealing: each
-    /// worker claims its own pool in drain-batch-sized chunks through a
-    /// per-pool atomic cursor, and once its pool is exhausted it turns
-    /// thief, claiming surplus chunks from its neighbours' cursors and
-    /// processing them with its *own* compiled plan on its *own* queue
-    /// pair.
-    ///
-    /// Memory ordering: the claim is a single `fetch_add(chunk,
-    /// Relaxed)` — an atomic RMW, so every chunk index is claimed
-    /// exactly once; the pools are shared read-only, and the scoped-
-    /// thread join is the only release/acquire edge anyone needs
-    /// (results are read after join). There are *zero* new atomics on
-    /// the non-stealing fast path: [`run`](ShardedEngine::run) is
-    /// untouched, and even here the cursor is touched once per whole
-    /// chunk, never per packet.
-    ///
-    /// Stolen chunks interleave a victim's tail with the thief's queue,
-    /// so per-flow delivery order across queues is not preserved — this
-    /// entry point trades order for tail latency, exactly like the
-    /// sequential steal planner in [`ShardedRx::run_adaptive`].
-    pub fn run_stealing(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
-        let n = self.workers.len();
-        let chunk = self.workers[0].rx.batch.capacity().max(1);
-        let cursors: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        self.round(pools, true, |q, w, fwd| {
-            // Own pool first, then the neighbours in ring order —
-            // victims only lose chunks nobody else has claimed.
-            for victim in (q..q + n).map(|i| i % n) {
-                loop {
-                    let from = cursors[victim].fetch_add(chunk, Ordering::Relaxed);
-                    if from >= pools[victim].len() {
-                        break;
-                    }
-                    let to = (from + chunk).min(pools[victim].len());
-                    w.pump_forward(&pools[victim][from..to], fwd, None);
-                    if victim != q {
-                        w.rx.stats.value.stolen_batches += 1;
-                        w.rx.stats.value.stolen_pkts += (to - from) as u64;
-                    }
-                }
-            }
         })
         .0
     }
@@ -1834,7 +1742,12 @@ mod tests {
         let wl = Workload::zipf(64, 1.3, 2);
         let total = 6_000;
         // Static arm: frozen RETA, no stealing.
-        let stat = eng.run_adaptive(&wl, total, &AdaptiveConfig::static_reta(1_000));
+        let stat = eng.run_adaptive(
+            &wl,
+            total,
+            &AdaptiveConfig::static_reta(1_000),
+            &mut |_, _, _| {},
+        );
         assert_eq!(stat.report.total_packets(), total as u64);
         assert!(stat.rebalance.is_none());
         assert_eq!(stat.stolen_chunks, 0);
@@ -1855,6 +1768,7 @@ mod tests {
                 interval: 1_000,
                 ..AdaptiveConfig::default()
             },
+            &mut |_, _, _| {},
         );
         assert_eq!(adp.report.total_packets(), total as u64);
         let reb = adp.rebalance.expect("adaptive arm reports control stats");
@@ -1868,52 +1782,6 @@ mod tests {
         for w in &adp.report.per_worker {
             assert_eq!(w.health, QueueHealth::Healthy);
         }
-    }
-
-    #[test]
-    fn stealing_run_conserves_and_thieves_help() {
-        let cache = PlanCache::default();
-        let mut reg = SemanticRegistry::with_builtins();
-        let ri = intent(&mut reg);
-        let ti = tx_intent(&mut reg);
-        let mut eng = ShardedEngine::new_uniform(
-            &cache,
-            &models::e1000e(),
-            &ri,
-            &ti,
-            &mut reg,
-            4,
-            256,
-            SteerPolicy::Rss,
-            32,
-            2048,
-            Arc::new(|_b: &RxBatch, _i: usize, _s: &mut Vec<u8>| {
-                TxVerdict::Forward(TxRequest::default())
-            }),
-        )
-        .unwrap();
-        // Heavy skew: elephants pin most traffic to a couple of queues,
-        // so idle workers must turn thief to finish.
-        let total = 4_000;
-        let pools = opendesc_nicsim::pktgen::ShardedPktGen::generate(
-            Workload::zipf(64, 1.3, 2),
-            eng.steerer(),
-            total,
-        )
-        .into_pools();
-        let report = eng.run_stealing(&pools);
-        assert_eq!(report.total_rx_packets(), total as u64);
-        assert_eq!(report.total_forwarded(), total as u64);
-        assert_eq!(report.total_wire_frames(), total as u64);
-        let stolen: u64 = report.rx.iter().map(|w| w.stolen_batches).sum();
-        assert!(stolen > 0, "idle workers must steal under heavy skew");
-        let stolen_pkts: u64 = report.rx.iter().map(|w| w.stolen_pkts).sum();
-        assert!(stolen_pkts >= stolen, "chunks carry packets");
-        // The plain runs are byte-for-byte unaffected (no new atomics,
-        // no stolen counters) — same pools, same conservation.
-        let plain = eng.run(&pools);
-        assert_eq!(plain.total_rx_packets(), total as u64);
-        assert!(plain.rx.iter().all(|w| w.stolen_batches == 0));
     }
 
     #[test]

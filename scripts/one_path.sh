@@ -3,7 +3,10 @@
 # driver executes the verified bytecode and nothing else, through one
 # admission pipeline, and the engines run through one drain loop and
 # one thread scope. Checks the non-test part of each file (up to the
-# first `#[cfg(test)]`), comments excluded.
+# first `#[cfg(test)]`), comments excluded. Also fails if the bench
+# runner forks again (ISSUE 16): one binary, no mode switch, no
+# run-loop twin. The retired names are spelled in two halves below so
+# this file does not match its own search.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
@@ -31,4 +34,12 @@ done
 expect "receive_into_hinted( call sites in opendesc-core" "$total" 1
 expect "poll_batch_into( call sites in shard.rs" "$(code $src/shard.rs | sites 'poll_batch_into(')" 1
 expect "thread::scope sites in shard.rs" "$(code $src/shard.rs | sites 'thread::scope')" 1
+for pat in 'run_''stealing' 'run_adaptive_''collect' 'run_evolving_''collect' '_''impl('; do
+    expect "shard.rs has a run-loop twin again ($pat)" "$(code $src/shard.rs | sites "$pat")" 0
+done
+expect "files in crates/opendesc-bench/src/bin" "$(ls crates/opendesc-bench/src/bin | wc -l)" 1
+for pat in 'OPENDESC_''BENCH' 'relative-''only'; do
+    expect "a bench mode switch is back ($pat)" \
+        "$(grep -rlF -- "$pat" crates scripts .github | wc -l)" 0
+done
 exit $fail

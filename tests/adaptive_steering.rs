@@ -26,7 +26,9 @@
 //! `CHAOS_SEED` picks the fault schedule so the CI chaos matrix fans
 //! out across disjoint regions of the space.
 
-use opendesc::compiler::{AdaptiveConfig, Intent, PlanCache, RebalanceConfig, ShardedRx};
+use opendesc::compiler::{
+    retain_into, AdaptiveConfig, Intent, PlanCache, RebalanceConfig, ShardedRx,
+};
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::pktgen::ShardedPktGen;
 use opendesc::nicsim::{models, FaultConfig, PktGen, SteerPolicy, Workload};
@@ -117,10 +119,15 @@ proptest! {
             rebalance: Some(eager()),
             steal: true,
         };
-        let (out, delivered) = engine(queues).run_adaptive_collect(&wl, total, &cfg);
+        let (mut delivered, mut reference) = (Vec::new(), Vec::new());
+        let out = engine(queues).run_adaptive(&wl, total, &cfg, &mut retain_into(&mut delivered));
         prop_assert_eq!(out.report.total_packets() as usize, total, "adaptive arm lost frames");
-        let (sout, reference) = engine(queues)
-            .run_adaptive_collect(&wl, total, &AdaptiveConfig::static_reta(512));
+        let sout = engine(queues).run_adaptive(
+            &wl,
+            total,
+            &AdaptiveConfig::static_reta(512),
+            &mut retain_into(&mut reference),
+        );
         prop_assert_eq!(sout.report.total_packets() as usize, total, "static arm lost frames");
         let mut a: Vec<Vec<u8>> = delivered.into_iter().map(|(_, _, f)| f).collect();
         let mut b: Vec<Vec<u8>> = reference.into_iter().map(|(_, _, f)| f).collect();
@@ -146,7 +153,8 @@ proptest! {
             rebalance: Some(eager()),
             steal: false,
         };
-        let (out, delivered) = engine(queues).run_adaptive_collect(&wl, total, &cfg);
+        let mut delivered = Vec::new();
+        let out = engine(queues).run_adaptive(&wl, total, &cfg, &mut retain_into(&mut delivered));
         prop_assert_eq!(out.report.total_packets() as usize, total);
         // Migrations must actually be exercised for the property to
         // mean anything on the skewed cases; uniform-ish draws may
@@ -192,7 +200,7 @@ fn rebalancer_converges_under_stationary_skew() {
         rebalance: Some(RebalanceConfig::default()),
         steal: false,
     };
-    let (out, _) = engine(16).run_adaptive_collect(&wl, intervals * 1024, &cfg);
+    let out = engine(16).run_adaptive(&wl, intervals * 1024, &cfg, &mut |_, _, _| {});
     let stats = out.rebalance.expect("adaptive arm runs a rebalancer");
     assert!(
         stats.migrations > 0,
@@ -251,7 +259,8 @@ fn rebalance_during_hot_queue_chaos_does_not_wedge() {
         rebalance: Some(eager()),
         steal: true,
     };
-    let (out, delivered) = eng.run_adaptive_collect(&wl, total, &cfg);
+    let mut delivered = Vec::new();
+    let out = eng.run_adaptive(&wl, total, &cfg, &mut retain_into(&mut delivered));
 
     // Not wedged, nothing stranded: the bounded recovery drain plus
     // watchdog resets leave every queue quiesced.

@@ -24,8 +24,8 @@
 
 use opendesc::compiler::cache::CompiledRx;
 use opendesc::compiler::{
-    EvolveConfig, FlipProgress, Intent, OpenDescDriver, PlanCache, QueueHealth, RelayoutRequest,
-    ShardedRx, TraceKind,
+    retain_into, EvolveConfig, FlipProgress, Intent, OpenDescDriver, PlanCache, QueueHealth,
+    RelayoutRequest, ShardedRx, TraceKind,
 };
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::models::NicModel;
@@ -147,7 +147,8 @@ proptest! {
         wl.seed = seed;
         let (cache, mut reg, mut eng) = evolving_engine(model_ix, queues);
         let cfg = EvolveConfig::new(512, schedule(&cache, &mut reg, model_ix, migrations));
-        let (out, delivered) = eng.run_evolving_collect(&wl, total, &cfg);
+        let mut delivered = Vec::new();
+        let out = eng.run_evolving(&wl, total, &cfg, &mut retain_into(&mut delivered));
 
         prop_assert_eq!(out.unresolved, 0, "a healthy run must not park flips");
         prop_assert_eq!(
@@ -196,7 +197,8 @@ proptest! {
         wl.seed = seed;
         let (cache, mut reg, mut eng) = evolving_engine(model_ix, queues);
         let cfg = EvolveConfig::new(512, schedule(&cache, &mut reg, model_ix, migrations));
-        let (out, delivered) = eng.run_evolving_collect(&wl, total, &cfg);
+        let mut delivered = Vec::new();
+        let out = eng.run_evolving(&wl, total, &cfg, &mut retain_into(&mut delivered));
         prop_assert_eq!(out.report.total_packets() as usize, total);
 
         // Replay the seed-deterministic generator for the reference
