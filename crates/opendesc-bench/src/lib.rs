@@ -1117,17 +1117,16 @@ pub mod e16 {
     }
 }
 
-/// E17 — the full-duplex engine: the doorbell-batched TX path head to
-/// head against the seed per-send driver, and RX→TX forward throughput
-/// across shard counts.
+/// E17 — the full-duplex engine: what a batched doorbell buys the one TX
+/// submission path, and RX→TX forward throughput across shard counts.
 ///
 /// Head-to-head: the same frames and the same offload request go out
-/// twice on e1000e — once through the seed `TxDriver::send` (per-send
-/// buffer registration, `TxWriter` field loop, one doorbell per frame)
-/// and once through `TxBatch`/`TxQueue::submit` (arena copy, bytecode
-/// deparse, one doorbell per batch). Only host submission is timed; the
-/// device consumes each round off the clock, mirroring the E13/E16
-/// discipline of keeping simulated-device work out of host numbers.
+/// twice on e1000e through the same code (`TxBatch`/`TxQueue::submit`:
+/// arena copy, bytecode deparse into the ring slot) — once one frame per
+/// doorbell, which is what `TxDriver::send` does, and once 32 frames per
+/// doorbell. Only host submission is timed; the device consumes each
+/// round off the clock, mirroring the E13/E16 discipline of keeping
+/// simulated-device work out of host numbers.
 ///
 /// Scaling: a `ShardedEngine` forwarding every received packet back out
 /// (the xdp_firewall pass-through shape, with the IP-checksum offload
@@ -1139,7 +1138,7 @@ pub mod e17 {
     use crate::{worker_cells, Cell, Parallel, Record};
     use opendesc_core::{
         compile_tx, CompiledTxPlan, EngineReport, ForwardFn, Intent, PlanCache, Selector,
-        ShardedEngine, TxBatch, TxDriver, TxQueue, TxRequest, TxVerdict,
+        ShardedEngine, TxBatch, TxQueue, TxRequest, TxVerdict,
     };
     use opendesc_ir::{names, SemanticRegistry};
     use opendesc_nicsim::pktgen::{ShardFrame, ShardedPktGen};
@@ -1157,6 +1156,10 @@ pub mod e17 {
     /// TX ring for the head-to-head, sized so a full round is in flight
     /// before the untimed device drain — no mid-measurement stalls.
     pub const TX_RING: usize = ROUND * 2;
+    /// Head-to-head rounds per scaling round. A round is 2 048 frames
+    /// (~0.2 ms), and at the experiment's own 3 rounds the min-of-rounds
+    /// ratio of two arms this close read 0.7–1.6 on identical code.
+    pub const HEAD_TO_HEAD_ROUNDS: usize = 10;
 
     /// RX side of the forward path: steer on the device RSS hash, know
     /// the length — the minimal forwarding contract.
@@ -1199,9 +1202,10 @@ pub mod e17 {
         }
     }
 
-    /// Nanoseconds per frame for the seed and batched TX paths, best
-    /// (min) of `rounds` measured rounds each, interleaved so machine
-    /// drift hits both paths alike. Returns `(seed_ns, batched_ns)`.
+    /// Nanoseconds per frame submitting one frame per doorbell and
+    /// [`BATCH_CAP`] frames per doorbell, best (min) of `rounds` measured
+    /// rounds each, interleaved so machine drift hits both arms alike.
+    /// Returns `(one_slot_ns, batched_ns)`.
     pub fn tx_head_to_head(rounds: usize) -> (f64, f64) {
         let model = models::e1000e();
         let mut reg = SemanticRegistry::with_builtins();
@@ -1215,46 +1219,36 @@ pub mod e17 {
             &mut reg,
         )
         .expect("e17 TX intent compiles on e1000e");
-        let plan = Arc::new(CompiledTxPlan::new(compiled.clone(), &reg));
-
-        let mut seed_nic = SimNic::new(model.clone(), TX_RING).unwrap();
-        let mut seed = TxDriver::attach(&mut seed_nic, compiled, reg).unwrap();
-        let mut bat_nic = SimNic::new(model, TX_RING).unwrap();
-        let mut q = TxQueue::attach(&mut bat_nic, plan, MAX_FRAME);
-        let mut batch = TxBatch::new(BATCH_CAP, MAX_FRAME);
+        let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
+        // One arm per batch capacity, each on its own NIC.
+        let mut arms = [1, BATCH_CAP].map(|cap| {
+            let mut nic = SimNic::new(model.clone(), TX_RING).unwrap();
+            let q = TxQueue::attach(&mut nic, Arc::clone(&plan), MAX_FRAME);
+            (nic, q, TxBatch::new(cap, MAX_FRAME), f64::INFINITY)
+        });
 
         let frames = super::frames(workload(), ROUND);
         let req = forward_req();
-        let (mut best_seed, mut best_batched) = (f64::INFINITY, f64::INFINITY);
         for round in 0..=rounds.max(1) {
-            let t = Instant::now();
-            for f in &frames {
-                seed.send(&mut seed_nic, f, req)
-                    .expect("ring holds a round");
-            }
-            let seed_ns = t.elapsed().as_nanos() as f64 / frames.len() as f64;
-            assert_eq!(seed_nic.process_tx_drain() as usize, frames.len());
-
-            let t = Instant::now();
-            for chunk in frames.chunks(BATCH_CAP) {
-                for f in chunk {
-                    assert!(batch.push(f, req), "frame fits the arena slot");
+            for (nic, q, batch, best) in &mut arms {
+                let t = Instant::now();
+                for chunk in frames.chunks(batch.capacity()) {
+                    for f in chunk {
+                        assert!(batch.push(f, req), "frame fits the arena slot");
+                    }
+                    let placed = q.submit(nic, batch).expect("ring holds a round");
+                    assert_eq!(placed, chunk.len(), "no stalls at this ring size");
+                    batch.clear();
                 }
-                let placed = q
-                    .submit(&mut bat_nic, &mut batch)
-                    .expect("ring holds a round");
-                assert_eq!(placed, chunk.len(), "no stalls at this ring size");
-                batch.clear();
-            }
-            let batched_ns = t.elapsed().as_nanos() as f64 / frames.len() as f64;
-            assert_eq!(bat_nic.process_tx_drain() as usize, frames.len());
-
-            if round > 0 {
-                best_seed = best_seed.min(seed_ns);
-                best_batched = best_batched.min(batched_ns);
+                let ns = t.elapsed().as_nanos() as f64 / frames.len() as f64;
+                assert_eq!(nic.process_tx_drain() as usize, frames.len());
+                if round > 0 {
+                    *best = best.min(ns);
+                }
             }
         }
-        (best_seed, best_batched)
+        let [one_slot_ns, batched_ns] = arms.map(|(.., best)| best);
+        (one_slot_ns, batched_ns)
     }
 
     /// Build a `queues`-wide full-duplex engine forwarding everything.
@@ -1330,7 +1324,7 @@ pub mod e17 {
                 rows.push(row);
             }
         }
-        let (seed_ns, batched_ns) = tx_head_to_head(rounds);
+        let (one_slot_ns, batched_ns) = tx_head_to_head(rounds * HEAD_TO_HEAD_ROUNDS);
         let mut rec = Record::new(
             "e17_full_duplex",
             "Mpps aggregate forward",
@@ -1343,7 +1337,7 @@ pub mod e17 {
             "rows[model=e1000e,queues=4].mpps",
             "rows[model=e1000e,queues=1].mpps",
         );
-        rec.put("tx_batched_vs_seed_e1000e", seed_ns / batched_ns);
+        rec.put("tx_batch32_vs_batch1_e1000e", one_slot_ns / batched_ns);
         rec.put("forward_scaling_4q_e1000e", scaling);
         rec
     }
@@ -2017,14 +2011,17 @@ const E16: Experiment = Experiment {
     ],
 };
 
-/// The full-duplex engine (PR 7 acceptance): batched TX submission must
-/// at least halve the per-frame cost of the seed send loop, and four
+/// The full-duplex engine (PR 7 acceptance, restated by PR 17): 32
+/// frames per doorbell must never cost more per frame than one frame
+/// per doorbell through the same submission code (measured 1.1–1.4×;
+/// the 2.8–4.1× this row used to report was the retired per-send path
+/// registering a DMA buffer per frame, not the doorbell), and four
 /// full-duplex queues must at least double single-queue aggregate
-/// forward throughput. Both are self-normalized — two paths of one
+/// forward throughput. Both are self-normalized — two arms of one
 /// interleaved run, two queue counts of one phase. The band is wide:
 /// these ratios swing ±30% with the allocation-layout lottery a fresh
-/// engine build draws (observed 2.2–4.1 on identical code), so a tight
-/// band flaps while the floor does the real gating.
+/// engine build draws, so a tight band flaps while the floor does the
+/// real gating.
 const E17: Experiment = Experiment {
     name: "e17",
     title: "full-duplex forward on the sharded RX→TX path, 32-frame TX batches",
@@ -2033,7 +2030,7 @@ const E17: Experiment = Experiment {
     measure: e17::measure,
     gates: &[
         MPPS,
-        Gate::higher("tx_batched_vs_seed_e1000e", 0.50).floor(2.0),
+        Gate::higher("tx_batch32_vs_batch1_e1000e", 0.50).floor(1.0),
         Gate::higher("forward_scaling_4q_e1000e", 0.50).floor(2.0),
     ],
 };

@@ -18,24 +18,15 @@
 
 use super::CodegenError;
 use crate::accessor::{Accessor, AccessorKind, AccessorSet};
+use crate::lower::emit_window_load;
 use opendesc_ebpf::asm::{reg, Asm};
 use opendesc_ebpf::insn::{alu, jmp, size, xdp_action, Insn};
 use opendesc_ebpf::xdp::ctx_off;
 
-/// Emit the bounds-checked prologue: leaves the metadata pointer in `R2`
-/// and branches to `short_label` when the record is shorter than
-/// `completion_bytes`.
-fn prologue(a: &mut Asm, completion_bytes: u32, short_label: &str) {
-    a.ldx(size::DW, reg::R2, reg::R1, ctx_off::META)
-        .ldx(size::DW, reg::R3, reg::R1, ctx_off::META_END)
-        .mov64_reg(reg::R4, reg::R2)
-        .alu64_imm(alu::ADD, reg::R4, completion_bytes as i32)
-        .jmp_reg(jmp::JGT, reg::R4, reg::R3, short_label);
-}
-
-/// Emit code loading the accessor's field into `R0` (metadata pointer in
-/// `R2`, scratch `R5`).
-fn load_field(a: &mut Asm, acc: &Accessor) -> Result<(), CodegenError> {
+/// Emit the bounds-checked load of the accessor's field into `R0`
+/// (branching to `short` on a short record): the window load lowering
+/// emits and verifies, then this backend's shift/mask tail.
+fn load_field(a: &mut Asm, acc: &Accessor, completion_bytes: u32) -> Result<(), CodegenError> {
     let lo = acc.offset_bits / 8;
     let hi = (acc.offset_bits + acc.width_bits as u32).div_ceil(8);
     let span = hi - lo;
@@ -45,12 +36,7 @@ fn load_field(a: &mut Asm, acc: &Accessor) -> Result<(), CodegenError> {
             span_bytes: span,
         });
     }
-    a.mov64_imm(reg::R0, 0);
-    for i in lo..hi {
-        a.alu64_imm(alu::LSH, reg::R0, 8);
-        a.ldx(size::B, reg::R5, reg::R2, i as i16);
-        a.alu64_reg(alu::OR, reg::R0, reg::R5);
-    }
+    emit_window_load(a, completion_bytes, lo, hi, "short");
     let trailing = hi * 8 - (acc.offset_bits + acc.width_bits as u32);
     if trailing > 0 {
         a.alu64_imm(alu::RSH, reg::R0, trailing as i32);
@@ -77,8 +63,7 @@ pub fn gen_accessor_prog(acc: &Accessor, completion_bytes: u32) -> Result<Vec<In
         });
     }
     let mut a = Asm::new();
-    prologue(&mut a, completion_bytes, "short");
-    load_field(&mut a, acc)?;
+    load_field(&mut a, acc, completion_bytes)?;
     a.exit().label("short").mov64_imm(reg::R0, 0).exit();
     Ok(a.build())
 }
@@ -99,8 +84,7 @@ pub fn gen_xdp_filter(
         });
     }
     let mut a = Asm::new();
-    prologue(&mut a, completion_bytes, "short");
-    load_field(&mut a, acc)?;
+    load_field(&mut a, acc, completion_bytes)?;
     if match_value <= i32::MAX as u64 {
         a.jmp_imm(jmp::JEQ, reg::R0, match_value as i32, "drop");
     } else {

@@ -101,22 +101,10 @@ impl Compiler {
     ) -> Result<CompiledInterface, CompileError> {
         let (checked, diags) = parse_and_check(contract_src);
         if diags.has_errors() {
-            return Err(CompileError::Contract(
-                diags
-                    .iter()
-                    .map(|d| d.message.clone())
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
+            return Err(CompileError::Contract(diags.summary()));
         }
-        let cfg = extract(&checked, deparser, reg).map_err(|d| {
-            CompileError::Extract(
-                d.iter()
-                    .map(|x| x.message.clone())
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            )
-        })?;
+        let cfg =
+            extract(&checked, deparser, reg).map_err(|d| CompileError::Extract(d.summary()))?;
         self.compile_cfg(&cfg, nic_name, intent, reg)
     }
 

@@ -25,22 +25,9 @@ pub fn capabilities(
 ) -> Result<BTreeSet<SemanticId>, CompileError> {
     let (checked, diags) = parse_and_check(contract_src);
     if diags.has_errors() {
-        return Err(CompileError::Contract(
-            diags
-                .iter()
-                .map(|d| d.message.clone())
-                .collect::<Vec<_>>()
-                .join("; "),
-        ));
+        return Err(CompileError::Contract(diags.summary()));
     }
-    let cfg = extract(&checked, deparser, reg).map_err(|d| {
-        CompileError::Extract(
-            d.iter()
-                .map(|x| x.message.clone())
-                .collect::<Vec<_>>()
-                .join("; "),
-        )
-    })?;
+    let cfg = extract(&checked, deparser, reg).map_err(|d| CompileError::Extract(d.summary()))?;
     let paths =
         enumerate_paths(&cfg, DEFAULT_MAX_PATHS).map_err(|e| CompileError::Paths(e.to_string()))?;
     Ok(paths.iter().flat_map(|p| p.prov.iter().copied()).collect())

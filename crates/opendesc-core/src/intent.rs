@@ -72,13 +72,7 @@ impl Intent {
     pub fn from_p4(src: &str, reg: &mut SemanticRegistry) -> Result<Intent, IntentError> {
         let (checked, diags) = parse_and_check(src);
         if diags.has_errors() {
-            return Err(IntentError::BadSource(
-                diags
-                    .iter()
-                    .map(|d| d.message.clone())
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
+            return Err(IntentError::BadSource(diags.summary()));
         }
         let header = checked
             .program

@@ -122,22 +122,36 @@ pub struct LoweredPlan {
     pub verifier_states: u64,
 }
 
-/// Emit one window program: the canonical bounds-check prologue for the
-/// whole completion record, then big-endian byte accumulation of
-/// `[start, end)` into r0.
-fn gen_window(completion_bytes: u32, start: u32, end: u32) -> Vec<Insn> {
-    let mut a = Asm::new();
+/// Emit the load every generated eBPF program starts with: bounds-check
+/// the whole completion record (branching to `short` when it is shorter
+/// than `completion_bytes`), then big-endian byte-accumulate
+/// `[start, end)` into r0. Leaves the metadata pointer in r2; r3–r5 are
+/// scratch.
+pub(crate) fn emit_window_load(
+    a: &mut Asm,
+    completion_bytes: u32,
+    start: u32,
+    end: u32,
+    short: &str,
+) {
     a.ldx(size::DW, reg::R2, reg::R1, ctx_off::META)
         .ldx(size::DW, reg::R3, reg::R1, ctx_off::META_END)
         .mov64_reg(reg::R4, reg::R2)
         .alu64_imm(alu::ADD, reg::R4, completion_bytes as i32)
-        .jmp_reg(jmp::JGT, reg::R4, reg::R3, "short")
+        .jmp_reg(jmp::JGT, reg::R4, reg::R3, short)
         .mov64_imm(reg::R0, 0);
     for i in start..end {
         a.alu64_imm(alu::LSH, reg::R0, 8)
             .ldx(size::B, reg::R5, reg::R2, i as i16)
             .alu64_reg(alu::OR, reg::R0, reg::R5);
     }
+}
+
+/// One window program: the shared load, returning the raw window bytes
+/// (0 for a short record).
+fn gen_window(completion_bytes: u32, start: u32, end: u32) -> Vec<Insn> {
+    let mut a = Asm::new();
+    emit_window_load(&mut a, completion_bytes, start, end, "short");
     a.exit().label("short").mov64_imm(reg::R0, 0).exit();
     a.build()
 }

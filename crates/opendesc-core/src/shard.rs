@@ -1090,23 +1090,19 @@ impl EngineWorker {
             self.rx.drain(u32::MAX, |batch, nic| {
                 self.txb.clear();
                 for pkt in 0..batch.len() {
-                    match fwd(batch, pkt, &mut self.rewrite) {
-                        TxVerdict::Drop => self.tstats.value.dropped += 1,
-                        TxVerdict::Forward(req) => {
-                            if self.txb.push(batch.frame(pkt), req) {
-                                self.tstats.value.forwarded += 1;
-                            } else {
-                                self.tstats.value.dropped += 1;
-                            }
+                    let (frame, req, rewritten) = match fwd(batch, pkt, &mut self.rewrite) {
+                        TxVerdict::Drop => {
+                            self.tstats.value.dropped += 1;
+                            continue;
                         }
-                        TxVerdict::Rewrite(req) => {
-                            if self.txb.push(&self.rewrite, req) {
-                                self.tstats.value.forwarded += 1;
-                                self.tstats.value.rewritten += 1;
-                            } else {
-                                self.tstats.value.dropped += 1;
-                            }
-                        }
+                        TxVerdict::Forward(req) => (batch.frame(pkt), req, 0),
+                        TxVerdict::Rewrite(req) => (self.rewrite.as_slice(), req, 1),
+                    };
+                    if self.txb.push(frame, req) {
+                        self.tstats.value.forwarded += 1;
+                        self.tstats.value.rewritten += rewritten;
+                    } else {
+                        self.tstats.value.dropped += 1;
                     }
                 }
                 let mut from = 0;

@@ -9,6 +9,12 @@
 //! the layout cannot request are applied by the driver in software
 //! before posting — using the same softnic fix-ups the device itself
 //! uses, so the wire frame is identical either way.
+//!
+//! There is one submission pipeline: [`TxQueue::submit_from`] is the
+//! only code here that applies a fix-up, fills the hint registers, runs
+//! the deparse bytecode or posts a descriptor, and [`TxDriver::send`] is
+//! its one-slot case. [`TxWriter::build`] is the descriptor oracle the
+//! bytecode is compared against, not a second way to transmit.
 
 use crate::compiler::CompileError;
 use crate::intent::Intent;
@@ -19,6 +25,7 @@ use opendesc_ir::semantics::{names, SemanticRegistry};
 use opendesc_ir::txpath::{enumerate_tx_layouts, DescriptorLayout};
 use opendesc_ir::{Assignment, SemanticId};
 use opendesc_nicsim::nic::{NicError, SimNic};
+use opendesc_nicsim::ring::RingError;
 use opendesc_p4::typecheck::parse_and_check;
 use opendesc_softnic::fixup;
 use std::collections::BTreeSet;
@@ -51,25 +58,12 @@ impl TxWriter {
     /// software).
     pub fn build(&self, values: &[(SemanticId, u128)]) -> Vec<u8> {
         let mut desc = vec![0u8; self.desc_bytes as usize];
-        self.build_into(&mut desc, values);
-        desc
-    }
-
-    /// Allocation-free [`TxWriter::build`]: serialize into a caller-owned
-    /// buffer of exactly `desc_bytes` bytes (zeroed first, so a reused
-    /// scratch buffer never leaks a previous descriptor's bits).
-    pub fn build_into(&self, desc: &mut [u8], values: &[(SemanticId, u128)]) {
-        assert_eq!(
-            desc.len(),
-            self.desc_bytes as usize,
-            "descriptor scratch must match the layout size"
-        );
-        desc.fill(0);
         for (sem, off, width) in &self.slots {
             if let Some((_, v)) = values.iter().find(|(s, _)| s == sem) {
-                write_bits(desc, *off, *width, *v);
+                write_bits(&mut desc, *off, *width, *v);
             }
         }
+        desc
     }
 
     /// `(semantic, offset_bits, width_bits)` for every writable slot.
@@ -120,22 +114,10 @@ pub fn compile_tx(
 ) -> Result<CompiledTx, CompileError> {
     let (checked, diags) = parse_and_check(contract_src);
     if diags.has_errors() {
-        return Err(CompileError::Contract(
-            diags
-                .iter()
-                .map(|d| d.message.clone())
-                .collect::<Vec<_>>()
-                .join("; "),
-        ));
+        return Err(CompileError::Contract(diags.summary()));
     }
-    let layouts = enumerate_tx_layouts(&checked, parser_name, reg).map_err(|d| {
-        CompileError::Extract(
-            d.iter()
-                .map(|x| x.message.clone())
-                .collect::<Vec<_>>()
-                .join("; "),
-        )
-    })?;
+    let layouts = enumerate_tx_layouts(&checked, parser_name, reg)
+        .map_err(|d| CompileError::Extract(d.summary()))?;
     if layouts.is_empty() {
         return Err(CompileError::Select(SelectError::NoPaths));
     }
@@ -201,96 +183,6 @@ pub struct TxRequest {
     pub l4_csum: bool,
     /// Insert an 802.1Q tag with this TCI.
     pub vlan: Option<u16>,
-}
-
-/// The generated transmit half of the driver.
-pub struct TxDriver {
-    pub compiled: CompiledTx,
-    reg: SemanticRegistry,
-    // Interned once at attach so the send path never does name lookups.
-    sem_addr: SemanticId,
-    sem_len: SemanticId,
-    sem_vlan: SemanticId,
-    sem_ip: SemanticId,
-    sem_l4: SemanticId,
-    // Scratch reused across sends: after warm-up no send allocates
-    // except the NIC-side `alloc_tx_buf` (the DMA buffer itself).
-    frame_scratch: Vec<u8>,
-    hints_scratch: Vec<(SemanticId, u128)>,
-    desc_scratch: Vec<u8>,
-}
-
-impl TxDriver {
-    /// Attach to a NIC: programs the H2C context.
-    pub fn attach(
-        nic: &mut SimNic,
-        compiled: CompiledTx,
-        reg: SemanticRegistry,
-    ) -> Result<TxDriver, NicError> {
-        if let Some(ctx) = &compiled.context {
-            nic.configure_tx(ctx.clone());
-        }
-        let id = |n: &str| reg.id(n).expect("builtin semantic");
-        let desc_scratch = vec![0u8; compiled.writer.desc_bytes as usize];
-        Ok(TxDriver {
-            sem_addr: id(names::BUF_ADDR),
-            sem_len: id(names::BUF_LEN),
-            sem_vlan: id(names::TX_VLAN_INSERT),
-            sem_ip: id(names::TX_IP_CSUM),
-            sem_l4: id(names::TX_L4_CSUM),
-            compiled,
-            reg,
-            frame_scratch: Vec::new(),
-            hints_scratch: Vec::new(),
-            desc_scratch,
-        })
-    }
-
-    /// The registry this driver was compiled against.
-    pub fn registry(&self) -> &SemanticRegistry {
-        &self.reg
-    }
-
-    /// Send one frame: offloads the layout carries become descriptor
-    /// hints; the rest are applied in software before posting. Reuses
-    /// internal scratch buffers, so steady-state sends allocate only the
-    /// NIC-side DMA buffer.
-    pub fn send(&mut self, nic: &mut SimNic, frame: &[u8], req: TxRequest) -> Result<(), NicError> {
-        self.frame_scratch.clear();
-        self.frame_scratch.extend_from_slice(frame);
-        self.hints_scratch.clear();
-
-        if let Some(tci) = req.vlan {
-            if self.compiled.writer.can_write(self.sem_vlan) {
-                self.hints_scratch.push((self.sem_vlan, tci as u128));
-            } else {
-                fixup::insert_vlan_in_place(&mut self.frame_scratch, tci);
-            }
-        }
-        if req.ip_csum {
-            if self.compiled.writer.can_write(self.sem_ip) {
-                self.hints_scratch.push((self.sem_ip, 1));
-            } else {
-                fixup::fill_ipv4_checksum(&mut self.frame_scratch);
-            }
-        }
-        if req.l4_csum {
-            if self.compiled.writer.can_write(self.sem_l4) {
-                self.hints_scratch.push((self.sem_l4, 1));
-            } else {
-                fixup::fill_l4_checksum(&mut self.frame_scratch);
-            }
-        }
-
-        let addr = nic.alloc_tx_buf(&self.frame_scratch);
-        self.hints_scratch.push((self.sem_addr, addr as u128));
-        self.hints_scratch
-            .push((self.sem_len, self.frame_scratch.len() as u128));
-        self.compiled
-            .writer
-            .build_into(&mut self.desc_scratch, &self.hints_scratch);
-        nic.post_tx(&self.desc_scratch)
-    }
 }
 
 /// Canonical TX hint register file for the deparse bytecode. Every
@@ -525,7 +417,6 @@ pub struct TxQueue {
     /// NIC consumed-count at attach (the NIC may be shared with other
     /// traffic before this queue exists).
     cons_base: u64,
-    desc_scratch: Vec<u8>,
     pub stats: TxQueueStats,
 }
 
@@ -541,13 +432,11 @@ impl TxQueue {
         let slots = (0..nic.tx_ring.capacity())
             .map(|_| nic.host_mem.alloc(&zero))
             .collect();
-        let desc_scratch = vec![0u8; plan.tx.writer.desc_bytes as usize];
         TxQueue {
             plan,
             slots,
             submitted: 0,
             cons_base: nic.tx_completed(),
-            desc_scratch,
             stats: TxQueueStats::default(),
         }
     }
@@ -557,9 +446,8 @@ impl TxQueue {
         &self.plan
     }
 
-    /// Live-swap the queue onto a new compiled TX plan: reprogram the
-    /// H2C context and resize the descriptor scratch for the new
-    /// writer's record — the transmit twin of the RX drain-and-flip.
+    /// Live-swap the queue onto a new compiled TX plan and reprogram
+    /// the H2C context — the transmit twin of the RX drain-and-flip.
     /// The caller must have quiesced the queue first
     /// ([`in_flight`](TxQueue::in_flight) = 0): descriptors written
     /// under the outgoing layout must not be consumed under the
@@ -568,7 +456,6 @@ impl TxQueue {
         if let Some(ctx) = &plan.tx.context {
             nic.configure_tx(ctx.clone());
         }
-        self.desc_scratch = vec![0u8; plan.tx.writer.desc_bytes as usize];
         self.plan = plan;
     }
 
@@ -579,8 +466,9 @@ impl TxQueue {
 
     /// Submit as many frames from the batch as the ring can take right
     /// now; returns the count placed. Software fix-ups run in the
-    /// batch's arena slots (in place), the deparse bytecode fills the
-    /// descriptor scratch, and the doorbell rings once at the end.
+    /// batch's arena slots (in place), the deparse bytecode writes each
+    /// descriptor straight into its ring slot, and the doorbell rings
+    /// once at the end.
     pub fn submit(&mut self, nic: &mut SimNic, batch: &mut TxBatch) -> Result<usize, NicError> {
         self.submit_from(nic, batch, 0)
     }
@@ -603,6 +491,7 @@ impl TxQueue {
         let pending = batch.len().saturating_sub(from);
         let room = (pending as u64).min(free) as usize;
         let plan = Arc::clone(&self.plan);
+        let desc_bytes = plan.tx.writer.desc_bytes as usize;
         let mut n = 0;
         for i in from..from + room {
             let req = batch.reqs[i];
@@ -610,7 +499,9 @@ impl TxQueue {
             {
                 let slot = batch.slot_mut(i);
                 if let Some(tci) = req.vlan {
-                    if plan.sw_vlan {
+                    // A priority tag (TCI 0) never rides the descriptor:
+                    // the hint encoding reserves 0 for "none" (`txreg::VLAN`).
+                    if plan.sw_vlan || tci == 0 {
                         if let Some(nl) = fixup::insert_vlan_in_slice(slot, len, tci) {
                             len = nl;
                             self.stats.sw_fixups += 1;
@@ -639,8 +530,9 @@ impl TxQueue {
                 (req.ip_csum && !plan.sw_ip_csum) as u128,
                 (req.l4_csum && !plan.sw_l4_csum) as u128,
             ];
-            plan.prog.run_deparse(&hints, &mut self.desc_scratch);
-            nic.post_tx_deferred(&self.desc_scratch)?;
+            nic.tx_ring
+                .produce_with(desc_bytes, |desc| plan.prog.run_deparse(&hints, desc))
+                .map_err(NicError::Ring)?;
             self.submitted += 1;
             n += 1;
         }
@@ -653,6 +545,58 @@ impl TxQueue {
             self.stats.stalls += 1;
         }
         Ok(n)
+    }
+}
+
+/// Frame bytes each of the driver's DMA slots (and its one-slot batch)
+/// holds.
+const DRIVER_SLOT_BYTES: usize = 2048;
+
+/// The generated transmit half of the driver: a [`TxQueue`] fed one
+/// frame at a time, so `send` is the one-slot case of the batched
+/// submission path and nothing else.
+pub struct TxDriver {
+    queue: TxQueue,
+    batch: TxBatch,
+    reg: SemanticRegistry,
+}
+
+impl TxDriver {
+    /// Attach to a NIC (see [`TxQueue::attach`]).
+    pub fn attach(
+        nic: &mut SimNic,
+        compiled: CompiledTx,
+        reg: SemanticRegistry,
+    ) -> Result<TxDriver, NicError> {
+        let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
+        let queue = TxQueue::attach(nic, plan, DRIVER_SLOT_BYTES);
+        let batch = TxBatch::new(1, DRIVER_SLOT_BYTES);
+        Ok(TxDriver { queue, batch, reg })
+    }
+
+    /// The registry this driver was compiled against.
+    pub fn registry(&self) -> &SemanticRegistry {
+        &self.reg
+    }
+
+    /// The compiled TX artifact this driver executes.
+    pub fn compiled(&self) -> &CompiledTx {
+        &self.queue.plan().tx
+    }
+
+    /// Send one frame with one doorbell. A frame longer than the
+    /// driver's slot is a `BadConfig`; a ring with no free entry is
+    /// `RingError::Full`. Neither posts anything.
+    pub fn send(&mut self, nic: &mut SimNic, frame: &[u8], req: TxRequest) -> Result<(), NicError> {
+        self.batch.clear();
+        if !self.batch.push(frame, req) {
+            let why = format!("a {}-byte frame exceeds the driver's slot", frame.len());
+            return Err(NicError::BadConfig(why));
+        }
+        match self.queue.submit(nic, &mut self.batch)? {
+            0 => Err(NicError::Ring(RingError::Full)),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -949,28 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn build_into_matches_build() {
-        let mut reg = SemanticRegistry::with_builtins();
-        let intent = tx_intent(&mut reg);
-        let model = models::qdma_default();
-        let compiled = compile_tx(
-            &Selector::default(),
-            &model.p4_source,
-            "DescParser",
-            &model.name,
-            &intent,
-            &mut reg,
-        )
-        .unwrap();
-        let addr = reg.id(names::BUF_ADDR).unwrap();
-        let hints = [(addr, 0xDEAD_BEEFu128)];
-        let golden = compiled.writer.build(&hints);
-        let mut scratch = vec![0xAAu8; compiled.writer.desc_bytes as usize];
-        compiled.writer.build_into(&mut scratch, &hints);
-        assert_eq!(scratch, golden, "stale scratch bytes must be zeroed");
-    }
-
-    #[test]
     fn batched_queue_rings_one_doorbell_and_respects_ring_capacity() {
         let mut reg = SemanticRegistry::with_builtins();
         let intent = tx_intent(&mut reg);
@@ -1065,63 +987,39 @@ mod tests {
     }
 
     #[test]
-    fn batched_queue_matches_seed_send_on_the_wire() {
-        // The batched path and the seed per-send path must emit
-        // byte-identical wire frames — hardware offload on qdma,
-        // software fallback on e1000e.
-        for model_fn in [models::qdma_default, models::e1000e] {
-            let mut reg_a = SemanticRegistry::with_builtins();
-            let intent_a = tx_intent(&mut reg_a);
-            let model = model_fn();
+    fn priority_tag_is_inserted_on_every_model() {
+        // TCI 0 is a legal 802.1Q priority tag, but a descriptor's VLAN
+        // hint reads 0 as "none": the tag must go in by software even
+        // where the layout carries the hint, so every model emits the
+        // same tagged frame.
+        let req = TxRequest {
+            vlan: Some(0),
+            ..Default::default()
+        };
+        let want = fixup::insert_vlan(&zeroed_frame(), 0).unwrap();
+        for model in [
+            models::e1000_legacy(),
+            models::e1000e(),
+            models::ice(),
+            models::qdma_default(),
+        ] {
+            let mut reg = SemanticRegistry::with_builtins();
+            let intent = tx_intent(&mut reg);
             let name = model.name.clone();
-            let compiled_a = compile_tx(
+            let compiled = compile_tx(
                 &Selector::default(),
                 &model.p4_source,
                 "DescParser",
                 &name,
-                &intent_a,
-                &mut reg_a,
+                &intent,
+                &mut reg,
             )
             .unwrap();
-            let mut nic_a = SimNic::new(model_fn(), 32).unwrap();
-            let mut drv = TxDriver::attach(&mut nic_a, compiled_a, reg_a).unwrap();
-
-            let mut reg_b = SemanticRegistry::with_builtins();
-            let intent_b = tx_intent(&mut reg_b);
-            let compiled_b = compile_tx(
-                &Selector::default(),
-                &model.p4_source,
-                "DescParser",
-                &name,
-                &intent_b,
-                &mut reg_b,
-            )
-            .unwrap();
-            let mut nic_b = SimNic::new(model_fn(), 32).unwrap();
-            let plan = Arc::new(CompiledTxPlan::new(compiled_b, &reg_b));
-            let mut q = TxQueue::attach(&mut nic_b, plan, 256);
-
-            let reqs = [
-                TxRequest {
-                    l4_csum: true,
-                    vlan: Some(0x0123),
-                    ..Default::default()
-                },
-                TxRequest {
-                    ip_csum: true,
-                    ..Default::default()
-                },
-                TxRequest::default(),
-            ];
-            let mut batch = TxBatch::new(8, 256);
-            for req in reqs {
-                drv.send(&mut nic_a, &zeroed_frame(), req).unwrap();
-                assert!(batch.push(&zeroed_frame(), req));
-            }
-            assert_eq!(q.submit(&mut nic_b, &mut batch).unwrap(), 3);
-            let a = nic_a.process_tx();
-            let b = nic_b.process_tx();
-            assert_eq!(a, b, "batched TX diverges from seed send on {name}");
+            let mut nic = SimNic::new(model, 16).unwrap();
+            let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
+            tx.send(&mut nic, &zeroed_frame(), req).unwrap();
+            assert_eq!(nic.process_tx(), vec![want.clone()], "{name}");
+            assert_eq!(tx.queue.stats.sw_fixups, 1, "{name}: inserted by software");
         }
     }
 }

@@ -422,23 +422,11 @@ impl SimNic {
     pub fn new(model: NicModel, ring_entries: usize) -> Result<SimNic, NicError> {
         let (checked, diags) = parse_and_check(&model.p4_source);
         if diags.has_errors() {
-            return Err(NicError::BadContract(
-                diags
-                    .iter()
-                    .map(|d| d.message.clone())
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
+            return Err(NicError::BadContract(diags.summary()));
         }
         let mut reg = SemanticRegistry::with_builtins();
-        let cfg = extract(&checked, &model.deparser, &mut reg).map_err(|d| {
-            NicError::BadContract(
-                d.iter()
-                    .map(|x| x.message.clone())
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            )
-        })?;
+        let cfg = extract(&checked, &model.deparser, &mut reg)
+            .map_err(|d| NicError::BadContract(d.summary()))?;
         let paths = enumerate_paths(&cfg, DEFAULT_MAX_PATHS)
             .map_err(|e| NicError::BadContract(e.to_string()))?;
 

@@ -110,9 +110,34 @@ impl DescRing {
     /// from a previous ring generation (stale DD bit).
     #[inline]
     pub fn produce_tagged(&mut self, entry: &[u8], seq: u64) -> Result<(), RingError> {
-        if entry.len() > self.slot_size {
+        let at = self.claim(entry.len(), seq)?;
+        self.slots[at..at + entry.len()].copy_from_slice(entry);
+        Ok(())
+    }
+
+    /// [`produce`](DescRing::produce) for a producer that serializes its
+    /// entry in place: `fill` gets the next slot's first `len` bytes
+    /// (whatever the previous lap left there) instead of the ring
+    /// copying a staged entry in. Same checks, and the entry is just as
+    /// unpublished until the doorbell.
+    #[inline]
+    pub fn produce_with(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), RingError> {
+        let at = self.claim(len, self.prod)?;
+        fill(&mut self.slots[at..at + len]);
+        Ok(())
+    }
+
+    /// Take the next slot for a `len`-byte entry tagged `seq`; returns
+    /// the slot's byte offset for the producer to write at.
+    #[inline]
+    fn claim(&mut self, len: usize, seq: u64) -> Result<usize, RingError> {
+        if len > self.slot_size {
             return Err(RingError::EntryTooLarge {
-                len: entry.len(),
+                len,
                 slot: self.slot_size,
             });
         }
@@ -120,12 +145,10 @@ impl DescRing {
             return Err(RingError::Full);
         }
         let idx = (self.prod as usize) & self.mask;
-        let at = idx * self.slot_size;
-        self.slots[at..at + entry.len()].copy_from_slice(entry);
-        self.lens[idx] = entry.len() as u16;
+        self.lens[idx] = len as u16;
         self.seqs[idx] = seq;
         self.prod += 1;
-        Ok(())
+        Ok(idx * self.slot_size)
     }
 
     /// Publish all produced entries (one MMIO write in hardware). Returns
@@ -243,6 +266,25 @@ mod tests {
             r.produce(b"12345"),
             Err(RingError::EntryTooLarge { len: 5, slot: 4 })
         );
+    }
+
+    #[test]
+    fn produce_with_writes_in_place_under_the_same_checks() {
+        let mut r = DescRing::new(2, 4);
+        r.produce_with(3, |s| s.copy_from_slice(b"abc")).unwrap();
+        assert_eq!(r.consume(), None, "unpublished until the doorbell");
+        assert_eq!(
+            r.produce_with(5, |_| panic!("no slot to fill")),
+            Err(RingError::EntryTooLarge { len: 5, slot: 4 })
+        );
+        r.produce(b"de").unwrap();
+        assert_eq!(
+            r.produce_with(1, |_| panic!("no slot to fill")),
+            Err(RingError::Full)
+        );
+        assert_eq!(r.ring_doorbell(), 2);
+        assert_eq!(r.consume(), Some(&b"abc"[..]));
+        assert_eq!(r.consume(), Some(&b"de"[..]));
     }
 
     #[test]

@@ -24,7 +24,6 @@
 
 use crate::hostmem::HostMem;
 use crate::nic::{NicError, SimNic, WritebackMode};
-use crate::ring::RingError;
 use opendesc_ir::bits::read_bits;
 use opendesc_ir::interp::{run_desc_parser, InterpError, ParserRun};
 use opendesc_ir::semantics::names;
@@ -225,24 +224,19 @@ impl SimNic {
             })
     }
 
-    /// Register a frame buffer in DMA-visible host memory.
+    /// Register a frame buffer in DMA-visible host memory (for tests
+    /// that hand-feed descriptors; the driver's `TxQueue` registers its
+    /// buffers once, at attach).
     pub fn alloc_tx_buf(&mut self, frame: &[u8]) -> u64 {
         self.host_mem.alloc(frame)
     }
 
-    /// Post a raw TX descriptor (host side). One doorbell per
-    /// descriptor — the seed submission protocol. Batched submitters use
-    /// [`post_tx_deferred`](SimNic::post_tx_deferred) +
-    /// [`ring_tx_doorbell`](SimNic::ring_tx_doorbell) instead.
+    /// Post a raw TX descriptor and ring the doorbell for it — the
+    /// device-level shorthand tests use to hand-feed one descriptor.
     pub fn post_tx(&mut self, desc: &[u8]) -> Result<(), NicError> {
-        match self.tx_ring.produce(desc) {
-            Ok(()) => {
-                self.tx_ring.ring_doorbell();
-                Ok(())
-            }
-            Err(e @ RingError::Full) => Err(NicError::Ring(e)),
-            Err(e) => Err(NicError::Ring(e)),
-        }
+        self.post_tx_deferred(desc)?;
+        self.ring_tx_doorbell();
+        Ok(())
     }
 
     /// Stage a TX descriptor in the ring *without* publishing it: the
@@ -414,6 +408,7 @@ enum TxError {
 mod tests {
     use super::*;
     use crate::models;
+    use crate::ring::RingError;
     use opendesc_ir::bits::write_bits;
     use opendesc_ir::pred::FieldRef;
     use opendesc_softnic::testpkt;

@@ -142,6 +142,13 @@ impl Diagnostics {
         self.diags
     }
 
+    /// Every message on one line, `; `-separated — what an error enum
+    /// carries when it has no source map to render against.
+    pub fn summary(&self) -> String {
+        let messages: Vec<&str> = self.diags.iter().map(|d| d.message.as_str()).collect();
+        messages.join("; ")
+    }
+
     /// Render every diagnostic against `sm`, separated by blank lines.
     pub fn render_all(&self, sm: &SourceMap) -> String {
         self.diags

@@ -5,14 +5,23 @@
 # one thread scope. Checks the non-test part of each file (up to the
 # first `#[cfg(test)]`), comments excluded. Also fails if the bench
 # runner forks again (ISSUE 16): one binary, no mode switch, no
-# run-loop twin. The retired names are spelled in two halves below so
-# this file does not match its own search.
+# run-loop twin. And fails if TX forks again (ISSUE 17): `submit_from`
+# is the one place a frame becomes a descriptor and a DMA write, and
+# `TxDriver::send` is its one-slot case. The retired names are spelled
+# in two halves below so this file does not match its own search.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
 
 code() { sed '/#\[cfg(test)\]/,$d' "$1" | grep -v '^\s*//' || true; }
 sites() { grep -cF -- "$1" || true; }
+total() { # pattern: sites over the non-test part of opendesc-core
+    local n=0 f
+    for f in "$src"/*.rs "$src"/codegen/*.rs; do
+        n=$((n + $(code "$f" | sites "$1")))
+    done
+    echo "$n"
+}
 fail=0
 expect() { # what, found, allowed
     if [ "$2" -gt "$3" ]; then
@@ -27,11 +36,7 @@ for f in datapath shard; do
             "$(code $src/$f.rs | sites "$pat")" 0
     done
 done
-total=0
-for f in "$src"/*.rs "$src"/codegen/*.rs; do
-    total=$((total + $(code "$f" | sites 'receive_into_hinted(')))
-done
-expect "receive_into_hinted( call sites in opendesc-core" "$total" 1
+expect "receive_into_hinted( call sites in opendesc-core" "$(total 'receive_into_hinted(')" 1
 expect "poll_batch_into( call sites in shard.rs" "$(code $src/shard.rs | sites 'poll_batch_into(')" 1
 expect "thread::scope sites in shard.rs" "$(code $src/shard.rs | sites 'thread::scope')" 1
 for pat in 'run_''stealing' 'run_adaptive_''collect' 'run_evolving_''collect' '_''impl('; do
@@ -42,4 +47,16 @@ for pat in 'OPENDESC_''BENCH' 'relative-''only'; do
     expect "a bench mode switch is back ($pat)" \
         "$(grep -rlF -- "$pat" crates scripts .github | wc -l)" 0
 done
+for pat in 'alloc_tx''_buf(' 'post''_tx(' 'build''_into(' 'hints''_scratch' 'frame''_scratch'; do
+    expect "opendesc-core has a second TX serializer again ($pat)" "$(total "$pat")" 0
+done
+for pat in 'insert_vlan_in_slice(' 'run_deparse('; do
+    n=$(code $src/tx.rs | sites "$pat")
+    if [ "$n" -ne 1 ]; then
+        echo "one_path: $pat call sites in tx.rs: $n (exactly 1)" >&2
+        fail=1
+    fi
+done
+expect "the retired E17 key is back" \
+    "$(grep -rlF -- 'tx_batched_vs_''seed' crates scripts .github BENCH_e17.json | wc -l)" 0
 exit $fail

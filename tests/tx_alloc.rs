@@ -1,4 +1,4 @@
-//! Zero-allocation guarantee for the batched TX path, host and device.
+//! Zero-allocation guarantee for the TX path, host and device.
 //!
 //! A counting global allocator wraps `System`; after one warm-up round
 //! the steady state — filling a [`TxBatch`] arena, submitting it through
@@ -6,11 +6,13 @@
 //! and draining it on the device with `SimNic::process_tx_drain`
 //! (table-driven descriptor read, buffer copy, VLAN insert and checksum
 //! fill in reused scratch) — must perform no heap allocation at all.
+//! A second window holds [`TxDriver::send`], the one-slot case of the
+//! same path, to the same zero.
 //! This file holds exactly one test: the counter is process-global, so
 //! any concurrent test would pollute the measurement.
 
 use opendesc::compiler::{
-    compile_tx, CompiledTxPlan, Intent, Selector, TxBatch, TxQueue, TxRequest,
+    compile_tx, CompiledTxPlan, Intent, Selector, TxBatch, TxDriver, TxQueue, TxRequest,
 };
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::{models, SimNic};
@@ -68,8 +70,8 @@ fn steady_state_batched_submit_allocates_nothing() {
         &mut reg,
     )
     .unwrap();
-    let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
-    let mut nic = SimNic::new(model, 256).unwrap();
+    let plan = Arc::new(CompiledTxPlan::new(compiled.clone(), &reg));
+    let mut nic = SimNic::new(model.clone(), 256).unwrap();
     let mut q = TxQueue::attach(&mut nic, plan, 2048);
     let mut batch = TxBatch::new(32, 2048);
 
@@ -123,4 +125,21 @@ fn steady_state_batched_submit_allocates_nothing() {
     );
     assert_eq!(q.stats.frames, 5 * 32);
     assert_eq!(q.stats.doorbells, 5);
+
+    // Second window: the per-send driver, on its own NIC. One warm-up
+    // send, then 256 sends and their device drains allocate nothing.
+    let mut nic = SimNic::new(model, 256).unwrap();
+    let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
+    tx.send(&mut nic, &frame, req).unwrap();
+    assert_eq!(nic.process_tx_drain(), 1);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..256 {
+        tx.send(&mut nic, &frame, req).unwrap();
+        assert_eq!(nic.process_tx_drain(), 1);
+    }
+    assert_eq!(
+        ALLOCS.load(Ordering::SeqCst) - before,
+        0,
+        "TxDriver::send or its device drain hit the allocator"
+    );
 }

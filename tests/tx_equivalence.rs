@@ -1,13 +1,12 @@
-//! Equivalence of the batched/bytecode TX path with the seed send path.
+//! The TX path against references it shares nothing with.
 //!
-//! Batching must be invisible on the wire: for the same frames and the
-//! same offload requests, the doorbell-batched [`TxQueue`] — descriptors
-//! serialized by the lowered deparse bytecode, software fixups applied
-//! in the arena — must transmit byte-identical frames, in order, to the
-//! seed per-send [`TxDriver`] on every TX-capable model. The two paths
-//! share nothing past `compile_tx`: the seed writes descriptors through
-//! [`TxWriter`] and rings the doorbell per send; the batch runs
-//! [`lower_tx`] bytecode and rings once per submit.
+//! There is one submission pipeline (`TxQueue::submit_from`;
+//! [`TxDriver::send`] is its one-slot case). Its first reference is
+//! [`expected_wire`]: the softnic fix-ups applied to a copy of the frame
+//! — no driver, no device, no `compile_tx`. Whatever the model's
+//! descriptor carries in hardware and whatever falls to driver software,
+//! and wherever the batch boundaries land, exactly those bytes must
+//! reach the wire, in order, on every TX-capable model.
 //!
 //! A second property pins the lowering itself: for arbitrary hint
 //! values the deparse program must produce the exact descriptor bytes
@@ -24,7 +23,7 @@ use opendesc::compiler::{
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::pktgen::ShardFrame;
 use opendesc::nicsim::{models, NicModel, SimNic, SteerPolicy};
-use opendesc::softnic::testpkt;
+use opendesc::softnic::{fixup, testpkt};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -46,7 +45,7 @@ fn tx_intent(reg: &mut SemanticRegistry) -> Intent {
 
 /// One arbitrary frame: valid UDP/TCP (VLAN-tagged or not, checksums
 /// zeroed so offloads have work to do) or raw bytes the fixups must
-/// refuse identically on both paths.
+/// refuse wherever they run.
 fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         (
@@ -78,12 +77,14 @@ fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-/// One arbitrary offload request.
+/// One arbitrary offload request. TCI 0 (a priority tag) gets its own
+/// arm: a descriptor's VLAN hint reads 0 as "none", so it is the value
+/// hardware insertion cannot carry.
 fn arb_req() -> impl Strategy<Value = TxRequest> {
     (
         any::<bool>(),
         any::<bool>(),
-        prop_oneof![Just(None), (0u16..0x1000).prop_map(Some)],
+        prop_oneof![Just(None), Just(Some(0)), (0u16..0x1000).prop_map(Some)],
     )
         .prop_map(|(ip_csum, l4_csum, vlan)| TxRequest {
             ip_csum,
@@ -92,32 +93,27 @@ fn arb_req() -> impl Strategy<Value = TxRequest> {
         })
 }
 
-/// Wire frames from the seed path: one `TxDriver::send` (and one
-/// doorbell) per frame.
-fn seed_wire(model: &NicModel, cases: &[(Vec<u8>, TxRequest)]) -> Vec<Vec<u8>> {
-    let mut reg = SemanticRegistry::with_builtins();
-    let intent = tx_intent(&mut reg);
-    let compiled = compile_tx(
-        &Selector::default(),
-        &model.p4_source,
-        model.desc_parser.as_deref().unwrap(),
-        &model.name,
-        &intent,
-        &mut reg,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", model.name));
-    let mut nic = SimNic::new(model.clone(), 256).unwrap();
-    let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
-    for (frame, req) in cases {
-        tx.send(&mut nic, frame, *req).unwrap();
+/// What one request must put on the wire: the reference fix-ups on a
+/// copy of the frame, in the device's vlan → ip → l4 order.
+fn expected_wire(frame: &[u8], req: TxRequest) -> Vec<u8> {
+    let mut wire = req
+        .vlan
+        .and_then(|tci| fixup::insert_vlan(frame, tci))
+        .unwrap_or_else(|| frame.to_vec());
+    if req.ip_csum {
+        fixup::fill_ipv4_checksum(&mut wire);
     }
-    nic.process_tx()
+    if req.l4_csum {
+        fixup::fill_l4_checksum(&mut wire);
+    }
+    wire
 }
 
-/// Wire frames from the batched path: frames accumulate in a `TxBatch`
-/// arena and go out through `TxQueue::submit` — bytecode deparse, one
-/// doorbell per batch.
-fn batched_wire(
+/// Wire frames the product emits for `cases` at one batch capacity.
+/// Capacity 1 is `TxDriver::send` (one frame, one doorbell); above that
+/// frames accumulate in a `TxBatch` and go out through
+/// `TxQueue::submit`, one doorbell per batch.
+fn submitted_wire(
     model: &NicModel,
     cases: &[(Vec<u8>, TxRequest)],
     batch_cap: usize,
@@ -133,8 +129,15 @@ fn batched_wire(
         &mut reg,
     )
     .unwrap_or_else(|e| panic!("{}: {e}", model.name));
-    let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
     let mut nic = SimNic::new(model.clone(), 256).unwrap();
+    if batch_cap == 1 {
+        let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
+        for (frame, req) in cases {
+            tx.send(&mut nic, frame, *req).unwrap();
+        }
+        return nic.process_tx();
+    }
+    let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
     let mut q = TxQueue::attach(&mut nic, plan, 2048);
     let mut batch = TxBatch::new(batch_cap, 2048);
     let mut out = Vec::new();
@@ -154,24 +157,32 @@ fn batched_wire(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Batched submission is byte- and order-identical to the seed
-    /// per-send path on every TX-capable model, across arbitrary
-    /// frame/request mixes and batch boundaries.
+    /// Every TX-capable model puts exactly the oracle's bytes on the
+    /// wire, in order, across arbitrary frame/request mixes and batch
+    /// boundaries — one frame per doorbell included.
     #[test]
-    fn batched_wire_equals_seed_wire_on_every_tx_model(
+    fn submitted_wire_equals_oracle_on_every_tx_model(
         cases in proptest::collection::vec((arb_frame(), arb_req()), 1..24),
-        batch_cap in 1..9usize,
+        extra_cap in 1..33usize,
     ) {
+        let want: Vec<Vec<u8>> = cases.iter().map(|(f, r)| expected_wire(f, *r)).collect();
         for model in tx_models() {
-            let want = seed_wire(&model, &cases);
-            let got = batched_wire(&model, &cases, batch_cap);
-            prop_assert_eq!(
-                &got,
-                &want,
-                "{} / batch_cap {}: batched TX diverged from seed send",
-                model.name.clone(),
-                batch_cap
-            );
+            for batch_cap in [1, 2, 7, 32, extra_cap] {
+                let got = submitted_wire(&model, &cases, batch_cap);
+                for (i, want) in want.iter().enumerate() {
+                    prop_assert_eq!(
+                        got.get(i),
+                        Some(want),
+                        "{} / batch_cap {}: frame {} ({:02x?}) with {:?} diverged from the oracle",
+                        model.name.clone(),
+                        batch_cap,
+                        i,
+                        cases[i].0.clone(),
+                        cases[i].1
+                    );
+                }
+                prop_assert_eq!(got.len(), want.len(), "{}: extra wire frames", model.name.clone());
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 
 use opendesc::compiler::{compile_tx, Intent, Selector, TxDriver, TxRequest};
 use opendesc::ir::{names, SemanticRegistry};
-use opendesc::nicsim::{models, SimNic};
+use opendesc::nicsim::{models, NicError, RingError, SimNic};
 use opendesc::softnic::checksum::{verify_ipv4_checksum, verify_l4_checksum};
 use opendesc::softnic::testpkt;
 use opendesc::softnic::wire::ParsedFrame;
@@ -91,6 +91,12 @@ fn tx_stats_track_descriptor_flow() {
     .unwrap();
     let mut nic = SimNic::new(model, 64).unwrap();
     let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
+    let capacity = nic.tx_ring.capacity();
+    assert_eq!(
+        nic.host_mem.len(),
+        capacity,
+        "one DMA buffer per ring entry, registered at attach"
+    );
     for i in 0..10 {
         tx.send(
             &mut nic,
@@ -108,10 +114,63 @@ fn tx_stats_track_descriptor_flow() {
     assert_eq!(nic.tx_stats.frames, 10);
     assert_eq!(nic.tx_stats.parse_rejects, 0);
     assert_eq!(nic.tx_stats.bad_buffers, 0);
-    assert_eq!(nic.host_mem.len(), 10, "buffers registered per send");
     for f in &sent {
         assert!(verify_ipv4_checksum(&f[14..34]));
     }
+    // Sending reuses those buffers: ten laps of the ring later the
+    // device's host memory holds exactly what attach registered.
+    for lap in 0..10 {
+        for _ in 0..capacity {
+            tx.send(&mut nic, &zeroed(b"lap"), TxRequest::default())
+                .unwrap();
+        }
+        assert_eq!(nic.process_tx_drain() as usize, capacity, "lap {lap}");
+    }
+    assert_eq!(
+        nic.host_mem.len(),
+        capacity,
+        "send must not register buffers"
+    );
+}
+
+#[test]
+fn send_fails_closed_on_an_oversize_frame_and_on_a_full_ring() {
+    let model = models::qdma_default();
+    let mut reg = SemanticRegistry::with_builtins();
+    let intent = Intent::builder("t").build();
+    let compiled = compile_tx(
+        &Selector::default(),
+        &model.p4_source,
+        "DescParser",
+        &model.name,
+        &intent,
+        &mut reg,
+    )
+    .unwrap();
+    let mut nic = SimNic::new(model, 4).unwrap();
+    let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
+
+    // Longer than the driver's fixed slot: refused, nothing posted.
+    let err = tx.send(&mut nic, &[0u8; 4096], TxRequest::default());
+    assert!(matches!(err, Err(NicError::BadConfig(_))), "{err:?}");
+    assert_eq!(nic.tx_ring.len(), 0);
+    assert_eq!(nic.process_tx_drain(), 0);
+    assert_eq!(nic.tx_stats.descs, 0);
+
+    // A full ring: refused, nothing posted beyond what filled it.
+    for _ in 0..nic.tx_ring.capacity() {
+        tx.send(&mut nic, &zeroed(b"fill"), TxRequest::default())
+            .unwrap();
+    }
+    let err = tx.send(&mut nic, &zeroed(b"one more"), TxRequest::default());
+    assert_eq!(err, Err(NicError::Ring(RingError::Full)));
+    assert_eq!(nic.tx_ring.len(), nic.tx_ring.capacity());
+    assert_eq!(nic.process_tx_drain() as usize, nic.tx_ring.capacity());
+    assert_eq!(nic.tx_stats.descs as usize, nic.tx_ring.capacity());
+    assert_eq!(nic.tx_stats.bad_buffers + nic.tx_stats.parse_rejects, 0);
+    // And the ring drains back to usable.
+    tx.send(&mut nic, &zeroed(b"after"), TxRequest::default())
+        .unwrap();
 }
 
 #[test]
