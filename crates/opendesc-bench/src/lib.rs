@@ -838,6 +838,15 @@ pub mod e14 {
             "rows[model=e1000e,rate=0].goodput_mpps",
         );
         rec.put("goodput_retention_10pct_e1000e", retention);
+        // Around 1 % is where a device is still worth its hardware
+        // path: what the first percent of faults costs, per model.
+        for model in e12::model_matrix() {
+            let retention = rec.ratio(
+                &format!("rows[model={},rate=0.01].goodput_mpps", model.name),
+                &format!("rows[model={},rate=0].goodput_mpps", model.name),
+            );
+            rec.put(format!("goodput_retention_1pct_{}", model.name), retention);
+        }
         let recovery = recovery_polls(models::e1000e());
         rec.put("recovery_polls_e1000e", recovery as f64);
         rec
@@ -1951,16 +1960,23 @@ const E13: Experiment = Experiment {
 /// Goodput per (model, fault rate) at `Structural` validation plus the
 /// e1000e watchdog recovery time (PR 4 acceptance: every (model, rate)
 /// cell still delivers, and a wedged queue is back within 16 polls).
-/// Recovery latency may grow at most 25%.
+/// Recovery latency may grow at most 25%. The 1 % retentions are two
+/// best-of-round rows of one run divided: ten consecutive runs on the
+/// 2-core host read 0.75–0.91 (e1000e), 0.67–0.87 (ixgbe), 0.81–0.84
+/// (mlx5) and 0.78–0.87 (qdma) — 0.55 once with the host loaded — so the
+/// floor sits under that noise, and above the 0.52–0.55 that ixgbe, mlx5
+/// and qdma read while any fault sent the whole queue to software
+/// (before PR 18; e1000e read 0.70).
 const E14: Experiment = Experiment {
     name: "e14",
     title: "goodput under device faults (Structural validation) + watchdog recovery",
-    attempts: 1,
+    attempts: 3,
     rounds: 10,
     measure: e14::measure,
     gates: &[
         MPPS,
         Gate::higher("goodput_retention_10pct_e1000e", 0.15),
+        Gate::higher("goodput_retention_1pct_*", 0.25).floor(0.6),
         Gate::lower("recovery_polls_e1000e", 0.25).floor(16.0),
         // "Delivered something": the band is the floor (> 0).
         Gate::higher("*.delivered", 1.0).floor(1.0),

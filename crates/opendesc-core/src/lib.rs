@@ -59,8 +59,8 @@ pub use lower::{lower, EbpfFieldProg, EbpfWindow, LowerError, LoweredPlan};
 pub use plan::{PlanStep, RxPlan};
 pub use rebalance::{imbalance_p99_p50, RebalanceConfig, RebalanceStats, Rebalancer, RetaMove};
 pub use robust::{
-    FieldCheck, HealthConfig, HealthState, QueueHealth, SeqTracker, SeqVerdict, ValidationMode,
-    ValidationStats, ValidatorSpec, Watchdog, WatchdogConfig,
+    Evidence, FieldCheck, HealthConfig, HealthState, QueueHealth, SeqTracker, SeqVerdict,
+    ValidationMode, ValidationStats, ValidatorSpec, Watchdog, WatchdogConfig,
 };
 pub use select::{Objective, PathScore, SelectError, Selection, Selector};
 pub use shard::{

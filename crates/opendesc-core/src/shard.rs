@@ -30,7 +30,7 @@
 
 use crate::cache::{AttachError, CompiledRx, PlanCache};
 use crate::compiler::CompileError;
-use crate::datapath::{OpenDescDriver, RxBatch};
+use crate::datapath::{health_rank, OpenDescDriver, RxBatch};
 use crate::evolve::{EvolveConfig, FlipProgress, FlipRecord, RelayoutOutcome};
 use crate::intent::Intent;
 use crate::rebalance::{RebalanceConfig, RebalanceStats, Rebalancer};
@@ -311,14 +311,19 @@ impl RxWorker {
     }
 }
 
-/// Numeric gauge encoding of a queue's health (0 = healthy, worse is
-/// higher) — the engine-wide gauge takes the max across queues.
-fn health_gauge(h: QueueHealth) -> f64 {
-    match h {
-        QueueHealth::Healthy => 0.0,
-        QueueHealth::Recovering => 1.0,
-        QueueHealth::Degraded => 2.0,
-    }
+/// Gauges are last-write-wins, so the engine-scope health slots hold
+/// whichever queue registered last; the honest engine-wide values are
+/// the *worst* queue's (same rule as `worst_health`): the highest
+/// severity rank and the fullest fault-rate bucket.
+fn register_worst_health<'a>(
+    reg: &mut MetricRegistry,
+    drivers: impl Iterator<Item = &'a OpenDescDriver>,
+) {
+    let (rank, level) = drivers
+        .map(|d| (health_rank(d.health()), d.health_level().0))
+        .fold((0, 0), |(r, l), (rank, level)| (r.max(rank), l.max(level)));
+    reg.gauge("rx.engine.health", rank as f64);
+    reg.gauge("rx.engine.health_level", level as f64);
 }
 
 // Workers move into scoped threads; the artifact they share must be
@@ -595,15 +600,7 @@ impl ShardedRx {
         for w in &self.workers {
             w.register_into(&mut reg, "rx.engine");
         }
-        // Gauges are last-write-wins, so the engine-scope health slot
-        // holds whichever queue registered last; the honest engine-wide
-        // value is the *worst* queue (same rule as `worst_health`).
-        let worst = self
-            .workers
-            .iter()
-            .map(|w| health_gauge(w.drv.health()))
-            .fold(0.0, f64::max);
-        reg.gauge("rx.engine.health", worst);
+        register_worst_health(&mut reg, self.workers.iter().map(|w| &w.drv));
         reg.snapshot()
     }
 
@@ -1388,12 +1385,7 @@ impl ShardedEngine {
                 reg.counter(&format!("tx.engine.{name}"), v);
             }
         }
-        let worst = self
-            .workers
-            .iter()
-            .map(|w| health_gauge(w.rx.drv.health()))
-            .fold(0.0, f64::max);
-        reg.gauge("rx.engine.health", worst);
+        register_worst_health(&mut reg, self.workers.iter().map(|w| &w.rx.drv));
         reg.snapshot()
     }
 }

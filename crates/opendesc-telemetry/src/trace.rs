@@ -52,6 +52,13 @@ pub enum TraceKind {
     /// no verified bytecode form (`a` = the generation it would have
     /// become); the queue keeps its plan.
     RelayoutRefused,
+    /// Why the queue was just demoted to `Degraded`, recorded at the
+    /// fault that did it; the poll's `HealthTransition` follows
+    /// (`a` = evidence kind: 0 truncated, 1 duplicate, 2 stale tag,
+    /// 3 watchdog stall, 4 failed field check, 5 repaired field;
+    /// `b` = fault-rate bucket level `<< 32 |` its threshold — kinds 4
+    /// and 5 demote at any level).
+    HealthCause,
 }
 
 /// One fixed-size trace record.

@@ -7,8 +7,11 @@
 # runner forks again (ISSUE 16): one binary, no mode switch, no
 # run-loop twin. And fails if TX forks again (ISSUE 17): `submit_from`
 # is the one place a frame becomes a descriptor and a DMA write, and
-# `TxDriver::send` is its one-slot case. The retired names are spelled
-# in two halves below so this file does not match its own search.
+# `TxDriver::send` is its one-slot case. And fails if a fault can cost
+# its neighbours again (ISSUE 18): hardware columns are loaded by
+# `load_column` and nothing else, and every fault names its evidence.
+# The retired names are spelled in two halves below so this file does
+# not match its own search.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
@@ -57,6 +60,9 @@ for pat in 'insert_vlan_in_slice(' 'run_deparse('; do
         fail=1
     fi
 done
+expect "datapath.rs loads a hardware field per packet again (exec_load()" \
+    "$(code $src/datapath.rs | sites 'exec_load(')" 0
+expect "on_fault() calls in opendesc-core that name no evidence" "$(total 'on_fault()')" 0
 expect "the retired E17 key is back" \
     "$(grep -rlF -- 'tx_batched_vs_''seed' crates scripts .github BENCH_e17.json | wc -l)" 0
 exit $fail
