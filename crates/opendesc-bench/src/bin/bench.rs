@@ -1,4 +1,4 @@
-//! The one bench runner: measures the E12–E20 records and gates them.
+//! The one bench runner: measures the E1–E20 records and gates them.
 //!
 //! ```text
 //! bench run  [eNN…] [OUTDIR]     measure, assert floors, write OUTDIR/BENCH_eNN.json
@@ -14,8 +14,8 @@
 //! root, so regenerating them means naming `.` explicitly.
 //!
 //! `gate` prints the comparison table and, when `$GITHUB_STEP_SUMMARY`
-//! is set, appends it there. Absolute rows (Mpps, constant-denominator
-//! ratios) are shown and never gated. Exit status: 0 when every gated
+//! is set, appends it there. Absolute rows (Mpps, wall-clock µs/ns,
+//! constant-denominator ratios) are shown and never gated. Exit status: 0 when every gated
 //! metric is within band and above its floor, 1 otherwise, 2 on usage
 //! errors, unknown experiment names and unreadable records.
 

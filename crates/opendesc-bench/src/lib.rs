@@ -1,79 +1,51 @@
-//! The experiment harness: shared helpers for the criterion benches
-//! E1–E11 (the paper's own figures), and the E12–E20 experiment table
-//! behind the one `bench` binary.
+//! The experiment harness: the one experiment table behind the one
+//! `bench` binary.
 //!
-//! E1–E11: each bench target regenerates one experiment from
-//! `EXPERIMENTS.md`, printing its table/series and registering
-//! Criterion measurements for the timed parts.
-//!
-//! E12–E20: one [`Experiment`] entry each in [`EXPERIMENTS`] — a
-//! `measure` function that returns a generic [`Record`], and the
-//! [`Gate`]s that are the only statement of its bands and floors.
-//! `bench run` measures, asserts the floors and writes
+//! One [`Experiment`] entry each in [`EXPERIMENTS`] — a `measure`
+//! function that returns a generic [`Record`], and the [`Gate`]s that
+//! are the only statement of its bands and floors. E1–E11 are the
+//! paper's own figures and claims ([`paper`]); E12–E20 measure the
+//! extensions. `bench run` measures, asserts the floors and writes
 //! `BENCH_eNN.json`; `bench gate` compares two directories of records
 //! under the same gates.
-use opendesc_core::{Compiler, Intent, OpenDescDriver, WorkerStats};
-use opendesc_ir::{names, SemanticRegistry};
-use opendesc_nicsim::{models, NicModel, PktGen, SimNic, Workload};
+use opendesc_core::{Intent, RxPacket, WorkerStats};
+use opendesc_ir::{names, Assignment, SemanticRegistry};
+use opendesc_nicsim::{models, PktGen, SimNic, Workload};
 use opendesc_telemetry::Json;
+
+pub mod paper;
+pub use paper::{e1, e10, e11, e2, e3, e4, e5, e6, e7, e8, e9};
+
+/// An intent wanting `sems`, in order.
+pub fn intent_of(reg: &mut SemanticRegistry, name: &str, sems: &[&str]) -> Intent {
+    let builder = Intent::builder(name);
+    sems.iter().fold(builder, |b, s| b.want(reg, s)).build()
+}
 
 /// Named intents used across experiments.
 pub fn intent_catalog(reg: &mut SemanticRegistry) -> Vec<(String, Intent)> {
-    let mk = |reg: &mut SemanticRegistry, name: &str, sems: &[&str]| {
-        let mut b = Intent::builder(name);
-        for s in sems {
-            b = b.want(reg, s);
-        }
-        (name.to_string(), b.build())
-    };
-    vec![
-        mk(reg, "rss-only", &[names::RSS_HASH]),
-        mk(reg, "csum-only", &[names::IP_CHECKSUM]),
-        mk(reg, "rss+csum", &[names::RSS_HASH, names::IP_CHECKSUM]),
-        mk(
-            reg,
-            "fig1",
-            &[
-                names::IP_CHECKSUM,
-                names::VLAN_TCI,
-                names::RSS_HASH,
-                names::KVS_KEY_HASH,
-            ],
-        ),
-        mk(
-            reg,
-            "telemetry",
-            &[names::TIMESTAMP, names::PKT_LEN, names::PACKET_TYPE],
-        ),
-        mk(
-            reg,
-            "everything",
-            &[
-                names::RSS_HASH,
-                names::IP_CHECKSUM,
-                names::L4_CHECKSUM,
-                names::VLAN_TCI,
-                names::PKT_LEN,
-                names::FLOW_TAG,
-                names::PAYLOAD_OFFSET,
-            ],
-        ),
-    ]
-}
-
-/// Compile an intent on a model and attach a driver with a ring of
-/// `ring` entries.
-pub fn make_driver(
-    model: NicModel,
-    intent: &Intent,
-    reg: &mut SemanticRegistry,
-    ring: usize,
-) -> OpenDescDriver {
-    let compiled = Compiler::default()
-        .compile_model(&model, intent, reg)
-        .expect("intent compiles");
-    let nic = SimNic::new(model, ring).expect("model valid");
-    OpenDescDriver::attach(nic, compiled).expect("context programs")
+    use names::*;
+    let everything = [
+        RSS_HASH,
+        IP_CHECKSUM,
+        L4_CHECKSUM,
+        VLAN_TCI,
+        PKT_LEN,
+        FLOW_TAG,
+        PAYLOAD_OFFSET,
+    ];
+    let catalog: [(&str, &[&str]); 6] = [
+        ("rss-only", &[RSS_HASH]),
+        ("csum-only", &[IP_CHECKSUM]),
+        ("rss+csum", &[RSS_HASH, IP_CHECKSUM]),
+        ("fig1", &[IP_CHECKSUM, VLAN_TCI, RSS_HASH, KVS_KEY_HASH]),
+        ("telemetry", &[TIMESTAMP, PKT_LEN, PACKET_TYPE]),
+        ("everything", &everything),
+    ];
+    let named = catalog
+        .iter()
+        .map(|(name, sems)| (name.to_string(), intent_of(reg, name, sems)));
+    named.collect()
 }
 
 /// Pre-generate `n` frames of a workload.
@@ -81,17 +53,65 @@ pub fn frames(wl: Workload, n: usize) -> Vec<Vec<u8>> {
     PktGen::new(wl).batch(n)
 }
 
-/// Simple geometric-mean helper for summary rows.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
+/// Put `frames` on a device's completion ring.
+pub fn fill(nic: &mut SimNic, frames: &[Vec<u8>]) {
+    for f in frames {
+        nic.deliver(f).expect("ring holds the frames");
     }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Catalog of all models for matrix experiments.
-pub fn model_catalog() -> Vec<NicModel> {
-    models::catalog()
+/// The device seven of the paper experiments measure on: an mlx5
+/// `SimNic` with `ctx` programmed and `frames` delivered.
+pub fn mlx5_with(ctx: &Assignment, ring: usize, frames: &[Vec<u8>]) -> SimNic {
+    let mut nic = SimNic::new(models::mlx5(), ring).expect("model valid");
+    nic.configure(ctx.clone()).expect("context programs");
+    fill(&mut nic, frames);
+    nic
+}
+
+/// Drain a device into the `(frame, completion)` pairs it wrote: real
+/// records from the simulator, not hand-built ones.
+pub fn harvest(nic: &mut SimNic) -> Vec<(Vec<u8>, Vec<u8>)> {
+    std::iter::from_fn(|| nic.receive()).collect()
+}
+
+/// Drain a per-packet `poll` loop: packets seen and the XOR-fold of
+/// every metadata value, so no read can be optimised away.
+pub fn drain(mut poll: impl FnMut() -> Option<RxPacket>) -> (u64, u128) {
+    let (mut n, mut acc) = (0u64, 0u128);
+    while let Some(pkt) = poll() {
+        for (_, v) in &pkt.meta {
+            acc ^= v.unwrap_or(0);
+        }
+        n += 1;
+    }
+    (n, acc)
+}
+
+/// The table's estimator. Each arm runs one round — its set-up off the
+/// clock — and returns what the round cost; round 0 is warm-up, rounds
+/// `1..=rounds` are measured, the arms are interleaved round-robin so
+/// clock drift hits them equally, and each arm is scored by its
+/// *fastest* round (the min-estimator, robust to scheduler noise on
+/// shared machines). Returns one score per arm, in order.
+pub fn best_of<F: FnMut() -> f64>(rounds: usize, arms: &mut [F]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; arms.len()];
+    for round in 0..=rounds.max(1) {
+        for (arm, best) in arms.iter_mut().zip(&mut best) {
+            let cost = arm();
+            if round > 0 {
+                *best = best.min(cost);
+            }
+        }
+    }
+    best
+}
+
+/// Wall-clock nanoseconds of `work`, its result kept from the optimiser.
+pub fn timed<T>(work: impl FnOnce() -> T) -> f64 {
+    let t = std::time::Instant::now();
+    std::hint::black_box(work());
+    t.elapsed().as_nanos() as f64
 }
 
 /// One cell of a [`Record`] row. The variant says what the column *is*,
@@ -189,12 +209,12 @@ fn num(x: f64) -> String {
 }
 
 impl Record {
+    /// A record of what ran ([`Parallel::Run`]).
     pub fn new(
         experiment: &'static str,
         unit: &'static str,
         pkts_per_round: usize,
         rounds: usize,
-        parallel: Parallel,
         rows: Vec<Row>,
     ) -> Record {
         Record {
@@ -203,10 +223,16 @@ impl Record {
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             pkts_per_round,
             rounds,
-            parallel,
+            parallel: Parallel::Run,
             rows,
             summary: Vec::new(),
         }
+    }
+
+    /// Mark the multi-queue throughput as [`Parallel::Modelled`].
+    pub fn modelled(mut self) -> Record {
+        self.parallel = Parallel::Modelled;
+        self
     }
 
     /// Append one summary scalar.
@@ -402,12 +428,11 @@ pub fn worker_cells(mpps: f64, total_pkts: u64, workers: &[WorkerStats]) -> Row 
 /// zero-alloc batched). Also home of the eight-semantic intent, the
 /// four-model matrix and the model × path harness that E13–E19 reuse.
 pub mod e12 {
-    use crate::{Cell, Parallel, Record, Row};
-    use opendesc_core::{AccessorKind, Intent, OpenDescDriver, RxBatch};
+    use crate::{Cell, Record, Row};
+    use opendesc_core::{AccessorKind, Compiler, Intent, OpenDescDriver, RxBatch};
     use opendesc_ir::{names, SemanticRegistry};
-    use opendesc_nicsim::{models, NicModel, PktGen, Workload};
+    use opendesc_nicsim::{models, NicModel, PktGen, SimNic, Workload};
     use opendesc_softnic::SoftNic;
-    use std::time::Instant;
 
     /// Packets drained per measured round; rings are sized to hold it.
     pub const ROUND: usize = 256;
@@ -446,7 +471,11 @@ pub mod e12 {
     pub fn driver(model: NicModel, ring: usize) -> OpenDescDriver {
         let mut reg = SemanticRegistry::with_builtins();
         let intent = intent(&mut reg);
-        crate::make_driver(model, &intent, &mut reg, ring)
+        let compiled = Compiler::default()
+            .compile_model(&model, &intent, &mut reg)
+            .expect("intent compiles");
+        let nic = SimNic::new(model, ring).expect("model valid");
+        OpenDescDriver::attach(nic, compiled).expect("context programs")
     }
 
     /// Deterministic mixed traffic: UDP across 32 flows, half the frames
@@ -492,14 +521,7 @@ pub mod e12 {
     /// Per-packet drain over the compiled plan (`poll`): parses once per
     /// packet and memoizes RSS, but still allocates an `RxPacket` each.
     pub fn drain_plan(drv: &mut OpenDescDriver) -> (u64, u128) {
-        let (mut n, mut acc) = (0u64, 0u128);
-        while let Some(pkt) = drv.poll() {
-            for (_, v) in &pkt.meta {
-                acc ^= v.unwrap_or(0);
-            }
-            n += 1;
-        }
-        (n, acc)
+        crate::drain(|| drv.poll())
     }
 
     /// Zero-alloc batched drain: `poll_batch_into` with recycled
@@ -523,48 +545,40 @@ pub mod e12 {
 
     pub const PATHS: [&str; 3] = ["per_packet", "plan", "batched"];
 
-    /// Run the model × path matrix with a wall-clock harness
-    /// (`Instant`-based). `fill` puts one round of frames on a driver's
-    /// ring — E12 through the hintless wire path, E16 through the
-    /// steering stage — and runs off the clock, as in E3: only the
-    /// drain is timed. The three paths are interleaved round-robin so
-    /// clock drift hits them equally, and each path is scored by its
-    /// *fastest* round (the min-estimator, robust to scheduler noise on
-    /// shared machines).
-    pub fn matrix(
-        rounds: usize,
-        mut fill: impl FnMut(&mut OpenDescDriver, &[Vec<u8>]),
-    ) -> Vec<Row> {
+    /// Run the model × path matrix. `fill` puts one round of frames on
+    /// a driver's ring — E12 through the hintless wire path, E16
+    /// through the steering stage — and runs off the clock, as in E3:
+    /// only the drain is timed. The three paths are the arms of
+    /// [`best_of`](crate::best_of).
+    pub fn matrix(rounds: usize, fill: impl Fn(&mut OpenDescDriver, &[Vec<u8>])) -> Vec<Row> {
         let frames = traffic(ROUND);
         let mut rows = Vec::new();
         for model in model_matrix() {
-            let mut drvs: Vec<OpenDescDriver> = PATHS
-                .iter()
-                .map(|_| driver(model.clone(), ROUND * 2))
-                .collect();
+            // Boxed: with the drivers on the stack, where ASLR moves them,
+            // `plan` read ~20 % low against `per_packet` in 7 runs of 40.
+            let mut drvs = PATHS.map(|_| Box::new(driver(model.clone(), ROUND * 2)));
+            let [seed, plan, batched] = &mut drvs;
             let mut soft = SoftNic::new();
-            let mut batch = drvs[2].make_batch(BATCH_CAP);
-            let mut best = [f64::INFINITY; 3];
-            let mut sink = 0u128;
-            // Round 0 is warm-up; rounds 1..=rounds are measured.
-            for round in 0..=rounds {
-                for (pi, path) in PATHS.iter().enumerate() {
-                    let drv = &mut drvs[pi];
-                    fill(drv, &frames);
-                    let t = Instant::now();
-                    let (n, acc) = match *path {
-                        "per_packet" => drain_per_packet(drv, &mut soft),
-                        "plan" => drain_plan(drv),
-                        _ => drain_batched(drv, &mut batch),
-                    };
-                    let ns = t.elapsed().as_nanos() as f64 / n as f64;
-                    sink ^= acc;
-                    if round > 0 && ns < best[pi] {
-                        best[pi] = ns;
-                    }
-                }
-            }
-            std::hint::black_box(sink);
+            let mut batch = batched.make_batch(BATCH_CAP);
+            type Drain<'a> = &'a mut dyn FnMut(&mut OpenDescDriver) -> (u64, u128);
+            let round = |drv: &mut OpenDescDriver, drain: Drain| {
+                fill(drv, &frames);
+                let mut n = 0;
+                let ns = crate::timed(|| {
+                    let (got, acc) = drain(drv);
+                    n = got;
+                    acc
+                });
+                ns / n as f64
+            };
+            let best = crate::best_of::<&mut dyn FnMut() -> f64>(
+                rounds,
+                &mut [
+                    &mut || round(seed, &mut |d| drain_per_packet(d, &mut soft)),
+                    &mut || round(plan, &mut drain_plan),
+                    &mut || round(batched, &mut |d| drain_batched(d, &mut batch)),
+                ],
+            );
             for (path, ns) in PATHS.iter().zip(best) {
                 rows.push(vec![
                     ("model", Cell::id(&model.name)),
@@ -583,14 +597,7 @@ pub mod e12 {
                 drv.deliver(f).expect("ring sized for the round");
             }
         });
-        let mut rec = Record::new(
-            "e12_rx_datapath",
-            "Mpps",
-            ROUND,
-            rounds,
-            Parallel::Run,
-            rows,
-        );
+        let mut rec = Record::new("e12_rx_datapath", "Mpps", ROUND, rounds, rows);
         let speedup = rec.ratio(
             "rows[model=e1000e,path=batched].mpps",
             "rows[model=e1000e,path=per_packet].mpps",
@@ -606,7 +613,7 @@ pub mod e12 {
 /// 1-queue baseline shape.
 pub mod e13 {
     use super::e12;
-    use crate::{worker_cells, Cell, Parallel, Record};
+    use crate::{worker_cells, Cell, Record};
     use opendesc_core::{PlanCache, ShardReport, ShardedRx};
     use opendesc_ir::SemanticRegistry;
     use opendesc_nicsim::pktgen::{ShardFrame, ShardedPktGen};
@@ -694,14 +701,8 @@ pub mod e13 {
                 rows.push(row);
             }
         }
-        let mut rec = Record::new(
-            "e13_sharded_rx",
-            "Mpps aggregate",
-            ROUND,
-            rounds,
-            Parallel::Modelled,
-            rows,
-        );
+        let mut rec =
+            Record::new("e13_sharded_rx", "Mpps aggregate", ROUND, rounds, rows).modelled();
         let scaling = rec.ratio(
             "rows[model=e1000e,queues=4].mpps",
             "rows[model=e1000e,queues=1].mpps",
@@ -733,7 +734,7 @@ pub mod e14 {
     /// Packets fed per measured round and batch capacity of the drain:
     /// E12's, so the zero-fault row is its batched column again.
     pub use super::e12::{BATCH_CAP, ROUND};
-    use crate::{Cell, Parallel, Record};
+    use crate::{Cell, Record};
     use opendesc_core::{OpenDescDriver, RxBatch, ValidationMode};
     use opendesc_nicsim::{models, FaultConfig, NicModel};
     use std::time::Instant;
@@ -825,14 +826,7 @@ pub mod e14 {
                 ]);
             }
         }
-        let mut rec = Record::new(
-            "e14_fault_recovery",
-            "Mpps goodput",
-            ROUND,
-            rounds,
-            Parallel::Run,
-            rows,
-        );
+        let mut rec = Record::new("e14_fault_recovery", "Mpps goodput", ROUND, rounds, rows);
         let retention = rec.ratio(
             "rows[model=e1000e,rate=0.1].goodput_mpps",
             "rows[model=e1000e,rate=0].goodput_mpps",
@@ -895,7 +889,7 @@ pub mod e14 {
 /// E12/E13), so the ratio compares best-case against best-case.
 pub mod e15 {
     use super::e13;
-    use crate::{Cell, Parallel, Record};
+    use crate::{Cell, Record};
     use opendesc_core::{Hist, MetricValue, ShardReport};
     use opendesc_nicsim::models;
 
@@ -1005,9 +999,9 @@ pub mod e15 {
             "Mpps aggregate",
             e13::ROUND,
             rounds,
-            Parallel::Modelled,
             rows,
-        );
+        )
+        .modelled();
         // Telemetry-on throughput relative to telemetry-off; 1.0 = free.
         // The gate treats ratios ≥ 1.0 (the difference is below
         // measurement noise) as equal-to-baseline.
@@ -1062,7 +1056,7 @@ pub mod e15 {
 /// [`PlanProgram`]: opendesc_core::PlanProgram
 pub mod e16 {
     use super::e12;
-    use crate::{Parallel, Record};
+    use crate::Record;
     use opendesc_core::OpenDescDriver;
     use opendesc_nicsim::multiqueue::Steerer;
     use opendesc_nicsim::SteerPolicy;
@@ -1099,14 +1093,7 @@ pub mod e16 {
         let rows = e12::matrix(rounds, |drv, frames| {
             deliver_steered_round(drv, &steer, frames)
         });
-        let mut rec = Record::new(
-            "e16_vm_datapath",
-            "Mpps",
-            e12::ROUND,
-            rounds,
-            Parallel::Run,
-            rows,
-        );
+        let mut rec = Record::new("e16_vm_datapath", "Mpps", e12::ROUND, rounds, rows);
         let mpps = |m: &str, path: &str| format!("rows[model={m},path={path}].mpps");
         // `poll()` (a one-slot batch) and the batched path, each vs the
         // seed per-packet loop of the same run (self-normalized: machine
@@ -1144,7 +1131,7 @@ pub mod e16 {
 /// measured rounds use the sequential harness so `busy_ns` stays honest
 /// on small hosts, scored by min-estimator over `max_busy_ns`.
 pub mod e17 {
-    use crate::{worker_cells, Cell, Parallel, Record};
+    use crate::{worker_cells, Cell, Record};
     use opendesc_core::{
         compile_tx, CompiledTxPlan, EngineReport, ForwardFn, Intent, PlanCache, Selector,
         ShardedEngine, TxBatch, TxQueue, TxRequest, TxVerdict,
@@ -1153,7 +1140,6 @@ pub mod e17 {
     use opendesc_nicsim::pktgen::{ShardFrame, ShardedPktGen};
     use opendesc_nicsim::{models, NicModel, SimNic, SteerPolicy, Workload};
     use std::sync::Arc;
-    use std::time::Instant;
 
     /// The forward-scaling series runs E13's shape: queue counts,
     /// frames per round, per-queue ring, and one batch capacity for the
@@ -1173,18 +1159,13 @@ pub mod e17 {
     /// RX side of the forward path: steer on the device RSS hash, know
     /// the length — the minimal forwarding contract.
     pub fn rx_intent(reg: &mut SemanticRegistry) -> Intent {
-        Intent::builder("e17-fwd-rx")
-            .want(reg, names::RSS_HASH)
-            .want(reg, names::PKT_LEN)
-            .build()
+        crate::intent_of(reg, "e17-fwd-rx", &[names::RSS_HASH, names::PKT_LEN])
     }
 
     /// TX side: responses want the IPv4 checksum inserted (in the
     /// e1000e descriptor's `cmd` bit — a hardware offload there).
     pub fn tx_intent(reg: &mut SemanticRegistry) -> Intent {
-        Intent::builder("e17-fwd-tx")
-            .want(reg, names::TX_IP_CSUM)
-            .build()
+        crate::intent_of(reg, "e17-fwd-tx", &[names::TX_IP_CSUM])
     }
 
     /// The models of the scaling matrix: e1000e (fixed-function RX, the
@@ -1229,35 +1210,31 @@ pub mod e17 {
         )
         .expect("e17 TX intent compiles on e1000e");
         let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
+        let frames = super::frames(workload(), ROUND);
+        let req = forward_req();
         // One arm per batch capacity, each on its own NIC.
         let mut arms = [1, BATCH_CAP].map(|cap| {
             let mut nic = SimNic::new(model.clone(), TX_RING).unwrap();
-            let q = TxQueue::attach(&mut nic, Arc::clone(&plan), MAX_FRAME);
-            (nic, q, TxBatch::new(cap, MAX_FRAME), f64::INFINITY)
-        });
-
-        let frames = super::frames(workload(), ROUND);
-        let req = forward_req();
-        for round in 0..=rounds.max(1) {
-            for (nic, q, batch, best) in &mut arms {
-                let t = Instant::now();
-                for chunk in frames.chunks(batch.capacity()) {
-                    for f in chunk {
-                        assert!(batch.push(f, req), "frame fits the arena slot");
+            let mut q = TxQueue::attach(&mut nic, Arc::clone(&plan), MAX_FRAME);
+            let mut batch = TxBatch::new(cap, MAX_FRAME);
+            let frames = &frames;
+            move || {
+                let ns = crate::timed(|| {
+                    for chunk in frames.chunks(cap) {
+                        for f in chunk {
+                            assert!(batch.push(f, req), "frame fits the arena slot");
+                        }
+                        let placed = q.submit(&mut nic, &mut batch).expect("ring holds a round");
+                        assert_eq!(placed, chunk.len(), "no stalls at this ring size");
+                        batch.clear();
                     }
-                    let placed = q.submit(nic, batch).expect("ring holds a round");
-                    assert_eq!(placed, chunk.len(), "no stalls at this ring size");
-                    batch.clear();
-                }
-                let ns = t.elapsed().as_nanos() as f64 / frames.len() as f64;
+                });
                 assert_eq!(nic.process_tx_drain() as usize, frames.len());
-                if round > 0 {
-                    *best = best.min(ns);
-                }
+                ns / frames.len() as f64
             }
-        }
-        let [one_slot_ns, batched_ns] = arms.map(|(.., best)| best);
-        (one_slot_ns, batched_ns)
+        });
+        let best = crate::best_of(rounds, &mut arms);
+        (best[0], best[1])
     }
 
     /// Build a `queues`-wide full-duplex engine forwarding everything.
@@ -1339,9 +1316,9 @@ pub mod e17 {
             "Mpps aggregate forward",
             ROUND,
             rounds,
-            Parallel::Modelled,
             rows,
-        );
+        )
+        .modelled();
         let scaling = rec.ratio(
             "rows[model=e1000e,queues=4].mpps",
             "rows[model=e1000e,queues=1].mpps",
@@ -1374,7 +1351,7 @@ pub mod e17 {
 /// divides out) hold only with the two combined.
 pub mod e18 {
     use super::e13;
-    use crate::{worker_cells, Cell, Parallel, Record};
+    use crate::{worker_cells, Cell, Record};
     use opendesc_core::{AdaptiveConfig, AdaptiveOutcome};
     use opendesc_nicsim::{models, NicModel, Workload};
 
@@ -1503,9 +1480,9 @@ pub mod e18 {
             "Mpps aggregate",
             TOTAL,
             rounds,
-            Parallel::Modelled,
             rows,
-        );
+        )
+        .modelled();
         // Adaptive over static, both arms of one run, so machine speed
         // divides out. Mpps gain, and how much flatter the adaptive arm
         // leaves the per-queue packet distribution (static p99/p50 over
@@ -1551,7 +1528,7 @@ pub mod e19 {
     //! after evolving its contract has leaked state across the flip.
     use super::e12;
     use super::e13::{self, BATCH_CAP, RING};
-    use crate::{Cell, Parallel, Record};
+    use crate::{Cell, Record};
     use opendesc_core::{EvolveConfig, Intent, PlanCache, RelayoutRequest, ShardedRx};
     use opendesc_ir::{names, SemanticRegistry};
     use opendesc_nicsim::pktgen::ShardedPktGen;
@@ -1572,11 +1549,8 @@ pub mod e19 {
     /// of — a strict subset of E13's eight fields, so the negotiated
     /// completion changes shape on every model.
     pub fn alt_intent(reg: &mut SemanticRegistry) -> Intent {
-        Intent::builder("e19-lean")
-            .want(reg, names::VLAN_TCI)
-            .want(reg, names::PKT_LEN)
-            .want(reg, names::PACKET_TYPE)
-            .build()
+        let sems = [names::VLAN_TCI, names::PKT_LEN, names::PACKET_TYPE];
+        crate::intent_of(reg, "e19-lean", &sems)
     }
 
     /// E13's traffic shape, reseeded.
@@ -1744,14 +1718,8 @@ pub mod e19 {
                 ),
             ]);
         }
-        let mut rec = Record::new(
-            "e19_live_evolution",
-            "Mpps aggregate",
-            TOTAL,
-            rounds,
-            Parallel::Modelled,
-            rows,
-        );
+        let mut rec =
+            Record::new("e19_live_evolution", "Mpps aggregate", TOTAL, rounds, rows).modelled();
         rec.summary = summary;
         rec
     }
@@ -1771,7 +1739,7 @@ pub mod e20 {
     //! deterministic in the seed, and the gate holds
     //! `conformance_clean` at 1.0 and `layouts_negotiated` at ≥ 200 —
     //! the issue's acceptance criteria.
-    use crate::{Parallel, Record};
+    use crate::Record;
     use opendesc_core::conformance::run;
 
     /// Default fuzzing shape: 64 NICs × 4 intents = 256 negotiated
@@ -1805,7 +1773,6 @@ pub mod e20 {
             "negotiated layouts (deterministic counts)",
             0,
             1,
-            Parallel::Run,
             Vec::new(),
         );
         rec.summary = [
@@ -1923,6 +1890,231 @@ pub struct Experiment {
 
 /// Every Mpps row of every record: banded for the table, never gated.
 const MPPS: Gate = Gate::higher("*mpps", 0.10).absolute();
+
+/// Wall-clock µs/ns of the paper experiments: reported, never gated.
+const fn wall(metric: &'static str) -> Gate {
+    Gate::lower(metric, 0.25).absolute()
+}
+
+/// A deterministic number — a price from the static cost table, an
+/// instruction count, a ratio of the DMA model: zero tolerance. The
+/// decision it belongs to is spelled in its row's identity cells, so a
+/// changed decision fails as a missing row whichever way the number
+/// moved.
+const fn exact(metric: &'static str) -> Gate {
+    Gate::lower(metric, 0.0)
+}
+
+/// 1 when a DMA-model ratio moves one way at every step down in link
+/// speed (E4, E10, E11), 0 otherwise.
+const MONOTONE: Gate = Gate::higher("model_ratios_monotone", 0.0).floor(1.0);
+
+/// Fig. 6 as a decision table. The paper's decision — Req = {rss, csum}
+/// takes the checksum path and recomputes RSS — is the identity of its
+/// row (`path=1,ctx=rss=0,fallbacks=rss_hash`), as is every other
+/// subset's; `soft_ns` is the Eq. 1 software term of the winner under
+/// the static cost table.
+const E1: Experiment = Experiment {
+    name: "e1",
+    title: "Fig. 6: e1000e layout selection per intent subset",
+    attempts: 1,
+    rounds: 20,
+    measure: e1::measure,
+    gates: &[exact("*.soft_ns"), wall("compile_rss_plus_csum_us")],
+};
+
+/// Fig. 1 as a matrix: per (NIC, intent) the chosen completion size and
+/// the software fallback set — or `UNSATISFIABLE(<semantic>)`, as
+/// `telemetry`'s timestamp is on the three fixed-function NICs — are the
+/// row's identity.
+const E2: Experiment = Experiment {
+    name: "e2",
+    title: "Fig. 1: layout selection, 6 catalog NICs x 6 intents",
+    attempts: 1,
+    rounds: 10,
+    measure: e2::measure,
+    gates: &[exact("*.soft_ns"), wall("full_matrix_compile_us")],
+};
+
+/// §2's "generic metadata layers cost real throughput". Ratios of two
+/// arms of one interleaved run, ns/pkt over ns/pkt. Ten consecutive runs
+/// on the 2-core host: generic ÷ OpenDesc 2.51–2.56 (64 B) and 2.54–2.65
+/// (mixed) — the floor is the 1.7× the paper cites from TinyNF, which
+/// the measurement clears by 45 %; LCD ÷ OpenDesc 1.37–1.44 (64 B) and
+/// 1.70–1.75 (mixed), floored 15 % under the lowest reading. LCD pays
+/// for two checksums and a hash, which PR 14's kernels made cheap (it
+/// read ~2× before them), so its penalty grows with payload.
+const E3: Experiment = Experiment {
+    name: "e3",
+    title: "host datapath on mlx5: generated accessors vs generic mbuf vs LCD recompute",
+    attempts: 3,
+    rounds: 30,
+    measure: e3::measure,
+    gates: &[
+        MPPS,
+        wall("*.ns_per_pkt"),
+        Gate::higher("generic_vs_opendesc_*", 0.20).floor(1.7),
+        Gate::higher("lcd_vs_opendesc_*", 0.20).floor(1.15),
+    ],
+};
+
+/// Eq. 1's Size(p) term. The ceilings, their 8 B ÷ 64 B ratio per link
+/// (1.14 → 5.31 as the link slows from 7.9 to 0.1 GB/s) and the
+/// simulated full ÷ mini completion-DMA ratio (2.70 at 0.5 GB/s) are
+/// outputs of the DMA model: exact. `model_ratios_monotone` is 1 when
+/// the ratio grows at every step down in link speed.
+const E4: Experiment = Experiment {
+    name: "e4",
+    title: "completion size vs link speed: DMA model ceilings + simulated mlx5 CQE formats",
+    attempts: 1,
+    rounds: 20,
+    measure: e4::measure,
+    gates: &[
+        Gate::higher("*.mpps_ceiling", 0.0),
+        Gate::higher("ceiling_8_vs_64_*", 0.0),
+        Gate::higher("sim_dma_full_vs_mini", 0.0),
+        MONOTONE,
+        wall("deliver_drain_ns_per_pkt_*"),
+    ],
+};
+
+/// §4's "bounded and therefore read safely". The verifier's verdict is
+/// each row's identity (the unchecked read is `REJECT`, with the reason),
+/// `insns` the generated program's size. Interpreted recompute ÷ accessor
+/// read follows the instruction ratio (69 ÷ 15 = 4.6): ten runs read
+/// 4.83–5.10, floored at 3.5.
+const E5: Experiment = Experiment {
+    name: "e5",
+    title: "eBPF accessors on mlx5: verifier verdicts, accessor read vs recompute",
+    attempts: 3,
+    rounds: 20,
+    measure: e5::measure,
+    gates: &[
+        exact("*.insns"),
+        wall("*.interp_ns"),
+        wall("*.verify_ns"),
+        Gate::higher("recompute_vs_accessor_insns", 0.0),
+        Gate::higher("recompute_vs_accessor_ebpf", 0.20).floor(3.5),
+    ],
+};
+
+/// §4's "enumerating a small finite set". Cost per installed layout at
+/// 2 048 layouts over cost per layout at 128: 1.0 is linear, 16 is
+/// quadratic. Three batches of ten runs: frontend 1.43–1.56 (budget 2.0:
+/// near-linear); enumerate + select 3.97–4.81 (budget 6.0, a quarter
+/// over the highest) — superlinear, which the "near-linear" this
+/// experiment used to be summarised as did not say: selection costs
+/// ~3 µs a layout up to 128 of them and 14 µs a layout at 2 048.
+/// Realistic devices install ≤ 8.
+const E6: Experiment = Experiment {
+    name: "e6",
+    title: "compiler scalability: QDMA with 2..2048 installed layouts",
+    attempts: 3,
+    rounds: 5,
+    measure: e6::measure,
+    gates: &[
+        wall("*_us"),
+        Gate::lower("frontend_per_layout_growth_2048_vs_128", 0.30).floor(2.0),
+        Gate::lower("select_per_layout_growth_2048_vs_128", 0.30).floor(6.0),
+    ],
+};
+
+/// "Eq. 1 needs both terms". `combined_over_best_ablation_<link>` is the
+/// combined objective's realized cost over the better ablation's: 1.0
+/// whenever it chose the better layout, which it did on all four links
+/// in ten runs of ten. At 1 GB/s the two layouts realize within 4 % of
+/// each other (203 vs 197 ns) and the calibrated prices put them 5 ns
+/// apart, so a calibration that tips the choice reads 1.04: the budget
+/// is 1.10. Cost-only on the 0.05 GB/s link pays 3.99–4.08× (floor 2.5);
+/// size-only on the 7.9 GB/s link pays 1.19–1.32× (floor 1.05): the 8 B
+/// mini-CQE costs the host ~50 ns of recomputed checksums and VLAN and
+/// saves 7 ns of DMA there. Rows carry the chosen size as identity and
+/// only absolute ns, so a flipped choice shows as a missing info row.
+const E7: Experiment = Experiment {
+    name: "e7",
+    title: "Eq. 1 ablation on mlx5: combined vs cost-only vs size-only, realized ns/pkt",
+    attempts: 3,
+    rounds: 10,
+    measure: e7::measure,
+    gates: &[
+        wall("*_ns"),
+        wall("select_us_*"),
+        Gate::lower("combined_over_best_ablation_*", 0.10).floor(1.10),
+        Gate::higher("cost_only_over_combined_0.05", 0.20).floor(2.5),
+        Gate::higher("size_only_over_combined_7.9", 0.15).floor(1.05),
+    ],
+};
+
+/// §5's generated-SIMD direction, at what software alone buys: ten runs
+/// read 3.77–3.97× for the column loader over per-record reads, floored
+/// at 2.0.
+const E8: Experiment = Experiment {
+    name: "e8",
+    title: "column loads vs scalar accessor reads: 4 mlx5 CQEs x 4 fields",
+    attempts: 3,
+    rounds: 20,
+    measure: e8::measure,
+    gates: &[
+        wall("*.ns_per_iter"),
+        Gate::higher("column_vs_scalar", 0.25).floor(2.0),
+        Gate::higher("values_agree", 0.0).floor(1.0),
+    ],
+};
+
+/// The TX split's shape: the software-fallback path grows with payload
+/// (it checksums the body), the hint path only by the buffer copy.
+/// `send()` cost at 1 024 B over 64 B reads 1.75–1.92 in software and
+/// 1.29–1.48 with hints; their quotient 1.21–1.46 in ten runs, floored
+/// at 1.1.
+const E9: Experiment = Experiment {
+    name: "e9",
+    title: "TX offload: send() with hints in the descriptor vs L4 checksum in software",
+    attempts: 3,
+    rounds: 30,
+    measure: e9::measure,
+    gates: &[
+        wall("*.send_ns_per_frame"),
+        Gate::higher("sw_growth_over_hw_growth", 0.25).floor(1.1),
+    ],
+};
+
+/// §5's batched descriptors. The modelled individual ÷ aggregated DMA
+/// ratio per link is exact (11.5× at 7.9 GB/s → 1.1× at 0.1) and
+/// `model_ratios_monotone` holds its direction; consuming a ring costs
+/// 3.72–3.84× iterating jumbos in ten runs, floored at 2.0.
+const E10: Experiment = Experiment {
+    name: "e10",
+    title: "ASNI aggregation: modelled DMA per link + ring vs jumbo consumption",
+    attempts: 3,
+    rounds: 30,
+    measure: e10::measure,
+    gates: &[
+        Gate::higher("*.dma_ratio", 0.0),
+        MONOTONE,
+        wall("*_consume_ns_per_pkt"),
+        Gate::higher("ring_vs_jumbo_consume", 0.25).floor(2.0),
+    ],
+};
+
+/// §2's ENSO critique, both halves: the stream's modelled win on the
+/// wire is exact (12.6× at 7.9 GB/s → 2.0× at 0.5, monotone), and it
+/// collapses when the application needs the hash — recomputing it per
+/// packet costs 2.16–2.56× reading 4 bytes from the completion in ten
+/// runs, floored at 1.5 (10× when Toeplitz was bit-serial, before
+/// PR 14's table).
+const E11: Experiment = Experiment {
+    name: "e11",
+    title: "interface styles: descriptor ring vs ENSO stream vs ASNI jumbo",
+    attempts: 3,
+    rounds: 30,
+    measure: e11::measure,
+    gates: &[
+        Gate::higher("*.stream_win", 0.0),
+        MONOTONE,
+        wall("*_ns_per_pkt"),
+        Gate::higher("hash_collapse_stream_vs_ring", 0.25).floor(1.5),
+    ],
+};
 
 /// Mpps + ns/pkt per (model, path), and the e1000e batched-vs-per-packet
 /// speedup (PR 1 acceptance: batched + compiled must beat the seed path
@@ -2121,7 +2313,9 @@ const E20: Experiment = Experiment {
 
 /// The experiment table: what `bench run` measures and `bench gate`
 /// compares, in order.
-pub static EXPERIMENTS: [Experiment; 9] = [E12, E13, E14, E15, E16, E17, E18, E19, E20];
+pub static EXPERIMENTS: [Experiment; 20] = [
+    E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, E13, E14, E15, E16, E17, E18, E19, E20,
+];
 
 impl Experiment {
     pub fn by_name(name: &str) -> Option<&'static Experiment> {
@@ -2291,28 +2485,6 @@ mod tests {
     use super::*;
     use opendesc_telemetry::parse_json;
 
-    #[test]
-    fn intent_catalog_compiles_everywhere_possible() {
-        for model in model_catalog() {
-            let mut reg = SemanticRegistry::with_builtins();
-            let intents = intent_catalog(&mut reg);
-            for (name, intent) in &intents {
-                let mut r2 = reg.clone();
-                let r = Compiler::default().compile_model(&model, intent, &mut r2);
-                if name == "telemetry" {
-                    continue; // timestamp support is model-dependent
-                }
-                assert!(r.is_ok(), "{} on {} failed", name, model.name);
-            }
-        }
-    }
-
-    #[test]
-    fn geomean_sane() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
     fn doc(metric: &str, v: f64) -> Json {
         parse_json(&format!("{{\"{metric}\": {v}}}")).unwrap()
     }
@@ -2444,15 +2616,30 @@ mod tests {
         assert_eq!((speedup.tolerance, speedup.floor), (0.20, Some(2.0)));
     }
 
-    /// Every experiment, one measured round: `measure` itself asserts
-    /// conservation on every attempt (warm-up rounds, migration phases,
-    /// the E15 snapshot); here the record must round-trip through the
-    /// gate's parser, carry every metric its gates name, describe its
-    /// run, and account for every packet in its rows.
+    /// `rec` as the gate reads it, after one identity cell of the row
+    /// whose cells include `row` is rewritten: a changed decision.
+    fn forged(rec: &Record, row: &[(&str, &str)], col: &'static str, to: &str) -> Json {
+        let mut rec = rec.clone();
+        let has = |r: &Row, k: &str, v: &str| r.contains(&(k, Cell::id(v)));
+        let hit = |r: &&mut Row| row.iter().all(|(k, v)| has(r, k, v));
+        let cells = rec.rows.iter_mut().find(hit).expect("the row exists");
+        cells.iter_mut().find(|(k, _)| *k == col).expect("column").1 = Cell::id(to);
+        parse_json(&rec.to_json()).unwrap()
+    }
+
+    /// Every experiment, one measured round — so a panic in a `measure`
+    /// is a test failure, not a perf-gate surprise. `measure` itself
+    /// asserts conservation on every attempt (warm-up rounds, migration
+    /// phases, the E15 snapshot); here the record must round-trip
+    /// through the gate's parser, carry every metric its gates name,
+    /// describe its run, and account for every packet in its rows.
     #[test]
     fn every_experiment_measures_a_gateable_record() {
         for exp in &EXPERIMENTS {
-            let rec = (exp.measure)(1);
+            // E6's 2 048-layout contract recurses deeper through the P4
+            // frontend than a test thread's 2 MB stack holds unoptimised.
+            let measure = std::thread::Builder::new().stack_size(64 << 20);
+            let rec = measure.spawn(|| (exp.measure)(1)).unwrap().join().unwrap();
             let json = rec.to_json();
             let doc = parse_json(&json).unwrap_or_else(|e| panic!("{}: {e}\n{json}", exp.name));
             assert!(rec.experiment.starts_with(exp.name));
@@ -2464,11 +2651,17 @@ mod tests {
             // on timing ratios may miss in a one-round debug build;
             // the deterministic ones may not.
             let missed = check_floors(exp, &rec);
+            let exact = [
+                "delivered",
+                "polls",
+                "layouts",
+                "clean",
+                "agree",
+                "monotone",
+            ];
             for m in missed.iter().filter(|m| m.gated) {
                 assert!(
-                    !["delivered", "polls", "layouts", "clean"]
-                        .iter()
-                        .any(|k| m.metric.contains(k)),
+                    !exact.iter().any(|k| m.metric.contains(k)),
                     "{}: {} = {}",
                     exp.name,
                     m.metric,
@@ -2488,11 +2681,63 @@ mod tests {
                     assert_eq!(*v as usize, rec.pkts_per_round, "{}: {k}", exp.name);
                 }
             }
-            let row = |id: &str, col: &str| {
+            let row_of = |id: &str, col: &str| {
                 rec.metric(&format!("rows[{id}].{col}"))
                     .unwrap_or_else(|| panic!("{}: no rows[{id}].{col}", exp.name))
             };
             match exp.name {
+                // The paper's decisions are identity cells: Fig. 6's
+                // Req = {rss, csum} takes the csum branch; `telemetry`
+                // is unsatisfiable on e1000e; the unchecked read is
+                // rejected. Doctor one and its baseline row goes
+                // missing, which fails the gate.
+                "e1" | "e2" | "e5" => {
+                    let (decided, row, col, to): (_, &[(&str, &str)], _, _) = match exp.name {
+                        "e1" => (
+                            "req=rss_hash+ip_checksum,path=1,ctx=rss=0,fallbacks=rss_hash",
+                            &[("req", "rss_hash+ip_checksum")],
+                            "path",
+                            "0",
+                        ),
+                        "e2" => (
+                            "nic=e1000e,intent=telemetry,cmpt_bytes=0,fallbacks=UNSATISFIABLE(timestamp)",
+                            &[("nic", "e1000e"), ("intent", "telemetry")],
+                            "fallbacks",
+                            "-",
+                        ),
+                        _ => (
+                            "program=unchecked,verifier=REJECT,reason=metadata access at offset 8 \
+                             of 4 bytes exceeds proven bound 0",
+                            &[("program", "unchecked")],
+                            "verifier",
+                            "ACCEPT",
+                        ),
+                    };
+                    assert!(flat
+                        .iter()
+                        .any(|(k, _)| k.starts_with(&format!("rows[{decided}]."))));
+                    // Everything else in the catalog compiles everywhere.
+                    let unsat = flat.iter().filter(|(k, _)| k.contains("UNSAT"));
+                    let unsat: Vec<_> = unsat.filter(|(k, _)| k.ends_with("soft_ns")).collect();
+                    assert!(unsat.iter().all(|(k, _)| k.contains("intent=telemetry")));
+                    assert_eq!(unsat.len(), if exp.name == "e2" { 3 } else { 0 });
+                    let res = compare(exp, &doc, &forged(&rec, row, col, to));
+                    let missing = res.iter().filter(|r| r.gated && r.current.is_nan());
+                    assert_eq!(missing.count(), 1, "{}: {res:?}", exp.name);
+                    assert!(!all_pass(&res) && markdown_table(&res).contains("missing"));
+                }
+                // Two selectors that chose one layout read one number.
+                "e7" => {
+                    for bw in e7::LINKS {
+                        let at = |s: &str, size: u32| {
+                            let id = format!("link_gbps={bw},selector={s},chosen_bytes={size}");
+                            rec.metric(&format!("rows[{id}].realized_ns"))
+                        };
+                        let combined = at("combined", 64).or(at("combined", 8));
+                        let ablations = [at("cost_only", 64), at("size_only", 8)];
+                        assert!(combined.is_some() && ablations.contains(&combined), "{bw}");
+                    }
+                }
                 "e13" | "e17" => {
                     assert!(flat.iter().any(|(k, _)| k.ends_with("busy_p99_p50")));
                     assert!(json.contains("\"per_queue_pkts\": ["));
@@ -2501,7 +2746,10 @@ mod tests {
                 "e14" => {
                     for m in ["e1000e", "ixgbe", "mlx5", "qdma"] {
                         let id = format!("model={m},rate=0.1");
-                        assert!(row(&id, "discarded") + row(&id, "degraded") > 0.0, "{m}");
+                        assert!(
+                            row_of(&id, "discarded") + row_of(&id, "degraded") > 0.0,
+                            "{m}"
+                        );
                     }
                 }
                 // Skew at α=1.3 must trigger migrations, elephants must
@@ -2509,16 +2757,19 @@ mod tests {
                 "e18" => {
                     let adaptive = "model=e1000e,path=adaptive_zipf1.3,queues=16";
                     let fixed = "model=e1000e,path=static_zipf1.3,queues=16";
-                    assert!(row(adaptive, "migrations") > 0.0);
-                    assert!(row(adaptive, "stolen_chunks") > 0.0);
-                    assert_eq!(row(fixed, "migrations") + row(fixed, "stolen_chunks"), 0.0);
-                    assert!(row(adaptive, "occ_p99_p50") < row(fixed, "occ_p99_p50"));
+                    assert!(row_of(adaptive, "migrations") > 0.0);
+                    assert!(row_of(adaptive, "stolen_chunks") > 0.0);
+                    assert_eq!(
+                        row_of(fixed, "migrations") + row_of(fixed, "stolen_chunks"),
+                        0.0
+                    );
+                    assert!(row_of(adaptive, "occ_p99_p50") < row_of(fixed, "occ_p99_p50"));
                 }
                 "e19" => {
                     for m in ["e1000e", "ixgbe", "mlx5", "qdma"] {
                         let id = format!("model={m},path=live_evolution,queues=4");
-                        assert_eq!(row(&id, "delivered"), row(&id, "generated"), "{m}");
-                        assert_eq!(row(&id, "flips") as usize, e19::QUEUES * e19::MIGRATIONS);
+                        assert_eq!(row_of(&id, "delivered"), row_of(&id, "generated"), "{m}");
+                        assert_eq!(row_of(&id, "flips") as usize, e19::QUEUES * e19::MIGRATIONS);
                         assert_eq!(rec.metric(&format!("relayout_retention_{m}")), Some(1.0));
                     }
                 }
@@ -2571,7 +2822,7 @@ mod tests {
             r#"{"rows": [{"model": "qdma", "rate": 0.10, "goodput_mpps": 4.2, "delivered": 7}]}"#,
         )
         .unwrap();
-        let mut rec = Record::new("e14_x", "u", 0, 0, Parallel::Run, Vec::new());
+        let mut rec = Record::new("e14_x", "u", 0, 0, Vec::new());
         rec.rows.push(vec![
             ("model", Cell::id("qdma")),
             ("rate", Cell::IdNum(0.10)),

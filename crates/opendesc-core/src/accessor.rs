@@ -68,9 +68,11 @@ impl Accessor {
     /// Read from a completion record (hardware accessors only).
     ///
     /// # Panics
-    /// Panics if the completion is shorter than the accessor's range —
-    /// the compiler sizes rings from the selected path, so a short
-    /// completion is a driver bug, not an input error.
+    /// Panics if the completion is shorter than the accessor's range.
+    /// Completion bytes are device input, and a device can truncate
+    /// them: the caller checks the record against
+    /// [`AccessorSet::completion_bytes`] before reading, as
+    /// `OpenDescDriver` and `HookDriver` do.
     #[inline]
     pub fn read(&self, cmpt: &[u8]) -> u128 {
         debug_assert_eq!(self.kind, AccessorKind::Hardware);

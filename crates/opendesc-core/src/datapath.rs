@@ -596,10 +596,6 @@ impl OpenDescDriver {
     /// the first writeback of each batch and `BatchPolled` summarizes
     /// the rest. Anomalies (discard verdicts) always trace.
     fn admit_seq(&mut self, seq: u64) -> bool {
-        if self.mode == ValidationMode::Off {
-            self.watchdog.note_progress(1);
-            return true;
-        }
         match self.seq.admit(seq) {
             SeqVerdict::Fresh => {
                 self.watchdog.note_progress(1);
@@ -641,7 +637,6 @@ impl OpenDescDriver {
     /// The execution strategy the current mode + health call for.
     fn disposition(&self) -> Disposition {
         match (self.mode, self.health.health()) {
-            (ValidationMode::Off, _) => Disposition::Trusted,
             (_, QueueHealth::Degraded) => Disposition::Degraded,
             (ValidationMode::Full, _) | (_, QueueHealth::Recovering) => Disposition::Verified,
             (ValidationMode::Structural, QueueHealth::Healthy) => Disposition::Trusted,
@@ -772,7 +767,7 @@ impl OpenDescDriver {
                 self.tel.event(TraceKind::Writeback, side.seq, 0);
             }
             batch.hints[n] = side.rss_hint;
-            let short = self.mode != ValidationMode::Off && batch.cmpts[n].len() < expected_len;
+            let short = batch.cmpts[n].len() < expected_len;
             batch.short[n] = short;
             if short {
                 self.vstats.truncated += 1;
@@ -905,9 +900,6 @@ impl OpenDescDriver {
                     let shorts = batch.short[..n].iter().filter(|s| **s).count();
                     self.tel.fields_hw += ((n - shorts) * plan.hw.len()) as u64;
                     self.tel.fields_sw += ((n - shorts) * plan.sw.len()) as u64;
-                }
-                if self.mode == ValidationMode::Off {
-                    return;
                 }
                 // Structural checks by column, 64 packets (one fail
                 // bit each) at a time; whatever a truncated record's
@@ -1602,23 +1594,6 @@ mod tests {
     #[should_panic]
     fn rss_hint_past_the_last_poll_panics() {
         two_of_four().rss_hint(2);
-    }
-
-    #[test]
-    fn validation_off_skips_admission_and_checks() {
-        use opendesc_nicsim::FaultConfig;
-        let (mut drv, _) = driver_for(models::e1000e());
-        drv.set_validation_mode(crate::robust::ValidationMode::Off);
-        drv.nic
-            .set_faults(faults(
-                FaultConfig::builder().duplicate_chance(1.0).seed(25),
-            ))
-            .unwrap();
-        drv.deliver(&kvs_frame("off")).unwrap();
-        assert!(drv.poll().is_some());
-        assert!(drv.poll().is_some(), "replay delivered verbatim when Off");
-        assert_eq!(drv.validation_stats(), Default::default());
-        assert_eq!(drv.health(), crate::robust::QueueHealth::Healthy);
     }
 
     #[test]

@@ -29,6 +29,9 @@ pub enum HookVerdict {
 pub struct HookStats {
     pub passed: u64,
     pub dropped: u64,
+    /// Completions shorter than the negotiated record, dropped before
+    /// the hook could read past their end.
+    pub short: u64,
 }
 
 /// A driver with an XDP-style early hook on the raw descriptor.
@@ -68,10 +71,15 @@ where
 
     /// Poll until the hook passes a packet (or the queue drains).
     /// Dropped packets cost only the hook invocation — no metadata
-    /// assembly, no shim computation.
+    /// assembly, no shim computation. A truncated completion never
+    /// reaches the hook: its accessors would read past the end.
     pub fn poll(&mut self) -> Option<RxPacket> {
         loop {
             let (frame, cmpt) = self.nic.receive()?;
+            if cmpt.len() < self.iface.accessors.completion_bytes as usize {
+                self.stats.short += 1;
+                continue;
+            }
             match (self.hook)(&frame, &cmpt, &self.iface.accessors, &self.iface.reg) {
                 HookVerdict::Drop => {
                     self.stats.dropped += 1;
@@ -171,6 +179,63 @@ mod tests {
         }
         for _ in 0..20 {
             assert_eq!(hook_drv.poll().unwrap().meta, plain.poll().unwrap().meta);
+        }
+    }
+
+    /// A device that truncates completions cannot make the hook read
+    /// past the end: at 100 % every frame is counted short, at 50 % the
+    /// rest pass with the values a fault-free driver serves.
+    #[test]
+    fn truncated_completions_are_counted_not_read() {
+        use opendesc_nicsim::FaultConfig;
+        for model in [
+            models::e1000e(),
+            models::ixgbe(),
+            models::mlx5(),
+            models::qdma_default(),
+        ] {
+            let mut reg = SemanticRegistry::with_builtins();
+            let intent = Intent::builder("hook")
+                .want(&mut reg, names::RSS_HASH)
+                .want(&mut reg, names::PKT_LEN)
+                .build();
+            let iface = Compiler::default()
+                .compile_model(&model, &intent, &mut reg)
+                .unwrap();
+            for chance in [1.0, 0.5] {
+                let nic = SimNic::new(model.clone(), 64).unwrap();
+                let mut drv = HookDriver::attach(nic, iface.clone(), |_, cmpt, acc, _| {
+                    for a in &acc.accessors {
+                        if a.kind == crate::accessor::AccessorKind::Hardware {
+                            a.read(cmpt);
+                        }
+                    }
+                    HookVerdict::Pass
+                })
+                .unwrap();
+                let faults = FaultConfig::builder().truncate_chance(chance).seed(19);
+                drv.nic.set_faults(faults.build().unwrap()).unwrap();
+                let clean = SimNic::new(model.clone(), 64).unwrap();
+                let mut plain =
+                    crate::datapath::OpenDescDriver::attach(clean, iface.clone()).unwrap();
+                let frames = PktGen::new(Workload::default()).batch(40);
+                for f in &frames {
+                    drv.deliver(f).unwrap();
+                    plain.deliver(f).unwrap();
+                }
+                let mut expected: Vec<RxPacket> = Vec::new();
+                while let Some(p) = plain.poll() {
+                    expected.push(p);
+                }
+                while let Some(got) = drv.poll() {
+                    let want = expected.iter().find(|p| p.frame == got.frame);
+                    assert_eq!(Some(&got.meta), want.map(|p| &p.meta), "{}", model.name);
+                }
+                let HookStats { passed, short, .. } = drv.stats;
+                assert_eq!(passed + short, 40, "{} at {chance}", model.name);
+                assert_eq!(short, drv.nic.stats.truncated, "{}", model.name);
+                assert!(short > 0 && (chance < 1.0 || passed == 0));
+            }
         }
     }
 

@@ -48,9 +48,6 @@ use opendesc_softnic::{csum_status, ptype, rx_status};
 /// How deeply the driver checks hardware-provided completion fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ValidationMode {
-    /// Trust the device byte-for-byte (the pre-validator behavior).
-    /// Sequence and length admission are skipped too.
-    Off,
     /// Ring admission plus layout-derived structural checks on hardware
     /// fields — O(checked fields) comparisons, no recomputation.
     #[default]

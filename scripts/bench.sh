@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Measure the E12–E20 records and write BENCH_e*.json.
+# Measure the E1–E20 records and write BENCH_e*.json.
 #
 #   scripts/bench.sh [eNN…] [OUTDIR]
 #
@@ -10,9 +10,6 @@
 # crates/opendesc-bench/src/lib.rs. Gate the result with
 #
 #   cargo run --release -q -p opendesc-bench --bin bench -- gate . OUTDIR
-#
-# The criterion benches E1–E11 (the paper's own figures) run on their
-# own: cargo bench -p opendesc-bench --bench e3_datapath_throughput.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 exec cargo run --release -q -p opendesc-bench --bin bench -- run "$@"

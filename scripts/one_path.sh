@@ -10,6 +10,9 @@
 # `TxDriver::send` is its one-slot case. And fails if a fault can cost
 # its neighbours again (ISSUE 18): hardware columns are loaded by
 # `load_column` and nothing else, and every fault names its evidence.
+# And fails if an experiment can run outside the table again, or a
+# consumer can skip admission again (ISSUE 19): no bench targets, no
+# second timing harness, no validation mode that trusts a short record.
 # The retired names are spelled in two halves below so this file does
 # not match its own search.
 set -euo pipefail
@@ -65,4 +68,12 @@ expect "datapath.rs loads a hardware field per packet again (exec_load()" \
 expect "on_fault() calls in opendesc-core that name no evidence" "$(total 'on_fault()')" 0
 expect "the retired E17 key is back" \
     "$(grep -rlF -- 'tx_batched_vs_''seed' crates scripts .github BENCH_e17.json | wc -l)" 0
+expect "crates/opendesc-bench has bench targets again" \
+    "$(ls -d crates/opendesc-bench/benches 2>/dev/null | wc -l)" 0
+expect "a manifest or the lock file names the retired timing shim" \
+    "$(grep -rli --include=Cargo.toml --include=Cargo.lock --exclude-dir=target 'crit''erion' . | wc -l)" 0
+expect "the retired timing shim's env knob is back" \
+    "$(grep -rlF -- 'CRIT''ERION_' crates scripts .github vendor | wc -l)" 0
+expect "opendesc-core can skip completion admission again (ValidationMode::""Off)" \
+    "$(total 'ValidationMode::''Off')" 0
 exit $fail
