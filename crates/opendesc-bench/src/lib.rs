@@ -1118,7 +1118,8 @@ pub mod e16 {
 ///
 /// Head-to-head: the same frames and the same offload request go out
 /// twice on e1000e through the same code (`TxBatch`/`TxQueue::submit`:
-/// arena copy, bytecode deparse into the ring slot) — once one frame per
+/// one copy into a batch buffer, that buffer exchanged into its DMA slot,
+/// bytecode deparse into the ring slot) — once one frame per
 /// doorbell, which is what `TxDriver::send` does, and once 32 frames per
 /// doorbell. Only host submission is timed; the device consumes each
 /// round off the clock, mirroring the E13/E16 discipline of keeping
@@ -1145,7 +1146,7 @@ pub mod e17 {
     /// frames per round, per-queue ring, and one batch capacity for the
     /// RX poll budget and the TX batch.
     pub use super::e13::{BATCH_CAP, QUEUE_COUNTS, RING, ROUND};
-    /// Largest frame the TX arenas accept (the workload tops out well
+    /// Largest frame the TX batches accept (the workload tops out well
     /// under this; small so 8 queues of pre-registered slots stay cheap).
     pub const MAX_FRAME: usize = 512;
     /// TX ring for the head-to-head, sized so a full round is in flight
@@ -1222,7 +1223,7 @@ pub mod e17 {
                 let ns = crate::timed(|| {
                     for chunk in frames.chunks(cap) {
                         for f in chunk {
-                            assert!(batch.push(f, req), "frame fits the arena slot");
+                            assert!(batch.push(f, req), "frame fits the batch buffer");
                         }
                         let placed = q.submit(&mut nic, &mut batch).expect("ring holds a round");
                         assert_eq!(placed, chunk.len(), "no stalls at this ring size");

@@ -1107,10 +1107,11 @@ impl EngineWorker {
                     from += self
                         .txq
                         .submit_from(nic, &mut self.txb, from)
-                        .expect("descriptor fits the ring slot");
+                        .expect("batch matches the queue's slots; descriptor fits the ring's");
                     if from < self.txb.len() {
-                        // Ring back-pressure: the device consumes, then
-                        // the remainder is resubmitted.
+                        // Ring back-pressure (the only reason a submit
+                        // comes up short): the device consumes, then the
+                        // remainder is resubmitted.
                         let t = Instant::now();
                         drain_device(nic, &mut self.tstats.value, &mut collect);
                         stalled_ns += t.elapsed().as_nanos() as u64;

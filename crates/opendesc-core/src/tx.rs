@@ -315,35 +315,32 @@ impl CompiledTxPlan {
     }
 }
 
-/// A struct-of-arrays transmit batch: one flat frame arena (each slot
-/// reserves 4 bytes of VLAN headroom so software tag insertion never
-/// reallocates), a length column, and a request column. Reused across
-/// submissions — `clear` keeps the arena.
+/// A transmit batch: `cap` separate frame buffers (each reserves 4 bytes
+/// of VLAN headroom so software tag insertion never reallocates), a
+/// length column and a request column. Reused across submissions:
+/// [`TxQueue::submit`] exchanges each buffer it places for the one the
+/// device has finished with, so the batch always owns `cap` buffers and
+/// `clear` frees none of them.
 pub struct TxBatch {
-    arena: Vec<u8>,
+    bufs: Vec<Vec<u8>>,
     lens: Vec<u32>,
     reqs: Vec<TxRequest>,
-    cap: usize,
     max_frame: usize,
-    slot_bytes: usize,
 }
 
 impl TxBatch {
     /// A batch of up to `cap` frames of up to `max_frame` bytes each.
     pub fn new(cap: usize, max_frame: usize) -> TxBatch {
-        let slot_bytes = max_frame + 4;
         TxBatch {
-            arena: vec![0u8; cap * slot_bytes],
+            bufs: vec![vec![0u8; max_frame + 4]; cap],
             lens: Vec::with_capacity(cap),
             reqs: Vec::with_capacity(cap),
-            cap,
             max_frame,
-            slot_bytes,
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.cap
+        self.bufs.len()
     }
 
     pub fn len(&self) -> usize {
@@ -354,39 +351,37 @@ impl TxBatch {
         self.lens.is_empty()
     }
 
-    /// Drop all frames; the arena stays allocated.
+    /// Drop all frames; the buffers stay allocated.
     pub fn clear(&mut self) {
         self.lens.clear();
         self.reqs.clear();
     }
 
-    /// Copy a frame into the next arena slot. `false` when the batch is
-    /// full or the frame exceeds `max_frame`.
+    /// Copy a frame into the next buffer — the only time the host
+    /// copies it. `false` when the batch is full or the frame exceeds
+    /// `max_frame`.
     #[inline]
     pub fn push(&mut self, frame: &[u8], req: TxRequest) -> bool {
-        if self.lens.len() == self.cap || frame.len() > self.max_frame {
+        if self.lens.len() == self.bufs.len() || frame.len() > self.max_frame {
             return false;
         }
-        let i = self.lens.len();
-        self.arena[i * self.slot_bytes..i * self.slot_bytes + frame.len()].copy_from_slice(frame);
+        self.bufs[self.lens.len()][..frame.len()].copy_from_slice(frame);
         self.lens.push(frame.len() as u32);
         self.reqs.push(req);
         true
     }
 
-    /// The `i`-th frame at its current length (post-fixup after submit).
+    /// The `i`-th frame as pushed, while the batch still owns it. Once
+    /// `submit` has placed it the device owns its buffer and this is
+    /// empty; frames a full ring left unplaced read back untouched.
     #[inline]
     pub fn frame(&self, i: usize) -> &[u8] {
-        &self.arena[i * self.slot_bytes..i * self.slot_bytes + self.lens[i] as usize]
+        &self.bufs[i][..self.lens[i] as usize]
     }
 
     /// The `i`-th offload request.
     pub fn request(&self, i: usize) -> TxRequest {
         self.reqs[i]
-    }
-
-    fn slot_mut(&mut self, i: usize) -> &mut [u8] {
-        &mut self.arena[i * self.slot_bytes..(i + 1) * self.slot_bytes]
     }
 }
 
@@ -403,15 +398,20 @@ pub struct TxQueueStats {
     pub stalls: u64,
 }
 
-/// The batched, allocation-free transmit path. `attach` pre-allocates
-/// one DMA buffer per ring entry; `submit` then reuses them round-robin,
-/// reclaiming lazily from the NIC's consumed count — no completion
-/// queue walk, no locks, no per-send allocation. The doorbell rings
-/// once per batch.
+/// The batched, allocation-free, copy-free transmit path. `attach`
+/// pre-allocates one DMA buffer per ring entry; `submit` then cycles
+/// through them round-robin, reclaiming lazily from the NIC's consumed
+/// count — no completion queue walk, no locks, no per-send allocation.
+/// A frame buffer has one owner at a time: the batch until `submit`
+/// exchanges it into a DMA slot, the device until the slot's descriptor
+/// is consumed, then the batch again when the slot is next chosen. The
+/// doorbell rings once per batch.
 pub struct TxQueue {
     plan: Arc<CompiledTxPlan>,
     /// Pre-allocated DMA slots, one per ring entry.
     slots: Vec<u64>,
+    /// Frame bytes each DMA slot was sized for; a batch must match it.
+    max_frame: usize,
     /// Frames submitted since attach.
     submitted: u64,
     /// NIC consumed-count at attach (the NIC may be shared with other
@@ -435,6 +435,7 @@ impl TxQueue {
         TxQueue {
             plan,
             slots,
+            max_frame,
             submitted: 0,
             cons_base: nic.tx_completed(),
             stats: TxQueueStats::default(),
@@ -466,27 +467,32 @@ impl TxQueue {
 
     /// Submit as many frames from the batch as the ring can take right
     /// now; returns the count placed. Software fix-ups run in the
-    /// batch's arena slots (in place), the deparse bytecode writes each
-    /// descriptor straight into its ring slot, and the doorbell rings
-    /// once at the end.
+    /// batch's buffers (in place), each buffer is then exchanged into
+    /// its DMA slot, the deparse bytecode writes each descriptor
+    /// straight into its ring slot, and the doorbell rings once at the
+    /// end. `Ok(n)` short of the batch only ever means a full ring.
     pub fn submit(&mut self, nic: &mut SimNic, batch: &mut TxBatch) -> Result<usize, NicError> {
         self.submit_from(nic, batch, 0)
     }
 
     /// [`submit`](TxQueue::submit) starting at batch index `from` — the
-    /// resubmission path after ring back-pressure. Fix-ups are safe to
-    /// re-run on an already-fixed slot (VLAN insertion refuses a tagged
-    /// frame; checksum fills are idempotent). A frame that does not fit
-    /// its DMA buffer (a batch built for larger frames than the queue
-    /// was attached for) is not posted: the submit stops there, like a
-    /// full ring, rather than hand the device a descriptor over stale
-    /// bytes.
+    /// resubmission path after ring back-pressure; frames a submit did
+    /// not place are untouched. A batch built for another frame size
+    /// than the queue was attached for cannot trade buffers with its
+    /// DMA slots and is a `BadConfig`: nothing fixed up, posted, counted
+    /// or rung.
     pub fn submit_from(
         &mut self,
         nic: &mut SimNic,
         batch: &mut TxBatch,
         from: usize,
     ) -> Result<usize, NicError> {
+        if batch.max_frame != self.max_frame {
+            return Err(NicError::BadConfig(format!(
+                "a batch of {}-byte frame slots cannot feed a queue attached with {}-byte ones",
+                batch.max_frame, self.max_frame
+            )));
+        }
         let free = self.slots.len() as u64 - self.in_flight(nic);
         let pending = batch.len().saturating_sub(from);
         let room = (pending as u64).min(free) as usize;
@@ -496,30 +502,31 @@ impl TxQueue {
         for i in from..from + room {
             let req = batch.reqs[i];
             let mut len = batch.lens[i] as usize;
-            {
-                let slot = batch.slot_mut(i);
-                if let Some(tci) = req.vlan {
-                    // A priority tag (TCI 0) never rides the descriptor:
-                    // the hint encoding reserves 0 for "none" (`txreg::VLAN`).
-                    if plan.sw_vlan || tci == 0 {
-                        if let Some(nl) = fixup::insert_vlan_in_slice(slot, len, tci) {
-                            len = nl;
-                            self.stats.sw_fixups += 1;
-                        }
+            let buf = batch.bufs[i].as_mut_slice();
+            if let Some(tci) = req.vlan {
+                // A priority tag (TCI 0) never rides the descriptor:
+                // the hint encoding reserves 0 for "none" (`txreg::VLAN`).
+                if plan.sw_vlan || tci == 0 {
+                    if let Some(nl) = fixup::insert_vlan_in_slice(buf, len, tci) {
+                        len = nl;
+                        self.stats.sw_fixups += 1;
                     }
                 }
-                if req.ip_csum && plan.sw_ip_csum && fixup::fill_ipv4_checksum(&mut slot[..len]) {
-                    self.stats.sw_fixups += 1;
-                }
-                if req.l4_csum && plan.sw_l4_csum && fixup::fill_l4_checksum(&mut slot[..len]) {
-                    self.stats.sw_fixups += 1;
-                }
             }
-            batch.lens[i] = len as u32;
+            if req.ip_csum && plan.sw_ip_csum && fixup::fill_ipv4_checksum(&mut buf[..len]) {
+                self.stats.sw_fixups += 1;
+            }
+            if req.l4_csum && plan.sw_l4_csum && fixup::fill_l4_checksum(&mut buf[..len]) {
+                self.stats.sw_fixups += 1;
+            }
+            // The slot's last descriptor was consumed (`free` counted
+            // it), so the buffer that comes back is the batch's again.
             let dma = self.slots[(self.submitted % self.slots.len() as u64) as usize];
-            if !nic.host_mem.write(dma, batch.frame(i)) {
-                break;
+            if !nic.host_mem.swap(dma, &mut batch.bufs[i]) {
+                let why = format!("TX DMA slot {dma:#x} is no longer a registered buffer");
+                return Err(NicError::BadConfig(why));
             }
+            batch.lens[i] = 0;
             let hints: [u128; txreg::COUNT] = [
                 dma as u128,
                 len as u128,
@@ -927,13 +934,21 @@ mod tests {
         assert_eq!(q.stats.doorbells, 1);
         assert_eq!(q.stats.stalls, 1);
         assert_eq!(q.in_flight(&nic), 8);
+        // The device owns the placed frames' buffers: they read back
+        // empty, not as whatever the buffers that came back last held.
+        for i in 0..8 {
+            assert!(batch.frame(i).is_empty(), "placed frame {i}");
+        }
         // Device drains; the remaining 4 go out after completions free
         // ring slots (submit skips already-placed frames via a fresh
         // batch here for simplicity).
         assert_eq!(nic.process_tx_drain(), 8);
         assert_eq!(q.in_flight(&nic), 0);
-        // Only the placed prefix was fixed up in the arena; 8..12 are
-        // still pristine copies and can be re-pushed as-is.
+        // Only the placed prefix was fixed up and handed over; 8..12
+        // are still pristine copies and can be re-pushed as-is.
+        for i in 8..12 {
+            assert_eq!(batch.frame(i), zeroed_frame(), "unplaced frame {i}");
+        }
         let mut rest = TxBatch::new(4, 256);
         for i in 8..12 {
             assert!(rest.push(batch.frame(i), batch.request(i)));
@@ -948,10 +963,10 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_that_misses_its_dma_buffer_is_not_posted() {
+    fn a_batch_built_for_other_slots_is_refused_whole() {
         let mut reg = SemanticRegistry::with_builtins();
         let intent = tx_intent(&mut reg);
-        let model = models::qdma_default();
+        let model = models::e1000e(); // VLAN and L4 csum are software work
         let compiled = compile_tx(
             &Selector::default(),
             &model.p4_source,
@@ -963,26 +978,42 @@ mod tests {
         .unwrap();
         let mut nic = SimNic::new(model, 8).unwrap();
         let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
-        // DMA buffers sized for 64-byte frames, a batch that takes more.
         let mut q = TxQueue::attach(&mut nic, plan, 64);
-        let small = zeroed_frame();
-        let big = testpkt::udp4([10, 0, 0, 1], [10, 0, 0, 2], 1, 2, &[0x42; 100], None);
-        assert!(small.len() <= 64 && big.len() > 68);
-        let mut batch = TxBatch::new(4, 256);
-        for f in [&small, &big, &small] {
-            assert!(batch.push(f, TxRequest::default()));
+        let req = TxRequest {
+            l4_csum: true,
+            vlan: Some(0x0042),
+            ..Default::default()
+        };
+        // Larger and smaller than the queue's DMA slots: neither can
+        // trade buffers with them, so neither is touched at all.
+        for max_frame in [256, 60] {
+            let mut batch = TxBatch::new(4, max_frame);
+            assert!(batch.push(&zeroed_frame(), req));
+            let err = q.submit(&mut nic, &mut batch).unwrap_err();
+            let NicError::BadConfig(why) = err else {
+                panic!("expected BadConfig, got {err:?}");
+            };
+            assert!(why.contains(&max_frame.to_string()) && why.contains("64"));
+            assert_eq!(batch.frame(0), zeroed_frame(), "nothing fixed up");
         }
-        // The submit stops at the frame that did not land: one posted,
-        // one doorbell, a stall, and nothing of the second on the ring.
-        assert_eq!(q.submit(&mut nic, &mut batch).unwrap(), 1);
-        assert_eq!(q.in_flight(&nic), 1);
-        assert_eq!(
-            (q.stats.frames, q.stats.doorbells, q.stats.stalls),
-            (1, 1, 1)
-        );
-        assert_eq!(q.submit_from(&mut nic, &mut batch, 1).unwrap(), 0);
-        assert_eq!(q.stats.doorbells, 1, "no doorbell for nothing placed");
-        assert_eq!(nic.process_tx(), vec![small]);
+        assert_eq!(q.in_flight(&nic), 0, "nothing posted");
+        let s = q.stats;
+        assert_eq!((s.frames, s.doorbells, s.sw_fixups, s.stalls), (0, 0, 0, 0));
+        assert!(nic.process_tx().is_empty());
+        // With a matching batch, `Ok(n < pending)` means a full ring and
+        // nothing else: a device drain always makes the next call place
+        // something, so a resubmission loop cannot spin.
+        let mut batch = TxBatch::new(12, 64);
+        while batch.push(&zeroed_frame(), req) {}
+        let mut from = 0;
+        let mut drains = 0;
+        while from < batch.len() {
+            let n = q.submit_from(&mut nic, &mut batch, from).unwrap();
+            assert!(n > 0, "a drained ring took nothing");
+            from += n;
+            drains += nic.process_tx_drain();
+        }
+        assert_eq!((drains, q.stats.stalls, q.stats.doorbells), (12, 1, 2));
         assert_eq!(nic.tx_stats.bad_buffers, 0);
     }
 

@@ -2,12 +2,13 @@
 //! into. Addresses are synthetic but stable, so descriptor `buf_addr`
 //! fields round-trip through the contract like real IOVA addresses.
 
-use std::collections::BTreeMap;
-
 /// A registry of DMA-visible buffers.
 #[derive(Debug, Clone, Default)]
 pub struct HostMem {
-    bufs: BTreeMap<u64, Vec<u8>>,
+    /// `(base, bytes)`, ascending by base: `alloc` only ever appends a
+    /// higher address and `free` removes in place, so the order holds
+    /// unsorted and one binary search resolves an address.
+    bufs: Vec<(u64, Vec<u8>)>,
     next_addr: u64,
 }
 
@@ -20,7 +21,7 @@ const ALIGN: u64 = 64;
 impl HostMem {
     pub fn new() -> Self {
         HostMem {
-            bufs: BTreeMap::new(),
+            bufs: Vec::new(),
             next_addr: BASE_ADDR,
         }
     }
@@ -29,8 +30,20 @@ impl HostMem {
     pub fn alloc(&mut self, data: &[u8]) -> u64 {
         let addr = self.next_addr;
         self.next_addr += (data.len() as u64).max(1).div_ceil(ALIGN) * ALIGN + ALIGN;
-        self.bufs.insert(addr, data.to_vec());
+        self.bufs.push((addr, data.to_vec()));
         addr
+    }
+
+    /// Index of the one buffer `addr` can lie in: the highest base at or
+    /// below it.
+    fn find(&self, addr: u64) -> Option<usize> {
+        let above = self.bufs.partition_point(|(base, _)| *base <= addr);
+        above.checked_sub(1)
+    }
+
+    /// Index of the buffer based exactly at `addr`.
+    fn based_at(&self, addr: u64) -> Option<usize> {
+        self.find(addr).filter(|&i| self.bufs[i].0 == addr)
     }
 
     /// Read `len` bytes at `addr`. The access must lie within a single
@@ -38,7 +51,7 @@ impl HostMem {
     /// come from descriptors the host wrote: a range that overflows
     /// resolves to nothing.
     pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        let (base, buf) = self.bufs.range(..=addr).next_back()?;
+        let (base, buf) = &self.bufs[self.find(addr)?];
         let off = usize::try_from(addr - base).ok()?;
         buf.get(off..off.checked_add(len)?)
     }
@@ -49,10 +62,10 @@ impl HostMem {
     /// nothing, when it does not.
     #[must_use = "a write that did not land left stale bytes behind"]
     pub fn write(&mut self, addr: u64, data: &[u8]) -> bool {
-        let Some((base, buf)) = self.bufs.range_mut(..=addr).next_back() else {
+        let Some((base, buf)) = self.find(addr).map(|i| &mut self.bufs[i]) else {
             return false;
         };
-        let Some(dst) = usize::try_from(addr - base)
+        let Some(dst) = usize::try_from(addr - *base)
             .ok()
             .and_then(|off| buf.get_mut(off..off.checked_add(data.len())?))
         else {
@@ -62,14 +75,30 @@ impl HostMem {
         true
     }
 
+    /// Exchange the buffer based exactly at `addr` with `buf`: a driver
+    /// hands the device a frame it already wrote and takes back the
+    /// buffer the device is done with, copying neither. Returns `false`,
+    /// having exchanged nothing, unless `addr` is a buffer base and both
+    /// are the same length (the address keeps its capacity).
+    #[must_use = "a buffer that was not exchanged never reached the device"]
+    pub fn swap(&mut self, addr: u64, buf: &mut Vec<u8>) -> bool {
+        match self.based_at(addr) {
+            Some(i) if self.bufs[i].1.len() == buf.len() => {
+                std::mem::swap(&mut self.bufs[i].1, buf);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Capacity of the buffer based exactly at `addr`.
     pub fn buf_capacity(&self, addr: u64) -> Option<usize> {
-        self.bufs.get(&addr).map(Vec::len)
+        self.based_at(addr).map(|i| self.bufs[i].1.len())
     }
 
     /// Release a buffer. Returns `false` when `addr` is not a buffer base.
     pub fn free(&mut self, addr: u64) -> bool {
-        self.bufs.remove(&addr).is_some()
+        self.based_at(addr).map(|i| self.bufs.remove(i)).is_some()
     }
 
     /// Number of live buffers.
@@ -85,6 +114,8 @@ impl HostMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn alloc_read_roundtrip() {
@@ -157,5 +188,88 @@ mod tests {
         assert_eq!(a % 64, 0);
         assert_eq!(b % 64, 0);
         assert!(b > a + 100);
+    }
+
+    /// The oracle: buffers in a `BTreeMap`, an address resolved by
+    /// walking back to the nearest base at or below it (what `HostMem`
+    /// itself did before it kept an ordered table).
+    fn model_range(
+        model: &BTreeMap<u64, Vec<u8>>,
+        addr: u64,
+        len: usize,
+    ) -> Option<(u64, std::ops::Range<usize>)> {
+        let (base, buf) = model.range(..=addr).next_back()?;
+        let off = usize::try_from(addr - base).ok()?;
+        let end = off.checked_add(len)?;
+        (end <= buf.len()).then_some((*base, off..end))
+    }
+
+    proptest! {
+        /// Random alloc / free / read / write / swap / capacity traffic,
+        /// aimed at bases live and freed, interiors, gaps and the next
+        /// buffer over: every answer and, after every step, the whole
+        /// table must equal the model's.
+        #[test]
+        fn random_traffic_agrees_with_a_btree_model(
+            ops in proptest::collection::vec(
+                (0u8..6, any::<u16>(), 0u64..260, 0usize..140, any::<u8>(), any::<bool>()),
+                1..200,
+            ),
+        ) {
+            let mut m = HostMem::new();
+            let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            // Every base ever handed out, freed ones included.
+            let mut bases: Vec<u64> = Vec::new();
+            for (kind, pick, off, len, byte, exact) in ops {
+                let base = bases.get(pick as usize % bases.len().max(1)).copied().unwrap_or(0);
+                let addr = if exact { base } else { base + off };
+                match kind {
+                    0 => {
+                        let a = m.alloc(&vec![byte; len]);
+                        prop_assert!(bases.last().is_none_or(|last| a > *last), "bases ascend");
+                        prop_assert_eq!(a % ALIGN, 0);
+                        model.insert(a, vec![byte; len]);
+                        bases.push(a);
+                    }
+                    1 => prop_assert_eq!(m.free(addr), model.remove(&addr).is_some()),
+                    2 => {
+                        let want = model_range(&model, addr, len).map(|(b, r)| &model[&b][r]);
+                        prop_assert_eq!(m.read(addr, len), want);
+                    }
+                    3 => {
+                        let want = model_range(&model, addr, len);
+                        prop_assert_eq!(m.write(addr, &vec![byte; len]), want.is_some());
+                        if let Some((b, r)) = want {
+                            model.get_mut(&b).unwrap()[r].fill(byte);
+                        }
+                    }
+                    4 => {
+                        // Half the time offer the length a swap needs.
+                        let fit = model.get(&addr).map_or(len, Vec::len);
+                        let mut mine = vec![byte; if pick % 2 == 0 { fit } else { len }];
+                        let offered = mine.clone();
+                        let slot = model.get_mut(&addr).filter(|b| b.len() == mine.len());
+                        prop_assert_eq!(m.swap(addr, &mut mine), slot.is_some());
+                        match slot {
+                            Some(slot) => {
+                                prop_assert_eq!(&mine, &*slot, "the slot's bytes came back");
+                                *slot = offered;
+                            }
+                            None => prop_assert_eq!(&mine, &offered, "a refused swap is a no-op"),
+                        }
+                    }
+                    _ => prop_assert_eq!(m.buf_capacity(addr), model.get(&addr).map(Vec::len)),
+                }
+                prop_assert_eq!(m.len(), model.len());
+                for b in &bases {
+                    // A live base reads back whole and not a byte more;
+                    // a freed one does not resolve at all.
+                    let live = model.get(b);
+                    let cap = live.map_or(0, Vec::len);
+                    prop_assert_eq!(m.read(*b, cap), live.map(Vec::as_slice));
+                    prop_assert_eq!(m.read(*b, cap + 1), None);
+                }
+            }
+        }
     }
 }

@@ -95,8 +95,8 @@ pub fn insert_vlan_in_place(frame: &mut Vec<u8>, tci: u16) -> bool {
 }
 
 /// [`insert_vlan_in_place`] over a fixed-capacity slice holding a
-/// `len`-byte frame (the batched TX arena case: every slot reserves the
-/// 4-byte headroom up front). Returns the new frame length, or `None`
+/// `len`-byte frame (the batched TX case: every batch buffer reserves
+/// the 4-byte headroom up front). Returns the new frame length, or `None`
 /// with the slice unchanged when the frame is already tagged, too
 /// short, or the slot lacks headroom.
 pub fn insert_vlan_in_slice(buf: &mut [u8], len: usize, tci: u16) -> Option<usize> {

@@ -6,13 +6,17 @@
 # first `#[cfg(test)]`), comments excluded. Also fails if the bench
 # runner forks again (ISSUE 16): one binary, no mode switch, no
 # run-loop twin. And fails if TX forks again (ISSUE 17): `submit_from`
-# is the one place a frame becomes a descriptor and a DMA write, and
+# is the one place a frame becomes a descriptor and a DMA buffer, and
 # `TxDriver::send` is its one-slot case. And fails if a fault can cost
 # its neighbours again (ISSUE 18): hardware columns are loaded by
 # `load_column` and nothing else, and every fault names its evidence.
 # And fails if an experiment can run outside the table again, or a
 # consumer can skip admission again (ISSUE 19): no bench targets, no
 # second timing harness, no validation mode that trusts a short record.
+# And fails if a transmitted frame is copied or looked up twice again
+# (ISSUE 20): the host copies it once, in `TxBatch::push`; `submit_from`
+# exchanges that buffer into its DMA slot; `HostMem` resolves an address
+# in its ordered table, not a tree.
 # The retired names are spelled in two halves below so this file does
 # not match its own search.
 set -euo pipefail
@@ -56,7 +60,7 @@ done
 for pat in 'alloc_tx''_buf(' 'post''_tx(' 'build''_into(' 'hints''_scratch' 'frame''_scratch'; do
     expect "opendesc-core has a second TX serializer again ($pat)" "$(total "$pat")" 0
 done
-for pat in 'insert_vlan_in_slice(' 'run_deparse('; do
+for pat in 'insert_vlan_in_slice(' 'run_deparse(' 'copy_from_slice' 'host_mem.swap('; do
     n=$(code $src/tx.rs | sites "$pat")
     if [ "$n" -ne 1 ]; then
         echo "one_path: $pat call sites in tx.rs: $n (exactly 1)" >&2
@@ -76,4 +80,9 @@ expect "the retired timing shim's env knob is back" \
     "$(grep -rlF -- 'CRIT''ERION_' crates scripts .github vendor | wc -l)" 0
 expect "opendesc-core can skip completion admission again (ValidationMode::""Off)" \
     "$(total 'ValidationMode::''Off')" 0
+expect "opendesc-core copies a frame into DMA memory again (host_mem.wr""ite()" \
+    "$(total 'host_mem.wr''ite(')" 0
+expect "host_mem.swap( sites in opendesc-core" "$(total 'host_mem.swap(')" 1
+expect "HostMem walks a tree again (BTree""Map in hostmem.rs)" \
+    "$(code crates/opendesc-nicsim/src/hostmem.rs | sites 'BTree''Map')" 0
 exit $fail

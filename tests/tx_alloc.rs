@@ -1,11 +1,12 @@
 //! Zero-allocation guarantee for the TX path, host and device.
 //!
 //! A counting global allocator wraps `System`; after one warm-up round
-//! the steady state — filling a [`TxBatch`] arena, submitting it through
-//! [`TxQueue::submit`] (software fixups and bytecode deparse included)
-//! and draining it on the device with `SimNic::process_tx_drain`
-//! (table-driven descriptor read, buffer copy, VLAN insert and checksum
-//! fill in reused scratch) — must perform no heap allocation at all.
+//! the steady state — filling a [`TxBatch`], submitting it through
+//! [`TxQueue::submit`] (software fixups, buffer exchange and bytecode
+//! deparse included) and draining it on the device with
+//! `SimNic::process_tx_drain` (table-driven descriptor read, buffer
+//! copy, VLAN insert and checksum fill in reused scratch) — must
+//! perform no heap allocation at all.
 //! A second window holds [`TxDriver::send`], the one-slot case of the
 //! same path, to the same zero.
 //! This file holds exactly one test: the counter is process-global, so
@@ -53,7 +54,7 @@ static COUNTER: Counting = Counting;
 fn steady_state_batched_submit_allocates_nothing() {
     // e1000e: IP checksum rides the descriptor, VLAN and L4 fall to the
     // driver — so the measured window covers the software-fixup path
-    // (in-arena VLAN insert + checksum fill), not just the DMA copy.
+    // (in-buffer VLAN insert + checksum fill), not just the exchange.
     let model = models::e1000e();
     let mut reg = SemanticRegistry::with_builtins();
     let intent = Intent::builder("alloc")
@@ -125,6 +126,46 @@ fn steady_state_batched_submit_allocates_nothing() {
     );
     assert_eq!(q.stats.frames, 5 * 32);
     assert_eq!(q.stats.doorbells, 5);
+
+    // Submit trades buffers with the ring's DMA slots instead of
+    // copying into them. Three more laps of the ring send every buffer
+    // through every role, still without the allocator, and leak none:
+    // the device's memory holds what attach registered, and every
+    // buffer in circulation (one more lap, plus the batch's own) still
+    // takes a full-size frame plus its software VLAN tag.
+    let slots = nic.tx_ring.capacity();
+    assert_eq!(nic.host_mem.len(), slots);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..3 * slots / 32 {
+        for _ in 0..32 {
+            assert!(batch.push(&frame, req));
+        }
+        assert_eq!(q.submit(&mut nic, &mut batch).unwrap(), 32);
+        assert_eq!(nic.process_tx_drain(), 32);
+        batch.clear();
+    }
+    assert_eq!(
+        ALLOCS.load(Ordering::SeqCst) - before,
+        0,
+        "buffer exchange hit the allocator"
+    );
+    assert_eq!(
+        nic.host_mem.len(),
+        slots,
+        "submit registered or lost a buffer"
+    );
+    let full = testpkt::udp4([10, 3, 0, 1], [10, 3, 0, 2], 1, 2, &[0x5a; 2048 - 42], None);
+    assert_eq!(full.len(), 2048);
+    for lap in 0..slots / 32 + 1 {
+        for _ in 0..32 {
+            assert!(batch.push(&full, req), "lap {lap}: a batch buffer shrank");
+        }
+        assert_eq!(q.submit(&mut nic, &mut batch).unwrap(), 32);
+        batch.clear();
+        for wire in nic.process_tx() {
+            assert_eq!(wire.len(), 2052, "lap {lap}: no room left for the tag");
+        }
+    }
 
     // Second window: the per-send driver, on its own NIC. One warm-up
     // send, then 256 sends and their device drains allocate nothing.

@@ -109,14 +109,17 @@ fn expected_wire(frame: &[u8], req: TxRequest) -> Vec<u8> {
     wire
 }
 
-/// Wire frames the product emits for `cases` at one batch capacity.
-/// Capacity 1 is `TxDriver::send` (one frame, one doorbell); above that
-/// frames accumulate in a `TxBatch` and go out through
-/// `TxQueue::submit`, one doorbell per batch.
+/// Wire frames the product emits for `cases` at one batch capacity on
+/// a `ring`-entry TX ring. Capacity 1 is `TxDriver::send` (one frame,
+/// one doorbell); above that frames accumulate in a `TxBatch` and go out
+/// through `TxQueue::submit`, one doorbell per batch. Where the ring is
+/// smaller than the batch, what fits is placed, the device consumes it,
+/// and the remainder is resubmitted with `submit_from`.
 fn submitted_wire(
     model: &NicModel,
     cases: &[(Vec<u8>, TxRequest)],
     batch_cap: usize,
+    ring: usize,
 ) -> Vec<Vec<u8>> {
     let mut reg = SemanticRegistry::with_builtins();
     let intent = tx_intent(&mut reg);
@@ -129,28 +132,40 @@ fn submitted_wire(
         &mut reg,
     )
     .unwrap_or_else(|e| panic!("{}: {e}", model.name));
-    let mut nic = SimNic::new(model.clone(), 256).unwrap();
+    let mut nic = SimNic::new(model.clone(), ring).unwrap();
+    let mut out = Vec::new();
     if batch_cap == 1 {
         let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
         for (frame, req) in cases {
-            tx.send(&mut nic, frame, *req).unwrap();
+            if tx.send(&mut nic, frame, *req).is_err() {
+                // A full ring: the device consumes, then the frame goes.
+                out.extend(nic.process_tx());
+                tx.send(&mut nic, frame, *req).unwrap();
+            }
         }
-        return nic.process_tx();
+        out.extend(nic.process_tx());
+        return out;
     }
     let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
     let mut q = TxQueue::attach(&mut nic, plan, 2048);
     let mut batch = TxBatch::new(batch_cap, 2048);
-    let mut out = Vec::new();
+    let mut flush = |nic: &mut SimNic, batch: &mut TxBatch| {
+        let mut from = 0;
+        while from < batch.len() {
+            let placed = q.submit_from(nic, batch, from).unwrap();
+            assert!(placed > 0, "an empty ring took nothing");
+            from += placed;
+            out.extend(nic.process_tx());
+        }
+        batch.clear();
+    };
     for (frame, req) in cases {
         if !batch.push(frame, *req) {
-            q.submit(&mut nic, &mut batch).unwrap();
-            out.extend(nic.process_tx());
-            batch.clear();
+            flush(&mut nic, &mut batch);
             assert!(batch.push(frame, *req), "frame fits an empty batch");
         }
     }
-    q.submit(&mut nic, &mut batch).unwrap();
-    out.extend(nic.process_tx());
+    flush(&mut nic, &mut batch);
     out
 }
 
@@ -165,23 +180,39 @@ proptest! {
         cases in proptest::collection::vec((arb_frame(), arb_req()), 1..24),
         extra_cap in 1..33usize,
     ) {
-        let want: Vec<Vec<u8>> = cases.iter().map(|(f, r)| expected_wire(f, *r)).collect();
-        for model in tx_models() {
-            for batch_cap in [1, 2, 7, 32, extra_cap] {
-                let got = submitted_wire(&model, &cases, batch_cap);
-                for (i, want) in want.iter().enumerate() {
-                    prop_assert_eq!(
-                        got.get(i),
-                        Some(want),
-                        "{} / batch_cap {}: frame {} ({:02x?}) with {:?} diverged from the oracle",
-                        model.name.clone(),
-                        batch_cap,
-                        i,
-                        cases[i].0.clone(),
-                        cases[i].1
-                    );
+        // Beside the ring nothing wraps on, an 8-entry one under at
+        // least four laps of traffic, alternately longest-first and as
+        // generated: every DMA slot and every batch buffer is reused
+        // again and again, for a frame shorter than the stale one it
+        // still holds, and a batch above 8 frames only goes out through
+        // resubmission.
+        let mut long_first = cases.clone();
+        long_first.sort_by_key(|(f, _)| std::cmp::Reverse(f.len()));
+        let laps = 32usize.div_ceil(cases.len()).max(4);
+        let recycled: Vec<_> = (0..laps)
+            .flat_map(|lap| if lap % 2 == 0 { &long_first } else { &cases })
+            .cloned()
+            .collect();
+        for (cases, ring) in [(&cases, 256), (&recycled, 8)] {
+            let want: Vec<Vec<u8>> = cases.iter().map(|(f, r)| expected_wire(f, *r)).collect();
+            for model in tx_models() {
+                for batch_cap in [1, 2, 7, 32, extra_cap] {
+                    let got = submitted_wire(&model, cases, batch_cap, ring);
+                    for (i, want) in want.iter().enumerate() {
+                        prop_assert_eq!(
+                            got.get(i),
+                            Some(want),
+                            "{} / ring {} / batch_cap {}: frame {} ({:02x?}) with {:?} diverged from the oracle",
+                            model.name.clone(),
+                            ring,
+                            batch_cap,
+                            i,
+                            cases[i].0.clone(),
+                            cases[i].1
+                        );
+                    }
+                    prop_assert_eq!(got.len(), want.len(), "{}: extra wire frames", model.name.clone());
                 }
-                prop_assert_eq!(got.len(), want.len(), "{}: extra wire frames", model.name.clone());
             }
         }
     }
