@@ -14,16 +14,25 @@
 //! "multiple OpenDesc instances with different intents to obtain
 //! different queues" scenario) each get their own artifact. Identical
 //! requests return pointer-equal `Arc`s.
+//!
+//! The cache also owns the *checked contract* of every model it has
+//! compiled for, for as long as it holds a plan of that model: the
+//! front end runs once per contract per cache, and the RX compile, the
+//! TX compile, a relayout to a newly negotiated intent and every device
+//! queue an engine boots all map from that one
+//! [`CheckedProgram`] ([`PlanCache::contract`]).
 
-use crate::compiler::{CompileError, CompiledInterface, Compiler};
+use crate::codegen::manifest::ManifestV1;
+use crate::compiler::{check_contract, CompileError, CompiledInterface, Compiler};
 use crate::intent::Intent;
 use crate::lower::{lower, LowerError, LoweredPlan};
 use crate::robust::ValidatorSpec;
-use crate::tx::{compile_tx, CompiledTxPlan};
+use crate::tx::{compile_tx_checked, CompiledTxPlan};
 use crate::vm::PlanProgram;
 use opendesc_ir::{Assignment, SemanticRegistry};
 use opendesc_nicsim::models::NicModel;
 use opendesc_nicsim::nic::NicError;
+use opendesc_p4::typecheck::CheckedProgram;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
@@ -75,6 +84,13 @@ impl CompiledRx {
     /// Why lowering failed, when it did.
     pub fn lowering_error(&self) -> Option<&LowerError> {
         self.lowered.as_ref().err()
+    }
+
+    /// Generated driver manifest (TOML): context writes, accessor table,
+    /// shim list and the digests of this artifact's own executable
+    /// forms — for drivers that consume configuration, not code.
+    pub fn manifest(&self) -> String {
+        ManifestV1::from_compiled(self).render()
     }
 
     /// The verified bytecode the datapath executes.
@@ -138,6 +154,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledRx>();
     assert_send_sync::<CompiledTxPlan>();
+    assert_send_sync::<CheckedProgram>();
     assert_send_sync::<PlanCache>();
 };
 
@@ -217,8 +234,22 @@ struct Versioned<T> {
     epoch: u64,
 }
 
+/// A checked contract and the source it was checked from. The source
+/// is what a lookup compares: a name alone never hits.
+#[derive(Debug)]
+struct Contract {
+    source: String,
+    checked: Arc<CheckedProgram>,
+}
+
 #[derive(Debug, Default)]
 struct CacheInner {
+    /// Checked contracts by model name: at most one per name, replaced
+    /// when a model of that name arrives with different source, dropped
+    /// by `evict_superseded` with the model's last plan.
+    contracts: HashMap<String, Contract>,
+    contract_hits: u64,
+    contract_misses: u64,
     map: HashMap<PlanKey, Versioned<CompiledRx>>,
     hits: u64,
     misses: u64,
@@ -294,7 +325,10 @@ impl PlanCache {
         // racing compilers at setup are harmless (last insert wins the
         // map; both callers get a valid artifact — callers needing
         // pointer equality call sequentially, as the engine setup does).
-        let mut iface = self.compiler.compile_model(model, intent, reg)?;
+        let checked = self.contract(model)?;
+        let mut iface =
+            self.compiler
+                .compile_checked(&checked, &model.deparser, &model.name, intent, reg)?;
         if let Some(ctx) = context {
             iface.context = Some(ctx.clone());
         }
@@ -339,9 +373,10 @@ impl PlanCache {
         }
         // Compile outside the lock, exactly like the RX path.
         let parser = model.desc_parser.as_deref().unwrap_or("DescParser");
-        let tx = compile_tx(
+        let checked = self.contract(model)?;
+        let tx = compile_tx_checked(
             &self.compiler.selector,
-            &model.p4_source,
+            &checked,
             parser,
             &model.name,
             intent,
@@ -359,6 +394,36 @@ impl PlanCache {
         Ok(Arc::clone(&entry.plan))
     }
 
+    /// The checked contract of `model`, running the front end at most
+    /// once per contract: a hit needs the stored source to equal
+    /// `model.p4_source` byte for byte, so a same-named model with an
+    /// edited contract is checked afresh and replaces the entry. A
+    /// contract with error diagnostics is refused and never stored.
+    pub fn contract(&self, model: &NicModel) -> Result<Arc<CheckedProgram>, CompileError> {
+        {
+            let mut inner = self.inner.lock().unwrap();
+            if let Some(c) = inner.contracts.get(&model.name) {
+                if c.source == model.p4_source {
+                    let checked = Arc::clone(&c.checked);
+                    inner.contract_hits += 1;
+                    return Ok(checked);
+                }
+            }
+        }
+        // Outside the lock, like the compiles it feeds.
+        let checked = Arc::new(check_contract(&model.p4_source)?);
+        let mut inner = self.inner.lock().unwrap();
+        inner.contract_misses += 1;
+        inner.contracts.insert(
+            model.name.clone(),
+            Contract {
+                source: model.p4_source.clone(),
+                checked: Arc::clone(&checked),
+            },
+        );
+        Ok(checked)
+    }
+
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
         let inner = self.inner.lock().unwrap();
@@ -369,6 +434,14 @@ impl PlanCache {
     pub fn tx_stats(&self) -> (u64, u64) {
         let inner = self.inner.lock().unwrap();
         (inner.tx_hits, inner.tx_misses)
+    }
+
+    /// `(hits, misses)` of the checked-contract memo. Every miss ran the
+    /// front end and stored what it produced; a refused contract counts
+    /// as neither.
+    pub fn contract_stats(&self) -> (u64, u64) {
+        let inner = self.inner.lock().unwrap();
+        (inner.contract_hits, inner.contract_misses)
     }
 
     /// Distinct artifacts held.
@@ -409,9 +482,11 @@ impl PlanCache {
     /// cache's `Arc` is the last reference — a queue still draining the
     /// old layout pins its plan (the `Arc` refcount is the "in-flight
     /// batch" pin) until its flip commits and it drops the handle.
-    /// Returns how many artifacts (RX + TX) were reclaimed.
+    /// Returns how many artifacts (RX + TX) were reclaimed. A model's
+    /// checked contract goes with its last plan.
     pub fn evict_superseded(&self) -> usize {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         let epoch = inner.epoch;
         let before = inner.map.len() + inner.tx_map.len();
         inner
@@ -420,6 +495,10 @@ impl PlanCache {
         inner
             .tx_map
             .retain(|_, v| v.epoch == epoch || Arc::strong_count(&v.plan) > 1);
+        let (map, tx_map) = (&inner.map, &inner.tx_map);
+        inner
+            .contracts
+            .retain(|name, _| map.keys().chain(tx_map.keys()).any(|k| k.model == *name));
         before - (inner.map.len() + inner.tx_map.len())
     }
 }
@@ -583,6 +662,104 @@ mod tests {
             .get_or_compile_tx(&models::mlx5(), &ti, &mut reg)
             .is_err());
         assert_eq!(cache.tx_stats(), (1, 1));
+    }
+
+    fn tx_intent(reg: &mut SemanticRegistry) -> Intent {
+        intent(reg, "tx", &[names::TX_IP_CSUM])
+    }
+
+    #[test]
+    fn rx_and_tx_of_one_model_share_one_checked_contract() {
+        let cache = PlanCache::default();
+        let mut reg = SemanticRegistry::with_builtins();
+        let model = models::e1000e();
+        let i = intent(&mut reg, "app", &[names::RSS_HASH, names::PKT_LEN]);
+        cache.get_or_compile(&model, &i, &mut reg).unwrap();
+        let t = tx_intent(&mut reg);
+        cache.get_or_compile_tx(&model, &t, &mut reg).unwrap();
+        assert_eq!(cache.contract_stats(), (1, 1), "one front-end run");
+        // Plan hits never reach the contract memo.
+        cache.get_or_compile(&model, &i, &mut reg).unwrap();
+        assert_eq!(cache.contract_stats(), (1, 1));
+        let a = cache.contract(&model).unwrap();
+        let b = cache.contract(&model).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "same source, same contract");
+    }
+
+    #[test]
+    fn an_edited_contract_under_the_same_name_is_checked_afresh() {
+        let cache = PlanCache::default();
+        let mut reg = SemanticRegistry::with_builtins();
+        let i = intent(&mut reg, "app", &[names::PKT_LEN]);
+        let original = models::e1000e();
+        let mut edited = original.clone();
+        edited.p4_source = edited.p4_source.replace(
+            "@semantic(\"pkt_len\")   bit<16> length;",
+            "@semantic(\"pkt_len\")   bit<16> frame_length;",
+        );
+        assert_ne!(edited.p4_source, original.p4_source, "the edit applied");
+        let first = cache.contract(&original).unwrap();
+        let second = cache.contract(&edited).unwrap();
+        assert_eq!(cache.contract_stats(), (0, 2), "a name alone never hits");
+        assert!(!Arc::ptr_eq(&first, &second));
+        // The entry was replaced, not added beside: the edited source
+        // now hits, and its plans read the edited contract.
+        let again = cache.contract(&edited).unwrap();
+        assert!(Arc::ptr_eq(&second, &again));
+        let rx = cache.get_or_compile(&edited, &i, &mut reg).unwrap();
+        assert!(
+            rx.path
+                .slots
+                .iter()
+                .any(|s| s.name.ends_with("frame_length")),
+            "compiled from the contract it was asked for"
+        );
+    }
+
+    #[test]
+    fn a_contract_with_errors_is_refused_and_never_stored() {
+        let cache = PlanCache::default();
+        let mut reg = SemanticRegistry::with_builtins();
+        let i = intent(&mut reg, "app", &[names::PKT_LEN]);
+        let mut broken = models::e1000e();
+        broken.p4_source.push_str("\nheader broken {");
+        for _ in 0..2 {
+            let err = cache.get_or_compile(&broken, &i, &mut reg).unwrap_err();
+            let direct = Compiler::default()
+                .compile_model(&broken, &i, &mut reg)
+                .unwrap_err();
+            assert!(matches!(err, CompileError::Contract(_)), "{err}");
+            assert_eq!(err.to_string(), direct.to_string(), "same refusal text");
+        }
+        let t = tx_intent(&mut reg);
+        assert!(matches!(
+            cache.get_or_compile_tx(&broken, &t, &mut reg),
+            Err(CompileError::Contract(_))
+        ));
+        assert_eq!(
+            cache.contract_stats(),
+            (0, 0),
+            "refused every time: nothing was stored to hit, nothing counted as checked"
+        );
+        assert_eq!((cache.len(), cache.tx_len()), (0, 0));
+    }
+
+    #[test]
+    fn a_contract_leaves_with_its_models_last_plan() {
+        let cache = PlanCache::default();
+        let mut reg = SemanticRegistry::with_builtins();
+        let model = models::ixgbe();
+        let i = intent(&mut reg, "gen0", &[names::PKT_LEN]);
+        let live = cache.get_or_compile(&model, &i, &mut reg).unwrap();
+        cache.begin_generation();
+        // Still pinned by `live`: the plan stays, and so does its contract.
+        assert_eq!(cache.evict_superseded(), 0);
+        cache.contract(&model).unwrap();
+        assert_eq!(cache.contract_stats(), (1, 1));
+        drop(live);
+        assert_eq!(cache.evict_superseded(), 1);
+        cache.contract(&model).unwrap();
+        assert_eq!(cache.contract_stats(), (1, 2), "evicted with the last plan");
     }
 
     #[test]

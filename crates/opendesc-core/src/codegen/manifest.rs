@@ -21,10 +21,10 @@
 //!   of two comment strings.
 
 use crate::accessor::AccessorKind;
+use crate::cache::CompiledRx;
 use crate::compiler::CompiledInterface;
-use crate::lower::lower;
 use opendesc_ir::semantics::Cost;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Manifest schema version emitted by [`ManifestV1::render`].
 pub const MANIFEST_VERSION: u64 = 1;
@@ -152,10 +152,9 @@ impl std::error::Error for ManifestError {}
 // Rendering
 // ---------------------------------------------------------------------
 
-/// Escape a string for a quoted TOML value: backslash, quote, and the
-/// common control characters.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` escaped for a quoted TOML value: backslash, quote, and
+/// the common control characters.
+fn escape(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -163,11 +162,21 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{{{:04x}}}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{{{:04x}}}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// Append one `<key> = "<escaped value>"` line. A quoted key (context
+/// writes) is escaped the same way.
+fn quoted_line(out: &mut String, key: &str, value: &str) {
+    out.push_str(key);
+    out.push_str(" = \"");
+    escape(out, value);
+    out.push_str("\"\n");
 }
 
 /// Inverse of [`escape`].
@@ -203,16 +212,18 @@ fn unescape(s: &str) -> Result<String, String> {
     Ok(out)
 }
 
-fn hex64(v: u64) -> String {
-    format!("\"0x{v:016x}\"")
-}
-
 impl ManifestV1 {
-    /// Build the manifest for a compiled interface. Digests are taken
-    /// over the actual executable artifacts: the shim plan's step
-    /// streams and the encoded ODBC bytecode of the lowered plan.
-    pub fn from_compiled(c: &CompiledInterface) -> ManifestV1 {
-        let mut plan_bytes = Vec::new();
+    /// Build the manifest of a compiled artifact. Digests are taken
+    /// over the artifact's own executable forms: the shim plan's step
+    /// streams, and the encoded ODBC bytecode `rx` lowered and verified
+    /// when it was built (`None` iff it has a `lowering_error`).
+    pub fn from_compiled(rx: &CompiledRx) -> ManifestV1 {
+        let c = rx.interface();
+        let mut plan_bytes = Vec::with_capacity(
+            4 * c.plan.hw.len()
+                + 3
+                + 6 * (c.plan.sw.len() + c.plan.hw_check.len() + c.plan.degraded.len()),
+        );
         for &i in &c.plan.hw {
             plan_bytes.extend_from_slice(&(i as u32).to_le_bytes());
         }
@@ -223,7 +234,6 @@ impl ManifestV1 {
                 plan_bytes.extend_from_slice(&crate::vm::shim_code(sop).to_le_bytes());
             }
         }
-        let odbc = lower(&c.accessors, &c.plan).ok().map(|l| l.prog.digest());
         let context = match &c.context {
             Some(ctx) => {
                 ContextProgramming::Programmed(ctx.iter().map(|(f, v)| (f.dotted(), *v)).collect())
@@ -240,7 +250,7 @@ impl ManifestV1 {
             guard: c.path.guard_str(),
             layout_bits: c.path.size_bits,
             shim_plan_digest: fnv64(&plan_bytes),
-            odbc_bytecode: odbc,
+            odbc_bytecode: rx.lowered().map(|l| l.prog.digest()),
             context,
             slots: c
                 .path
@@ -278,31 +288,61 @@ impl ManifestV1 {
         }
     }
 
+    /// An upper estimate of [`render`](ManifestV1::render)'s output
+    /// length (exact but for escapes and the widths of numbers), so the
+    /// text is written into one allocation.
+    fn rendered_len_hint(&self) -> usize {
+        let ctx = match &self.context {
+            ContextProgramming::Programmed(w) => w.iter().map(|(k, _)| k.len() + 48).sum(),
+            ContextProgramming::Manual => 0,
+        };
+        let slots: usize = self
+            .slots
+            .iter()
+            .map(|s| {
+                96 + s.name.len() + s.source.len() + s.semantic.as_ref().map_or(0, |x| x.len())
+            })
+            .sum();
+        let accessors: usize = self
+            .accessors
+            .iter()
+            .map(|a| 128 + a.name.len() + a.semantic.len())
+            .sum();
+        448 + self.nic.len() + self.intent.len() + self.guard.len() + ctx + slots + accessors
+    }
+
     /// Render the canonical textual form. Byte-deterministic: the same
     /// struct always renders the same string.
     pub fn render(&self) -> String {
-        let mut o = String::new();
+        let mut o = String::with_capacity(self.rendered_len_hint());
+        self.write_to(&mut o)
+            .expect("writing to a String cannot fail");
+        o
+    }
+
+    fn write_to(&self, o: &mut String) -> fmt::Result {
         o.push_str("# OpenDesc interface manifest — generated; do not edit.\n");
         o.push_str("[manifest]\n");
-        o.push_str(&format!("version = {MANIFEST_VERSION}\n\n"));
+        write!(o, "version = {MANIFEST_VERSION}\n\n")?;
 
         o.push_str("[interface]\n");
-        o.push_str(&format!("nic = \"{}\"\n", escape(&self.nic)));
-        o.push_str(&format!("intent = \"{}\"\n", escape(&self.intent)));
-        o.push_str(&format!(
-            "registry_fingerprint = {}\n",
-            hex64(self.registry_fingerprint)
-        ));
-        o.push_str(&format!("completion_bytes = {}\n", self.completion_bytes));
-        o.push_str(&format!("selected_path = {}\n", self.selected_path));
-        o.push_str(&format!("paths_considered = {}\n", self.paths_considered));
-        o.push_str(&format!("guard = \"{}\"\n", escape(&self.guard)));
-        o.push_str(&format!("layout_bits = {}\n\n", self.layout_bits));
+        quoted_line(o, "nic", &self.nic);
+        quoted_line(o, "intent", &self.intent);
+        writeln!(
+            o,
+            "registry_fingerprint = \"0x{:016x}\"",
+            self.registry_fingerprint
+        )?;
+        writeln!(o, "completion_bytes = {}", self.completion_bytes)?;
+        writeln!(o, "selected_path = {}", self.selected_path)?;
+        writeln!(o, "paths_considered = {}", self.paths_considered)?;
+        quoted_line(o, "guard", &self.guard);
+        write!(o, "layout_bits = {}\n\n", self.layout_bits)?;
 
         o.push_str("[digests]\n");
-        o.push_str(&format!("shim_plan = {}\n", hex64(self.shim_plan_digest)));
+        writeln!(o, "shim_plan = \"0x{:016x}\"", self.shim_plan_digest)?;
         match self.odbc_bytecode {
-            Some(h) => o.push_str(&format!("odbc_bytecode = {}\n\n", hex64(h))),
+            Some(h) => write!(o, "odbc_bytecode = \"0x{h:016x}\"\n\n")?,
             None => o.push_str("odbc_bytecode = \"unlowerable\"\n\n"),
         }
 
@@ -311,7 +351,9 @@ impl ManifestV1 {
             ContextProgramming::Programmed(writes) => {
                 o.push_str("mode = \"programmed\"\n");
                 for (k, v) in writes {
-                    o.push_str(&format!("\"{}\" = {v}\n", escape(k)));
+                    o.push('"');
+                    escape(o, k);
+                    writeln!(o, "\" = {v}")?;
                 }
             }
             ContextProgramming::Manual => o.push_str("mode = \"manual\"\n"),
@@ -320,42 +362,42 @@ impl ManifestV1 {
 
         for s in &self.slots {
             o.push_str("[[slot]]\n");
-            o.push_str(&format!("name = \"{}\"\n", escape(&s.name)));
-            o.push_str(&format!("source = \"{}\"\n", escape(&s.source)));
+            quoted_line(o, "name", &s.name);
+            quoted_line(o, "source", &s.source);
             if let Some(sem) = &s.semantic {
-                o.push_str(&format!("semantic = \"{}\"\n", escape(sem)));
+                quoted_line(o, "semantic", sem);
             }
-            o.push_str(&format!("offset_bits = {}\n", s.offset_bits));
-            o.push_str(&format!("width_bits = {}\n\n", s.width_bits));
+            writeln!(o, "offset_bits = {}", s.offset_bits)?;
+            write!(o, "width_bits = {}\n\n", s.width_bits)?;
         }
 
         for a in &self.accessors {
             o.push_str("[[accessor]]\n");
-            o.push_str(&format!("name = \"{}\"\n", escape(&a.name)));
-            o.push_str(&format!("semantic = \"{}\"\n", escape(&a.semantic)));
+            quoted_line(o, "name", &a.name);
+            quoted_line(o, "semantic", &a.semantic);
             match &a.kind {
                 ManifestAccessorKind::Hardware { offset_bits } => {
                     o.push_str("kind = \"hardware\"\n");
-                    o.push_str(&format!("offset_bits = {offset_bits}\n"));
-                    o.push_str(&format!("width_bits = {}\n\n", a.width_bits));
+                    writeln!(o, "offset_bits = {offset_bits}")?;
+                    write!(o, "width_bits = {}\n\n", a.width_bits)?;
                 }
                 ManifestAccessorKind::Software { cost } => {
                     o.push_str("kind = \"softnic\"\n");
-                    o.push_str(&format!("width_bits = {}\n", a.width_bits));
+                    writeln!(o, "width_bits = {}", a.width_bits)?;
                     match cost {
                         ManifestCost::Finite {
                             base_ns,
                             per_byte_ns,
                         } => {
-                            o.push_str(&format!("cost_base_ns = {base_ns}\n"));
-                            o.push_str(&format!("cost_per_byte_ns = {per_byte_ns}\n\n"));
+                            writeln!(o, "cost_base_ns = {base_ns}")?;
+                            write!(o, "cost_per_byte_ns = {per_byte_ns}\n\n")?;
                         }
                         ManifestCost::Infinite => o.push_str("cost = \"infinite\"\n\n"),
                     }
                 }
             }
         }
-        o
+        Ok(())
     }
 
     /// Parse a manifest rendered by [`render`](ManifestV1::render).
@@ -366,10 +408,12 @@ impl ManifestV1 {
     }
 }
 
-/// Render the manifest for a compiled interface (the stable public
-/// entry point; equivalent to `ManifestV1::from_compiled(c).render()`).
+/// Render the manifest of a bare compiled interface: builds the
+/// artifact a driver would attach (which lowers and verifies the plan,
+/// the only place that happens) and renders that. A caller that already
+/// holds the [`CompiledRx`] calls [`CompiledRx::manifest`].
 pub fn generate(c: &CompiledInterface) -> String {
-    ManifestV1::from_compiled(c).render()
+    CompiledRx::new(c.clone()).manifest()
 }
 
 // ---------------------------------------------------------------------
@@ -820,17 +864,18 @@ mod tests {
     use opendesc_ir::SemanticRegistry;
     use opendesc_nicsim::models;
 
-    fn compiled() -> CompiledInterface {
+    fn compiled() -> CompiledRx {
         let mut reg = SemanticRegistry::with_builtins();
         let intent = Intent::from_p4(crate::intent::FIG1_INTENT_P4, &mut reg).unwrap();
         Compiler::default()
             .compile_model(&models::e1000e(), &intent, &mut reg)
             .unwrap()
+            .into()
     }
 
     #[test]
     fn manifest_contains_all_sections() {
-        let m = generate(&compiled());
+        let m = compiled().manifest();
         assert!(m.contains("[manifest]"), "{m}");
         assert!(m.contains("version = 1"), "{m}");
         assert!(m.contains("[interface]"), "{m}");
@@ -849,7 +894,7 @@ mod tests {
     #[test]
     fn hardware_entries_carry_offsets() {
         let c = compiled();
-        let m = generate(&c);
+        let m = c.manifest();
         let csum = c
             .accessors
             .accessors
@@ -864,7 +909,7 @@ mod tests {
 
     #[test]
     fn manifest_is_line_oriented_toml_shape() {
-        let m = generate(&compiled());
+        let m = compiled().manifest();
         for line in m.lines() {
             let t = line.trim();
             if t.is_empty() || t.starts_with('#') {
@@ -880,10 +925,16 @@ mod tests {
     #[test]
     fn generate_parse_render_is_byte_stable() {
         let c = compiled();
-        let s = generate(&c);
+        let s = c.manifest();
         let m = ManifestV1::parse(&s).expect("own output parses");
         assert_eq!(m.render(), s);
         assert_eq!(m, ManifestV1::from_compiled(&c));
+    }
+
+    #[test]
+    fn generate_is_the_manifest_of_the_attachable_artifact() {
+        let c = compiled();
+        assert_eq!(generate(c.interface()), c.manifest());
     }
 
     #[test]
@@ -918,7 +969,7 @@ mod tests {
 
     #[test]
     fn schema_violations_are_rejected() {
-        let base = generate(&compiled());
+        let base = compiled().manifest();
         // Unknown section.
         let bad = base.replace("[digests]", "[mystery]");
         assert!(ManifestV1::parse(&bad).is_err());
@@ -937,8 +988,8 @@ mod tests {
 
     #[test]
     fn determinism_across_independent_compiles() {
-        let a = generate(&compiled());
-        let b = generate(&compiled());
+        let a = compiled().manifest();
+        let b = compiled().manifest();
         assert_eq!(a, b);
     }
 }

@@ -17,7 +17,7 @@ use opendesc_ir::path::CompletionPath;
 use opendesc_ir::semantics::SemanticRegistry;
 use opendesc_ir::{enumerate_paths, extract, Assignment, Cfg, DEFAULT_MAX_PATHS};
 use opendesc_nicsim::models::NicModel;
-use opendesc_p4::typecheck::parse_and_check;
+use opendesc_p4::typecheck::{parse_and_check, CheckedProgram};
 use std::fmt;
 
 /// Compiler entry point; holds the selection parameters.
@@ -88,6 +88,19 @@ pub struct CompiledInterface {
     pub paths_considered: usize,
 }
 
+/// The front end, once: parse and type-check `src`, refusing it when
+/// any diagnostic is an error. Every entry point of this crate that is
+/// handed P4 source goes through here and then calls its `_checked`
+/// counterpart, which is also what a holder of an already checked
+/// contract ([`PlanCache`](crate::cache::PlanCache)) calls directly.
+pub fn check_contract(src: &str) -> Result<CheckedProgram, CompileError> {
+    let (checked, diags) = parse_and_check(src);
+    if diags.has_errors() {
+        return Err(CompileError::Contract(diags.summary()));
+    }
+    Ok(checked)
+}
+
 impl Compiler {
     /// Compile a contract given as P4 source against an intent. `reg`
     /// must be the registry the intent was built with.
@@ -99,12 +112,23 @@ impl Compiler {
         intent: &Intent,
         reg: &mut SemanticRegistry,
     ) -> Result<CompiledInterface, CompileError> {
-        let (checked, diags) = parse_and_check(contract_src);
-        if diags.has_errors() {
-            return Err(CompileError::Contract(diags.summary()));
-        }
+        let checked = check_contract(contract_src)?;
+        self.compile_checked(&checked, deparser, nic_name, intent, reg)
+    }
+
+    /// Compile an already checked contract. The CFG is extracted on
+    /// every call: extraction interns the contract's semantics into
+    /// `reg`, and each caller brings its own registry.
+    pub fn compile_checked(
+        &self,
+        checked: &CheckedProgram,
+        deparser: &str,
+        nic_name: &str,
+        intent: &Intent,
+        reg: &mut SemanticRegistry,
+    ) -> Result<CompiledInterface, CompileError> {
         let cfg =
-            extract(&checked, deparser, reg).map_err(|d| CompileError::Extract(d.summary()))?;
+            extract(checked, deparser, reg).map_err(|d| CompileError::Extract(d.summary()))?;
         self.compile_cfg(&cfg, nic_name, intent, reg)
     }
 
@@ -187,12 +211,6 @@ impl CompiledInterface {
     /// Generated C header.
     pub fn c_header(&self) -> String {
         codegen::c::generate(&self.nic_name, &self.accessors, &self.reg)
-    }
-
-    /// Generated driver manifest (TOML): context writes, accessor table,
-    /// shim list — for drivers that consume configuration, not code.
-    pub fn manifest(&self) -> String {
-        codegen::manifest::generate(self)
     }
 
     /// Verified-by-construction eBPF accessor programs, one per hardware

@@ -20,7 +20,8 @@
 //! `tests/corpus/` can pin it forever.
 
 use crate::accessor::{Accessor, AccessorSet};
-use crate::codegen::manifest::{generate, ManifestV1};
+use crate::cache::CompiledRx;
+use crate::codegen::manifest::ManifestV1;
 use crate::compiler::Compiler;
 use crate::intent::Intent;
 use crate::lower::{lower, LowerError};
@@ -278,12 +279,13 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
     let intent = intent_from_mask(mask, &mut reg);
     let compiled = Compiler::default()
         .compile_model(model, &intent, &mut reg)
+        .map(CompiledRx::new)
         .map_err(|e| format!("generated model failed to compile: {e}"))?;
     let set = &compiled.accessors;
     let plan = &compiled.plan;
 
     // Manifest contract: generate → parse → render must be byte-stable.
-    let manifest = generate(&compiled);
+    let manifest = compiled.manifest();
     let parsed =
         ManifestV1::parse(&manifest).map_err(|e| format!("manifest does not re-parse: {e}"))?;
     if parsed.render() != manifest {
@@ -292,7 +294,12 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
     let roundtripped = true;
 
     // Every compiler-produced plan must lower, verifier-approved.
-    let lowered = lower(set, plan).map_err(|e| format!("lowering rejected a valid plan: {e}"))?;
+    let lowered = compiled.lowered().ok_or_else(|| {
+        let why = compiled
+            .lowering_error()
+            .expect("an artifact is lowered or says why not");
+        format!("lowering rejected a valid plan: {why}")
+    })?;
     let prog = &lowered.prog;
     let slots = plan.steps.len();
     let vm = Vm::default();
@@ -543,7 +550,7 @@ pub fn run(seed: u64, nics: u64, intents_per_nic: u64) -> Report {
                         let intent = intent_from_mask(min_mask, &mut reg);
                         Compiler::default()
                             .compile_model(&model, &intent, &mut reg)
-                            .map(|c| generate(&c))
+                            .map(|c| CompiledRx::new(c).manifest())
                             .unwrap_or_default()
                     };
                     report.divergences.push(Divergence {

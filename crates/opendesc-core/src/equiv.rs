@@ -10,11 +10,10 @@
 //! — the application-observable question: under intent `I`, do both
 //! compilations provide the same hardware/software split?
 
-use crate::compiler::{CompileError, Compiler};
+use crate::compiler::{check_contract, CompileError, Compiler};
 use crate::intent::Intent;
 use opendesc_ir::semantics::SemanticRegistry;
 use opendesc_ir::{enumerate_paths, extract, SemanticId, DEFAULT_MAX_PATHS};
-use opendesc_p4::typecheck::parse_and_check;
 use std::collections::BTreeSet;
 
 /// The semantics a contract can provide across all of its layouts.
@@ -23,10 +22,7 @@ pub fn capabilities(
     deparser: &str,
     reg: &mut SemanticRegistry,
 ) -> Result<BTreeSet<SemanticId>, CompileError> {
-    let (checked, diags) = parse_and_check(contract_src);
-    if diags.has_errors() {
-        return Err(CompileError::Contract(diags.summary()));
-    }
+    let checked = check_contract(contract_src)?;
     let cfg = extract(&checked, deparser, reg).map_err(|d| CompileError::Extract(d.summary()))?;
     let paths =
         enumerate_paths(&cfg, DEFAULT_MAX_PATHS).map_err(|e| CompileError::Paths(e.to_string()))?;

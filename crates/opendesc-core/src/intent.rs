@@ -6,9 +6,9 @@
 //! fallback for this application's workload), or programmatically through
 //! [`Intent::builder`].
 
+use crate::compiler::{check_contract, CompileError};
 use opendesc_ir::semantics::{Cost, SemanticRegistry};
 use opendesc_ir::SemanticId;
-use opendesc_p4::typecheck::parse_and_check;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -70,10 +70,10 @@ impl Intent {
     /// Unknown semantic names are registered with infinite software cost
     /// (the "new feature" extension hook) unless they carry `@cost`.
     pub fn from_p4(src: &str, reg: &mut SemanticRegistry) -> Result<Intent, IntentError> {
-        let (checked, diags) = parse_and_check(src);
-        if diags.has_errors() {
-            return Err(IntentError::BadSource(diags.summary()));
-        }
+        let checked = check_contract(src).map_err(|e| match e {
+            CompileError::Contract(summary) => IntentError::BadSource(summary),
+            other => IntentError::BadSource(other.to_string()),
+        })?;
         let header = checked
             .program
             .headers()

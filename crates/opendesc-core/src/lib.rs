@@ -46,7 +46,7 @@ pub mod vm;
 pub use accessor::{Accessor, AccessorKind, AccessorSet};
 pub use baseline::{GenericMbuf, GenericMbufDriver, LcdDriver};
 pub use cache::{AttachError, CompiledRx, PlanCache};
-pub use compiler::{CompileError, CompiledInterface, Compiler};
+pub use compiler::{check_contract, CompileError, CompiledInterface, Compiler};
 pub use datapath::{OpenDescDriver, RxBatch, RxPacket};
 pub use equiv::{capabilities, diff, intent_equivalent, ContractDiff, IntentEquivalence};
 pub use evolve::{
@@ -69,8 +69,8 @@ pub use shard::{
     ShardedEngine, ShardedRx, TxVerdict, TxWorkerStats, WorkerStats,
 };
 pub use tx::{
-    compile_tx, lower_tx, txreg, CompiledTx, CompiledTxPlan, TxBatch, TxDriver, TxQueue,
-    TxQueueStats, TxRequest, TxWriter,
+    compile_tx, compile_tx_checked, lower_tx, txreg, CompiledTx, CompiledTxPlan, TxBatch, TxDriver,
+    TxQueue, TxQueueStats, TxRequest, TxWriter,
 };
 pub use vm::{BcInsn, PlanProgram};
 

@@ -472,7 +472,7 @@ impl ShardedRx {
         let mut workers = Vec::with_capacity(intents.len());
         for (q, intent) in intents.iter().enumerate() {
             let rx = cache.get_or_compile(model, intent, reg)?;
-            let nic = SimNic::new(model.clone(), ring)?;
+            let nic = SimNic::with_contract(model.clone(), cache.contract(model)?, ring)?;
             let drv = OpenDescDriver::attach_shared(nic, rx)?;
             workers.push(RxWorker::new(q, drv, batch_cap));
         }
@@ -1233,7 +1233,7 @@ impl ShardedEngine {
         for q in 0..queues {
             let rx = cache.get_or_compile(model, rx_intent, reg)?;
             let plan = cache.get_or_compile_tx(model, tx_intent, reg)?;
-            let nic = SimNic::new(model.clone(), ring)?;
+            let nic = SimNic::with_contract(model.clone(), cache.contract(model)?, ring)?;
             let mut drv = OpenDescDriver::attach_shared(nic, rx)?;
             let txq = TxQueue::attach(&mut drv.nic, plan, max_frame);
             workers.push(EngineWorker {

@@ -16,7 +16,7 @@
 //! its one-slot case. [`TxWriter::build`] is the descriptor oracle the
 //! bytecode is compared against, not a second way to transmit.
 
-use crate::compiler::CompileError;
+use crate::compiler::{check_contract, CompileError};
 use crate::intent::Intent;
 use crate::select::{SelectError, Selector};
 use crate::vm::{op, BcInsn, PlanProgram};
@@ -26,7 +26,7 @@ use opendesc_ir::txpath::{enumerate_tx_layouts, DescriptorLayout};
 use opendesc_ir::{Assignment, SemanticId};
 use opendesc_nicsim::nic::{NicError, SimNic};
 use opendesc_nicsim::ring::RingError;
-use opendesc_p4::typecheck::parse_and_check;
+use opendesc_p4::typecheck::CheckedProgram;
 use opendesc_softnic::fixup;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -112,11 +112,20 @@ pub fn compile_tx(
     intent: &Intent,
     reg: &mut SemanticRegistry,
 ) -> Result<CompiledTx, CompileError> {
-    let (checked, diags) = parse_and_check(contract_src);
-    if diags.has_errors() {
-        return Err(CompileError::Contract(diags.summary()));
-    }
-    let layouts = enumerate_tx_layouts(&checked, parser_name, reg)
+    let checked = check_contract(contract_src)?;
+    compile_tx_checked(selector, &checked, parser_name, nic_name, intent, reg)
+}
+
+/// [`compile_tx`] over an already checked contract.
+pub fn compile_tx_checked(
+    selector: &Selector,
+    checked: &CheckedProgram,
+    parser_name: &str,
+    nic_name: &str,
+    intent: &Intent,
+    reg: &mut SemanticRegistry,
+) -> Result<CompiledTx, CompileError> {
+    let layouts = enumerate_tx_layouts(checked, parser_name, reg)
         .map_err(|d| CompileError::Extract(d.summary()))?;
     if layouts.is_empty() {
         return Err(CompileError::Select(SelectError::NoPaths));

@@ -18,10 +18,11 @@
 //! bit-identical to the sequential device.
 
 use crate::models::NicModel;
-use crate::nic::{NicError, SimNic};
+use crate::nic::{check_contract, NicError, SimNic};
 use opendesc_softnic::rss_frame;
 use opendesc_softnic::wire::ParsedFrame;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// A value padded out to its own cache line.
 ///
@@ -236,9 +237,14 @@ impl MultiQueueNic {
         policy: SteerPolicy,
     ) -> Result<Self, NicError> {
         assert!(n > 0, "at least one queue");
+        let checked = check_contract(&model)?;
         let mut queues = Vec::with_capacity(n);
         for _ in 0..n {
-            queues.push(SimNic::new(model.clone(), ring)?);
+            queues.push(SimNic::with_contract(
+                model.clone(),
+                Arc::clone(&checked),
+                ring,
+            )?);
         }
         Ok(MultiQueueNic {
             stats: (0..n).map(|_| CachePadded::default()).collect(),

@@ -3,6 +3,8 @@
 
 #![cfg(test)]
 
+use crate::ast::Decl;
+use crate::span::{SourceMap, Span};
 use crate::typecheck::parse_and_check;
 use proptest::prelude::*;
 
@@ -64,8 +66,63 @@ const FRAGMENTS: &[&str] = &[
     "0b101",
 ];
 
+/// A non-ASCII character outside a string is one diagnostic whose span
+/// covers the whole character, and rendering it does not panic.
+#[test]
+fn non_ascii_character_is_one_renderable_diagnostic() {
+    let src = "header g_t { bit<8> é; }";
+    let (_, diags) = parse_and_check(src);
+    let bad: Vec<_> = diags
+        .iter()
+        .filter(|d| d.message.contains("unexpected character"))
+        .collect();
+    assert_eq!(bad.len(), 1, "one per character, not one per byte");
+    assert_eq!(bad[0].message, "unexpected character `é`");
+    let at = src.find('é').unwrap() as u32;
+    assert_eq!(bad[0].span, Span::new(at, at + 2));
+    let sm = SourceMap::new("g.p4", src);
+    let rendered = diags.render_all(&sm);
+    assert!(rendered.contains("g.p4:1:21"), "{rendered}");
+}
+
+/// A string literal is the source's UTF-8, not its bytes as Latin-1.
+#[test]
+fn string_literals_keep_their_utf8() {
+    let (checked, diags) = parse_and_check("header h_t { @semantic(\"é\\t→\") bit<8> x; }");
+    assert!(!diags.has_errors());
+    let Decl::Header(h) = &checked.program.decls[0] else {
+        panic!("header expected")
+    };
+    assert_eq!(h.fields[0].semantic(), Some("é\t→"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1500))]
+
+    /// Arbitrary UTF-8 — any scalar value, mixed into almost-valid P4 —
+    /// never panics the frontend, and every diagnostic it yields renders.
+    #[test]
+    fn frontend_and_renderer_total_on_arbitrary_utf8(
+        picks in proptest::collection::vec(0u32..0x11_0000, 0..48),
+    ) {
+        let mut src = String::new();
+        for v in picks {
+            match v % 3 {
+                0 => src.push_str(FRAGMENTS[v as usize % FRAGMENTS.len()]),
+                // Surrogates are not scalar values; fold them onto U+FFFD.
+                _ => src.push(char::from_u32(v).unwrap_or('\u{fffd}')),
+            }
+            if v % 5 == 0 {
+                src.push(' ');
+            }
+        }
+        let (_, diags) = parse_and_check(&src);
+        let sm = SourceMap::new("fuzz.p4", src.as_str());
+        for d in diags.iter() {
+            prop_assert!(src.is_char_boundary(d.span.lo as usize), "{:?} in {src:?}", d.span);
+            let _ = d.render(&sm);
+        }
+    }
 
     /// Random fragment soups never panic the pipeline.
     #[test]

@@ -1,22 +1,29 @@
 //! Hand-written lexer for the P4-16 subset.
 //!
 //! Produces the full token vector in one pass so the parser can do
-//! unlimited lookahead. Integer literals follow P4 syntax: decimal,
-//! `0x`/`0b`/`0o` prefixed, underscores allowed, and an optional leading
-//! width prefix as in `16w0x88A8` or `4w7`.
+//! unlimited lookahead. Tokens borrow their text from the source: an
+//! identifier or string literal is a slice of it, and only a literal
+//! with an escape owns its bytes. Integer literals follow P4 syntax:
+//! decimal, `0x`/`0b`/`0o` prefixed, underscores allowed, and an
+//! optional leading width prefix as in `16w0x88A8` or `4w7`.
 
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::span::Span;
 use crate::token::{Keyword, Token, TokenKind};
+use std::borrow::Cow;
 
 /// Lex `src` into tokens. Returns the tokens (always terminated by
 /// [`TokenKind::Eof`]) alongside any diagnostics. Lexing recovers from bad
 /// characters by skipping them, so the parser always receives a stream.
-pub fn lex(src: &str) -> (Vec<Token>, Diagnostics) {
+pub fn lex(src: &str) -> (Vec<Token<'_>>, Diagnostics) {
     let mut lexer = Lexer {
+        text: src,
         src: src.as_bytes(),
         pos: 0,
-        tokens: Vec::new(),
+        // The catalog contracts run at one token per 4.3–5.4 bytes
+        // (indentation and comments included); one per four covers them
+        // without a regrow, and a denser source only costs that regrow.
+        tokens: Vec::with_capacity(src.len() / 4 + 1),
         diags: Diagnostics::new(),
     };
     lexer.run();
@@ -24,9 +31,10 @@ pub fn lex(src: &str) -> (Vec<Token>, Diagnostics) {
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'a>>,
     diags: Diagnostics,
 }
 
@@ -50,12 +58,14 @@ impl<'a> Lexer<'a> {
                         self.pos += len;
                         self.tokens.push(Token::new(kind, span));
                     } else {
-                        let span = Span::new(start as u32, start as u32 + 1);
+                        // One diagnostic per character, not per byte: the
+                        // span must end on a character boundary.
+                        let ch = self.char_at(start);
+                        self.pos += ch.len_utf8();
                         self.diags.push(Diagnostic::error(
-                            format!("unexpected character `{}`", c as char),
-                            span,
+                            format!("unexpected character `{ch}`"),
+                            Span::new(start as u32, self.pos as u32),
                         ));
-                        self.pos += 1;
                     }
                 }
             }
@@ -63,6 +73,12 @@ impl<'a> Lexer<'a> {
         let at = self.src.len() as u32;
         self.tokens
             .push(Token::new(TokenKind::Eof, Span::point(at)));
+    }
+
+    /// The character starting at byte `at` (a character boundary: every
+    /// caller sits just past an ASCII byte or a whole character).
+    fn char_at(&self, at: usize) -> char {
+        self.text[at..].chars().next().expect("in bounds")
     }
 
     fn peek(&self, ahead: usize) -> Option<u8> {
@@ -105,11 +121,11 @@ impl<'a> Lexer<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii ident");
+        let text = &self.text[start..self.pos];
         let span = Span::new(start as u32, self.pos as u32);
         let kind = match Keyword::from_str(text) {
             Some(kw) => TokenKind::Kw(kw),
-            None => TokenKind::Ident(text.to_string()),
+            None => TokenKind::Ident(text),
         };
         self.tokens.push(Token::new(kind, span));
     }
@@ -249,53 +265,70 @@ impl<'a> Lexer<'a> {
         IntScan { value, radix }
     }
 
+    /// A string literal is the source's own UTF-8 between the quotes;
+    /// it is copied only once an escape has to be resolved.
     fn lex_string(&mut self) {
         let start = self.pos;
         self.pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
+        let mut owned: Option<String> = None;
+        // Start of the literal text not yet copied into `owned`.
+        let mut seg = self.pos;
+        let end = loop {
             match self.peek(0) {
                 None | Some(b'\n') => {
                     let span = Span::new(start as u32, self.pos as u32);
                     self.diags
                         .push(Diagnostic::error("unterminated string literal", span));
-                    break;
+                    break self.pos;
                 }
                 Some(b'"') => {
                     self.pos += 1;
-                    break;
+                    break self.pos - 1;
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(&self.text[seg..self.pos]);
                     self.pos += 1;
                     match self.peek(0) {
                         Some(b'n') => out.push('\n'),
                         Some(b't') => out.push('\t'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'"') => out.push('"'),
-                        other => {
-                            let span = Span::new(self.pos as u32, self.pos as u32 + 1);
+                        Some(_) => {
+                            let ch = self.char_at(self.pos);
+                            let span =
+                                Span::new(self.pos as u32, (self.pos + ch.len_utf8()) as u32);
+                            self.diags
+                                .push(Diagnostic::error(format!("unknown escape `\\{ch}`"), span));
+                            self.pos += ch.len_utf8() - 1;
+                        }
+                        None => {
                             self.diags.push(Diagnostic::error(
-                                format!(
-                                    "unknown escape `\\{}`",
-                                    other.map(|c| c as char).unwrap_or(' ')
-                                ),
-                                span,
+                                "unknown escape `\\ `",
+                                Span::point(self.pos as u32),
                             ));
+                            seg = self.pos;
+                            continue;
                         }
                     }
                     self.pos += 1;
+                    seg = self.pos;
                 }
-                Some(c) => {
-                    out.push(c as char);
-                    self.pos += 1;
-                }
+                Some(_) => self.pos += 1,
             }
-        }
+        };
+        let text = match owned {
+            Some(mut out) => {
+                out.push_str(&self.text[seg..end]);
+                Cow::Owned(out)
+            }
+            None => Cow::Borrowed(&self.text[seg..end]),
+        };
         let span = Span::new(start as u32, self.pos as u32);
-        self.tokens.push(Token::new(TokenKind::Str(out), span));
+        self.tokens.push(Token::new(TokenKind::Str(text), span));
     }
 
-    fn lex_punct(&mut self) -> Option<(TokenKind, usize)> {
+    fn lex_punct(&mut self) -> Option<(TokenKind<'a>, usize)> {
         use TokenKind::*;
         let c0 = self.peek(0)?;
         let c1 = self.peek(1);
@@ -348,7 +381,7 @@ mod tests {
     use super::*;
     use crate::token::TokenKind::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         let (toks, diags) = lex(src);
         assert!(!diags.has_errors(), "unexpected lex errors for {src:?}");
         toks.into_iter().map(|t| t.kind).collect()
@@ -359,13 +392,7 @@ mod tests {
         let k = kinds("header foo_t { }");
         assert_eq!(
             k,
-            vec![
-                Kw(Keyword::Header),
-                Ident("foo_t".into()),
-                LBrace,
-                RBrace,
-                Eof
-            ]
+            vec![Kw(Keyword::Header), Ident("foo_t"), LBrace, RBrace, Eof]
         );
     }
 
@@ -450,7 +477,7 @@ mod tests {
     #[test]
     fn ident_followed_by_w_is_not_width_literal() {
         // `aw12` is just an identifier.
-        assert_eq!(kinds("aw12")[0], Ident("aw12".into()));
+        assert_eq!(kinds("aw12")[0], Ident("aw12"));
     }
 
     #[test]
@@ -484,7 +511,7 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let k = kinds("a // comment\n /* block\n comment */ b");
-        assert_eq!(k, vec![Ident("a".into()), Ident("b".into()), Eof]);
+        assert_eq!(k, vec![Ident("a"), Ident("b"), Eof]);
     }
 
     #[test]
@@ -497,7 +524,7 @@ mod tests {
     fn strings_with_escapes() {
         let k = kinds(r#"@semantic("rss\n")"#);
         assert_eq!(k[0], At);
-        assert_eq!(k[1], Ident("semantic".into()));
+        assert_eq!(k[1], Ident("semantic"));
         assert_eq!(k[3], Str("rss\n".into()));
     }
 

@@ -25,8 +25,11 @@ pub fn parse(src: &str) -> (Program, Diagnostics) {
     (program, diags)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    /// The lexed stream. A consumed slot is left holding an `Eof` with
+    /// the consumed token's span: nothing reads its kind again, and
+    /// `tokens[pos - 1].span` still ends the declaration just parsed.
+    tokens: Vec<Token<'src>>,
     pos: usize,
     diags: Diagnostics,
 }
@@ -35,23 +38,26 @@ struct Parser {
 /// and the caller should recover.
 type PResult<T> = Result<T, ()>;
 
-impl Parser {
+impl<'src> Parser<'src> {
     // ---------------------------------------------------------------- utils
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    fn peek(&self) -> &Token<'src> {
+        &self.tokens[self.pos]
     }
 
-    fn peek_at(&self, ahead: usize) -> &Token {
+    fn peek_at(&self, ahead: usize) -> &Token<'src> {
         &self.tokens[(self.pos + ahead).min(self.tokens.len() - 1)]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+    /// Hand over the current token and advance. The cursor never moves
+    /// past the final `Eof`, which is handed out as often as asked for.
+    fn bump(&mut self) -> Token<'src> {
+        let at = self.pos;
+        if at < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
+        let span = self.tokens[at].span;
+        std::mem::replace(&mut self.tokens[at], Token::new(Tk::Eof, span))
     }
 
     fn at(&self, kind: &Tk) -> bool {
@@ -71,28 +77,23 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &Tk, what: &str) -> PResult<Token> {
+    fn expect(&mut self, kind: &Tk, what: &str) -> PResult<Token<'src>> {
         if self.at(kind) {
             Ok(self.bump())
         } else {
-            let t = self.peek().clone();
-            self.diags.push(Diagnostic::error(
-                format!("expected {kind} {what}, found {}", t.kind),
-                t.span,
-            ));
+            let t = self.peek();
+            let d = Diagnostic::error(format!("expected {kind} {what}, found {}", t.kind), t.span);
+            self.diags.push(d);
             Err(())
         }
     }
 
     fn expect_ident(&mut self, what: &str) -> PResult<Ident> {
         match &self.peek().kind {
-            Tk::Ident(_) => {
-                let t = self.bump();
-                if let Tk::Ident(name) = t.kind {
-                    Ok(Ident::new(name, t.span))
-                } else {
-                    unreachable!()
-                }
+            Tk::Ident(name) => {
+                let id = Ident::new(*name, self.peek().span);
+                self.bump();
+                Ok(id)
             }
             // `accept`/`reject`/`default` double as state names in
             // transitions; allow a few keywords where P4 does.
@@ -176,28 +177,21 @@ impl Parser {
             if self.eat(&Tk::LParen) {
                 if !self.at(&Tk::RParen) {
                     loop {
-                        match &self.peek().kind {
-                            Tk::Str(s) => {
-                                args.push(AnnArg::Str(s.clone()));
-                                self.bump();
-                            }
-                            Tk::Int { value, .. } => {
-                                args.push(AnnArg::Int(*value));
-                                self.bump();
-                            }
-                            Tk::Ident(n) => {
-                                args.push(AnnArg::Ident(n.clone()));
-                                self.bump();
-                            }
+                        let t = self.peek();
+                        args.push(match &t.kind {
+                            Tk::Str(s) => AnnArg::Str(s.to_string()),
+                            Tk::Int { value, .. } => AnnArg::Int(*value),
+                            Tk::Ident(n) => AnnArg::Ident(n.to_string()),
                             other => {
-                                let span = self.peek().span;
-                                self.diags.push(Diagnostic::error(
+                                let d = Diagnostic::error(
                                     format!("invalid annotation argument: {other}"),
-                                    span,
-                                ));
+                                    t.span,
+                                );
+                                self.diags.push(d);
                                 return Err(());
                             }
-                        }
+                        });
+                        self.bump();
                         if !self.eat(&Tk::Comma) {
                             break;
                         }
@@ -216,8 +210,8 @@ impl Parser {
 
     fn parse_decl(&mut self) -> PResult<Decl> {
         let annotations = self.parse_annotations()?;
-        let t = self.peek().clone();
-        match &t.kind {
+        let span = self.peek().span;
+        match &self.peek().kind {
             Tk::Kw(Kw::Header) => self.parse_header(annotations).map(Decl::Header),
             Tk::Kw(Kw::Struct) => self.parse_struct(annotations).map(Decl::Struct),
             Tk::Kw(Kw::Typedef) => self.parse_typedef().map(Decl::Typedef),
@@ -230,7 +224,7 @@ impl Parser {
                 self.diags.push(
                     Diagnostic::error(
                         "match-action tables are not part of OpenDesc descriptor contracts",
-                        t.span,
+                        span,
                     )
                     .with_note(
                         "a contract describes metadata exchange, not forwarding; \
@@ -240,10 +234,8 @@ impl Parser {
                 Err(())
             }
             other => {
-                self.diags.push(Diagnostic::error(
-                    format!("expected a declaration, found {other}"),
-                    t.span,
-                ));
+                let d = Diagnostic::error(format!("expected a declaration, found {other}"), span);
+                self.diags.push(d);
                 Err(())
             }
         }
@@ -252,8 +244,8 @@ impl Parser {
     // ----------------------------------------------------- type-ish helpers
 
     fn parse_type(&mut self) -> PResult<Type> {
-        let t = self.peek().clone();
-        match &t.kind {
+        let span = self.peek().span;
+        match &self.peek().kind {
             Tk::Kw(Kw::Bit) => {
                 self.bump();
                 self.expect(&Tk::LAngle, "after `bit`")?;
@@ -282,44 +274,46 @@ impl Parser {
                 let end = self.expect(&Tk::RAngle, "to close `bit<`")?.span;
                 Ok(Type {
                     kind: TypeKind::Bit(w),
-                    span: t.span.to(end),
+                    span: span.to(end),
                 })
             }
             Tk::Kw(Kw::Bool) => {
                 self.bump();
                 Ok(Type {
                     kind: TypeKind::Bool,
-                    span: t.span,
+                    span,
                 })
             }
             Tk::Kw(Kw::Void) => {
                 self.bump();
                 Ok(Type {
                     kind: TypeKind::Void,
-                    span: t.span,
+                    span,
                 })
             }
             Tk::Ident(n) => {
-                let name = n.clone();
+                let kind = TypeKind::Named(n.to_string());
                 self.bump();
-                Ok(Type {
-                    kind: TypeKind::Named(name),
-                    span: t.span,
-                })
+                Ok(Type { kind, span })
             }
             other => {
-                self.diags.push(Diagnostic::error(
-                    format!("expected a type, found {other}"),
-                    t.span,
-                ));
+                let d = Diagnostic::error(format!("expected a type, found {other}"), span);
+                self.diags.push(d);
                 Err(())
             }
         }
     }
 
     fn parse_field_list(&mut self) -> PResult<Vec<FieldDecl>> {
-        let mut fields = Vec::new();
         self.expect(&Tk::LBrace, "to open field list")?;
+        // A field list nests no braces, so every `;` before its `}` ends
+        // one field: size the vector once instead of growing it.
+        let count = self.tokens[self.pos..]
+            .iter()
+            .take_while(|t| !matches!(t.kind, Tk::RBrace | Tk::Eof))
+            .filter(|t| t.kind == Tk::Semi)
+            .count();
+        let mut fields = Vec::with_capacity(count);
         while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
             let annotations = self.parse_annotations()?;
             let ty = self.parse_type()?;
@@ -700,8 +694,8 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> PResult<Stmt> {
-        let t = self.peek().clone();
-        match &t.kind {
+        let span = self.peek().span;
+        match &self.peek().kind {
             Tk::Kw(Kw::If) => self.parse_if(),
             Tk::Kw(Kw::Switch) => self.parse_switch(),
             Tk::Kw(Kw::Return) => {
@@ -709,7 +703,7 @@ impl Parser {
                 let semi = self.expect(&Tk::Semi, "after `return`")?;
                 Ok(Stmt {
                     kind: StmtKind::Return,
-                    span: t.span.to(semi.span),
+                    span: span.to(semi.span),
                 })
             }
             Tk::LBrace => {
@@ -894,8 +888,8 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> PResult<Expr> {
-        let t = self.peek().clone();
-        let op = match &t.kind {
+        let start = self.peek().span;
+        let op = match &self.peek().kind {
             Tk::Not => Some(UnOp::Not),
             Tk::Tilde => Some(UnOp::BitNot),
             Tk::Minus => Some(UnOp::Neg),
@@ -904,7 +898,7 @@ impl Parser {
         if let Some(op) = op {
             self.bump();
             let expr = self.parse_unary()?;
-            let span = t.span.to(expr.span);
+            let span = start.to(expr.span);
             return Ok(Expr {
                 kind: ExprKind::Unary {
                     op,
@@ -979,37 +973,34 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> PResult<Expr> {
-        let t = self.peek().clone();
-        match &t.kind {
+        let span = self.peek().span;
+        match &self.peek().kind {
             Tk::Int { value, width } => {
-                let (value, width) = (*value, *width);
+                let kind = ExprKind::Int {
+                    value: *value,
+                    width: *width,
+                };
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Int { value, width },
-                    span: t.span,
-                })
+                Ok(Expr { kind, span })
             }
             Tk::Kw(Kw::True) => {
                 self.bump();
                 Ok(Expr {
                     kind: ExprKind::Bool(true),
-                    span: t.span,
+                    span,
                 })
             }
             Tk::Kw(Kw::False) => {
                 self.bump();
                 Ok(Expr {
                     kind: ExprKind::Bool(false),
-                    span: t.span,
+                    span,
                 })
             }
             Tk::Ident(n) => {
-                let name = n.clone();
+                let kind = ExprKind::Ident(n.to_string());
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Ident(name),
-                    span: t.span,
-                })
+                Ok(Expr { kind, span })
             }
             Tk::LParen => {
                 // Either a cast `(bit<8>) e` / `(bool) e` or a grouped expr.
@@ -1018,7 +1009,7 @@ impl Parser {
                     let ty = self.parse_type()?;
                     self.expect(&Tk::RParen, "to close cast type")?;
                     let expr = self.parse_unary()?;
-                    let span = t.span.to(expr.span);
+                    let span = span.to(expr.span);
                     return Ok(Expr {
                         kind: ExprKind::Cast {
                             ty,
@@ -1032,14 +1023,12 @@ impl Parser {
                 let close = self.expect(&Tk::RParen, "to close expression")?;
                 Ok(Expr {
                     kind: inner.kind,
-                    span: t.span.to(close.span),
+                    span: span.to(close.span),
                 })
             }
             other => {
-                self.diags.push(Diagnostic::error(
-                    format!("expected an expression, found {other}"),
-                    t.span,
-                ));
+                let d = Diagnostic::error(format!("expected an expression, found {other}"), span);
+                self.diags.push(d);
                 Err(())
             }
         }

@@ -111,16 +111,17 @@ impl SourceMap {
             .unwrap_or("")
     }
 
-    /// Line/column (1-based) of a byte offset.
+    /// Line/column (1-based) of a byte offset. Total: an offset past the
+    /// end reads as the end, one inside a multi-byte character as that
+    /// character's start.
     pub fn line_col(&self, offset: u32) -> LineCol {
-        let line_idx = match self.line_starts.binary_search(&offset) {
+        let offset = self.src.floor_char_boundary(offset as usize);
+        let line_idx = match self.line_starts.binary_search(&(offset as u32)) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
         let line_start = self.line_starts[line_idx];
-        let col = self.src[line_start as usize..offset.min(self.src.len() as u32) as usize]
-            .chars()
-            .count() as u32;
+        let col = self.src[line_start as usize..offset].chars().count() as u32;
         LineCol {
             line: line_idx as u32 + 1,
             col: col + 1,
@@ -182,6 +183,16 @@ mod tests {
         let sm = SourceMap::new("t.p4", "abc");
         assert_eq!(sm.snippet(Span::new(0, 2)), "ab");
         assert_eq!(sm.snippet(Span::new(2, 99)), "");
+    }
+
+    #[test]
+    fn line_col_is_total_over_offsets() {
+        let sm = SourceMap::new("t.p4", "aé\nb");
+        // Inside `é` (bytes 1..3) reads as its start; past the end as the end.
+        assert_eq!(sm.line_col(2), LineCol { line: 1, col: 2 });
+        assert_eq!(sm.line_col(3), LineCol { line: 1, col: 3 });
+        assert_eq!(sm.line_col(99), LineCol { line: 2, col: 2 });
+        assert_eq!(sm.line_text(2), "aé");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Token definitions for the P4-16 subset accepted by OpenDesc.
 
 use crate::span::Span;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Keywords of the accepted P4 subset.
@@ -117,11 +118,12 @@ impl Keyword {
     }
 }
 
-/// The kind of a lexed token.
+/// The kind of a lexed token. Identifier and string text is borrowed
+/// from the source the token was lexed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub enum TokenKind<'src> {
     /// Identifier that is not a keyword.
-    Ident(String),
+    Ident(&'src str),
     /// Reserved word.
     Kw(Keyword),
     /// Integer literal, optionally width-prefixed (`16w0x88A8`); the lexer
@@ -130,8 +132,10 @@ pub enum TokenKind {
         value: u128,
         width: Option<u16>,
     },
-    /// Double-quoted string literal (annotation arguments only).
-    Str(String),
+    /// Double-quoted string literal (annotation arguments only): the
+    /// source's own bytes between the quotes, owned only when an escape
+    /// had to be resolved.
+    Str(Cow<'src, str>),
     /// `@` introducing an annotation.
     At,
     LParen,
@@ -184,7 +188,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use TokenKind::*;
         match self {
@@ -236,13 +240,13 @@ impl fmt::Display for TokenKind {
 
 /// A lexed token with its source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'src> {
+    pub kind: TokenKind<'src>,
     pub span: Span,
 }
 
-impl Token {
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+impl<'src> Token<'src> {
+    pub fn new(kind: TokenKind<'src>, span: Span) -> Self {
         Token { kind, span }
     }
 }

@@ -17,7 +17,7 @@ use crate::ast::{self, Program};
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::span::Span;
 use crate::types::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A checked program: the original AST plus resolved type information.
 #[derive(Debug, Clone)]
@@ -35,8 +35,16 @@ impl CheckedProgram {
 
 /// Type-check a parsed program.
 pub fn check(program: Program) -> (CheckedProgram, Diagnostics) {
+    // Every declaration names at most one type, header, struct or const:
+    // size the tables once instead of growing them.
+    let decls = program.decls.len();
     let mut cx = Checker {
-        types: TypeTable::default(),
+        types: TypeTable {
+            headers: Vec::with_capacity(program.headers().count()),
+            structs: Vec::with_capacity(decls),
+            by_name: HashMap::with_capacity(decls + 4),
+            ..TypeTable::default()
+        },
         diags: Diagnostics::new(),
     };
     // Builtin extern types resolve by name everywhere (params, lookups).
@@ -92,6 +100,37 @@ fn resolve_syntactic_ty(ty: &ast::Type, tt: &TypeTable) -> Option<Ty> {
 struct Checker {
     types: TypeTable,
     diags: Diagnostics,
+}
+
+/// The value names in scope while a body is checked, innermost last,
+/// borrowed from the AST. A block, branch, case, state or action body
+/// pushes its locals and is truncated away on exit, so a name declared
+/// inside shadows an outer one for exactly as long as the block lasts.
+#[derive(Default)]
+struct Env<'a> {
+    names: Vec<(&'a str, Ty)>,
+}
+
+impl<'a> Env<'a> {
+    fn get(&self, name: &str) -> Option<Ty> {
+        self.names
+            .iter()
+            .rev()
+            .find_map(|(n, ty)| (*n == name).then_some(*ty))
+    }
+
+    fn insert(&mut self, name: &'a str, ty: Ty) {
+        self.names.push((name, ty));
+    }
+
+    /// Opens a scope; hand the result to [`leave`](Env::leave).
+    fn enter(&self) -> usize {
+        self.names.len()
+    }
+
+    fn leave(&mut self, scope: usize) {
+        self.names.truncate(scope);
+    }
 }
 
 /// Result of typing an expression. Integer literals without a width prefix
@@ -305,11 +344,11 @@ impl Checker {
         let Some(Ty::Header(id)) = self.types.lookup(&h.name.name) else {
             return; // duplicate name already diagnosed
         };
-        let mut fields = Vec::new();
+        let mut fields = Vec::with_capacity(h.fields.len());
         let mut offset: u32 = 0;
-        let mut seen: HashMap<&str, Span> = HashMap::new();
+        let mut seen = HashSet::with_capacity(h.fields.len());
         for f in &h.fields {
-            if let Some(_prev) = seen.insert(f.name.name.as_str(), f.span) {
+            if !seen.insert(f.name.name.as_str()) {
                 self.diags.push(Diagnostic::error(
                     format!(
                         "duplicate field `{}` in header `{}`",
@@ -375,10 +414,10 @@ impl Checker {
         let Some(Ty::Struct(id)) = self.types.lookup(&s.name.name) else {
             return;
         };
-        let mut fields = Vec::new();
-        let mut seen: HashMap<&str, Span> = HashMap::new();
+        let mut fields = Vec::with_capacity(s.fields.len());
+        let mut seen = HashSet::with_capacity(s.fields.len());
         for f in &s.fields {
-            if seen.insert(f.name.name.as_str(), f.span).is_some() {
+            if !seen.insert(f.name.name.as_str()) {
                 self.diags.push(Diagnostic::error(
                     format!(
                         "duplicate field `{}` in struct `{}`",
@@ -431,7 +470,7 @@ impl Checker {
             }
             return;
         }
-        let Some(env) = self.param_env(&p.params, &p.type_params) else {
+        let Some(mut env) = self.param_env(&p.params, &p.type_params) else {
             return;
         };
         let Some(states) = &p.states else { return };
@@ -446,7 +485,7 @@ impl Checker {
             ));
         }
         for st in states {
-            let mut env = env.clone();
+            let scope = env.enter();
             for stmt in &st.stmts {
                 self.check_stmt(stmt, &mut env);
             }
@@ -487,6 +526,7 @@ impl Checker {
                     }
                 }
             }
+            env.leave(scope);
         }
     }
 
@@ -513,12 +553,10 @@ impl Checker {
                     self.collect_const(k);
                 }
                 ast::ControlLocal::Action(a) => {
-                    let mut aenv = env.clone();
+                    let scope = env.enter();
                     for p in &a.params {
                         match resolve_syntactic_ty(&p.ty, &self.types) {
-                            Some(t) => {
-                                aenv.insert(p.name.name.clone(), t);
-                            }
+                            Some(t) => env.insert(&p.name.name, t),
                             None => self.diags.push(Diagnostic::error(
                                 format!("unknown type `{}`", p.ty.kind),
                                 p.ty.span,
@@ -526,11 +564,12 @@ impl Checker {
                         }
                     }
                     for stmt in &a.body.stmts {
-                        self.check_stmt(stmt, &mut aenv);
+                        self.check_stmt(stmt, &mut env);
                     }
+                    env.leave(scope);
                     // Actions are callable by name: record as a no-type env
                     // entry checked specially in calls.
-                    env.insert(a.name.name.clone(), Ty::Void);
+                    env.insert(&a.name.name, Ty::Void);
                 }
             }
         }
@@ -541,20 +580,19 @@ impl Checker {
         }
     }
 
-    fn param_env(
+    fn param_env<'a>(
         &mut self,
-        params: &[ast::Param],
+        params: &'a [ast::Param],
         type_params: &[ast::Ident],
-    ) -> Option<HashMap<String, Ty>> {
-        let mut env = HashMap::new();
-        let tp: Vec<&str> = type_params.iter().map(|t| t.name.as_str()).collect();
+    ) -> Option<Env<'a>> {
+        let mut env = Env::default();
         let mut ok = true;
         for p in params {
             let ty = match &p.ty.kind {
                 ast::TypeKind::Named(n) if Self::builtin_extern(n).is_some() => {
                     Ty::Extern(Self::builtin_extern(n).unwrap())
                 }
-                ast::TypeKind::Named(n) if tp.contains(&n.as_str()) => {
+                ast::TypeKind::Named(n) if type_params.iter().any(|t| t.name == *n) => {
                     // Template parameter: body will not be checked anyway.
                     continue;
                 }
@@ -570,12 +608,12 @@ impl Checker {
                     }
                 },
             };
-            env.insert(p.name.name.clone(), ty);
+            env.insert(&p.name.name, ty);
         }
         ok.then_some(env)
     }
 
-    fn check_var(&mut self, v: &ast::VarDecl, env: &mut HashMap<String, Ty>) {
+    fn check_var<'a>(&mut self, v: &'a ast::VarDecl, env: &mut Env<'a>) {
         let ty = match resolve_syntactic_ty(&v.ty, &self.types) {
             Some(t) => t,
             None => {
@@ -590,10 +628,10 @@ impl Checker {
             let ity = self.type_expr(init, env);
             self.require_assignable(ity, ty, init.span);
         }
-        env.insert(v.name.name.clone(), ty);
+        env.insert(&v.name.name, ty);
     }
 
-    fn check_stmt(&mut self, stmt: &ast::Stmt, env: &mut HashMap<String, Ty>) {
+    fn check_stmt<'a>(&mut self, stmt: &'a ast::Stmt, env: &mut Env<'a>) {
         match &stmt.kind {
             ast::StmtKind::If {
                 cond,
@@ -607,15 +645,9 @@ impl Checker {
                     self.diags
                         .push(Diagnostic::error("if condition must be boolean", cond.span));
                 }
-                let mut tenv = env.clone();
-                for s in &then_blk.stmts {
-                    self.check_stmt(s, &mut tenv);
-                }
+                self.check_block(then_blk, env);
                 if let Some(eb) = else_blk {
-                    let mut eenv = env.clone();
-                    for s in &eb.stmts {
-                        self.check_stmt(s, &mut eenv);
-                    }
+                    self.check_block(eb, env);
                 }
             }
             ast::StmtKind::Switch { scrutinee, cases } => {
@@ -649,10 +681,7 @@ impl Checker {
                             }
                         }
                     }
-                    let mut cenv = env.clone();
-                    for s in &case.block.stmts {
-                        self.check_stmt(s, &mut cenv);
-                    }
+                    self.check_block(&case.block, env);
                 }
             }
             ast::StmtKind::Expr(e) => {
@@ -678,13 +707,17 @@ impl Checker {
             }
             ast::StmtKind::Var(v) => self.check_var(v, env),
             ast::StmtKind::Return => {}
-            ast::StmtKind::Block(b) => {
-                let mut benv = env.clone();
-                for s in &b.stmts {
-                    self.check_stmt(s, &mut benv);
-                }
-            }
+            ast::StmtKind::Block(b) => self.check_block(b, env),
         }
+    }
+
+    /// Check a block in a scope of its own.
+    fn check_block<'a>(&mut self, b: &'a ast::Block, env: &mut Env<'a>) {
+        let scope = env.enter();
+        for s in &b.stmts {
+            self.check_stmt(s, env);
+        }
+        env.leave(scope);
     }
 
     fn require_assignable(&mut self, from: ETy, to: Ty, span: Span) {
@@ -709,7 +742,7 @@ impl Checker {
 
     // ----------------------------------------------------------- expressions
 
-    fn type_expr(&mut self, e: &ast::Expr, env: &HashMap<String, Ty>) -> ETy {
+    fn type_expr(&mut self, e: &ast::Expr, env: &Env<'_>) -> ETy {
         match &e.kind {
             ast::ExprKind::Int { width, .. } => match width {
                 Some(w) => ETy::Val(Ty::Bit(*w)),
@@ -718,7 +751,7 @@ impl Checker {
             ast::ExprKind::Bool(_) => ETy::Val(Ty::Bool),
             ast::ExprKind::Ident(n) => {
                 if let Some(t) = env.get(n) {
-                    return ETy::Val(*t);
+                    return ETy::Val(t);
                 }
                 if let Some(c) = self.types.const_(n) {
                     return ETy::Val(c.ty);
@@ -956,7 +989,7 @@ impl Checker {
         whole: &ast::Expr,
         callee: &ast::Expr,
         args: &[ast::Expr],
-        env: &HashMap<String, Ty>,
+        env: &Env<'_>,
     ) -> ETy {
         // Method-style call: `recv.emit(x)`, `d.extract(h)`, user externs,
         // `hdr.isValid()`, or a bare action call `name()`.
@@ -1056,7 +1089,7 @@ impl Checker {
             }
         } else if let ast::ExprKind::Ident(n) = &callee.kind {
             // Bare action call.
-            if env.get(n) == Some(&Ty::Void) {
+            if env.get(n) == Some(Ty::Void) {
                 for a in args {
                     self.type_expr(a, env);
                 }

@@ -17,6 +17,10 @@
 # (ISSUE 20): the host copies it once, in `TxBatch::push`; `submit_from`
 # exchanges that buffer into its DMA slot; `HostMem` resolves an address
 # in its ordered table, not a tree.
+# And fails if a negotiation runs the front end or the lowering twice
+# again (ISSUE 21): opendesc-core reaches `parse_and_check` through one
+# helper, the manifest writer digests the program the artifact already
+# holds, and the parser hands tokens over instead of cloning them.
 # The retired names are spelled in two halves below so this file does
 # not match its own search.
 set -euo pipefail
@@ -85,4 +89,19 @@ expect "opendesc-core copies a frame into DMA memory again (host_mem.wr""ite()" 
 expect "host_mem.swap( sites in opendesc-core" "$(total 'host_mem.swap(')" 1
 expect "HostMem walks a tree again (BTree""Map in hostmem.rs)" \
     "$(code crates/opendesc-nicsim/src/hostmem.rs | sites 'BTree''Map')" 0
+n=$(total 'parse_and_check(')
+if [ "$n" -ne 1 ]; then
+    echo "one_path: parse_and_check( call sites in opendesc-core: $n (exactly 1, in check_contract)" >&2
+    fail=1
+fi
+for f in compiler tx intent equiv cache; do
+    if [ "$(code $src/$f.rs | sites 'check_contract(')" -lt 1 ]; then
+        echo "one_path: $f.rs no longer goes through check_contract(" >&2
+        fail=1
+    fi
+done
+expect "codegen/manifest.rs lowers the plan a second time (lower()" \
+    "$(code $src/codegen/manifest.rs | grep -v 'lowered()' | sites 'lower(')" 0
+expect "the parser clones a token again" \
+    "$(code crates/opendesc-p4/src/parser.rs | grep -cE '(peek(_at)?\([^)]*\)|tokens\[[^]]*\]|\bt|\btok)\.clone\(\)' || true)" 0
 exit $fail

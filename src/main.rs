@@ -9,7 +9,7 @@
 //! opendesc semantics                                list the semantic alphabet Σ
 //! ```
 
-use opendesc::compiler::{Compiler, Intent, Selector};
+use opendesc::compiler::{CompiledRx, Compiler, Intent, Selector};
 use opendesc::ir::{enumerate_paths, extract, SemanticRegistry, DEFAULT_MAX_PATHS};
 use opendesc::nicsim::{models, NicModel};
 use opendesc::p4::parse_and_check;
@@ -235,9 +235,12 @@ fn cmd_compile(o: &Opts) -> Result<(), String> {
     if let Some(beta) = o.beta {
         selector.beta_ns_per_byte = beta;
     }
-    let compiled = Compiler { selector }
+    // The artifact a driver would attach: its manifest digests the
+    // program lowered and verified here.
+    let compiled: CompiledRx = Compiler { selector }
         .compile(&src, &deparser, &name, &intent, &mut reg)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?
+        .into();
 
     match o.emit.as_str() {
         "report" => println!("{}", compiled.report()),
@@ -320,9 +323,10 @@ fn cmd_manifests(o: &Opts) -> Result<(), String> {
         let mut reg = SemanticRegistry::with_builtins();
         let intent = Intent::from_p4(opendesc::compiler::intent::FIG1_INTENT_P4, &mut reg)
             .map_err(|e| e.to_string())?;
-        let compiled = Compiler::default()
+        let compiled: CompiledRx = Compiler::default()
             .compile(&m.p4_source, &m.deparser, &m.name, &intent, &mut reg)
-            .map_err(|e| format!("{name}: {e}"))?;
+            .map_err(|e| format!("{name}: {e}"))?
+            .into();
         let path = format!("{dir}/{name}.toml");
         std::fs::write(&path, compiled.manifest()).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}");

@@ -1,0 +1,6 @@
+
+            struct ctx_t { bit<8> f; }
+            control C(in ctx_t ctx) {
+                apply { if (ctx.f[9:0] == 1) { return; } }
+            }
+            

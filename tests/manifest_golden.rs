@@ -9,7 +9,7 @@
 //! separate job step.
 
 use opendesc::compiler::codegen::manifest::ManifestV1;
-use opendesc::compiler::{Compiler, Intent, FIG1_INTENT_P4};
+use opendesc::compiler::{CompiledRx, Compiler, Intent, FIG1_INTENT_P4};
 use opendesc::ir::SemanticRegistry;
 use opendesc::nicsim::models;
 
@@ -22,10 +22,12 @@ fn generate(name: &str) -> String {
         .expect("golden model exists in catalog");
     let mut reg = SemanticRegistry::with_builtins();
     let intent = Intent::from_p4(FIG1_INTENT_P4, &mut reg).unwrap();
-    Compiler::default()
-        .compile_model(&model, &intent, &mut reg)
-        .unwrap()
-        .manifest()
+    CompiledRx::new(
+        Compiler::default()
+            .compile_model(&model, &intent, &mut reg)
+            .unwrap(),
+    )
+    .manifest()
 }
 
 #[test]

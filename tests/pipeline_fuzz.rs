@@ -2,7 +2,7 @@
 //! must never panic any stage (parse → check → extract → enumerate →
 //! select → synthesize → codegen).
 
-use opendesc::compiler::{Compiler, Intent};
+use opendesc::compiler::{CompiledRx, Compiler, Intent};
 use opendesc::ir::SemanticRegistry;
 use opendesc::nicsim::models;
 use proptest::prelude::*;
@@ -49,6 +49,7 @@ proptest! {
         // Must not panic; errors are fine.
         if let Ok(compiled) = Compiler::default()
             .compile(&mutated, "CmptDeparser", "fuzz", &intent, &mut reg)
+            .map(CompiledRx::new)
         {
             // Surviving mutants must still produce coherent artifacts.
             let _ = compiled.report();
