@@ -404,7 +404,7 @@ pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
 /// the busiest worker, the totals, and the per-queue columns with
 /// their p99/p50 busy-time imbalance (1.0 = flat) — skew stays visible
 /// in every record, not just E18's.
-pub fn worker_cells(mpps: f64, total_pkts: u64, workers: &[WorkerStats]) -> Row {
+fn worker_cells(mpps: f64, total_pkts: u64, workers: &[WorkerStats]) -> Row {
     let pkts: Vec<u64> = workers.iter().map(|w| w.packets).collect();
     let busy: Vec<u64> = workers.iter().map(|w| w.busy_ns).collect();
     vec![
@@ -458,7 +458,7 @@ pub mod e12 {
     }
 
     /// The four models of the datapath matrices.
-    pub fn model_matrix() -> Vec<NicModel> {
+    pub(crate) fn model_matrix() -> Vec<NicModel> {
         vec![
             models::e1000e(),
             models::ixgbe(),
@@ -500,7 +500,7 @@ pub mod e12 {
     /// name on every call (since fixed in `engine.rs`); that allocation
     /// is reproduced here so this path measures the datapath as it
     /// existed before compiled plans.
-    pub fn drain_per_packet(drv: &mut OpenDescDriver, soft: &mut SoftNic) -> (u64, u128) {
+    pub(crate) fn drain_per_packet(drv: &mut OpenDescDriver, soft: &mut SoftNic) -> (u64, u128) {
         let (mut n, mut acc) = (0u64, 0u128);
         while let Some((frame, cmpt)) = drv.nic.receive() {
             for a in &drv.iface.accessors.accessors {
@@ -520,13 +520,13 @@ pub mod e12 {
 
     /// Per-packet drain over the compiled plan (`poll`): parses once per
     /// packet and memoizes RSS, but still allocates an `RxPacket` each.
-    pub fn drain_plan(drv: &mut OpenDescDriver) -> (u64, u128) {
+    pub(crate) fn drain_plan(drv: &mut OpenDescDriver) -> (u64, u128) {
         crate::drain(|| drv.poll())
     }
 
     /// Zero-alloc batched drain: `poll_batch_into` with recycled
     /// storage, columnar hardware reads, compiled shims.
-    pub fn drain_batched(drv: &mut OpenDescDriver, batch: &mut RxBatch) -> (u64, u128) {
+    pub(crate) fn drain_batched(drv: &mut OpenDescDriver, batch: &mut RxBatch) -> (u64, u128) {
         let (mut n, mut acc) = (0u64, 0u128);
         loop {
             let got = drv.poll_batch_into(batch);
@@ -745,7 +745,7 @@ pub mod e14 {
     /// Every metadata-fault class at rate `r` (drops excluded: a frame
     /// the device never completes says nothing about the host's fault
     /// handling cost). Deterministic under `seed`.
-    pub fn fault_config(r: f64, seed: u64) -> FaultConfig {
+    fn fault_config(r: f64, seed: u64) -> FaultConfig {
         FaultConfig::builder()
             .corrupt_chance(r)
             .torn_chance(r)
@@ -851,7 +851,7 @@ pub mod e14 {
     /// the first packet comes back. With `WatchdogConfig::default()`
     /// the first reset fires after `stall_polls` empty polls, so the
     /// expected value is `stall_polls + 1`.
-    pub fn recovery_polls(model: NicModel) -> u64 {
+    fn recovery_polls(model: NicModel) -> u64 {
         let mut drv = e12::driver(model, 64);
         drv.nic
             .set_faults(
@@ -1077,7 +1077,11 @@ pub mod e16 {
     /// Deliver one round through the device steering stage: parse and
     /// Toeplitz once per frame on the way in (untimed, as in E13), so
     /// the completion sideband carries the hash the device computed.
-    pub fn deliver_steered_round(drv: &mut OpenDescDriver, steer: &Steerer, frames: &[Vec<u8>]) {
+    pub(crate) fn deliver_steered_round(
+        drv: &mut OpenDescDriver,
+        steer: &Steerer,
+        frames: &[Vec<u8>],
+    ) {
         for (i, f) in frames.iter().enumerate() {
             let v = steer.steer(i as u64, f);
             drv.deliver_steered(f, v.parsed.as_ref(), v.rss)
@@ -1171,7 +1175,7 @@ pub mod e17 {
 
     /// The models of the scaling matrix: e1000e (fixed-function RX, the
     /// gated config) and ice (hardware flex RX, all-hardware TX hints).
-    pub fn model_matrix() -> Vec<NicModel> {
+    fn model_matrix() -> Vec<NicModel> {
         vec![models::e1000e(), models::ice()]
     }
 
@@ -1186,7 +1190,7 @@ pub mod e17 {
     }
 
     /// The per-response offload request the forward verdict carries.
-    pub fn forward_req() -> TxRequest {
+    fn forward_req() -> TxRequest {
         TxRequest {
             ip_csum: true,
             ..Default::default()
@@ -1197,7 +1201,7 @@ pub mod e17 {
     /// [`BATCH_CAP`] frames per doorbell, best (min) of `rounds` measured
     /// rounds each, interleaved so machine drift hits both arms alike.
     /// Returns `(one_slot_ns, batched_ns)`.
-    pub fn tx_head_to_head(rounds: usize) -> (f64, f64) {
+    fn tx_head_to_head(rounds: usize) -> (f64, f64) {
         let model = models::e1000e();
         let mut reg = SemanticRegistry::with_builtins();
         let intent = tx_intent(&mut reg);
@@ -1730,7 +1734,7 @@ pub mod e20 {
     //! E20 — differential conformance fuzzing across the layout space.
     //!
     //! Runs the seed-deterministic layout fuzzer
-    //! (`opendesc_core::conformance`): generated NIC models × random
+    //! (`opendesc_reference::conformance`): generated NIC models × random
     //! intents, each negotiated, manifest-round-tripped, and
     //! cross-checked over four execution forms (SoftNIC reference,
     //! tree oracle, bytecode VM, verifier-gated eBPF) plus the TX
@@ -1741,7 +1745,7 @@ pub mod e20 {
     //! `conformance_clean` at 1.0 and `layouts_negotiated` at ≥ 200 —
     //! the issue's acceptance criteria.
     use crate::Record;
-    use opendesc_core::conformance::run;
+    use opendesc_reference::conformance::run;
 
     /// Default fuzzing shape: 64 NICs × 4 intents = 256 negotiated
     /// triples, comfortably above the 200-layout acceptance floor.
@@ -1766,7 +1770,7 @@ pub mod e20 {
         );
         // 1.0 when every cross-path check agreed (SoftNIC reference ==
         // tree oracle == bytecode VM == eBPF windows, TX deparse bytes
-        // == TxWriter) and every manifest round-tripped byte-stably;
+        // == `tx_descriptor`) and every manifest round-tripped byte-stably;
         // 0.0 otherwise. Deterministic, so the gate holds it at 1.0.
         let clean = r.divergences.is_empty() && r.manifests_roundtripped == r.layouts_negotiated;
         let mut rec = Record::new(
@@ -2329,7 +2333,7 @@ impl Experiment {
 
     /// Measure, re-measuring while a gated floor misses and attempts
     /// remain. Returns the last record and what it still fails — rows
-    /// of [`check_floors`], absolute ones included for the caller to
+    /// of `check_floors`, absolute ones included for the caller to
     /// report.
     pub fn run(&self) -> (Record, Vec<GateResult>) {
         let mut attempt = 1;
@@ -2354,7 +2358,7 @@ impl Experiment {
 /// every band holds by equality and only floors can fail. Panics if a
 /// gate names a metric the record does not carry — an emitter that
 /// dropped a gated metric must not pass for lack of evidence.
-pub fn check_floors(exp: &Experiment, record: &Record) -> Vec<GateResult> {
+fn check_floors(exp: &Experiment, record: &Record) -> Vec<GateResult> {
     let doc = opendesc_telemetry::parse_json(&record.to_json()).expect("record writes valid JSON");
     let flat = flatten(&doc);
     for g in exp.gates {

@@ -301,7 +301,7 @@ impl PlanCache {
     /// path (or models whose winning guard is opaque and needs manual
     /// context). The override replaces the compiler-derived context in
     /// the artifact and participates in the key.
-    pub fn get_or_compile_with(
+    fn get_or_compile_with(
         &self,
         model: &NicModel,
         intent: &Intent,

@@ -56,7 +56,7 @@ fn load_field(a: &mut Asm, acc: &Accessor, completion_bytes: u32) -> Result<(), 
 
 /// Compile one hardware accessor into a standalone program that returns
 /// the field value in r0 (0 when the record is too short).
-pub fn gen_accessor_prog(acc: &Accessor, completion_bytes: u32) -> Result<Vec<Insn>, CodegenError> {
+fn gen_accessor_prog(acc: &Accessor, completion_bytes: u32) -> Result<Vec<Insn>, CodegenError> {
     if acc.kind != AccessorKind::Hardware {
         return Err(CodegenError::NotHardware {
             name: acc.name.clone(),

@@ -376,10 +376,6 @@ impl OpenDescDriver {
         &self.tel
     }
 
-    pub fn telemetry_mut(&mut self) -> &mut QueueTelemetry {
-        &mut self.tel
-    }
-
     /// Turn hot-path instrumentation on/off (the E15 on/off arms).
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
         self.tel.set_enabled(enabled);
@@ -1058,51 +1054,6 @@ mod tests {
         }
         for window in per_model.windows(2) {
             assert_eq!(window[0], window[1], "metadata diverged between models");
-        }
-    }
-
-    #[test]
-    fn batched_poll_matches_per_packet_poll() {
-        for model in [
-            models::e1000e(),
-            models::ixgbe(),
-            models::mlx5(),
-            models::qdma_default(),
-        ] {
-            let name = model.name.clone();
-            let (mut a, _) = driver_for(model.clone());
-            let (mut b, _) = driver_for(model);
-            let frames: Vec<Vec<u8>> = (0..7)
-                .map(|i| kvs_frame(&format!("flow:{}", i % 3)))
-                .collect();
-            for f in &frames {
-                a.deliver(f).unwrap();
-                b.deliver(f).unwrap();
-            }
-            let singles = a.poll_batch(7);
-            let mut batch = b.make_batch(7);
-            assert_eq!(b.poll_batch_into(&mut batch), 7, "{name}");
-            // `poll` is a one-slot batch, so `singles` holds cap-1
-            // against cap-7 column addressing; the independent side is
-            // the tree interpreter over what each slot holds.
-            let mut soft = SoftNic::new();
-            let mut oracle = vec![None; b.iface.plan.steps.len()];
-            for (pkt, single) in singles.iter().enumerate() {
-                assert_eq!(batch.frame(pkt), &single.frame[..], "{name}");
-                b.iface.plan.execute_into_primed(
-                    &b.iface.accessors,
-                    &mut soft,
-                    batch.frame(pkt),
-                    batch.cmpt(pkt),
-                    batch.rss_hint(pkt),
-                    &mut oracle,
-                );
-                for (field, (sem, want)) in single.meta.iter().enumerate() {
-                    assert_eq!(batch.value_at(field, pkt), oracle[field], "{name}");
-                    assert_eq!(batch.value_at(field, pkt), *want, "{name}");
-                    assert_eq!(batch.get(pkt, *sem), *want, "{name}");
-                }
-            }
         }
     }
 

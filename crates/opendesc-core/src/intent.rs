@@ -139,11 +139,6 @@ impl Intent {
         self.fields.iter().map(|f| f.semantic).collect()
     }
 
-    /// The field requesting `sem`, if any.
-    pub fn field_for(&self, sem: SemanticId) -> Option<&IntentField> {
-        self.fields.iter().find(|f| f.semantic == sem)
-    }
-
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }

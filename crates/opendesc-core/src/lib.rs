@@ -28,7 +28,6 @@ pub mod baseline;
 pub mod cache;
 pub mod codegen;
 pub mod compiler;
-pub mod conformance;
 pub mod datapath;
 pub mod equiv;
 pub mod evolve;
@@ -64,13 +63,13 @@ pub use robust::{
 };
 pub use select::{Objective, PathScore, SelectError, Selection, Selector};
 pub use shard::{
-    retain_into, AdaptiveConfig, AdaptiveOutcome, BatchSink, DrainedPacket, EngineHealthReport,
-    EngineReport, EngineWorker, ForwardFn, QueueHealthReport, RxWorker, ShardError, ShardReport,
-    ShardedEngine, ShardedRx, TxVerdict, TxWorkerStats, WorkerStats,
+    retain_into, AdaptiveConfig, AdaptiveOutcome, BatchSink, DrainedPacket, EngineReport,
+    EngineWorker, ForwardFn, RxWorker, ShardError, ShardReport, ShardedEngine, ShardedRx,
+    TxVerdict, TxWorkerStats, WorkerStats,
 };
 pub use tx::{
     compile_tx, compile_tx_checked, lower_tx, txreg, CompiledTx, CompiledTxPlan, TxBatch, TxDriver,
-    TxQueue, TxQueueStats, TxRequest, TxWriter,
+    TxQueue, TxQueueStats, TxRequest,
 };
 pub use vm::{BcInsn, PlanProgram};
 

@@ -310,7 +310,6 @@ mod tests {
     use crate::intent::Intent;
     use opendesc_ir::{names, SemanticId, SemanticRegistry};
     use opendesc_nicsim::models;
-    use opendesc_softnic::{testpkt, SoftNic};
 
     fn compiled_for(model: opendesc_nicsim::NicModel) -> crate::compiler::CompiledInterface {
         let mut reg = SemanticRegistry::with_builtins();
@@ -347,38 +346,6 @@ mod tests {
             assert_eq!(p.degraded.len(), iface.plan.degraded.len());
             assert_eq!(low.ebpf.len(), iface.plan.hw.len());
             assert!(low.verifier_states > 0 || low.ebpf.is_empty());
-        }
-    }
-
-    #[test]
-    fn bytecode_matches_tree_interpreter() {
-        let frame = testpkt::udp4(
-            [10, 0, 0, 1],
-            [10, 0, 0, 2],
-            4242,
-            11211,
-            &testpkt::kvs_get_payload("lower:key"),
-            Some(0x0042),
-        );
-        for model in [
-            models::e1000e(),
-            models::ixgbe(),
-            models::mlx5(),
-            models::qdma_default(),
-        ] {
-            let iface = compiled_for(model);
-            let low = lower(&iface.accessors, &iface.plan).unwrap();
-            let cmpt: Vec<u8> = (0..iface.accessors.completion_bytes)
-                .map(|i| (i as u8).wrapping_mul(29) ^ 0x3C)
-                .collect();
-            let mut a = SoftNic::new();
-            let mut b = SoftNic::new();
-            let legacy = iface.plan.execute(&iface.accessors, &mut a, &frame, &cmpt);
-            let mut vm_out = vec![None; low.prog.slots];
-            low.prog
-                .run_trusted(&mut b, &frame, &cmpt, None, &mut vm_out);
-            assert_eq!(legacy, vm_out, "{}", iface.nic_name);
-            assert_eq!(a.shim_ops(), b.shim_ops(), "{}", iface.nic_name);
         }
     }
 

@@ -1,28 +1,20 @@
-//! Compiled RX shim plans: the step-level IR of a compiled interface,
-//! and its tree-walking reference interpreter.
+//! Compiled RX shim plans: the step-level IR of a compiled interface.
 //!
 //! `AccessorSet` tells *where* each semantic comes from; an [`RxPlan`]
 //! lowers that, once, at `Compiler::compile` time, into how the hot loop
 //! obtains it: hardware steps index straight into the accessor table and
 //! software steps carry a pre-resolved [`ShimOp`] — no per-packet
-//! registry lookup or match-on-name. Executing the plan parses the frame
-//! once, shares the [`ParsedFrame`] across all software steps, and
-//! memoizes intra-packet repeats through [`ShimMemo`] (RSS feeding both
-//! `rss_hash` and `queue_hint` is computed a single time).
+//! registry lookup or match-on-name.
 //!
-//! The `execute_*` methods here are the **differential-test oracle**,
-//! not the production datapath: the driver runs the plan's bytecode form
-//! (lowered by [`mod@crate::lower`], executed by [`crate::vm`]), which E12
-//! showed is what it takes to beat the per-packet accessors. The
-//! interpreter stays because it is the simplest possible statement of
-//! the plan semantics — `tests/vm_equivalence.rs` holds the VM, the
-//! eBPF-lowered interpreter, and this tree walker bit-identical.
+//! A plan is data. The driver runs its bytecode form (lowered by
+//! [`mod@crate::lower`], executed by [`crate::vm`]); the tree
+//! interpreter that states the same semantics step by step is the
+//! differential-test oracle and lives in the `opendesc-reference`
+//! crate, which this crate cannot depend on.
 
 use crate::accessor::{AccessorKind, AccessorSet};
-use opendesc_ir::bits::width_mask;
 use opendesc_ir::semantics::SemanticRegistry;
-use opendesc_softnic::wire::ParsedFrame;
-use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
+use opendesc_softnic::ShimOp;
 
 /// One step of a compiled plan; the index is the accessor's position in
 /// the [`AccessorSet`] (and therefore the metadata slot it fills).
@@ -98,82 +90,6 @@ impl RxPlan {
         !self.sw.is_empty()
     }
 
-    /// Execute the plan for one packet into `out[..steps.len()]`.
-    ///
-    /// Hardware steps always produce `Some`; software steps produce
-    /// `None` when the frame does not parse or lacks the layers the shim
-    /// needs — the same contract as `AccessorSet::read_packet`.
-    pub fn execute_into(
-        &self,
-        set: &AccessorSet,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-        out: &mut [Option<u128>],
-    ) {
-        self.execute_into_primed(set, soft, frame, cmpt, None, out)
-    }
-
-    /// [`execute_into`](RxPlan::execute_into) with the completion's RSS
-    /// sideband primed into the shim memo: when the device already
-    /// reports the Toeplitz hash (real NICs do, the simulator's steering
-    /// stage does), software `rss_hash`/`queue_hint` steps become memo
-    /// hits instead of recomputing the hash over the key.
-    pub fn execute_into_primed(
-        &self,
-        set: &AccessorSet,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-        rss_hint: Option<u32>,
-        out: &mut [Option<u128>],
-    ) {
-        debug_assert!(out.len() >= self.steps.len());
-        let parsed = if self.needs_parse() {
-            ParsedFrame::parse(frame)
-        } else {
-            None
-        };
-        let mut memo = ShimMemo::default();
-        if let Some(h) = rss_hint {
-            memo.prime_rss(h);
-        }
-        for step in &self.steps {
-            match *step {
-                PlanStep::Hardware { acc_idx } => {
-                    out[acc_idx] = Some(set.accessors[acc_idx].read(cmpt));
-                }
-                PlanStep::Software { acc_idx, op } => {
-                    out[acc_idx] = parsed
-                        .as_ref()
-                        .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-                        .map(|v| v as u128);
-                }
-            }
-        }
-    }
-
-    /// Degraded-mode execution: the completion is untrusted and never
-    /// read. Every software-recomputable field — including those the
-    /// layout normally provides in hardware — is recomputed from the
-    /// frame; device-only fields (timestamps, crypto contexts) come out
-    /// `None`. Correct-or-absent, never garbage. The shim memo is *not*
-    /// primed: the device sideband is as untrusted as the completion.
-    pub fn execute_degraded(&self, soft: &mut SoftNic, frame: &[u8], out: &mut [Option<u128>]) {
-        debug_assert!(out.len() >= self.steps.len());
-        for slot in out[..self.steps.len()].iter_mut() {
-            *slot = None;
-        }
-        let parsed = ParsedFrame::parse(frame);
-        let mut memo = ShimMemo::default();
-        for &(acc_idx, op) in &self.degraded {
-            out[acc_idx] = parsed
-                .as_ref()
-                .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-                .map(|v| v as u128);
-        }
-    }
-
     /// Bitmask of software-step slots whose already-computed values may
     /// be *kept* across a degraded re-serve: software values were never
     /// read from the (now-distrusted) completion. When the trusted pass
@@ -193,102 +109,6 @@ impl RxPlan {
         }
         mask
     }
-
-    /// Selective degraded re-serve: like
-    /// [`execute_degraded`](RxPlan::execute_degraded), but slots whose
-    /// bit is set in `keep` retain the value already in `out` — fields
-    /// the validator affirmatively proved, or software values that never
-    /// touched the completion — instead of being recomputed. `keep = 0`
-    /// is exactly full degraded execution; plans wider than the 128-bit
-    /// mask fall back to it.
-    pub fn execute_degraded_partial(
-        &self,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        keep: u128,
-        out: &mut [Option<u128>],
-    ) {
-        if self.steps.len() > 128 {
-            return self.execute_degraded(soft, frame, out);
-        }
-        debug_assert!(out.len() >= self.steps.len());
-        for (i, slot) in out[..self.steps.len()].iter_mut().enumerate() {
-            if keep & (1u128 << i) == 0 {
-                *slot = None;
-            }
-        }
-        let parsed = ParsedFrame::parse(frame);
-        let mut memo = ShimMemo::default();
-        for &(acc_idx, op) in &self.degraded {
-            if keep & (1u128 << acc_idx) != 0 {
-                continue;
-            }
-            out[acc_idx] = parsed
-                .as_ref()
-                .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-                .map(|v| v as u128);
-        }
-    }
-
-    /// Verified execution: hardware fields are read from the completion
-    /// *and* cross-checked against the SoftNIC reference; on mismatch
-    /// the software value wins (masked to the slot width, since that is
-    /// all the hardware field could ever carry). Software steps run
-    /// unprimed. Returns how many hardware fields were repaired.
-    pub fn execute_verified(
-        &self,
-        set: &AccessorSet,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-        out: &mut [Option<u128>],
-    ) -> u32 {
-        debug_assert!(out.len() >= self.steps.len());
-        let parsed = if !self.sw.is_empty() || !self.hw_check.is_empty() {
-            ParsedFrame::parse(frame)
-        } else {
-            None
-        };
-        let mut memo = ShimMemo::default();
-        for &acc_idx in &self.hw {
-            out[acc_idx] = Some(set.accessors[acc_idx].read(cmpt));
-        }
-        let mut repaired = 0;
-        for &(acc_idx, op) in &self.hw_check {
-            let want = parsed
-                .as_ref()
-                .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-                .map(|v| width_mask(set.accessors[acc_idx].width_bits) & v as u128);
-            if let Some(w) = want {
-                if out[acc_idx] != Some(w) {
-                    out[acc_idx] = Some(w);
-                    repaired += 1;
-                }
-            }
-        }
-        for &(acc_idx, op) in &self.sw {
-            out[acc_idx] = parsed
-                .as_ref()
-                .and_then(|p| soft.exec_op(op, p, frame.len(), &mut memo))
-                .map(|v| v as u128);
-        }
-        repaired
-    }
-
-    /// Allocating convenience over [`execute_into`].
-    ///
-    /// [`execute_into`]: RxPlan::execute_into
-    pub fn execute(
-        &self,
-        set: &AccessorSet,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-    ) -> Vec<Option<u128>> {
-        let mut out = vec![None; self.steps.len()];
-        self.execute_into(set, soft, frame, cmpt, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +118,6 @@ mod tests {
     use crate::intent::Intent;
     use opendesc_ir::names;
     use opendesc_nicsim::models;
-    use opendesc_softnic::testpkt;
 
     fn compiled_for(model: opendesc_nicsim::NicModel) -> crate::compiler::CompiledInterface {
         let mut reg = opendesc_ir::SemanticRegistry::with_builtins();
@@ -330,119 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_matches_read_packet() {
-        for model in [
-            models::e1000e(),
-            models::ixgbe(),
-            models::mlx5(),
-            models::qdma_default(),
-        ] {
-            let iface = compiled_for(model);
-            let frame = testpkt::udp4(
-                [10, 0, 0, 1],
-                [10, 0, 0, 2],
-                4242,
-                11211,
-                &testpkt::kvs_get_payload("plan:key"),
-                Some(0x0042),
-            );
-            let cmpt = vec![0xA5u8; iface.accessors.completion_bytes as usize];
-            let mut a = SoftNic::new();
-            let mut b = SoftNic::new();
-            let legacy = iface
-                .accessors
-                .read_packet(&iface.reg, &mut a, &frame, &cmpt);
-            let planned = iface.plan.execute(&iface.accessors, &mut b, &frame, &cmpt);
-            assert_eq!(legacy, planned, "{}", iface.nic_name);
-        }
-    }
-
-    #[test]
-    fn execute_handles_unparseable_frames() {
-        let iface = compiled_for(models::e1000e());
-        let runt = vec![0u8; 6]; // shorter than an Ethernet header
-        let cmpt = vec![0u8; iface.accessors.completion_bytes as usize];
-        let mut soft = SoftNic::new();
-        let vals = iface
-            .plan
-            .execute(&iface.accessors, &mut soft, &runt, &cmpt);
-        for (step, v) in iface.plan.steps.iter().zip(&vals) {
-            match step {
-                PlanStep::Hardware { .. } => assert!(v.is_some()),
-                PlanStep::Software { .. } => assert!(v.is_none()),
-            }
-        }
-    }
-
-    #[test]
-    fn primed_execution_matches_unprimed_with_true_hash() {
-        // When the sideband hint is the hash the device truly computed
-        // (the only case the datapath produces), priming must be
-        // invisible in the output — it only skips the recompute.
-        let iface = compiled_for(models::e1000e());
-        let frame = testpkt::udp4(
-            [10, 0, 0, 1],
-            [10, 0, 0, 2],
-            4242,
-            11211,
-            &testpkt::kvs_get_payload("primed:key"),
-            None,
-        );
-        let cmpt = vec![0u8; iface.accessors.completion_bytes as usize];
-        let mut soft = SoftNic::new();
-        let h = soft.compute_by_name(names::RSS_HASH, &frame).unwrap() as u32;
-        let mut plain = vec![None; iface.plan.steps.len()];
-        let mut primed = vec![None; iface.plan.steps.len()];
-        iface
-            .plan
-            .execute_into(&iface.accessors, &mut soft, &frame, &cmpt, &mut plain);
-        iface.plan.execute_into_primed(
-            &iface.accessors,
-            &mut soft,
-            &frame,
-            &cmpt,
-            Some(h),
-            &mut primed,
-        );
-        assert_eq!(plain, primed);
-    }
-
-    #[test]
-    fn partial_degrade_keeps_kept_slots_and_recomputes_the_rest() {
-        let iface = compiled_for(models::e1000e());
-        let plan = &iface.plan;
-        let frame = testpkt::udp4(
-            [10, 0, 0, 1],
-            [10, 0, 0, 2],
-            4242,
-            11211,
-            &testpkt::kvs_get_payload("partial:key"),
-            Some(0x0042),
-        );
-        let mut soft = SoftNic::new();
-        // keep = 0 is bit-identical to full degraded execution.
-        let mut full = vec![Some(0xDEADu128); plan.steps.len()];
-        let mut part = vec![Some(0xDEADu128); plan.steps.len()];
-        plan.execute_degraded(&mut soft, &frame, &mut full);
-        plan.execute_degraded_partial(&mut soft, &frame, 0, &mut part);
-        assert_eq!(full, part);
-        // A kept slot survives untouched (even with a sentinel value the
-        // shims would never produce); everything else matches full
-        // degraded output.
-        let keep_idx = plan.degraded[0].0;
-        let sentinel = Some(0xFEED_FACE_u128);
-        let mut kept = vec![None; plan.steps.len()];
-        kept[keep_idx] = sentinel;
-        plan.execute_degraded_partial(&mut soft, &frame, 1u128 << keep_idx, &mut kept);
-        assert_eq!(kept[keep_idx], sentinel, "kept slot must not be recomputed");
-        for i in 0..plan.steps.len() {
-            if i != keep_idx {
-                assert_eq!(kept[i], full[i], "slot {i}");
-            }
-        }
-    }
-
-    #[test]
     fn keep_sw_mask_excludes_hint_fed_slots_when_primed() {
         let mut reg = opendesc_ir::SemanticRegistry::with_builtins();
         let intent = Intent::builder("mask")
@@ -470,40 +176,5 @@ mod tests {
                 "hinted mask drops exactly the hint-fed slots"
             );
         }
-    }
-
-    #[test]
-    fn memoized_rss_feeds_hash_and_hint_identically() {
-        let mut reg = opendesc_ir::SemanticRegistry::with_builtins();
-        let intent = Intent::builder("hint")
-            .want(&mut reg, names::RSS_HASH)
-            .want(&mut reg, names::QUEUE_HINT)
-            .build();
-        let iface = Compiler::default()
-            .compile_model(&models::e1000_legacy(), &intent, &mut reg)
-            .unwrap();
-        assert!(
-            iface.plan.sw.len() >= 2,
-            "legacy e1000 computes both in software"
-        );
-        let frame = testpkt::udp4([1, 2, 3, 4], [5, 6, 7, 8], 9, 10, b"x", None);
-        let cmpt = vec![0u8; iface.accessors.completion_bytes as usize];
-        let mut soft = SoftNic::new();
-        let vals = iface
-            .plan
-            .execute(&iface.accessors, &mut soft, &frame, &cmpt);
-        let rss_idx = iface
-            .accessors
-            .accessors
-            .iter()
-            .position(|a| a.semantic == reg.id(names::RSS_HASH).unwrap())
-            .unwrap();
-        let hint_idx = iface
-            .accessors
-            .accessors
-            .iter()
-            .position(|a| a.semantic == reg.id(names::QUEUE_HINT).unwrap())
-            .unwrap();
-        assert_eq!(vals[hint_idx].unwrap(), vals[rss_idx].unwrap() & 0xFF);
     }
 }

@@ -132,29 +132,20 @@ impl ValidatorSpec {
 
     /// Evaluate the structural checks against extracted values (`get`
     /// maps accessor index → value, however the caller stores them).
-    /// Returns the first failing check, or `None` when all pass.
+    /// Returns the first failing check, or `None` when all pass, and a
+    /// bitmask of the accessor slots whose value was nonzero and passed
+    /// its check — fields the validator affirmatively proved
+    /// structurally intact. On a structural failure, degraded re-serving
+    /// can keep those proven columns instead of recomputing everything.
     ///
     /// An all-zero value always passes: completion slots default to zero
     /// when the device's offload engine produced nothing for them (a
     /// garbage frame that does not parse, a checksum status on a non-IP
     /// frame), so zero is an honest "field not produced" — only a
     /// *wrong nonzero* value is structurally impossible. A device lying
-    /// with zeros is the `Full` cross-check's tier to catch.
-    pub fn check_values(
-        &self,
-        frame_len: usize,
-        get: impl Fn(usize) -> Option<u128>,
-    ) -> Option<FieldCheck> {
-        self.check_values_all(frame_len, get).0
-    }
-
-    /// [`check_values`](ValidatorSpec::check_values), additionally
-    /// returning a bitmask of the accessor slots whose value was nonzero
-    /// and passed its check — fields the validator affirmatively proved
-    /// structurally intact. On a structural failure, degraded re-serving
-    /// can keep those proven columns instead of recomputing everything.
-    /// Zero values are *not* marked proven: zero is merely "field not
-    /// produced", which proves nothing about the rest of the record.
+    /// with zeros is the `Full` cross-check's tier to catch. Zero values
+    /// are *not* marked proven either: "field not produced" proves
+    /// nothing about the rest of the record.
     pub fn check_values_all(
         &self,
         frame_len: usize,
@@ -412,7 +403,7 @@ impl Evidence {
     /// and handles it completely, and it says nothing about the
     /// neighbouring completion — only a *rate* of those is grounds for
     /// distrust.
-    pub fn is_lie(self) -> bool {
+    fn is_lie(self) -> bool {
         matches!(self, Evidence::FieldCheck | Evidence::Repaired)
     }
 
@@ -473,13 +464,6 @@ impl HealthState {
     /// one fault in 33 chance carries this pair over the threshold
     /// about six times per million 32-completion polls.
     const THRESHOLD: u32 = 8 * Self::CHARGE - 7 * Self::DRAIN;
-
-    pub fn with_config(cfg: HealthConfig) -> HealthState {
-        HealthState {
-            cfg,
-            ..HealthState::default()
-        }
-    }
 
     /// Replace the thresholds; state, streak and counters stand.
     pub fn set_config(&mut self, cfg: HealthConfig) {
@@ -591,13 +575,6 @@ pub struct Watchdog {
 struct WatchdogConfigInner(WatchdogConfig);
 
 impl Watchdog {
-    pub fn with_config(cfg: WatchdogConfig) -> Watchdog {
-        Watchdog {
-            cfg: WatchdogConfigInner(cfg),
-            ..Watchdog::default()
-        }
-    }
-
     /// Replace the thresholds; the ledger and the reset count stand.
     pub fn set_config(&mut self, cfg: WatchdogConfig) {
         self.cfg = WatchdogConfigInner(cfg);
@@ -701,6 +678,12 @@ mod tests {
     use crate::intent::Intent;
     use opendesc_nicsim::models;
     use proptest::prelude::*;
+
+    fn health_with(cfg: HealthConfig) -> HealthState {
+        let mut h = HealthState::default();
+        h.set_config(cfg);
+        h
+    }
 
     proptest! {
         /// The column pass flags exactly the packets the per-packet
@@ -831,7 +814,7 @@ mod tests {
             credits in proptest::collection::vec(1u32..20, 0..140),
         ) {
             let cfg = HealthConfig { degraded_clean: streaks.0, recovering_clean: streaks.1 };
-            let mut h = HealthState::with_config(cfg);
+            let mut h = health_with(cfg);
             // Up to six exact faults cannot fill the bucket.
             for &(kind, gap) in &before {
                 prop_assert!(!h.on_fault(EXACT[kind]));
@@ -868,7 +851,7 @@ mod tests {
         ) {
             let cfg = HealthConfig { degraded_clean: streaks.0, recovering_clean: streaks.1 };
             let (mut batched, mut single) =
-                (HealthState::with_config(cfg), HealthState::with_config(cfg));
+                (health_with(cfg), health_with(cfg));
             for (what, n) in events {
                 match what {
                     0..=3 => prop_assert_eq!(
@@ -932,7 +915,7 @@ mod tests {
 
     #[test]
     fn health_machine_walks_degraded_recovering_healthy() {
-        let mut h = HealthState::with_config(HealthConfig {
+        let mut h = health_with(HealthConfig {
             degraded_clean: 2,
             recovering_clean: 3,
         });
@@ -959,7 +942,8 @@ mod tests {
 
     #[test]
     fn watchdog_trips_after_threshold_and_backs_off() {
-        let mut w = Watchdog::with_config(WatchdogConfig {
+        let mut w = Watchdog::default();
+        w.set_config(WatchdogConfig {
             stall_polls: 2,
             max_backoff_shift: 2,
         });
@@ -1012,9 +996,9 @@ mod tests {
             .find(|(_, _, c)| *c == FieldCheck::PktLen)
             .unwrap()
             .0;
-        let ok = spec.check_values(100, |i| (i == len_idx).then_some(100));
+        let (ok, _) = spec.check_values_all(100, |i| (i == len_idx).then_some(100));
         assert_eq!(ok, None);
-        let bad = spec.check_values(100, |i| (i == len_idx).then_some(99));
+        let (bad, _) = spec.check_values_all(100, |i| (i == len_idx).then_some(99));
         assert_eq!(bad, Some(FieldCheck::PktLen));
         // A bad csum status code fails.
         let csum_idx = spec
@@ -1023,7 +1007,7 @@ mod tests {
             .find(|(_, _, c)| *c == FieldCheck::CsumStatus)
             .unwrap()
             .0;
-        let bad = spec.check_values(100, |i| (i == csum_idx).then_some(0x1234));
+        let (bad, _) = spec.check_values_all(100, |i| (i == csum_idx).then_some(0x1234));
         assert_eq!(bad, Some(FieldCheck::CsumStatus));
     }
 
@@ -1078,8 +1062,7 @@ mod tests {
         assert_eq!(fail, Some(FieldCheck::PktLen));
         assert_eq!(proven & (1 << len_idx), 0);
         assert_ne!(proven & (1 << csum_idx), 0);
-        // Zero values prove nothing and fail nothing — agreeing with
-        // check_values.
+        // Zero values prove nothing and fail nothing.
         let (fail, proven) = spec.check_values_all(100, |_| Some(0));
         assert_eq!((fail, proven), (None, 0));
     }

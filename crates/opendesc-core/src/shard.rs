@@ -39,7 +39,7 @@ use crate::tx::{CompiledTxPlan, TxBatch, TxQueue, TxRequest};
 use opendesc_ir::SemanticRegistry;
 use opendesc_nicsim::models::NicModel;
 use opendesc_nicsim::multiqueue::{CachePadded, SteerPolicy, Steerer, RETA_SIZE};
-use opendesc_nicsim::nic::{NicError, NicStats, SimNic};
+use opendesc_nicsim::nic::{NicError, SimNic};
 use opendesc_nicsim::pktgen::{PktGen, ShardFrame, Workload};
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_telemetry::{MetricRegistry, Snapshot};
@@ -91,6 +91,15 @@ impl From<AttachError> for ShardError {
             }
         }
     }
+}
+
+/// The queue count is the caller's: zero is refused, not asserted.
+fn at_least_one_queue(queues: usize) -> Result<(), ShardError> {
+    if queues == 0 {
+        let why = "an engine needs at least one queue".to_string();
+        return Err(ShardError::Nic(NicError::BadConfig(why)));
+    }
+    Ok(())
 }
 
 /// Counters one worker owns; folded steering diagnostics included so the
@@ -258,7 +267,7 @@ impl RxWorker {
     /// Drain everything pending into owned `(frame, metadata)` pairs —
     /// the equivalence-test view of the datapath (allocates; the run
     /// paths drain into a no-op). Metadata is in accessor order.
-    pub fn drain_collect(&mut self) -> Vec<DrainedPacket> {
+    fn drain_collect(&mut self) -> Vec<DrainedPacket> {
         let mut out = Vec::new();
         self.drain(u32::MAX, |b, _| {
             out.extend((0..b.len()).map(|pkt| {
@@ -313,8 +322,8 @@ impl RxWorker {
 
 /// Gauges are last-write-wins, so the engine-scope health slots hold
 /// whichever queue registered last; the honest engine-wide values are
-/// the *worst* queue's (same rule as `worst_health`): the highest
-/// severity rank and the fullest fault-rate bucket.
+/// the *worst* queue's: the highest severity rank and the fullest
+/// fault-rate bucket.
 fn register_worst_health<'a>(
     reg: &mut MetricRegistry,
     drivers: impl Iterator<Item = &'a OpenDescDriver>,
@@ -368,63 +377,6 @@ impl ShardReport {
         }
         self.total_packets() as f64 * 1e3 / ns as f64
     }
-
-    /// Worst queue health observed across workers this round.
-    pub fn worst_health(&self) -> QueueHealth {
-        self.per_worker
-            .iter()
-            .map(|w| w.health)
-            .max()
-            .unwrap_or_default()
-    }
-
-    /// Validator counters merged across workers this round.
-    pub fn merged_validation(&self) -> ValidationStats {
-        let mut v = ValidationStats::default();
-        for w in &self.per_worker {
-            v.merge(&w.validation);
-        }
-        v
-    }
-}
-
-/// One queue's slice of the engine health report.
-#[derive(Debug, Clone)]
-pub struct QueueHealthReport {
-    pub queue: usize,
-    /// Health-machine state right now.
-    pub health: QueueHealth,
-    /// Cumulative host-side validation counters.
-    pub validation: ValidationStats,
-    /// Cumulative watchdog-requested ring resets.
-    pub watchdog_resets: u64,
-    /// The device's own counters for this queue — including the faults
-    /// it injected, so host-observed and device-injected numbers sit
-    /// side by side.
-    pub nic: NicStats,
-}
-
-/// Engine-wide health: per-queue detail plus merged device and
-/// validator counters (see [`ShardedRx::health_report`]).
-#[derive(Debug, Clone)]
-pub struct EngineHealthReport {
-    pub queues: Vec<QueueHealthReport>,
-    /// Device counters merged across queues.
-    pub nic: NicStats,
-    /// Host validator counters merged across queues.
-    pub validation: ValidationStats,
-}
-
-impl EngineHealthReport {
-    /// Worst queue health — the engine is only as trustworthy as its
-    /// sickest queue.
-    pub fn worst(&self) -> QueueHealth {
-        self.queues
-            .iter()
-            .map(|q| q.health)
-            .max()
-            .unwrap_or_default()
-    }
 }
 
 /// The coordinator: N workers, one shared steerer, run via scoped
@@ -467,7 +419,7 @@ impl ShardedRx {
         policy: SteerPolicy,
         batch_cap: usize,
     ) -> Result<ShardedRx, ShardError> {
-        assert!(!intents.is_empty(), "at least one queue");
+        at_least_one_queue(intents.len())?;
         let steerer = Steerer::new(policy, intents.len());
         let mut workers = Vec::with_capacity(intents.len());
         for (q, intent) in intents.iter().enumerate() {
@@ -503,8 +455,7 @@ impl ShardedRx {
     }
 
     /// Steer one frame to its queue and deliver it (the sequential
-    /// wire-side front end, equivalent to `MultiQueueNic::deliver`).
-    /// Returns the queue index.
+    /// wire-side front end). Returns the queue index.
     pub fn deliver(&mut self, frame: &[u8]) -> Result<usize, NicError> {
         let idx = self.delivered;
         self.delivered += 1;
@@ -514,35 +465,6 @@ impl ShardedRx {
             .deliver_steered(frame, v.parsed.as_ref(), v.rss)?;
         self.workers[v.queue].stats.value.steered += 1;
         Ok(v.queue)
-    }
-
-    /// Per-queue health and fault accounting plus the engine-wide merged
-    /// view — the operator's "is the device lying to me" dashboard.
-    /// Validator counters here are cumulative (driver lifetime), unlike
-    /// the per-round deltas in [`WorkerStats`].
-    pub fn health_report(&self) -> EngineHealthReport {
-        let queues: Vec<QueueHealthReport> = self
-            .workers
-            .iter()
-            .map(|w| QueueHealthReport {
-                queue: w.queue,
-                health: w.drv.health(),
-                validation: w.drv.validation_stats(),
-                watchdog_resets: w.drv.watchdog_resets(),
-                nic: w.drv.nic.stats.clone(),
-            })
-            .collect();
-        let mut nic = NicStats::default();
-        let mut validation = ValidationStats::default();
-        for q in &queues {
-            nic.merge(&q.nic);
-            validation.merge(&q.validation);
-        }
-        EngineHealthReport {
-            queues,
-            nic,
-            validation,
-        }
     }
 
     /// One round: stats are reset first, so the report describes
@@ -949,13 +871,6 @@ pub struct AdaptiveOutcome {
 }
 
 impl AdaptiveOutcome {
-    /// p99/p50 imbalance across per-queue busy time — the skew figure
-    /// E18 gates on.
-    pub fn busy_imbalance(&self) -> f64 {
-        let busy: Vec<u64> = self.report.per_worker.iter().map(|w| w.busy_ns).collect();
-        crate::rebalance::imbalance_p99_p50(&busy)
-    }
-
     /// p99/p50 imbalance across per-queue drained packets.
     pub fn occupancy_imbalance(&self) -> f64 {
         let pkts: Vec<u64> = self.report.per_worker.iter().map(|w| w.packets).collect();
@@ -1039,12 +954,6 @@ impl EngineWorker {
     /// This worker's transmit counters for the current round.
     pub fn tx_stats(&self) -> TxWorkerStats {
         self.tstats.value
-    }
-
-    /// The batched TX queue (cumulative doorbell/stall counters live
-    /// here).
-    pub fn tx_queue(&self) -> &TxQueue {
-        &self.txq
     }
 
     fn reset_stats(&mut self) {
@@ -1227,7 +1136,7 @@ impl ShardedEngine {
         max_frame: usize,
         forward: Arc<ForwardFn>,
     ) -> Result<ShardedEngine, ShardError> {
-        assert!(queues > 0, "at least one queue");
+        at_least_one_queue(queues)?;
         let steerer = Steerer::new(policy, queues);
         let mut workers = Vec::with_capacity(queues);
         for q in 0..queues {
@@ -1295,15 +1204,6 @@ impl ShardedEngine {
                 }
                 ew.finish_relayout(budget)
             })
-            .collect()
-    }
-
-    /// Retry flips a previous [`relayout`](ShardedEngine::relayout)
-    /// left deferred (after the affected queues recover health).
-    pub fn retry_relayout(&mut self, budget: u32) -> Vec<(FlipProgress, u32)> {
-        self.workers
-            .iter_mut()
-            .map(|ew| ew.finish_relayout(budget))
             .collect()
     }
 
@@ -1397,6 +1297,7 @@ mod tests {
     use opendesc_ir::names;
     use opendesc_nicsim::models;
     use opendesc_nicsim::pktgen::{ShardedPktGen, Workload};
+    use opendesc_telemetry::MetricValue;
 
     fn intent(reg: &mut SemanticRegistry) -> Intent {
         Intent::builder("shard")
@@ -1462,6 +1363,68 @@ mod tests {
         // different queues of one device genuinely run different layouts.
         assert_eq!(w[0].artifact().path.size_bytes(), 8);
         assert_eq!(w[1].artifact().path.size_bytes(), 64);
+    }
+
+    #[test]
+    fn queues_hold_independent_contexts() {
+        // Queue 0 asks for what the mini CQE carries, queue 1 for the
+        // KVS hash only the full CQE has: same device, two completion
+        // formats live simultaneously, each under its own context.
+        let mut reg = SemanticRegistry::with_builtins();
+        let mini = Intent::builder("mini")
+            .want(&mut reg, names::RSS_HASH)
+            .build();
+        let full = Intent::builder("full")
+            .want(&mut reg, names::KVS_KEY_HASH)
+            .build();
+        let mut eng = ShardedRx::with_intents(
+            &PlanCache::default(),
+            &models::mlx5(),
+            &[mini, full],
+            &mut reg,
+            16,
+            SteerPolicy::RoundRobin,
+            4,
+        )
+        .unwrap();
+        let frames = opendesc_nicsim::PktGen::new(Workload::default()).batch(2);
+        assert_eq!(eng.deliver(&frames[0]).unwrap(), 0);
+        assert_eq!(eng.deliver(&frames[1]).unwrap(), 1);
+        let [q0, q1] = eng.workers_mut() else {
+            panic!("two intents, two workers");
+        };
+        assert!(!Arc::ptr_eq(q0.artifact(), q1.artifact()));
+        assert_ne!(q0.artifact().context, q1.artifact().context);
+        for (w, bytes, what) in [(q0, 8, "mini CQE"), (q1, 64, "full CQE")] {
+            assert_eq!(w.artifact().path.size_bytes(), bytes, "{what}");
+            let (_, cmpt) = w.driver_mut().nic.receive().unwrap();
+            assert_eq!(cmpt.len(), bytes as usize, "{what} on queue {}", w.queue);
+        }
+    }
+
+    #[test]
+    fn zero_queues_is_an_error_not_a_panic() {
+        let cache = PlanCache::default();
+        let mut reg = SemanticRegistry::with_builtins();
+        let (i, ti) = (intent(&mut reg), tx_intent(&mut reg));
+        let model = models::e1000e();
+        let refused = |r: Result<(), ShardError>| {
+            assert!(
+                matches!(r, Err(ShardError::Nic(NicError::BadConfig(_)))),
+                "{r:?}"
+            );
+        };
+        let rx = ShardedRx::with_intents(&cache, &model, &[], &mut reg, 64, SteerPolicy::Rss, 16);
+        refused(rx.map(drop));
+        let rx = ShardedRx::new_uniform(&cache, &model, &i, &mut reg, 0, 64, SteerPolicy::Rss, 16);
+        refused(rx.map(drop));
+        let fwd: Arc<ForwardFn> = Arc::new(|_: &RxBatch, _, _: &mut Vec<u8>| TxVerdict::Drop);
+        let policy = SteerPolicy::Rss;
+        let eng = ShardedEngine::new_uniform(
+            &cache, &model, &i, &ti, &mut reg, 0, 64, policy, 16, 256, fwd,
+        );
+        refused(eng.map(drop));
+        assert!(cache.is_empty(), "refused before anything is compiled");
     }
 
     #[test]
@@ -1543,7 +1506,7 @@ mod tests {
     }
 
     #[test]
-    fn health_report_merges_device_and_host_views() {
+    fn snapshot_merges_device_and_host_views() {
         use opendesc_nicsim::FaultConfig;
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
@@ -1581,16 +1544,22 @@ mod tests {
             .map(|per_q| per_q.len())
             .sum();
         assert_eq!(drained, 40, "replays are discarded, originals delivered");
-        let report = eng.health_report();
-        assert_eq!(report.queues[0].health, QueueHealth::Healthy);
-        assert_eq!(report.queues[0].validation.duplicates, 0);
-        assert_eq!(report.queues[1].health, QueueHealth::Degraded);
-        assert!(report.queues[1].validation.duplicates > 0);
-        assert_eq!(report.worst(), QueueHealth::Degraded);
+        let snap = eng.snapshot();
+        let health = |scope: &str| match snap.get(&format!("{scope}.health")) {
+            Some(MetricValue::Gauge(rank)) => *rank as u64,
+            other => panic!("{scope}.health is {other:?}"),
+        };
+        assert_eq!(health("rx.q0"), health_rank(QueueHealth::Healthy));
+        assert_eq!(snap.counter("rx.q0.validation.duplicates"), 0);
+        assert_eq!(health("rx.q1"), health_rank(QueueHealth::Degraded));
+        assert!(snap.counter("rx.q1.validation.duplicates") > 0);
+        // The engine is only as trustworthy as its sickest queue.
+        assert_eq!(health("rx.engine"), health_rank(QueueHealth::Degraded));
         // Device-injected and host-caught numbers line up in the merged
         // view: every injected duplicate was discarded by a validator.
-        assert_eq!(report.nic.duplicated, report.validation.duplicates);
-        assert!(report.nic.injected_faults() > 0);
+        let injected = snap.counter("rx.engine.nic.duplicated");
+        assert!(injected > 0);
+        assert_eq!(injected, snap.counter("rx.engine.validation.duplicates"));
     }
 
     fn tx_intent(reg: &mut SemanticRegistry) -> Intent {

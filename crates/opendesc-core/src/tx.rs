@@ -4,23 +4,22 @@
 //!
 //! Mirrors the RX pipeline: enumerate descriptor layouts, select by the
 //! same Eq. 1 shape (software cost of offload hints the layout cannot
-//! carry + descriptor DMA footprint), then synthesize a [`TxWriter`]
-//! that serializes hint values at the layout's fixed offsets. Offloads
-//! the layout cannot request are applied by the driver in software
-//! before posting — using the same softnic fix-ups the device itself
-//! uses, so the wire frame is identical either way.
+//! carry + descriptor DMA footprint), then lower the chosen layout to
+//! deparse bytecode that serializes hint values at its fixed offsets
+//! ([`lower_tx`]). Offloads the layout cannot request are applied by
+//! the driver in software before posting — using the same softnic
+//! fix-ups the device itself uses, so the wire frame is identical
+//! either way.
 //!
 //! There is one submission pipeline: [`TxQueue::submit_from`] is the
 //! only code here that applies a fix-up, fills the hint registers, runs
 //! the deparse bytecode or posts a descriptor, and [`TxDriver::send`] is
-//! its one-slot case. [`TxWriter::build`] is the descriptor oracle the
-//! bytecode is compared against, not a second way to transmit.
+//! its one-slot case.
 
 use crate::compiler::{check_contract, CompileError};
 use crate::intent::Intent;
 use crate::select::{SelectError, Selector};
 use crate::vm::{op, BcInsn, PlanProgram};
-use opendesc_ir::bits::write_bits;
 use opendesc_ir::semantics::{names, SemanticRegistry};
 use opendesc_ir::txpath::{enumerate_tx_layouts, DescriptorLayout};
 use opendesc_ir::{Assignment, SemanticId};
@@ -31,52 +30,6 @@ use opendesc_softnic::fixup;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Serializes TX hint values into descriptor bytes at fixed offsets.
-#[derive(Debug, Clone)]
-pub struct TxWriter {
-    /// `(semantic, offset_bits, width_bits)` for every writable slot.
-    slots: Vec<(SemanticId, u32, u16)>,
-    pub desc_bytes: u32,
-}
-
-impl TxWriter {
-    /// Build from a layout.
-    pub fn new(layout: &DescriptorLayout) -> TxWriter {
-        let slots = layout
-            .slots
-            .iter()
-            .filter_map(|s| s.semantic.map(|sem| (sem, s.offset_bits, s.width_bits)))
-            .collect();
-        TxWriter {
-            slots,
-            desc_bytes: layout.size_bytes(),
-        }
-    }
-
-    /// Serialize a descriptor with the given hint values; semantics the
-    /// layout has no slot for are ignored (the caller handles them in
-    /// software).
-    pub fn build(&self, values: &[(SemanticId, u128)]) -> Vec<u8> {
-        let mut desc = vec![0u8; self.desc_bytes as usize];
-        for (sem, off, width) in &self.slots {
-            if let Some((_, v)) = values.iter().find(|(s, _)| s == sem) {
-                write_bits(&mut desc, *off, *width, *v);
-            }
-        }
-        desc
-    }
-
-    /// `(semantic, offset_bits, width_bits)` for every writable slot.
-    pub fn slots(&self) -> &[(SemanticId, u32, u16)] {
-        &self.slots
-    }
-
-    /// Whether the layout carries a slot for `sem`.
-    pub fn can_write(&self, sem: SemanticId) -> bool {
-        self.slots.iter().any(|(s, _, _)| *s == sem)
-    }
-}
-
 /// The product of TX compilation.
 #[derive(Debug, Clone)]
 pub struct CompiledTx {
@@ -84,7 +37,6 @@ pub struct CompiledTx {
     pub layout: DescriptorLayout,
     /// H2C context steering the queue onto this layout.
     pub context: Option<Assignment>,
-    pub writer: TxWriter,
     /// Requested TX semantics the layout cannot carry: the driver must
     /// perform these in software before posting.
     pub software: BTreeSet<SemanticId>,
@@ -175,7 +127,6 @@ pub fn compile_tx_checked(
     Ok(CompiledTx {
         nic_name: nic_name.to_string(),
         context: layout.solve_context(),
-        writer: TxWriter::new(layout),
         layout: layout.clone(),
         software,
         software_names,
@@ -218,8 +169,7 @@ pub mod txreg {
 /// store shape (aligned width vs. arbitrary bit field) resolved here,
 /// once, instead of per packet. Slots whose semantic is outside the
 /// canonical file are skipped — the layout may carry them, but this
-/// driver never sets them, exactly like [`TxWriter::build`] with no
-/// matching hint.
+/// driver never sets them, and their bytes stay zero.
 pub fn lower_tx(compiled: &CompiledTx, reg: &SemanticRegistry) -> PlanProgram {
     let canonical = [
         (reg.id(names::BUF_ADDR), txreg::BUF_ADDR),
@@ -229,16 +179,17 @@ pub fn lower_tx(compiled: &CompiledTx, reg: &SemanticRegistry) -> PlanProgram {
         (reg.id(names::TX_L4_CSUM), txreg::L4_CSUM),
     ];
     let mut deparse = Vec::new();
-    for (sem, off, width) in compiled.writer.slots() {
+    for slot in &compiled.layout.slots {
+        let (off, width) = (slot.offset_bits, slot.width_bits);
         let Some(dst) = canonical
             .iter()
-            .find_map(|(id, r)| (*id == Some(*sem)).then_some(*r as u8))
+            .find_map(|(id, r)| (id.is_some() && *id == slot.semantic).then_some(*r as u8))
         else {
             continue;
         };
         let insn = if off % 8 == 0 {
             let byte = (off / 8) as u16;
-            match *width {
+            match width {
                 8 => BcInsn {
                     op: op::ST_BE1,
                     dst,
@@ -272,7 +223,7 @@ pub fn lower_tx(compiled: &CompiledTx, reg: &SemanticRegistry) -> PlanProgram {
                 w => BcInsn {
                     op: op::ST_BITS,
                     dst,
-                    a: *off as u16,
+                    a: off as u16,
                     b: w,
                 },
             }
@@ -280,8 +231,8 @@ pub fn lower_tx(compiled: &CompiledTx, reg: &SemanticRegistry) -> PlanProgram {
             BcInsn {
                 op: op::ST_BITS,
                 dst,
-                a: *off as u16,
-                b: *width,
+                a: off as u16,
+                b: width,
             }
         };
         deparse.push(insn);
@@ -315,9 +266,9 @@ impl CompiledTxPlan {
         let id = |n: &str| reg.id(n).expect("builtin semantic");
         let prog = lower_tx(&tx, reg);
         CompiledTxPlan {
-            sw_vlan: !tx.writer.can_write(id(names::TX_VLAN_INSERT)),
-            sw_ip_csum: !tx.writer.can_write(id(names::TX_IP_CSUM)),
-            sw_l4_csum: !tx.writer.can_write(id(names::TX_L4_CSUM)),
+            sw_vlan: tx.layout.slot_for(id(names::TX_VLAN_INSERT)).is_none(),
+            sw_ip_csum: tx.layout.slot_for(id(names::TX_IP_CSUM)).is_none(),
+            sw_l4_csum: tx.layout.slot_for(id(names::TX_L4_CSUM)).is_none(),
             prog,
             tx,
         }
@@ -506,7 +457,7 @@ impl TxQueue {
         let pending = batch.len().saturating_sub(from);
         let room = (pending as u64).min(free) as usize;
         let plan = Arc::clone(&self.plan);
-        let desc_bytes = plan.tx.writer.desc_bytes as usize;
+        let desc_bytes = plan.tx.layout.size_bytes() as usize;
         let mut n = 0;
         for i in from..from + room {
             let req = batch.reqs[i];
@@ -824,88 +775,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CompileError::Extract(_)));
-    }
-
-    #[test]
-    fn writer_only_writes_known_slots() {
-        let mut reg = SemanticRegistry::with_builtins();
-        let intent = Intent::builder("t").build();
-        let model = models::qdma_default();
-        let compiled = compile_tx(
-            &Selector::default(),
-            &model.p4_source,
-            "DescParser",
-            &model.name,
-            &intent,
-            &mut reg,
-        )
-        .unwrap();
-        let addr = reg.id(names::BUF_ADDR).unwrap();
-        let vlan = reg.id(names::TX_VLAN_INSERT).unwrap();
-        assert!(compiled.writer.can_write(addr));
-        assert!(
-            !compiled.writer.can_write(vlan),
-            "12B layout has no vlan slot"
-        );
-        let desc = compiled.writer.build(&[(addr, 0xABCD), (vlan, 7)]);
-        assert_eq!(desc.len(), 12);
-        assert_eq!(&desc[..8], &0xABCDu64.to_be_bytes());
-    }
-
-    #[test]
-    fn deparse_bytecode_matches_writer_on_every_model() {
-        // For each TX-capable model: lower the layout and check the
-        // bytecode produces byte-identical descriptors to TxWriter.
-        for model in [
-            models::e1000_legacy(),
-            models::e1000e(),
-            models::ice(),
-            models::qdma_default(),
-        ] {
-            let mut reg = SemanticRegistry::with_builtins();
-            let intent = tx_intent(&mut reg);
-            let compiled = compile_tx(
-                &Selector::default(),
-                &model.p4_source,
-                "DescParser",
-                &model.name,
-                &intent,
-                &mut reg,
-            )
-            .unwrap();
-            let plan = CompiledTxPlan::new(compiled, &reg);
-            let id = |n: &str| reg.id(n).expect("builtin");
-            let cases: [(u64, usize, u16, bool, bool); 3] = [
-                (0x1000, 60, 0x0123, true, true),
-                (0xFFFF_FF00, 1514, 0, false, true),
-                (0x2468, 64, 0x0FFF, true, false),
-            ];
-            for (addr, len, tci, ip, l4) in cases {
-                let mut hints: Vec<(SemanticId, u128)> = vec![
-                    (id(names::BUF_ADDR), addr as u128),
-                    (id(names::BUF_LEN), len as u128),
-                ];
-                let mut regs = [0u128; txreg::COUNT];
-                regs[txreg::BUF_ADDR] = addr as u128;
-                regs[txreg::BUF_LEN] = len as u128;
-                if !plan.sw_vlan {
-                    hints.push((id(names::TX_VLAN_INSERT), tci as u128));
-                    regs[txreg::VLAN] = tci as u128;
-                }
-                if ip && !plan.sw_ip_csum {
-                    hints.push((id(names::TX_IP_CSUM), 1));
-                    regs[txreg::IP_CSUM] = 1;
-                }
-                if l4 && !plan.sw_l4_csum {
-                    hints.push((id(names::TX_L4_CSUM), 1));
-                    regs[txreg::L4_CSUM] = 1;
-                }
-                let golden = plan.tx.writer.build(&hints);
-                let mut desc = vec![0xFFu8; golden.len()];
-                plan.prog.run_deparse(&regs, &mut desc);
-                assert_eq!(desc, golden, "bytecode deparse diverges on {}", model.name);
-            }
-        }
     }
 
     #[test]

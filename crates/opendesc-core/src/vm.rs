@@ -1,11 +1,10 @@
 //! Plan bytecode: the compiled-execution form of an [`RxPlan`](crate::plan::RxPlan).
 //!
-//! The tree-walking interpreter in [`crate::plan`] re-dispatches on
-//! `PlanStep` and re-derives each accessor's load strategy (alignment,
-//! width, offset arithmetic inside `Accessor::read`) for every packet.
-//! That interpreter tax made the plan path *slower* than the seed
-//! per-packet accessors on hardware-heavy models (the E12 regression
-//! this module fixes). Lowering (see [`mod@crate::lower`]) runs that
+//! A tree-walking interpreter re-dispatches on `PlanStep` and
+//! re-derives each accessor's load strategy (alignment, width, offset
+//! arithmetic inside `Accessor::read`) for every packet, which is
+//! *slower* than per-packet accessors on hardware-heavy models (E12).
+//! Lowering (see [`mod@crate::lower`]) runs that
 //! derivation once, at compile time, and emits a compact register
 //! bytecode: each instruction is a fixed 6-byte cell whose opcode
 //! already encodes the load shape (`ld.be4` instead of "figure out how
@@ -26,9 +25,10 @@
 //! [`exec_shim`]; [`PlanProgram::run_trusted`] is the same stream one
 //! packet at a time, for the suites.
 //!
-//! The tree interpreter in [`crate::plan`] is the differential-test
-//! oracle: `tests/vm_equivalence.rs` and [`crate::conformance`] hold
-//! every runner here equal to its `RxPlan::execute_*` counterpart.
+//! The differential-test oracle is the tree interpreter in the
+//! `opendesc-reference` crate: `tests/vm_equivalence.rs` and that
+//! crate's `conformance` hold every runner here equal to its
+//! `execute_*` counterpart.
 
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
@@ -123,7 +123,7 @@ pub fn shim_code(op: ShimOp) -> u16 {
 }
 
 /// Inverse of [`shim_code`]; unknown codes decode to `Unsupported`.
-pub fn shim_from_code(code: u16) -> ShimOp {
+fn shim_from_code(code: u16) -> ShimOp {
     match code {
         0 => ShimOp::RssHash,
         1 => ShimOp::IpChecksum,
@@ -173,7 +173,7 @@ pub struct PlanProgram {
 /// the same contract as `Accessor::read`: the datapath's truncation
 /// guard keeps short records away from loads.
 #[inline(always)]
-pub fn exec_load(insn: &BcInsn, cmpt: &[u8]) -> u128 {
+fn exec_load(insn: &BcInsn, cmpt: &[u8]) -> u128 {
     let off = insn.a as usize;
     match insn.op {
         op::LD_BE1 => ld_be::<1>(cmpt, off),
@@ -204,7 +204,7 @@ fn ld_be<const N: usize>(cmpt: &[u8], off: usize) -> u128 {
 /// the hint register file shorter than `dst` — both are fixed at
 /// lowering time, so a correctly-lowered plan can never trip this.
 #[inline(always)]
-pub fn exec_store(insn: &BcInsn, hints: &[u128], desc: &mut [u8]) {
+fn exec_store(insn: &BcInsn, hints: &[u128], desc: &mut [u8]) {
     let v = hints[insn.dst as usize];
     let off = insn.a as usize;
     match insn.op {
@@ -277,7 +277,7 @@ impl PlanProgram {
 
     /// Trusted execution of one packet into `out[..slots]` — the
     /// per-packet statement of what the datapath's column loads and
-    /// shim loop compute, held equal to `RxPlan::execute_into_primed`
+    /// shim loop compute, held equal to the reference `execute_into_primed`
     /// by the equivalence suites.
     pub fn run_trusted(
         &self,
@@ -308,7 +308,7 @@ impl PlanProgram {
     /// Verified execution: hardware loads, compare-and-repair against
     /// the SoftNIC reference, unprimed software shims. Output slot `s`
     /// lands at `out[s * stride + idx]`. Returns the number of repaired
-    /// fields. Held equal to `RxPlan::execute_verified` by the
+    /// fields. Held equal to the reference `execute_verified` by the
     /// equivalence suites.
     pub fn run_verified_at(
         &self,
@@ -366,7 +366,7 @@ impl PlanProgram {
 
     /// Degraded execution, row-major: the completion is untrusted and
     /// never read; every slot is cleared, then the recomputable ones are
-    /// filled from frame bytes. Held equal to `RxPlan::execute_degraded`
+    /// filled from frame bytes. Held equal to the reference `execute_degraded`
     /// by the equivalence suites.
     #[inline]
     pub fn run_degraded(&self, soft: &mut SoftNic, frame: &[u8], out: &mut [Option<u128>]) {
@@ -405,7 +405,7 @@ impl PlanProgram {
 
     /// TX deparse: serialize the hint register file into descriptor
     /// bytes. Zeroes the descriptor first (unwritten slots must read as
-    /// zero, matching `TxWriter::build`'s fresh-buffer semantics), then
+    /// zero, as in a freshly allocated descriptor), then
     /// runs the `deparse` store stream.
     #[inline]
     pub fn run_deparse(&self, hints: &[u128], desc: &mut [u8]) {

@@ -93,13 +93,14 @@ pub fn read_bits(buf: &[u8], offset: u32, width: u16) -> u128 {
 
 /// Fast path for byte-aligned fields of byte-multiple width: plain
 /// big-endian store. Generated accessors rely on this equivalence.
-pub fn write_bytes_be(buf: &mut [u8], offset_bytes: usize, width_bytes: usize, value: u128) {
+fn write_bytes_be(buf: &mut [u8], offset_bytes: usize, width_bytes: usize, value: u128) {
     assert!(width_bytes <= 16);
     let be = value.to_be_bytes();
     buf[offset_bytes..offset_bytes + width_bytes].copy_from_slice(&be[16 - width_bytes..]);
 }
 
-/// Fast path for byte-aligned reads; see [`write_bytes_be`].
+/// Fast path for byte-aligned fields of byte-multiple width: plain
+/// big-endian load.
 #[inline]
 pub fn read_bytes_be(buf: &[u8], offset_bytes: usize, width_bytes: usize) -> u128 {
     assert!(width_bytes <= 16);

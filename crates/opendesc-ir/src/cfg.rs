@@ -88,14 +88,6 @@ pub struct Cfg {
 }
 
 impl Cfg {
-    /// Number of branch nodes (used by scalability experiments).
-    pub fn branch_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, CfgNode::Branch { .. }))
-            .count()
-    }
-
     /// Graphviz DOT rendering, for documentation and debugging.
     pub fn to_dot(&self, reg: &SemanticRegistry) -> String {
         let mut out = String::from("digraph cmpt_deparser {\n  rankdir=TB;\n");
@@ -598,7 +590,7 @@ impl<'a> Builder<'a> {
 
 /// Compact textual rendering of an expression, for opaque-condition
 /// display.
-pub fn expr_str(e: &Expr) -> String {
+fn expr_str(e: &Expr) -> String {
     match &e.kind {
         ExprKind::Int {
             value,
@@ -679,7 +671,11 @@ mod tests {
     fn fig6_has_three_vertices_and_one_branch() {
         let (cfg, reg) = extract_ok(E1000_FIG6, "CmptDeparser");
         assert_eq!(cfg.vertices.len(), 3);
-        assert_eq!(cfg.branch_count(), 1);
+        let branches = cfg
+            .nodes
+            .iter()
+            .filter(|n| matches!(n, CfgNode::Branch { .. }));
+        assert_eq!(branches.count(), 1);
         // Vertex properties (paper step 1).
         let rss = cfg
             .vertices

@@ -34,7 +34,7 @@ impl FieldRef {
     }
 
     /// Maximum representable value for this field's width.
-    pub fn max_value(&self) -> u128 {
+    fn max_value(&self) -> u128 {
         if self.width >= 128 {
             u128::MAX
         } else {
@@ -62,7 +62,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// The operator that holds exactly when `self` does not.
-    pub fn negate(self) -> CmpOp {
+    fn negate(self) -> CmpOp {
         match self {
             CmpOp::Eq => CmpOp::Ne,
             CmpOp::Ne => CmpOp::Eq,

@@ -60,15 +60,6 @@ impl Value {
         Value::Struct(fields)
     }
 
-    /// Build a valid header value from `(field, value)` pairs.
-    pub fn header_of(id: HeaderId, pairs: &[(&str, u128)]) -> Value {
-        Value::Header {
-            header: id,
-            valid: true,
-            fields: pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        }
-    }
-
     /// Navigate a dotted path below this value.
     pub fn get_path(&self, path: &[&str]) -> Option<&Value> {
         let mut cur = self;
@@ -160,7 +151,11 @@ mod tests {
     fn header_field_defaults_to_zero() {
         let (checked, _) = parse_and_check("header h_t { bit<8> a; bit<8> b; }");
         let id = checked.types.header_id("h_t").unwrap();
-        let v = Value::header_of(id, &[("a", 7)]);
+        let v = Value::Header {
+            header: id,
+            valid: true,
+            fields: [("a".to_string(), 7)].into(),
+        };
         assert_eq!(v.header_field("a"), Some(7));
         assert_eq!(v.header_field("b"), Some(0));
     }

@@ -45,17 +45,6 @@ impl DmaConfig {
         let quantized = bytes.div_ceil(self.granularity) * self.granularity;
         self.per_txn_ns + quantized as f64 / self.bandwidth_gbps
     }
-
-    /// Cost of a batched write: one transaction overhead amortized over
-    /// `count` records of `bytes` each, contiguous in the ring.
-    pub fn batched_write_cost_ns(&self, bytes: u32, count: u32) -> f64 {
-        if count == 0 || bytes == 0 {
-            return 0.0;
-        }
-        let total = bytes * count;
-        let quantized = total.div_ceil(self.granularity) * self.granularity;
-        self.per_txn_ns + quantized as f64 / self.bandwidth_gbps
-    }
 }
 
 /// Accumulates DMA time for one direction of one queue.
@@ -75,24 +64,6 @@ impl DmaMeter {
         self.busy_ns += cost;
         cost
     }
-
-    /// Record a batched write of `count` records and return its cost.
-    pub fn record_batch(&mut self, cfg: &DmaConfig, bytes: u32, count: u32) -> f64 {
-        let cost = cfg.batched_write_cost_ns(bytes, count);
-        self.bytes += (bytes as u64) * (count as u64);
-        self.transactions += 1;
-        self.busy_ns += cost;
-        cost
-    }
-
-    /// Effective goodput in GB/s over the busy time.
-    pub fn effective_gbps(&self) -> f64 {
-        if self.busy_ns == 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.busy_ns
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +74,6 @@ mod tests {
     fn zero_bytes_cost_nothing() {
         let cfg = DmaConfig::default();
         assert_eq!(cfg.write_cost_ns(0), 0.0);
-        assert_eq!(cfg.batched_write_cost_ns(8, 0), 0.0);
     }
 
     #[test]
@@ -126,17 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn batching_amortizes_transaction_overhead() {
-        let cfg = DmaConfig::default();
-        let single = 32.0 * cfg.write_cost_ns(8);
-        let batched = cfg.batched_write_cost_ns(8, 32);
-        assert!(
-            batched < single / 2.0,
-            "batched {batched} should be far below {single}"
-        );
-    }
-
-    #[test]
     fn meter_accumulates() {
         let cfg = DmaConfig::default();
         let mut m = DmaMeter::default();
@@ -145,7 +104,6 @@ mod tests {
         assert_eq!(m.bytes, 128);
         assert_eq!(m.transactions, 2);
         assert!(m.busy_ns > 0.0);
-        assert!(m.effective_gbps() > 0.0);
     }
 
     #[test]

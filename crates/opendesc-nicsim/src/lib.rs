@@ -28,9 +28,7 @@ pub use hostmem::HostMem;
 pub use models::{
     catalog, e1000_legacy, e1000e, ice, ixgbe, mlx5, qdma, qdma_default, NicModel, QdmaLayout,
 };
-pub use multiqueue::{
-    CachePadded, MultiQueueNic, SteerPolicy, SteerStats, SteerVerdict, Steerer, RETA_SIZE,
-};
+pub use multiqueue::{CachePadded, SteerPolicy, SteerVerdict, Steerer, RETA_SIZE};
 pub use nic::{
     FaultConfig, FaultConfigBuilder, NicError, NicStats, RxSideband, SimNic, WritebackMode,
 };
@@ -54,7 +52,6 @@ const _: () = {
     assert_send::<HostMem>();
     assert_send::<RxBufferPool>();
     assert_send::<SimNic>();
-    assert_send::<MultiQueueNic>();
     assert_send::<OffloadEngine>();
     assert_send::<ShardedPktGen>();
     assert_sync::<Steerer>();

@@ -15,7 +15,7 @@
 //!   programmable metadata slot) or 8 B compressed mini-CQEs carrying
 //!   either RSS or checksum;
 //! * `qdma` — fully programmable: completion layouts are generated from
-//!   the application's own field list (see [`qdma_contract`]).
+//!   the application's own field list (see [`qdma`]).
 
 /// A NIC model: contract text plus simulator glue.
 #[derive(Debug, Clone)]
@@ -379,7 +379,7 @@ impl QdmaLayout {
 
     /// QDMA completion size class: 8, 16, 32 or 64 bytes; `None` if the
     /// fields exceed 64 bytes.
-    pub fn size_class(&self) -> Option<u32> {
+    fn size_class(&self) -> Option<u32> {
         let bytes = self.bits().div_ceil(8);
         [8u32, 16, 32, 64].into_iter().find(|c| bytes <= *c)
     }
@@ -388,7 +388,7 @@ impl QdmaLayout {
 /// Generate a QDMA contract exposing `layouts` as selectable per-queue
 /// completion formats (paper: "fully programmable descriptors of 8, 16,
 /// 32 or 64 bytes"). Returns `None` if any layout exceeds 64 bytes.
-pub fn qdma_contract(layouts: &[QdmaLayout]) -> Option<String> {
+fn qdma_contract(layouts: &[QdmaLayout]) -> Option<String> {
     let mut src = String::from("// AMD/Xilinx QDMA-style fully programmable completion formats.\n");
     for (i, l) in layouts.iter().enumerate() {
         let class = l.size_class()?;

@@ -1,28 +1,23 @@
-//! Multi-queue NIC: several receive queues with independent per-queue
-//! contexts — the paper's §3 note that "applications might use multiple
-//! OpenDesc instances with different intents to obtain different queues
-//! tailored for different kinds of traffic".
+//! Multi-queue steering: how the device picks a receive queue for an
+//! arriving frame — by RSS, by an exact-match port table (flow-director
+//! style), or round-robin. The queues themselves are `SimNic`
+//! instances, each programmed with its own context (the paper's §3 note
+//! that "applications might use multiple OpenDesc instances with
+//! different intents to obtain different queues tailored for different
+//! kinds of traffic"); the sharded engine in `opendesc-core` owns them.
 //!
-//! Each queue is a full [`SimNic`] instance sharing the model's contract
-//! but programmed with its own context (its own completion layout). The
-//! device steers arriving frames to queues by RSS, by an exact-match
-//! port table (flow-director style), or round-robin.
-//!
-//! Steering itself lives in [`Steerer`], an immutable value computed once
-//! at configuration time: RSS resolves through a real-NIC-style 128-entry
+//! Steering lives in [`Steerer`], an immutable value computed once at
+//! configuration time: RSS resolves through a real-NIC-style 128-entry
 //! RETA indirection table instead of a per-frame modulo, and the verdict
 //! carries the frame parse and Toeplitz hash forward so neither is
 //! recomputed by the queue's offload engine or the host's shim plan. The
 //! sharded RX engine shares the same `Steerer` across worker threads
 //! (it is `Send + Sync`), which is what keeps parallel steering
-//! bit-identical to the sequential device.
+//! bit-identical to sequential delivery.
 
-use crate::models::NicModel;
-use crate::nic::{check_contract, NicError, SimNic};
 use opendesc_softnic::rss_frame;
 use opendesc_softnic::wire::ParsedFrame;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 /// A value padded out to its own cache line.
 ///
@@ -209,149 +204,11 @@ impl Steerer {
     }
 }
 
-/// Per-queue steering diagnostics. Lives inside a [`CachePadded`] cell so
-/// counting a frame never dirties a line another queue's worker reads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SteerStats {
-    /// Frames steered to this queue.
-    pub steered: u64,
-}
-
-/// A NIC with several independently configured receive queues.
-pub struct MultiQueueNic {
-    pub queues: Vec<SimNic>,
-    steerer: Steerer,
-    /// Round-robin cursor on its own line (it is written per frame; the
-    /// per-queue stat cells must not share it).
-    rr: CachePadded<u64>,
-    /// Frames steered per queue, one padded cell per queue.
-    stats: Vec<CachePadded<SteerStats>>,
-}
-
-impl MultiQueueNic {
-    /// Build `n` queues of the same model, `ring` entries each.
-    pub fn new(
-        model: NicModel,
-        n: usize,
-        ring: usize,
-        policy: SteerPolicy,
-    ) -> Result<Self, NicError> {
-        assert!(n > 0, "at least one queue");
-        let checked = check_contract(&model)?;
-        let mut queues = Vec::with_capacity(n);
-        for _ in 0..n {
-            queues.push(SimNic::with_contract(
-                model.clone(),
-                Arc::clone(&checked),
-                ring,
-            )?);
-        }
-        Ok(MultiQueueNic {
-            stats: (0..n).map(|_| CachePadded::default()).collect(),
-            steerer: Steerer::new(policy, n),
-            rr: CachePadded::default(),
-            queues,
-        })
-    }
-
-    /// Number of queues.
-    pub fn len(&self) -> usize {
-        self.queues.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.queues.is_empty()
-    }
-
-    /// The immutable steering state (shareable across worker threads).
-    pub fn steerer(&self) -> &Steerer {
-        &self.steerer
-    }
-
-    /// Round-robin cursor advance: only that policy consumes stream
-    /// positions, preserving the historical "steer() cycles" behaviour.
-    fn next_index(&mut self) -> u64 {
-        match self.steerer.policy() {
-            SteerPolicy::RoundRobin => {
-                let i = self.rr.value;
-                self.rr.value += 1;
-                i
-            }
-            _ => 0,
-        }
-    }
-
-    /// The queue an arriving frame steers to under the current policy.
-    pub fn steer(&mut self, frame: &[u8]) -> usize {
-        let idx = self.next_index();
-        self.steerer.steer(idx, frame).queue
-    }
-
-    /// Deliver one frame from the wire into whichever queue it steers to,
-    /// handing the steering-time parse and hash to the queue so neither
-    /// is recomputed. Returns the queue index.
-    pub fn deliver(&mut self, frame: &[u8]) -> Result<usize, NicError> {
-        let idx = self.next_index();
-        let v = self.steerer.steer(idx, frame);
-        self.queues[v.queue].deliver_steered(frame, v.parsed.as_ref(), v.rss)?;
-        self.stats[v.queue].value.steered += 1;
-        Ok(v.queue)
-    }
-
-    /// Frames steered to queue `q` so far.
-    pub fn steered(&self, q: usize) -> u64 {
-        self.stats[q].steered
-    }
-
-    /// Steering counts for every queue (coordinator aggregation view).
-    pub fn steered_counts(&self) -> Vec<u64> {
-        self.stats.iter().map(|c| c.steered).collect()
-    }
-
-    /// Mutable access to one queue (for configuration / host polling).
-    pub fn queue_mut(&mut self, i: usize) -> &mut SimNic {
-        &mut self.queues[i]
-    }
-
-    /// Device-side counters merged across every queue — the whole-NIC
-    /// view of delivered frames and injected faults.
-    pub fn merged_stats(&self) -> crate::nic::NicStats {
-        let mut total = crate::nic::NicStats::default();
-        for q in &self.queues {
-            total.merge(&q.stats);
-        }
-        total
-    }
-
-    /// Configure fault injection on every queue, deriving each queue's
-    /// RNG seed from `faults.seed` plus its index so queues fault
-    /// independently but the whole device is deterministic.
-    pub fn set_faults_all(&mut self, faults: crate::nic::FaultConfig) -> Result<(), NicError> {
-        faults.validate()?;
-        for (i, q) in self.queues.iter_mut().enumerate() {
-            let mut per_queue = faults;
-            per_queue.seed = faults.seed.wrapping_add(i as u64);
-            q.set_faults(per_queue)?;
-        }
-        Ok(())
-    }
-
-    /// Tear the NIC apart into its queues, for handing each to a worker
-    /// thread (the sharded RX engine's ownership model: one queue, one
-    /// worker, no sharing). The steerer should be taken with
-    /// [`steerer`](MultiQueueNic::steerer) first if steering continues.
-    pub fn into_queues(self) -> Vec<SimNic> {
-        self.queues
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models;
     use crate::pktgen::{PktGen, Workload};
-    use opendesc_ir::pred::FieldRef;
-    use opendesc_ir::Assignment;
+    use opendesc_softnic::testpkt::{ipv4_no_l4, tcp4, udp4, MSFT_RSS_VECTORS};
 
     fn frames(n: usize) -> Vec<Vec<u8>> {
         PktGen::new(Workload {
@@ -363,27 +220,27 @@ mod tests {
 
     #[test]
     fn rss_steering_is_flow_stable_and_spread() {
-        let mut nic = MultiQueueNic::new(models::mlx5(), 4, 1024, SteerPolicy::Rss).unwrap();
+        let st = Steerer::new(SteerPolicy::Rss, 4);
         let fs = frames(400);
-        // Same frame always steers identically.
-        let q0 = nic.steer(&fs[0]);
-        for _ in 0..5 {
-            assert_eq!(nic.steer(&fs[0]), q0);
+        // Same frame always steers identically, whatever its position.
+        let q0 = st.steer(0, &fs[0]).queue;
+        for idx in 1..6 {
+            assert_eq!(st.steer(idx, &fs[0]).queue, q0);
         }
-        for f in &fs {
-            nic.deliver(f).unwrap();
+        let mut steered = [0u64; 4];
+        for (i, f) in fs.iter().enumerate() {
+            steered[st.steer(i as u64, f).queue] += 1;
         }
         // All queues see some traffic (32 flows over 4 queues).
-        for (i, n) in nic.steered_counts().iter().enumerate() {
-            assert!(*n > 0, "queue {i} starved: {:?}", nic.steered_counts());
+        for (i, n) in steered.iter().enumerate() {
+            assert!(*n > 0, "queue {i} starved: {steered:?}");
         }
-        assert_eq!(nic.steered_counts().iter().sum::<u64>(), 400);
+        assert_eq!(steered.iter().sum::<u64>(), 400);
     }
 
     #[test]
     fn reta_is_roundrobin_and_drives_rss_steering() {
-        let nic = MultiQueueNic::new(models::mlx5(), 3, 64, SteerPolicy::Rss).unwrap();
-        let st = nic.steerer();
+        let st = Steerer::new(SteerPolicy::Rss, 3);
         assert_eq!(st.reta().len(), RETA_SIZE);
         for (i, e) in st.reta().iter().enumerate() {
             assert_eq!(*e as usize, i % 3, "reset RETA is round-robin");
@@ -437,7 +294,6 @@ mod tests {
 
     #[test]
     fn steering_hash_is_the_microsoft_vectors_hash() {
-        use opendesc_softnic::testpkt::{ipv4_no_l4, tcp4, MSFT_RSS_VECTORS};
         let st = Steerer::new(SteerPolicy::Rss, 4);
         for &(dst, src, dst_port, src_port, want_ip, want_tcp) in MSFT_RSS_VECTORS {
             let (s, d) = (src.to_be_bytes(), dst.to_be_bytes());
@@ -451,85 +307,32 @@ mod tests {
 
     #[test]
     fn dst_port_steering_matches_table() {
-        let mut nic = MultiQueueNic::new(
-            models::e1000e(),
-            3,
-            64,
-            SteerPolicy::DstPort {
-                table: vec![(11211, 1), (443, 2)],
-                default: 0,
-            },
-        )
-        .unwrap();
-        let kvs = opendesc_softnic::testpkt::udp4(
-            [1, 1, 1, 1],
-            [2, 2, 2, 2],
-            5,
-            11211,
-            b"get k\r\n",
-            None,
-        );
-        let https = opendesc_softnic::testpkt::tcp4([1, 1, 1, 1], [2, 2, 2, 2], 5, 443, b"", None);
-        let other = opendesc_softnic::testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 5, 9999, b"", None);
-        assert_eq!(nic.deliver(&kvs).unwrap(), 1);
-        assert_eq!(nic.deliver(&https).unwrap(), 2);
-        assert_eq!(nic.deliver(&other).unwrap(), 0);
+        let policy = SteerPolicy::DstPort {
+            table: vec![(11211, 1), (443, 2)],
+            default: 0,
+        };
+        let st = Steerer::new(policy, 3);
+        let kvs = udp4([1, 1, 1, 1], [2, 2, 2, 2], 5, 11211, b"get k\r\n", None);
+        let https = tcp4([1, 1, 1, 1], [2, 2, 2, 2], 5, 443, b"", None);
+        let other = udp4([1, 1, 1, 1], [2, 2, 2, 2], 5, 9999, b"", None);
+        assert_eq!(st.steer(0, &kvs).queue, 1);
+        assert_eq!(st.steer(0, &https).queue, 2);
+        assert_eq!(st.steer(0, &other).queue, 0);
     }
 
     #[test]
     fn round_robin_cycles() {
-        let mut nic =
-            MultiQueueNic::new(models::e1000_legacy(), 2, 16, SteerPolicy::RoundRobin).unwrap();
-        let f = frames(4);
-        assert_eq!(nic.deliver(&f[0]).unwrap(), 0);
-        assert_eq!(nic.deliver(&f[1]).unwrap(), 1);
-        assert_eq!(nic.deliver(&f[2]).unwrap(), 0);
-    }
-
-    #[test]
-    fn queues_hold_independent_contexts() {
-        // Queue 0: mini-RSS CQE; queue 1: full CQE. Same device, two
-        // completion formats live simultaneously.
-        let mut nic = MultiQueueNic::new(models::mlx5(), 2, 16, SteerPolicy::RoundRobin).unwrap();
-        let mut ctx0 = Assignment::new();
-        ctx0.insert(FieldRef::new(&["ctx", "cqe_format"], 2), 1);
-        nic.queue_mut(0).configure(ctx0).unwrap();
-        let mut ctx1 = Assignment::new();
-        ctx1.insert(FieldRef::new(&["ctx", "cqe_format"], 2), 0);
-        nic.queue_mut(1).configure(ctx1).unwrap();
-
-        let f = frames(2);
-        nic.deliver(&f[0]).unwrap(); // → q0
-        nic.deliver(&f[1]).unwrap(); // → q1
-        let (_, c0) = nic.queue_mut(0).receive().unwrap();
-        let (_, c1) = nic.queue_mut(1).receive().unwrap();
-        assert_eq!(c0.len(), 8, "mini CQE on queue 0");
-        assert_eq!(c1.len(), 64, "full CQE on queue 1");
-    }
-
-    #[test]
-    fn into_queues_hands_out_ownership() {
-        let mut nic = MultiQueueNic::new(models::e1000e(), 2, 16, SteerPolicy::Rss).unwrap();
-        for f in frames(8) {
-            nic.deliver(&f).unwrap();
-        }
-        let steered = nic.steered_counts();
-        let mut queues = nic.into_queues();
-        assert_eq!(queues.len(), 2);
-        for (q, nic) in queues.iter_mut().enumerate() {
-            let mut got = 0u64;
-            while nic.receive().is_some() {
-                got += 1;
-            }
-            assert_eq!(got, steered[q], "queue {q} pending == steered");
-        }
+        let st = Steerer::new(SteerPolicy::RoundRobin, 2);
+        let f = frames(1).remove(0);
+        let queues: Vec<_> = (0..3).map(|idx| st.steer(idx, &f).queue).collect();
+        assert_eq!(queues, [0, 1, 0]);
     }
 
     #[test]
     fn cache_padded_cells_do_not_share_lines() {
-        assert!(std::mem::align_of::<CachePadded<SteerStats>>() >= 64);
-        assert!(std::mem::size_of::<CachePadded<SteerStats>>() >= 64);
-        let cells: Vec<CachePadded<SteerStats>> = (0..4).map(|_| CachePadded::default()).collect();
+        assert!(std::mem::align_of::<CachePadded<u64>>() >= 64);
+        assert!(std::mem::size_of::<CachePadded<u64>>() >= 64);
+        let cells: Vec<CachePadded<u64>> = (0..4).map(|_| CachePadded::default()).collect();
         for w in cells.windows(2) {
             let a = &w[0] as *const _ as usize;
             let b = &w[1] as *const _ as usize;

@@ -61,8 +61,7 @@ pub enum WritebackMode {
 /// behavior of existing configurations.
 ///
 /// Probabilities outside \[0,1\] are rejected by
-/// [`validate`](FaultConfig::validate) (and therefore by
-/// [`SimNic::set_faults`] and the builder) — out-of-range values would
+/// [`SimNic::set_faults`] and the builder — out-of-range values would
 /// silently saturate in the rand comparison instead of failing loudly.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultConfig {
@@ -125,7 +124,7 @@ impl FaultConfig {
     }
 
     /// Reject probabilities outside \[0,1\] (including NaN).
-    pub fn validate(&self) -> Result<(), NicError> {
+    fn validate(&self) -> Result<(), NicError> {
         let probs = [
             ("drop_chance", self.drop_chance),
             ("corrupt_chance", self.corrupt_chance),
@@ -144,22 +143,6 @@ impl FaultConfig {
             }
         }
         Ok(())
-    }
-
-    /// Whether any fault class is enabled.
-    pub fn any_enabled(&self) -> bool {
-        [
-            self.drop_chance,
-            self.corrupt_chance,
-            self.torn_chance,
-            self.truncate_chance,
-            self.duplicate_chance,
-            self.stale_gen_chance,
-            self.doorbell_loss_chance,
-            self.hang_chance,
-        ]
-        .iter()
-        .any(|p| *p > 0.0)
     }
 }
 
@@ -254,41 +237,10 @@ pub struct NicStats {
 }
 
 impl NicStats {
-    /// Fold another queue's counters into this one (the sharded layer's
-    /// merged device-side view).
-    pub fn merge(&mut self, other: &NicStats) {
-        self.rx_frames += other.rx_frames;
-        self.rx_bytes += other.rx_bytes;
-        self.completions += other.completions;
-        self.dropped_faults += other.dropped_faults;
-        self.dropped_ring_full += other.dropped_ring_full;
-        self.corrupted += other.corrupted;
-        self.torn += other.torn;
-        self.truncated += other.truncated;
-        self.duplicated += other.duplicated;
-        self.stale_gen += other.stale_gen;
-        self.doorbell_lost += other.doorbell_lost;
-        self.hang_dropped += other.hang_dropped;
-        self.resets += other.resets;
-        self.reprograms += other.reprograms;
-    }
-
-    /// Total injected faults across every class.
-    pub fn injected_faults(&self) -> u64 {
-        self.dropped_faults
-            + self.corrupted
-            + self.torn
-            + self.truncated
-            + self.duplicated
-            + self.stale_gen
-            + self.doorbell_lost
-            + self.hang_dropped
-    }
-
     /// Register every counter under `scope` (e.g. `rx.q0.nic`). This is
     /// the telemetry view over the same cells the struct API exposes;
-    /// registering several queues under one scope folds them, exactly
-    /// like [`merge`](NicStats::merge).
+    /// registering several queues under one scope folds them into the
+    /// merged device-side view.
     pub fn register_into(&self, reg: &mut opendesc_telemetry::MetricRegistry, scope: &str) {
         reg.counter(&format!("{scope}.rx_frames"), self.rx_frames);
         reg.counter(&format!("{scope}.rx_bytes"), self.rx_bytes);
@@ -429,7 +381,7 @@ pub struct SimNic {
 
 /// Parse and type-check a model's contract, once, for every queue that
 /// will boot from it ([`SimNic::with_contract`]).
-pub fn check_contract(model: &NicModel) -> Result<Arc<CheckedProgram>, NicError> {
+fn check_contract(model: &NicModel) -> Result<Arc<CheckedProgram>, NicError> {
     let (checked, diags) = parse_and_check(&model.p4_source);
     if diags.has_errors() {
         return Err(NicError::BadContract(diags.summary()));
@@ -1349,7 +1301,7 @@ mod tests {
         assert!(matches!(nic.set_faults(cfg), Err(NicError::BadConfig(_))));
         // Builder defaults leave every class off.
         let off = FaultConfig::builder().build().unwrap();
-        assert!(!off.any_enabled());
+        assert_eq!(format!("{off:?}"), format!("{:?}", FaultConfig::default()));
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl DestSlot {
 }
 
 /// One step of an [`OffloadProgram`]: a semantic, the op computing it,
-/// and (through [`OffloadProgram::slots_of`]) where its value goes.
+/// and (through `OffloadProgram::slots_of`) where its value goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OffloadOp {
     pub sem: SemanticId,
@@ -168,7 +168,7 @@ impl OffloadProgram {
     }
 
     /// The completion slots `op` (one of [`ops`](Self::ops)) writes.
-    pub fn slots_of(&self, op: &OffloadOp) -> &[DestSlot] {
+    fn slots_of(&self, op: &OffloadOp) -> &[DestSlot] {
         &self.slots[op.slots.0 as usize..op.slots.1 as usize]
     }
 
@@ -208,11 +208,6 @@ impl OffloadEngine {
             link_gbps,
             next_crypto_ctx: 1,
         }
-    }
-
-    /// Current device time.
-    pub fn now_ns(&self) -> u64 {
-        self.clock_ns
     }
 
     /// Compute the values of `supported` semantics for `frame`, advancing
@@ -369,10 +364,10 @@ mod tests {
     fn clock_advances_with_frame_size() {
         let reg = SemanticRegistry::with_builtins();
         let mut eng = OffloadEngine::new(10.0); // 10 Gbps
-        let t0 = eng.now_ns();
+        let t0 = eng.clock_ns;
         let f = testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, &[0u8; 1000], None);
         eng.process(&reg, &[], &f);
-        let dt = eng.now_ns() - t0;
+        let dt = eng.clock_ns - t0;
         // ~ (1042+24)*8/10 ≈ 850 ns.
         assert!(dt > 700 && dt < 1000, "wire time {dt} ns");
     }
@@ -448,7 +443,7 @@ mod tests {
             let mut rec = MetaRecord::default();
             b.process_program_into(&prog, f, &mut rec);
             assert_eq!(one_shot, rec);
-            assert_eq!(a.now_ns(), b.now_ns());
+            assert_eq!(a.clock_ns, b.clock_ns);
         }
     }
 
@@ -476,7 +471,7 @@ mod tests {
         a.process_program_into(&prog, &f, &mut ra);
         b.process_program_with(&prog, &f, Some(&parsed), hint, &mut rb);
         assert_eq!(ra, rb, "steer-reuse diverged from fresh parse");
-        assert_eq!(a.now_ns(), b.now_ns());
+        assert_eq!(a.clock_ns, b.clock_ns);
     }
 
     #[test]
@@ -542,7 +537,7 @@ mod tests {
                 }
             }
             assert_eq!(cmpt, want, "path {}", path.id);
-            assert_eq!(a.now_ns(), b.now_ns());
+            assert_eq!(a.clock_ns, b.clock_ns);
         }
     }
 

@@ -219,13 +219,11 @@ pub struct ShardFrame {
     pub rss: Option<u32>,
 }
 
-/// Per-queue frame pools for the sharded RX engine, with no global lock:
-/// generation is deterministic per seed and steering is a pure function
-/// of (stream position, bytes), so each worker can regenerate the full
-/// stream independently and keep only its own queue's frames
-/// ([`ShardedPktGen::shard_for`]). The embarrassingly-parallel split is
-/// bit-identical to the sequential one ([`ShardedPktGen::generate`]) —
-/// a property test pins this.
+/// Per-queue frame pools for the sharded RX engine. Generation is
+/// deterministic per seed and steering is a pure function of (stream
+/// position, bytes), so a worker that regenerated the full stream and
+/// kept only its own queue's frames would hold exactly the pool
+/// [`ShardedPktGen::generate`] hands it — the tests pin this.
 pub struct ShardedPktGen {
     shards: Vec<Vec<ShardFrame>>,
 }
@@ -249,32 +247,6 @@ impl ShardedPktGen {
         ShardedPktGen { shards }
     }
 
-    /// Worker-local variant: regenerate the stream and keep only queue
-    /// `q`'s frames. Every worker calls this with its own queue index —
-    /// no shared generator, no lock, same frames as [`generate`].
-    ///
-    /// [`generate`]: ShardedPktGen::generate
-    pub fn shard_for(
-        wl: &Workload,
-        steerer: &crate::multiqueue::Steerer,
-        total: usize,
-        q: usize,
-    ) -> Vec<ShardFrame> {
-        let mut out = Vec::new();
-        let mut gen = PktGen::new(wl.clone());
-        for i in 0..total {
-            let bytes = gen.next_frame();
-            let (queue, rss) = {
-                let v = steerer.steer(i as u64, &bytes);
-                (v.queue, v.rss)
-            };
-            if queue == q {
-                out.push(ShardFrame { bytes, rss });
-            }
-        }
-        out
-    }
-
     /// Pool for queue `q`.
     pub fn pool(&self, q: usize) -> &[ShardFrame] {
         &self.shards[q]
@@ -291,6 +263,27 @@ mod tests {
     use super::*;
     use opendesc_softnic::wire::ParsedFrame;
     use std::collections::HashSet;
+
+    /// Regenerate the stream and keep only queue `q`'s frames: what a
+    /// worker with no shared generator would compute for itself.
+    fn shard_for(
+        wl: &Workload,
+        steerer: &crate::multiqueue::Steerer,
+        total: usize,
+        q: usize,
+    ) -> Vec<ShardFrame> {
+        let mut gen = PktGen::new(wl.clone());
+        (0..total as u64)
+            .map(|i| (i, gen.next_frame()))
+            .filter_map(|(i, bytes)| {
+                let (queue, rss) = {
+                    let v = steerer.steer(i, &bytes);
+                    (v.queue, v.rss)
+                };
+                (queue == q).then_some(ShardFrame { bytes, rss })
+            })
+            .collect()
+    }
 
     #[test]
     fn deterministic_per_seed() {
@@ -369,7 +362,7 @@ mod tests {
             let seq = ShardedPktGen::generate(wl.clone(), &st, 200).into_pools();
             assert_eq!(seq.iter().map(Vec::len).sum::<usize>(), 200);
             for (q, pool) in seq.iter().enumerate() {
-                let local = ShardedPktGen::shard_for(&wl, &st, 200, q);
+                let local = shard_for(&wl, &st, 200, q);
                 assert_eq!(pool, &local, "queue {q}: lock-free split must match");
             }
         }
@@ -448,7 +441,7 @@ mod tests {
         let seq = ShardedPktGen::generate(wl.clone(), &st, 300).into_pools();
         assert_eq!(seq.iter().map(Vec::len).sum::<usize>(), 300);
         for (q, pool) in seq.iter().enumerate() {
-            let local = ShardedPktGen::shard_for(&wl, &st, 300, q);
+            let local = shard_for(&wl, &st, 300, q);
             assert_eq!(pool, &local, "queue {q}: skewed lock-free split must match");
         }
     }

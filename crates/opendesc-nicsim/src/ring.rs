@@ -216,11 +216,6 @@ impl DescRing {
         &self.slots[at..at + self.lens[idx] as usize]
     }
 
-    /// Total produced over the ring's lifetime.
-    pub fn total_produced(&self) -> u64 {
-        self.prod
-    }
-
     /// Total consumed over the ring's lifetime.
     pub fn total_consumed(&self) -> u64 {
         self.cons
@@ -299,7 +294,7 @@ mod tests {
                 assert_eq!(r.consume(), Some(&[round, i][..]));
             }
         }
-        assert_eq!(r.total_produced(), 40);
+        assert_eq!(r.prod, 40);
         assert_eq!(r.total_consumed(), 40);
     }
 

@@ -74,11 +74,6 @@ impl StreamQueue {
         self.buf.drain(..self.tail);
         self.tail = 0;
     }
-
-    /// Bytes pending consumption.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.tail
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,7 @@ mod tests {
         q.next().unwrap();
         q.reclaim();
         assert_eq!(q.next().unwrap(), &f(2)[..]);
-        assert_eq!(q.pending_bytes(), 0);
+        assert_eq!(q.buf.len(), q.tail);
     }
 
     #[test]
@@ -144,6 +139,6 @@ mod tests {
         q.append(&frame);
         let got = q.next().unwrap();
         assert_eq!(got, &frame[..]);
-        assert_eq!(q.pending_bytes(), 0, "only len+frame bytes are stored");
+        assert_eq!(q.buf.len(), q.tail, "only len+frame bytes are stored");
     }
 }

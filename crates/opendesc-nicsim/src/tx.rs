@@ -95,11 +95,6 @@ impl TxPath {
 }
 
 impl SimNic {
-    /// Whether the model defines a TX descriptor parser.
-    pub fn tx_available(&self) -> bool {
-        self.model.desc_parser.is_some()
-    }
-
     /// Program the H2C (TX) per-queue context.
     pub fn configure_tx(&mut self, ctx: Assignment) {
         self.h2c_context = ctx;
@@ -245,7 +240,7 @@ impl SimNic {
     /// doorbell write over a batch.
     ///
     /// [`ring_tx_doorbell`]: SimNic::ring_tx_doorbell
-    pub fn post_tx_deferred(&mut self, desc: &[u8]) -> Result<(), NicError> {
+    fn post_tx_deferred(&mut self, desc: &[u8]) -> Result<(), NicError> {
         self.tx_ring.produce(desc).map_err(NicError::Ring)
     }
 
@@ -434,7 +429,7 @@ mod tests {
     #[test]
     fn qdma_tx_base_descriptor_transmits() {
         let mut nic = SimNic::new(models::qdma_default(), 16).unwrap();
-        assert!(nic.tx_available());
+        assert!(nic.model.desc_parser.is_some());
         nic.configure_tx(h2c(12));
         let frame = testpkt::udp4([1, 2, 3, 4], [5, 6, 7, 8], 1, 2, b"payload", None);
         let addr = nic.alloc_tx_buf(&frame);
@@ -470,7 +465,7 @@ mod tests {
     #[test]
     fn e1000e_tx_transmits_via_its_parser() {
         let mut nic = SimNic::new(models::e1000e(), 16).unwrap();
-        assert!(nic.tx_available());
+        assert!(nic.model.desc_parser.is_some());
         let frame = testpkt::udp4([3, 3, 3, 3], [4, 4, 4, 4], 9, 10, b"e1000e", None);
         let addr = nic.alloc_tx_buf(&frame);
         // e1000e TX: addr 64, length 16, flags 8, qid 8 (12 bytes).
@@ -485,7 +480,7 @@ mod tests {
     #[test]
     fn models_without_tx_parser_are_inert() {
         let mut nic = SimNic::new(models::mlx5(), 16).unwrap();
-        assert!(!nic.tx_available());
+        assert!(nic.model.desc_parser.is_none());
         assert!(nic.process_tx().is_empty());
     }
 

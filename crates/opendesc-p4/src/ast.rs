@@ -90,7 +90,7 @@ pub struct Annotation {
 
 impl Annotation {
     /// First string argument, if any (`@semantic("rss_hash")` → `rss_hash`).
-    pub fn str_arg(&self) -> Option<&str> {
+    fn str_arg(&self) -> Option<&str> {
         self.args.iter().find_map(|a| match a {
             AnnArg::Str(s) => Some(s.as_str()),
             _ => None,
@@ -98,7 +98,7 @@ impl Annotation {
     }
 
     /// First integer argument, if any (`@cost(120)` → `120`).
-    pub fn int_arg(&self) -> Option<u128> {
+    fn int_arg(&self) -> Option<u128> {
         self.args.iter().find_map(|a| match a {
             AnnArg::Int(v) => Some(*v),
             _ => None,

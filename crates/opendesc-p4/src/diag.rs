@@ -138,10 +138,6 @@ impl Diagnostics {
         self.diags.iter()
     }
 
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.diags
-    }
-
     /// Every message on one line, `; `-separated — what an error enum
     /// carries when it has no source map to render against.
     pub fn summary(&self) -> String {

@@ -104,13 +104,6 @@ impl SourceMap {
         &self.src
     }
 
-    /// The text covered by `span`. Out-of-range spans yield `""`.
-    pub fn snippet(&self, span: Span) -> &str {
-        self.src
-            .get(span.lo as usize..span.hi as usize)
-            .unwrap_or("")
-    }
-
     /// Line/column (1-based) of a byte offset. Total: an offset past the
     /// end reads as the end, one inside a multi-byte character as that
     /// character's start.
@@ -176,13 +169,6 @@ mod tests {
         assert_eq!(sm.line_text(0), "abc");
         assert_eq!(sm.line_text(5), "def");
         assert_eq!(sm.line_text(10), "ghi");
-    }
-
-    #[test]
-    fn snippet_out_of_range_is_empty() {
-        let sm = SourceMap::new("t.p4", "abc");
-        assert_eq!(sm.snippet(Span::new(0, 2)), "ab");
-        assert_eq!(sm.snippet(Span::new(2, 99)), "");
     }
 
     #[test]

@@ -4,30 +4,31 @@
 //! artifact*: any valid `CmptDeparser`/`DescParser` description should
 //! compile to an interface whose four executable forms — the SoftNIC
 //! reference ([`AccessorSet::read_packet`]), the tree-interpreter
-//! oracle ([`RxPlan`]), the bytecode VM, and the verifier-gated eBPF
-//! lowering — agree bit-for-bit, and whose TX deparse bytecode writes
-//! the same wire bytes as [`TxWriter`](crate::tx::TxWriter). Four
-//! hand-built models cannot witness that claim over the layout space,
-//! so this module mints NIC models *at random* (seed-deterministic,
-//! via [`opendesc_nicsim::models::programmable`]) — randomized field
-//! widths, offsets and ordering, interleaved pads and generation tags,
-//! optional tails, if/else/switch/opaque guards, optional extended TX
-//! descriptors — negotiates each one, round-trips its manifest, and
-//! cross-checks every execution form on identical bytes.
+//! oracle ([`execute_into_primed`] and its siblings), the bytecode VM,
+//! and the verifier-gated eBPF lowering — agree bit-for-bit, and whose
+//! TX deparse bytecode writes the same wire bytes as [`tx_descriptor`].
+//! Four hand-built models cannot witness that claim over the layout
+//! space, so this module mints NIC models *at random*
+//! (seed-deterministic, via [`opendesc_nicsim::models::programmable`])
+//! — randomized field widths, offsets and ordering, interleaved pads
+//! and generation tags, optional tails, if/else/switch/opaque guards,
+//! optional extended TX descriptors — negotiates each one, round-trips
+//! its manifest, and cross-checks every execution form on identical
+//! bytes.
 //!
 //! A divergence carries a minimized reproducer (seed + intent mask +
 //! contract + manifest) so CI can upload it as an artifact and
 //! `tests/corpus/` can pin it forever.
 
-use crate::accessor::{Accessor, AccessorSet};
-use crate::cache::CompiledRx;
-use crate::codegen::manifest::ManifestV1;
-use crate::compiler::Compiler;
-use crate::intent::Intent;
-use crate::lower::{lower, LowerError};
-use crate::plan::RxPlan;
-use crate::select::Selector;
-use crate::tx::{compile_tx, txreg, CompiledTxPlan};
+use crate::{
+    execute_degraded, execute_degraded_partial, execute_into_primed, execute_verified,
+    tx_descriptor,
+};
+use opendesc_core::codegen::manifest::ManifestV1;
+use opendesc_core::{
+    compile_tx, lower, txreg, Accessor, AccessorSet, CompiledRx, CompiledTxPlan, Compiler, Intent,
+    LowerError, RxPlan, Selector,
+};
 use opendesc_ebpf::Vm;
 use opendesc_ir::semantics::{names, SemanticId, SemanticRegistry};
 use opendesc_nicsim::models::{
@@ -68,7 +69,7 @@ impl Rng {
         Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.0 ^= self.0 << 13;
         self.0 ^= self.0 >> 7;
         self.0 ^= self.0 << 17;
@@ -260,7 +261,7 @@ pub struct Report {
     pub manifests_roundtripped: u64,
     /// Adversarial out-of-bounds plans the eBPF verifier refused.
     pub ebpf_refused: u64,
-    /// TX-capable triples whose deparse bytecode matched `TxWriter`.
+    /// TX-capable triples whose deparse bytecode matched [`tx_descriptor`].
     pub tx_checked: u64,
     pub divergences: Vec<Divergence>,
 }
@@ -319,7 +320,7 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
         let reference = set.read_packet(&reg, &mut soft_r, &frame, &cmpt);
         let mut tree = vec![None; slots];
         let mut soft_a = SoftNic::new();
-        plan.execute_into_primed(set, &mut soft_a, &frame, &cmpt, None, &mut tree);
+        execute_into_primed(plan, set, &mut soft_a, &frame, &cmpt, None, &mut tree);
         if reference != tree {
             return Err(format!("round {round}: SoftNIC reference != tree oracle"));
         }
@@ -328,7 +329,7 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
         // way the datapath primes it.
         let mut tree_h = vec![None; slots];
         let mut soft_b = SoftNic::new();
-        plan.execute_into_primed(set, &mut soft_b, &frame, &cmpt, hint, &mut tree_h);
+        execute_into_primed(plan, set, &mut soft_b, &frame, &cmpt, hint, &mut tree_h);
         let mut byte = vec![None; slots];
         let mut soft_c = SoftNic::new();
         prog.run_trusted(&mut soft_c, &frame, &cmpt, hint, &mut byte);
@@ -364,7 +365,7 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
         }
         let mut tree_v = vec![None; slots];
         let mut soft_d = SoftNic::new();
-        let rep_tree = plan.execute_verified(set, &mut soft_d, &frame, &bad, &mut tree_v);
+        let rep_tree = execute_verified(plan, set, &mut soft_d, &frame, &bad, &mut tree_v);
         let mut byte_v = vec![None; slots];
         let mut soft_e = SoftNic::new();
         let rep_byte = prog.run_verified(&mut soft_e, &frame, &bad, &mut byte_v);
@@ -375,16 +376,36 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
         // Degraded disposition with sentinel prefill.
         let mut tree_d = vec![Some(0xDEAD); slots];
         let mut soft_f = SoftNic::new();
-        plan.execute_degraded(&mut soft_f, &frame, &mut tree_d);
+        execute_degraded(plan, &mut soft_f, &frame, &mut tree_d);
         let mut byte_d = vec![Some(0xBEEF); slots];
         let mut soft_g = SoftNic::new();
         prog.run_degraded(&mut soft_g, &frame, &mut byte_d);
         if tree_d != byte_d {
             return Err(format!("round {round}: degraded disposition diverged"));
         }
+
+        // Partial degraded re-serve — what the datapath runs when it
+        // distrusts a completion but keeps proven and software slots.
+        // The masks come from their own stream, so a case seed mints
+        // the same frames and records with or without this check.
+        let mut masks = Rng::new(case ^ 0x6B65_6570);
+        let single = 1u128 << masks.below(slots as u64);
+        let hw_bit = plan.hw.first().map_or(0, |&i| 1u128 << i);
+        let random = (masks.next_u64() as u128) << 64 | masks.next_u64() as u128;
+        for keep in [u128::MAX, single, hw_bit, random] {
+            let mut tree_p: Vec<_> = (0..slots as u128).map(|i| Some(0xFEED_0000 + i)).collect();
+            let mut byte_p = tree_p.clone();
+            execute_degraded_partial(plan, &mut SoftNic::new(), &frame, keep, &mut tree_p);
+            prog.run_degraded_partial_at(&mut SoftNic::new(), &frame, keep, &mut byte_p, 1, 0);
+            if tree_p != byte_p {
+                return Err(format!(
+                    "round {round}: partial degraded re-serve diverged (keep {keep:#x})"
+                ));
+            }
+        }
     }
 
-    // TX: deparse bytecode vs TxWriter wire bytes, when the generated
+    // TX: deparse bytecode vs `tx_descriptor` wire bytes, when the generated
     // NIC has a descriptor parser.
     let mut tx_checked = false;
     if model.desc_parser.is_some() {
@@ -434,12 +455,12 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
                 hints.push((id(names::TX_L4_CSUM), 1));
                 regs[txreg::L4_CSUM] = 1;
             }
-            let golden = txplan.tx.writer.build(&hints);
+            let golden = tx_descriptor(&txplan.tx.layout, &hints);
             let mut desc = vec![0xFFu8; golden.len()];
             txplan.prog.run_deparse(&regs, &mut desc);
             if desc != golden {
                 return Err(format!(
-                    "TX round {round}: deparse bytecode != TxWriter wire bytes"
+                    "TX round {round}: deparse bytecode != tx_descriptor wire bytes"
                 ));
             }
         }

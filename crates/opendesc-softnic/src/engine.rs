@@ -262,7 +262,7 @@ impl SoftNic {
     ///
     /// [`rss`]: SoftNic::rss
     #[inline]
-    pub fn rss_memo(&self, p: &ParsedFrame<'_>, memo: &mut ShimMemo) -> Option<u32> {
+    fn rss_memo(&self, p: &ParsedFrame<'_>, memo: &mut ShimMemo) -> Option<u32> {
         if let Some(cached) = memo.rss {
             return cached;
         }
@@ -314,11 +314,6 @@ impl SoftNic {
             t
         });
         Some(tag)
-    }
-
-    /// Number of distinct flows the emulated flow table has seen.
-    pub fn flow_count(&self) -> usize {
-        self.flow_table.len()
     }
 }
 
@@ -435,7 +430,7 @@ mod tests {
         let tb = sn.compute_by_name(names::FLOW_TAG, &b).unwrap();
         assert_eq!(ta1, ta2, "same 5-tuple, same tag");
         assert_ne!(ta1, tb, "different flow, different tag");
-        assert_eq!(sn.flow_count(), 2);
+        assert_eq!(sn.flow_table.len(), 2);
     }
 
     #[test]

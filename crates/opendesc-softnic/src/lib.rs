@@ -19,4 +19,4 @@ pub mod wire;
 
 pub use calibrate::{calibrate, CalibrationReport};
 pub use engine::{csum_status, kvs_key_hash, ptype, rx_status, ShimMemo, ShimOp, SoftNic};
-pub use toeplitz::{rss_frame, rss_ipv4, rss_ipv4_l4, toeplitz_hash, MSFT_RSS_KEY};
+pub use toeplitz::{rss_frame, rss_ipv4, rss_ipv4_l4, MSFT_RSS_KEY};

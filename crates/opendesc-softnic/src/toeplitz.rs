@@ -4,8 +4,9 @@
 //! Every producer of an RSS hash (the device's steering stage, its
 //! offload engine and the host shim) hashes under the one key
 //! [`MSFT_RSS_KEY`] through [`rss_frame`], whose [`rss_ipv4`] /
-//! [`rss_ipv4_l4`] are table-driven. The bit-serial [`toeplitz_hash`]
-//! takes any key and is the oracle the table is tested against.
+//! [`rss_ipv4_l4`] are table-driven. The bit-serial `toeplitz_hash`
+//! takes any key, is the oracle the table is tested against, and is
+//! compiled only for those tests.
 
 use crate::wire::ParsedFrame;
 
@@ -20,7 +21,8 @@ pub const MSFT_RSS_KEY: [u8; 40] = [
 
 /// Toeplitz hash of `input` under `key`. `key` must be at least
 /// `input.len() + 4` bytes (the sliding 32-bit window must stay in range).
-pub fn toeplitz_hash(key: &[u8], input: &[u8]) -> u32 {
+#[cfg(test)]
+fn toeplitz_hash(key: &[u8], input: &[u8]) -> u32 {
     assert!(
         key.len() >= input.len() + 4,
         "toeplitz key too short: {} bytes for {} input bytes",

@@ -48,19 +48,9 @@ impl<'a> EthFrame<'a> {
         (bytes.len() >= 14).then_some(EthFrame { bytes })
     }
 
-    #[inline]
-    pub fn dst_mac(&self) -> [u8; 6] {
-        self.bytes[0..6].try_into().unwrap()
-    }
-
-    #[inline]
-    pub fn src_mac(&self) -> [u8; 6] {
-        self.bytes[6..12].try_into().unwrap()
-    }
-
     /// Outer ethertype (may be the VLAN TPID).
     #[inline]
-    pub fn outer_ethertype(&self) -> u16 {
+    fn outer_ethertype(&self) -> u16 {
         be16(self.bytes, 12).unwrap()
     }
 
@@ -144,11 +134,6 @@ impl<'a> Ipv4View<'a> {
     #[inline]
     pub fn ident(&self) -> u16 {
         be16(self.bytes, 4).unwrap()
-    }
-
-    #[inline]
-    pub fn ttl(&self) -> u8 {
-        self.bytes[8]
     }
 
     #[inline]

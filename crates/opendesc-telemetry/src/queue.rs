@@ -101,16 +101,6 @@ impl QueueTelemetry {
         }
     }
 
-    /// Fraction of fields served by hardware, when anything was served.
-    pub fn hw_field_fraction(&self) -> f64 {
-        let total = self.fields_hw + self.fields_sw;
-        if total == 0 {
-            0.0
-        } else {
-            self.fields_hw as f64 / total as f64
-        }
-    }
-
     /// Register this queue's instruments under `scope` (e.g. `rx.q0`).
     /// Registering several queues under one scope merges them — that is
     /// the engine-wide view.
@@ -179,11 +169,5 @@ mod tests {
             .without_timing()
             .get("rx.engine.time.poll_ns")
             .is_none());
-    }
-
-    #[test]
-    fn hw_fraction_is_safe_on_empty() {
-        let q = QueueTelemetry::default();
-        assert_eq!(q.hw_field_fraction(), 0.0);
     }
 }

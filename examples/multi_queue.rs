@@ -13,15 +13,15 @@
 //! cargo run --example multi_queue
 //! ```
 
-use opendesc::compiler::{Compiler, Intent, OpenDescDriver};
 use opendesc::ir::names;
-use opendesc::nicsim::{MultiQueueNic, PktGen, SteerPolicy, Transport, Workload};
+use opendesc::nicsim::{SteerPolicy, Transport};
 use opendesc::prelude::*;
 
 fn main() {
     let model = models::mlx5();
 
-    // Two intents, two compilations — same contract.
+    // Two intents, one contract: the engine compiles each queue's
+    // artifact out of one cache and programs each queue's own context.
     let mut reg = SemanticRegistry::with_builtins();
     let kvs_intent = Intent::builder("kvs_fastpath")
         .want(&mut reg, names::KVS_KEY_HASH)
@@ -31,41 +31,33 @@ fn main() {
         .want(&mut reg, names::RSS_HASH)
         .want(&mut reg, names::PKT_LEN)
         .build();
-    let kvs_compiled = Compiler::default()
-        .compile_model(&model, &kvs_intent, &mut reg)
-        .unwrap();
-    let bulk_compiled = Compiler::default()
-        .compile_model(&model, &bulk_intent, &mut reg)
-        .unwrap();
+    // One device, two queues, port steering: 11211 → queue 0.
+    let policy = SteerPolicy::DstPort {
+        table: vec![(11211, 0)],
+        default: 1,
+    };
+    let mut eng = ShardedRx::with_intents(
+        &PlanCache::default(),
+        &model,
+        &[kvs_intent, bulk_intent],
+        &mut reg,
+        1024,
+        policy,
+        32,
+    )
+    .unwrap();
+    let (kvs, bulk) = (eng.workers()[0].artifact(), eng.workers()[1].artifact());
     println!(
         "queue 0 (kvs):  {}B completion, fallbacks: {:?}",
-        kvs_compiled.path.size_bytes(),
-        kvs_compiled.missing_features()
+        kvs.path.size_bytes(),
+        kvs.missing_features()
     );
     println!(
         "queue 1 (bulk): {}B completion, fallbacks: {:?}",
-        bulk_compiled.path.size_bytes(),
-        bulk_compiled.missing_features()
+        bulk.path.size_bytes(),
+        bulk.missing_features()
     );
-    assert!(kvs_compiled.path.size_bytes() > bulk_compiled.path.size_bytes());
-
-    // One device, two queues, port steering: 11211 → queue 0.
-    let mut nic = MultiQueueNic::new(
-        model,
-        2,
-        1024,
-        SteerPolicy::DstPort {
-            table: vec![(11211, 0)],
-            default: 1,
-        },
-    )
-    .unwrap();
-    nic.queue_mut(0)
-        .configure(kvs_compiled.context.clone().unwrap())
-        .unwrap();
-    nic.queue_mut(1)
-        .configure(bulk_compiled.context.clone().unwrap())
-        .unwrap();
+    assert!(kvs.path.size_bytes() > bulk.path.size_bytes());
 
     // Mixed traffic.
     let mut kvs_gen = PktGen::new(Workload {
@@ -79,24 +71,22 @@ fn main() {
         ..Workload::default()
     });
     for _ in 0..300 {
-        nic.deliver(&kvs_gen.next_frame()).unwrap();
-        nic.deliver(&bulk_gen.next_frame()).unwrap();
-        nic.deliver(&bulk_gen.next_frame()).unwrap();
+        eng.deliver(&kvs_gen.next_frame()).unwrap();
+        eng.deliver(&bulk_gen.next_frame()).unwrap();
+        eng.deliver(&bulk_gen.next_frame()).unwrap();
     }
-    println!("\nsteering: {:?} frames per queue", nic.steered_counts());
-    assert_eq!(nic.steered(0), 300);
-    assert_eq!(nic.steered(1), 600);
+    let steered: Vec<u64> = eng.workers().iter().map(|w| w.stats().steered).collect();
+    println!("\nsteering: {steered:?} frames per queue");
+    assert_eq!(steered, [300, 600]);
 
-    // Each queue polls through its own compiled driver. (The queues are
-    // moved out of the steering shell once the wire side is done.)
-    let mut queues = nic.into_queues();
-    let bulk_nic = queues.pop().unwrap();
-    let kvs_nic = queues.pop().unwrap();
+    // Each queue polls through its own compiled driver.
+    let [kvs_worker, bulk_worker] = eng.workers_mut() else {
+        unreachable!("two intents, two workers");
+    };
 
     let kvs_sem = reg.id(names::KVS_KEY_HASH).unwrap();
-    let mut kvs_drv = OpenDescDriver::attach(kvs_nic, kvs_compiled).unwrap();
     let mut keys = std::collections::HashSet::new();
-    while let Some(pkt) = kvs_drv.poll() {
+    while let Some(pkt) = kvs_worker.driver_mut().poll() {
         if let Some(h) = pkt.get(kvs_sem) {
             keys.insert(h);
         }
@@ -107,9 +97,8 @@ fn main() {
     );
 
     let rss_sem = reg.id(names::RSS_HASH).unwrap();
-    let mut bulk_drv = OpenDescDriver::attach(bulk_nic, bulk_compiled).unwrap();
     let (mut n, mut bytes) = (0u64, 0u64);
-    while let Some(pkt) = bulk_drv.poll() {
+    while let Some(pkt) = bulk_worker.driver_mut().poll() {
         assert!(pkt.get(rss_sem).is_some());
         n += 1;
         bytes += pkt.frame.len() as u64;

@@ -63,7 +63,7 @@ fn main() {
         println!(
             "{:<14} descriptor={}B layouts={} context={} software=[{}]",
             model.name,
-            compiled.writer.desc_bytes,
+            compiled.layout.size_bytes(),
             compiled.layouts_considered,
             compiled
                 .context

@@ -8,7 +8,9 @@
 //! device context, and generating constant-time host accessors plus
 //! software fallbacks for everything else.
 //!
-//! This crate is the facade: it re-exports the whole workspace.
+//! This crate is the facade: it re-exports the product crates. The
+//! oracles the product is held equal to live in `opendesc-reference`,
+//! a dev-dependency the facade does not re-export.
 //!
 //! | Crate | Role |
 //! |---|---|
@@ -18,6 +20,7 @@
 //! | [`nicsim`] | simulated NICs executing contracts, rings, DMA model |
 //! | [`ebpf`] | eBPF ISA, assembler, verifier, VM (XDP-style hook) |
 //! | [`compiler`] | intent → layout selection (Eq. 1) → host stubs |
+//! | [`telemetry`] | metric registry, histograms, per-queue trace rings |
 //!
 //! ## Quickstart
 //!

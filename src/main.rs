@@ -361,7 +361,7 @@ fn cmd_tx(o: &Opts) -> Result<(), String> {
     println!(
         "TX compilation for {name}\n  layouts considered: {}\n  selected descriptor: {} bytes (states: {})",
         compiled.layouts_considered,
-        compiled.writer.desc_bytes,
+        compiled.layout.size_bytes(),
         compiled.layout.states.join(" → "),
     );
     match &compiled.context {

@@ -11,6 +11,7 @@ use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::{models, NicModel, SimNic};
 use opendesc::softnic::testpkt;
 use opendesc::softnic::SoftNic;
+use opendesc_reference::execute_into_primed;
 use proptest::prelude::*;
 
 /// Software-shim-heavy intent (everything except `timestamp`, which
@@ -117,7 +118,8 @@ proptest! {
                     prop_assert!(idx < singles.len(), "{}: batched path returned extra packets", name);
                     let single = &singles[idx];
                     prop_assert_eq!(batch.frame(pkt), &single.frame[..], "{}: frame bytes diverged", name);
-                    b.iface.plan.execute_into_primed(
+                    execute_into_primed(
+                        &b.iface.plan,
                         &b.iface.accessors,
                         &mut oracle_soft,
                         batch.frame(pkt),

@@ -2,7 +2,7 @@
 //!
 //! Negotiates ≥ 200 generated (NIC, intent, layout) triples per seed
 //! and requires zero cross-path divergence (SoftNIC reference == tree
-//! oracle == bytecode VM == eBPF windows, TX deparse bytes == TxWriter)
+//! oracle == bytecode VM == eBPF windows, TX deparse bytes == `tx_descriptor`)
 //! plus byte-stable manifest round-trips on every one. `CHAOS_SEED`
 //! fans the exploration out across the CI matrix.
 //!
@@ -11,7 +11,7 @@
 //! `target/conformance-repro/` — CI uploads that directory as an
 //! artifact, and the case should be pinned under `tests/corpus/`.
 
-use opendesc::compiler::conformance;
+use opendesc_reference::conformance;
 
 fn env_seed() -> u64 {
     std::env::var("CHAOS_SEED")

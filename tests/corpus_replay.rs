@@ -6,7 +6,7 @@
 //! `intents_per_nic` (decimal or 0x-hex), plus `#` comments. New
 //! fuzzer finds get pinned by adding a file — no code change.
 
-use opendesc::compiler::conformance;
+use opendesc_reference::conformance;
 
 #[derive(Debug, Default)]
 struct Entry {

@@ -111,12 +111,12 @@ fn negotiate(cache: &PlanCache, model: &NicModel) -> usize {
 
 /// Committed ceilings: 5 % above the reading of one cold negotiation.
 const CEILINGS: [(&str, u64); 6] = [
-    ("e1000-legacy", 585),
-    ("e1000e", 746),
+    ("e1000-legacy", 584),
+    ("e1000e", 745),
     ("ixgbe", 683),
-    ("ice", 1074),
+    ("ice", 1072),
     ("mlx5", 1025),
-    ("qdma", 1320),
+    ("qdma", 1319),
 ];
 
 #[test]

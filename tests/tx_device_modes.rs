@@ -8,7 +8,6 @@
 //! a layout and contexts that select none — and a contract whose parse
 //! depends on descriptor *contents* must not be table-driven at all.
 
-use opendesc::compiler::conformance::{gen_spec, Rng};
 use opendesc::ir::bits::write_bits;
 use opendesc::ir::pred::FieldRef;
 use opendesc::ir::{enumerate_tx_layouts, names, Assignment, DescriptorLayout, SemanticRegistry};
@@ -16,6 +15,7 @@ use opendesc::nicsim::models::{self, programmable, ProgField, ProgSpec, ProgTxSp
 use opendesc::nicsim::{NicModel, SimNic, TxStats, WritebackMode};
 use opendesc::p4::typecheck::parse_and_check;
 use opendesc::softnic::testpkt;
+use opendesc_reference::conformance::{gen_spec, Rng};
 
 fn layouts_of(model: &NicModel) -> (Vec<DescriptorLayout>, SemanticRegistry) {
     let (checked, diags) = parse_and_check(&model.p4_source);

@@ -10,7 +10,7 @@
 //!
 //! A second property pins the lowering itself: for arbitrary hint
 //! values the deparse program must produce the exact descriptor bytes
-//! `TxWriter::build` does.
+//! the reference serializer `tx_descriptor` does.
 //!
 //! The third property closes the loop: a full-duplex [`ShardedEngine`]
 //! forwarding every packet verbatim must put the same multiset of
@@ -24,6 +24,7 @@ use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::pktgen::ShardFrame;
 use opendesc::nicsim::{models, NicModel, SimNic, SteerPolicy};
 use opendesc::softnic::{fixup, testpkt};
+use opendesc_reference::tx_descriptor;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -218,7 +219,7 @@ proptest! {
     }
 
     /// The lowered deparse bytecode writes the exact descriptor bytes
-    /// `TxWriter::build` does, for arbitrary hint values.
+    /// `tx_descriptor` does, for arbitrary hint values.
     #[test]
     fn deparse_bytecode_equals_writer_for_arbitrary_hints(
         addr in any::<u64>(),
@@ -241,7 +242,7 @@ proptest! {
             .unwrap();
             let prog = lower_tx(&compiled, &reg);
             let id = |n: &str| reg.id(n).unwrap();
-            let golden = compiled.writer.build(&[
+            let golden = tx_descriptor(&compiled.layout, &[
                 (id(names::BUF_ADDR), addr as u128),
                 (id(names::BUF_LEN), len as u128),
                 (id(names::TX_VLAN_INSERT), vlan as u128),
@@ -254,12 +255,12 @@ proptest! {
             hints[txreg::VLAN] = vlan as u128;
             hints[txreg::IP_CSUM] = ip as u128;
             hints[txreg::L4_CSUM] = l4 as u128;
-            let mut desc = vec![0u8; compiled.writer.desc_bytes as usize];
+            let mut desc = vec![0u8; golden.len()];
             prog.run_deparse(&hints, &mut desc);
             prop_assert_eq!(
                 &desc,
                 &golden,
-                "{}: bytecode descriptor diverged from TxWriter",
+                "{}: bytecode descriptor diverged from tx_descriptor",
                 model.name.clone()
             );
         }

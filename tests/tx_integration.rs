@@ -195,7 +195,7 @@ fn qdma_context_steers_descriptor_size() {
             &mut reg,
         )
         .unwrap();
-        assert_eq!(compiled.writer.desc_bytes, expect_bytes);
+        assert_eq!(compiled.layout.size_bytes(), expect_bytes);
         let mut nic = SimNic::new(model.clone(), 16).unwrap();
         let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
         tx.send(
@@ -219,7 +219,7 @@ fn qdma_context_steers_descriptor_size() {
 #[test]
 fn rx_and_tx_coexist_on_one_nic() {
     // Full duplex through a single SimNic: receive with compiled RX
-    // accessors while transmitting with the compiled TX writer.
+    // accessors while transmitting with the compiled TX plan.
     let model = models::ice();
     let mut reg = SemanticRegistry::with_builtins();
     let rx_intent = Intent::builder("rx")

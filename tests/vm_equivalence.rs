@@ -1,7 +1,7 @@
 //! Differential testing of the three plan-execution forms.
 //!
-//! Every compiled plan exists in three executable shapes: the legacy
-//! tree interpreter (`RxPlan::execute_*`, kept as the oracle), the
+//! Every compiled plan exists in three executable shapes: the tree
+//! interpreter (`opendesc_reference::execute_*`, the oracle), the
 //! register bytecode the datapath actually runs (`PlanProgram`), and
 //! the eBPF lowering whose window programs the in-repo verifier proves
 //! bounds-safe before the `PlanCache` hands the plan out. This suite
@@ -12,11 +12,16 @@
 //! Failures print the model and `CHAOS_SEED` (the CI chaos job fans
 //! this suite out across seeds) so a failing case is replayable.
 
-use opendesc::compiler::{lower, Accessor, AccessorSet, Compiler, Intent, LowerError, RxPlan};
+use opendesc::compiler::{
+    lower, Accessor, AccessorSet, Compiler, Intent, LowerError, PlanProgram, RxPlan,
+};
 use opendesc::ebpf::Vm;
 use opendesc::ir::{names, SemanticId, SemanticRegistry};
 use opendesc::nicsim::models;
 use opendesc::softnic::{testpkt, SoftNic};
+use opendesc_reference::{
+    execute_degraded, execute_degraded_partial, execute_into_primed, execute_verified,
+};
 use proptest::prelude::*;
 
 /// The semantic pool random intents draw from (same stateless set as
@@ -67,6 +72,24 @@ fn splat(mut seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The partial degraded re-serve on both executors from one pre-filled
+/// `out`: `(tree, bytecode)`. A kept slot must come back holding its
+/// prefill, so the prefill is a value no shim produces.
+fn partial_degrade(
+    plan: &RxPlan,
+    prog: &PlanProgram,
+    frame: &[u8],
+    keep: u128,
+) -> (Vec<Option<u128>>, Vec<Option<u128>>) {
+    let mut tree: Vec<_> = (0..plan.steps.len() as u128)
+        .map(|i| Some(0xFEED_0000_0000 + i))
+        .collect();
+    let mut byte = tree.clone();
+    execute_degraded_partial(plan, &mut SoftNic::new(), frame, keep, &mut tree);
+    prog.run_degraded_partial_at(&mut SoftNic::new(), frame, keep, &mut byte, 1, 0);
+    (tree, byte)
+}
+
 fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         (
@@ -114,6 +137,7 @@ proptest! {
         frame in arb_frame(),
         cmpt_seed in any::<u64>(),
         hint in (any::<bool>(), any::<u32>()).prop_map(|(s, h)| s.then_some(h)),
+        keep in any::<u128>(),
     ) {
         let seed = cmpt_seed ^ env_seed().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         for model in [models::e1000e(), models::ixgbe(), models::mlx5(), models::qdma_default()] {
@@ -143,7 +167,7 @@ proptest! {
             // Trusted disposition (primed like the datapath's hot path).
             let mut tree = vec![None; slots];
             let mut soft_a = SoftNic::new();
-            plan.execute_into_primed(set, &mut soft_a, &frame, &cmpt, hint, &mut tree);
+            execute_into_primed(plan, set, &mut soft_a, &frame, &cmpt, hint, &mut tree);
             let mut byte = vec![None; slots];
             let mut soft_b = SoftNic::new();
             prog.run_trusted(&mut soft_b, &frame, &cmpt, hint, &mut byte);
@@ -175,7 +199,7 @@ proptest! {
             }
             let mut tree_v = vec![None; slots];
             let mut soft_c = SoftNic::new();
-            let rep_tree = plan.execute_verified(set, &mut soft_c, &frame, &bad, &mut tree_v);
+            let rep_tree = execute_verified(plan, set, &mut soft_c, &frame, &bad, &mut tree_v);
             let mut byte_v = vec![None; slots];
             let mut soft_d = SoftNic::new();
             let rep_byte = prog.run_verified(&mut soft_d, &frame, &bad, &mut byte_v);
@@ -186,11 +210,21 @@ proptest! {
             // clear device-only slots identically.
             let mut tree_d = vec![Some(0xDEAD); slots];
             let mut soft_e = SoftNic::new();
-            plan.execute_degraded(&mut soft_e, &frame, &mut tree_d);
+            execute_degraded(plan, &mut soft_e, &frame, &mut tree_d);
             let mut byte_d = vec![Some(0xBEEF); slots];
             let mut soft_f = SoftNic::new();
             prog.run_degraded(&mut soft_f, &frame, &mut byte_d);
             prop_assert_eq!(&tree_d, &byte_d, "{}: degraded diverged", &ctx);
+
+            // Partial degraded re-serve — what the datapath runs on a
+            // distrusted packet: a random mask, everything kept, one
+            // slot kept, one hardware slot kept.
+            let single = 1u128 << (keep % slots as u128);
+            let hw_bit = plan.hw.first().map_or(0, |&i| 1u128 << i);
+            for k in [keep, u128::MAX, single, hw_bit] {
+                let (tree_p, byte_p) = partial_degrade(plan, prog, &frame, k);
+                prop_assert_eq!(&tree_p, &byte_p, "{}: partial degrade diverged, keep {:#x}", &ctx, k);
+            }
         }
     }
 }
@@ -212,5 +246,56 @@ fn out_of_bounds_plan_is_rejected_not_served() {
             assert!(reason.contains("exceeds proven bound"), "{reason}");
         }
         other => panic!("expected Verify rejection, got {other:?}"),
+    }
+}
+
+/// The partial degraded re-serve on a 128-slot plan — the widest
+/// `lower` accepts, so the keep mask's top bit names a real slot.
+#[test]
+fn partial_degrade_agrees_across_the_whole_keep_mask() {
+    let reg = SemanticRegistry::with_builtins();
+    // Recomputable semantics plus one device-only one, alternating
+    // software and hardware slots; slot 127 is a hardware `queue_hint`.
+    let pool: Vec<SemanticId> = SEMS
+        .iter()
+        .chain([names::TIMESTAMP].iter())
+        .map(|n| reg.id(n).unwrap())
+        .collect();
+    let accessors = (0..128usize)
+        .map(|i| match (pool[i % pool.len()], i % 2) {
+            (sem, 0) => Accessor::software(sem, &format!("s{i}"), 32),
+            (sem, _) => Accessor::hardware(sem, &format!("h{i}"), i as u32 * 8, 8),
+        })
+        .collect();
+    let set = AccessorSet {
+        accessors,
+        completion_bytes: 128,
+    };
+    let plan = RxPlan::compile(&set, &reg);
+    let prog = lower(&set, &plan).expect("128 slots lower").prog;
+    let kvs = testpkt::kvs_get_payload("wide:key");
+    let frame = testpkt::udp4(
+        [10, 0, 0, 1],
+        [10, 0, 0, 2],
+        40000,
+        11211,
+        &kvs,
+        Some(0x0042),
+    );
+    let top = 1u128 << 127;
+    let stripes = u128::MAX / 3; // 0x5555…
+    for frame in [&frame[..], &[0u8; 6][..]] {
+        for keep in [top, !top, u128::MAX, stripes, !stripes, 1, 2] {
+            let (tree, byte) = partial_degrade(&plan, &prog, frame, keep);
+            assert_eq!(tree, byte, "keep {keep:#x}");
+            for (i, v) in byte.iter().enumerate() {
+                let prefill = Some(0xFEED_0000_0000 + i as u128);
+                assert_eq!(
+                    *v == prefill,
+                    keep >> i & 1 == 1,
+                    "slot {i}, keep {keep:#x}"
+                );
+            }
+        }
     }
 }
