@@ -17,10 +17,10 @@
 //! is set, appends it there. Absolute rows (Mpps, wall-clock µs/ns,
 //! constant-denominator ratios) are shown and never gated. Exit status: 0 when every gated
 //! metric is within band and above its floor, 1 otherwise, 2 on usage
-//! errors, unknown experiment names and unreadable records.
+//! errors, unknown experiment names and unreadable records (including a
+//! record that names no `identity` columns).
 
-use opendesc_bench::{all_pass, compare, markdown_table, Experiment, EXPERIMENTS};
-use opendesc_telemetry::{parse_json, Json};
+use opendesc_bench::{all_pass, compare, markdown_table, read_record, Experiment, EXPERIMENTS};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bench run [eNN…] [OUTDIR]\n       bench gate BASE CUR [eNN…]";
@@ -78,10 +78,13 @@ fn run(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-fn load(dir: &str, exp: &str) -> Result<Json, String> {
+/// `dir/BENCH_{exp}.json` as the gate reads it (see
+/// [`opendesc_bench::flatten`]); a record that names no identity
+/// columns is refused like an unreadable one.
+fn load(dir: &str, exp: &str) -> Result<Vec<(String, f64)>, String> {
     let path = format!("{dir}/BENCH_{exp}.json");
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    parse_json(&text).map_err(|e| format!("{path}: {e}"))
+    read_record(&path, &text)
 }
 
 fn gate(args: &[String]) -> Result<bool, String> {

@@ -195,10 +195,6 @@ pub struct Record {
 /// skips them so they can never match a gate.
 const RUN_FIELDS: [&str; 3] = ["cores", "pkts_per_round", "rounds"];
 
-/// Identity columns of records written before the `identity` field
-/// existed (the committed baselines until they are next regenerated).
-const LEGACY_IDENTITY: [&str; 5] = ["model", "path", "queues", "rate", "telemetry"];
-
 /// Integers as integers, everything else with four decimals.
 fn num(x: f64) -> String {
     if x.fract() == 0.0 && x.abs() < 1e15 {
@@ -257,13 +253,14 @@ impl Record {
                 }
             ),
         ];
-        if let Some(first) = self.rows.first() {
-            let ids: Vec<String> = first
-                .iter()
-                .filter(|(_, c)| c.is_id())
-                .map(|(k, _)| format!("\"{k}\""))
-                .collect();
-            top.push(format!("\"identity\": [{}]", ids.join(", ")));
+        // Every record names its identity columns, an empty list when it
+        // has no rows: a reader never guesses them.
+        let ids: Vec<String> = (self.rows.first().into_iter().flatten())
+            .filter(|(_, c)| c.is_id())
+            .map(|(k, _)| format!("\"{k}\""))
+            .collect();
+        top.push(format!("\"identity\": [{}]", ids.join(", ")));
+        if !self.rows.is_empty() {
             let rows: Vec<String> = self
                 .rows
                 .iter()
@@ -329,7 +326,7 @@ impl Record {
     pub fn flat(&self) -> Vec<(String, f64)> {
         let doc =
             opendesc_telemetry::parse_json(&self.to_json()).expect("record writes valid JSON");
-        flatten(&doc)
+        flatten(&doc).expect("a record names its identity columns")
     }
 
     /// One named scalar (see [`flatten`] for the names).
@@ -355,16 +352,15 @@ impl Record {
 /// their key; numbers inside `rows` are named
 /// `rows[model=e1000e,queues=4].mpps` from the row's identity columns
 /// (the record's `identity` list, in row order), so the same row in
-/// baseline and current lines up by name regardless of row order.
-pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
+/// baseline and current lines up by name regardless of row order. A
+/// document that is not an object, or names no `identity` list, is
+/// refused: there is no default to guess the row names from.
+pub fn flatten(doc: &Json) -> Result<Vec<(String, f64)>, String> {
+    let (Some(obj), Some(ids)) = (doc.as_obj(), doc.get("identity").and_then(Json::as_arr)) else {
+        return Err("not a bench record: no `identity` list".into());
+    };
+    let identity: Vec<&str> = ids.iter().filter_map(Json::as_str).collect();
     let mut out = Vec::new();
-    let Some(obj) = doc.as_obj() else {
-        return out;
-    };
-    let identity: Vec<&str> = match doc.get("identity").and_then(Json::as_arr) {
-        Some(ids) => ids.iter().filter_map(Json::as_str).collect(),
-        None => LEGACY_IDENTITY.to_vec(),
-    };
     for (k, v) in obj {
         if let Some(x) = v.as_f64() {
             if !RUN_FIELDS.contains(&k.as_str()) {
@@ -397,7 +393,14 @@ pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
             }
         }
     }
-    out
+    Ok(out)
+}
+
+/// Read the record at `path` (its text `text`) as [`flatten`] names it;
+/// an error names the file.
+pub fn read_record(path: &str, text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = opendesc_telemetry::parse_json(text).map_err(|e| format!("{path}: {e}"))?;
+    flatten(&doc).map_err(|e| format!("{path}: {e}"))
 }
 
 /// The row tail every sharded experiment shares: aggregate Mpps over
@@ -613,8 +616,8 @@ pub mod e12 {
 /// 1-queue baseline shape.
 pub mod e13 {
     use super::e12;
-    use crate::{worker_cells, Cell, Record};
-    use opendesc_core::{PlanCache, ShardReport, ShardedRx};
+    use crate::{worker_cells, Cell, Record, Row};
+    use opendesc_core::{EngineReport, PlanCache, ShardedEngine};
     use opendesc_ir::SemanticRegistry;
     use opendesc_nicsim::pktgen::{ShardFrame, ShardedPktGen};
     use opendesc_nicsim::{NicModel, SteerPolicy, Workload};
@@ -642,65 +645,69 @@ pub mod e13 {
         }
     }
 
-    /// Build a `queues`-wide engine (RSS steering, shared artifact).
-    pub fn engine(model: &NicModel, queues: usize) -> ShardedRx {
+    /// Build a `queues`-wide RX-only engine (RSS steering, shared
+    /// artifact).
+    pub fn engine(model: &NicModel, queues: usize) -> ShardedEngine {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
-        let i = e12::intent(&mut reg);
-        ShardedRx::new_uniform(
-            &cache,
-            model,
-            &i,
-            &mut reg,
-            queues,
-            RING,
-            SteerPolicy::Rss,
-            BATCH_CAP,
-        )
-        .expect("e13 engine builds")
+        let intents = vec![e12::intent(&mut reg); queues];
+        let policy = SteerPolicy::Rss;
+        ShardedEngine::with_intents(&cache, model, &intents, &mut reg, RING, policy, BATCH_CAP)
+            .expect("e13 engine builds")
     }
 
     /// Per-queue pools for one round (lock-free sharded generation).
-    pub fn pools(eng: &ShardedRx) -> Vec<Vec<ShardFrame>> {
+    pub fn pools(eng: &ShardedEngine) -> Vec<Vec<ShardFrame>> {
         ShardedPktGen::generate(workload(), eng.steerer(), ROUND).into_pools()
     }
 
-    /// Run the scaling matrix. Round 0 exercises the real scoped-thread
-    /// engine (and checks nothing is lost in parallel); the measured
-    /// rounds use the sequential harness so each worker's `busy_ns` is
-    /// timed in isolation — see `ShardedRx::run_sequential` for why
-    /// that is the honest aggregate on hosts with fewer cores than
-    /// queues. Each configuration is scored by its best round
-    /// (min-estimator over `max_busy_ns`).
-    pub fn measure(rounds: usize) -> Record {
+    /// The scaling loop E13 and E17 share, per model and queue count:
+    /// build the engine, run one round on the real scoped-thread engine
+    /// and check it conserved every frame (all received, all counted by
+    /// `score`, whatever was forwarded on the wire), then take the best
+    /// of `rounds` sequential rounds by `max_busy_ns` — each worker's
+    /// `busy_ns` timed in isolation, see
+    /// [`ShardedEngine::run_sequential`] for why that is the honest
+    /// aggregate on hosts with fewer cores than queues. `score` reads
+    /// a report's `(mpps, total_pkts)` for the row.
+    pub(crate) fn scaling_rows(
+        models: Vec<NicModel>,
+        engine: fn(&NicModel, usize) -> ShardedEngine,
+        wl: &Workload,
+        rounds: usize,
+        score: fn(&EngineReport) -> (f64, u64),
+    ) -> Vec<Row> {
         let mut rows = Vec::new();
-        for model in e12::model_matrix() {
+        for model in models {
             for &q in &QUEUE_COUNTS {
                 let mut eng = engine(&model, q);
-                let pools = pools(&eng);
+                let pools = ShardedPktGen::generate(wl.clone(), eng.steerer(), ROUND).into_pools();
                 let warm = eng.run(&pools);
-                assert_eq!(
-                    warm.total_packets() as usize,
-                    ROUND,
-                    "{} x{q}: parallel warm-up lost packets",
-                    model.name
-                );
+                let name = &model.name;
+                let lost = format!("{name} x{q}: parallel warm-up lost packets");
+                assert_eq!(warm.total_rx_packets() as usize, ROUND, "{lost}");
+                assert_eq!(score(&warm).1 as usize, ROUND, "{lost}");
+                let unsent = format!("{name} x{q}: forwarded frames must reach the wire");
+                assert_eq!(warm.total_wire_frames(), warm.total_forwarded(), "{unsent}");
                 let rep = (0..rounds.max(1))
                     .map(|_| eng.run_sequential(&pools))
-                    .min_by_key(ShardReport::max_busy_ns)
+                    .min_by_key(EngineReport::max_busy_ns)
                     .expect("at least one measured round");
-                let mut row = vec![
-                    ("model", Cell::id(&model.name)),
-                    ("queues", Cell::IdNum(q as f64)),
-                ];
-                row.extend(worker_cells(
-                    rep.aggregate_mpps(),
-                    rep.total_packets(),
-                    &rep.per_worker,
-                ));
+                let mut row = vec![("model", Cell::id(name)), ("queues", Cell::IdNum(q as f64))];
+                let (mpps, total) = score(&rep);
+                row.extend(worker_cells(mpps, total, &rep.rx));
                 rows.push(row);
             }
         }
+        rows
+    }
+
+    /// Run the scaling matrix (the loop E17 shares: build, warm
+    /// parallel round, best sequential round by `max_busy_ns`); each row's
+    /// throughput is received packets over the busiest worker.
+    pub fn measure(rounds: usize) -> Record {
+        let score = |r: &EngineReport| (r.aggregate_mpps(), r.total_rx_packets());
+        let rows = scaling_rows(e12::model_matrix(), engine, &workload(), rounds, score);
         let mut rec =
             Record::new("e13_sharded_rx", "Mpps aggregate", ROUND, rounds, rows).modelled();
         let scaling = rec.ratio(
@@ -890,7 +897,7 @@ pub mod e14 {
 pub mod e15 {
     use super::e13;
     use crate::{Cell, Record};
-    use opendesc_core::{Hist, MetricValue, ShardReport};
+    use opendesc_core::{EngineReport, Hist, MetricValue, ShardedEngine};
     use opendesc_nicsim::models;
 
     /// Queue count of the overhead configuration (the E13 midpoint).
@@ -903,7 +910,7 @@ pub mod e15 {
     /// per-round signal here (~0.35 ms) is small enough that the
     /// estimator's noise floor decides whether the ≤3% budget is even
     /// testable.
-    fn better(rep: ShardReport, best: &mut Option<ShardReport>) {
+    fn better(rep: EngineReport, best: &mut Option<EngineReport>) {
         let take = match best {
             None => true,
             Some(b) => rep.sum_busy_ns() < b.sum_busy_ns(),
@@ -933,8 +940,9 @@ pub mod e15 {
         let mut eng = e13::engine(&model, QUEUES);
         let pools = e13::pools(&eng);
         // Warm-up on the real scoped-thread engine, checking conservation.
-        assert_eq!(eng.run(&pools).total_packets() as usize, e13::ROUND);
-        let (mut best_off, mut best_on): (Option<ShardReport>, Option<ShardReport>) = (None, None);
+        assert_eq!(eng.run(&pools).total_rx_packets() as usize, e13::ROUND);
+        let (mut best_off, mut best_on): (Option<EngineReport>, Option<EngineReport>) =
+            (None, None);
         let mut ratios = Vec::with_capacity(rounds.max(1));
         for j in 0..rounds.max(1) {
             // One arm of a pair: REPS back-to-back drains with the flag
@@ -942,14 +950,14 @@ pub mod e15 {
             // signal of a single drain) plus the arm's best single rep
             // for the report rows.
             fn arm(
-                eng: &mut opendesc_core::ShardedRx,
+                eng: &mut ShardedEngine,
                 pools: &[Vec<opendesc_nicsim::pktgen::ShardFrame>],
                 on: bool,
-            ) -> (ShardReport, u64) {
+            ) -> (EngineReport, u64) {
                 const REPS: usize = 3;
                 eng.set_telemetry_enabled(on);
                 let mut total = 0u64;
-                let mut best: Option<ShardReport> = None;
+                let mut best: Option<EngineReport> = None;
                 for _ in 0..REPS {
                     let rep = eng.run_sequential(pools);
                     total += rep.sum_busy_ns();
@@ -971,12 +979,12 @@ pub mod e15 {
         }
         ratios.sort_by(f64::total_cmp);
         let ratio = ratios[ratios.len() / 2];
-        let row = |rep: &ShardReport, telemetry: &str| {
+        let row = |rep: &EngineReport, telemetry: &str| {
             vec![
                 ("model", Cell::id(&model.name)),
                 ("telemetry", Cell::id(telemetry)),
                 ("mpps", Cell::Val(rep.aggregate_mpps())),
-                ("total_pkts", Cell::Count(rep.total_packets())),
+                ("total_pkts", Cell::Count(rep.total_rx_packets())),
                 ("max_busy_ns", Cell::Count(rep.max_busy_ns())),
             ]
         };
@@ -1136,13 +1144,12 @@ pub mod e16 {
 /// measured rounds use the sequential harness so `busy_ns` stays honest
 /// on small hosts, scored by min-estimator over `max_busy_ns`.
 pub mod e17 {
-    use crate::{worker_cells, Cell, Record};
+    use crate::Record;
     use opendesc_core::{
         compile_tx, CompiledTxPlan, EngineReport, ForwardFn, Intent, PlanCache, Selector,
         ShardedEngine, TxBatch, TxQueue, TxRequest, TxVerdict,
     };
     use opendesc_ir::{names, SemanticRegistry};
-    use opendesc_nicsim::pktgen::{ShardFrame, ShardedPktGen};
     use opendesc_nicsim::{models, NicModel, SimNic, SteerPolicy, Workload};
     use std::sync::Arc;
 
@@ -1265,56 +1272,13 @@ pub mod e17 {
         .expect("e17 engine builds")
     }
 
-    /// Per-queue pools for one round (lock-free sharded generation).
-    pub fn pools(eng: &ShardedEngine) -> Vec<Vec<ShardFrame>> {
-        ShardedPktGen::generate(workload(), eng.steerer(), ROUND).into_pools()
-    }
-
-    /// Run the scaling matrix (see the module docs for the harness
-    /// discipline) and the TX head-to-head.
+    /// Run the scaling matrix (E13's loop: see
+    /// `e13::scaling_rows`) and the TX head-to-head. A row's
+    /// throughput is forwarded packets over the busiest worker's busy
+    /// time (drain + verdict + batched submit).
     pub fn measure(rounds: usize) -> Record {
-        let mut rows = Vec::new();
-        for model in model_matrix() {
-            for &q in &QUEUE_COUNTS {
-                let mut eng = engine(&model, q);
-                let pools = pools(&eng);
-                let warm = eng.run(&pools);
-                assert_eq!(
-                    warm.total_rx_packets() as usize,
-                    ROUND,
-                    "{} x{q}: parallel warm-up lost packets",
-                    model.name
-                );
-                assert_eq!(
-                    warm.total_forwarded() as usize,
-                    ROUND,
-                    "{} x{q}: the forward-everything verdict dropped packets",
-                    model.name
-                );
-                assert_eq!(
-                    warm.total_wire_frames(),
-                    warm.total_forwarded(),
-                    "{} x{q}: forwarded frames must reach the wire",
-                    model.name
-                );
-                let rep = (0..rounds.max(1))
-                    .map(|_| eng.run_sequential(&pools))
-                    .min_by_key(EngineReport::max_busy_ns)
-                    .expect("at least one measured round");
-                let mut row = vec![
-                    ("model", Cell::id(&model.name)),
-                    ("queues", Cell::IdNum(q as f64)),
-                ];
-                // Forwarded packets over the busiest worker's busy time
-                // (drain + verdict + batched submit).
-                row.extend(worker_cells(
-                    rep.aggregate_forward_mpps(),
-                    rep.total_forwarded(),
-                    &rep.rx,
-                ));
-                rows.push(row);
-            }
-        }
+        let score = |r: &EngineReport| (r.aggregate_forward_mpps(), r.total_forwarded());
+        let rows = super::e13::scaling_rows(model_matrix(), engine, &workload(), rounds, score);
         let (one_slot_ns, batched_ns) = tx_head_to_head(rounds * HEAD_TO_HEAD_ROUNDS);
         let mut rec = Record::new(
             "e17_full_duplex",
@@ -1342,7 +1306,7 @@ pub mod e17 {
 /// busy time tracks per-queue packets) at 16 and 64 queues under
 /// uniform traffic and Zipf α ∈ {0.9, 1.1, 1.3} with two injected
 /// elephant flows. Each cell runs twice through the *same* control
-/// loop ([`opendesc_core::ShardedRx::run_adaptive`]): the static arm with a frozen
+/// loop ([`opendesc_core::ShardedEngine::run_adaptive`]): the static arm with a frozen
 /// RETA and no stealing, the adaptive arm with both on. The RETA is
 /// reset to the canonical `i % queues` layout before every attempt, so
 /// the adaptive arm pays its convergence cost inside the measurement.
@@ -1434,7 +1398,7 @@ pub mod e18 {
                         eng.steerer_mut().reset_reta();
                         let out = eng.run_adaptive(&wl, TOTAL, &cfg, &mut |_, _, _| {});
                         assert_eq!(
-                            out.report.total_packets() as usize,
+                            out.report.total_rx_packets() as usize,
                             TOTAL,
                             "e18 x{q} {} lost packets",
                             dist_label(alpha)
@@ -1462,8 +1426,8 @@ pub mod e18 {
                     // — the figure skew destroys.
                     row.extend(worker_cells(
                         rep.aggregate_mpps(),
-                        rep.total_packets(),
-                        &rep.per_worker,
+                        rep.total_rx_packets(),
+                        &rep.rx,
                     ));
                     let reb = out.rebalance.unwrap_or_default();
                     row.extend([
@@ -1534,7 +1498,7 @@ pub mod e19 {
     use super::e12;
     use super::e13::{self, BATCH_CAP, RING};
     use crate::{Cell, Record};
-    use opendesc_core::{EvolveConfig, Intent, PlanCache, RelayoutRequest, ShardedRx};
+    use opendesc_core::{EvolveConfig, Intent, PlanCache, RelayoutRequest, ShardedEngine};
     use opendesc_ir::{names, SemanticRegistry};
     use opendesc_nicsim::pktgen::ShardedPktGen;
     use opendesc_nicsim::{SteerPolicy, Workload};
@@ -1576,8 +1540,8 @@ pub mod e19 {
     /// the median shrugs both tails off. One warm round is discarded.
     /// Returns `(control, evolved)` Mpps from the median round.
     fn paired_steady_mpps(
-        control: &mut ShardedRx,
-        evolved: &mut ShardedRx,
+        control: &mut ShardedEngine,
+        evolved: &mut ShardedEngine,
         wl: &Workload,
         rounds: usize,
     ) -> (f64, f64) {
@@ -1594,12 +1558,12 @@ pub mod e19 {
                 (rc, re)
             };
             assert_eq!(
-                rc.total_packets() as usize,
+                rc.total_rx_packets() as usize,
                 TOTAL,
                 "e19 control steady phase lost packets"
             );
             assert_eq!(
-                re.total_packets() as usize,
+                re.total_rx_packets() as usize,
                 TOTAL,
                 "e19 evolved steady phase lost packets"
             );
@@ -1632,16 +1596,11 @@ pub mod e19 {
             // The evolving engine, and the never-relayouted control:
             // same cache, same compiled plan, same steering — the "pre"
             // side of the paired steady measurement.
+            let intents = vec![full.clone(); QUEUES];
             let mut build = || {
-                ShardedRx::new_uniform(
-                    &cache,
-                    &model,
-                    &full,
-                    &mut reg,
-                    QUEUES,
-                    RING,
-                    SteerPolicy::Rss,
-                    BATCH_CAP,
+                let policy = SteerPolicy::Rss;
+                ShardedEngine::with_intents(
+                    &cache, &model, &intents, &mut reg, RING, policy, BATCH_CAP,
                 )
                 .expect("e19 engine builds on every E12 model")
             };
@@ -1675,7 +1634,7 @@ pub mod e19 {
                     model.name
                 );
                 assert_eq!(
-                    out.report.total_packets() as usize,
+                    out.report.total_rx_packets() as usize,
                     TOTAL,
                     "{}: migration phase lost packets",
                     model.name
@@ -2359,8 +2318,7 @@ impl Experiment {
 /// gate names a metric the record does not carry — an emitter that
 /// dropped a gated metric must not pass for lack of evidence.
 fn check_floors(exp: &Experiment, record: &Record) -> Vec<GateResult> {
-    let doc = opendesc_telemetry::parse_json(&record.to_json()).expect("record writes valid JSON");
-    let flat = flatten(&doc);
+    let flat = record.flat();
     for g in exp.gates {
         assert!(
             flat.iter().any(|(k, _)| g.matches(k)),
@@ -2369,7 +2327,7 @@ fn check_floors(exp: &Experiment, record: &Record) -> Vec<GateResult> {
             g.metric
         );
     }
-    let mut res = compare(exp, &doc, &doc);
+    let mut res = compare(exp, &flat, &flat);
     res.retain(|r| !r.pass);
     res
 }
@@ -2390,19 +2348,22 @@ pub struct GateResult {
     pub gated: bool,
 }
 
-/// Compare a current record against its baseline under `exp.gates`.
-/// Every gated metric present in the baseline must be present in the
-/// current record (a silently dropped metric fails the gate); metrics
-/// new in the current record are not gated this run — they gate once
-/// the baseline is re-committed.
-pub fn compare(exp: &Experiment, baseline: &Json, current: &Json) -> Vec<GateResult> {
-    let cur = flatten(current);
+/// Compare a current record against its baseline under `exp.gates`,
+/// both as [`flatten`] names them. Every gated metric present in the
+/// baseline must be present in the current record (a silently dropped
+/// metric fails the gate); metrics new in the current record are not
+/// gated this run — they gate once the baseline is re-committed.
+pub fn compare(
+    exp: &Experiment,
+    baseline: &[(String, f64)],
+    current: &[(String, f64)],
+) -> Vec<GateResult> {
     let mut out = Vec::new();
-    for (metric, b) in flatten(baseline) {
+    for (metric, b) in baseline.iter().cloned() {
         let Some(gate) = exp.gate_for(&metric) else {
             continue;
         };
-        let c = cur.iter().find(|(k, _)| *k == metric).map(|(_, v)| *v);
+        let c = current.iter().find(|(k, _)| *k == metric).map(|(_, v)| *v);
         let (current, change, pass) = match c {
             None => (f64::NAN, f64::NAN, false),
             Some(c) => {
@@ -2490,8 +2451,14 @@ mod tests {
     use super::*;
     use opendesc_telemetry::parse_json;
 
-    fn doc(metric: &str, v: f64) -> Json {
-        parse_json(&format!("{{\"{metric}\": {v}}}")).unwrap()
+    /// A one-metric record as the gate reads it.
+    fn doc(metric: &str, v: f64) -> Vec<(String, f64)> {
+        vec![(metric.to_string(), v)]
+    }
+
+    /// A record's text as the gate reads it.
+    fn flat(json: &str) -> Vec<(String, f64)> {
+        read_record("test", json).unwrap()
     }
 
     /// Every `Gate` of every experiment, against synthetic records: in
@@ -2552,17 +2519,17 @@ mod tests {
     #[test]
     fn gate_edges() {
         let e13 = Experiment::by_name("e13").unwrap();
-        let baseline = parse_json(
-            r#"{"rows": [{"model": "e1000e", "queues": 4, "mpps": 10.0, "total_pkts": 2048}],
+        let baseline = flat(
+            r#"{"identity": ["model", "queues"],
+                "rows": [{"model": "e1000e", "queues": 4, "mpps": 10.0, "total_pkts": 2048}],
                 "scaling_4q_vs_1q_e1000e": 3.0, "cores": 2, "rounds": 10, "pkts_per_round": 2048}"#,
-        )
-        .unwrap();
+        );
         let with = |mpps: f64, scaling: f64| {
-            parse_json(&format!(
-                r#"{{"rows": [{{"model": "e1000e", "queues": 4, "mpps": {mpps}, "total_pkts": 9}}],
+            flat(&format!(
+                r#"{{"identity": ["model", "queues"],
+                    "rows": [{{"model": "e1000e", "queues": 4, "mpps": {mpps}, "total_pkts": 9}}],
                     "scaling_4q_vs_1q_e1000e": {scaling}, "cores": 64, "rounds": 1}}"#
             ))
-            .unwrap()
         };
         // −10% on an Mpps row is out of band (strict at the boundary),
         // −5% is in; either way the row is informational.
@@ -2584,7 +2551,7 @@ mod tests {
         let table = markdown_table(&slow);
         assert!(table.contains("FAIL") && table.contains("≥ −20%, floor ≥ 2"));
         // A gated metric missing from the current record fails loudly.
-        let gone = compare(e13, &baseline, &parse_json("{}").unwrap());
+        let gone = compare(e13, &baseline, &flat(r#"{"identity": []}"#));
         assert!(!all_pass(&gone) && markdown_table(&gone).contains("missing"));
         // Recovery latency gates lower-better: +25% fails.
         let e14 = Experiment::by_name("e14").unwrap();
@@ -2596,10 +2563,11 @@ mod tests {
         // at parity with the seed loop is banded with no floor.
         let e16 = Experiment::by_name("e16").unwrap();
         let pair = |a: f64, b: f64| {
-            parse_json(&format!(
-                r#"{{"batched_vs_per_packet_qdma": {a}, "batched_vs_e12_batched_qdma": {b}}}"#
-            ))
-            .unwrap()
+            let ratios = [
+                ("batched_vs_per_packet_qdma", a),
+                ("batched_vs_e12_batched_qdma", b),
+            ];
+            ratios.map(|(k, v)| (k.to_string(), v)).to_vec()
         };
         let res = compare(e16, &pair(1.02, 1.55), &pair(0.99, 1.49));
         assert_eq!(res.len(), 2, "both ratios have a gate: {res:?}");
@@ -2623,13 +2591,18 @@ mod tests {
 
     /// `rec` as the gate reads it, after one identity cell of the row
     /// whose cells include `row` is rewritten: a changed decision.
-    fn forged(rec: &Record, row: &[(&str, &str)], col: &'static str, to: &str) -> Json {
+    fn forged(
+        rec: &Record,
+        row: &[(&str, &str)],
+        col: &'static str,
+        to: &str,
+    ) -> Vec<(String, f64)> {
         let mut rec = rec.clone();
         let has = |r: &Row, k: &str, v: &str| r.contains(&(k, Cell::id(v)));
         let hit = |r: &&mut Row| row.iter().all(|(k, v)| has(r, k, v));
         let cells = rec.rows.iter_mut().find(hit).expect("the row exists");
         cells.iter_mut().find(|(k, _)| *k == col).expect("column").1 = Cell::id(to);
-        parse_json(&rec.to_json()).unwrap()
+        rec.flat()
     }
 
     /// Every experiment, one measured round — so a panic in a `measure`
@@ -2651,7 +2624,7 @@ mod tests {
             for key in ["cores", "pkts_per_round", "rounds", "parallel"] {
                 assert!(doc.get(key).is_some(), "{}: no {key}", exp.name);
             }
-            let flat = flatten(&doc);
+            let flat = rec.flat();
             // Panics if a gate names a metric the record lacks. Floors
             // on timing ratios may miss in a one-round debug build;
             // the deterministic ones may not.
@@ -2726,7 +2699,7 @@ mod tests {
                     let unsat: Vec<_> = unsat.filter(|(k, _)| k.ends_with("soft_ns")).collect();
                     assert!(unsat.iter().all(|(k, _)| k.contains("intent=telemetry")));
                     assert_eq!(unsat.len(), if exp.name == "e2" { 3 } else { 0 });
-                    let res = compare(exp, &doc, &forged(&rec, row, col, to));
+                    let res = compare(exp, &flat, &forged(&rec, row, col, to));
                     let missing = res.iter().filter(|r| r.gated && r.current.is_nan());
                     assert_eq!(missing.count(), 1, "{}: {res:?}", exp.name);
                     assert!(!all_pass(&res) && markdown_table(&res).contains("missing"));
@@ -2819,22 +2792,28 @@ mod tests {
         }
     }
 
-    /// The baselines committed before records named their identity
-    /// columns still flatten to the same row names as fresh ones.
+    /// A record names its identity columns, or the gate refuses it —
+    /// naming the file — instead of guessing its row names. A record
+    /// without rows names an empty list.
     #[test]
-    fn legacy_records_line_up_with_marked_ones() {
-        let legacy = parse_json(
-            r#"{"rows": [{"model": "qdma", "rate": 0.10, "goodput_mpps": 4.2, "delivered": 7}]}"#,
-        )
-        .unwrap();
+    fn a_record_without_identity_is_refused() {
         let mut rec = Record::new("e14_x", "u", 0, 0, Vec::new());
+        assert_eq!(read_record("e14", &rec.to_json()), Ok(Vec::new()));
         rec.rows.push(vec![
             ("model", Cell::id("qdma")),
             ("rate", Cell::IdNum(0.10)),
             ("goodput_mpps", Cell::Val(4.2)),
             ("delivered", Cell::Count(7)),
         ]);
-        assert_eq!(flatten(&legacy), rec.flat());
+        let path = "baseline/BENCH_e14.json";
+        assert_eq!(read_record(path, &rec.to_json()), Ok(rec.flat()));
         assert_eq!(rec.metric("rows[model=qdma,rate=0.1].delivered"), Some(7.0));
+        let json = rec.to_json();
+        let doctored: Vec<&str> = json
+            .lines()
+            .filter(|l| !l.contains("\"identity\""))
+            .collect();
+        let err = read_record(path, &doctored.join("\n")).unwrap_err();
+        assert!(err.starts_with(path) && err.contains("identity"), "{err}");
     }
 }

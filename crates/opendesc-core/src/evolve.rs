@@ -33,7 +33,7 @@
 //!   accelerated by a crash, never wedged or rolled back.
 
 use crate::cache::CompiledRx;
-use crate::shard::ShardReport;
+use crate::shard::EngineReport;
 use opendesc_telemetry::MetricRegistry;
 use std::sync::Arc;
 
@@ -98,7 +98,7 @@ pub struct RelayoutRequest {
     pub rx: Arc<CompiledRx>,
 }
 
-/// Configuration of one [`run_evolving`](crate::shard::ShardedRx::run_evolving)
+/// Configuration of one [`run_evolving`](crate::shard::ShardedEngine::run_evolving)
 /// run: the adaptive loop's interval cadence plus a relayout schedule.
 #[derive(Clone)]
 pub struct EvolveConfig {
@@ -140,7 +140,7 @@ pub struct FlipRecord {
 /// What one evolving run produced.
 pub struct RelayoutOutcome {
     /// Whole-run per-worker counters (same shape as the adaptive loop).
-    pub report: ShardReport,
+    pub report: EngineReport,
     /// Every committed flip, in commit order.
     pub flips: Vec<FlipRecord>,
     /// Queues whose relayout was still parked when the run ended

@@ -64,8 +64,7 @@ pub use robust::{
 pub use select::{Objective, PathScore, SelectError, Selection, Selector};
 pub use shard::{
     retain_into, AdaptiveConfig, AdaptiveOutcome, BatchSink, DrainedPacket, EngineReport,
-    EngineWorker, ForwardFn, RxWorker, ShardError, ShardReport, ShardedEngine, ShardedRx,
-    TxVerdict, TxWorkerStats, WorkerStats,
+    EngineWorker, ForwardFn, ShardError, ShardedEngine, TxVerdict, TxWorkerStats, WorkerStats,
 };
 pub use tx::{
     compile_tx, compile_tx_checked, lower_tx, txreg, CompiledTx, CompiledTxPlan, TxBatch, TxDriver,

@@ -1,12 +1,14 @@
-//! The sharded RX engine: one worker thread per queue, no locks on the
-//! per-packet path.
+//! The sharded engine: one worker thread per device queue pair, no locks
+//! on the per-packet path.
 //!
 //! Ownership model — the engine is structured so that parallelism needs
 //! no synchronization at all on the datapath:
 //!
-//! * each [`RxWorker`] *owns* its `SimNic` queue, its `OpenDescDriver`
-//!   (with its private `SoftNic` shim state), and its recycled
-//!   [`RxBatch`] storage — nothing per-packet is shared;
+//! * each [`EngineWorker`] *owns* its `SimNic` queue, its `OpenDescDriver`
+//!   (with its private `SoftNic` shim state) and its recycled [`RxBatch`];
+//!   built with a TX intent, it also owns a TX half on the same `SimNic`
+//!   ([`TxQueue`], [`TxBatch`], rewrite scratch, verdict) — nothing
+//!   per-packet is shared and the RX→TX path never crosses a lock;
 //! * the compiled artifact is shared read-only as `Arc<CompiledRx>` —
 //!   one compilation serves every queue with the same intent, and the
 //!   §3 different-intents case gives each queue its own artifact from
@@ -18,15 +20,14 @@
 //!
 //! Every run entry point is three pieces: a worker's *feed* step (wire
 //! side, untimed), its *drain* loop (the only poller here; each batch
-//! goes to a closure — a no-op, a collector, or the forward verdict
-//! loop), and `on_each_worker`, which runs a round on scoped threads —
-//! queues are borrowed in and handed back without `Arc<Mutex<…>>`
-//! wrapping — or in order. Timing is measured per worker around the
-//! drain only (the host datapath under test), so aggregate throughput
-//! — total packets over the busiest worker's busy time — is the
-//! parallel drain's wall clock when each worker has a core of its own,
-//! and remains an honest per-core measurement when the host has fewer
-//! cores than queues.
+//! goes to the caller's sink, then through a TX half's verdict and out
+//! in one doorbell), and `on_each_worker`, which runs a round on scoped
+//! threads — queues are borrowed in and handed back without
+//! `Arc<Mutex<…>>` wrapping — or in order. Timing is measured per worker
+//! around the drain only (the host datapath, minus time stalled on a
+//! full TX ring), so aggregate throughput — total packets over the
+//! busiest worker's busy time — is the parallel drain's wall clock given
+//! a core per worker, and an honest per-core figure on fewer cores.
 
 use crate::cache::{AttachError, CompiledRx, PlanCache};
 use crate::compiler::CompileError;
@@ -50,6 +51,10 @@ use std::time::Instant;
 /// An owned `(frame, metadata)` pair drained for equivalence checking;
 /// metadata is in accessor order.
 pub type DrainedPacket = (Vec<u8>, Vec<Option<u128>>);
+
+/// Where a run's emitted wire frames go: retained (`Some`, the
+/// equivalence-test view) or only counted (`None`).
+type Wire<'a> = Option<&'a mut Vec<Vec<u8>>>;
 
 /// Sharded-engine setup failure.
 #[derive(Debug)]
@@ -93,15 +98,6 @@ impl From<AttachError> for ShardError {
     }
 }
 
-/// The queue count is the caller's: zero is refused, not asserted.
-fn at_least_one_queue(queues: usize) -> Result<(), ShardError> {
-    if queues == 0 {
-        let why = "an engine needs at least one queue".to_string();
-        return Err(ShardError::Nic(NicError::BadConfig(why)));
-    }
-    Ok(())
-}
-
 /// Counters one worker owns; folded steering diagnostics included so the
 /// engine adds no shared counters anywhere.
 #[derive(Debug, Clone, Copy, Default)]
@@ -112,8 +108,9 @@ pub struct WorkerStats {
     pub batches: u64,
     /// Frames steered/delivered to this worker's queue.
     pub steered: u64,
-    /// Nanoseconds spent inside drain sections (host datapath only; the
-    /// wire-side feed is excluded).
+    /// Nanoseconds spent inside drain sections (host datapath only: the
+    /// wire-side feed, the device's TX consumption and time stalled on a
+    /// full TX ring are excluded).
     pub busy_ns: u64,
     /// Validator counter deltas for this round (since the last
     /// `reset_stats`).
@@ -124,8 +121,111 @@ pub struct WorkerStats {
     pub health: QueueHealth,
 }
 
-/// One queue + its driver + its recycled batch + its padded stat cell.
-pub struct RxWorker {
+/// Per-round transmit counters one worker's TX half owns.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TxWorkerStats {
+    /// Packets submitted for transmission (including rewrites).
+    pub forwarded: u64,
+    /// Forwards that replaced the frame via the rewrite scratch.
+    pub rewritten: u64,
+    /// Packets the verdict consumed host-side.
+    pub dropped: u64,
+    /// Frames the device actually emitted on the wire.
+    pub wire_frames: u64,
+}
+
+/// Per-packet forward decision made by the engine's verdict function.
+#[derive(Debug, Clone, Copy)]
+pub enum TxVerdict {
+    /// Consume the packet host-side; transmit nothing.
+    Drop,
+    /// Transmit the received frame unchanged, with these offloads.
+    Forward(TxRequest),
+    /// Transmit the bytes the verdict wrote into its rewrite scratch
+    /// (the reply-generation case, e.g. serving a KVS GET).
+    Rewrite(TxRequest),
+}
+
+/// The forward decision function: sees the drained batch and a packet
+/// index, and may build a replacement frame into `rewrite` (a worker-
+/// owned scratch buffer reused across packets) before returning
+/// [`TxVerdict::Rewrite`].
+pub type ForwardFn = dyn Fn(&RxBatch, usize, &mut Vec<u8>) -> TxVerdict + Send + Sync;
+
+/// What a worker of a full-duplex engine adds: a batched [`TxQueue`] on
+/// the worker's own `SimNic` (one device queue pair), the recycled
+/// [`TxBatch`] and rewrite scratch the forward path reuses, its counters,
+/// the TX plan a relayout left pending, and the verdict.
+struct TxHalf {
+    txq: TxQueue,
+    txb: TxBatch,
+    rewrite: Vec<u8>,
+    stats: CachePadded<TxWorkerStats>,
+    /// TX plan to swap to when the pending RX flip commits (see
+    /// [`ShardedEngine::relayout`]); `None` outside a relayout.
+    pending: Option<Arc<CompiledTxPlan>>,
+    forward: Arc<ForwardFn>,
+}
+
+impl TxHalf {
+    /// Ask the verdict about every packet of `batch` and submit the
+    /// survivors — one doorbell per batch. Returns the nanoseconds spent
+    /// stalled on a full ring, which the caller takes off the host clock.
+    fn forward(&mut self, batch: &RxBatch, nic: &mut SimNic, mut wire: Wire<'_>) -> u64 {
+        self.txb.clear();
+        let t = &mut self.stats.value;
+        for pkt in 0..batch.len() {
+            let (frame, req, rewritten) = match (self.forward)(batch, pkt, &mut self.rewrite) {
+                TxVerdict::Drop => {
+                    t.dropped += 1;
+                    continue;
+                }
+                TxVerdict::Forward(req) => (batch.frame(pkt), req, 0),
+                TxVerdict::Rewrite(req) => (self.rewrite.as_slice(), req, 1),
+            };
+            if self.txb.push(frame, req) {
+                t.forwarded += 1;
+                t.rewritten += rewritten;
+            } else {
+                t.dropped += 1;
+            }
+        }
+        let (mut from, mut stalled_ns) = (0, 0u64);
+        while from < self.txb.len() {
+            from += self
+                .txq
+                .submit_from(nic, &mut self.txb, from)
+                .expect("batch matches the queue's slots; descriptor fits the ring's");
+            if from < self.txb.len() {
+                // A full ring (the only reason a submit comes up short):
+                // the device consumes, then the remainder is resubmitted.
+                let t = Instant::now();
+                self.drain_device(nic, wire.as_deref_mut());
+                stalled_ns += t.elapsed().as_nanos() as u64;
+            }
+        }
+        stalled_ns
+    }
+
+    /// Let the device consume what the TX ring holds, counting (or
+    /// retaining into `wire`) the frames it emits.
+    fn drain_device(&mut self, nic: &mut SimNic, wire: Wire<'_>) {
+        let t = &mut self.stats.value;
+        match wire {
+            Some(out) => {
+                let frames = nic.process_tx();
+                t.wire_frames += frames.len() as u64;
+                out.extend(frames);
+            }
+            None => t.wire_frames += nic.process_tx_drain(),
+        }
+    }
+}
+
+/// One queue pair: the queue's driver, its recycled batch and padded
+/// stat cell, and — only when the engine was built with a TX intent — its
+/// TX half.
+pub struct EngineWorker {
     /// Queue index this worker owns.
     pub queue: usize,
     drv: OpenDescDriver,
@@ -135,20 +235,37 @@ pub struct RxWorker {
     /// round reports deltas over the driver's cumulative counters.
     vbase: ValidationStats,
     rbase: u64,
+    tx: Option<TxHalf>,
 }
 
-impl RxWorker {
-    fn new(queue: usize, mut drv: OpenDescDriver, batch_cap: usize) -> RxWorker {
+impl EngineWorker {
+    /// The per-queue builder both engine constructors share: the
+    /// intent's artifact out of `cache`, one device queue booted from the
+    /// model's checked contract, a driver attached to it. RX only; a
+    /// full-duplex engine adds the TX half afterwards.
+    fn attach(
+        cache: &PlanCache,
+        model: &NicModel,
+        intent: &Intent,
+        reg: &mut SemanticRegistry,
+        queue: usize,
+        ring: usize,
+        batch_cap: usize,
+    ) -> Result<EngineWorker, ShardError> {
+        let rx = cache.get_or_compile(model, intent, reg)?;
+        let nic = SimNic::with_contract(model.clone(), cache.contract(model)?, ring)?;
+        let mut drv = OpenDescDriver::attach_shared(nic, rx)?;
         drv.set_queue_index(queue as u16);
         let batch = drv.make_batch(batch_cap);
-        RxWorker {
+        Ok(EngineWorker {
             queue,
             drv,
             batch,
             stats: CachePadded::default(),
             vbase: ValidationStats::default(),
             rbase: 0,
-        }
+            tx: None,
+        })
     }
 
     /// The artifact this worker's driver executes.
@@ -166,6 +283,12 @@ impl RxWorker {
         s
     }
 
+    /// This worker's transmit counters for the current round; all zero
+    /// on an RX-only engine.
+    pub fn tx_stats(&self) -> TxWorkerStats {
+        self.tx.as_ref().map(|t| t.stats.value).unwrap_or_default()
+    }
+
     /// This worker's queue health right now.
     pub fn health(&self) -> QueueHealth {
         self.drv.health()
@@ -175,6 +298,9 @@ impl RxWorker {
         self.stats.value = WorkerStats::default();
         self.vbase = self.drv.validation_stats();
         self.rbase = self.drv.watchdog_resets();
+        if let Some(tx) = &mut self.tx {
+            tx.stats.value = TxWorkerStats::default();
+        }
     }
 
     /// Wire side of one chunk: steer-stage state (parse + hash) rides
@@ -192,15 +318,17 @@ impl RxWorker {
         }
     }
 
-    /// The drain loop every run path shares: poll until the queue
-    /// reports nothing published (or `max_polls` are spent), handing
-    /// each drained batch — and the device, for a TX half on the same
-    /// queue pair — to `each`. Only this section accrues `busy_ns`. An
-    /// empty pass feeds the watchdog's stall detector, so repeated
-    /// drains are how a wedged queue (hang, lost doorbell) gets reset
-    /// and its stranded completions republished.
-    fn drain(&mut self, max_polls: u32, mut each: impl FnMut(&RxBatch, &mut SimNic)) {
+    /// The drain loop every path shares: poll until the queue reports
+    /// nothing published (or `max_polls` are spent), handing each batch
+    /// to `sink`, then to the TX half. Only this section accrues
+    /// `busy_ns`, less time stalled on a full TX ring; the device
+    /// consumes what was submitted off the clock. An empty pass feeds
+    /// the watchdog's stall detector, so repeated drains are how a wedged
+    /// queue (hang, lost doorbell) gets reset and its completions
+    /// republished.
+    fn drain(&mut self, max_polls: u32, mut sink: impl FnMut(&RxBatch), mut wire: Wire<'_>) {
         let t0 = Instant::now();
+        let mut stalled_ns = 0u64;
         for _ in 0..max_polls {
             let n = self.drv.poll_batch_into(&mut self.batch);
             if n == 0 {
@@ -208,19 +336,24 @@ impl RxWorker {
             }
             self.stats.value.packets += n as u64;
             self.stats.value.batches += 1;
-            each(&self.batch, &mut self.drv.nic);
+            sink(&self.batch);
+            if let Some(tx) = &mut self.tx {
+                stalled_ns += tx.forward(&self.batch, &mut self.drv.nic, wire.as_deref_mut());
+            }
         }
-        self.stats.value.busy_ns += t0.elapsed().as_nanos() as u64;
+        let busy = t0.elapsed().as_nanos() as u64;
+        self.stats.value.busy_ns += busy.saturating_sub(stalled_ns);
+        if let Some(tx) = &mut self.tx {
+            tx.drain_device(&mut self.drv.nic, wire);
+        }
     }
 
-    /// Feed `pool` into the owned queue in batch-capacity chunks and
-    /// drain each through the compiled batched datapath, handing every
-    /// batch to `each` (a collector copies frames out of it; the perf
-    /// path passes a no-op).
-    fn pump(&mut self, pool: &[ShardFrame], mut each: impl FnMut(&RxBatch, &mut SimNic)) {
+    /// The one pump: feed `pool` into the owned queue in batch-capacity
+    /// chunks and drain each (see [`drain`](EngineWorker::drain)).
+    fn pump(&mut self, pool: &[ShardFrame], mut sink: impl FnMut(&RxBatch), mut wire: Wire<'_>) {
         for chunk in pool.chunks(self.batch.capacity().max(1)) {
             self.feed(chunk);
-            self.drain(u32::MAX, &mut each);
+            self.drain(u32::MAX, &mut sink, wire.as_deref_mut());
         }
     }
 
@@ -237,45 +370,34 @@ impl RxWorker {
         self.drv.request_relayout(new)
     }
 
-    /// Drive a pending flip to resolution: drain in-flight work under
-    /// the *outgoing* plan (up to `budget` polls, then force-commit
-    /// with the stragglers forgiven) and commit. Batches drained on the
-    /// way go to `each` — they are delivered packets, not casualties.
-    /// A parked (`Deferred`) request returns immediately; the caller
-    /// retries at a later boundary, after health recovers. Returns the
-    /// final progress and the drain polls spent.
-    fn continue_relayout(
-        &mut self,
-        budget: u32,
-        mut each: impl FnMut(&RxBatch, &mut SimNic),
-    ) -> (FlipProgress, u32) {
+    /// The one relayout step: drain in-flight work under the *outgoing*
+    /// plan (up to `budget` polls, then force-commit with the stragglers
+    /// forgiven) and commit; on commit a TX half swaps onto the plan
+    /// [`relayout`](ShardedEngine::relayout) left pending, so both
+    /// directions flip on the RX commit edge. Drained batches go to
+    /// `sink` and the TX half — delivered packets, not casualties. No
+    /// flip pending is `(Idle, 0)`; a parked (`Deferred`) one returns at
+    /// once. Returns the final progress and the drain polls spent.
+    fn drive_flip(&mut self, budget: u32, mut sink: impl FnMut(&RxBatch)) -> (FlipProgress, u32) {
         let mut polls = 0u32;
-        loop {
+        let prog = loop {
             match self.drv.advance_relayout(polls as u64) {
                 FlipProgress::Draining if polls >= budget => {
-                    return (self.drv.force_relayout(polls as u64), polls);
+                    break self.drv.force_relayout(polls as u64);
                 }
                 FlipProgress::Draining => {
-                    self.drain(1, &mut each);
+                    self.drain(1, &mut sink, None);
                     polls += 1;
                 }
-                prog => return (prog, polls),
+                prog => break prog,
+            }
+        };
+        if let (FlipProgress::Committed(_), Some(tx)) = (prog, &mut self.tx) {
+            if let Some(plan) = tx.pending.take() {
+                tx.txq.set_plan(&mut self.drv.nic, plan);
             }
         }
-    }
-
-    /// Drain everything pending into owned `(frame, metadata)` pairs —
-    /// the equivalence-test view of the datapath (allocates; the run
-    /// paths drain into a no-op). Metadata is in accessor order.
-    fn drain_collect(&mut self) -> Vec<DrainedPacket> {
-        let mut out = Vec::new();
-        self.drain(u32::MAX, |b, _| {
-            out.extend((0..b.len()).map(|pkt| {
-                let meta = (0..b.semantics().len()).map(|f| b.value_at(f, pkt));
-                (b.frame(pkt).to_vec(), meta.collect())
-            }));
-        });
-        out
+        (prog, polls)
     }
 
     /// Read access to the owned driver (telemetry/inspection path).
@@ -288,51 +410,42 @@ impl RxWorker {
         &mut self.drv
     }
 
-    /// Register this worker's device, driver, validator, watchdog, and
-    /// softnic counters under its own `rx.q{N}` scope, and again under
-    /// `engine_scope` where the registry's additive folding produces
-    /// engine-wide totals. Shared by [`ShardedRx::snapshot`] and
-    /// [`ShardedEngine::snapshot`].
-    fn register_into(&self, reg: &mut MetricRegistry, engine_scope: &str) {
+    /// Register this worker's device, driver, validator, watchdog and
+    /// softnic counters under its own `rx.q{N}` scope and again under
+    /// `rx.engine`, where the registry's additive folding produces
+    /// engine-wide totals; a TX half does the same under `tx.q{N}` and
+    /// `tx.engine`.
+    fn register_into(&self, reg: &mut MetricRegistry) {
         let scope = format!("rx.q{}", self.queue);
         self.drv.register_metrics(reg, &scope);
-        self.drv.register_metrics(reg, engine_scope);
-        reg.counter(&format!("{scope}.worker.packets"), self.stats.value.packets);
-        reg.counter(&format!("{scope}.worker.batches"), self.stats.value.batches);
-        reg.counter(&format!("{scope}.worker.steered"), self.stats.value.steered);
-        reg.counter(&format!("{scope}.worker.busy_ns"), self.stats.value.busy_ns);
-        reg.counter(
-            &format!("{engine_scope}.worker.packets"),
-            self.stats.value.packets,
-        );
-        reg.counter(
-            &format!("{engine_scope}.worker.batches"),
-            self.stats.value.batches,
-        );
-        reg.counter(
-            &format!("{engine_scope}.worker.steered"),
-            self.stats.value.steered,
-        );
-        reg.counter(
-            &format!("{engine_scope}.worker.busy_ns"),
-            self.stats.value.busy_ns,
-        );
+        self.drv.register_metrics(reg, "rx.engine");
+        let s = &self.stats.value;
+        for (name, v) in [
+            ("packets", s.packets),
+            ("batches", s.batches),
+            ("steered", s.steered),
+            ("busy_ns", s.busy_ns),
+        ] {
+            reg.counter(&format!("{scope}.worker.{name}"), v);
+            reg.counter(&format!("rx.engine.worker.{name}"), v);
+        }
+        let Some(tx) = &self.tx else { return };
+        let scope = format!("tx.q{}", self.queue);
+        let (q, t) = (&tx.txq.stats, &tx.stats.value);
+        for (name, v) in [
+            ("frames", q.frames),
+            ("doorbells", q.doorbells),
+            ("sw_fixups", q.sw_fixups),
+            ("stalls", q.stalls),
+            ("worker.forwarded", t.forwarded),
+            ("worker.rewritten", t.rewritten),
+            ("worker.dropped", t.dropped),
+            ("worker.wire_frames", t.wire_frames),
+        ] {
+            reg.counter(&format!("{scope}.{name}"), v);
+            reg.counter(&format!("tx.engine.{name}"), v);
+        }
     }
-}
-
-/// Gauges are last-write-wins, so the engine-scope health slots hold
-/// whichever queue registered last; the honest engine-wide values are
-/// the *worst* queue's: the highest severity rank and the fullest
-/// fault-rate bucket.
-fn register_worst_health<'a>(
-    reg: &mut MetricRegistry,
-    drivers: impl Iterator<Item = &'a OpenDescDriver>,
-) {
-    let (rank, level) = drivers
-        .map(|d| (health_rank(d.health()), d.health_level().0))
-        .fold((0, 0), |(r, l), (rank, level)| (r.max(rank), l.max(level)));
-    reg.gauge("rx.engine.health", rank as f64);
-    reg.gauge("rx.engine.health_level", level as f64);
 }
 
 // Workers move into scoped threads; the artifact they share must be
@@ -340,76 +453,122 @@ fn register_worst_health<'a>(
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send::<RxWorker>();
+    assert_send::<EngineWorker>();
     assert_send::<WorkerStats>();
     assert_send_sync::<Arc<CompiledRx>>();
 };
 
-/// Aggregated view of one parallel run.
+/// Aggregated view of one round (or one interval-loop run). An RX-only
+/// engine's TX cells are all zero.
 #[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Final per-worker cells, in queue order.
-    pub per_worker: Vec<WorkerStats>,
+pub struct EngineReport {
+    /// Per-worker RX counters, in queue order.
+    pub rx: Vec<WorkerStats>,
+    /// Per-worker TX counters, in queue order.
+    pub tx: Vec<TxWorkerStats>,
 }
 
-impl ShardReport {
-    /// Packets drained across all workers.
-    pub fn total_packets(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.packets).sum()
+impl EngineReport {
+    /// Packets drained through the RX datapath.
+    pub fn total_rx_packets(&self) -> u64 {
+        self.rx.iter().map(|w| w.packets).sum()
     }
 
-    /// Busy time of the busiest worker — the parallel drain's critical
+    /// Packets submitted for transmission across all workers.
+    pub fn total_forwarded(&self) -> u64 {
+        self.tx.iter().map(|t| t.forwarded).sum()
+    }
+
+    /// Packets consumed host-side across all workers.
+    pub fn total_dropped(&self) -> u64 {
+        self.tx.iter().map(|t| t.dropped).sum()
+    }
+
+    /// Frames the devices actually emitted.
+    pub fn total_wire_frames(&self) -> u64 {
+        self.tx.iter().map(|t| t.wire_frames).sum()
+    }
+
+    /// Busy time of the busiest worker — the parallel round's critical
     /// path (its wall clock given one core per worker).
     pub fn max_busy_ns(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.busy_ns).max().unwrap_or(0)
+        self.rx.iter().map(|w| w.busy_ns).max().unwrap_or(0)
     }
 
-    /// Total datapath work across workers (the single-core equivalent).
+    /// Total host datapath work across workers (one core's worth).
     pub fn sum_busy_ns(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.busy_ns).sum()
+        self.rx.iter().map(|w| w.busy_ns).sum()
     }
 
-    /// Aggregate throughput: total packets over the critical path.
+    /// Aggregate receive throughput: drained over the critical path.
     pub fn aggregate_mpps(&self) -> f64 {
-        let ns = self.max_busy_ns();
-        if ns == 0 {
-            return 0.0;
+        self.over_critical_path(self.total_rx_packets())
+    }
+
+    /// Aggregate forwarding throughput: forwarded over the critical path.
+    pub fn aggregate_forward_mpps(&self) -> f64 {
+        self.over_critical_path(self.total_forwarded())
+    }
+
+    fn over_critical_path(&self, packets: u64) -> f64 {
+        match self.max_busy_ns() {
+            0 => 0.0,
+            ns => packets as f64 * 1e3 / ns as f64,
         }
-        self.total_packets() as f64 * 1e3 / ns as f64
     }
 }
 
-/// The coordinator: N workers, one shared steerer, run via scoped
-/// threads.
-pub struct ShardedRx {
-    workers: Vec<RxWorker>,
+/// The coordinator: N queue pairs, one shared steerer, run via scoped
+/// threads. Built RX-only ([`with_intents`](ShardedEngine::with_intents))
+/// or full duplex ([`new_uniform`](ShardedEngine::new_uniform)); the same
+/// run loops, relayout driver and snapshot serve both.
+pub struct ShardedEngine {
+    workers: Vec<EngineWorker>,
     steerer: Steerer,
-    /// Frames pushed through [`deliver`](ShardedRx::deliver) (the
+    /// Frames pushed through [`deliver`](ShardedEngine::deliver) (the
     /// round-robin stream position).
     delivered: u64,
 }
 
-impl ShardedRx {
-    /// Uniform-intent engine: every queue attaches the *same*
-    /// `Arc<CompiledRx>` out of `cache` — one compilation, N queues.
+impl ShardedEngine {
+    /// Full-duplex uniform engine: every queue shares one
+    /// `Arc<CompiledRx>` and one `Arc<CompiledTxPlan>` out of `cache` —
+    /// two compilations total for N queue pairs — and every drained
+    /// packet goes through `forward`.
     #[allow(clippy::too_many_arguments)]
     pub fn new_uniform(
         cache: &PlanCache,
         model: &NicModel,
-        intent: &Intent,
+        rx_intent: &Intent,
+        tx_intent: &Intent,
         reg: &mut SemanticRegistry,
         queues: usize,
         ring: usize,
         policy: SteerPolicy,
         batch_cap: usize,
-    ) -> Result<ShardedRx, ShardError> {
-        let intents: Vec<Intent> = (0..queues).map(|_| intent.clone()).collect();
-        Self::with_intents(cache, model, &intents, reg, ring, policy, batch_cap)
+        max_frame: usize,
+        forward: Arc<ForwardFn>,
+    ) -> Result<ShardedEngine, ShardError> {
+        let intents = vec![rx_intent.clone(); queues];
+        let mut eng = Self::with_intents(cache, model, &intents, reg, ring, policy, batch_cap)?;
+        for w in &mut eng.workers {
+            let plan = cache.get_or_compile_tx(model, tx_intent, reg)?;
+            w.tx = Some(TxHalf {
+                txq: TxQueue::attach(&mut w.drv.nic, plan, max_frame),
+                txb: TxBatch::new(batch_cap, max_frame),
+                rewrite: Vec::new(),
+                stats: CachePadded::default(),
+                pending: None,
+                forward: Arc::clone(&forward),
+            });
+        }
+        Ok(eng)
     }
 
-    /// Per-queue intents — the paper's §3 scenario: each queue may
-    /// declare a different intent and gets the matching artifact from
-    /// the cache (identical intents still share one compilation).
+    /// RX-only engine, one queue per intent — the paper's §3 scenario:
+    /// each queue gets its intent's artifact from the cache (identical
+    /// intents share one compilation; a uniform engine passes
+    /// `&vec![intent; n]`). Zero intents is refused, not asserted.
     pub fn with_intents(
         cache: &PlanCache,
         model: &NicModel,
@@ -418,24 +577,22 @@ impl ShardedRx {
         ring: usize,
         policy: SteerPolicy,
         batch_cap: usize,
-    ) -> Result<ShardedRx, ShardError> {
-        at_least_one_queue(intents.len())?;
-        let steerer = Steerer::new(policy, intents.len());
-        let mut workers = Vec::with_capacity(intents.len());
-        for (q, intent) in intents.iter().enumerate() {
-            let rx = cache.get_or_compile(model, intent, reg)?;
-            let nic = SimNic::with_contract(model.clone(), cache.contract(model)?, ring)?;
-            let drv = OpenDescDriver::attach_shared(nic, rx)?;
-            workers.push(RxWorker::new(q, drv, batch_cap));
+    ) -> Result<ShardedEngine, ShardError> {
+        if intents.is_empty() {
+            let why = "an engine needs at least one queue".to_string();
+            return Err(ShardError::Nic(NicError::BadConfig(why)));
         }
-        Ok(ShardedRx {
+        let workers = (intents.iter().enumerate())
+            .map(|(q, i)| EngineWorker::attach(cache, model, i, reg, q, ring, batch_cap))
+            .collect::<Result<_, _>>()?;
+        Ok(ShardedEngine {
             workers,
-            steerer,
+            steerer: Steerer::new(policy, intents.len()),
             delivered: 0,
         })
     }
 
-    /// Number of workers (= queues).
+    /// Number of workers (= queue pairs).
     pub fn queues(&self) -> usize {
         self.workers.len()
     }
@@ -445,12 +602,19 @@ impl ShardedRx {
         &self.steerer
     }
 
+    /// Mutable steering state — the rebalancer's RETA write port. The
+    /// per-packet path is untouched by rewrites: steering stays a mask +
+    /// table load, only the table cell changes.
+    pub fn steerer_mut(&mut self) -> &mut Steerer {
+        &mut self.steerer
+    }
+
     /// The workers, for direct inspection.
-    pub fn workers(&self) -> &[RxWorker] {
+    pub fn workers(&self) -> &[EngineWorker] {
         &self.workers
     }
 
-    pub fn workers_mut(&mut self) -> &mut [RxWorker] {
+    pub fn workers_mut(&mut self) -> &mut [EngineWorker] {
         &mut self.workers
     }
 
@@ -460,45 +624,83 @@ impl ShardedRx {
         let idx = self.delivered;
         self.delivered += 1;
         let v = self.steerer.steer(idx, frame);
-        self.workers[v.queue]
-            .drv
-            .deliver_steered(frame, v.parsed.as_ref(), v.rss)?;
-        self.workers[v.queue].stats.value.steered += 1;
+        let w = &mut self.workers[v.queue];
+        w.drv.deliver_steered(frame, v.parsed.as_ref(), v.rss)?;
+        w.stats.value.steered += 1;
         Ok(v.queue)
     }
 
-    /// One round: stats are reset first, so the report describes
-    /// exactly this round; worker `q` pumps `pools[q]`.
-    fn round(&mut self, pools: &[Vec<ShardFrame>], parallel: bool) -> ShardReport {
+    /// One round: every worker resets its stats, runs `work` on its
+    /// pool, and reports its RX and TX cells; what `work` returns comes
+    /// back per worker, in queue order.
+    fn round<R: Send>(
+        &mut self,
+        pools: &[Vec<ShardFrame>],
+        parallel: bool,
+        work: impl Fn(&mut EngineWorker, &[ShardFrame]) -> R + Sync,
+    ) -> (EngineReport, Vec<R>) {
         assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
-        let per_worker = on_each_worker(&mut self.workers, parallel, |q, w| {
+        let cells = on_each_worker(&mut self.workers, parallel, |q, w| {
             w.reset_stats();
-            w.pump(&pools[q], |_, _| {});
-            w.stats()
+            let out = work(w, &pools[q]);
+            ((w.stats(), w.tx_stats()), out)
         });
-        ShardReport { per_worker }
+        let (cells, outs): (Vec<_>, Vec<R>) = cells.into_iter().unzip();
+        let (rx, tx) = cells.into_iter().unzip();
+        (EngineReport { rx, tx }, outs)
     }
 
-    /// One parallel round: worker `q` pumps `pools[q]` on its own scoped
-    /// thread. The per-packet path inside each thread touches only
-    /// worker-owned state; the only joins are the thread joins.
-    pub fn run(&mut self, pools: &[Vec<ShardFrame>]) -> ShardReport {
-        self.round(pools, true)
+    /// One parallel round: worker `q` pumps (and, full duplex, forwards)
+    /// `pools[q]` on its own scoped thread. The per-packet path inside
+    /// each thread touches only worker-owned state; the only joins are
+    /// the thread joins. Stats are reset first, so the report describes
+    /// exactly this round. A worker that panics unwinds this call with
+    /// its own payload (the lowest-numbered one, if several did).
+    pub fn run(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
+        self.round(pools, true, |w, pool| w.pump(pool, |_| {}, None))
+            .0
     }
 
-    /// [`run`](ShardedRx::run) without threads: workers pump one after
-    /// another on the calling thread. Produces the same counters — and,
-    /// because `busy_ns` is accrued per worker around its own drain
-    /// sections, the same *throughput model* — but with each worker
-    /// timed in isolation. This is the measurement harness's variant:
-    /// on a host with fewer cores than queues, concurrent workers
-    /// time-slice and each worker's wall clock absorbs its neighbours'
-    /// work, overstating `busy_ns`; sequential pumping keeps per-worker
-    /// timings honest, and the aggregate (total packets over the
-    /// busiest worker) is then exactly what the parallel run achieves
-    /// given one core per worker.
-    pub fn run_sequential(&mut self, pools: &[Vec<ShardFrame>]) -> ShardReport {
-        self.round(pools, false)
+    /// [`run`](ShardedEngine::run) without threads: the same counters
+    /// and throughput model, each worker timed in isolation — the
+    /// measurement harness's variant. With fewer cores than queues,
+    /// concurrent workers time-slice and each one's clock absorbs its
+    /// neighbours' work; pumped one after another, the aggregate (total
+    /// packets over the busiest worker) is what the parallel run
+    /// achieves given one core per worker.
+    pub fn run_sequential(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
+        self.round(pools, false, |w, pool| w.pump(pool, |_| {}, None))
+            .0
+    }
+
+    /// [`run_sequential`](ShardedEngine::run_sequential) that also
+    /// retains every emitted wire frame, per queue — the
+    /// equivalence-test entry point (empty per queue on an RX-only
+    /// engine).
+    pub fn run_collect(&mut self, pools: &[Vec<ShardFrame>]) -> (EngineReport, Vec<Vec<Vec<u8>>>) {
+        self.round(pools, false, |w, pool| {
+            let mut wire = Vec::new();
+            w.pump(pool, |_| {}, Some(&mut wire));
+            wire
+        })
+    }
+
+    /// Parallel drain of everything currently pending (after a
+    /// [`deliver`](ShardedEngine::deliver) phase), collecting each
+    /// worker's `(frame, metadata)` pairs — the equivalence-test entry
+    /// point. Metadata is in accessor order.
+    pub fn drain_collect_parallel(&mut self) -> Vec<Vec<DrainedPacket>> {
+        on_each_worker(&mut self.workers, true, |_, w| {
+            let mut out = Vec::new();
+            let sink = |b: &RxBatch| {
+                out.extend((0..b.len()).map(|pkt| {
+                    let meta = (0..b.semantics().len()).map(|f| b.value_at(f, pkt));
+                    (b.frame(pkt).to_vec(), meta.collect())
+                }));
+            };
+            w.drain(u32::MAX, sink, None);
+            out
+        })
     }
 
     /// Switch poll-cycle telemetry (histograms + trace rings) on or off
@@ -510,19 +712,29 @@ impl ShardedRx {
         }
     }
 
-    /// One unified metric snapshot for the whole engine: every worker
-    /// registers its device, driver, validator, watchdog, and softnic
-    /// counters under a `rx.q{N}` scope, and registers them *again*
-    /// under `rx.engine`, where the registry's additive counter folding
-    /// and histogram merging produce the engine-wide totals. Worker
-    /// round counters ride along under `rx.q{N}.worker`.
+    /// One unified metric snapshot: every worker registers its device,
+    /// driver, validator, watchdog, softnic and round counters under
+    /// `rx.q{N}` and *again* under `rx.engine`, where additive folding
+    /// and histogram merging give engine totals; a full-duplex engine
+    /// mirrors it under `tx.q{N}` / `tx.engine`, an RX-only one has no
+    /// `tx.` key. Gauges are last-write-wins, so the engine's health
+    /// slots are written last, from the *worst* queue: the highest
+    /// severity rank and the fullest fault-rate bucket.
     pub fn snapshot(&self) -> Snapshot {
         let mut reg = MetricRegistry::default();
-        reg.gauge("rx.engine.queues", self.workers.len() as f64);
-        for w in &self.workers {
-            w.register_into(&mut reg, "rx.engine");
+        let queues = self.workers.len() as f64;
+        reg.gauge("rx.engine.queues", queues);
+        if self.workers.iter().any(|w| w.tx.is_some()) {
+            reg.gauge("tx.engine.queues", queues);
         }
-        register_worst_health(&mut reg, self.workers.iter().map(|w| &w.drv));
+        for w in &self.workers {
+            w.register_into(&mut reg);
+        }
+        let (rank, level) = (self.workers.iter())
+            .map(|w| (health_rank(w.drv.health()), w.drv.health_level().0))
+            .fold((0, 0), |(r, l), (rank, level)| (r.max(rank), l.max(level)));
+        reg.gauge("rx.engine.health", rank as f64);
+        reg.gauge("rx.engine.health_level", level as f64);
         reg.snapshot()
     }
 
@@ -538,11 +750,51 @@ impl ShardedRx {
         out
     }
 
-    /// Mutable steering state — the rebalancer's RETA write port. The
-    /// per-packet path is untouched by rewrites: steering stays a mask +
-    /// table load, only the table cell changes.
-    pub fn steerer_mut(&mut self) -> &mut Steerer {
-        &mut self.steerer
+    /// Every worker's counters as they stand.
+    fn report(&self) -> EngineReport {
+        EngineReport {
+            rx: self.workers.iter().map(EngineWorker::stats).collect(),
+            tx: self.workers.iter().map(EngineWorker::tx_stats).collect(),
+        }
+    }
+
+    /// Live-relayout the whole engine between rounds: every worker
+    /// drain-and-flips its RX side onto `rx` (see [`crate::evolve`]) and
+    /// a TX half swaps onto `tx` on the RX commit — TX is quiesced
+    /// between `run` calls, so it needs no drain of its own (`tx` is
+    /// ignored on an RX-only engine). Returns per-queue `(progress,
+    /// drain_polls)`; a `Deferred` queue (mid-fault) keeps its request,
+    /// TX plan included, and commits on a later call once it recovers.
+    pub fn relayout(
+        &mut self,
+        rx: &Arc<CompiledRx>,
+        tx: Option<&Arc<CompiledTxPlan>>,
+        budget: u32,
+    ) -> Vec<(FlipProgress, u32)> {
+        for w in &mut self.workers {
+            w.request_relayout(Arc::clone(rx));
+            if let (Some(half), Some(tx)) = (&mut w.tx, tx) {
+                half.pending = Some(Arc::clone(tx));
+            }
+        }
+        self.drive_flips(budget, &mut |_, _| {})
+    }
+
+    /// One relayout boundary: every worker takes the relayout step
+    /// ([`EngineWorker::drive_flip`]), its drained batches going to
+    /// `sink` tagged with the queue. Returns per-queue
+    /// `(progress, drain_polls)`.
+    fn drive_flips(
+        &mut self,
+        budget: u32,
+        sink: &mut impl FnMut(usize, &RxBatch),
+    ) -> Vec<(FlipProgress, u32)> {
+        (self.workers.iter_mut())
+            .map(|w| {
+                let q = w.queue;
+                w.drive_flip(budget, |b| sink(q, b))
+            })
+            .collect()
     }
 
     /// The closed control loop: process `total` frames of `wl` in
@@ -554,15 +806,14 @@ impl ShardedRx {
     /// With `cfg.rebalance = None` the same loop runs with a frozen RETA
     /// — the static arm every adaptive claim is normalized against.
     ///
-    /// Timing follows [`run_sequential`](ShardedRx::run_sequential):
+    /// Timing follows [`run_sequential`](ShardedEngine::run_sequential):
     /// workers pump one after another, generation and steering run off
     /// the clock, so the aggregate (total packets over the busiest
     /// worker's busy time) models one core per worker.
     ///
-    /// Every drained batch goes to `sink`, tagged `(interval, queue)`:
-    /// the measured runs pass a no-op, the correctness harness passes
-    /// [`retain_into`] to check multiset conservation and per-flow
-    /// order under live migrations.
+    /// Every drained batch goes to `sink`, tagged `(interval, queue)` —
+    /// a no-op to measure, [`retain_into`] to check conservation and
+    /// per-flow order under live migrations — then to any TX half.
     pub fn run_adaptive(
         &mut self,
         wl: &Workload,
@@ -608,13 +859,6 @@ impl ShardedRx {
         }
     }
 
-    /// Every worker's counters as they stand.
-    fn report(&self) -> ShardReport {
-        ShardReport {
-            per_worker: self.workers.iter().map(|w| w.stats()).collect(),
-        }
-    }
-
     /// The interval driver under [`run_adaptive`] and [`run_evolving`]:
     /// per control interval, generate `interval` frames, steer them
     /// with the *live* RETA (tallying per-bucket arrivals), optionally
@@ -624,8 +868,8 @@ impl ShardedRx {
     /// with a bounded recovery drain. Returns the number of intervals
     /// run and the chunks the steal planner moved.
     ///
-    /// [`run_adaptive`]: ShardedRx::run_adaptive
-    /// [`run_evolving`]: ShardedRx::run_evolving
+    /// [`run_adaptive`]: ShardedEngine::run_adaptive
+    /// [`run_evolving`]: ShardedEngine::run_evolving
     fn run_intervals(
         &mut self,
         wl: &Workload,
@@ -671,7 +915,7 @@ impl ShardedRx {
                 stolen_chunks += steal_surplus_chunks(&mut pools, chunk);
             }
             for (q, (w, pool)) in self.workers.iter_mut().zip(&pools).enumerate() {
-                w.pump(pool, |b, _| sink(index, q, b));
+                w.pump(pool, |b| sink(index, q, b), None);
             }
             boundary(self, index, &bucket_pkts, sink);
             index += 1;
@@ -685,7 +929,7 @@ impl ShardedRx {
                 break;
             }
             for (q, w) in self.workers.iter_mut().enumerate() {
-                w.drain(u32::MAX, |b, _| sink(index, q, b));
+                w.drain(u32::MAX, |b| sink(index, q, b), None);
             }
         }
         (index, stolen_chunks)
@@ -700,7 +944,7 @@ impl ShardedRx {
     /// Requests parked on a `Degraded` queue are retried at every later
     /// boundary and commit once health recovers. Drained batches —
     /// including those a drain-and-flip pulls in — go to `sink`, as in
-    /// [`run_adaptive`](ShardedRx::run_adaptive).
+    /// [`run_adaptive`](ShardedEngine::run_adaptive).
     pub fn run_evolving(
         &mut self,
         wl: &Workload,
@@ -715,21 +959,21 @@ impl ShardedRx {
         // boundary whose queue may have recovered since.
         let relayout: &mut Boundary<'_> = &mut |eng, interval, _, sink| {
             for req in cfg.schedule.iter().filter(|r| r.at_interval == interval) {
-                for (q, w) in eng.workers.iter_mut().enumerate() {
+                for w in &mut eng.workers {
                     if w.request_relayout(Arc::clone(&req.rx)) == FlipProgress::Deferred {
-                        parked[q] = true;
+                        parked[w.queue] = true;
                     }
                 }
             }
-            eng.drive_pending_flips(cfg.budget, interval, &mut parked, &mut flips, sink);
+            let resolved = eng.drive_flips(cfg.budget, &mut |q, b| sink(interval, q, b));
+            log_commits(interval, resolved, &mut parked, &mut flips);
         };
         let (intervals, _) = self.run_intervals(wl, total, cfg.interval, false, sink, relayout);
         // Final boundary for flips still parked: a queue whose health
         // recovered during the tail traffic can still commit.
-        self.drive_pending_flips(cfg.budget, intervals, &mut parked, &mut flips, sink);
-        let unresolved = self
-            .workers
-            .iter()
+        let resolved = self.drive_flips(cfg.budget, &mut |q, b| sink(intervals, q, b));
+        log_commits(intervals, resolved, &mut parked, &mut flips);
+        let unresolved = (self.workers.iter())
             .filter(|w| w.driver().flip_pending())
             .count();
         RelayoutOutcome {
@@ -738,39 +982,26 @@ impl ShardedRx {
             unresolved,
         }
     }
+}
 
-    /// Drive every worker whose flip is pending (one relayout boundary).
-    fn drive_pending_flips(
-        &mut self,
-        budget: u32,
-        interval: u32,
-        parked: &mut [bool],
-        flips: &mut Vec<FlipRecord>,
-        sink: &mut BatchSink<'_>,
-    ) {
-        for (q, w) in self.workers.iter_mut().enumerate() {
-            if !w.driver().flip_pending() {
-                continue;
-            }
-            let (prog, polls) = w.continue_relayout(budget, |b, _| sink(interval, q, b));
-            if let FlipProgress::Committed(g) = prog {
-                flips.push(FlipRecord {
-                    interval,
-                    queue: q,
-                    polls,
-                    generation: g,
-                    was_deferred: parked[q],
-                });
-                parked[q] = false;
-            }
+/// Log one relayout boundary's commits into `flips`, each with whether
+/// its request spent time parked; a commit unparks its queue.
+fn log_commits(
+    interval: u32,
+    resolved: Vec<(FlipProgress, u32)>,
+    parked: &mut [bool],
+    flips: &mut Vec<FlipRecord>,
+) {
+    for (queue, (prog, polls)) in resolved.into_iter().enumerate() {
+        if let FlipProgress::Committed(generation) = prog {
+            flips.push(FlipRecord {
+                interval,
+                queue,
+                polls,
+                generation,
+                was_deferred: std::mem::take(&mut parked[queue]),
+            });
         }
-    }
-
-    /// Parallel drain of everything currently pending (after a
-    /// [`deliver`](ShardedRx::deliver) phase), collecting each worker's
-    /// `(frame, metadata)` pairs — the equivalence-test entry point.
-    pub fn drain_collect_parallel(&mut self) -> Vec<Vec<DrainedPacket>> {
-        on_each_worker(&mut self.workers, true, |_, w| w.drain_collect())
     }
 }
 
@@ -778,7 +1009,9 @@ impl ShardedRx {
 /// `parallel`, otherwise one after another on the calling thread — and
 /// return the results in worker order. Scoped threads borrow the
 /// workers and hand them back at the join, which is the only
-/// synchronization a round needs.
+/// synchronization a round needs. Every thread is joined before a panic
+/// moves on: the caller unwinds with the payload of the lowest-numbered
+/// worker that panicked, as it would have without threads.
 fn on_each_worker<W: Send, R: Send>(
     workers: &mut [W],
     parallel: bool,
@@ -798,10 +1031,11 @@ fn on_each_worker<W: Send, R: Send>(
             .enumerate()
             .map(|(q, w)| s.spawn(move || work(q, w)))
             .collect();
-        handles
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
             .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     })
 }
 
@@ -817,9 +1051,9 @@ pub fn retain_into(out: &mut Vec<(u32, usize, Vec<u8>)>) -> impl FnMut(u32, usiz
 
 /// What runs at an interval boundary: `(engine, interval index, the
 /// interval's arrivals per RETA bucket, sink)`.
-type Boundary<'a> = dyn FnMut(&mut ShardedRx, u32, &[u64; RETA_SIZE], &mut BatchSink<'_>) + 'a;
+type Boundary<'a> = dyn FnMut(&mut ShardedEngine, u32, &[u64; RETA_SIZE], &mut BatchSink<'_>) + 'a;
 
-/// Configuration of one [`ShardedRx::run_adaptive`] run.
+/// Configuration of one [`ShardedEngine::run_adaptive`] run.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     /// Frames per control interval — the rebalance decision cadence.
@@ -860,7 +1094,7 @@ impl AdaptiveConfig {
 #[derive(Debug, Clone)]
 pub struct AdaptiveOutcome {
     /// Whole-run per-worker counters (busy time spans every interval).
-    pub report: ShardReport,
+    pub report: EngineReport,
     /// Control-loop accounting; `None` for the static arm.
     pub rebalance: Option<RebalanceStats>,
     /// Whole chunks the steal planner handed between queues.
@@ -873,7 +1107,7 @@ pub struct AdaptiveOutcome {
 impl AdaptiveOutcome {
     /// p99/p50 imbalance across per-queue drained packets.
     pub fn occupancy_imbalance(&self) -> f64 {
-        let pkts: Vec<u64> = self.report.per_worker.iter().map(|w| w.packets).collect();
+        let pkts: Vec<u64> = self.report.rx.iter().map(|w| w.packets).collect();
         crate::rebalance::imbalance_p99_p50(&pkts)
     }
 }
@@ -905,395 +1139,10 @@ fn steal_surplus_chunks(pools: &mut [Vec<ShardFrame>], chunk: usize) -> u64 {
     }
 }
 
-/// Per-packet forward decision made by the engine's verdict function.
-#[derive(Debug, Clone, Copy)]
-pub enum TxVerdict {
-    /// Consume the packet host-side; transmit nothing.
-    Drop,
-    /// Transmit the received frame unchanged, with these offloads.
-    Forward(TxRequest),
-    /// Transmit the bytes the verdict wrote into its rewrite scratch
-    /// (the reply-generation case, e.g. serving a KVS GET).
-    Rewrite(TxRequest),
-}
-
-/// The forward decision function: sees the drained batch and a packet
-/// index, and may build a replacement frame into `rewrite` (a worker-
-/// owned scratch buffer reused across packets) before returning
-/// [`TxVerdict::Rewrite`].
-pub type ForwardFn = dyn Fn(&RxBatch, usize, &mut Vec<u8>) -> TxVerdict + Send + Sync;
-
-/// Per-round transmit counters one engine worker owns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TxWorkerStats {
-    /// Packets submitted for transmission (including rewrites).
-    pub forwarded: u64,
-    /// Forwards that replaced the frame via the rewrite scratch.
-    pub rewritten: u64,
-    /// Packets the verdict consumed host-side.
-    pub dropped: u64,
-    /// Frames the device actually emitted on the wire.
-    pub wire_frames: u64,
-}
-
-/// One full-duplex shard: an [`RxWorker`] paired with a batched
-/// [`TxQueue`] on the *same* `SimNic` (one device queue pair), plus the
-/// recycled [`TxBatch`] and rewrite scratch the forward path reuses.
-pub struct EngineWorker {
-    pub rx: RxWorker,
-    txq: TxQueue,
-    txb: TxBatch,
-    rewrite: Vec<u8>,
-    tstats: CachePadded<TxWorkerStats>,
-    /// TX plan to swap to when the pending RX flip commits (see
-    /// [`ShardedEngine::relayout`]); `None` outside a relayout.
-    pending_tx: Option<Arc<CompiledTxPlan>>,
-}
-
-impl EngineWorker {
-    /// This worker's transmit counters for the current round.
-    pub fn tx_stats(&self) -> TxWorkerStats {
-        self.tstats.value
-    }
-
-    fn reset_stats(&mut self) {
-        self.rx.reset_stats();
-        self.tstats.value = TxWorkerStats::default();
-    }
-
-    /// Drive this shard's pending flip: resolve the RX drain-and-flip,
-    /// and on commit swap the TX queue onto the plan a
-    /// [`relayout`](ShardedEngine::relayout) left pending — the two
-    /// directions flip as one unit, on the RX commit edge.
-    fn finish_relayout(&mut self, budget: u32) -> (FlipProgress, u32) {
-        let (prog, polls) = self.rx.continue_relayout(budget, |_, _| {});
-        if matches!(prog, FlipProgress::Committed(_)) {
-            if let Some(tx) = self.pending_tx.take() {
-                self.txq.set_plan(&mut self.rx.drv.nic, tx);
-            }
-        }
-        (prog, polls)
-    }
-
-    /// Feed `pool`, then for each drained batch ask `fwd` for a verdict
-    /// per packet and submit the survivors through the batched TX path —
-    /// one doorbell per drained batch. Timing covers the host datapath
-    /// only (drain + verdicts + submit); the wire-side feed and the
-    /// device's TX consumption run off the clock, mirroring
-    /// [`RxWorker::pump`]. With `collect`, emitted wire frames are
-    /// retained for equivalence checking instead of being discarded.
-    fn pump_forward(
-        &mut self,
-        pool: &[ShardFrame],
-        fwd: &ForwardFn,
-        mut collect: Option<&mut Vec<Vec<u8>>>,
-    ) {
-        for chunk in pool.chunks(self.rx.batch.capacity().max(1)) {
-            self.rx.feed(chunk);
-            // Time the drain spent waiting on the device (ring
-            // back-pressure), taken back off the host clock below.
-            let mut stalled_ns = 0u64;
-            self.rx.drain(u32::MAX, |batch, nic| {
-                self.txb.clear();
-                for pkt in 0..batch.len() {
-                    let (frame, req, rewritten) = match fwd(batch, pkt, &mut self.rewrite) {
-                        TxVerdict::Drop => {
-                            self.tstats.value.dropped += 1;
-                            continue;
-                        }
-                        TxVerdict::Forward(req) => (batch.frame(pkt), req, 0),
-                        TxVerdict::Rewrite(req) => (self.rewrite.as_slice(), req, 1),
-                    };
-                    if self.txb.push(frame, req) {
-                        self.tstats.value.forwarded += 1;
-                        self.tstats.value.rewritten += rewritten;
-                    } else {
-                        self.tstats.value.dropped += 1;
-                    }
-                }
-                let mut from = 0;
-                while from < self.txb.len() {
-                    from += self
-                        .txq
-                        .submit_from(nic, &mut self.txb, from)
-                        .expect("batch matches the queue's slots; descriptor fits the ring's");
-                    if from < self.txb.len() {
-                        // Ring back-pressure (the only reason a submit
-                        // comes up short): the device consumes, then the
-                        // remainder is resubmitted.
-                        let t = Instant::now();
-                        drain_device(nic, &mut self.tstats.value, &mut collect);
-                        stalled_ns += t.elapsed().as_nanos() as u64;
-                    }
-                }
-            });
-            let busy = &mut self.rx.stats.value.busy_ns;
-            *busy = busy.saturating_sub(stalled_ns);
-            // Off the clock: the device consumes this chunk's frames.
-            drain_device(&mut self.rx.drv.nic, &mut self.tstats.value, &mut collect);
-        }
-    }
-}
-
-/// Let the device consume what the TX ring holds, counting (or, with
-/// `collect`, retaining) the wire frames it emits.
-fn drain_device(
-    nic: &mut SimNic,
-    tstats: &mut TxWorkerStats,
-    collect: &mut Option<&mut Vec<Vec<u8>>>,
-) {
-    match collect.as_deref_mut() {
-        Some(out) => {
-            let frames = nic.process_tx();
-            tstats.wire_frames += frames.len() as u64;
-            out.extend(frames);
-        }
-        None => tstats.wire_frames += nic.process_tx_drain(),
-    }
-}
-
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<EngineWorker>();
-};
-
-/// Aggregated view of one full-duplex round.
-#[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// Per-worker RX counters, in queue order.
-    pub rx: Vec<WorkerStats>,
-    /// Per-worker TX counters, in queue order.
-    pub tx: Vec<TxWorkerStats>,
-}
-
-impl EngineReport {
-    /// Packets submitted for transmission across all workers.
-    pub fn total_forwarded(&self) -> u64 {
-        self.tx.iter().map(|t| t.forwarded).sum()
-    }
-
-    /// Packets consumed host-side across all workers.
-    pub fn total_dropped(&self) -> u64 {
-        self.tx.iter().map(|t| t.dropped).sum()
-    }
-
-    /// Frames the devices actually emitted.
-    pub fn total_wire_frames(&self) -> u64 {
-        self.tx.iter().map(|t| t.wire_frames).sum()
-    }
-
-    /// Packets drained through the RX datapath.
-    pub fn total_rx_packets(&self) -> u64 {
-        self.rx.iter().map(|w| w.packets).sum()
-    }
-
-    /// Busy time of the busiest worker (drain + verdict + submit).
-    pub fn max_busy_ns(&self) -> u64 {
-        self.rx.iter().map(|w| w.busy_ns).max().unwrap_or(0)
-    }
-
-    /// Total host datapath work across workers.
-    pub fn sum_busy_ns(&self) -> u64 {
-        self.rx.iter().map(|w| w.busy_ns).sum()
-    }
-
-    /// Aggregate forwarding throughput: forwarded packets over the
-    /// busiest worker's busy time.
-    pub fn aggregate_forward_mpps(&self) -> f64 {
-        let ns = self.max_busy_ns();
-        if ns == 0 {
-            return 0.0;
-        }
-        self.total_forwarded() as f64 * 1e3 / ns as f64
-    }
-}
-
-/// The full-duplex coordinator: N RX+TX shard pairs, one shared
-/// steerer, one shared forward verdict function. Each shard owns one
-/// `SimNic` queue pair end to end — the RX→TX forward path never
-/// crosses a lock.
-pub struct ShardedEngine {
-    workers: Vec<EngineWorker>,
-    steerer: Steerer,
-    forward: Arc<ForwardFn>,
-}
-
-impl ShardedEngine {
-    /// Uniform engine: every queue shares one `Arc<CompiledRx>` and one
-    /// `Arc<CompiledTxPlan>` out of `cache` — two compilations total for
-    /// N full-duplex queues.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_uniform(
-        cache: &PlanCache,
-        model: &NicModel,
-        rx_intent: &Intent,
-        tx_intent: &Intent,
-        reg: &mut SemanticRegistry,
-        queues: usize,
-        ring: usize,
-        policy: SteerPolicy,
-        batch_cap: usize,
-        max_frame: usize,
-        forward: Arc<ForwardFn>,
-    ) -> Result<ShardedEngine, ShardError> {
-        at_least_one_queue(queues)?;
-        let steerer = Steerer::new(policy, queues);
-        let mut workers = Vec::with_capacity(queues);
-        for q in 0..queues {
-            let rx = cache.get_or_compile(model, rx_intent, reg)?;
-            let plan = cache.get_or_compile_tx(model, tx_intent, reg)?;
-            let nic = SimNic::with_contract(model.clone(), cache.contract(model)?, ring)?;
-            let mut drv = OpenDescDriver::attach_shared(nic, rx)?;
-            let txq = TxQueue::attach(&mut drv.nic, plan, max_frame);
-            workers.push(EngineWorker {
-                rx: RxWorker::new(q, drv, batch_cap),
-                txq,
-                txb: TxBatch::new(batch_cap, max_frame),
-                rewrite: Vec::new(),
-                tstats: CachePadded::default(),
-                pending_tx: None,
-            });
-        }
-        Ok(ShardedEngine {
-            workers,
-            steerer,
-            forward,
-        })
-    }
-
-    /// Number of full-duplex shard pairs.
-    pub fn queues(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The shared steering state.
-    pub fn steerer(&self) -> &Steerer {
-        &self.steerer
-    }
-
-    /// The shard pairs, for direct inspection.
-    pub fn workers(&self) -> &[EngineWorker] {
-        &self.workers
-    }
-
-    pub fn workers_mut(&mut self) -> &mut [EngineWorker] {
-        &mut self.workers
-    }
-
-    /// Live-relayout the whole engine between rounds: every shard
-    /// drain-and-flips its RX side onto `rx` (see [`crate::evolve`]),
-    /// then swaps its TX queue onto `tx` — TX is quiesced between
-    /// `run` calls, so the swap needs no drain of its own. Returns
-    /// per-queue flip progress; `Deferred` entries (queues mid-fault)
-    /// keep their request and commit on a later call once health
-    /// recovers — their TX side flips together with the RX commit,
-    /// which is why the TX plan is remembered per worker here. Each
-    /// entry is `(progress, drain_polls)`.
-    pub fn relayout(
-        &mut self,
-        rx: &Arc<CompiledRx>,
-        tx: Option<&Arc<CompiledTxPlan>>,
-        budget: u32,
-    ) -> Vec<(FlipProgress, u32)> {
-        self.workers
-            .iter_mut()
-            .map(|ew| {
-                ew.rx.request_relayout(Arc::clone(rx));
-                if let Some(tx) = tx {
-                    ew.pending_tx = Some(Arc::clone(tx));
-                }
-                ew.finish_relayout(budget)
-            })
-            .collect()
-    }
-
-    /// One round: every worker resets its stats, runs `work` with the
-    /// shared verdict function, and reports its RX and TX cells; what
-    /// `work` returns comes back per worker, in queue order.
-    fn round<R: Send>(
-        &mut self,
-        pools: &[Vec<ShardFrame>],
-        parallel: bool,
-        work: impl Fn(usize, &mut EngineWorker, &ForwardFn) -> R + Sync,
-    ) -> (EngineReport, Vec<R>) {
-        assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
-        let fwd: &ForwardFn = &*self.forward;
-        let cells = on_each_worker(&mut self.workers, parallel, |q, w| {
-            w.reset_stats();
-            let out = work(q, w, fwd);
-            ((w.rx.stats(), w.tstats.value), out)
-        });
-        let (cells, outs): (Vec<_>, Vec<R>) = cells.into_iter().unzip();
-        let (rx, tx) = cells.into_iter().unzip();
-        (EngineReport { rx, tx }, outs)
-    }
-
-    /// One parallel round: worker `q` pumps and forwards `pools[q]` on
-    /// its own scoped thread. Stats are reset first.
-    pub fn run(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
-        self.round(pools, true, |q, w, fwd| {
-            w.pump_forward(&pools[q], fwd, None)
-        })
-        .0
-    }
-
-    /// [`run`](ShardedEngine::run) without threads — the measurement
-    /// harness's variant, for the same reason as
-    /// [`ShardedRx::run_sequential`]: per-worker timings stay honest on
-    /// hosts with fewer cores than queues.
-    pub fn run_sequential(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
-        self.round(pools, false, |q, w, fwd| {
-            w.pump_forward(&pools[q], fwd, None)
-        })
-        .0
-    }
-
-    /// [`run_sequential`](ShardedEngine::run_sequential) that also
-    /// retains every emitted wire frame, per queue — the
-    /// equivalence-test entry point.
-    pub fn run_collect(&mut self, pools: &[Vec<ShardFrame>]) -> (EngineReport, Vec<Vec<Vec<u8>>>) {
-        self.round(pools, false, |q, w, fwd| {
-            let mut wire = Vec::new();
-            w.pump_forward(&pools[q], fwd, Some(&mut wire));
-            wire
-        })
-    }
-
-    /// One unified snapshot for the whole engine: the RX side registers
-    /// exactly like [`ShardedRx::snapshot`] (per-queue `rx.q{N}` scopes
-    /// folded into `rx.engine`), and the TX side mirrors it with
-    /// `tx.q{N}` scopes folded into `tx.engine`.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut reg = MetricRegistry::default();
-        reg.gauge("rx.engine.queues", self.workers.len() as f64);
-        reg.gauge("tx.engine.queues", self.workers.len() as f64);
-        for w in &self.workers {
-            w.rx.register_into(&mut reg, "rx.engine");
-            let scope = format!("tx.q{}", w.rx.queue);
-            let q = &w.txq.stats;
-            let t = &w.tstats.value;
-            for (name, v) in [
-                ("frames", q.frames),
-                ("doorbells", q.doorbells),
-                ("sw_fixups", q.sw_fixups),
-                ("stalls", q.stalls),
-                ("worker.forwarded", t.forwarded),
-                ("worker.rewritten", t.rewritten),
-                ("worker.dropped", t.dropped),
-                ("worker.wire_frames", t.wire_frames),
-            ] {
-                reg.counter(&format!("{scope}.{name}"), v);
-                reg.counter(&format!("tx.engine.{name}"), v);
-            }
-        }
-        register_worst_health(&mut reg, self.workers.iter().map(|w| &w.rx.drv));
-        reg.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evolve::RelayoutRequest;
     use opendesc_ir::names;
     use opendesc_nicsim::models;
     use opendesc_nicsim::pktgen::{ShardedPktGen, Workload};
@@ -1307,17 +1156,32 @@ mod tests {
             .build()
     }
 
+    fn tx_intent(reg: &mut SemanticRegistry) -> Intent {
+        Intent::builder("fwd").want(reg, names::TX_IP_CSUM).build()
+    }
+
+    /// A `queues`-wide e1000e engine on `intent`, forwarding everything.
+    fn duplex(cache: &PlanCache, reg: &mut SemanticRegistry, queues: usize) -> ShardedEngine {
+        let (ri, ti) = (intent(reg), tx_intent(reg));
+        let (model, policy) = (models::e1000e(), SteerPolicy::Rss);
+        let fwd: Arc<ForwardFn> =
+            Arc::new(|_: &RxBatch, _, _: &mut Vec<u8>| TxVerdict::Forward(TxRequest::default()));
+        ShardedEngine::new_uniform(
+            cache, &model, &ri, &ti, reg, queues, 256, policy, 32, 2048, fwd,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn uniform_engine_shares_one_artifact() {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
         let i = intent(&mut reg);
-        let eng = ShardedRx::new_uniform(
+        let eng = ShardedEngine::with_intents(
             &cache,
             &models::e1000e(),
-            &i,
+            &vec![i; 4],
             &mut reg,
-            4,
             256,
             SteerPolicy::Rss,
             32,
@@ -1345,7 +1209,7 @@ mod tests {
             .want(&mut reg, names::KVS_KEY_HASH)
             .want(&mut reg, names::PKT_LEN)
             .build();
-        let eng = ShardedRx::with_intents(
+        let eng = ShardedEngine::with_intents(
             &cache,
             &models::mlx5(),
             &[a.clone(), b, a],
@@ -1377,7 +1241,7 @@ mod tests {
         let full = Intent::builder("full")
             .want(&mut reg, names::KVS_KEY_HASH)
             .build();
-        let mut eng = ShardedRx::with_intents(
+        let mut eng = ShardedEngine::with_intents(
             &PlanCache::default(),
             &models::mlx5(),
             &[mini, full],
@@ -1406,24 +1270,33 @@ mod tests {
     fn zero_queues_is_an_error_not_a_panic() {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
-        let (i, ti) = (intent(&mut reg), tx_intent(&mut reg));
+        let (i, ti, spare) = (intent(&mut reg), tx_intent(&mut reg), intent(&mut reg));
         let model = models::e1000e();
-        let refused = |r: Result<(), ShardError>| {
+        let refused = |r: Result<ShardedEngine, ShardError>| {
+            let r = r.map(drop);
             assert!(
                 matches!(r, Err(ShardError::Nic(NicError::BadConfig(_)))),
                 "{r:?}"
             );
         };
-        let rx = ShardedRx::with_intents(&cache, &model, &[], &mut reg, 64, SteerPolicy::Rss, 16);
-        refused(rx.map(drop));
-        let rx = ShardedRx::new_uniform(&cache, &model, &i, &mut reg, 0, 64, SteerPolicy::Rss, 16);
-        refused(rx.map(drop));
-        let fwd: Arc<ForwardFn> = Arc::new(|_: &RxBatch, _, _: &mut Vec<u8>| TxVerdict::Drop);
         let policy = SteerPolicy::Rss;
-        let eng = ShardedEngine::new_uniform(
+        let none = vec![spare; 0];
+        for intents in [&[] as &[Intent], &none] {
+            let eng = ShardedEngine::with_intents(
+                &cache,
+                &model,
+                intents,
+                &mut reg,
+                64,
+                policy.clone(),
+                16,
+            );
+            refused(eng);
+        }
+        let fwd: Arc<ForwardFn> = Arc::new(|_: &RxBatch, _, _: &mut Vec<u8>| TxVerdict::Drop);
+        refused(ShardedEngine::new_uniform(
             &cache, &model, &i, &ti, &mut reg, 0, 64, policy, 16, 256, fwd,
-        );
-        refused(eng.map(drop));
+        ));
         assert!(cache.is_empty(), "refused before anything is compiled");
     }
 
@@ -1442,9 +1315,17 @@ mod tests {
             models::qdma_default(),
         ] {
             let name = model.name.clone();
-            let eng =
-                ShardedRx::new_uniform(&cache, &model, &i, &mut reg, 2, 64, SteerPolicy::Rss, 16)
-                    .unwrap();
+            let intents = vec![i.clone(); 2];
+            let eng = ShardedEngine::with_intents(
+                &cache,
+                &model,
+                &intents,
+                &mut reg,
+                64,
+                SteerPolicy::Rss,
+                16,
+            )
+            .unwrap();
             for w in eng.workers() {
                 let lowered = w
                     .artifact()
@@ -1468,12 +1349,11 @@ mod tests {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
         let i = intent(&mut reg);
-        let mut eng = ShardedRx::new_uniform(
+        let mut eng = ShardedEngine::with_intents(
             &cache,
             &models::e1000e(),
-            &i,
+            &vec![i; 4],
             &mut reg,
-            4,
             256,
             SteerPolicy::Rss,
             32,
@@ -1481,9 +1361,9 @@ mod tests {
         .unwrap();
         let pools = ShardedPktGen::generate(Workload::default(), eng.steerer(), 500).into_pools();
         let report = eng.run(&pools);
-        assert_eq!(report.total_packets(), 500);
-        assert_eq!(report.per_worker.len(), 4);
-        for (q, w) in report.per_worker.iter().enumerate() {
+        assert_eq!(report.total_rx_packets(), 500);
+        assert_eq!(report.rx.len(), 4);
+        for (q, w) in report.rx.iter().enumerate() {
             assert_eq!(
                 w.packets,
                 pools[q].len() as u64,
@@ -1493,13 +1373,16 @@ mod tests {
             assert!(w.packets == 0 || w.busy_ns > 0);
         }
         assert!(report.aggregate_mpps() > 0.0);
+        // An RX-only engine transmits nothing.
+        let tx = report.total_forwarded() + report.total_dropped() + report.total_wire_frames();
+        assert_eq!(tx, 0);
         // A second run reports only its own round (stats reset).
         let report2 = eng.run(&pools);
-        assert_eq!(report2.total_packets(), 500);
+        assert_eq!(report2.total_rx_packets(), 500);
         // The sequential measurement harness drains identical counts.
         let seq = eng.run_sequential(&pools);
-        assert_eq!(seq.total_packets(), 500);
-        for (p, w) in report.per_worker.iter().zip(&seq.per_worker) {
+        assert_eq!(seq.total_rx_packets(), 500);
+        for (p, w) in report.rx.iter().zip(&seq.rx) {
             assert_eq!(p.packets, w.packets);
             assert_eq!(p.steered, w.steered);
         }
@@ -1511,83 +1394,88 @@ mod tests {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
         let i = intent(&mut reg);
-        let mut eng = ShardedRx::new_uniform(
+        let rx_only = ShardedEngine::with_intents(
             &cache,
             &models::e1000e(),
-            &i,
+            &vec![i; 2],
             &mut reg,
-            2,
             256,
             SteerPolicy::RoundRobin,
             16,
         )
         .unwrap();
-        // Only queue 1 misbehaves: replays every completion.
-        eng.workers_mut()[1]
-            .driver_mut()
-            .nic
-            .set_faults(
-                FaultConfig::builder()
-                    .duplicate_chance(1.0)
-                    .seed(3)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-        let frames = opendesc_nicsim::PktGen::new(Workload::default()).batch(40);
-        for f in &frames {
-            eng.deliver(f).unwrap();
+        for mut eng in [rx_only, duplex(&cache, &mut reg, 2)] {
+            let full_duplex = eng.workers()[0].tx.is_some();
+            // Only queue 1 misbehaves: replays every completion.
+            eng.workers_mut()[1]
+                .driver_mut()
+                .nic
+                .set_faults(
+                    FaultConfig::builder()
+                        .duplicate_chance(1.0)
+                        .seed(3)
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+            let frames = opendesc_nicsim::PktGen::new(Workload::default()).batch(40);
+            for f in &frames {
+                eng.deliver(f).unwrap();
+            }
+            let drained: usize = eng
+                .drain_collect_parallel()
+                .iter()
+                .map(|per_q| per_q.len())
+                .sum();
+            assert_eq!(drained, 40, "replays are discarded, originals delivered");
+            let snap = eng.snapshot();
+            let health = |scope: &str| match snap.get(&format!("{scope}.health")) {
+                Some(MetricValue::Gauge(rank)) => *rank as u64,
+                other => panic!("{scope}.health is {other:?}"),
+            };
+            assert_eq!(health("rx.q0"), health_rank(QueueHealth::Healthy));
+            assert_eq!(snap.counter("rx.q0.validation.duplicates"), 0);
+            assert_eq!(health("rx.q1"), health_rank(QueueHealth::Degraded));
+            assert!(snap.counter("rx.q1.validation.duplicates") > 0);
+            // The engine is only as trustworthy as its sickest queue.
+            assert_eq!(health("rx.engine"), health_rank(QueueHealth::Degraded));
+            // Device-injected and host-caught numbers line up in the
+            // merged view: every injected duplicate was discarded by a
+            // validator.
+            let injected = snap.counter("rx.engine.nic.duplicated");
+            assert!(injected > 0);
+            assert_eq!(injected, snap.counter("rx.engine.validation.duplicates"));
+            let tx_keys: Vec<&str> = (snap.entries().iter())
+                .map(|(k, _)| k.as_str())
+                .filter(|k| k.starts_with("tx."))
+                .collect();
+            if !full_duplex {
+                assert!(tx_keys.is_empty(), "RX-only engine registered {tx_keys:?}");
+                continue;
+            }
+            // The full-duplex engine forwarded what it drained, and
+            // mirrors the RX scopes on the TX side.
+            for name in ["frames", "doorbells", "sw_fixups", "stalls"] {
+                for scope in ["tx.q0", "tx.q1", "tx.engine"] {
+                    assert!(tx_keys.contains(&format!("{scope}.{name}").as_str()));
+                }
+            }
+            for name in ["forwarded", "rewritten", "dropped", "wire_frames"] {
+                for scope in ["tx.q0", "tx.q1", "tx.engine"] {
+                    assert!(tx_keys.contains(&format!("{scope}.worker.{name}").as_str()));
+                }
+            }
+            assert!(tx_keys.contains(&"tx.engine.queues"));
+            assert_eq!(tx_keys.len(), 3 * 8 + 1, "{tx_keys:?}");
+            assert_eq!(snap.counter("tx.engine.worker.wire_frames"), 40);
         }
-        let drained: usize = eng
-            .drain_collect_parallel()
-            .iter()
-            .map(|per_q| per_q.len())
-            .sum();
-        assert_eq!(drained, 40, "replays are discarded, originals delivered");
-        let snap = eng.snapshot();
-        let health = |scope: &str| match snap.get(&format!("{scope}.health")) {
-            Some(MetricValue::Gauge(rank)) => *rank as u64,
-            other => panic!("{scope}.health is {other:?}"),
-        };
-        assert_eq!(health("rx.q0"), health_rank(QueueHealth::Healthy));
-        assert_eq!(snap.counter("rx.q0.validation.duplicates"), 0);
-        assert_eq!(health("rx.q1"), health_rank(QueueHealth::Degraded));
-        assert!(snap.counter("rx.q1.validation.duplicates") > 0);
-        // The engine is only as trustworthy as its sickest queue.
-        assert_eq!(health("rx.engine"), health_rank(QueueHealth::Degraded));
-        // Device-injected and host-caught numbers line up in the merged
-        // view: every injected duplicate was discarded by a validator.
-        let injected = snap.counter("rx.engine.nic.duplicated");
-        assert!(injected > 0);
-        assert_eq!(injected, snap.counter("rx.engine.validation.duplicates"));
-    }
-
-    fn tx_intent(reg: &mut SemanticRegistry) -> Intent {
-        Intent::builder("fwd").want(reg, names::TX_IP_CSUM).build()
     }
 
     #[test]
     fn full_duplex_engine_forwards_every_packet() {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
-        let ri = intent(&mut reg);
-        let ti = tx_intent(&mut reg);
-        let mut eng = ShardedEngine::new_uniform(
-            &cache,
-            &models::e1000e(),
-            &ri,
-            &ti,
-            &mut reg,
-            2,
-            256,
-            SteerPolicy::Rss,
-            32,
-            2048,
-            Arc::new(|_b: &RxBatch, _i: usize, _s: &mut Vec<u8>| {
-                TxVerdict::Forward(TxRequest::default())
-            }),
-        )
-        .unwrap();
+        let mut eng = duplex(&cache, &mut reg, 2);
         assert_eq!(cache.stats(), (1, 1), "2 queues share one RX compile");
         assert_eq!(cache.tx_stats(), (1, 1), "2 queues share one TX compile");
 
@@ -1682,16 +1570,88 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_worker_keeps_its_own_panic() {
+        const WHY: &str = "the verdict refuses this packet";
+        let cache = PlanCache::default();
+        let mut reg = SemanticRegistry::with_builtins();
+        let (ri, ti) = (intent(&mut reg), tx_intent(&mut reg));
+        let fwd: Arc<ForwardFn> =
+            Arc::new(|_: &RxBatch, _, _: &mut Vec<u8>| std::panic::panic_any(WHY));
+        let mut eng = ShardedEngine::new_uniform(
+            &cache,
+            &models::e1000e(),
+            &ri,
+            &ti,
+            &mut reg,
+            2,
+            256,
+            SteerPolicy::RoundRobin,
+            16,
+            2048,
+            fwd,
+        )
+        .unwrap();
+        let pools = ShardedPktGen::generate(Workload::default(), eng.steerer(), 64).into_pools();
+        let parallel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.run(&pools)));
+        let sequential =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.run_sequential(&pools)));
+        for (how, outcome) in [("run", parallel), ("run_sequential", sequential)] {
+            let payload = outcome.expect_err("the verdict panics on the first packet");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&WHY), "{how}");
+        }
+    }
+
+    #[test]
+    fn interval_loops_forward_on_a_full_duplex_engine() {
+        let (queues, total) = (2, 3_000);
+        let cache = PlanCache::default();
+        let mut reg = SemanticRegistry::with_builtins();
+        let mut eng = duplex(&cache, &mut reg, queues);
+        let conserved = |rep: &EngineReport| {
+            assert_eq!(rep.total_rx_packets(), total as u64);
+            assert_eq!(rep.total_forwarded(), total as u64);
+            assert_eq!(rep.total_wire_frames(), total as u64);
+        };
+        let wl = Workload::zipf(64, 1.1, 1);
+        let cfg = AdaptiveConfig {
+            interval: 500,
+            ..AdaptiveConfig::default()
+        };
+        conserved(&eng.run_adaptive(&wl, total, &cfg, &mut |_, _, _| {}).report);
+
+        let lean = Intent::builder("lean")
+            .want(&mut reg, names::PKT_LEN)
+            .build();
+        let schedule: Vec<RelayoutRequest> = [(1, &lean), (3, &intent(&mut reg))]
+            .into_iter()
+            .map(|(at_interval, target)| {
+                cache.begin_generation();
+                let rx = (cache.get_or_compile(&models::e1000e(), target, &mut reg)).unwrap();
+                RelayoutRequest { at_interval, rx }
+            })
+            .collect();
+        let migrations = schedule.len();
+        let out = eng.run_evolving(
+            &wl,
+            total,
+            &EvolveConfig::new(500, schedule),
+            &mut |_, _, _| {},
+        );
+        conserved(&out.report);
+        assert_eq!(out.unresolved, 0);
+        assert_eq!(out.completed(), queues * migrations, "every flip commits");
+    }
+
+    #[test]
     fn adaptive_run_conserves_and_flattens_skew() {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
         let i = intent(&mut reg);
-        let mut eng = ShardedRx::new_uniform(
+        let mut eng = ShardedEngine::with_intents(
             &cache,
             &models::e1000e(),
-            &i,
+            &vec![i; 4],
             &mut reg,
-            4,
             256,
             SteerPolicy::Rss,
             32,
@@ -1706,7 +1666,7 @@ mod tests {
             &AdaptiveConfig::static_reta(1_000),
             &mut |_, _, _| {},
         );
-        assert_eq!(stat.report.total_packets(), total as u64);
+        assert_eq!(stat.report.total_rx_packets(), total as u64);
         assert!(stat.rebalance.is_none());
         assert_eq!(stat.stolen_chunks, 0);
         assert_eq!(stat.reta, {
@@ -1728,7 +1688,7 @@ mod tests {
             },
             &mut |_, _, _| {},
         );
-        assert_eq!(adp.report.total_packets(), total as u64);
+        assert_eq!(adp.report.total_rx_packets(), total as u64);
         let reb = adp.rebalance.expect("adaptive arm reports control stats");
         assert!(reb.migrations > 0, "skew must trigger migrations: {reb:?}");
         assert!(
@@ -1737,7 +1697,7 @@ mod tests {
             adp.occupancy_imbalance(),
             stat.occupancy_imbalance()
         );
-        for w in &adp.report.per_worker {
+        for w in &adp.report.rx {
             assert_eq!(w.health, QueueHealth::Healthy);
         }
     }
@@ -1747,12 +1707,11 @@ mod tests {
         let cache = PlanCache::default();
         let mut reg = SemanticRegistry::with_builtins();
         let i = intent(&mut reg);
-        let mut eng = ShardedRx::new_uniform(
+        let mut eng = ShardedEngine::with_intents(
             &cache,
             &models::ixgbe(),
-            &i,
+            &vec![i; 2],
             &mut reg,
-            2,
             512,
             SteerPolicy::Rss,
             32,

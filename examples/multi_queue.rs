@@ -36,7 +36,7 @@ fn main() {
         table: vec![(11211, 0)],
         default: 1,
     };
-    let mut eng = ShardedRx::with_intents(
+    let mut eng = ShardedEngine::with_intents(
         &PlanCache::default(),
         &model,
         &[kvs_intent, bulk_intent],

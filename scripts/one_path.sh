@@ -7,9 +7,10 @@
 #  * The oracles stay out of the product: `opendesc-reference` is in no
 #    normal dependency tree of the root package (Cargo itself refuses
 #    the cycle for core, nicsim and softnic).
-#  * RX: one admission pipeline, one poller, one thread scope; the
-#    datapath and the engines take the program `attach` checked, never
-#    an optional one.
+#  * One engine: one admission pipeline, one poller, one pump (one
+#    `feed` site), one thread scope, one coordinator (one `snapshot`);
+#    the datapath and the engine take the program `attach` checked,
+#    never an optional one.
 #  * Bench: one runner binary.
 #  * TX: a frame is copied once, by `TxBatch::push`, fixed up, deparsed
 #    and exchanged into its DMA slot in one place each, and never
@@ -48,7 +49,7 @@ done
 for pat in 'receive_into_hinted(' 'host_mem.swap(' 'parse_and_check('; do
     expect "$pat call sites in opendesc-core" "$(total "$pat")" 1
 done
-for pat in 'poll_batch_into(' 'thread::scope'; do
+for pat in 'poll_batch_into(' 'thread::scope' '.feed(' 'fn snapshot('; do
     expect "$pat sites in shard.rs" "$(code $src/shard.rs | sites "$pat")" 1
 done
 expect "files in crates/opendesc-bench/src/bin" "$(ls crates/opendesc-bench/src/bin | wc -l)" 1

@@ -64,8 +64,7 @@ pub mod prelude {
     pub use opendesc_core::{
         CompiledInterface, Compiler, EvolveConfig, FlipProgress, GenericMbufDriver, Intent,
         LcdDriver, Objective, OpenDescDriver, PlanCache, RelayoutRequest, RxPacket, Selector,
-        ShardedEngine, ShardedRx, TxBatch, TxDriver, TxQueue, TxRequest, TxVerdict,
-        FLIP_POLL_BUDGET,
+        ShardedEngine, TxBatch, TxDriver, TxQueue, TxRequest, TxVerdict, FLIP_POLL_BUDGET,
     };
     pub use opendesc_ir::{names, Cost, SemanticId, SemanticRegistry};
     pub use opendesc_nicsim::{models, DmaConfig, PktGen, SimNic, Workload};

@@ -27,7 +27,7 @@
 //! out across disjoint regions of the space.
 
 use opendesc::compiler::{
-    retain_into, AdaptiveConfig, Intent, PlanCache, RebalanceConfig, ShardedRx,
+    retain_into, AdaptiveConfig, Intent, PlanCache, RebalanceConfig, ShardedEngine,
 };
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::pktgen::ShardedPktGen;
@@ -51,16 +51,15 @@ fn intent(reg: &mut SemanticRegistry) -> Intent {
         .build()
 }
 
-fn engine(queues: usize) -> ShardedRx {
+fn engine(queues: usize) -> ShardedEngine {
     let cache = PlanCache::default();
     let mut reg = SemanticRegistry::with_builtins();
     let i = intent(&mut reg);
-    ShardedRx::new_uniform(
+    ShardedEngine::with_intents(
         &cache,
         &models::e1000e(),
-        &i,
+        &vec![i; queues],
         &mut reg,
-        queues,
         256,
         SteerPolicy::Rss,
         16,
@@ -121,14 +120,14 @@ proptest! {
         };
         let (mut delivered, mut reference) = (Vec::new(), Vec::new());
         let out = engine(queues).run_adaptive(&wl, total, &cfg, &mut retain_into(&mut delivered));
-        prop_assert_eq!(out.report.total_packets() as usize, total, "adaptive arm lost frames");
+        prop_assert_eq!(out.report.total_rx_packets() as usize, total, "adaptive arm lost frames");
         let sout = engine(queues).run_adaptive(
             &wl,
             total,
             &AdaptiveConfig::static_reta(512),
             &mut retain_into(&mut reference),
         );
-        prop_assert_eq!(sout.report.total_packets() as usize, total, "static arm lost frames");
+        prop_assert_eq!(sout.report.total_rx_packets() as usize, total, "static arm lost frames");
         let mut a: Vec<Vec<u8>> = delivered.into_iter().map(|(_, _, f)| f).collect();
         let mut b: Vec<Vec<u8>> = reference.into_iter().map(|(_, _, f)| f).collect();
         a.sort();
@@ -155,7 +154,7 @@ proptest! {
         };
         let mut delivered = Vec::new();
         let out = engine(queues).run_adaptive(&wl, total, &cfg, &mut retain_into(&mut delivered));
-        prop_assert_eq!(out.report.total_packets() as usize, total);
+        prop_assert_eq!(out.report.total_rx_packets() as usize, total);
         // Migrations must actually be exercised for the property to
         // mean anything on the skewed cases; uniform-ish draws may
         // legitimately never trigger.

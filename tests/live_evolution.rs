@@ -25,7 +25,7 @@
 use opendesc::compiler::cache::CompiledRx;
 use opendesc::compiler::{
     retain_into, EvolveConfig, FlipProgress, Intent, OpenDescDriver, PlanCache, QueueHealth,
-    RelayoutRequest, ShardedRx, TraceKind,
+    RelayoutRequest, ShardedEngine, TraceKind,
 };
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::models::NicModel;
@@ -73,16 +73,15 @@ fn intent_k(reg: &mut SemanticRegistry, k: usize) -> Intent {
 
 /// An engine on `model(model_ix)` plus the cache/registry it compiles
 /// migration targets from.
-fn evolving_engine(model_ix: usize, queues: usize) -> (PlanCache, SemanticRegistry, ShardedRx) {
+fn evolving_engine(model_ix: usize, queues: usize) -> (PlanCache, SemanticRegistry, ShardedEngine) {
     let cache = PlanCache::default();
     let mut reg = SemanticRegistry::with_builtins();
     let i0 = intent_k(&mut reg, 3);
-    let eng = ShardedRx::new_uniform(
+    let eng = ShardedEngine::with_intents(
         &cache,
         &model(model_ix),
-        &i0,
+        &vec![i0; queues],
         &mut reg,
-        queues,
         256,
         SteerPolicy::Rss,
         16,
@@ -199,7 +198,7 @@ proptest! {
         let cfg = EvolveConfig::new(512, schedule(&cache, &mut reg, model_ix, migrations));
         let mut delivered = Vec::new();
         let out = eng.run_evolving(&wl, total, &cfg, &mut retain_into(&mut delivered));
-        prop_assert_eq!(out.report.total_packets() as usize, total);
+        prop_assert_eq!(out.report.total_rx_packets() as usize, total);
 
         // Replay the seed-deterministic generator for the reference
         // per-flow order.

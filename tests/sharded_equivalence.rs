@@ -17,7 +17,7 @@
 //! Also pins the plan cache's determinism: identical `(model, context,
 //! intent)` requests return pointer-equal `Arc<CompiledRx>` artifacts.
 
-use opendesc::compiler::{Intent, OpenDescDriver, PlanCache, ShardedRx};
+use opendesc::compiler::{Intent, OpenDescDriver, PlanCache, ShardedEngine};
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::{models, NicModel, SimNic, SteerPolicy};
 use opendesc::softnic::testpkt;
@@ -67,8 +67,9 @@ fn sharded_pairs(
     let cache = PlanCache::default();
     let mut reg = SemanticRegistry::with_builtins();
     let i = intent(&mut reg);
+    let intents = vec![i; workers];
     let mut eng =
-        ShardedRx::new_uniform(&cache, &model, &i, &mut reg, workers, 256, policy, 8).unwrap();
+        ShardedEngine::with_intents(&cache, &model, &intents, &mut reg, 256, policy, 8).unwrap();
     for f in frames {
         eng.deliver(f).unwrap();
     }
@@ -168,8 +169,17 @@ fn plan_cache_returns_pointer_equal_artifacts() {
             "{}: repeated compilation not shared",
             model.name
         );
-        let eng = ShardedRx::new_uniform(&cache, &model, &i, &mut reg, 4, 64, SteerPolicy::Rss, 8)
-            .unwrap();
+        let intents = vec![i.clone(); 4];
+        let eng = ShardedEngine::with_intents(
+            &cache,
+            &model,
+            &intents,
+            &mut reg,
+            64,
+            SteerPolicy::Rss,
+            8,
+        )
+        .unwrap();
         for w in eng.workers() {
             assert!(
                 Arc::ptr_eq(&a, w.artifact()),

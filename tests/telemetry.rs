@@ -18,7 +18,7 @@
 //!    index on every event; a clean queue's ring must carry no fault
 //!    events.
 
-use opendesc::compiler::{Intent, MetricValue, PlanCache, QueueHealth, ShardedRx, TraceKind};
+use opendesc::compiler::{Intent, MetricValue, PlanCache, QueueHealth, ShardedEngine, TraceKind};
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::pktgen::{ShardFrame, ShardedPktGen};
 use opendesc::nicsim::{models, FaultConfig, SteerPolicy, Workload};
@@ -107,16 +107,15 @@ fn intent(reg: &mut SemanticRegistry) -> Intent {
         .build()
 }
 
-fn engine(queues: usize, policy: SteerPolicy) -> ShardedRx {
+fn engine(queues: usize, policy: SteerPolicy) -> ShardedEngine {
     let cache = PlanCache::default();
     let mut reg = SemanticRegistry::with_builtins();
     let i = intent(&mut reg);
-    ShardedRx::new_uniform(
+    ShardedEngine::with_intents(
         &cache,
         &models::e1000e(),
-        &i,
+        &vec![i; queues],
         &mut reg,
-        queues,
         256,
         policy,
         32,
@@ -124,7 +123,7 @@ fn engine(queues: usize, policy: SteerPolicy) -> ShardedRx {
     .expect("engine builds")
 }
 
-fn pools(eng: &ShardedRx, seed: u64, n: usize) -> Vec<Vec<ShardFrame>> {
+fn pools(eng: &ShardedEngine, seed: u64, n: usize) -> Vec<Vec<ShardFrame>> {
     let wl = Workload {
         flows: 64,
         payload: (18, 128),
@@ -146,7 +145,7 @@ fn sharded_snapshot_json_is_deterministic() {
         eng.set_telemetry_enabled(true);
         let pools = pools(&eng, 42, 600);
         let rep = eng.run_sequential(&pools);
-        assert_eq!(rep.total_packets(), 600);
+        assert_eq!(rep.total_rx_packets(), 600);
         eng.snapshot().without_timing().to_json()
     };
     let (a, b) = (run(), run());
