@@ -256,7 +256,10 @@ impl OpenDescDriver {
     /// Attach a compiled interface to a NIC: programs the selected
     /// context via the control channel and returns the ready driver.
     /// An interface whose plan did not lower to verified bytecode is
-    /// refused before the device is touched.
+    /// refused before the device is touched; one whose completion path
+    /// the programmed context does not select — a manual plan, behind
+    /// an opaque guard — is refused by the device
+    /// ([`SimNic::configure_path`]).
     pub fn attach(nic: SimNic, iface: CompiledInterface) -> Result<Self, AttachError> {
         Self::attach_shared(nic, Arc::new(CompiledRx::new(iface)))
     }
@@ -269,9 +272,7 @@ impl OpenDescDriver {
         if let Some(e) = iface.lowering_error() {
             return Err(AttachError::Unlowerable(e.clone()));
         }
-        if let Some(ctx) = &iface.context {
-            nic.configure(ctx.clone())?;
-        }
+        nic.configure_path(iface.context.as_ref(), iface.path.id)?;
         Ok(OpenDescDriver {
             nic,
             one: Some(Box::new(RxBatch::new(&iface, 1))),
@@ -433,8 +434,10 @@ impl OpenDescDriver {
     fn recover(&mut self) {
         let mut rolled = false;
         if let FlipState::Draining(new) = &self.flip {
-            if !self.device_rolled {
-                if let Ok(stranded) = self.nic.reprogram_queue(new.context.clone()) {
+            // A draining plan has a context: manual ones are refused
+            // at request.
+            if let (false, Some(ctx)) = (self.device_rolled, &new.context) {
+                if let Ok(stranded) = self.nic.reprogram_queue(ctx, new.path.id) {
                     self.device_rolled = true;
                     self.evolve.rolled_forward += 1;
                     self.tel.event(
@@ -478,18 +481,17 @@ impl OpenDescDriver {
     /// intent wins).
     ///
     /// An artifact that did not lower to verified bytecode is refused,
-    /// as at attach: counted and traced, and otherwise a no-op — plan,
-    /// generation, device context and any pending flip stay as they
-    /// were, and the returned progress is that of the flip still
-    /// standing.
+    /// as at attach, and so is a manual one (no context: nothing could
+    /// program the device onto its layout). Refused means counted and
+    /// traced, and otherwise a no-op — plan, generation, device context
+    /// and any pending flip stay as they were, and the returned
+    /// progress is that of the flip still standing.
     ///
     /// [`advance_relayout`]: OpenDescDriver::advance_relayout
     pub fn request_relayout(&mut self, new: Arc<CompiledRx>) -> FlipProgress {
         self.evolve.requested += 1;
-        if new.lowering_error().is_some() {
-            self.evolve.refused += 1;
-            self.tel
-                .event(TraceKind::RelayoutRefused, self.generation + 1, 0);
+        if new.lowering_error().is_some() || new.context.is_none() {
+            self.refuse_relayout();
             return match self.flip {
                 FlipState::Idle => FlipProgress::Idle,
                 FlipState::Deferred(_) => FlipProgress::Deferred,
@@ -557,6 +559,13 @@ impl OpenDescDriver {
         }
     }
 
+    /// Count and trace a relayout this queue will not run.
+    fn refuse_relayout(&mut self) {
+        self.evolve.refused += 1;
+        self.tel
+            .event(TraceKind::RelayoutRefused, self.generation + 1, 0);
+    }
+
     /// Commit the flip: device-side ring-generation reprogram (unless a
     /// roll-forward already did it), then the host plan swap. Strictly
     /// ordered — the old plan parses every completion up to the ring
@@ -567,10 +576,15 @@ impl OpenDescDriver {
         let FlipState::Draining(new) = std::mem::replace(&mut self.flip, FlipState::Idle) else {
             unreachable!("commit only from Draining");
         };
-        if !self.device_rolled && self.nic.reprogram_queue(new.context.clone()).is_err() {
-            // The device rejected the incoming context: abort the flip
-            // and stay on the old, still-programmed generation rather
-            // than run a plan the device cannot serialize for.
+        let programmed = self.device_rolled
+            || (new.context.as_ref())
+                .is_some_and(|ctx| self.nic.reprogram_queue(ctx, new.path.id).is_ok());
+        if !programmed {
+            // The device does not select the incoming layout under its
+            // context: refuse the flip and stay on the old, still-
+            // programmed generation rather than run a plan the device
+            // does not serialize for.
+            self.refuse_relayout();
             return FlipProgress::Idle;
         }
         self.device_rolled = false;

@@ -50,11 +50,11 @@ impl<F> HookDriver<F>
 where
     F: FnMut(&[u8], &[u8], &AccessorSet, &SemanticRegistry) -> HookVerdict,
 {
-    /// Attach, programming the compiled context.
+    /// Attach, programming the compiled context; an interface whose
+    /// completion path that context does not select is refused
+    /// ([`SimNic::configure_path`]).
     pub fn attach(mut nic: SimNic, iface: CompiledInterface, hook: F) -> Result<Self, NicError> {
-        if let Some(ctx) = &iface.context {
-            nic.configure(ctx.clone())?;
-        }
+        nic.configure_path(iface.context.as_ref(), iface.path.id)?;
         Ok(HookDriver {
             nic,
             iface,

@@ -9,13 +9,13 @@
 //! the structured `apply` block, so `if/else` joins share their
 //! continuation instead of duplicating suffixes.
 
-use crate::pred::{CmpOp, Cond, FieldRef};
+use crate::pred::{context_field, CmpOp, Cond, FieldRef};
 use crate::semantics::{SemanticId, SemanticRegistry};
 use opendesc_p4::ast::{self, BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
 use opendesc_p4::diag::Diagnostics;
 use opendesc_p4::span::Span;
 use opendesc_p4::typecheck::{const_eval, CheckedProgram};
-use opendesc_p4::types::{ExternKind, Ty, TypeTable};
+use opendesc_p4::types::{ExternKind, Ty};
 use std::collections::HashMap;
 
 /// Node index within a [`Cfg`].
@@ -185,7 +185,8 @@ pub fn extract(
     }
 
     let mut b = Builder {
-        types: &checked.types,
+        checked,
+        decl_params: &control.params,
         params,
         cmpt_param: cmpt_param.clone(),
         actions,
@@ -214,7 +215,9 @@ pub fn extract(
 }
 
 struct Builder<'a> {
-    types: &'a TypeTable,
+    checked: &'a CheckedProgram,
+    /// The control's parameters, as declared (directions included).
+    decl_params: &'a [ast::Param],
     params: HashMap<String, Ty>,
     cmpt_param: String,
     actions: HashMap<&'a str, &'a ast::Block>,
@@ -276,7 +279,7 @@ impl<'a> Builder<'a> {
                         match label {
                             ast::SwitchLabel::Default => default_entry = Some(entry),
                             ast::SwitchLabel::Expr(e) => {
-                                if let Some(v) = const_eval(e, self.types) {
+                                if let Some(v) = const_eval(e, &self.checked.types) {
                                     labels.push(v);
                                     covered.push(v);
                                 } else {
@@ -393,7 +396,7 @@ impl<'a> Builder<'a> {
         let id = self.vertices.len();
         match ty {
             Ty::Header(hid) => {
-                let info = self.types.header(hid);
+                let info = self.checked.types.header(hid);
                 let fields = info
                     .fields
                     .iter()
@@ -433,7 +436,7 @@ impl<'a> Builder<'a> {
                 self.diags.error(
                     format!(
                         "emit argument must be a header or header field, found {}",
-                        self.types.display(other)
+                        self.checked.types.display(other)
                     ),
                     arg.span,
                 );
@@ -450,7 +453,7 @@ impl<'a> Builder<'a> {
         }
         let (parent_ty, _) = self.resolve_path_ty(&path[..path.len() - 1], Span::default())?;
         if let Ty::Header(hid) = parent_ty {
-            let info = self.types.header(hid);
+            let info = self.checked.types.header(hid);
             let f = info.field(path[path.len() - 1])?;
             return f.semantic.as_deref().map(|s| self.reg.intern(s));
         }
@@ -474,7 +477,7 @@ impl<'a> Builder<'a> {
             parent = Some(ty);
             ty = match ty {
                 Ty::Struct(sid) => {
-                    let info = self.types.struct_(sid);
+                    let info = self.checked.types.struct_(sid);
                     match info.field(seg) {
                         Some(f) => f.ty,
                         None => {
@@ -487,7 +490,7 @@ impl<'a> Builder<'a> {
                     }
                 }
                 Ty::Header(hid) => {
-                    let info = self.types.header(hid);
+                    let info = self.checked.types.header(hid);
                     match info.field(seg) {
                         Some(f) => Ty::Bit(f.width_bits),
                         None => {
@@ -501,7 +504,10 @@ impl<'a> Builder<'a> {
                 }
                 other => {
                     self.diags.error(
-                        format!("cannot access `.{seg}` on {}", self.types.display(other)),
+                        format!(
+                            "cannot access `.{seg}` on {}",
+                            self.checked.types.display(other)
+                        ),
                         span,
                     );
                     return None;
@@ -511,21 +517,10 @@ impl<'a> Builder<'a> {
         Some((ty, parent))
     }
 
-    /// Convert a path expression to a [`FieldRef`] if it names a bit-typed
-    /// context field.
-    fn field_of_expr(&mut self, e: &Expr) -> Option<FieldRef> {
-        let path = e.as_path()?;
-        let (ty, _) = self.resolve_path_ty(&path, e.span)?;
-        let width = match ty {
-            Ty::Bit(w) => w,
-            Ty::Bool => 1,
-            Ty::Enum(id) => self.types.enum_(id).repr_width,
-            _ => return None,
-        };
-        Some(FieldRef {
-            path: path.iter().map(|s| s.to_string()).collect(),
-            width,
-        })
+    /// The context field `e` names (see [`context_field`]); `None` makes
+    /// the condition over it opaque.
+    fn field_of_expr(&self, e: &Expr) -> Option<FieldRef> {
+        context_field(self.checked, self.decl_params, e)
     }
 
     /// Lower a boolean expression to a symbolic [`Cond`].
@@ -553,18 +548,20 @@ impl<'a> Builder<'a> {
                             _ => unreachable!(),
                         };
                         // field OP const, or const OP field (flip).
-                        if let (Some(f), Some(v)) =
-                            (self.field_of_expr(lhs), const_eval(rhs, self.types))
-                        {
+                        if let (Some(f), Some(v)) = (
+                            self.field_of_expr(lhs),
+                            const_eval(rhs, &self.checked.types),
+                        ) {
                             return Cond::Cmp {
                                 field: f,
                                 op: cmp,
                                 value: v,
                             };
                         }
-                        if let (Some(v), Some(f)) =
-                            (const_eval(lhs, self.types), self.field_of_expr(rhs))
-                        {
+                        if let (Some(v), Some(f)) = (
+                            const_eval(lhs, &self.checked.types),
+                            self.field_of_expr(rhs),
+                        ) {
                             let flipped = match cmp {
                                 CmpOp::Lt => CmpOp::Gt,
                                 CmpOp::Le => CmpOp::Ge,
@@ -845,6 +842,36 @@ mod tests {
             panic!()
         };
         assert!(arms[0].0.has_opaque());
+    }
+
+    #[test]
+    fn a_per_packet_field_is_never_context() {
+        // `m.a.x` is a header field: per-packet metadata, not a queue
+        // setting, even though it is a bit<8> behind an `in` parameter.
+        let src = r#"
+            header a_t { bit<8> x; }
+            struct ctx_t { bit<8> n; }
+            struct m_t { a_t a; }
+            control C(cmpt_out o, in ctx_t ctx, in m_t m) {
+                apply {
+                    if (m.a.x == 64) { o.emit(m.a); }
+                    switch (m.a.x) { 1: { o.emit(m.a); } }
+                    if (ctx.n == 64) { o.emit(m.a); }
+                }
+            }
+        "#;
+        let (cfg, _) = extract_ok(src, "C");
+        let conds: Vec<String> = cfg
+            .nodes
+            .iter()
+            .filter_map(|n| match n {
+                CfgNode::Branch { arms, .. } => Some(format!("{}", arms[0].0)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(conds.len(), 3, "{conds:?}");
+        assert!(conds.iter().any(|c| c == "ctx.n == 64"), "{conds:?}");
+        assert_eq!(conds.iter().filter(|c| c.starts_with('⟨')).count(), 2);
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! yields the context assignment the driver must program, which
 //! [`solve`] computes.
 
+use opendesc_p4::ast;
+use opendesc_p4::typecheck::CheckedProgram;
+use opendesc_p4::types::Ty;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -41,6 +44,54 @@ impl FieldRef {
             (1u128 << self.width) - 1
         }
     }
+}
+
+/// The context field `e` names, if it names one: a scalar reached from
+/// an `in` struct parameter of `params` through struct members only.
+/// A path that crosses a header (per-packet metadata, an extracted
+/// descriptor field), a local or a computed expression is not context,
+/// whatever its type — the host programs a context once per queue, and
+/// such a value changes per packet. The one rule both directions use:
+/// RX turns anything else into [`Cond::Opaque`], TX refuses it.
+pub(crate) fn context_field(
+    checked: &CheckedProgram,
+    params: &[ast::Param],
+    e: &ast::Expr,
+) -> Option<FieldRef> {
+    let path = e.as_path()?;
+    let width = match member_ty(checked, params, ast::Direction::In, &path)? {
+        Ty::Bit(w) => w,
+        Ty::Bool => 1,
+        Ty::Enum(id) => checked.types.enum_(id).repr_width,
+        _ => return None,
+    };
+    Some(FieldRef {
+        path: path.iter().map(|s| s.to_string()).collect(),
+        width,
+    })
+}
+
+/// The type of `path`: rooted at the parameter of `params` named by its
+/// first segment, which must have direction `dir`, and continuing
+/// through struct members only.
+pub(crate) fn member_ty(
+    checked: &CheckedProgram,
+    params: &[ast::Param],
+    dir: ast::Direction,
+    path: &[&str],
+) -> Option<Ty> {
+    let param = params.iter().find(|p| p.name.name == path[0])?;
+    if param.dir != Some(dir) {
+        return None;
+    }
+    let mut ty = checked.param_ty(param)?;
+    for seg in &path[1..] {
+        let Ty::Struct(sid) = ty else {
+            return None;
+        };
+        ty = checked.types.struct_(sid).field(seg)?.ty;
+    }
+    Some(ty)
 }
 
 impl fmt::Display for FieldRef {

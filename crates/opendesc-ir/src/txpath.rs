@@ -7,14 +7,32 @@
 //! can consume, guarded by the `select` conditions on the per-queue H2C
 //! context. `@semantic` annotations on descriptor fields name the hints
 //! the NIC consumes (`buf_addr`, `buf_len`, `tx_l4_csum_offload`, ...).
+//!
+//! The enumeration is the whole of what a device executes: it resolves
+//! the layout from the programmed context once and then reads fields at
+//! fixed offsets. So a parser the table cannot express exactly is
+//! refused here, naming the state and the expression, rather than
+//! enumerated approximately:
+//!
+//! * a `select` on anything but a field of an `in` context struct (see
+//!   [`context_field`](crate::pred)) — an extracted descriptor field
+//!   makes the layout a property of each descriptor, not of the queue;
+//! * a tuple `select`, or a case with more than one label;
+//! * a label that is not a compile-time constant;
+//! * a state that does anything but `extract` into the `out`
+//!   descriptor;
+//! * a layout carrying one semantic twice, or lacking `buf_addr` or
+//!   `buf_len`.
 
 use crate::path::FieldSlot;
-use crate::pred::{solve, Assignment, CmpOp, Cond, FieldRef};
-use crate::semantics::{SemanticId, SemanticRegistry};
-use opendesc_p4::ast::{self, Transition};
+use crate::pred::{context_field, member_ty, solve, Assignment, CmpOp, Cond};
+use crate::semantics::{names, SemanticId, SemanticRegistry};
+use opendesc_p4::ast::{self, Direction, Transition};
 use opendesc_p4::diag::Diagnostics;
+use opendesc_p4::pretty::expr;
+use opendesc_p4::span::Span;
 use opendesc_p4::typecheck::{const_eval, CheckedProgram};
-use opendesc_p4::types::{ExternKind, Ty};
+use opendesc_p4::types::{ExternKind, HeaderId, Ty};
 use std::collections::BTreeSet;
 
 /// One descriptor layout the NIC's parser accepts.
@@ -26,7 +44,7 @@ pub struct DescriptorLayout {
     /// Flattened fields with absolute bit offsets within the descriptor.
     pub slots: Vec<FieldSlot>,
     pub size_bits: u32,
-    /// Semantics the NIC consumes from this layout.
+    /// Semantics the NIC consumes from this layout, each from one slot.
     pub consumes: BTreeSet<SemanticId>,
     /// State names visited (diagnostic aid).
     pub states: Vec<String>,
@@ -49,7 +67,9 @@ impl DescriptorLayout {
 }
 
 /// Enumerate the layouts of parser `name`. Parser loops are rejected
-/// (descriptor formats are finite); select guards become layout guards.
+/// (descriptor formats are finite); select guards become layout guards;
+/// what the layout table cannot express is refused (see the module
+/// docs).
 pub fn enumerate_tx_layouts(
     checked: &CheckedProgram,
     name: &str,
@@ -59,7 +79,7 @@ pub fn enumerate_tx_layouts(
     let Some(parser) = checked.program.parser(name) else {
         diags.error(
             format!("no parser named `{name}` in contract"),
-            opendesc_p4::span::Span::default(),
+            Span::default(),
         );
         return Err(diags);
     };
@@ -71,50 +91,62 @@ pub fn enumerate_tx_layouts(
         return Err(diags);
     }
 
-    // Identify the desc_in param (extraction source) and build a field
-    // resolver over the other params (context + out descriptor).
+    // The desc_in param is the extraction source, the `out` param the
+    // descriptor every extract must land in.
     let mut desc_param = None;
+    let mut out_param = None;
     for p in &parser.params {
-        if matches!(
-            checked.param_ty(p),
-            Some(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn))
-        ) {
-            desc_param = Some(p.name.name.clone());
+        match checked.param_ty(p) {
+            Some(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn)) => {
+                desc_param = Some(p.name.name.as_str());
+            }
+            Some(Ty::Extern(_)) | None => {}
+            Some(_) if p.dir == Some(ast::Direction::Out) => out_param = Some(p.name.name.as_str()),
+            Some(_) => {}
         }
     }
-    let Some(desc_param) = desc_param else {
+    let (Some(desc_param), Some(out_param)) = (desc_param, out_param) else {
         diags.error(
-            format!("parser `{name}` has no desc_in parameter"),
+            format!("parser `{name}` needs a desc_in parameter and an `out` descriptor"),
             parser.name.span,
         );
         return Err(diags);
     };
 
-    let states = parser.states.as_ref().unwrap();
+    let buf = [names::BUF_ADDR, names::BUF_LEN].map(|n| reg.intern(n));
     let mut walker = Walker {
         checked,
         reg,
         desc_param,
+        out_param,
+        buf,
         parser,
+        guard: Vec::new(),
+        extracted: Vec::new(),
+        visited: Vec::new(),
         out: Vec::new(),
         diags: Diagnostics::new(),
     };
-    let mut guard = Vec::new();
-    let mut extracted = Vec::new();
-    let mut visited = Vec::new();
-    walker.walk("start", &mut guard, &mut extracted, &mut visited, 0);
+    walker.walk("start", 0);
     if walker.diags.has_errors() {
         return Err(walker.diags);
     }
-    let _ = states;
     Ok(walker.out)
 }
 
 struct Walker<'a> {
     checked: &'a CheckedProgram,
     reg: &'a mut SemanticRegistry,
-    desc_param: String,
+    desc_param: &'a str,
+    out_param: &'a str,
+    /// `buf_addr` and `buf_len`: every layout must carry both.
+    buf: [SemanticId; 2],
     parser: &'a ast::ParserDecl,
+    /// The walk so far: select guards taken, headers extracted, states
+    /// visited.
+    guard: Vec<Cond>,
+    extracted: Vec<HeaderId>,
+    visited: Vec<String>,
     out: Vec<DescriptorLayout>,
     diags: Diagnostics,
 }
@@ -129,14 +161,19 @@ impl<'a> Walker<'a> {
             .find(|s| s.name.name == name)
     }
 
-    fn walk(
-        &mut self,
-        state_name: &str,
-        guard: &mut Vec<Cond>,
-        extracted: &mut Vec<opendesc_p4::types::HeaderId>,
-        visited: &mut Vec<String>,
-        depth: u32,
-    ) {
+    /// Refuse the parser: `what` in state `state` has no table form.
+    fn refuse(&mut self, state: &str, what: String, span: Span) {
+        self.diags.error(
+            format!(
+                "parser `{}`, state `{state}`: {what}; the device resolves one descriptor \
+                 layout per queue context and reads it as a table",
+                self.parser.name.name
+            ),
+            span,
+        );
+    }
+
+    fn walk(&mut self, state_name: &str, depth: u32) {
         if depth > 64 {
             self.diags.error(
                 "parser walk exceeded depth 64 (cyclic states?)",
@@ -145,10 +182,7 @@ impl<'a> Walker<'a> {
             return;
         }
         match state_name {
-            "accept" => {
-                self.out.push(self.materialize(guard, extracted, visited));
-                return;
-            }
+            "accept" => return self.accept(),
             "reject" => return,
             _ => {}
         }
@@ -159,104 +193,162 @@ impl<'a> Walker<'a> {
             );
             return;
         };
-        visited.push(state_name.to_string());
-        let extracted_before = extracted.len();
-        // Collect extracts in this state.
+        self.visited.push(state_name.to_string());
+        let extracted_before = self.extracted.len();
         for stmt in &st.stmts {
-            if let ast::StmtKind::Expr(e) = &stmt.kind {
-                if let ast::ExprKind::Call { callee, args } = &e.kind {
-                    if let Some(path) = callee.as_path() {
-                        if path.len() == 2 && path[0] == self.desc_param && path[1] == "extract" {
-                            if let Some(hid) = self.resolve_header(&args[0]) {
-                                extracted.push(hid);
-                            }
+            match self.extract_into_out(stmt) {
+                Some(hid) => self.extracted.push(hid),
+                None => {
+                    let what = match &stmt.kind {
+                        ast::StmtKind::Expr(e) => format!("`{}`", expr(e)),
+                        ast::StmtKind::Assign { lhs, rhs } => {
+                            format!("`{} = {}`", expr(lhs), expr(rhs))
                         }
-                    }
+                        _ => "a statement".to_string(),
+                    };
+                    let why = format!("{what} is not an extract into `{}`", self.out_param);
+                    self.refuse(state_name, why, stmt.span);
                 }
             }
         }
         match &st.transition {
-            None => {
-                self.out.push(self.materialize(guard, extracted, visited));
-            }
-            Some(Transition::Direct(t)) => {
-                self.walk(&t.name, guard, extracted, visited, depth + 1);
-            }
-            Some(Transition::Select { exprs, cases, .. }) => {
-                let field = exprs.first().and_then(|e| self.field_of(e));
-                let mut covered: Vec<u128> = Vec::new();
-                let mut saw_default = false;
-                for case in cases {
-                    let mut vals = Vec::new();
-                    let mut is_default = false;
-                    for m in &case.matches {
-                        match m {
-                            ast::SelectMatch::Default => is_default = true,
-                            ast::SelectMatch::Expr(e) => {
-                                if let Some(v) = const_eval(e, &self.checked.types) {
-                                    vals.push(v);
-                                }
-                            }
-                        }
-                    }
-                    let cond = if is_default {
-                        saw_default = true;
-                        match &field {
-                            Some(f) => Cond::And(
-                                covered
-                                    .iter()
-                                    .map(|v| Cond::Cmp {
-                                        field: f.clone(),
-                                        op: CmpOp::Ne,
-                                        value: *v,
-                                    })
-                                    .collect(),
-                            ),
-                            None => Cond::Opaque("select default".into()),
-                        }
-                    } else {
-                        covered.extend(&vals);
-                        match (&field, vals.len()) {
-                            (Some(f), 1) => Cond::Cmp {
-                                field: f.clone(),
-                                op: CmpOp::Eq,
-                                value: vals[0],
-                            },
-                            (Some(f), _) if !vals.is_empty() => Cond::Or(
-                                vals.iter()
-                                    .map(|v| Cond::Cmp {
-                                        field: f.clone(),
-                                        op: CmpOp::Eq,
-                                        value: *v,
-                                    })
-                                    .collect(),
-                            ),
-                            _ => Cond::Opaque("unanalyzable select match".into()),
-                        }
-                    };
-                    guard.push(cond);
-                    self.walk(&case.target.name, guard, extracted, visited, depth + 1);
-                    guard.pop();
-                }
-                // P4 select without default rejects unmatched inputs — no
-                // implicit layout.
-                let _ = saw_default;
+            None => self.accept(),
+            Some(Transition::Direct(t)) => self.walk(&t.name, depth + 1),
+            Some(Transition::Select { exprs, cases, span }) => {
+                self.walk_select(state_name, exprs, cases, *span, depth);
             }
         }
-        extracted.truncate(extracted_before);
-        visited.pop();
+        self.extracted.truncate(extracted_before);
+        self.visited.pop();
     }
 
-    fn materialize(
-        &self,
-        guard: &[Cond],
-        extracted: &[opendesc_p4::types::HeaderId],
-        visited: &[String],
-    ) -> DescriptorLayout {
+    /// One `select`: each reachable case becomes a guard over the
+    /// context field it reads. Cases are tried in order, like the
+    /// parser: a label an earlier case already took, and everything
+    /// after a `default`, is unreachable and walks nowhere.
+    fn walk_select(
+        &mut self,
+        state_name: &str,
+        exprs: &[ast::Expr],
+        cases: &[ast::SelectCase],
+        span: Span,
+        depth: u32,
+    ) {
+        let shown = || exprs.iter().map(expr).collect::<Vec<_>>().join(", ");
+        let [scrutinee] = exprs else {
+            self.refuse(
+                state_name,
+                format!("`select({})` is a tuple select", shown()),
+                span,
+            );
+            return;
+        };
+        let Some(field) = context_field(self.checked, &self.parser.params, scrutinee) else {
+            let why = format!(
+                "`select` reads `{}`, which is not a field of an `in` context struct",
+                shown()
+            );
+            self.refuse(state_name, why, span);
+            return;
+        };
+        let mut covered: Vec<u128> = Vec::new();
+        for case in cases {
+            let [label] = case.matches.as_slice() else {
+                self.refuse(
+                    state_name,
+                    "a select case has a tuple keyset".into(),
+                    case.span,
+                );
+                return;
+            };
+            let cond = match label {
+                ast::SelectMatch::Default => Cond::And(
+                    covered
+                        .iter()
+                        .map(|v| Cond::Cmp {
+                            field: field.clone(),
+                            op: CmpOp::Ne,
+                            value: *v,
+                        })
+                        .collect(),
+                ),
+                ast::SelectMatch::Expr(e) => {
+                    let Some(v) = const_eval(e, &self.checked.types) else {
+                        let why = format!("select label `{}` is not a constant", expr(e));
+                        self.refuse(state_name, why, e.span);
+                        return;
+                    };
+                    if covered.contains(&v) {
+                        continue;
+                    }
+                    covered.push(v);
+                    Cond::Cmp {
+                        field: field.clone(),
+                        op: CmpOp::Eq,
+                        value: v,
+                    }
+                }
+            };
+            self.guard.push(cond);
+            self.walk(&case.target.name, depth + 1);
+            self.guard.pop();
+            if matches!(label, ast::SelectMatch::Default) {
+                break;
+            }
+        }
+        // P4 select without default rejects unmatched inputs — no
+        // implicit layout.
+    }
+
+    /// The header `stmt` extracts into the `out` descriptor, when it is
+    /// exactly such an extract.
+    fn extract_into_out(&self, stmt: &ast::Stmt) -> Option<HeaderId> {
+        let ast::StmtKind::Expr(e) = &stmt.kind else {
+            return None;
+        };
+        let ast::ExprKind::Call { callee, args } = &e.kind else {
+            return None;
+        };
+        let callee = callee.as_path()?;
+        if callee != [self.desc_param, "extract"] || args.len() != 1 {
+            return None;
+        }
+        let path = args[0].as_path()?;
+        match member_ty(self.checked, &self.parser.params, Direction::Out, &path)? {
+            Ty::Header(h) => Some(h),
+            _ => None,
+        }
+    }
+
+    /// The walk reached `accept`: one layout, unless it carries a
+    /// semantic twice or misses a buffer field.
+    fn accept(&mut self) {
+        let layout = self.materialize();
+        let slots = &layout.slots;
+        let twice = (slots.iter().enumerate()).find_map(|(i, s)| {
+            s.semantic
+                .filter(|sem| slots[..i].iter().any(|t| t.semantic == Some(*sem)))
+        });
+        let missing = (self.buf.iter()).find(|sem| !layout.consumes.contains(sem));
+        let why = match (twice, missing) {
+            (Some(sem), _) => format!("carries `{}` twice", self.reg.name(sem)),
+            (None, Some(sem)) => format!("has no `{}` field", self.reg.name(*sem)),
+            (None, None) => return self.out.push(layout),
+        };
+        let why = format!("the layout of walk `{}` {why}", self.visited.join(" → "));
+        let last = self
+            .visited
+            .last()
+            .map_or("start", String::as_str)
+            .to_string();
+        self.refuse(&last, why, self.parser.name.span);
+    }
+
+    fn materialize(&self) -> DescriptorLayout {
         let mut slots = Vec::new();
         let mut offset = 0u32;
         let mut consumes = BTreeSet::new();
-        for &hid in extracted {
+        for &hid in &self.extracted {
             let info = self.checked.types.header(hid);
             for f in &info.fields {
                 let semantic = f.semantic.as_deref().and_then(|s| self.reg.id(s));
@@ -275,52 +367,12 @@ impl<'a> Walker<'a> {
         }
         DescriptorLayout {
             id: self.out.len(),
-            guard: guard.to_vec(),
+            guard: self.guard.clone(),
             slots,
             size_bits: offset,
             consumes,
-            states: visited.to_vec(),
+            states: self.visited.clone(),
         }
-    }
-
-    fn resolve_header(&mut self, arg: &ast::Expr) -> Option<opendesc_p4::types::HeaderId> {
-        let path = arg.as_path()?;
-        // Resolve through params: first segment is a param name.
-        let param = self.parser.params.iter().find(|p| p.name.name == path[0])?;
-        let mut ty = self.checked.param_ty(param)?;
-        for seg in &path[1..] {
-            ty = match ty {
-                Ty::Struct(sid) => self.checked.types.struct_(sid).field(seg)?.ty,
-                _ => return None,
-            };
-        }
-        match ty {
-            Ty::Header(h) => Some(h),
-            _ => None,
-        }
-    }
-
-    fn field_of(&mut self, e: &ast::Expr) -> Option<FieldRef> {
-        let path = e.as_path()?;
-        let param = self.parser.params.iter().find(|p| p.name.name == path[0])?;
-        let mut ty = self.checked.param_ty(param)?;
-        for seg in &path[1..] {
-            ty = match ty {
-                Ty::Struct(sid) => self.checked.types.struct_(sid).field(seg)?.ty,
-                Ty::Header(hid) => Ty::Bit(self.checked.types.header(hid).field(seg)?.width_bits),
-                _ => return None,
-            };
-        }
-        let width = match ty {
-            Ty::Bit(w) => w,
-            Ty::Bool => 1,
-            Ty::Enum(id) => self.checked.types.enum_(id).repr_width,
-            _ => return None,
-        };
-        Some(FieldRef {
-            path: path.iter().map(|s| s.to_string()).collect(),
-            width,
-        })
     }
 }
 
@@ -365,6 +417,23 @@ mod tests {
         let mut reg = SemanticRegistry::with_builtins();
         let l = enumerate_tx_layouts(&checked, name, &mut reg).unwrap();
         (l, reg)
+    }
+
+    /// The refusal `src`'s parser `P` draws, as one string.
+    fn refusal(src: &str) -> String {
+        let (checked, d) = parse_and_check(src);
+        assert!(
+            !d.has_errors(),
+            "{:?}",
+            d.iter().map(|x| x.message.clone()).collect::<Vec<_>>()
+        );
+        refusal_of(&checked)
+    }
+
+    fn refusal_of(checked: &CheckedProgram) -> String {
+        let mut reg = SemanticRegistry::with_builtins();
+        let err = enumerate_tx_layouts(checked, "P", &mut reg).unwrap_err();
+        err.summary()
     }
 
     #[test]
@@ -420,11 +489,7 @@ mod tests {
                 state spin { transition start; }
             }
         "#;
-        let (checked, d) = parse_and_check(src);
-        assert!(!d.has_errors());
-        let mut reg = SemanticRegistry::with_builtins();
-        let err = enumerate_tx_layouts(&checked, "P", &mut reg).unwrap_err();
-        assert!(err.iter().any(|x| x.message.contains("depth")));
+        assert!(refusal(src).contains("depth"));
     }
 
     #[test]
@@ -432,5 +497,102 @@ mod tests {
         let (checked, _) = parse_and_check("header h_t { bit<8> a; }");
         let mut reg = SemanticRegistry::with_builtins();
         assert!(enumerate_tx_layouts(&checked, "Nope", &mut reg).is_err());
+    }
+
+    /// A parser with a base header carrying the buffer fields, `start`
+    /// extracting it and then running `tail` (statements + transition).
+    fn parser_with(tail: &str) -> String {
+        format!(
+            r#"
+            header b_t {{
+                @semantic("buf_addr") bit<64> addr;
+                @semantic("buf_len") bit<16> len;
+                bit<8> kind;
+                bit<8> rsvd;
+            }}
+            header e_t {{ @semantic("tx_ip_csum_offload") bit<8> ip; bit<24> rsvd; }}
+            struct desc_t {{ b_t base; e_t ext; }}
+            struct ctx_t {{ bit<8> kind; bit<8> size; }}
+            parser P(desc_in d, in ctx_t ctx, out desc_t hdr) {{
+                state start {{
+                    d.extract(hdr.base);
+                    {tail}
+                }}
+                state ext {{ d.extract(hdr.ext); transition accept; }}
+            }}
+            "#
+        )
+    }
+
+    #[test]
+    fn a_select_on_an_extracted_field_is_refused_by_name() {
+        let msg = refusal(&parser_with(
+            "transition select(hdr.base.kind) { 0: accept; 1: ext; default: reject; }",
+        ));
+        assert!(msg.contains("state `start`"), "{msg}");
+        assert!(msg.contains("hdr.base.kind"), "{msg}");
+    }
+
+    #[test]
+    fn a_tuple_select_is_refused() {
+        let msg = refusal(&parser_with(
+            "transition select(ctx.kind, ctx.size) { 0: accept; default: reject; }",
+        ));
+        assert!(msg.contains("tuple select"), "{msg}");
+        let msg = refusal(&parser_with(
+            "transition select(ctx.kind) { 0, 1: accept; default: reject; }",
+        ));
+        assert!(msg.contains("tuple keyset"), "{msg}");
+    }
+
+    #[test]
+    fn a_non_constant_label_is_refused() {
+        // The checker reports it too; the enumerator must not lean on
+        // that.
+        let src = parser_with("transition select(ctx.kind) { ctx.size: accept; default: reject; }");
+        let msg = refusal_of(&parse_and_check(&src).0);
+        assert!(msg.contains("`ctx.size` is not a constant"), "{msg}");
+    }
+
+    #[test]
+    fn a_state_that_does_more_than_extract_is_refused() {
+        let msg = refusal(&parser_with("hdr.base.kind = 3; transition accept;"));
+        assert!(msg.contains("state `start`"), "{msg}");
+        assert!(msg.contains("hdr.base.kind = 3"), "{msg}");
+    }
+
+    #[test]
+    fn a_layout_must_carry_each_semantic_once_and_both_buffer_fields() {
+        let twice = r#"
+            header b_t { @semantic("buf_addr") bit<64> addr; @semantic("buf_len") bit<16> len; bit<16> pad; }
+            struct desc_t { b_t a; b_t b; }
+            struct ctx_t { bit<1> r; }
+            parser P(desc_in d, in ctx_t ctx, out desc_t hdr) {
+                state start { d.extract(hdr.a); d.extract(hdr.b); transition accept; }
+            }
+        "#;
+        assert!(refusal(twice).contains("carries `buf_addr` twice"));
+        let no_len = r#"
+            header b_t { @semantic("buf_addr") bit<64> addr; bit<16> len; bit<16> pad; }
+            struct desc_t { b_t a; }
+            struct ctx_t { bit<1> r; }
+            parser P(desc_in d, in ctx_t ctx, out desc_t hdr) {
+                state start { d.extract(hdr.a); transition accept; }
+            }
+        "#;
+        assert!(refusal(no_len).contains("no `buf_len` field"));
+    }
+
+    #[test]
+    fn unreachable_cases_walk_nowhere() {
+        // The second `0` and everything after `default` are dead: the
+        // parser takes the first matching case.
+        let src = parser_with(
+            "transition select(ctx.kind) { 0: reject; 0: accept; default: ext; 1: accept; }",
+        );
+        let (layouts, _) = layouts_of(&src, "P");
+        assert_eq!(layouts.len(), 1);
+        assert_eq!(layouts[0].states, vec!["start", "ext"]);
+        assert_eq!(format!("{}", layouts[0].guard[0]), "(ctx.kind != 0)");
     }
 }

@@ -4,9 +4,12 @@
 //! fixed-function NICs, mlx5-class partially programmable NICs, QDMA-class
 //! fully programmable NICs). The simulator's completion writeback and
 //! TX descriptor parse are driven by the *same contract* the compiler
-//! analyzes: either by interpreting the `CmptDeparser` / `DescParser`,
-//! or by table-driven paths resolved once per programmed context and
-//! proven equivalent by tests. Includes descriptor rings, a PCIe/DMA cost model,
+//! analyzes, in the same form: the enumerated completion paths and
+//! descriptor layouts, one resolved per programmed context and read as
+//! a table. A context that selects none is served nothing, and a parser
+//! no table can express is refused at construction. What the P4 text
+//! itself says the bytes must be is `opendesc-reference`'s to check.
+//! Includes descriptor rings, a PCIe/DMA cost model,
 //! an offload engine delegating to the softnic reference implementations,
 //! a deterministic workload generator, and fault injection.
 pub mod aggregate;
@@ -29,9 +32,7 @@ pub use models::{
     catalog, e1000_legacy, e1000e, ice, ixgbe, mlx5, qdma, qdma_default, NicModel, QdmaLayout,
 };
 pub use multiqueue::{CachePadded, SteerPolicy, SteerVerdict, Steerer, RETA_SIZE};
-pub use nic::{
-    FaultConfig, FaultConfigBuilder, NicError, NicStats, RxSideband, SimNic, WritebackMode,
-};
+pub use nic::{FaultConfig, FaultConfigBuilder, NicError, NicStats, RxSideband, SimNic};
 pub use offload::{DeviceOp, MetaRecord, OffloadEngine, OffloadProgram};
 pub use pktgen::{PktGen, ShardFrame, ShardedPktGen, Transport, Workload};
 pub use ring::{DescRing, RingError};

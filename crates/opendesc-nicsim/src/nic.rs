@@ -1,34 +1,33 @@
 //! The simulated NIC: executes a model's contract against live traffic.
 //!
 //! `SimNic` wires together the offload engine, the completion ring, the
-//! DMA cost model, and — crucially — the *contract itself*: completion
-//! records are serialized by either interpreting the `CmptDeparser` AST
-//! (reference mode) or by a table-driven fast path derived from the
-//! enumerated completion layout. A property test asserts the two agree,
-//! which is exactly the host/NIC semantic-alignment property OpenDesc is
-//! about.
+//! DMA cost model, and — crucially — the *contract itself*, in the one
+//! form the compiler also reads: the enumerated completion paths and TX
+//! descriptor layouts. The device treats the programmed layout the way
+//! the host's compiled plan does — as a fact resolved once per context,
+//! not per packet. In both directions the layout is the first
+//! enumerated one whose guards all hold under the programmed context
+//! (`select_layout`), and a queue whose context selects none serves
+//! nothing: `deliver` refuses with [`NicError::NoPathForContext`], and
+//! TX rejects every descriptor.
 //!
-//! The device treats the programmed layout the way the host's compiled
-//! plan does — as a fact resolved once per context, not per packet.
 //! [`SimNic::configure`] / [`SimNic::reprogram_queue`] pick the active
 //! completion path and compile the offload program against it: only the
 //! semantics its slots carry (a value the layout has no slot for is
 //! never computed), each op holding the slots it writes, so a delivered
 //! frame's values go from the offload engine straight into the
 //! completion bytes; [`SimNic::configure_tx`] does the same for the TX
-//! descriptor layout (see [`crate::tx`]). [`WritebackMode`] selects
-//! reference or table-driven execution for both directions.
+//! descriptor layout (see [`crate::tx`]). What the contract's P4 text
+//! says the bytes must be is checked outside the product, by
+//! `opendesc-reference`'s interpreters.
 
 use crate::dma::{DmaConfig, DmaMeter};
 use crate::hostmem::HostMem;
 use crate::models::NicModel;
 use crate::offload::{MetaRecord, OffloadEngine, OffloadProgram};
 use crate::ring::{DescRing, RingError};
-use opendesc_ir::bits::write_bits;
-use opendesc_ir::interp::run_deparser;
-use opendesc_ir::value::Value;
 use opendesc_ir::{
-    enumerate_paths, enumerate_tx_layouts, extract, Assignment, Cfg, CompletionPath,
+    enumerate_paths, enumerate_tx_layouts, extract, Assignment, Cfg, CompletionPath, Cond,
     DescriptorLayout, SemanticId, SemanticRegistry, DEFAULT_MAX_PATHS,
 };
 use opendesc_p4::typecheck::{parse_and_check, CheckedProgram};
@@ -36,23 +35,21 @@ use opendesc_p4::types::Ty;
 use opendesc_softnic::wire::ParsedFrame;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// How the simulated device executes its contract, in both directions:
-/// completion serialization and TX descriptor parsing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WritebackMode {
-    /// Interpret the deparser AST for every packet and the descriptor
-    /// parser AST for every descriptor, and compute every supported
-    /// semantic (reference semantics).
-    Interpret,
-    /// Table-driven from the active enumerated layout, computing only
-    /// the semantics it carries; falls back to interpretation when the
-    /// active layout cannot be determined from the context.
-    #[default]
-    Fast,
+/// The layout a context selects, in either direction: the first of
+/// `guards` (one conjunction per enumerated layout, in enumeration
+/// order) whose conditions all evaluate to true under `ctx`. An opaque
+/// condition evaluates to nothing, so a layout behind one is never
+/// selected.
+pub(crate) fn select_layout<'a>(
+    guards: impl IntoIterator<Item = &'a [Cond]>,
+    ctx: &Assignment,
+) -> Option<usize> {
+    guards
+        .into_iter()
+        .position(|g| g.iter().all(|c| c.eval(ctx) == Some(true)))
 }
 
 /// Fault injection knobs (in the smoltcp spirit: exercise the unhappy
@@ -323,13 +320,9 @@ pub struct SimNic {
     pub supported: Vec<SemanticId>,
     engine: OffloadEngine,
     /// The semantics the device computes per frame, lowered to device
-    /// ops whenever the active path or the mode changes: those the
-    /// active path's slots carry, each with its slots, or all of
-    /// `supported` (and no slots) when every completion is interpreted.
+    /// ops whenever the active path changes: those the active path's
+    /// slots carry, each with its slots (none without an active path).
     offload_prog: OffloadProgram,
-    /// Reusable per-frame offload record (scratch of the interpreted
-    /// deliver path; table-driven delivery builds no record).
-    rec_scratch: MetaRecord,
     /// Reusable completion writeback buffer (deliver-path scratch).
     wb_scratch: Vec<u8>,
     /// Recycled frame storage: `receive_into` returns emptied buffers
@@ -337,7 +330,6 @@ pub struct SimNic {
     frame_pool: Vec<Vec<u8>>,
     context: Assignment,
     active_path: Option<usize>,
-    pub(crate) mode: WritebackMode,
     pub cq: DescRing,
     pub dma_cfg: DmaConfig,
     pub dma: DmaMeter,
@@ -365,13 +357,12 @@ pub struct SimNic {
     /// Per-queue H2C (TX) context programmed by the driver.
     pub(crate) h2c_context: Assignment,
     /// Every descriptor layout the `DescParser` accepts, enumerated once
-    /// (empty without a parser, or when enumeration fails).
+    /// (empty without a parser).
     pub(crate) tx_layouts: Vec<DescriptorLayout>,
     /// The layout `h2c_context` selects, as a field table (see
     /// [`SimNic::active_tx_layout`]).
     pub(crate) tx_path: Option<crate::tx::TxPath>,
-    /// Reusable descriptor and wire-frame storage (TX drain scratch).
-    pub(crate) tx_desc_scratch: Vec<u8>,
+    /// Reusable wire-frame storage (TX drain scratch).
     pub(crate) tx_frame_scratch: Vec<u8>,
     /// TX-side counters.
     pub tx_stats: crate::tx::TxStats,
@@ -429,11 +420,13 @@ impl SimNic {
             }
         }
 
-        let tx_layouts = model
-            .desc_parser
-            .as_deref()
-            .and_then(|parser| enumerate_tx_layouts(&checked, parser, &mut reg).ok())
-            .unwrap_or_default();
+        // A parser the layout table cannot express is a contract this
+        // device cannot execute: refused here, never interpreted.
+        let tx_layouts = match model.desc_parser.as_deref() {
+            Some(parser) => enumerate_tx_layouts(&checked, parser, &mut reg)
+                .map_err(|d| NicError::BadContract(d.summary()))?,
+            None => Vec::new(),
+        };
 
         let slot = model.completion_slot_bytes.max(1);
         let faults = FaultConfig::default();
@@ -445,12 +438,10 @@ impl SimNic {
             supported,
             engine: OffloadEngine::default(),
             offload_prog: OffloadProgram::default(),
-            rec_scratch: MetaRecord::default(),
             wb_scratch: Vec::new(),
             frame_pool: Vec::new(),
             context: Assignment::new(),
             active_path: None,
-            mode: WritebackMode::default(),
             cq: DescRing::new(ring_entries, slot),
             dma_cfg: DmaConfig::default(),
             dma: DmaMeter::default(),
@@ -467,7 +458,6 @@ impl SimNic {
             h2c_context: Assignment::new(),
             tx_layouts,
             tx_path: None,
-            tx_desc_scratch: Vec::new(),
             tx_frame_scratch: Vec::new(),
             tx_stats: crate::tx::TxStats::default(),
             rx_pool: crate::rxbuf::RxBufferPool::default(),
@@ -476,12 +466,6 @@ impl SimNic {
         nic.refresh_active_path();
         nic.refresh_tx_path();
         Ok(nic)
-    }
-
-    /// Set the execution mode (both directions).
-    pub fn set_mode(&mut self, mode: WritebackMode) {
-        self.mode = mode;
-        self.refresh_active_path();
     }
 
     /// Configure fault injection. Rejects out-of-range probabilities;
@@ -513,11 +497,12 @@ impl SimNic {
         self.ring_generation
     }
 
-    /// Device-side live relayout: reprogram the per-queue context under
-    /// traffic and tick the ring generation over — the `reset_queue`-
-    /// style republish of an RXDID / descriptor-format change. `None`
-    /// keeps the current context (a generation bump without a path
-    /// change, e.g. when only software shims moved).
+    /// Device-side live relayout: reprogram the per-queue context onto
+    /// completion path `path` under traffic and tick the ring generation
+    /// over — the `reset_queue`-style republish of an RXDID /
+    /// descriptor-format change (the same path again is a generation
+    /// bump without a layout change, e.g. when only software shims
+    /// moved).
     ///
     /// Completions still unharvested at reprogram time were serialized
     /// under the *old* layout; the new-generation ring cannot describe
@@ -530,18 +515,20 @@ impl SimNic {
     /// [`reset_queue`](SimNic::reset_queue). Returns the number of
     /// stranded (stale-tagged) completions.
     ///
-    /// A context with no matching completion path is rejected and the
-    /// old context stays programmed — a failed reprogram must not leave
-    /// the queue on a layout neither generation can parse.
-    pub fn reprogram_queue(&mut self, context: Option<Assignment>) -> Result<usize, NicError> {
-        if let Some(ctx) = context {
-            let old = std::mem::replace(&mut self.context, ctx);
+    /// A context that does not select `path` is rejected and the old
+    /// context stays programmed — a failed reprogram must not leave the
+    /// queue on a layout neither generation's plan reads.
+    pub fn reprogram_queue(
+        &mut self,
+        context: &Assignment,
+        path: usize,
+    ) -> Result<usize, NicError> {
+        let old = std::mem::replace(&mut self.context, context.clone());
+        self.refresh_active_path();
+        if let Err(e) = self.check_path(path) {
+            self.context = old;
             self.refresh_active_path();
-            if self.active_path.is_none() {
-                self.context = old;
-                self.refresh_active_path();
-                return Err(NicError::NoPathForContext);
-            }
+            return Err(e);
         }
         let stranded = self.cq.retag_pending_stale();
         self.hang_remaining = 0;
@@ -576,16 +563,51 @@ impl SimNic {
     /// Program the per-queue context (the "MMIO writes" of the implicit
     /// control channel). Typically the assignment comes straight from the
     /// compiler's selected path.
+    ///
+    /// A context that selects no completion path is programmed all the
+    /// same, and reported: such a queue refuses every delivery.
     pub fn configure(&mut self, context: Assignment) -> Result<(), NicError> {
         self.context = context;
         self.refresh_active_path();
         if self.active_path.is_none() {
-            // Some layout must still serve (possibly via a default arm);
-            // Interpret mode can always run, so this is only an error if
-            // *no* path guard evaluates true.
             return Err(NicError::NoPathForContext);
         }
         Ok(())
+    }
+
+    /// What an attach needs before a plan reading completion path
+    /// `path` may run: program `context` when the plan has one, then
+    /// require that the programmed context selects `path`. A plan whose
+    /// layout the context does not select — a manual plan behind an
+    /// opaque guard, or one whose context steers elsewhere — is
+    /// refused, not served bytes of another layout.
+    pub fn configure_path(
+        &mut self,
+        context: Option<&Assignment>,
+        path: usize,
+    ) -> Result<(), NicError> {
+        if let Some(ctx) = context {
+            self.context = ctx.clone();
+            self.refresh_active_path();
+        }
+        self.check_path(path)
+    }
+
+    /// `Ok` when the programmed context selects completion path `path`.
+    fn check_path(&self, path: usize) -> Result<(), NicError> {
+        match self.active_path() {
+            Some(p) if p.id == path => Ok(()),
+            Some(p) => Err(NicError::BadConfig(format!(
+                "the programmed context selects completion path {}, the plan reads path {path}",
+                p.id
+            ))),
+            None => Err(NicError::NoPathForContext),
+        }
+    }
+
+    /// The programmed per-queue (C2H) context.
+    pub fn context(&self) -> &Assignment {
+        &self.context
     }
 
     /// The completion path the current context selects.
@@ -594,28 +616,29 @@ impl SimNic {
     }
 
     /// Resolve the active completion path from the programmed context
-    /// and compile the offload program against it. Table-driven
-    /// writeback fills nothing but the path's slots, so a supported
-    /// semantic without a slot is dead work; the interpreter may read
-    /// anything, so it gets the full list (and no slot table).
+    /// and compile the offload program against it. Writeback fills
+    /// nothing but the path's slots, so a supported semantic without a
+    /// slot is dead work; with no active path nothing is computed.
     fn refresh_active_path(&mut self) {
-        self.active_path = self
-            .paths
-            .iter()
-            .position(|p| p.guard.iter().all(|c| c.eval(&self.context) == Some(true)));
-        let layout = match self.mode {
-            WritebackMode::Fast => self.active_path.map(|i| &self.paths[i]),
-            WritebackMode::Interpret => None,
+        self.active_path =
+            select_layout(self.paths.iter().map(|p| p.guard.as_slice()), &self.context);
+        self.offload_prog = match self.active_path() {
+            Some(path) => {
+                let computed: Vec<SemanticId> = (self.supported.iter())
+                    .filter(|sem| path.slot_for(**sem).is_some())
+                    .copied()
+                    .collect();
+                OffloadProgram::compile(&self.reg, &computed, path)
+            }
+            None => OffloadProgram::default(),
         };
-        let mut computed = self.supported.clone();
-        if let Some(path) = layout {
-            computed.retain(|sem| path.slot_for(*sem).is_some());
-        }
-        self.offload_prog = OffloadProgram::compile(&self.reg, &computed, layout);
     }
 
     /// Deliver one frame from the wire. Computes offloads, serializes the
-    /// completion per the contract, and posts packet + completion.
+    /// completion per the active completion path, and posts packet +
+    /// completion. A queue whose context selects no path refuses the
+    /// frame with [`NicError::NoPathForContext`] before anything —
+    /// fault roll, buffer, ring or counter — is touched.
     pub fn deliver(&mut self, frame: &[u8]) -> Result<(), NicError> {
         self.deliver_steered(frame, None, None)
     }
@@ -632,6 +655,9 @@ impl SimNic {
         parsed: Option<&ParsedFrame<'_>>,
         rss_hint: Option<u32>,
     ) -> Result<(), NicError> {
+        if self.active_path.is_none() {
+            return Err(NicError::NoPathForContext);
+        }
         // Transient queue hang: a wedged writeback engine swallows this
         // and the next `hang_cycles` deliveries without completions.
         if self.hang_remaining > 0 {
@@ -663,33 +689,15 @@ impl SimNic {
             }
         }
         // Offloads, pre-lowered ops over one parse (zero when the
-        // steering stage already did it), serialized into the reusable
-        // writeback buffer.
-        match (self.mode, self.active_path) {
-            // The program was compiled against the active path: each
-            // value goes straight into its slots.
-            (WritebackMode::Fast, Some(_)) => self.engine.process_into_completion(
-                &self.offload_prog,
-                frame,
-                parsed,
-                rss_hint,
-                &mut self.wb_scratch,
-            ),
-            // Reference: a record of every supported semantic, handed
-            // to the contract's deparser.
-            _ => {
-                self.engine.process_program_with(
-                    &self.offload_prog,
-                    frame,
-                    parsed,
-                    rss_hint,
-                    &mut self.rec_scratch,
-                );
-                let out = self.interpret_writeback(&self.rec_scratch)?;
-                self.wb_scratch.clear();
-                self.wb_scratch.extend_from_slice(&out);
-            }
-        }
+        // steering stage already did it), each value going straight
+        // into its slots of the reusable writeback buffer.
+        self.engine.process_into_completion(
+            &self.offload_prog,
+            frame,
+            parsed,
+            rss_hint,
+            &mut self.wb_scratch,
+        );
         // Corruption faults hit the record *and* the sideband in
         // lockstep: a fault that mangles the completion DMA has no
         // reason to spare the hint word, and a pristine hint would let
@@ -833,116 +841,15 @@ impl SimNic {
         ok.then_some(sideband)
     }
 
-    /// Table-driven serialization of a record under enumerated layout
-    /// `i` — the record-based form of what the compiled offload program
-    /// writes on delivery, kept for [`writeback_both`](Self::writeback_both).
-    fn fast_writeback(&self, i: usize, record: &MetaRecord) -> Vec<u8> {
-        let path = &self.paths[i];
-        let mut buf = vec![0; path.size_bytes() as usize];
-        for slot in &path.slots {
-            if let Some(v) = slot.semantic.and_then(|sem| record.get(sem)) {
-                write_bits(&mut buf, slot.offset_bits, slot.width_bits, v);
-            }
-        }
-        buf
-    }
-
-    /// Reference writeback: interpret the deparser AST.
-    fn interpret_writeback(&self, record: &MetaRecord) -> Result<Vec<u8>, NicError> {
-        let ctx = self.build_ctx_value();
-        let meta = self.build_meta_value(record);
-        let mut args = HashMap::new();
-        args.insert(self.model.ctx_param.clone(), ctx);
-        args.insert(self.model.meta_param.clone(), meta);
-        let run = run_deparser(&self.checked, &self.model.deparser, &args)
-            .map_err(|e| NicError::BadContract(e.to_string()))?;
-        Ok(run.output)
-    }
-
-    /// Build the context struct value from the programmed assignment.
-    fn build_ctx_value(&self) -> Value {
-        let Some(Ty::Struct(sid)) = self.checked.types.lookup(&self.model.ctx_type) else {
-            return Value::bits(0, 0);
-        };
-        self.context_value(sid, &self.model.ctx_param, &self.context)
-    }
-
-    /// A value of context struct `sid` for parameter `param`, holding
-    /// the entries of `context` rooted at that parameter (zero
-    /// elsewhere) — what the contract's interpreters read as the
-    /// programmed per-queue context, RX or TX.
-    pub(crate) fn context_value(
-        &self,
-        sid: opendesc_p4::types::StructId,
-        param: &str,
-        context: &Assignment,
-    ) -> Value {
-        let mut v = Value::struct_of(sid, &self.checked.types);
-        for (fref, val) in context {
-            if fref.path.first().map(String::as_str) != Some(param) {
-                continue;
-            }
-            let segs: Vec<&str> = fref.path[1..].iter().map(String::as_str).collect();
-            if let Some(slot) = v.get_path_mut(&segs) {
-                *slot = Value::bits(fref.width, *val);
-            }
-        }
-        v
-    }
-
-    /// Build the pipe_meta struct value from an offload record.
-    fn build_meta_value(&self, record: &MetaRecord) -> Value {
-        let Some(Ty::Struct(sid)) = self.checked.types.lookup(&self.model.meta_type) else {
-            return Value::bits(0, 0);
-        };
-        let mut v = Value::struct_of(sid, &self.checked.types);
-        let sinfo = self.checked.types.struct_(sid).clone();
-        for f in &sinfo.fields {
-            if let Ty::Header(hid) = f.ty {
-                let hinfo = self.checked.types.header(hid).clone();
-                if let Some(Value::Header { valid, fields, .. }) =
-                    v.get_path_mut(&[f.name.as_str()])
-                {
-                    *valid = true;
-                    for hf in &hinfo.fields {
-                        if let Some(sem_name) = &hf.semantic {
-                            if let Some(id) = self.reg.id(sem_name) {
-                                if let Some(val) = record.get(id) {
-                                    let masked = if hf.width_bits >= 128 {
-                                        val
-                                    } else {
-                                        val & ((1u128 << hf.width_bits) - 1)
-                                    };
-                                    fields.insert(hf.name.clone(), masked);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        v
-    }
-
     /// Run a frame through the offload engine only (no rings), into a
-    /// fresh record: the op loop delivery runs, with the record the
-    /// interpreter serializes as its sink. Useful for tests comparing
-    /// writeback modes.
+    /// fresh record: the op loop delivery runs, with a record as its
+    /// sink — what a reference serializer takes in place of the
+    /// completion the device writes.
     pub fn offload_record(&mut self, frame: &[u8]) -> MetaRecord {
         let mut rec = MetaRecord::default();
         self.engine
             .process_program_into(&self.offload_prog, frame, &mut rec);
         rec
-    }
-
-    /// Serialize a record under both modes (test/diagnostic helper).
-    pub fn writeback_both(&self, record: &MetaRecord) -> Result<(Vec<u8>, Vec<u8>), NicError> {
-        let interp = self.interpret_writeback(record)?;
-        let fast = match self.active_path {
-            Some(i) => self.fast_writeback(i, record),
-            None => interp.clone(),
-        };
-        Ok((interp, fast))
     }
 }
 
@@ -1034,54 +941,9 @@ mod tests {
         ]
     }
 
-    /// Deliver `frames` to a table-driven queue and to an interpreting
-    /// twin on the same context; what the host receives must be equal,
-    /// byte for byte, frame and completion.
-    fn assert_delivery_matches_interpreter(model: &NicModel, ctx: &Assignment, what: &str) {
-        let mut fast = SimNic::new(model.clone(), 16).unwrap();
-        let mut interp = SimNic::new(model.clone(), 16).unwrap();
-        interp.set_mode(WritebackMode::Interpret);
-        fast.configure(ctx.clone()).unwrap();
-        interp.configure(ctx.clone()).unwrap();
-        for (n, f) in probe_frames().iter().enumerate() {
-            fast.deliver(f).unwrap();
-            interp.deliver(f).unwrap();
-            assert_eq!(
-                fast.receive(),
-                interp.receive(),
-                "{what} frame {n}: compiled writeback and interpreter disagree"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_and_interpret_writeback_agree() {
-        for model in models::catalog() {
-            let mut nic = SimNic::new(model.clone(), 16).unwrap();
-            // Exercise every solvable path of the model.
-            for i in 0..nic.paths.len() {
-                let Some(ctx) = nic.paths[i].solve_context() else {
-                    continue;
-                };
-                nic.configure(ctx.clone()).unwrap();
-                let rec = nic.offload_record(&frame());
-                let (interp, fast) = nic.writeback_both(&rec).unwrap();
-                assert_eq!(
-                    interp, fast,
-                    "model {} path {i}: interpreter and fast writeback disagree",
-                    model.name
-                );
-                // And as delivered: the compiled program writes no
-                // record, so hold its bytes to the interpreter's too.
-                let what = format!("model {} path {i}", model.name);
-                assert_delivery_matches_interpreter(&model, &ctx, &what);
-            }
-        }
-    }
-
     #[test]
     fn restricted_offloads_write_the_same_completions() {
-        // Fast mode computes only what the active path carries. Against
+        // The device computes only what the active path carries. Against
         // a twin forced back onto the full program, every completion
         // must be byte-identical, on every model and solvable path.
         let mut restricted_somewhere = false;
@@ -1095,8 +957,11 @@ mod tests {
                 let mut full = SimNic::new(model.clone(), 16).unwrap();
                 nic.configure(ctx.clone()).unwrap();
                 full.configure(ctx).unwrap();
-                full.offload_prog =
-                    OffloadProgram::compile(&full.reg, &full.supported, full.active_path());
+                full.offload_prog = OffloadProgram::compile(
+                    &full.reg,
+                    &full.supported,
+                    full.active_path().unwrap(),
+                );
                 restricted_somewhere |= nic.offload_prog.len() < full.offload_prog.len();
                 for f in &probe_frames() {
                     nic.deliver(f).unwrap();
@@ -1111,11 +976,41 @@ mod tests {
             }
         }
         assert!(restricted_somewhere, "no path drops a supported semantic");
-        // Interpreting reads whatever the deparser names: full program.
-        let mut nic = SimNic::new(models::e1000e(), 16).unwrap();
-        nic.set_mode(WritebackMode::Interpret);
-        nic.configure(asn(&[("use_rss", 1, 1)])).unwrap();
-        assert_eq!(nic.offload_prog.len(), nic.supported.len());
+    }
+
+    #[test]
+    fn a_queue_whose_context_selects_no_path_refuses_delivery() {
+        // Behind an opaque guard no path is ever selected: the queue
+        // refuses every frame and leaves ring, counters and frame
+        // queue exactly as they were — nothing is interpreted instead.
+        let spec = models::ProgSpec {
+            name: "opaque".into(),
+            layouts: vec![
+                models::ProgLayout {
+                    fields: vec![models::ProgField::sem("len", "pkt_len", 16)],
+                },
+                models::ProgLayout {
+                    fields: vec![models::ProgField::sem("hash", "rss_hash", 32)],
+                },
+            ],
+            guard: models::ProgGuard::Opaque,
+            tail: None,
+            tx: None,
+        };
+        let mut nic = SimNic::new(models::programmable(&spec).unwrap(), 16).unwrap();
+        nic.set_faults(FaultConfig::builder().drop_chance(0.5).build().unwrap())
+            .unwrap();
+        assert!(nic.active_path().is_none());
+        for f in &probe_frames() {
+            assert_eq!(nic.deliver(f), Err(NicError::NoPathForContext));
+            assert_eq!(
+                nic.deliver_steered(f, None, Some(7)),
+                Err(NicError::NoPathForContext)
+            );
+        }
+        assert_eq!(nic.stats, NicStats::default());
+        assert!(nic.cq.is_empty() && nic.rx_frames.is_empty() && nic.rx_hints.is_empty());
+        assert_eq!(nic.configure_path(None, 0), Err(NicError::NoPathForContext));
     }
 
     #[test]
@@ -1144,8 +1039,6 @@ mod tests {
         };
         let model = models::programmable(&spec).unwrap();
         let ctx = Assignment::new();
-        assert_delivery_matches_interpreter(&model, &ctx, "ragged-twice");
-
         let mut nic = SimNic::new(model, 16).unwrap();
         nic.configure(ctx).unwrap();
         let path = nic.active_path().unwrap().clone();
@@ -1188,14 +1081,24 @@ mod tests {
         assert!(nic.offload_prog.ops().iter().all(|op| op.sem != csum));
         nic.deliver(&frame()).unwrap();
         nic.receive().unwrap();
-        nic.reprogram_queue(Some(asn(&[("use_rss", 1, 0)])))
+        let mut booted = SimNic::new(models::e1000e(), 16).unwrap();
+        booted.configure(asn(&[("use_rss", 1, 0)])).unwrap();
+        let csum_path = booted.active_path().unwrap().id;
+        let rss_path = nic.active_path().unwrap().id;
+        // A context that selects another path than the plan reads is
+        // refused, and the queue stays where it was.
+        assert!(matches!(
+            nic.reprogram_queue(&asn(&[("use_rss", 1, 0)]), rss_path),
+            Err(NicError::BadConfig(_))
+        ));
+        assert_eq!(nic.active_path().unwrap().id, rss_path);
+        assert_eq!(nic.ring_generation(), 0);
+        nic.reprogram_queue(&asn(&[("use_rss", 1, 0)]), csum_path)
             .unwrap();
         nic.deliver(&frame()).unwrap();
         let (_, cmpt) = nic.receive().unwrap();
         assert_eq!(&cmpt[2..4], &[0xFF, 0xFF], "checksum status delivered");
 
-        let mut booted = SimNic::new(models::e1000e(), 16).unwrap();
-        booted.configure(asn(&[("use_rss", 1, 0)])).unwrap();
         booted.deliver(&frame()).unwrap();
         assert_eq!(cmpt, booted.receive().unwrap().1);
     }

@@ -1,12 +1,12 @@
 //! The simulated NIC's offload engine.
 //!
 //! For each received frame the engine runs an [`OffloadProgram`]: one op
-//! per semantic the device computes. Compiled against the active
-//! completion layout, every op carries the slots its value lands in and
-//! the engine writes the completion record directly
-//! ([`OffloadEngine::process_into_completion`]); compiled without one it
-//! fills a [`MetaRecord`] for the contract's deparser to serialize — the
-//! reference. Both run the same op loop. The engine delegates stateless
+//! per semantic the device computes, compiled against the active
+//! completion layout, so every op carries the slots its value lands in
+//! and the engine writes the completion record directly
+//! ([`OffloadEngine::process_into_completion`]). The same op loop can
+//! fill a [`MetaRecord`] instead — what a reference serializer of the
+//! contract takes as its input. The engine delegates stateless
 //! semantics to the SoftNIC reference implementations — hardware and
 //! software compute identical values by construction — and adds the
 //! device-only ones (timestamps from the device clock).
@@ -116,19 +116,20 @@ pub struct OffloadProgram {
     ops: Vec<OffloadOp>,
     /// Destination slots of every op, grouped by op.
     slots: Vec<DestSlot>,
-    /// Size of the record the slots index into (0 without a layout).
+    /// Size of the record the slots index into.
     record_bytes: usize,
 }
 
 impl OffloadProgram {
-    /// Lower `sems` against the registry, and against `layout` when the
-    /// completion will be written table-driven: each op then carries
-    /// every slot of the layout tagged with its semantic. Names resolve
-    /// to ops, and semantics to offsets, here — never again per packet.
+    /// Lower `sems` against the registry and against `layout`: each op
+    /// carries every slot of the layout tagged with its semantic (none,
+    /// for a semantic the layout does not carry — its value reaches
+    /// only a record). Names resolve to ops, and semantics to offsets,
+    /// here — never again per packet.
     pub fn compile(
         reg: &SemanticRegistry,
         sems: &[SemanticId],
-        layout: Option<&CompletionPath>,
+        layout: &CompletionPath,
     ) -> OffloadProgram {
         let mut slots = Vec::new();
         let ops = sems
@@ -140,9 +141,8 @@ impl OffloadProgram {
                     name => DeviceOp::Shim(ShimOp::from_name(name)),
                 };
                 let start = slots.len() as u16;
-                let carried = layout.iter().flat_map(|p| &p.slots);
                 slots.extend(
-                    carried
+                    (layout.slots.iter())
                         .filter(|s| s.semantic == Some(sem))
                         .map(|s| DestSlot {
                             offset_bits: s.offset_bits,
@@ -159,7 +159,7 @@ impl OffloadProgram {
         OffloadProgram {
             ops,
             slots,
-            record_bytes: layout.map_or(0, |p| p.size_bytes() as usize),
+            record_bytes: layout.size_bytes() as usize,
         }
     }
 
@@ -208,23 +208,6 @@ impl OffloadEngine {
             link_gbps,
             next_crypto_ctx: 1,
         }
-    }
-
-    /// Compute the values of `supported` semantics for `frame`, advancing
-    /// the device clock by the frame's wire time.
-    ///
-    /// One-shot convenience that lowers `supported` per call; the deliver
-    /// hot path compiles an [`OffloadProgram`] once per context instead.
-    pub fn process(
-        &mut self,
-        reg: &SemanticRegistry,
-        supported: &[SemanticId],
-        frame: &[u8],
-    ) -> MetaRecord {
-        let prog = OffloadProgram::compile(reg, supported, None);
-        let mut rec = MetaRecord::default();
-        self.process_program_into(&prog, frame, &mut rec);
-        rec
     }
 
     /// Run a pre-compiled program over one frame into a reusable record,
@@ -345,13 +328,41 @@ mod tests {
         names_.iter().map(|n| reg.id(n).unwrap()).collect()
     }
 
+    /// A layout with no slots: every value reaches only the record.
+    fn slotless() -> CompletionPath {
+        CompletionPath {
+            id: 0,
+            guard: Vec::new(),
+            emits: Vec::new(),
+            slots: Vec::new(),
+            size_bits: 0,
+            prov: Default::default(),
+        }
+    }
+
+    /// `sems` over `frame` into a fresh record.
+    fn process(
+        eng: &mut OffloadEngine,
+        reg: &SemanticRegistry,
+        sems: &[SemanticId],
+        frame: &[u8],
+    ) -> MetaRecord {
+        let mut rec = MetaRecord::default();
+        eng.process_program_into(
+            &OffloadProgram::compile(reg, sems, &slotless()),
+            frame,
+            &mut rec,
+        );
+        rec
+    }
+
     #[test]
     fn process_fills_supported_semantics() {
         let reg = SemanticRegistry::with_builtins();
         let mut eng = OffloadEngine::new(100.0);
         let f = testpkt::udp4([10, 0, 0, 1], [10, 0, 0, 2], 1000, 2000, b"data", None);
         let sems = ids(&reg, &[names::RSS_HASH, names::PKT_LEN, names::TIMESTAMP]);
-        let rec = eng.process(&reg, &sems, &f);
+        let rec = process(&mut eng, &reg, &sems, &f);
         assert_eq!(rec.len(), 3);
         assert_eq!(
             rec.get(reg.id(names::PKT_LEN).unwrap()),
@@ -366,7 +377,7 @@ mod tests {
         let mut eng = OffloadEngine::new(10.0); // 10 Gbps
         let t0 = eng.clock_ns;
         let f = testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, &[0u8; 1000], None);
-        eng.process(&reg, &[], &f);
+        process(&mut eng, &reg, &[], &f);
         let dt = eng.clock_ns - t0;
         // ~ (1042+24)*8/10 ≈ 850 ns.
         assert!(dt > 700 && dt < 1000, "wire time {dt} ns");
@@ -378,8 +389,8 @@ mod tests {
         let mut eng = OffloadEngine::default();
         let ts = reg.id(names::TIMESTAMP).unwrap();
         let f = testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", None);
-        let a = eng.process(&reg, &[ts], &f).get(ts).unwrap();
-        let b = eng.process(&reg, &[ts], &f).get(ts).unwrap();
+        let a = process(&mut eng, &reg, &[ts], &f).get(ts).unwrap();
+        let b = process(&mut eng, &reg, &[ts], &f).get(ts).unwrap();
         assert!(b > a);
     }
 
@@ -390,7 +401,7 @@ mod tests {
         // A non-IP frame: VLAN semantic absent, RSS absent.
         let frame = vec![0u8; 14]; // bare ethernet, ethertype 0
         let sems = ids(&reg, &[names::RSS_HASH, names::VLAN_TCI, names::PKT_LEN]);
-        let rec = eng.process(&reg, &sems, &frame);
+        let rec = process(&mut eng, &reg, &sems, &frame);
         assert_eq!(rec.get(reg.id(names::RSS_HASH).unwrap()), None);
         assert_eq!(rec.get(reg.id(names::VLAN_TCI).unwrap()), None);
         assert_eq!(rec.get(reg.id(names::PKT_LEN).unwrap()), Some(14));
@@ -419,41 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn program_path_matches_one_shot_process() {
-        let reg = SemanticRegistry::with_builtins();
-        let sems: Vec<SemanticId> = reg.iter().map(|(id, _)| id).collect();
-        let prog = OffloadProgram::compile(&reg, &sems, None);
-        assert_eq!(prog.len(), sems.len());
-        let frames = [
-            testpkt::udp4(
-                [10, 0, 0, 1],
-                [10, 0, 0, 2],
-                1000,
-                2000,
-                b"get k\r\n",
-                Some(7),
-            ),
-            vec![0u8; 14], // non-IP
-        ];
-        for f in &frames {
-            // Engines advance clocks/counters identically on both paths.
-            let mut a = OffloadEngine::new(100.0);
-            let mut b = OffloadEngine::new(100.0);
-            let one_shot = a.process(&reg, &sems, f);
-            let mut rec = MetaRecord::default();
-            b.process_program_into(&prog, f, &mut rec);
-            assert_eq!(one_shot, rec);
-            assert_eq!(a.clock_ns, b.clock_ns);
-        }
-    }
-
-    #[test]
     fn steer_reuse_path_matches_fresh_parse() {
         // Handing the engine the steering stage's parse + RSS hash must
         // be observationally identical to parsing/hashing from scratch.
         let reg = SemanticRegistry::with_builtins();
         let sems: Vec<SemanticId> = reg.iter().map(|(id, _)| id).collect();
-        let prog = OffloadProgram::compile(&reg, &sems, None);
+        let prog = OffloadProgram::compile(&reg, &sems, &slotless());
         let f = testpkt::udp4(
             [10, 0, 0, 1],
             [10, 0, 0, 2],
@@ -524,7 +506,7 @@ mod tests {
             Some(7),
         );
         for path in &nic.paths {
-            let prog = OffloadProgram::compile(&nic.reg, &nic.supported, Some(path));
+            let prog = OffloadProgram::compile(&nic.reg, &nic.supported, path);
             let (mut a, mut b) = (OffloadEngine::default(), OffloadEngine::default());
             let mut rec = MetaRecord::default();
             a.process_program_into(&prog, &f, &mut rec);
@@ -545,7 +527,7 @@ mod tests {
     fn reused_record_carries_nothing_across_frames() {
         let reg = SemanticRegistry::with_builtins();
         let sems = ids(&reg, &[names::RSS_HASH, names::VLAN_TCI, names::PKT_LEN]);
-        let prog = OffloadProgram::compile(&reg, &sems, None);
+        let prog = OffloadProgram::compile(&reg, &sems, &slotless());
         let mut eng = OffloadEngine::default();
         let mut rec = MetaRecord::default();
         let tagged = testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", Some(0x0ABC));
@@ -564,8 +546,8 @@ mod tests {
         let mut eng = OffloadEngine::default();
         let cc = reg.id(names::CRYPTO_CTX).unwrap();
         let f = testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", None);
-        let a = eng.process(&reg, &[cc], &f).get(cc).unwrap();
-        let b = eng.process(&reg, &[cc], &f).get(cc).unwrap();
+        let a = process(&mut eng, &reg, &[cc], &f).get(cc).unwrap();
+        let b = process(&mut eng, &reg, &[cc], &f).get(cc).unwrap();
         assert_ne!(a, b);
     }
 }

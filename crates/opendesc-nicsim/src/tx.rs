@@ -7,32 +7,23 @@
 //! insertion — computed by the same softnic reference code the host
 //! would use as fallback), and emits the wire frame.
 //!
-//! Like the completion side, the parse has two executions of the one
-//! contract. The reference interprets the `DescParser` AST for every
-//! descriptor. The table-driven path resolves the descriptor layout once
-//! per programmed context ([`SimNic::configure_tx`], and at
-//! construction for parsers that never get configured) and then reads
-//! five `(offset, width)` fields per descriptor. The layout is chosen by
-//! the reference itself: the interpreter runs once over an all-zero
-//! probe descriptor under the programmed context, and the enumerated
-//! [`DescriptorLayout`] with the same state walk becomes active — so no
-//! second evaluator of `select` can disagree with the first. The table
-//! is used only when that choice provably holds for every descriptor
-//! (see [`SimNic::active_tx_layout`]); otherwise, and always in
-//! [`WritebackMode::Interpret`], each descriptor goes through the
-//! interpreter.
+//! Like the completion side, the parse is table-driven: the descriptor
+//! layout is resolved once per programmed context
+//! ([`SimNic::configure_tx`], and at construction for parsers that
+//! never get configured) by the same rule as the completion path — the
+//! first enumerated [`DescriptorLayout`] whose guards all hold — and
+//! each descriptor is then five `(offset, width)` reads. The enumerator
+//! refuses, at construction, every parser a table cannot express (see
+//! [`opendesc_ir::txpath`]), so the table is exact; under a context
+//! that selects no layout every descriptor is a parse reject, as it is
+//! for the contract's parser.
 
 use crate::hostmem::HostMem;
-use crate::nic::{NicError, SimNic, WritebackMode};
+use crate::nic::{select_layout, NicError, SimNic};
 use opendesc_ir::bits::read_bits;
-use opendesc_ir::interp::{run_desc_parser, InterpError, ParserRun};
 use opendesc_ir::semantics::names;
-use opendesc_ir::value::Value;
-use opendesc_ir::{Assignment, DescriptorLayout, SemanticId};
-use opendesc_p4::ast;
-use opendesc_p4::types::{ExternKind, Ty};
+use opendesc_ir::{Assignment, DescriptorLayout, SemanticRegistry};
 use opendesc_softnic::fixup;
-use std::collections::HashMap;
 
 /// TX-side counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -64,9 +55,8 @@ pub(crate) struct TxPath {
     l4_csum: Option<Field>,
 }
 
-/// What one descriptor asks of the device, whichever path parsed it.
-/// An offload hint the layout does not carry reads as 0, like one the
-/// host left clear.
+/// What one descriptor asks of the device. An offload hint the layout
+/// does not carry reads as 0, like one the host left clear.
 struct TxHints {
     buf_addr: u128,
     buf_len: u128,
@@ -76,7 +66,27 @@ struct TxHints {
 }
 
 impl TxPath {
-    /// The interpreter's `extract`s fail exactly when the descriptor is
+    /// The fields the device reads from `layouts[layout]`. The
+    /// enumerator refused every layout without `buf_addr`/`buf_len` or
+    /// carrying a semantic twice, so each is one slot at most.
+    fn new(layouts: &[DescriptorLayout], layout: usize, reg: &SemanticRegistry) -> Option<TxPath> {
+        let l = &layouts[layout];
+        let field = |sem: &str| {
+            let slot = l.slot_for(reg.id(sem)?)?;
+            Some((slot.offset_bits, slot.width_bits))
+        };
+        Some(TxPath {
+            layout,
+            size_bits: l.size_bits,
+            buf_addr: field(names::BUF_ADDR)?,
+            buf_len: field(names::BUF_LEN)?,
+            vlan_insert: field(names::TX_VLAN_INSERT),
+            ip_csum: field(names::TX_IP_CSUM),
+            l4_csum: field(names::TX_L4_CSUM),
+        })
+    }
+
+    /// The parser's `extract`s fail exactly when the descriptor is
     /// shorter than the walk's headers; longer is fine (the tail is
     /// never read).
     fn read(&self, desc: &[u8]) -> Result<TxHints, TxError> {
@@ -101,122 +111,21 @@ impl SimNic {
         self.refresh_tx_path();
     }
 
-    /// The descriptor layout the programmed H2C context selects, when
-    /// the context alone decides it; `None` means every descriptor is
-    /// interpreted. That is the case when the contract's parser rejects
-    /// the probe under this context (no layout matches), when its walk
-    /// is not among the enumerated layouts, when a state on the walk
-    /// does anything but `extract` into the `out` descriptor or
-    /// `select`s on something other than fields of the `in` context
-    /// parameter (a descriptor field, a computed expression), or when
-    /// the layout lacks `buf_addr`/`buf_len` or carries one of the five
-    /// consumed semantics twice.
+    /// The programmed H2C (TX) context.
+    pub fn tx_context(&self) -> &Assignment {
+        &self.h2c_context
+    }
+
+    /// The descriptor layout the programmed H2C context selects; `None`
+    /// means it selects none, and every descriptor is a parse reject.
     pub fn active_tx_layout(&self) -> Option<&DescriptorLayout> {
         self.tx_path.as_ref().map(|p| &self.tx_layouts[p.layout])
     }
 
     pub(crate) fn refresh_tx_path(&mut self) {
-        self.tx_path = self.resolve_tx_path();
-    }
-
-    fn resolve_tx_path(&self) -> Option<TxPath> {
-        let name = self.model.desc_parser.as_deref()?;
-        let parser = self.checked.program.parser(name)?;
-        let probe = vec![0u8; self.tx_ring.slot_size()];
-        let walk = self.run_tx_parser(name, &probe).ok()?.trace;
-        let layout = self.tx_layouts.iter().position(|l| l.states == walk)?;
-        if !self.context_decides(parser, &walk) {
-            return None;
-        }
-        // `Err` = carried twice: which copy the interpreter's harvest
-        // reports is its business, not something to replicate.
-        let slots = &self.tx_layouts[layout].slots;
-        let field = |sem: &str| -> Result<Option<Field>, ()> {
-            let id = self.reg.id(sem);
-            let mut hits = slots.iter().filter(|s| id.is_some() && s.semantic == id);
-            match (hits.next(), hits.next()) {
-                (first, None) => Ok(first.map(|s| (s.offset_bits, s.width_bits))),
-                _ => Err(()),
-            }
-        };
-        Some(TxPath {
-            layout,
-            size_bits: self.tx_layouts[layout].size_bits,
-            buf_addr: field(names::BUF_ADDR).ok()??,
-            buf_len: field(names::BUF_LEN).ok()??,
-            vlan_insert: field(names::TX_VLAN_INSERT).ok()?,
-            ip_csum: field(names::TX_IP_CSUM).ok()?,
-            l4_csum: field(names::TX_L4_CSUM).ok()?,
-        })
-    }
-
-    /// Whether every descriptor takes `walk` under the programmed
-    /// context: each state on it only `extract`s into the `out`
-    /// descriptor (so nothing else is written and every extracted header
-    /// is harvested), and each `select` reads only fields of an H2C
-    /// context parameter (so no descriptor content steers the parse).
-    fn context_decides(&self, parser: &ast::ParserDecl, walk: &[String]) -> bool {
-        let mut desc_in = None;
-        let mut out = None;
-        for p in &parser.params {
-            match self.checked.param_ty(p) {
-                Some(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn)) => {
-                    desc_in = Some(p.name.name.as_str());
-                }
-                Some(Ty::Extern(_)) | None => {}
-                Some(_) if p.dir == Some(ast::Direction::Out) => out = Some(p.name.name.as_str()),
-                Some(_) => {}
-            }
-        }
-        let extracts_into_out = |stmt: &ast::Stmt| {
-            let ast::StmtKind::Expr(e) = &stmt.kind else {
-                return false;
-            };
-            let ast::ExprKind::Call { callee, args } = &e.kind else {
-                return false;
-            };
-            callee
-                .as_path()
-                .is_some_and(|c| c.len() == 2 && Some(c[0]) == desc_in && c[1] == "extract")
-                && args.len() == 1
-                && args[0].as_path().is_some_and(|a| Some(a[0]) == out)
-        };
-        let reads_context = |e: &ast::Expr| {
-            e.as_path()
-                .is_some_and(|path| self.h2c_params(parser).any(|(p, _)| p == path[0]))
-        };
-        walk.iter().all(|name| {
-            let Some(st) = parser
-                .states
-                .iter()
-                .flatten()
-                .find(|s| s.name.name == *name)
-            else {
-                return false;
-            };
-            st.stmts.iter().all(extracts_into_out)
-                && match &st.transition {
-                    Some(ast::Transition::Select { exprs, .. }) => exprs.iter().all(reads_context),
-                    _ => true,
-                }
-        })
-    }
-
-    /// The parser's H2C context parameters — `in`-direction structs,
-    /// the ones [`configure_tx`](SimNic::configure_tx) values reach.
-    fn h2c_params<'a>(
-        &'a self,
-        parser: &'a ast::ParserDecl,
-    ) -> impl Iterator<Item = (&'a str, opendesc_p4::types::StructId)> + 'a {
-        parser
-            .params
-            .iter()
-            .filter_map(|p| match (p.dir, self.checked.param_ty(p)) {
-                (Some(ast::Direction::In), Some(Ty::Struct(sid))) => {
-                    Some((p.name.name.as_str(), sid))
-                }
-                _ => None,
-            })
+        let guards = self.tx_layouts.iter().map(|l| l.guard.as_slice());
+        self.tx_path = select_layout(guards, &self.h2c_context)
+            .and_then(|i| TxPath::new(&self.tx_layouts, i, &self.reg));
     }
 
     /// Register a frame buffer in DMA-visible host memory (for tests
@@ -278,20 +187,15 @@ impl SimNic {
     }
 
     /// Consume every published descriptor, handing each wire frame to
-    /// `emit`. Descriptor and frame live in scratch reused across calls.
+    /// `emit`. Each descriptor is read in its ring slot; the frame lives
+    /// in scratch reused across calls.
     fn run_tx(&mut self, mut emit: impl FnMut(&[u8])) {
-        let Some(parser) = self.model.desc_parser.as_deref() else {
-            return;
-        };
-        let mut desc = std::mem::take(&mut self.tx_desc_scratch);
         let mut frame = std::mem::take(&mut self.tx_frame_scratch);
-        while let Some(d) = self.tx_ring.consume() {
-            desc.clear();
-            desc.extend_from_slice(d);
+        while let Some(desc) = self.tx_ring.consume() {
             self.tx_stats.descs += 1;
-            let hints = match (self.mode, &self.tx_path) {
-                (WritebackMode::Fast, Some(path)) => path.read(&desc),
-                _ => self.interpret_desc(parser, &desc),
+            let hints = match &self.tx_path {
+                Some(path) => path.read(desc),
+                None => Err(TxError::ParseReject),
             };
             match hints.and_then(|h| build_frame(&self.host_mem, &h, &mut frame)) {
                 Ok(()) => {
@@ -303,71 +207,7 @@ impl SimNic {
                 Err(TxError::BadBuffer) => self.tx_stats.bad_buffers += 1,
             }
         }
-        self.tx_desc_scratch = desc;
         self.tx_frame_scratch = frame;
-    }
-
-    /// Execute the contract's parser `name` over `desc` under the
-    /// programmed H2C context.
-    fn run_tx_parser(&self, name: &str, desc: &[u8]) -> Result<ParserRun, InterpError> {
-        let parser = self.checked.program.parser(name);
-        let args: HashMap<String, Value> = parser
-            .into_iter()
-            .flat_map(|parser| self.h2c_params(parser))
-            .map(|(param, sid)| {
-                let value = self.context_value(sid, param, &self.h2c_context);
-                (param.to_string(), value)
-            })
-            .collect();
-        run_desc_parser(&self.checked, name, desc, &args)
-    }
-
-    /// Reference parse: interpret the `parser` AST over `desc` and
-    /// harvest the semantic-annotated fields of the result.
-    fn interpret_desc(&self, parser: &str, desc: &[u8]) -> Result<TxHints, TxError> {
-        let run = self
-            .run_tx_parser(parser, desc)
-            .map_err(|_| TxError::ParseReject)?;
-        let mut fields = Vec::new();
-        self.harvest_semantics(&run.descriptor, &mut fields);
-        let get = |name: &str| {
-            let id = self.reg.id(name)?;
-            fields.iter().find(|(s, _)| *s == id).map(|(_, v)| *v)
-        };
-        Ok(TxHints {
-            buf_addr: get(names::BUF_ADDR).ok_or(TxError::BadBuffer)?,
-            buf_len: get(names::BUF_LEN).ok_or(TxError::BadBuffer)?,
-            vlan_insert: get(names::TX_VLAN_INSERT).unwrap_or(0),
-            ip_csum: get(names::TX_IP_CSUM).unwrap_or(0),
-            l4_csum: get(names::TX_L4_CSUM).unwrap_or(0),
-        })
-    }
-
-    /// Collect `(semantic, value)` pairs from a parsed descriptor value
-    /// tree: every valid header field carrying an `@semantic` annotation.
-    fn harvest_semantics(&self, v: &Value, out: &mut Vec<(SemanticId, u128)>) {
-        match v {
-            Value::Struct(fields) => {
-                for f in fields.values() {
-                    self.harvest_semantics(f, out);
-                }
-            }
-            Value::Header {
-                header,
-                valid: true,
-                fields,
-            } => {
-                let info = self.checked.types.header(*header);
-                for hf in &info.fields {
-                    if let Some(sem) = hf.semantic.as_deref() {
-                        if let Some(id) = self.reg.id(sem) {
-                            out.push((id, fields.get(&hf.name).copied().unwrap_or(0)));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
     }
 }
 

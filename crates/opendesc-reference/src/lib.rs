@@ -17,9 +17,19 @@
 //!   (`tests/tx_equivalence.rs`, [`conformance`]);
 //! * [`conformance`], the differential fuzzer that mints NIC models at
 //!   random and cross-checks every form on identical bytes (E20,
-//!   `tests/conformance_fuzz.rs`, `tests/corpus_replay.rs`).
+//!   `tests/conformance_fuzz.rs`, `tests/corpus_replay.rs`);
+//! * the contract interpreter ([`interp`] over [`value`]), which
+//!   executes a `CmptDeparser` or `DescParser` statement by statement,
+//!   and [`device`] on top of it: what the P4 text says a queue must
+//!   write for a frame and emit for a descriptor — the oracle of the
+//!   simulated NIC's table-driven writeback and descriptor parse
+//!   (`tests/device_oracle.rs`, `tests/alignment.rs`,
+//!   `tests/tx_device_modes.rs`).
 
 pub mod conformance;
+pub mod device;
+pub mod interp;
+pub mod value;
 
 use opendesc_core::{AccessorSet, PlanStep, RxPlan};
 use opendesc_ir::bits::{width_mask, write_bits};

@@ -19,9 +19,14 @@
 #  * Negotiation: one call into the front end, reached through
 #    `check_contract` everywhere; the manifest digests the program the
 #    artifact already holds; the parser moves tokens.
+#  * Device: one executor, the enumerated layout table. No execution
+#    mode, the contract interpreter is called only inside
+#    `opendesc-reference`, and the device turns a context into a layout
+#    in one place (`select_layout`), once per direction.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
+sim=crates/opendesc-nicsim/src
 
 code() { sed '/#\[cfg(test)\]/,$d' "$1" | grep -v '^\s*//' || true; }
 sites() { grep -cF -- "$1" || true; }
@@ -31,6 +36,18 @@ total() { # pattern: sites over the non-test part of opendesc-core
         n=$((n + $(code "$f" | sites "$1")))
     done
     echo "$n"
+}
+sim_total() { # pattern: sites over the non-test part of opendesc-nicsim
+    local n=0 f
+    for f in "$sim"/*.rs; do
+        n=$((n + $(code "$f" | sites "$1")))
+    done
+    echo "$n"
+}
+anywhere() { # pattern, grep options...: lines in crates/ src/ tests/ examples/
+    local pat=$1
+    shift
+    { grep -rF "$@" -- "$pat" crates src tests examples || true; } | wc -l
 }
 fail=0
 expect() { # what, found, wanted
@@ -69,4 +86,13 @@ expect "codegen/manifest.rs lowers the plan a second time (lower()" \
     "$(code $src/codegen/manifest.rs | grep -v 'lowered()' | sites 'lower(')" 0
 expect "the parser clones a token" \
     "$(code crates/opendesc-p4/src/parser.rs | grep -cE '(peek(_at)?\([^)]*\)|tokens\[[^]]*\]|\bt|\btok)\.clone\(\)' || true)" 0
+for pat in 'WritebackMode' 'set_mode('; do
+    expect "$pat in crates/ src/ tests/ examples/" "$(anywhere "$pat")" 0
+done
+for pat in 'run_deparser(' 'run_desc_parser('; do
+    expect "$pat outside crates/opendesc-reference" \
+        "$(anywhere "$pat" --exclude-dir=opendesc-reference)" 0
+done
+expect ".eval( guard-resolution sites in opendesc-nicsim" "$(sim_total '.eval(')" 1
+expect "select_layout( call sites in opendesc-nicsim (RX, TX)" "$(sim_total 'select_layout(')" 2
 exit $fail

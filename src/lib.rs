@@ -15,7 +15,7 @@
 //! | Crate | Role |
 //! |---|---|
 //! | [`p4`] | P4-16 subset frontend (lexer, parser, type checker) |
-//! | [`ir`] | semantics Σ, deparser CFG, completion paths, interpreters |
+//! | [`ir`] | semantics Σ, deparser CFG, completion paths, TX descriptor layouts |
 //! | [`softnic`] | reference software implementations of every semantic |
 //! | [`nicsim`] | simulated NICs executing contracts, rings, DMA model |
 //! | [`ebpf`] | eBPF ISA, assembler, verifier, VM (XDP-style hook) |

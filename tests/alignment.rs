@@ -1,13 +1,26 @@
 //! The semantic-alignment property, tested adversarially: the bytes the
-//! NIC serializes (by executing the contract) and the offsets the
-//! compiler's accessors read (by analyzing the contract) must agree —
-//! for hand-written models *and* for randomly generated QDMA layouts.
+//! NIC serializes (from the contract's enumerated layout), the bytes
+//! the contract's deparser says it must serialize (interpreted, in
+//! `opendesc_reference::device`) and the offsets the compiler's
+//! accessors read (by analyzing the contract) must agree — for
+//! hand-written models *and* for randomly generated QDMA layouts.
 
-use opendesc::ir::{names, SemanticRegistry};
-use opendesc::nicsim::{models, qdma, QdmaLayout, SimNic, WritebackMode};
+use opendesc::ir::{names, Assignment, SemanticRegistry};
+use opendesc::nicsim::{models, qdma, NicModel, QdmaLayout, SimNic};
 use opendesc::prelude::*;
 use opendesc::softnic::testpkt;
+use opendesc_reference::device::completion;
 use proptest::prelude::*;
+
+/// The completion a queue of `model` on `ctx` must write for `frame`,
+/// per the contract's deparser: a fresh twin's offload record,
+/// interpreted.
+fn reference_completion(model: &NicModel, ctx: &Assignment, frame: &[u8]) -> Vec<u8> {
+    let mut twin = SimNic::new(model.clone(), 16).unwrap();
+    twin.configure(ctx.clone()).unwrap();
+    let rec = twin.offload_record(frame);
+    completion(&twin, &rec).unwrap()
+}
 
 fn probe_frame() -> Vec<u8> {
     testpkt::tcp4(
@@ -85,8 +98,9 @@ proptest! {
         }
     }
 
-    /// Interpret and fast writeback agree for random QDMA layouts too
-    /// (the NIC-side invariant behind the accessor agreement above).
+    /// The device's table-driven writeback and the interpreted deparser
+    /// agree for random QDMA layouts too (the NIC-side invariant behind
+    /// the accessor agreement above).
     #[test]
     fn writeback_modes_agree_for_random_layouts(
         indices in proptest::collection::vec(0usize..POOL.len(), 1..6),
@@ -98,12 +112,12 @@ proptest! {
             .map(|&i| POOL[i])
             .collect();
         let model = qdma(&[QdmaLayout::new(&fields)]).unwrap();
-        let mut nic = SimNic::new(model, 16).unwrap();
+        let mut nic = SimNic::new(model.clone(), 16).unwrap();
         let ctx = nic.paths[0].solve_context().unwrap();
-        nic.configure(ctx).unwrap();
-        let rec = nic.offload_record(&probe_frame());
-        let (interp, fast) = nic.writeback_both(&rec).unwrap();
-        prop_assert_eq!(interp, fast);
+        nic.configure(ctx.clone()).unwrap();
+        nic.deliver(&probe_frame()).unwrap();
+        let (_, cmpt) = nic.receive().unwrap();
+        prop_assert_eq!(cmpt, reference_completion(&model, &ctx, &probe_frame()));
     }
 }
 
@@ -155,29 +169,34 @@ proptest! {
 }
 
 #[test]
-fn interpret_mode_matches_fast_mode_through_the_driver() {
-    // Run the same traffic twice, once per writeback mode; the
-    // application-visible metadata must be identical.
+fn device_completions_match_the_reference_through_the_driver() {
+    // The metadata the application sees through the driver must be what
+    // the compiled accessors read from the completion the contract's
+    // deparser serializes.
     let frame = probe_frame();
-    let mut out = Vec::new();
-    for mode in [WritebackMode::Interpret, WritebackMode::Fast] {
-        let mut reg = SemanticRegistry::with_builtins();
-        let intent = Intent::builder("i")
-            .want(&mut reg, names::RSS_HASH)
-            .want(&mut reg, names::L4_CHECKSUM)
-            .want(&mut reg, names::VLAN_TCI)
-            .build();
-        let model = models::mlx5();
-        let compiled = Compiler::default()
-            .compile_model(&model, &intent, &mut reg)
-            .unwrap();
-        let mut nic = SimNic::new(model, 16).unwrap();
-        nic.set_mode(mode);
-        let mut drv = OpenDescDriver::attach(nic, compiled).unwrap();
-        drv.deliver(&frame).unwrap();
-        out.push(drv.poll().unwrap().meta);
-    }
-    assert_eq!(out[0], out[1]);
+    let mut reg = SemanticRegistry::with_builtins();
+    let intent = Intent::builder("i")
+        .want(&mut reg, names::RSS_HASH)
+        .want(&mut reg, names::L4_CHECKSUM)
+        .want(&mut reg, names::VLAN_TCI)
+        .build();
+    let model = models::mlx5();
+    let compiled = Compiler::default()
+        .compile_model(&model, &intent, &mut reg)
+        .unwrap();
+    let want_cmpt = reference_completion(&model, compiled.context.as_ref().unwrap(), &frame);
+    let mut soft = opendesc::softnic::SoftNic::new();
+    let want: Vec<_> = (compiled.accessors.accessors.iter())
+        .map(|a| a.semantic)
+        .zip(
+            compiled
+                .accessors
+                .read_packet(&reg, &mut soft, &frame, &want_cmpt),
+        )
+        .collect();
+    let mut drv = OpenDescDriver::attach(SimNic::new(model, 16).unwrap(), compiled).unwrap();
+    drv.deliver(&frame).unwrap();
+    assert_eq!(drv.poll().unwrap().meta, want);
 }
 
 #[test]

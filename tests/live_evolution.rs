@@ -473,6 +473,107 @@ fn watchdog_reset_mid_flip_lands_on_the_new_generation() {
 /// device context exactly as they were — counted and traced, not
 /// executed.
 #[test]
+fn manual_plans_are_refused_at_attach_at_the_hook_and_at_relayout() {
+    use opendesc::compiler::{AttachError, Compiler, HookDriver, HookVerdict};
+    use opendesc::nicsim::models::{programmable, ProgField, ProgGuard, ProgLayout, ProgSpec};
+    use opendesc::nicsim::NicError;
+
+    // Behind an opaque guard (`ctx.a == ctx.b`) no context can be
+    // programmed, so every winner is manual and no device selects it.
+    let layout = |sem: &str, bits| ProgLayout {
+        fields: vec![ProgField::sem("f", sem, bits)],
+    };
+    let opaque = programmable(&ProgSpec {
+        name: "opaque".into(),
+        layouts: vec![layout(names::PKT_LEN, 16), layout(names::RSS_HASH, 32)],
+        guard: ProgGuard::Opaque,
+        tail: None,
+        tx: None,
+    })
+    .unwrap();
+    let mut reg = SemanticRegistry::with_builtins();
+    let intent = Intent::builder("hash")
+        .want(&mut reg, names::RSS_HASH)
+        .build();
+    let manual = Compiler::default()
+        .compile_model(&opaque, &intent, &mut reg)
+        .unwrap();
+    assert!(manual.context.is_none(), "{}", manual.report());
+    assert!(manual.report().contains("MANUAL"));
+
+    let nic = SimNic::new(opaque.clone(), 64).unwrap();
+    let err = OpenDescDriver::attach(nic, manual.clone())
+        .err()
+        .expect("attach must refuse a plan the device does not select");
+    assert!(
+        matches!(err, AttachError::Nic(NicError::NoPathForContext)),
+        "{err}"
+    );
+
+    let nic = SimNic::new(opaque, 64).unwrap();
+    let hooked = HookDriver::attach(nic, manual.clone(), |_, _, _, _| HookVerdict::Pass);
+    assert_eq!(hooked.err(), Some(NicError::NoPathForContext));
+
+    let good = Compiler::default()
+        .compile_model(&models::e1000e(), &intent_k(&mut reg, 3), &mut reg)
+        .unwrap();
+    let mut drv = OpenDescDriver::attach(SimNic::new(models::e1000e(), 64).unwrap(), good).unwrap();
+    drv.set_telemetry_enabled(true);
+    let plan_before = Arc::clone(&drv.iface);
+    let manual = Arc::new(CompiledRx::new(manual));
+    assert_eq!(drv.request_relayout(manual), FlipProgress::Idle);
+    assert!(!drv.flip_pending(), "a refused request must not pend");
+    assert_eq!(drv.advance_relayout(0), FlipProgress::Idle);
+    assert!(Arc::ptr_eq(&drv.iface, &plan_before));
+    let c = drv.relayout_counters();
+    assert_eq!((c.requested, c.refused, c.completed), (1, 1, 0));
+    assert!(drv
+        .telemetry()
+        .trace
+        .events()
+        .iter()
+        .any(|e| e.kind == TraceKind::RelayoutRefused));
+}
+
+#[test]
+fn a_flip_the_device_refuses_at_commit_is_counted_and_traced() {
+    // A plan whose context selects another completion path than the one
+    // it reads: accepted at request (it has a context), refused by the
+    // device at commit — and that refusal is as visible as any other.
+    use opendesc::compiler::Compiler;
+
+    let mut reg = SemanticRegistry::with_builtins();
+    let good = Compiler::default()
+        .compile_model(&models::e1000e(), &intent_k(&mut reg, 0), &mut reg)
+        .unwrap();
+    let mut lying = good.clone();
+    let ctx = lying.context.as_mut().unwrap();
+    for v in ctx.values_mut() {
+        *v ^= 1; // e1000e's one context bit: the other path
+    }
+    let mut drv = OpenDescDriver::attach(SimNic::new(models::e1000e(), 64).unwrap(), good).unwrap();
+    drv.set_telemetry_enabled(true);
+    let plan_before = Arc::clone(&drv.iface);
+    let lying = Arc::new(CompiledRx::new(lying));
+    assert_eq!(drv.request_relayout(lying), FlipProgress::Draining);
+    assert_eq!(drv.advance_relayout(0), FlipProgress::Idle);
+    assert!(!drv.flip_pending());
+    assert!(Arc::ptr_eq(&drv.iface, &plan_before), "plan swapped");
+    assert_eq!((drv.generation(), drv.nic.ring_generation()), (0, 0));
+    let c = drv.relayout_counters();
+    assert_eq!((c.requested, c.refused, c.completed), (1, 1, 0));
+    assert!(drv
+        .telemetry()
+        .trace
+        .events()
+        .iter()
+        .any(|e| e.kind == TraceKind::RelayoutRefused));
+    drv.deliver(&clean_frame(0)).unwrap();
+    let pkt = drv.poll().expect("the old plan still serves");
+    assert_eq!(pkt.meta.len(), plan_before.accessors.accessors.len());
+}
+
+#[test]
 fn unlowerable_artifacts_are_refused_at_attach_and_at_relayout() {
     use opendesc::compiler::{Accessor, AccessorSet, AttachError, Compiler, LowerError, RxPlan};
     use opendesc::ir::SemanticId;

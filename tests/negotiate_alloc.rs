@@ -116,7 +116,7 @@ const CEILINGS: [(&str, u64); 6] = [
     ("ixgbe", 683),
     ("ice", 1072),
     ("mlx5", 1025),
-    ("qdma", 1319),
+    ("qdma", 1317),
 ];
 
 #[test]

@@ -132,6 +132,45 @@ fn opaque_validity_condition_degrades_to_manual_context() {
     }
 }
 
+/// A deparser branching on a per-packet metadata field: `pipe_meta` is
+/// an `in` parameter, but `pipe_meta.base.len` lies in a header — a
+/// value the device computes per frame, not a queue setting.
+const PER_PACKET_CONTRACT: &str = r#"
+header opt_cmpt_t { @semantic("vlan_tci") bit<16> vlan; bit<16> pad0; }
+header base_cmpt_t { @semantic("pkt_len") bit<16> len; bit<16> pad0; }
+struct ctx_t { bit<1> r; }
+struct meta_t { opt_cmpt_t opt; base_cmpt_t base; }
+control CmptDeparser(cmpt_out cmpt, in ctx_t ctx, in meta_t pipe_meta) {
+    apply {
+        cmpt.emit(pipe_meta.base);
+        if (pipe_meta.base.len == 64) {
+            cmpt.emit(pipe_meta.opt);
+        }
+    }
+}
+"#;
+
+#[test]
+fn a_per_packet_field_is_never_programmed_as_context() {
+    let mut reg = SemanticRegistry::with_builtins();
+    let intent = Intent::builder("i").want(&mut reg, "vlan_tci").build();
+    let compiled = Compiler::default()
+        .compile(PER_PACKET_CONTRACT, "CmptDeparser", "pp", &intent, &mut reg)
+        .expect("an opaque branch still compiles");
+    let vlan = reg.id("vlan_tci").unwrap();
+    assert!(compiled.selection.best.provided.contains(&vlan));
+    assert!(
+        compiled.context.is_none(),
+        "no queue setting selects a per-packet branch: {}",
+        compiled.report()
+    );
+    assert!(
+        compiled.report().contains("MANUAL"),
+        "{}",
+        compiled.report()
+    );
+}
+
 #[test]
 fn register_like_contract_with_cost_annotations() {
     // An intent re-pricing a custom stateful feature via @cost: the

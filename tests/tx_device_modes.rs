@@ -1,21 +1,22 @@
-//! The device's two TX executions of one contract must be
-//! indistinguishable: the table-driven descriptor read resolved from the
-//! H2C context, and the per-descriptor `DescParser` interpreter
-//! (`WritebackMode::Interpret`). Same wire frames, same `TxStats`, on
-//! every catalog model with a parser, on randomly generated
-//! programmable NICs (the conformance fuzzer's generator), for valid,
-//! short, over-long and hostile descriptors, under contexts that select
-//! a layout and contexts that select none — and a contract whose parse
-//! depends on descriptor *contents* must not be table-driven at all.
+//! The device's table-driven TX descriptor read must be
+//! indistinguishable from the contract's `DescParser` interpreted
+//! statement by statement (`opendesc_reference::device::transmit`):
+//! same wire frames, same `TxStats`, on every catalog model with a
+//! parser, on randomly generated programmable NICs (the conformance
+//! fuzzer's generator), for valid, short, over-long, hostile and random
+//! descriptors, under contexts that select a layout and contexts that
+//! select none — and a contract whose parse depends on descriptor
+//! *contents* has no table form, so it is refused outright.
 
+use opendesc::compiler::{compile_tx, CompileError, Intent, Selector};
 use opendesc::ir::bits::write_bits;
-use opendesc::ir::pred::FieldRef;
 use opendesc::ir::{enumerate_tx_layouts, names, Assignment, DescriptorLayout, SemanticRegistry};
 use opendesc::nicsim::models::{self, programmable, ProgField, ProgSpec, ProgTxSpec};
-use opendesc::nicsim::{NicModel, SimNic, TxStats, WritebackMode};
+use opendesc::nicsim::{NicError, NicModel, RingError, SimNic, TxStats};
 use opendesc::p4::typecheck::parse_and_check;
 use opendesc::softnic::testpkt;
-use opendesc_reference::conformance::{gen_spec, Rng};
+use opendesc_reference::conformance::{gen_spec, splat, Rng};
+use opendesc_reference::device::{transmit, TxOutcome};
 
 fn layouts_of(model: &NicModel) -> (Vec<DescriptorLayout>, SemanticRegistry) {
     let (checked, diags) = parse_and_check(&model.p4_source);
@@ -83,16 +84,12 @@ fn descriptor(
 /// frame buffer.
 type Descs<'a> = dyn Fn(&[(u64, usize)]) -> Vec<Vec<u8>> + 'a;
 
-/// Everything one NIC emits for `descs` built against its own buffer
-/// addresses, in `mode`.
-fn drive(
-    model: &NicModel,
-    ctx: Option<&Assignment>,
-    mode: WritebackMode,
-    descs: &Descs,
-) -> (Vec<Vec<u8>>, TxStats, bool) {
+/// Run `descs`, built against the NIC's own buffer addresses, through
+/// the device and through the reference; require the same wire frames
+/// and the same `TxStats`, every consumed descriptor accounted for once.
+/// Returns the stats and whether a layout was active.
+fn agree(what: &str, model: &NicModel, ctx: Option<&Assignment>, descs: &Descs) -> (TxStats, bool) {
     let mut nic = SimNic::new(model.clone(), 64).unwrap();
-    nic.set_mode(mode);
     if let Some(ctx) = ctx {
         nic.configure_tx(ctx.clone());
     }
@@ -100,28 +97,47 @@ fn drive(
         .iter()
         .map(|f| (nic.alloc_tx_buf(f), f.len()))
         .collect();
-    let mut wire = Vec::new();
+    let (mut wire, mut ref_wire) = (Vec::new(), Vec::new());
+    let mut ref_stats = TxStats::default();
     for (i, d) in descs(&bufs).iter().enumerate() {
-        nic.post_tx(d).unwrap();
+        let want = transmit(&nic, d);
+        match nic.post_tx(d) {
+            Ok(()) => {}
+            Err(NicError::Ring(RingError::EntryTooLarge { .. })) => {
+                assert!(d.len() > nic.tx_ring.slot_size());
+                continue;
+            }
+            Err(e) => panic!("{} {what}: post: {e}", model.name),
+        }
+        ref_stats.descs += 1;
         // Mostly the collecting entry point, sometimes the draining one.
-        if i % 3 == 2 {
-            nic.process_tx_drain();
-        } else {
+        let collect = i % 3 != 2;
+        match want {
+            TxOutcome::Frame(f) => {
+                ref_stats.frames += 1;
+                if collect {
+                    ref_wire.push(f);
+                }
+            }
+            TxOutcome::ParseReject => ref_stats.parse_rejects += 1,
+            TxOutcome::BadBuffer => ref_stats.bad_buffers += 1,
+        }
+        if collect {
             wire.extend(nic.process_tx());
+        } else {
+            nic.process_tx_drain();
         }
     }
-    let table = nic.active_tx_layout().is_some();
-    (wire, nic.tx_stats.clone(), table)
-}
-
-/// Run `descs` through both modes, require identical output, and return
-/// it with whether Fast mode was table-driven.
-fn agree(what: &str, model: &NicModel, ctx: Option<&Assignment>, descs: &Descs) -> (TxStats, bool) {
-    let (fast_wire, fast_stats, table) = drive(model, ctx, WritebackMode::Fast, descs);
-    let (ref_wire, ref_stats, _) = drive(model, ctx, WritebackMode::Interpret, descs);
-    assert_eq!(fast_wire, ref_wire, "{} {what}: wire frames", model.name);
-    assert_eq!(fast_stats, ref_stats, "{} {what}: TxStats", model.name);
-    (fast_stats, table)
+    let stats = nic.tx_stats.clone();
+    assert_eq!(wire, ref_wire, "{} {what}: wire frames", model.name);
+    assert_eq!(stats, ref_stats, "{} {what}: TxStats", model.name);
+    assert_eq!(
+        stats.descs,
+        stats.frames + stats.parse_rejects + stats.bad_buffers,
+        "{} {what}: a descriptor unaccounted for",
+        model.name
+    );
+    (stats, nic.active_tx_layout().is_some())
 }
 
 /// The full descriptor battery against one layout of one model.
@@ -131,9 +147,8 @@ fn check_layout(model: &NicModel, layout: &DescriptorLayout, reg: &SemanticRegis
     };
     let n = frames().len() as u64;
     let bytes = layout.size_bytes() as usize;
-    let addr_bits = layout
-        .slot_for(reg.id(names::BUF_ADDR).unwrap())
-        .map_or(0, |s| s.width_bits);
+    let slot = |name: &str| layout.slot_for(reg.id(name).unwrap()).unwrap().clone();
+    let (addr_slot, len_slot) = (slot(names::BUF_ADDR), slot(names::BUF_LEN));
 
     let (stats, table) = agree("valid", model, Some(&ctx), &|bufs| {
         let mut out = Vec::new();
@@ -185,16 +200,57 @@ fn check_layout(model: &NicModel, layout: &DescriptorLayout, reg: &SemanticRegis
             descriptor(layout, reg, 12, addr, len + 1, true),
             descriptor(layout, reg, 13, addr + 1, u128::MAX, true),
         ];
-        if addr_bits > 64 {
+        if addr_slot.width_bits > 64 {
             out.push(descriptor(layout, reg, 14, addr | 1 << 64, len, true));
         }
         out
     });
-    let hostile = 3 + (addr_bits > 64) as u64;
+    let hostile = 3 + (addr_slot.width_bits > 64) as u64;
     assert_eq!(
         (stats.bad_buffers, stats.frames),
         (hostile, 0),
         "{}",
+        model.name
+    );
+
+    // Random bytes of random length, 0..=80 (past the ring's 64-byte
+    // slot, which refuses them at post): half of them with buffer
+    // fields that name a registered buffer, some of those one byte too
+    // long for it.
+    let seed = layout.id as u64 ^ (model.name.bytes().map(u64::from).sum::<u64>() << 8);
+    let (stats, _) = agree("random", model, Some(&ctx), &|bufs| {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        (0..256)
+            .map(|_| {
+                let r = next();
+                let mut d = splat(next(), (r % 81) as usize);
+                let fits = |f: &opendesc::ir::FieldSlot| {
+                    (f.offset_bits + f.width_bits as u32) as usize <= d.len() * 8
+                };
+                if r & 0x100 != 0 && fits(&addr_slot) && fits(&len_slot) {
+                    let (addr, len) = bufs[(r >> 9) as usize % bufs.len()];
+                    let len = len as u128 + ((r >> 20) & 1) as u128;
+                    write_bits(
+                        &mut d,
+                        addr_slot.offset_bits,
+                        addr_slot.width_bits,
+                        addr.into(),
+                    );
+                    write_bits(&mut d, len_slot.offset_bits, len_slot.width_bits, len);
+                }
+                d
+            })
+            .collect()
+    });
+    assert!(
+        stats.frames > 0,
+        "{}: no random descriptor sent",
         model.name
     );
 }
@@ -255,7 +311,8 @@ fn fast_and_interpret_tx_agree() {
             layouts_checked += 1;
         }
         // A context no layout matches: the parser rejects everything,
-        // on both paths. (A parser without `select` has no such context.)
+        // and so does the device. (A parser without `select` has no
+        // such context.)
         if layouts.iter().any(|l| !l.guard.is_empty()) {
             let mut ctx = layouts[0].solve_context().unwrap();
             for v in ctx.values_mut() {
@@ -275,8 +332,7 @@ fn fast_and_interpret_tx_agree() {
 }
 
 /// A parser that `select`s on a field it just extracted: which layout a
-/// descriptor has is a property of the descriptor, not of the queue, so
-/// the device must interpret every one.
+/// descriptor has is a property of the descriptor, not of the queue.
 fn content_steered() -> NicModel {
     let tx = r#"
 header cs_base_t {
@@ -317,35 +373,34 @@ parser DescParser(desc_in d, in cs_ctx_t h2c_ctx, out cs_desc_t desc_hdr) {
 }
 
 #[test]
-fn select_on_descriptor_contents_is_never_table_driven() {
+fn select_on_descriptor_contents_is_refused_at_new() {
+    // The device has no way to serve it — no table, no interpreter —
+    // so the contract never boots, and says which select is at fault.
+    let err = SimNic::new(content_steered(), 16).err().expect("refused");
+    let NicError::BadContract(msg) = err else {
+        panic!("not a contract refusal: {err:?}");
+    };
+    assert!(msg.contains("state `start`"), "{msg}");
+    assert!(msg.contains("desc_hdr.base.kind"), "{msg}");
+}
+
+#[test]
+fn compile_tx_refuses_a_select_on_descriptor_contents() {
+    // The host never programs a per-packet field as H2C context.
     let model = content_steered();
-    let (layouts, reg) = layouts_of(&model);
-    assert_eq!(layouts.len(), 2);
-    // The enumerator's guards name the extracted field as if it were
-    // context; program exactly that, the worst case for a guard reader.
-    for steer in [0u128, 1, 2] {
-        let mut ctx = Assignment::new();
-        ctx.insert(FieldRef::new(&["desc_hdr", "base", "kind"], 8), steer);
-        ctx.insert(FieldRef::new(&["h2c_ctx", "kind"], 8), steer);
-        let kind = layouts[0].slots.iter().find(|s| s.name.ends_with(".kind"));
-        let kind = kind.unwrap().clone();
-        let (stats, table) = agree("content-steered", &model, Some(&ctx), &|bufs| {
-            let mut out = Vec::new();
-            for (i, l) in layouts.iter().enumerate() {
-                for k in [0u128, 1, 2] {
-                    let (addr, len) = bufs[i];
-                    let mut d = descriptor(l, &reg, 5 + k as u64, addr as u128, len as u128, true);
-                    write_bits(&mut d, kind.offset_bits, kind.width_bits, k);
-                    out.push(d);
-                }
-            }
-            out
-        });
-        assert!(
-            !table,
-            "steer {steer}: parse depends on descriptor contents"
-        );
-        // kind 0 parses on both sizes, kind 1 only on the long one.
-        assert_eq!((stats.frames, stats.parse_rejects), (3, 3));
-    }
+    let mut reg = SemanticRegistry::with_builtins();
+    let intent = Intent::builder("tx").build();
+    let err = compile_tx(
+        &Selector::default(),
+        &model.p4_source,
+        "DescParser",
+        &model.name,
+        &intent,
+        &mut reg,
+    )
+    .expect_err("a content-steered parser has no context to program");
+    let CompileError::Extract(msg) = err else {
+        panic!("not an extraction refusal: {err}");
+    };
+    assert!(msg.contains("desc_hdr.base.kind"), "{msg}");
 }
