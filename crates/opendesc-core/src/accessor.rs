@@ -115,10 +115,7 @@ impl AccessorSet {
     /// Synthesize from a selected path and the requested semantics.
     /// `requested` preserves the intent's field names; semantics the path
     /// provides become hardware accessors, the rest software shims.
-    pub fn synthesize(
-        path: &CompletionPath,
-        requested: &[(SemanticId, String, u16)],
-    ) -> AccessorSet {
+    pub fn synthesize(path: &CompletionPath, requested: &[(SemanticId, &str, u16)]) -> AccessorSet {
         let mut accessors = Vec::new();
         for (sem, name, width) in requested {
             if let Some(slot) = path.slot_for(*sem) {
@@ -228,8 +225,7 @@ mod tests {
         let (path, reg) = mlx5_mini_path();
         let rss = reg.id(names::RSS_HASH).unwrap();
         let vlan = reg.id(names::VLAN_TCI).unwrap();
-        let set =
-            AccessorSet::synthesize(&path, &[(rss, "rss".into(), 32), (vlan, "vlan".into(), 16)]);
+        let set = AccessorSet::synthesize(&path, &[(rss, "rss", 32), (vlan, "vlan", 16)]);
         assert_eq!(set.hardware().count(), 1);
         assert_eq!(set.software().count(), 1);
         assert_eq!(set.completion_bytes, 8);
@@ -241,8 +237,7 @@ mod tests {
         let (path, reg) = mlx5_mini_path();
         let rss = reg.id(names::RSS_HASH).unwrap();
         let len = reg.id(names::PKT_LEN).unwrap();
-        let set =
-            AccessorSet::synthesize(&path, &[(rss, "rss".into(), 32), (len, "len".into(), 16)]);
+        let set = AccessorSet::synthesize(&path, &[(rss, "rss", 32), (len, "len", 16)]);
         let cmpt = [0xDE, 0xAD, 0xBE, 0xEF, 0x05, 0xDC, 0x03, 0x00];
         assert_eq!(set.for_semantic(rss).unwrap().read(&cmpt), 0xDEADBEEF);
         assert_eq!(set.for_semantic(len).unwrap().read(&cmpt), 0x05DC);
@@ -252,7 +247,7 @@ mod tests {
     fn software_shim_recomputes_from_frame() {
         let (path, reg) = mlx5_mini_path();
         let vlan = reg.id(names::VLAN_TCI).unwrap();
-        let set = AccessorSet::synthesize(&path, &[(vlan, "vlan".into(), 16)]);
+        let set = AccessorSet::synthesize(&path, &[(vlan, "vlan", 16)]);
         let mut soft = SoftNic::new();
         let frame =
             opendesc_softnic::testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", Some(0x0ABC));
@@ -264,7 +259,7 @@ mod tests {
     fn software_shim_returns_none_when_incomputable() {
         let (path, reg) = mlx5_mini_path();
         let ts = reg.id(names::TIMESTAMP).unwrap();
-        let set = AccessorSet::synthesize(&path, &[(ts, "ts".into(), 64)]);
+        let set = AccessorSet::synthesize(&path, &[(ts, "ts", 64)]);
         let mut soft = SoftNic::new();
         let frame = opendesc_softnic::testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", None);
         let vals = set.read_packet(&reg, &mut soft, &frame, &[0u8; 8]);

@@ -272,7 +272,7 @@ impl ManifestV1 {
                     let info = c.reg.info(a.semantic);
                     ManifestAccessor {
                         name: a.name.clone(),
-                        semantic: info.name.clone(),
+                        semantic: info.name.to_string(),
                         width_bits: a.width_bits,
                         kind: match a.kind {
                             AccessorKind::Hardware => ManifestAccessorKind::Hardware {

@@ -164,7 +164,7 @@ impl Compiler {
         let requested: Vec<_> = intent
             .fields
             .iter()
-            .map(|f| (f.semantic, f.name.clone(), f.width_bits))
+            .map(|f| (f.semantic, &*f.name, f.width_bits))
             .collect();
         let accessors = AccessorSet::synthesize(&path, &requested);
         let plan = RxPlan::compile(&accessors, reg);

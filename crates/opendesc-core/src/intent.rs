@@ -9,6 +9,7 @@
 use crate::compiler::{check_contract, CompileError};
 use opendesc_ir::semantics::{Cost, SemanticRegistry};
 use opendesc_ir::SemanticId;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -16,8 +17,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntentField {
     pub semantic: SemanticId,
-    /// Field name in the intent header (used in generated code).
-    pub name: String,
+    /// Field name in the intent header (used in generated code); a
+    /// builder's field borrows its semantic's name from the registry.
+    pub name: Cow<'static, str>,
     /// Requested width. The compiler checks the layout's slot fits.
     pub width_bits: u16,
 }
@@ -74,29 +76,23 @@ impl Intent {
             CompileError::Contract(summary) => IntentError::BadSource(summary),
             other => IntentError::BadSource(other.to_string()),
         })?;
-        let header = checked
-            .program
-            .headers()
-            .find(|h| h.fields.iter().any(|f| f.semantic().is_some()))
-            .ok_or(IntentError::NoIntentHeader)?;
-        let hinfo = checked
-            .types
-            .header_id(&header.name.name)
-            .map(|id| checked.types.header(id))
+        let hinfo = (checked.types.headers.iter())
+            .find(|h| h.fields.iter().any(|f| f.semantic.is_some()))
             .ok_or(IntentError::NoIntentHeader)?;
 
         let mut fields = Vec::new();
         let mut seen = BTreeSet::new();
         for f in &hinfo.fields {
-            let Some(sem_name) = f.semantic.as_deref() else {
+            let field_name = checked.name(f.name);
+            let Some(sem_name) = f.semantic.map(|s| checked.name(s)) else {
                 // Padding fields without a semantic are allowed only if
                 // plainly named as padding; anything else is a likely bug.
-                if f.name.starts_with("pad") || f.name.starts_with("reserved") {
+                if field_name.starts_with("pad") || field_name.starts_with("reserved") {
                     continue;
                 }
                 return Err(IntentError::UnannotatedField {
-                    header: hinfo.name.clone(),
-                    field: f.name.clone(),
+                    header: checked.name(hinfo.name).to_string(),
+                    field: field_name.to_string(),
                 });
             };
             let id = if let Some(cost) = f.cost {
@@ -114,12 +110,12 @@ impl Intent {
             }
             fields.push(IntentField {
                 semantic: id,
-                name: f.name.clone(),
+                name: Cow::Owned(field_name.to_string()),
                 width_bits: f.width_bits,
             });
         }
         Ok(Intent {
-            name: hinfo.name.clone(),
+            name: checked.name(hinfo.name).to_string(),
             fields,
         })
     }
@@ -129,7 +125,8 @@ impl Intent {
         IntentBuilder {
             intent: Intent {
                 name: name.into(),
-                fields: Vec::new(),
+                // Room for the handful of fields an intent asks for.
+                fields: Vec::with_capacity(8),
             },
         }
     }
@@ -157,11 +154,11 @@ impl IntentBuilder {
     /// Request a well-known semantic by name, using its registry width.
     pub fn want(mut self, reg: &mut SemanticRegistry, sem_name: &str) -> Self {
         let id = reg.intern(sem_name);
-        let width = reg.info(id).width_bits.max(1);
+        let info = reg.info(id);
         self.intent.fields.push(IntentField {
             semantic: id,
-            name: sem_name.to_string(),
-            width_bits: width,
+            name: info.name.clone(),
+            width_bits: info.width_bits.max(1),
         });
         self
     }
@@ -177,7 +174,7 @@ impl IntentBuilder {
         let id = reg.register_custom(sem_name, width_bits, cost, "custom intent semantic");
         self.intent.fields.push(IntentField {
             semantic: id,
-            name: sem_name.to_string(),
+            name: reg.info(id).name.clone(),
             width_bits,
         });
         self

@@ -2,7 +2,6 @@
 //! labels, so codegen never hand-computes jump offsets.
 
 use crate::insn::{alu, class, jmp, mode, size, srcop, Insn};
-use std::collections::HashMap;
 
 /// Register aliases.
 pub mod reg {
@@ -25,14 +24,15 @@ pub mod reg {
 /// A pending jump awaiting label resolution.
 struct Fixup {
     insn_idx: usize,
-    label: String,
+    label: &'static str,
 }
 
-/// eBPF program assembler.
+/// eBPF program assembler. Labels are the generator's own literals, and
+/// a program has a handful: they are kept in a list, not hashed.
 #[derive(Default)]
 pub struct Asm {
     insns: Vec<Insn>,
-    labels: HashMap<String, usize>,
+    labels: Vec<(&'static str, usize)>,
     fixups: Vec<Fixup>,
 }
 
@@ -50,9 +50,9 @@ impl Asm {
         self.insns.is_empty()
     }
 
-    /// Define a label at the current position.
-    pub fn label(&mut self, name: &str) -> &mut Self {
-        self.labels.insert(name.to_string(), self.insns.len());
+    /// Define a label at the current position (a redefinition wins).
+    pub fn label(&mut self, name: &'static str) -> &mut Self {
+        self.labels.push((name, self.insns.len()));
         self
     }
 
@@ -135,28 +135,28 @@ impl Asm {
     // --------------------------------------------------------------- jumps
 
     /// Unconditional jump to `label`.
-    pub fn ja(&mut self, label: &str) -> &mut Self {
+    pub fn ja(&mut self, label: &'static str) -> &mut Self {
         self.fixups.push(Fixup {
             insn_idx: self.insns.len(),
-            label: label.into(),
+            label,
         });
         self.raw(Insn::new(class::JMP | jmp::JA, 0, 0, 0, 0))
     }
 
     /// Conditional jump `if dst OP imm goto label`.
-    pub fn jmp_imm(&mut self, op: u8, dst: u8, imm: i32, label: &str) -> &mut Self {
+    pub fn jmp_imm(&mut self, op: u8, dst: u8, imm: i32, label: &'static str) -> &mut Self {
         self.fixups.push(Fixup {
             insn_idx: self.insns.len(),
-            label: label.into(),
+            label,
         });
         self.raw(Insn::new(class::JMP | op | srcop::K, dst, 0, 0, imm))
     }
 
     /// Conditional jump `if dst OP src goto label`.
-    pub fn jmp_reg(&mut self, op: u8, dst: u8, src: u8, label: &str) -> &mut Self {
+    pub fn jmp_reg(&mut self, op: u8, dst: u8, src: u8, label: &'static str) -> &mut Self {
         self.fixups.push(Fixup {
             insn_idx: self.insns.len(),
-            label: label.into(),
+            label,
         });
         self.raw(Insn::new(class::JMP | op | srcop::X, dst, src, 0, 0))
     }
@@ -166,21 +166,22 @@ impl Asm {
         self.raw(Insn::new(class::JMP | jmp::EXIT, 0, 0, 0, 0))
     }
 
-    /// Resolve labels and return the finished program.
+    /// Resolve labels and hand over the finished program, leaving the
+    /// assembler empty.
     ///
     /// # Panics
     /// Panics on undefined labels (a codegen bug, not a user error).
     pub fn build(&mut self) -> Vec<Insn> {
         for f in &self.fixups {
-            let target = *self
-                .labels
-                .get(&f.label)
+            let target = (self.labels.iter().rev())
+                .find_map(|(name, at)| (*name == f.label).then_some(*at))
                 .unwrap_or_else(|| panic!("undefined label `{}`", f.label));
             // Offset is relative to the instruction after the jump.
             self.insns[f.insn_idx].off = (target as i64 - f.insn_idx as i64 - 1) as i16;
         }
         self.fixups.clear();
-        self.insns.clone()
+        self.labels.clear();
+        std::mem::take(&mut self.insns)
     }
 }
 

@@ -15,7 +15,7 @@ pub mod xdp;
 pub use asm::{disasm, reg, Asm};
 pub use insn::{alu, class, jmp, mode, size, srcop, xdp_action, Insn};
 pub use interp::{Vm, VmError, VmStats};
-pub use verifier::{verify, verify_all, RegState, VerifierError, VerifierStats};
+pub use verifier::{verify, RegState, VerifierError, VerifierStats};
 pub use xdp::{base, ctx_off, XdpContext};
 
 #[cfg(test)]

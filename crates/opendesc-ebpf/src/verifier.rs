@@ -200,22 +200,6 @@ pub fn verify(prog: &[Insn]) -> Result<VerifierStats, VerifierError> {
     Ok(stats)
 }
 
-/// Verify a batch of named programs — the lowering entry point used by
-/// `opendesc-core` to prove every compiled plan bounds-safe before the
-/// plan cache serves it. Stats aggregate across all programs; the first
-/// failure is returned tagged with the offending program's name.
-pub fn verify_all<'a, I>(progs: I) -> Result<VerifierStats, (String, VerifierError)>
-where
-    I: IntoIterator<Item = (&'a str, &'a [Insn])>,
-{
-    let mut total = VerifierStats::default();
-    for (name, prog) in progs {
-        let stats = verify(prog).map_err(|e| (name.to_string(), e))?;
-        total.states_explored += stats.states_explored;
-    }
-    Ok(total)
-}
-
 fn check_target(prog: &[Insn], pc: usize, target: i64) -> Result<(), VerifierError> {
     if target <= pc as i64 {
         return Err(VerifierError {

@@ -11,12 +11,11 @@
 
 use crate::pred::{context_field, CmpOp, Cond, FieldRef};
 use crate::semantics::{SemanticId, SemanticRegistry};
-use opendesc_p4::ast::{self, BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
+use opendesc_p4::ast::{self, BinOp, ExprId, ExprKind, Program, Stmt, StmtKind, Sym, UnOp};
 use opendesc_p4::diag::Diagnostics;
 use opendesc_p4::span::Span;
-use opendesc_p4::typecheck::{const_eval, CheckedProgram};
+use opendesc_p4::typecheck::CheckedProgram;
 use opendesc_p4::types::{ExternKind, Ty};
-use std::collections::HashMap;
 
 /// Node index within a [`Cfg`].
 pub type NodeId = usize;
@@ -39,7 +38,7 @@ pub struct EmitField {
 pub struct EmitVertex {
     pub id: usize,
     /// Dotted source path of the emitted item, e.g. `pipe_meta.rss`.
-    pub source: Vec<String>,
+    pub source: String,
     /// Total emitted width.
     pub size_bits: u32,
     /// Flattened fields with their in-emit offsets.
@@ -99,7 +98,7 @@ impl Cfg {
                     out.push_str(&format!(
                         "  n{} [shape=box,label=\"emit {} ({}B{}{})\"];\n",
                         i,
-                        v.source.join("."),
+                        v.source,
                         v.size_bytes(),
                         if sems.is_empty() { "" } else { ": " },
                         sems.join(",")
@@ -155,16 +154,16 @@ pub fn extract(
     };
 
     // Parameter environment: name → type.
-    let mut params: HashMap<String, Ty> = HashMap::new();
+    let mut params = Vec::with_capacity(control.params.len());
     let mut cmpt_param = None;
     for p in &control.params {
         let Some(ty) = checked.param_ty(p) else {
             continue;
         };
         if matches!(ty, Ty::Extern(ExternKind::CmptOut)) {
-            cmpt_param = Some(p.name.name.clone());
+            cmpt_param = Some(p.name.name);
         }
-        params.insert(p.name.name.clone(), ty);
+        params.push((p.name.name, ty));
     }
     let Some(cmpt_param) = cmpt_param else {
         diags.error(
@@ -175,20 +174,18 @@ pub fn extract(
     };
 
     // Param-less actions, for call inlining.
-    let mut actions: HashMap<&str, &ast::Block> = HashMap::new();
-    for local in &control.locals {
-        if let ast::ControlLocal::Action(a) = local {
-            if a.params.is_empty() {
-                actions.insert(&a.name.name, &a.body);
-            }
-        }
-    }
+    let actions = (control.locals.iter())
+        .filter_map(|local| match local {
+            ast::ControlLocal::Action(a) if a.params.is_empty() => Some((a.name.name, &a.body)),
+            _ => None,
+        })
+        .collect();
 
     let mut b = Builder {
         checked,
         decl_params: &control.params,
         params,
-        cmpt_param: cmpt_param.clone(),
+        cmpt_param,
         actions,
         reg,
         nodes: vec![CfgNode::Exit],
@@ -200,7 +197,7 @@ pub fn extract(
     let entry = b.build_block(&apply.stmts, exit);
     let cfg = Cfg {
         control_name: name.to_string(),
-        cmpt_param,
+        cmpt_param: checked.name(cmpt_param).to_string(),
         nodes: b.nodes,
         entry,
         exit,
@@ -218,9 +215,9 @@ struct Builder<'a> {
     checked: &'a CheckedProgram,
     /// The control's parameters, as declared (directions included).
     decl_params: &'a [ast::Param],
-    params: HashMap<String, Ty>,
-    cmpt_param: String,
-    actions: HashMap<&'a str, &'a ast::Block>,
+    params: Vec<(Sym, Ty)>,
+    cmpt_param: Sym,
+    actions: Vec<(Sym, &'a ast::Block)>,
     reg: &'a mut SemanticRegistry,
     nodes: Vec<CfgNode>,
     vertices: Vec<EmitVertex>,
@@ -232,6 +229,10 @@ impl<'a> Builder<'a> {
     fn push(&mut self, node: CfgNode) -> NodeId {
         self.nodes.push(node);
         self.nodes.len() - 1
+    }
+
+    fn name(&self, sym: Sym) -> &'a str {
+        self.checked.program.name(sym)
     }
 
     /// Build `stmts` so that control falls through to `next`; returns the
@@ -246,29 +247,35 @@ impl<'a> Builder<'a> {
 
     fn build_stmt(&mut self, stmt: &Stmt, next: NodeId) -> NodeId {
         match &stmt.kind {
-            StmtKind::Expr(e) => self.build_expr_stmt(e, next),
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                let c = self.cond_of_expr(cond);
-                let then_entry = self.build_block(&then_blk.stmts, next);
-                let else_entry = match else_blk {
+            StmtKind::Expr(e) => self.build_expr_stmt(*e, next),
+            StmtKind::If { arms, else_blk } => {
+                // An else-if chain is a chain of two-way branches: each arm
+                // goes to its block or falls on to the rest of the chain.
+                // Blocks are built front to back, branches back to front.
+                let mut built = Vec::with_capacity(arms.len());
+                for arm in arms {
+                    let c = self.cond_of_expr(arm.cond);
+                    let then_entry = self.build_block(&arm.then_blk.stmts, next);
+                    built.push((c, then_entry, arm.span.to(stmt.span)));
+                }
+                let mut entry = match else_blk {
                     Some(b) => self.build_block(&b.stmts, next),
                     None => next,
                 };
-                if then_entry == else_entry {
-                    // Branch with identical arms: collapse.
-                    return then_entry;
+                for (c, then_entry, span) in built.into_iter().rev() {
+                    // A branch with identical arms collapses.
+                    if then_entry != entry {
+                        let negated = c.negated();
+                        entry = self.push(CfgNode::Branch {
+                            arms: vec![(c, then_entry), (negated, entry)],
+                            span,
+                        });
+                    }
                 }
-                self.push(CfgNode::Branch {
-                    arms: vec![(c.clone(), then_entry), (c.negated(), else_entry)],
-                    span: stmt.span,
-                })
+                entry
             }
             StmtKind::Switch { scrutinee, cases } => {
-                let field = self.field_of_expr(scrutinee);
+                let field = self.field_of_expr(*scrutinee);
                 let mut arms: Vec<(Cond, NodeId)> = Vec::new();
                 let mut covered: Vec<u128> = Vec::new();
                 let mut default_entry: Option<NodeId> = None;
@@ -279,13 +286,13 @@ impl<'a> Builder<'a> {
                         match label {
                             ast::SwitchLabel::Default => default_entry = Some(entry),
                             ast::SwitchLabel::Expr(e) => {
-                                if let Some(v) = const_eval(e, &self.checked.types) {
+                                if let Some(v) = self.checked.const_eval(*e) {
                                     labels.push(v);
                                     covered.push(v);
                                 } else {
                                     self.diags.error(
                                         "switch label is not a compile-time constant",
-                                        e.span,
+                                        self.checked.program.expr(*e).span,
                                     );
                                 }
                             }
@@ -308,9 +315,11 @@ impl<'a> Builder<'a> {
                                     })
                                     .collect(),
                             ),
-                            (None, _) => {
-                                Cond::Opaque(format!("{} in {:?}", expr_str(scrutinee), labels))
-                            }
+                            (None, _) => Cond::Opaque(format!(
+                                "{} in {:?}",
+                                expr_str(&self.checked.program, *scrutinee),
+                                labels
+                            )),
                         };
                         arms.push((cond, entry));
                     }
@@ -327,7 +336,10 @@ impl<'a> Builder<'a> {
                             })
                             .collect(),
                     ),
-                    None => Cond::Opaque(format!("{} not matched", expr_str(scrutinee))),
+                    None => Cond::Opaque(format!(
+                        "{} not matched",
+                        expr_str(&self.checked.program, *scrutinee)
+                    )),
                 };
                 arms.push((default_cond, default_entry.unwrap_or(next)));
                 self.push(CfgNode::Branch {
@@ -346,14 +358,15 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn build_expr_stmt(&mut self, e: &Expr, next: NodeId) -> NodeId {
-        let ExprKind::Call { callee, args } = &e.kind else {
+    fn build_expr_stmt(&mut self, e: ExprId, next: NodeId) -> NodeId {
+        let call = self.checked.program.expr(e);
+        let ExprKind::Call { callee, args } = &call.kind else {
             return next;
         };
         // `cmpt.emit(x)`?
-        if let Some(path) = callee.as_path() {
-            if path.len() == 2 && path[0] == self.cmpt_param && path[1] == "emit" {
-                if let Some(vertex) = self.make_emit_vertex(&args[0], e.span) {
+        if let Some(path) = self.checked.program.path(*callee) {
+            if path.len() == 2 && path[0] == self.cmpt_param && path[1] == Sym::EMIT {
+                if let Some(vertex) = self.make_emit_vertex(args[0], call.span) {
                     let idx = self.vertices.len();
                     self.vertices.push(vertex);
                     return self.push(CfgNode::Emit { vertex: idx, next });
@@ -361,12 +374,14 @@ impl<'a> Builder<'a> {
                 return next;
             }
             // Param-less action call: inline.
-            if path.len() == 1 {
-                if let Some(body) = self.actions.get(path[0]).copied() {
+            if let [action] = path[..] {
+                let body =
+                    (self.actions.iter().rev()).find_map(|(n, b)| (*n == action).then_some(*b));
+                if let Some(body) = body {
                     if self.inline_depth >= 16 {
                         self.diags.error(
                             "action inlining exceeded depth 16 (recursive actions?)",
-                            e.span,
+                            call.span,
                         );
                         return next;
                     }
@@ -384,16 +399,24 @@ impl<'a> Builder<'a> {
 
     /// Resolve an emit argument to a vertex: either a header-typed path or
     /// a single header field.
-    fn make_emit_vertex(&mut self, arg: &Expr, span: Span) -> Option<EmitVertex> {
-        let Some(path) = arg.as_path() else {
+    fn make_emit_vertex(&mut self, arg: ExprId, span: Span) -> Option<EmitVertex> {
+        let arg_span = self.checked.program.expr(arg).span;
+        let Some(path) = self.checked.program.path(arg) else {
             self.diags.error(
                 "emit argument must be a field path (computed emits are not static layout)",
-                arg.span,
+                arg_span,
             );
             return None;
         };
-        let (ty, _parent) = self.resolve_path_ty(&path, arg.span)?;
+        let ty = self.resolve_path_ty(&path, arg_span)?;
         let id = self.vertices.len();
+        let mut source = String::new();
+        for (i, seg) in path.iter().enumerate() {
+            if i > 0 {
+                source.push('.');
+            }
+            source.push_str(self.name(*seg));
+        }
         match ty {
             Ty::Header(hid) => {
                 let info = self.checked.types.header(hid);
@@ -401,15 +424,17 @@ impl<'a> Builder<'a> {
                     .fields
                     .iter()
                     .map(|f| EmitField {
-                        name: f.name.clone(),
+                        name: self.name(f.name).to_string(),
                         offset_bits: f.offset_bits,
                         width_bits: f.width_bits,
-                        semantic: f.semantic.as_deref().map(|s| self.reg.intern(s)),
+                        semantic: f
+                            .semantic
+                            .map(|s| self.reg.intern(self.checked.program.name(s))),
                     })
                     .collect();
                 Some(EmitVertex {
                     id,
-                    source: path.iter().map(|s| s.to_string()).collect(),
+                    source,
                     size_bits: info.width_bits,
                     fields,
                     span,
@@ -421,10 +446,10 @@ impl<'a> Builder<'a> {
                 let semantic = self.field_semantic(&path);
                 Some(EmitVertex {
                     id,
-                    source: path.iter().map(|s| s.to_string()).collect(),
+                    source,
                     size_bits: width as u32,
                     fields: vec![EmitField {
-                        name: path.last().unwrap().to_string(),
+                        name: self.name(path[path.len() - 1]).to_string(),
                         offset_bits: 0,
                         width_bits: width,
                         semantic,
@@ -436,9 +461,9 @@ impl<'a> Builder<'a> {
                 self.diags.error(
                     format!(
                         "emit argument must be a header or header field, found {}",
-                        self.checked.types.display(other)
+                        self.checked.display(other)
                     ),
-                    arg.span,
+                    arg_span,
                 );
                 None
             }
@@ -447,42 +472,44 @@ impl<'a> Builder<'a> {
 
     /// Semantic annotation of the field named by `path`, when its parent is
     /// a header.
-    fn field_semantic(&mut self, path: &[&str]) -> Option<SemanticId> {
-        if path.len() < 2 {
+    fn field_semantic(&mut self, path: &[Sym]) -> Option<SemanticId> {
+        let (last, parent) = path.split_last()?;
+        if parent.is_empty() {
             return None;
         }
-        let (parent_ty, _) = self.resolve_path_ty(&path[..path.len() - 1], Span::default())?;
-        if let Ty::Header(hid) = parent_ty {
-            let info = self.checked.types.header(hid);
-            let f = info.field(path[path.len() - 1])?;
-            return f.semantic.as_deref().map(|s| self.reg.intern(s));
-        }
-        None
+        let Ty::Header(hid) = self.resolve_path_ty(parent, Span::default())? else {
+            return None;
+        };
+        let sem = self.checked.types.header(hid).field(*last)?.semantic?;
+        Some(self.reg.intern(self.checked.program.name(sem)))
     }
 
-    /// Type of a dotted path rooted at a parameter, plus the parent type.
-    fn resolve_path_ty(&mut self, path: &[&str], span: Span) -> Option<(Ty, Option<Ty>)> {
-        let mut ty = match self.params.get(path[0]) {
-            Some(t) => *t,
-            None => {
-                self.diags.error(
-                    format!("`{}` is not a parameter of the deparser", path[0]),
-                    span,
-                );
-                return None;
-            }
+    /// Type of a dotted path rooted at a parameter.
+    fn resolve_path_ty(&mut self, path: &[Sym], span: Span) -> Option<Ty> {
+        let root = (self.params.iter().rev()).find_map(|(n, t)| (*n == path[0]).then_some(*t));
+        let Some(mut ty) = root else {
+            self.diags.error(
+                format!(
+                    "`{}` is not a parameter of the deparser",
+                    self.name(path[0])
+                ),
+                span,
+            );
+            return None;
         };
-        let mut parent = None;
         for seg in &path[1..] {
-            parent = Some(ty);
             ty = match ty {
                 Ty::Struct(sid) => {
                     let info = self.checked.types.struct_(sid);
-                    match info.field(seg) {
+                    match info.field(*seg) {
                         Some(f) => f.ty,
                         None => {
                             self.diags.error(
-                                format!("struct `{}` has no field `{seg}`", info.name),
+                                format!(
+                                    "struct `{}` has no field `{}`",
+                                    self.name(info.name),
+                                    self.name(*seg)
+                                ),
                                 span,
                             );
                             return None;
@@ -491,11 +518,15 @@ impl<'a> Builder<'a> {
                 }
                 Ty::Header(hid) => {
                     let info = self.checked.types.header(hid);
-                    match info.field(seg) {
+                    match info.field(*seg) {
                         Some(f) => Ty::Bit(f.width_bits),
                         None => {
                             self.diags.error(
-                                format!("header `{}` has no field `{seg}`", info.name),
+                                format!(
+                                    "header `{}` has no field `{}`",
+                                    self.name(info.name),
+                                    self.name(*seg)
+                                ),
                                 span,
                             );
                             return None;
@@ -505,8 +536,9 @@ impl<'a> Builder<'a> {
                 other => {
                     self.diags.error(
                         format!(
-                            "cannot access `.{seg}` on {}",
-                            self.checked.types.display(other)
+                            "cannot access `.{}` on {}",
+                            self.name(*seg),
+                            self.checked.display(other)
                         ),
                         span,
                     );
@@ -514,29 +546,30 @@ impl<'a> Builder<'a> {
                 }
             };
         }
-        Some((ty, parent))
+        Some(ty)
     }
 
     /// The context field `e` names (see [`context_field`]); `None` makes
     /// the condition over it opaque.
-    fn field_of_expr(&self, e: &Expr) -> Option<FieldRef> {
+    fn field_of_expr(&self, e: ExprId) -> Option<FieldRef> {
         context_field(self.checked, self.decl_params, e)
     }
 
     /// Lower a boolean expression to a symbolic [`Cond`].
-    fn cond_of_expr(&mut self, e: &Expr) -> Cond {
+    fn cond_of_expr(&mut self, id: ExprId) -> Cond {
+        let e = self.checked.program.expr(id);
         match &e.kind {
             ExprKind::Bool(true) => Cond::True,
             ExprKind::Bool(false) => Cond::Opaque("false".into()),
             ExprKind::Unary {
                 op: UnOp::Not,
                 expr,
-            } => self.cond_of_expr(expr).negated(),
+            } => self.cond_of_expr(*expr).negated(),
             ExprKind::Binary { op, lhs, rhs } => {
                 use BinOp::*;
                 match op {
-                    And => Cond::And(vec![self.cond_of_expr(lhs), self.cond_of_expr(rhs)]),
-                    Or => Cond::Or(vec![self.cond_of_expr(lhs), self.cond_of_expr(rhs)]),
+                    And => Cond::And(vec![self.cond_of_expr(*lhs), self.cond_of_expr(*rhs)]),
+                    Or => Cond::Or(vec![self.cond_of_expr(*lhs), self.cond_of_expr(*rhs)]),
                     Eq | Ne | Lt | Le | Gt | Ge => {
                         let cmp = match op {
                             Eq => CmpOp::Eq,
@@ -548,20 +581,18 @@ impl<'a> Builder<'a> {
                             _ => unreachable!(),
                         };
                         // field OP const, or const OP field (flip).
-                        if let (Some(f), Some(v)) = (
-                            self.field_of_expr(lhs),
-                            const_eval(rhs, &self.checked.types),
-                        ) {
+                        if let (Some(f), Some(v)) =
+                            (self.field_of_expr(*lhs), self.checked.const_eval(*rhs))
+                        {
                             return Cond::Cmp {
                                 field: f,
                                 op: cmp,
                                 value: v,
                             };
                         }
-                        if let (Some(v), Some(f)) = (
-                            const_eval(lhs, &self.checked.types),
-                            self.field_of_expr(rhs),
-                        ) {
+                        if let (Some(v), Some(f)) =
+                            (self.checked.const_eval(*lhs), self.field_of_expr(*rhs))
+                        {
                             let flipped = match cmp {
                                 CmpOp::Lt => CmpOp::Gt,
                                 CmpOp::Le => CmpOp::Ge,
@@ -575,40 +606,41 @@ impl<'a> Builder<'a> {
                                 value: v,
                             };
                         }
-                        Cond::Opaque(expr_str(e))
+                        Cond::Opaque(expr_str(&self.checked.program, id))
                     }
-                    _ => Cond::Opaque(expr_str(e)),
+                    _ => Cond::Opaque(expr_str(&self.checked.program, id)),
                 }
             }
-            _ => Cond::Opaque(expr_str(e)),
+            _ => Cond::Opaque(expr_str(&self.checked.program, id)),
         }
     }
 }
 
 /// Compact textual rendering of an expression, for opaque-condition
 /// display.
-fn expr_str(e: &Expr) -> String {
-    match &e.kind {
+fn expr_str(p: &Program, e: ExprId) -> String {
+    let s = |e: ExprId| expr_str(p, e);
+    match &p.expr(e).kind {
         ExprKind::Int {
             value,
             width: Some(w),
         } => format!("{w}w{value}"),
         ExprKind::Int { value, width: None } => format!("{value}"),
         ExprKind::Bool(b) => format!("{b}"),
-        ExprKind::Ident(n) => n.clone(),
-        ExprKind::Member { base, member } => format!("{}.{}", expr_str(base), member.name),
+        ExprKind::Ident(n) => p.name(*n).to_string(),
+        ExprKind::Member { base, member } => format!("{}.{}", s(*base), p.name(member.name)),
         ExprKind::Slice { base, hi, lo } => {
-            format!("{}[{}:{}]", expr_str(base), expr_str(hi), expr_str(lo))
+            format!("{}[{}:{}]", s(*base), s(*hi), s(*lo))
         }
         ExprKind::Call { callee, args } => {
-            let a: Vec<String> = args.iter().map(expr_str).collect();
-            format!("{}({})", expr_str(callee), a.join(", "))
+            let a: Vec<String> = args.iter().map(|a| s(*a)).collect();
+            format!("{}({})", s(*callee), a.join(", "))
         }
-        ExprKind::Unary { op, expr } => format!("{op}{}", expr_str(expr)),
+        ExprKind::Unary { op, expr } => format!("{op}{}", s(*expr)),
         ExprKind::Binary { op, lhs, rhs } => {
-            format!("({} {op} {})", expr_str(lhs), expr_str(rhs))
+            format!("({} {op} {})", s(*lhs), s(*rhs))
         }
-        ExprKind::Cast { ty, expr } => format!("({}) {}", ty.kind, expr_str(expr)),
+        ExprKind::Cast { ty, expr } => format!("({}) {}", ty.kind.display(&p.syms), s(*expr)),
     }
 }
 
@@ -677,7 +709,7 @@ mod tests {
         let rss = cfg
             .vertices
             .iter()
-            .find(|v| v.source == ["pipe_meta", "rss"])
+            .find(|v| v.source == "pipe_meta.rss")
             .unwrap();
         assert_eq!(rss.size_bytes(), 4);
         let sems: Vec<&str> = rss.sems().map(|s| reg.name(s)).collect();
@@ -685,7 +717,7 @@ mod tests {
         let ip = cfg
             .vertices
             .iter()
-            .find(|v| v.source == ["pipe_meta", "ip_fields"])
+            .find(|v| v.source == "pipe_meta.ip_fields")
             .unwrap();
         assert_eq!(ip.size_bytes(), 4);
         assert_eq!(ip.fields.len(), 2);

@@ -134,65 +134,58 @@ impl std::error::Error for PathError {}
 /// only guards against degenerate contracts.
 pub const DEFAULT_MAX_PATHS: usize = 4096;
 
-/// Enumerate all root-to-leaf completion paths of `cfg`.
+/// Enumerate all root-to-leaf completion paths of `cfg`, depth first,
+/// arms in order. The walk keeps the arms it has yet to take in a list
+/// of its own, so a CFG as deep as an `else if` chain is long, or as
+/// long as its run of emits, costs heap, not thread stack.
 pub fn enumerate_paths(cfg: &Cfg, max_paths: usize) -> Result<Vec<CompletionPath>, PathError> {
     let mut paths = Vec::new();
     let mut guard: Vec<Cond> = Vec::new();
     let mut emits: Vec<usize> = Vec::new();
-    walk(
-        cfg, cfg.entry, &mut guard, &mut emits, &mut paths, max_paths,
-    )?;
-    Ok(paths)
-}
-
-fn walk(
-    cfg: &Cfg,
-    node: usize,
-    guard: &mut Vec<Cond>,
-    emits: &mut Vec<usize>,
-    out: &mut Vec<CompletionPath>,
-    max_paths: usize,
-) -> Result<(), PathError> {
-    match &cfg.nodes[node] {
-        CfgNode::Exit => {
-            if out.len() >= max_paths {
-                return Err(PathError::TooManyPaths { limit: max_paths });
+    // Arms not yet taken, next last: the target, how long the guard and
+    // the emit list were at their branch, and the arm's condition.
+    let mut pending: Vec<(usize, usize, usize, &Cond)> = Vec::new();
+    let mut node = cfg.entry;
+    loop {
+        match &cfg.nodes[node] {
+            CfgNode::Emit { vertex, next } => {
+                emits.push(*vertex);
+                node = *next;
+                continue;
             }
-            out.push(materialize(cfg, out.len(), guard, emits));
-            Ok(())
-        }
-        CfgNode::Emit { vertex, next } => {
-            emits.push(*vertex);
-            let r = walk(cfg, *next, guard, emits, out, max_paths);
-            emits.pop();
-            r
-        }
-        CfgNode::Branch { arms, .. } => {
-            for (cond, target) in arms {
-                let pushed = !matches!(cond, Cond::True);
-                if pushed {
-                    guard.push(cond.clone());
-                }
-                walk(cfg, *target, guard, emits, out, max_paths)?;
-                if pushed {
-                    guard.pop();
-                }
+            CfgNode::Branch { arms, .. } => {
+                let (g, e) = (guard.len(), emits.len());
+                pending.extend(arms.iter().rev().map(|(c, t)| (*t, g, e, c)));
             }
-            Ok(())
+            CfgNode::Exit => {
+                if paths.len() >= max_paths {
+                    return Err(PathError::TooManyPaths { limit: max_paths });
+                }
+                paths.push(materialize(cfg, paths.len(), &guard, &emits));
+            }
         }
+        let Some((target, g, e, cond)) = pending.pop() else {
+            return Ok(paths);
+        };
+        guard.truncate(g);
+        emits.truncate(e);
+        if !matches!(cond, Cond::True) {
+            guard.push(cond.clone());
+        }
+        node = target;
     }
 }
 
 fn materialize(cfg: &Cfg, id: usize, guard: &[Cond], emits: &[usize]) -> CompletionPath {
-    let mut slots = Vec::new();
+    let fields = emits.iter().map(|&v| cfg.vertices[v].fields.len()).sum();
+    let mut slots = Vec::with_capacity(fields);
     let mut offset: u32 = 0;
     let mut prov = BTreeSet::new();
     for &vid in emits {
         let v = &cfg.vertices[vid];
-        let source = v.source.join(".");
         // Qualify slot names by the last source segment when the emit is a
         // whole header (so `ip_fields.csum` stays unambiguous across emits).
-        let prefix = v.source.last().cloned().unwrap_or_default();
+        let prefix = v.source.rsplit('.').next().unwrap_or_default();
         for f in &v.fields {
             let name = if v.fields.len() == 1 && f.name == prefix {
                 f.name.clone()
@@ -201,7 +194,7 @@ fn materialize(cfg: &Cfg, id: usize, guard: &[Cond], emits: &[usize]) -> Complet
             };
             slots.push(FieldSlot {
                 name,
-                source: source.clone(),
+                source: v.source.clone(),
                 semantic: f.semantic,
                 offset_bits: offset + f.offset_bits,
                 width_bits: f.width_bits,

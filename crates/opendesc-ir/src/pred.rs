@@ -56,9 +56,9 @@ impl FieldRef {
 pub(crate) fn context_field(
     checked: &CheckedProgram,
     params: &[ast::Param],
-    e: &ast::Expr,
+    e: ast::ExprId,
 ) -> Option<FieldRef> {
-    let path = e.as_path()?;
+    let path = checked.program.path(e)?;
     let width = match member_ty(checked, params, ast::Direction::In, &path)? {
         Ty::Bit(w) => w,
         Ty::Bool => 1,
@@ -66,7 +66,7 @@ pub(crate) fn context_field(
         _ => return None,
     };
     Some(FieldRef {
-        path: path.iter().map(|s| s.to_string()).collect(),
+        path: path.iter().map(|s| checked.name(*s).to_string()).collect(),
         width,
     })
 }
@@ -78,7 +78,7 @@ pub(crate) fn member_ty(
     checked: &CheckedProgram,
     params: &[ast::Param],
     dir: ast::Direction,
-    path: &[&str],
+    path: &[ast::Sym],
 ) -> Option<Ty> {
     let param = params.iter().find(|p| p.name.name == path[0])?;
     if param.dir != Some(dir) {
@@ -89,7 +89,7 @@ pub(crate) fn member_ty(
         let Ty::Struct(sid) = ty else {
             return None;
         };
-        ty = checked.types.struct_(sid).field(seg)?.ty;
+        ty = checked.types.struct_(sid).field(*seg)?.ty;
     }
     Some(ty)
 }
@@ -272,77 +272,98 @@ pub fn solve(conds: &[Cond]) -> Option<Assignment> {
     }
 }
 
-fn solve_rec(conds: &[Cond], idx: usize, asn: &mut Assignment) -> bool {
-    if idx == conds.len() {
-        // All constraints incorporated; verify (cheap — assignments were
-        // kept consistent along the way, but Or backtracking can leave
-        // stale entries in degenerate inputs).
-        return conds.iter().all(|c| c.eval(asn) == Some(true));
-    }
-    match &conds[idx] {
-        Cond::True => solve_rec(conds, idx + 1, asn),
-        Cond::Opaque(_) => false,
-        Cond::Not(inner) => {
-            // Negating an opaque term yields `Not(Opaque)` again —
-            // unsolvable, and recursing on it would never terminate.
-            if inner.has_opaque() {
+fn solve_rec(conds: &[Cond], mut idx: usize, asn: &mut Assignment) -> bool {
+    // A condition the assignment already decides moves on in a loop, not
+    // in a call per conjunct: a switch's default arm has one per case,
+    // and a 2 048-case switch must not need 2 048 frames.
+    loop {
+        let Some(cond) = conds.get(idx) else {
+            // All constraints incorporated; verify (cheap — assignments
+            // were kept consistent along the way, but Or backtracking can
+            // leave stale entries in degenerate inputs).
+            return conds.iter().all(|c| c.eval(asn) == Some(true));
+        };
+        match cond {
+            Cond::True => {}
+            Cond::Opaque(_) => return false,
+            Cond::Not(inner) => {
+                // Negating an opaque term yields `Not(Opaque)` again —
+                // unsolvable, and recursing on it would never terminate.
+                if inner.has_opaque() {
+                    return false;
+                }
+                let neg = inner.negated();
+                let mut sub = vec![neg];
+                sub.extend_from_slice(&conds[idx + 1..]);
+                return solve_rec(&sub, 0, asn);
+            }
+            Cond::And(cs) => {
+                let mut sub: Vec<Cond> = cs.clone();
+                sub.extend_from_slice(&conds[idx + 1..]);
+                return solve_rec(&sub, 0, asn);
+            }
+            Cond::Or(cs) => {
+                for c in cs {
+                    let snapshot = asn.clone();
+                    let mut sub = vec![c.clone()];
+                    sub.extend_from_slice(&conds[idx + 1..]);
+                    if solve_rec(&sub, 0, asn) {
+                        return true;
+                    }
+                    *asn = snapshot;
+                }
                 return false;
             }
-            let neg = inner.negated();
-            let mut sub = vec![neg];
-            sub.extend_from_slice(&conds[idx + 1..]);
-            solve_rec(&sub, 0, asn)
-        }
-        Cond::And(cs) => {
-            let mut sub: Vec<Cond> = cs.clone();
-            sub.extend_from_slice(&conds[idx + 1..]);
-            solve_rec(&sub, 0, asn)
-        }
-        Cond::Or(cs) => {
-            for c in cs {
-                let snapshot = asn.clone();
-                let mut sub = vec![c.clone()];
-                sub.extend_from_slice(&conds[idx + 1..]);
-                if solve_rec(&sub, 0, asn) {
-                    return true;
+            Cond::Cmp { field, op, value } => {
+                if let Some(&existing) = asn.get(field) {
+                    if !op.eval(existing, *value) {
+                        return false;
+                    }
+                } else {
+                    return solve_field(conds, idx, field, *op, *value, asn);
                 }
-                *asn = snapshot;
             }
-            false
         }
-        Cond::Cmp { field, op, value } => {
-            if let Some(&existing) = asn.get(field) {
-                return op.eval(existing, *value) && solve_rec(conds, idx + 1, asn);
-            }
-            // Backtrack over candidate witnesses: chained constraints on
-            // the same field (e.g. a switch default arm's `!= 0 && != 1`)
-            // may reject the first choice. Small fields are enumerated
-            // exhaustively (complete); wide fields use a heuristic set
-            // gathered from every comparison against this field in the
-            // remaining constraints.
-            let max = field.max_value();
-            let candidates: Vec<u128> = if field.width <= 10 {
-                (0..=max).collect()
-            } else {
-                let mut c = vec![0u128, max];
-                collect_candidates(&conds[idx..], field, &mut c);
-                c.sort_unstable();
-                c.dedup();
-                c
-            };
-            for w in candidates {
-                if w > max || !op.eval(w, *value) {
-                    continue;
-                }
-                asn.insert(field.clone(), w);
-                if solve_rec(conds, idx + 1, asn) {
-                    return true;
-                }
-                asn.remove(field);
-            }
-            false
-        }
+        idx += 1;
     }
+}
+
+/// `conds[idx]` compares `field`, which nothing has assigned yet: try
+/// each witness that satisfies it against the rest.
+fn solve_field(
+    conds: &[Cond],
+    idx: usize,
+    field: &FieldRef,
+    op: CmpOp,
+    value: u128,
+    asn: &mut Assignment,
+) -> bool {
+    // Backtrack over candidate witnesses: chained constraints on the same
+    // field (e.g. a switch default arm's `!= 0 && != 1`) may reject the
+    // first choice. Small fields are enumerated exhaustively (complete);
+    // wide fields use a heuristic set gathered from every comparison
+    // against this field in the remaining constraints.
+    let max = field.max_value();
+    let candidates: Vec<u128> = if field.width <= 10 {
+        (0..=max).collect()
+    } else {
+        let mut c = vec![0u128, max];
+        collect_candidates(&conds[idx..], field, &mut c);
+        c.sort_unstable();
+        c.dedup();
+        c
+    };
+    for w in candidates {
+        if w > max || !op.eval(w, value) {
+            continue;
+        }
+        asn.insert(field.clone(), w);
+        if solve_rec(conds, idx + 1, asn) {
+            return true;
+        }
+        asn.remove(field);
+    }
+    false
 }
 
 /// Gather heuristic witness candidates for `field` from every comparison

@@ -9,7 +9,7 @@
 //! cannot recompute at all (e.g. a hardware arrival timestamp) have
 //! infinite cost.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Interned id of a semantic within a [`SemanticRegistry`].
@@ -76,23 +76,28 @@ impl fmt::Display for Cost {
     }
 }
 
-/// Descriptor of one semantic.
+/// Descriptor of one semantic. A builtin borrows its name and doc from
+/// the static table; a semantic registered at run time owns them.
 #[derive(Debug, Clone)]
 pub struct SemanticInfo {
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Natural bit width of the value (what an intent field should use).
     pub width_bits: u16,
     /// Software recomputation cost.
     pub cost: Cost,
     /// Human-readable description, used in generated documentation.
-    pub doc: String,
+    pub doc: Cow<'static, str>,
 }
 
 /// Interning registry for semantics, preloaded with the well-known set.
+/// Ids are positions: a name is found by scanning, which over a few
+/// dozen names costs less than hashing would. A registry of builtins
+/// borrows the static table, so building or cloning one allocates
+/// nothing; the first registration or re-costing copies the table into
+/// a registry of its own, and a clone of that is exact-capacity.
 #[derive(Debug, Clone)]
 pub struct SemanticRegistry {
-    infos: Vec<SemanticInfo>,
-    by_name: HashMap<String, SemanticId>,
+    infos: Cow<'static, [SemanticInfo]>,
 }
 
 /// Well-known semantic names, exposed as constants so host code can refer
@@ -152,180 +157,191 @@ impl Default for SemanticRegistry {
     }
 }
 
+/// The well-known semantics and their default software costs, in id
+/// order. Costs are calibrated against the softnic reference
+/// implementations (see `opendesc-softnic`), in ns per packet on a
+/// nominal 3 GHz core.
+static BUILTINS: [SemanticInfo; 20] = [
+    builtin(
+        names::RSS_HASH,
+        32,
+        Cost::flat(40.0),
+        "Toeplitz flow hash over the IP 5-tuple",
+    ),
+    builtin(
+        names::IP_CHECKSUM,
+        16,
+        Cost::Finite {
+            base_ns: 10.0,
+            per_byte_ns: 0.15,
+        },
+        "IPv4 header checksum (validity or raw value)",
+    ),
+    builtin(
+        names::L4_CHECKSUM,
+        16,
+        Cost::Finite {
+            base_ns: 12.0,
+            per_byte_ns: 0.25,
+        },
+        "TCP/UDP checksum over the full payload",
+    ),
+    builtin(
+        names::VLAN_TCI,
+        16,
+        Cost::flat(6.0),
+        "stripped 802.1Q tag control information",
+    ),
+    builtin(
+        names::TIMESTAMP,
+        64,
+        Cost::Infinite,
+        "hardware arrival timestamp; software cannot recover it",
+    ),
+    builtin(names::PKT_LEN, 16, Cost::flat(1.0), "received frame length"),
+    builtin(
+        names::PACKET_TYPE,
+        16,
+        Cost::flat(18.0),
+        "parsed L2/L3/L4 packet-type bitmap",
+    ),
+    builtin(
+        names::FLOW_TAG,
+        32,
+        Cost::flat(55.0),
+        "flow-table tag (software emulates with a hash-table lookup)",
+    ),
+    builtin(
+        names::IP_ID,
+        16,
+        Cost::flat(8.0),
+        "IPv4 identification field",
+    ),
+    builtin(
+        names::PAYLOAD_OFFSET,
+        16,
+        Cost::flat(14.0),
+        "offset of the L4 payload within the frame",
+    ),
+    builtin(
+        names::KVS_KEY_HASH,
+        32,
+        Cost::Finite {
+            base_ns: 30.0,
+            per_byte_ns: 0.5,
+        },
+        "hash of the key in a KVS request payload (L5 offload)",
+    ),
+    builtin(
+        names::QUEUE_HINT,
+        16,
+        Cost::flat(25.0),
+        "device-computed steering hint",
+    ),
+    builtin(
+        names::RX_STATUS,
+        16,
+        Cost::flat(2.0),
+        "receive status bitmap",
+    ),
+    builtin(
+        names::CRYPTO_CTX,
+        32,
+        Cost::Infinite,
+        "inline-crypto context id owned by the device",
+    ),
+    builtin(
+        names::BUF_ADDR,
+        64,
+        Cost::Infinite,
+        "TX frame buffer address (structural)",
+    ),
+    builtin(
+        names::BUF_LEN,
+        16,
+        Cost::Infinite,
+        "TX frame length (structural)",
+    ),
+    builtin(
+        names::TX_L4_CSUM,
+        16,
+        Cost::Finite {
+            base_ns: 12.0,
+            per_byte_ns: 0.25,
+        },
+        "L4 checksum insertion on transmit",
+    ),
+    builtin(
+        names::TX_IP_CSUM,
+        16,
+        Cost::Finite {
+            base_ns: 10.0,
+            per_byte_ns: 0.15,
+        },
+        "IPv4 header checksum insertion on transmit",
+    ),
+    builtin(
+        names::TX_VLAN_INSERT,
+        16,
+        Cost::flat(15.0),
+        "802.1Q tag insertion on transmit (software memmove)",
+    ),
+    builtin(
+        names::TX_TSO_MSS,
+        16,
+        Cost::Finite {
+            base_ns: 400.0,
+            per_byte_ns: 0.1,
+        },
+        "TCP segmentation offload (software GSO fallback)",
+    ),
+];
+
+const fn builtin(
+    name: &'static str,
+    width_bits: u16,
+    cost: Cost,
+    doc: &'static str,
+) -> SemanticInfo {
+    SemanticInfo {
+        name: Cow::Borrowed(name),
+        width_bits,
+        cost,
+        doc: Cow::Borrowed(doc),
+    }
+}
+
 impl SemanticRegistry {
     /// Empty registry (tests only; real users want [`with_builtins`]).
     ///
     /// [`with_builtins`]: SemanticRegistry::with_builtins
     pub fn empty() -> Self {
         SemanticRegistry {
-            infos: Vec::new(),
-            by_name: HashMap::new(),
+            infos: Cow::Borrowed(&[]),
         }
     }
 
-    /// Registry preloaded with the well-known semantics and their default
-    /// software costs. Costs are calibrated against the softnic reference
-    /// implementations (see `opendesc-softnic`), in ns per packet on a
-    /// nominal 3 GHz core.
+    /// Registry preloaded with the well-known semantics: the static
+    /// table, borrowed.
     pub fn with_builtins() -> Self {
-        let mut r = Self::empty();
-        let defs: &[(&str, u16, Cost, &str)] = &[
-            (
-                names::RSS_HASH,
-                32,
-                Cost::flat(40.0),
-                "Toeplitz flow hash over the IP 5-tuple",
-            ),
-            (
-                names::IP_CHECKSUM,
-                16,
-                Cost::Finite {
-                    base_ns: 10.0,
-                    per_byte_ns: 0.15,
-                },
-                "IPv4 header checksum (validity or raw value)",
-            ),
-            (
-                names::L4_CHECKSUM,
-                16,
-                Cost::Finite {
-                    base_ns: 12.0,
-                    per_byte_ns: 0.25,
-                },
-                "TCP/UDP checksum over the full payload",
-            ),
-            (
-                names::VLAN_TCI,
-                16,
-                Cost::flat(6.0),
-                "stripped 802.1Q tag control information",
-            ),
-            (
-                names::TIMESTAMP,
-                64,
-                Cost::Infinite,
-                "hardware arrival timestamp; software cannot recover it",
-            ),
-            (names::PKT_LEN, 16, Cost::flat(1.0), "received frame length"),
-            (
-                names::PACKET_TYPE,
-                16,
-                Cost::flat(18.0),
-                "parsed L2/L3/L4 packet-type bitmap",
-            ),
-            (
-                names::FLOW_TAG,
-                32,
-                Cost::flat(55.0),
-                "flow-table tag (software emulates with a hash-table lookup)",
-            ),
-            (
-                names::IP_ID,
-                16,
-                Cost::flat(8.0),
-                "IPv4 identification field",
-            ),
-            (
-                names::PAYLOAD_OFFSET,
-                16,
-                Cost::flat(14.0),
-                "offset of the L4 payload within the frame",
-            ),
-            (
-                names::KVS_KEY_HASH,
-                32,
-                Cost::Finite {
-                    base_ns: 30.0,
-                    per_byte_ns: 0.5,
-                },
-                "hash of the key in a KVS request payload (L5 offload)",
-            ),
-            (
-                names::QUEUE_HINT,
-                16,
-                Cost::flat(25.0),
-                "device-computed steering hint",
-            ),
-            (
-                names::RX_STATUS,
-                16,
-                Cost::flat(2.0),
-                "receive status bitmap",
-            ),
-            (
-                names::CRYPTO_CTX,
-                32,
-                Cost::Infinite,
-                "inline-crypto context id owned by the device",
-            ),
-            (
-                names::BUF_ADDR,
-                64,
-                Cost::Infinite,
-                "TX frame buffer address (structural)",
-            ),
-            (
-                names::BUF_LEN,
-                16,
-                Cost::Infinite,
-                "TX frame length (structural)",
-            ),
-            (
-                names::TX_L4_CSUM,
-                16,
-                Cost::Finite {
-                    base_ns: 12.0,
-                    per_byte_ns: 0.25,
-                },
-                "L4 checksum insertion on transmit",
-            ),
-            (
-                names::TX_IP_CSUM,
-                16,
-                Cost::Finite {
-                    base_ns: 10.0,
-                    per_byte_ns: 0.15,
-                },
-                "IPv4 header checksum insertion on transmit",
-            ),
-            (
-                names::TX_VLAN_INSERT,
-                16,
-                Cost::flat(15.0),
-                "802.1Q tag insertion on transmit (software memmove)",
-            ),
-            (
-                names::TX_TSO_MSS,
-                16,
-                Cost::Finite {
-                    base_ns: 400.0,
-                    per_byte_ns: 0.1,
-                },
-                "TCP segmentation offload (software GSO fallback)",
-            ),
-        ];
-        for (name, width, cost, doc) in defs {
-            r.register(SemanticInfo {
-                name: (*name).into(),
-                width_bits: *width,
-                cost: *cost,
-                doc: (*doc).into(),
-            });
+        SemanticRegistry {
+            infos: Cow::Borrowed(&BUILTINS),
         }
-        r
     }
 
-    /// Register a semantic. Registering an existing name replaces its cost
-    /// and doc (applications may re-cost builtins for their workload) and
-    /// returns the existing id.
+    /// Register a semantic. Registering an existing name replaces its
+    /// width, cost and doc (applications may re-cost builtins for their
+    /// workload), keeps the name it has, and returns the existing id.
     pub fn register(&mut self, info: SemanticInfo) -> SemanticId {
-        if let Some(&id) = self.by_name.get(&info.name) {
-            self.infos[id.0 as usize] = info;
+        if let Some(id) = self.id(&info.name) {
+            let old = &mut self.infos.to_mut()[id.0 as usize];
+            old.width_bits = info.width_bits;
+            old.cost = info.cost;
+            old.doc = info.doc;
             return id;
         }
         let id = SemanticId(self.infos.len() as u32);
-        self.by_name.insert(info.name.clone(), id);
-        self.infos.push(info);
+        self.infos.to_mut().push(info);
         id
     }
 
@@ -339,16 +355,17 @@ impl SemanticRegistry {
         doc: &str,
     ) -> SemanticId {
         self.register(SemanticInfo {
-            name: name.into(),
+            name: Cow::Owned(name.into()),
             width_bits,
             cost,
-            doc: doc.into(),
+            doc: Cow::Owned(doc.into()),
         })
     }
 
     /// Look up a semantic id by name.
     pub fn id(&self, name: &str) -> Option<SemanticId> {
-        self.by_name.get(name).copied()
+        let at = self.infos.iter().position(|i| i.name == name)?;
+        Some(SemanticId(at as u32))
     }
 
     /// Look up or create an id for `name`. Unknown semantics default to
@@ -359,10 +376,10 @@ impl SemanticRegistry {
             return id;
         }
         self.register(SemanticInfo {
-            name: name.into(),
+            name: Cow::Owned(name.into()),
             width_bits: 0,
             cost: Cost::Infinite,
-            doc: format!("unknown semantic `{name}` (auto-interned)"),
+            doc: Cow::Owned(format!("unknown semantic `{name}` (auto-interned)")),
         })
     }
 
@@ -383,7 +400,7 @@ impl SemanticRegistry {
 
     /// Override the cost of an existing semantic.
     pub fn set_cost(&mut self, id: SemanticId, cost: Cost) {
-        self.infos[id.0 as usize].cost = cost;
+        self.infos.to_mut()[id.0 as usize].cost = cost;
     }
 
     /// Number of registered semantics.

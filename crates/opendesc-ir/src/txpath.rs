@@ -27,11 +27,11 @@
 use crate::path::FieldSlot;
 use crate::pred::{context_field, member_ty, solve, Assignment, CmpOp, Cond};
 use crate::semantics::{names, SemanticId, SemanticRegistry};
-use opendesc_p4::ast::{self, Direction, Transition};
+use opendesc_p4::ast::{self, Direction, ExprId, Sym, Transition};
 use opendesc_p4::diag::Diagnostics;
 use opendesc_p4::pretty::expr;
 use opendesc_p4::span::Span;
-use opendesc_p4::typecheck::{const_eval, CheckedProgram};
+use opendesc_p4::typecheck::CheckedProgram;
 use opendesc_p4::types::{ExternKind, HeaderId, Ty};
 use std::collections::BTreeSet;
 
@@ -98,10 +98,10 @@ pub fn enumerate_tx_layouts(
     for p in &parser.params {
         match checked.param_ty(p) {
             Some(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn)) => {
-                desc_param = Some(p.name.name.as_str());
+                desc_param = Some(p.name.name);
             }
             Some(Ty::Extern(_)) | None => {}
-            Some(_) if p.dir == Some(ast::Direction::Out) => out_param = Some(p.name.name.as_str()),
+            Some(_) if p.dir == Some(ast::Direction::Out) => out_param = Some(p.name.name),
             Some(_) => {}
         }
     }
@@ -127,7 +127,7 @@ pub fn enumerate_tx_layouts(
         out: Vec::new(),
         diags: Diagnostics::new(),
     };
-    walker.walk("start", 0);
+    walker.walk(Sym::START, 0);
     if walker.diags.has_errors() {
         return Err(walker.diags);
     }
@@ -137,8 +137,8 @@ pub fn enumerate_tx_layouts(
 struct Walker<'a> {
     checked: &'a CheckedProgram,
     reg: &'a mut SemanticRegistry,
-    desc_param: &'a str,
-    out_param: &'a str,
+    desc_param: Sym,
+    out_param: Sym,
     /// `buf_addr` and `buf_len`: every layout must carry both.
     buf: [SemanticId; 2],
     parser: &'a ast::ParserDecl,
@@ -146,13 +146,21 @@ struct Walker<'a> {
     /// visited.
     guard: Vec<Cond>,
     extracted: Vec<HeaderId>,
-    visited: Vec<String>,
+    visited: Vec<Sym>,
     out: Vec<DescriptorLayout>,
     diags: Diagnostics,
 }
 
 impl<'a> Walker<'a> {
-    fn state(&self, name: &str) -> Option<&'a ast::StateDecl> {
+    fn name(&self, sym: Sym) -> &'a str {
+        self.checked.name(sym)
+    }
+
+    fn expr(&self, e: ExprId) -> String {
+        expr(&self.checked.program, e)
+    }
+
+    fn state(&self, name: Sym) -> Option<&'a ast::StateDecl> {
         self.parser
             .states
             .as_ref()
@@ -162,18 +170,19 @@ impl<'a> Walker<'a> {
     }
 
     /// Refuse the parser: `what` in state `state` has no table form.
-    fn refuse(&mut self, state: &str, what: String, span: Span) {
+    fn refuse(&mut self, state: Sym, what: String, span: Span) {
         self.diags.error(
             format!(
-                "parser `{}`, state `{state}`: {what}; the device resolves one descriptor \
+                "parser `{}`, state `{}`: {what}; the device resolves one descriptor \
                  layout per queue context and reads it as a table",
-                self.parser.name.name
+                self.name(self.parser.name.name),
+                self.name(state)
             ),
             span,
         );
     }
 
-    fn walk(&mut self, state_name: &str, depth: u32) {
+    fn walk(&mut self, state_name: Sym, depth: u32) {
         if depth > 64 {
             self.diags.error(
                 "parser walk exceeded depth 64 (cyclic states?)",
@@ -182,38 +191,41 @@ impl<'a> Walker<'a> {
             return;
         }
         match state_name {
-            "accept" => return self.accept(),
-            "reject" => return,
+            Sym::ACCEPT => return self.accept(),
+            Sym::REJECT => return,
             _ => {}
         }
         let Some(st) = self.state(state_name) else {
             self.diags.error(
-                format!("transition to unknown state `{state_name}`"),
+                format!("transition to unknown state `{}`", self.name(state_name)),
                 self.parser.name.span,
             );
             return;
         };
-        self.visited.push(state_name.to_string());
+        self.visited.push(state_name);
         let extracted_before = self.extracted.len();
         for stmt in &st.stmts {
             match self.extract_into_out(stmt) {
                 Some(hid) => self.extracted.push(hid),
                 None => {
                     let what = match &stmt.kind {
-                        ast::StmtKind::Expr(e) => format!("`{}`", expr(e)),
+                        ast::StmtKind::Expr(e) => format!("`{}`", self.expr(*e)),
                         ast::StmtKind::Assign { lhs, rhs } => {
-                            format!("`{} = {}`", expr(lhs), expr(rhs))
+                            format!("`{} = {}`", self.expr(*lhs), self.expr(*rhs))
                         }
                         _ => "a statement".to_string(),
                     };
-                    let why = format!("{what} is not an extract into `{}`", self.out_param);
+                    let why = format!(
+                        "{what} is not an extract into `{}`",
+                        self.name(self.out_param)
+                    );
                     self.refuse(state_name, why, stmt.span);
                 }
             }
         }
         match &st.transition {
             None => self.accept(),
-            Some(Transition::Direct(t)) => self.walk(&t.name, depth + 1),
+            Some(Transition::Direct(t)) => self.walk(t.name, depth + 1),
             Some(Transition::Select { exprs, cases, span }) => {
                 self.walk_select(state_name, exprs, cases, *span, depth);
             }
@@ -228,25 +240,26 @@ impl<'a> Walker<'a> {
     /// after a `default`, is unreachable and walks nowhere.
     fn walk_select(
         &mut self,
-        state_name: &str,
-        exprs: &[ast::Expr],
+        state_name: Sym,
+        exprs: &[ExprId],
         cases: &[ast::SelectCase],
         span: Span,
         depth: u32,
     ) {
-        let shown = || exprs.iter().map(expr).collect::<Vec<_>>().join(", ");
+        let shown = |w: &Self| {
+            (exprs.iter().map(|e| w.expr(*e)))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
         let [scrutinee] = exprs else {
-            self.refuse(
-                state_name,
-                format!("`select({})` is a tuple select", shown()),
-                span,
-            );
+            let why = format!("`select({})` is a tuple select", shown(self));
+            self.refuse(state_name, why, span);
             return;
         };
-        let Some(field) = context_field(self.checked, &self.parser.params, scrutinee) else {
+        let Some(field) = context_field(self.checked, &self.parser.params, *scrutinee) else {
             let why = format!(
                 "`select` reads `{}`, which is not a field of an `in` context struct",
-                shown()
+                shown(self)
             );
             self.refuse(state_name, why, span);
             return;
@@ -273,9 +286,9 @@ impl<'a> Walker<'a> {
                         .collect(),
                 ),
                 ast::SelectMatch::Expr(e) => {
-                    let Some(v) = const_eval(e, &self.checked.types) else {
-                        let why = format!("select label `{}` is not a constant", expr(e));
-                        self.refuse(state_name, why, e.span);
+                    let Some(v) = self.checked.const_eval(*e) else {
+                        let why = format!("select label `{}` is not a constant", self.expr(*e));
+                        self.refuse(state_name, why, self.checked.expr(*e).span);
                         return;
                     };
                     if covered.contains(&v) {
@@ -290,7 +303,7 @@ impl<'a> Walker<'a> {
                 }
             };
             self.guard.push(cond);
-            self.walk(&case.target.name, depth + 1);
+            self.walk(case.target.name, depth + 1);
             self.guard.pop();
             if matches!(label, ast::SelectMatch::Default) {
                 break;
@@ -306,14 +319,14 @@ impl<'a> Walker<'a> {
         let ast::StmtKind::Expr(e) = &stmt.kind else {
             return None;
         };
-        let ast::ExprKind::Call { callee, args } = &e.kind else {
+        let ast::ExprKind::Call { callee, args } = &self.checked.expr(*e).kind else {
             return None;
         };
-        let callee = callee.as_path()?;
-        if callee != [self.desc_param, "extract"] || args.len() != 1 {
+        let callee = self.checked.program.path(*callee)?;
+        if callee != [self.desc_param, Sym::EXTRACT] || args.len() != 1 {
             return None;
         }
-        let path = args[0].as_path()?;
+        let path = self.checked.program.path(args[0])?;
         match member_ty(self.checked, &self.parser.params, Direction::Out, &path)? {
             Ty::Header(h) => Some(h),
             _ => None,
@@ -335,13 +348,9 @@ impl<'a> Walker<'a> {
             (None, Some(sem)) => format!("has no `{}` field", self.reg.name(*sem)),
             (None, None) => return self.out.push(layout),
         };
-        let why = format!("the layout of walk `{}` {why}", self.visited.join(" → "));
-        let last = self
-            .visited
-            .last()
-            .map_or("start", String::as_str)
-            .to_string();
-        self.refuse(&last, why, self.parser.name.span);
+        let why = format!("the layout of walk `{}` {why}", layout.states.join(" → "));
+        let last = self.visited.last().copied().unwrap_or(Sym::START);
+        self.refuse(last, why, self.parser.name.span);
     }
 
     fn materialize(&self) -> DescriptorLayout {
@@ -350,11 +359,12 @@ impl<'a> Walker<'a> {
         let mut consumes = BTreeSet::new();
         for &hid in &self.extracted {
             let info = self.checked.types.header(hid);
+            let header = self.name(info.name);
             for f in &info.fields {
-                let semantic = f.semantic.as_deref().and_then(|s| self.reg.id(s));
+                let semantic = f.semantic.and_then(|s| self.reg.id(self.name(s)));
                 slots.push(FieldSlot {
-                    name: format!("{}.{}", info.name, f.name),
-                    source: info.name.clone(),
+                    name: format!("{header}.{}", self.name(f.name)),
+                    source: header.to_string(),
                     semantic,
                     offset_bits: offset + f.offset_bits,
                     width_bits: f.width_bits,
@@ -371,7 +381,9 @@ impl<'a> Walker<'a> {
             slots,
             size_bits: offset,
             consumes,
-            states: self.visited.clone(),
+            states: (self.visited.iter())
+                .map(|s| self.name(*s).to_string())
+                .collect(),
         }
     }
 }

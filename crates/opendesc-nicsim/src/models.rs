@@ -888,9 +888,9 @@ mod tests {
         let m = mlx5();
         let (checked, d) = parse_and_check(&m.p4_source);
         assert!(!d.has_errors());
-        let id = checked.types.header_id("mlx5_full_cqe_t").unwrap();
+        let id = checked.header_id("mlx5_full_cqe_t").unwrap();
         assert_eq!(checked.types.header(id).width_bytes(), 64);
-        let mini = checked.types.header_id("mlx5_mini_rss_t").unwrap();
+        let mini = checked.header_id("mlx5_mini_rss_t").unwrap();
         assert_eq!(checked.types.header(mini).width_bytes(), 8);
     }
 
@@ -1019,7 +1019,7 @@ mod tests {
     fn ixgbe_writeback_is_16_bytes() {
         let m = ixgbe();
         let (checked, _) = parse_and_check(&m.p4_source);
-        let rest = checked.types.header_id("ixgbe_rest_t").unwrap();
+        let rest = checked.header_id("ixgbe_rest_t").unwrap();
         assert_eq!(checked.types.header(rest).width_bytes(), 12);
     }
 }

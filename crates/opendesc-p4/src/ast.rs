@@ -7,17 +7,149 @@
 //! notably `@semantic("...")` on header fields and `@cost(...)` on
 //! semantics. Match-action tables are deliberately out of scope: a
 //! descriptor contract describes metadata exchange, not forwarding.
+//!
+//! A program names things once. Every identifier and string literal is
+//! interned as a [`Sym`] into the program's [`Symbols`], and every
+//! expression lives in one arena, [`Program::exprs`], addressed by
+//! [`ExprId`]: the tree holds no strings and no boxes, and a reader
+//! resolves a name through [`Program::name`].
 
 use crate::span::Span;
 use std::fmt;
 
-/// A parsed compilation unit: an ordered list of top-level declarations.
+/// An interned identifier or string literal: an index into the
+/// program's [`Symbols`]. Two symbols of one program are equal exactly
+/// when their texts are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Sym(pub u32);
+
+/// The names the front end and its readers look for by themselves. Every
+/// program interns them first, in this order, so each has a fixed
+/// symbol: the constants on [`Sym`].
+pub(crate) const WELL_KNOWN: [&str; 14] = [
+    "cmpt_out",
+    "desc_in",
+    "packet_in",
+    "packet_out",
+    "emit",
+    "extract",
+    "isValid",
+    "setValid",
+    "setInvalid",
+    "semantic",
+    "cost",
+    "start",
+    "accept",
+    "reject",
+];
+
+impl Sym {
+    pub const CMPT_OUT: Sym = Sym(0);
+    pub const DESC_IN: Sym = Sym(1);
+    pub const PACKET_IN: Sym = Sym(2);
+    pub const PACKET_OUT: Sym = Sym(3);
+    pub const EMIT: Sym = Sym(4);
+    pub const EXTRACT: Sym = Sym(5);
+    pub const IS_VALID: Sym = Sym(6);
+    pub const SET_VALID: Sym = Sym(7);
+    pub const SET_INVALID: Sym = Sym(8);
+    pub const SEMANTIC: Sym = Sym(9);
+    pub const COST: Sym = Sym(10);
+    pub const START: Sym = Sym(11);
+    pub const ACCEPT: Sym = Sym(12);
+    pub const REJECT: Sym = Sym(13);
+}
+
+/// An expression: an index into [`Program::exprs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExprId(pub u32);
+
+/// The text of every symbol of one program, back to back in one buffer.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Symbols {
+    text: String,
+    /// `ends[i]` is the byte offset where symbol `i` ends and `i + 1`
+    /// begins.
+    ends: Vec<u32>,
+}
+
+impl Symbols {
+    /// A table with room for `syms` symbols of `bytes` bytes in total.
+    pub(crate) fn with_capacity(syms: usize, bytes: usize) -> Symbols {
+        Symbols {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(syms),
+        }
+    }
+
+    /// Append `text` as a new symbol. The caller has checked that no
+    /// symbol spells it already.
+    pub(crate) fn push(&mut self, text: &str) -> Sym {
+        let sym = Sym(self.ends.len() as u32);
+        self.text.push_str(text);
+        self.ends.push(self.text.len() as u32);
+        sym
+    }
+
+    /// Release the capacity the parser reserved beyond what it used.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// The text of `sym`.
+    pub fn name(&self, sym: Sym) -> &str {
+        let i = sym.0 as usize;
+        let lo = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[lo..self.ends[i] as usize]
+    }
+
+    /// The symbol spelling `text`, if the program has one. A linear
+    /// scan: the map the parser interned through is gone, and lookups by
+    /// text are for entry points and tests, not for the checker.
+    pub fn find(&self, text: &str) -> Option<Sym> {
+        (0..self.ends.len() as u32)
+            .map(Sym)
+            .find(|s| self.name(*s) == text)
+    }
+
+    /// Number of distinct symbols.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+}
+
+/// A parsed compilation unit: an ordered list of top-level declarations,
+/// the expressions they refer to, and the symbols they name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub decls: Vec<Decl>,
+    /// Every expression of the program; an [`ExprId`] indexes it.
+    pub exprs: Vec<Expr>,
+    /// Every identifier and string literal of the program.
+    pub syms: Symbols,
 }
 
 impl Program {
+    /// The text of `sym`.
+    pub fn name(&self, sym: Sym) -> &str {
+        self.syms.name(sym)
+    }
+
+    /// The symbol spelling `text`, if any (see [`Symbols::find`]).
+    pub fn sym(&self, text: &str) -> Option<Sym> {
+        self.syms.find(text)
+    }
+
+    /// The expression `id` addresses.
+    pub fn expr(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.0 as usize]
+    }
+
     /// Iterate over all header declarations.
     pub fn headers(&self) -> impl Iterator<Item = &HeaderDecl> {
         self.decls.iter().filter_map(|d| match d {
@@ -44,40 +176,47 @@ impl Program {
 
     /// Find a control by name.
     pub fn control(&self, name: &str) -> Option<&ControlDecl> {
-        self.controls().find(|c| c.name.name == name)
+        self.controls().find(|c| self.name(c.name.name) == name)
     }
 
     /// Find a parser by name.
     pub fn parser(&self, name: &str) -> Option<&ParserDecl> {
-        self.parsers().find(|p| p.name.name == name)
+        self.parsers().find(|p| self.name(p.name.name) == name)
     }
 
     /// Find a header by name.
     pub fn header(&self, name: &str) -> Option<&HeaderDecl> {
-        self.headers().find(|h| h.name.name == name)
+        self.headers().find(|h| self.name(h.name.name) == name)
+    }
+
+    /// If `e` is a dotted path of identifiers (`a.b.c`), its segments.
+    /// Used to resolve emit/extract arguments and context predicates.
+    pub fn path(&self, e: ExprId) -> Option<Vec<Sym>> {
+        let mut rev = Vec::new();
+        let mut at = self.expr(e);
+        loop {
+            match &at.kind {
+                ExprKind::Ident(n) => {
+                    rev.push(*n);
+                    break;
+                }
+                ExprKind::Member { base, member } => {
+                    rev.push(member.name);
+                    at = self.expr(*base);
+                }
+                _ => return None,
+            }
+        }
+        rev.reverse();
+        Some(rev)
     }
 }
 
 /// An identifier with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ident {
-    pub name: String,
+    pub name: Sym,
     pub span: Span,
-}
-
-impl Ident {
-    pub fn new(name: impl Into<String>, span: Span) -> Self {
-        Ident {
-            name: name.into(),
-            span,
-        }
-    }
-}
-
-impl fmt::Display for Ident {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)
-    }
 }
 
 /// `@name` or `@name(arg, ...)` attached to a declaration or field.
@@ -88,30 +227,12 @@ pub struct Annotation {
     pub span: Span,
 }
 
-impl Annotation {
-    /// First string argument, if any (`@semantic("rss_hash")` → `rss_hash`).
-    fn str_arg(&self) -> Option<&str> {
-        self.args.iter().find_map(|a| match a {
-            AnnArg::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-    }
-
-    /// First integer argument, if any (`@cost(120)` → `120`).
-    fn int_arg(&self) -> Option<u128> {
-        self.args.iter().find_map(|a| match a {
-            AnnArg::Int(v) => Some(*v),
-            _ => None,
-        })
-    }
-}
-
 /// An annotation argument.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnnArg {
-    Str(String),
+    Str(Sym),
     Int(u128),
-    Ident(String),
+    Ident(Sym),
 }
 
 /// A top-level declaration.
@@ -185,21 +306,32 @@ pub struct FieldDecl {
 }
 
 impl FieldDecl {
-    /// The value of this field's `@semantic("...")` annotation, if present.
-    pub fn semantic(&self) -> Option<&str> {
-        self.annotations
+    /// The string of this field's `@semantic("...")` annotation, if
+    /// present.
+    pub fn semantic(&self) -> Option<Sym> {
+        annotation(&self.annotations, Sym::SEMANTIC)?
+            .args
             .iter()
-            .find(|a| a.name.name == "semantic")
-            .and_then(|a| a.str_arg())
+            .find_map(|a| match a {
+                AnnArg::Str(s) => Some(*s),
+                _ => None,
+            })
     }
 
     /// The value of this field's `@cost(N)` annotation, if present.
     pub fn cost(&self) -> Option<u128> {
-        self.annotations
+        annotation(&self.annotations, Sym::COST)?
+            .args
             .iter()
-            .find(|a| a.name.name == "cost")
-            .and_then(|a| a.int_arg())
+            .find_map(|a| match a {
+                AnnArg::Int(v) => Some(*v),
+                _ => None,
+            })
     }
+}
+
+fn annotation(anns: &[Annotation], name: Sym) -> Option<&Annotation> {
+    anns.iter().find(|a| a.name.name == name)
 }
 
 /// `typedef bit<16> vlan_tci_t;`
@@ -215,7 +347,7 @@ pub struct TypedefDecl {
 pub struct ConstDecl {
     pub ty: Type,
     pub name: Ident,
-    pub value: Expr,
+    pub value: ExprId,
     pub span: Span,
 }
 
@@ -257,7 +389,7 @@ pub struct StateDecl {
 pub enum Transition {
     Direct(Ident),
     Select {
-        exprs: Vec<Expr>,
+        exprs: Vec<ExprId>,
         cases: Vec<SelectCase>,
         span: Span,
     },
@@ -272,9 +404,9 @@ pub struct SelectCase {
 }
 
 /// A select match pattern.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SelectMatch {
-    Expr(Expr),
+    Expr(ExprId),
     Default,
 }
 
@@ -315,7 +447,7 @@ pub struct ActionDecl {
 pub struct VarDecl {
     pub ty: Type,
     pub name: Ident,
-    pub init: Option<Expr>,
+    pub init: Option<ExprId>,
     pub span: Span,
 }
 
@@ -365,31 +497,41 @@ impl fmt::Display for Direction {
 }
 
 /// A syntactic type.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Type {
     pub kind: TypeKind,
     pub span: Span,
 }
 
 /// The kinds of types the subset accepts.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TypeKind {
     /// `bit<N>`
     Bit(u16),
     /// `bool`
     Bool,
     /// A named header/struct/typedef/enum or a template type parameter.
-    Named(String),
+    Named(Sym),
     /// `void` (extern return type only).
     Void,
 }
 
-impl fmt::Display for TypeKind {
+impl TypeKind {
+    /// The type as it is spelled, names resolved through `syms`.
+    pub fn display(self, syms: &Symbols) -> TypeKindDisplay<'_> {
+        TypeKindDisplay(self, syms)
+    }
+}
+
+/// A [`TypeKind`] with its name resolved, for printing.
+pub struct TypeKindDisplay<'a>(TypeKind, &'a Symbols);
+
+impl fmt::Display for TypeKindDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match self.0 {
             TypeKind::Bit(w) => write!(f, "bit<{w}>"),
             TypeKind::Bool => write!(f, "bool"),
-            TypeKind::Named(n) => write!(f, "{n}"),
+            TypeKind::Named(n) => write!(f, "{}", self.1.name(n)),
             TypeKind::Void => write!(f, "void"),
         }
     }
@@ -412,30 +554,40 @@ pub struct Stmt {
 /// Statement kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
-    /// `if (c) { .. } else { .. }` — `else if` chains nest in `else_blk`.
+    /// `if (c1) { .. } else if (c2) { .. } else { .. }` — one statement
+    /// however long the chain: the arms in source order, tried in turn,
+    /// then the `else` block if no condition held.
     If {
-        cond: Expr,
-        then_blk: Block,
+        arms: Vec<IfArm>,
         else_blk: Option<Block>,
     },
     /// `switch (e) { v: { .. } default: { .. } }`. OpenDesc relaxes P4-16's
     /// action-run-only switch to value switches over context fields — the
     /// natural way mlx5-style NICs select among several CQE formats.
     Switch {
-        scrutinee: Expr,
+        scrutinee: ExprId,
         cases: Vec<SwitchCase>,
     },
     /// An expression statement — in practice a method call such as
     /// `cmpt_out.emit(pipe_meta.rss)` or `pkt.extract(hdr)`.
-    Expr(Expr),
+    Expr(ExprId),
     /// `lhs = rhs;`
-    Assign { lhs: Expr, rhs: Expr },
+    Assign { lhs: ExprId, rhs: ExprId },
     /// Local variable declaration.
     Var(VarDecl),
     /// `return;`
     Return,
     /// A nested block.
     Block(Block),
+}
+
+/// One `if (cond) { .. }` of an if/else-if chain.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IfArm {
+    pub cond: ExprId,
+    pub then_blk: Block,
+    /// From this arm's `if` to the end of its block.
+    pub span: Span,
 }
 
 /// One arm of a switch.
@@ -447,9 +599,9 @@ pub struct SwitchCase {
 }
 
 /// A switch label: a constant expression or `default`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SwitchLabel {
-    Expr(Expr),
+    Expr(ExprId),
     Default,
 }
 
@@ -460,7 +612,8 @@ pub struct Expr {
     pub span: Span,
 }
 
-/// Expression kinds.
+/// Expression kinds. Subexpressions are [`ExprId`]s into the same
+/// program's arena.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExprKind {
     /// Integer literal, optionally width-typed.
@@ -468,45 +621,24 @@ pub enum ExprKind {
     /// `true` / `false`.
     Bool(bool),
     /// A name.
-    Ident(String),
+    Ident(Sym),
     /// `base.member`.
-    Member { base: Box<Expr>, member: Ident },
+    Member { base: ExprId, member: Ident },
     /// Bit slice `x[hi:lo]` or single-bit index `x[i]` (hi == lo).
     Slice {
-        base: Box<Expr>,
-        hi: Box<Expr>,
-        lo: Box<Expr>,
+        base: ExprId,
+        hi: ExprId,
+        lo: ExprId,
     },
     /// `callee(args)`, where callee is usually a member path
     /// (`cmpt_out.emit`).
-    Call { callee: Box<Expr>, args: Vec<Expr> },
+    Call { callee: ExprId, args: Vec<ExprId> },
     /// Unary operator application.
-    Unary { op: UnOp, expr: Box<Expr> },
+    Unary { op: UnOp, expr: ExprId },
     /// Binary operator application.
-    Binary {
-        op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
-    },
+    Binary { op: BinOp, lhs: ExprId, rhs: ExprId },
     /// `(bit<8>) e` / `(bool) e`.
-    Cast { ty: Type, expr: Box<Expr> },
-}
-
-impl Expr {
-    /// If the expression is a dotted path of identifiers (`a.b.c`), return
-    /// its segments. Used to resolve emit/extract arguments and context
-    /// predicates.
-    pub fn as_path(&self) -> Option<Vec<&str>> {
-        match &self.kind {
-            ExprKind::Ident(n) => Some(vec![n.as_str()]),
-            ExprKind::Member { base, member } => {
-                let mut p = base.as_path()?;
-                p.push(member.name.as_str());
-                Some(p)
-            }
-            _ => None,
-        }
-    }
+    Cast { ty: Type, expr: ExprId },
 }
 
 /// Unary operators.
@@ -586,60 +718,47 @@ impl fmt::Display for BinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
 
-    fn ident(n: &str) -> Ident {
-        Ident::new(n, Span::default())
+    /// The dotted path `e` spells.
+    fn spelled(p: &Program, e: ExprId) -> Vec<&str> {
+        p.path(e).unwrap().iter().map(|s| p.name(*s)).collect()
     }
 
     #[test]
-    fn expr_as_path_extracts_dotted_names() {
-        let e = Expr {
-            kind: ExprKind::Member {
-                base: Box::new(Expr {
-                    kind: ExprKind::Member {
-                        base: Box::new(Expr {
-                            kind: ExprKind::Ident("ctx".into()),
-                            span: Span::default(),
-                        }),
-                        member: ident("flags"),
-                    },
-                    span: Span::default(),
-                }),
-                member: ident("use_rss"),
-            },
-            span: Span::default(),
-        };
-        assert_eq!(e.as_path().unwrap(), vec!["ctx", "flags", "use_rss"]);
+    fn symbols_resolve_and_find() {
+        let mut s = Symbols::default();
+        let a = s.push("ctx");
+        let b = s.push("use_rss");
+        assert_eq!((s.name(a), s.name(b)), ("ctx", "use_rss"));
+        assert_eq!(s.find("use_rss"), Some(b));
+        assert_eq!(s.find("nope"), None);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn expr_as_path_rejects_non_paths() {
-        let e = Expr {
-            kind: ExprKind::Int {
-                value: 3,
-                width: None,
-            },
-            span: Span::default(),
+    fn path_extracts_dotted_names() {
+        let (p, _) = parse("const bit<8> K = ctx.flags.use_rss;");
+        let Decl::Const(c) = &p.decls[0] else {
+            panic!()
         };
-        assert!(e.as_path().is_none());
+        assert_eq!(spelled(&p, c.value), vec!["ctx", "flags", "use_rss"]);
+    }
+
+    #[test]
+    fn path_rejects_non_paths() {
+        let (p, _) = parse("const bit<8> K = 3;");
+        let Decl::Const(c) = &p.decls[0] else {
+            panic!()
+        };
+        assert!(p.path(c.value).is_none());
     }
 
     #[test]
     fn field_semantic_annotation_lookup() {
-        let f = FieldDecl {
-            annotations: vec![Annotation {
-                name: ident("semantic"),
-                args: vec![AnnArg::Str("rss_hash".into())],
-                span: Span::default(),
-            }],
-            ty: Type {
-                kind: TypeKind::Bit(32),
-                span: Span::default(),
-            },
-            name: ident("rss"),
-            span: Span::default(),
-        };
-        assert_eq!(f.semantic(), Some("rss_hash"));
-        assert_eq!(f.cost(), None);
+        let (p, _) = parse(r#"header h_t { @semantic("rss_hash") bit<32> rss; }"#);
+        let h = p.header("h_t").unwrap();
+        assert_eq!(h.fields[0].semantic().map(|s| p.name(s)), Some("rss_hash"));
+        assert_eq!(h.fields[0].cost(), None);
     }
 }

@@ -15,8 +15,12 @@
 //!     header cmpt_t { @semantic("rss_hash") bit<32> rss; }
 //! "#);
 //! assert!(!diags.has_errors());
-//! let id = checked.types.header_id("cmpt_t").unwrap();
-//! assert_eq!(checked.types.header(id).width_bytes(), 4);
+//! let id = checked.header_id("cmpt_t").unwrap();
+//! let header = checked.types.header(id);
+//! assert_eq!(header.width_bytes(), 4);
+//! // Names are interned symbols, resolved through the program.
+//! let sem = header.fields[0].semantic.unwrap();
+//! assert_eq!(checked.name(sem), "rss_hash");
 //! ```
 pub mod ast;
 pub mod diag;

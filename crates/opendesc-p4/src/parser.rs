@@ -3,25 +3,64 @@
 //! Entry point is [`parse`]. The parser is resilient: on a syntax error it
 //! records a diagnostic and skips ahead to the next plausible declaration
 //! boundary so that a single typo does not hide every later error.
+//!
+//! It interns every identifier and string literal once per program
+//! through a map keyed by the source's own text, which is dropped when
+//! parsing ends, and appends every expression to the program's arena.
+//! Recursion is bounded: an `else if` chain is a loop, and blocks and
+//! expressions nest at most [`MAX_NESTING`] levels deep — deeper source
+//! is an error diagnostic, never a stack overflow.
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::lexer::lex;
+use crate::span::Span;
 use crate::token::{Keyword as Kw, Token, TokenKind as Tk};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+/// How deep blocks and expressions may nest, together: every walker of
+/// the tree recurses once per level, and this many levels fit a 2 MB
+/// thread stack unoptimised.
+pub const MAX_NESTING: u32 = 256;
 
 /// Parse a full compilation unit. Lexing diagnostics are merged into the
 /// returned set.
 pub fn parse(src: &str) -> (Program, Diagnostics) {
     let (tokens, mut diags) = lex(src);
+    // Every distinct name is an identifier or string token: size the
+    // interner and the symbol table once.
+    let (names, bytes) = tokens.iter().fold((0, 0), |(n, b), t| match &t.kind {
+        Tk::Ident(s) => (n + 1, b + s.len()),
+        Tk::Str(s) => (n + 1, b + s.len()),
+        _ => (n, b),
+    });
+    let names = names + WELL_KNOWN.len();
+    let bytes = bytes + WELL_KNOWN.iter().map(|w| w.len()).sum::<usize>();
     let mut p = Parser {
         tokens,
         pos: 0,
         diags: Diagnostics::new(),
+        exprs: Vec::new(),
+        syms: Symbols::with_capacity(names, bytes),
+        interned: HashMap::with_capacity(names),
+        depth: 0,
     };
-    let program = p.parse_program();
+    for name in WELL_KNOWN {
+        p.intern(Cow::Borrowed(name));
+    }
+    let decls = p.parse_program();
     for d in p.diags {
         diags.push(d);
     }
+    p.syms.shrink_to_fit();
+    p.exprs.shrink_to_fit();
+    let program = Program {
+        decls,
+        exprs: p.exprs,
+        syms: p.syms,
+    };
     (program, diags)
 }
 
@@ -32,6 +71,12 @@ struct Parser<'src> {
     tokens: Vec<Token<'src>>,
     pos: usize,
     diags: Diagnostics,
+    exprs: Vec<Expr>,
+    syms: Symbols,
+    /// Text → symbol, for this parse only.
+    interned: HashMap<Cow<'src, str>, Sym>,
+    /// Blocks and expressions currently open.
+    depth: u32,
 }
 
 /// Internal result type: `Err(())` means a diagnostic was already recorded
@@ -88,32 +133,65 @@ impl<'src> Parser<'src> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> PResult<Ident> {
-        match &self.peek().kind {
-            Tk::Ident(name) => {
-                let id = Ident::new(*name, self.peek().span);
-                self.bump();
-                Ok(id)
+    /// The symbol spelling `text`, created on first sight.
+    fn intern(&mut self, text: Cow<'src, str>) -> Sym {
+        match self.interned.entry(text) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let sym = self.syms.push(e.key());
+                *e.insert(sym)
             }
+        }
+    }
+
+    fn expect_ident(&mut self, what: &str) -> PResult<Ident> {
+        let name = match &self.peek().kind {
+            Tk::Ident(name) => *name,
             // `accept`/`reject`/`default` double as state names in
             // transitions; allow a few keywords where P4 does.
-            Tk::Kw(Kw::Accept) => {
-                let t = self.bump();
-                Ok(Ident::new("accept", t.span))
-            }
-            Tk::Kw(Kw::Reject) => {
-                let t = self.bump();
-                Ok(Ident::new("reject", t.span))
-            }
+            Tk::Kw(Kw::Accept) => "accept",
+            Tk::Kw(Kw::Reject) => "reject",
             other => {
                 let span = self.peek().span;
                 self.diags.push(Diagnostic::error(
                     format!("expected identifier {what}, found {other}"),
                     span,
                 ));
-                Err(())
+                return Err(());
             }
+        };
+        let span = self.bump().span;
+        Ok(Ident {
+            name: self.intern(Cow::Borrowed(name)),
+            span,
+        })
+    }
+
+    /// Run `f` one nesting level deeper, refusing to go past
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_NESTING {
+            let span = self.peek().span;
+            self.diags.push(Diagnostic::error(
+                format!("blocks and expressions nest deeper than {MAX_NESTING} levels"),
+                span,
+            ));
+            return Err(());
         }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn push_expr(&mut self, kind: ExprKind, span: Span) -> ExprId {
+        let id = ExprId(self.exprs.len() as u32);
+        self.exprs.push(Expr { kind, span });
+        id
+    }
+
+    fn span_of(&self, e: ExprId) -> Span {
+        self.exprs[e.0 as usize].span
     }
 
     /// Skip tokens until a likely declaration start or EOF, for recovery.
@@ -156,7 +234,7 @@ impl<'src> Parser<'src> {
 
     // -------------------------------------------------------------- program
 
-    fn parse_program(&mut self) -> Program {
+    fn parse_program(&mut self) -> Vec<Decl> {
         let mut decls = Vec::new();
         while !self.at(&Tk::Eof) {
             match self.parse_decl() {
@@ -164,7 +242,7 @@ impl<'src> Parser<'src> {
                 Err(()) => self.recover_to_decl(),
             }
         }
-        Program { decls }
+        decls
     }
 
     fn parse_annotations(&mut self) -> PResult<Vec<Annotation>> {
@@ -179,9 +257,15 @@ impl<'src> Parser<'src> {
                     loop {
                         let t = self.peek();
                         args.push(match &t.kind {
-                            Tk::Str(s) => AnnArg::Str(s.to_string()),
+                            Tk::Str(s) => {
+                                let s = s.clone();
+                                AnnArg::Str(self.intern(s))
+                            }
                             Tk::Int { value, .. } => AnnArg::Int(*value),
-                            Tk::Ident(n) => AnnArg::Ident(n.to_string()),
+                            Tk::Ident(n) => {
+                                let n = *n;
+                                AnnArg::Ident(self.intern(Cow::Borrowed(n)))
+                            }
                             other => {
                                 let d = Diagnostic::error(
                                     format!("invalid annotation argument: {other}"),
@@ -292,9 +376,12 @@ impl<'src> Parser<'src> {
                 })
             }
             Tk::Ident(n) => {
-                let kind = TypeKind::Named(n.to_string());
+                let n = *n;
                 self.bump();
-                Ok(Type { kind, span })
+                Ok(Type {
+                    kind: TypeKind::Named(self.intern(Cow::Borrowed(n))),
+                    span,
+                })
             }
             other => {
                 let d = Diagnostic::error(format!("expected a type, found {other}"), span);
@@ -681,15 +768,17 @@ impl<'src> Parser<'src> {
     // ----------------------------------------------------------- statements
 
     fn parse_block(&mut self) -> PResult<Block> {
-        let open = self.expect(&Tk::LBrace, "to open block")?;
-        let mut stmts = Vec::new();
-        while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
-            stmts.push(self.parse_stmt()?);
-        }
-        let close = self.expect(&Tk::RBrace, "to close block")?;
-        Ok(Block {
-            stmts,
-            span: open.span.to(close.span),
+        self.nested(|p| {
+            let open = p.expect(&Tk::LBrace, "to open block")?;
+            let mut stmts = Vec::new();
+            while !p.at(&Tk::RBrace) && !p.at(&Tk::Eof) {
+                stmts.push(p.parse_stmt()?);
+            }
+            let close = p.expect(&Tk::RBrace, "to close block")?;
+            Ok(Block {
+                stmts,
+                span: open.span.to(close.span),
+            })
         })
     }
 
@@ -721,20 +810,19 @@ impl<'src> Parser<'src> {
             Tk::Ident(_) if matches!(self.peek_at(1).kind, Tk::Ident(_)) => self.parse_var_stmt(),
             _ => {
                 let e = self.parse_expr()?;
+                let espan = self.span_of(e);
                 if self.eat(&Tk::Assign) {
                     let rhs = self.parse_expr()?;
                     let semi = self.expect(&Tk::Semi, "after assignment")?;
-                    let span = e.span.to(semi.span);
                     Ok(Stmt {
                         kind: StmtKind::Assign { lhs: e, rhs },
-                        span,
+                        span: espan.to(semi.span),
                     })
                 } else {
                     let semi = self.expect(&Tk::Semi, "after expression statement")?;
-                    let span = e.span.to(semi.span);
                     Ok(Stmt {
                         kind: StmtKind::Expr(e),
-                        span,
+                        span: espan.to(semi.span),
                     })
                 }
             }
@@ -762,39 +850,40 @@ impl<'src> Parser<'src> {
         })
     }
 
+    /// `if (c) { .. }`, then as many `else if (c) { .. }` as follow, then
+    /// an optional `else { .. }` — a loop, so a chain of any length costs
+    /// no stack.
     fn parse_if(&mut self) -> PResult<Stmt> {
-        let kw = self.bump(); // `if`
-        self.expect(&Tk::LParen, "after `if`")?;
-        let cond = self.parse_expr()?;
-        self.expect(&Tk::RParen, "to close `if` condition")?;
-        let then_blk = self.parse_block()?;
-        let mut span = kw.span.to(then_blk.span);
-        let else_blk = if self.at_kw(Kw::Else) {
-            self.bump();
-            if self.at_kw(Kw::If) {
-                // `else if` — wrap the nested if in a synthetic block.
-                let nested = self.parse_if()?;
-                let nspan = nested.span;
-                span = span.to(nspan);
-                Some(Block {
-                    stmts: vec![nested],
-                    span: nspan,
-                })
-            } else {
-                let b = self.parse_block()?;
-                span = span.to(b.span);
-                Some(b)
-            }
-        } else {
-            None
-        };
-        Ok(Stmt {
-            kind: StmtKind::If {
+        let start = self.peek().span;
+        let mut arms = Vec::new();
+        let mut else_blk = None;
+        loop {
+            let kw = self.bump(); // `if`
+            self.expect(&Tk::LParen, "after `if`")?;
+            let cond = self.parse_expr()?;
+            self.expect(&Tk::RParen, "to close `if` condition")?;
+            let then_blk = self.parse_block()?;
+            let span = kw.span.to(then_blk.span);
+            arms.push(IfArm {
                 cond,
                 then_blk,
-                else_blk,
-            },
-            span,
+                span,
+            });
+            if !self.eat(&Tk::Kw(Kw::Else)) {
+                break;
+            }
+            if !self.at_kw(Kw::If) {
+                else_blk = Some(self.parse_block()?);
+                break;
+            }
+        }
+        let end = match &else_blk {
+            Some(b) => b.span,
+            None => arms[arms.len() - 1].span,
+        };
+        Ok(Stmt {
+            kind: StmtKind::If { arms, else_blk },
+            span: start.to(end),
         })
     }
 
@@ -839,12 +928,14 @@ impl<'src> Parser<'src> {
 
     // ---------------------------------------------------------- expressions
 
-    fn parse_expr(&mut self) -> PResult<Expr> {
-        self.parse_bin_expr(0)
+    /// One expression, one nesting level deeper: every group, argument,
+    /// slice bound and condition enters here.
+    fn parse_expr(&mut self) -> PResult<ExprId> {
+        self.nested(|p| p.parse_bin_expr(0))
     }
 
     /// Precedence-climbing binary expression parser.
-    fn parse_bin_expr(&mut self, min_prec: u8) -> PResult<Expr> {
+    fn parse_bin_expr(&mut self, min_prec: u8) -> PResult<ExprId> {
         let mut lhs = self.parse_unary()?;
         loop {
             let (op, prec) = match &self.peek().kind {
@@ -874,20 +965,13 @@ impl<'src> Parser<'src> {
             }
             self.bump();
             let rhs = self.parse_bin_expr(prec + 1)?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            };
+            let span = self.span_of(lhs).to(self.span_of(rhs));
+            lhs = self.push_expr(ExprKind::Binary { op, lhs, rhs }, span);
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> PResult<Expr> {
+    fn parse_unary(&mut self) -> PResult<ExprId> {
         let start = self.peek().span;
         let op = match &self.peek().kind {
             Tk::Not => Some(UnOp::Not),
@@ -897,34 +981,22 @@ impl<'src> Parser<'src> {
         };
         if let Some(op) = op {
             self.bump();
-            let expr = self.parse_unary()?;
-            let span = start.to(expr.span);
-            return Ok(Expr {
-                kind: ExprKind::Unary {
-                    op,
-                    expr: Box::new(expr),
-                },
-                span,
-            });
+            let expr = self.nested(|p| p.parse_unary())?;
+            let span = start.to(self.span_of(expr));
+            return Ok(self.push_expr(ExprKind::Unary { op, expr }, span));
         }
         self.parse_postfix()
     }
 
-    fn parse_postfix(&mut self) -> PResult<Expr> {
+    fn parse_postfix(&mut self) -> PResult<ExprId> {
         let mut e = self.parse_primary()?;
         loop {
             match &self.peek().kind {
                 Tk::Dot => {
                     self.bump();
                     let member = self.expect_ident("after `.`")?;
-                    let span = e.span.to(member.span);
-                    e = Expr {
-                        kind: ExprKind::Member {
-                            base: Box::new(e),
-                            member,
-                        },
-                        span,
-                    };
+                    let span = self.span_of(e).to(member.span);
+                    e = self.push_expr(ExprKind::Member { base: e, member }, span);
                 }
                 Tk::LParen => {
                     self.bump();
@@ -938,14 +1010,8 @@ impl<'src> Parser<'src> {
                         }
                     }
                     let close = self.expect(&Tk::RParen, "to close call")?;
-                    let span = e.span.to(close.span);
-                    e = Expr {
-                        kind: ExprKind::Call {
-                            callee: Box::new(e),
-                            args,
-                        },
-                        span,
-                    };
+                    let span = self.span_of(e).to(close.span);
+                    e = self.push_expr(ExprKind::Call { callee: e, args }, span);
                 }
                 Tk::LBracket => {
                     self.bump();
@@ -953,18 +1019,11 @@ impl<'src> Parser<'src> {
                     let lo = if self.eat(&Tk::Colon) {
                         self.parse_expr()?
                     } else {
-                        hi.clone()
+                        hi
                     };
                     let close = self.expect(&Tk::RBracket, "to close slice")?;
-                    let span = e.span.to(close.span);
-                    e = Expr {
-                        kind: ExprKind::Slice {
-                            base: Box::new(e),
-                            hi: Box::new(hi),
-                            lo: Box::new(lo),
-                        },
-                        span,
-                    };
+                    let span = self.span_of(e).to(close.span);
+                    e = self.push_expr(ExprKind::Slice { base: e, hi, lo }, span);
                 }
                 _ => break,
             }
@@ -972,35 +1031,18 @@ impl<'src> Parser<'src> {
         Ok(e)
     }
 
-    fn parse_primary(&mut self) -> PResult<Expr> {
+    fn parse_primary(&mut self) -> PResult<ExprId> {
         let span = self.peek().span;
-        match &self.peek().kind {
-            Tk::Int { value, width } => {
-                let kind = ExprKind::Int {
-                    value: *value,
-                    width: *width,
-                };
-                self.bump();
-                Ok(Expr { kind, span })
-            }
-            Tk::Kw(Kw::True) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Bool(true),
-                    span,
-                })
-            }
-            Tk::Kw(Kw::False) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Bool(false),
-                    span,
-                })
-            }
+        let kind = match &self.peek().kind {
+            Tk::Int { value, width } => ExprKind::Int {
+                value: *value,
+                width: *width,
+            },
+            Tk::Kw(Kw::True) => ExprKind::Bool(true),
+            Tk::Kw(Kw::False) => ExprKind::Bool(false),
             Tk::Ident(n) => {
-                let kind = ExprKind::Ident(n.to_string());
-                self.bump();
-                Ok(Expr { kind, span })
+                let n = *n;
+                ExprKind::Ident(self.intern(Cow::Borrowed(n)))
             }
             Tk::LParen => {
                 // Either a cast `(bit<8>) e` / `(bool) e` or a grouped expr.
@@ -1008,36 +1050,41 @@ impl<'src> Parser<'src> {
                     self.bump(); // `(`
                     let ty = self.parse_type()?;
                     self.expect(&Tk::RParen, "to close cast type")?;
-                    let expr = self.parse_unary()?;
-                    let span = span.to(expr.span);
-                    return Ok(Expr {
-                        kind: ExprKind::Cast {
-                            ty,
-                            expr: Box::new(expr),
-                        },
-                        span,
-                    });
+                    let expr = self.nested(|p| p.parse_unary())?;
+                    let span = span.to(self.span_of(expr));
+                    return Ok(self.push_expr(ExprKind::Cast { ty, expr }, span));
                 }
                 self.bump();
                 let inner = self.parse_expr()?;
                 let close = self.expect(&Tk::RParen, "to close expression")?;
-                Ok(Expr {
-                    kind: inner.kind,
-                    span: span.to(close.span),
-                })
+                // A group is its inner expression, spanning the parens.
+                self.exprs[inner.0 as usize].span = span.to(close.span);
+                return Ok(inner);
             }
             other => {
                 let d = Diagnostic::error(format!("expected an expression, found {other}"), span);
                 self.diags.push(d);
-                Err(())
+                return Err(());
             }
-        }
+        };
+        self.bump();
+        Ok(self.push_expr(kind, span))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dotted path `e` spells.
+    fn spelled(p: &Program, e: ExprId) -> Vec<&str> {
+        p.path(e).unwrap().iter().map(|s| p.name(*s)).collect()
+    }
+
+    /// The `@semantic` string of `f`.
+    fn sem<'p>(p: &'p Program, f: &FieldDecl) -> Option<&'p str> {
+        f.semantic().map(|s| p.name(s))
+    }
 
     fn parse_ok(src: &str) -> Program {
         let (p, diags) = parse(src);
@@ -1069,10 +1116,30 @@ mod tests {
         );
         let h = p.header("intent_t").expect("header present");
         assert_eq!(h.fields.len(), 3);
-        assert_eq!(h.fields[0].semantic(), Some("rss"));
-        assert_eq!(h.fields[1].semantic(), Some("vlan"));
-        assert_eq!(h.fields[2].semantic(), Some("ip_checksum"));
+        assert_eq!(sem(&p, &h.fields[0]), Some("rss"));
+        assert_eq!(sem(&p, &h.fields[1]), Some("vlan"));
+        assert_eq!(sem(&p, &h.fields[2]), Some("ip_checksum"));
         assert_eq!(h.fields[0].ty.kind, TypeKind::Bit(32));
+    }
+
+    #[test]
+    fn every_name_is_interned_once() {
+        let p = parse_ok(
+            r#"
+            header h_t { @semantic("rss_hash") bit<32> rss; }
+            struct m_t { h_t h; h_t rss; }
+            "#,
+        );
+        // h_t, rss_hash, rss, m_t, h — each spelled once, after the
+        // well-known names (`semantic` among them).
+        assert_eq!(p.syms.len(), WELL_KNOWN.len() + 5);
+        assert_eq!(p.name(Sym::SEMANTIC), "semantic");
+        let Decl::Struct(s) = &p.decls[1] else {
+            panic!()
+        };
+        let h = p.header("h_t").unwrap();
+        assert_eq!(s.fields[1].name.name, h.fields[0].name.name);
+        assert_eq!(s.fields[0].ty.kind, TypeKind::Named(h.name.name));
     }
 
     #[test]
@@ -1124,10 +1191,10 @@ mod tests {
         assert_eq!(body.stmts.len(), 2);
         assert!(matches!(body.stmts[0].kind, StmtKind::If { .. }));
         match &body.stmts[1].kind {
-            StmtKind::Expr(e) => match &e.kind {
+            StmtKind::Expr(e) => match &p.expr(*e).kind {
                 ExprKind::Call { callee, args } => {
-                    assert_eq!(callee.as_path().unwrap(), vec!["cmpt", "emit"]);
-                    assert_eq!(args[0].as_path().unwrap(), vec!["pipe_meta", "base"]);
+                    assert_eq!(spelled(&p, *callee), vec!["cmpt", "emit"]);
+                    assert_eq!(spelled(&p, args[0]), vec!["pipe_meta", "base"]);
                 }
                 other => panic!("expected call, got {other:?}"),
             },
@@ -1166,7 +1233,7 @@ mod tests {
                 assert_eq!(cases.len(), 3);
                 assert_eq!(cases[1].matches.len(), 2);
                 assert_eq!(cases[2].matches, vec![SelectMatch::Default]);
-                assert_eq!(cases[2].target.name, "accept");
+                assert_eq!(p.name(cases[2].target.name), "accept");
             }
             other => panic!("expected select, got {other:?}"),
         }
@@ -1229,11 +1296,14 @@ mod tests {
         let c = p.control("C").unwrap();
         // `a == 1 && b != 2 || !c` must parse as `((a==1) && (b!=2)) || (!c)`.
         match &c.apply.as_ref().unwrap().stmts[0].kind {
-            StmtKind::If { cond, .. } => match &cond.kind {
+            StmtKind::If { arms, .. } => match &p.expr(arms[0].cond).kind {
                 ExprKind::Binary {
                     op: BinOp::Or, lhs, ..
                 } => {
-                    assert!(matches!(lhs.kind, ExprKind::Binary { op: BinOp::And, .. }));
+                    assert!(matches!(
+                        p.expr(*lhs).kind,
+                        ExprKind::Binary { op: BinOp::And, .. }
+                    ));
                 }
                 other => panic!("expected `||` at top, got {other:?}"),
             },
@@ -1256,7 +1326,7 @@ mod tests {
         match &c.apply.as_ref().unwrap().stmts[0].kind {
             StmtKind::Var(v) => {
                 assert!(matches!(
-                    v.init.as_ref().unwrap().kind,
+                    p.expr(v.init.unwrap()).kind,
                     ExprKind::Cast { .. }
                 ));
             }
@@ -1323,27 +1393,63 @@ mod tests {
     }
 
     #[test]
-    fn else_if_chain_nests() {
+    fn else_if_chain_is_one_statement_with_flat_arms() {
         let p = parse_ok(
             r#"
             control C(in ctx_t ctx, cmpt_out o, in meta_t m) {
                 apply {
                     if (ctx.f == 0) { o.emit(m.a); }
                     else if (ctx.f == 1) { o.emit(m.b); }
-                    else { o.emit(m.c); }
+                    else if (ctx.f == 2) { o.emit(m.c); }
+                    else { o.emit(m.d); }
                 }
             }
             "#,
         );
         let c = p.control("C").unwrap();
-        match &c.apply.as_ref().unwrap().stmts[0].kind {
+        let body = &c.apply.as_ref().unwrap().stmts;
+        assert_eq!(body.len(), 1);
+        match &body[0].kind {
             StmtKind::If {
-                else_blk: Some(b), ..
+                arms,
+                else_blk: Some(b),
             } => {
-                assert!(matches!(b.stmts[0].kind, StmtKind::If { .. }));
+                assert_eq!(arms.len(), 3);
+                assert!(arms.iter().all(|a| a.then_blk.stmts.len() == 1));
+                assert!(matches!(b.stmts[0].kind, StmtKind::Expr(_)));
+                // Each arm spans its own `if` to its own block; the
+                // statement spans the whole chain.
+                assert!(arms[1].span.lo > arms[0].span.hi);
+                assert_eq!(body[0].span.lo, arms[0].span.lo);
+                assert_eq!(body[0].span.hi, b.span.hi);
             }
             other => panic!("expected if/else-if, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_one_error() {
+        let deep = |open: &str, close: &str, n: usize| {
+            format!("const bit<8> K = {}1{};", open.repeat(n), close.repeat(n))
+        };
+        let (_, ok) = parse(&deep("(", ")", MAX_NESTING as usize - 1));
+        assert!(!ok.has_errors());
+        for src in [
+            deep("(", ")", MAX_NESTING as usize),
+            deep("~", "", 2 * MAX_NESTING as usize),
+            deep("(bit<8>)", "", 2 * MAX_NESTING as usize),
+        ] {
+            let (_, d) = parse(&src);
+            let msgs: Vec<_> = d.iter().map(|d| d.message.as_str()).collect();
+            assert_eq!(msgs.len(), 1, "{msgs:?}");
+            assert!(msgs[0].contains("nest deeper than 256"), "{msgs:?}");
+        }
+        let blocks = format!(
+            "control C() {{ apply {} }}",
+            "{".repeat(300) + &"}".repeat(300)
+        );
+        let (_, d) = parse(&blocks);
+        assert!(d.iter().any(|d| d.message.contains("nest deeper")));
     }
 
     #[test]
@@ -1357,9 +1463,9 @@ mod tests {
         let p = parse_ok("control C(in ctx_t c) { apply { if (c.flags[0] == 1) { return; } } }");
         let ctl = p.control("C").unwrap();
         match &ctl.apply.as_ref().unwrap().stmts[0].kind {
-            StmtKind::If { cond, .. } => match &cond.kind {
+            StmtKind::If { arms, .. } => match &p.expr(arms[0].cond).kind {
                 ExprKind::Binary { lhs, .. } => {
-                    assert!(matches!(lhs.kind, ExprKind::Slice { .. }));
+                    assert!(matches!(p.expr(*lhs).kind, ExprKind::Slice { .. }));
                 }
                 _ => panic!(),
             },

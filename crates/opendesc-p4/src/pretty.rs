@@ -12,26 +12,26 @@ use std::fmt::Write;
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
     for d in &p.decls {
-        print_decl(&mut out, d);
+        print_decl(p, &mut out, d);
         out.push('\n');
     }
     out
 }
 
-fn anns(out: &mut String, annotations: &[Annotation], indent: &str) {
+fn anns(p: &Program, out: &mut String, annotations: &[Annotation], indent: &str) {
     for a in annotations {
         out.push_str(indent);
         out.push('@');
-        out.push_str(&a.name.name);
+        out.push_str(p.name(a.name.name));
         if !a.args.is_empty() {
             out.push('(');
             let parts: Vec<String> = a
                 .args
                 .iter()
                 .map(|arg| match arg {
-                    AnnArg::Str(s) => format!("{:?}", s),
+                    AnnArg::Str(s) => format!("{:?}", p.name(*s)),
                     AnnArg::Int(v) => format!("{v}"),
-                    AnnArg::Ident(i) => i.clone(),
+                    AnnArg::Ident(i) => p.name(*i).to_string(),
                 })
                 .collect();
             out.push_str(&parts.join(", "));
@@ -41,62 +41,69 @@ fn anns(out: &mut String, annotations: &[Annotation], indent: &str) {
     }
 }
 
-fn print_decl(out: &mut String, d: &Decl) {
+fn print_decl(p: &Program, out: &mut String, d: &Decl) {
+    let n = |s: Sym| p.name(s);
+    let ty = |t: &Type| t.kind.display(&p.syms);
     match d {
         Decl::Header(h) => {
-            anns(out, &h.annotations, "");
-            let _ = writeln!(out, "header {} {{", h.name.name);
-            fields(out, &h.fields);
+            anns(p, out, &h.annotations, "");
+            let _ = writeln!(out, "header {} {{", n(h.name.name));
+            fields(p, out, &h.fields);
             out.push_str("}\n");
         }
         Decl::Struct(s) => {
-            anns(out, &s.annotations, "");
-            let _ = writeln!(out, "struct {} {{", s.name.name);
-            fields(out, &s.fields);
+            anns(p, out, &s.annotations, "");
+            let _ = writeln!(out, "struct {} {{", n(s.name.name));
+            fields(p, out, &s.fields);
             out.push_str("}\n");
         }
         Decl::Typedef(t) => {
-            let _ = writeln!(out, "typedef {} {};", t.ty.kind, t.name.name);
+            let _ = writeln!(out, "typedef {} {};", ty(&t.ty), n(t.name.name));
         }
         Decl::Const(c) => {
             let _ = writeln!(
                 out,
                 "const {} {} = {};",
-                c.ty.kind,
-                c.name.name,
-                expr(&c.value)
+                ty(&c.ty),
+                n(c.name.name),
+                expr(p, c.value)
             );
         }
         Decl::Enum(e) => {
-            anns(out, &e.annotations, "");
+            anns(p, out, &e.annotations, "");
             let repr = e
                 .repr
                 .as_ref()
-                .map(|t| format!("{} ", t.kind))
+                .map(|t| format!("{} ", ty(t)))
                 .unwrap_or_default();
-            let vars: Vec<&str> = e.variants.iter().map(|v| v.name.as_str()).collect();
-            let _ = writeln!(out, "enum {repr}{} {{ {} }}", e.name.name, vars.join(", "));
+            let vars: Vec<&str> = e.variants.iter().map(|v| n(v.name)).collect();
+            let _ = writeln!(
+                out,
+                "enum {repr}{} {{ {} }}",
+                n(e.name.name),
+                vars.join(", ")
+            );
         }
-        Decl::Parser(p) => {
-            anns(out, &p.annotations, "");
+        Decl::Parser(pd) => {
+            anns(p, out, &pd.annotations, "");
             let _ = write!(
                 out,
                 "parser {}{}({})",
-                p.name.name,
-                tparams(&p.type_params),
-                params(&p.params)
+                n(pd.name.name),
+                tparams(p, &pd.type_params),
+                params(p, &pd.params)
             );
-            match &p.states {
+            match &pd.states {
                 None => out.push_str(";\n"),
                 Some(states) => {
                     out.push_str(" {\n");
                     for st in states {
-                        let _ = writeln!(out, "    state {} {{", st.name.name);
+                        let _ = writeln!(out, "    state {} {{", n(st.name.name));
                         for s in &st.stmts {
-                            stmt(out, s, 2);
+                            stmt(p, out, s, 2);
                         }
                         if let Some(t) = &st.transition {
-                            transition(out, t);
+                            transition(p, out, t);
                         }
                         out.push_str("    }\n");
                     }
@@ -105,13 +112,13 @@ fn print_decl(out: &mut String, d: &Decl) {
             }
         }
         Decl::Control(c) => {
-            anns(out, &c.annotations, "");
+            anns(p, out, &c.annotations, "");
             let _ = write!(
                 out,
                 "control {}{}({})",
-                c.name.name,
-                tparams(&c.type_params),
-                params(&c.params)
+                n(c.name.name),
+                tparams(p, &c.type_params),
+                params(p, &c.params)
             );
             if c.apply.is_none() && c.locals.is_empty() {
                 out.push_str(";\n");
@@ -121,27 +128,26 @@ fn print_decl(out: &mut String, d: &Decl) {
             for local in &c.locals {
                 match local {
                     ControlLocal::Var(v) => {
-                        let init = v
-                            .init
-                            .as_ref()
-                            .map(|e| format!(" = {}", expr(e)))
-                            .unwrap_or_default();
-                        let _ = writeln!(out, "    {} {}{};", v.ty.kind, v.name.name, init);
+                        let _ = writeln!(out, "    {};", var(p, v));
                     }
                     ControlLocal::Const(k) => {
                         let _ = writeln!(
                             out,
                             "    const {} {} = {};",
-                            k.ty.kind,
-                            k.name.name,
-                            expr(&k.value)
+                            ty(&k.ty),
+                            n(k.name.name),
+                            expr(p, k.value)
                         );
                     }
                     ControlLocal::Action(a) => {
-                        let _ =
-                            writeln!(out, "    action {}({}) {{", a.name.name, params(&a.params));
+                        let _ = writeln!(
+                            out,
+                            "    action {}({}) {{",
+                            n(a.name.name),
+                            params(p, &a.params)
+                        );
                         for s in &a.body.stmts {
-                            stmt(out, s, 2);
+                            stmt(p, out, s, 2);
                         }
                         out.push_str("    }\n");
                     }
@@ -150,25 +156,25 @@ fn print_decl(out: &mut String, d: &Decl) {
             if let Some(apply) = &c.apply {
                 out.push_str("    apply {\n");
                 for s in &apply.stmts {
-                    stmt(out, s, 2);
+                    stmt(p, out, s, 2);
                 }
                 out.push_str("    }\n");
             }
             out.push_str("}\n");
         }
         Decl::Extern(x) => {
-            anns(out, &x.annotations, "");
+            anns(p, out, &x.annotations, "");
             if x.methods.is_empty() {
-                let _ = writeln!(out, "extern {};", x.name.name);
+                let _ = writeln!(out, "extern {};", n(x.name.name));
             } else {
-                let _ = writeln!(out, "extern {} {{", x.name.name);
+                let _ = writeln!(out, "extern {} {{", n(x.name.name));
                 for m in &x.methods {
                     let _ = writeln!(
                         out,
                         "    {} {}({});",
-                        m.ret.kind,
-                        m.name.name,
-                        params(&m.params)
+                        ty(&m.ret),
+                        n(m.name.name),
+                        params(p, &m.params)
                     );
                 }
                 out.push_str("}\n");
@@ -177,39 +183,55 @@ fn print_decl(out: &mut String, d: &Decl) {
     }
 }
 
-fn fields(out: &mut String, fs: &[FieldDecl]) {
+fn fields(p: &Program, out: &mut String, fs: &[FieldDecl]) {
     for f in fs {
-        anns(out, &f.annotations, "    ");
-        let _ = writeln!(out, "    {} {};", f.ty.kind, f.name.name);
+        anns(p, out, &f.annotations, "    ");
+        let _ = writeln!(
+            out,
+            "    {} {};",
+            f.ty.kind.display(&p.syms),
+            p.name(f.name.name)
+        );
     }
 }
 
-fn tparams(tp: &[Ident]) -> String {
+fn tparams(p: &Program, tp: &[Ident]) -> String {
     if tp.is_empty() {
         String::new()
     } else {
-        let names: Vec<&str> = tp.iter().map(|t| t.name.as_str()).collect();
+        let names: Vec<&str> = tp.iter().map(|t| p.name(t.name)).collect();
         format!("<{}>", names.join(", "))
     }
 }
 
-fn params(ps: &[Param]) -> String {
+fn params(p: &Program, ps: &[Param]) -> String {
     ps.iter()
-        .map(|p| {
-            let dir = p.dir.map(|d| format!("{d} ")).unwrap_or_default();
-            format!("{dir}{} {}", p.ty.kind, p.name.name)
+        .map(|pa| {
+            let dir = pa.dir.map(|d| format!("{d} ")).unwrap_or_default();
+            let ty = pa.ty.kind.display(&p.syms);
+            format!("{dir}{ty} {}", p.name(pa.name.name))
         })
         .collect::<Vec<_>>()
         .join(", ")
 }
 
-fn transition(out: &mut String, t: &Transition) {
+/// `ty name` or `ty name = init`, without the `;`.
+fn var(p: &Program, v: &VarDecl) -> String {
+    let init = v
+        .init
+        .map(|e| format!(" = {}", expr(p, e)))
+        .unwrap_or_default();
+    let ty = v.ty.kind.display(&p.syms);
+    format!("{ty} {}{init}", p.name(v.name.name))
+}
+
+fn transition(p: &Program, out: &mut String, t: &Transition) {
     match t {
         Transition::Direct(target) => {
-            let _ = writeln!(out, "        transition {};", target.name);
+            let _ = writeln!(out, "        transition {};", p.name(target.name));
         }
         Transition::Select { exprs, cases, .. } => {
-            let es: Vec<String> = exprs.iter().map(expr).collect();
+            let es: Vec<String> = exprs.iter().map(|e| expr(p, *e)).collect();
             let _ = writeln!(out, "        transition select({}) {{", es.join(", "));
             for c in cases {
                 let ms: Vec<String> = c
@@ -217,32 +239,32 @@ fn transition(out: &mut String, t: &Transition) {
                     .iter()
                     .map(|m| match m {
                         SelectMatch::Default => "default".to_string(),
-                        SelectMatch::Expr(e) => expr(e),
+                        SelectMatch::Expr(e) => expr(p, *e),
                     })
                     .collect();
-                let _ = writeln!(out, "            {}: {};", ms.join(", "), c.target.name);
+                let _ = writeln!(
+                    out,
+                    "            {}: {};",
+                    ms.join(", "),
+                    p.name(c.target.name)
+                );
             }
             out.push_str("        }\n");
         }
     }
 }
 
-fn stmt(out: &mut String, s: &Stmt, depth: usize) {
+fn stmt(p: &Program, out: &mut String, s: &Stmt, depth: usize) {
     let ind = "    ".repeat(depth);
     match &s.kind {
         StmtKind::Expr(e) => {
-            let _ = writeln!(out, "{ind}{};", expr(e));
+            let _ = writeln!(out, "{ind}{};", expr(p, *e));
         }
         StmtKind::Assign { lhs, rhs } => {
-            let _ = writeln!(out, "{ind}{} = {};", expr(lhs), expr(rhs));
+            let _ = writeln!(out, "{ind}{} = {};", expr(p, *lhs), expr(p, *rhs));
         }
         StmtKind::Var(v) => {
-            let init = v
-                .init
-                .as_ref()
-                .map(|e| format!(" = {}", expr(e)))
-                .unwrap_or_default();
-            let _ = writeln!(out, "{ind}{} {}{};", v.ty.kind, v.name.name, init);
+            let _ = writeln!(out, "{ind}{};", var(p, v));
         }
         StmtKind::Return => {
             let _ = writeln!(out, "{ind}return;");
@@ -250,56 +272,41 @@ fn stmt(out: &mut String, s: &Stmt, depth: usize) {
         StmtKind::Block(b) => {
             let _ = writeln!(out, "{ind}{{");
             for inner in &b.stmts {
-                stmt(out, inner, depth + 1);
+                stmt(p, out, inner, depth + 1);
             }
             let _ = writeln!(out, "{ind}}}");
         }
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            let _ = writeln!(out, "{ind}if ({}) {{", expr(cond));
-            for inner in &then_blk.stmts {
-                stmt(out, inner, depth + 1);
-            }
-            match else_blk {
-                None => {
-                    let _ = writeln!(out, "{ind}}}");
-                }
-                Some(eb) => {
-                    // Re-sugar `else if` chains for readability.
-                    if eb.stmts.len() == 1 {
-                        if let StmtKind::If { .. } = &eb.stmts[0].kind {
-                            let mut nested = String::new();
-                            stmt(&mut nested, &eb.stmts[0], depth);
-                            let nested = nested.trim_start();
-                            let _ = writeln!(out, "{ind}}} else {nested}");
-                            return;
-                        }
-                    }
-                    let _ = writeln!(out, "{ind}}} else {{");
-                    for inner in &eb.stmts {
-                        stmt(out, inner, depth + 1);
-                    }
-                    let _ = writeln!(out, "{ind}}}");
+        StmtKind::If { arms, else_blk } => {
+            for (i, arm) in arms.iter().enumerate() {
+                // The chain re-sugars as `else if`.
+                let lead = if i == 0 { "" } else { "} else " };
+                let _ = writeln!(out, "{ind}{lead}if ({}) {{", expr(p, arm.cond));
+                for inner in &arm.then_blk.stmts {
+                    stmt(p, out, inner, depth + 1);
                 }
             }
+            if let Some(eb) = else_blk {
+                let _ = writeln!(out, "{ind}}} else {{");
+                for inner in &eb.stmts {
+                    stmt(p, out, inner, depth + 1);
+                }
+            }
+            let _ = writeln!(out, "{ind}}}");
         }
         StmtKind::Switch { scrutinee, cases } => {
-            let _ = writeln!(out, "{ind}switch ({}) {{", expr(scrutinee));
+            let _ = writeln!(out, "{ind}switch ({}) {{", expr(p, *scrutinee));
             for c in cases {
                 let labels: Vec<String> = c
                     .labels
                     .iter()
                     .map(|l| match l {
                         SwitchLabel::Default => "default".to_string(),
-                        SwitchLabel::Expr(e) => expr(e),
+                        SwitchLabel::Expr(e) => expr(p, *e),
                     })
                     .collect();
                 let _ = writeln!(out, "{ind}    {}: {{", labels.join(": "));
                 for inner in &c.block.stmts {
-                    stmt(out, inner, depth + 2);
+                    stmt(p, out, inner, depth + 2);
                 }
                 let _ = writeln!(out, "{ind}    }}");
             }
@@ -308,30 +315,33 @@ fn stmt(out: &mut String, s: &Stmt, depth: usize) {
     }
 }
 
-/// Print an expression (fully parenthesized binaries for unambiguous
-/// re-parsing).
-pub fn expr(e: &Expr) -> String {
-    match &e.kind {
+/// Print an expression of `p` (fully parenthesized binaries for
+/// unambiguous re-parsing).
+pub fn expr(p: &Program, e: ExprId) -> String {
+    let x = |e: ExprId| expr(p, e);
+    match &p.expr(e).kind {
         ExprKind::Int {
             value,
             width: Some(w),
         } => format!("{w}w{value}"),
         ExprKind::Int { value, width: None } => format!("{value}"),
         ExprKind::Bool(b) => format!("{b}"),
-        ExprKind::Ident(n) => n.clone(),
-        ExprKind::Member { base, member } => format!("{}.{}", expr(base), member.name),
+        ExprKind::Ident(n) => p.name(*n).to_string(),
+        ExprKind::Member { base, member } => format!("{}.{}", x(*base), p.name(member.name)),
         ExprKind::Slice { base, hi, lo } => {
-            format!("{}[{}:{}]", expr(base), expr(hi), expr(lo))
+            format!("{}[{}:{}]", x(*base), x(*hi), x(*lo))
         }
         ExprKind::Call { callee, args } => {
-            let a: Vec<String> = args.iter().map(expr).collect();
-            format!("{}({})", expr(callee), a.join(", "))
+            let a: Vec<String> = args.iter().map(|a| x(*a)).collect();
+            format!("{}({})", x(*callee), a.join(", "))
         }
-        ExprKind::Unary { op, expr: inner } => format!("{op}({})", expr(inner)),
+        ExprKind::Unary { op, expr: inner } => format!("{op}({})", x(*inner)),
         ExprKind::Binary { op, lhs, rhs } => {
-            format!("({} {op} {})", expr(lhs), expr(rhs))
+            format!("({} {op} {})", x(*lhs), x(*rhs))
         }
-        ExprKind::Cast { ty, expr: inner } => format!("({}) ({})", ty.kind, expr(inner)),
+        ExprKind::Cast { ty, expr: inner } => {
+            format!("({}) ({})", ty.kind.display(&p.syms), x(*inner))
+        }
     }
 }
 
@@ -356,64 +366,41 @@ mod tests {
             "printed source fails to re-check:\n{printed}\n{:?}",
             d2.iter().map(|x| x.message.clone()).collect::<Vec<_>>()
         );
-        // Nominal tables must match modulo source spans.
-        #[allow(clippy::type_complexity)]
-        let hdrs = |t: &crate::types::TypeTable| -> Vec<(
-            String,
-            u32,
-            Vec<(String, u32, u16, Option<String>, Option<u64>)>,
-        )> {
-            t.headers
-                .iter()
-                .map(|h| {
-                    (
-                        h.name.clone(),
-                        h.width_bits,
-                        h.fields
-                            .iter()
-                            .map(|f| {
-                                (
-                                    f.name.clone(),
-                                    f.offset_bits,
-                                    f.width_bits,
-                                    f.semantic.clone(),
-                                    f.cost,
-                                )
-                            })
-                            .collect(),
-                    )
-                })
-                .collect()
+        // Nominal tables must match modulo source spans and symbol
+        // numbering: compare them spelled out.
+        let tables = |c: &crate::typecheck::CheckedProgram| -> String {
+            let t = &c.types;
+            let n = |s: crate::ast::Sym| c.name(s);
+            let mut o = String::new();
+            for h in &t.headers {
+                o += &format!("header {} {}\n", n(h.name), h.width_bits);
+                for f in &h.fields {
+                    let sem = f.semantic.map(n);
+                    o += &format!(
+                        "  {} {} {} {sem:?} {:?}\n",
+                        n(f.name),
+                        f.offset_bits,
+                        f.width_bits,
+                        f.cost
+                    );
+                }
+            }
+            for st in &t.structs {
+                o += &format!("struct {}\n", n(st.name));
+                for f in &st.fields {
+                    o += &format!("  {} {}\n", n(f.name), c.display(f.ty));
+                }
+            }
+            for e in &t.enums {
+                let vs: Vec<&str> = e.variants.iter().map(|v| n(*v)).collect();
+                o += &format!("enum {} {} {vs:?}\n", n(e.name), e.repr_width);
+            }
+            for k in &t.consts {
+                o += &format!("const {} {}\n", n(k.name), k.value);
+            }
+            o
         };
-        assert_eq!(hdrs(&a.types), hdrs(&b.types), "headers diverge\n{printed}");
-        let structs =
-            |t: &crate::types::TypeTable| -> Vec<(String, Vec<(String, crate::types::Ty)>)> {
-                t.structs
-                    .iter()
-                    .map(|s| {
-                        (
-                            s.name.clone(),
-                            s.fields.iter().map(|f| (f.name.clone(), f.ty)).collect(),
-                        )
-                    })
-                    .collect()
-            };
-        assert_eq!(
-            structs(&a.types),
-            structs(&b.types),
-            "structs diverge\n{printed}"
-        );
-        let enums = |t: &crate::types::TypeTable| -> Vec<(String, u16, Vec<String>)> {
-            t.enums
-                .iter()
-                .map(|e| (e.name.clone(), e.repr_width, e.variants.clone()))
-                .collect()
-        };
-        assert_eq!(enums(&a.types), enums(&b.types));
-        let consts = |t: &crate::types::TypeTable| -> Vec<(String, u128)> {
-            t.consts.iter().map(|c| (c.name.clone(), c.value)).collect()
-        };
-        assert_eq!(consts(&a.types), consts(&b.types));
+        assert_eq!(tables(&a), tables(&b), "tables diverge\n{printed}");
         // Idempotence: printing the re-parsed program is a fixpoint.
         assert_eq!(printed, print_program(&b.program), "printer not idempotent");
     }
@@ -539,5 +526,24 @@ mod tests {
             printed.contains("(((c.a == 1) && (c.b != 2)) || !(c.d))"),
             "{printed}"
         );
+    }
+
+    #[test]
+    fn else_if_chains_print_as_else_if() {
+        let (p, _) = crate::parser::parse(
+            "control C(in ctx_t c) { apply { if (c.a == 1) { return; } \
+             else if (c.a == 2) { return; } else { return; } } }",
+        );
+        let want = "    apply {
+        if ((c.a == 1)) {
+            return;
+        } else if ((c.a == 2)) {
+            return;
+        } else {
+            return;
+        }
+    }
+";
+        assert!(print_program(&p).contains(want), "{}", print_program(&p));
     }
 }

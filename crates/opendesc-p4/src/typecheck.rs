@@ -12,12 +12,14 @@
 //! only — their bodies cannot be typed until instantiated, and OpenDesc
 //! contracts in practice use them as bodiless interface signatures
 //! (paper Figs. 3–4).
+//!
+//! Names are compared as symbols throughout; text is only looked at to
+//! render a diagnostic.
 
-use crate::ast::{self, Program};
+use crate::ast::{self, ExprId, Program, Sym};
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::span::Span;
 use crate::types::*;
-use std::collections::{HashMap, HashSet};
 
 /// A checked program: the original AST plus resolved type information.
 #[derive(Debug, Clone)]
@@ -29,7 +31,49 @@ pub struct CheckedProgram {
 impl CheckedProgram {
     /// Resolve the type of a parser/control parameter.
     pub fn param_ty(&self, param: &ast::Param) -> Option<Ty> {
-        resolve_syntactic_ty(&param.ty, &self.types)
+        self.ty_of(&param.ty)
+    }
+
+    /// Resolve a syntactic type.
+    pub fn ty_of(&self, ty: &ast::Type) -> Option<Ty> {
+        resolve_syntactic_ty(ty, &self.types)
+    }
+
+    /// The text of `sym`.
+    pub fn name(&self, sym: Sym) -> &str {
+        self.program.name(sym)
+    }
+
+    /// The symbol spelling `text`, if the contract has one.
+    pub fn sym(&self, text: &str) -> Option<Sym> {
+        self.program.sym(text)
+    }
+
+    /// The expression `id` addresses.
+    pub fn expr(&self, id: ExprId) -> &ast::Expr {
+        self.program.expr(id)
+    }
+
+    /// The type named `name`.
+    pub fn lookup(&self, name: &str) -> Option<Ty> {
+        self.types.lookup(self.sym(name)?)
+    }
+
+    /// The header named `name`.
+    pub fn header_id(&self, name: &str) -> Option<HeaderId> {
+        self.types.header_id(self.sym(name)?)
+    }
+
+    /// Render a type for diagnostics.
+    pub fn display(&self, ty: Ty) -> TyDisplay<'_> {
+        self.types.display(ty, &self.program.syms)
+    }
+
+    /// The value of a compile-time constant expression: named
+    /// constants, enum variants, literals and pure operators; `None`
+    /// when `e` is not one.
+    pub fn const_eval(&self, e: ExprId) -> Option<u128> {
+        const_eval(&self.program, &self.types, e)
     }
 }
 
@@ -38,33 +82,27 @@ pub fn check(program: Program) -> (CheckedProgram, Diagnostics) {
     // Every declaration names at most one type, header, struct or const:
     // size the tables once instead of growing them.
     let decls = program.decls.len();
+    let mut by_sym = vec![None; program.syms.len()];
+    // Builtin extern types resolve by name everywhere (params, lookups).
+    for sym in [Sym::CMPT_OUT, Sym::DESC_IN, Sym::PACKET_IN, Sym::PACKET_OUT] {
+        by_sym[sym.0 as usize] = ExternKind::builtin(sym).map(Ty::Extern);
+    }
     let mut cx = Checker {
+        program: &program,
         types: TypeTable {
             headers: Vec::with_capacity(program.headers().count()),
             structs: Vec::with_capacity(decls),
-            by_name: HashMap::with_capacity(decls + 4),
+            by_sym,
             ..TypeTable::default()
         },
         diags: Diagnostics::new(),
+        stamps: vec![0; program.syms.len()],
+        generation: 0,
     };
-    // Builtin extern types resolve by name everywhere (params, lookups).
-    for (name, kind) in [
-        ("cmpt_out", ExternKind::CmptOut),
-        ("desc_in", ExternKind::DescIn),
-        ("packet_in", ExternKind::PacketIn),
-        ("packet_out", ExternKind::PacketOut),
-    ] {
-        cx.types.by_name.insert(name.to_string(), Ty::Extern(kind));
-    }
-    cx.collect_types(&program);
-    cx.check_bodies(&program);
-    (
-        CheckedProgram {
-            program,
-            types: cx.types,
-        },
-        cx.diags,
-    )
+    cx.collect_types();
+    cx.check_bodies();
+    let Checker { types, diags, .. } = cx;
+    (CheckedProgram { program, types }, diags)
 }
 
 /// Convenience: parse then check in one call.
@@ -87,39 +125,45 @@ pub fn parse_and_check(src: &str) -> (CheckedProgram, Diagnostics) {
 }
 
 /// Resolve a syntactic type against a type table (typedefs already
-/// expanded into `by_name`).
+/// expanded into it).
 fn resolve_syntactic_ty(ty: &ast::Type, tt: &TypeTable) -> Option<Ty> {
     match &ty.kind {
         ast::TypeKind::Bit(w) => Some(Ty::Bit(*w)),
         ast::TypeKind::Bool => Some(Ty::Bool),
         ast::TypeKind::Void => Some(Ty::Void),
-        ast::TypeKind::Named(n) => tt.lookup(n),
+        ast::TypeKind::Named(n) => tt.lookup(*n),
     }
 }
 
-struct Checker {
+struct Checker<'p> {
+    program: &'p Program,
     types: TypeTable,
     diags: Diagnostics,
+    /// Duplicate-field detection without a set per field list:
+    /// `stamps[sym] == generation` once `sym` names a field of the list
+    /// being filled.
+    stamps: Vec<u32>,
+    generation: u32,
 }
 
-/// The value names in scope while a body is checked, innermost last,
-/// borrowed from the AST. A block, branch, case, state or action body
-/// pushes its locals and is truncated away on exit, so a name declared
-/// inside shadows an outer one for exactly as long as the block lasts.
+/// The value names in scope while a body is checked, innermost last. A
+/// block, branch, case, state or action body pushes its locals and is
+/// truncated away on exit, so a name declared inside shadows an outer
+/// one for exactly as long as the block lasts.
 #[derive(Default)]
-struct Env<'a> {
-    names: Vec<(&'a str, Ty)>,
+struct Env {
+    names: Vec<(Sym, Ty)>,
 }
 
-impl<'a> Env<'a> {
-    fn get(&self, name: &str) -> Option<Ty> {
+impl Env {
+    fn get(&self, name: Sym) -> Option<Ty> {
         self.names
             .iter()
             .rev()
             .find_map(|(n, ty)| (*n == name).then_some(*ty))
     }
 
-    fn insert(&mut self, name: &'a str, ty: Ty) {
+    fn insert(&mut self, name: Sym, ty: Ty) {
         self.names.push((name, ty));
     }
 
@@ -160,41 +204,62 @@ impl ETy {
     }
 }
 
-impl Checker {
-    fn builtin_extern(name: &str) -> Option<ExternKind> {
-        Some(match name {
-            "cmpt_out" => ExternKind::CmptOut,
-            "desc_in" => ExternKind::DescIn,
-            "packet_in" => ExternKind::PacketIn,
-            "packet_out" => ExternKind::PacketOut,
-            _ => return None,
-        })
+impl<'p> Checker<'p> {
+    fn name(&self, sym: Sym) -> &'p str {
+        self.program.name(sym)
+    }
+
+    fn expr(&self, id: ExprId) -> &'p ast::Expr {
+        self.program.expr(id)
+    }
+
+    fn ty_name(&self, ty: &ast::Type) -> ast::TypeKindDisplay<'p> {
+        ty.kind.display(&self.program.syms)
+    }
+
+    fn display(&self, ty: Ty) -> String {
+        self.types.display(ty, &self.program.syms).to_string()
+    }
+
+    /// Start a field list: no field of it has been seen yet.
+    fn fresh_fields(&mut self) {
+        self.generation += 1;
+    }
+
+    /// Whether an earlier field of the current list is also named `sym`.
+    fn seen_field(&mut self, sym: Sym) -> bool {
+        let stamp = &mut self.stamps[sym.0 as usize];
+        let seen = *stamp == self.generation;
+        *stamp = self.generation;
+        seen
     }
 
     // -------------------------------------------------------- declarations
 
     fn declare(&mut self, name: &ast::Ident, ty: Ty) {
-        if Self::builtin_extern(&name.name).is_some() {
+        if ExternKind::builtin(name.name).is_some() {
             self.diags.push(Diagnostic::error(
                 format!(
                     "`{}` is a builtin extern type and cannot be redeclared",
-                    name.name
+                    self.name(name.name)
                 ),
                 name.span,
             ));
             return;
         }
-        if self.types.by_name.contains_key(&name.name) {
+        let slot = &mut self.types.by_sym[name.name.0 as usize];
+        if slot.is_some() {
             self.diags.push(Diagnostic::error(
-                format!("duplicate type name `{}`", name.name),
+                format!("duplicate type name `{}`", self.name(name.name)),
                 name.span,
             ));
             return;
         }
-        self.types.by_name.insert(name.name.clone(), ty);
+        *slot = Some(ty);
     }
 
-    fn collect_types(&mut self, program: &Program) {
+    fn collect_types(&mut self) {
+        let program = self.program;
         // Two passes: nominal shells first so structs can reference headers
         // declared later, then field resolution.
         for decl in &program.decls {
@@ -202,7 +267,7 @@ impl Checker {
                 ast::Decl::Header(h) => {
                     let id = HeaderId(self.types.headers.len() as u32);
                     self.types.headers.push(HeaderInfo {
-                        name: h.name.name.clone(),
+                        name: h.name.name,
                         fields: Vec::new(),
                         width_bits: 0,
                         span: h.span,
@@ -212,7 +277,7 @@ impl Checker {
                 ast::Decl::Struct(s) => {
                     let id = StructId(self.types.structs.len() as u32);
                     self.types.structs.push(StructInfo {
-                        name: s.name.name.clone(),
+                        name: s.name.name,
                         fields: Vec::new(),
                         span: s.span,
                     });
@@ -238,7 +303,7 @@ impl Checker {
                         self.diags.push(Diagnostic::error(
                             format!(
                                 "enum `{}` has {} variants but bit<{}> holds only {}",
-                                e.name.name,
+                                self.name(e.name.name),
                                 nvars,
                                 repr_width,
                                 1u128 << repr_width
@@ -248,9 +313,9 @@ impl Checker {
                     }
                     let id = EnumId(self.types.enums.len() as u32);
                     self.types.enums.push(EnumInfo {
-                        name: e.name.name.clone(),
+                        name: e.name.name,
                         repr_width,
-                        variants: e.variants.iter().map(|v| v.name.clone()).collect(),
+                        variants: e.variants.iter().map(|v| v.name).collect(),
                         span: e.span,
                     });
                     self.declare(&e.name, Ty::Enum(id));
@@ -258,8 +323,8 @@ impl Checker {
                 ast::Decl::Extern(x) => {
                     let id = self.types.externs.len() as u32;
                     self.types.externs.push(ExternInfo {
-                        name: x.name.name.clone(),
-                        methods: x.methods.iter().map(|m| m.name.name.clone()).collect(),
+                        name: x.name.name,
+                        methods: x.methods.iter().map(|m| m.name.name).collect(),
                         span: x.span,
                     });
                     self.declare(&x.name, Ty::Extern(ExternKind::User(id)));
@@ -276,7 +341,8 @@ impl Checker {
                     None => self.diags.push(Diagnostic::error(
                         format!(
                             "typedef `{}` refers to unknown type `{}`",
-                            td.name.name, td.ty.kind
+                            self.name(td.name.name),
+                            self.ty_name(&td.ty)
                         ),
                         td.ty.span,
                     )),
@@ -304,16 +370,21 @@ impl Checker {
             self.diags.push(Diagnostic::error(
                 format!(
                     "constant `{}` has unknown type `{}`",
-                    c.name.name, c.ty.kind
+                    self.name(c.name.name),
+                    self.ty_name(&c.ty)
                 ),
                 c.ty.span,
             ));
             return;
         };
-        let Some(value) = self.const_eval(&c.value) else {
+        let vspan = self.expr(c.value).span;
+        let Some(value) = self.const_eval(c.value) else {
             self.diags.push(Diagnostic::error(
-                format!("constant `{}` must have a compile-time value", c.name.name),
-                c.value.span,
+                format!(
+                    "constant `{}` must have a compile-time value",
+                    self.name(c.name.name)
+                ),
+                vspan,
             ));
             return;
         };
@@ -321,19 +392,19 @@ impl Checker {
             if w < 128 && value >= (1u128 << w) {
                 self.diags.push(Diagnostic::error(
                     format!("value {value} does not fit in bit<{w}>"),
-                    c.value.span,
+                    vspan,
                 ));
             }
         }
-        if self.types.const_(&c.name.name).is_some() {
+        if self.types.const_(c.name.name).is_some() {
             self.diags.push(Diagnostic::error(
-                format!("duplicate constant `{}`", c.name.name),
+                format!("duplicate constant `{}`", self.name(c.name.name)),
                 c.name.span,
             ));
             return;
         }
         self.types.consts.push(ConstInfo {
-            name: c.name.name.clone(),
+            name: c.name.name,
             ty,
             value,
             span: c.span,
@@ -341,18 +412,19 @@ impl Checker {
     }
 
     fn fill_header(&mut self, h: &ast::HeaderDecl) {
-        let Some(Ty::Header(id)) = self.types.lookup(&h.name.name) else {
+        let Some(Ty::Header(id)) = self.types.lookup(h.name.name) else {
             return; // duplicate name already diagnosed
         };
         let mut fields = Vec::with_capacity(h.fields.len());
         let mut offset: u32 = 0;
-        let mut seen = HashSet::with_capacity(h.fields.len());
+        self.fresh_fields();
         for f in &h.fields {
-            if !seen.insert(f.name.name.as_str()) {
+            if self.seen_field(f.name.name) {
                 self.diags.push(Diagnostic::error(
                     format!(
                         "duplicate field `{}` in header `{}`",
-                        f.name.name, h.name.name
+                        self.name(f.name.name),
+                        self.name(h.name.name)
                     ),
                     f.name.span,
                 ));
@@ -366,8 +438,8 @@ impl Checker {
                         Diagnostic::error(
                             format!(
                                 "header field `{}` must have a value type, found {}",
-                                f.name.name,
-                                self.types.display(other)
+                                self.name(f.name.name),
+                                self.display(other)
                             ),
                             f.ty.span,
                         )
@@ -377,17 +449,17 @@ impl Checker {
                 }
                 None => {
                     self.diags.push(Diagnostic::error(
-                        format!("unknown type `{}`", f.ty.kind),
+                        format!("unknown type `{}`", self.ty_name(&f.ty)),
                         f.ty.span,
                     ));
                     0
                 }
             };
             fields.push(FieldInfo {
-                name: f.name.name.clone(),
+                name: f.name.name,
                 offset_bits: offset,
                 width_bits,
-                semantic: f.semantic().map(str::to_string),
+                semantic: f.semantic(),
                 cost: f.cost().map(|c| c as u64),
                 span: f.span,
             });
@@ -398,7 +470,7 @@ impl Checker {
                 Diagnostic::error(
                     format!(
                         "header `{}` is {offset} bits wide, which is not a whole number of bytes",
-                        h.name.name
+                        self.name(h.name.name)
                     ),
                     h.span,
                 )
@@ -411,17 +483,18 @@ impl Checker {
     }
 
     fn fill_struct(&mut self, s: &ast::StructDecl) {
-        let Some(Ty::Struct(id)) = self.types.lookup(&s.name.name) else {
+        let Some(Ty::Struct(id)) = self.types.lookup(s.name.name) else {
             return;
         };
         let mut fields = Vec::with_capacity(s.fields.len());
-        let mut seen = HashSet::with_capacity(s.fields.len());
+        self.fresh_fields();
         for f in &s.fields {
-            if !seen.insert(f.name.name.as_str()) {
+            if self.seen_field(f.name.name) {
                 self.diags.push(Diagnostic::error(
                     format!(
                         "duplicate field `{}` in struct `{}`",
-                        f.name.name, s.name.name
+                        self.name(f.name.name),
+                        self.name(s.name.name)
                     ),
                     f.name.span,
                 ));
@@ -430,14 +503,14 @@ impl Checker {
                 Some(t) => t,
                 None => {
                     self.diags.push(Diagnostic::error(
-                        format!("unknown type `{}`", f.ty.kind),
+                        format!("unknown type `{}`", self.ty_name(&f.ty)),
                         f.ty.span,
                     ));
                     continue;
                 }
             };
             fields.push(StructFieldInfo {
-                name: f.name.name.clone(),
+                name: f.name.name,
                 ty,
                 span: f.span,
             });
@@ -447,8 +520,8 @@ impl Checker {
 
     // --------------------------------------------------------------- bodies
 
-    fn check_bodies(&mut self, program: &Program) {
-        for decl in &program.decls {
+    fn check_bodies(&mut self) {
+        for decl in &self.program.decls {
             match decl {
                 ast::Decl::Parser(p) => self.check_parser(p),
                 ast::Decl::Control(c) => self.check_control(c),
@@ -463,7 +536,7 @@ impl Checker {
                 self.diags.push(Diagnostic::warning(
                     format!(
                         "generic parser `{}` body is not checked (templates are signatures)",
-                        p.name.name
+                        self.name(p.name.name)
                     ),
                     p.name.span,
                 ));
@@ -474,13 +547,13 @@ impl Checker {
             return;
         };
         let Some(states) = &p.states else { return };
-        // State name table, for transition targets.
-        let mut state_names: Vec<&str> = states.iter().map(|s| s.name.name.as_str()).collect();
-        state_names.push("accept");
-        state_names.push("reject");
-        if !states.iter().any(|s| s.name.name == "start") {
+        // Transition targets: a state of this parser, `accept` or `reject`.
+        let is_state = |t: Sym| {
+            t == Sym::ACCEPT || t == Sym::REJECT || states.iter().any(|s| s.name.name == t)
+        };
+        if !states.iter().any(|s| s.name.name == Sym::START) {
             self.diags.push(Diagnostic::error(
-                format!("parser `{}` has no `start` state", p.name.name),
+                format!("parser `{}` has no `start` state", self.name(p.name.name)),
                 p.name.span,
             ));
         }
@@ -491,35 +564,38 @@ impl Checker {
             }
             match &st.transition {
                 None => self.diags.push(Diagnostic::error(
-                    format!("state `{}` has no transition", st.name.name),
+                    format!("state `{}` has no transition", self.name(st.name.name)),
                     st.span,
                 )),
                 Some(ast::Transition::Direct(target)) => {
-                    if !state_names.contains(&target.name.as_str()) {
+                    if !is_state(target.name) {
                         self.diags.push(Diagnostic::error(
-                            format!("transition to unknown state `{}`", target.name),
+                            format!("transition to unknown state `{}`", self.name(target.name)),
                             target.span,
                         ));
                     }
                 }
                 Some(ast::Transition::Select { exprs, cases, .. }) => {
                     for e in exprs {
-                        self.type_expr(e, &env);
+                        self.type_expr(*e, &env);
                     }
                     for case in cases {
                         for m in &case.matches {
                             if let ast::SelectMatch::Expr(e) = m {
-                                if self.const_eval(e).is_none() {
+                                if self.const_eval(*e).is_none() {
                                     self.diags.push(Diagnostic::error(
                                         "select match must be a compile-time constant",
-                                        e.span,
+                                        self.expr(*e).span,
                                     ));
                                 }
                             }
                         }
-                        if !state_names.contains(&case.target.name.as_str()) {
+                        if !is_state(case.target.name) {
                             self.diags.push(Diagnostic::error(
-                                format!("transition to unknown state `{}`", case.target.name),
+                                format!(
+                                    "transition to unknown state `{}`",
+                                    self.name(case.target.name)
+                                ),
                                 case.target.span,
                             ));
                         }
@@ -536,7 +612,7 @@ impl Checker {
                 self.diags.push(Diagnostic::warning(
                     format!(
                         "generic control `{}` body is not checked (templates are signatures)",
-                        c.name.name
+                        self.name(c.name.name)
                     ),
                     c.name.span,
                 ));
@@ -556,9 +632,9 @@ impl Checker {
                     let scope = env.enter();
                     for p in &a.params {
                         match resolve_syntactic_ty(&p.ty, &self.types) {
-                            Some(t) => env.insert(&p.name.name, t),
+                            Some(t) => env.insert(p.name.name, t),
                             None => self.diags.push(Diagnostic::error(
-                                format!("unknown type `{}`", p.ty.kind),
+                                format!("unknown type `{}`", self.ty_name(&p.ty)),
                                 p.ty.span,
                             )),
                         }
@@ -569,7 +645,7 @@ impl Checker {
                     env.leave(scope);
                     // Actions are callable by name: record as a no-type env
                     // entry checked specially in calls.
-                    env.insert(&a.name.name, Ty::Void);
+                    env.insert(a.name.name, Ty::Void);
                 }
             }
         }
@@ -580,17 +656,13 @@ impl Checker {
         }
     }
 
-    fn param_env<'a>(
-        &mut self,
-        params: &'a [ast::Param],
-        type_params: &[ast::Ident],
-    ) -> Option<Env<'a>> {
+    fn param_env(&mut self, params: &[ast::Param], type_params: &[ast::Ident]) -> Option<Env> {
         let mut env = Env::default();
         let mut ok = true;
         for p in params {
             let ty = match &p.ty.kind {
-                ast::TypeKind::Named(n) if Self::builtin_extern(n).is_some() => {
-                    Ty::Extern(Self::builtin_extern(n).unwrap())
+                ast::TypeKind::Named(n) if ExternKind::builtin(*n).is_some() => {
+                    Ty::Extern(ExternKind::builtin(*n).unwrap())
                 }
                 ast::TypeKind::Named(n) if type_params.iter().any(|t| t.name == *n) => {
                     // Template parameter: body will not be checked anyway.
@@ -600,7 +672,7 @@ impl Checker {
                     Some(t) => t,
                     None => {
                         self.diags.push(Diagnostic::error(
-                            format!("unknown type `{}`", p.ty.kind),
+                            format!("unknown type `{}`", self.ty_name(&p.ty)),
                             p.ty.span,
                         ));
                         ok = false;
@@ -608,54 +680,54 @@ impl Checker {
                     }
                 },
             };
-            env.insert(&p.name.name, ty);
+            env.insert(p.name.name, ty);
         }
         ok.then_some(env)
     }
 
-    fn check_var<'a>(&mut self, v: &'a ast::VarDecl, env: &mut Env<'a>) {
+    fn check_var(&mut self, v: &ast::VarDecl, env: &mut Env) {
         let ty = match resolve_syntactic_ty(&v.ty, &self.types) {
             Some(t) => t,
             None => {
                 self.diags.push(Diagnostic::error(
-                    format!("unknown type `{}`", v.ty.kind),
+                    format!("unknown type `{}`", self.ty_name(&v.ty)),
                     v.ty.span,
                 ));
                 return;
             }
         };
-        if let Some(init) = &v.init {
+        if let Some(init) = v.init {
             let ity = self.type_expr(init, env);
-            self.require_assignable(ity, ty, init.span);
+            self.require_assignable(ity, ty, self.expr(init).span);
         }
-        env.insert(&v.name.name, ty);
+        env.insert(v.name.name, ty);
     }
 
-    fn check_stmt<'a>(&mut self, stmt: &'a ast::Stmt, env: &mut Env<'a>) {
+    fn check_stmt(&mut self, stmt: &ast::Stmt, env: &mut Env) {
         match &stmt.kind {
-            ast::StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                let cty = self.type_expr(cond, env);
-                if !cty.is_bool() {
-                    // P4 habit: `if (x == 1)` is fine, `if (x)` over bits is
-                    // not. Match that strictness.
-                    self.diags
-                        .push(Diagnostic::error("if condition must be boolean", cond.span));
+            ast::StmtKind::If { arms, else_blk } => {
+                for arm in arms {
+                    let cty = self.type_expr(arm.cond, env);
+                    if !cty.is_bool() {
+                        // P4 habit: `if (x == 1)` is fine, `if (x)` over bits
+                        // is not. Match that strictness.
+                        self.diags.push(Diagnostic::error(
+                            "if condition must be boolean",
+                            self.expr(arm.cond).span,
+                        ));
+                    }
+                    self.check_block(&arm.then_blk, env);
                 }
-                self.check_block(then_blk, env);
                 if let Some(eb) = else_blk {
                     self.check_block(eb, env);
                 }
             }
             ast::StmtKind::Switch { scrutinee, cases } => {
-                let sty = self.type_expr(scrutinee, env);
+                let sty = self.type_expr(*scrutinee, env);
                 if !sty.is_bits(&self.types) {
                     self.diags.push(Diagnostic::error(
                         "switch scrutinee must be a bit value",
-                        scrutinee.span,
+                        self.expr(*scrutinee).span,
                     ));
                 }
                 let mut default_seen = false;
@@ -672,10 +744,10 @@ impl Checker {
                                 default_seen = true;
                             }
                             ast::SwitchLabel::Expr(e) => {
-                                if self.const_eval(e).is_none() {
+                                if self.const_eval(*e).is_none() {
                                     self.diags.push(Diagnostic::error(
                                         "switch label must be a compile-time constant",
-                                        e.span,
+                                        self.expr(*e).span,
                                     ));
                                 }
                             }
@@ -686,23 +758,23 @@ impl Checker {
             }
             ast::StmtKind::Expr(e) => {
                 // Must be a call to be meaningful as a statement.
-                match &e.kind {
+                match &self.expr(*e).kind {
                     ast::ExprKind::Call { .. } => {
-                        self.type_expr(e, env);
+                        self.type_expr(*e, env);
                     }
                     _ => {
                         self.diags.push(Diagnostic::error(
                             "expression statement has no effect",
-                            e.span,
+                            self.expr(*e).span,
                         ));
                     }
                 }
             }
             ast::StmtKind::Assign { lhs, rhs } => {
-                let lty = self.type_expr(lhs, env);
-                let rty = self.type_expr(rhs, env);
+                let lty = self.type_expr(*lhs, env);
+                let rty = self.type_expr(*rhs, env);
                 if let (ETy::Val(l), r) = (lty, rty) {
-                    self.require_assignable(r, l, rhs.span);
+                    self.require_assignable(r, l, self.expr(*rhs).span);
                 }
             }
             ast::StmtKind::Var(v) => self.check_var(v, env),
@@ -712,7 +784,7 @@ impl Checker {
     }
 
     /// Check a block in a scope of its own.
-    fn check_block<'a>(&mut self, b: &'a ast::Block, env: &mut Env<'a>) {
+    fn check_block(&mut self, b: &ast::Block, env: &mut Env) {
         let scope = env.enter();
         for s in &b.stmts {
             self.check_stmt(s, env);
@@ -729,11 +801,11 @@ impl Checker {
             (f, t) => {
                 let fs = match f {
                     ETy::UnsizedInt => "integer".to_string(),
-                    ETy::Val(v) => format!("{}", self.types.display(v)),
+                    ETy::Val(v) => self.display(v),
                     ETy::Err => unreachable!(),
                 };
                 self.diags.push(Diagnostic::error(
-                    format!("cannot assign {} to {}", fs, self.types.display(t)),
+                    format!("cannot assign {} to {}", fs, self.display(t)),
                     span,
                 ));
             }
@@ -742,7 +814,8 @@ impl Checker {
 
     // ----------------------------------------------------------- expressions
 
-    fn type_expr(&mut self, e: &ast::Expr, env: &Env<'_>) -> ETy {
+    fn type_expr(&mut self, id: ExprId, env: &Env) -> ETy {
+        let e = self.expr(id);
         match &e.kind {
             ast::ExprKind::Int { width, .. } => match width {
                 Some(w) => ETy::Val(Ty::Bit(*w)),
@@ -750,63 +823,68 @@ impl Checker {
             },
             ast::ExprKind::Bool(_) => ETy::Val(Ty::Bool),
             ast::ExprKind::Ident(n) => {
-                if let Some(t) = env.get(n) {
+                if let Some(t) = env.get(*n) {
                     return ETy::Val(t);
                 }
-                if let Some(c) = self.types.const_(n) {
+                if let Some(c) = self.types.const_(*n) {
                     return ETy::Val(c.ty);
                 }
                 // Enum type name used as scope (`fmt_t.FULL`) handled in
                 // Member; bare enum type name is an error here.
-                self.diags
-                    .push(Diagnostic::error(format!("unknown name `{n}`"), e.span));
+                self.diags.push(Diagnostic::error(
+                    format!("unknown name `{}`", self.name(*n)),
+                    e.span,
+                ));
                 ETy::Err
             }
             ast::ExprKind::Member { base, member } => {
+                let base_expr = self.expr(*base);
                 // Enum variant access: `EnumName.VARIANT`.
-                if let ast::ExprKind::Ident(n) = &base.kind {
-                    if let Some(Ty::Enum(id)) = self.types.lookup(n) {
+                if let ast::ExprKind::Ident(n) = &base_expr.kind {
+                    if let Some(Ty::Enum(id)) = self.types.lookup(*n) {
                         let info = self.types.enum_(id);
-                        if info.variant_value(&member.name).is_some() {
+                        if info.variant_value(member.name).is_some() {
                             return ETy::Val(Ty::Enum(id));
                         }
                         self.diags.push(Diagnostic::error(
-                            format!("enum `{}` has no variant `{}`", n, member.name),
+                            format!(
+                                "enum `{}` has no variant `{}`",
+                                self.name(*n),
+                                self.name(member.name)
+                            ),
                             member.span,
                         ));
                         return ETy::Err;
                     }
                 }
-                let bty = self.type_expr(base, env);
+                let bty = self.type_expr(*base, env);
                 match bty {
                     ETy::Val(Ty::Struct(id)) => {
                         let info = self.types.struct_(id);
-                        match info.field(&member.name) {
+                        match info.field(member.name) {
                             Some(f) => ETy::Val(f.ty),
                             None => {
-                                self.diags.push(Diagnostic::error(
-                                    format!(
-                                        "struct `{}` has no field `{}`",
-                                        info.name, member.name
-                                    ),
-                                    member.span,
-                                ));
+                                let msg = format!(
+                                    "struct `{}` has no field `{}`",
+                                    self.name(info.name),
+                                    self.name(member.name)
+                                );
+                                self.diags.push(Diagnostic::error(msg, member.span));
                                 ETy::Err
                             }
                         }
                     }
                     ETy::Val(Ty::Header(id)) => {
                         let info = self.types.header(id);
-                        match info.field(&member.name) {
+                        match info.field(member.name) {
                             Some(f) => ETy::Val(Ty::Bit(f.width_bits)),
                             None => {
-                                self.diags.push(Diagnostic::error(
-                                    format!(
-                                        "header `{}` has no field `{}`",
-                                        info.name, member.name
-                                    ),
-                                    member.span,
-                                ));
+                                let msg = format!(
+                                    "header `{}` has no field `{}`",
+                                    self.name(info.name),
+                                    self.name(member.name)
+                                );
+                                self.diags.push(Diagnostic::error(msg, member.span));
                                 ETy::Err
                             }
                         }
@@ -814,30 +892,30 @@ impl Checker {
                     ETy::Err => ETy::Err,
                     _ => {
                         self.diags.push(Diagnostic::error(
-                            format!("`{}` is not a struct or header", member.name),
-                            base.span,
+                            format!("`{}` is not a struct or header", self.name(member.name)),
+                            base_expr.span,
                         ));
                         ETy::Err
                     }
                 }
             }
             ast::ExprKind::Slice { base, hi, lo } => {
-                let bty = self.type_expr(base, env);
+                let bty = self.type_expr(*base, env);
                 let bw = match bty {
                     ETy::Val(Ty::Bit(w)) => Some(w),
                     ETy::Err => None,
                     _ => {
                         self.diags.push(Diagnostic::error(
                             "slice base must be a bit value",
-                            base.span,
+                            self.expr(*base).span,
                         ));
                         None
                     }
                 };
-                let (Some(h), Some(l)) = (self.const_eval(hi), self.const_eval(lo)) else {
+                let (Some(h), Some(l)) = (self.const_eval(*hi), self.const_eval(*lo)) else {
                     self.diags.push(Diagnostic::error(
                         "slice bounds must be compile-time constants",
-                        hi.span.to(lo.span),
+                        self.expr(*hi).span.to(self.expr(*lo).span),
                     ));
                     return ETy::Err;
                 };
@@ -859,15 +937,15 @@ impl Checker {
                 }
                 ETy::Val(Ty::Bit((h - l + 1) as u16))
             }
-            ast::ExprKind::Call { callee, args } => self.type_call(e, callee, args, env),
+            ast::ExprKind::Call { callee, args } => self.type_call(e, *callee, args, env),
             ast::ExprKind::Unary { op, expr } => {
-                let t = self.type_expr(expr, env);
+                let t = self.type_expr(*expr, env);
                 match op {
                     ast::UnOp::Not => {
                         if !t.is_bool() {
                             self.diags.push(Diagnostic::error(
                                 "`!` requires a boolean operand",
-                                expr.span,
+                                self.expr(*expr).span,
                             ));
                             return ETy::Err;
                         }
@@ -877,7 +955,7 @@ impl Checker {
                         if !t.is_bits(&self.types) {
                             self.diags.push(Diagnostic::error(
                                 format!("`{op}` requires a bit operand"),
-                                expr.span,
+                                self.expr(*expr).span,
                             ));
                             return ETy::Err;
                         }
@@ -886,8 +964,8 @@ impl Checker {
                 }
             }
             ast::ExprKind::Binary { op, lhs, rhs } => {
-                let lt = self.type_expr(lhs, env);
-                let rt = self.type_expr(rhs, env);
+                let lt = self.type_expr(*lhs, env);
+                let rt = self.type_expr(*rhs, env);
                 use ast::BinOp::*;
                 match op {
                     And | Or => {
@@ -930,7 +1008,7 @@ impl Checker {
                 }
             }
             ast::ExprKind::Cast { ty, expr } => {
-                self.type_expr(expr, env);
+                self.type_expr(*expr, env);
                 match resolve_syntactic_ty(ty, &self.types) {
                     Some(t @ (Ty::Bit(_) | Ty::Bool)) => ETy::Val(t),
                     _ => {
@@ -967,16 +1045,12 @@ impl Checker {
             _ => false,
         };
         if !ok {
-            let da = match a {
-                ETy::UnsizedInt => "integer".into(),
-                ETy::Val(v) => format!("{}", self.types.display(v)),
+            let shown = |t: ETy| match t {
+                ETy::UnsizedInt => "integer".to_string(),
+                ETy::Val(v) => self.display(v),
                 ETy::Err => unreachable!(),
             };
-            let db = match b {
-                ETy::UnsizedInt => "integer".into(),
-                ETy::Val(v) => format!("{}", self.types.display(v)),
-                ETy::Err => unreachable!(),
-            };
+            let (da, db) = (shown(a), shown(b));
             self.diags.push(Diagnostic::error(
                 format!("incompatible operand types {da} and {db}"),
                 span,
@@ -984,19 +1058,14 @@ impl Checker {
         }
     }
 
-    fn type_call(
-        &mut self,
-        whole: &ast::Expr,
-        callee: &ast::Expr,
-        args: &[ast::Expr],
-        env: &Env<'_>,
-    ) -> ETy {
+    fn type_call(&mut self, whole: &ast::Expr, callee: ExprId, args: &[ExprId], env: &Env) -> ETy {
+        let callee_expr = self.expr(callee);
         // Method-style call: `recv.emit(x)`, `d.extract(h)`, user externs,
         // `hdr.isValid()`, or a bare action call `name()`.
-        if let ast::ExprKind::Member { base, member } = &callee.kind {
-            let bty = self.type_expr(base, env);
-            match (&bty, member.name.as_str()) {
-                (ETy::Val(Ty::Extern(ExternKind::CmptOut | ExternKind::PacketOut)), "emit") => {
+        if let ast::ExprKind::Member { base, member } = &callee_expr.kind {
+            let bty = self.type_expr(*base, env);
+            match (&bty, member.name) {
+                (ETy::Val(Ty::Extern(ExternKind::CmptOut | ExternKind::PacketOut)), Sym::EMIT) => {
                     if args.len() != 1 {
                         self.diags.push(Diagnostic::error(
                             format!("`emit` takes exactly one argument, got {}", args.len()),
@@ -1004,7 +1073,7 @@ impl Checker {
                         ));
                         return ETy::Err;
                     }
-                    let aty = self.type_expr(&args[0], env);
+                    let aty = self.type_expr(args[0], env);
                     match aty {
                         ETy::Val(Ty::Header(_)) | ETy::Val(Ty::Bit(_)) => ETy::Val(Ty::Void),
                         ETy::Err => ETy::Err,
@@ -1012,7 +1081,7 @@ impl Checker {
                             self.diags.push(
                                 Diagnostic::error(
                                     "`emit` argument must be a header or a header field",
-                                    args[0].span,
+                                    self.expr(args[0]).span,
                                 )
                                 .with_note(
                                     "the completion stream is a byte layout; structs have no \
@@ -1023,7 +1092,7 @@ impl Checker {
                         }
                     }
                 }
-                (ETy::Val(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn)), "extract") => {
+                (ETy::Val(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn)), Sym::EXTRACT) => {
                     if args.len() != 1 {
                         self.diags.push(Diagnostic::error(
                             format!("`extract` takes exactly one argument, got {}", args.len()),
@@ -1031,20 +1100,20 @@ impl Checker {
                         ));
                         return ETy::Err;
                     }
-                    let aty = self.type_expr(&args[0], env);
+                    let aty = self.type_expr(args[0], env);
                     match aty {
                         ETy::Val(Ty::Header(_)) => ETy::Val(Ty::Void),
                         ETy::Err => ETy::Err,
                         _ => {
                             self.diags.push(Diagnostic::error(
                                 "`extract` argument must be a header",
-                                args[0].span,
+                                self.expr(args[0]).span,
                             ));
                             ETy::Err
                         }
                     }
                 }
-                (ETy::Val(Ty::Header(_)), "isValid") => {
+                (ETy::Val(Ty::Header(_)), Sym::IS_VALID) => {
                     if !args.is_empty() {
                         self.diags.push(Diagnostic::error(
                             "`isValid` takes no arguments",
@@ -1053,7 +1122,7 @@ impl Checker {
                     }
                     ETy::Val(Ty::Bool)
                 }
-                (ETy::Val(Ty::Header(_)), "setValid" | "setInvalid") => {
+                (ETy::Val(Ty::Header(_)), Sym::SET_VALID | Sym::SET_INVALID) => {
                     if !args.is_empty() {
                         self.diags.push(Diagnostic::error(
                             "validity setters take no arguments",
@@ -1064,15 +1133,17 @@ impl Checker {
                 }
                 (ETy::Val(Ty::Extern(ExternKind::User(id))), m) => {
                     let info = &self.types.externs[*id as usize];
-                    if !info.methods.iter().any(|name| name == m) {
-                        self.diags.push(Diagnostic::error(
-                            format!("extern `{}` has no method `{}`", info.name, m),
-                            member.span,
-                        ));
+                    if !info.methods.contains(&m) {
+                        let msg = format!(
+                            "extern `{}` has no method `{}`",
+                            self.name(info.name),
+                            self.name(m)
+                        );
+                        self.diags.push(Diagnostic::error(msg, member.span));
                         return ETy::Err;
                     }
                     for a in args {
-                        self.type_expr(a, env);
+                        self.type_expr(*a, env);
                     }
                     // Extern method results are opaque; contracts only use
                     // void-ish externs in statement position.
@@ -1081,28 +1152,30 @@ impl Checker {
                 (ETy::Err, _) => ETy::Err,
                 (_, m) => {
                     self.diags.push(Diagnostic::error(
-                        format!("unknown method `{m}`"),
+                        format!("unknown method `{}`", self.name(m)),
                         member.span,
                     ));
                     ETy::Err
                 }
             }
-        } else if let ast::ExprKind::Ident(n) = &callee.kind {
+        } else if let ast::ExprKind::Ident(n) = &callee_expr.kind {
             // Bare action call.
-            if env.get(n) == Some(Ty::Void) {
+            if env.get(*n) == Some(Ty::Void) {
                 for a in args {
-                    self.type_expr(a, env);
+                    self.type_expr(*a, env);
                 }
                 return ETy::Val(Ty::Void);
             }
             self.diags.push(Diagnostic::error(
-                format!("unknown function `{n}`"),
-                callee.span,
+                format!("unknown function `{}`", self.name(*n)),
+                callee_expr.span,
             ));
             ETy::Err
         } else {
-            self.diags
-                .push(Diagnostic::error("expression is not callable", callee.span));
+            self.diags.push(Diagnostic::error(
+                "expression is not callable",
+                callee_expr.span,
+            ));
             ETy::Err
         }
     }
@@ -1111,29 +1184,29 @@ impl Checker {
 
     /// Evaluate a compile-time constant expression. Returns `None` when the
     /// expression is not constant; callers emit the diagnostic.
-    fn const_eval(&self, e: &ast::Expr) -> Option<u128> {
-        const_eval(e, &self.types)
+    fn const_eval(&self, e: ExprId) -> Option<u128> {
+        const_eval(self.program, &self.types, e)
     }
 }
 
-/// Evaluate a compile-time constant expression against a type table
-/// (named constants, enum variants, literals, and pure operators).
-/// Returns `None` when the expression is not a compile-time constant.
-pub fn const_eval(e: &ast::Expr, types: &TypeTable) -> Option<u128> {
-    match &e.kind {
+/// Evaluate a compile-time constant expression of `program` against its
+/// type table (see [`CheckedProgram::const_eval`]).
+fn const_eval(program: &Program, types: &TypeTable, e: ExprId) -> Option<u128> {
+    let eval = |e: ExprId| const_eval(program, types, e);
+    match &program.expr(e).kind {
         ast::ExprKind::Int { value, .. } => Some(*value),
         ast::ExprKind::Bool(b) => Some(*b as u128),
-        ast::ExprKind::Ident(n) => types.const_(n).map(|c| c.value),
+        ast::ExprKind::Ident(n) => types.const_(*n).map(|c| c.value),
         ast::ExprKind::Member { base, member } => {
-            if let ast::ExprKind::Ident(n) = &base.kind {
-                if let Some(Ty::Enum(id)) = types.lookup(n) {
-                    return types.enum_(id).variant_value(&member.name);
+            if let ast::ExprKind::Ident(n) = &program.expr(*base).kind {
+                if let Some(Ty::Enum(id)) = types.lookup(*n) {
+                    return types.enum_(id).variant_value(member.name);
                 }
             }
             None
         }
         ast::ExprKind::Unary { op, expr } => {
-            let v = const_eval(expr, types)?;
+            let v = eval(*expr)?;
             Some(match op {
                 ast::UnOp::Not => (v == 0) as u128,
                 ast::UnOp::BitNot => !v,
@@ -1141,8 +1214,8 @@ pub fn const_eval(e: &ast::Expr, types: &TypeTable) -> Option<u128> {
             })
         }
         ast::ExprKind::Binary { op, lhs, rhs } => {
-            let a = const_eval(lhs, types)?;
-            let b = const_eval(rhs, types)?;
+            let a = eval(*lhs)?;
+            let b = eval(*rhs)?;
             use ast::BinOp::*;
             Some(match op {
                 Add => a.wrapping_add(b),
@@ -1167,7 +1240,7 @@ pub fn const_eval(e: &ast::Expr, types: &TypeTable) -> Option<u128> {
             })
         }
         ast::ExprKind::Cast { ty, expr } => {
-            let v = const_eval(expr, types)?;
+            let v = eval(*expr)?;
             match &ty.kind {
                 ast::TypeKind::Bit(w) if *w < 128 => Some(v & ((1u128 << w) - 1)),
                 ast::TypeKind::Bit(_) => Some(v),
@@ -1222,17 +1295,15 @@ mod tests {
             }
             "#,
         );
-        let id = p.types.header_id("cmpt_t").unwrap();
+        let id = p.header_id("cmpt_t").unwrap();
         let h = p.types.header(id);
         assert_eq!(h.width_bits, 64);
         assert_eq!(h.width_bytes(), 8);
-        assert_eq!(h.field("rss").unwrap().offset_bits, 0);
-        assert_eq!(h.field("vlan").unwrap().offset_bits, 32);
-        assert_eq!(h.field("flags").unwrap().offset_bits, 48);
-        assert_eq!(
-            h.field("rss").unwrap().semantic.as_deref(),
-            Some("rss_hash")
-        );
+        let field = |n: &str| h.field(p.sym(n).unwrap()).unwrap();
+        assert_eq!(field("rss").offset_bits, 0);
+        assert_eq!(field("vlan").offset_bits, 32);
+        assert_eq!(field("flags").offset_bits, 48);
+        assert_eq!(field("rss").semantic.map(|s| p.name(s)), Some("rss_hash"));
     }
 
     #[test]
@@ -1260,14 +1331,14 @@ mod tests {
             header h_t { tci2_t v; }
             "#,
         );
-        let id = p.types.header_id("h_t").unwrap();
+        let id = p.header_id("h_t").unwrap();
         assert_eq!(p.types.header(id).width_bits, 16);
     }
 
     #[test]
     fn const_values_evaluated_and_range_checked() {
         let p = check_ok("const bit<16> V = 16w0x8100;");
-        assert_eq!(p.types.const_("V").unwrap().value, 0x8100);
+        assert_eq!(p.types.const_(p.sym("V").unwrap()).unwrap().value, 0x8100);
         check_err("const bit<8> V = 256;", "does not fit");
     }
 
@@ -1293,10 +1364,11 @@ mod tests {
     fn enum_fits_check() {
         check_err("enum bit<1> e_t { A, B, C }", "holds only");
         let p = check_ok("enum bit<2> e_t { A, B, C }");
-        let Ty::Enum(id) = p.types.lookup("e_t").unwrap() else {
+        let Ty::Enum(id) = p.lookup("e_t").unwrap() else {
             panic!()
         };
-        assert_eq!(p.types.enum_(id).variant_value("C"), Some(2));
+        let c = p.sym("C").unwrap();
+        assert_eq!(p.types.enum_(id).variant_value(c), Some(2));
     }
 
     #[test]
@@ -1587,8 +1659,9 @@ mod tests {
             }
             "#,
         );
-        let id = p.types.header_id("intent_t").unwrap();
-        assert_eq!(p.types.header(id).field("rss").unwrap().cost, Some(45));
+        let id = p.header_id("intent_t").unwrap();
+        let rss = p.sym("rss").unwrap();
+        assert_eq!(p.types.header(id).field(rss).unwrap().cost, Some(45));
     }
 
     #[test]

@@ -31,13 +31,13 @@ use std::collections::HashMap;
 /// programmed context.
 pub fn completion(nic: &SimNic, record: &MetaRecord) -> Result<Vec<u8>, InterpError> {
     let model = &nic.model;
-    let types = &nic.checked.types;
+    let checked = &nic.checked;
     let mut args = HashMap::new();
-    if let Some(Ty::Struct(sid)) = types.lookup(&model.ctx_type) {
+    if let Some(Ty::Struct(sid)) = checked.lookup(&model.ctx_type) {
         let ctx = context_value(nic, sid, &model.ctx_param, nic.context());
         args.insert(model.ctx_param.clone(), ctx);
     }
-    if let Some(Ty::Struct(sid)) = types.lookup(&model.meta_type) {
+    if let Some(Ty::Struct(sid)) = checked.lookup(&model.meta_type) {
         args.insert(model.meta_param.clone(), meta_value(nic, sid, record));
     }
     run_deparser(&nic.checked, &model.deparser, &args).map(|run| run.output)
@@ -67,8 +67,9 @@ pub fn transmit(nic: &SimNic, desc: &[u8]) -> TxOutcome {
     let args: HashMap<String, Value> = (parser.params.iter())
         .filter_map(|p| match (p.dir, nic.checked.param_ty(p)) {
             (Some(ast::Direction::In), Some(Ty::Struct(sid))) => {
-                let v = context_value(nic, sid, &p.name.name, nic.tx_context());
-                Some((p.name.name.clone(), v))
+                let name = nic.checked.name(p.name.name);
+                let v = context_value(nic, sid, name, nic.tx_context());
+                Some((name.to_string(), v))
             }
             _ => None,
         })
@@ -108,7 +109,7 @@ pub fn transmit(nic: &SimNic, desc: &[u8]) -> TxOutcome {
 /// A value of context struct `sid` for parameter `param`, holding the
 /// entries of `context` rooted at that parameter (zero elsewhere).
 fn context_value(nic: &SimNic, sid: StructId, param: &str, context: &Assignment) -> Value {
-    let mut v = Value::struct_of(sid, &nic.checked.types);
+    let mut v = Value::struct_of(sid, &nic.checked);
     for (fref, val) in context {
         if fref.path.first().map(String::as_str) != Some(param) {
             continue;
@@ -125,20 +126,22 @@ fn context_value(nic: &SimNic, sid: StructId, param: &str, context: &Assignment)
 /// each `@semantic` field holding the record's value (masked to the
 /// field), absent values and unannotated fields zero.
 fn meta_value(nic: &SimNic, sid: StructId, record: &MetaRecord) -> Value {
-    let types = &nic.checked.types;
-    let mut v = Value::struct_of(sid, types);
-    for f in &types.struct_(sid).fields {
+    let checked = &nic.checked;
+    let mut v = Value::struct_of(sid, checked);
+    for f in &checked.types.struct_(sid).fields {
         let Ty::Header(hid) = f.ty else {
             continue;
         };
-        let Some(Value::Header { valid, fields, .. }) = v.get_path_mut(&[f.name.as_str()]) else {
+        let Some(Value::Header { valid, fields, .. }) = v.get_path_mut(&[checked.name(f.name)])
+        else {
             continue;
         };
         *valid = true;
-        for hf in &types.header(hid).fields {
-            let id = hf.semantic.as_deref().and_then(|s| nic.reg.id(s));
+        for hf in &checked.types.header(hid).fields {
+            let id = hf.semantic.and_then(|s| nic.reg.id(checked.name(s)));
             if let Some(val) = id.and_then(|id| record.get(id)) {
-                fields.insert(hf.name.clone(), width_mask(hf.width_bits) & val);
+                let name = checked.name(hf.name).to_string();
+                fields.insert(name, width_mask(hf.width_bits) & val);
             }
         }
     }
@@ -159,9 +162,11 @@ fn harvest(nic: &SimNic, v: &Value, out: &mut Vec<(SemanticId, u128)>) {
             valid: true,
             fields,
         } => {
-            for hf in &nic.checked.types.header(*header).fields {
-                if let Some(id) = hf.semantic.as_deref().and_then(|s| nic.reg.id(s)) {
-                    out.push((id, fields.get(&hf.name).copied().unwrap_or(0)));
+            let checked = &nic.checked;
+            for hf in &checked.types.header(*header).fields {
+                if let Some(id) = hf.semantic.and_then(|s| nic.reg.id(checked.name(s))) {
+                    let value = fields.get(checked.name(hf.name)).copied();
+                    out.push((id, value.unwrap_or(0)));
                 }
             }
         }

@@ -9,8 +9,8 @@
 
 use crate::value::Value;
 use opendesc_ir::bits::{read_bits, write_bits};
-use opendesc_p4::ast::{self, BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
-use opendesc_p4::typecheck::{const_eval, CheckedProgram};
+use opendesc_p4::ast::{self, BinOp, ExprId, ExprKind, Stmt, StmtKind, Sym, UnOp};
+use opendesc_p4::typecheck::CheckedProgram;
 use opendesc_p4::types::{ExternKind, Ty};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -90,15 +90,16 @@ pub fn run_deparser(
     let mut env: BTreeMap<String, Value> = BTreeMap::new();
     let mut cmpt_param = None;
     for p in &control.params {
+        let pname = checked.name(p.name.name);
         match checked.param_ty(p) {
-            Some(Ty::Extern(ExternKind::CmptOut)) => cmpt_param = Some(p.name.name.clone()),
+            Some(Ty::Extern(ExternKind::CmptOut)) => cmpt_param = Some(p.name.name),
             Some(Ty::Extern(_)) => {}
             Some(ty) => {
-                let v = match args.get(&p.name.name) {
+                let v = match args.get(pname) {
                     Some(v) => v.clone(),
-                    None => Value::zero_of(ty, &checked.types),
+                    None => Value::zero_of(ty, checked),
                 };
-                env.insert(p.name.name.clone(), v);
+                env.insert(pname.to_string(), v);
             }
             None => {}
         }
@@ -109,7 +110,7 @@ pub fn run_deparser(
     // Local declarations before apply.
     let mut interp = Interp {
         checked,
-        cmpt: cmpt_param,
+        cmpt: Some(cmpt_param),
         out_bits: Vec::new(),
         bit_len: 0,
         emitted: Vec::new(),
@@ -118,16 +119,12 @@ pub fn run_deparser(
     for local in &control.locals {
         match local {
             ast::ControlLocal::Var(v) => {
-                let val = match (&v.init, checked.param_ty_of(&v.ty)) {
-                    (Some(init), _) => interp.eval(init, &env)?,
-                    (None, Some(ty)) => Value::zero_of(ty, &checked.types),
-                    (None, None) => Value::bits(0, 0),
-                };
-                env.insert(v.name.name.clone(), val);
+                let val = interp.init_value(v, &env)?;
+                env.insert(checked.name(v.name.name).to_string(), val);
             }
             ast::ControlLocal::Action(a) => {
                 if a.params.is_empty() {
-                    interp.actions.insert(a.name.name.clone(), &a.body);
+                    interp.actions.insert(a.name.name, &a.body);
                 }
             }
             ast::ControlLocal::Const(_) => {} // in TypeTable already
@@ -172,21 +169,22 @@ pub fn run_desc_parser(
     let mut desc_param = None;
     let mut out_param = None;
     for p in &parser.params {
+        let pname = checked.name(p.name.name);
         match checked.param_ty(p) {
             Some(Ty::Extern(ExternKind::DescIn | ExternKind::PacketIn)) => {
-                desc_param = Some(p.name.name.clone());
+                desc_param = Some(p.name.name);
             }
             Some(Ty::Extern(_)) => {}
             Some(ty) => {
                 if p.dir == Some(ast::Direction::Out) {
-                    out_param = Some(p.name.name.clone());
-                    env.insert(p.name.name.clone(), Value::zero_of(ty, &checked.types));
+                    out_param = Some(pname);
+                    env.insert(pname.to_string(), Value::zero_of(ty, checked));
                 } else {
-                    let v = match args.get(&p.name.name) {
+                    let v = match args.get(pname) {
                         Some(v) => v.clone(),
-                        None => Value::zero_of(ty, &checked.types),
+                        None => Value::zero_of(ty, checked),
                     };
-                    env.insert(p.name.name.clone(), v);
+                    env.insert(pname.to_string(), v);
                 }
             }
             None => {}
@@ -199,12 +197,11 @@ pub fn run_desc_parser(
     })?;
 
     let states = parser.states.as_ref().expect("checked above");
-    let by_name: HashMap<&str, &ast::StateDecl> =
-        states.iter().map(|s| (s.name.name.as_str(), s)).collect();
+    let by_name: HashMap<Sym, &ast::StateDecl> = states.iter().map(|s| (s.name.name, s)).collect();
 
     let mut interp = Interp {
         checked,
-        cmpt: String::new(),
+        cmpt: None,
         out_bits: Vec::new(),
         bit_len: 0,
         emitted: Vec::new(),
@@ -212,82 +209,60 @@ pub fn run_desc_parser(
     };
     let mut cursor: u32 = 0;
     let mut trace = Vec::new();
-    let mut state_name = "start".to_string();
+    let mut state_name = Sym::START;
     for _step in 0..1024 {
         let st = by_name
-            .get(state_name.as_str())
-            .ok_or_else(|| InterpError::NoState(state_name.clone()))?;
-        trace.push(state_name.clone());
+            .get(&state_name)
+            .ok_or_else(|| InterpError::NoState(checked.name(state_name).to_string()))?;
+        trace.push(checked.name(state_name).to_string());
         for stmt in &st.stmts {
-            interp.exec_parser_stmt(stmt, &mut env, &desc_param, input, &mut cursor)?;
+            interp.exec_parser_stmt(stmt, &mut env, desc_param, input, &mut cursor)?;
         }
         let next = match &st.transition {
-            None => "accept".to_string(),
-            Some(ast::Transition::Direct(t)) => t.name.clone(),
+            None => Sym::ACCEPT,
+            Some(ast::Transition::Direct(t)) => t.name,
             Some(ast::Transition::Select { exprs, cases, .. }) => {
                 let mut scrutinees = Vec::new();
                 for e in exprs {
-                    let v = interp.eval(e, &env)?;
+                    let v = interp.eval(*e, &env)?;
                     scrutinees.push(scalar_of(&v)?);
                 }
                 let mut target = None;
                 'cases: for case in cases {
                     // P4 select cases with N scrutinees and fewer patterns
                     // are malformed; our subset uses 1:1 or default.
-                    let mut all_default = true;
                     for (i, m) in case.matches.iter().enumerate() {
-                        match m {
-                            ast::SelectMatch::Default => {}
-                            ast::SelectMatch::Expr(e) => {
-                                all_default = false;
-                                let want = const_eval(e, &checked.types).ok_or_else(|| {
-                                    InterpError::Unsupported("non-constant select match".into())
-                                })?;
-                                if scrutinees.get(i.min(scrutinees.len() - 1)) != Some(&want) {
-                                    continue 'cases;
-                                }
+                        if let ast::SelectMatch::Expr(e) = m {
+                            let want = checked.const_eval(*e).ok_or_else(|| {
+                                InterpError::Unsupported("non-constant select match".into())
+                            })?;
+                            if scrutinees.get(i.min(scrutinees.len() - 1)) != Some(&want) {
+                                continue 'cases;
                             }
                         }
                     }
-                    let _ = all_default;
-                    target = Some(case.target.name.clone());
+                    target = Some(case.target.name);
                     break;
                 }
                 target.ok_or(InterpError::Rejected)?
             }
         };
-        match next.as_str() {
-            "accept" => {
+        match next {
+            Sym::ACCEPT => {
                 let descriptor = env
-                    .remove(&out_param)
-                    .ok_or_else(|| InterpError::BadPath(out_param.clone()))?;
+                    .remove(out_param)
+                    .ok_or_else(|| InterpError::BadPath(out_param.to_string()))?;
                 return Ok(ParserRun {
                     descriptor,
                     consumed_bits: cursor,
                     trace,
                 });
             }
-            "reject" => return Err(InterpError::Rejected),
-            other => state_name = other.to_string(),
+            Sym::REJECT => return Err(InterpError::Rejected),
+            other => state_name = other,
         }
     }
     Err(InterpError::StepLimit)
-}
-
-/// Extension trait shim: resolve a syntactic type from a `CheckedProgram`.
-trait ParamTyOf {
-    fn param_ty_of(&self, ty: &ast::Type) -> Option<Ty>;
-}
-
-impl ParamTyOf for CheckedProgram {
-    fn param_ty_of(&self, ty: &ast::Type) -> Option<Ty> {
-        match &ty.kind {
-            ast::TypeKind::Bit(w) => Some(Ty::Bit(*w)),
-            ast::TypeKind::Bool => Some(Ty::Bool),
-            ast::TypeKind::Void => Some(Ty::Void),
-            ast::TypeKind::Named(n) => self.types.lookup(n),
-        }
-    }
 }
 
 fn scalar_of(v: &Value) -> Result<u128, InterpError> {
@@ -299,14 +274,41 @@ fn scalar_of(v: &Value) -> Result<u128, InterpError> {
 
 struct Interp<'a> {
     checked: &'a CheckedProgram,
-    cmpt: String,
+    /// A deparser's `cmpt_out` parameter (a parser has none).
+    cmpt: Option<Sym>,
     out_bits: Vec<u8>,
     bit_len: u32,
     emitted: Vec<String>,
-    actions: HashMap<String, &'a ast::Block>,
+    actions: HashMap<Sym, &'a ast::Block>,
 }
 
 impl<'a> Interp<'a> {
+    fn name(&self, sym: Sym) -> &'a str {
+        self.checked.name(sym)
+    }
+
+    /// `segs` spelled out.
+    fn names(&self, segs: &[Sym]) -> Vec<&'a str> {
+        segs.iter().map(|s| self.name(*s)).collect()
+    }
+
+    fn dotted(&self, segs: &[Sym]) -> String {
+        self.names(segs).join(".")
+    }
+
+    /// A declared local's initial value: its initializer, else zero.
+    fn init_value(
+        &self,
+        v: &ast::VarDecl,
+        env: &BTreeMap<String, Value>,
+    ) -> Result<Value, InterpError> {
+        Ok(match (v.init, self.checked.ty_of(&v.ty)) {
+            (Some(init), _) => self.eval(init, env)?,
+            (None, Some(ty)) => Value::zero_of(ty, self.checked),
+            (None, None) => Value::bits(0, 0),
+        })
+    }
+
     // ------------------------------------------------------------ deparser
 
     fn exec_block(
@@ -332,42 +334,35 @@ impl<'a> Interp<'a> {
             StmtKind::Return => Ok(false),
             StmtKind::Block(b) => self.exec_block(&b.stmts, env),
             StmtKind::Var(v) => {
-                let val = match (&v.init, self.checked.param_ty_of(&v.ty)) {
-                    (Some(init), _) => self.eval(init, env)?,
-                    (None, Some(ty)) => Value::zero_of(ty, &self.checked.types),
-                    (None, None) => Value::bits(0, 0),
-                };
-                env.insert(v.name.name.clone(), val);
+                let val = self.init_value(v, env)?;
+                env.insert(self.name(v.name.name).to_string(), val);
                 Ok(true)
             }
             StmtKind::Assign { lhs, rhs } => {
-                let val = self.eval(rhs, env)?;
-                self.assign(lhs, val, env)?;
+                let val = self.eval(*rhs, env)?;
+                self.assign(*lhs, val, env)?;
                 Ok(true)
             }
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                let c = scalar_of(&self.eval(cond, env)?)?;
-                if c != 0 {
-                    self.exec_block(&then_blk.stmts, env)
-                } else if let Some(eb) = else_blk {
-                    self.exec_block(&eb.stmts, env)
-                } else {
-                    Ok(true)
+            StmtKind::If { arms, else_blk } => {
+                for arm in arms {
+                    if scalar_of(&self.eval(arm.cond, env)?)? != 0 {
+                        return self.exec_block(&arm.then_blk.stmts, env);
+                    }
+                }
+                match else_blk {
+                    Some(eb) => self.exec_block(&eb.stmts, env),
+                    None => Ok(true),
                 }
             }
             StmtKind::Switch { scrutinee, cases } => {
-                let v = scalar_of(&self.eval(scrutinee, env)?)?;
+                let v = scalar_of(&self.eval(*scrutinee, env)?)?;
                 let mut default_block = None;
                 for case in cases {
                     for label in &case.labels {
                         match label {
                             ast::SwitchLabel::Default => default_block = Some(&case.block),
                             ast::SwitchLabel::Expr(e) => {
-                                if const_eval(e, &self.checked.types) == Some(v) {
+                                if self.checked.const_eval(*e) == Some(v) {
                                     return self.exec_block(&case.block.stmts, env);
                                 }
                             }
@@ -381,7 +376,7 @@ impl<'a> Interp<'a> {
                 }
             }
             StmtKind::Expr(e) => {
-                self.exec_call(e, env)?;
+                self.exec_call(*e, env)?;
                 Ok(true)
             }
         }
@@ -389,39 +384,33 @@ impl<'a> Interp<'a> {
 
     fn exec_call(
         &mut self,
-        e: &Expr,
+        e: ExprId,
         env: &mut BTreeMap<String, Value>,
     ) -> Result<(), InterpError> {
-        let ExprKind::Call { callee, args } = &e.kind else {
+        let ExprKind::Call { callee, args } = &self.checked.expr(e).kind else {
             return Ok(());
         };
-        let Some(path) = callee.as_path() else {
+        let Some(path) = self.checked.program.path(*callee) else {
             return Err(InterpError::Unsupported("computed call target".into()));
         };
-        if path.len() == 2 && path[0] == self.cmpt && path[1] == "emit" {
-            let arg_path = args[0]
-                .as_path()
+        if path.len() == 2 && Some(path[0]) == self.cmpt && path[1] == Sym::EMIT {
+            let arg_path = (self.checked.program.path(args[0]))
                 .ok_or_else(|| InterpError::Unsupported("computed emit argument".into()))?;
             self.emit_path(&arg_path, env)?;
             return Ok(());
         }
-        if path.len() == 1 {
-            if let Some(body) = self.actions.get(path[0]).copied() {
+        if let [action] = path[..] {
+            if let Some(body) = self.actions.get(&action).copied() {
                 self.exec_block(&body.stmts, env)?;
                 return Ok(());
             }
         }
-        if path.len() == 2 && matches!(path[1], "setValid" | "setInvalid") {
-            let valid = path[1] == "setValid";
+        if path.len() == 2 && matches!(path[1], Sym::SET_VALID | Sym::SET_INVALID) {
+            let valid = path[1] == Sym::SET_VALID;
             let root = env
-                .get_mut(path[0])
-                .ok_or_else(|| InterpError::BadPath(path.join(".")))?;
-            let target = if path.len() > 1 {
-                root.get_path_mut(&[])
-            } else {
-                Some(root)
-            };
-            if let Some(Value::Header { valid: v, .. }) = target {
+                .get_mut(self.name(path[0]))
+                .ok_or_else(|| InterpError::BadPath(self.dotted(&path)))?;
+            if let Value::Header { valid: v, .. } = root {
                 *v = valid;
             }
             return Ok(());
@@ -432,21 +421,21 @@ impl<'a> Interp<'a> {
 
     fn emit_path(
         &mut self,
-        path: &[&str],
+        path: &[Sym],
         env: &BTreeMap<String, Value>,
     ) -> Result<(), InterpError> {
         let root = env
-            .get(path[0])
-            .ok_or_else(|| InterpError::MissingArg(path[0].to_string()))?;
+            .get(self.name(path[0]))
+            .ok_or_else(|| InterpError::MissingArg(self.name(path[0]).to_string()))?;
         // The path may end at a header (emit whole header) or at a header
         // field (emit single scalar).
-        if let Some(v) = root.get_path(&path_strs(&path[1..])) {
+        if let Some(v) = root.get_path(&self.names(&path[1..])) {
             match v {
                 Value::Header { header, fields, .. } => {
                     let info = self.checked.types.header(*header);
                     self.reserve(info.width_bits);
                     for f in &info.fields {
-                        let val = fields.get(&f.name).copied().unwrap_or(0);
+                        let val = fields.get(self.name(f.name)).copied().unwrap_or(0);
                         write_bits(
                             &mut self.out_bits,
                             self.bit_len + f.offset_bits,
@@ -455,14 +444,14 @@ impl<'a> Interp<'a> {
                         );
                     }
                     self.bit_len += info.width_bits;
-                    self.emitted.push(path.join("."));
+                    self.emitted.push(self.dotted(path));
                     return Ok(());
                 }
                 Value::Bits { width, value } => {
                     self.reserve(*width as u32);
                     write_bits(&mut self.out_bits, self.bit_len, *width, *value);
                     self.bit_len += *width as u32;
-                    self.emitted.push(path.join("."));
+                    self.emitted.push(self.dotted(path));
                     return Ok(());
                 }
                 Value::Struct(_) => {
@@ -471,22 +460,20 @@ impl<'a> Interp<'a> {
             }
         }
         // Maybe the last segment is a header field.
-        if path.len() >= 2 {
-            if let Some(Value::Header { header, fields, .. }) =
-                root.get_path(&path_strs(&path[1..path.len() - 1]))
-            {
+        if let [_, parent @ .., last] = path {
+            if let Some(Value::Header { header, fields, .. }) = root.get_path(&self.names(parent)) {
                 let info = self.checked.types.header(*header);
-                if let Some(f) = info.field(path[path.len() - 1]) {
-                    let val = fields.get(&f.name).copied().unwrap_or(0);
+                if let Some(f) = info.field(*last) {
+                    let val = fields.get(self.name(f.name)).copied().unwrap_or(0);
                     self.reserve(f.width_bits as u32);
                     write_bits(&mut self.out_bits, self.bit_len, f.width_bits, val);
                     self.bit_len += f.width_bits as u32;
-                    self.emitted.push(path.join("."));
+                    self.emitted.push(self.dotted(path));
                     return Ok(());
                 }
             }
         }
-        Err(InterpError::BadPath(path.join(".")))
+        Err(InterpError::BadPath(self.dotted(path)))
     }
 
     fn reserve(&mut self, extra_bits: u32) {
@@ -502,15 +489,15 @@ impl<'a> Interp<'a> {
         &mut self,
         stmt: &Stmt,
         env: &mut BTreeMap<String, Value>,
-        desc_param: &str,
+        desc_param: Sym,
         input: &[u8],
         cursor: &mut u32,
     ) -> Result<(), InterpError> {
         if let StmtKind::Expr(e) = &stmt.kind {
-            if let ExprKind::Call { callee, args } = &e.kind {
-                if let Some(path) = callee.as_path() {
-                    if path.len() == 2 && path[0] == desc_param && path[1] == "extract" {
-                        let arg_path = args[0].as_path().ok_or_else(|| {
+            if let ExprKind::Call { callee, args } = &self.checked.expr(*e).kind {
+                if let Some(path) = self.checked.program.path(*callee) {
+                    if path[..] == [desc_param, Sym::EXTRACT] {
+                        let arg_path = self.checked.program.path(args[0]).ok_or_else(|| {
                             InterpError::Unsupported("computed extract argument".into())
                         })?;
                         return self.extract_into(&arg_path, env, input, cursor);
@@ -524,17 +511,14 @@ impl<'a> Interp<'a> {
 
     fn extract_into(
         &mut self,
-        path: &[&str],
+        path: &[Sym],
         env: &mut BTreeMap<String, Value>,
         input: &[u8],
         cursor: &mut u32,
     ) -> Result<(), InterpError> {
-        let root = env
-            .get_mut(path[0])
-            .ok_or_else(|| InterpError::BadPath(path.join(".")))?;
-        let target = root
-            .get_path_mut(&path_strs(&path[1..]))
-            .ok_or_else(|| InterpError::BadPath(path.join(".")))?;
+        let bad = || InterpError::BadPath(self.dotted(path));
+        let root = env.get_mut(self.name(path[0])).ok_or_else(bad)?;
+        let target = root.get_path_mut(&self.names(&path[1..])).ok_or_else(bad)?;
         let Value::Header {
             header,
             valid,
@@ -553,7 +537,7 @@ impl<'a> Interp<'a> {
         }
         for f in &info.fields {
             let v = read_bits(input, *cursor + f.offset_bits, f.width_bits);
-            fields.insert(f.name.clone(), v);
+            fields.insert(self.name(f.name).to_string(), v);
         }
         *valid = true;
         *cursor += info.width_bits;
@@ -562,69 +546,67 @@ impl<'a> Interp<'a> {
 
     // ---------------------------------------------------------- expressions
 
-    fn eval(&self, e: &Expr, env: &BTreeMap<String, Value>) -> Result<Value, InterpError> {
-        match &e.kind {
+    fn eval(&self, id: ExprId, env: &BTreeMap<String, Value>) -> Result<Value, InterpError> {
+        let types = &self.checked.types;
+        match &self.checked.expr(id).kind {
             ExprKind::Int { value, width } => Ok(Value::Bits {
                 width: width.unwrap_or(64),
                 value: *value,
             }),
             ExprKind::Bool(b) => Ok(Value::bits(1, *b as u128)),
             ExprKind::Ident(n) => {
-                if let Some(v) = env.get(n) {
+                if let Some(v) = env.get(self.name(*n)) {
                     return Ok(v.clone());
                 }
-                if let Some(c) = self.checked.types.const_(n) {
-                    let w = c.ty.bit_width(&self.checked.types).unwrap_or(64);
+                if let Some(c) = types.const_(*n) {
+                    let w = c.ty.bit_width(types).unwrap_or(64);
                     return Ok(Value::Bits {
                         width: w,
                         value: c.value,
                     });
                 }
-                Err(InterpError::BadPath(n.clone()))
+                Err(InterpError::BadPath(self.name(*n).to_string()))
             }
             ExprKind::Member { base, member } => {
+                let member_name = self.name(member.name);
                 // Enum variant constant.
-                if let ExprKind::Ident(n) = &base.kind {
-                    if let Some(Ty::Enum(id)) = self.checked.types.lookup(n) {
-                        let info = self.checked.types.enum_(id);
-                        if let Some(v) = info.variant_value(&member.name) {
+                if let ExprKind::Ident(n) = &self.checked.expr(*base).kind {
+                    if let Some(Ty::Enum(id)) = types.lookup(*n) {
+                        let info = types.enum_(id);
+                        if let Some(v) = info.variant_value(member.name) {
                             return Ok(Value::bits(info.repr_width, v));
                         }
                     }
                 }
-                let b = self.eval(base, env)?;
+                let b = self.eval(*base, env)?;
+                let bad = || InterpError::BadPath(member_name.to_string());
                 match &b {
-                    Value::Struct(fields) => fields
-                        .get(&member.name)
-                        .cloned()
-                        .ok_or_else(|| InterpError::BadPath(member.name.clone())),
+                    Value::Struct(fields) => fields.get(member_name).cloned().ok_or_else(bad),
                     Value::Header { header, fields, .. } => {
-                        let info = self.checked.types.header(*header);
-                        let f = info
-                            .field(&member.name)
-                            .ok_or_else(|| InterpError::BadPath(member.name.clone()))?;
+                        let f = types.header(*header).field(member.name).ok_or_else(bad)?;
                         Ok(Value::Bits {
                             width: f.width_bits,
-                            value: fields.get(&member.name).copied().unwrap_or(0),
+                            value: fields.get(member_name).copied().unwrap_or(0),
                         })
                     }
-                    _ => Err(InterpError::BadPath(member.name.clone())),
+                    _ => Err(bad()),
                 }
             }
             ExprKind::Slice { base, hi, lo } => {
-                let b = scalar_of(&self.eval(base, env)?)?;
-                let h = const_eval(hi, &self.checked.types)
-                    .ok_or_else(|| InterpError::Unsupported("dynamic slice bound".into()))?;
-                let l = const_eval(lo, &self.checked.types)
-                    .ok_or_else(|| InterpError::Unsupported("dynamic slice bound".into()))?;
+                let b = scalar_of(&self.eval(*base, env)?)?;
+                let bound = |e: ExprId| {
+                    (self.checked.const_eval(e))
+                        .ok_or_else(|| InterpError::Unsupported("dynamic slice bound".into()))
+                };
+                let (h, l) = (bound(*hi)?, bound(*lo)?);
                 let width = (h - l + 1) as u16;
                 Ok(Value::bits(width, b >> l))
             }
             ExprKind::Call { callee, args } => {
                 // isValid() is the only value-returning method.
-                if let ExprKind::Member { base, member } = &callee.kind {
-                    if member.name == "isValid" && args.is_empty() {
-                        let b = self.eval(base, env)?;
+                if let ExprKind::Member { base, member } = &self.checked.expr(*callee).kind {
+                    if member.name == Sym::IS_VALID && args.is_empty() {
+                        let b = self.eval(*base, env)?;
                         if let Value::Header { valid, .. } = b {
                             return Ok(Value::bits(1, valid as u128));
                         }
@@ -633,7 +615,7 @@ impl<'a> Interp<'a> {
                 Err(InterpError::Unsupported("value-returning call".into()))
             }
             ExprKind::Unary { op, expr } => {
-                let v = self.eval(expr, env)?;
+                let v = self.eval(*expr, env)?;
                 let Value::Bits { width, value } = v else {
                     return Err(InterpError::Unsupported("unary on aggregate".into()));
                 };
@@ -645,8 +627,8 @@ impl<'a> Interp<'a> {
                 Ok(Value::bits(width, out))
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                let l = self.eval(lhs, env)?;
-                let r = self.eval(rhs, env)?;
+                let l = self.eval(*lhs, env)?;
+                let r = self.eval(*rhs, env)?;
                 let (
                     Value::Bits {
                         width: wl,
@@ -689,7 +671,7 @@ impl<'a> Interp<'a> {
                 Ok(Value::bits(w, out))
             }
             ExprKind::Cast { ty, expr } => {
-                let v = scalar_of(&self.eval(expr, env)?)?;
+                let v = scalar_of(&self.eval(*expr, env)?)?;
                 match &ty.kind {
                     ast::TypeKind::Bit(w) => Ok(Value::bits(*w, v)),
                     ast::TypeKind::Bool => Ok(Value::bits(1, (v != 0) as u128)),
@@ -701,41 +683,34 @@ impl<'a> Interp<'a> {
 
     fn assign(
         &mut self,
-        lhs: &Expr,
+        lhs: ExprId,
         val: Value,
         env: &mut BTreeMap<String, Value>,
     ) -> Result<(), InterpError> {
-        let Some(path) = lhs.as_path() else {
+        let Some(path) = self.checked.program.path(lhs) else {
             return Err(InterpError::Unsupported("assignment to non-path".into()));
         };
-        if path.len() == 1 {
-            env.insert(path[0].to_string(), val);
+        let bad = || InterpError::BadPath(self.dotted(&path));
+        if let [var] = path[..] {
+            env.insert(self.name(var).to_string(), val);
             return Ok(());
         }
-        let root = env
-            .get_mut(path[0])
-            .ok_or_else(|| InterpError::BadPath(path.join(".")))?;
+        let root = env.get_mut(self.name(path[0])).ok_or_else(bad)?;
         // Try assigning into a struct member.
-        if let Some(slot) = root.get_path_mut(&path_strs(&path[1..])) {
+        if let Some(slot) = root.get_path_mut(&self.names(&path[1..])) {
             *slot = val;
             return Ok(());
         }
         // Assigning to a header field.
-        if path.len() >= 2 {
-            if let Some(Value::Header { fields, .. }) =
-                root.get_path_mut(&path_strs(&path[1..path.len() - 1]))
-            {
+        if let [_, parent @ .., last] = &path[..] {
+            if let Some(Value::Header { fields, .. }) = root.get_path_mut(&self.names(parent)) {
                 let v = scalar_of(&val)?;
-                fields.insert(path[path.len() - 1].to_string(), v);
+                fields.insert(self.name(*last).to_string(), v);
                 return Ok(());
             }
         }
-        Err(InterpError::BadPath(path.join(".")))
+        Err(bad())
     }
-}
-
-fn path_strs<'b>(segs: &'b [&'b str]) -> Vec<&'b str> {
-    segs.to_vec()
 }
 
 #[cfg(test)]
@@ -774,7 +749,7 @@ mod tests {
     "#;
 
     fn e1000_args(checked: &CheckedProgram, use_rss: bool) -> HashMap<String, Value> {
-        let t = &checked.types;
+        let t = &checked;
         let mut ctx = Value::struct_of(
             match t.lookup("e1000_ctx_t").unwrap() {
                 Ty::Struct(id) => id,
@@ -852,7 +827,7 @@ mod tests {
         "#;
         let (checked, d) = parse_and_check(src);
         assert!(!d.has_errors());
-        let t = &checked.types;
+        let t = &checked;
         let mk = |fmt: u128| {
             let mut ctx = Value::struct_of(
                 match t.lookup("ctx_t").unwrap() {
@@ -909,7 +884,7 @@ mod tests {
             "{:?}",
             d.iter().map(|x| x.message.clone()).collect::<Vec<_>>()
         );
-        let t = &checked.types;
+        let t = &checked;
         let mut m = Value::struct_of(
             match t.lookup("m_t").unwrap() {
                 Ty::Struct(id) => id,
@@ -937,7 +912,7 @@ mod tests {
             }
         "#;
         let (checked, _) = parse_and_check(src);
-        let t = &checked.types;
+        let t = &checked;
         let mut ctx = Value::struct_of(
             match t.lookup("ctx_t").unwrap() {
                 Ty::Struct(id) => id,
@@ -972,7 +947,7 @@ mod tests {
     "#;
 
     fn ctx_with_size(checked: &CheckedProgram, size: u128) -> HashMap<String, Value> {
-        let t = &checked.types;
+        let t = &checked;
         let mut ctx = Value::struct_of(
             match t.lookup("h2c_ctx_t").unwrap() {
                 Ty::Struct(id) => id,
@@ -1067,7 +1042,7 @@ mod tests {
         "#;
         let (checked, d) = parse_and_check(src);
         assert!(!d.has_errors());
-        let t = &checked.types;
+        let t = &checked;
         let mut ctx = Value::struct_of(
             match t.lookup("ctx_t").unwrap() {
                 Ty::Struct(id) => id,

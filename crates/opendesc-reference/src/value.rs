@@ -4,7 +4,8 @@
 //! described in the contract against these values: header instances
 //! with per-field scalars, structs grouping them, and plain bit scalars.
 
-use opendesc_p4::types::{HeaderId, StructId, Ty, TypeTable};
+use opendesc_p4::typecheck::CheckedProgram;
+use opendesc_p4::types::{HeaderId, StructId, Ty};
 use std::collections::BTreeMap;
 
 /// A runtime value.
@@ -34,28 +35,31 @@ impl Value {
     }
 
     /// Build a zeroed value of type `ty` (headers start invalid).
-    pub fn zero_of(ty: Ty, tt: &TypeTable) -> Value {
+    pub fn zero_of(ty: Ty, checked: &CheckedProgram) -> Value {
         match ty {
             Ty::Bit(w) => Value::bits(w, 0),
             Ty::Bool => Value::bits(1, 0),
-            Ty::Enum(id) => Value::bits(tt.enum_(id).repr_width, 0),
+            Ty::Enum(id) => Value::bits(checked.types.enum_(id).repr_width, 0),
             Ty::Header(id) => Value::Header {
                 header: id,
                 valid: false,
                 fields: BTreeMap::new(),
             },
-            Ty::Struct(id) => Value::struct_of(id, tt),
+            Ty::Struct(id) => Value::struct_of(id, checked),
             Ty::Extern(_) | Ty::Void => Value::bits(0, 0),
         }
     }
 
     /// Build a zeroed struct with all fields materialized.
-    pub fn struct_of(id: StructId, tt: &TypeTable) -> Value {
-        let info = tt.struct_(id);
+    pub fn struct_of(id: StructId, checked: &CheckedProgram) -> Value {
+        let info = checked.types.struct_(id);
         let fields = info
             .fields
             .iter()
-            .map(|f| (f.name.clone(), Value::zero_of(f.ty, tt)))
+            .map(|f| {
+                let value = Value::zero_of(f.ty, checked);
+                (checked.name(f.name).to_string(), value)
+            })
             .collect();
         Value::Struct(fields)
     }
@@ -137,10 +141,10 @@ mod tests {
             "#,
         );
         assert!(!d.has_errors());
-        let Ty::Struct(sid) = checked.types.lookup("outer_t").unwrap() else {
+        let Ty::Struct(sid) = checked.lookup("outer_t").unwrap() else {
             panic!()
         };
-        let v = Value::struct_of(sid, &checked.types);
+        let v = Value::struct_of(sid, &checked);
         let h = v.get_path(&["i", "h"]).unwrap();
         assert!(matches!(h, Value::Header { valid: false, .. }));
         let n = v.get_path(&["i", "n"]).unwrap();
@@ -150,7 +154,7 @@ mod tests {
     #[test]
     fn header_field_defaults_to_zero() {
         let (checked, _) = parse_and_check("header h_t { bit<8> a; bit<8> b; }");
-        let id = checked.types.header_id("h_t").unwrap();
+        let id = checked.header_id("h_t").unwrap();
         let v = Value::Header {
             header: id,
             valid: true,
@@ -168,10 +172,10 @@ mod tests {
             struct s_t { h_t h; }
             "#,
         );
-        let Ty::Struct(sid) = checked.types.lookup("s_t").unwrap() else {
+        let Ty::Struct(sid) = checked.lookup("s_t").unwrap() else {
             panic!()
         };
-        let mut v = Value::struct_of(sid, &checked.types);
+        let mut v = Value::struct_of(sid, &checked);
         v.get_path_mut(&["h"]).unwrap().set_header_field("a", 42);
         assert_eq!(v.get_path(&["h"]).unwrap().header_field("a"), Some(42));
     }

@@ -98,7 +98,7 @@ pub fn calibrate(reg: &mut SemanticRegistry, iters: u32) -> CalibrationReport {
     };
     let sems: Vec<(SemanticId, String, Cost)> = reg
         .iter()
-        .map(|(id, info)| (id, info.name.clone(), info.cost))
+        .map(|(id, info)| (id, info.name.to_string(), info.cost))
         .collect();
     for (id, name, old) in sems {
         if old.is_infinite() {

@@ -23,6 +23,11 @@
 #    mode, the contract interpreter is called only inside
 #    `opendesc-reference`, and the device turns a context into a layout
 #    in one place (`select_layout`), once per direction.
+#  * Front end: one interner. The AST names things by symbol and holds
+#    its expressions in one arena (no `Box<Expr>`), the builtin
+#    semantics are a static table (no `HashMap` in semantics.rs), and
+#    no walker needs a bigger stack than a thread's default (no
+#    `stack_size(`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
@@ -93,6 +98,11 @@ for pat in 'run_deparser(' 'run_desc_parser('; do
     expect "$pat outside crates/opendesc-reference" \
         "$(anywhere "$pat" --exclude-dir=opendesc-reference)" 0
 done
+expect "Box<Expr> in opendesc-p4's ast.rs" \
+    "$(code crates/opendesc-p4/src/ast.rs | sites 'Box<Expr>')" 0
+expect "HashMap in opendesc-ir's semantics.rs" \
+    "$(code crates/opendesc-ir/src/semantics.rs | sites 'HashMap')" 0
+expect "stack_size( in crates/ src/ tests/ examples/" "$(anywhere 'stack_size(')" 0
 expect ".eval( guard-resolution sites in opendesc-nicsim" "$(sim_total '.eval(')" 1
 expect "select_layout( call sites in opendesc-nicsim (RX, TX)" "$(sim_total 'select_layout(')" 2
 exit $fail

@@ -217,7 +217,7 @@ fn accessor_offsets_match_contract_header_layout() {
 
     let (checked, d) = opendesc::p4::parse_and_check(&model.p4_source);
     assert!(!d.has_errors());
-    let hid = checked.types.header_id("mlx5_full_cqe_t").unwrap();
+    let hid = checked.header_id("mlx5_full_cqe_t").unwrap();
     let hdr = checked.types.header(hid);
 
     for (sem_name, field) in [
@@ -227,7 +227,7 @@ fn accessor_offsets_match_contract_header_layout() {
     ] {
         let sem = reg.id(sem_name).unwrap();
         let acc = compiled.accessors.for_semantic(sem).unwrap();
-        let f = hdr.field(field).unwrap();
+        let f = hdr.field(checked.sym(field).unwrap()).unwrap();
         assert_eq!(acc.offset_bits, f.offset_bits, "{sem_name} offset");
         assert_eq!(acc.width_bits, f.width_bits, "{sem_name} width");
     }

@@ -24,32 +24,39 @@ fn snapshot(src: &str) -> String {
     let mut o = String::from("== ast ==\n");
     o.push_str(&print_program(&checked.program));
     o.push_str("== layouts ==\n");
+    // Names are symbols; the snapshot spells them out.
+    let n = |s| checked.name(s);
     for h in &checked.types.headers {
-        writeln!(o, "header {} width={}", h.name, h.width_bits).unwrap();
+        writeln!(o, "header {} width={}", n(h.name), h.width_bits).unwrap();
         for f in &h.fields {
             writeln!(
                 o,
                 "  {} offset={} width={} semantic={:?} cost={:?}",
-                f.name, f.offset_bits, f.width_bits, f.semantic, f.cost
+                n(f.name),
+                f.offset_bits,
+                f.width_bits,
+                f.semantic.map(n),
+                f.cost
             )
             .unwrap();
         }
     }
     for s in &checked.types.structs {
-        writeln!(o, "struct {}", s.name).unwrap();
+        writeln!(o, "struct {}", n(s.name)).unwrap();
         for f in &s.fields {
-            writeln!(o, "  {} : {}", f.name, checked.types.display(f.ty)).unwrap();
+            writeln!(o, "  {} : {}", n(f.name), checked.display(f.ty)).unwrap();
         }
     }
     for e in &checked.types.enums {
-        writeln!(o, "enum {} bit<{}> {:?}", e.name, e.repr_width, e.variants).unwrap();
+        let variants: Vec<&str> = e.variants.iter().map(|v| n(*v)).collect();
+        writeln!(o, "enum {} bit<{}> {:?}", n(e.name), e.repr_width, variants).unwrap();
     }
     for c in &checked.types.consts {
         writeln!(
             o,
             "const {} : {} = {}",
-            c.name,
-            checked.types.display(c.ty),
+            n(c.name),
+            checked.display(c.ty),
             c.value
         )
         .unwrap();

@@ -10,7 +10,10 @@
 //! * a second, different intent on the same cache to at least one
 //!   `parse_and_check` fewer allocations than that intent compiled cold
 //!   (the relayout case: the contract is checked once per cache);
-//! * an N-queue [`ShardedEngine`] to one front-end run, not N + 2.
+//! * an N-queue [`ShardedEngine`] to one front-end run, not N + 2;
+//! * the registry of builtins — a static table — to one allocation to
+//!   build and one to clone, to the fingerprint committed manifests
+//!   carry, and to ids that re-costing keeps and new names extend.
 //!
 //! The counter is process-global, so this file runs exactly one test;
 //! `stage_table` (ignored) prints the per-stage counts CHANGES.md quotes:
@@ -20,7 +23,10 @@ use opendesc::compiler::{
     compile_tx, CompiledRx, CompiledTxPlan, Compiler, Intent, PlanCache, Selector, ShardedEngine,
     TxVerdict,
 };
-use opendesc::ir::{enumerate_paths, extract, names, SemanticRegistry, DEFAULT_MAX_PATHS};
+use opendesc::ir::{
+    enumerate_paths, extract, names, Cost, SemanticId, SemanticInfo, SemanticRegistry,
+    DEFAULT_MAX_PATHS,
+};
 use opendesc::nicsim::multiqueue::SteerPolicy;
 use opendesc::nicsim::{models, NicModel};
 use opendesc::p4::parse_and_check;
@@ -111,16 +117,43 @@ fn negotiate(cache: &PlanCache, model: &NicModel) -> usize {
 
 /// Committed ceilings: 5 % above the reading of one cold negotiation.
 const CEILINGS: [(&str, u64); 6] = [
-    ("e1000-legacy", 584),
-    ("e1000e", 745),
-    ("ixgbe", 683),
-    ("ice", 1072),
-    ("mlx5", 1025),
-    ("qdma", 1317),
+    ("e1000-legacy", 280),
+    ("e1000e", 390),
+    ("ixgbe", 364),
+    ("ice", 623),
+    ("mlx5", 620),
+    ("qdma", 783),
 ];
+
+/// `SemanticRegistry::with_builtins().fingerprint()`: the
+/// `registry_fingerprint` of every manifest under `manifests/`.
+const BUILTINS_FINGERPRINT: u64 = 0x61d9_e776_f3cf_6de1;
 
 #[test]
 fn negotiation_allocations_are_pinned() {
+    // The registry of builtins borrows its names and docs from a static
+    // table: building or cloning one is a single allocation.
+    let (builtins, built) = counted(SemanticRegistry::with_builtins);
+    let (copy, cloned) = counted(|| builtins.clone());
+    assert!(built <= 1, "with_builtins allocates {built} times");
+    assert!(cloned <= 1, "clone allocates {cloned} times");
+    assert_eq!(builtins.fingerprint(), BUILTINS_FINGERPRINT);
+    assert_eq!(copy.fingerprint(), BUILTINS_FINGERPRINT);
+    // Re-costing a builtin keeps its id and the fingerprint; a new name
+    // takes the next id and is priced infinite.
+    let mut reg = copy;
+    let rss = reg.id(names::RSS_HASH).unwrap();
+    let recosted = SemanticInfo {
+        cost: Cost::flat(6.0),
+        ..reg.info(rss).clone()
+    };
+    assert_eq!(reg.register(recosted), rss);
+    assert_eq!(reg.cost(rss), Cost::flat(6.0));
+    assert_eq!(reg.fingerprint(), BUILTINS_FINGERPRINT);
+    let new = reg.intern("new");
+    assert_eq!(new, SemanticId(20));
+    assert!(reg.cost(new).is_infinite());
+
     for model in models::catalog() {
         let ceiling = CEILINGS
             .iter()
