@@ -1964,12 +1964,12 @@ const E5: Experiment = Experiment {
 
 /// §4's "enumerating a small finite set". Cost per installed layout at
 /// 2 048 layouts over cost per layout at 128: 1.0 is linear, 16 is
-/// quadratic. Three batches of ten runs: frontend 1.43–1.56 (budget 2.0:
-/// near-linear); enumerate + select 3.97–4.81 (budget 6.0, a quarter
-/// over the highest) — superlinear, which the "near-linear" this
-/// experiment used to be summarised as did not say: selection costs
-/// ~3 µs a layout up to 128 of them and 14 µs a layout at 2 048.
-/// Realistic devices install ≤ 8.
+/// quadratic. Both phases are near-linear, budget 2.0 each. Eight runs:
+/// frontend 1.08–1.78; enumerate + select 0.91–1.15, ~0.8 µs a layout at
+/// any size. The switch's default arm restates every case as a `!=`;
+/// the solver sorts those once instead of retrying a witness per case
+/// (before that, selection read 3.97–4.81 and cost 14 µs a layout at
+/// 2 048). Realistic devices install ≤ 8.
 const E6: Experiment = Experiment {
     name: "e6",
     title: "compiler scalability: QDMA with 2..2048 installed layouts",
@@ -1979,7 +1979,7 @@ const E6: Experiment = Experiment {
     gates: &[
         wall("*_us"),
         Gate::lower("frontend_per_layout_growth_2048_vs_128", 0.30).floor(2.0),
-        Gate::lower("select_per_layout_growth_2048_vs_128", 0.30).floor(6.0),
+        Gate::lower("select_per_layout_growth_2048_vs_128", 0.30).floor(2.0),
     ],
 };
 

@@ -7,12 +7,14 @@
 //! Remaining semantics get SoftNIC shims that recompute the value from
 //! the packet bytes at the cost Eq. 1 charged.
 
+use crate::intent::Intent;
 use opendesc_ir::bits::{read_bits, read_bytes_be};
 use opendesc_ir::path::CompletionPath;
 use opendesc_ir::semantics::SemanticRegistry;
 use opendesc_ir::SemanticId;
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
+use std::borrow::Cow;
 use std::fmt;
 
 /// How a semantic is obtained.
@@ -28,8 +30,8 @@ pub enum AccessorKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accessor {
     pub semantic: SemanticId,
-    /// Field name (from the layout slot or the intent).
-    pub name: String,
+    /// Field name, shared with the intent field it serves.
+    pub name: Cow<'static, str>,
     pub kind: AccessorKind,
     /// For hardware accessors: absolute bit offset in the completion.
     pub offset_bits: u32,
@@ -40,10 +42,15 @@ pub struct Accessor {
 
 impl Accessor {
     /// Build a hardware accessor from a layout slot.
-    pub fn hardware(semantic: SemanticId, name: &str, offset_bits: u32, width_bits: u16) -> Self {
+    pub fn hardware(
+        semantic: SemanticId,
+        name: impl Into<Cow<'static, str>>,
+        offset_bits: u32,
+        width_bits: u16,
+    ) -> Self {
         Accessor {
             semantic,
-            name: name.to_string(),
+            name: name.into(),
             kind: AccessorKind::Hardware,
             offset_bits,
             width_bits,
@@ -54,10 +61,14 @@ impl Accessor {
     }
 
     /// Build a software-shim accessor.
-    pub fn software(semantic: SemanticId, name: &str, width_bits: u16) -> Self {
+    pub fn software(
+        semantic: SemanticId,
+        name: impl Into<Cow<'static, str>>,
+        width_bits: u16,
+    ) -> Self {
         Accessor {
             semantic,
-            name: name.to_string(),
+            name: name.into(),
             kind: AccessorKind::Software,
             offset_bits: 0,
             width_bits,
@@ -112,22 +123,19 @@ pub struct AccessorSet {
 }
 
 impl AccessorSet {
-    /// Synthesize from a selected path and the requested semantics.
-    /// `requested` preserves the intent's field names; semantics the path
-    /// provides become hardware accessors, the rest software shims.
-    pub fn synthesize(path: &CompletionPath, requested: &[(SemanticId, &str, u16)]) -> AccessorSet {
-        let mut accessors = Vec::new();
-        for (sem, name, width) in requested {
-            if let Some(slot) = path.slot_for(*sem) {
-                accessors.push(Accessor::hardware(
-                    *sem,
-                    name,
-                    slot.offset_bits,
-                    slot.width_bits,
-                ));
-            } else {
-                accessors.push(Accessor::software(*sem, name, *width));
-            }
+    /// Synthesize from a selected path and the intent, one accessor per
+    /// intent field, named like it: semantics the path provides become
+    /// hardware accessors, the rest software shims.
+    pub fn synthesize(path: &CompletionPath, intent: &Intent) -> AccessorSet {
+        let mut accessors = Vec::with_capacity(intent.len());
+        for f in &intent.fields {
+            let name = f.name.clone();
+            accessors.push(match path.slot_for(f.semantic) {
+                Some(slot) => {
+                    Accessor::hardware(f.semantic, name, slot.offset_bits, slot.width_bits)
+                }
+                None => Accessor::software(f.semantic, name, f.width_bits),
+            });
         }
         AccessorSet {
             accessors,
@@ -220,12 +228,18 @@ mod tests {
         (paths.remove(0), reg)
     }
 
+    fn intent(reg: &mut SemanticRegistry, sems: &[&str]) -> Intent {
+        (sems.iter())
+            .fold(Intent::builder("i"), |b, s| b.want(reg, s))
+            .build()
+    }
+
     #[test]
     fn synthesize_splits_hw_and_soft() {
-        let (path, reg) = mlx5_mini_path();
+        let (path, mut reg) = mlx5_mini_path();
         let rss = reg.id(names::RSS_HASH).unwrap();
-        let vlan = reg.id(names::VLAN_TCI).unwrap();
-        let set = AccessorSet::synthesize(&path, &[(rss, "rss", 32), (vlan, "vlan", 16)]);
+        let want = intent(&mut reg, &[names::RSS_HASH, names::VLAN_TCI]);
+        let set = AccessorSet::synthesize(&path, &want);
         assert_eq!(set.hardware().count(), 1);
         assert_eq!(set.software().count(), 1);
         assert_eq!(set.completion_bytes, 8);
@@ -234,10 +248,11 @@ mod tests {
 
     #[test]
     fn hardware_read_matches_layout() {
-        let (path, reg) = mlx5_mini_path();
+        let (path, mut reg) = mlx5_mini_path();
         let rss = reg.id(names::RSS_HASH).unwrap();
         let len = reg.id(names::PKT_LEN).unwrap();
-        let set = AccessorSet::synthesize(&path, &[(rss, "rss", 32), (len, "len", 16)]);
+        let set =
+            AccessorSet::synthesize(&path, &intent(&mut reg, &[names::RSS_HASH, names::PKT_LEN]));
         let cmpt = [0xDE, 0xAD, 0xBE, 0xEF, 0x05, 0xDC, 0x03, 0x00];
         assert_eq!(set.for_semantic(rss).unwrap().read(&cmpt), 0xDEADBEEF);
         assert_eq!(set.for_semantic(len).unwrap().read(&cmpt), 0x05DC);
@@ -245,9 +260,8 @@ mod tests {
 
     #[test]
     fn software_shim_recomputes_from_frame() {
-        let (path, reg) = mlx5_mini_path();
-        let vlan = reg.id(names::VLAN_TCI).unwrap();
-        let set = AccessorSet::synthesize(&path, &[(vlan, "vlan", 16)]);
+        let (path, mut reg) = mlx5_mini_path();
+        let set = AccessorSet::synthesize(&path, &intent(&mut reg, &[names::VLAN_TCI]));
         let mut soft = SoftNic::new();
         let frame =
             opendesc_softnic::testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", Some(0x0ABC));
@@ -257,9 +271,8 @@ mod tests {
 
     #[test]
     fn software_shim_returns_none_when_incomputable() {
-        let (path, reg) = mlx5_mini_path();
-        let ts = reg.id(names::TIMESTAMP).unwrap();
-        let set = AccessorSet::synthesize(&path, &[(ts, "ts", 64)]);
+        let (path, mut reg) = mlx5_mini_path();
+        let set = AccessorSet::synthesize(&path, &intent(&mut reg, &[names::TIMESTAMP]));
         let mut soft = SoftNic::new();
         let frame = opendesc_softnic::testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", None);
         let vals = set.read_packet(&reg, &mut soft, &frame, &[0u8; 8]);

@@ -167,7 +167,7 @@ const _: () = {
 /// the wrong id assignment. The key instead binds the registry's
 /// [`fingerprint`](SemanticRegistry::fingerprint) together with a hash
 /// of the intent's `(id, field name, width)` rows; the context override
-/// is canonicalized by sorting.
+/// is an [`Assignment`], ordered by field text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     model: String,
@@ -176,8 +176,8 @@ struct PlanKey {
     reg_fingerprint: u64,
     /// FNV-1a over the intent name and its `(id, name, width)` fields.
     intent_hash: u64,
-    /// Sorted `(dotted field, value)` of the context override, if any.
-    context: Option<Vec<(String, u128)>>,
+    /// The context override, if any.
+    context: Option<Assignment>,
 }
 
 impl PlanKey {
@@ -208,17 +208,12 @@ impl PlanKey {
             }
             byte(0xFF);
         }
-        let context = context.map(|ctx| {
-            let mut kv: Vec<(String, u128)> = ctx.iter().map(|(f, v)| (f.dotted(), *v)).collect();
-            kv.sort();
-            kv
-        });
         PlanKey {
             model: model.name.clone(),
             deparser: model.deparser.clone(),
             reg_fingerprint: reg.fingerprint(),
             intent_hash: h,
-            context,
+            context: context.cloned(),
         }
     }
 }

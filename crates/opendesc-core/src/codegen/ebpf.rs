@@ -32,7 +32,7 @@ fn load_field(a: &mut Asm, acc: &Accessor, completion_bytes: u32) -> Result<(), 
     let span = hi - lo;
     if span > 8 {
         return Err(CodegenError::FieldTooWide {
-            name: acc.name.clone(),
+            name: acc.name.to_string(),
             span_bytes: span,
         });
     }
@@ -59,7 +59,7 @@ fn load_field(a: &mut Asm, acc: &Accessor, completion_bytes: u32) -> Result<(), 
 fn gen_accessor_prog(acc: &Accessor, completion_bytes: u32) -> Result<Vec<Insn>, CodegenError> {
     if acc.kind != AccessorKind::Hardware {
         return Err(CodegenError::NotHardware {
-            name: acc.name.clone(),
+            name: acc.name.to_string(),
         });
     }
     let mut a = Asm::new();
@@ -80,7 +80,7 @@ pub fn gen_xdp_filter(
 ) -> Result<Vec<Insn>, CodegenError> {
     if acc.kind != AccessorKind::Hardware {
         return Err(CodegenError::NotHardware {
-            name: acc.name.clone(),
+            name: acc.name.to_string(),
         });
     }
     let mut a = Asm::new();
@@ -106,7 +106,12 @@ pub fn gen_xdp_filter(
 /// pairs.
 pub fn gen_all(set: &AccessorSet) -> Result<Vec<(String, Vec<Insn>)>, CodegenError> {
     set.hardware()
-        .map(|a| Ok((a.name.clone(), gen_accessor_prog(a, set.completion_bytes)?)))
+        .map(|a| {
+            Ok((
+                a.name.to_string(),
+                gen_accessor_prog(a, set.completion_bytes)?,
+            ))
+        })
         .collect()
 }
 

@@ -19,11 +19,16 @@
 //! * an empty context assignment and an opaque guard are distinguished
 //!   by an explicit `mode` key (`"programmed"` vs `"manual"`) instead
 //!   of two comment strings.
+//!
+//! A manifest built from an artifact borrows its text from it, so
+//! rendering copies each name once, into the output; a parsed manifest
+//! owns its text.
 
 use crate::accessor::AccessorKind;
 use crate::cache::CompiledRx;
 use crate::compiler::CompiledInterface;
 use opendesc_ir::semantics::Cost;
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 
 /// Manifest schema version emitted by [`ManifestV1::render`].
@@ -42,11 +47,11 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 
 /// How the NIC is steered onto the selected layout.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ContextProgramming {
+pub enum ContextProgramming<'a> {
     /// The driver programs these context writes over the control
     /// channel. An empty list means the path is unconditional — nothing
     /// to program, but fully automatic.
-    Programmed(Vec<(String, u128)>),
+    Programmed(Vec<(Cow<'a, str>, u128)>),
     /// The winning path's guard is opaque: the device must be
     /// configured by hand before the layout is live.
     Manual,
@@ -54,13 +59,13 @@ pub enum ContextProgramming {
 
 /// One field slot of the negotiated completion layout.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ManifestSlot {
+pub struct ManifestSlot<'a> {
     /// Qualified name within the layout, e.g. `ip_fields.csum`.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Dotted source in the contract, e.g. `pipe_meta.ip_fields`.
-    pub source: String,
+    pub source: Cow<'a, str>,
     /// Semantic name; `None` for padding/tag fields.
-    pub semantic: Option<String>,
+    pub semantic: Option<Cow<'a, str>>,
     pub offset_bits: u32,
     pub width_bits: u16,
 }
@@ -98,9 +103,9 @@ pub enum ManifestAccessorKind {
 
 /// One entry of the accessor table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ManifestAccessor {
-    pub name: String,
-    pub semantic: String,
+pub struct ManifestAccessor<'a> {
+    pub name: Cow<'a, str>,
+    pub semantic: Cow<'a, str>,
     pub width_bits: u16,
     pub kind: ManifestAccessorKind,
 }
@@ -108,9 +113,9 @@ pub struct ManifestAccessor {
 /// The versioned, machine-readable contract of one negotiated
 /// (NIC, intent, layout) triple.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ManifestV1 {
-    pub nic: String,
-    pub intent: String,
+pub struct ManifestV1<'a> {
+    pub nic: Cow<'a, str>,
+    pub intent: Cow<'a, str>,
     /// `SemanticRegistry::fingerprint()` of the registry the interface
     /// was compiled with — consumers must not assume semantic names
     /// mean the same thing across registries.
@@ -119,7 +124,7 @@ pub struct ManifestV1 {
     pub selected_path: u64,
     pub paths_considered: u64,
     /// Human-readable guard of the selected path.
-    pub guard: String,
+    pub guard: Cow<'a, str>,
     /// Selected layout size in bits.
     pub layout_bits: u32,
     /// FNV-1a digest of the compiled shim plan (step streams).
@@ -127,9 +132,9 @@ pub struct ManifestV1 {
     /// FNV-1a digest of the encoded ODBC plan bytecode; `None` when the
     /// plan does not lower (the verifier refused a window program).
     pub odbc_bytecode: Option<u64>,
-    pub context: ContextProgramming,
-    pub slots: Vec<ManifestSlot>,
-    pub accessors: Vec<ManifestAccessor>,
+    pub context: ContextProgramming<'a>,
+    pub slots: Vec<ManifestSlot<'a>>,
+    pub accessors: Vec<ManifestAccessor<'a>>,
 }
 
 /// A schema or syntax error while parsing a manifest.
@@ -153,21 +158,30 @@ impl std::error::Error for ManifestError {}
 // ---------------------------------------------------------------------
 
 /// Append `s` escaped for a quoted TOML value: backslash, quote, and
-/// the common control characters.
+/// the common control characters. Everything it escapes is ASCII, so
+/// the runs between escapes are copied whole.
 fn escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{{{:04x}}}", c as u32);
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'\\' => Some("\\\\"),
+            b'"' => Some("\\\""),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            b if b < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        match escaped {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{{{b:04x}}}");
             }
-            c => out.push(c),
         }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
 }
 
 /// Append one `<key> = "<escaped value>"` line. A quoted key (context
@@ -212,12 +226,13 @@ fn unescape(s: &str) -> Result<String, String> {
     Ok(out)
 }
 
-impl ManifestV1 {
-    /// Build the manifest of a compiled artifact. Digests are taken
-    /// over the artifact's own executable forms: the shim plan's step
-    /// streams, and the encoded ODBC bytecode `rx` lowered and verified
-    /// when it was built (`None` iff it has a `lowering_error`).
-    pub fn from_compiled(rx: &CompiledRx) -> ManifestV1 {
+impl<'a> ManifestV1<'a> {
+    /// Build the manifest of a compiled artifact, borrowing its names.
+    /// Digests are taken over the artifact's own executable forms: the
+    /// shim plan's step streams, and the encoded ODBC bytecode `rx`
+    /// lowered and verified when it was built (`None` iff it has a
+    /// `lowering_error`).
+    pub fn from_compiled(rx: &'a CompiledRx) -> ManifestV1<'a> {
         let c = rx.interface();
         let mut plan_bytes = Vec::with_capacity(
             4 * c.plan.hw.len()
@@ -235,19 +250,21 @@ impl ManifestV1 {
             }
         }
         let context = match &c.context {
-            Some(ctx) => {
-                ContextProgramming::Programmed(ctx.iter().map(|(f, v)| (f.dotted(), *v)).collect())
-            }
+            Some(ctx) => ContextProgramming::Programmed(
+                (ctx.iter())
+                    .map(|(f, v)| (Cow::Borrowed(f.dotted()), *v))
+                    .collect(),
+            ),
             None => ContextProgramming::Manual,
         };
         ManifestV1 {
-            nic: c.nic_name.clone(),
-            intent: c.intent.name.clone(),
+            nic: Cow::Borrowed(&c.nic_name),
+            intent: Cow::Borrowed(&c.intent.name),
             registry_fingerprint: c.reg.fingerprint(),
             completion_bytes: c.accessors.completion_bytes,
             selected_path: c.path.id as u64,
             paths_considered: c.paths_considered as u64,
-            guard: c.path.guard_str(),
+            guard: Cow::Owned(c.path.guard_str()),
             layout_bits: c.path.size_bits,
             shim_plan_digest: fnv64(&plan_bytes),
             odbc_bytecode: rx.lowered().map(|l| l.prog.digest()),
@@ -257,9 +274,9 @@ impl ManifestV1 {
                 .slots
                 .iter()
                 .map(|s| ManifestSlot {
-                    name: s.name.clone(),
-                    source: s.source.clone(),
-                    semantic: s.semantic.map(|id| c.reg.name(id).to_string()),
+                    name: Cow::Borrowed(&s.name),
+                    source: Cow::Borrowed(&s.source),
+                    semantic: s.semantic.map(|id| Cow::Borrowed(c.reg.name(id))),
                     offset_bits: s.offset_bits,
                     width_bits: s.width_bits,
                 })
@@ -271,8 +288,8 @@ impl ManifestV1 {
                 .map(|a| {
                     let info = c.reg.info(a.semantic);
                     ManifestAccessor {
-                        name: a.name.clone(),
-                        semantic: info.name.to_string(),
+                        name: Cow::Borrowed(&a.name),
+                        semantic: Cow::Borrowed(&info.name),
                         width_bits: a.width_bits,
                         kind: match a.kind {
                             AccessorKind::Hardware => ManifestAccessorKind::Hardware {
@@ -399,11 +416,13 @@ impl ManifestV1 {
         }
         Ok(())
     }
+}
 
+impl ManifestV1<'static> {
     /// Parse a manifest rendered by [`render`](ManifestV1::render).
     /// Schema-checked: unknown sections or keys, missing required keys,
     /// duplicate keys, and type mismatches are all errors.
-    pub fn parse(src: &str) -> Result<ManifestV1, ManifestError> {
+    pub fn parse(src: &str) -> Result<ManifestV1<'static>, ManifestError> {
         Parser::new(src).parse()
     }
 }
@@ -607,7 +626,7 @@ impl<'a> Parser<'a> {
         Ok(f)
     }
 
-    fn parse(mut self) -> Result<ManifestV1, ManifestError> {
+    fn parse(mut self) -> Result<ManifestV1<'static>, ManifestError> {
         let mut saw_version = false;
         let mut interface: Option<(Fields, usize)> = None;
         let mut digests: Option<(Fields, usize)> = None;
@@ -668,10 +687,10 @@ impl<'a> Parser<'a> {
                 Section::Slot => {
                     let mut f = self.fields()?;
                     let slot = ManifestSlot {
-                        name: f.str("name", line)?,
-                        source: f.str("source", line)?,
+                        name: f.str("name", line)?.into(),
+                        source: f.str("source", line)?.into(),
                         semantic: match f.take("semantic") {
-                            Some((Value::Str(s), _)) => Some(s),
+                            Some((Value::Str(s), _)) => Some(s.into()),
                             Some((_, l)) => {
                                 return Err(ManifestError {
                                     line: l,
@@ -726,8 +745,8 @@ impl<'a> Parser<'a> {
                     };
                     f.reject_unknown("[[accessor]]")?;
                     accessors.push(ManifestAccessor {
-                        name,
-                        semantic,
+                        name: name.into(),
+                        semantic: semantic.into(),
                         width_bits,
                         kind,
                     });
@@ -757,13 +776,13 @@ impl<'a> Parser<'a> {
         })?;
 
         let m = ManifestV1 {
-            nic: fi.str("nic", li)?,
-            intent: fi.str("intent", li)?,
+            nic: fi.str("nic", li)?.into(),
+            intent: fi.str("intent", li)?.into(),
             registry_fingerprint: fi.hex("registry_fingerprint", li)?,
             completion_bytes: int_as(fi.int("completion_bytes", li)?, li, "completion_bytes")?,
             selected_path: int_as(fi.int("selected_path", li)?, li, "selected_path")?,
             paths_considered: int_as(fi.int("paths_considered", li)?, li, "paths_considered")?,
-            guard: fi.str("guard", li)?,
+            guard: fi.str("guard", li)?.into(),
             layout_bits: int_as(fi.int("layout_bits", li)?, li, "layout_bits")?,
             shim_plan_digest: fd.hex("shim_plan", ld)?,
             odbc_bytecode: {
@@ -785,7 +804,7 @@ impl<'a> Parser<'a> {
                             .entries
                             .drain(..)
                             .map(|(k, v, l)| match v {
-                                Value::Int(x) => Ok((k, x)),
+                                Value::Int(x) => Ok((k.into(), x)),
                                 _ => Err(ManifestError {
                                     line: l,
                                     msg: format!("context write `{k}` must be an integer"),
@@ -939,14 +958,16 @@ mod tests {
 
     #[test]
     fn digests_are_present_and_lowerable() {
-        let m = ManifestV1::from_compiled(&compiled());
+        let c = compiled();
+        let m = ManifestV1::from_compiled(&c);
         assert!(m.odbc_bytecode.is_some(), "real models lower");
         assert_ne!(m.shim_plan_digest, 0);
     }
 
     #[test]
     fn escaping_survives_hostile_strings() {
-        let mut m = ManifestV1::from_compiled(&compiled());
+        let c = compiled();
+        let mut m = ManifestV1::from_compiled(&c);
         m.nic = "evil\"\nnic = \\\"x".into();
         m.guard = "a\tb\r∞".into();
         let s = m.render();
@@ -957,7 +978,8 @@ mod tests {
 
     #[test]
     fn manual_and_empty_context_are_distinct() {
-        let mut m = ManifestV1::from_compiled(&compiled());
+        let c = compiled();
+        let mut m = ManifestV1::from_compiled(&c);
         m.context = ContextProgramming::Programmed(Vec::new());
         let empty = ManifestV1::parse(&m.render()).unwrap();
         assert_eq!(empty.context, ContextProgramming::Programmed(Vec::new()));

@@ -161,17 +161,12 @@ impl Compiler {
             .find(|p| p.id == selection.best.path_id)
             .expect("selection returns a valid path id")
             .clone();
-        let requested: Vec<_> = intent
-            .fields
-            .iter()
-            .map(|f| (f.semantic, &*f.name, f.width_bits))
-            .collect();
-        let accessors = AccessorSet::synthesize(&path, &requested);
+        let accessors = AccessorSet::synthesize(&path, intent);
         let plan = RxPlan::compile(&accessors, reg);
         Ok(CompiledInterface {
             nic_name: nic_name.to_string(),
             intent: intent.clone(),
-            context: selection.best.context.clone(),
+            context: selection.best.context.clone().ok(),
             selection,
             path,
             accessors,
@@ -350,6 +345,60 @@ mod tests {
             err,
             CompileError::Select(SelectError::Unsatisfiable { .. })
         ));
+    }
+
+    /// A contract that emits `timestamp` only under `guard`, and
+    /// `pkt_len` on every path.
+    fn timestamp_only_under(guard: &str) -> String {
+        format!(
+            r#"
+            header ts_t {{ @semantic("timestamp") bit<64> ts; }}
+            header base_t {{ @semantic("pkt_len") bit<16> len; bit<16> pad; }}
+            struct ctx_t {{ bit<1> use_rss; bit<1> a; bit<1> b; }}
+            struct meta_t {{ ts_t ts; base_t base; }}
+            control CmptDeparser(cmpt_out cmpt, in ctx_t ctx, in meta_t m) {{
+                apply {{
+                    if (ctx.use_rss == 1) {{ if ({guard}) {{ cmpt.emit(m.ts); }} }}
+                    cmpt.emit(m.base);
+                }}
+            }}
+            "#
+        )
+    }
+
+    fn compile_timestamp_under(guard: &str) -> Result<CompiledInterface, CompileError> {
+        let mut reg = SemanticRegistry::with_builtins();
+        let intent = Intent::builder("i")
+            .want(&mut reg, names::TIMESTAMP)
+            .want(&mut reg, names::PKT_LEN)
+            .build();
+        let src = timestamp_only_under(guard);
+        Compiler::default().compile(&src, "CmptDeparser", "x", &intent, &mut reg)
+    }
+
+    #[test]
+    fn an_arm_no_context_reaches_never_wins() {
+        // `ctx.use_rss == 1 && ctx.use_rss == 0`, and `… && false`: the
+        // only path with a timestamp is dead, so the intent cannot be
+        // met — it is not a layout to configure by hand.
+        for dead in ["ctx.use_rss == 0", "false"] {
+            match compile_timestamp_under(dead) {
+                Err(CompileError::Select(SelectError::Unsatisfiable { uncomputable })) => {
+                    assert_eq!(uncomputable, ["timestamp"], "{dead}");
+                }
+                Err(other) => panic!("{dead}: {other}"),
+                Ok(c) => panic!("{dead}: a dead path won:\n{}", c.report()),
+            }
+        }
+    }
+
+    #[test]
+    fn an_opaque_arm_still_wins_as_a_manual_layout() {
+        let compiled = compile_timestamp_under("ctx.a == ctx.b").unwrap();
+        assert_eq!(compiled.path.id, 0, "{}", compiled.report());
+        assert_eq!(compiled.paths_considered, 3);
+        assert!(compiled.context.is_none(), "{}", compiled.report());
+        assert!(compiled.missing_features().is_empty());
     }
 
     #[test]

@@ -27,6 +27,7 @@ use opendesc_ebpf::insn::{alu, jmp, size, Insn};
 use opendesc_ebpf::xdp::{ctx_off, XdpContext};
 use opendesc_ebpf::{Vm, VmError};
 use opendesc_ir::bits::width_mask;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Why a plan could not be lowered.
@@ -77,7 +78,8 @@ pub struct EbpfWindow {
 /// parameters that reassemble the field value host-side.
 #[derive(Debug, Clone)]
 pub struct EbpfFieldProg {
-    pub name: String,
+    /// The accessor's name.
+    pub name: Cow<'static, str>,
     /// Output slot (accessor index) the field fills.
     pub acc_idx: usize,
     pub width_bits: u16,
@@ -186,7 +188,7 @@ fn gen_field(acc: &Accessor, acc_idx: usize, completion_bytes: u32) -> EbpfField
 /// bit-exact path.
 fn load_insn(acc: &Accessor, dst: u8) -> Result<BcInsn, LowerError> {
     let range_err = || LowerError::OperandRange {
-        name: acc.name.clone(),
+        name: acc.name.to_string(),
     };
     let aligned = acc.offset_bits.is_multiple_of(8)
         && acc.width_bits.is_multiple_of(8)

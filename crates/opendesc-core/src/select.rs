@@ -8,14 +8,15 @@
 //! The first term charges per-packet software recomputation for every
 //! requested semantic the layout does not provide; the second charges
 //! DMA bandwidth for the completion record itself. If some requested
-//! semantic has infinite software cost on every path, the program is
-//! rejected as unsatisfiable. Production NICs expose only a handful of
-//! completion paths, so exact enumeration is the algorithm (§4:
-//! "optimization degenerates into enumerating a small finite set").
+//! semantic has infinite software cost on every path some context
+//! reaches, the program is rejected as unsatisfiable. Production NICs
+//! expose only a handful of completion paths, so exact enumeration is
+//! the algorithm (§4: "optimization degenerates into enumerating a small
+//! finite set").
 
 use opendesc_ir::path::CompletionPath;
 use opendesc_ir::semantics::SemanticRegistry;
-use opendesc_ir::{Assignment, SemanticId};
+use opendesc_ir::{Assignment, SemanticId, Unsolved};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -64,8 +65,18 @@ pub struct PathScore {
     pub footprint_bytes: u32,
     /// Total objective value (lower is better; ∞ when unsatisfiable).
     pub objective: f64,
-    /// Context assignment steering the NIC onto this path, if solvable.
-    pub context: Option<Assignment>,
+    /// Context assignment steering the NIC onto this path, or why there
+    /// is none: an opaque guard needs manual configuration, an
+    /// unsatisfiable one is never taken.
+    pub context: Result<Assignment, Unsolved>,
+}
+
+impl PathScore {
+    /// Whether some context can steer the NIC onto this path: a path
+    /// whose guard is unsatisfiable never wins.
+    fn reachable(&self) -> bool {
+        self.context != Err(Unsolved::Unsatisfiable)
+    }
 }
 
 /// A completed selection.
@@ -81,7 +92,7 @@ pub struct Selection {
 /// Why selection failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SelectError {
-    /// No paths to choose from.
+    /// No paths to choose from, or none that any context reaches.
     NoPaths,
     /// Every path leaves some requested semantic uncomputable in
     /// software (w = ∞): the intent cannot be satisfied on this NIC.
@@ -148,7 +159,8 @@ impl Selector {
     ///
     /// Paths whose guard cannot be solved (opaque conditions) are scored
     /// but ranked after solvable ones at equal objective — the compiler
-    /// prefers a layout it can actually configure.
+    /// prefers a layout it can actually configure. Paths whose guard is
+    /// unsatisfiable are scored and ranked too, but never win.
     pub fn select(
         &self,
         paths: &[CompletionPath],
@@ -163,7 +175,7 @@ impl Selector {
             a.objective
                 .partial_cmp(&b.objective)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.context.is_none().cmp(&b.context.is_none()))
+                .then_with(|| a.context.is_err().cmp(&b.context.is_err()))
                 .then_with(|| a.footprint_bytes.cmp(&b.footprint_bytes))
                 .then_with(|| a.path_id.cmp(&b.path_id))
         });
@@ -172,22 +184,24 @@ impl Selector {
         // returned if strictly better and still finite.
         let best = ranking
             .iter()
-            .find(|s| s.context.is_some() && s.objective.is_finite())
-            .or_else(|| ranking.iter().find(|s| s.objective.is_finite()))
+            .find(|s| s.context.is_ok() && s.objective.is_finite())
+            .or_else(|| (ranking.iter()).find(|s| s.reachable() && s.objective.is_finite()))
             .cloned();
         match best {
             Some(b) => Ok(Selection { best: b, ranking }),
             None => {
-                // Report the path with the fewest uncomputable semantics.
+                // Report the reachable path with the fewest uncomputable
+                // semantics.
                 let worst = ranking
                     .iter()
+                    .filter(|s| s.reachable())
                     .min_by_key(|s| {
                         s.missing
                             .iter()
                             .filter(|m| reg.cost(**m).is_infinite())
                             .count()
                     })
-                    .expect("non-empty");
+                    .ok_or(SelectError::NoPaths)?;
                 let uncomputable = worst
                     .missing
                     .iter()
@@ -213,7 +227,11 @@ impl PathScore {
             self.footprint_bytes,
             provided.join(","),
             missing.join(","),
-            if self.context.is_none() { " [manual context]" } else { "" },
+            match self.context {
+                Ok(_) => "",
+                Err(Unsolved::Opaque) => " [manual context]",
+                Err(Unsolved::Unsatisfiable) => " [unreachable]",
+            },
         )
     }
 }

@@ -27,6 +27,7 @@ use opendesc_nicsim::nic::{NicError, SimNic};
 use opendesc_nicsim::ring::RingError;
 use opendesc_p4::typecheck::CheckedProgram;
 use opendesc_softnic::fixup;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -35,20 +36,21 @@ use std::sync::Arc;
 pub struct CompiledTx {
     pub nic_name: String,
     pub layout: DescriptorLayout,
-    /// H2C context steering the queue onto this layout.
-    pub context: Option<Assignment>,
+    /// H2C context steering the queue onto this layout: a layout no
+    /// context reaches never wins.
+    pub context: Assignment,
     /// Requested TX semantics the layout cannot carry: the driver must
     /// perform these in software before posting.
     pub software: BTreeSet<SemanticId>,
     /// Names of the `software` semantics, resolved once at compile time
     /// so reporting them never re-walks the registry.
-    software_names: Vec<String>,
+    software_names: Vec<Cow<'static, str>>,
     pub layouts_considered: usize,
 }
 
 impl CompiledTx {
     /// Names of software-fallback features (precomputed at compile time).
-    pub fn software_features(&self) -> &[String] {
+    pub fn software_features(&self) -> &[Cow<'static, str>] {
         &self.software_names
     }
 }
@@ -89,9 +91,13 @@ pub fn compile_tx_checked(
     req.insert(buf_addr);
     req.insert(buf_len);
 
-    // Score each layout with the same objective shape as RX.
-    let mut best: Option<(f64, &DescriptorLayout, BTreeSet<SemanticId>)> = None;
+    // Score each layout with the same objective shape as RX. A layout no
+    // context reaches never wins.
+    let mut best: Option<(f64, &DescriptorLayout, Assignment, BTreeSet<SemanticId>)> = None;
     for l in &layouts {
+        let Ok(context) = l.solve_context() else {
+            continue;
+        };
         let missing: BTreeSet<SemanticId> = req
             .iter()
             .filter(|s| !l.consumes.contains(s))
@@ -102,11 +108,11 @@ pub fn compile_tx_checked(
             .map(|s| reg.cost(*s).eval(selector.avg_pkt_len))
             .sum();
         let objective = soft_cost + selector.beta_ns_per_byte * l.size_bytes() as f64;
-        if objective.is_finite() && best.as_ref().is_none_or(|(o, _, _)| objective < *o) {
-            best = Some((objective, l, missing));
+        if objective.is_finite() && best.as_ref().is_none_or(|(o, ..)| objective < *o) {
+            best = Some((objective, l, context, missing));
         }
     }
-    let Some((_, layout, missing)) = best else {
+    let Some((_, layout, context, missing)) = best else {
         let uncomputable = req
             .iter()
             .filter(|s| reg.cost(**s).is_infinite())
@@ -123,10 +129,12 @@ pub fn compile_tx_checked(
         .into_iter()
         .filter(|s| *s != buf_addr && *s != buf_len)
         .collect();
-    let software_names = software.iter().map(|s| reg.name(*s).to_string()).collect();
+    let software_names = (software.iter())
+        .map(|s| reg.info(*s).name.clone())
+        .collect();
     Ok(CompiledTx {
         nic_name: nic_name.to_string(),
-        context: layout.solve_context(),
+        context,
         layout: layout.clone(),
         software,
         software_names,
@@ -385,9 +393,7 @@ impl TxQueue {
     /// buffers sized for `max_frame` plus VLAN headroom. The queue
     /// assumes exclusive use of the NIC's TX ring.
     pub fn attach(nic: &mut SimNic, plan: Arc<CompiledTxPlan>, max_frame: usize) -> TxQueue {
-        if let Some(ctx) = &plan.tx.context {
-            nic.configure_tx(ctx.clone());
-        }
+        nic.configure_tx(plan.tx.context.clone());
         let zero = vec![0u8; max_frame + 4];
         let slots = (0..nic.tx_ring.capacity())
             .map(|_| nic.host_mem.alloc(&zero))
@@ -414,9 +420,7 @@ impl TxQueue {
     /// under the outgoing layout must not be consumed under the
     /// incoming context.
     pub fn set_plan(&mut self, nic: &mut SimNic, plan: Arc<CompiledTxPlan>) {
-        if let Some(ctx) = &plan.tx.context {
-            nic.configure_tx(ctx.clone());
-        }
+        nic.configure_tx(plan.tx.context.clone());
         self.plan = plan;
     }
 
@@ -613,8 +617,7 @@ mod tests {
         );
         assert!(compiled.software.is_empty());
         // Context selects desc_size = 16.
-        let ctx = compiled.context.as_ref().unwrap();
-        assert_eq!(ctx.values().next(), Some(&16));
+        assert_eq!(compiled.context.values().next(), Some(&16));
     }
 
     #[test]

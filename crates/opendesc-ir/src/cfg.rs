@@ -9,13 +9,15 @@
 //! the structured `apply` block, so `if/else` joins share their
 //! continuation instead of duplicating suffixes.
 
-use crate::pred::{context_field, CmpOp, Cond, FieldRef};
+use crate::pred::{CmpOp, Cond, ContextFields, FieldRef};
 use crate::semantics::{SemanticId, SemanticRegistry};
 use opendesc_p4::ast::{self, BinOp, ExprId, ExprKind, Program, Stmt, StmtKind, Sym, UnOp};
 use opendesc_p4::diag::Diagnostics;
 use opendesc_p4::span::Span;
 use opendesc_p4::typecheck::CheckedProgram;
 use opendesc_p4::types::{ExternKind, Ty};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Node index within a [`Cfg`].
 pub type NodeId = usize;
@@ -23,9 +25,12 @@ pub type NodeId = usize;
 /// One flattened field of an emitted item.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmitField {
-    /// Field name within the emitted header (or the field's own name for
-    /// single-field emits).
-    pub name: String,
+    /// Name of the field's slot in every layout that carries this emit,
+    /// qualified by the last segment of the emit's source
+    /// (`ip_fields.csum`, unambiguous across emits). A field emitted on
+    /// its own, or the only field of a header named like it, keeps its
+    /// bare name.
+    pub name: Arc<str>,
     /// Bit offset within this emit.
     pub offset_bits: u32,
     pub width_bits: u16,
@@ -38,7 +43,7 @@ pub struct EmitField {
 pub struct EmitVertex {
     pub id: usize,
     /// Dotted source path of the emitted item, e.g. `pipe_meta.rss`.
-    pub source: String,
+    pub source: Arc<str>,
     /// Total emitted width.
     pub size_bits: u32,
     /// Flattened fields with their in-emit offsets.
@@ -188,6 +193,9 @@ pub fn extract(
         cmpt_param,
         actions,
         reg,
+        context: ContextFields::default(),
+        text: String::new(),
+        emitted: BTreeMap::new(),
         nodes: vec![CfgNode::Exit],
         vertices: Vec::new(),
         diags: Diagnostics::new(),
@@ -219,6 +227,11 @@ struct Builder<'a> {
     cmpt_param: Sym,
     actions: Vec<(Sym, &'a ast::Block)>,
     reg: &'a mut SemanticRegistry,
+    context: ContextFields,
+    /// Scratch space a name is spelled in before it is shared.
+    text: String,
+    /// The vertex that first emitted each source.
+    emitted: BTreeMap<Arc<str>, usize>,
     nodes: Vec<CfgNode>,
     vertices: Vec<EmitVertex>,
     diags: Diagnostics,
@@ -315,11 +328,14 @@ impl<'a> Builder<'a> {
                                     })
                                     .collect(),
                             ),
-                            (None, _) => Cond::Opaque(format!(
-                                "{} in {:?}",
-                                expr_str(&self.checked.program, *scrutinee),
-                                labels
-                            )),
+                            (None, _) => Cond::Opaque(
+                                format!(
+                                    "{} in {:?}",
+                                    expr_str(&self.checked.program, *scrutinee),
+                                    labels
+                                )
+                                .into(),
+                            ),
                         };
                         arms.push((cond, entry));
                     }
@@ -336,10 +352,13 @@ impl<'a> Builder<'a> {
                             })
                             .collect(),
                     ),
-                    None => Cond::Opaque(format!(
-                        "{} not matched",
-                        expr_str(&self.checked.program, *scrutinee)
-                    )),
+                    None => Cond::Opaque(
+                        format!(
+                            "{} not matched",
+                            expr_str(&self.checked.program, *scrutinee)
+                        )
+                        .into(),
+                    ),
                 };
                 arms.push((default_cond, default_entry.unwrap_or(next)));
                 self.push(CfgNode::Branch {
@@ -410,21 +429,33 @@ impl<'a> Builder<'a> {
         };
         let ty = self.resolve_path_ty(&path, arg_span)?;
         let id = self.vertices.len();
-        let mut source = String::new();
+        self.text.clear();
         for (i, seg) in path.iter().enumerate() {
             if i > 0 {
-                source.push('.');
+                self.text.push('.');
             }
-            source.push_str(self.name(*seg));
+            self.text.push_str(self.name(*seg));
         }
+        // The same item emitted on another branch shares its names.
+        if let Some(&v) = self.emitted.get(self.text.as_str()) {
+            return Some(EmitVertex {
+                id,
+                span,
+                ..self.vertices[v].clone()
+            });
+        }
+        let source: Arc<str> = Arc::from(self.text.as_str());
+        self.emitted.insert(source.clone(), id);
+        let prefix = self.name(path[path.len() - 1]);
         match ty {
             Ty::Header(hid) => {
                 let info = self.checked.types.header(hid);
+                let alone = info.fields.len() == 1;
                 let fields = info
                     .fields
                     .iter()
                     .map(|f| EmitField {
-                        name: self.name(f.name).to_string(),
+                        name: self.slot_name(prefix, self.name(f.name), alone),
                         offset_bits: f.offset_bits,
                         width_bits: f.width_bits,
                         semantic: f
@@ -449,7 +480,7 @@ impl<'a> Builder<'a> {
                     source,
                     size_bits: width as u32,
                     fields: vec![EmitField {
-                        name: self.name(path[path.len() - 1]).to_string(),
+                        name: prefix.into(),
                         offset_bits: 0,
                         width_bits: width,
                         semantic,
@@ -468,6 +499,20 @@ impl<'a> Builder<'a> {
                 None
             }
         }
+    }
+
+    /// The slot name of field `field` of an emit whose source ends in
+    /// `prefix` (see [`EmitField::name`]); `alone` when it is the emit's
+    /// only field.
+    fn slot_name(&mut self, prefix: &str, field: &str, alone: bool) -> Arc<str> {
+        if alone && field == prefix {
+            return field.into();
+        }
+        self.text.clear();
+        self.text.push_str(prefix);
+        self.text.push('.');
+        self.text.push_str(field);
+        Arc::from(self.text.as_str())
     }
 
     /// Semantic annotation of the field named by `path`, when its parent is
@@ -549,10 +594,10 @@ impl<'a> Builder<'a> {
         Some(ty)
     }
 
-    /// The context field `e` names (see [`context_field`]); `None` makes
-    /// the condition over it opaque.
-    fn field_of_expr(&self, e: ExprId) -> Option<FieldRef> {
-        context_field(self.checked, self.decl_params, e)
+    /// The context field `e` names (see [`ContextFields::get`]); `None`
+    /// makes the condition over it opaque.
+    fn field_of_expr(&mut self, e: ExprId) -> Option<FieldRef> {
+        self.context.get(self.checked, self.decl_params, e)
     }
 
     /// Lower a boolean expression to a symbolic [`Cond`].
@@ -560,7 +605,7 @@ impl<'a> Builder<'a> {
         let e = self.checked.program.expr(id);
         match &e.kind {
             ExprKind::Bool(true) => Cond::True,
-            ExprKind::Bool(false) => Cond::Opaque("false".into()),
+            ExprKind::Bool(false) => Cond::False,
             ExprKind::Unary {
                 op: UnOp::Not,
                 expr,
@@ -606,12 +651,12 @@ impl<'a> Builder<'a> {
                                 value: v,
                             };
                         }
-                        Cond::Opaque(expr_str(&self.checked.program, id))
+                        Cond::Opaque(expr_str(&self.checked.program, id).into())
                     }
-                    _ => Cond::Opaque(expr_str(&self.checked.program, id)),
+                    _ => Cond::Opaque(expr_str(&self.checked.program, id).into()),
                 }
             }
-            _ => Cond::Opaque(expr_str(&self.checked.program, id)),
+            _ => Cond::Opaque(expr_str(&self.checked.program, id).into()),
         }
     }
 }
@@ -709,7 +754,7 @@ mod tests {
         let rss = cfg
             .vertices
             .iter()
-            .find(|v| v.source == "pipe_meta.rss")
+            .find(|v| &*v.source == "pipe_meta.rss")
             .unwrap();
         assert_eq!(rss.size_bytes(), 4);
         let sems: Vec<&str> = rss.sems().map(|s| reg.name(s)).collect();
@@ -717,7 +762,7 @@ mod tests {
         let ip = cfg
             .vertices
             .iter()
-            .find(|v| v.source == "pipe_meta.ip_fields")
+            .find(|v| &*v.source == "pipe_meta.ip_fields")
             .unwrap();
         assert_eq!(ip.size_bytes(), 4);
         assert_eq!(ip.fields.len(), 2);

@@ -18,6 +18,6 @@ pub mod txpath;
 
 pub use cfg::{extract, Cfg, CfgNode, EmitField, EmitVertex};
 pub use path::{enumerate_paths, CompletionPath, FieldSlot, PathError, DEFAULT_MAX_PATHS};
-pub use pred::{solve, Assignment, CmpOp, Cond, FieldRef};
+pub use pred::{solve, Assignment, CmpOp, Cond, FieldRef, Unsolved};
 pub use semantics::{names, Cost, SemanticId, SemanticInfo, SemanticRegistry};
 pub use txpath::{enumerate_tx_layouts, DescriptorLayout};

@@ -9,18 +9,21 @@
 //! that makes the NIC take this path).
 
 use crate::cfg::{Cfg, CfgNode};
-use crate::pred::{solve, Assignment, Cond};
+use crate::pred::{solve, write_guard, Assignment, Cond, Unsolved};
 use crate::semantics::{SemanticId, SemanticRegistry};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// One field of a concrete completion layout, with its absolute offset.
+/// Its names are the contract's, made once at extraction and shared by
+/// every layout that carries the field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldSlot {
     /// Qualified name within the layout, e.g. `ip_fields.csum`.
-    pub name: String,
+    pub name: Arc<str>,
     /// Dotted source in the contract, e.g. `pipe_meta.ip_fields`.
-    pub source: String,
+    pub source: Arc<str>,
     pub semantic: Option<SemanticId>,
     /// Absolute bit offset from the start of the completion record.
     pub offset_bits: u32,
@@ -50,10 +53,10 @@ impl CompletionPath {
         self.size_bits.div_ceil(8)
     }
 
-    /// Context assignment that steers the NIC onto this path, if the guard
-    /// is solvable. `None` means the path needs manual configuration
-    /// (opaque or contradictory guard).
-    pub fn solve_context(&self) -> Option<Assignment> {
+    /// Context assignment that steers the NIC onto this path, or why
+    /// there is none: the guard is opaque (the path needs manual
+    /// configuration) or unsatisfiable (no context ever takes it).
+    pub fn solve_context(&self) -> Result<Assignment, Unsolved> {
         solve(&self.guard)
     }
 
@@ -64,25 +67,16 @@ impl CompletionPath {
 
     /// Human-readable guard.
     pub fn guard_str(&self) -> String {
-        if self.guard.is_empty() {
-            "unconditional".to_string()
-        } else {
-            self.guard
-                .iter()
-                .map(|c| format!("{c}"))
-                .collect::<Vec<_>>()
-                .join(" && ")
-        }
+        let mut out = String::new();
+        write_guard(&mut out, &self.guard).expect("writing to a String cannot fail");
+        out
     }
 
     /// Render the layout as a table, for reports and docs.
     pub fn describe(&self, reg: &SemanticRegistry) -> String {
-        let mut out = format!(
-            "path {} ({} B), guard: {}\n",
-            self.id,
-            self.size_bytes(),
-            self.guard_str()
-        );
+        let mut out = format!("path {} ({} B), guard: ", self.id, self.size_bytes());
+        write_guard(&mut out, &self.guard).expect("writing to a String cannot fail");
+        out.push('\n');
         for s in &self.slots {
             out.push_str(&format!(
                 "  [{:>4}..{:<4}] {:<24} {}\n",
@@ -100,12 +94,13 @@ impl fmt::Display for CompletionPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "path {} ({} B, {} slots, guard: {})",
+            "path {} ({} B, {} slots, guard: ",
             self.id,
             self.size_bytes(),
             self.slots.len(),
-            self.guard_str()
-        )
+        )?;
+        write_guard(f, &self.guard)?;
+        f.write_str(")")
     }
 }
 
@@ -140,7 +135,7 @@ pub const DEFAULT_MAX_PATHS: usize = 4096;
 /// long as its run of emits, costs heap, not thread stack.
 pub fn enumerate_paths(cfg: &Cfg, max_paths: usize) -> Result<Vec<CompletionPath>, PathError> {
     let mut paths = Vec::new();
-    let mut guard: Vec<Cond> = Vec::new();
+    let mut guard: Vec<&Cond> = Vec::new();
     let mut emits: Vec<usize> = Vec::new();
     // Arms not yet taken, next last: the target, how long the guard and
     // the emit list were at their branch, and the arm's condition.
@@ -170,30 +165,22 @@ pub fn enumerate_paths(cfg: &Cfg, max_paths: usize) -> Result<Vec<CompletionPath
         guard.truncate(g);
         emits.truncate(e);
         if !matches!(cond, Cond::True) {
-            guard.push(cond.clone());
+            guard.push(cond);
         }
         node = target;
     }
 }
 
-fn materialize(cfg: &Cfg, id: usize, guard: &[Cond], emits: &[usize]) -> CompletionPath {
+fn materialize(cfg: &Cfg, id: usize, guard: &[&Cond], emits: &[usize]) -> CompletionPath {
     let fields = emits.iter().map(|&v| cfg.vertices[v].fields.len()).sum();
     let mut slots = Vec::with_capacity(fields);
     let mut offset: u32 = 0;
     let mut prov = BTreeSet::new();
     for &vid in emits {
         let v = &cfg.vertices[vid];
-        // Qualify slot names by the last source segment when the emit is a
-        // whole header (so `ip_fields.csum` stays unambiguous across emits).
-        let prefix = v.source.rsplit('.').next().unwrap_or_default();
         for f in &v.fields {
-            let name = if v.fields.len() == 1 && f.name == prefix {
-                f.name.clone()
-            } else {
-                format!("{prefix}.{}", f.name)
-            };
             slots.push(FieldSlot {
-                name,
+                name: f.name.clone(),
                 source: v.source.clone(),
                 semantic: f.semantic,
                 offset_bits: offset + f.offset_bits,
@@ -207,7 +194,7 @@ fn materialize(cfg: &Cfg, id: usize, guard: &[Cond], emits: &[usize]) -> Complet
     }
     CompletionPath {
         id,
-        guard: guard.to_vec(),
+        guard: guard.iter().map(|c| (*c).clone()).collect(),
         emits: emits.to_vec(),
         slots,
         size_bits: offset,
@@ -389,7 +376,7 @@ mod tests {
     fn slot_names_qualified_by_header() {
         let (paths, reg) = paths_of(E1000_FIG6, "CmptDeparser");
         let p = &paths[1];
-        let names: Vec<&str> = p.slots.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = p.slots.iter().map(|s| &*s.name).collect();
         assert!(
             names.contains(&"ip_fields.csum") || names.contains(&"rss.rss"),
             "{names:?}"

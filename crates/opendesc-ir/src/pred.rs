@@ -13,27 +13,40 @@ use opendesc_p4::typecheck::CheckedProgram;
 use opendesc_p4::types::Ty;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-/// A dotted reference to a context field, e.g. `ctx.flags.use_rss`,
-/// together with its bit width (needed to pick witnesses for `!=`/`<`).
+/// A reference to a context field, e.g. `ctx.flags.use_rss`, together
+/// with its bit width (needed to pick witnesses for `!=`/`<`).
+///
+/// The dotted name is made once per contract and shared by every
+/// condition and assignment that reads the field, so a clone costs a
+/// reference count. Equality and order are textual, never by identity:
+/// an assignment solved on one parse of a contract programs a device
+/// booted from another. Dotted order is segment order, since `.` sorts
+/// below every identifier byte.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldRef {
-    /// Path segments including the parameter name: `["ctx", "use_rss"]`.
-    pub path: Vec<String>,
+    /// Path segments including the parameter name, joined by `.`.
+    dotted: Arc<str>,
     pub width: u16,
 }
 
 impl FieldRef {
     pub fn new(path: &[&str], width: u16) -> Self {
         FieldRef {
-            path: path.iter().map(|s| s.to_string()).collect(),
+            dotted: path.join(".").into(),
             width,
         }
     }
 
     /// Dotted rendering, `ctx.use_rss`.
-    pub fn dotted(&self) -> String {
-        self.path.join(".")
+    pub fn dotted(&self) -> &str {
+        &self.dotted
+    }
+
+    /// Path segments including the parameter name: `ctx`, `use_rss`.
+    pub fn segments(&self) -> impl Iterator<Item = &str> {
+        self.dotted.split('.')
     }
 
     /// Maximum representable value for this field's width.
@@ -46,29 +59,45 @@ impl FieldRef {
     }
 }
 
-/// The context field `e` names, if it names one: a scalar reached from
-/// an `in` struct parameter of `params` through struct members only.
-/// A path that crosses a header (per-packet metadata, an extracted
-/// descriptor field), a local or a computed expression is not context,
-/// whatever its type — the host programs a context once per queue, and
-/// such a value changes per packet. The one rule both directions use:
-/// RX turns anything else into [`Cond::Opaque`], TX refuses it.
-pub(crate) fn context_field(
-    checked: &CheckedProgram,
-    params: &[ast::Param],
-    e: ast::ExprId,
-) -> Option<FieldRef> {
-    let path = checked.program.path(e)?;
-    let width = match member_ty(checked, params, ast::Direction::In, &path)? {
-        Ty::Bit(w) => w,
-        Ty::Bool => 1,
-        Ty::Enum(id) => checked.types.enum_(id).repr_width,
-        _ => return None,
-    };
-    Some(FieldRef {
-        path: path.iter().map(|s| checked.name(*s).to_string()).collect(),
-        width,
-    })
+/// The context fields one contract's conditions read, each made once
+/// and handed out as clones.
+#[derive(Default)]
+pub(crate) struct ContextFields(Vec<FieldRef>);
+
+impl ContextFields {
+    /// The context field `e` names, if it names one: a scalar reached
+    /// from an `in` struct parameter of `params` through struct members
+    /// only. A path that crosses a header (per-packet metadata, an
+    /// extracted descriptor field), a local or a computed expression is
+    /// not context, whatever its type — the host programs a context once
+    /// per queue, and such a value changes per packet. The one rule both
+    /// directions use: RX turns anything else into [`Cond::Opaque`], TX
+    /// refuses it.
+    pub(crate) fn get(
+        &mut self,
+        checked: &CheckedProgram,
+        params: &[ast::Param],
+        e: ast::ExprId,
+    ) -> Option<FieldRef> {
+        let path = checked.program.path(e)?;
+        let width = match member_ty(checked, params, ast::Direction::In, &path)? {
+            Ty::Bit(w) => w,
+            Ty::Bool => 1,
+            Ty::Enum(id) => checked.types.enum_(id).repr_width,
+            _ => return None,
+        };
+        let names = || path.iter().map(|s| checked.name(*s));
+        if let Some(known) = (self.0.iter()).find(|f| f.width == width && f.segments().eq(names()))
+        {
+            return Some(known.clone());
+        }
+        let field = FieldRef {
+            dotted: names().collect::<Vec<_>>().join(".").into(),
+            width,
+        };
+        self.0.push(field.clone());
+        Some(field)
+    }
 }
 
 /// The type of `path`: rooted at the parameter of `params` named by its
@@ -96,7 +125,7 @@ pub(crate) fn member_ty(
 
 impl fmt::Display for FieldRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.dotted())
+        f.write_str(&self.dotted)
     }
 }
 
@@ -139,15 +168,14 @@ impl CmpOp {
 
 impl fmt::Display for CmpOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+        f.write_str(match self {
             CmpOp::Eq => "==",
             CmpOp::Ne => "!=",
             CmpOp::Lt => "<",
             CmpOp::Le => "<=",
             CmpOp::Gt => ">",
             CmpOp::Ge => ">=",
-        };
-        write!(f, "{s}")
+        })
     }
 }
 
@@ -156,6 +184,8 @@ impl fmt::Display for CmpOp {
 pub enum Cond {
     /// Always true (unconditional edge).
     True,
+    /// Never true: `if (false)`, or the other arm of `if (true)`.
+    False,
     /// `field op constant`.
     Cmp {
         field: FieldRef,
@@ -172,7 +202,7 @@ pub enum Cond {
     /// fields). Paths guarded by opaque conditions are still enumerated
     /// but cannot be auto-configured; the display string is surfaced to
     /// the user.
-    Opaque(String),
+    Opaque(Arc<str>),
 }
 
 /// A concrete assignment of context fields, ordered for deterministic
@@ -183,7 +213,8 @@ impl Cond {
     /// Negation with `Not` pushed inward over comparisons.
     pub fn negated(&self) -> Cond {
         match self {
-            Cond::True => Cond::Opaque("false".into()),
+            Cond::True => Cond::False,
+            Cond::False => Cond::True,
             Cond::Cmp { field, op, value } => Cond::Cmp {
                 field: field.clone(),
                 op: op.negate(),
@@ -197,30 +228,30 @@ impl Cond {
     }
 
     /// Evaluate under a (total) assignment; unassigned fields read as 0.
-    /// Returns `None` if the condition contains an opaque subterm.
+    /// Three-valued: `None` when the answer depends on an opaque
+    /// subterm, so `opaque || true` holds and `opaque && false` fails.
     pub fn eval(&self, asn: &Assignment) -> Option<bool> {
         match self {
             Cond::True => Some(true),
+            Cond::False => Some(false),
             Cond::Cmp { field, op, value } => {
                 let v = asn.get(field).copied().unwrap_or(0);
                 Some(op.eval(v, *value))
             }
             Cond::Not(c) => c.eval(asn).map(|b| !b),
-            Cond::And(cs) => {
+            Cond::And(cs) | Cond::Or(cs) => {
+                // `And` is decided by the first false term, `Or` by the
+                // first true one.
+                let decides = matches!(self, Cond::Or(_));
+                let mut known = true;
                 for c in cs {
-                    if !c.eval(asn)? {
-                        return Some(false);
+                    match c.eval(asn) {
+                        Some(b) if b == decides => return Some(decides),
+                        Some(_) => {}
+                        None => known = false,
                     }
                 }
-                Some(true)
-            }
-            Cond::Or(cs) => {
-                for c in cs {
-                    if c.eval(asn)? {
-                        return Some(true);
-                    }
-                }
-                Some(false)
+                known.then_some(!decides)
             }
             Cond::Opaque(_) => None,
         }
@@ -240,165 +271,330 @@ impl Cond {
 impl fmt::Display for Cond {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Cond::True => write!(f, "true"),
+            Cond::True => f.write_str("true"),
+            Cond::False => f.write_str("false"),
             Cond::Cmp { field, op, value } => write!(f, "{field} {op} {value}"),
             Cond::Not(c) => write!(f, "!({c})"),
-            Cond::And(cs) => {
-                let parts: Vec<String> = cs.iter().map(|c| format!("({c})")).collect();
-                write!(f, "{}", parts.join(" && "))
-            }
-            Cond::Or(cs) => {
-                let parts: Vec<String> = cs.iter().map(|c| format!("({c})")).collect();
-                write!(f, "{}", parts.join(" || "))
+            Cond::And(cs) | Cond::Or(cs) => {
+                let sep = if matches!(self, Cond::And(_)) {
+                    " && "
+                } else {
+                    " || "
+                };
+                for (i, c) in cs.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(sep)?;
+                    }
+                    write!(f, "({c})")?;
+                }
+                Ok(())
             }
             Cond::Opaque(s) => write!(f, "⟨{s}⟩"),
         }
     }
 }
 
-/// Find an assignment of context fields satisfying the conjunction of
-/// `conds`, if one exists and no condition is opaque.
+/// Write the conjunction `guard` as `(a) && (b)`, or `unconditional`
+/// when it is empty.
+pub(crate) fn write_guard(f: &mut impl fmt::Write, guard: &[Cond]) -> fmt::Result {
+    if guard.is_empty() {
+        return f.write_str("unconditional");
+    }
+    for (i, c) in guard.iter().enumerate() {
+        if i > 0 {
+            f.write_str(" && ")?;
+        }
+        write!(f, "{c}")?;
+    }
+    Ok(())
+}
+
+/// Why a guard has no context assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unsolved {
+    /// Nothing makes the guard hold — no assignment of the fields it
+    /// compares, whatever its opaque terms read: the path is never
+    /// taken.
+    Unsatisfiable,
+    /// Only an opaque term could make the guard hold: the path needs a
+    /// configuration the host makes by hand.
+    Opaque,
+}
+
+/// Find an assignment of context fields under which the conjunction
+/// `conds` holds whatever its opaque terms read.
 ///
-/// This is a tiny backtracking solver. Real contracts branch on a handful
-/// of equality tests over per-queue config bits, so the search space is
-/// trivially small; the solver still handles `!=`, orderings, and `||`
-/// via backtracking for generality.
-pub fn solve(conds: &[Cond]) -> Option<Assignment> {
-    let mut asn = Assignment::new();
-    if solve_rec(conds, 0, &mut asn) {
-        Some(asn)
+/// The verdict is three-way. `Ok` is the assignment, with the smallest
+/// witness for each field in the order the fields are first compared.
+/// Otherwise the search runs again with every opaque term taken as true
+/// (each occurrence on its own): if that succeeds the guard is
+/// [`Unsolved::Opaque`], else [`Unsolved::Unsatisfiable`].
+///
+/// The search works on the guard in place. It backtracks over the arms
+/// of each disjunction and over the witnesses of each field; a field is
+/// chosen at its first comparison, from the values that no comparison on
+/// it in the rest of the conjunction rejects (bounds, plus a sorted
+/// exclusion list for `!=`), so a switch's default arm — one `!=` per
+/// case — costs one sort, not one retry per case.
+pub fn solve(conds: &[Cond]) -> Result<Assignment, Unsolved> {
+    let top = Todo {
+        items: conds,
+        neg: false,
+        rest: None,
+    };
+    let mut s = Solver {
+        fields: Vec::new(),
+        opaque_holds: false,
+        saw_opaque: false,
+    };
+    if s.sat(top) {
+        let mut asn = Assignment::new();
+        for (field, v) in s.fields {
+            asn.insert(field.clone(), v);
+        }
+        return Ok(asn);
+    }
+    if !s.saw_opaque {
+        return Err(Unsolved::Unsatisfiable);
+    }
+    s.opaque_holds = true;
+    Err(if s.sat(top) {
+        Unsolved::Opaque
     } else {
-        None
+        Unsolved::Unsatisfiable
+    })
+}
+
+/// What is left to satisfy: `items`, each negated when `neg`, then
+/// everything `rest` holds. Every level is a conjunction; a disjunction
+/// is a choice, made by pushing one of its arms as a level of its own.
+#[derive(Clone, Copy)]
+struct Todo<'g, 't> {
+    items: &'g [Cond],
+    neg: bool,
+    rest: Option<&'t Todo<'g, 't>>,
+}
+
+impl<'g> Todo<'g, '_> {
+    /// Visit every conjunct still to satisfy, with its polarity.
+    fn each(&self, visit: &mut impl FnMut(&'g Cond, bool)) {
+        let mut level = Some(self);
+        while let Some(t) = level {
+            for c in t.items {
+                visit(c, t.neg);
+            }
+            level = t.rest;
+        }
     }
 }
 
-fn solve_rec(conds: &[Cond], mut idx: usize, asn: &mut Assignment) -> bool {
-    // A condition the assignment already decides moves on in a loop, not
-    // in a call per conjunct: a switch's default arm has one per case,
-    // and a 2 048-case switch must not need 2 048 frames.
-    loop {
-        let Some(cond) = conds.get(idx) else {
-            // All constraints incorporated; verify (cheap — assignments
-            // were kept consistent along the way, but Or backtracking can
-            // leave stale entries in degenerate inputs).
-            return conds.iter().all(|c| c.eval(asn) == Some(true));
-        };
-        match cond {
-            Cond::True => {}
-            Cond::Opaque(_) => return false,
-            Cond::Not(inner) => {
-                // Negating an opaque term yields `Not(Opaque)` again —
-                // unsolvable, and recursing on it would never terminate.
-                if inner.has_opaque() {
-                    return false;
-                }
-                let neg = inner.negated();
-                let mut sub = vec![neg];
-                sub.extend_from_slice(&conds[idx + 1..]);
-                return solve_rec(&sub, 0, asn);
-            }
-            Cond::And(cs) => {
-                let mut sub: Vec<Cond> = cs.clone();
-                sub.extend_from_slice(&conds[idx + 1..]);
-                return solve_rec(&sub, 0, asn);
-            }
-            Cond::Or(cs) => {
-                for c in cs {
-                    let snapshot = asn.clone();
-                    let mut sub = vec![c.clone()];
-                    sub.extend_from_slice(&conds[idx + 1..]);
-                    if solve_rec(&sub, 0, asn) {
-                        return true;
+struct Solver<'g> {
+    /// Fields chosen so far, in the order they were first compared.
+    fields: Vec<(&'g FieldRef, u128)>,
+    /// Second pass: an opaque term counts as satisfied.
+    opaque_holds: bool,
+    /// The first pass met an opaque term.
+    saw_opaque: bool,
+}
+
+impl<'g> Solver<'g> {
+    /// Whether `todo` can be satisfied by extending `self.fields`. A
+    /// `false` leaves `self.fields` as it found it. A conjunct the
+    /// current choice already decides is checked in the loop, not in a
+    /// call: a switch's default arm has one per case.
+    fn sat(&mut self, mut todo: Todo<'g, '_>) -> bool {
+        loop {
+            let Some((cond, items)) = todo.items.split_first() else {
+                match todo.rest {
+                    Some(rest) => {
+                        todo = *rest;
+                        continue;
                     }
-                    *asn = snapshot;
+                    None => return true,
                 }
-                return false;
-            }
-            Cond::Cmp { field, op, value } => {
-                if let Some(&existing) = asn.get(field) {
-                    if !op.eval(existing, *value) {
+            };
+            todo.items = items;
+            match cond {
+                Cond::True | Cond::False => {
+                    if matches!(cond, Cond::False) != todo.neg {
                         return false;
                     }
-                } else {
-                    return solve_field(conds, idx, field, *op, *value, asn);
+                }
+                Cond::Opaque(_) => {
+                    self.saw_opaque = true;
+                    if !self.opaque_holds {
+                        return false;
+                    }
+                }
+                Cond::Cmp { field, op, value } => {
+                    let op = if todo.neg { op.negate() } else { *op };
+                    match self.fields.iter().find(|(f, _)| *f == field) {
+                        Some(&(_, v)) if op.eval(v, *value) => {}
+                        Some(_) => return false,
+                        None => return self.choose(field, op, *value, todo),
+                    }
+                }
+                Cond::Not(inner) => {
+                    let inner = Todo {
+                        items: std::slice::from_ref(&**inner),
+                        neg: !todo.neg,
+                        rest: Some(&todo),
+                    };
+                    return self.sat(inner);
+                }
+                Cond::And(cs) | Cond::Or(cs) => {
+                    if matches!(cond, Cond::And(_)) != todo.neg {
+                        let all = Todo {
+                            items: cs,
+                            neg: todo.neg,
+                            rest: Some(&todo),
+                        };
+                        return self.sat(all);
+                    }
+                    return cs.iter().any(|c| {
+                        self.sat(Todo {
+                            items: std::slice::from_ref(c),
+                            neg: todo.neg,
+                            rest: Some(&todo),
+                        })
+                    });
                 }
             }
         }
-        idx += 1;
     }
-}
 
-/// `conds[idx]` compares `field`, which nothing has assigned yet: try
-/// each witness that satisfies it against the rest.
-fn solve_field(
-    conds: &[Cond],
-    idx: usize,
-    field: &FieldRef,
-    op: CmpOp,
-    value: u128,
-    asn: &mut Assignment,
-) -> bool {
-    // Backtrack over candidate witnesses: chained constraints on the same
-    // field (e.g. a switch default arm's `!= 0 && != 1`) may reject the
-    // first choice. Small fields are enumerated exhaustively (complete);
-    // wide fields use a heuristic set gathered from every comparison
-    // against this field in the remaining constraints.
-    let max = field.max_value();
-    let candidates: Vec<u128> = if field.width <= 10 {
-        (0..=max).collect()
-    } else {
-        let mut c = vec![0u128, max];
-        collect_candidates(&conds[idx..], field, &mut c);
-        c.sort_unstable();
-        c.dedup();
-        c
-    };
-    for w in candidates {
-        if w > max || !op.eval(w, value) {
-            continue;
+    /// `field op value` is the first comparison on `field`: try, in
+    /// ascending order, each witness that no comparison on `field`
+    /// standing in the rest of the conjunction rejects.
+    ///
+    /// The smallest value a satisfying assignment can give the field is
+    /// its lower bound or one past an excluded value — under the
+    /// conjunction's own comparisons, or under those of whichever
+    /// disjunction arms the rest of the search takes. So the candidates
+    /// are the bound, each exclusion plus one, and each value a
+    /// comparison inside a disjunction pivots on, and the search stays
+    /// complete at any width.
+    fn choose(&mut self, field: &'g FieldRef, op: CmpOp, value: u128, rest: Todo<'g, '_>) -> bool {
+        let mut range = Range {
+            lo: 0,
+            hi: field.max_value(),
+            excluded: Vec::new(),
+        };
+        range.admit(op, value);
+        let mut pivots = Vec::new();
+        rest.each(&mut |c, neg| range.collect(c, neg, field, &mut pivots));
+        if range.lo > range.hi {
+            return false;
         }
-        asn.insert(field.clone(), w);
-        if solve_rec(conds, idx + 1, asn) {
-            return true;
-        }
-        asn.remove(field);
-    }
-    false
-}
-
-/// Gather heuristic witness candidates for `field` from every comparison
-/// mentioning it in `conds`: the compared value and its neighbours.
-fn collect_candidates(conds: &[Cond], field: &FieldRef, out: &mut Vec<u128>) {
-    for c in conds {
-        match c {
-            Cond::Cmp {
-                field: f, value, ..
-            } if f == field => {
-                out.push(*value);
-                out.push(value.wrapping_add(1));
-                out.push(value.wrapping_sub(1));
+        let Range { lo, hi, excluded } = &mut range;
+        excluded.sort_unstable();
+        excluded.dedup();
+        let mut candidates = pivots;
+        candidates.push(*lo);
+        candidates.extend(excluded.iter().filter_map(|e| e.checked_add(1)));
+        candidates.retain(|w| (*lo..=*hi).contains(w) && excluded.binary_search(w).is_err());
+        candidates.sort_unstable();
+        candidates.dedup();
+        for w in candidates {
+            self.fields.push((field, w));
+            if self.sat(rest) {
+                return true;
             }
-            Cond::Not(inner) => collect_candidates(std::slice::from_ref(inner), field, out),
-            Cond::And(cs) | Cond::Or(cs) => collect_candidates(cs, field, out),
+            self.fields.pop();
+        }
+        false
+    }
+}
+
+/// The values one field may take: `lo..=hi` minus `excluded` (empty
+/// when `lo > hi`).
+struct Range {
+    lo: u128,
+    hi: u128,
+    excluded: Vec<u128>,
+}
+
+impl Range {
+    /// Narrow to the values `op value` accepts.
+    fn admit(&mut self, op: CmpOp, value: u128) {
+        let (lo, hi) = match op {
+            CmpOp::Eq => (value, value),
+            CmpOp::Ne => {
+                self.excluded.push(value);
+                return;
+            }
+            CmpOp::Le => (0, value),
+            CmpOp::Ge => (value, u128::MAX),
+            CmpOp::Lt => match value.checked_sub(1) {
+                Some(hi) => (0, hi),
+                None => (1, 0),
+            },
+            CmpOp::Gt => match value.checked_add(1) {
+                Some(lo) => (lo, u128::MAX),
+                None => (1, 0),
+            },
+        };
+        self.lo = self.lo.max(lo);
+        self.hi = self.hi.min(hi);
+    }
+
+    /// Fold in `cond` (negated when `neg`), one conjunct of the rest: a
+    /// comparison on `field` standing in the conjunction narrows the
+    /// range; one inside a disjunction contributes its pivot values.
+    fn collect(&mut self, cond: &Cond, neg: bool, field: &FieldRef, pivots: &mut Vec<u128>) {
+        match cond {
+            Cond::Cmp {
+                field: f,
+                op,
+                value,
+            } if f == field => {
+                self.admit(if neg { op.negate() } else { *op }, *value);
+            }
+            Cond::Not(inner) => self.collect(inner, !neg, field, pivots),
+            Cond::And(cs) if !neg => cs.iter().for_each(|c| self.collect(c, neg, field, pivots)),
+            Cond::Or(cs) if neg => cs.iter().for_each(|c| self.collect(c, neg, field, pivots)),
+            Cond::And(cs) | Cond::Or(cs) => cs.iter().for_each(|c| pivot_values(c, field, pivots)),
             _ => {}
         }
+    }
+}
+
+/// The values every comparison on `field` inside `cond` pivots on: its
+/// constant and the constant's neighbours.
+fn pivot_values(cond: &Cond, field: &FieldRef, out: &mut Vec<u128>) {
+    match cond {
+        Cond::Cmp {
+            field: f, value, ..
+        } if f == field => {
+            out.push(*value);
+            out.extend(value.checked_add(1));
+            out.extend(value.checked_sub(1));
+        }
+        Cond::Not(inner) => pivot_values(inner, field, out),
+        Cond::And(cs) | Cond::Or(cs) => cs.iter().for_each(|c| pivot_values(c, field, out)),
+        _ => {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn f(name: &str, width: u16) -> FieldRef {
         FieldRef::new(&["ctx", name], width)
     }
 
-    fn eq(name: &str, width: u16, v: u128) -> Cond {
+    fn cmp(name: &str, width: u16, op: CmpOp, value: u128) -> Cond {
         Cond::Cmp {
             field: f(name, width),
-            op: CmpOp::Eq,
-            value: v,
+            op,
+            value,
         }
+    }
+
+    fn eq(name: &str, width: u16, v: u128) -> Cond {
+        cmp(name, width, CmpOp::Eq, v)
     }
 
     #[test]
@@ -415,17 +611,13 @@ mod tests {
 
     #[test]
     fn solve_detects_contradiction() {
-        assert!(solve(&[eq("a", 4, 3), eq("a", 4, 5)]).is_none());
+        let verdict = solve(&[eq("a", 4, 3), eq("a", 4, 5)]);
+        assert_eq!(verdict, Err(Unsolved::Unsatisfiable));
     }
 
     #[test]
     fn solve_negated_equality_picks_witness() {
-        let c = Cond::Cmp {
-            field: f("fmt", 2),
-            op: CmpOp::Ne,
-            value: 0,
-        };
-        let asn = solve(&[c]).unwrap();
+        let asn = solve(&[cmp("fmt", 2, CmpOp::Ne, 0)]).unwrap();
         assert_ne!(asn[&f("fmt", 2)], 0);
         assert!(asn[&f("fmt", 2)] <= 3);
     }
@@ -433,32 +625,38 @@ mod tests {
     #[test]
     fn ne_on_1bit_field_saturated() {
         // bit<1> field != 0 must yield 1; != 1 must yield 0.
-        let c = Cond::Cmp {
-            field: f("b", 1),
-            op: CmpOp::Ne,
-            value: 1,
-        };
-        assert_eq!(solve(&[c]).unwrap()[&f("b", 1)], 0);
+        assert_eq!(solve(&[cmp("b", 1, CmpOp::Ne, 1)]).unwrap()[&f("b", 1)], 0);
     }
 
     #[test]
     fn lt_zero_unsatisfiable() {
-        let c = Cond::Cmp {
-            field: f("x", 8),
-            op: CmpOp::Lt,
-            value: 0,
-        };
-        assert!(solve(&[c]).is_none());
+        let verdict = solve(&[cmp("x", 8, CmpOp::Lt, 0)]);
+        assert_eq!(verdict, Err(Unsolved::Unsatisfiable));
     }
 
     #[test]
     fn gt_max_unsatisfiable() {
-        let c = Cond::Cmp {
-            field: f("x", 2),
-            op: CmpOp::Gt,
-            value: 3,
-        };
-        assert!(solve(&[c]).is_none());
+        let verdict = solve(&[cmp("x", 2, CmpOp::Gt, 3)]);
+        assert_eq!(verdict, Err(Unsolved::Unsatisfiable));
+    }
+
+    #[test]
+    fn false_is_unsatisfiable_not_opaque() {
+        // `if (false)` and the other arm of `if (true)`: no context
+        // reaches them, and no opaque term is involved.
+        assert_eq!(solve(&[Cond::False]), Err(Unsolved::Unsatisfiable));
+        let dead = [eq("use_rss", 1, 1), Cond::True.negated()];
+        assert_eq!(solve(&dead), Err(Unsolved::Unsatisfiable));
+        assert_eq!(format!("{}", dead[1]), "false");
+        assert_eq!(solve(&[Cond::False.negated()]), Ok(Assignment::new()));
+    }
+
+    #[test]
+    fn opaque_beside_a_contradiction_is_unsatisfiable() {
+        let op = Cond::Opaque("hdr.a == hdr.b".into());
+        let dead = [op.clone(), eq("a", 1, 1), eq("a", 1, 0)];
+        assert_eq!(solve(&dead), Err(Unsolved::Unsatisfiable));
+        assert_eq!(solve(&[op, eq("a", 1, 1)]), Err(Unsolved::Opaque));
     }
 
     #[test]
@@ -467,6 +665,14 @@ mod tests {
         let or = Cond::Or(vec![eq("a", 4, 1), eq("a", 4, 2)]);
         let asn = solve(&[or, eq("a", 4, 2)]).unwrap();
         assert_eq!(asn[&f("a", 4)], 2);
+    }
+
+    #[test]
+    fn an_opaque_disjunct_is_passed_over() {
+        let or = Cond::Or(vec![Cond::Opaque("hdr.x".into()), eq("a", 4, 9)]);
+        let asn = solve(std::slice::from_ref(&or)).unwrap();
+        assert_eq!(asn[&f("a", 4)], 9);
+        assert_eq!(or.eval(&asn), Some(true));
     }
 
     #[test]
@@ -483,7 +689,7 @@ mod tests {
             Cond::Or(cs) => assert_eq!(cs.len(), 2),
             other => panic!("expected Or, got {other:?}"),
         }
-        assert!(solve(&[c]).is_some());
+        assert!(solve(&[c]).is_ok());
     }
 
     #[test]
@@ -491,14 +697,15 @@ mod tests {
         // Regression: solving `Not(Opaque)` used to recurse forever
         // (negating it reproduces itself).
         let c = Cond::Not(Box::new(Cond::Opaque("hdr.isValid()".into())));
-        assert!(solve(std::slice::from_ref(&c)).is_none());
-        assert!(solve(&[Cond::And(vec![c, Cond::True])]).is_none());
+        assert_eq!(solve(std::slice::from_ref(&c)), Err(Unsolved::Opaque));
+        let both = [Cond::And(vec![c, Cond::True])];
+        assert_eq!(solve(&both), Err(Unsolved::Opaque));
     }
 
     #[test]
     fn opaque_blocks_solving_but_not_enumeration() {
         let c = Cond::Opaque("hdr.a == hdr.b".into());
-        assert!(solve(std::slice::from_ref(&c)).is_none());
+        assert_eq!(solve(std::slice::from_ref(&c)), Err(Unsolved::Opaque));
         assert!(c.has_opaque());
         assert_eq!(c.eval(&Assignment::new()), None);
     }
@@ -513,11 +720,7 @@ mod tests {
     fn solution_satisfies_all_conds() {
         let conds = vec![
             Cond::Or(vec![eq("fmt", 2, 0), eq("fmt", 2, 1)]),
-            Cond::Cmp {
-                field: f("fmt", 2),
-                op: CmpOp::Ne,
-                value: 0,
-            },
+            cmp("fmt", 2, CmpOp::Ne, 0),
             eq("use_ts", 1, 1),
         ];
         let asn = solve(&conds).unwrap();
@@ -528,17 +731,162 @@ mod tests {
     }
 
     #[test]
+    fn a_default_arm_takes_the_first_uncovered_value() {
+        // A 16-bit switch with 2 048 cases: the default arm's witness is
+        // the smallest value no case names, on a wide field and a narrow
+        // one alike.
+        for width in [16, 12] {
+            let covered: Vec<u128> = (0..2048).filter(|v| *v != 700).collect();
+            let default = Cond::And(
+                (covered.iter())
+                    .map(|v| cmp("layout_id", width, CmpOp::Ne, *v))
+                    .collect(),
+            );
+            let asn = solve(std::slice::from_ref(&default)).unwrap();
+            assert_eq!(asn[&f("layout_id", width)], 700);
+        }
+        let full = Cond::And((0..4).map(|v| cmp("sel", 2, CmpOp::Ne, v)).collect());
+        assert_eq!(solve(&[full]), Err(Unsolved::Unsatisfiable));
+    }
+
+    #[test]
     fn display_renders_readably() {
-        let c = Cond::And(vec![
-            eq("use_rss", 1, 1),
-            Cond::Cmp {
-                field: f("fmt", 2),
-                op: CmpOp::Ne,
-                value: 2,
-            },
-        ]);
+        let c = Cond::And(vec![eq("use_rss", 1, 1), cmp("fmt", 2, CmpOp::Ne, 2)]);
         let s = format!("{c}");
-        assert!(s.contains("ctx.use_rss == 1"), "{s}");
-        assert!(s.contains("ctx.fmt != 2"), "{s}");
+        assert_eq!(s, "(ctx.use_rss == 1) && (ctx.fmt != 2)");
+        let mut g = String::new();
+        write_guard(&mut g, &[c, Cond::Or(vec![eq("a", 1, 0)])]).unwrap();
+        assert_eq!(g, "(ctx.use_rss == 1) && (ctx.fmt != 2) && (ctx.a == 0)");
+    }
+
+    #[test]
+    fn order_is_textual_and_dotted_order_is_segment_order() {
+        let a = FieldRef::new(&["ctx", "a", "x"], 1);
+        let ab = FieldRef::new(&["ctx", "ab"], 1);
+        let b = FieldRef::new(&["ctx", "a_"], 1);
+        assert!(a < ab && a < b);
+        assert_eq!(a.segments().collect::<Vec<_>>(), ["ctx", "a", "x"]);
+        assert_eq!(a, FieldRef::new(&["ctx", "a", "x"], 1));
+    }
+
+    /// A deterministic random guard over `fields`: comparisons (`==`,
+    /// `!=`, `<`, `<=`, constants up to one past the field's range),
+    /// `False`, the odd opaque term, and `And`/`Or`/`Not` up to `depth`.
+    fn arb_cond(rng: &mut u64, fields: &[FieldRef], depth: u32) -> Cond {
+        let mut next = |n: u64| {
+            *rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*rng >> 33) % n
+        };
+        match next(if depth == 0 { 10 } else { 16 }) {
+            0 => Cond::False,
+            1 => Cond::Opaque("hdr.x".into()),
+            2..=9 => {
+                let field = fields[next(fields.len() as u64) as usize].clone();
+                let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le][next(4) as usize];
+                let value = next(field.max_value() as u64 + 2) as u128;
+                Cond::Cmp { field, op, value }
+            }
+            10 | 11 => Cond::Not(Box::new(arb_cond(rng, fields, depth - 1))),
+            k => {
+                let n = 2 + next(2);
+                let cs = (0..n).map(|_| arb_cond(rng, fields, depth - 1)).collect();
+                if k < 14 {
+                    Cond::And(cs)
+                } else {
+                    Cond::Or(cs)
+                }
+            }
+        }
+    }
+
+    /// `cond` with its opaque terms read, in order, from `bits`.
+    fn eval_opaque_as(cond: &Cond, asn: &Assignment, bits: u32, next: &mut u32) -> bool {
+        match cond {
+            Cond::Opaque(_) => {
+                *next += 1;
+                bits >> (*next - 1) & 1 == 1
+            }
+            Cond::Not(c) => !eval_opaque_as(c, asn, bits, next),
+            Cond::And(cs) | Cond::Or(cs) => {
+                // Every term is read, so each opaque term keeps its bit.
+                let held = (cs.iter())
+                    .filter(|c| eval_opaque_as(c, asn, bits, next))
+                    .count();
+                if matches!(cond, Cond::And(_)) {
+                    held == cs.len()
+                } else {
+                    held > 0
+                }
+            }
+            other => other.eval(asn).expect("no opaque term"),
+        }
+    }
+
+    fn opaque_terms(cond: &Cond) -> u32 {
+        match cond {
+            Cond::Opaque(_) => 1,
+            Cond::Not(c) => opaque_terms(c),
+            Cond::And(cs) | Cond::Or(cs) => cs.iter().map(opaque_terms).sum(),
+            _ => 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The solver against brute force over every assignment of up to
+        /// three fields of up to four bits (and every reading of each
+        /// opaque term): `Ok` exactly when some assignment makes the
+        /// guard hold whatever its opaque terms read, and then its own
+        /// assignment does; `Opaque` exactly when only some reading of
+        /// the opaque terms does; `Unsatisfiable` otherwise.
+        #[test]
+        fn solver_agrees_with_brute_force(
+            seed in any::<u64>(),
+            widths in proptest::collection::vec(1u16..=4, 1..=3),
+            conjuncts in 1usize..=4,
+        ) {
+            let fields: Vec<FieldRef> = (widths.iter().enumerate())
+                .map(|(i, w)| f(&format!("f{i}"), *w))
+                .collect();
+            let mut rng = seed;
+            let guard: Vec<Cond> = (0..conjuncts).map(|_| arb_cond(&mut rng, &fields, 3)).collect();
+            let opaque: u32 = guard.iter().map(opaque_terms).sum();
+            if opaque > 8 {
+                return Ok(());
+            }
+            let (mut holds, mut could_hold) = (false, false);
+            let total: u128 = fields.iter().map(|f| f.max_value() + 1).product();
+            for code in 0..total {
+                let mut asn = Assignment::new();
+                let mut rest = code;
+                for field in &fields {
+                    asn.insert(field.clone(), rest % (field.max_value() + 1));
+                    rest /= field.max_value() + 1;
+                }
+                holds |= guard.iter().all(|c| c.eval(&asn) == Some(true));
+                could_hold |= (0..1u32 << opaque).any(|bits| {
+                    let mut next = 0;
+                    guard.iter().all(|c| eval_opaque_as(c, &asn, bits, &mut next))
+                });
+            }
+            let shown: Vec<String> = guard.iter().map(|c| c.to_string()).collect();
+            match solve(&guard) {
+                Ok(asn) => {
+                    prop_assert!(holds, "solved {shown:?}, which nothing satisfies");
+                    for c in &guard {
+                        prop_assert_eq!(c.eval(&asn), Some(true), "{} under {:?}", c, asn);
+                    }
+                }
+                Err(Unsolved::Opaque) => {
+                    prop_assert!(!holds && could_hold, "{shown:?} called opaque");
+                }
+                Err(Unsolved::Unsatisfiable) => {
+                    prop_assert!(!could_hold, "{shown:?} called unsatisfiable");
+                }
+            }
+        }
     }
 }

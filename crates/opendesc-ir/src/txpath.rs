@@ -14,9 +14,10 @@
 //! refused here, naming the state and the expression, rather than
 //! enumerated approximately:
 //!
-//! * a `select` on anything but a field of an `in` context struct (see
-//!   [`context_field`](crate::pred)) — an extracted descriptor field
-//!   makes the layout a property of each descriptor, not of the queue;
+//! * a `select` on anything but a field of an `in` context struct (the
+//!   rule [`pred`](crate::pred) keeps for both directions) — an
+//!   extracted descriptor field makes the layout a property of each
+//!   descriptor, not of the queue;
 //! * a tuple `select`, or a case with more than one label;
 //! * a label that is not a compile-time constant;
 //! * a state that does anything but `extract` into the `out`
@@ -25,7 +26,7 @@
 //!   `buf_len`.
 
 use crate::path::FieldSlot;
-use crate::pred::{context_field, member_ty, solve, Assignment, CmpOp, Cond};
+use crate::pred::{member_ty, solve, Assignment, CmpOp, Cond, ContextFields, Unsolved};
 use crate::semantics::{names, SemanticId, SemanticRegistry};
 use opendesc_p4::ast::{self, Direction, ExprId, Sym, Transition};
 use opendesc_p4::diag::Diagnostics;
@@ -34,6 +35,7 @@ use opendesc_p4::span::Span;
 use opendesc_p4::typecheck::CheckedProgram;
 use opendesc_p4::types::{ExternKind, HeaderId, Ty};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One descriptor layout the NIC's parser accepts.
 #[derive(Debug, Clone)]
@@ -46,8 +48,9 @@ pub struct DescriptorLayout {
     pub size_bits: u32,
     /// Semantics the NIC consumes from this layout, each from one slot.
     pub consumes: BTreeSet<SemanticId>,
-    /// State names visited (diagnostic aid).
-    pub states: Vec<String>,
+    /// State names visited (diagnostic aid), shared with every layout
+    /// whose walk visits the same state.
+    pub states: Vec<Arc<str>>,
 }
 
 impl DescriptorLayout {
@@ -55,8 +58,9 @@ impl DescriptorLayout {
         self.size_bits.div_ceil(8)
     }
 
-    /// Context assignment steering the queue onto this layout.
-    pub fn solve_context(&self) -> Option<Assignment> {
+    /// Context assignment steering the queue onto this layout, or why
+    /// there is none (see [`CompletionPath::solve_context`](crate::path::CompletionPath::solve_context)).
+    pub fn solve_context(&self) -> Result<Assignment, Unsolved> {
         solve(&self.guard)
     }
 
@@ -121,6 +125,9 @@ pub fn enumerate_tx_layouts(
         out_param,
         buf,
         parser,
+        context: ContextFields::default(),
+        headers: Vec::new(),
+        states: Vec::new(),
         guard: Vec::new(),
         extracted: Vec::new(),
         visited: Vec::new(),
@@ -142,6 +149,12 @@ struct Walker<'a> {
     /// `buf_addr` and `buf_len`: every layout must carry both.
     buf: [SemanticId; 2],
     parser: &'a ast::ParserDecl,
+    context: ContextFields,
+    /// Each extracted header's slots, offsets from the header's start:
+    /// named once, shared by every layout that extracts the header.
+    headers: Vec<(HeaderId, Vec<FieldSlot>)>,
+    /// Each visited state's name, made once.
+    states: Vec<(Sym, Arc<str>)>,
     /// The walk so far: select guards taken, headers extracted, states
     /// visited.
     guard: Vec<Cond>,
@@ -256,7 +269,10 @@ impl<'a> Walker<'a> {
             self.refuse(state_name, why, span);
             return;
         };
-        let Some(field) = context_field(self.checked, &self.parser.params, *scrutinee) else {
+        let Some(field) = self
+            .context
+            .get(self.checked, &self.parser.params, *scrutinee)
+        else {
             let why = format!(
                 "`select` reads `{}`, which is not a field of an `in` context struct",
                 shown(self)
@@ -353,38 +369,74 @@ impl<'a> Walker<'a> {
         self.refuse(last, why, self.parser.name.span);
     }
 
-    fn materialize(&self) -> DescriptorLayout {
+    fn materialize(&mut self) -> DescriptorLayout {
         let mut slots = Vec::new();
         let mut offset = 0u32;
         let mut consumes = BTreeSet::new();
-        for &hid in &self.extracted {
-            let info = self.checked.types.header(hid);
-            let header = self.name(info.name);
-            for f in &info.fields {
-                let semantic = f.semantic.and_then(|s| self.reg.id(self.name(s)));
+        for i in 0..self.extracted.len() {
+            let hid = self.extracted[i];
+            for s in self.header_slots(hid) {
                 slots.push(FieldSlot {
-                    name: format!("{header}.{}", self.name(f.name)),
-                    source: header.to_string(),
-                    semantic,
-                    offset_bits: offset + f.offset_bits,
-                    width_bits: f.width_bits,
+                    offset_bits: offset + s.offset_bits,
+                    ..s.clone()
                 });
-                if let Some(s) = semantic {
-                    consumes.insert(s);
-                }
+                consumes.extend(s.semantic);
             }
-            offset += info.width_bits;
+            offset += self.checked.types.header(hid).width_bits;
         }
+        let states = (0..self.visited.len())
+            .map(|i| self.state_name(self.visited[i]))
+            .collect();
         DescriptorLayout {
             id: self.out.len(),
             guard: self.guard.clone(),
             slots,
             size_bits: offset,
             consumes,
-            states: (self.visited.iter())
-                .map(|s| self.name(*s).to_string())
-                .collect(),
+            states,
         }
+    }
+
+    /// The slots of header `hid` (`header.field`, sourced from `header`),
+    /// offsets from its start.
+    fn header_slots(&mut self, hid: HeaderId) -> &[FieldSlot] {
+        let at = match self.headers.iter().position(|(h, _)| *h == hid) {
+            Some(at) => at,
+            None => {
+                let info = self.checked.types.header(hid);
+                let header = self.name(info.name);
+                let source: Arc<str> = header.into();
+                let mut text = String::new();
+                let mut slot_name = |field: &str| -> Arc<str> {
+                    text.clear();
+                    text.push_str(header);
+                    text.push('.');
+                    text.push_str(field);
+                    text.as_str().into()
+                };
+                let slots = (info.fields.iter())
+                    .map(|f| FieldSlot {
+                        name: slot_name(self.name(f.name)),
+                        source: source.clone(),
+                        semantic: f.semantic.and_then(|s| self.reg.id(self.name(s))),
+                        offset_bits: f.offset_bits,
+                        width_bits: f.width_bits,
+                    })
+                    .collect();
+                self.headers.push((hid, slots));
+                self.headers.len() - 1
+            }
+        };
+        &self.headers[at].1
+    }
+
+    fn state_name(&mut self, state: Sym) -> Arc<str> {
+        if let Some((_, name)) = self.states.iter().find(|(s, _)| *s == state) {
+            return name.clone();
+        }
+        let name: Arc<str> = self.name(state).into();
+        self.states.push((state, name.clone()));
+        name
     }
 }
 
@@ -472,7 +524,7 @@ mod tests {
         let csum = reg.id("tx_l4_csum_offload").unwrap();
         assert_eq!(big.slot_for(addr).unwrap().offset_bits, 0);
         assert_eq!(big.slot_for(csum).unwrap().offset_bits, 96);
-        assert_eq!(big.states, vec!["start", "parse_ext"]);
+        assert_eq!(big.states, ["start", "parse_ext"].map(Arc::from));
     }
 
     #[test]
@@ -604,7 +656,7 @@ mod tests {
         );
         let (layouts, _) = layouts_of(&src, "P");
         assert_eq!(layouts.len(), 1);
-        assert_eq!(layouts[0].states, vec!["start", "ext"]);
+        assert_eq!(layouts[0].states, ["start", "ext"].map(Arc::from));
         assert_eq!(format!("{}", layouts[0].guard[0]), "(ctx.kind != 0)");
     }
 }

@@ -826,7 +826,7 @@ pub fn catalog() -> Vec<NicModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opendesc_ir::{enumerate_paths, extract, SemanticRegistry, DEFAULT_MAX_PATHS};
+    use opendesc_ir::{enumerate_paths, extract, SemanticRegistry, Unsolved, DEFAULT_MAX_PATHS};
     use opendesc_p4::typecheck::parse_and_check;
 
     fn check_model(m: &NicModel) -> usize {
@@ -854,7 +854,7 @@ mod tests {
                 m.completion_slot_bytes
             );
             assert!(
-                p.solve_context().is_some(),
+                p.solve_context().is_ok(),
                 "model {}: unsolvable guard",
                 m.name
             );
@@ -983,7 +983,7 @@ mod tests {
         let paths = enumerate_paths(&cfg, DEFAULT_MAX_PATHS).unwrap();
         assert_eq!(paths.len(), 2);
         assert!(
-            paths.iter().all(|p| p.solve_context().is_none()),
+            (paths.iter()).all(|p| p.solve_context() == Err(Unsolved::Opaque)),
             "opaque guards must defeat the context solver"
         );
     }

@@ -955,7 +955,7 @@ mod tests {
         for model in models::catalog() {
             let paths = SimNic::new(model.clone(), 16).unwrap().paths;
             for (i, path) in paths.iter().enumerate() {
-                let Some(ctx) = path.solve_context() else {
+                let Ok(ctx) = path.solve_context() else {
                     continue;
                 };
                 let mut nic = SimNic::new(model.clone(), 16).unwrap();

@@ -111,10 +111,11 @@ pub fn transmit(nic: &SimNic, desc: &[u8]) -> TxOutcome {
 fn context_value(nic: &SimNic, sid: StructId, param: &str, context: &Assignment) -> Value {
     let mut v = Value::struct_of(sid, &nic.checked);
     for (fref, val) in context {
-        if fref.path.first().map(String::as_str) != Some(param) {
+        let mut segs = fref.segments();
+        if segs.next() != Some(param) {
             continue;
         }
-        let segs: Vec<&str> = fref.path[1..].iter().map(String::as_str).collect();
+        let segs: Vec<&str> = segs.collect();
         if let Some(slot) = v.get_path_mut(&segs) {
             *slot = Value::bits(fref.width, *val);
         }

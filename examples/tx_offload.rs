@@ -60,21 +60,16 @@ fn main() {
         )
         .expect("TX intent compiles");
 
+        let context = (compiled.context.iter())
+            .map(|(f, v)| format!("{}={v}", f.dotted()))
+            .collect::<Vec<_>>()
+            .join(",");
         println!(
             "{:<14} descriptor={}B layouts={} context={} software=[{}]",
             model.name,
             compiled.layout.size_bytes(),
             compiled.layouts_considered,
-            compiled
-                .context
-                .as_ref()
-                .map(|c| c
-                    .iter()
-                    .map(|(f, v)| format!("{}={v}", f.dotted()))
-                    .collect::<Vec<_>>()
-                    .join(","))
-                .filter(|s| !s.is_empty())
-                .unwrap_or_else(|| "-".into()),
+            if context.is_empty() { "-" } else { &context },
             compiled.software_features().join(","),
         );
 

@@ -28,6 +28,10 @@
 #    semantics are a static table (no `HashMap` in semantics.rs), and
 #    no walker needs a bigger stack than a thread's default (no
 #    `stack_size(`).
+#  * Layout IR: names are shared. A context field, slot name, source or
+#    state name is made once per contract and cloned as a reference
+#    (no `Vec<String>` in pred.rs, path.rs, txpath.rs; no `String`
+#    field in path.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
@@ -105,4 +109,9 @@ expect "HashMap in opendesc-ir's semantics.rs" \
 expect "stack_size( in crates/ src/ tests/ examples/" "$(anywhere 'stack_size(')" 0
 expect ".eval( guard-resolution sites in opendesc-nicsim" "$(sim_total '.eval(')" 1
 expect "select_layout( call sites in opendesc-nicsim (RX, TX)" "$(sim_total 'select_layout(')" 2
+# Layout IR: names are shared
+ir=crates/opendesc-ir/src
+expect "Vec<String> in opendesc-ir's pred.rs, path.rs, txpath.rs" \
+    "$(cat <(code $ir/pred.rs) <(code $ir/path.rs) <(code $ir/txpath.rs) | sites 'Vec<String>')" 0
+expect "String fields in opendesc-ir's path.rs (: String,)" "$(code $ir/path.rs | sites ': String,')" 0
 exit $fail

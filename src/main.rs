@@ -364,14 +364,13 @@ fn cmd_tx(o: &Opts) -> Result<(), String> {
         compiled.layout.size_bytes(),
         compiled.layout.states.join(" → "),
     );
-    match &compiled.context {
-        Some(ctx) if !ctx.is_empty() => {
-            println!("  H2C context:");
-            for (f, v) in ctx {
-                println!("    {} = {v}", f.dotted());
-            }
+    if compiled.context.is_empty() {
+        println!("  H2C context: none required");
+    } else {
+        println!("  H2C context:");
+        for (f, v) in &compiled.context {
+            println!("    {} = {v}", f.dotted());
         }
-        _ => println!("  H2C context: none required"),
     }
     let sw = compiled.software_features();
     if sw.is_empty() {

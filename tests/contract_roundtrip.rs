@@ -41,7 +41,7 @@ fn printed_contracts_compile_identically() {
             c.accessors
                 .accessors
                 .iter()
-                .map(|x| (x.name.clone(), x.offset_bits, x.width_bits))
+                .map(|x| (x.name.to_string(), x.offset_bits, x.width_bits))
                 .collect()
         };
         assert_eq!(

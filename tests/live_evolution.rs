@@ -592,7 +592,7 @@ fn unlowerable_artifacts_are_refused_at_attach_and_at_relayout() {
     };
     let wide = AccessorSet {
         accessors: (0..129)
-            .map(|i| Accessor::software(SemanticId(0), &format!("f{i}"), 8))
+            .map(|i| Accessor::software(SemanticId(0), format!("f{i}"), 8))
             .collect(),
         completion_bytes: good.accessors.completion_bytes,
     };

@@ -37,7 +37,7 @@ fn opt<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
     (any::<bool>(), s).prop_map(|(some, v)| some.then_some(v))
 }
 
-fn arb_accessor() -> impl Strategy<Value = ManifestAccessor> {
+fn arb_accessor() -> impl Strategy<Value = ManifestAccessor<'static>> {
     (
         "\\PC{0,24}",
         "[a-z_]{1,16}",
@@ -48,14 +48,14 @@ fn arb_accessor() -> impl Strategy<Value = ManifestAccessor> {
         ],
     )
         .prop_map(|(name, semantic, width_bits, kind)| ManifestAccessor {
-            name,
-            semantic,
+            name: name.into(),
+            semantic: semantic.into(),
             width_bits,
             kind,
         })
 }
 
-fn arb_slot() -> impl Strategy<Value = ManifestSlot> {
+fn arb_slot() -> impl Strategy<Value = ManifestSlot<'static>> {
     (
         "\\PC{0,24}",
         "\\PC{0,24}",
@@ -65,24 +65,25 @@ fn arb_slot() -> impl Strategy<Value = ManifestSlot> {
     )
         .prop_map(
             |(name, source, semantic, offset_bits, width_bits)| ManifestSlot {
-                name,
-                source,
-                semantic,
+                name: name.into(),
+                source: source.into(),
+                semantic: semantic.map(Into::into),
                 offset_bits,
                 width_bits,
             },
         )
 }
 
-fn arb_context() -> impl Strategy<Value = ContextProgramming> {
+fn arb_context() -> impl Strategy<Value = ContextProgramming<'static>> {
     prop_oneof![
-        proptest::collection::vec(("\\PC{1,24}", any::<u128>()), 0..4)
-            .prop_map(ContextProgramming::Programmed),
+        proptest::collection::vec(("\\PC{1,24}", any::<u128>()), 0..4).prop_map(|writes| {
+            ContextProgramming::Programmed(writes.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        }),
         Just(ContextProgramming::Manual),
     ]
 }
 
-fn arb_manifest() -> impl Strategy<Value = ManifestV1> {
+fn arb_manifest() -> impl Strategy<Value = ManifestV1<'static>> {
     (
         (
             "\\PC{0,32}",
@@ -117,13 +118,13 @@ fn arb_manifest() -> impl Strategy<Value = ManifestV1> {
                 ),
                 (shim_plan_digest, odbc_bytecode, context, slots, accessors),
             )| ManifestV1 {
-                nic,
-                intent,
+                nic: nic.into(),
+                intent: intent.into(),
                 registry_fingerprint,
                 completion_bytes,
                 selected_path,
                 paths_considered,
-                guard,
+                guard: guard.into(),
                 layout_bits,
                 shim_plan_digest,
                 odbc_bytecode,

@@ -13,7 +13,11 @@
 //! * an N-queue [`ShardedEngine`] to one front-end run, not N + 2;
 //! * the registry of builtins — a static table — to one allocation to
 //!   build and one to clone, to the fingerprint committed manifests
-//!   carry, and to ids that re-costing keeps and new names extend.
+//!   carry, and to ids that re-costing keeps and new names extend;
+//! * names below the front end to being shared: cloning a catalog
+//!   [`CompletionPath`] allocates its vectors and its semantic set, never
+//!   a slot name, source or context field, and cloning the context its
+//!   guard solves to allocates the assignment's one node.
 //!
 //! The counter is process-global, so this file runs exactly one test;
 //! `stage_table` (ignored) prints the per-stage counts CHANGES.md quotes:
@@ -24,8 +28,8 @@ use opendesc::compiler::{
     TxVerdict,
 };
 use opendesc::ir::{
-    enumerate_paths, extract, names, Cost, SemanticId, SemanticInfo, SemanticRegistry,
-    DEFAULT_MAX_PATHS,
+    enumerate_paths, extract, names, CompletionPath, Cond, Cost, SemanticId, SemanticInfo,
+    SemanticRegistry, DEFAULT_MAX_PATHS,
 };
 use opendesc::nicsim::multiqueue::SteerPolicy;
 use opendesc::nicsim::{models, NicModel};
@@ -115,14 +119,36 @@ fn negotiate(cache: &PlanCache, model: &NicModel) -> usize {
     manifest.len()
 }
 
+/// The vectors cloning `c` allocates: one per non-empty `And`/`Or` and
+/// one per `Not`'s box.
+fn cond_vecs(c: &Cond) -> u64 {
+    match c {
+        Cond::And(cs) | Cond::Or(cs) => {
+            u64::from(!cs.is_empty()) + cs.iter().map(cond_vecs).sum::<u64>()
+        }
+        Cond::Not(inner) => 1 + cond_vecs(inner),
+        _ => 0,
+    }
+}
+
+/// What cloning `p` may allocate: its non-empty vectors, the guard's
+/// inner vectors, and the nodes of its semantic set.
+fn path_clone_allocs(p: &CompletionPath) -> u64 {
+    let vecs = [p.guard.len(), p.emits.len(), p.slots.len()];
+    let (_, prov) = counted(|| p.prov.clone());
+    vecs.iter().filter(|n| **n > 0).count() as u64
+        + p.guard.iter().map(cond_vecs).sum::<u64>()
+        + prov
+}
+
 /// Committed ceilings: 5 % above the reading of one cold negotiation.
 const CEILINGS: [(&str, u64); 6] = [
-    ("e1000-legacy", 280),
-    ("e1000e", 390),
-    ("ixgbe", 364),
-    ("ice", 623),
-    ("mlx5", 620),
-    ("qdma", 783),
+    ("e1000-legacy", 188),
+    ("e1000e", 243),
+    ("ixgbe", 221),
+    ("ice", 338),
+    ("mlx5", 302),
+    ("qdma", 443),
 ];
 
 /// `SemanticRegistry::with_builtins().fingerprint()`: the
@@ -195,6 +221,30 @@ fn negotiation_allocations_are_pinned() {
             model.name
         );
         assert_eq!(cache.contract_stats(), (1, 1), "{}", model.name);
+
+        // Names are shared below the front end: a path's clone and its
+        // context's clone copy no name.
+        let (checked, _) = parse_and_check(&model.p4_source);
+        let cfg = extract(&checked, &model.deparser, &mut reg).unwrap();
+        for p in enumerate_paths(&cfg, DEFAULT_MAX_PATHS).unwrap() {
+            let (_, cloned) = counted(|| p.clone());
+            assert_eq!(
+                cloned,
+                path_clone_allocs(&p),
+                "{} path {}: a clone copies a name",
+                model.name,
+                p.id
+            );
+            let ctx = p.solve_context().unwrap();
+            let (_, cloned) = counted(|| ctx.clone());
+            assert_eq!(
+                cloned,
+                u64::from(!ctx.is_empty()),
+                "{} path {}: cloning its context allocates more than one node",
+                model.name,
+                p.id
+            );
+        }
     }
 
     // Four full-duplex queues boot from one checked contract: one miss

@@ -93,7 +93,7 @@ proptest! {
             // among configurable candidates.
             let best = compiled.selection.best.objective;
             for s in &compiled.selection.ranking {
-                if s.context.is_some() {
+                if s.context.is_ok() {
                     prop_assert!(
                         best <= s.objective + 1e-9,
                         "{}: picked {} but {} is better",

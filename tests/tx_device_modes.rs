@@ -142,7 +142,7 @@ fn agree(what: &str, model: &NicModel, ctx: Option<&Assignment>, descs: &Descs) 
 
 /// The full descriptor battery against one layout of one model.
 fn check_layout(model: &NicModel, layout: &DescriptorLayout, reg: &SemanticRegistry) {
-    let Some(ctx) = layout.solve_context() else {
+    let Ok(ctx) = layout.solve_context() else {
         return;
     };
     let n = frames().len() as u64;

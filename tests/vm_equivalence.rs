@@ -263,8 +263,8 @@ fn partial_degrade_agrees_across_the_whole_keep_mask() {
         .collect();
     let accessors = (0..128usize)
         .map(|i| match (pool[i % pool.len()], i % 2) {
-            (sem, 0) => Accessor::software(sem, &format!("s{i}"), 32),
-            (sem, _) => Accessor::hardware(sem, &format!("h{i}"), i as u32 * 8, 8),
+            (sem, 0) => Accessor::software(sem, format!("s{i}"), 32),
+            (sem, _) => Accessor::hardware(sem, format!("h{i}"), i as u32 * 8, 8),
         })
         .collect();
     let set = AccessorSet {
