@@ -193,36 +193,39 @@ fn quoted_line(out: &mut String, key: &str, value: &str) {
     out.push_str("\"\n");
 }
 
-/// Inverse of [`escape`].
+/// Inverse of [`escape`]: one pass, runs between escapes copied whole.
 fn unescape(s: &str) -> Result<String, String> {
     let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let rest: String = it.clone().collect();
-                let inner = rest
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let esc = &rest[at + 1..];
+        let (c, len) = match esc.as_bytes().first() {
+            Some(b'\\') => ('\\', 1),
+            Some(b'"') => ('"', 1),
+            Some(b'n') => ('\n', 1),
+            Some(b'r') => ('\r', 1),
+            Some(b't') => ('\t', 1),
+            Some(b'u') => {
+                // `u{hex}`: the braces are found in place, so each
+                // escape costs its own length.
+                let hex = esc[1..]
                     .strip_prefix('{')
-                    .and_then(|r| r.split_once('}'))
+                    .and_then(|r| r.find('}').map(|close| &r[..close]))
                     .ok_or("malformed \\u escape")?;
-                let cp = u32::from_str_radix(inner.0, 16).map_err(|_| "bad \\u codepoint")?;
-                out.push(char::from_u32(cp).ok_or("invalid \\u codepoint")?);
-                for _ in 0..inner.0.len() + 2 {
-                    it.next();
-                }
+                let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u codepoint")?;
+                let c = char::from_u32(cp).ok_or("invalid \\u codepoint")?;
+                (c, hex.len() + 3)
             }
-            other => return Err(format!("unknown escape \\{}", other.unwrap_or(' '))),
-        }
+            _ => {
+                let other = esc.chars().next().unwrap_or(' ');
+                return Err(format!("unknown escape \\{other}"));
+            }
+        };
+        out.push(c);
+        rest = &esc[len..];
     }
+    out.push_str(rest);
     Ok(out)
 }
 
@@ -974,6 +977,26 @@ mod tests {
         let back = ManifestV1::parse(&s).expect("escaped output parses");
         assert_eq!(back, m);
         assert_eq!(back.render(), s);
+    }
+
+    #[test]
+    fn unescape_is_linear_and_round_trips_every_control_character() {
+        let c = compiled();
+        let mut m = ManifestV1::from_compiled(&c);
+        m.guard = "\u{1}".repeat(100_000).into();
+        let s = m.render();
+        let back = ManifestV1::parse(&s).expect("escaped output parses");
+        assert_eq!(back.guard, m.guard);
+        m.guard = (0u8..0x20).map(char::from).chain("\\\"∞".chars()).collect();
+        let s = m.render();
+        assert!(s.lines().all(|l| !l.contains('\r')), "{s:?}");
+        let back = ManifestV1::parse(&s).expect("escaped output parses");
+        assert_eq!(back, m);
+        assert_eq!(back.render(), s);
+        for bad in ["\\u{110000}", "\\u{zz}", "\\u{41", "\\u41", "\\q", "\\"] {
+            assert!(unescape(bad).is_err(), "{bad}");
+        }
+        assert_eq!(unescape("a\\u{41}b\\u{2192}").unwrap(), "aAb→");
     }
 
     #[test]

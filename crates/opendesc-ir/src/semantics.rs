@@ -94,10 +94,14 @@ pub struct SemanticInfo {
 /// dozen names costs less than hashing would. A registry of builtins
 /// borrows the static table, so building or cloning one allocates
 /// nothing; the first registration or re-costing copies the table into
-/// a registry of its own, and a clone of that is exact-capacity.
+/// a registry of its own, and a clone of that is exact-capacity. The
+/// registry keeps its own [`fingerprint`](SemanticRegistry::fingerprint),
+/// extended as names are added, so reading it hashes nothing.
 #[derive(Debug, Clone)]
 pub struct SemanticRegistry {
     infos: Cow<'static, [SemanticInfo]>,
+    /// FNV-1a state over every entry in id order.
+    fingerprint: u64,
 }
 
 /// Well-known semantic names, exposed as constants so host code can refer
@@ -297,6 +301,53 @@ static BUILTINS: [SemanticInfo; 20] = [
     ),
 ];
 
+/// [`SemanticRegistry::fingerprint`] of the builtins, computed at
+/// compile time.
+const BUILTINS_FINGERPRINT: u64 = fingerprint_of(&BUILTINS);
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+const fn fnv_byte(h: u64, b: u8) -> u64 {
+    (h ^ b as u64).wrapping_mul(FNV_PRIME)
+}
+
+/// `h` extended by the entry `info` holding id `id`: the id's
+/// little-endian bytes, the name, the width's little-endian bytes and a
+/// `0xFF` record separator.
+const fn fnv_entry(mut h: u64, id: u32, info: &SemanticInfo) -> u64 {
+    let id = id.to_le_bytes();
+    let mut i = 0;
+    while i < id.len() {
+        h = fnv_byte(h, id[i]);
+        i += 1;
+    }
+    let name = match &info.name {
+        Cow::Borrowed(name) => name.as_bytes(),
+        Cow::Owned(name) => name.as_bytes(),
+    };
+    i = 0;
+    while i < name.len() {
+        h = fnv_byte(h, name[i]);
+        i += 1;
+    }
+    let width = info.width_bits.to_le_bytes();
+    h = fnv_byte(h, width[0]);
+    h = fnv_byte(h, width[1]);
+    fnv_byte(h, 0xFF)
+}
+
+/// The fingerprint of a registry holding `infos`, from scratch.
+const fn fingerprint_of(infos: &[SemanticInfo]) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut i = 0;
+    while i < infos.len() {
+        h = fnv_entry(h, i as u32, &infos[i]);
+        i += 1;
+    }
+    h
+}
+
 const fn builtin(
     name: &'static str,
     width_bits: u16,
@@ -318,6 +369,7 @@ impl SemanticRegistry {
     pub fn empty() -> Self {
         SemanticRegistry {
             infos: Cow::Borrowed(&[]),
+            fingerprint: FNV_OFFSET,
         }
     }
 
@@ -326,21 +378,29 @@ impl SemanticRegistry {
     pub fn with_builtins() -> Self {
         SemanticRegistry {
             infos: Cow::Borrowed(&BUILTINS),
+            fingerprint: BUILTINS_FINGERPRINT,
         }
     }
 
     /// Register a semantic. Registering an existing name replaces its
     /// width, cost and doc (applications may re-cost builtins for their
     /// workload), keeps the name it has, and returns the existing id.
+    /// A new name extends the fingerprint; a replace that changes a
+    /// width recomputes it.
     pub fn register(&mut self, info: SemanticInfo) -> SemanticId {
         if let Some(id) = self.id(&info.name) {
             let old = &mut self.infos.to_mut()[id.0 as usize];
+            let rewidth = old.width_bits != info.width_bits;
             old.width_bits = info.width_bits;
             old.cost = info.cost;
             old.doc = info.doc;
+            if rewidth {
+                self.fingerprint = fingerprint_of(&self.infos);
+            }
             return id;
         }
         let id = SemanticId(self.infos.len() as u32);
+        self.fingerprint = fnv_entry(self.fingerprint, id.0, &info);
         self.infos.to_mut().push(info);
         id
     }
@@ -398,7 +458,8 @@ impl SemanticRegistry {
         self.infos[id.0 as usize].cost
     }
 
-    /// Override the cost of an existing semantic.
+    /// Override the cost of an existing semantic. Cost is not
+    /// fingerprinted.
     pub fn set_cost(&mut self, id: SemanticId, cost: Cost) {
         self.infos.to_mut()[id.0 as usize].cost = cost;
     }
@@ -425,32 +486,17 @@ impl SemanticRegistry {
     /// the same names to different ids (or different widths) fingerprint
     /// differently, which is what lets plan caches key on *which*
     /// registry compiled an artifact rather than trusting name strings
-    /// to mean the same thing everywhere.
+    /// to mean the same thing everywhere. Kept up to date by
+    /// [`register`](SemanticRegistry::register): a field read.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut byte = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for (id, info) in self.iter() {
-            for b in id.0.to_le_bytes() {
-                byte(b);
-            }
-            for b in info.name.as_bytes() {
-                byte(*b);
-            }
-            for b in info.width_bits.to_le_bytes() {
-                byte(b);
-            }
-            byte(0xFF); // record separator
-        }
-        h
+        self.fingerprint
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn builtins_present_with_expected_costs() {
@@ -504,6 +550,92 @@ mod tests {
         let mut rewidth = builtins.clone();
         rewidth.register_custom(names::RSS_HASH, 16, Cost::flat(40.0), "narrow");
         assert_ne!(builtins.fingerprint(), rewidth.fingerprint());
+    }
+
+    /// The fingerprint of `r` by the byte-serial definition, from
+    /// scratch.
+    fn fnv_from_scratch(r: &SemanticRegistry) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut byte = |b: u8| {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for (id, info) in r.iter() {
+            id.0.to_le_bytes().into_iter().for_each(&mut byte);
+            info.name.bytes().for_each(&mut byte);
+            info.width_bits
+                .to_le_bytes()
+                .into_iter()
+                .for_each(&mut byte);
+            byte(0xFF);
+        }
+        h
+    }
+
+    #[test]
+    fn builtins_fingerprint_is_what_the_committed_manifests_carry() {
+        let fp = format!("{:#018x}", SemanticRegistry::with_builtins().fingerprint());
+        assert_eq!(fp, format!("{:#018x}", BUILTINS_FINGERPRINT));
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../manifests");
+        let (mut files, mut seen) = (0, 0);
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+            files += 1;
+            for line in text.lines() {
+                if let Some(v) = line.strip_prefix("registry_fingerprint = ") {
+                    assert_eq!(v.trim_matches('"'), fp);
+                    seen += 1;
+                }
+            }
+        }
+        assert!(
+            files > 0 && seen == files,
+            "{seen} of {files} manifests carry one"
+        );
+    }
+
+    proptest! {
+        /// Any sequence of registrations, interns, replaces (same or new
+        /// width) and re-costs keeps the fingerprint equal to a
+        /// from-scratch FNV over the registry.
+        #[test]
+        fn kept_fingerprint_equals_from_scratch(
+            builtins in any::<bool>(),
+            ops in proptest::collection::vec((0u8..4, 0usize..6, 1u16..=3), 0..40),
+        ) {
+            const POOL: [&str; 6] = ["rss_hash", "vlan_tci", "a", "b", "é→", ""];
+            let mut r = if builtins {
+                SemanticRegistry::with_builtins()
+            } else {
+                SemanticRegistry::empty()
+            };
+            prop_assert_eq!(r.fingerprint(), fnv_from_scratch(&r));
+            for (op, name, width) in ops {
+                let name = POOL[name];
+                match op {
+                    0 => {
+                        r.register_custom(name, width * 8, Cost::flat(width as f64), "op");
+                    }
+                    1 => {
+                        r.intern(name);
+                    }
+                    2 => {
+                        if let Some(id) = r.id(name) {
+                            r.set_cost(id, Cost::Infinite);
+                        }
+                    }
+                    _ => {
+                        // A replace that keeps the width.
+                        if let Some(id) = r.id(name) {
+                            let info = r.info(id).clone();
+                            r.register(SemanticInfo { cost: Cost::flat(1.0), ..info });
+                        }
+                    }
+                }
+                prop_assert_eq!(r.fingerprint(), fnv_from_scratch(&r));
+                prop_assert_eq!(r.clone().fingerprint(), r.fingerprint());
+            }
+        }
     }
 
     #[test]

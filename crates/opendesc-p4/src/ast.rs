@@ -9,10 +9,12 @@
 //! descriptor contract describes metadata exchange, not forwarding.
 //!
 //! A program names things once. Every identifier and string literal is
-//! interned as a [`Sym`] into the program's [`Symbols`], and every
+//! interned as a [`Sym`] into the program's [`Symbols`], every
 //! expression lives in one arena, [`Program::exprs`], addressed by
-//! [`ExprId`]: the tree holds no strings and no boxes, and a reader
-//! resolves a name through [`Program::name`].
+//! [`ExprId`], and every annotation and annotation argument in two more,
+//! addressed by a [`Run`]: the tree holds no strings and no boxes, and a
+//! reader resolves a name through [`Program::name`] and an annotation
+//! through [`Program::annotations`].
 
 use crate::span::Span;
 use std::fmt;
@@ -91,7 +93,7 @@ impl Symbols {
         sym
     }
 
-    /// Release the capacity the parser reserved beyond what it used.
+    /// Release the capacity the lexer reserved beyond what it used.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.text.shrink_to_fit();
         self.ends.shrink_to_fit();
@@ -105,7 +107,7 @@ impl Symbols {
     }
 
     /// The symbol spelling `text`, if the program has one. A linear
-    /// scan: the map the parser interned through is gone, and lookups by
+    /// scan: the map the lexer interned through is gone, and lookups by
     /// text are for entry points and tests, not for the checker.
     pub fn find(&self, text: &str) -> Option<Sym> {
         (0..self.ends.len() as u32)
@@ -123,13 +125,36 @@ impl Symbols {
     }
 }
 
+/// `start..end` of one of a [`Program`]'s arenas: the annotations of
+/// one declaration or field, or the arguments of one annotation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Run {
+    pub start: u32,
+    pub end: u32,
+}
+
+impl Run {
+    fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start as usize..self.end as usize]
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+}
+
 /// A parsed compilation unit: an ordered list of top-level declarations,
-/// the expressions they refer to, and the symbols they name.
+/// the expressions and annotations they refer to, and the symbols they
+/// name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub decls: Vec<Decl>,
     /// Every expression of the program; an [`ExprId`] indexes it.
     pub exprs: Vec<Expr>,
+    /// Every annotation of the program, each owner's in one [`Run`].
+    pub annotations: Box<[Annotation]>,
+    /// Every annotation argument, each annotation's in one [`Run`].
+    pub ann_args: Box<[AnnArg]>,
     /// Every identifier and string literal of the program.
     pub syms: Symbols,
 }
@@ -148,6 +173,42 @@ impl Program {
     /// The expression `id` addresses.
     pub fn expr(&self, id: ExprId) -> &Expr {
         &self.exprs[id.0 as usize]
+    }
+
+    /// The annotations `run` holds (an owner's `annotations`).
+    pub fn annotations(&self, run: Run) -> &[Annotation] {
+        run.of(&self.annotations)
+    }
+
+    /// The arguments of `a`.
+    pub fn args(&self, a: &Annotation) -> &[AnnArg] {
+        a.args.of(&self.ann_args)
+    }
+
+    /// The arguments of the first annotation named `name` in `run`.
+    fn annotation_args(&self, run: Run, name: Sym) -> Option<&[AnnArg]> {
+        let a = self.annotations(run).iter().find(|a| a.name.name == name)?;
+        Some(self.args(a))
+    }
+
+    /// The string of `f`'s `@semantic("...")` annotation, if present.
+    pub fn semantic(&self, f: &FieldDecl) -> Option<Sym> {
+        self.annotation_args(f.annotations, Sym::SEMANTIC)?
+            .iter()
+            .find_map(|a| match a {
+                AnnArg::Str(s) => Some(*s),
+                _ => None,
+            })
+    }
+
+    /// The value of `f`'s `@cost(N)` annotation, if present.
+    pub fn cost(&self, f: &FieldDecl) -> Option<u128> {
+        self.annotation_args(f.annotations, Sym::COST)?
+            .iter()
+            .find_map(|a| match a {
+                AnnArg::Int(v) => Some(*v),
+                _ => None,
+            })
     }
 
     /// Iterate over all header declarations.
@@ -220,10 +281,11 @@ pub struct Ident {
 }
 
 /// `@name` or `@name(arg, ...)` attached to a declaration or field.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Annotation {
     pub name: Ident,
-    pub args: Vec<AnnArg>,
+    /// Into [`Program::ann_args`]; read through [`Program::args`].
+    pub args: Run,
     pub span: Span,
 }
 
@@ -281,7 +343,7 @@ impl Decl {
 /// `header name_t { fields }` — the unit the deparser emits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeaderDecl {
-    pub annotations: Vec<Annotation>,
+    pub annotations: Run,
     pub name: Ident,
     pub fields: Vec<FieldDecl>,
     pub span: Span,
@@ -290,7 +352,7 @@ pub struct HeaderDecl {
 /// `struct name_t { fields }` — groups headers / metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructDecl {
-    pub annotations: Vec<Annotation>,
+    pub annotations: Run,
     pub name: Ident,
     pub fields: Vec<FieldDecl>,
     pub span: Span,
@@ -299,39 +361,10 @@ pub struct StructDecl {
 /// A field inside a header or struct.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldDecl {
-    pub annotations: Vec<Annotation>,
+    pub annotations: Run,
     pub ty: Type,
     pub name: Ident,
     pub span: Span,
-}
-
-impl FieldDecl {
-    /// The string of this field's `@semantic("...")` annotation, if
-    /// present.
-    pub fn semantic(&self) -> Option<Sym> {
-        annotation(&self.annotations, Sym::SEMANTIC)?
-            .args
-            .iter()
-            .find_map(|a| match a {
-                AnnArg::Str(s) => Some(*s),
-                _ => None,
-            })
-    }
-
-    /// The value of this field's `@cost(N)` annotation, if present.
-    pub fn cost(&self) -> Option<u128> {
-        annotation(&self.annotations, Sym::COST)?
-            .args
-            .iter()
-            .find_map(|a| match a {
-                AnnArg::Int(v) => Some(*v),
-                _ => None,
-            })
-    }
-}
-
-fn annotation(anns: &[Annotation], name: Sym) -> Option<&Annotation> {
-    anns.iter().find(|a| a.name.name == name)
 }
 
 /// `typedef bit<16> vlan_tci_t;`
@@ -355,7 +388,7 @@ pub struct ConstDecl {
 /// with an explicit bit representation; variants number from 0 upward.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnumDecl {
-    pub annotations: Vec<Annotation>,
+    pub annotations: Run,
     pub repr: Option<Type>,
     pub name: Ident,
     pub variants: Vec<Ident>,
@@ -366,7 +399,7 @@ pub struct EnumDecl {
 /// signature terminated by `;` (Fig. 3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParserDecl {
-    pub annotations: Vec<Annotation>,
+    pub annotations: Run,
     pub name: Ident,
     pub type_params: Vec<Ident>,
     pub params: Vec<Param>,
@@ -414,7 +447,7 @@ pub enum SelectMatch {
 /// bodiless template signature (Fig. 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlDecl {
-    pub annotations: Vec<Annotation>,
+    pub annotations: Run,
     pub name: Ident,
     pub type_params: Vec<Ident>,
     pub params: Vec<Param>,
@@ -435,7 +468,7 @@ pub enum ControlLocal {
 /// `action set_hash() { ... }`
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActionDecl {
-    pub annotations: Vec<Annotation>,
+    pub annotations: Run,
     pub name: Ident,
     pub params: Vec<Param>,
     pub body: Block,
@@ -454,7 +487,7 @@ pub struct VarDecl {
 /// `extern void dma_write(...);` — prototype only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExternDecl {
-    pub annotations: Vec<Annotation>,
+    pub annotations: Run,
     pub name: Ident,
     pub methods: Vec<ExternMethod>,
     pub span: Span,
@@ -758,7 +791,10 @@ mod tests {
     fn field_semantic_annotation_lookup() {
         let (p, _) = parse(r#"header h_t { @semantic("rss_hash") bit<32> rss; }"#);
         let h = p.header("h_t").unwrap();
-        assert_eq!(h.fields[0].semantic().map(|s| p.name(s)), Some("rss_hash"));
-        assert_eq!(h.fields[0].cost(), None);
+        assert_eq!(
+            p.semantic(&h.fields[0]).map(|s| p.name(s)),
+            Some("rss_hash")
+        );
+        assert_eq!(p.cost(&h.fields[0]), None);
     }
 }

@@ -93,7 +93,10 @@ fn string_literals_keep_their_utf8() {
     let Decl::Header(h) = &checked.program.decls[0] else {
         panic!("header expected")
     };
-    let sem = h.fields[0].semantic().map(|s| checked.name(s));
+    let sem = checked
+        .program
+        .semantic(&h.fields[0])
+        .map(|s| checked.name(s));
     assert_eq!(sem, Some("é\t→"));
 }
 

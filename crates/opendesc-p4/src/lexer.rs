@@ -1,57 +1,125 @@
 //! Hand-written lexer for the P4-16 subset.
 //!
 //! Produces the full token vector in one pass so the parser can do
-//! unlimited lookahead. Tokens borrow their text from the source: an
-//! identifier or string literal is a slice of it, and only a literal
-//! with an escape owns its bytes. Integer literals follow P4 syntax:
-//! decimal, `0x`/`0b`/`0o` prefixed, underscores allowed, and an
+//! unlimited lookahead, and interns as it scans: every identifier and
+//! string literal becomes a [`Sym`] of the program's [`Symbols`] the
+//! first time its text is seen, and every integer literal an entry of
+//! [`Lexed::ints`]. A token is a tag and at most one index, so the
+//! parser copies tokens and never hashes. Integer literals follow P4
+//! syntax: decimal, `0x`/`0b`/`0o` prefixed, underscores allowed, and an
 //! optional leading width prefix as in `16w0x88A8` or `4w7`.
 
+use crate::ast::{Sym, Symbols, WELL_KNOWN};
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::span::Span;
-use crate::token::{Keyword, Token, TokenKind};
+use crate::token::{IntLit, Keyword, Token, TokenKind};
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
-/// Lex `src` into tokens. Returns the tokens (always terminated by
-/// [`TokenKind::Eof`]) alongside any diagnostics. Lexing recovers from bad
-/// characters by skipping them, so the parser always receives a stream.
-pub fn lex(src: &str) -> (Vec<Token<'_>>, Diagnostics) {
+/// A lexed source: its tokens and the tables they index.
+#[derive(Debug)]
+pub struct Lexed {
+    /// Always terminated by [`TokenKind::Eof`].
+    pub tokens: Vec<Token>,
+    /// Every identifier and string literal: the [`WELL_KNOWN`] names
+    /// first, then the source's in order of first occurrence.
+    pub syms: Symbols,
+    /// What each [`TokenKind::Int`] indexes.
+    pub ints: Vec<IntLit>,
+    pub diags: Diagnostics,
+}
+
+/// Lex `src`. Lexing recovers from bad characters by skipping them, so
+/// the parser always receives a stream.
+pub fn lex(src: &str) -> Lexed {
+    // The catalog contracts run at one token per 4.3–5.4 bytes
+    // (indentation and comments included); one per four covers them
+    // without a regrow, and a denser source only costs that regrow.
+    let tokens = src.len() / 4 + 1;
     let mut lexer = Lexer {
         text: src,
         src: src.as_bytes(),
         pos: 0,
-        // The catalog contracts run at one token per 4.3–5.4 bytes
-        // (indentation and comments included); one per four covers them
-        // without a regrow, and a denser source only costs that regrow.
-        tokens: Vec::with_capacity(src.len() / 4 + 1),
+        tokens: Vec::with_capacity(tokens),
+        // A symbol is never longer than its source text, so the source
+        // length bounds the table's bytes; the parser trims the table
+        // to what was used.
+        syms: Symbols::with_capacity(
+            tokens / 2 + WELL_KNOWN.len(),
+            src.len() + WELL_KNOWN.iter().map(|w| w.len()).sum::<usize>(),
+        ),
+        interned: HashMap::with_capacity(tokens / 2 + WELL_KNOWN.len()),
+        ints: Vec::with_capacity(tokens / 4),
         diags: Diagnostics::new(),
     };
+    for name in WELL_KNOWN {
+        lexer.intern(Cow::Borrowed(name));
+    }
     lexer.run();
-    (lexer.tokens, lexer.diags)
+    Lexed {
+        tokens: lexer.tokens,
+        syms: lexer.syms,
+        ints: lexer.ints,
+        diags: lexer.diags,
+    }
 }
 
 struct Lexer<'a> {
     text: &'a str,
     src: &'a [u8],
     pos: usize,
-    tokens: Vec<Token<'a>>,
+    tokens: Vec<Token>,
+    syms: Symbols,
+    /// Text → symbol, for this lex only: keyed by the source's own
+    /// slices (owned only for a string literal with an escape), with the
+    /// default keyed hash because the text is outside input.
+    interned: HashMap<Cow<'a, str>, Sym>,
+    ints: Vec<IntLit>,
     diags: Diagnostics,
+}
+
+/// What a byte can start: the one table the scan dispatches on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Space,
+    Slash,
+    Ident,
+    Digit,
+    Quote,
+    Other,
+}
+
+static CLASS: [Class; 256] = {
+    let mut t = [Class::Other; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = match b as u8 {
+            b' ' | b'\t' | b'\r' | b'\n' => Class::Space,
+            b'/' => Class::Slash,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => Class::Ident,
+            b'0'..=b'9' => Class::Digit,
+            b'"' => Class::Quote,
+            _ => Class::Other,
+        };
+        b += 1;
+    }
+    t
+};
+
+/// Whether `b` continues an identifier.
+fn ident_byte(b: u8) -> bool {
+    matches!(CLASS[b as usize], Class::Ident | Class::Digit)
 }
 
 impl<'a> Lexer<'a> {
     fn run(&mut self) {
-        while self.pos < self.src.len() {
+        while self.skip_trivia() {
             let start = self.pos;
-            let c = self.src[self.pos];
-            match c {
-                b' ' | b'\t' | b'\r' | b'\n' => {
-                    self.pos += 1;
-                }
-                b'/' if self.peek(1) == Some(b'/') => self.skip_line_comment(),
-                b'/' if self.peek(1) == Some(b'*') => self.skip_block_comment(),
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_ident_or_number_prefix(),
-                b'0'..=b'9' => self.lex_number(),
-                b'"' => self.lex_string(),
+            match CLASS[self.src[start] as usize] {
+                Class::Ident => self.lex_ident(),
+                Class::Digit => self.lex_number(),
+                Class::Quote => self.lex_string(),
                 _ => {
                     if let Some((kind, len)) = self.lex_punct() {
                         let span = Span::new(start as u32, (start + len) as u32);
@@ -75,6 +143,24 @@ impl<'a> Lexer<'a> {
             .push(Token::new(TokenKind::Eof, Span::point(at)));
     }
 
+    /// The symbol spelling `text`, created on first sight.
+    fn intern(&mut self, text: Cow<'a, str>) -> Sym {
+        match self.interned.entry(text) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let sym = self.syms.push(e.key());
+                *e.insert(sym)
+            }
+        }
+    }
+
+    /// Record an integer literal and push its token.
+    fn push_int(&mut self, lit: IntLit, span: Span) {
+        let at = self.ints.len() as u32;
+        self.ints.push(lit);
+        self.tokens.push(Token::new(TokenKind::Int(at), span));
+    }
+
     /// The character starting at byte `at` (a character boundary: every
     /// caller sits just past an ASCII byte or a whole character).
     fn char_at(&self, at: usize) -> char {
@@ -85,10 +171,27 @@ impl<'a> Lexer<'a> {
         self.src.get(self.pos + ahead).copied()
     }
 
-    fn skip_line_comment(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-            self.pos += 1;
+    /// Skip a run of whitespace and comments; whether a token follows.
+    fn skip_trivia(&mut self) -> bool {
+        while let Some(&c) = self.src.get(self.pos) {
+            match CLASS[c as usize] {
+                Class::Space => self.pos += 1,
+                Class::Slash => match self.peek(1) {
+                    Some(b'/') => self.skip_line_comment(),
+                    Some(b'*') => self.skip_block_comment(),
+                    _ => return true,
+                },
+                _ => return true,
+            }
         }
+        false
+    }
+
+    fn skip_line_comment(&mut self) {
+        self.pos = match self.src[self.pos..].iter().position(|&b| b == b'\n') {
+            Some(n) => self.pos + n,
+            None => self.src.len(),
+        };
     }
 
     fn skip_block_comment(&mut self) {
@@ -111,21 +214,18 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Identifiers, keywords, and the width-prefixed-number case where the
-    /// "identifier" turns out to start a literal can't happen here because a
-    /// width prefix starts with a digit; this handles pure identifiers.
-    fn lex_ident_or_number_prefix(&mut self) {
+    /// An identifier or keyword. A width-prefixed literal starts with a
+    /// digit, so it never reaches here.
+    fn lex_ident(&mut self) {
         let start = self.pos;
-        while self.pos < self.src.len()
-            && matches!(self.src[self.pos], b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')
-        {
+        while self.pos < self.src.len() && ident_byte(self.src[self.pos]) {
             self.pos += 1;
         }
         let text = &self.text[start..self.pos];
         let span = Span::new(start as u32, self.pos as u32);
         let kind = match Keyword::from_str(text) {
             Some(kw) => TokenKind::Kw(kw),
-            None => TokenKind::Ident(text),
+            None => TokenKind::Ident(self.intern(Cow::Borrowed(text))),
         };
         self.tokens.push(Token::new(kind, span));
     }
@@ -160,24 +260,12 @@ impl<'a> Lexer<'a> {
                                 span,
                             ));
                         }
-                        self.tokens.push(Token::new(
-                            TokenKind::Int {
-                                value,
-                                width: Some(width),
-                            },
-                            span,
-                        ));
+                        self.push_int((value, Some(width)), span);
                     }
                     _ => {
                         self.diags
                             .push(Diagnostic::error("malformed width-prefixed literal", span));
-                        self.tokens.push(Token::new(
-                            TokenKind::Int {
-                                value: 0,
-                                width: None,
-                            },
-                            span,
-                        ));
+                        self.push_int((0, None), span);
                     }
                 }
                 return;
@@ -186,34 +274,16 @@ impl<'a> Lexer<'a> {
             let span = Span::new(start as u32, self.pos as u32);
             self.diags
                 .push(Diagnostic::error("width prefix missing literal body", span));
-            self.tokens.push(Token::new(
-                TokenKind::Int {
-                    value: 0,
-                    width: None,
-                },
-                span,
-            ));
+            self.push_int((0, None), span);
             return;
         }
         let span = Span::new(start as u32, self.pos as u32);
         match first.value {
-            Some(v) => self.tokens.push(Token::new(
-                TokenKind::Int {
-                    value: v,
-                    width: None,
-                },
-                span,
-            )),
+            Some(v) => self.push_int((v, None), span),
             None => {
                 self.diags
                     .push(Diagnostic::error("malformed integer literal", span));
-                self.tokens.push(Token::new(
-                    TokenKind::Int {
-                        value: 0,
-                        width: None,
-                    },
-                    span,
-                ));
+                self.push_int((0, None), span);
             }
         }
     }
@@ -325,10 +395,11 @@ impl<'a> Lexer<'a> {
             None => Cow::Borrowed(&self.text[seg..end]),
         };
         let span = Span::new(start as u32, self.pos as u32);
-        self.tokens.push(Token::new(TokenKind::Str(text), span));
+        let sym = self.intern(text);
+        self.tokens.push(Token::new(TokenKind::Str(sym), span));
     }
 
-    fn lex_punct(&mut self) -> Option<(TokenKind<'a>, usize)> {
+    fn lex_punct(&mut self) -> Option<(TokenKind, usize)> {
         use TokenKind::*;
         let c0 = self.peek(0)?;
         let c1 = self.peek(1);
@@ -381,110 +452,126 @@ mod tests {
     use super::*;
     use crate::token::TokenKind::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
-        let (toks, diags) = lex(src);
-        assert!(!diags.has_errors(), "unexpected lex errors for {src:?}");
-        toks.into_iter().map(|t| t.kind).collect()
+    /// A token with its symbol or literal resolved through the tables.
+    #[derive(Debug, PartialEq)]
+    enum T<'a> {
+        Ident(&'a str),
+        Str(&'a str),
+        Int(u128, Option<u16>),
+        Other(TokenKind),
+    }
+
+    fn resolve(lexed: &Lexed) -> Vec<T<'_>> {
+        lexed
+            .tokens
+            .iter()
+            .map(|t| match t.kind {
+                Ident(s) => T::Ident(lexed.syms.name(s)),
+                Str(s) => T::Str(lexed.syms.name(s)),
+                Int(i) => {
+                    let (v, w) = lexed.ints[i as usize];
+                    T::Int(v, w)
+                }
+                other => T::Other(other),
+            })
+            .collect()
+    }
+
+    fn tokens(src: &str) -> Lexed {
+        let lexed = lex(src);
+        assert!(
+            !lexed.diags.has_errors(),
+            "unexpected lex errors for {src:?}"
+        );
+        lexed
+    }
+
+    fn first(src: &str) -> T<'static> {
+        let lexed = tokens(src);
+        match resolve(&lexed).remove(0) {
+            T::Int(v, w) => T::Int(v, w),
+            T::Other(k) => T::Other(k),
+            t => panic!("{t:?}: use `resolve` for a symbol"),
+        }
     }
 
     #[test]
     fn lex_keywords_and_idents() {
-        let k = kinds("header foo_t { }");
+        let l = tokens("header foo_t { }");
         assert_eq!(
-            k,
-            vec![Kw(Keyword::Header), Ident("foo_t"), LBrace, RBrace, Eof]
+            resolve(&l),
+            vec![
+                T::Other(Kw(Keyword::Header)),
+                T::Ident("foo_t"),
+                T::Other(LBrace),
+                T::Other(RBrace),
+                T::Other(Eof)
+            ]
         );
+    }
+
+    #[test]
+    fn symbols_are_interned_in_order_of_first_occurrence() {
+        let l = tokens(r#"b a b "a" semantic"#);
+        let syms: Vec<Sym> = l
+            .tokens
+            .iter()
+            .filter_map(|t| match t.kind {
+                Ident(s) | Str(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        let first = WELL_KNOWN.len() as u32;
+        assert_eq!(
+            syms,
+            [
+                Sym(first),
+                Sym(first + 1),
+                Sym(first),
+                Sym(first + 1),
+                Sym::SEMANTIC
+            ]
+        );
+        assert_eq!(l.syms.len(), WELL_KNOWN.len() + 2);
+        assert_eq!(l.syms.name(Sym(first)), "b");
     }
 
     #[test]
     fn lex_plain_integers() {
-        assert_eq!(
-            kinds("42")[0],
-            Int {
-                value: 42,
-                width: None
-            }
-        );
-        assert_eq!(
-            kinds("0x2A")[0],
-            Int {
-                value: 42,
-                width: None
-            }
-        );
-        assert_eq!(
-            kinds("0b101010")[0],
-            Int {
-                value: 42,
-                width: None
-            }
-        );
-        assert_eq!(
-            kinds("0o52")[0],
-            Int {
-                value: 42,
-                width: None
-            }
-        );
-        assert_eq!(
-            kinds("1_000")[0],
-            Int {
-                value: 1000,
-                width: None
-            }
-        );
+        assert_eq!(first("42"), T::Int(42, None));
+        assert_eq!(first("0x2A"), T::Int(42, None));
+        assert_eq!(first("0b101010"), T::Int(42, None));
+        assert_eq!(first("0o52"), T::Int(42, None));
+        assert_eq!(first("1_000"), T::Int(1000, None));
     }
 
     #[test]
     fn lex_width_prefixed_integers() {
-        assert_eq!(
-            kinds("16w0x88A8")[0],
-            Int {
-                value: 0x88A8,
-                width: Some(16)
-            }
-        );
-        assert_eq!(
-            kinds("8w255")[0],
-            Int {
-                value: 255,
-                width: Some(8)
-            }
-        );
-        assert_eq!(
-            kinds("1w0b1")[0],
-            Int {
-                value: 1,
-                width: Some(1)
-            }
-        );
+        assert_eq!(first("16w0x88A8"), T::Int(0x88A8, Some(16)));
+        assert_eq!(first("8w255"), T::Int(255, Some(8)));
+        assert_eq!(first("1w0b1"), T::Int(1, Some(1)));
     }
 
     #[test]
     fn width_prefix_truncates_with_warning() {
-        let (toks, diags) = lex("4w255");
-        assert_eq!(
-            toks[0].kind,
-            Int {
-                value: 15,
-                width: Some(4)
-            }
-        );
-        assert!(!diags.has_errors());
-        assert_eq!(diags.len(), 1, "expected truncation warning");
+        let l = lex("4w255");
+        assert_eq!(resolve(&l)[0], T::Int(15, Some(4)));
+        assert!(!l.diags.has_errors());
+        assert_eq!(l.diags.len(), 1, "expected truncation warning");
     }
 
     #[test]
     fn ident_followed_by_w_is_not_width_literal() {
         // `aw12` is just an identifier.
-        assert_eq!(kinds("aw12")[0], Ident("aw12"));
+        assert_eq!(resolve(&tokens("aw12"))[0], T::Ident("aw12"));
     }
 
     #[test]
     fn lex_two_char_operators() {
-        let k = kinds("== != <= >= && || << >> ++");
+        let l = tokens("== != <= >= && || << >> ++");
+        let kinds: Vec<TokenKind> = l.tokens.iter().map(|t| t.kind).collect();
         assert_eq!(
-            k,
+            kinds,
             vec![EqEq, NotEq, Le, Ge, AndAnd, OrOr, Shl, Shr, PlusPlus, Eof]
         );
     }
@@ -492,66 +579,65 @@ mod tests {
     #[test]
     fn angle_brackets_vs_shifts() {
         // `bit<32>` must lex as LAngle/RAngle, not shifts.
-        let k = kinds("bit<32>");
         assert_eq!(
-            k,
+            resolve(&tokens("bit<32>")),
             vec![
-                Kw(Keyword::Bit),
-                LAngle,
-                Int {
-                    value: 32,
-                    width: None
-                },
-                RAngle,
-                Eof
+                T::Other(Kw(Keyword::Bit)),
+                T::Other(LAngle),
+                T::Int(32, None),
+                T::Other(RAngle),
+                T::Other(Eof)
             ]
         );
     }
 
     #[test]
     fn comments_are_skipped() {
-        let k = kinds("a // comment\n /* block\n comment */ b");
-        assert_eq!(k, vec![Ident("a"), Ident("b"), Eof]);
+        let l = tokens("a // comment\n /* block\n comment */ b");
+        assert_eq!(
+            resolve(&l),
+            vec![T::Ident("a"), T::Ident("b"), T::Other(Eof)]
+        );
     }
 
     #[test]
     fn unterminated_block_comment_errors() {
-        let (_, diags) = lex("/* nope");
-        assert!(diags.has_errors());
+        assert!(lex("/* nope").diags.has_errors());
     }
 
     #[test]
     fn strings_with_escapes() {
-        let k = kinds(r#"@semantic("rss\n")"#);
-        assert_eq!(k[0], At);
-        assert_eq!(k[1], Ident("semantic"));
-        assert_eq!(k[3], Str("rss\n".into()));
+        let l = tokens(r#"@semantic("rss\n")"#);
+        let t = resolve(&l);
+        assert_eq!(t[0], T::Other(At));
+        assert_eq!(t[1], T::Ident("semantic"));
+        assert_eq!(t[3], T::Str("rss\n"));
     }
 
     #[test]
     fn unterminated_string_errors() {
-        let (_, diags) = lex("\"abc");
-        assert!(diags.has_errors());
+        assert!(lex("\"abc").diags.has_errors());
     }
 
     #[test]
     fn unknown_char_recovers() {
-        let (toks, diags) = lex("a ` b");
-        assert!(diags.has_errors());
+        let l = lex("a ` b");
+        assert!(l.diags.has_errors());
         // Lexing continues past the bad character.
-        assert_eq!(toks.len(), 3); // a, b, eof
+        assert_eq!(l.tokens.len(), 3); // a, b, eof
     }
 
     #[test]
     fn spans_cover_tokens() {
-        let (toks, _) = lex("header x");
-        assert_eq!(toks[0].span, Span::new(0, 6));
-        assert_eq!(toks[1].span, Span::new(7, 8));
+        let l = lex("header x");
+        assert_eq!(l.tokens[0].span, Span::new(0, 6));
+        assert_eq!(l.tokens[1].span, Span::new(7, 8));
     }
 
     #[test]
     fn huge_literal_overflow_is_error() {
-        let (_, diags) = lex("340282366920938463463374607431768211456"); // 2^128
-        assert!(diags.has_errors());
+        assert!(lex("340282366920938463463374607431768211456") // 2^128
+            .diags
+            .has_errors());
     }
 }

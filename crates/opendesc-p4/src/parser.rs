@@ -4,21 +4,19 @@
 //! records a diagnostic and skips ahead to the next plausible declaration
 //! boundary so that a single typo does not hide every later error.
 //!
-//! It interns every identifier and string literal once per program
-//! through a map keyed by the source's own text, which is dropped when
-//! parsing ends, and appends every expression to the program's arena.
-//! Recursion is bounded: an `else if` chain is a loop, and blocks and
-//! expressions nest at most [`MAX_NESTING`] levels deep — deeper source
-//! is an error diagnostic, never a stack overflow.
+//! It reads tokens the lexer has already interned: a token is a `Copy`
+//! value, and the parser never hashes. It appends every expression,
+//! annotation and annotation argument to the program's arenas, each
+//! sized from the token stream before parsing starts. Recursion is
+//! bounded: an `else if` chain is a loop, and blocks and expressions
+//! nest at most [`MAX_NESTING`] levels deep — deeper source is an error
+//! diagnostic, never a stack overflow.
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::lexer::lex;
+use crate::lexer::{lex, Lexed};
 use crate::span::Span;
-use crate::token::{Keyword as Kw, Token, TokenKind as Tk};
-use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use crate::token::{IntLit, Keyword as Kw, Token, TokenDisplay, TokenKind as Tk};
 
 /// How deep blocks and expressions may nest, together: every walker of
 /// the tree recurses once per level, and this many levels fit a 2 MB
@@ -28,53 +26,85 @@ pub const MAX_NESTING: u32 = 256;
 /// Parse a full compilation unit. Lexing diagnostics are merged into the
 /// returned set.
 pub fn parse(src: &str) -> (Program, Diagnostics) {
-    let (tokens, mut diags) = lex(src);
-    // Every distinct name is an identifier or string token: size the
-    // interner and the symbol table once.
-    let (names, bytes) = tokens.iter().fold((0, 0), |(n, b), t| match &t.kind {
-        Tk::Ident(s) => (n + 1, b + s.len()),
-        Tk::Str(s) => (n + 1, b + s.len()),
-        _ => (n, b),
-    });
-    let names = names + WELL_KNOWN.len();
-    let bytes = bytes + WELL_KNOWN.iter().map(|w| w.len()).sum::<usize>();
-    let mut p = Parser {
+    let Lexed {
         tokens,
+        syms,
+        ints,
+        mut diags,
+    } = lex(src);
+    let (annotations, ann_args) = annotation_counts(&tokens);
+    let mut p = Parser {
+        // Every expression node consumes a token of its own, so the
+        // token count bounds the expression arena.
+        exprs: Vec::with_capacity(tokens.len()),
+        tokens,
+        ints,
         pos: 0,
         diags: Diagnostics::new(),
-        exprs: Vec::new(),
-        syms: Symbols::with_capacity(names, bytes),
-        interned: HashMap::with_capacity(names),
+        annotations: Vec::with_capacity(annotations),
+        ann_args: Vec::with_capacity(ann_args),
+        syms,
         depth: 0,
     };
-    for name in WELL_KNOWN {
-        p.intern(Cow::Borrowed(name));
-    }
     let decls = p.parse_program();
-    for d in p.diags {
+    let Parser {
+        mut exprs,
+        annotations,
+        ann_args,
+        mut syms,
+        diags: pdiags,
+        ..
+    } = p;
+    for d in pdiags {
         diags.push(d);
     }
-    p.syms.shrink_to_fit();
-    p.exprs.shrink_to_fit();
+    // The expression arena and the lexer's symbol table were sized from
+    // bounds, not counts: give back the rest (in place), so a resident
+    // program is exact-capacity.
+    exprs.shrink_to_fit();
+    syms.shrink_to_fit();
     let program = Program {
         decls,
-        exprs: p.exprs,
-        syms: p.syms,
+        exprs,
+        // Counted exactly before the parse: no copy.
+        annotations: annotations.into_boxed_slice(),
+        ann_args: ann_args.into_boxed_slice(),
+        syms,
     };
     (program, diags)
 }
 
-struct Parser<'src> {
-    /// The lexed stream. A consumed slot is left holding an `Eof` with
-    /// the consumed token's span: nothing reads its kind again, and
-    /// `tokens[pos - 1].span` still ends the declaration just parsed.
-    tokens: Vec<Token<'src>>,
+/// The annotations and annotation arguments a parse of `tokens` appends
+/// to the program's arenas, counted before it starts so neither arena
+/// regrows: exact for a well-formed stream.
+fn annotation_counts(tokens: &[Token]) -> (usize, usize) {
+    let (mut annotations, mut args) = (0, 0);
+    // Inside the parentheses of `@name(...)`.
+    let mut in_args = false;
+    for (i, t) in tokens.iter().enumerate() {
+        match t.kind {
+            Tk::At => annotations += 1,
+            Tk::LParen if i >= 2 && tokens[i - 2].kind == Tk::At => in_args = true,
+            Tk::RParen => in_args = false,
+            Tk::Str(_) | Tk::Int(_) | Tk::Ident(_) if in_args => args += 1,
+            _ => {}
+        }
+    }
+    (annotations, args)
+}
+
+struct Parser {
+    /// The lexed stream; the cursor only reads it.
+    tokens: Vec<Token>,
+    /// What each [`Tk::Int`] indexes.
+    ints: Vec<IntLit>,
     pos: usize,
     diags: Diagnostics,
     exprs: Vec<Expr>,
+    annotations: Vec<Annotation>,
+    ann_args: Vec<AnnArg>,
+    /// The lexer's symbols: named in diagnostics, then the program's.
     syms: Symbols,
-    /// Text → symbol, for this parse only.
-    interned: HashMap<Cow<'src, str>, Sym>,
     /// Blocks and expressions currently open.
     depth: u32,
 }
@@ -83,37 +113,41 @@ struct Parser<'src> {
 /// and the caller should recover.
 type PResult<T> = Result<T, ()>;
 
-impl<'src> Parser<'src> {
+impl Parser {
     // ---------------------------------------------------------------- utils
 
-    fn peek(&self) -> &Token<'src> {
-        &self.tokens[self.pos]
+    fn peek(&self) -> Token {
+        self.tokens[self.pos]
     }
 
-    fn peek_at(&self, ahead: usize) -> &Token<'src> {
-        &self.tokens[(self.pos + ahead).min(self.tokens.len() - 1)]
+    fn peek_at(&self, ahead: usize) -> Token {
+        self.tokens[(self.pos + ahead).min(self.tokens.len() - 1)]
     }
 
     /// Hand over the current token and advance. The cursor never moves
     /// past the final `Eof`, which is handed out as often as asked for.
-    fn bump(&mut self) -> Token<'src> {
-        let at = self.pos;
-        if at < self.tokens.len() - 1 {
+    fn bump(&mut self) -> Token {
+        let t = self.tokens[self.pos];
+        if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        let span = self.tokens[at].span;
-        std::mem::replace(&mut self.tokens[at], Token::new(Tk::Eof, span))
+        t
     }
 
-    fn at(&self, kind: &Tk) -> bool {
-        &self.peek().kind == kind
+    /// `kind` as a diagnostic names it.
+    fn show(&self, kind: Tk) -> TokenDisplay<'_> {
+        kind.display(&self.syms, &self.ints)
+    }
+
+    fn at(&self, kind: Tk) -> bool {
+        self.peek().kind == kind
     }
 
     fn at_kw(&self, kw: Kw) -> bool {
-        matches!(&self.peek().kind, Tk::Kw(k) if *k == kw)
+        self.at(Tk::Kw(kw))
     }
 
-    fn eat(&mut self, kind: &Tk) -> bool {
+    fn eat(&mut self, kind: Tk) -> bool {
         if self.at(kind) {
             self.bump();
             true
@@ -122,49 +156,42 @@ impl<'src> Parser<'src> {
         }
     }
 
-    fn expect(&mut self, kind: &Tk, what: &str) -> PResult<Token<'src>> {
+    fn expect(&mut self, kind: Tk, what: &str) -> PResult<Token> {
         if self.at(kind) {
             Ok(self.bump())
         } else {
             let t = self.peek();
-            let d = Diagnostic::error(format!("expected {kind} {what}, found {}", t.kind), t.span);
+            let d = Diagnostic::error(
+                format!(
+                    "expected {} {what}, found {}",
+                    self.show(kind),
+                    self.show(t.kind)
+                ),
+                t.span,
+            );
             self.diags.push(d);
             Err(())
         }
     }
 
-    /// The symbol spelling `text`, created on first sight.
-    fn intern(&mut self, text: Cow<'src, str>) -> Sym {
-        match self.interned.entry(text) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let sym = self.syms.push(e.key());
-                *e.insert(sym)
-            }
-        }
-    }
-
     fn expect_ident(&mut self, what: &str) -> PResult<Ident> {
-        let name = match &self.peek().kind {
-            Tk::Ident(name) => *name,
-            // `accept`/`reject`/`default` double as state names in
-            // transitions; allow a few keywords where P4 does.
-            Tk::Kw(Kw::Accept) => "accept",
-            Tk::Kw(Kw::Reject) => "reject",
+        let t = self.peek();
+        let name = match t.kind {
+            Tk::Ident(name) => name,
+            // `accept` and `reject` double as state names in
+            // transitions; allow them where P4 does.
+            Tk::Kw(Kw::Accept) => Sym::ACCEPT,
+            Tk::Kw(Kw::Reject) => Sym::REJECT,
             other => {
-                let span = self.peek().span;
                 self.diags.push(Diagnostic::error(
-                    format!("expected identifier {what}, found {other}"),
-                    span,
+                    format!("expected identifier {what}, found {}", self.show(other)),
+                    t.span,
                 ));
                 return Err(());
             }
         };
-        let span = self.bump().span;
-        Ok(Ident {
-            name: self.intern(Cow::Borrowed(name)),
-            span,
-        })
+        self.bump();
+        Ok(Ident { name, span: t.span })
     }
 
     /// Run `f` one nesting level deeper, refusing to go past
@@ -198,7 +225,7 @@ impl<'src> Parser<'src> {
     fn recover_to_decl(&mut self) {
         let mut depth = 0i32;
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 Tk::Eof => return,
                 Tk::LBrace => {
                     depth += 1;
@@ -236,7 +263,7 @@ impl<'src> Parser<'src> {
 
     fn parse_program(&mut self) -> Vec<Decl> {
         let mut decls = Vec::new();
-        while !self.at(&Tk::Eof) {
+        while !self.at(Tk::Eof) {
             match self.parse_decl() {
                 Ok(d) => decls.push(d),
                 Err(()) => self.recover_to_decl(),
@@ -245,57 +272,62 @@ impl<'src> Parser<'src> {
         decls
     }
 
-    fn parse_annotations(&mut self) -> PResult<Vec<Annotation>> {
-        let mut anns = Vec::new();
-        while self.at(&Tk::At) {
+    /// The annotations before a declaration or field, appended to the
+    /// arena: one owner's annotations, and each annotation's arguments,
+    /// are contiguous.
+    fn parse_annotations(&mut self) -> PResult<Run> {
+        let start = self.annotations.len() as u32;
+        while self.at(Tk::At) {
             let at = self.bump();
             let name = self.expect_ident("after `@`")?;
-            let mut args = Vec::new();
+            let first = self.ann_args.len() as u32;
             let mut end = name.span;
-            if self.eat(&Tk::LParen) {
-                if !self.at(&Tk::RParen) {
+            if self.eat(Tk::LParen) {
+                if !self.at(Tk::RParen) {
                     loop {
                         let t = self.peek();
-                        args.push(match &t.kind {
-                            Tk::Str(s) => {
-                                let s = s.clone();
-                                AnnArg::Str(self.intern(s))
-                            }
-                            Tk::Int { value, .. } => AnnArg::Int(*value),
-                            Tk::Ident(n) => {
-                                let n = *n;
-                                AnnArg::Ident(self.intern(Cow::Borrowed(n)))
-                            }
+                        let arg = match t.kind {
+                            Tk::Str(s) => AnnArg::Str(s),
+                            Tk::Int(i) => AnnArg::Int(self.ints[i as usize].0),
+                            Tk::Ident(n) => AnnArg::Ident(n),
                             other => {
                                 let d = Diagnostic::error(
-                                    format!("invalid annotation argument: {other}"),
+                                    format!("invalid annotation argument: {}", self.show(other)),
                                     t.span,
                                 );
                                 self.diags.push(d);
                                 return Err(());
                             }
-                        });
+                        };
+                        self.ann_args.push(arg);
                         self.bump();
-                        if !self.eat(&Tk::Comma) {
+                        if !self.eat(Tk::Comma) {
                             break;
                         }
                     }
                 }
-                end = self.expect(&Tk::RParen, "to close annotation")?.span;
+                end = self.expect(Tk::RParen, "to close annotation")?.span;
             }
-            anns.push(Annotation {
+            let args = Run {
+                start: first,
+                end: self.ann_args.len() as u32,
+            };
+            self.annotations.push(Annotation {
                 name,
                 args,
                 span: at.span.to(end),
             });
         }
-        Ok(anns)
+        Ok(Run {
+            start,
+            end: self.annotations.len() as u32,
+        })
     }
 
     fn parse_decl(&mut self) -> PResult<Decl> {
         let annotations = self.parse_annotations()?;
         let span = self.peek().span;
-        match &self.peek().kind {
+        match self.peek().kind {
             Tk::Kw(Kw::Header) => self.parse_header(annotations).map(Decl::Header),
             Tk::Kw(Kw::Struct) => self.parse_struct(annotations).map(Decl::Struct),
             Tk::Kw(Kw::Typedef) => self.parse_typedef().map(Decl::Typedef),
@@ -318,7 +350,10 @@ impl<'src> Parser<'src> {
                 Err(())
             }
             other => {
-                let d = Diagnostic::error(format!("expected a declaration, found {other}"), span);
+                let d = Diagnostic::error(
+                    format!("expected a declaration, found {}", self.show(other)),
+                    span,
+                );
                 self.diags.push(d);
                 Err(())
             }
@@ -329,13 +364,13 @@ impl<'src> Parser<'src> {
 
     fn parse_type(&mut self) -> PResult<Type> {
         let span = self.peek().span;
-        match &self.peek().kind {
+        match self.peek().kind {
             Tk::Kw(Kw::Bit) => {
                 self.bump();
-                self.expect(&Tk::LAngle, "after `bit`")?;
-                let w = match &self.peek().kind {
-                    Tk::Int { value, width: None } => {
-                        let v = *value;
+                self.expect(Tk::LAngle, "after `bit`")?;
+                let w = match self.peek().kind {
+                    Tk::Int(i) if self.ints[i as usize].1.is_none() => {
+                        let v = self.ints[i as usize].0;
                         let tok = self.bump();
                         if v == 0 || v > 4096 {
                             self.diags.push(Diagnostic::error(
@@ -349,13 +384,13 @@ impl<'src> Parser<'src> {
                     other => {
                         let span = self.peek().span;
                         self.diags.push(Diagnostic::error(
-                            format!("expected bit width, found {other}"),
+                            format!("expected bit width, found {}", self.show(other)),
                             span,
                         ));
                         return Err(());
                     }
                 };
-                let end = self.expect(&Tk::RAngle, "to close `bit<`")?.span;
+                let end = self.expect(Tk::RAngle, "to close `bit<`")?.span;
                 Ok(Type {
                     kind: TypeKind::Bit(w),
                     span: span.to(end),
@@ -376,15 +411,15 @@ impl<'src> Parser<'src> {
                 })
             }
             Tk::Ident(n) => {
-                let n = *n;
                 self.bump();
                 Ok(Type {
-                    kind: TypeKind::Named(self.intern(Cow::Borrowed(n))),
+                    kind: TypeKind::Named(n),
                     span,
                 })
             }
             other => {
-                let d = Diagnostic::error(format!("expected a type, found {other}"), span);
+                let d =
+                    Diagnostic::error(format!("expected a type, found {}", self.show(other)), span);
                 self.diags.push(d);
                 Err(())
             }
@@ -392,7 +427,7 @@ impl<'src> Parser<'src> {
     }
 
     fn parse_field_list(&mut self) -> PResult<Vec<FieldDecl>> {
-        self.expect(&Tk::LBrace, "to open field list")?;
+        self.expect(Tk::LBrace, "to open field list")?;
         // A field list nests no braces, so every `;` before its `}` ends
         // one field: size the vector once instead of growing it.
         let count = self.tokens[self.pos..]
@@ -401,11 +436,11 @@ impl<'src> Parser<'src> {
             .filter(|t| t.kind == Tk::Semi)
             .count();
         let mut fields = Vec::with_capacity(count);
-        while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
+        while !self.at(Tk::RBrace) && !self.at(Tk::Eof) {
             let annotations = self.parse_annotations()?;
             let ty = self.parse_type()?;
             let name = self.expect_ident("as field name")?;
-            let semi = self.expect(&Tk::Semi, "after field")?;
+            let semi = self.expect(Tk::Semi, "after field")?;
             let span = ty.span.to(semi.span);
             fields.push(FieldDecl {
                 annotations,
@@ -414,13 +449,13 @@ impl<'src> Parser<'src> {
                 span,
             });
         }
-        self.expect(&Tk::RBrace, "to close field list")?;
+        self.expect(Tk::RBrace, "to close field list")?;
         Ok(fields)
     }
 
     // -------------------------------------------------------- declarations
 
-    fn parse_header(&mut self, annotations: Vec<Annotation>) -> PResult<HeaderDecl> {
+    fn parse_header(&mut self, annotations: Run) -> PResult<HeaderDecl> {
         let kw = self.bump(); // `header`
         let name = self.expect_ident("as header name")?;
         let fields = self.parse_field_list()?;
@@ -433,7 +468,7 @@ impl<'src> Parser<'src> {
         })
     }
 
-    fn parse_struct(&mut self, annotations: Vec<Annotation>) -> PResult<StructDecl> {
+    fn parse_struct(&mut self, annotations: Run) -> PResult<StructDecl> {
         let kw = self.bump(); // `struct`
         let name = self.expect_ident("as struct name")?;
         let fields = self.parse_field_list()?;
@@ -450,7 +485,7 @@ impl<'src> Parser<'src> {
         let kw = self.bump(); // `typedef`
         let ty = self.parse_type()?;
         let name = self.expect_ident("as typedef name")?;
-        let semi = self.expect(&Tk::Semi, "after typedef")?;
+        let semi = self.expect(Tk::Semi, "after typedef")?;
         Ok(TypedefDecl {
             ty,
             name,
@@ -462,9 +497,9 @@ impl<'src> Parser<'src> {
         let kw = self.bump(); // `const`
         let ty = self.parse_type()?;
         let name = self.expect_ident("as constant name")?;
-        self.expect(&Tk::Assign, "after constant name")?;
+        self.expect(Tk::Assign, "after constant name")?;
         let value = self.parse_expr()?;
-        let semi = self.expect(&Tk::Semi, "after constant")?;
+        let semi = self.expect(Tk::Semi, "after constant")?;
         Ok(ConstDecl {
             ty,
             name,
@@ -473,7 +508,7 @@ impl<'src> Parser<'src> {
         })
     }
 
-    fn parse_enum(&mut self, annotations: Vec<Annotation>) -> PResult<EnumDecl> {
+    fn parse_enum(&mut self, annotations: Run) -> PResult<EnumDecl> {
         let kw = self.bump(); // `enum`
         let repr = if self.at_kw(Kw::Bit) {
             Some(self.parse_type()?)
@@ -481,15 +516,15 @@ impl<'src> Parser<'src> {
             None
         };
         let name = self.expect_ident("as enum name")?;
-        self.expect(&Tk::LBrace, "to open enum")?;
+        self.expect(Tk::LBrace, "to open enum")?;
         let mut variants = Vec::new();
-        while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
+        while !self.at(Tk::RBrace) && !self.at(Tk::Eof) {
             variants.push(self.expect_ident("as enum variant")?);
-            if !self.eat(&Tk::Comma) {
+            if !self.eat(Tk::Comma) {
                 break;
             }
         }
-        let close = self.expect(&Tk::RBrace, "to close enum")?;
+        let close = self.expect(Tk::RBrace, "to close enum")?;
         Ok(EnumDecl {
             annotations,
             repr,
@@ -501,25 +536,25 @@ impl<'src> Parser<'src> {
 
     fn parse_type_params(&mut self) -> PResult<Vec<Ident>> {
         let mut type_params = Vec::new();
-        if self.eat(&Tk::LAngle) {
+        if self.eat(Tk::LAngle) {
             loop {
                 type_params.push(self.expect_ident("as type parameter")?);
-                if !self.eat(&Tk::Comma) {
+                if !self.eat(Tk::Comma) {
                     break;
                 }
             }
-            self.expect(&Tk::RAngle, "to close type parameters")?;
+            self.expect(Tk::RAngle, "to close type parameters")?;
         }
         Ok(type_params)
     }
 
     fn parse_params(&mut self) -> PResult<Vec<Param>> {
-        self.expect(&Tk::LParen, "to open parameter list")?;
+        self.expect(Tk::LParen, "to open parameter list")?;
         let mut params = Vec::new();
-        if !self.at(&Tk::RParen) {
+        if !self.at(Tk::RParen) {
             loop {
                 let start = self.peek().span;
-                let dir = match &self.peek().kind {
+                let dir = match self.peek().kind {
                     Tk::Kw(Kw::In) => {
                         // Disambiguate `in` direction from a type named `in`
                         // (not possible: `in` is reserved), safe to bump.
@@ -545,21 +580,21 @@ impl<'src> Parser<'src> {
                     name,
                     span,
                 });
-                if !self.eat(&Tk::Comma) {
+                if !self.eat(Tk::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&Tk::RParen, "to close parameter list")?;
+        self.expect(Tk::RParen, "to close parameter list")?;
         Ok(params)
     }
 
-    fn parse_parser(&mut self, annotations: Vec<Annotation>) -> PResult<ParserDecl> {
+    fn parse_parser(&mut self, annotations: Run) -> PResult<ParserDecl> {
         let kw = self.bump(); // `parser`
         let name = self.expect_ident("as parser name")?;
         let type_params = self.parse_type_params()?;
         let params = self.parse_params()?;
-        if self.eat(&Tk::Semi) {
+        if self.eat(Tk::Semi) {
             let span = kw.span.to(self.tokens[self.pos - 1].span);
             return Ok(ParserDecl {
                 annotations,
@@ -570,12 +605,12 @@ impl<'src> Parser<'src> {
                 span,
             });
         }
-        self.expect(&Tk::LBrace, "to open parser body")?;
+        self.expect(Tk::LBrace, "to open parser body")?;
         let mut states = Vec::new();
-        while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
+        while !self.at(Tk::RBrace) && !self.at(Tk::Eof) {
             states.push(self.parse_state()?);
         }
-        let close = self.expect(&Tk::RBrace, "to close parser body")?;
+        let close = self.expect(Tk::RBrace, "to close parser body")?;
         Ok(ParserDecl {
             annotations,
             name,
@@ -587,19 +622,19 @@ impl<'src> Parser<'src> {
     }
 
     fn parse_state(&mut self) -> PResult<StateDecl> {
-        let kw = self.expect(&Tk::Kw(Kw::State), "to begin parser state")?;
+        let kw = self.expect(Tk::Kw(Kw::State), "to begin parser state")?;
         let name = self.expect_ident("as state name")?;
-        self.expect(&Tk::LBrace, "to open state body")?;
+        self.expect(Tk::LBrace, "to open state body")?;
         let mut stmts = Vec::new();
         let mut transition = None;
-        while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
+        while !self.at(Tk::RBrace) && !self.at(Tk::Eof) {
             if self.at_kw(Kw::Transition) {
                 transition = Some(self.parse_transition()?);
                 break;
             }
             stmts.push(self.parse_stmt()?);
         }
-        let close = self.expect(&Tk::RBrace, "to close state body")?;
+        let close = self.expect(Tk::RBrace, "to close state body")?;
         Ok(StateDecl {
             name,
             stmts,
@@ -612,15 +647,15 @@ impl<'src> Parser<'src> {
         self.bump(); // `transition`
         if self.at_kw(Kw::Select) {
             let start = self.bump().span; // `select`
-            self.expect(&Tk::LParen, "after `select`")?;
+            self.expect(Tk::LParen, "after `select`")?;
             let mut exprs = vec![self.parse_expr()?];
-            while self.eat(&Tk::Comma) {
+            while self.eat(Tk::Comma) {
                 exprs.push(self.parse_expr()?);
             }
-            self.expect(&Tk::RParen, "to close select expression")?;
-            self.expect(&Tk::LBrace, "to open select body")?;
+            self.expect(Tk::RParen, "to close select expression")?;
+            self.expect(Tk::LBrace, "to open select body")?;
             let mut cases = Vec::new();
-            while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
+            while !self.at(Tk::RBrace) && !self.at(Tk::Eof) {
                 let cstart = self.peek().span;
                 let mut matches = Vec::new();
                 if self.at_kw(Kw::Default) {
@@ -628,7 +663,7 @@ impl<'src> Parser<'src> {
                     matches.push(SelectMatch::Default);
                 } else {
                     matches.push(SelectMatch::Expr(self.parse_expr()?));
-                    while self.eat(&Tk::Comma) {
+                    while self.eat(Tk::Comma) {
                         if self.at_kw(Kw::Default) {
                             self.bump();
                             matches.push(SelectMatch::Default);
@@ -637,16 +672,16 @@ impl<'src> Parser<'src> {
                         }
                     }
                 }
-                self.expect(&Tk::Colon, "after select match")?;
+                self.expect(Tk::Colon, "after select match")?;
                 let target = self.expect_ident("as transition target")?;
-                let semi = self.expect(&Tk::Semi, "after select case")?;
+                let semi = self.expect(Tk::Semi, "after select case")?;
                 cases.push(SelectCase {
                     matches,
                     target,
                     span: cstart.to(semi.span),
                 });
             }
-            let close = self.expect(&Tk::RBrace, "to close select body")?;
+            let close = self.expect(Tk::RBrace, "to close select body")?;
             Ok(Transition::Select {
                 exprs,
                 cases,
@@ -654,17 +689,17 @@ impl<'src> Parser<'src> {
             })
         } else {
             let target = self.expect_ident("as transition target")?;
-            self.expect(&Tk::Semi, "after transition")?;
+            self.expect(Tk::Semi, "after transition")?;
             Ok(Transition::Direct(target))
         }
     }
 
-    fn parse_control(&mut self, annotations: Vec<Annotation>) -> PResult<ControlDecl> {
+    fn parse_control(&mut self, annotations: Run) -> PResult<ControlDecl> {
         let kw = self.bump(); // `control`
         let name = self.expect_ident("as control name")?;
         let type_params = self.parse_type_params()?;
         let params = self.parse_params()?;
-        if self.eat(&Tk::Semi) {
+        if self.eat(Tk::Semi) {
             let span = kw.span.to(self.tokens[self.pos - 1].span);
             return Ok(ControlDecl {
                 annotations,
@@ -676,10 +711,10 @@ impl<'src> Parser<'src> {
                 span,
             });
         }
-        self.expect(&Tk::LBrace, "to open control body")?;
+        self.expect(Tk::LBrace, "to open control body")?;
         let mut locals = Vec::new();
         let mut apply = None;
-        while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
+        while !self.at(Tk::RBrace) && !self.at(Tk::Eof) {
             if self.at_kw(Kw::Apply) {
                 self.bump();
                 apply = Some(self.parse_block()?);
@@ -692,12 +727,12 @@ impl<'src> Parser<'src> {
                 // Must be a local variable declaration: `ty name [= init];`
                 let ty = self.parse_type()?;
                 let name = self.expect_ident("as local variable name")?;
-                let init = if self.eat(&Tk::Assign) {
+                let init = if self.eat(Tk::Assign) {
                     Some(self.parse_expr()?)
                 } else {
                     None
                 };
-                let semi = self.expect(&Tk::Semi, "after local variable")?;
+                let semi = self.expect(Tk::Semi, "after local variable")?;
                 let span = ty.span.to(semi.span);
                 locals.push(ControlLocal::Var(VarDecl {
                     ty,
@@ -707,7 +742,7 @@ impl<'src> Parser<'src> {
                 }));
             }
         }
-        let close = self.expect(&Tk::RBrace, "to close control body")?;
+        let close = self.expect(Tk::RBrace, "to close control body")?;
         Ok(ControlDecl {
             annotations,
             name,
@@ -726,7 +761,7 @@ impl<'src> Parser<'src> {
         let body = self.parse_block()?;
         let span = kw.span.to(body.span);
         Ok(ActionDecl {
-            annotations: Vec::new(),
+            annotations: Run::default(),
             name,
             params,
             body,
@@ -734,16 +769,16 @@ impl<'src> Parser<'src> {
         })
     }
 
-    fn parse_extern(&mut self, annotations: Vec<Annotation>) -> PResult<ExternDecl> {
+    fn parse_extern(&mut self, annotations: Run) -> PResult<ExternDecl> {
         let kw = self.bump(); // `extern`
         let name = self.expect_ident("as extern name")?;
         let mut methods = Vec::new();
-        if self.eat(&Tk::LBrace) {
-            while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
+        if self.eat(Tk::LBrace) {
+            while !self.at(Tk::RBrace) && !self.at(Tk::Eof) {
                 let ret = self.parse_type()?;
                 let mname = self.expect_ident("as extern method name")?;
                 let params = self.parse_params()?;
-                let semi = self.expect(&Tk::Semi, "after extern method")?;
+                let semi = self.expect(Tk::Semi, "after extern method")?;
                 let span = ret.span.to(semi.span);
                 methods.push(ExternMethod {
                     ret,
@@ -752,9 +787,9 @@ impl<'src> Parser<'src> {
                     span,
                 });
             }
-            self.expect(&Tk::RBrace, "to close extern")?;
+            self.expect(Tk::RBrace, "to close extern")?;
         } else {
-            self.expect(&Tk::Semi, "after extern declaration")?;
+            self.expect(Tk::Semi, "after extern declaration")?;
         }
         let span = kw.span.to(self.tokens[self.pos - 1].span);
         Ok(ExternDecl {
@@ -769,12 +804,12 @@ impl<'src> Parser<'src> {
 
     fn parse_block(&mut self) -> PResult<Block> {
         self.nested(|p| {
-            let open = p.expect(&Tk::LBrace, "to open block")?;
+            let open = p.expect(Tk::LBrace, "to open block")?;
             let mut stmts = Vec::new();
-            while !p.at(&Tk::RBrace) && !p.at(&Tk::Eof) {
+            while !p.at(Tk::RBrace) && !p.at(Tk::Eof) {
                 stmts.push(p.parse_stmt()?);
             }
-            let close = p.expect(&Tk::RBrace, "to close block")?;
+            let close = p.expect(Tk::RBrace, "to close block")?;
             Ok(Block {
                 stmts,
                 span: open.span.to(close.span),
@@ -784,12 +819,12 @@ impl<'src> Parser<'src> {
 
     fn parse_stmt(&mut self) -> PResult<Stmt> {
         let span = self.peek().span;
-        match &self.peek().kind {
+        match self.peek().kind {
             Tk::Kw(Kw::If) => self.parse_if(),
             Tk::Kw(Kw::Switch) => self.parse_switch(),
             Tk::Kw(Kw::Return) => {
                 self.bump();
-                let semi = self.expect(&Tk::Semi, "after `return`")?;
+                let semi = self.expect(Tk::Semi, "after `return`")?;
                 Ok(Stmt {
                     kind: StmtKind::Return,
                     span: span.to(semi.span),
@@ -811,15 +846,15 @@ impl<'src> Parser<'src> {
             _ => {
                 let e = self.parse_expr()?;
                 let espan = self.span_of(e);
-                if self.eat(&Tk::Assign) {
+                if self.eat(Tk::Assign) {
                     let rhs = self.parse_expr()?;
-                    let semi = self.expect(&Tk::Semi, "after assignment")?;
+                    let semi = self.expect(Tk::Semi, "after assignment")?;
                     Ok(Stmt {
                         kind: StmtKind::Assign { lhs: e, rhs },
                         span: espan.to(semi.span),
                     })
                 } else {
-                    let semi = self.expect(&Tk::Semi, "after expression statement")?;
+                    let semi = self.expect(Tk::Semi, "after expression statement")?;
                     Ok(Stmt {
                         kind: StmtKind::Expr(e),
                         span: espan.to(semi.span),
@@ -832,12 +867,12 @@ impl<'src> Parser<'src> {
     fn parse_var_stmt(&mut self) -> PResult<Stmt> {
         let ty = self.parse_type()?;
         let name = self.expect_ident("as variable name")?;
-        let init = if self.eat(&Tk::Assign) {
+        let init = if self.eat(Tk::Assign) {
             Some(self.parse_expr()?)
         } else {
             None
         };
-        let semi = self.expect(&Tk::Semi, "after variable declaration")?;
+        let semi = self.expect(Tk::Semi, "after variable declaration")?;
         let span = ty.span.to(semi.span);
         Ok(Stmt {
             kind: StmtKind::Var(VarDecl {
@@ -859,9 +894,9 @@ impl<'src> Parser<'src> {
         let mut else_blk = None;
         loop {
             let kw = self.bump(); // `if`
-            self.expect(&Tk::LParen, "after `if`")?;
+            self.expect(Tk::LParen, "after `if`")?;
             let cond = self.parse_expr()?;
-            self.expect(&Tk::RParen, "to close `if` condition")?;
+            self.expect(Tk::RParen, "to close `if` condition")?;
             let then_blk = self.parse_block()?;
             let span = kw.span.to(then_blk.span);
             arms.push(IfArm {
@@ -869,7 +904,7 @@ impl<'src> Parser<'src> {
                 then_blk,
                 span,
             });
-            if !self.eat(&Tk::Kw(Kw::Else)) {
+            if !self.eat(Tk::Kw(Kw::Else)) {
                 break;
             }
             if !self.at_kw(Kw::If) {
@@ -889,12 +924,12 @@ impl<'src> Parser<'src> {
 
     fn parse_switch(&mut self) -> PResult<Stmt> {
         let kw = self.bump(); // `switch`
-        self.expect(&Tk::LParen, "after `switch`")?;
+        self.expect(Tk::LParen, "after `switch`")?;
         let scrutinee = self.parse_expr()?;
-        self.expect(&Tk::RParen, "to close `switch` scrutinee")?;
-        self.expect(&Tk::LBrace, "to open switch body")?;
+        self.expect(Tk::RParen, "to close `switch` scrutinee")?;
+        self.expect(Tk::LBrace, "to open switch body")?;
         let mut cases = Vec::new();
-        while !self.at(&Tk::RBrace) && !self.at(&Tk::Eof) {
+        while !self.at(Tk::RBrace) && !self.at(Tk::Eof) {
             let cstart = self.peek().span;
             let mut labels = Vec::new();
             loop {
@@ -904,9 +939,9 @@ impl<'src> Parser<'src> {
                 } else {
                     labels.push(SwitchLabel::Expr(self.parse_expr()?));
                 }
-                self.expect(&Tk::Colon, "after switch label")?;
+                self.expect(Tk::Colon, "after switch label")?;
                 // Fallthrough labels: another label directly follows.
-                if !self.at(&Tk::LBrace) {
+                if !self.at(Tk::LBrace) {
                     continue;
                 }
                 break;
@@ -919,7 +954,7 @@ impl<'src> Parser<'src> {
                 span,
             });
         }
-        let close = self.expect(&Tk::RBrace, "to close switch body")?;
+        let close = self.expect(Tk::RBrace, "to close switch body")?;
         Ok(Stmt {
             kind: StmtKind::Switch { scrutinee, cases },
             span: kw.span.to(close.span),
@@ -938,7 +973,7 @@ impl<'src> Parser<'src> {
     fn parse_bin_expr(&mut self, min_prec: u8) -> PResult<ExprId> {
         let mut lhs = self.parse_unary()?;
         loop {
-            let (op, prec) = match &self.peek().kind {
+            let (op, prec) = match self.peek().kind {
                 Tk::OrOr => (BinOp::Or, 1),
                 Tk::AndAnd => (BinOp::And, 2),
                 Tk::EqEq => (BinOp::Eq, 3),
@@ -973,7 +1008,7 @@ impl<'src> Parser<'src> {
 
     fn parse_unary(&mut self) -> PResult<ExprId> {
         let start = self.peek().span;
-        let op = match &self.peek().kind {
+        let op = match self.peek().kind {
             Tk::Not => Some(UnOp::Not),
             Tk::Tilde => Some(UnOp::BitNot),
             Tk::Minus => Some(UnOp::Neg),
@@ -991,7 +1026,7 @@ impl<'src> Parser<'src> {
     fn parse_postfix(&mut self) -> PResult<ExprId> {
         let mut e = self.parse_primary()?;
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 Tk::Dot => {
                     self.bump();
                     let member = self.expect_ident("after `.`")?;
@@ -1001,27 +1036,27 @@ impl<'src> Parser<'src> {
                 Tk::LParen => {
                     self.bump();
                     let mut args = Vec::new();
-                    if !self.at(&Tk::RParen) {
+                    if !self.at(Tk::RParen) {
                         loop {
                             args.push(self.parse_expr()?);
-                            if !self.eat(&Tk::Comma) {
+                            if !self.eat(Tk::Comma) {
                                 break;
                             }
                         }
                     }
-                    let close = self.expect(&Tk::RParen, "to close call")?;
+                    let close = self.expect(Tk::RParen, "to close call")?;
                     let span = self.span_of(e).to(close.span);
                     e = self.push_expr(ExprKind::Call { callee: e, args }, span);
                 }
                 Tk::LBracket => {
                     self.bump();
                     let hi = self.parse_expr()?;
-                    let lo = if self.eat(&Tk::Colon) {
+                    let lo = if self.eat(Tk::Colon) {
                         self.parse_expr()?
                     } else {
                         hi
                     };
-                    let close = self.expect(&Tk::RBracket, "to close slice")?;
+                    let close = self.expect(Tk::RBracket, "to close slice")?;
                     let span = self.span_of(e).to(close.span);
                     e = self.push_expr(ExprKind::Slice { base: e, hi, lo }, span);
                 }
@@ -1033,36 +1068,36 @@ impl<'src> Parser<'src> {
 
     fn parse_primary(&mut self) -> PResult<ExprId> {
         let span = self.peek().span;
-        let kind = match &self.peek().kind {
-            Tk::Int { value, width } => ExprKind::Int {
-                value: *value,
-                width: *width,
-            },
+        let kind = match self.peek().kind {
+            Tk::Int(i) => {
+                let (value, width) = self.ints[i as usize];
+                ExprKind::Int { value, width }
+            }
             Tk::Kw(Kw::True) => ExprKind::Bool(true),
             Tk::Kw(Kw::False) => ExprKind::Bool(false),
-            Tk::Ident(n) => {
-                let n = *n;
-                ExprKind::Ident(self.intern(Cow::Borrowed(n)))
-            }
+            Tk::Ident(n) => ExprKind::Ident(n),
             Tk::LParen => {
                 // Either a cast `(bit<8>) e` / `(bool) e` or a grouped expr.
                 if matches!(self.peek_at(1).kind, Tk::Kw(Kw::Bit) | Tk::Kw(Kw::Bool)) {
                     self.bump(); // `(`
                     let ty = self.parse_type()?;
-                    self.expect(&Tk::RParen, "to close cast type")?;
+                    self.expect(Tk::RParen, "to close cast type")?;
                     let expr = self.nested(|p| p.parse_unary())?;
                     let span = span.to(self.span_of(expr));
                     return Ok(self.push_expr(ExprKind::Cast { ty, expr }, span));
                 }
                 self.bump();
                 let inner = self.parse_expr()?;
-                let close = self.expect(&Tk::RParen, "to close expression")?;
+                let close = self.expect(Tk::RParen, "to close expression")?;
                 // A group is its inner expression, spanning the parens.
                 self.exprs[inner.0 as usize].span = span.to(close.span);
                 return Ok(inner);
             }
             other => {
-                let d = Diagnostic::error(format!("expected an expression, found {other}"), span);
+                let d = Diagnostic::error(
+                    format!("expected an expression, found {}", self.show(other)),
+                    span,
+                );
                 self.diags.push(d);
                 return Err(());
             }
@@ -1083,7 +1118,7 @@ mod tests {
 
     /// The `@semantic` string of `f`.
     fn sem<'p>(p: &'p Program, f: &FieldDecl) -> Option<&'p str> {
-        f.semantic().map(|s| p.name(s))
+        p.semantic(f).map(|s| p.name(s))
     }
 
     fn parse_ok(src: &str) -> Program {

@@ -18,15 +18,15 @@ pub fn print_program(p: &Program) -> String {
     out
 }
 
-fn anns(p: &Program, out: &mut String, annotations: &[Annotation], indent: &str) {
-    for a in annotations {
+fn anns(p: &Program, out: &mut String, annotations: Run, indent: &str) {
+    for a in p.annotations(annotations) {
         out.push_str(indent);
         out.push('@');
         out.push_str(p.name(a.name.name));
         if !a.args.is_empty() {
             out.push('(');
-            let parts: Vec<String> = a
-                .args
+            let parts: Vec<String> = p
+                .args(a)
                 .iter()
                 .map(|arg| match arg {
                     AnnArg::Str(s) => format!("{:?}", p.name(*s)),
@@ -46,13 +46,13 @@ fn print_decl(p: &Program, out: &mut String, d: &Decl) {
     let ty = |t: &Type| t.kind.display(&p.syms);
     match d {
         Decl::Header(h) => {
-            anns(p, out, &h.annotations, "");
+            anns(p, out, h.annotations, "");
             let _ = writeln!(out, "header {} {{", n(h.name.name));
             fields(p, out, &h.fields);
             out.push_str("}\n");
         }
         Decl::Struct(s) => {
-            anns(p, out, &s.annotations, "");
+            anns(p, out, s.annotations, "");
             let _ = writeln!(out, "struct {} {{", n(s.name.name));
             fields(p, out, &s.fields);
             out.push_str("}\n");
@@ -70,7 +70,7 @@ fn print_decl(p: &Program, out: &mut String, d: &Decl) {
             );
         }
         Decl::Enum(e) => {
-            anns(p, out, &e.annotations, "");
+            anns(p, out, e.annotations, "");
             let repr = e
                 .repr
                 .as_ref()
@@ -85,7 +85,7 @@ fn print_decl(p: &Program, out: &mut String, d: &Decl) {
             );
         }
         Decl::Parser(pd) => {
-            anns(p, out, &pd.annotations, "");
+            anns(p, out, pd.annotations, "");
             let _ = write!(
                 out,
                 "parser {}{}({})",
@@ -112,7 +112,7 @@ fn print_decl(p: &Program, out: &mut String, d: &Decl) {
             }
         }
         Decl::Control(c) => {
-            anns(p, out, &c.annotations, "");
+            anns(p, out, c.annotations, "");
             let _ = write!(
                 out,
                 "control {}{}({})",
@@ -163,7 +163,7 @@ fn print_decl(p: &Program, out: &mut String, d: &Decl) {
             out.push_str("}\n");
         }
         Decl::Extern(x) => {
-            anns(p, out, &x.annotations, "");
+            anns(p, out, x.annotations, "");
             if x.methods.is_empty() {
                 let _ = writeln!(out, "extern {};", n(x.name.name));
             } else {
@@ -185,7 +185,7 @@ fn print_decl(p: &Program, out: &mut String, d: &Decl) {
 
 fn fields(p: &Program, out: &mut String, fs: &[FieldDecl]) {
     for f in fs {
-        anns(p, out, &f.annotations, "    ");
+        anns(p, out, f.annotations, "    ");
         let _ = writeln!(
             out,
             "    {} {};",

@@ -1,7 +1,7 @@
 //! Token definitions for the P4-16 subset accepted by OpenDesc.
 
+use crate::ast::{Sym, Symbols};
 use crate::span::Span;
-use std::borrow::Cow;
 use std::fmt;
 
 /// Keywords of the accepted P4 subset.
@@ -118,24 +118,23 @@ impl Keyword {
     }
 }
 
-/// The kind of a lexed token. Identifier and string text is borrowed
-/// from the source the token was lexed from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind<'src> {
+/// The kind of a lexed token: a tag and at most one `u32`, so a whole
+/// [`Token`] is 16 bytes and `Copy`. Identifier and string text lives
+/// in the program's symbol table and integer values in the lexer's
+/// literal table; the token holds their index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind {
     /// Identifier that is not a keyword.
-    Ident(&'src str),
+    Ident(Sym),
     /// Reserved word.
     Kw(Keyword),
-    /// Integer literal, optionally width-prefixed (`16w0x88A8`); the lexer
-    /// resolves the value and the optional width.
-    Int {
-        value: u128,
-        width: Option<u16>,
-    },
-    /// Double-quoted string literal (annotation arguments only): the
-    /// source's own bytes between the quotes, owned only when an escape
-    /// had to be resolved.
-    Str(Cow<'src, str>),
+    /// Integer literal, optionally width-prefixed (`16w0x88A8`): an index
+    /// into [`Lexed::ints`](crate::lexer::Lexed::ints), which holds the
+    /// value and the optional width the lexer resolved.
+    Int(u32),
+    /// Double-quoted string literal (annotation arguments only), escapes
+    /// resolved.
+    Str(Sym),
     /// `@` introducing an annotation.
     At,
     LParen,
@@ -188,18 +187,31 @@ pub enum TokenKind<'src> {
     Eof,
 }
 
-impl fmt::Display for TokenKind<'_> {
+impl TokenKind {
+    /// The token as a diagnostic names it, identifier and literal text
+    /// resolved through `syms` and `ints`.
+    pub fn display<'a>(self, syms: &'a Symbols, ints: &'a [IntLit]) -> TokenDisplay<'a> {
+        TokenDisplay(self, syms, ints)
+    }
+}
+
+/// An integer literal's value and its width prefix, if it had one.
+pub type IntLit = (u128, Option<u16>);
+
+/// A [`TokenKind`] with its text resolved, for printing.
+pub struct TokenDisplay<'a>(TokenKind, &'a Symbols, &'a [IntLit]);
+
+impl fmt::Display for TokenDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use TokenKind::*;
-        match self {
-            Ident(s) => write!(f, "identifier `{s}`"),
+        match self.0 {
+            Ident(s) => write!(f, "identifier `{}`", self.1.name(s)),
             Kw(k) => write!(f, "`{}`", k.as_str()),
-            Int {
-                value,
-                width: Some(w),
-            } => write!(f, "`{w}w{value}`"),
-            Int { value, width: None } => write!(f, "`{value}`"),
-            Str(s) => write!(f, "\"{s}\""),
+            Int(i) => match self.2[i as usize] {
+                (value, Some(w)) => write!(f, "`{w}w{value}`"),
+                (value, None) => write!(f, "`{value}`"),
+            },
+            Str(s) => write!(f, "\"{}\"", self.1.name(s)),
             At => write!(f, "`@`"),
             LParen => write!(f, "`(`"),
             RParen => write!(f, "`)`"),
@@ -239,14 +251,26 @@ impl fmt::Display for TokenKind<'_> {
 }
 
 /// A lexed token with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token<'src> {
-    pub kind: TokenKind<'src>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token {
+    pub kind: TokenKind,
     pub span: Span,
 }
 
-impl<'src> Token<'src> {
-    pub fn new(kind: TokenKind<'src>, span: Span) -> Self {
+impl Token {
+    pub fn new(kind: TokenKind, span: Span) -> Self {
         Token { kind, span }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_token_is_sixteen_copy_bytes() {
+        fn copy<T: Copy>() {}
+        copy::<Token>();
+        assert_eq!(std::mem::size_of::<Token>(), 16);
     }
 }

@@ -459,8 +459,8 @@ impl<'p> Checker<'p> {
                 name: f.name.name,
                 offset_bits: offset,
                 width_bits,
-                semantic: f.semantic(),
-                cost: f.cost().map(|c| c as u64),
+                semantic: self.program.semantic(f),
+                cost: self.program.cost(f).map(|c| c as u64),
                 span: f.span,
             });
             offset += width_bits as u32;

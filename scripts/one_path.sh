@@ -32,6 +32,11 @@
 #    state name is made once per contract and cloned as a reference
 #    (no `Vec<String>` in pred.rs, path.rs, txpath.rs; no `String`
 #    field in path.rs).
+#  * Front end: the contract is read once. The lexer interns, so the
+#    parser holds no map (no `HashMap` in parser.rs); a token borrows
+#    nothing (no `Cow<` in token.rs); annotations live in the program's
+#    two arenas, not in a vector per owner (no `Vec<Annotation>` or
+#    `Vec<AnnArg>` in ast.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
@@ -114,4 +119,10 @@ ir=crates/opendesc-ir/src
 expect "Vec<String> in opendesc-ir's pred.rs, path.rs, txpath.rs" \
     "$(cat <(code $ir/pred.rs) <(code $ir/path.rs) <(code $ir/txpath.rs) | sites 'Vec<String>')" 0
 expect "String fields in opendesc-ir's path.rs (: String,)" "$(code $ir/path.rs | sites ': String,')" 0
+# Front end: the contract is read once
+p4=crates/opendesc-p4/src
+expect "HashMap in opendesc-p4's parser.rs" "$(code $p4/parser.rs | sites 'HashMap')" 0
+expect "Cow< in opendesc-p4's token.rs" "$(code $p4/token.rs | sites 'Cow<')" 0
+expect "Vec<Annotation> + Vec<AnnArg> in opendesc-p4's ast.rs" \
+    "$(code $p4/ast.rs | grep -cE 'Vec<(Annotation|AnnArg)>' || true)" 0
 exit $fail
