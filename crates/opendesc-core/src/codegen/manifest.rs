@@ -193,6 +193,55 @@ fn quoted_line(out: &mut String, key: &str, value: &str) {
     out.push_str("\"\n");
 }
 
+/// Append `v` in decimal. Integers are most of a manifest's numbers, and
+/// this is what `{}` prints, without going through `core::fmt`.
+fn push_dec(out: &mut String, v: impl Into<u128>) {
+    let mut v: u128 = v.into();
+    let mut digits = [0u8; 39];
+    let mut at = digits.len();
+    // Only a context value past 2^64 pays for 128-bit division.
+    while v > u64::MAX as u128 {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    let mut w = v as u64;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (w % 10) as u8;
+        w /= 10;
+        if w == 0 {
+            break;
+        }
+    }
+    digits[at..].iter().for_each(|&d| out.push(d as char));
+}
+
+/// Append `v` as `0x` and sixteen lowercase hex digits: `{v:#018x}`.
+fn push_hex(out: &mut String, v: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push_str("0x");
+    for nibble in (0..16).rev() {
+        out.push(HEX[(v >> (4 * nibble)) as usize & 0xF] as char);
+    }
+}
+
+/// Append one `<key> = <decimal>` line.
+fn int_line(out: &mut String, key: &str, v: impl Into<u128>) {
+    out.push_str(key);
+    out.push_str(" = ");
+    push_dec(out, v);
+    out.push('\n');
+}
+
+/// Append one `<key> = "0x…"` digest line.
+fn hex_line(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    out.push_str(" = \"");
+    push_hex(out, v);
+    out.push_str("\"\n");
+}
+
 /// Inverse of [`escape`]: one pass, runs between escapes copied whole.
 fn unescape(s: &str) -> Result<String, String> {
     let mut out = String::with_capacity(s.len());
@@ -340,31 +389,32 @@ impl<'a> ManifestV1<'a> {
         o
     }
 
+    /// Integers and digests are written directly; only the two float
+    /// cost lines go through `core::fmt`, for shortest-roundtrip output.
     fn write_to(&self, o: &mut String) -> fmt::Result {
         o.push_str("# OpenDesc interface manifest — generated; do not edit.\n");
         o.push_str("[manifest]\n");
-        write!(o, "version = {MANIFEST_VERSION}\n\n")?;
+        int_line(o, "version", MANIFEST_VERSION);
+        o.push('\n');
 
         o.push_str("[interface]\n");
         quoted_line(o, "nic", &self.nic);
         quoted_line(o, "intent", &self.intent);
-        writeln!(
-            o,
-            "registry_fingerprint = \"0x{:016x}\"",
-            self.registry_fingerprint
-        )?;
-        writeln!(o, "completion_bytes = {}", self.completion_bytes)?;
-        writeln!(o, "selected_path = {}", self.selected_path)?;
-        writeln!(o, "paths_considered = {}", self.paths_considered)?;
+        hex_line(o, "registry_fingerprint", self.registry_fingerprint);
+        int_line(o, "completion_bytes", self.completion_bytes);
+        int_line(o, "selected_path", self.selected_path);
+        int_line(o, "paths_considered", self.paths_considered);
         quoted_line(o, "guard", &self.guard);
-        write!(o, "layout_bits = {}\n\n", self.layout_bits)?;
+        int_line(o, "layout_bits", self.layout_bits);
+        o.push('\n');
 
         o.push_str("[digests]\n");
-        writeln!(o, "shim_plan = \"0x{:016x}\"", self.shim_plan_digest)?;
+        hex_line(o, "shim_plan", self.shim_plan_digest);
         match self.odbc_bytecode {
-            Some(h) => write!(o, "odbc_bytecode = \"0x{h:016x}\"\n\n")?,
-            None => o.push_str("odbc_bytecode = \"unlowerable\"\n\n"),
+            Some(h) => hex_line(o, "odbc_bytecode", h),
+            None => o.push_str("odbc_bytecode = \"unlowerable\"\n"),
         }
+        o.push('\n');
 
         o.push_str("[context]\n");
         match &self.context {
@@ -373,7 +423,9 @@ impl<'a> ManifestV1<'a> {
                 for (k, v) in writes {
                     o.push('"');
                     escape(o, k);
-                    writeln!(o, "\" = {v}")?;
+                    o.push_str("\" = ");
+                    push_dec(o, *v);
+                    o.push('\n');
                 }
             }
             ContextProgramming::Manual => o.push_str("mode = \"manual\"\n"),
@@ -387,8 +439,9 @@ impl<'a> ManifestV1<'a> {
             if let Some(sem) = &s.semantic {
                 quoted_line(o, "semantic", sem);
             }
-            writeln!(o, "offset_bits = {}", s.offset_bits)?;
-            write!(o, "width_bits = {}\n\n", s.width_bits)?;
+            int_line(o, "offset_bits", s.offset_bits);
+            int_line(o, "width_bits", s.width_bits);
+            o.push('\n');
         }
 
         for a in &self.accessors {
@@ -398,12 +451,13 @@ impl<'a> ManifestV1<'a> {
             match &a.kind {
                 ManifestAccessorKind::Hardware { offset_bits } => {
                     o.push_str("kind = \"hardware\"\n");
-                    writeln!(o, "offset_bits = {offset_bits}")?;
-                    write!(o, "width_bits = {}\n\n", a.width_bits)?;
+                    int_line(o, "offset_bits", *offset_bits);
+                    int_line(o, "width_bits", a.width_bits);
+                    o.push('\n');
                 }
                 ManifestAccessorKind::Software { cost } => {
                     o.push_str("kind = \"softnic\"\n");
-                    writeln!(o, "width_bits = {}", a.width_bits)?;
+                    int_line(o, "width_bits", a.width_bits);
                     match cost {
                         ManifestCost::Finite {
                             base_ns,
@@ -997,6 +1051,27 @@ mod tests {
             assert!(unescape(bad).is_err(), "{bad}");
         }
         assert_eq!(unescape("a\\u{41}b\\u{2192}").unwrap(), "aAb→");
+    }
+
+    #[test]
+    fn number_writers_print_what_fmt_prints() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut values = vec![0, 1, 9, 10, 99, 100, u64::MAX as u128, 1 << 64, u128::MAX];
+        for _ in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.extend([x as u128 >> (x % 64), (x as u128) << 64 | x as u128]);
+        }
+        for v in values {
+            let mut s = String::new();
+            push_dec(&mut s, v);
+            assert_eq!(s, v.to_string());
+            let h = v as u64;
+            s.clear();
+            push_hex(&mut s, h);
+            assert_eq!(s, format!("0x{h:016x}"));
+        }
     }
 
     #[test]

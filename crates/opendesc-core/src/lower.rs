@@ -150,26 +150,29 @@ pub(crate) fn emit_window_load(
 }
 
 /// One window program: the shared load, returning the raw window bytes
-/// (0 for a short record).
-fn gen_window(completion_bytes: u32, start: u32, end: u32) -> Vec<Insn> {
-    let mut a = Asm::new();
-    emit_window_load(&mut a, completion_bytes, start, end, "short");
+/// (0 for a short record). Assembled in `a`, which the whole plan
+/// shares, into a vector of exactly its length: the six-instruction
+/// prologue, three per byte, then `exit` and the three-instruction
+/// `short` arm.
+fn gen_window(a: &mut Asm, completion_bytes: u32, start: u32, end: u32) -> Vec<Insn> {
+    a.reserve(9 + 3 * (end - start) as usize);
+    emit_window_load(a, completion_bytes, start, end, "short");
     a.exit().label("short").mov64_imm(reg::R0, 0).exit();
     a.build()
 }
 
 /// Lower one hardware accessor's byte span into verified windows.
-fn gen_field(acc: &Accessor, acc_idx: usize, completion_bytes: u32) -> EbpfFieldProg {
+fn gen_field(a: &mut Asm, acc: &Accessor, acc_idx: usize, completion_bytes: u32) -> EbpfFieldProg {
     let lo = acc.offset_bits / 8;
     let hi = (acc.offset_bits + acc.width_bits as u32).div_ceil(8);
     let trailing = hi * 8 - (acc.offset_bits + acc.width_bits as u32);
-    let mut windows = Vec::new();
+    let mut windows = Vec::with_capacity((hi - lo).div_ceil(8) as usize);
     let mut s = lo;
     while s < hi {
         let e = (s + 8).min(hi);
         windows.push(EbpfWindow {
             shift: 8 * (hi - e),
-            prog: gen_window(completion_bytes, s, e),
+            prog: gen_window(a, completion_bytes, s, e),
         });
         s = e;
     }
@@ -266,10 +269,9 @@ pub fn lower(set: &AccessorSet, plan: &RxPlan) -> Result<LoweredPlan, LowerError
         })
         .collect();
 
-    let ebpf: Vec<EbpfFieldProg> = plan
-        .hw
-        .iter()
-        .map(|&acc_idx| gen_field(&set.accessors[acc_idx], acc_idx, set.completion_bytes))
+    let mut a = Asm::new();
+    let ebpf: Vec<EbpfFieldProg> = (plan.hw.iter())
+        .map(|&i| gen_field(&mut a, &set.accessors[i], i, set.completion_bytes))
         .collect();
 
     // The safety gate: every window of every hardware field must carry a
@@ -362,6 +364,50 @@ mod tests {
                 assert_eq!(got, want, "{} field {}", iface.nic_name, f.name);
             }
         }
+    }
+
+    #[test]
+    fn bench7_verifier_states_are_pinned() {
+        // Every window has one bounds check, so the verifier visits each
+        // of its 9 + 3·bytes instructions once: the states of a plan are
+        // the instructions of its windows, and each is exact-capacity.
+        let pinned = [
+            ("e1000-legacy", 45),
+            ("e1000e", 45),
+            ("ixgbe", 96),
+            ("ice", 66),
+            ("mlx5", 123),
+            ("qdma", 117),
+        ];
+        let mut states = Vec::new();
+        for model in models::catalog() {
+            let mut reg = SemanticRegistry::with_builtins();
+            let intent = [
+                names::RSS_HASH,
+                names::VLAN_TCI,
+                names::PKT_LEN,
+                names::PACKET_TYPE,
+                names::PAYLOAD_OFFSET,
+                names::KVS_KEY_HASH,
+                names::IP_CHECKSUM,
+            ]
+            .iter()
+            .fold(Intent::builder("bench7"), |b, s| b.want(&mut reg, s))
+            .build();
+            let iface = Compiler::default()
+                .compile_model(&model, &intent, &mut reg)
+                .unwrap();
+            let low = lower(&iface.accessors, &iface.plan).unwrap();
+            let windows = low.ebpf.iter().flat_map(|f| &f.windows);
+            for w in windows.clone() {
+                assert_eq!(w.prog.capacity(), w.prog.len(), "{}", model.name);
+            }
+            let insns: usize = windows.map(|w| w.prog.len()).sum();
+            assert_eq!(low.verifier_states, insns as u64, "{}", model.name);
+            states.push((model.name.clone(), low.verifier_states));
+        }
+        let pinned: Vec<_> = pinned.iter().map(|&(n, s)| (n.to_string(), s)).collect();
+        assert_eq!(states, pinned);
     }
 
     #[test]

@@ -50,6 +50,14 @@ impl Asm {
         self.insns.is_empty()
     }
 
+    /// Make room for `n` more instructions. Called on an assembler that
+    /// [`build`](Asm::build) just emptied, it sizes the next program
+    /// exactly, so the vector `build` hands out is never regrown.
+    pub fn reserve(&mut self, n: usize) -> &mut Self {
+        self.insns.reserve_exact(n);
+        self
+    }
+
     /// Define a label at the current position (a redefinition wins).
     pub fn label(&mut self, name: &'static str) -> &mut Self {
         self.labels.push((name, self.insns.len()));
@@ -167,7 +175,8 @@ impl Asm {
     }
 
     /// Resolve labels and hand over the finished program, leaving the
-    /// assembler empty.
+    /// assembler empty (its label and fixup lists keep their capacity,
+    /// so one assembler can build many programs).
     ///
     /// # Panics
     /// Panics on undefined labels (a codegen bug, not a user error).
@@ -236,6 +245,26 @@ mod tests {
         let mut a = Asm::new();
         a.ja("nowhere");
         a.build();
+    }
+
+    #[test]
+    fn a_reused_assembler_builds_exact_programs() {
+        let mut a = Asm::new();
+        for n in [3usize, 5] {
+            a.reserve(n).mov64_imm(reg::R0, 0);
+            for _ in 2..n {
+                a.jmp_imm(jmp::JEQ, reg::R0, 1, "done");
+            }
+            a.label("done").exit();
+            let prog = a.build();
+            assert_eq!((prog.len(), prog.capacity()), (n, n));
+            assert_eq!(
+                prog[1].off as usize,
+                n - 3,
+                "labels of the last program resolve"
+            );
+            assert!(a.is_empty());
+        }
     }
 
     #[test]

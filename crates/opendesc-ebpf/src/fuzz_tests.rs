@@ -37,14 +37,17 @@ fn arb_insn() -> impl Strategy<Value = Vec<Insn>> {
             0,
             0
         )]),
-        // alu imm (add/and/or/rsh)
+        // alu imm (add/sub/and/or/lsh/rsh/neg)
         (
             reg.clone(),
             prop_oneof![
                 Just(alu::ADD),
+                Just(alu::SUB),
                 Just(alu::AND),
                 Just(alu::OR),
-                Just(alu::RSH)
+                Just(alu::LSH),
+                Just(alu::RSH),
+                Just(alu::NEG)
             ],
             0i32..64
         )
@@ -111,6 +114,34 @@ fn arb_insn() -> impl Strategy<Value = Vec<Insn>> {
     ]
 }
 
+/// Σ over `pc` of the number of entry→`pc` paths of a loop-free program
+/// (an `lddw` is one instruction): how many instruction visits it takes
+/// to walk every path on its own.
+fn path_visits(prog: &[Insn]) -> u64 {
+    let mut paths = vec![0u64; prog.len() + 2];
+    paths[0] = 1;
+    let mut visits = 0;
+    for (pc, insn) in prog.iter().enumerate() {
+        let n = paths[pc];
+        if n == 0 {
+            continue;
+        }
+        visits += n;
+        let target = (pc as i64 + 1 + insn.off as i64) as usize;
+        match (insn.class(), insn.code & 0xF0) {
+            (class::LD, _) if insn.is_lddw() => paths[pc + 2] += n,
+            (class::JMP, jmp::EXIT) => {}
+            (class::JMP, jmp::JA) => paths[target] += n,
+            (class::JMP, _) => {
+                paths[target] += n;
+                paths[pc + 1] += n;
+            }
+            _ => paths[pc + 1] += n,
+        }
+    }
+    visits
+}
+
 fn arb_program() -> impl Strategy<Value = Vec<Insn>> {
     proptest::collection::vec(arb_insn(), 1..12).prop_map(|chunks| {
         let mut prog: Vec<Insn> = vec![
@@ -160,6 +191,16 @@ proptest! {
                     panic!("verified program hit {other} — verifier/VM disagree on validity");
                 }
             }
+        }
+    }
+
+    /// The walk is pinned: an accepted program was proven one path at a
+    /// time, one state per instruction visited, with nothing merged or
+    /// skipped.
+    #[test]
+    fn states_explored_counts_every_path(prog in arb_program()) {
+        if let Ok(stats) = verify(&prog) {
+            prop_assert_eq!(stats.states_explored as u64, path_visits(&prog));
         }
     }
 

@@ -18,10 +18,16 @@
 //!
 //! Programs must be loop-free (back-edges rejected) and may not call
 //! helpers — generated accessors need neither.
+//!
+//! The walk is depth-first and in place: one abstract state is stepped
+//! along straight-line code, a conditional jump copies it once (the
+//! taken arm waits on a stack, the fall-through arm continues), and an
+//! `exit` resumes the most recent waiting arm. Nothing is merged or
+//! pruned, so every entry→exit path is proven on its own, and
+//! `states_explored` counts one per instruction visited on each path.
 
 use crate::insn::{access_size, alu, class, jmp, srcop, Insn};
 use crate::xdp::ctx_off;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Abstract value of a register.
@@ -66,7 +72,7 @@ pub struct VerifierStats {
     pub states_explored: usize,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct State {
     regs: [RegState; 11],
     /// Bytes of packet proven readable from offset 0.
@@ -100,11 +106,12 @@ pub fn verify(prog: &[Insn]) -> Result<VerifierStats, VerifierError> {
             reason: "empty program".into(),
         });
     }
-    let mut queue: VecDeque<(usize, State)> = VecDeque::new();
-    queue.push_back((0, State::initial()));
+    // Taken arms of the conditional jumps passed on the current path.
+    let mut pending: Vec<(usize, State)> = Vec::new();
+    let (mut pc, mut st) = (0, State::initial());
     let mut stats = VerifierStats::default();
 
-    while let Some((pc, mut st)) = queue.pop_front() {
+    loop {
         stats.states_explored += 1;
         if stats.states_explored > STATE_BUDGET {
             return Err(VerifierError {
@@ -128,7 +135,7 @@ pub fn verify(prog: &[Insn]) -> Result<VerifierStats, VerifierError> {
         match insn.class() {
             class::ALU64 | class::ALU => {
                 step_alu(insn, &mut st, pc)?;
-                queue.push_back((pc + 1, st));
+                pc += 1;
             }
             class::LD => {
                 if insn.is_lddw() {
@@ -137,7 +144,7 @@ pub fn verify(prog: &[Insn]) -> Result<VerifierStats, VerifierError> {
                     };
                     let v = (insn.imm as u32 as u64) | ((hi.imm as u32 as u64) << 32);
                     st.regs[insn.dst as usize] = RegState::Scalar(Some(v));
-                    queue.push_back((pc + 2, st));
+                    pc += 2;
                 } else {
                     return Err(err(format!(
                         "unsupported load class opcode {:#04x}",
@@ -147,11 +154,11 @@ pub fn verify(prog: &[Insn]) -> Result<VerifierStats, VerifierError> {
             }
             class::LDX => {
                 step_ldx(insn, &mut st, pc)?;
-                queue.push_back((pc + 1, st));
+                pc += 1;
             }
             class::STX | class::ST => {
                 step_store(insn, &st, pc)?;
-                queue.push_back((pc + 1, st));
+                pc += 1;
             }
             class::JMP => {
                 let op = insn.code & 0xF0;
@@ -160,7 +167,11 @@ pub fn verify(prog: &[Insn]) -> Result<VerifierStats, VerifierError> {
                         if st.regs[0] == RegState::Uninit {
                             return Err(err("r0 not set at exit".into()));
                         }
-                        continue;
+                        // This path is proven; resume the latest waiting arm.
+                        match pending.pop() {
+                            Some((next, state)) => (pc, st) = (next, state),
+                            None => break,
+                        }
                     }
                     jmp::CALL => {
                         return Err(err(
@@ -170,24 +181,21 @@ pub fn verify(prog: &[Insn]) -> Result<VerifierStats, VerifierError> {
                     jmp::JA => {
                         let target = pc as i64 + 1 + insn.off as i64;
                         check_target(prog, pc, target)?;
-                        queue.push_back((target as usize, st));
+                        pc = target as usize;
                     }
                     _ => {
                         let target = pc as i64 + 1 + insn.off as i64;
                         check_target(prog, pc, target)?;
-                        // Bounds-proof pattern recognition.
-                        let (mut taken, mut fall) = (st.clone(), st.clone());
+                        // Bounds-proof pattern recognition: the taken arm
+                        // is the one copy; the fall-through arm is `st`.
+                        let mut taken = st;
                         if insn.code & srcop::X != 0 {
-                            apply_bounds_proof(
-                                op,
-                                st.regs[insn.dst as usize],
-                                st.regs[insn.src as usize],
-                                &mut taken,
-                                &mut fall,
-                            );
+                            let (dst, src) =
+                                (st.regs[insn.dst as usize], st.regs[insn.src as usize]);
+                            apply_bounds_proof(op, dst, src, &mut taken, &mut st);
                         }
-                        queue.push_back((target as usize, taken));
-                        queue.push_back((pc + 1, fall));
+                        pending.push((target as usize, taken));
+                        pc += 1;
                     }
                 }
             }
@@ -263,7 +271,10 @@ fn step_alu(insn: &Insn, st: &mut State, pc: usize) -> Result<(), VerifierError>
     if dst == 10 {
         return Err(err("r10 is read-only".into()));
     }
-    let rhs: RegState = if insn.code & srcop::X != 0 {
+    let rhs: RegState = if op == alu::NEG {
+        // NEG reads only dst: its source operand is ignored.
+        Scalar(Some(0))
+    } else if insn.code & srcop::X != 0 {
         st.regs[insn.src as usize]
     } else {
         Scalar(Some(insn.imm as i64 as u64))
@@ -272,6 +283,10 @@ fn step_alu(insn: &Insn, st: &mut State, pc: usize) -> Result<(), VerifierError>
         return Err(err(format!("read of uninitialized r{}", insn.src)));
     }
     let lhs = st.regs[dst];
+    if lhs == Uninit && op != alu::MOV {
+        // Every op but MOV reads dst.
+        return Err(err(format!("read of uninitialized r{dst}")));
+    }
     let is32 = insn.class() == class::ALU;
     st.regs[dst] = match op {
         alu::MOV => {
@@ -308,29 +323,19 @@ fn step_alu(insn: &Insn, st: &mut State, pc: usize) -> Result<(), VerifierError>
                     };
                     Scalar(Some(if is32 { v as u32 as u64 } else { v }))
                 }
-                (Scalar(_), _) => Scalar(None),
-                (Uninit, _) => return Err(err(format!("read of uninitialized r{dst}"))),
+                // An unknown scalar (an uninitialized dst is refused above).
+                _ => Scalar(None),
             }
         }
         _ => {
             // Any other ALU op on a pointer destroys provenance; on
             // scalars it yields a scalar (constant-folded when both known).
-            match lhs {
-                PtrPkt(_) | PtrMeta(_) | PtrStack(_) | PtrCtx | PtrPktEnd | PtrMetaEnd => {
+            match (lhs, rhs) {
+                (PtrPkt(_) | PtrMeta(_) | PtrStack(_) | PtrCtx | PtrPktEnd | PtrMetaEnd, _) => {
                     return Err(err("arithmetic on pointer destroys provenance".into()));
                 }
-                Uninit if op != alu::NEG => {
-                    // NEG reads only dst; others read dst too — uninit
-                    // either way.
-                    return Err(err(format!("read of uninitialized r{dst}")));
-                }
-                _ => match (lhs, rhs) {
-                    (Scalar(Some(a)), Scalar(Some(b))) => {
-                        let v = const_alu(op, a, b, is32);
-                        Scalar(v)
-                    }
-                    _ => Scalar(None),
-                },
+                (Scalar(Some(a)), Scalar(Some(b))) => Scalar(const_alu(op, a, b, is32)),
+                _ => Scalar(None),
             }
         }
     };
@@ -553,6 +558,45 @@ mod tests {
         a.mov64_reg(reg::R0, reg::R5).exit();
         let e = verify(&a.build()).unwrap_err();
         assert!(e.reason.contains("uninitialized"), "{e}");
+    }
+
+    #[test]
+    fn rejects_neg_of_an_uninitialized_register() {
+        // `neg` reads its destination, so neither program may pass.
+        let mut a = Asm::new();
+        a.alu64_imm(alu::NEG, reg::R0, 0).exit();
+        let e = verify(&a.build()).unwrap_err();
+        assert_eq!(e.pc, 0);
+        assert!(e.reason.contains("uninitialized r0"), "{e}");
+
+        let mut a = Asm::new();
+        a.alu64_imm(alu::NEG, reg::R3, 0)
+            .mov64_reg(reg::R0, reg::R3)
+            .exit();
+        let e = verify(&a.build()).unwrap_err();
+        assert_eq!(e.pc, 0);
+        assert!(e.reason.contains("uninitialized r3"), "{e}");
+    }
+
+    #[test]
+    fn neg_ignores_its_source_and_folds() {
+        // An X-source `neg` with an unset source is fine, and -(-8) is a
+        // known 8 that pointer arithmetic may use.
+        let mut a = Asm::new();
+        a.ldx(size::DW, reg::R2, reg::R1, ctx_off::META)
+            .ldx(size::DW, reg::R3, reg::R1, ctx_off::META_END)
+            .mov64_imm(reg::R5, -8)
+            .alu64_reg(alu::NEG, reg::R5, reg::R7)
+            .mov64_reg(reg::R4, reg::R2)
+            .alu64_reg(alu::ADD, reg::R4, reg::R5)
+            .jmp_reg(jmp::JGT, reg::R4, reg::R3, "d")
+            .ldx(size::DW, reg::R0, reg::R2, 0)
+            .exit()
+            .label("d")
+            .mov64_imm(reg::R0, 1)
+            .exit();
+        let stats = verify(&a.build()).expect("neg of a known constant");
+        assert_eq!(stats.states_explored, 7 + 2 + 2);
     }
 
     #[test]

@@ -37,6 +37,11 @@
 #    nothing (no `Cow<` in token.rs); annotations live in the program's
 #    two arenas, not in a vector per owner (no `Vec<Annotation>` or
 #    `Vec<AnnArg>` in ast.rs).
+#  * Back end: the proof walks in place. The verifier steps one state
+#    along a path and stacks only the taken arms of its branches (no
+#    `VecDeque` in verifier.rs); the manifest writes its integers and
+#    digests directly, and only its two float cost lines go through
+#    `core::fmt` (two `write!(o,` / `writeln!(o,` in manifest.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
@@ -125,4 +130,9 @@ expect "HashMap in opendesc-p4's parser.rs" "$(code $p4/parser.rs | sites 'HashM
 expect "Cow< in opendesc-p4's token.rs" "$(code $p4/token.rs | sites 'Cow<')" 0
 expect "Vec<Annotation> + Vec<AnnArg> in opendesc-p4's ast.rs" \
     "$(code $p4/ast.rs | grep -cE 'Vec<(Annotation|AnnArg)>' || true)" 0
+# Back end: the proof walks in place
+expect "VecDeque in opendesc-ebpf's verifier.rs" \
+    "$(code crates/opendesc-ebpf/src/verifier.rs | sites 'VecDeque')" 0
+expect "write!(o, + writeln!(o, in codegen/manifest.rs (the two float cost lines)" \
+    "$(code $src/codegen/manifest.rs | grep -cE '\bwrite(ln)?!\(o,' || true)" 2
 exit $fail
