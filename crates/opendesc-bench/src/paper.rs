@@ -167,7 +167,8 @@ pub mod e2 {
 /// region is the host poll loop, identical across the three.
 pub mod e3 {
     use super::*;
-    use opendesc_core::{GenericMbufDriver, LcdDriver, OpenDescDriver};
+    use crate::baseline::{GenericMbufDriver, LcdDriver};
+    use opendesc_core::OpenDescDriver;
 
     /// Packets per measured round; rings hold two.
     pub const ROUND: usize = 256;

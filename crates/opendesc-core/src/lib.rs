@@ -24,7 +24,6 @@
 //! assert_eq!(compiled.missing_features(), vec!["rss_hash"]);
 //! ```
 pub mod accessor;
-pub mod baseline;
 pub mod cache;
 pub mod codegen;
 pub mod compiler;
@@ -43,7 +42,6 @@ pub mod tx;
 pub mod vm;
 
 pub use accessor::{Accessor, AccessorKind, AccessorSet};
-pub use baseline::{GenericMbuf, GenericMbufDriver, LcdDriver};
 pub use cache::{AttachError, CompiledRx, PlanCache};
 pub use compiler::{check_contract, CompileError, CompiledInterface, Compiler};
 pub use datapath::{OpenDescDriver, RxBatch, RxPacket};

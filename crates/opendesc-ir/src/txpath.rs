@@ -23,7 +23,9 @@
 //! * a state that does anything but `extract` into the `out`
 //!   descriptor;
 //! * a layout carrying one semantic twice, or lacking `buf_addr` or
-//!   `buf_len`.
+//!   `buf_len`;
+//! * a `buf_addr` narrower than 64 bits: the host writes a 64-bit DMA
+//!   address into it, and a truncated one would name another buffer.
 
 use crate::path::FieldSlot;
 use crate::pred::{member_ty, solve, Assignment, CmpOp, Cond, ContextFields, Unsolved};
@@ -350,7 +352,8 @@ impl<'a> Walker<'a> {
     }
 
     /// The walk reached `accept`: one layout, unless it carries a
-    /// semantic twice or misses a buffer field.
+    /// semantic twice, misses a buffer field or has a `buf_addr` too
+    /// narrow for a host address.
     fn accept(&mut self) {
         let layout = self.materialize();
         let slots = &layout.slots;
@@ -359,10 +362,15 @@ impl<'a> Walker<'a> {
                 .filter(|sem| slots[..i].iter().any(|t| t.semantic == Some(*sem)))
         });
         let missing = (self.buf.iter()).find(|sem| !layout.consumes.contains(sem));
-        let why = match (twice, missing) {
-            (Some(sem), _) => format!("carries `{}` twice", self.reg.name(sem)),
-            (None, Some(sem)) => format!("has no `{}` field", self.reg.name(*sem)),
-            (None, None) => return self.out.push(layout),
+        let narrow = layout.slot_for(self.buf[0]).filter(|s| s.width_bits < 64);
+        let why = match (twice, missing, narrow) {
+            (Some(sem), _, _) => format!("carries `{}` twice", self.reg.name(sem)),
+            (None, Some(sem), _) => format!("has no `{}` field", self.reg.name(*sem)),
+            (None, None, Some(s)) => format!(
+                "has a {}-bit `buf_addr`; a host DMA address takes 64",
+                s.width_bits
+            ),
+            (None, None, None) => return self.out.push(layout),
         };
         let why = format!("the layout of walk `{}` {why}", layout.states.join(" → "));
         let last = self.visited.last().copied().unwrap_or(Sym::START);
@@ -645,6 +653,12 @@ mod tests {
             }
         "#;
         assert!(refusal(no_len).contains("no `buf_len` field"));
+        let narrow = no_len.replace(
+            "@semantic(\"buf_addr\") bit<64> addr; bit<16> len;",
+            "@semantic(\"buf_addr\") bit<32> addr; @semantic(\"buf_len\") bit<16> len;",
+        );
+        let msg = refusal(&narrow);
+        assert!(msg.contains("32-bit `buf_addr`"), "{msg}");
     }
 
     #[test]

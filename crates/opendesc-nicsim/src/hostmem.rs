@@ -2,57 +2,68 @@
 //! into. Addresses are synthetic but stable, so descriptor `buf_addr`
 //! fields round-trip through the contract like real IOVA addresses.
 
-/// A registry of DMA-visible buffers.
+/// A registry of DMA-visible buffers, kept as a slab: a buffer's
+/// address encodes its index, so one subtract and one shift resolve any
+/// address, whatever the number of buffers.
 #[derive(Debug, Clone, Default)]
 pub struct HostMem {
-    /// `(base, bytes)`, ascending by base: `alloc` only ever appends a
-    /// higher address and `free` removes in place, so the order holds
-    /// unsorted and one binary search resolves an address.
-    bufs: Vec<(u64, Vec<u8>)>,
-    next_addr: u64,
+    /// Buffer `i` is based at `BASE_ADDR + i * SPAN`. `free` leaves a
+    /// `None` whose index is never handed out again, so a freed base
+    /// keeps resolving to nothing.
+    bufs: Vec<Option<Vec<u8>>>,
 }
 
 /// Buffers start above 0 so that a zero `buf_addr` (an unset descriptor
 /// field) never resolves.
 const BASE_ADDR: u64 = 0x1000;
-/// Alignment of allocated buffers.
-const ALIGN: u64 = 64;
+/// Each buffer owns `SPAN` bytes of address space, a power of two no
+/// buffer reaches (4 GiB), so an in-buffer offset is the low
+/// `SPAN_SHIFT` bits and fits a `usize` on every supported target.
+const SPAN_SHIFT: u32 = 32;
+const SPAN: u64 = 1 << SPAN_SHIFT;
+
+/// The slab index `addr` falls in and its offset from that index's base.
+#[inline]
+fn locate(addr: u64) -> Option<(usize, usize)> {
+    let rel = addr.checked_sub(BASE_ADDR)?;
+    let index = usize::try_from(rel >> SPAN_SHIFT).ok()?;
+    Some((index, (rel & (SPAN - 1)) as usize))
+}
+
+/// The slab index `addr` is the base of.
+#[inline]
+fn based_at(addr: u64) -> Option<usize> {
+    locate(addr).and_then(|(i, off)| (off == 0).then_some(i))
+}
 
 impl HostMem {
     pub fn new() -> Self {
-        HostMem {
-            bufs: Vec::new(),
-            next_addr: BASE_ADDR,
-        }
+        Self::default()
     }
 
     /// Register a buffer; returns its DMA address.
+    ///
+    /// # Panics
+    /// Panics if `data` is `SPAN` bytes or more, or if the address space
+    /// of indices runs out (2^32 buffers on a 64-bit address).
     pub fn alloc(&mut self, data: &[u8]) -> u64 {
-        let addr = self.next_addr;
-        self.next_addr += (data.len() as u64).max(1).div_ceil(ALIGN) * ALIGN + ALIGN;
-        self.bufs.push((addr, data.to_vec()));
+        assert!((data.len() as u64) < SPAN, "DMA buffer of 4 GiB or more");
+        let addr = (self.bufs.len() as u64)
+            .checked_mul(SPAN)
+            .and_then(|off| off.checked_add(BASE_ADDR))
+            .expect("host memory address space exhausted");
+        self.bufs.push(Some(data.to_vec()));
         addr
-    }
-
-    /// Index of the one buffer `addr` can lie in: the highest base at or
-    /// below it.
-    fn find(&self, addr: u64) -> Option<usize> {
-        let above = self.bufs.partition_point(|(base, _)| *base <= addr);
-        above.checked_sub(1)
-    }
-
-    /// Index of the buffer based exactly at `addr`.
-    fn based_at(&self, addr: u64) -> Option<usize> {
-        self.find(addr).filter(|&i| self.bufs[i].0 == addr)
     }
 
     /// Read `len` bytes at `addr`. The access must lie within a single
     /// registered buffer (no cross-buffer reads, like an IOMMU). Both
     /// come from descriptors the host wrote: a range that overflows
     /// resolves to nothing.
+    #[inline]
     pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        let (base, buf) = &self.bufs[self.find(addr)?];
-        let off = usize::try_from(addr - base).ok()?;
+        let (i, off) = locate(addr)?;
+        let buf = self.bufs.get(i)?.as_deref()?;
         buf.get(off..off.checked_add(len)?)
     }
 
@@ -62,13 +73,10 @@ impl HostMem {
     /// nothing, when it does not.
     #[must_use = "a write that did not land left stale bytes behind"]
     pub fn write(&mut self, addr: u64, data: &[u8]) -> bool {
-        let Some((base, buf)) = self.find(addr).map(|i| &mut self.bufs[i]) else {
-            return false;
-        };
-        let Some(dst) = usize::try_from(addr - *base)
-            .ok()
-            .and_then(|off| buf.get_mut(off..off.checked_add(data.len())?))
-        else {
+        let Some(dst) = locate(addr).and_then(|(i, off)| {
+            let buf = self.bufs.get_mut(i)?.as_deref_mut()?;
+            buf.get_mut(off..off.checked_add(data.len())?)
+        }) else {
             return false;
         };
         dst.copy_from_slice(data);
@@ -81,10 +89,11 @@ impl HostMem {
     /// having exchanged nothing, unless `addr` is a buffer base and both
     /// are the same length (the address keeps its capacity).
     #[must_use = "a buffer that was not exchanged never reached the device"]
+    #[inline]
     pub fn swap(&mut self, addr: u64, buf: &mut Vec<u8>) -> bool {
-        match self.based_at(addr) {
-            Some(i) if self.bufs[i].1.len() == buf.len() => {
-                std::mem::swap(&mut self.bufs[i].1, buf);
+        match based_at(addr).and_then(|i| self.bufs.get_mut(i)?.as_mut()) {
+            Some(slot) if slot.len() == buf.len() => {
+                std::mem::swap(slot, buf);
                 true
             }
             _ => false,
@@ -93,21 +102,23 @@ impl HostMem {
 
     /// Capacity of the buffer based exactly at `addr`.
     pub fn buf_capacity(&self, addr: u64) -> Option<usize> {
-        self.based_at(addr).map(|i| self.bufs[i].1.len())
+        self.bufs.get(based_at(addr)?)?.as_ref().map(Vec::len)
     }
 
-    /// Release a buffer. Returns `false` when `addr` is not a buffer base.
+    /// Release a buffer. Returns `false` when `addr` is not a live
+    /// buffer base.
     pub fn free(&mut self, addr: u64) -> bool {
-        self.based_at(addr).map(|i| self.bufs.remove(i)).is_some()
+        let freed = based_at(addr).and_then(|i| self.bufs.get_mut(i)?.take());
+        freed.is_some()
     }
 
     /// Number of live buffers.
     pub fn len(&self) -> usize {
-        self.bufs.len()
+        self.bufs.iter().flatten().count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.bufs.is_empty()
+        self.len() == 0
     }
 }
 
@@ -164,9 +175,11 @@ mod tests {
 
     #[test]
     fn zero_address_never_resolves() {
-        let mut m = HostMem::new();
-        m.alloc(b"x");
-        assert_eq!(m.read(0, 1), None);
+        for mut m in [HostMem::new(), HostMem::default()] {
+            let a = m.alloc(b"x");
+            assert_ne!(a, 0, "an unset buf_addr is no buffer's base");
+            assert_eq!(m.read(0, 1), None);
+        }
     }
 
     #[test]
@@ -191,8 +204,8 @@ mod tests {
     }
 
     /// The oracle: buffers in a `BTreeMap`, an address resolved by
-    /// walking back to the nearest base at or below it (what `HostMem`
-    /// itself did before it kept an ordered table).
+    /// walking back to the nearest base at or below it, with no
+    /// arithmetic on where bases sit.
     fn model_range(
         model: &BTreeMap<u64, Vec<u8>>,
         addr: u64,
@@ -204,15 +217,32 @@ mod tests {
         (end <= buf.len()).then_some((*base, off..end))
     }
 
+    /// An address aimed at `base` (0 before the first alloc) or at one
+    /// of the edges arithmetic resolution adds: the last byte of a span,
+    /// the next base, just below the first base, indices past the end of
+    /// the table, and the top of the address space.
+    fn aim(how: u8, base: u64, off: u64, table: usize) -> u64 {
+        match how % 10 {
+            0 | 1 => base,
+            2..=4 => base + off,
+            5 => base + SPAN - 1,
+            6 => base + SPAN,
+            7 => BASE_ADDR - 1,
+            8 => BASE_ADDR + ((table as u64 + off) << SPAN_SHIFT),
+            _ => u64::MAX - off,
+        }
+    }
+
     proptest! {
         /// Random alloc / free / read / write / swap / capacity traffic,
-        /// aimed at bases live and freed, interiors, gaps and the next
-        /// buffer over: every answer and, after every step, the whole
-        /// table must equal the model's.
+        /// aimed at bases live and freed, interiors, the span edges and
+        /// past the table, with read lengths that overflow the address:
+        /// every answer and, after every step, the whole table must
+        /// equal the model's.
         #[test]
         fn random_traffic_agrees_with_a_btree_model(
             ops in proptest::collection::vec(
-                (0u8..6, any::<u16>(), 0u64..260, 0usize..140, any::<u8>(), any::<bool>()),
+                (0u8..6, any::<u16>(), any::<u8>(), 0u64..260, 0usize..140, any::<u8>(), any::<bool>()),
                 1..200,
             ),
         ) {
@@ -220,19 +250,22 @@ mod tests {
             let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
             // Every base ever handed out, freed ones included.
             let mut bases: Vec<u64> = Vec::new();
-            for (kind, pick, off, len, byte, exact) in ops {
+            for (kind, pick, how, off, len, byte, huge) in ops {
                 let base = bases.get(pick as usize % bases.len().max(1)).copied().unwrap_or(0);
-                let addr = if exact { base } else { base + off };
+                let addr = aim(how, base, off, bases.len());
                 match kind {
                     0 => {
                         let a = m.alloc(&vec![byte; len]);
                         prop_assert!(bases.last().is_none_or(|last| a > *last), "bases ascend");
-                        prop_assert_eq!(a % ALIGN, 0);
+                        prop_assert_eq!(a % 64, 0);
                         model.insert(a, vec![byte; len]);
                         bases.push(a);
                     }
                     1 => prop_assert_eq!(m.free(addr), model.remove(&addr).is_some()),
                     2 => {
+                        // Half the time a length whose end overflows
+                        // from any in-span offset above the drawn `len`.
+                        let len = if huge { usize::MAX - len } else { len };
                         let want = model_range(&model, addr, len).map(|(b, r)| &model[&b][r]);
                         prop_assert_eq!(m.read(addr, len), want);
                     }

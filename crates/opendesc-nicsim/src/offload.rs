@@ -11,9 +11,9 @@
 //! software compute identical values by construction — and adds the
 //! device-only ones (timestamps from the device clock).
 
-use opendesc_ir::bits::write_bits;
+use opendesc_ir::bits::{read_bits, write_bits};
 use opendesc_ir::semantics::{names, SemanticRegistry};
-use opendesc_ir::{CompletionPath, SemanticId};
+use opendesc_ir::{CompletionPath, FieldSlot, SemanticId};
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
 
@@ -73,18 +73,27 @@ pub enum DeviceOp {
     Shim(ShimOp),
 }
 
-/// Where a value lands in the completion record: one field of the active
-/// layout, resolved when the program is compiled.
+/// One field of the active layout, resolved when the program or the TX
+/// path is built: where a completion value lands, or where a descriptor
+/// hint is read from. Byte-aligned 8-, 16-, 32- and 64-bit fields (most
+/// fields of every catalog layout) move as one big-endian access; every
+/// other shape goes through [`write_bits`] / [`read_bits`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DestSlot {
+pub struct Slot {
     pub offset_bits: u32,
     pub width_bits: u16,
 }
 
-impl DestSlot {
+impl Slot {
+    pub(crate) fn of(field: &FieldSlot) -> Slot {
+        Slot {
+            offset_bits: field.offset_bits,
+            width_bits: field.width_bits,
+        }
+    }
+
     /// Write the low `width_bits` of `value` into `buf` at this slot —
-    /// what [`write_bits`] does, with the byte-aligned power-of-two
-    /// widths (most fields of every catalog layout) as single stores.
+    /// what [`write_bits`] does.
     #[inline]
     fn store(self, buf: &mut [u8], value: u64) {
         let at = (self.offset_bits / 8) as usize;
@@ -94,6 +103,20 @@ impl DestSlot {
             (0, 32) => buf[at..at + 4].copy_from_slice(&(value as u32).to_be_bytes()),
             (0, 64) => buf[at..at + 8].copy_from_slice(&value.to_be_bytes()),
             _ => write_bits(buf, self.offset_bits, self.width_bits, value.into()),
+        }
+    }
+
+    /// Read this slot's value from `buf` — what [`read_bits`] does, by
+    /// the same shapes as [`store`](Slot::store).
+    #[inline]
+    pub(crate) fn load(self, buf: &[u8]) -> u128 {
+        let at = (self.offset_bits / 8) as usize;
+        match (self.offset_bits % 8, self.width_bits) {
+            (0, 8) => buf[at].into(),
+            (0, 16) => u16::from_be_bytes(buf[at..at + 2].try_into().unwrap()).into(),
+            (0, 32) => u32::from_be_bytes(buf[at..at + 4].try_into().unwrap()).into(),
+            (0, 64) => u64::from_be_bytes(buf[at..at + 8].try_into().unwrap()).into(),
+            _ => read_bits(buf, self.offset_bits, self.width_bits),
         }
     }
 }
@@ -115,7 +138,7 @@ pub struct OffloadOp {
 pub struct OffloadProgram {
     ops: Vec<OffloadOp>,
     /// Destination slots of every op, grouped by op.
-    slots: Vec<DestSlot>,
+    slots: Vec<Slot>,
     /// Size of the record the slots index into.
     record_bytes: usize,
 }
@@ -144,10 +167,7 @@ impl OffloadProgram {
                 slots.extend(
                     (layout.slots.iter())
                         .filter(|s| s.semantic == Some(sem))
-                        .map(|s| DestSlot {
-                            offset_bits: s.offset_bits,
-                            width_bits: s.width_bits,
-                        }),
+                        .map(Slot::of),
                 );
                 OffloadOp {
                     sem,
@@ -168,7 +188,7 @@ impl OffloadProgram {
     }
 
     /// The completion slots `op` (one of [`ops`](Self::ops)) writes.
-    fn slots_of(&self, op: &OffloadOp) -> &[DestSlot] {
+    fn slots_of(&self, op: &OffloadOp) -> &[Slot] {
         &self.slots[op.slots.0 as usize..op.slots.1 as usize]
     }
 
@@ -456,31 +476,36 @@ mod tests {
         assert_eq!(a.clock_ns, b.clock_ns);
     }
 
+    /// Single-access widths on and off the byte grid (up to the last
+    /// byte of a 24-byte buffer), ragged widths, and slots wider than a
+    /// `u64`.
+    const SHAPES: [(u32, u16); 15] = [
+        (0, 8),
+        (8, 16),
+        (16, 32),
+        (64, 64),
+        (128, 64),
+        (184, 8),
+        (4, 8),
+        (3, 16),
+        (1, 32),
+        (7, 64),
+        (0, 13),
+        (24, 24),
+        (21, 3),
+        (0, 128),
+        (40, 100),
+    ];
+
     #[test]
     fn slot_store_is_write_bits() {
-        // Single-store widths on and off the byte grid, ragged widths,
-        // and a slot wider than the value; all-ones so masking shows.
-        let shapes = [
-            (0, 8),
-            (8, 16),
-            (16, 32),
-            (64, 64),
-            (4, 8),
-            (3, 16),
-            (1, 32),
-            (7, 64),
-            (0, 13),
-            (24, 24),
-            (21, 3),
-            (0, 128),
-            (40, 100),
-        ];
-        for (offset_bits, width_bits) in shapes {
+        // All-ones values and buffers so masking shows.
+        for (offset_bits, width_bits) in SHAPES {
             for value in [u64::MAX, 0, 0x0123_4567_89AB_CDEF] {
                 for fill in [0x00, 0xFF] {
                     let mut got = [fill; 24];
                     let mut want = [fill; 24];
-                    DestSlot {
+                    Slot {
                         offset_bits,
                         width_bits,
                     }
@@ -488,6 +513,26 @@ mod tests {
                     write_bits(&mut want, offset_bits, width_bits, value.into());
                     assert_eq!(got, want, "offset {offset_bits} width {width_bits}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_load_is_read_bits() {
+        // All-ones, all-zero and mixed buffers, so a field that reads a
+        // neighbour's bits or drops its own shows.
+        let mixed: [u8; 24] = std::array::from_fn(|i| (i as u8).wrapping_mul(0x9D) ^ 0x5A);
+        for (offset_bits, width_bits) in SHAPES {
+            for buf in [[0xFF; 24], [0x00; 24], mixed] {
+                let slot = Slot {
+                    offset_bits,
+                    width_bits,
+                };
+                assert_eq!(
+                    slot.load(&buf),
+                    read_bits(&buf, offset_bits, width_bits),
+                    "offset {offset_bits} width {width_bits}"
+                );
             }
         }
     }

@@ -12,7 +12,7 @@
 //! ([`SimNic::configure_tx`], and at construction for parsers that
 //! never get configured) by the same rule as the completion path — the
 //! first enumerated [`DescriptorLayout`] whose guards all hold — and
-//! each descriptor is then five `(offset, width)` reads. The enumerator
+//! each descriptor is then five [`Slot`] loads. The enumerator
 //! refuses, at construction, every parser a table cannot express (see
 //! [`opendesc_ir::txpath`]), so the table is exact; under a context
 //! that selects no layout every descriptor is a parse reject, as it is
@@ -20,7 +20,7 @@
 
 use crate::hostmem::HostMem;
 use crate::nic::{select_layout, NicError, SimNic};
-use opendesc_ir::bits::read_bits;
+use crate::offload::Slot;
 use opendesc_ir::semantics::names;
 use opendesc_ir::{Assignment, DescriptorLayout, SemanticRegistry};
 use opendesc_softnic::fixup;
@@ -38,9 +38,6 @@ pub struct TxStats {
     pub bad_buffers: u64,
 }
 
-/// One descriptor field the device reads: `(offset_bits, width_bits)`.
-type Field = (u32, u16);
-
 /// The active descriptor layout reduced to what the device reads per
 /// descriptor — the TX twin of RX's active completion path.
 #[derive(Debug, Clone)]
@@ -48,11 +45,11 @@ pub(crate) struct TxPath {
     /// Index into `SimNic::tx_layouts`.
     layout: usize,
     size_bits: u32,
-    buf_addr: Field,
-    buf_len: Field,
-    vlan_insert: Option<Field>,
-    ip_csum: Option<Field>,
-    l4_csum: Option<Field>,
+    buf_addr: Slot,
+    buf_len: Slot,
+    vlan_insert: Option<Slot>,
+    ip_csum: Option<Slot>,
+    l4_csum: Option<Slot>,
 }
 
 /// What one descriptor asks of the device. An offload hint the layout
@@ -71,10 +68,7 @@ impl TxPath {
     /// carrying a semantic twice, so each is one slot at most.
     fn new(layouts: &[DescriptorLayout], layout: usize, reg: &SemanticRegistry) -> Option<TxPath> {
         let l = &layouts[layout];
-        let field = |sem: &str| {
-            let slot = l.slot_for(reg.id(sem)?)?;
-            Some((slot.offset_bits, slot.width_bits))
-        };
+        let field = |sem: &str| l.slot_for(reg.id(sem)?).map(Slot::of);
         Some(TxPath {
             layout,
             size_bits: l.size_bits,
@@ -93,7 +87,7 @@ impl TxPath {
         if desc.len() * 8 < self.size_bits as usize {
             return Err(TxError::ParseReject);
         }
-        let get = |(offset, width): Field| read_bits(desc, offset, width);
+        let get = |slot: Slot| slot.load(desc);
         Ok(TxHints {
             buf_addr: get(self.buf_addr),
             buf_len: get(self.buf_len),

@@ -14,8 +14,8 @@
 #  * Bench: one runner binary.
 #  * TX: a frame is copied once, by `TxBatch::push`, fixed up, deparsed
 #    and exchanged into its DMA slot in one place each, and never
-#    written into DMA memory; `HostMem` resolves an address in its
-#    ordered table.
+#    written into DMA memory; `HostMem` resolves an address by
+#    arithmetic (its index is in the address), never by a search.
 #  * Negotiation: one call into the front end, reached through
 #    `check_contract` everywhere; the manifest digests the program the
 #    artifact already holds; the parser moves tokens.
@@ -42,6 +42,10 @@
 #    `VecDeque` in verifier.rs); the manifest writes its integers and
 #    digests directly, and only its two float cost lines go through
 #    `core::fmt` (two `write!(o,` / `writeln!(o,` in manifest.rs).
+#  * A product that can only shrink: each product crate's non-test
+#    lines (comments and blank lines excluded) are pinned. A change that
+#    lands under a pin lowers it; one that raises a pin says why in
+#    CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/opendesc-core/src
@@ -93,8 +97,10 @@ for pat in 'insert_vlan_in_slice(' 'run_deparse(' 'copy_from_slice'; do
     expect "$pat call sites in tx.rs" "$(code $src/tx.rs | sites "$pat")" 1
 done
 expect "opendesc-core copies a frame into DMA memory (host_mem.write()" "$(total 'host_mem.write(')" 0
-expect "HostMem walks a tree (BTreeMap in hostmem.rs)" \
-    "$(code crates/opendesc-nicsim/src/hostmem.rs | sites 'BTreeMap')" 0
+for pat in 'partition_point(' 'binary_search' 'BTreeMap'; do
+    expect "HostMem searches for an address ($pat in hostmem.rs)" \
+        "$(code $sim/hostmem.rs | sites "$pat")" 0
+done
 for f in compiler tx intent equiv cache; do
     if [ "$(code $src/$f.rs | sites 'check_contract(')" -lt 1 ]; then
         echo "one_path: $f.rs no longer goes through check_contract(" >&2
@@ -135,4 +141,30 @@ expect "VecDeque in opendesc-ebpf's verifier.rs" \
     "$(code crates/opendesc-ebpf/src/verifier.rs | sites 'VecDeque')" 0
 expect "write!(o, + writeln!(o, in codegen/manifest.rs (the two float cost lines)" \
     "$(code $src/codegen/manifest.rs | grep -cE '\bwrite(ln)?!\(o,' || true)" 2
+# A product that can only shrink
+lines() { # crate: non-test, non-comment, non-blank lines under its src/
+    local n=0 f
+    while IFS= read -r f; do
+        n=$((n + $(code "$f" | grep -cv '^\s*$' || true)))
+    done < <(find "crates/$1/src" -name '*.rs')
+    echo "$n"
+}
+pin() { # crate, pinned line count
+    local n
+    n=$(lines "$1")
+    if [ "$n" -gt "$2" ]; then
+        echo "one_path: $1 grew to $n non-test lines (pinned at $2): raise the pin here and say why in CHANGES.md" >&2
+        fail=1
+    elif [ "$n" -lt "$2" ]; then
+        echo "one_path: $1 shrank to $n non-test lines (pinned at $2): lower the pin here" >&2
+        fail=1
+    fi
+}
+pin opendesc-core 5364
+pin opendesc-ir 1983
+pin opendesc-nicsim 2439
+pin opendesc-softnic 913
+pin opendesc-p4 4122
+pin opendesc-ebpf 1219
+pin opendesc-telemetry 723
 exit $fail

@@ -62,9 +62,9 @@ pub use opendesc_telemetry as telemetry;
 /// Convenience prelude with the most-used types.
 pub mod prelude {
     pub use opendesc_core::{
-        CompiledInterface, Compiler, EvolveConfig, FlipProgress, GenericMbufDriver, Intent,
-        LcdDriver, Objective, OpenDescDriver, PlanCache, RelayoutRequest, RxPacket, Selector,
-        ShardedEngine, TxBatch, TxDriver, TxQueue, TxRequest, TxVerdict, FLIP_POLL_BUDGET,
+        CompiledInterface, Compiler, EvolveConfig, FlipProgress, Intent, Objective, OpenDescDriver,
+        PlanCache, RelayoutRequest, RxPacket, Selector, ShardedEngine, TxBatch, TxDriver, TxQueue,
+        TxRequest, TxVerdict, FLIP_POLL_BUDGET,
     };
     pub use opendesc_ir::{names, Cost, SemanticId, SemanticRegistry};
     pub use opendesc_nicsim::{models, DmaConfig, PktGen, SimNic, Workload};

@@ -5,6 +5,7 @@ use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::{models, FaultConfig, PktGen, SimNic, Workload};
 use opendesc::prelude::*;
 use opendesc::softnic::{testpkt, SoftNic};
+use opendesc_bench::baseline::LcdDriver;
 
 fn fig1_intent(reg: &mut SemanticRegistry) -> Intent {
     Intent::from_p4(opendesc::compiler::FIG1_INTENT_P4, reg).unwrap()

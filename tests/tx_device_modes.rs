@@ -359,8 +359,14 @@ parser DescParser(desc_in d, in cs_ctx_t h2c_ctx, out cs_desc_t desc_hdr) {
     }
 }
 "#;
+    with_desc_parser("content-steered", tx)
+}
+
+/// A one-layout RX model whose contract also carries `tx`, a
+/// `DescParser`.
+fn with_desc_parser(name: &str, tx: &str) -> NicModel {
     let mut model = programmable(&ProgSpec {
-        name: "content-steered".into(),
+        name: name.into(),
         layouts: vec![one_field_layout()],
         guard: models::ProgGuard::Unconditional,
         tail: None,
@@ -370,6 +376,32 @@ parser DescParser(desc_in d, in cs_ctx_t h2c_ctx, out cs_desc_t desc_hdr) {
     model.p4_source.push_str(tx);
     model.desc_parser = Some("DescParser".into());
     model
+}
+
+#[test]
+fn a_32_bit_buf_addr_is_refused_at_new() {
+    // The host writes a 64-bit DMA address into `buf_addr`; a narrower
+    // field would truncate it to another buffer's address, so the
+    // contract never boots.
+    let tx = r#"
+header nb_t {
+    @semantic("buf_addr") bit<32> addr;
+    @semantic("buf_len")  bit<16> len;
+    bit<16> rsvd;
+}
+struct nb_desc_t { nb_t base; }
+struct nb_ctx_t { bit<8> kind; }
+parser DescParser(desc_in d, in nb_ctx_t h2c_ctx, out nb_desc_t desc_hdr) {
+    state start { d.extract(desc_hdr.base); transition accept; }
+}
+"#;
+    let err = SimNic::new(with_desc_parser("narrow-addr", tx), 16)
+        .err()
+        .expect("refused");
+    let NicError::BadContract(msg) = err else {
+        panic!("not a contract refusal: {err:?}");
+    };
+    assert!(msg.contains("32-bit `buf_addr`"), "{msg}");
 }
 
 #[test]
