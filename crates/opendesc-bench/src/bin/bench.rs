@@ -18,7 +18,8 @@
 //! constant-denominator ratios) are shown and never gated. Exit status: 0 when every gated
 //! metric is within band and above its floor, 1 otherwise, 2 on usage
 //! errors, unknown experiment names and unreadable records (including a
-//! record that names no `identity` columns).
+//! record of another schema or version, or one that names no `identity`
+//! columns).
 
 use opendesc_bench::{all_pass, compare, markdown_table, read_record, Experiment, EXPERIMENTS};
 use std::process::ExitCode;
@@ -79,8 +80,9 @@ fn run(args: &[String]) -> Result<bool, String> {
 }
 
 /// `dir/BENCH_{exp}.json` as the gate reads it (see
-/// [`opendesc_bench::flatten`]); a record that names no identity
-/// columns is refused like an unreadable one.
+/// [`opendesc_bench::flatten`]); a record of another schema or version,
+/// or one that names no identity columns, is refused like an unreadable
+/// one.
 fn load(dir: &str, exp: &str) -> Result<Vec<(String, f64)>, String> {
     let path = format!("{dir}/BENCH_{exp}.json");
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;

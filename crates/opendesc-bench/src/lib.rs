@@ -7,7 +7,9 @@
 //! paper's own figures and claims ([`paper`]); E12–E20 measure the
 //! extensions. `bench run` measures, asserts the floors and writes
 //! `BENCH_eNN.json`; `bench gate` compares two directories of records
-//! under the same gates.
+//! under the same gates. A record is a [`Json`] value, tagged with
+//! [`SCHEMA`] and [`VERSION`], written by `Json::render` and read back
+//! by `opendesc_telemetry::parse_json`.
 use opendesc_core::{Intent, RxPacket, WorkerStats};
 use opendesc_ir::{names, Assignment, SemanticRegistry};
 use opendesc_nicsim::{models, PktGen, SimNic, Workload};
@@ -125,7 +127,7 @@ pub enum Cell {
     Id(String),
     /// Numeric identity column (queue count, fault rate).
     IdNum(f64),
-    /// A measured value, written with four decimals.
+    /// A measured value, rounded to four decimals.
     Val(f64),
     /// A count.
     Count(u64),
@@ -141,19 +143,6 @@ impl Cell {
 
     fn is_id(&self) -> bool {
         matches!(self, Cell::Id(_) | Cell::IdNum(_))
-    }
-
-    fn json(&self) -> String {
-        match self {
-            Cell::Id(s) => format!("\"{s}\""),
-            Cell::IdNum(x) => format!("{x}"),
-            Cell::Val(x) => format!("{x:.4}"),
-            Cell::Count(n) => n.to_string(),
-            Cell::PerQueue(v) => {
-                let items: Vec<String> = v.iter().map(u64::to_string).collect();
-                format!("[{}]", items.join(", "))
-            }
-        }
     }
 }
 
@@ -192,17 +181,19 @@ pub struct Record {
     pub summary: Vec<(String, f64)>,
 }
 
-/// Top-level numbers that describe the run, not its result; `flatten`
-/// skips them so they can never match a gate.
-const RUN_FIELDS: [&str; 3] = ["cores", "pkts_per_round", "rounds"];
+/// What every record's `"schema"` member names, and the `"version"` of
+/// its shape; [`flatten`] refuses any other.
+pub const SCHEMA: &str = "opendesc.bench.record";
+pub const VERSION: f64 = 1.0;
 
-/// Integers as integers, everything else with four decimals.
-fn num(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x:.4}")
-    }
+/// Top-level numbers that describe the record or its run, not its
+/// result; `flatten` skips them so they can never match a gate.
+const RUN_FIELDS: [&str; 4] = ["version", "cores", "pkts_per_round", "rounds"];
+
+/// `x` rounded to four decimals, as a value: what a record writes for
+/// a measurement.
+fn round4(x: f64) -> f64 {
+    (x * 1e4).round() / 1e4
 }
 
 impl Record {
@@ -237,50 +228,51 @@ impl Record {
         self.summary.push((key.into(), value));
     }
 
-    /// The `BENCH_eNN.json` text (hand-formatted: no serde in the
-    /// tree). One row per line so a diff of two records reads by row.
+    /// The `BENCH_eNN.json` text: the record's document, rendered.
     pub fn to_json(&self) -> String {
-        let mut top = vec![
-            format!("\"experiment\": \"{}\"", self.experiment),
-            format!("\"unit\": \"{}\"", self.unit),
-            format!("\"cores\": {}", self.cores),
-            format!("\"pkts_per_round\": {}", self.pkts_per_round),
-            format!("\"rounds\": {}", self.rounds),
-            format!(
-                "\"parallel\": \"{}\"",
-                match self.parallel {
-                    Parallel::Run => "run",
-                    Parallel::Modelled => "modelled",
-                }
-            ),
-        ];
+        self.doc().render()
+    }
+
+    /// The record as a document: its tag and run description, its
+    /// identity columns, its rows, then its summary.
+    fn doc(&self) -> Json {
+        let text = |s: &str| Json::Str(s.to_string());
+        let count = |n: usize| Json::Num(n as f64);
+        let cell = |c: &Cell| match c {
+            Cell::Id(s) => text(s),
+            Cell::IdNum(x) => Json::Num(*x),
+            Cell::Val(x) => Json::Num(round4(*x)),
+            Cell::Count(n) => Json::Num(*n as f64),
+            Cell::PerQueue(v) => Json::Arr(v.iter().map(|n| Json::Num(*n as f64)).collect()),
+        };
+        let parallel = match self.parallel {
+            Parallel::Run => "run",
+            Parallel::Modelled => "modelled",
+        };
         // Every record names its identity columns, an empty list when it
         // has no rows: a reader never guesses them.
-        let ids: Vec<String> = (self.rows.first().into_iter().flatten())
-            .filter(|(_, c)| c.is_id())
-            .map(|(k, _)| format!("\"{k}\""))
-            .collect();
-        top.push(format!("\"identity\": [{}]", ids.join(", ")));
-        if !self.rows.is_empty() {
-            let rows: Vec<String> = self
-                .rows
-                .iter()
-                .map(|r| {
-                    let cells: Vec<String> = r
-                        .iter()
-                        .map(|(k, c)| format!("\"{k}\": {}", c.json()))
-                        .collect();
-                    format!("    {{{}}}", cells.join(", "))
-                })
-                .collect();
-            top.push(format!("\"rows\": [\n{}\n  ]", rows.join(",\n")));
-        }
-        top.extend(
-            self.summary
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {}", num(*v))),
-        );
-        format!("{{\n  {}\n}}\n", top.join(",\n  "))
+        let ids = self.rows.first().into_iter().flatten();
+        let ids = ids.filter(|(_, c)| c.is_id()).map(|(k, _)| text(k));
+        let head = [
+            ("schema", text(SCHEMA)),
+            ("version", Json::Num(VERSION)),
+            ("experiment", text(self.experiment)),
+            ("unit", text(self.unit)),
+            ("cores", count(self.cores)),
+            ("pkts_per_round", count(self.pkts_per_round)),
+            ("rounds", count(self.rounds)),
+            ("parallel", text(parallel)),
+            ("identity", Json::Arr(ids.collect())),
+        ];
+        let row = |r: &Row| Json::Obj(r.iter().map(|(k, c)| (k.to_string(), cell(c))).collect());
+        let rows = (!self.rows.is_empty())
+            .then(|| ("rows", Json::Arr(self.rows.iter().map(row).collect())));
+        let summary = self
+            .summary
+            .iter()
+            .map(|(k, v)| (k.as_str(), Json::Num(round4(*v))));
+        let members = head.into_iter().chain(rows).chain(summary);
+        Json::Obj(members.map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// The record as `bench run` prints it: a column per scalar cell
@@ -316,18 +308,16 @@ impl Record {
             out.push('\n');
         }
         for (k, v) in &self.summary {
-            out.push_str(&format!("{k} = {}\n", num(*v)));
+            out.push_str(&format!("{k} = {}\n", round4(*v)));
         }
         out
     }
 
     /// Every scalar the record holds, named as the gate names them —
-    /// read back from the JSON text, so what `bench run` checks is what
-    /// `bench gate` will later read.
+    /// flattened from the document [`Record::to_json`] renders, so what
+    /// `bench run` checks is what `bench gate` will later read.
     pub fn flat(&self) -> Vec<(String, f64)> {
-        let doc =
-            opendesc_telemetry::parse_json(&self.to_json()).expect("record writes valid JSON");
-        flatten(&doc).expect("a record names its identity columns")
+        flatten(&self.doc()).expect("a record is tagged and names its identity columns")
     }
 
     /// One named scalar (see [`flatten`] for the names).
@@ -354,44 +344,43 @@ impl Record {
 /// `rows[model=e1000e,queues=4].mpps` from the row's identity columns
 /// (the record's `identity` list, in row order), so the same row in
 /// baseline and current lines up by name regardless of row order. A
-/// document that is not an object, or names no `identity` list, is
-/// refused: there is no default to guess the row names from.
+/// document that is not tagged [`SCHEMA`] [`VERSION`], or names no
+/// `identity` list, is refused: there is no default to guess the row
+/// names from.
 pub fn flatten(doc: &Json) -> Result<Vec<(String, f64)>, String> {
+    let schema = doc.get("schema").and_then(Json::as_str);
+    if schema != Some(SCHEMA) || doc.get("version").and_then(Json::as_f64) != Some(VERSION) {
+        return Err(format!("not a {SCHEMA} version {VERSION} record"));
+    }
     let (Some(obj), Some(ids)) = (doc.as_obj(), doc.get("identity").and_then(Json::as_arr)) else {
         return Err("not a bench record: no `identity` list".into());
     };
     let identity: Vec<&str> = ids.iter().filter_map(Json::as_str).collect();
+    let is_id = |k: &String| identity.contains(&k.as_str());
     let mut out = Vec::new();
     for (k, v) in obj {
-        if let Some(x) = v.as_f64() {
-            if !RUN_FIELDS.contains(&k.as_str()) {
-                out.push((k.clone(), x));
-            }
-            continue;
-        }
-        if k != "rows" {
-            continue;
-        }
-        for row in v.as_arr().unwrap_or_default() {
-            let Some(fields) = row.as_obj() else { continue };
-            let id: Vec<String> = fields
-                .iter()
-                .filter(|(fk, _)| identity.contains(&fk.as_str()))
-                .filter_map(|(fk, fv)| match fv {
-                    Json::Str(s) => Some(format!("{fk}={s}")),
-                    Json::Num(n) => Some(format!("{fk}={n}")),
-                    _ => None,
-                })
-                .collect();
-            let id = id.join(",");
-            for (fk, fv) in fields {
-                if identity.contains(&fk.as_str()) {
-                    continue;
-                }
-                if let Some(x) = fv.as_f64() {
-                    out.push((format!("rows[{id}].{fk}"), x));
+        match v {
+            Json::Num(x) if !RUN_FIELDS.contains(&k.as_str()) => out.push((k.clone(), *x)),
+            Json::Arr(rows) if k == "rows" => {
+                for fields in rows.iter().filter_map(Json::as_obj) {
+                    let id: Vec<String> = fields
+                        .iter()
+                        .filter(|(fk, _)| is_id(fk))
+                        .filter_map(|(fk, fv)| match fv {
+                            Json::Str(s) => Some(format!("{fk}={s}")),
+                            Json::Num(n) => Some(format!("{fk}={n}")),
+                            _ => None,
+                        })
+                        .collect();
+                    let id = id.join(",");
+                    for (fk, fv) in fields.iter().filter(|(fk, _)| !is_id(fk)) {
+                        if let Json::Num(x) = fv {
+                            out.push((format!("rows[{id}].{fk}"), *x));
+                        }
+                    }
                 }
             }
+            _ => {}
         }
     }
     Ok(out)
@@ -2461,9 +2450,10 @@ mod tests {
         vec![(metric.to_string(), v)]
     }
 
-    /// A record's text as the gate reads it.
-    fn flat(json: &str) -> Vec<(String, f64)> {
-        read_record("test", json).unwrap()
+    /// A tagged record with `members` as the gate reads it.
+    fn flat(members: &str) -> Vec<(String, f64)> {
+        let tag = format!(r#""schema": "{SCHEMA}", "version": {VERSION}"#);
+        read_record("test", &format!("{{{tag}, {members}}}")).unwrap()
     }
 
     /// Every `Gate` of every experiment, against synthetic records: in
@@ -2525,15 +2515,15 @@ mod tests {
     fn gate_edges() {
         let e13 = Experiment::by_name("e13").unwrap();
         let baseline = flat(
-            r#"{"identity": ["model", "queues"],
+            r#""identity": ["model", "queues"],
                 "rows": [{"model": "e1000e", "queues": 4, "mpps": 10.0, "total_pkts": 2048}],
-                "scaling_4q_vs_1q_e1000e": 3.0, "cores": 2, "rounds": 10, "pkts_per_round": 2048}"#,
+                "scaling_4q_vs_1q_e1000e": 3.0, "cores": 2, "rounds": 10, "pkts_per_round": 2048"#,
         );
         let with = |mpps: f64, scaling: f64| {
             flat(&format!(
-                r#"{{"identity": ["model", "queues"],
+                r#""identity": ["model", "queues"],
                     "rows": [{{"model": "e1000e", "queues": 4, "mpps": {mpps}, "total_pkts": 9}}],
-                    "scaling_4q_vs_1q_e1000e": {scaling}, "cores": 64, "rounds": 1}}"#
+                    "scaling_4q_vs_1q_e1000e": {scaling}, "cores": 64, "rounds": 1"#
             ))
         };
         // −10% on an Mpps row is out of band (strict at the boundary),
@@ -2556,7 +2546,7 @@ mod tests {
         let table = markdown_table(&slow);
         assert!(table.contains("FAIL") && table.contains("≥ −20%, floor ≥ 2"));
         // A gated metric missing from the current record fails loudly.
-        let gone = compare(e13, &baseline, &flat(r#"{"identity": []}"#));
+        let gone = compare(e13, &baseline, &flat(r#""identity": []"#));
         assert!(!all_pass(&gone) && markdown_table(&gone).contains("missing"));
         // Recovery latency gates lower-better: +25% fails.
         let e14 = Experiment::by_name("e14").unwrap();
@@ -2623,7 +2613,14 @@ mod tests {
             let json = rec.to_json();
             let doc = parse_json(&json).unwrap_or_else(|e| panic!("{}: {e}\n{json}", exp.name));
             assert!(rec.experiment.starts_with(exp.name));
-            for key in ["cores", "pkts_per_round", "rounds", "parallel"] {
+            for key in [
+                "schema",
+                "version",
+                "cores",
+                "pkts_per_round",
+                "rounds",
+                "parallel",
+            ] {
                 assert!(doc.get(key).is_some(), "{}: no {key}", exp.name);
             }
             let flat = rec.flat();
@@ -2817,5 +2814,57 @@ mod tests {
             .collect();
         let err = read_record(path, &doctored.join("\n")).unwrap_err();
         assert!(err.starts_with(path) && err.contains("identity"), "{err}");
+        // Nor does it read a record of another schema or version.
+        for (from, to) in [
+            (
+                r#""schema": "opendesc.bench.record""#,
+                r#""schema": "other""#,
+            ),
+            (r#""version": 1,"#, r#""version": 2,"#),
+            (r#""version": 1,"#, ""),
+        ] {
+            let err = read_record(path, &json.replacen(from, to, 1)).unwrap_err();
+            assert!(err.starts_with(path) && err.contains(SCHEMA), "{err}");
+        }
+    }
+
+    /// An identity cell may hold any text: the writer escapes it, and the
+    /// gate reads the row back under that text.
+    #[test]
+    fn a_record_with_escapes_in_its_identity_reads_back() {
+        let id = "say \"hi\", C:\\nic\nnext\u{1}";
+        let rows = vec![vec![("reason", Cell::id(id)), ("n", Cell::Count(3))]];
+        let rec = Record::new("e5_x", "u \"q\"", 0, 0, rows);
+        let flat = read_record("e5", &rec.to_json()).expect("the record reads back");
+        assert_eq!(flat, [(format!("rows[reason={id}].n"), 3.0)]);
+        assert_eq!(flat, rec.flat());
+    }
+
+    /// Every committed record is tagged, reads through the gate, and is
+    /// a fixed point of parse → render: the writer's canonical form.
+    #[test]
+    fn committed_records_are_canonical() {
+        let repo = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for exp in &EXPERIMENTS {
+            let path = format!("{repo}/BENCH_{}.json", exp.name);
+            let text = std::fs::read_to_string(&path).expect("record committed");
+            let doc = parse_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
+            assert_eq!(doc.render(), text, "{path} is not in canonical form");
+            read_record(&path, &text).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    /// Measurements are rounded to four decimals as values: the written
+    /// number is the shortest text of the rounded value.
+    #[test]
+    fn measurements_are_written_rounded() {
+        let rows = vec![vec![("model", Cell::id("m")), ("ns", Cell::Val(12.38099))]];
+        let mut rec = Record::new("e12_x", "u", 0, 0, rows);
+        rec.put("ratio", 40.00001);
+        rec.put("nan", f64::NAN);
+        let json = rec.to_json();
+        assert!(json.contains(r#""ns": 12.381}"#), "{json}");
+        assert!(json.contains(r#""ratio": 40,"#) && json.ends_with("\"nan\": null\n}\n"));
     }
 }

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 pub struct Lexed {
     /// Always terminated by [`TokenKind::Eof`].
     pub tokens: Vec<Token>,
-    /// Every identifier and string literal: the [`WELL_KNOWN`] names
+    /// Every identifier and string literal: the `WELL_KNOWN` names
     /// first, then the source's in order of first occurrence.
     pub syms: Symbols,
     /// What each [`TokenKind::Int`] indexes.

@@ -1,11 +1,17 @@
-//! A minimal JSON reader for the perf-gate.
+//! The workspace's one JSON reader and writer.
 //!
-//! The tree has no serde (hermetic build, vendored shims only), and the
-//! bench records are hand-formatted JSON; the gate needs to read them
-//! back. This is a small recursive-descent parser over the full JSON
-//! grammar — objects, arrays, strings with the standard escapes,
-//! numbers, booleans, null — returning an owned [`Json`] tree with the
-//! few accessors the gate actually uses.
+//! The tree has no serde (hermetic build, vendored shims only). Bench
+//! records and metric snapshots are built as [`Json`] values and written
+//! by [`Json::render`]; the perf gate reads them back with [`parse`], a
+//! small recursive-descent parser over the full JSON grammar — objects,
+//! arrays, strings with the standard escapes, numbers, booleans, null.
+//! Escaping, the spelling of numbers and the layout are decided here and
+//! nowhere else. The reader fails closed: nesting past [`MAX_DEPTH`], a
+//! lone surrogate and a number that overflows to infinity are errors.
+
+/// How deep [`parse`] lets containers nest (a bench record nests 4
+/// deep); deeper input is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 64;
 
 /// An owned JSON value. Object member order is preserved (the bench
 /// records are deterministic, so order carries meaning in diffs).
@@ -55,24 +61,112 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The document's text, laid out so a diff of two documents reads
+    /// line by line: an object's members go one per line, an array of
+    /// objects (a top-level member, or the document) one element per
+    /// line, and everything deeper inline with `", "` and `": "`. Keys
+    /// and strings are escaped, members keep their order, finite
+    /// numbers take Rust's shortest round-trip form (`40`, `12.381`) and
+    /// non-finite ones `null`. The text ends with a newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    /// `self` at `depth` (0 is the document): an object at depth 0, and
+    /// an array of objects at depth 0 or 1, put each member on its own
+    /// line; everything else is inline.
+    fn write(&self, out: &mut String, depth: usize) {
+        let lines = match self {
+            Json::Obj(_) => depth == 0,
+            Json::Arr(a) => depth < 2 && !a.is_empty() && a.iter().all(|v| v.as_obj().is_some()),
+            _ => false,
+        };
+        // What goes between members and before each one; the closing
+        // bracket sits two spaces left of the members.
+        let (sep, pad) = if lines {
+            (",", &"\n    "[..3 + 2 * depth])
+        } else {
+            (", ", "")
+        };
+        let close = &pad[..pad.len().saturating_sub(2)];
+        let inner = if lines { depth + 1 } else { 2 };
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => quote(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { sep } else { "" });
+                    out.push_str(pad);
+                    v.write(out, inner);
+                }
+                out.push_str(close);
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    out.push_str(if i > 0 { sep } else { "" });
+                    out.push_str(pad);
+                    quote(out, k);
+                    out.push_str(": ");
+                    v.write(out, inner);
+                }
+                out.push_str(close);
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// `s` as a JSON string literal: quote, backslash and control
+/// characters escaped, everything else as is.
+fn quote(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parse a JSON document. Errors carry the byte offset they tripped at.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let b = src.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser {
+        src,
+        b: src.as_bytes(),
+        i: 0,
+        depth: 0,
+    };
     p.ws();
     let v = p.value()?;
     p.ws();
-    if p.i != b.len() {
+    if p.i != p.b.len() {
         return Err(format!("trailing input at byte {}", p.i));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Containers open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -87,23 +181,17 @@ impl<'a> Parser<'a> {
     }
 
     fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|c| c as char)
-            ))
+        if self.peek() != Some(c) {
+            return Err(format!("expected {:?} at byte {}", c as char, self.i));
         }
+        self.i += 1;
+        Ok(())
     }
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.container(b'}'),
+            Some(b'[') => self.container(b']'),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -111,7 +199,7 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
+                other.map(char::from),
                 self.i
             )),
         }
@@ -126,138 +214,114 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(members));
+    /// The object or array the cursor opens, up to its `close`; one
+    /// that would nest deeper than [`MAX_DEPTH`] is an error.
+    fn container(&mut self, close: u8) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            ));
         }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            let v = self.value()?;
-            members.push((key, v));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(members));
+        self.depth += 1;
+        self.i += 1;
+        let (mut members, mut items) = (Vec::new(), Vec::new());
+        self.ws();
+        if self.peek() != Some(close) {
+            loop {
+                self.ws();
+                if close == b'}' {
+                    let key = self.string()?;
+                    self.ws();
+                    self.expect(b':')?;
+                    self.ws();
+                    members.push((key, self.value()?));
+                } else {
+                    items.push(self.value()?);
                 }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|c| c as char)
-                    ))
+                self.ws();
+                if self.peek() != Some(b',') {
+                    break;
                 }
+                self.i += 1;
             }
         }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
+        self.expect(close)?;
+        self.depth -= 1;
+        Ok(match close {
+            b'}' => Json::Obj(members),
+            _ => Json::Arr(items),
+        })
     }
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.i + 5 > self.b.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                .map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the source is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.b[self.i..];
-                    let ch_len = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf8")?
-                        .chars()
-                        .next()
-                        .map(|c| c.len_utf8())
-                        .unwrap_or(1);
-                    s.push_str(std::str::from_utf8(&rest[..ch_len]).unwrap());
-                    self.i += ch_len;
-                }
+            // Copy the run up to the next quote or backslash as one
+            // slice: both are ASCII, so the run ends on a char boundary.
+            let rest = &self.b[self.i..];
+            let run = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .ok_or("unterminated string")?;
+            s.push_str(&self.src[self.i..self.i + run]);
+            self.i += run + 1;
+            if rest[run] == b'"' {
+                return Ok(s);
+            }
+            let esc = self.peek().ok_or("unterminated string")?;
+            self.i += 1;
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'n' => s.push('\n'),
+                b't' => s.push('\t'),
+                b'r' => s.push('\r'),
+                b'b' => s.push('\u{8}'),
+                b'f' => s.push('\u{c}'),
+                b'u' => s.push(self.unicode()?),
+                other => return Err(format!("bad escape {:?} at byte {}", other as char, self.i)),
             }
         }
     }
 
+    /// The character after `\u`: four hex digits, or a high surrogate
+    /// and the `\u`-escaped low surrogate that completes it.
+    fn unicode(&mut self) -> Result<char, String> {
+        let at = self.i;
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.b[self.i..].starts_with(b"\\u") {
+            self.i += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(format!("lone surrogate at byte {at}"));
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+        }
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate at byte {at}"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self.src.get(self.i..self.i + 4);
+        let hex = hex.filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()));
+        let code = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
+        self.i += 4;
+        code.ok_or_else(|| format!("bad \\u escape at byte {}", self.i - 4))
+    }
+
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
+        let rest = self.b[start..].iter();
+        self.i += rest
+            .take_while(|c| c.is_ascii_digit() || b".eE+-".contains(c))
+            .count();
+        match self.src[start..self.i].parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(format!("number out of range at byte {start}")),
+            Err(_) => Err(format!("bad number at byte {start}")),
         }
-        while matches!(
-            self.peek(),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
     }
 }
 
@@ -274,7 +338,8 @@ mod tests {
     {"model": "e1000e", "queues": 4, "mpps": 39.9}
   ],
   "scaling_4q_vs_1q_e1000e": 3.05
-}"#;
+}
+"#;
         let j = parse(doc).unwrap();
         assert_eq!(
             j.get("experiment").and_then(Json::as_str),
@@ -287,6 +352,8 @@ mod tests {
             j.get("scaling_4q_vs_1q_e1000e").and_then(Json::as_f64),
             Some(3.05)
         );
+        // The record layout is the writer's: rendering reproduces it.
+        assert_eq!(j.render(), doc);
     }
 
     #[test]
@@ -300,6 +367,72 @@ mod tests {
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("1 2").is_err());
+        assert!(parse(r#""\x""#).is_err());
+        assert!(parse(r#""\u12g4""#).is_err());
+        assert!(parse("\"\\u+12a\"").is_err());
+        assert!(parse(r#""\u12"#).is_err());
+    }
+
+    #[test]
+    fn renders_numbers_shortest_and_non_finite_as_null() {
+        let nums = [40.0, 12.381, -0.5, 1e-7, 1e21, f64::NAN, f64::INFINITY];
+        let doc = Json::Arr(nums.map(Json::Num).to_vec());
+        assert_eq!(
+            doc.render(),
+            "[40, 12.381, -0.5, 0.0000001, 1000000000000000000000, null, null]\n"
+        );
+    }
+
+    #[test]
+    fn renders_escaped_strings_and_keys() {
+        let doc = Json::Obj(vec![("k\"\\\n".into(), Json::Str("\u{1}\té😀".into()))]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"k\\\"\\\\\\n\": \"\\u0001\\té😀\"\n}\n"
+        );
+        assert_eq!(parse(&doc.render()).unwrap(), doc);
+        assert_eq!(Json::Obj(vec![]).render(), "{\n}\n");
+    }
+
+    /// The reader is linear in a string's length: one run, one copy.
+    #[test]
+    fn a_one_mib_string_round_trips() {
+        let s: String = "abcdé\"\\\n".chars().cycle().take(1 << 20).collect();
+        let doc = Json::Arr(vec![Json::Str(s)]);
+        assert_eq!(parse(&doc.render()).unwrap(), doc);
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse(&"[".repeat(10_000)).is_err());
+        assert!(parse(&"{\"a\": ".repeat(10_000)).is_err());
+    }
+
+    #[test]
+    fn surrogates_pair_or_fail() {
+        // `escaped("D83D DE00")` is the string literal of two `\u` escapes.
+        let escaped = |hex: &str| {
+            let units: String = hex.split(' ').map(|h| format!("\\u{h}")).collect();
+            parse(&format!("\"{units}\""))
+        };
+        assert_eq!(escaped("D83D DE00"), Ok(Json::Str("\u{1F600}".into())));
+        assert_eq!(escaped("00e9 00E9"), Ok(Json::Str("\u{e9}\u{e9}".into())));
+        for lone in ["D83D", "DE00", "D83D 0041", "DE00 D83D", "D83D D83D"] {
+            assert!(escaped(lone).is_err(), "{lone}");
+        }
+        assert!(parse("\"\\uD83Dx\"").is_err());
+    }
+
+    #[test]
+    fn numbers_that_overflow_fail() {
+        for big in ["1e400", "-1e400", "[1e999]"] {
+            assert!(parse(big).unwrap_err().contains("out of range"), "{big}");
+        }
+        assert_eq!(parse("1e-400").unwrap(), Json::Num(0.0));
     }
 
     #[test]
@@ -317,5 +450,6 @@ mod tests {
         assert_eq!(doc.get("a.ratio").and_then(Json::as_f64), Some(0.97));
         let hist = doc.get("a.lat").unwrap();
         assert_eq!(hist.get("count").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(doc.render(), json);
     }
 }

@@ -23,8 +23,10 @@
 //!   histograms, the hardware-vs-shim field-mix counters, and the trace
 //!   ring, behind a single `enabled` switch (the E15 on/off arms).
 //!
-//! The [`json`] module is the matching reader: a minimal parser the
-//! perf-gate uses to load bench records back (no serde in the tree).
+//! The [`json`] module is the workspace's one JSON reader and writer
+//! (no serde in the tree): snapshots and bench records are built as
+//! [`Json`] values and written by [`Json::render`], and the perf gate
+//! reads records back with [`parse_json`].
 
 pub mod hist;
 pub mod json;

@@ -16,6 +16,7 @@
 //! baselines and what the determinism tests pin down.
 
 use crate::hist::Hist;
+use crate::json::Json;
 use std::collections::BTreeMap;
 
 /// A registered metric value.
@@ -166,59 +167,33 @@ impl Snapshot {
         }
     }
 
-    /// Deterministic JSON: entries in name order, counters as integers,
-    /// gauges via Rust's shortest-roundtrip float formatting, histograms
-    /// as summary stats plus non-empty `[bucket_lo, count]` pairs.
+    /// Deterministic JSON through [`Json::render`]: entries in name
+    /// order, counters and gauges as numbers, histograms as summary
+    /// stats plus non-empty `[bucket_lo, count]` pairs.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        for (i, (name, v)) in self.entries.iter().enumerate() {
-            let sep = if i + 1 < self.entries.len() { "," } else { "" };
-            match v {
-                MetricValue::Counter(c) => {
-                    s.push_str(&format!("  \"{name}\": {c}{sep}\n"));
-                }
-                MetricValue::Gauge(g) => {
-                    s.push_str(&format!("  \"{name}\": {}{sep}\n", fmt_f64(*g)));
-                }
-                MetricValue::Hist(h) => {
-                    s.push_str(&format!(
-                        "  \"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max(),
-                        h.quantile(0.50),
-                        h.quantile(0.90),
-                        h.quantile(0.99),
-                    ));
-                    for (j, (lo, c)) in h.nonzero_buckets().iter().enumerate() {
-                        if j > 0 {
-                            s.push_str(", ");
-                        }
-                        s.push_str(&format!("[{lo}, {c}]"));
-                    }
-                    s.push_str(&format!("]}}{sep}\n"));
-                }
+        let num = |n: u64| Json::Num(n as f64);
+        let value = |v: &MetricValue| match v {
+            MetricValue::Counter(c) => num(*c),
+            MetricValue::Gauge(g) => Json::Num(*g),
+            MetricValue::Hist(h) => {
+                let q = |p| num(h.quantile(p));
+                let pairs = h.nonzero_buckets().into_iter();
+                let buckets = pairs.map(|(lo, c)| Json::Arr(vec![num(lo), num(c)]));
+                let stats = [
+                    ("count", num(h.count())),
+                    ("sum", num(h.sum())),
+                    ("min", num(h.min())),
+                    ("max", num(h.max())),
+                    ("p50", q(0.50)),
+                    ("p90", q(0.90)),
+                    ("p99", q(0.99)),
+                    ("buckets", Json::Arr(buckets.collect())),
+                ];
+                Json::Obj(stats.map(|(k, v)| (k.to_string(), v)).to_vec())
             }
-        }
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// JSON-safe float formatting: finite values use Rust's deterministic
-/// shortest-roundtrip form (always with a decimal point), non-finite
-/// values become null.
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".into();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
+        };
+        let entries = self.entries.iter().map(|(k, v)| (k.clone(), value(v)));
+        Json::Obj(entries.collect()).render()
     }
 }
 
