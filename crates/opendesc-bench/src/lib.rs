@@ -1120,8 +1120,8 @@ pub mod e16 {
 ///
 /// Head-to-head: the same frames and the same offload request go out
 /// twice on e1000e through the same code (`TxBatch`/`TxQueue::submit`:
-/// one copy into a batch buffer, that buffer exchanged into its DMA slot,
-/// bytecode deparse into the ring slot) — once one frame per
+/// one copy into a batch buffer, that buffer exchanged into a free DMA
+/// buffer, bytecode deparse into the ring slot) — once one frame per
 /// doorbell, which is what `TxDriver::send` does, and once 32 frames per
 /// doorbell. Only host submission is timed; the device consumes each
 /// round off the clock, mirroring the E13/E16 discipline of keeping

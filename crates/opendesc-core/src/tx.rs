@@ -287,8 +287,9 @@ impl CompiledTxPlan {
 /// of VLAN headroom so software tag insertion never reallocates), a
 /// length column and a request column. Reused across submissions:
 /// [`TxQueue::submit`] exchanges each buffer it places for the one the
-/// device has finished with, so the batch always owns `cap` buffers and
-/// `clear` frees none of them.
+/// device finished with last, so the batch always owns `cap` buffers,
+/// the next [`push`](TxBatch::push) writes into one still warm from the
+/// device's read, and `clear` frees none of them.
 pub struct TxBatch {
     bufs: Vec<Vec<u8>>,
     lens: Vec<u32>,
@@ -341,7 +342,8 @@ impl TxBatch {
 
     /// The `i`-th frame as pushed, while the batch still owns it. Once
     /// `submit` has placed it the device owns its buffer and this is
-    /// empty; frames a full ring left unplaced read back untouched.
+    /// empty; frames a submit did not place (a full ring, a freed DMA
+    /// address) read back untouched.
     #[inline]
     pub fn frame(&self, i: usize) -> &[u8] {
         &self.bufs[i][..self.lens[i] as usize]
@@ -367,43 +369,53 @@ pub struct TxQueueStats {
 }
 
 /// The batched, allocation-free, copy-free transmit path. `attach`
-/// pre-allocates one DMA buffer per ring entry; `submit` then cycles
-/// through them round-robin, reclaiming lazily from the NIC's consumed
-/// count — no completion queue walk, no locks, no per-send allocation.
-/// A frame buffer has one owner at a time: the batch until `submit`
-/// exchanges it into a DMA slot, the device until the slot's descriptor
-/// is consumed, then the batch again when the slot is next chosen. The
-/// doorbell rings once per batch.
+/// pre-allocates one DMA buffer per ring entry into a free stack;
+/// `submit` reclaims lazily from the NIC's consumed count — no
+/// completion queue walk, no locks, no per-send allocation — and takes
+/// the buffer the device consumed last, so the buffers in circulation
+/// are as many as the deepest backlog, not the ring. A frame buffer has
+/// one owner at a time: the batch until `submit` exchanges it into a
+/// DMA buffer, the device until that descriptor is consumed, then the
+/// free stack, then the batch again when a submit pops it. The doorbell
+/// rings once per batch.
 pub struct TxQueue {
     plan: Arc<CompiledTxPlan>,
-    /// Pre-allocated DMA slots, one per ring entry.
-    slots: Vec<u64>,
-    /// Frame bytes each DMA slot was sized for; a batch must match it.
+    /// DMA addresses no descriptor in flight points at; the top is the
+    /// one the device consumed last.
+    free: Vec<u64>,
+    /// The DMA address each descriptor went out with, at its descriptor
+    /// number modulo the ring size.
+    posted: Vec<u64>,
+    /// Frame bytes each DMA buffer was sized for; a batch must match it.
     max_frame: usize,
     /// Frames submitted since attach.
     submitted: u64,
-    /// NIC consumed-count at attach (the NIC may be shared with other
-    /// traffic before this queue exists).
-    cons_base: u64,
+    /// Descriptors whose addresses are back on `free`.
+    reclaimed: u64,
+    /// Descriptors the NIC's TX ring had produced at attach (the NIC may
+    /// be shared with other traffic before this queue exists).
+    base: u64,
     pub stats: TxQueueStats,
 }
 
 impl TxQueue {
     /// Attach to a NIC: program the H2C context and pre-allocate DMA
-    /// buffers sized for `max_frame` plus VLAN headroom. The queue
-    /// assumes exclusive use of the NIC's TX ring.
+    /// buffers sized for `max_frame` plus VLAN headroom. From here on
+    /// the queue must be the TX ring's only producer; a submit that
+    /// finds another one's descriptors is refused.
     pub fn attach(nic: &mut SimNic, plan: Arc<CompiledTxPlan>, max_frame: usize) -> TxQueue {
         nic.configure_tx(plan.tx.context.clone());
         let zero = vec![0u8; max_frame + 4];
-        let slots = (0..nic.tx_ring.capacity())
-            .map(|_| nic.host_mem.alloc(&zero))
-            .collect();
+        let entries = nic.tx_ring.capacity();
+        let free = (0..entries).map(|_| nic.host_mem.alloc(&zero)).collect();
         TxQueue {
             plan,
-            slots,
+            free,
+            posted: vec![0; entries],
             max_frame,
             submitted: 0,
-            cons_base: nic.tx_completed(),
+            reclaimed: 0,
+            base: nic.tx_completed() + nic.tx_ring.len() as u64,
             stats: TxQueueStats::default(),
         }
     }
@@ -426,13 +438,19 @@ impl TxQueue {
 
     /// Descriptors posted but not yet consumed by the device.
     pub fn in_flight(&self, nic: &SimNic) -> u64 {
-        self.submitted - (nic.tx_completed() - self.cons_base)
+        self.submitted.saturating_sub(self.consumed(nic))
+    }
+
+    /// This queue's descriptors the device has consumed: the ring is
+    /// FIFO, so everything produced before attach goes first.
+    fn consumed(&self, nic: &SimNic) -> u64 {
+        nic.tx_completed().saturating_sub(self.base)
     }
 
     /// Submit as many frames from the batch as the ring can take right
     /// now; returns the count placed. Software fix-ups run in the
     /// batch's buffers (in place), each buffer is then exchanged into
-    /// its DMA slot, the deparse bytecode writes each descriptor
+    /// a free DMA buffer, the deparse bytecode writes each descriptor
     /// straight into its ring slot, and the doorbell rings once at the
     /// end. `Ok(n)` short of the batch only ever means a full ring.
     pub fn submit(&mut self, nic: &mut SimNic, batch: &mut TxBatch) -> Result<usize, NicError> {
@@ -441,10 +459,18 @@ impl TxQueue {
 
     /// [`submit`](TxQueue::submit) starting at batch index `from` — the
     /// resubmission path after ring back-pressure; frames a submit did
-    /// not place are untouched. A batch built for another frame size
-    /// than the queue was attached for cannot trade buffers with its
-    /// DMA slots and is a `BadConfig`: nothing fixed up, posted, counted
-    /// or rung.
+    /// not place are untouched.
+    ///
+    /// Refused whole, with nothing fixed up, posted, counted or rung:
+    /// a batch built for another frame size than the queue was attached
+    /// for (it cannot trade buffers with the DMA buffers), a descriptor
+    /// longer than the ring's slots, and a ring another producer has
+    /// posted to since attach (its consumed descriptors are not this
+    /// queue's to reclaim). A DMA address freed under the queue is a
+    /// `BadConfig` too, but only from that frame on: what this call
+    /// placed before it is posted, rung and counted, the frame and every
+    /// later one stay in the batch as pushed, and the address leaves the
+    /// pool.
     pub fn submit_from(
         &mut self,
         nic: &mut SimNic,
@@ -457,38 +483,69 @@ impl TxQueue {
                 batch.max_frame, self.max_frame
             )));
         }
-        let free = self.slots.len() as u64 - self.in_flight(nic);
-        let pending = batch.len().saturating_sub(from);
-        let room = (pending as u64).min(free) as usize;
         let plan = Arc::clone(&self.plan);
         let desc_bytes = plan.tx.layout.size_bytes() as usize;
+        let slot = nic.tx_ring.slot_size();
+        if desc_bytes > slot {
+            return Err(NicError::Ring(RingError::EntryTooLarge {
+                len: desc_bytes,
+                slot,
+            }));
+        }
+        let produced = nic.tx_completed() + nic.tx_ring.len() as u64;
+        let foreign = produced - self.base - self.submitted;
+        if foreign > 0 {
+            return Err(NicError::BadConfig(format!(
+                "{foreign} TX descriptors on the ring were posted by another producer"
+            )));
+        }
+        // Consumed descriptors give their addresses back in the order
+        // the device took them, so the top of the stack is the warmest.
+        let mask = self.posted.len() - 1;
+        let done = self.consumed(nic);
+        for d in self.reclaimed..done {
+            self.free.push(self.posted[d as usize & mask]);
+        }
+        self.reclaimed = done;
+        let pending = batch.len().saturating_sub(from);
+        let room = pending.min(self.free.len()).min(nic.tx_ring.free());
+        let mut dead = None;
         let mut n = 0;
         for i in from..from + room {
+            let Some(dma) = self.free.pop() else { break };
             let req = batch.reqs[i];
             let mut len = batch.lens[i] as usize;
             let buf = batch.bufs[i].as_mut_slice();
-            if let Some(tci) = req.vlan {
-                // A priority tag (TCI 0) never rides the descriptor:
-                // the hint encoding reserves 0 for "none" (`txreg::VLAN`).
-                if plan.sw_vlan || tci == 0 {
-                    if let Some(nl) = fixup::insert_vlan_in_slice(buf, len, tci) {
-                        len = nl;
-                        self.stats.sw_fixups += 1;
-                    }
+            // A priority tag (TCI 0) never rides the descriptor: the
+            // hint encoding reserves 0 for "none" (`txreg::VLAN`).
+            let sw_vlan = req.vlan.filter(|&tci| plan.sw_vlan || tci == 0);
+            let sw_ip = req.ip_csum && plan.sw_ip_csum;
+            let sw_l4 = req.l4_csum && plan.sw_l4_csum;
+            if sw_vlan.is_some() || sw_ip || sw_l4 {
+                // Fix-ups write the frame in place, so only once its
+                // buffer is sure to move: a frame that cannot go out is
+                // left as pushed.
+                if nic.host_mem.buf_capacity(dma) != Some(buf.len()) {
+                    dead = Some(dma);
+                    break;
+                }
+                if let Some(nl) = sw_vlan.and_then(|tci| fixup::insert_vlan_in_slice(buf, len, tci))
+                {
+                    len = nl;
+                    self.stats.sw_fixups += 1;
+                }
+                if sw_ip && fixup::fill_ipv4_checksum(&mut buf[..len]) {
+                    self.stats.sw_fixups += 1;
+                }
+                if sw_l4 && fixup::fill_l4_checksum(&mut buf[..len]) {
+                    self.stats.sw_fixups += 1;
                 }
             }
-            if req.ip_csum && plan.sw_ip_csum && fixup::fill_ipv4_checksum(&mut buf[..len]) {
-                self.stats.sw_fixups += 1;
-            }
-            if req.l4_csum && plan.sw_l4_csum && fixup::fill_l4_checksum(&mut buf[..len]) {
-                self.stats.sw_fixups += 1;
-            }
-            // The slot's last descriptor was consumed (`free` counted
-            // it), so the buffer that comes back is the batch's again.
-            let dma = self.slots[(self.submitted % self.slots.len() as u64) as usize];
+            // No descriptor in flight points at `dma`, so the buffer that
+            // comes back is the batch's again.
             if !nic.host_mem.swap(dma, &mut batch.bufs[i]) {
-                let why = format!("TX DMA slot {dma:#x} is no longer a registered buffer");
-                return Err(NicError::BadConfig(why));
+                dead = Some(dma);
+                break;
             }
             batch.lens[i] = 0;
             let hints: [u128; txreg::COUNT] = [
@@ -503,7 +560,8 @@ impl TxQueue {
             ];
             nic.tx_ring
                 .produce_with(desc_bytes, |desc| plan.prog.run_deparse(&hints, desc))
-                .map_err(NicError::Ring)?;
+                .expect("room and the slot size were checked before the first swap");
+            self.posted[self.submitted as usize & mask] = dma;
             self.submitted += 1;
             n += 1;
         }
@@ -512,6 +570,11 @@ impl TxQueue {
             self.stats.doorbells += 1;
             self.stats.frames += n as u64;
         }
+        if let Some(dma) = dead {
+            return Err(NicError::BadConfig(format!(
+                "TX DMA buffer {dma:#x} is no longer registered; {n} frames before it were posted"
+            )));
+        }
         if n < pending {
             self.stats.stalls += 1;
         }
@@ -519,8 +582,8 @@ impl TxQueue {
     }
 }
 
-/// Frame bytes each of the driver's DMA slots (and its one-slot batch)
-/// holds.
+/// Frame bytes each of the driver's DMA buffers (and its one-slot
+/// batch) holds.
 const DRIVER_SLOT_BYTES: usize = 2048;
 
 /// The generated transmit half of the driver: a [`TxQueue`] fed one
@@ -574,10 +637,11 @@ impl TxDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opendesc_nicsim::models;
+    use opendesc_nicsim::models::{self, NicModel};
     use opendesc_softnic::checksum::{verify_ipv4_checksum, verify_l4_checksum};
     use opendesc_softnic::testpkt;
     use opendesc_softnic::wire::ParsedFrame;
+    use std::collections::{HashMap, VecDeque};
 
     fn zeroed_frame() -> Vec<u8> {
         let mut f = testpkt::udp4([10, 7, 0, 1], [10, 7, 0, 2], 50, 60, b"send me", None);
@@ -865,7 +929,7 @@ mod tests {
             vlan: Some(0x0042),
             ..Default::default()
         };
-        // Larger and smaller than the queue's DMA slots: neither can
+        // Larger and smaller than the queue's DMA buffers: neither can
         // trade buffers with them, so neither is touched at all.
         for max_frame in [256, 60] {
             let mut batch = TxBatch::new(4, max_frame);
@@ -896,6 +960,193 @@ mod tests {
         }
         assert_eq!((drains, q.stats.stalls, q.stats.doorbells), (12, 1, 2));
         assert_eq!(nic.tx_stats.bad_buffers, 0);
+    }
+
+    /// A queue for [`tx_intent`] on a `ring`-entry NIC of `model`.
+    fn queue_on(model: NicModel, ring: usize, max_frame: usize) -> (SimNic, TxQueue) {
+        let mut reg = SemanticRegistry::with_builtins();
+        let intent = tx_intent(&mut reg);
+        let compiled = compile_tx(
+            &Selector::default(),
+            &model.p4_source,
+            "DescParser",
+            &model.name,
+            &intent,
+            &mut reg,
+        )
+        .unwrap();
+        let mut nic = SimNic::new(model, ring).unwrap();
+        let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
+        let q = TxQueue::attach(&mut nic, plan, max_frame);
+        (nic, q)
+    }
+
+    #[test]
+    fn a_ring_another_producer_posted_to_is_refused() {
+        let (mut nic, mut q) = queue_on(models::e1000e(), 8, 64);
+        let req = TxRequest {
+            l4_csum: true,
+            vlan: Some(0x0042),
+            ..Default::default()
+        };
+        let mut batch = TxBatch::new(2, 64);
+        assert!(batch.push(&zeroed_frame(), req));
+        assert_eq!(q.submit(&mut nic, &mut batch).unwrap(), 1);
+        let before = q.stats;
+        // A descriptor this queue never posted, consumed or not: its
+        // position carries no address of the queue's to reclaim.
+        nic.post_tx(&[0u8; 12]).unwrap();
+        for drained in [false, true] {
+            if drained {
+                assert_eq!(nic.process_tx_drain(), 1, "the queue's frame went out");
+            }
+            let mut batch = TxBatch::new(2, 64);
+            assert!(batch.push(&zeroed_frame(), req));
+            let err = q.submit(&mut nic, &mut batch).unwrap_err();
+            let NicError::BadConfig(why) = err else {
+                panic!("expected BadConfig, got {err:?}");
+            };
+            assert!(why.starts_with("1 TX descriptors"), "{why}");
+            assert_eq!(batch.frame(0), zeroed_frame(), "nothing fixed up");
+            let s = q.stats;
+            assert_eq!(
+                (s.frames, s.doorbells, s.sw_fixups, s.stalls),
+                (
+                    before.frames,
+                    before.doorbells,
+                    before.sw_fixups,
+                    before.stalls
+                ),
+                "nothing counted"
+            );
+            assert_eq!(
+                nic.tx_ring.len(),
+                if drained { 0 } else { 2 },
+                "nothing posted"
+            );
+            assert!(q.in_flight(&nic) <= 1);
+        }
+        assert_eq!(nic.tx_stats.descs, 2);
+    }
+
+    #[test]
+    fn a_freed_dma_address_fails_closed_from_that_frame_on() {
+        // e1000e fixes VLAN and L4 up in software, so the address is
+        // checked before the frame is touched; qdma carries both, so the
+        // exchange itself refuses.
+        for model in [models::e1000e(), models::qdma_default()] {
+            let name = model.name.clone();
+            let (mut nic, mut q) = queue_on(model, 8, 64);
+            let req = TxRequest {
+                l4_csum: true,
+                vlan: Some(0x0042),
+                ..Default::default()
+            };
+            let frames: Vec<Vec<u8>> = (0..6u8)
+                .map(|k| {
+                    let mut f = zeroed_frame();
+                    *f.last_mut().unwrap() = k;
+                    f
+                })
+                .collect();
+            let want: Vec<Vec<u8>> = (frames.iter())
+                .map(|f| {
+                    let mut w = fixup::insert_vlan(f, 0x0042).unwrap();
+                    fixup::fill_l4_checksum(&mut w);
+                    w
+                })
+                .collect();
+            let mut batch = TxBatch::new(6, 64);
+            for f in &frames {
+                assert!(batch.push(f, req));
+            }
+            // The third address the next submit takes.
+            let dead = q.free[q.free.len() - 3];
+            assert!(nic.host_mem.free(dead));
+            let err = q.submit(&mut nic, &mut batch).unwrap_err();
+            let NicError::BadConfig(why) = err else {
+                panic!("{name}: expected BadConfig, got {err:?}");
+            };
+            assert!(why.contains(&format!("{dead:#x}")), "{name}: {why}");
+            // The two frames before it are posted, rung and counted;
+            // no ring slot was claimed for the rest.
+            let s = q.stats;
+            assert_eq!((s.frames, s.doorbells, s.stalls), (2, 1, 0), "{name}");
+            assert_eq!((q.in_flight(&nic), nic.tx_ring.len()), (2, 2), "{name}");
+            for i in 0..2 {
+                assert!(batch.frame(i).is_empty(), "{name}: placed frame {i}");
+            }
+            for (i, frame) in frames.iter().enumerate().skip(2) {
+                assert_eq!(batch.frame(i), frame, "{name}: frame {i} was touched");
+            }
+            assert_eq!(nic.process_tx(), want[..2], "{name}");
+            // The rest goes out from the failed frame on, none of it
+            // empty, and the dead address has left the pool.
+            assert_eq!(q.submit_from(&mut nic, &mut batch, 2).unwrap(), 4);
+            assert!(!q.free.contains(&dead), "{name}");
+            assert_eq!(q.free.len() as u64 + q.in_flight(&nic), 7, "{name}");
+            assert_eq!(nic.process_tx(), want[2..], "{name}");
+            assert_eq!((q.stats.frames, q.stats.doorbells), (6, 2), "{name}");
+            assert_eq!(nic.tx_stats.bad_buffers, 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn submit_takes_the_address_the_device_consumed_last() {
+        let (mut nic, mut q) = queue_on(models::qdma_default(), 8, 64);
+        let buf_addr = SemanticRegistry::with_builtins().id(names::BUF_ADDR);
+        let at = q.plan().tx.layout.slot_for(buf_addr.unwrap());
+        let (off, width) = at.map(|s| (s.offset_bits, s.width_bits)).unwrap();
+        let mut batch = TxBatch::new(5, 64);
+        // The test plays the device, reading each descriptor's address.
+        // Its model of the free stack holds the addresses it has seen
+        // consumed and no later descriptor took, the last consumed on
+        // top; below them the queue keeps addresses never posted, which
+        // the model does not name.
+        let mut warm: Vec<u64> = Vec::new();
+        // Per posted descriptor, in order: the address the model expects
+        // and how many descriptors the device had consumed by then.
+        let mut expect: VecDeque<(Option<u64>, u64)> = VecDeque::new();
+        let mut last_use: HashMap<u64, u64> = HashMap::new();
+        let (mut consumed, mut predicted) = (0u64, 0);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..400 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            batch.clear();
+            for _ in 0..rng % 6 {
+                batch.push(&zeroed_frame(), TxRequest::default());
+            }
+            let n = q.submit(&mut nic, &mut batch).unwrap();
+            for _ in 0..n {
+                expect.push_back((warm.pop(), consumed));
+            }
+            for _ in 0..(rng >> 8) % 5 {
+                let Some(desc) = nic.tx_ring.consume() else {
+                    break;
+                };
+                let addr = opendesc_ir::bits::read_bits(desc, off, width) as u64;
+                let (want, posted_at) = expect.pop_front().unwrap();
+                if let Some(want) = want {
+                    assert_eq!(addr, want, "step {step}: not the address consumed last");
+                    predicted += 1;
+                }
+                if let Some(prev) = last_use.insert(addr, consumed) {
+                    assert!(
+                        prev < posted_at,
+                        "step {step}: {addr:#x} posted while descriptor {prev} still held it"
+                    );
+                }
+                warm.push(addr);
+                consumed += 1;
+            }
+        }
+        assert!(
+            predicted > 200,
+            "the model named only {predicted} addresses"
+        );
+        assert!(last_use.len() <= 8, "more addresses than ring entries");
     }
 
     #[test]

@@ -170,7 +170,7 @@ pin() { # crate, pinned line count
         fail=1
     fi
 }
-pin opendesc-core 5364
+pin opendesc-core 5402
 pin opendesc-ir 1983
 pin opendesc-nicsim 2439
 pin opendesc-softnic 913

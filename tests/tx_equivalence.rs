@@ -15,6 +15,12 @@
 //! The third property closes the loop: a full-duplex [`ShardedEngine`]
 //! forwarding every packet verbatim must put the same multiset of
 //! frames on the wire that was delivered to its queues.
+//!
+//! The first property also draws when the device drains: only when a
+//! submit comes up short, or after a drawn subset of flushes, so DMA
+//! buffers are taken while others are in flight and the queue's free
+//! stack holds a mix. `CHAOS_SEED` is mixed into that schedule (the CI
+//! chaos job fans this suite out across seeds); failures print it.
 
 use opendesc::compiler::{
     compile_tx, lower_tx, txreg, CompiledTxPlan, ForwardFn, Intent, PlanCache, RxBatch, Selector,
@@ -27,6 +33,26 @@ use opendesc::softnic::{fixup, testpkt};
 use opendesc_reference::tx_descriptor;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// CI override: mixes an external seed into the drain schedule so the
+/// chaos job explores distinct interleavings per matrix entry.
+fn env_seed() -> u64 {
+    std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
+/// When the device drains besides a short submit: after flush `k` (or,
+/// one frame per doorbell, after send `k`) if bit `k % 64` is set.
+#[derive(Debug, Clone, Copy)]
+struct Drains(u64);
+
+impl Drains {
+    fn after(self, k: usize) -> bool {
+        self.0 >> (k % 64) & 1 == 1
+    }
+}
 
 /// Every model whose contract includes a TX descriptor parser.
 fn tx_models() -> Vec<NicModel> {
@@ -113,14 +139,16 @@ fn expected_wire(frame: &[u8], req: TxRequest) -> Vec<u8> {
 /// Wire frames the product emits for `cases` at one batch capacity on
 /// a `ring`-entry TX ring. Capacity 1 is `TxDriver::send` (one frame,
 /// one doorbell); above that frames accumulate in a `TxBatch` and go out
-/// through `TxQueue::submit`, one doorbell per batch. Where the ring is
-/// smaller than the batch, what fits is placed, the device consumes it,
-/// and the remainder is resubmitted with `submit_from`.
+/// through `TxQueue::submit`, one doorbell per batch. When a submit
+/// comes up short (the ring is full) the device consumes and the
+/// remainder is resubmitted with `submit_from`; otherwise the device
+/// drains only where `drains` says and once at the end.
 fn submitted_wire(
     model: &NicModel,
     cases: &[(Vec<u8>, TxRequest)],
     batch_cap: usize,
     ring: usize,
+    drains: Drains,
 ) -> Vec<Vec<u8>> {
     let mut reg = SemanticRegistry::with_builtins();
     let intent = tx_intent(&mut reg);
@@ -137,11 +165,14 @@ fn submitted_wire(
     let mut out = Vec::new();
     if batch_cap == 1 {
         let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
-        for (frame, req) in cases {
+        for (k, (frame, req)) in cases.iter().enumerate() {
             if tx.send(&mut nic, frame, *req).is_err() {
                 // A full ring: the device consumes, then the frame goes.
                 out.extend(nic.process_tx());
                 tx.send(&mut nic, frame, *req).unwrap();
+            }
+            if drains.after(k) {
+                out.extend(nic.process_tx());
             }
         }
         out.extend(nic.process_tx());
@@ -150,14 +181,22 @@ fn submitted_wire(
     let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
     let mut q = TxQueue::attach(&mut nic, plan, 2048);
     let mut batch = TxBatch::new(batch_cap, 2048);
+    let mut flushes = 0;
     let mut flush = |nic: &mut SimNic, batch: &mut TxBatch| {
-        let mut from = 0;
+        let (mut from, mut drained) = (0, false);
         while from < batch.len() {
             let placed = q.submit_from(nic, batch, from).unwrap();
-            assert!(placed > 0, "an empty ring took nothing");
+            assert!(placed > 0 || !drained, "a drained ring took nothing");
             from += placed;
+            drained = from < batch.len();
+            if drained {
+                out.extend(nic.process_tx());
+            }
+        }
+        if drains.after(flushes) {
             out.extend(nic.process_tx());
         }
+        flushes += 1;
         batch.clear();
     };
     for (frame, req) in cases {
@@ -167,6 +206,7 @@ fn submitted_wire(
         }
     }
     flush(&mut nic, &mut batch);
+    out.extend(nic.process_tx());
     out
 }
 
@@ -180,13 +220,21 @@ proptest! {
     fn submitted_wire_equals_oracle_on_every_tx_model(
         cases in proptest::collection::vec((arb_frame(), arb_req()), 1..24),
         extra_cap in 1..33usize,
+        (only_short, bits) in (any::<bool>(), any::<u64>()),
     ) {
+        // Drain only when a submit comes up short, or after a drawn
+        // subset of flushes as well.
+        let drains = Drains(if only_short {
+            0
+        } else {
+            bits ^ env_seed().wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
         // Beside the ring nothing wraps on, an 8-entry one under at
         // least four laps of traffic, alternately longest-first and as
-        // generated: every DMA slot and every batch buffer is reused
-        // again and again, for a frame shorter than the stale one it
-        // still holds, and a batch above 8 frames only goes out through
-        // resubmission.
+        // generated: every batch buffer, and each DMA buffer the queue
+        // hands back, carries frame after frame, each shorter than the
+        // stale one it still holds may be, and a batch above 8 frames
+        // only goes out through resubmission.
         let mut long_first = cases.clone();
         long_first.sort_by_key(|(f, _)| std::cmp::Reverse(f.len()));
         let laps = 32usize.div_ceil(cases.len()).max(4);
@@ -198,15 +246,17 @@ proptest! {
             let want: Vec<Vec<u8>> = cases.iter().map(|(f, r)| expected_wire(f, *r)).collect();
             for model in tx_models() {
                 for batch_cap in [1, 2, 7, 32, extra_cap] {
-                    let got = submitted_wire(&model, cases, batch_cap, ring);
+                    let got = submitted_wire(&model, cases, batch_cap, ring, drains);
                     for (i, want) in want.iter().enumerate() {
                         prop_assert_eq!(
                             got.get(i),
                             Some(want),
-                            "{} / ring {} / batch_cap {}: frame {} ({:02x?}) with {:?} diverged from the oracle",
+                            "{} / ring {} / batch_cap {} / {:?} / CHAOS_SEED={}: frame {} ({:02x?}) with {:?} diverged from the oracle",
                             model.name.clone(),
                             ring,
                             batch_cap,
+                            drains,
+                            env_seed(),
                             i,
                             cases[i].0.clone(),
                             cases[i].1
