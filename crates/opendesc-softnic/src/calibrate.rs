@@ -49,7 +49,8 @@ impl CalibrationReport {
     }
 }
 
-/// Measure the median-of-means cost of computing `sem` over `frame`.
+/// Measure the cost of computing `sem` over `frame`: the lowest of three
+/// rounds' mean over `iters` calls (min-of-means).
 fn measure_ns(soft: &mut SoftNic, name: &str, frame: &[u8], iters: u32) -> f64 {
     // Warm up (page in code, fill the flow table entry once).
     for _ in 0..16 {

@@ -2,7 +2,8 @@
 //! well-known semantic (paper §4 step 4 — "SoftNIC shims").
 //!
 //! When the selected completion layout does not provide a requested
-//! semantic, the compiled datapath calls [`SoftNic::compute`] per packet.
+//! semantic, the compiled datapath runs its lowered [`ShimOp`] down the
+//! batch ([`SoftNic::exec_column`]).
 //! The engine is also what the paper calls the *reference implementation*
 //! shipped with each feature: the NIC simulator's offload engine delegates
 //! here so hardware and software compute identical values.
@@ -75,9 +76,10 @@ impl ShimOp {
 }
 
 /// Per-packet memo shared by the shims of one packet: results that more
-/// than one op may need are computed at most once. Reset (or fresh) per
-/// packet.
-#[derive(Debug, Clone, Default)]
+/// than one op may need are computed at most once. One memo per packet:
+/// a column pass keeps one per row for every op it runs down the batch,
+/// a per-packet runner resets (or makes fresh) one for each packet.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShimMemo {
     /// RSS over the frame: `None` = not computed yet; `Some(r)` caches
     /// the result (which may itself be `None` for non-IP frames).
@@ -132,8 +134,8 @@ pub mod rx_status {
 /// cost the selection objective charges for it).
 #[derive(Debug, Clone)]
 pub struct SoftNic {
-    /// Emulated flow table: 5-tuple hash → tag, insertion-ordered ids.
-    flow_table: HashMap<u64, u32>,
+    /// Emulated flow table: packed 5-tuple → tag, insertion-ordered ids.
+    flow_table: HashMap<u128, u32>,
     next_flow_tag: u32,
     /// Shim ops executed over this engine's lifetime (telemetry: the
     /// software half of the field-source mix).
@@ -156,9 +158,10 @@ impl SoftNic {
     }
 
     /// Shim ops executed so far (every [`exec_op`] call, including ones
-    /// that returned `None`).
+    /// that returned `None`; [`exec_column`] counts one per parsed row).
     ///
     /// [`exec_op`]: SoftNic::exec_op
+    /// [`exec_column`]: SoftNic::exec_column
     pub fn shim_ops(&self) -> u64 {
         self.shim_ops
     }
@@ -257,6 +260,68 @@ impl SoftNic {
         }
     }
 
+    /// Run one op down a column of parsed frames: `out[i]` is what
+    /// [`exec_op`] returns for `parsed[i]` under `memos[i]`, and a row
+    /// that did not parse (`None`) reads `None` without running the op.
+    /// The op is matched once per column, so each arm's loop runs the
+    /// inlined `exec_op` on a constant op: nothing is left to dispatch
+    /// on per row. A frame's length is that of its Ethernet view.
+    /// Always inlined: a one-row column (the one-slot `poll`) would
+    /// otherwise pay a call per op that per-packet execution does not.
+    ///
+    /// # Panics
+    /// Panics if `memos` or `out` is shorter than `parsed`.
+    ///
+    /// [`exec_op`]: SoftNic::exec_op
+    #[inline(always)]
+    pub fn exec_column(
+        &mut self,
+        op: ShimOp,
+        parsed: &[Option<ParsedFrame<'_>>],
+        memos: &mut [ShimMemo],
+        out: &mut [Option<u128>],
+    ) {
+        #[inline(always)]
+        fn run(
+            soft: &mut SoftNic,
+            op: ShimOp,
+            parsed: &[Option<ParsedFrame<'_>>],
+            memos: &mut [ShimMemo],
+            out: &mut [Option<u128>],
+        ) {
+            for ((o, p), memo) in out.iter_mut().zip(parsed).zip(memos) {
+                *o = p
+                    .as_ref()
+                    .and_then(|p| soft.exec_op(op, p, p.eth.as_bytes().len(), memo))
+                    .map(u128::from);
+            }
+        }
+        let rows = parsed.len();
+        let (memos, out) = (&mut memos[..rows], &mut out[..rows]);
+        macro_rules! each {
+            ($($op:ident),*) => {
+                match op {
+                    $(ShimOp::$op => run(self, ShimOp::$op, parsed, memos, out),)*
+                }
+            };
+        }
+        each!(
+            RssHash,
+            IpChecksum,
+            L4Checksum,
+            VlanTci,
+            PktLen,
+            PacketType,
+            IpId,
+            PayloadOffset,
+            FlowTag,
+            KvsKeyHash,
+            QueueHint,
+            RxStatus,
+            Unsupported
+        );
+    }
+
     /// Memoized [`rss`]: computed at most once per (`packet`, `memo`)
     /// even when several ops need it (`rss_hash` + `queue_hint`).
     ///
@@ -302,12 +367,16 @@ impl SoftNic {
     }
 
     /// Emulated flow-table tag: stable per 5-tuple, assigned on first
-    /// sight.
+    /// sight. The table is keyed by the whole 104-bit tuple, so two
+    /// flows never share a tag.
     pub fn flow_tag(&mut self, p: &ParsedFrame<'_>) -> Option<u32> {
         let ip = p.ipv4.as_ref()?;
         let (sp, dp) = p.ports()?;
-        let key = ((ip.src() as u64) << 32 | ip.dst() as u64)
-            ^ ((sp as u64) << 48 | (dp as u64) << 16 | ip.protocol() as u64);
+        let key = (ip.src() as u128) << 72
+            | (ip.dst() as u128) << 40
+            | (sp as u128) << 24
+            | (dp as u128) << 8
+            | ip.protocol() as u128;
         let tag = *self.flow_table.entry(key).or_insert_with(|| {
             let t = self.next_flow_tag;
             self.next_flow_tag = self.next_flow_tag.wrapping_add(1).max(1);
@@ -321,23 +390,23 @@ impl SoftNic {
 /// the reference implementation of the `kvs_key_hash` semantic (the
 /// paper's Fig. 1 "result of a specific feature" example, after
 /// FlexNIC's KVS offload).
+///
+/// The key ends at the first `\r\n` (or with the payload); one pass
+/// finds that end and hashes what comes before it.
 #[inline]
 pub fn kvs_key_hash(payload: &[u8]) -> Option<u32> {
-    let rest = payload.strip_prefix(b"get ")?;
-    let end = rest
-        .windows(2)
-        .position(|w| w == b"\r\n")
-        .unwrap_or(rest.len());
-    let key = &rest[..end];
-    if key.is_empty() {
-        return None;
-    }
+    let mut rest = payload.strip_prefix(b"get ")?.iter();
     let mut h: u32 = 0x811c9dc5;
-    for &b in key {
+    let mut len = 0;
+    while let Some(&b) = rest.next() {
+        if b == b'\r' && rest.as_slice().first() == Some(&b'\n') {
+            break;
+        }
         h ^= b as u32;
         h = h.wrapping_mul(0x01000193);
+        len += 1;
     }
-    Some(h)
+    (len > 0).then_some(h)
 }
 
 // Send audit (sharded RX engine): every worker thread owns its own
@@ -356,6 +425,7 @@ mod tests {
     use super::*;
     use crate::testpkt;
     use crate::toeplitz::rss_ipv4_l4;
+    use proptest::prelude::*;
 
     fn udp_frame() -> Vec<u8> {
         testpkt::udp4([10, 1, 0, 1], [10, 1, 0, 2], 5000, 6000, b"payload", None)
@@ -431,6 +501,87 @@ mod tests {
         assert_eq!(ta1, ta2, "same 5-tuple, same tag");
         assert_ne!(ta1, tb, "different flow, different tag");
         assert_eq!(sn.flow_table.len(), 2);
+    }
+
+    #[test]
+    fn flow_tags_key_on_the_whole_tuple() {
+        // Equal under a 64-bit XOR fold of the tuple, distinct flows.
+        let mut sn = SoftNic::new();
+        let a = testpkt::udp4([0, 0, 0, 0], [0, 0, 0, 0], 1, 0, b"", None);
+        let b = testpkt::udp4([0, 1, 0, 0], [0, 0, 0, 0], 0, 0, b"", None);
+        let ta = sn.compute_by_name(names::FLOW_TAG, &a).unwrap();
+        let tb = sn.compute_by_name(names::FLOW_TAG, &b).unwrap();
+        assert_ne!(ta, tb, "distinct 5-tuples share a tag");
+        assert_eq!(sn.flow_table.len(), 2);
+    }
+
+    /// The two-pass definition [`kvs_key_hash`] folds into one loop:
+    /// find the first CRLF, then FNV-1a over what precedes it.
+    fn kvs_key_hash_two_pass(payload: &[u8]) -> Option<u32> {
+        let rest = payload.strip_prefix(b"get ")?;
+        let end = rest
+            .windows(2)
+            .position(|w| w == b"\r\n")
+            .unwrap_or(rest.len());
+        let key = &rest[..end];
+        if key.is_empty() {
+            return None;
+        }
+        let mut h: u32 = 0x811c9dc5;
+        for &b in key {
+            h ^= b as u32;
+            h = h.wrapping_mul(0x01000193);
+        }
+        Some(h)
+    }
+
+    fn arb_kvs_payload() -> impl Strategy<Value = Vec<u8>> {
+        // Bytes biased toward the ones the key scan looks at.
+        let byte = prop_oneof![Just(b'\r'), Just(b'\n'), Just(b'a'), any::<u8>()];
+        let body = proptest::collection::vec(byte, 0..24);
+        let prefix = prop_oneof![
+            Just(b"get ".to_vec()),
+            Just(b"set ".to_vec()),
+            Just(b"get".to_vec()),
+            Just(Vec::new()),
+            proptest::collection::vec(any::<u8>(), 0..6),
+        ];
+        (prefix, body).prop_map(|(mut p, b)| {
+            p.extend_from_slice(&b);
+            p
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn kvs_key_hash_equals_its_two_pass_definition(payload in arb_kvs_payload()) {
+            prop_assert_eq!(kvs_key_hash(&payload), kvs_key_hash_two_pass(&payload));
+        }
+    }
+
+    #[test]
+    fn kvs_key_hash_edges_match_the_two_pass_definition() {
+        for payload in [
+            &b"get \r\n"[..],
+            b"get \r\nkey",
+            b"get a\rb\r\n",
+            b"get a\r",
+            b"get \r",
+            b"get \n\r\n",
+            b"get a\n\rb",
+            b"get abc",
+            b"get ",
+            b"get",
+            b"GET a\r\n",
+            b"set a 1\r\n",
+            b"",
+        ] {
+            assert_eq!(
+                kvs_key_hash(payload),
+                kvs_key_hash_two_pass(payload),
+                "{payload:?}"
+            );
+        }
     }
 
     #[test]
