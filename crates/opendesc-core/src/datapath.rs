@@ -14,11 +14,11 @@ use crate::robust::{
     Evidence, HealthConfig, HealthState, QueueHealth, SeqTracker, SeqVerdict, ValidationMode,
     ValidationStats, Watchdog, WatchdogConfig,
 };
-use crate::vm;
+use crate::vm::{self, Rows};
 use opendesc_ir::SemanticId;
 use opendesc_nicsim::nic::{NicError, SimNic};
 use opendesc_softnic::wire::ParsedFrame;
-use opendesc_softnic::{ShimMemo, SoftNic};
+use opendesc_softnic::SoftNic;
 use opendesc_telemetry::{MetricRegistry, QueueTelemetry, TraceKind};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
@@ -83,6 +83,11 @@ pub struct RxBatch {
     /// than the layout promises, must never reach a hardware accessor
     /// (which would read past the end), and are served degraded.
     short: Vec<bool>,
+    /// Repairs the verified stream's cross-checks made, per packet.
+    repairs: Vec<u32>,
+    /// `(packet, keep)` of each row a trusted batch re-serves, in row
+    /// order (see [`vm::reserve_rows`]); at most one per packet.
+    reserve: Vec<(usize, u128)>,
 }
 
 impl RxBatch {
@@ -93,6 +98,8 @@ impl RxBatch {
             cmpts: (0..cap).map(|_| Vec::new()).collect(),
             hints: vec![None; cap],
             short: vec![false; cap],
+            repairs: vec![0; cap],
+            reserve: Vec::with_capacity(cap),
             ..RxBatch::default()
         };
         batch.reshape(iface);
@@ -802,12 +809,14 @@ impl OpenDescDriver {
     /// and costs its neighbours nothing.
     ///
     /// All three dispositions execute the artifact's verified
-    /// [`PlanProgram`]. Trusted and degraded batches run one
-    /// *instruction* across the whole batch — hardware fields through
-    /// [`vm::load_column`], software fields through [`vm::shim_column`]
-    /// — amortizing dispatch to once per field per batch; the verified
-    /// runner, and a single packet re-served degraded inside a trusted
-    /// or verified batch, go packet by packet.
+    /// [`PlanProgram`], one *instruction* down the whole batch at a
+    /// time — hardware fields through [`vm::load_column`], software
+    /// fields and cross-checks through [`vm::run_rows`] — so dispatch
+    /// is paid once per field per batch. What the columns found is then
+    /// applied per row, in row order: health, validation counters and
+    /// trace events. Rows a trusted batch distrusts are re-served in
+    /// one more pass over just those rows ([`vm::reserve_rows`]), which
+    /// a batch without one skips.
     ///
     /// [`PlanProgram`]: crate::vm::PlanProgram
     fn fill_batch(&mut self, batch: &mut RxBatch) {
@@ -822,12 +831,14 @@ impl OpenDescDriver {
             Disposition::Degraded => {
                 // No completion is read while the queue is Degraded:
                 // every slot is cleared, then the degraded stream runs a
-                // column at a time over every frame (see `shim_rows`).
+                // column at a time over every frame.
                 for s in 0..prog.slots {
                     batch.meta[s * cap..s * cap + n].fill(None);
                 }
                 if !prog.degraded.is_empty() {
-                    shim_batch(&mut self.soft, &prog.degraded, batch, Rows::Degraded);
+                    let frames = &batch.frames[..n];
+                    let (soft, insns) = (&mut self.soft, &prog.degraded);
+                    vm::run_rows(soft, insns, frames, Rows::Degraded, &mut batch.meta, cap);
                 }
                 let shorts = batch.short[..n].iter().filter(|s| **s).count();
                 self.vstats.accepted += n as u64;
@@ -839,32 +850,32 @@ impl OpenDescDriver {
                 }
             }
             Disposition::Verified => {
-                // A truncated completion is never read: that packet is
-                // served from frame bytes alone.
+                // A truncated completion is never read: its row is
+                // cleared, skipped by the loads, and served by the
+                // checks and shims from frame bytes alone, in the same
+                // pass and row order as its neighbours.
+                let (loads, rest) = prog.verified.split_at(prog.hw_len);
+                load_rows(loads, batch);
+                for pkt in (0..n).filter(|&pkt| batch.short[pkt]) {
+                    for s in 0..prog.slots {
+                        batch.meta[s * cap + pkt] = None;
+                    }
+                }
+                batch.repairs[..n].fill(0);
+                if !rest.is_empty() {
+                    let frames = &batch.frames[..n];
+                    let rows = Rows::Verified {
+                        repairs: &mut batch.repairs[..n],
+                    };
+                    vm::run_rows(&mut self.soft, rest, frames, rows, &mut batch.meta, cap);
+                }
                 let mut degraded = 0usize;
                 for pkt in 0..n {
-                    self.vstats.accepted += 1;
                     if batch.short[pkt] {
                         degraded += 1;
-                        prog.run_degraded_partial_at(
-                            &mut self.soft,
-                            &batch.frames[pkt],
-                            0,
-                            &mut batch.meta,
-                            cap,
-                            pkt,
-                        );
-                        self.vstats.degraded_packets += 1;
                         continue;
                     }
-                    let repaired = prog.run_verified_at(
-                        &mut self.soft,
-                        &batch.frames[pkt],
-                        &batch.cmpts[pkt],
-                        &mut batch.meta,
-                        cap,
-                        pkt,
-                    );
+                    let repaired = batch.repairs[pkt];
                     if repaired > 0 {
                         self.vstats.repaired_fields += repaired as u64;
                         self.fault(Evidence::Repaired);
@@ -874,6 +885,8 @@ impl OpenDescDriver {
                         self.health.on_clean(1);
                     }
                 }
+                self.vstats.accepted += n as u64;
+                self.vstats.degraded_packets += degraded as u64;
                 if self.tel.enabled() {
                     self.tel.fields_sw +=
                         (degraded * plan.degraded.len() + (n - degraded) * plan.sw.len()) as u64;
@@ -881,39 +894,25 @@ impl OpenDescDriver {
                 }
             }
             Disposition::Trusted => {
-                // Hardware fields: one column at a time across each run
-                // of full-length records. A truncated record splits the
-                // run and is never read; its row is filled below. The
-                // runs are one more than the truncated records.
-                let (mut at, mut runs) = (0, 0);
-                for run in batch.short[..n].split(|short| *short) {
-                    runs += 1;
-                    let rows = at..at + run.len();
-                    at = rows.end + 1;
-                    for insn in prog.hw_insns() {
-                        let base = insn.dst as usize * cap;
-                        vm::load_column(
-                            insn,
-                            &batch.cmpts[rows.clone()],
-                            &mut batch.meta[base + rows.start..base + rows.end],
-                        );
-                    }
-                }
+                load_rows(prog.hw_insns(), batch);
                 // Software fields: one shim at a time across the batch
-                // too, over frames parsed once (see `shim_rows`).
+                // too, over frames parsed once.
                 if prog.needs_parse() {
-                    shim_batch(&mut self.soft, prog.sw_insns(), batch, Rows::Trusted);
-                }
-                if self.tel.enabled() {
-                    let full = n + 1 - runs;
-                    self.tel.fields_hw += (full * plan.hw.len()) as u64;
-                    self.tel.fields_sw += (full * plan.sw.len()) as u64;
+                    let frames = &batch.frames[..n];
+                    let rows = Rows::Trusted {
+                        hints: &batch.hints[..n],
+                        short: &batch.short[..n],
+                    };
+                    let (soft, insns) = (&mut self.soft, prog.sw_insns());
+                    vm::run_rows(soft, insns, frames, rows, &mut batch.meta, cap);
                 }
                 // Structural checks by column, 64 packets (one fail
                 // bit each) at a time; whatever a truncated record's
                 // row still holds is ignored. Health is credited once
                 // per run of clean packets: the batch, unless a lie
                 // splits it.
+                let tel = self.tel.enabled();
+                batch.reserve.clear();
                 let mut fail = 0u64;
                 let mut clean = 0u32;
                 for pkt in 0..n {
@@ -929,39 +928,45 @@ impl OpenDescDriver {
                     // re-serves selectively: structurally-proven fields
                     // and frame-derived software slots (minus hint-fed
                     // ones) keep their values; only the remainder is
-                    // recomputed.
+                    // recomputed. Each delivered field counts once, on
+                    // the side that produced it.
                     let keep = if batch.short[pkt] {
-                        Some(0)
+                        0
                     } else if fail >> (pkt % 64) & 1 != 0 {
                         let frame_len = batch.frames[pkt].len();
                         let (_, proven) =
                             spec.check_values_all(frame_len, |i| batch.meta[i * cap + pkt]);
+                        let keep_sw = plan.keep_sw_mask(batch.hints[pkt].is_some());
                         self.vstats.structural_failures += 1;
                         self.health.on_clean(std::mem::take(&mut clean));
                         self.fault(Evidence::FieldCheck);
                         self.tel.event(TraceKind::StructuralFailure, pkt as u64, 0);
-                        Some(proven | plan.keep_sw_mask(batch.hints[pkt].is_some()))
-                    } else {
-                        None
-                    };
-                    match keep {
-                        Some(keep) => {
-                            prog.run_degraded_partial_at(
-                                &mut self.soft,
-                                &batch.frames[pkt],
-                                keep,
-                                &mut batch.meta,
-                                cap,
-                                pkt,
-                            );
-                            self.vstats.degraded_packets += 1;
-                            if self.tel.enabled() {
-                                self.tel.fields_sw += plan.degraded.len() as u64;
-                                self.tel.event(TraceKind::DegradedServe, 1, pkt as u64);
-                            }
+                        if tel {
+                            self.tel.fields_hw += proven.count_ones() as u64;
+                            self.tel.fields_sw += keep_sw.count_ones() as u64;
                         }
-                        None => clean += 1,
+                        proven | keep_sw
+                    } else {
+                        clean += 1;
+                        continue;
+                    };
+                    batch.reserve.push((pkt, keep));
+                    self.vstats.degraded_packets += 1;
+                    if tel {
+                        let recomputed = prog.degraded.iter().filter(|i| keep >> i.dst & 1 == 0);
+                        self.tel.fields_sw += recomputed.count() as u64;
+                        self.tel.event(TraceKind::DegradedServe, 1, pkt as u64);
                     }
+                }
+                if !batch.reserve.is_empty() {
+                    let frames = &batch.frames[..n];
+                    let (soft, insns) = (&mut self.soft, &prog.degraded);
+                    vm::reserve_rows(soft, insns, frames, &batch.reserve, &mut batch.meta, cap);
+                }
+                if tel {
+                    let full = n - batch.reserve.len();
+                    self.tel.fields_hw += (full * plan.hw.len()) as u64;
+                    self.tel.fields_sw += (full * plan.sw.len()) as u64;
                 }
                 self.vstats.accepted += n as u64;
                 self.health.on_clean(clean);
@@ -970,83 +975,24 @@ impl OpenDescDriver {
     }
 }
 
-/// Rows one software column pass holds parsed: the common 32-packet
-/// batch. The chunk is set up whole, rows past the batch's end too, so
-/// a 64-row chunk (one structural fail word) made a 32-packet batch's
-/// shim pass ~4 % slower.
-const SHIM_ROWS: usize = 32;
-
-/// How [`shim_rows`] sets up a row before the columns run.
-#[derive(Clone, Copy)]
-enum Rows {
-    /// The trusted stream's software tail: a truncated record's row is
-    /// not parsed (it reads `None` and the caller re-serves it
-    /// degraded), and the steering hint primes the row's memo, so
-    /// software RSS steps are lookups, not Toeplitz runs.
-    Trusted,
-    /// The degraded stream: every frame is parsed, no memo is primed —
-    /// what `run_degraded_partial_at` with `keep = 0` does per packet.
-    Degraded,
-}
-
-/// Run `insns` (`SHIM` instructions) across `batch[..len]` in chunks of
-/// [`SHIM_ROWS`] rows — or of one, for the one-slot batch of `poll`,
-/// which so sets up one row of scratch, not a full chunk.
+/// Run hardware loads one column at a time across each run of
+/// full-length records in `batch`: a truncated record splits the run and
+/// is never read, and its row keeps whatever it held.
 #[inline(always)]
-fn shim_batch(soft: &mut SoftNic, insns: &[vm::BcInsn], batch: &mut RxBatch, rows: Rows) {
-    if batch.cap == 1 {
-        shim_rows::<1>(soft, insns, batch, rows);
-    } else {
-        shim_rows::<SHIM_ROWS>(soft, insns, batch, rows);
-    }
-}
-
-/// [`shim_batch`], `ROWS` rows at a time: parse each row's frame once
-/// and set up its memo as `rows` says, then run each instruction down
-/// the rows ([`vm::shim_column`]). With `ROWS` = 1 each chunk is a
-/// constant one-row step.
-fn shim_rows<const ROWS: usize>(
-    soft: &mut SoftNic,
-    insns: &[vm::BcInsn],
-    batch: &mut RxBatch,
-    rows: Rows,
-) {
-    let (cap, len) = (batch.cap, batch.len);
-    // `None` is `Copy`: a repeat writes one word a row, not the
-    // whole 72-byte row a `const` block's repeat would.
-    let mut parsed = [None; ROWS];
-    let mut memos = [ShimMemo::default(); ROWS];
-    let mut start = 0;
-    while start < len {
-        let end = if ROWS == 1 {
-            start + 1
-        } else {
-            len.min(start + ROWS)
-        };
-        for (pkt, (p, memo)) in (start..end).zip(parsed.iter_mut().zip(&mut memos)) {
-            *memo = ShimMemo::default();
-            *p = match rows {
-                Rows::Trusted if batch.short[pkt] => None,
-                Rows::Trusted => {
-                    if let Some(h) = batch.hints[pkt] {
-                        memo.prime_rss(h);
-                    }
-                    ParsedFrame::parse(&batch.frames[pkt])
-                }
-                Rows::Degraded => ParsedFrame::parse(&batch.frames[pkt]),
-            };
-        }
+fn load_rows(insns: &[vm::BcInsn], batch: &mut RxBatch) {
+    let (n, cap) = (batch.len, batch.cap);
+    let mut at = 0;
+    for run in batch.short[..n].split(|short| *short) {
+        let rows = at..at + run.len();
+        at = rows.end + 1;
         for insn in insns {
             let base = insn.dst as usize * cap;
-            vm::shim_column(
-                soft,
+            vm::load_column(
                 insn,
-                &parsed[..end - start],
-                &mut memos[..end - start],
-                &mut batch.meta[base + start..base + end],
+                &batch.cmpts[rows.clone()],
+                &mut batch.meta[base + rows.start..base + rows.end],
             );
         }
-        start = end;
     }
 }
 
@@ -1169,6 +1115,55 @@ mod tests {
         assert_eq!(drv.poll_batch_into(&mut batch), 1);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.column(0).len(), 1);
+    }
+
+    #[test]
+    fn an_honest_devices_flow_tags_are_read_as_is_when_verified() {
+        // The device numbers flows in its own table; a host table that
+        // starts later cannot reproduce that numbering, so a hardware
+        // `flow_tag` is never cross-checked (nor recomputed).
+        let flow = |port: u16| testpkt::udp4([10, 0, 0, 1], [10, 0, 0, 2], port, 80, b"x", None);
+        for model in [models::qdma_default(), models::mlx5(), models::ixgbe()] {
+            let name = model.name.clone();
+            let mut reg = SemanticRegistry::with_builtins();
+            let intent = Intent::builder("tags")
+                .want(&mut reg, names::FLOW_TAG)
+                .want(&mut reg, names::PKT_LEN)
+                .build();
+            let compiled = Compiler::default()
+                .compile_model(&model, &intent, &mut reg)
+                .unwrap();
+            let tag = reg.id(names::FLOW_TAG).unwrap();
+            let slot = compiled
+                .accessors
+                .accessors
+                .iter()
+                .position(|a| a.semantic == tag);
+            assert!(
+                compiled.plan.hw.contains(&slot.unwrap()),
+                "{name}: hardware tag"
+            );
+            let mut drv =
+                OpenDescDriver::attach(SimNic::new(model, 64).unwrap(), compiled).unwrap();
+            for port in [100, 101] {
+                drv.deliver(&flow(port)).unwrap();
+                drv.poll().unwrap();
+            }
+            drv.set_validation_mode(ValidationMode::Full);
+            let tags: Vec<_> = [102, 103, 100]
+                .map(|port| {
+                    drv.deliver(&flow(port)).unwrap();
+                    drv.poll().unwrap().get(tag)
+                })
+                .into();
+            assert_eq!(
+                tags,
+                [Some(3), Some(4), Some(1)],
+                "{name}: the device's tags"
+            );
+            assert_eq!(drv.validation_stats().repaired_fields, 0, "{name}");
+            assert_eq!(drv.health(), QueueHealth::Healthy, "{name}");
+        }
     }
 
     #[test]
@@ -1311,6 +1306,51 @@ mod tests {
             let s = drv.validation_stats();
             assert_eq!((s.accepted, s.truncated, s.degraded_packets), (64, 3, 3));
             assert_eq!(drv.health(), QueueHealth::Healthy);
+        }
+    }
+
+    #[test]
+    fn a_structurally_failed_row_counts_each_field_once() {
+        use opendesc_nicsim::FaultConfig;
+        // Every field of this intent is recomputable, so every delivered
+        // row — trusted, re-served, verified or degraded — counts each
+        // of its fields once, on the side that produced it.
+        for model in [models::ixgbe(), models::qdma_default(), models::e1000e()] {
+            let name = model.name.clone();
+            let mut reg = SemanticRegistry::with_builtins();
+            let intent = [
+                names::RSS_HASH,
+                names::VLAN_TCI,
+                names::PKT_LEN,
+                names::PACKET_TYPE,
+                names::PAYLOAD_OFFSET,
+                names::KVS_KEY_HASH,
+                names::IP_CHECKSUM,
+            ]
+            .iter()
+            .fold(Intent::builder("seven"), |b, s| b.want(&mut reg, s))
+            .build();
+            let compiled = Compiler::default()
+                .compile_model(&model, &intent, &mut reg)
+                .unwrap();
+            let mut drv =
+                OpenDescDriver::attach(SimNic::new(model, 256).unwrap(), compiled).unwrap();
+            drv.set_telemetry_enabled(true);
+            drv.nic
+                .set_faults(faults(FaultConfig::builder().corrupt_chance(0.05).seed(3)))
+                .unwrap();
+            let mut batch = drv.make_batch(32);
+            for round in 0..20 {
+                for i in 0..32 {
+                    drv.deliver(&kvs_frame(&format!("{round}:{i}"))).unwrap();
+                }
+                while drv.poll_batch_into(&mut batch) > 0 {}
+            }
+            let s = drv.validation_stats();
+            assert!(s.structural_failures > 0, "{name}: no lie caught");
+            let tel = drv.telemetry();
+            let slots = batch.semantics().len() as u64;
+            assert_eq!(tel.fields_hw + tel.fields_sw, s.accepted * slots, "{name}");
         }
     }
 

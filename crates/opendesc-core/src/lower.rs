@@ -344,6 +344,14 @@ mod tests {
                 iface.plan.hw.len() + iface.plan.hw_check.len() + iface.plan.sw.len()
             );
             assert_eq!(p.degraded.len(), iface.plan.degraded.len());
+            // A verified batch serves a truncated row with its checks
+            // and shims: they must be the degraded stream's shims.
+            let ops = |insns: &[BcInsn]| {
+                let mut ops: Vec<_> = insns.iter().map(|i| (i.dst, i.a)).collect();
+                ops.sort();
+                ops
+            };
+            assert_eq!(ops(&p.verified[p.hw_len..]), ops(&p.degraded));
             assert_eq!(low.ebpf.len(), iface.plan.hw.len());
             assert!(low.verifier_states > 0 || low.ebpf.is_empty());
         }

@@ -36,13 +36,15 @@ pub struct RxPlan {
     /// `(accessor index, op)` of the software steps.
     pub sw: Vec<(usize, ShimOp)>,
     /// Every accessor the SoftNIC can recompute from frame bytes —
-    /// hardware and software steps alike. This is the degraded-mode
+    /// hardware and software steps alike, except a hardware `flow_tag`,
+    /// whose numbering is the device's. This is the degraded-mode
     /// execution list: when the completion cannot be trusted, these ops
     /// produce every recomputable value without reading it.
     pub degraded: Vec<(usize, ShimOp)>,
     /// Hardware steps with a software reference — the verify-mode
     /// cross-check list (subset of `hw`; device-only semantics like
-    /// timestamps have no reference and cannot be checked).
+    /// timestamps, and a device's flow tags, have no reference and
+    /// cannot be checked).
     pub hw_check: Vec<(usize, ShimOp)>,
 }
 
@@ -57,11 +59,19 @@ impl RxPlan {
         let mut hw_check = Vec::new();
         for (acc_idx, a) in set.accessors.iter().enumerate() {
             let op = ShimOp::from_name(reg.name(a.semantic));
+            // A device numbers flows in its own table, which the host's
+            // cannot reproduce: a hardware `flow_tag` is device-only,
+            // like `timestamp` — read as-is, never cross-checked or
+            // recomputed.
+            let recomputable = match a.kind {
+                AccessorKind::Hardware => !matches!(op, ShimOp::Unsupported | ShimOp::FlowTag),
+                AccessorKind::Software => op != ShimOp::Unsupported,
+            };
             match a.kind {
                 AccessorKind::Hardware => {
                     steps.push(PlanStep::Hardware { acc_idx });
                     hw.push(acc_idx);
-                    if op != ShimOp::Unsupported {
+                    if recomputable {
                         hw_check.push((acc_idx, op));
                     }
                 }
@@ -70,7 +80,7 @@ impl RxPlan {
                     sw.push((acc_idx, op));
                 }
             }
-            if op != ShimOp::Unsupported {
+            if recomputable {
                 degraded.push((acc_idx, op));
             }
         }
@@ -96,7 +106,7 @@ impl RxPlan {
     /// was primed with the device's RSS sideband (`hinted`), the
     /// `rss_hash`/`queue_hint` slots are excluded — the hint is device
     /// data and is as untrusted as the failing completion.
-    pub fn keep_sw_mask(&self, hinted: bool) -> u128 {
+    pub(crate) fn keep_sw_mask(&self, hinted: bool) -> u128 {
         let mut mask = 0u128;
         for &(acc_idx, op) in &self.sw {
             if acc_idx >= 128 {

@@ -17,10 +17,11 @@
 //! 2. **field validation** — per [`ValidationMode`], either the cheap
 //!    structural checks (`Structural`, the default) or a full SoftNIC
 //!    cross-check of every recomputable hardware field (`Full`);
-//! 3. **degraded execution** — on any failure the packet is re-executed
-//!    through the SoftNIC shims (the program's degraded stream,
-//!    [`PlanProgram::run_degraded_partial_at`]), so the application
-//!    still observes correct (or absent) values, never garbage.
+//! 3. **degraded execution** — on any failure the packet is re-served
+//!    through the SoftNIC shims (the program's degraded stream, run
+//!    down the distrusted rows by [`vm::run_rows`] with each row's keep
+//!    mask), so the application still observes correct (or absent)
+//!    values, never garbage.
 //!
 //! A [`HealthState`] machine aggregates the evidence per queue, and
 //! distrust reaches as far as the [`Evidence`] does. `Healthy` trusts
@@ -38,7 +39,7 @@
 //! requests a ring reset/re-arm, which un-wedges hung queues and
 //! republishes lost doorbells.
 //!
-//! [`PlanProgram::run_degraded_partial_at`]: crate::vm::PlanProgram::run_degraded_partial_at
+//! [`vm::run_rows`]: crate::vm::run_rows
 
 use crate::accessor::{AccessorKind, AccessorSet};
 use opendesc_ir::bits::width_mask;
@@ -88,6 +89,22 @@ impl FieldCheck {
             }
             FieldCheck::PacketType => v & ptype::ETH as u128 != 0,
         }
+    }
+
+    /// A value of a `width`-bit slot that the invariant accepts for a
+    /// `frame_len`-byte frame, keeping what bits of `v` it can: how a
+    /// test writes an honest record from arbitrary bytes. A slot too
+    /// narrow to hold a passing nonzero value gets zero, which always
+    /// passes.
+    pub fn passing_value(self, v: u128, width: u16, frame_len: usize) -> u128 {
+        let ok = match self {
+            FieldCheck::PktLen => frame_len as u128,
+            FieldCheck::CsumStatus if v & 1 != 0 && width >= 16 => csum_status::GOOD as u128,
+            FieldCheck::CsumStatus => csum_status::BAD as u128,
+            FieldCheck::RxStatus => v | (rx_status::DD | rx_status::EOP) as u128,
+            FieldCheck::PacketType => v | ptype::ETH as u128,
+        };
+        ok & width_mask(width)
     }
 }
 
@@ -146,7 +163,7 @@ impl ValidatorSpec {
     /// with zeros is the `Full` cross-check's tier to catch. Zero values
     /// are *not* marked proven either: "field not produced" proves
     /// nothing about the rest of the record.
-    pub fn check_values_all(
+    pub(crate) fn check_values_all(
         &self,
         frame_len: usize,
         get: impl Fn(usize) -> Option<u128>,
@@ -176,7 +193,7 @@ impl ValidatorSpec {
     /// fails some check — exactly the packets `check_values_all` reports
     /// a failure for, which is where the caller turns for `proven`. Each
     /// check is matched once and scans its column in a loop of its own.
-    pub fn failing_packets<'a>(
+    pub(crate) fn failing_packets<'a>(
         &self,
         frame_len: impl Fn(usize) -> usize,
         column: impl Fn(usize) -> &'a [Option<u128>],
@@ -740,6 +757,27 @@ mod tests {
                 let (failed, _) = spec.check_values_all(lens[p], |i| columns[i][p]);
                 prop_assert_eq!(fail >> p & 1 != 0, failed.is_some(), "packet {} of {}", p, n);
             }
+        }
+
+        /// A passing value fits its slot and passes its check (zero
+        /// always does), and a value that already passes is kept.
+        #[test]
+        fn passing_values_pass(
+            c in 0usize..4,
+            width in 1u16..=128,
+            v in any::<u128>(),
+            len in 0usize..70_000,
+        ) {
+            let check = [
+                FieldCheck::PktLen,
+                FieldCheck::CsumStatus,
+                FieldCheck::RxStatus,
+                FieldCheck::PacketType,
+            ][c];
+            let ok = check.passing_value(v, width, len);
+            prop_assert_eq!(ok & !width_mask(width), 0, "fits the slot");
+            prop_assert!(ok == 0 || check.holds(ok, width, len), "{:?} {:#x}", check, ok);
+            prop_assert_eq!(check.passing_value(ok, width, len), ok, "a fixed point");
         }
     }
 

@@ -8,28 +8,27 @@
 //! derivation once, at compile time, and emits a compact register
 //! bytecode: each instruction is a fixed 6-byte cell whose opcode
 //! already encodes the load shape (`ld.be4` instead of "figure out how
-//! to read 32 aligned bits"), so the per-packet loop is a single
-//! jump-table dispatch over pre-resolved operations.
+//! to read 32 aligned bits"), so nothing is re-derived per packet.
 //!
 //! One [`PlanProgram`] carries three instruction streams — `trusted`,
 //! `verified`, and `degraded` — mirroring the three execution
 //! dispositions of the self-healing datapath, which executes nothing
-//! but this program. The verified and degraded runners take a
-//! `(stride, idx)` output addressing pair: the datapath's column-major
-//! batch passes `stride = cap, idx = pkt`, and the row-major wrappers
-//! the equivalence suites call pass `stride = 1, idx = 0`. The trusted
-//! stream the datapath runs transposed: each instruction runs across
-//! the whole batch — a hardware load through [`load_column`], a shim
-//! through [`shim_column`] over frames parsed once — amortizing even
-//! the dispatch to once per field per batch; a batch the datapath
-//! serves degraded runs the `degraded` stream through [`shim_column`]
-//! the same way. [`PlanProgram::run_trusted`] is the trusted stream one
-//! packet at a time, each shim through [`exec_shim`], for the suites.
+//! but this program. Every stream runs transposed: each instruction
+//! runs down a whole column of rows, so dispatch is paid once per
+//! field per batch. A hardware load goes through [`load_column`]; a
+//! shim through [`shim_column`] and a cross-check through
+//! `check_column`, both over frames [`run_rows`] parses once per row,
+//! a chunk of rows at a time. How a chunk's rows are set up — primed
+//! or not, cross-checked or not — is the pass's [`Rows`] kind. The rows
+//! a trusted batch distrusts are re-served by [`reserve_rows`], with a
+//! keep mask per row. There is no per-packet runner.
 //!
 //! The differential-test oracle is the tree interpreter in the
 //! `opendesc-reference` crate: `tests/vm_equivalence.rs` and that
-//! crate's `conformance` hold every runner here equal to its
-//! `execute_*` counterpart.
+//! crate's `conformance` hold the rows the datapath delivers in each
+//! disposition equal to its `execute_*` counterpart, and hold
+//! [`reserve_rows`] equal to `execute_degraded_partial` under
+//! arbitrary keep masks.
 
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
@@ -147,8 +146,8 @@ fn shim_from_code(code: u16) -> ShimOp {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanProgram {
     /// Trusted-mode program: the hardware loads first (`hw_len` of
-    /// them, so the batched runner can execute them columnar), then the
-    /// software shims. Slots are disjoint, so the reorder relative to
+    /// them, so the datapath can run them apart from the shims), then
+    /// the software shims. Slots are disjoint, so the reorder relative to
     /// intent order is invisible in the output.
     pub trusted: Vec<BcInsn>,
     /// Number of hardware-load instructions at the head of `trusted`.
@@ -156,8 +155,9 @@ pub struct PlanProgram {
     /// Verified-mode program: hardware loads, then `SHIM_CHECK`
     /// cross-checks, then software shims.
     pub verified: Vec<BcInsn>,
-    /// Degraded-mode program: software shims only; the runner clears
-    /// every slot first (device-only fields come out `None`).
+    /// Degraded-mode program: software shims only; the datapath clears
+    /// every slot it recomputes first (device-only fields come out
+    /// `None`).
     pub degraded: Vec<BcInsn>,
     /// Output slots (= accessor count = metadata columns).
     pub slots: usize,
@@ -165,26 +165,6 @@ pub struct PlanProgram {
     /// file into descriptor bytes (empty for RX-only plans). `dst` here
     /// is the *input* hint register, not an output slot.
     pub deparse: Vec<BcInsn>,
-}
-
-/// Execute one hardware-load instruction against a completion record.
-///
-/// # Panics
-/// Panics if the completion is shorter than the instruction's range —
-/// the same contract as `Accessor::read`: the datapath's truncation
-/// guard keeps short records away from loads.
-#[inline(always)]
-fn exec_load(insn: &BcInsn, cmpt: &[u8]) -> u128 {
-    let off = insn.a as usize;
-    match insn.op {
-        op::LD_BE1 => ld_be::<1>(cmpt, off),
-        op::LD_BE2 => ld_be::<2>(cmpt, off),
-        op::LD_BE4 => ld_be::<4>(cmpt, off),
-        op::LD_BE8 => ld_be::<8>(cmpt, off),
-        op::LD_BYTES => read_bytes_be(cmpt, off, insn.b as usize),
-        op::LD_BITS => read_bits(cmpt, insn.a as u32, insn.b),
-        other => unreachable!("opcode {other:#x} is not a load"),
-    }
 }
 
 /// The `LD_BE<N>` load shape: `N` ≤ 8 big-endian bytes at `off`.
@@ -197,7 +177,7 @@ fn ld_be<const N: usize>(cmpt: &[u8], off: usize) -> u128 {
 
 /// Execute one store instruction: serialize `hints[insn.dst]` into the
 /// descriptor at the instruction's pre-resolved offset — the TX mirror
-/// of [`exec_load`], with the same specialization idea (the opcode
+/// of a load ([`load_column`]), with the same specialization idea (the opcode
 /// already encodes the store shape, nothing is re-derived per packet).
 ///
 /// # Panics
@@ -221,8 +201,9 @@ fn exec_store(insn: &BcInsn, hints: &[u128], desc: &mut [u8]) {
 
 /// Run one load instruction across a whole batch of completion records:
 /// the load shape is matched once per column, and each shape's loop
-/// over the records has nothing left to dispatch on.
-#[inline]
+/// over the records has nothing left to dispatch on. Always inlined:
+/// out of line, the trusted batch paid a call per hardware field.
+#[inline(always)]
 pub fn load_column<C: AsRef<[u8]>>(insn: &BcInsn, cmpts: &[C], out: &mut [Option<u128>]) {
     #[inline(always)]
     fn fill<C: AsRef<[u8]>>(cmpts: &[C], out: &mut [Option<u128>], ld: impl Fn(&[u8]) -> u128) {
@@ -258,20 +239,201 @@ pub fn shim_column(
     soft.exec_column(shim_from_code(insn.a), parsed, memos, out);
 }
 
-/// Execute one `SHIM` instruction for one packet (the per-packet
-/// runners below; the datapath's trusted and degraded batches run
-/// [`shim_column`]).
-#[inline(always)]
-pub fn exec_shim(
+/// Run one `SHIM_CHECK` instruction down a column of at most
+/// [`CHUNK_ROWS`] rows (one chunk of [`run_rows`]): each row's slot in
+/// `out` holds the value loaded from its completion and is compared
+/// with the SoftNIC reference masked to the slot's `b` bits. A row
+/// whose reference differs takes it, and its cell of `repairs` counts
+/// one more repair; a row without a reference (frame not parsed, or
+/// the shim cannot compute) keeps what was loaded. A row whose slot is
+/// `None` had nothing loaded — a truncated record — and takes the
+/// reference as computed, which is what the degraded stream gives it;
+/// that is not a repair. Out of line: a verified pass is the rare one.
+#[inline(never)]
+fn check_column(
     soft: &mut SoftNic,
     insn: &BcInsn,
-    parsed: Option<&ParsedFrame<'_>>,
-    frame_len: usize,
-    memo: &mut ShimMemo,
-) -> Option<u128> {
-    parsed
-        .and_then(|p| soft.exec_op(shim_from_code(insn.a), p, frame_len, memo))
-        .map(|v| v as u128)
+    parsed: &[Option<ParsedFrame<'_>>],
+    memos: &mut [ShimMemo],
+    out: &mut [Option<u128>],
+    repairs: &mut [u32],
+) {
+    let mut want = [None; CHUNK_ROWS];
+    let want = &mut want[..parsed.len()];
+    shim_column(soft, insn, parsed, memos, want);
+    let mask = width_mask(insn.b);
+    for ((o, w), r) in out.iter_mut().zip(&*want).zip(repairs) {
+        match (*o, *w) {
+            (None, w) => *o = w,
+            (Some(v), Some(w)) if v != w & mask => {
+                *o = Some(w & mask);
+                *r += 1;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Rows one column pass holds parsed: the common 32-packet batch. A
+/// chunk is set up whole, rows past the batch's end too, so a 64-row
+/// chunk (one structural fail word) made a 32-packet batch's shim pass
+/// ~4 % slower.
+const CHUNK_ROWS: usize = 32;
+
+/// How [`run_rows`] sets up each row before the columns run.
+pub enum Rows<'a> {
+    /// The trusted stream's software tail over every row: a truncated
+    /// record's row (`short`) is not parsed and reads `None`, and the
+    /// steering hint primes the row's memo, so software RSS steps are
+    /// lookups, not Toeplitz runs.
+    Trusted {
+        hints: &'a [Option<u32>],
+        short: &'a [bool],
+    },
+    /// The degraded stream over every row: each frame parsed, no memo
+    /// primed. The caller has cleared every slot.
+    Degraded,
+    /// The verified stream's checks and shims over every row, no memo
+    /// primed, each `SHIM_CHECK` through `check_column` counting the
+    /// row's repairs into `repairs`. A truncated record's row, cleared
+    /// by the caller and never loaded, is served as the degraded stream
+    /// with `keep = 0` serves it: lowering emits the degraded stream as
+    /// exactly the verified stream's checks and shims.
+    Verified { repairs: &'a mut [u32] },
+}
+
+/// Run `insns` down the rows of a column-major batch — slot `s` of row
+/// `r` at `meta[s * stride + r]`, `frames[r]` its frame — in chunks of
+/// 32 rows, or of one row when `stride` is 1 (the one-slot batch of
+/// `poll`, which so sets up one row of scratch, not a chunk).
+/// A chunk parses each row's frame once and sets up its memo as `rows`
+/// says, then runs each instruction down the chunk ([`shim_column`],
+/// `check_column`). Rows are visited in row order by every column, so
+/// a stateful shim (`flow_tag`) numbers flows as a packet-by-packet
+/// pass would.
+#[inline(always)]
+pub fn run_rows<F: AsRef<[u8]>>(
+    soft: &mut SoftNic,
+    insns: &[BcInsn],
+    frames: &[F],
+    rows: Rows<'_>,
+    meta: &mut [Option<u128>],
+    stride: usize,
+) {
+    if stride == 1 {
+        rows_in_chunks::<1, F>(soft, insns, frames, rows, meta, stride);
+    } else {
+        rows_in_chunks::<CHUNK_ROWS, F>(soft, insns, frames, rows, meta, stride);
+    }
+}
+
+/// Re-serve the listed rows of a column-major batch (laid out as for
+/// [`run_rows`]) through the degraded stream `insns`: `(row, keep)` in
+/// row order, every frame parsed and no memo primed. A slot whose bit
+/// is set in the row's `keep` holds its value (its shim does not run);
+/// every other slot is cleared and recomputed from the frame
+/// (device-only fields come out `None`). `keep = 0` serves a row whose
+/// completion is not read. Unlisted rows are not touched. The listed
+/// rows are scattered, so each is set up and served on its own, as a
+/// one-row column per instruction whose slot it does not keep. Out of
+/// line, like `check_column`, so the passes that run on every batch
+/// stay small.
+#[inline(never)]
+pub fn reserve_rows<F: AsRef<[u8]>>(
+    soft: &mut SoftNic,
+    insns: &[BcInsn],
+    frames: &[F],
+    list: &[(usize, u128)],
+    meta: &mut [Option<u128>],
+    stride: usize,
+) {
+    let slots = meta.len() / stride;
+    for &(row, keep) in list {
+        for s in (0..slots).filter(|s| keep >> s & 1 == 0) {
+            meta[s * stride + row] = None;
+        }
+        let parsed = [ParsedFrame::parse(frames[row].as_ref())];
+        let mut memo = [ShimMemo::default()];
+        for insn in insns.iter().filter(|i| keep >> i.dst & 1 == 0) {
+            let slot = insn.dst as usize * stride + row;
+            shim_column(soft, insn, &parsed, &mut memo, &mut meta[slot..=slot]);
+        }
+    }
+}
+
+/// [`run_rows`], `N` rows at a time. With `N` = 1 each chunk is a
+/// constant one-row step.
+fn rows_in_chunks<const N: usize, F: AsRef<[u8]>>(
+    soft: &mut SoftNic,
+    insns: &[BcInsn],
+    frames: &[F],
+    mut rows: Rows<'_>,
+    meta: &mut [Option<u128>],
+    stride: usize,
+) {
+    let len = frames.len();
+    // `None` is `Copy`: a repeat writes one word a row, not the
+    // whole 72-byte row a `const` block's repeat would.
+    let mut parsed = [None; N];
+    let mut memos = [ShimMemo::default(); N];
+    let mut start = 0;
+    while start < len {
+        let end = if N == 1 {
+            start + 1
+        } else {
+            len.min(start + N)
+        };
+        match &rows {
+            // A full chunk reads its sideband as slices beside the rows
+            // (measured faster than the per-row match below); the
+            // one-row chunk of `poll()` measured faster with the match.
+            Rows::Trusted { hints, short } if N > 1 => {
+                let setup = parsed.iter_mut().zip(&mut memos).zip(&frames[start..end]);
+                let sideband = short[start..end].iter().zip(&hints[start..end]);
+                for (((p, memo), frame), (&short, &hint)) in setup.zip(sideband) {
+                    *memo = ShimMemo::default();
+                    *p = if short {
+                        None
+                    } else {
+                        if let Some(h) = hint {
+                            memo.prime_rss(h);
+                        }
+                        ParsedFrame::parse(frame.as_ref())
+                    };
+                }
+            }
+            _ => {
+                for (i, (p, memo)) in (start..end).zip(parsed.iter_mut().zip(&mut memos)) {
+                    *memo = ShimMemo::default();
+                    *p = match &rows {
+                        Rows::Trusted { short, .. } if short[i] => None,
+                        Rows::Trusted { hints, .. } => {
+                            if let Some(h) = hints[i] {
+                                memo.prime_rss(h);
+                            }
+                            ParsedFrame::parse(frames[i].as_ref())
+                        }
+                        Rows::Degraded | Rows::Verified { .. } => {
+                            ParsedFrame::parse(frames[i].as_ref())
+                        }
+                    };
+                }
+            }
+        }
+        let (parsed, memos) = (&parsed[..end - start], &mut memos[..end - start]);
+        for insn in insns {
+            let base = insn.dst as usize * stride;
+            let column = base + start..base + end;
+            match &mut rows {
+                Rows::Verified { repairs } if insn.op == op::SHIM_CHECK => {
+                    let repairs = &mut repairs[start..end];
+                    check_column(soft, insn, parsed, memos, &mut meta[column], repairs);
+                }
+                _ => shim_column(soft, insn, parsed, memos, &mut meta[column]),
+            }
+        }
+        start = end;
+    }
 }
 
 impl PlanProgram {
@@ -291,134 +453,6 @@ impl PlanProgram {
     #[inline]
     pub fn needs_parse(&self) -> bool {
         self.hw_len < self.trusted.len()
-    }
-
-    /// Trusted execution of one packet into `out[..slots]` — the
-    /// per-packet statement of what the datapath's column loads and
-    /// shim columns compute, held equal to the reference `execute_into_primed`
-    /// by the equivalence suites.
-    pub fn run_trusted(
-        &self,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-        rss_hint: Option<u32>,
-        out: &mut [Option<u128>],
-    ) {
-        let parsed = if self.needs_parse() {
-            ParsedFrame::parse(frame)
-        } else {
-            None
-        };
-        let mut memo = ShimMemo::default();
-        if let Some(h) = rss_hint {
-            memo.prime_rss(h);
-        }
-        for insn in &self.trusted {
-            out[insn.dst as usize] = if insn.op == op::SHIM {
-                exec_shim(soft, insn, parsed.as_ref(), frame.len(), &mut memo)
-            } else {
-                Some(exec_load(insn, cmpt))
-            };
-        }
-    }
-
-    /// Verified execution: hardware loads, compare-and-repair against
-    /// the SoftNIC reference, unprimed software shims. Output slot `s`
-    /// lands at `out[s * stride + idx]`. Returns the number of repaired
-    /// fields. Held equal to the reference `execute_verified` by the
-    /// equivalence suites.
-    pub fn run_verified_at(
-        &self,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-        out: &mut [Option<u128>],
-        stride: usize,
-        idx: usize,
-    ) -> u32 {
-        let parsed = if self.verified.len() > self.hw_len {
-            ParsedFrame::parse(frame)
-        } else {
-            None
-        };
-        let mut memo = ShimMemo::default();
-        let mut repaired = 0;
-        for insn in &self.verified {
-            let slot = insn.dst as usize * stride + idx;
-            match insn.op {
-                op::SHIM => {
-                    out[slot] = exec_shim(soft, insn, parsed.as_ref(), frame.len(), &mut memo);
-                }
-                op::SHIM_CHECK => {
-                    let want = parsed
-                        .as_ref()
-                        .and_then(|p| {
-                            soft.exec_op(shim_from_code(insn.a), p, frame.len(), &mut memo)
-                        })
-                        .map(|v| width_mask(insn.b) & v as u128);
-                    if let Some(w) = want {
-                        if out[slot] != Some(w) {
-                            out[slot] = Some(w);
-                            repaired += 1;
-                        }
-                    }
-                }
-                _ => out[slot] = Some(exec_load(insn, cmpt)),
-            }
-        }
-        repaired
-    }
-
-    /// Row-major [`run_verified_at`](PlanProgram::run_verified_at).
-    #[inline]
-    pub fn run_verified(
-        &self,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-        out: &mut [Option<u128>],
-    ) -> u32 {
-        self.run_verified_at(soft, frame, cmpt, out, 1, 0)
-    }
-
-    /// Degraded execution, row-major: the completion is untrusted and
-    /// never read; every slot is cleared, then the recomputable ones are
-    /// filled from frame bytes. Held equal to the reference `execute_degraded`
-    /// by the equivalence suites.
-    #[inline]
-    pub fn run_degraded(&self, soft: &mut SoftNic, frame: &[u8], out: &mut [Option<u128>]) {
-        self.run_degraded_partial_at(soft, frame, 0, out, 1, 0)
-    }
-
-    /// Selective degraded re-serve: slots whose bit is set in `keep`
-    /// retain their already-validated value; every other slot is
-    /// cleared and recomputed from frame bytes (device-only fields come
-    /// out `None`). `keep = 0` is full degraded execution, which is how
-    /// the datapath serves a packet whose completion it will not read.
-    pub fn run_degraded_partial_at(
-        &self,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        keep: u128,
-        out: &mut [Option<u128>],
-        stride: usize,
-        idx: usize,
-    ) {
-        for s in 0..self.slots {
-            if keep & (1u128 << s) == 0 {
-                out[s * stride + idx] = None;
-            }
-        }
-        let parsed = ParsedFrame::parse(frame);
-        let mut memo = ShimMemo::default();
-        for insn in &self.degraded {
-            if keep & (1u128 << insn.dst) != 0 {
-                continue;
-            }
-            out[insn.dst as usize * stride + idx] =
-                exec_shim(soft, insn, parsed.as_ref(), frame.len(), &mut memo);
-        }
     }
 
     /// TX deparse: serialize the hint register file into descriptor
@@ -515,6 +549,13 @@ impl PlanProgram {
 mod tests {
     use super::*;
 
+    /// One record through [`load_column`].
+    fn load_one(insn: &BcInsn, cmpt: &[u8]) -> u128 {
+        let mut out = [None];
+        load_column(insn, &[cmpt], &mut out);
+        out[0].expect("a load always reads")
+    }
+
     #[test]
     fn insn_cell_roundtrips() {
         let insn = BcInsn {
@@ -609,7 +650,7 @@ mod tests {
                 b,
             };
             assert_eq!(
-                exec_load(&insn, &cmpt),
+                load_one(&insn, &cmpt),
                 read_bits(&cmpt, bits_off, bits_w),
                 "opcode {opc:#x}"
             );
@@ -620,7 +661,7 @@ mod tests {
             a: 13,
             b: 27,
         };
-        assert_eq!(exec_load(&unaligned, &cmpt), read_bits(&cmpt, 13, 27));
+        assert_eq!(load_one(&unaligned, &cmpt), read_bits(&cmpt, 13, 27));
     }
 
     #[test]
@@ -641,7 +682,7 @@ mod tests {
             let load = BcInsn { op: ld, dst, a, b };
             let width_bits = b * 8;
             assert_eq!(
-                exec_load(&load, &desc),
+                load_one(&load, &desc),
                 hints[dst as usize] & width_mask(width_bits),
                 "store opcode {st:#x}"
             );
@@ -703,7 +744,43 @@ mod tests {
         let mut out = vec![None; cmpts.len()];
         load_column(&insn, &cmpts, &mut out);
         for (c, got) in cmpts.iter().zip(&out) {
-            assert_eq!(*got, Some(exec_load(&insn, c)));
+            assert_eq!(*got, Some(read_bits(c, 32, 32)));
         }
+    }
+    #[test]
+    fn check_column_repairs_counts_and_serves_unloaded_rows() {
+        use opendesc_softnic::testpkt;
+        let frame = testpkt::udp4([10, 0, 0, 1], [10, 0, 0, 2], 1, 2, b"abc", None);
+        let len = frame.len() as u128;
+        let parsed = [
+            ParsedFrame::parse(&frame),
+            ParsedFrame::parse(&frame),
+            ParsedFrame::parse(&frame),
+            None,
+        ];
+        let mut memos = [ShimMemo::default(); 4];
+        // A 4-bit `pkt_len` slot: the reference is masked to it.
+        let insn = BcInsn {
+            op: op::SHIM_CHECK,
+            dst: 0,
+            a: shim_code(ShimOp::PktLen),
+            b: 4,
+        };
+        // Honest, lying, not loaded (truncated), no reference.
+        let mut out = [Some(len & 0xF), Some(7), None, Some(9)];
+        let mut repairs = [0u32, 2, 0, 0];
+        let mut soft = SoftNic::new();
+        check_column(
+            &mut soft,
+            &insn,
+            &parsed,
+            &mut memos,
+            &mut out,
+            &mut repairs,
+        );
+        assert_ne!(len & 0xF, len);
+        assert_eq!(out, [Some(len & 0xF), Some(len & 0xF), Some(len), Some(9)]);
+        assert_eq!(repairs, [0, 3, 0, 0]);
+        assert_eq!(soft.shim_ops(), 3, "one op per parsed row");
     }
 }

@@ -484,6 +484,31 @@ impl SimNic {
         Ok(())
     }
 
+    /// Post `cmpt` as the completion of `frame`, tagged with the next
+    /// sequence number and published at once, `rss_hint` as its
+    /// steering sideband — how a test hands the host a record of its own
+    /// bytes, beside the faults [`set_faults`](SimNic::set_faults)
+    /// injects into the ones the device writes. Refused in buffer mode,
+    /// where a frame is read from a posted buffer, not carried.
+    pub fn post_completion(
+        &mut self,
+        frame: &[u8],
+        cmpt: &[u8],
+        rss_hint: Option<u32>,
+    ) -> Result<(), NicError> {
+        if self.rx_pool.enabled {
+            return Err(NicError::BadConfig("post_completion in buffer mode".into()));
+        }
+        self.cq
+            .produce_tagged(cmpt, self.wb_seq)
+            .map_err(NicError::Ring)?;
+        self.wb_seq += 1;
+        self.cq.ring_doorbell();
+        self.rx_hints.push_back(rss_hint);
+        self.rx_frames.push_back(frame.to_vec());
+        Ok(())
+    }
+
     /// Host-initiated queue recovery — the watchdog's re-arm. Publishes
     /// any produced-but-unannounced completions (lost doorbells) and
     /// un-wedges a hung writeback engine; an honest queue is unaffected.
@@ -1285,6 +1310,23 @@ mod tests {
         let second = nic.receive_into_hinted(&mut fr, &mut c).unwrap();
         assert_eq!(first.seq, second.seq, "replay carries the same tag");
         assert_eq!(c, orig, "replay carries the same record");
+        assert!(nic.receive_into_hinted(&mut fr, &mut c).is_none());
+    }
+
+    #[test]
+    fn a_posted_completion_takes_the_next_tag() {
+        let mut nic = SimNic::new(models::e1000e(), 64).unwrap();
+        nic.configure(asn(&[("use_rss", 1, 1)])).unwrap();
+        nic.deliver(&frame()).unwrap();
+        nic.post_completion(b"frame", &[1, 2, 3], Some(7)).unwrap();
+        let (mut fr, mut c) = (Vec::new(), Vec::new());
+        let delivered = nic.receive_into_hinted(&mut fr, &mut c).unwrap();
+        let posted = nic.receive_into_hinted(&mut fr, &mut c).unwrap();
+        assert_eq!(posted.seq, delivered.seq + 1);
+        assert_eq!(
+            (&fr[..], &c[..], posted.rss_hint),
+            (&b"frame"[..], &[1u8, 2, 3][..], Some(7))
+        );
         assert!(nic.receive_into_hinted(&mut fr, &mut c).is_none());
     }
 

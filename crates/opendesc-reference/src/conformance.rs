@@ -21,20 +21,23 @@
 //! `tests/corpus/` can pin it forever.
 
 use crate::{
-    execute_degraded, execute_degraded_partial, execute_into_primed, execute_verified,
-    tx_descriptor,
+    execute_degraded, execute_degraded_partial, execute_into_primed, execute_verified, pass_checks,
+    serve, tx_descriptor, Served,
 };
 use opendesc_core::codegen::manifest::ManifestV1;
+use opendesc_core::vm;
 use opendesc_core::{
-    compile_tx, lower, txreg, Accessor, AccessorSet, CompiledRx, CompiledTxPlan, Compiler, Intent,
-    LowerError, RxPlan, Selector,
+    check_contract, compile_tx, lower, txreg, Accessor, AccessorSet, CompiledRx, CompiledTxPlan,
+    Compiler, Intent, LowerError, RxPlan, Selector,
 };
 use opendesc_ebpf::Vm;
 use opendesc_ir::semantics::{names, SemanticId, SemanticRegistry};
 use opendesc_nicsim::models::{
     programmable, NicModel, ProgField, ProgGuard, ProgLayout, ProgSpec, ProgTxSpec,
 };
+use opendesc_nicsim::SimNic;
 use opendesc_softnic::{testpkt, SoftNic};
+use std::sync::Arc;
 
 /// The semantic pool intents draw from: every entry has a finite
 /// software cost, so any intent over this pool compiles on any layout.
@@ -263,6 +266,10 @@ pub struct Report {
     pub ebpf_refused: u64,
     /// TX-capable triples whose deparse bytecode matched [`tx_descriptor`].
     pub tx_checked: u64,
+    /// Triples whose rows an attached driver delivered, checked in all
+    /// three dispositions (the device refuses an artifact whose layout
+    /// no context it can be programmed with selects).
+    pub datapath_served: u64,
     pub divergences: Vec<Divergence>,
 }
 
@@ -273,14 +280,16 @@ impl Report {
 }
 
 /// Cross-check one negotiated (model, intent) pair on deterministic
-/// frames and completion bytes. Returns the per-pair counts or the
-/// first divergence's description.
-fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), String> {
+/// frames and completion bytes. Returns the per-pair counts (manifest
+/// round-tripped, TX checked, rows served by the datapath — not when
+/// the device refuses the artifact) or the first divergence's
+/// description.
+fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool, bool), String> {
     let mut reg = SemanticRegistry::with_builtins();
     let intent = intent_from_mask(mask, &mut reg);
     let compiled = Compiler::default()
         .compile_model(model, &intent, &mut reg)
-        .map(CompiledRx::new)
+        .map(|c| Arc::new(CompiledRx::new(c)))
         .map_err(|e| format!("generated model failed to compile: {e}"))?;
     let set = &compiled.accessors;
     let plan = &compiled.plan;
@@ -304,6 +313,14 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
     let prog = &lowered.prog;
     let slots = plan.steps.len();
     let vm = Vm::default();
+    let contract = check_contract(&model.p4_source)
+        .map(Arc::new)
+        .map_err(|e| format!("generated contract does not check: {e}"))?;
+    let nic = || {
+        SimNic::with_contract(model.clone(), Arc::clone(&contract), 16)
+            .map_err(|e| format!("generated model does not boot: {e}"))
+    };
+    let mut served = false;
 
     for round in 0..3u64 {
         let case = seed ^ round.wrapping_mul(0x0102_0304_0506_0708);
@@ -325,21 +342,26 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
             return Err(format!("round {round}: SoftNIC reference != tree oracle"));
         }
 
-        // Tree oracle vs bytecode VM, with the RSS sideband primed the
-        // way the datapath primes it.
-        let mut tree_h = vec![None; slots];
-        let mut soft_b = SoftNic::new();
-        execute_into_primed(plan, set, &mut soft_b, &frame, &cmpt, hint, &mut tree_h);
-        let mut byte = vec![None; slots];
-        let mut soft_c = SoftNic::new();
-        prog.run_trusted(&mut soft_c, &frame, &cmpt, hint, &mut byte);
-        if tree_h != byte {
-            return Err(format!(
-                "round {round}: tree oracle != bytecode VM (trusted)"
-            ));
-        }
-        if soft_b.shim_ops() != soft_c.shim_ops() {
-            return Err(format!("round {round}: trusted shim-op counts diverged"));
+        // Tree oracle vs what the datapath delivers: a trusted poll of
+        // a record that passes the structural checks, with the RSS
+        // sideband primed the way the datapath primes it. The poll runs
+        // the oracle's shims and no others.
+        let mut honest = cmpt.clone();
+        pass_checks(&compiled, frame.len(), &mut honest);
+        let mut tree_t = vec![None; slots];
+        let mut soft_t = SoftNic::new();
+        execute_into_primed(plan, set, &mut soft_t, &frame, &honest, hint, &mut tree_t);
+        let trusted = serve(nic()?, &compiled, Served::Trusted, &frame, &honest, hint);
+        if let Some(got) = trusted {
+            if tree_t != got.row || got.stats.structural_failures != 0 {
+                return Err(format!(
+                    "round {round}: tree oracle != trusted poll {tree_t:?} {got:?}"
+                ));
+            }
+            if got.shim_ops != soft_t.shim_ops() {
+                return Err(format!("round {round}: trusted shim-op counts diverged"));
+            }
+            served = true;
         }
 
         // Every hardware field through the verifier-gated eBPF programs.
@@ -364,28 +386,31 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
             }
         }
         let mut tree_v = vec![None; slots];
-        let mut soft_d = SoftNic::new();
-        let rep_tree = execute_verified(plan, set, &mut soft_d, &frame, &bad, &mut tree_v);
-        let mut byte_v = vec![None; slots];
-        let mut soft_e = SoftNic::new();
-        let rep_byte = prog.run_verified(&mut soft_e, &frame, &bad, &mut byte_v);
-        if tree_v != byte_v || rep_tree != rep_byte {
-            return Err(format!("round {round}: verified disposition diverged"));
+        let mut soft_v = SoftNic::new();
+        let rep_tree = execute_verified(plan, set, &mut soft_v, &frame, &bad, &mut tree_v);
+        if let Some(got) = serve(nic()?, &compiled, Served::Verified, &frame, &bad, hint) {
+            if tree_v != got.row
+                || rep_tree as u64 != got.stats.repaired_fields
+                || soft_v.shim_ops() != got.shim_ops
+            {
+                return Err(format!("round {round}: verified disposition diverged"));
+            }
         }
 
-        // Degraded disposition with sentinel prefill.
+        // Degraded disposition: neither the record nor its sideband is
+        // read.
         let mut tree_d = vec![Some(0xDEAD); slots];
-        let mut soft_f = SoftNic::new();
-        execute_degraded(plan, &mut soft_f, &frame, &mut tree_d);
-        let mut byte_d = vec![Some(0xBEEF); slots];
-        let mut soft_g = SoftNic::new();
-        prog.run_degraded(&mut soft_g, &frame, &mut byte_d);
-        if tree_d != byte_d {
-            return Err(format!("round {round}: degraded disposition diverged"));
+        let mut soft_d = SoftNic::new();
+        execute_degraded(plan, &mut soft_d, &frame, &mut tree_d);
+        if let Some(got) = serve(nic()?, &compiled, Served::Degraded, &frame, &cmpt, hint) {
+            if tree_d != got.row || soft_d.shim_ops() != got.shim_ops {
+                return Err(format!("round {round}: degraded disposition diverged"));
+            }
         }
 
-        // Partial degraded re-serve — what the datapath runs when it
-        // distrusts a completion but keeps proven and software slots.
+        // Partial degraded re-serve — the pass the datapath runs over
+        // the rows it distrusts, keeping proven and software slots: a
+        // kept slot runs no shim.
         // The masks come from their own stream, so a case seed mints
         // the same frames and records with or without this check.
         let mut masks = Rng::new(case ^ 0x6B65_6570);
@@ -395,9 +420,11 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
         for keep in [u128::MAX, single, hw_bit, random] {
             let mut tree_p: Vec<_> = (0..slots as u128).map(|i| Some(0xFEED_0000 + i)).collect();
             let mut byte_p = tree_p.clone();
-            execute_degraded_partial(plan, &mut SoftNic::new(), &frame, keep, &mut tree_p);
-            prog.run_degraded_partial_at(&mut SoftNic::new(), &frame, keep, &mut byte_p, 1, 0);
-            if tree_p != byte_p {
+            let (mut soft_p, mut soft_q) = (SoftNic::new(), SoftNic::new());
+            execute_degraded_partial(plan, &mut soft_p, &frame, keep, &mut tree_p);
+            let (insns, list) = (&prog.degraded, [(0, keep)]);
+            vm::reserve_rows(&mut soft_q, insns, &[&frame], &list, &mut byte_p, 1);
+            if tree_p != byte_p || soft_p.shim_ops() != soft_q.shim_ops() {
                 return Err(format!(
                     "round {round}: partial degraded re-serve diverged (keep {keep:#x})"
                 ));
@@ -467,7 +494,7 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool), St
         tx_checked = true;
     }
 
-    Ok((roundtripped, tx_checked))
+    Ok((roundtripped, tx_checked, served))
 }
 
 /// Shrink a failing intent mask: greedily drop semantics while the
@@ -552,8 +579,11 @@ pub fn run(seed: u64, nics: u64, intents_per_nic: u64) -> Report {
             let mask = (rng.below(255) + 1) as u32;
             let case_seed = rng.next_u64();
             match check_pair(&model, mask, case_seed) {
-                Ok((roundtripped, tx_checked)) => {
+                Ok((roundtripped, tx_checked, served)) => {
                     report.layouts_negotiated += 1;
+                    if served {
+                        report.datapath_served += 1;
+                    }
                     if roundtripped {
                         report.manifests_roundtripped += 1;
                     }

@@ -9,9 +9,11 @@
 //!
 //! * the tree interpreter over an [`RxPlan`] — [`execute_into_primed`],
 //!   [`execute_verified`], [`execute_degraded`],
-//!   [`execute_degraded_partial`] — the oracle of every
-//!   `PlanProgram::run_*` runner (`tests/vm_equivalence.rs`,
-//!   `tests/batched_equivalence.rs`, [`conformance`]);
+//!   [`execute_degraded_partial`] — the oracle of what the datapath
+//!   delivers in each disposition ([`serve`] polls one hand-made
+//!   completion through it; `tests/vm_equivalence.rs`,
+//!   `tests/batched_equivalence.rs`, [`conformance`]) and of its
+//!   re-serve, `vm::reserve_rows`, under arbitrary keep masks;
 //! * [`tx_descriptor`], the find-by-semantic descriptor serializer the
 //!   TX deparse bytecode is compared against
 //!   (`tests/tx_equivalence.rs`, [`conformance`]);
@@ -31,12 +33,17 @@ pub mod device;
 pub mod interp;
 pub mod value;
 
-use opendesc_core::{AccessorSet, PlanStep, RxPlan};
-use opendesc_ir::bits::{width_mask, write_bits};
+use opendesc_core::{
+    AccessorSet, CompiledRx, MetricRegistry, MetricValue, OpenDescDriver, PlanStep, QueueHealth,
+    RxPlan, ValidationMode, ValidationStats,
+};
+use opendesc_ir::bits::{read_bits, width_mask, write_bits};
 use opendesc_ir::txpath::DescriptorLayout;
 use opendesc_ir::SemanticId;
+use opendesc_nicsim::{FaultConfig, SimNic};
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
+use std::sync::Arc;
 
 /// One software step: `None` when the frame does not parse or lacks the
 /// layers the shim needs.
@@ -177,4 +184,117 @@ pub fn tx_descriptor(layout: &DescriptorLayout, values: &[(SemanticId, u128)]) -
         }
     }
     desc
+}
+
+/// The disposition [`serve`] polls its row under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// `Structural` mode on a `Healthy` queue.
+    Trusted,
+    /// `Full` mode on a `Healthy` queue: every checkable hardware field
+    /// is cross-checked.
+    Verified,
+    /// A queue that replayed completions until it was demoted to
+    /// `Degraded`: the completion is not read.
+    Degraded,
+}
+
+/// One row an attached driver delivered, as [`serve`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Polled {
+    /// The row's slots, in accessor order.
+    pub row: Vec<Option<u128>>,
+    /// What the poll added to the queue's validation counters.
+    pub stats: ValidationStats,
+    /// SoftNIC ops the poll ran: what it added to the queue's
+    /// `softnic.shim_ops` counter.
+    pub shim_ops: u64,
+}
+
+/// The queue's `softnic.shim_ops` counter, read through its metrics.
+fn shim_ops(drv: &OpenDescDriver) -> u64 {
+    let mut reg = MetricRegistry::new();
+    drv.register_metrics(&mut reg, "q");
+    match reg.get("q.softnic.shim_ops") {
+        Some(&MetricValue::Counter(ops)) => ops,
+        other => panic!("no shim-op counter: {other:?}"),
+    }
+}
+
+/// What the product delivers for one hand-made completion: attach `rx`
+/// to `nic`, bring the queue to the disposition `how` names, post
+/// `(frame, cmpt)` with `rss_hint` as its steering sideband
+/// ([`SimNic::post_completion`]) and poll it as the one row of a
+/// four-slot batch. `None` when the device refuses to attach `rx`.
+///
+/// # Panics
+/// Panics if the queue does not deliver exactly the posted row, or
+/// does not demote within 64 replayed completions.
+pub fn serve(
+    nic: SimNic,
+    rx: &Arc<CompiledRx>,
+    how: Served,
+    frame: &[u8],
+    cmpt: &[u8],
+    rss_hint: Option<u32>,
+) -> Option<Polled> {
+    let mut drv = OpenDescDriver::attach_shared(nic, Arc::clone(rx)).ok()?;
+    let mut batch = drv.make_batch(4);
+    match how {
+        Served::Trusted => {}
+        Served::Verified => drv.set_validation_mode(ValidationMode::Full),
+        Served::Degraded => {
+            let replay = FaultConfig::builder().duplicate_chance(1.0).build();
+            drv.nic.set_faults(replay.expect("a valid chance")).unwrap();
+            for _ in 0..64 {
+                if drv.health() == QueueHealth::Degraded {
+                    break;
+                }
+                drv.deliver(frame).unwrap();
+                while drv.poll_batch_into(&mut batch) > 0 {}
+            }
+            assert_eq!(drv.health(), QueueHealth::Degraded, "replays demote");
+            drv.nic.set_faults(FaultConfig::default()).unwrap();
+        }
+    }
+    let (before, ops_before) = (drv.validation_stats(), shim_ops(&drv));
+    drv.nic.post_completion(frame, cmpt, rss_hint).unwrap();
+    assert_eq!(drv.poll_batch_into(&mut batch), 1, "the posted row");
+    let after = drv.validation_stats();
+    let row = (0..batch.semantics().len())
+        .map(|field| batch.value_at(field, 0))
+        .collect();
+    let stats = ValidationStats {
+        accepted: after.accepted - before.accepted,
+        truncated: after.truncated - before.truncated,
+        duplicates: after.duplicates - before.duplicates,
+        stale: after.stale - before.stale,
+        structural_failures: after.structural_failures - before.structural_failures,
+        repaired_fields: after.repaired_fields - before.repaired_fields,
+        degraded_packets: after.degraded_packets - before.degraded_packets,
+    };
+    let shim_ops = shim_ops(&drv) - ops_before;
+    Some(Polled {
+        row,
+        stats,
+        shim_ops,
+    })
+}
+
+/// Rewrite each structurally checked hardware field of `cmpt` to a
+/// value its check accepts for a `frame_len`-byte frame
+/// ([`FieldCheck::passing_value`]), so a trusted poll delivers the
+/// record as read instead of re-serving it. Fields past the end of a
+/// short record are left alone.
+///
+/// [`FieldCheck::passing_value`]: opendesc_core::FieldCheck::passing_value
+pub fn pass_checks(rx: &CompiledRx, frame_len: usize, cmpt: &mut [u8]) {
+    for &(i, width, check) in &rx.validator().checks {
+        let offset = rx.accessors.accessors[i].offset_bits;
+        if (offset + width as u32).div_ceil(8) as usize > cmpt.len() {
+            continue;
+        }
+        let ok = check.passing_value(read_bits(cmpt, offset, width), width, frame_len);
+        write_bits(cmpt, offset, width, ok);
+    }
 }

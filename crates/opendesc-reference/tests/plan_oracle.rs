@@ -1,14 +1,18 @@
 //! The tree interpreter against the forms it is the oracle of: the
-//! accessor-set reference, the plan bytecode, and the batched driver.
+//! accessor-set reference and the rows the batched driver delivers.
 
 use opendesc_core::{
-    lower, Accessor, AccessorSet, CompiledInterface, Compiler, Intent, OpenDescDriver, PlanStep,
-    RxPlan,
+    Accessor, AccessorSet, CompiledInterface, CompiledRx, Compiler, Intent, OpenDescDriver,
+    PlanStep, RxPlan,
 };
 use opendesc_ir::{names, SemanticRegistry};
 use opendesc_nicsim::{models, NicModel, SimNic};
-use opendesc_reference::{execute_degraded, execute_degraded_partial, execute_into_primed};
+use opendesc_reference::{
+    execute_degraded, execute_degraded_partial, execute_into_primed, execute_verified, pass_checks,
+    serve, Served,
+};
 use opendesc_softnic::{testpkt, SoftNic};
+use std::sync::Arc;
 
 fn compile(model: &NicModel, intent: &Intent, reg: &mut SemanticRegistry) -> CompiledInterface {
     Compiler::default()
@@ -180,8 +184,10 @@ fn memoized_rss_feeds_hash_and_hint_identically() {
     assert_eq!(vals[hint].unwrap(), vals[rss].unwrap() & 0xFF);
 }
 
+/// The rows an attached driver delivers for one posted completion, in
+/// each disposition, against the tree interpreter over the same bytes.
 #[test]
-fn bytecode_matches_tree_interpreter() {
+fn served_rows_match_tree_interpreter() {
     let frame = kvs_frame("lower:key", Some(0x0042));
     for model in four_models() {
         let mut reg = SemanticRegistry::with_builtins();
@@ -192,19 +198,46 @@ fn bytecode_matches_tree_interpreter() {
             .want(&mut reg, names::PACKET_TYPE)
             .want(&mut reg, names::KVS_KEY_HASH)
             .build();
-        let iface = compile(&model, &intent, &mut reg);
-        let low = lower(&iface.accessors, &iface.plan).unwrap();
-        let cmpt: Vec<u8> = (0..iface.accessors.completion_bytes)
+        let rx = Arc::new(CompiledRx::new(compile(&model, &intent, &mut reg)));
+        let name = &rx.nic_name;
+        let mut cmpt: Vec<u8> = (0..rx.accessors.completion_bytes)
             .map(|i| (i as u8).wrapping_mul(29) ^ 0x3C)
             .collect();
-        let mut a = SoftNic::new();
-        let mut b = SoftNic::new();
-        let legacy = execute(&iface, &mut a, &frame, &cmpt);
-        let mut vm_out = vec![None; low.prog.slots];
-        low.prog
-            .run_trusted(&mut b, &frame, &cmpt, None, &mut vm_out);
-        assert_eq!(legacy, vm_out, "{}", iface.nic_name);
-        assert_eq!(a.shim_ops(), b.shim_ops(), "{}", iface.nic_name);
+        let serve = |how, cmpt: &[u8]| {
+            let nic = SimNic::new(model.clone(), 16).unwrap();
+            serve(nic, &rx, how, &frame, cmpt, None).expect("catalog models attach")
+        };
+        let slots = rx.plan.steps.len();
+
+        let mut verified = vec![None; slots];
+        let mut soft = SoftNic::new();
+        let repaired = execute_verified(
+            &rx.plan,
+            &rx.accessors,
+            &mut soft,
+            &frame,
+            &cmpt,
+            &mut verified,
+        );
+        let got = serve(Served::Verified, &cmpt);
+        assert_eq!(got.row, verified, "{name}");
+        assert_eq!(got.stats.repaired_fields, repaired as u64, "{name}");
+        assert_eq!(got.shim_ops, soft.shim_ops(), "{name}");
+
+        let mut degraded = vec![None; slots];
+        let mut soft = SoftNic::new();
+        execute_degraded(&rx.plan, &mut soft, &frame, &mut degraded);
+        let got = serve(Served::Degraded, &cmpt);
+        assert_eq!(got.row, degraded, "{name}");
+        assert_eq!(got.shim_ops, soft.shim_ops(), "{name}");
+
+        pass_checks(&rx, frame.len(), &mut cmpt);
+        let mut soft = SoftNic::new();
+        let trusted = execute(&rx, &mut soft, &frame, &cmpt);
+        let got = serve(Served::Trusted, &cmpt);
+        assert_eq!(got.row, trusted, "{name}");
+        assert_eq!(got.stats.structural_failures, 0, "{name}");
+        assert_eq!(got.shim_ops, soft.shim_ops(), "{name}");
     }
 }
 

@@ -10,7 +10,10 @@
 #  * One engine: one admission pipeline, one poller, one pump (one
 #    `feed` site), one thread scope, one coordinator (one `snapshot`);
 #    the datapath and the engine take the program `attach` checked,
-#    never an optional one.
+#    never an optional one. One software executor: every disposition
+#    runs its stream a column at a time, so no per-packet RX runner
+#    (`run_trusted`, `run_verified`, `run_degraded`, `exec_shim`) is
+#    named anywhere, the suites included.
 #  * Bench: one runner binary.
 #  * TX: a frame is copied once, by `TxBatch::push`, fixed up, deparsed
 #    and exchanged into its DMA slot in one place each, and never
@@ -115,6 +118,9 @@ expect "codegen/manifest.rs lowers the plan a second time (lower()" \
     "$(code $src/codegen/manifest.rs | grep -v 'lowered()' | sites 'lower(')" 0
 expect "the parser clones a token" \
     "$(code crates/opendesc-p4/src/parser.rs | grep -cE '(peek(_at)?\([^)]*\)|tokens\[[^]]*\]|\bt|\btok)\.clone\(\)' || true)" 0
+for pat in 'run_trusted' 'run_verified' 'run_degraded' 'exec_shim'; do
+    expect "per-packet RX runner $pat in crates/ src/ tests/ examples/" "$(anywhere "$pat")" 0
+done
 for pat in 'WritebackMode' 'set_mode('; do
     expect "$pat in crates/ src/ tests/ examples/" "$(anywhere "$pat")" 0
 done
@@ -170,9 +176,9 @@ pin() { # crate, pinned line count
         fail=1
     fi
 }
-pin opendesc-core 5460
+pin opendesc-core 5444
 pin opendesc-ir 1983
-pin opendesc-nicsim 2439
+pin opendesc-nicsim 2457
 pin opendesc-softnic 961
 pin opendesc-p4 4122
 pin opendesc-ebpf 1219

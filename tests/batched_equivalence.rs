@@ -9,16 +9,32 @@
 //! batch slot holds. Besides plain delivery the suite feeds steered
 //! traffic (the device reports the steering hash, which primes the shim
 //! memos), batches wider than a software column chunk, truncated
-//! records inside a software column, and whole batches served degraded
-//! (the degraded stream run down the columns).
+//! records inside a software column, whole batches served degraded
+//! (the degraded stream run down the columns), and batches served
+//! verified (the verified stream's loads, cross-checks and shims run
+//! down the columns, repairs included).
+//!
+//! `CHAOS_SEED` is mixed into every fault seed, so the CI chaos job runs
+//! each property over a different fault schedule per matrix entry.
 
-use opendesc::compiler::{Compiler, Intent, OpenDescDriver, QueueHealth};
+use opendesc::compiler::{
+    Compiler, HealthConfig, Intent, OpenDescDriver, QueueHealth, ValidationMode,
+};
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::{models, FaultConfig, NicModel, SimNic, SteerPolicy, Steerer};
 use opendesc::softnic::testpkt;
 use opendesc::softnic::SoftNic;
-use opendesc_reference::{execute_degraded, execute_into_primed};
+use opendesc_reference::{execute_degraded, execute_into_primed, execute_verified};
 use proptest::prelude::*;
+
+/// A fault seed with `CHAOS_SEED` mixed in.
+fn seeded(seed: u64) -> u64 {
+    let chaos: u64 = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    seed ^ chaos.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
 
 /// Software-shim-heavy intent (everything except `timestamp`, which
 /// fixed-function models cannot satisfy): on e1000e-class NICs most of
@@ -111,12 +127,19 @@ fn batched_equals_per_packet(case: Case, frames: &[Vec<u8>]) -> Result<(), TestC
     let name = case.model.name.clone();
     let mut a = driver_for(case.model.clone(), case.ring);
     let mut b = driver_for(case.model, case.ring);
-    if let Some(faults) = case.truncate {
-        a.nic.set_faults(faults).unwrap();
-        b.nic.set_faults(faults).unwrap();
+    // The first record arrives short, so every case has a truncated row
+    // to hold; the rest draw at the case's rate.
+    let first = FaultConfig::builder().truncate_chance(1.0).build().unwrap();
+    if case.truncate.is_some() {
+        a.nic.set_faults(first).unwrap();
+        b.nic.set_faults(first).unwrap();
     }
     let steerer = Steerer::new(SteerPolicy::Rss, 1);
     for (i, f) in frames.iter().enumerate() {
+        if let (1, Some(faults)) = (i, case.truncate) {
+            a.nic.set_faults(faults).unwrap();
+            b.nic.set_faults(faults).unwrap();
+        }
         let (ra, rb) = if case.steered {
             let v = steerer.steer(i as u64, f);
             (
@@ -284,7 +307,7 @@ proptest! {
     fn truncated_rows_inside_a_software_column_match_single_polls(
         frames in proptest::collection::vec(arb_frame(), 65..150),
     ) {
-        let faults = FaultConfig::builder().truncate_chance(0.04).seed(3).build().unwrap();
+        let faults = FaultConfig::builder().truncate_chance(0.04).seed(seeded(3)).build().unwrap();
         for model in [models::e1000e(), models::e1000_legacy()] {
             let case = Case { model, ring: 256, cap: 40, steered: false, truncate: Some(faults) };
             batched_equals_per_packet(case, &frames)?;
@@ -301,8 +324,8 @@ proptest! {
     fn degraded_batches_match_the_degraded_oracle(
         frames in proptest::collection::vec(arb_frame(), 65..150),
     ) {
-        let wedge = FaultConfig::builder().truncate_chance(1.0).seed(1).build().unwrap();
-        let trickle = FaultConfig::builder().truncate_chance(0.04).seed(5).build().unwrap();
+        let wedge = FaultConfig::builder().truncate_chance(1.0).seed(seeded(1)).build().unwrap();
+        let trickle = FaultConfig::builder().truncate_chance(0.04).seed(seeded(5)).build().unwrap();
         let cases = [
             (models::e1000_legacy(), &[][..]),
             (models::e1000e(), &[]),
@@ -361,5 +384,94 @@ proptest! {
             }
             prop_assert!(served >= 65, "{}: only {} rows served degraded", name, served);
         }
+    }
+
+    /// A batch polled while the queue verifies (`ValidationMode::Full`)
+    /// runs the verified stream a column at a time: every full-length
+    /// row equals the tree interpreter's verified execution of the
+    /// completion it holds, and the repairs add up; a truncated row
+    /// equals its degraded execution, served in the same pass. Batches
+    /// served after a repair demoted the queue equal the degraded
+    /// oracle. One oracle SoftNIC follows every row in row order, and
+    /// the intent asks for `flow_tag` — software on the e1000 models,
+    /// so its tags number flows in the order rows reach it, hardware
+    /// (read as-is) on the others. 65–149 frames at a capacity of 70
+    /// cross the 32-row chunk boundaries.
+    #[test]
+    fn verified_batches_match_the_verified_oracle(
+        frames in proptest::collection::vec(arb_frame(), 65..150),
+    ) {
+        let faults = FaultConfig::builder()
+            .corrupt_chance(0.05)
+            .truncate_chance(0.04)
+            .seed(seeded(7))
+            .build()
+            .unwrap();
+        let first = FaultConfig::builder().truncate_chance(1.0).build().unwrap();
+        let (mut verified_rows, mut verified_shorts) = (0, 0);
+        for model in [models::e1000_legacy(), models::e1000e(), models::ixgbe(), models::mlx5()] {
+            let name = model.name.clone();
+            let mut drv = driver_wanting(model, 256, &[names::FLOW_TAG]);
+            drv.set_validation_mode(ValidationMode::Full);
+            drv.set_health_config(HealthConfig { degraded_clean: 8, recovering_clean: 8 });
+            // The first record arrives short, inside the first
+            // (verified) batch; the rest draw at the case's rates.
+            drv.nic.set_faults(first).unwrap();
+            for (i, f) in frames.iter().enumerate() {
+                if i == 1 {
+                    drv.nic.set_faults(faults).unwrap();
+                }
+                drv.deliver(f).unwrap();
+            }
+            let expected_len = drv.iface.validator().expected_len;
+            let mut batch = drv.make_batch(70);
+            let mut soft = SoftNic::new();
+            let mut oracle = vec![None; drv.iface.plan.steps.len()];
+            let mut repaired = 0u64;
+            loop {
+                let before = drv.validation_stats();
+                let n = drv.poll_batch_into(&mut batch);
+                if n == 0 {
+                    break;
+                }
+                let stats = drv.validation_stats();
+                // A verified batch serves only its truncated rows
+                // degraded; a degraded batch serves every row so.
+                let degraded = stats.degraded_packets - before.degraded_packets == n as u64;
+                for pkt in 0..n {
+                    let short = batch.cmpt(pkt).len() < expected_len;
+                    if degraded || short {
+                        execute_degraded(&drv.iface.plan, &mut soft, batch.frame(pkt), &mut oracle);
+                    } else {
+                        repaired += execute_verified(
+                            &drv.iface.plan,
+                            &drv.iface.accessors,
+                            &mut soft,
+                            batch.frame(pkt),
+                            batch.cmpt(pkt),
+                            &mut oracle,
+                        ) as u64;
+                    }
+                    if !degraded {
+                        verified_rows += 1;
+                        verified_shorts += short as u32;
+                    }
+                    for (field, want) in oracle.iter().enumerate() {
+                        prop_assert_eq!(
+                            batch.value_at(field, pkt),
+                            *want,
+                            "{}: field {} of row {} ({}) diverged",
+                            name,
+                            field,
+                            pkt,
+                            if degraded { "degraded batch" } else { "verified batch" }
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(drv.validation_stats().repaired_fields, repaired, "{}", name);
+        }
+        prop_assert!(verified_rows >= 65, "only {} rows served verified", verified_rows);
+        prop_assert!(verified_shorts > 0, "no truncated row in a verified batch");
     }
 }

@@ -1,28 +1,39 @@
-//! Differential testing of the three plan-execution forms.
+//! Differential testing of the plan-execution forms against what the
+//! datapath delivers.
 //!
 //! Every compiled plan exists in three executable shapes: the tree
 //! interpreter (`opendesc_reference::execute_*`, the oracle), the
-//! register bytecode the datapath actually runs (`PlanProgram`), and
-//! the eBPF lowering whose window programs the in-repo verifier proves
-//! bounds-safe before the `PlanCache` hands the plan out. This suite
-//! holds all three bit-identical over random intents × all four NIC
-//! models × arbitrary frames and completion bytes — and checks that
-//! the verifier accepts every plan the compiler can produce.
+//! register bytecode the datapath runs a column at a time
+//! (`PlanProgram`), and the eBPF lowering whose window programs the
+//! in-repo verifier proves bounds-safe before the `PlanCache` hands the
+//! plan out. This suite posts arbitrary frames, completion bytes and
+//! RSS hints to an attached driver (`SimNic::post_completion`) and holds
+//! the rows `poll_batch_into` delivers — trusted, verified under
+//! `ValidationMode::Full`, degraded after a demotion — and the shim ops
+//! it runs for them bit-identical to the oracle over random intents ×
+//! all four NIC models, holds every eBPF window equal to its accessor,
+//! checks that the verifier accepts every plan the compiler can
+//! produce, and holds the re-serve the datapath runs over distrusted
+//! rows (`vm::reserve_rows`) equal to `execute_degraded_partial` under
+//! arbitrary keep masks.
 //!
 //! Failures print the model and `CHAOS_SEED` (the CI chaos job fans
 //! this suite out across seeds) so a failing case is replayable.
 
+use opendesc::compiler::vm;
 use opendesc::compiler::{
-    lower, Accessor, AccessorSet, Compiler, Intent, LowerError, PlanProgram, RxPlan,
+    lower, Accessor, AccessorSet, CompiledRx, Compiler, Intent, LowerError, PlanProgram, RxPlan,
 };
 use opendesc::ebpf::Vm;
 use opendesc::ir::{names, SemanticId, SemanticRegistry};
-use opendesc::nicsim::models;
+use opendesc::nicsim::{models, SimNic};
 use opendesc::softnic::{testpkt, SoftNic};
 use opendesc_reference::{
-    execute_degraded, execute_degraded_partial, execute_into_primed, execute_verified,
+    execute_degraded, execute_degraded_partial, execute_into_primed, execute_verified, pass_checks,
+    serve, Served,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The semantic pool random intents draw from (same stateless set as
 /// the chaos suite; per-flow state legitimately varies with order).
@@ -72,22 +83,45 @@ fn splat(mut seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// The partial degraded re-serve on both executors from one pre-filled
-/// `out`: `(tree, bytecode)`. A kept slot must come back holding its
-/// prefill, so the prefill is a value no shim produces.
+/// A batch's rows, each a slot vector.
+type BatchRows = Vec<Vec<Option<u128>>>;
+
+/// Rows of a three-row batch, each slot prefilled with a value no shim
+/// produces.
+fn prefilled(slots: usize) -> BatchRows {
+    let row: Vec<_> = (0..slots as u128)
+        .map(|i| Some(0xFEED_0000_0000 + i))
+        .collect();
+    vec![row; 3]
+}
+
+/// The partial degraded re-serve, `(tree, column)`, each as three rows
+/// and the shim ops it ran. The column side is the re-serve the
+/// datapath runs over the rows it distrusts ([`vm::reserve_rows`]),
+/// listing rows 0 (keeping `keep`) and 2 (keeping the complement) of a
+/// column-major three-row batch: row 1 is not listed and must come back
+/// untouched.
 fn partial_degrade(
     plan: &RxPlan,
     prog: &PlanProgram,
     frame: &[u8],
     keep: u128,
-) -> (Vec<Option<u128>>, Vec<Option<u128>>) {
-    let mut tree: Vec<_> = (0..plan.steps.len() as u128)
-        .map(|i| Some(0xFEED_0000_0000 + i))
+) -> ((BatchRows, u64), (BatchRows, u64)) {
+    let slots = plan.steps.len();
+    let mut tree = prefilled(slots);
+    let mut soft = SoftNic::new();
+    execute_degraded_partial(plan, &mut soft, frame, keep, &mut tree[0]);
+    execute_degraded_partial(plan, &mut soft, frame, !keep, &mut tree[2]);
+    let rows = prefilled(slots);
+    let mut meta: Vec<_> = (0..slots * 3).map(|i| rows[i % 3][i / 3]).collect();
+    let list = [(0, keep), (2, !keep)];
+    let mut column_soft = SoftNic::new();
+    let insns = &prog.degraded;
+    vm::reserve_rows(&mut column_soft, insns, &[frame; 3], &list, &mut meta, 3);
+    let column = (0..3)
+        .map(|r| (0..slots).map(|s| meta[s * 3 + r]).collect())
         .collect();
-    let mut byte = tree.clone();
-    execute_degraded_partial(plan, &mut SoftNic::new(), frame, keep, &mut tree);
-    prog.run_degraded_partial_at(&mut SoftNic::new(), frame, keep, &mut byte, 1, 0);
-    (tree, byte)
+    ((tree, soft.shim_ops()), (column, column_soft.shim_ops()))
 }
 
 fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
@@ -127,10 +161,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The headline differential property: for random intents on every
-    /// model, the bytecode VM, the eBPF-lowered interpreter, and the
-    /// legacy tree interpreter produce bit-identical metadata (and
-    /// identical shim-op counts) across all three dispositions — and
-    /// the verifier accepts every lowered plan.
+    /// model, the rows the datapath delivers in all three dispositions
+    /// (and the shim ops it runs for them), the eBPF-lowered windows
+    /// and the re-serve equal the tree interpreter — and the verifier
+    /// accepts every lowered plan.
     #[test]
     fn bytecode_ebpf_and_tree_interpreter_are_bit_identical(
         mask in 1u32..256,
@@ -148,13 +182,17 @@ proptest! {
             let compiled = Compiler::default()
                 .compile_model(&model, &intent, &mut reg)
                 .expect("intent compiles on every model");
-            let set = &compiled.accessors;
-            let plan = &compiled.plan;
+            let rx = Arc::new(CompiledRx::new(compiled));
+            let set = &rx.accessors;
+            let plan = &rx.plan;
             // Verifier acceptance: every plan the compiler can produce
             // must lower, with all window programs proven bounds-safe.
-            let lowered = match lower(set, plan) {
-                Ok(l) => l,
-                Err(e) => return Err(TestCaseError::fail(format!("{ctx}: rejected: {e}"))),
+            let lowered = match rx.lowered() {
+                Some(l) => l,
+                None => {
+                    let why = rx.lowering_error().expect("lowered or says why not");
+                    return Err(TestCaseError::fail(format!("{ctx}: rejected: {why}")));
+                }
             };
             let prog = &lowered.prog;
             prop_assert!(
@@ -163,17 +201,22 @@ proptest! {
             );
             let cmpt = splat(seed | 1, set.completion_bytes as usize);
             let slots = plan.steps.len();
+            let nic = || SimNic::new(model.clone(), 16).unwrap();
 
-            // Trusted disposition (primed like the datapath's hot path).
+            // Trusted disposition (primed from the steering hint), on a
+            // record that passes the structural checks (one that fails
+            // them is re-served).
+            let mut honest = cmpt.clone();
+            pass_checks(&rx, frame.len(), &mut honest);
             let mut tree = vec![None; slots];
             let mut soft_a = SoftNic::new();
-            execute_into_primed(plan, set, &mut soft_a, &frame, &cmpt, hint, &mut tree);
-            let mut byte = vec![None; slots];
-            let mut soft_b = SoftNic::new();
-            prog.run_trusted(&mut soft_b, &frame, &cmpt, hint, &mut byte);
-            prop_assert_eq!(&tree, &byte, "{}: trusted diverged", &ctx);
+            execute_into_primed(plan, set, &mut soft_a, &frame, &honest, hint, &mut tree);
+            let got = serve(nic(), &rx, Served::Trusted, &frame, &honest, hint)
+                .expect("catalog models attach");
+            prop_assert_eq!(&tree, &got.row, "{}: trusted diverged", &ctx);
+            prop_assert_eq!(got.stats.structural_failures, 0, "{}: honest record failed", &ctx);
             prop_assert_eq!(
-                soft_a.shim_ops(), soft_b.shim_ops(),
+                soft_a.shim_ops(), got.shim_ops,
                 "{}: trusted shim-op counts diverged", &ctx
             );
 
@@ -197,33 +240,44 @@ proptest! {
                     *b ^= 0x5A;
                 }
             }
+            // The steering hint rides along: a verified or degraded row
+            // must not be primed from it.
             let mut tree_v = vec![None; slots];
             let mut soft_c = SoftNic::new();
             let rep_tree = execute_verified(plan, set, &mut soft_c, &frame, &bad, &mut tree_v);
-            let mut byte_v = vec![None; slots];
-            let mut soft_d = SoftNic::new();
-            let rep_byte = prog.run_verified(&mut soft_d, &frame, &bad, &mut byte_v);
-            prop_assert_eq!(&tree_v, &byte_v, "{}: verified diverged", &ctx);
-            prop_assert_eq!(rep_tree, rep_byte, "{}: repair counts diverged", &ctx);
+            let got = serve(nic(), &rx, Served::Verified, &frame, &bad, hint)
+                .expect("catalog models attach");
+            prop_assert_eq!(&tree_v, &got.row, "{}: verified diverged", &ctx);
+            prop_assert_eq!(
+                rep_tree as u64, got.stats.repaired_fields,
+                "{}: repair counts diverged", &ctx
+            );
+            prop_assert_eq!(
+                soft_c.shim_ops(), got.shim_ops,
+                "{}: verified shim-op counts diverged", &ctx
+            );
 
-            // Degraded disposition, with sentinel prefill to prove both
-            // clear device-only slots identically.
+            // Degraded disposition: every device-only slot cleared.
             let mut tree_d = vec![Some(0xDEAD); slots];
             let mut soft_e = SoftNic::new();
             execute_degraded(plan, &mut soft_e, &frame, &mut tree_d);
-            let mut byte_d = vec![Some(0xBEEF); slots];
-            let mut soft_f = SoftNic::new();
-            prog.run_degraded(&mut soft_f, &frame, &mut byte_d);
-            prop_assert_eq!(&tree_d, &byte_d, "{}: degraded diverged", &ctx);
+            let got = serve(nic(), &rx, Served::Degraded, &frame, &cmpt, hint)
+                .expect("catalog models attach");
+            prop_assert_eq!(&tree_d, &got.row, "{}: degraded diverged", &ctx);
+            prop_assert_eq!(
+                soft_e.shim_ops(), got.shim_ops,
+                "{}: degraded shim-op counts diverged", &ctx
+            );
 
             // Partial degraded re-serve — what the datapath runs on a
-            // distrusted packet: a random mask, everything kept, one
+            // distrusted row: a random mask, everything kept, one
             // slot kept, one hardware slot kept.
             let single = 1u128 << (keep % slots as u128);
             let hw_bit = plan.hw.first().map_or(0, |&i| 1u128 << i);
             for k in [keep, u128::MAX, single, hw_bit] {
-                let (tree_p, byte_p) = partial_degrade(plan, prog, &frame, k);
-                prop_assert_eq!(&tree_p, &byte_p, "{}: partial degrade diverged, keep {:#x}", &ctx, k);
+                let (tree_p, column_p) = partial_degrade(plan, prog, &frame, k);
+                prop_assert_eq!(&tree_p.0, &column_p.0, "{}: partial degrade diverged, keep {:#x}", &ctx, k);
+                prop_assert_eq!(tree_p.1, column_p.1, "{}: re-serve shim ops, keep {:#x}", &ctx, k);
             }
         }
     }
@@ -286,9 +340,9 @@ fn partial_degrade_agrees_across_the_whole_keep_mask() {
     let stripes = u128::MAX / 3; // 0x5555…
     for frame in [&frame[..], &[0u8; 6][..]] {
         for keep in [top, !top, u128::MAX, stripes, !stripes, 1, 2] {
-            let (tree, byte) = partial_degrade(&plan, &prog, frame, keep);
-            assert_eq!(tree, byte, "keep {keep:#x}");
-            for (i, v) in byte.iter().enumerate() {
+            let (tree, column) = partial_degrade(&plan, &prog, frame, keep);
+            assert_eq!(tree, column, "keep {keep:#x}");
+            for (i, v) in column.0[0].iter().enumerate() {
                 let prefill = Some(0xFEED_0000_0000 + i as u128);
                 assert_eq!(
                     *v == prefill,
