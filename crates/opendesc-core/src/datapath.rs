@@ -17,6 +17,7 @@ use crate::robust::{
 use crate::vm::{self, Rows};
 use opendesc_ir::SemanticId;
 use opendesc_nicsim::nic::{NicError, SimNic};
+use opendesc_nicsim::ring::DescRing;
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::SoftNic;
 use opendesc_telemetry::{MetricRegistry, QueueTelemetry, TraceKind};
@@ -46,9 +47,12 @@ impl RxPacket {
 ///
 /// One `RxBatch` is created per queue (see
 /// [`OpenDescDriver::make_batch`]) and refilled by
-/// [`OpenDescDriver::poll_batch_into`]; frame, completion, and metadata
-/// storage is recycled across calls, so a steady-state poll loop stops
-/// allocating entirely. Metadata is column-major — all packets' values
+/// [`OpenDescDriver::poll_batch_into`]; frame and metadata storage is
+/// recycled across calls, so a steady-state poll loop stops allocating
+/// entirely. A batch holds no completion bytes: each packet's record
+/// stays in the completion-ring slot the device wrote it to, and the
+/// batch keeps its ring position ([`OpenDescDriver::completion`] reads
+/// it there). Metadata is column-major — all packets' values
 /// of one field are contiguous (`meta[field * cap + pkt]`) — which is
 /// what the columnar hardware reader fills. The columns are shaped for
 /// one artifact; a poll under a different one (after a relayout)
@@ -72,8 +76,9 @@ pub struct RxBatch {
     sems: Vec<SemanticId>,
     /// Received frames; `frames[i]` is valid for `i < len`.
     frames: Vec<Vec<u8>>,
-    /// Completion records, parallel to `frames`.
-    cmpts: Vec<Vec<u8>>,
+    /// Completion-ring position of each packet's record, parallel to
+    /// `frames`.
+    pos: Vec<u64>,
     /// Column-major metadata: `meta[field * cap + pkt]`.
     meta: Vec<Option<u128>>,
     /// Steering sideband per packet (device-reported RSS hash), consumed
@@ -95,7 +100,7 @@ impl RxBatch {
         let mut batch = RxBatch {
             cap,
             frames: (0..cap).map(|_| Vec::new()).collect(),
-            cmpts: (0..cap).map(|_| Vec::new()).collect(),
+            pos: vec![0; cap],
             hints: vec![None; cap],
             short: vec![false; cap],
             repairs: vec![0; cap],
@@ -142,12 +147,6 @@ impl RxBatch {
     #[inline]
     pub fn frame(&self, pkt: usize) -> &[u8] {
         &self.frames[..self.len][pkt]
-    }
-
-    /// Completion record of packet `pkt` (`pkt < len`).
-    #[inline]
-    pub fn cmpt(&self, pkt: usize) -> &[u8] {
-        &self.cmpts[..self.len][pkt]
     }
 
     /// Metadata by field position (accessor order,
@@ -700,6 +699,16 @@ impl OpenDescDriver {
         RxBatch::new(&self.iface, cap)
     }
 
+    /// The completion record of packet `pkt` (`pkt < batch.len()`) of a
+    /// batch this driver polled, read in the ring slot the device wrote
+    /// it to. `None` once the device has written over that slot — after
+    /// a ring's worth of later completions — so a late read fails closed
+    /// instead of returning another packet's bytes.
+    #[inline]
+    pub fn completion(&self, batch: &RxBatch, pkt: usize) -> Option<&[u8]> {
+        self.nic.cq.record(batch.pos[..batch.len][pkt])
+    }
+
     /// Zero-allocation batched poll: drain up to `batch.capacity()`
     /// pending packets into recycled storage, then fill the metadata
     /// columns — hardware fields via the columnar batch reader, software
@@ -764,18 +773,17 @@ impl OpenDescDriver {
         n
     }
 
-    /// Drain the rings into recycled frame/completion storage, keeping
-    /// each packet's steering sideband and truncation flag alongside it;
-    /// duplicated/stale completions are discarded here. The one place
-    /// the host consumes the device's rings.
+    /// Drain the rings into recycled frame storage, keeping each
+    /// packet's ring position, steering sideband and truncation flag
+    /// alongside it; duplicated/stale completions are discarded here.
+    /// The one place the host consumes the device's rings. No record is
+    /// copied: `fill_batch` reads each one in its ring slot, which the
+    /// device cannot write over before the poll returns.
     fn drain_batch(&mut self, batch: &mut RxBatch) -> usize {
         let expected_len = self.iface.validator().expected_len;
         let mut n = 0;
         while n < batch.cap {
-            let Some(side) = self
-                .nic
-                .receive_into_hinted(&mut batch.frames[n], &mut batch.cmpts[n])
-            else {
+            let Some((pos, side)) = self.nic.receive_slot(&mut batch.frames[n]) else {
                 break;
             };
             if !self.admit_seq(side.seq) {
@@ -784,17 +792,16 @@ impl OpenDescDriver {
             if n == 0 {
                 self.tel.event(TraceKind::Writeback, side.seq, 0);
             }
+            batch.pos[n] = pos;
             batch.hints[n] = side.rss_hint;
-            let short = batch.cmpts[n].len() < expected_len;
+            let len = self.nic.cq.record(pos).map_or(0, <[u8]>::len);
+            let short = len < expected_len;
             batch.short[n] = short;
             if short {
                 self.vstats.truncated += 1;
                 self.fault(Evidence::Truncated);
-                self.tel.event(
-                    TraceKind::Truncated,
-                    batch.cmpts[n].len() as u64,
-                    expected_len as u64,
-                );
+                self.tel
+                    .event(TraceKind::Truncated, len as u64, expected_len as u64);
             }
             n += 1;
         }
@@ -855,7 +862,7 @@ impl OpenDescDriver {
                 // checks and shims from frame bytes alone, in the same
                 // pass and row order as its neighbours.
                 let (loads, rest) = prog.verified.split_at(prog.hw_len);
-                load_rows(loads, batch);
+                load_rows(loads, &self.nic.cq, batch);
                 for pkt in (0..n).filter(|&pkt| batch.short[pkt]) {
                     for s in 0..prog.slots {
                         batch.meta[s * cap + pkt] = None;
@@ -894,7 +901,7 @@ impl OpenDescDriver {
                 }
             }
             Disposition::Trusted => {
-                load_rows(prog.hw_insns(), batch);
+                load_rows(prog.hw_insns(), &self.nic.cq, batch);
                 // Software fields: one shim at a time across the batch
                 // too, over frames parsed once.
                 if prog.needs_parse() {
@@ -976,23 +983,43 @@ impl OpenDescDriver {
 }
 
 /// Run hardware loads one column at a time across each run of
-/// full-length records in `batch`: a truncated record splits the run and
-/// is never read, and its row keeps whatever it held.
+/// full-length records in `batch`, reading every record in its slot of
+/// `ring`: a truncated record splits the run and is never read, and its
+/// row keeps whatever it held. The records' slices are gathered a chunk
+/// of 32 rows at a time, or one row for the one-slot batch of `poll`,
+/// which so sets up one slice, not a chunk's worth.
 #[inline(always)]
-fn load_rows(insns: &[vm::BcInsn], batch: &mut RxBatch) {
+fn load_rows(insns: &[vm::BcInsn], ring: &DescRing, batch: &mut RxBatch) {
+    if batch.cap == 1 {
+        load_chunks::<1>(insns, ring, batch);
+    } else {
+        load_chunks::<{ vm::CHUNK_ROWS }>(insns, ring, batch);
+    }
+}
+
+#[inline(always)]
+fn load_chunks<const N: usize>(insns: &[vm::BcInsn], ring: &DescRing, batch: &mut RxBatch) {
     let (n, cap) = (batch.len, batch.cap);
+    let mut recs: [&[u8]; N] = [&[]; N];
     let mut at = 0;
     for run in batch.short[..n].split(|short| *short) {
-        let rows = at..at + run.len();
-        at = rows.end + 1;
-        for insn in insns {
-            let base = insn.dst as usize * cap;
-            vm::load_column(
-                insn,
-                &batch.cmpts[rows.clone()],
-                &mut batch.meta[base + rows.start..base + rows.end],
-            );
+        let run_end = at + run.len();
+        while at < run_end {
+            let rows = at..run_end.min(at + N);
+            let recs = &mut recs[..rows.len()];
+            for (rec, &pos) in recs.iter_mut().zip(&batch.pos[rows.clone()]) {
+                // A full-length row's record was read in this poll's drain,
+                // and the device has not produced since.
+                *rec = ring.record(pos).unwrap_or_default();
+            }
+            for insn in insns {
+                let base = insn.dst as usize * cap;
+                let out = &mut batch.meta[base + rows.start..base + rows.end];
+                vm::load_column(insn, recs, out);
+            }
+            at = rows.end;
         }
+        at += 1;
     }
 }
 
@@ -1289,7 +1316,12 @@ mod tests {
             .collect();
         let device: Vec<(u64, u64)> = SHORT
             .iter()
-            .map(|&pkt| (batch.cmpt(pkt).len() as u64, expected))
+            .map(|&pkt| {
+                (
+                    batched.completion(&batch, pkt).unwrap().len() as u64,
+                    expected,
+                )
+            })
             .collect();
         assert_eq!(traced, device, "the lengths the device wrote");
         assert!(device.iter().all(|(got, want)| got < want));
@@ -1602,7 +1634,8 @@ mod tests {
             .filter(|&pkt| {
                 let read = |i: usize| {
                     let a = &iface.accessors.accessors[i];
-                    (a.kind == AccessorKind::Hardware).then(|| a.read(batch.cmpt(pkt)))
+                    let cmpt = drv.completion(&batch, pkt).unwrap();
+                    (a.kind == AccessorKind::Hardware).then(|| a.read(cmpt))
                 };
                 let (failed, _) = iface
                     .validator()
@@ -1632,12 +1665,12 @@ mod tests {
         assert_eq!(s.accepted, 190);
     }
 
-    /// A four-slot batch holding two packets. Each accessor states its
-    /// bounds once (`[..len]`, then `[pkt]`) so an inlined loop can
-    /// hoist them; the `should_panic` tests below pin that the check
-    /// is still there, for `pkt >= len` within once-filled capacity
-    /// and for `field >= semantics().len()`.
-    fn two_of_four() -> RxBatch {
+    /// A four-slot batch holding two packets, and the driver that
+    /// polled it. Each accessor states its bounds once (`[..len]`, then
+    /// `[pkt]`) so an inlined loop can hoist them; the `should_panic`
+    /// tests below pin that the check is still there, for `pkt >= len`
+    /// within once-filled capacity and for `field >= semantics().len()`.
+    fn two_of_four() -> (OpenDescDriver, RxBatch) {
         let (mut drv, _) = driver_for(models::e1000e());
         let mut batch = drv.make_batch(4);
         for round in 0..2 {
@@ -1647,19 +1680,19 @@ mod tests {
             assert_eq!(drv.poll_batch_into(&mut batch), 4 - 2 * round);
         }
         assert!(batch.value_at(batch.semantics().len() - 1, 1).is_some());
-        batch
+        (drv, batch)
     }
 
     #[test]
     #[should_panic]
     fn value_at_past_the_last_poll_panics() {
-        two_of_four().value_at(0, 2);
+        two_of_four().1.value_at(0, 2);
     }
 
     #[test]
     #[should_panic]
     fn value_at_past_the_last_field_panics() {
-        let batch = two_of_four();
+        let (_, batch) = two_of_four();
         batch.value_at(batch.semantics().len(), 0);
     }
 
@@ -1667,25 +1700,58 @@ mod tests {
     #[should_panic]
     fn value_at_of_a_field_that_wraps_into_another_column_panics() {
         // `field * cap + pkt` overflows to column 1's storage.
-        two_of_four().value_at(usize::MAX / 4 + 2, 0);
+        two_of_four().1.value_at(usize::MAX / 4 + 2, 0);
     }
 
     #[test]
     #[should_panic]
     fn frame_past_the_last_poll_panics() {
-        two_of_four().frame(2);
+        two_of_four().1.frame(2);
     }
 
     #[test]
     #[should_panic]
-    fn cmpt_past_the_last_poll_panics() {
-        two_of_four().cmpt(2);
+    fn completion_past_the_last_poll_panics() {
+        let (drv, batch) = two_of_four();
+        drv.completion(&batch, 2);
     }
 
     #[test]
     #[should_panic]
     fn rss_hint_past_the_last_poll_panics() {
-        two_of_four().rss_hint(2);
+        two_of_four().1.rss_hint(2);
+    }
+
+    #[test]
+    fn a_completion_reads_until_the_device_writes_over_its_slot() {
+        // Four records read in place; then 253 more completions on the
+        // 256-slot ring write over the first record's slot only.
+        let (mut drv, _) = driver_for(models::e1000e());
+        let frames: Vec<_> = (0..4).map(|i| kvs_frame(&format!("slot:{i}"))).collect();
+        let mut twin = SimNic::new(models::e1000e(), 256).unwrap();
+        twin.configure(drv.nic.context().clone()).unwrap();
+        let mut batch = drv.make_batch(4);
+        for f in &frames {
+            drv.deliver(f).unwrap();
+            twin.deliver(f).unwrap();
+        }
+        assert_eq!(drv.poll_batch_into(&mut batch), 4);
+        for pkt in 0..4 {
+            let (_, want) = twin.receive().unwrap();
+            assert_eq!(drv.completion(&batch, pkt), Some(&want[..]));
+        }
+        let ring = drv.nic.cq.capacity();
+        for i in 0..ring - 3 {
+            drv.deliver(&kvs_frame(&format!("over:{i}"))).unwrap();
+        }
+        assert_eq!(drv.completion(&batch, 0), None, "written over");
+        for pkt in 1..4 {
+            assert!(drv.completion(&batch, pkt).is_some(), "row {pkt}");
+        }
+        drv.deliver(&kvs_frame("one more")).unwrap();
+        assert_eq!(drv.completion(&batch, 1), None);
+        // Values already polled stay in the batch's columns.
+        assert!(batch.value_at(0, 0).is_some());
     }
 
     #[test]

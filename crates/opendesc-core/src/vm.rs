@@ -274,11 +274,12 @@ fn check_column(
     }
 }
 
-/// Rows one column pass holds parsed: the common 32-packet batch. A
+/// Rows one column pass holds — parsed frames here, record slices in
+/// the datapath's hardware loads: the common 32-packet batch. A
 /// chunk is set up whole, rows past the batch's end too, so a 64-row
 /// chunk (one structural fail word) made a 32-packet batch's shim pass
 /// ~4 % slower.
-const CHUNK_ROWS: usize = 32;
+pub(crate) const CHUNK_ROWS: usize = 32;
 
 /// How [`run_rows`] sets up each row before the columns run.
 pub enum Rows<'a> {

@@ -300,6 +300,13 @@ pub struct RxSideband {
 
 /// A simulated NIC receive queue executing an OpenDesc contract.
 ///
+/// Each completion-ring slot holds everything the host reads for one
+/// completion: `cq` keeps the record, its length and its sequence tag,
+/// and two arrays indexed like `cq`'s slots keep the frame and the
+/// steering hint. The host consumes a slot with
+/// [`receive_slot`](SimNic::receive_slot) and reads the record where it
+/// lies, until the device produces over that slot.
+///
 /// Starts on a cache line, and so does whatever embeds it: which lines
 /// a queue's hot fields (and the driver fields laid out after it) share
 /// then follows from the declarations alone, not from the allocator's
@@ -331,8 +338,9 @@ pub struct SimNic {
     offload_prog: OffloadProgram,
     /// Reusable completion writeback buffer (deliver-path scratch).
     wb_scratch: Vec<u8>,
-    /// Recycled frame storage: `receive_into` returns emptied buffers
-    /// here, `deliver` reuses them instead of allocating.
+    /// Emptied frame buffers, most recently freed last: a consume
+    /// parks the host's old buffer here and `deliver` takes the warmest
+    /// one for the next frame instead of allocating.
     frame_pool: Vec<Vec<u8>>,
     context: Assignment,
     active_path: Option<usize>,
@@ -350,12 +358,12 @@ pub struct SimNic {
     ring_generation: u32,
     /// Remaining deliveries a wedged writeback engine swallows.
     hang_remaining: u32,
-    /// Received frames pending host pickup, parallel to completions.
-    rx_frames: std::collections::VecDeque<Vec<u8>>,
-    /// Steering sideband in lockstep with the completion ring: one entry
-    /// per successfully produced completion, consumed by
-    /// [`SimNic::receive_into_hinted`].
-    rx_hints: std::collections::VecDeque<Option<u32>>,
+    /// The frame of each completion-ring slot's entry, indexed like
+    /// the ring's slots: what the host swaps out when it consumes the
+    /// slot (empty in buffer mode, where frames sit in host memory).
+    slot_frames: Vec<Vec<u8>>,
+    /// The steering sideband of each completion-ring slot's entry.
+    slot_hints: Vec<Option<u32>>,
     /// Transmit descriptor ring (host → device).
     pub tx_ring: DescRing,
     /// DMA-visible buffer pool TX descriptors point into.
@@ -434,6 +442,7 @@ impl SimNic {
         };
 
         let slot = model.completion_slot_bytes.max(1);
+        let cq = DescRing::new(ring_entries, slot);
         let faults = FaultConfig::default();
         let mut nic = SimNic {
             checked,
@@ -448,7 +457,9 @@ impl SimNic {
             frame_pool: Vec::new(),
             context: Assignment::new(),
             active_path: None,
-            cq: DescRing::new(ring_entries, slot),
+            slot_frames: vec![Vec::new(); cq.capacity()],
+            slot_hints: vec![None; cq.capacity()],
+            cq,
             dma_cfg: DmaConfig::default(),
             dma: DmaMeter::default(),
             stats: NicStats::default(),
@@ -457,8 +468,6 @@ impl SimNic {
             wb_seq: 0,
             ring_generation: 0,
             hang_remaining: 0,
-            rx_frames: std::collections::VecDeque::new(),
-            rx_hints: std::collections::VecDeque::new(),
             tx_ring: DescRing::new(ring_entries, 64),
             host_mem: HostMem::new(),
             h2c_context: Assignment::new(),
@@ -499,13 +508,12 @@ impl SimNic {
         if self.rx_pool.enabled {
             return Err(NicError::BadConfig("post_completion in buffer mode".into()));
         }
-        self.cq
+        let pos = (self.cq)
             .produce_tagged(cmpt, self.wb_seq)
             .map_err(NicError::Ring)?;
         self.wb_seq += 1;
         self.cq.ring_doorbell();
-        self.rx_hints.push_back(rss_hint);
-        self.rx_frames.push_back(frame.to_vec());
+        self.fill_slot(pos, frame, rss_hint);
         Ok(())
     }
 
@@ -766,29 +774,24 @@ impl SimNic {
             tag = tag.wrapping_sub(self.cq.capacity() as u64);
             self.stats.stale_gen += 1;
         }
-        match self.cq.produce_tagged(&self.wb_scratch, tag) {
-            Ok(()) => self.wb_seq += 1,
+        let pos = match self.cq.produce_tagged(&self.wb_scratch, tag) {
+            Ok(pos) => {
+                self.wb_seq += 1;
+                pos
+            }
             Err(RingError::Full) => {
                 self.stats.dropped_ring_full += 1;
                 return Ok(());
             }
             Err(e) => return Err(NicError::Ring(e)),
-        }
+        };
         if self.roll(self.faults.doorbell_loss_chance) {
             self.stats.doorbell_lost += 1;
         } else {
             self.cq.ring_doorbell();
         }
-        // Sideband rides in lockstep with the completion just produced.
-        self.rx_hints.push_back(hint);
         self.dma.record(&self.dma_cfg, self.wb_scratch.len() as u32);
-        if !self.rx_pool.enabled {
-            // Copy into a recycled buffer instead of allocating per frame.
-            let mut buf = self.frame_pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.extend_from_slice(frame);
-            self.rx_frames.push_back(buf);
-        }
+        self.fill_slot(pos, frame, hint);
         self.stats.rx_frames += 1;
         self.stats.rx_bytes += frame.len() as u64;
         self.stats.completions += 1;
@@ -796,24 +799,34 @@ impl SimNic {
         // the same tag into the next slot; the host sees the packet
         // twice and must discard the replay by its sequence tag. (Buffer
         // mode has no second posted buffer to read, so skip there.)
-        if !self.rx_pool.enabled
-            && self.roll(self.faults.duplicate_chance)
-            && self.cq.produce_tagged(&self.wb_scratch, tag).is_ok()
-        {
-            self.cq.ring_doorbell();
-            self.rx_hints.push_back(hint);
-            let mut buf = self.frame_pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.extend_from_slice(frame);
-            self.rx_frames.push_back(buf);
-            self.stats.duplicated += 1;
+        if !self.rx_pool.enabled && self.roll(self.faults.duplicate_chance) {
+            if let Ok(pos) = self.cq.produce_tagged(&self.wb_scratch, tag) {
+                self.cq.ring_doorbell();
+                self.fill_slot(pos, frame, hint);
+                self.stats.duplicated += 1;
+            }
         }
         Ok(())
     }
 
+    /// Give the entry just produced at ring position `pos` its frame
+    /// and steering sideband, in that entry's own slot. Outside buffer
+    /// mode the frame is copied into the warmest parked buffer.
+    #[inline]
+    fn fill_slot(&mut self, pos: u64, frame: &[u8], hint: Option<u32>) {
+        let slot = self.cq.slot_of(pos);
+        self.slot_hints[slot] = hint;
+        if !self.rx_pool.enabled {
+            let mut buf = self.frame_pool.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(frame);
+            self.slot_frames[slot] = buf;
+        }
+    }
+
     /// Host side: pop the next (frame, completion) pair. In buffer mode
     /// the frame is read back from the posted host-memory buffer (and the
-    /// buffer recycled); otherwise from the internal copy queue.
+    /// buffer recycled); otherwise it is taken from its ring slot.
     pub fn receive(&mut self) -> Option<(Vec<u8>, Vec<u8>)> {
         let mut frame = Vec::new();
         let mut cmpt = Vec::new();
@@ -823,8 +836,8 @@ impl SimNic {
 
     /// Zero-allocation [`receive`]: fills caller-owned buffers instead of
     /// returning fresh `Vec`s, so a poll loop recycles its storage across
-    /// packets. The frame buffer's old storage is recycled into the
-    /// NIC-internal frame pool; both buffers are cleared before filling.
+    /// packets. The frame buffer's old storage is parked for a later
+    /// `deliver`; the completion buffer is cleared before filling.
     /// Returns `false` (buffers cleared, contents unspecified) when no
     /// packet is pending.
     ///
@@ -837,39 +850,51 @@ impl SimNic {
     /// steering sideband for the popped completion, so the host plan can
     /// prime its shim memo with the device-computed hash instead of
     /// rerunning Toeplitz. Returns `None` when no packet is pending.
+    ///
+    /// This is [`receive_slot`](SimNic::receive_slot) plus one copy of
+    /// the record out of its slot, for a caller that wants the bytes.
     #[inline]
     pub fn receive_into_hinted(
         &mut self,
         frame: &mut Vec<u8>,
         cmpt: &mut Vec<u8>,
     ) -> Option<RxSideband> {
-        let (c, seq) = self.cq.consume_with_seq()?;
+        let (pos, sideband) = self.receive_slot(frame)?;
         cmpt.clear();
-        cmpt.extend_from_slice(c);
-        // The sideband queue is produced in lockstep with `cq`; the
-        // sequence tag comes from the ring slot itself.
+        cmpt.extend_from_slice(self.cq.record(pos).unwrap_or_default());
+        Some(sideband)
+    }
+
+    /// Host side: consume the next published completion. The frame is
+    /// swapped into `frame` (in buffer mode, read back from its posted
+    /// buffer), and the record stays where the device wrote it: this
+    /// returns its ring position, for [`DescRing::record`] on `cq` to
+    /// read until the device writes over the slot, with the slot's
+    /// steering sideband and sequence tag. The caller's previous frame
+    /// storage is parked for a later `deliver`. Returns `None` when no
+    /// completion is published.
+    #[inline]
+    pub fn receive_slot(&mut self, frame: &mut Vec<u8>) -> Option<(u64, RxSideband)> {
+        let (pos, seq) = self.cq.consume_pos()?;
+        let slot = self.cq.slot_of(pos);
         let sideband = RxSideband {
-            rss_hint: self.rx_hints.pop_front().unwrap_or_default(),
+            rss_hint: self.slot_hints[slot],
             seq,
         };
-        let ok = if self.rx_pool.enabled {
-            self.rx_buffer_read_into(frame)
-        } else {
-            match self.rx_frames.pop_front() {
-                Some(mut buf) => {
-                    // Hand the queued buffer to the caller and recycle the
-                    // caller's previous storage for a future `deliver`.
-                    std::mem::swap(frame, &mut buf);
-                    buf.clear();
-                    if self.frame_pool.len() < self.cq.capacity() {
-                        self.frame_pool.push(buf);
-                    }
-                    true
-                }
-                None => false,
+        if self.rx_pool.enabled {
+            if !self.rx_buffer_read_into(frame) {
+                return None;
             }
-        };
-        ok.then_some(sideband)
+        } else {
+            let mut old = std::mem::replace(frame, std::mem::take(&mut self.slot_frames[slot]));
+            // Parked warmest-last, so the next `deliver` writes into the
+            // buffer the host touched most recently.
+            if self.frame_pool.len() < self.cq.capacity() {
+                old.clear();
+                self.frame_pool.push(old);
+            }
+        }
+        Some((pos, sideband))
     }
 
     /// Run a frame through the offload engine only (no rings), into a
@@ -1012,8 +1037,8 @@ mod tests {
     #[test]
     fn a_queue_whose_context_selects_no_path_refuses_delivery() {
         // Behind an opaque guard no path is ever selected: the queue
-        // refuses every frame and leaves ring, counters and frame
-        // queue exactly as they were — nothing is interpreted instead.
+        // refuses every frame and leaves ring, counters and slots
+        // exactly as they were — nothing is interpreted instead.
         let spec = models::ProgSpec {
             name: "opaque".into(),
             layouts: vec![
@@ -1040,7 +1065,10 @@ mod tests {
             );
         }
         assert_eq!(nic.stats, NicStats::default());
-        assert!(nic.cq.is_empty() && nic.rx_frames.is_empty() && nic.rx_hints.is_empty());
+        // Nothing was produced, so no slot holds a frame or a hint.
+        assert!(nic.cq.is_empty() && nic.cq.record(0).is_none());
+        assert!(nic.slot_frames.iter().all(Vec::is_empty));
+        assert!(nic.slot_hints.iter().all(Option::is_none));
         assert_eq!(nic.configure_path(None, 0), Err(NicError::NoPathForContext));
     }
 

@@ -31,6 +31,11 @@ impl fmt::Display for RingError {
 impl std::error::Error for RingError {}
 
 /// A single-producer single-consumer descriptor ring.
+///
+/// An entry stays in its slot after it is consumed, until the producer
+/// comes round the ring and writes over it: a consumer reads it there
+/// by its ring position ([`record`](DescRing::record)) instead of
+/// copying it out, and a read after the slot was reused fails closed.
 #[derive(Debug, Clone)]
 pub struct DescRing {
     /// `capacity × slot_size` bytes, slot `i` at `i * slot_size`.
@@ -101,18 +106,21 @@ impl DescRing {
     /// [`ring_doorbell`]: DescRing::ring_doorbell
     pub fn produce(&mut self, entry: &[u8]) -> Result<(), RingError> {
         let seq = self.prod;
-        self.produce_tagged(entry, seq)
+        self.produce_tagged(entry, seq).map(drop)
     }
 
     /// [`produce`](DescRing::produce) with an explicit sequence tag. An
     /// honest device tags each entry with its absolute produce index; a
     /// faulty one may re-use a tag (duplicated writeback) or write one
     /// from a previous ring generation (stale DD bit).
+    /// Returns the entry's ring position (see [`record`]).
+    ///
+    /// [`record`]: DescRing::record
     #[inline]
-    pub fn produce_tagged(&mut self, entry: &[u8], seq: u64) -> Result<(), RingError> {
+    pub fn produce_tagged(&mut self, entry: &[u8], seq: u64) -> Result<u64, RingError> {
         let at = self.claim(entry.len(), seq)?;
         self.slots[at..at + entry.len()].copy_from_slice(entry);
-        Ok(())
+        Ok(self.prod - 1)
     }
 
     /// [`produce`](DescRing::produce) for a producer that serializes its
@@ -166,19 +174,38 @@ impl DescRing {
 
     /// Consume the next published entry, if any.
     pub fn consume(&mut self) -> Option<&[u8]> {
-        self.consume_with_seq().map(|(e, _)| e)
+        let (pos, _) = self.consume_pos()?;
+        Some(self.entry(self.slot_of(pos)))
     }
 
-    /// [`consume`](DescRing::consume) that also surfaces the entry's
-    /// sequence tag, so the host can run generation/duplicate checks.
+    /// Consume the next published entry without reading it: returns its
+    /// ring position and sequence tag, so the host can run its
+    /// generation/duplicate checks and read the entry in place
+    /// ([`record`](DescRing::record)).
     #[inline]
-    pub fn consume_with_seq(&mut self) -> Option<(&[u8], u64)> {
+    pub(crate) fn consume_pos(&mut self) -> Option<(u64, u64)> {
         if self.cons >= self.doorbell {
             return None;
         }
-        let idx = (self.cons as usize) & self.mask;
+        let pos = self.cons;
         self.cons += 1;
-        Some((self.entry(idx), self.seqs[idx]))
+        Some((pos, self.seqs[self.slot_of(pos)]))
+    }
+
+    /// The slot index ring position `pos` occupies.
+    #[inline]
+    pub(crate) fn slot_of(&self, pos: u64) -> usize {
+        (pos as usize) & self.mask
+    }
+
+    /// The entry produced at ring position `pos`, read where it lies —
+    /// `None` if it was never produced or the producer has since written
+    /// over its slot, so a late read never returns another entry's
+    /// bytes.
+    #[inline]
+    pub fn record(&self, pos: u64) -> Option<&[u8]> {
+        let live = pos < self.prod && self.prod - pos <= self.capacity() as u64;
+        live.then(|| self.entry(self.slot_of(pos)))
     }
 
     /// Re-tag every produced-but-unconsumed entry (published or not)
@@ -307,14 +334,32 @@ mod tests {
             }
             r.ring_doorbell();
             for i in 0..4u64 {
-                let (_, seq) = r.consume_with_seq().unwrap();
+                let (_, seq) = r.consume_pos().unwrap();
                 assert_eq!(seq, round * 4 + i);
             }
         }
         // A faulty producer can tag an entry with an old generation.
         r.produce_tagged(b"x", 2).unwrap();
         r.ring_doorbell();
-        assert_eq!(r.consume_with_seq().unwrap().1, 2);
+        assert_eq!(r.consume_pos().unwrap().1, 2);
+    }
+
+    #[test]
+    fn a_consumed_entry_reads_in_place_until_its_slot_is_reused() {
+        let mut r = DescRing::new(2, 8);
+        assert_eq!(r.record(0), None, "never produced");
+        assert_eq!(r.produce_tagged(b"ab", 7), Ok(0));
+        r.ring_doorbell();
+        assert_eq!(r.consume_pos(), Some((0, 7)));
+        assert_eq!(r.produce_tagged(b"c", 8), Ok(1));
+        assert_eq!(r.record(0), Some(&b"ab"[..]), "consumed, still in place");
+        r.ring_doorbell();
+        assert_eq!(r.consume_pos(), Some((1, 8)));
+        assert_eq!(r.produce_tagged(b"def", 9), Ok(2));
+        assert_eq!(r.record(0), None, "slot 0 now holds position 2");
+        assert_eq!(r.record(1), Some(&b"c"[..]));
+        assert_eq!(r.record(2), Some(&b"def"[..]));
+        assert_eq!(r.record(3), None, "not produced yet");
     }
 
     #[test]

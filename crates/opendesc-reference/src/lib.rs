@@ -260,6 +260,7 @@ pub fn serve(
     let (before, ops_before) = (drv.validation_stats(), shim_ops(&drv));
     drv.nic.post_completion(frame, cmpt, rss_hint).unwrap();
     assert_eq!(drv.poll_batch_into(&mut batch), 1, "the posted row");
+    assert_eq!(drv.completion(&batch, 0), Some(cmpt), "read in its slot");
     let after = drv.validation_stats();
     let row = (0..batch.semantics().len())
         .map(|field| batch.value_at(field, 0))

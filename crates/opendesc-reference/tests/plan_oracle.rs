@@ -270,7 +270,7 @@ fn batched_poll_matches_per_packet_poll() {
                 &b.iface.accessors,
                 &mut soft,
                 batch.frame(pkt),
-                batch.cmpt(pkt),
+                b.completion(&batch, pkt).unwrap(),
                 batch.rss_hint(pkt),
                 &mut oracle,
             );

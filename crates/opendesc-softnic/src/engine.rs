@@ -346,10 +346,7 @@ impl SoftNic {
     /// Packet-type bitmap (see [`ptype`]).
     #[inline]
     pub fn packet_type(&self, p: &ParsedFrame<'_>) -> u16 {
-        let mut t = ptype::ETH;
-        if p.vlan_tci.is_some() {
-            t |= ptype::VLAN;
-        }
+        let mut t = ptype::ETH | (ptype::VLAN * p.vlan_tci.is_some() as u16);
         match p.eth.ethertype() {
             Some(ethertype::IPV6) => t |= ptype::IPV6,
             Some(ethertype::IPV4) if p.ipv4.is_some() => {

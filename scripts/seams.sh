@@ -13,12 +13,14 @@
 #  * Gate: `RxBatch::value_at` and `RxBatch::frame` are small enough
 #    that "inlined at every call site" is stable, so an out-of-line
 #    copy of either in the benchmark binary (`nm -C`) is a failure.
-#  * Report: `ParsedFrame::parse`, `SoftNic::exec_op`,
-#    `SimNic::receive_into_hinted` and `ValidatorSpec::check_values_all`
-#    are large; whether LLVM inlines them moves with its size
-#    heuristics, so the calls `poll_batch_into` (and `drain_batch`,
-#    when it stands alone) still makes into product crates are printed
-#    and never fail. A PR that re-opens a seam sees it here.
+#  * Report: `ParsedFrame::parse`, `SoftNic::exec_column`,
+#    `SimNic::receive_slot` (the ring consume; the record is then read
+#    in its slot by `DescRing::record`) and
+#    `ValidatorSpec::check_values_all` are large; whether LLVM inlines
+#    them moves with its size heuristics, so the calls
+#    `poll_batch_into` (and `drain_batch` / `fill_batch`, when they
+#    stand alone) still makes into product crates are printed and never
+#    fail. A PR that re-opens a seam sees it here.
 #
 # How the seam list was found, and what the report repeats: `objdump
 # -d` of `benchmark::packet::Packet::lap` and of

@@ -183,7 +183,7 @@ fn batched_equals_per_packet(case: Case, frames: &[Vec<u8>]) -> Result<(), TestC
                 "{}: frame bytes diverged",
                 name
             );
-            if batch.cmpt(pkt).len() < expected_len {
+            if b.completion(&batch, pkt).unwrap().len() < expected_len {
                 execute_degraded(
                     &b.iface.plan,
                     &mut oracle_soft,
@@ -196,7 +196,7 @@ fn batched_equals_per_packet(case: Case, frames: &[Vec<u8>]) -> Result<(), TestC
                     &b.iface.accessors,
                     &mut oracle_soft,
                     batch.frame(pkt),
-                    batch.cmpt(pkt),
+                    b.completion(&batch, pkt).unwrap(),
                     batch.rss_hint(pkt),
                     &mut oracle,
                 );
@@ -439,7 +439,7 @@ proptest! {
                 // degraded; a degraded batch serves every row so.
                 let degraded = stats.degraded_packets - before.degraded_packets == n as u64;
                 for pkt in 0..n {
-                    let short = batch.cmpt(pkt).len() < expected_len;
+                    let short = drv.completion(&batch, pkt).unwrap().len() < expected_len;
                     if degraded || short {
                         execute_degraded(&drv.iface.plan, &mut soft, batch.frame(pkt), &mut oracle);
                     } else {
@@ -448,7 +448,7 @@ proptest! {
                             &drv.iface.accessors,
                             &mut soft,
                             batch.frame(pkt),
-                            batch.cmpt(pkt),
+                            drv.completion(&batch, pkt).unwrap(),
                             &mut oracle,
                         ) as u64;
                     }
