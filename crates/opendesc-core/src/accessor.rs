@@ -10,10 +10,7 @@
 use crate::intent::Intent;
 use opendesc_ir::bits::{read_bits, read_bytes_be};
 use opendesc_ir::path::CompletionPath;
-use opendesc_ir::semantics::SemanticRegistry;
 use opendesc_ir::SemanticId;
-use opendesc_softnic::wire::ParsedFrame;
-use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -83,7 +80,7 @@ impl Accessor {
     /// Completion bytes are device input, and a device can truncate
     /// them: the caller checks the record against
     /// [`AccessorSet::completion_bytes`] before reading, as
-    /// `OpenDescDriver` and `HookDriver` do.
+    /// `OpenDescDriver` does.
     #[inline]
     pub fn read(&self, cmpt: &[u8]) -> u128 {
         debug_assert_eq!(self.kind, AccessorKind::Hardware);
@@ -161,42 +158,6 @@ impl AccessorSet {
             .iter()
             .filter(|a| a.kind == AccessorKind::Software)
     }
-
-    /// Read one packet's metadata: hardware fields from the completion,
-    /// software fields recomputed from the frame. Returns values in
-    /// accessor order (`None` when a software shim cannot compute, e.g.
-    /// non-IP traffic).
-    pub fn read_packet(
-        &self,
-        reg: &SemanticRegistry,
-        soft: &mut SoftNic,
-        frame: &[u8],
-        cmpt: &[u8],
-    ) -> Vec<Option<u128>> {
-        // Parse once and share the view across every software shim; memo
-        // intra-packet repeats (RSS for rss_hash + queue_hint). The op
-        // lowering still happens per call here — compiled interfaces
-        // avoid even that via `RxPlan`.
-        let parsed = ParsedFrame::parse(frame);
-        let mut memo = ShimMemo::default();
-        self.accessors
-            .iter()
-            .map(|a| match a.kind {
-                AccessorKind::Hardware => Some(a.read(cmpt)),
-                AccessorKind::Software => parsed
-                    .as_ref()
-                    .and_then(|p| {
-                        soft.exec_op(
-                            ShimOp::from_name(reg.name(a.semantic)),
-                            p,
-                            frame.len(),
-                            &mut memo,
-                        )
-                    })
-                    .map(|v| v as u128),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -256,27 +217,6 @@ mod tests {
         let cmpt = [0xDE, 0xAD, 0xBE, 0xEF, 0x05, 0xDC, 0x03, 0x00];
         assert_eq!(set.for_semantic(rss).unwrap().read(&cmpt), 0xDEADBEEF);
         assert_eq!(set.for_semantic(len).unwrap().read(&cmpt), 0x05DC);
-    }
-
-    #[test]
-    fn software_shim_recomputes_from_frame() {
-        let (path, mut reg) = mlx5_mini_path();
-        let set = AccessorSet::synthesize(&path, &intent(&mut reg, &[names::VLAN_TCI]));
-        let mut soft = SoftNic::new();
-        let frame =
-            opendesc_softnic::testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", Some(0x0ABC));
-        let vals = set.read_packet(&reg, &mut soft, &frame, &[0u8; 8]);
-        assert_eq!(vals, vec![Some(0x0ABC)]);
-    }
-
-    #[test]
-    fn software_shim_returns_none_when_incomputable() {
-        let (path, mut reg) = mlx5_mini_path();
-        let set = AccessorSet::synthesize(&path, &intent(&mut reg, &[names::TIMESTAMP]));
-        let mut soft = SoftNic::new();
-        let frame = opendesc_softnic::testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", None);
-        let vals = set.read_packet(&reg, &mut soft, &frame, &[0u8; 8]);
-        assert_eq!(vals, vec![None]);
     }
 
     proptest! {

@@ -9,7 +9,7 @@
 //! (`Send + Sync` is asserted at compile time below).
 //!
 //! [`PlanCache`] keys artifacts by what determines them — `(model,
-//! context, intent)` — so N queues with the same intent trigger one
+//! registry, intent)` — so N queues with the same intent trigger one
 //! compilation, while queues with *different* intents (the paper's §3
 //! "multiple OpenDesc instances with different intents to obtain
 //! different queues" scenario) each get their own artifact. Identical
@@ -29,7 +29,7 @@ use crate::lower::{lower, LowerError, LoweredPlan};
 use crate::robust::ValidatorSpec;
 use crate::tx::{compile_tx_checked, CompiledTxPlan};
 use crate::vm::PlanProgram;
-use opendesc_ir::{Assignment, SemanticRegistry};
+use opendesc_ir::SemanticRegistry;
 use opendesc_nicsim::models::NicModel;
 use opendesc_nicsim::nic::NicError;
 use opendesc_p4::typecheck::CheckedProgram;
@@ -166,8 +166,7 @@ const _: () = {
 /// aliases across registries and can hand a worker a plan compiled for
 /// the wrong id assignment. The key instead binds the registry's
 /// [`fingerprint`](SemanticRegistry::fingerprint) together with a hash
-/// of the intent's `(id, field name, width)` rows; the context override
-/// is an [`Assignment`], ordered by field text.
+/// of the intent's `(id, field name, width)` rows.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     model: String,
@@ -176,17 +175,10 @@ struct PlanKey {
     reg_fingerprint: u64,
     /// FNV-1a over the intent name and its `(id, name, width)` fields.
     intent_hash: u64,
-    /// The context override, if any.
-    context: Option<Assignment>,
 }
 
 impl PlanKey {
-    fn new(
-        model: &NicModel,
-        intent: &Intent,
-        context: Option<&Assignment>,
-        reg: &SemanticRegistry,
-    ) -> PlanKey {
+    fn new(model: &NicModel, intent: &Intent, reg: &SemanticRegistry) -> PlanKey {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut byte = |b: u8| {
             h ^= b as u64;
@@ -213,7 +205,6 @@ impl PlanKey {
             deparser: model.deparser.clone(),
             reg_fingerprint: reg.fingerprint(),
             intent_hash: h,
-            context: context.cloned(),
         }
     }
 }
@@ -261,7 +252,7 @@ struct CacheInner {
     epoch: u64,
 }
 
-/// Keyed plan cache: `(model, context, intent) → Arc<CompiledRx>`.
+/// Keyed plan cache: `(model, registry, intent) → Arc<CompiledRx>`.
 ///
 /// The lock guards only the map — setup-time state. Queues take their
 /// `Arc` once at attach and the per-packet path never touches the cache.
@@ -288,22 +279,7 @@ impl PlanCache {
         intent: &Intent,
         reg: &mut SemanticRegistry,
     ) -> Result<Arc<CompiledRx>, CompileError> {
-        self.get_or_compile_with(model, intent, None, reg)
-    }
-
-    /// [`get_or_compile`](PlanCache::get_or_compile) with an explicit
-    /// context override — for queues steered onto a specific completion
-    /// path (or models whose winning guard is opaque and needs manual
-    /// context). The override replaces the compiler-derived context in
-    /// the artifact and participates in the key.
-    fn get_or_compile_with(
-        &self,
-        model: &NicModel,
-        intent: &Intent,
-        context: Option<&Assignment>,
-        reg: &mut SemanticRegistry,
-    ) -> Result<Arc<CompiledRx>, CompileError> {
-        let key = PlanKey::new(model, intent, context, reg);
+        let key = PlanKey::new(model, intent, reg);
         {
             let mut inner = self.inner.lock().unwrap();
             let epoch = inner.epoch;
@@ -321,12 +297,9 @@ impl PlanCache {
         // map; both callers get a valid artifact — callers needing
         // pointer equality call sequentially, as the engine setup does).
         let checked = self.contract(model)?;
-        let mut iface =
+        let iface =
             self.compiler
                 .compile_checked(&checked, &model.deparser, &model.name, intent, reg)?;
-        if let Some(ctx) = context {
-            iface.context = Some(ctx.clone());
-        }
         let rx = Arc::new(CompiledRx::new(iface));
         // The cache only serves verifier-accepted plans: a plan whose
         // lowered eBPF form the verifier rejected never enters the map.
@@ -355,7 +328,7 @@ impl PlanCache {
         intent: &Intent,
         reg: &mut SemanticRegistry,
     ) -> Result<Arc<CompiledTxPlan>, CompileError> {
-        let key = PlanKey::new(model, intent, None, reg);
+        let key = PlanKey::new(model, intent, reg);
         {
             let mut inner = self.inner.lock().unwrap();
             let epoch = inner.epoch;
@@ -550,29 +523,6 @@ mod tests {
         assert_eq!(a.nic_name, "e1000e");
         assert_eq!(b.nic_name, "mlx5");
         assert_eq!(c.intent.name, "app2");
-    }
-
-    #[test]
-    fn context_override_participates_in_key_and_artifact() {
-        let cache = PlanCache::default();
-        let mut reg = SemanticRegistry::with_builtins();
-        let i = intent(&mut reg, "app", &[names::RSS_HASH, names::PKT_LEN]);
-        let plain = cache.get_or_compile(&models::mlx5(), &i, &mut reg).unwrap();
-        let mut ctx = Assignment::new();
-        ctx.insert(
-            opendesc_ir::pred::FieldRef::new(&["ctx", "cqe_format"], 2),
-            0,
-        );
-        let forced = cache
-            .get_or_compile_with(&models::mlx5(), &i, Some(&ctx), &mut reg)
-            .unwrap();
-        assert!(!Arc::ptr_eq(&plain, &forced));
-        assert_eq!(forced.context.as_ref(), Some(&ctx));
-        // Same override again: cache hit.
-        let again = cache
-            .get_or_compile_with(&models::mlx5(), &i, Some(&ctx), &mut reg)
-            .unwrap();
-        assert!(Arc::ptr_eq(&forced, &again));
     }
 
     #[test]

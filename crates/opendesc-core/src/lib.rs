@@ -30,7 +30,6 @@ pub mod compiler;
 pub mod datapath;
 pub mod equiv;
 pub mod evolve;
-pub mod hook;
 pub mod intent;
 pub mod lower;
 pub mod plan;
@@ -50,7 +49,6 @@ pub use evolve::{
     EvolveConfig, FlipProgress, FlipRecord, RelayoutCounters, RelayoutOutcome, RelayoutRequest,
     FLIP_POLL_BUDGET,
 };
-pub use hook::{HookDriver, HookStats, HookVerdict};
 pub use intent::{Intent, IntentBuilder, IntentError, FIG1_INTENT_P4};
 pub use lower::{lower, EbpfFieldProg, EbpfWindow, LowerError, LoweredPlan};
 pub use plan::{PlanStep, RxPlan};

@@ -21,7 +21,6 @@ pub mod nic;
 pub mod offload;
 pub mod pktgen;
 pub mod ring;
-pub mod rxbuf;
 pub mod stream;
 pub mod tx;
 
@@ -36,7 +35,6 @@ pub use nic::{FaultConfig, FaultConfigBuilder, NicError, NicStats, RxSideband, S
 pub use offload::{DeviceOp, MetaRecord, OffloadEngine, OffloadProgram};
 pub use pktgen::{PktGen, ShardFrame, ShardedPktGen, Transport, Workload};
 pub use ring::{DescRing, RingError};
-pub use rxbuf::RxBufferPool;
 pub use stream::StreamQueue;
 pub use tx::TxStats;
 
@@ -51,7 +49,6 @@ const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_send::<DescRing>();
     assert_send::<HostMem>();
-    assert_send::<RxBufferPool>();
     assert_send::<SimNic>();
     assert_send::<OffloadEngine>();
     assert_send::<ShardedPktGen>();

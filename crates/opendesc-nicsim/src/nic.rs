@@ -324,8 +324,12 @@ pub struct SimNic {
     /// bytes: its table and its kept fingerprint). The hot fields'
     /// cache-line phase is a cost of its own on the host path (see the
     /// struct's docs): this filler measured faster on `rx_hw` than one
-    /// that keeps the offsets a 24-byte registry had.
-    _phase: [u64; 6],
+    /// that keeps the offsets a 24-byte registry had. Rustc lays out the
+    /// device's counters, fault state and sequence tag (`stats`,
+    /// `faults`, `fault_rng`, `wb_seq`) after it: at 136 bytes it puts
+    /// them 88 bytes higher than a 48-byte filler does, which measured
+    /// 2–4 % less wall time on `rx_hw` and `fwd`.
+    _phase: [u64; 17],
     pub cfg: Cfg,
     pub paths: Vec<CompletionPath>,
     /// Semantics the device computes (everything the contract's meta
@@ -360,7 +364,7 @@ pub struct SimNic {
     hang_remaining: u32,
     /// The frame of each completion-ring slot's entry, indexed like
     /// the ring's slots: what the host swaps out when it consumes the
-    /// slot (empty in buffer mode, where frames sit in host memory).
+    /// slot.
     slot_frames: Vec<Vec<u8>>,
     /// The steering sideband of each completion-ring slot's entry.
     slot_hints: Vec<Option<u32>>,
@@ -380,8 +384,6 @@ pub struct SimNic {
     pub(crate) tx_frame_scratch: Vec<u8>,
     /// TX-side counters.
     pub tx_stats: crate::tx::TxStats,
-    /// RX buffer-provisioning state (see [`crate::rxbuf`]).
-    pub rx_pool: crate::rxbuf::RxBufferPool,
 }
 
 /// Parse and type-check a model's contract, once, for every queue that
@@ -447,7 +449,7 @@ impl SimNic {
         let mut nic = SimNic {
             checked,
             reg,
-            _phase: [0; 6],
+            _phase: [0; 17],
             cfg,
             paths,
             supported,
@@ -475,7 +477,6 @@ impl SimNic {
             tx_path: None,
             tx_frame_scratch: Vec::new(),
             tx_stats: crate::tx::TxStats::default(),
-            rx_pool: crate::rxbuf::RxBufferPool::default(),
             model,
         };
         nic.refresh_active_path();
@@ -497,17 +498,13 @@ impl SimNic {
     /// sequence number and published at once, `rss_hint` as its
     /// steering sideband — how a test hands the host a record of its own
     /// bytes, beside the faults [`set_faults`](SimNic::set_faults)
-    /// injects into the ones the device writes. Refused in buffer mode,
-    /// where a frame is read from a posted buffer, not carried.
+    /// injects into the ones the device writes.
     pub fn post_completion(
         &mut self,
         frame: &[u8],
         cmpt: &[u8],
         rss_hint: Option<u32>,
     ) -> Result<(), NicError> {
-        if self.rx_pool.enabled {
-            return Err(NicError::BadConfig("post_completion in buffer mode".into()));
-        }
         let pos = (self.cq)
             .produce_tagged(cmpt, self.wb_seq)
             .map_err(NicError::Ring)?;
@@ -713,20 +710,6 @@ impl SimNic {
             self.stats.dropped_faults += 1;
             return Ok(());
         }
-        // Buffer mode: the frame needs a posted receive buffer; the DMA
-        // write happens here, ahead of the completion. A frame the ring
-        // has no slot for is refused first: a buffer claimed for it
-        // would sit in the filled queue with no completion and pair
-        // with the next frame's.
-        if self.rx_pool.enabled {
-            if self.cq.is_full() {
-                self.stats.dropped_ring_full += 1;
-                return Ok(());
-            }
-            if !self.rx_buffer_write(frame) {
-                return Ok(());
-            }
-        }
         // Offloads, pre-lowered ops over one parse (zero when the
         // steering stage already did it), each value going straight
         // into its slots of the reusable writeback buffer.
@@ -797,9 +780,8 @@ impl SimNic {
         self.stats.completions += 1;
         // Duplicated completion: the device re-DMAs the same record with
         // the same tag into the next slot; the host sees the packet
-        // twice and must discard the replay by its sequence tag. (Buffer
-        // mode has no second posted buffer to read, so skip there.)
-        if !self.rx_pool.enabled && self.roll(self.faults.duplicate_chance) {
+        // twice and must discard the replay by its sequence tag.
+        if self.roll(self.faults.duplicate_chance) {
             if let Ok(pos) = self.cq.produce_tagged(&self.wb_scratch, tag) {
                 self.cq.ring_doorbell();
                 self.fill_slot(pos, frame, hint);
@@ -810,46 +792,33 @@ impl SimNic {
     }
 
     /// Give the entry just produced at ring position `pos` its frame
-    /// and steering sideband, in that entry's own slot. Outside buffer
-    /// mode the frame is copied into the warmest parked buffer.
+    /// and steering sideband, in that entry's own slot: the frame is
+    /// copied into the warmest parked buffer.
     #[inline]
     fn fill_slot(&mut self, pos: u64, frame: &[u8], hint: Option<u32>) {
         let slot = self.cq.slot_of(pos);
         self.slot_hints[slot] = hint;
-        if !self.rx_pool.enabled {
-            let mut buf = self.frame_pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.extend_from_slice(frame);
-            self.slot_frames[slot] = buf;
-        }
+        let mut buf = self.frame_pool.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(frame);
+        self.slot_frames[slot] = buf;
     }
 
-    /// Host side: pop the next (frame, completion) pair. In buffer mode
-    /// the frame is read back from the posted host-memory buffer (and the
-    /// buffer recycled); otherwise it is taken from its ring slot.
+    /// Host side: pop the next (frame, completion) pair into fresh
+    /// `Vec`s, taking the frame from its ring slot.
     pub fn receive(&mut self) -> Option<(Vec<u8>, Vec<u8>)> {
         let mut frame = Vec::new();
         let mut cmpt = Vec::new();
-        self.receive_into(&mut frame, &mut cmpt)
-            .then_some((frame, cmpt))
+        self.receive_into_hinted(&mut frame, &mut cmpt)
+            .map(|_| (frame, cmpt))
     }
 
-    /// Zero-allocation [`receive`]: fills caller-owned buffers instead of
-    /// returning fresh `Vec`s, so a poll loop recycles its storage across
-    /// packets. The frame buffer's old storage is parked for a later
-    /// `deliver`; the completion buffer is cleared before filling.
-    /// Returns `false` (buffers cleared, contents unspecified) when no
-    /// packet is pending.
-    ///
-    /// [`receive`]: SimNic::receive
-    pub fn receive_into(&mut self, frame: &mut Vec<u8>, cmpt: &mut Vec<u8>) -> bool {
-        self.receive_into_hinted(frame, cmpt).is_some()
-    }
-
-    /// [`receive_into`](SimNic::receive_into) that also surfaces the
-    /// steering sideband for the popped completion, so the host plan can
-    /// prime its shim memo with the device-computed hash instead of
-    /// rerunning Toeplitz. Returns `None` when no packet is pending.
+    /// Zero-allocation [`receive`](SimNic::receive) that also surfaces
+    /// the steering sideband for the popped completion: fills
+    /// caller-owned buffers (the frame buffer's old storage is parked
+    /// for a later `deliver`, the completion buffer is cleared before
+    /// filling), so a poll loop recycles its storage across packets.
+    /// Returns `None` when no packet is pending.
     ///
     /// This is [`receive_slot`](SimNic::receive_slot) plus one copy of
     /// the record out of its slot, for a caller that wants the bytes.
@@ -866,13 +835,12 @@ impl SimNic {
     }
 
     /// Host side: consume the next published completion. The frame is
-    /// swapped into `frame` (in buffer mode, read back from its posted
-    /// buffer), and the record stays where the device wrote it: this
-    /// returns its ring position, for [`DescRing::record`] on `cq` to
-    /// read until the device writes over the slot, with the slot's
-    /// steering sideband and sequence tag. The caller's previous frame
-    /// storage is parked for a later `deliver`. Returns `None` when no
-    /// completion is published.
+    /// swapped into `frame`, and the record stays where the device
+    /// wrote it: this returns its ring position, for
+    /// [`DescRing::record`] on `cq` to read until the device writes
+    /// over the slot, with the slot's steering sideband and sequence
+    /// tag. The caller's previous frame storage is parked for a later
+    /// `deliver`. Returns `None` when no completion is published.
     #[inline]
     pub fn receive_slot(&mut self, frame: &mut Vec<u8>) -> Option<(u64, RxSideband)> {
         let (pos, seq) = self.cq.consume_pos()?;
@@ -881,18 +849,12 @@ impl SimNic {
             rss_hint: self.slot_hints[slot],
             seq,
         };
-        if self.rx_pool.enabled {
-            if !self.rx_buffer_read_into(frame) {
-                return None;
-            }
-        } else {
-            let mut old = std::mem::replace(frame, std::mem::take(&mut self.slot_frames[slot]));
-            // Parked warmest-last, so the next `deliver` writes into the
-            // buffer the host touched most recently.
-            if self.frame_pool.len() < self.cq.capacity() {
-                old.clear();
-                self.frame_pool.push(old);
-            }
+        let mut old = std::mem::replace(frame, std::mem::take(&mut self.slot_frames[slot]));
+        // Parked warmest-last, so the next `deliver` writes into the
+        // buffer the host touched most recently.
+        if self.frame_pool.len() < self.cq.capacity() {
+            old.clear();
+            self.frame_pool.push(old);
         }
         Some((pos, sideband))
     }
@@ -1510,52 +1472,6 @@ mod tests {
             Some(4),
             "dropped frame's hint must not appear"
         );
-    }
-
-    #[test]
-    fn buffer_mode_ring_full_drop_claims_no_buffer() {
-        // Ring of 2, eight posted buffers: frame 3 finds the ring full.
-        // It must be refused before a buffer is claimed for it — an
-        // orphan in the filled queue would pair frame 3's bytes with
-        // frame 4's completion and shift every later pair by one.
-        let mut nic = SimNic::new(models::e1000e(), 2).unwrap();
-        nic.configure(asn(&[("use_rss", 1, 1)])).unwrap();
-        nic.enable_rx_buffers();
-        nic.post_rx_buffers(8, 2048);
-        let numbered = |n: u16| {
-            testpkt::udp4(
-                [10, 0, 0, 1],
-                [10, 0, 0, 2],
-                n,
-                9,
-                &vec![n as u8; 10 * n as usize],
-                None,
-            )
-        };
-        for n in 1..=3 {
-            nic.deliver(&numbered(n)).unwrap();
-        }
-        assert_eq!(nic.stats.dropped_ring_full, 1);
-        assert_eq!(
-            nic.rx_buffers_free(),
-            6,
-            "the dropped frame holds no buffer"
-        );
-        let pkt_len = |cmpt: &[u8]| u16::from_be_bytes(cmpt[4..6].try_into().unwrap()) as usize;
-        for n in 1..=2 {
-            let (f, cmpt) = nic.receive().unwrap();
-            assert_eq!(f, numbered(n));
-            assert_eq!(pkt_len(&cmpt), f.len());
-        }
-        assert!(nic.receive().is_none());
-        nic.deliver(&numbered(4)).unwrap();
-        let (f, cmpt) = nic.receive().unwrap();
-        assert_eq!(f, numbered(4), "frame 4 arrives with its own bytes");
-        assert_eq!(pkt_len(&cmpt), f.len(), "and its own completion");
-        assert!(nic.receive().is_none());
-        assert_eq!(nic.rx_buffers_free(), 8, "every buffer came back");
-        assert_eq!(nic.stats.dropped_ring_full, 1);
-        assert_eq!(nic.stats.completions, 3);
     }
 
     #[test]

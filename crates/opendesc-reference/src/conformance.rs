@@ -3,7 +3,7 @@
 //! The paper's claim is that the metadata interface is a *negotiated
 //! artifact*: any valid `CmptDeparser`/`DescParser` description should
 //! compile to an interface whose four executable forms — the SoftNIC
-//! reference ([`AccessorSet::read_packet`]), the tree-interpreter
+//! reference ([`read_packet`](crate::read_packet)), the tree-interpreter
 //! oracle ([`execute_into_primed`] and its siblings), the bytecode VM,
 //! and the verifier-gated eBPF lowering — agree bit-for-bit, and whose
 //! TX deparse bytecode writes the same wire bytes as [`tx_descriptor`].
@@ -334,7 +334,7 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool, boo
 
         // SoftNIC reference vs tree oracle (both accessor-ordered).
         let mut soft_r = SoftNic::new();
-        let reference = set.read_packet(&reg, &mut soft_r, &frame, &cmpt);
+        let reference = crate::read_packet(set, &reg, &mut soft_r, &frame, &cmpt);
         let mut tree = vec![None; slots];
         let mut soft_a = SoftNic::new();
         execute_into_primed(plan, set, &mut soft_a, &frame, &cmpt, None, &mut tree);

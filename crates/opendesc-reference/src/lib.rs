@@ -7,6 +7,10 @@
 //! depends on the product crates, so none of them can depend on it, and
 //! `cargo build` is what proves no datapath calls an oracle.
 //!
+//! * [`read_packet`], the per-packet SoftNIC reference: the accessor
+//!   table read field by field, every software field recomputed from
+//!   the frame — what the tree interpreter is held equal to
+//!   (`tests/plan_oracle.rs`, `tests/alignment.rs`, [`conformance`]);
 //! * the tree interpreter over an [`RxPlan`] — [`execute_into_primed`],
 //!   [`execute_verified`], [`execute_degraded`],
 //!   [`execute_degraded_partial`] — the oracle of what the datapath
@@ -34,12 +38,12 @@ pub mod interp;
 pub mod value;
 
 use opendesc_core::{
-    AccessorSet, CompiledRx, MetricRegistry, MetricValue, OpenDescDriver, PlanStep, QueueHealth,
-    RxPlan, ValidationMode, ValidationStats,
+    AccessorKind, AccessorSet, CompiledRx, MetricRegistry, MetricValue, OpenDescDriver, PlanStep,
+    QueueHealth, RxPlan, ValidationMode, ValidationStats,
 };
 use opendesc_ir::bits::{read_bits, width_mask, write_bits};
 use opendesc_ir::txpath::DescriptorLayout;
-use opendesc_ir::SemanticId;
+use opendesc_ir::{SemanticId, SemanticRegistry};
 use opendesc_nicsim::{FaultConfig, SimNic};
 use opendesc_softnic::wire::ParsedFrame;
 use opendesc_softnic::{ShimMemo, ShimOp, SoftNic};
@@ -59,10 +63,35 @@ fn shim(
         .map(|v| v as u128)
 }
 
+/// Read one packet's metadata through the accessor table alone:
+/// hardware fields from the completion, software fields recomputed from
+/// the frame, each shim looked up by its semantic's name. Returns
+/// values in accessor order (`None` when a software shim cannot
+/// compute, e.g. non-IP traffic).
+pub fn read_packet(
+    set: &AccessorSet,
+    reg: &SemanticRegistry,
+    soft: &mut SoftNic,
+    frame: &[u8],
+    cmpt: &[u8],
+) -> Vec<Option<u128>> {
+    let parsed = ParsedFrame::parse(frame);
+    let mut memo = ShimMemo::default();
+    (set.accessors.iter())
+        .map(|a| match a.kind {
+            AccessorKind::Hardware => Some(a.read(cmpt)),
+            AccessorKind::Software => {
+                let op = ShimOp::from_name(reg.name(a.semantic));
+                shim(soft, op, parsed.as_ref(), frame.len(), &mut memo)
+            }
+        })
+        .collect()
+}
+
 /// Execute the plan for one packet into `out[..steps.len()]`, step by
 /// step in intent order. Hardware steps always produce `Some`; software
 /// steps produce `None` when the shim cannot compute — the same
-/// contract as `AccessorSet::read_packet`. `rss_hint` primes the shim
+/// contract as [`read_packet`]. `rss_hint` primes the shim
 /// memo with the completion's RSS sideband the way the datapath does,
 /// so software `rss_hash`/`queue_hint` steps become memo hits.
 pub fn execute_into_primed(
@@ -297,5 +326,59 @@ pub fn pass_checks(rx: &CompiledRx, frame_len: usize, cmpt: &mut [u8]) {
         }
         let ok = check.passing_value(read_bits(cmpt, offset, width), width, frame_len);
         write_bits(cmpt, offset, width, ok);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use opendesc_core::Intent;
+    use opendesc_ir::path::CompletionPath;
+    use opendesc_ir::{enumerate_paths, extract, names, DEFAULT_MAX_PATHS};
+    use opendesc_p4::typecheck::parse_and_check;
+    use opendesc_softnic::testpkt;
+
+    fn mlx5_mini_path() -> (CompletionPath, SemanticRegistry) {
+        let src = r#"
+            header mini_t {
+                @semantic("rss_hash") bit<32> rss;
+                @semantic("pkt_len") bit<16> byte_cnt;
+                @semantic("rx_status") bit<8> op_own;
+                bit<8> pad0;
+            }
+            struct ctx_t { bit<1> c; }
+            struct m_t { mini_t mini; }
+            control C(cmpt_out o, in ctx_t ctx, in m_t m) {
+                apply { o.emit(m.mini); }
+            }
+        "#;
+        let (checked, d) = parse_and_check(src);
+        assert!(!d.has_errors());
+        let mut reg = SemanticRegistry::with_builtins();
+        let cfg = extract(&checked, "C", &mut reg).unwrap();
+        let mut paths = enumerate_paths(&cfg, DEFAULT_MAX_PATHS).unwrap();
+        (paths.remove(0), reg)
+    }
+
+    fn accessors(path: &CompletionPath, reg: &mut SemanticRegistry, sem: &str) -> AccessorSet {
+        AccessorSet::synthesize(path, &Intent::builder("i").want(reg, sem).build())
+    }
+
+    #[test]
+    fn software_shim_recomputes_from_frame() {
+        let (path, mut reg) = mlx5_mini_path();
+        let set = accessors(&path, &mut reg, names::VLAN_TCI);
+        let frame = testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", Some(0x0ABC));
+        let vals = read_packet(&set, &reg, &mut SoftNic::new(), &frame, &[0u8; 8]);
+        assert_eq!(vals, vec![Some(0x0ABC)]);
+    }
+
+    #[test]
+    fn software_shim_returns_none_when_incomputable() {
+        let (path, mut reg) = mlx5_mini_path();
+        let set = accessors(&path, &mut reg, names::TIMESTAMP);
+        let frame = testpkt::udp4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, b"x", None);
+        let vals = read_packet(&set, &reg, &mut SoftNic::new(), &frame, &[0u8; 8]);
+        assert_eq!(vals, vec![None]);
     }
 }

@@ -9,7 +9,7 @@ use opendesc_ir::{names, SemanticRegistry};
 use opendesc_nicsim::{models, NicModel, SimNic};
 use opendesc_reference::{
     execute_degraded, execute_degraded_partial, execute_into_primed, execute_verified, pass_checks,
-    serve, Served,
+    read_packet, serve, Served,
 };
 use opendesc_softnic::{testpkt, SoftNic};
 use std::sync::Arc;
@@ -68,9 +68,7 @@ fn execute_matches_read_packet() {
         let cmpt = vec![0xA5u8; iface.accessors.completion_bytes as usize];
         let mut a = SoftNic::new();
         let mut b = SoftNic::new();
-        let legacy = iface
-            .accessors
-            .read_packet(&iface.reg, &mut a, &frame, &cmpt);
+        let legacy = read_packet(&iface.accessors, &iface.reg, &mut a, &frame, &cmpt);
         let planned = execute(&iface, &mut b, &frame, &cmpt);
         assert_eq!(legacy, planned, "{}", iface.nic_name);
     }

@@ -12,6 +12,13 @@
 //! oracles the product is held equal to live in `opendesc-reference`,
 //! a dev-dependency the facade does not re-export.
 //!
+//! There is one RX path. §4's DPDK item, a hook on the descriptor much
+//! like XDP, runs on it: `OpenDescDriver::poll_batch_into` admits each
+//! completion and delivers the negotiated fields as `RxBatch` columns,
+//! and a `ForwardFn` on the sharded engine drops on device metadata
+//! (`TxVerdict::Drop`) without reading frame bytes
+//! (`examples/xdp_firewall.rs`).
+//!
 //! | Crate | Role |
 //! |---|---|
 //! | [`p4`] | P4-16 subset frontend (lexer, parser, type checker) |

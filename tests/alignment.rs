@@ -10,6 +10,7 @@ use opendesc::nicsim::{models, qdma, NicModel, QdmaLayout, SimNic};
 use opendesc::prelude::*;
 use opendesc::softnic::testpkt;
 use opendesc_reference::device::completion;
+use opendesc_reference::read_packet;
 use proptest::prelude::*;
 
 /// The completion a queue of `model` on `ctx` must write for `frame`,
@@ -188,11 +189,13 @@ fn device_completions_match_the_reference_through_the_driver() {
     let mut soft = opendesc::softnic::SoftNic::new();
     let want: Vec<_> = (compiled.accessors.accessors.iter())
         .map(|a| a.semantic)
-        .zip(
-            compiled
-                .accessors
-                .read_packet(&reg, &mut soft, &frame, &want_cmpt),
-        )
+        .zip(read_packet(
+            &compiled.accessors,
+            &reg,
+            &mut soft,
+            &frame,
+            &want_cmpt,
+        ))
         .collect();
     let mut drv = OpenDescDriver::attach(SimNic::new(model, 16).unwrap(), compiled).unwrap();
     drv.deliver(&frame).unwrap();
