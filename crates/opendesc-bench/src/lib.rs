@@ -157,7 +157,7 @@ pub enum Parallel {
     /// counts with no clock at all (E20).
     Run,
     /// Aggregate Mpps is `total_pkts / max_busy_ns` from
-    /// `run_sequential`-style rounds: each worker timed in isolation,
+    /// `run_intervals` rounds: each worker timed in isolation,
     /// the busiest one taken as the critical path — what N cores would
     /// achieve, computed on however many this host has (`cores`).
     Modelled,
@@ -607,7 +607,7 @@ pub mod e12 {
 pub mod e13 {
     use super::e12;
     use crate::{worker_cells, Cell, Record, Row};
-    use opendesc_core::{EngineReport, PlanCache, ShardedEngine};
+    use opendesc_core::{Control, EngineReport, PlanCache, ShardedEngine};
     use opendesc_ir::SemanticRegistry;
     use opendesc_nicsim::pktgen::{ShardFrame, ShardedPktGen};
     use opendesc_nicsim::{NicModel, SteerPolicy, Workload};
@@ -655,11 +655,11 @@ pub mod e13 {
     /// build the engine, run one round on the real scoped-thread engine
     /// and check it conserved every frame (all received, all counted by
     /// `score`, whatever was forwarded on the wire), then take the best
-    /// of `rounds` sequential rounds by `max_busy_ns` — each worker's
-    /// `busy_ns` timed in isolation, see
-    /// [`ShardedEngine::run_sequential`] for why that is the honest
-    /// aggregate on hosts with fewer cores than queues. `score` reads
-    /// a report's `(mpps, total_pkts)` for the row.
+    /// of `rounds` in-order rounds (one fixed interval of the same
+    /// stream) by `max_busy_ns` — each worker's `busy_ns` timed in
+    /// isolation, see [`ShardedEngine::run_intervals`] for why that is
+    /// the honest aggregate on hosts with fewer cores than queues.
+    /// `score` reads a report's `(mpps, total_pkts)` for the row.
     pub(crate) fn scaling_rows(
         models: Vec<NicModel>,
         engine: fn(&NicModel, usize) -> ShardedEngine,
@@ -679,8 +679,12 @@ pub mod e13 {
                 assert_eq!(score(&warm).1 as usize, ROUND, "{lost}");
                 let unsent = format!("{name} x{q}: forwarded frames must reach the wire");
                 assert_eq!(warm.total_wire_frames(), warm.total_forwarded(), "{unsent}");
+                let once = Control::fixed(ROUND);
                 let rep = (0..rounds.max(1))
-                    .map(|_| eng.run_sequential(&pools))
+                    .map(|_| {
+                        eng.run_intervals(wl, ROUND, &once, &mut |_, _, _| {})
+                            .report
+                    })
                     .min_by_key(EngineReport::max_busy_ns)
                     .expect("at least one measured round");
                 let mut row = vec![("model", Cell::id(name)), ("queues", Cell::IdNum(q as f64))];
@@ -693,7 +697,7 @@ pub mod e13 {
     }
 
     /// Run the scaling matrix (the loop E17 shares: build, warm
-    /// parallel round, best sequential round by `max_busy_ns`); each row's
+    /// parallel round, best in-order round by `max_busy_ns`); each row's
     /// throughput is received packets over the busiest worker.
     pub fn measure(rounds: usize) -> Record {
         let score = |r: &EngineReport| (r.aggregate_mpps(), r.total_rx_packets());
@@ -887,7 +891,7 @@ pub mod e14 {
 pub mod e15 {
     use super::e13;
     use crate::{Cell, Record};
-    use opendesc_core::{EngineReport, Hist, MetricValue, ShardedEngine};
+    use opendesc_core::{Control, EngineReport, Hist, MetricValue, ShardedEngine};
     use opendesc_nicsim::models;
 
     /// Queue count of the overhead configuration (the E13 midpoint).
@@ -939,25 +943,24 @@ pub mod e15 {
             // held, scored by their summed busy time (3× the per-pair
             // signal of a single drain) plus the arm's best single rep
             // for the report rows.
-            fn arm(
-                eng: &mut ShardedEngine,
-                pools: &[Vec<opendesc_nicsim::pktgen::ShardFrame>],
-                on: bool,
-            ) -> (EngineReport, u64) {
+            fn arm(eng: &mut ShardedEngine, on: bool) -> (EngineReport, u64) {
                 const REPS: usize = 3;
                 eng.set_telemetry_enabled(on);
+                let (wl, once) = (e13::workload(), Control::fixed(e13::ROUND));
                 let mut total = 0u64;
                 let mut best: Option<EngineReport> = None;
                 for _ in 0..REPS {
-                    let rep = eng.run_sequential(pools);
+                    let rep = eng
+                        .run_intervals(&wl, e13::ROUND, &once, &mut |_, _, _| {})
+                        .report;
                     total += rep.sum_busy_ns();
                     better(rep, &mut best);
                 }
                 (best.expect("REPS > 0"), total)
             }
             let on_first = j % 2 == 1;
-            let first = arm(&mut eng, &pools, on_first);
-            let second = arm(&mut eng, &pools, !on_first);
+            let first = arm(&mut eng, on_first);
+            let second = arm(&mut eng, !on_first);
             let ((rep_off, off_busy), (rep_on, on_busy)) = if on_first {
                 (second, first)
             } else {
@@ -1131,8 +1134,9 @@ pub mod e16 {
 /// (the xdp_firewall pass-through shape, with the IP-checksum offload
 /// requested per response) at 1/2/4/8 queues. As in E13, the warm round
 /// runs the real scoped-thread engine and checks packet conservation;
-/// measured rounds use the sequential harness so `busy_ns` stays honest
-/// on small hosts, scored by min-estimator over `max_busy_ns`.
+/// measured rounds use the in-order `run_intervals` loop so `busy_ns`
+/// stays honest on small hosts, scored by min-estimator over
+/// `max_busy_ns`.
 pub mod e17 {
     use crate::Record;
     use opendesc_core::{
@@ -1296,7 +1300,7 @@ pub mod e17 {
 /// busy time tracks per-queue packets) at 16 and 64 queues under
 /// uniform traffic and Zipf α ∈ {0.9, 1.1, 1.3} with two injected
 /// elephant flows. Each cell runs twice through the *same* control
-/// loop ([`opendesc_core::ShardedEngine::run_adaptive`]): the static arm with a frozen
+/// loop ([`opendesc_core::ShardedEngine::run_intervals`]): the static arm with a frozen
 /// RETA and no stealing, the adaptive arm with both on. The RETA is
 /// reset to the canonical `i % queues` layout before every attempt, so
 /// the adaptive arm pays its convergence cost inside the measurement.
@@ -1311,7 +1315,7 @@ pub mod e17 {
 pub mod e18 {
     use super::e13;
     use crate::{worker_cells, Cell, Record};
-    use opendesc_core::{AdaptiveConfig, AdaptiveOutcome};
+    use opendesc_core::{Control, RunOutcome};
     use opendesc_nicsim::{models, NicModel, Workload};
 
     /// Queue counts of the skew matrix — the scale regime where a
@@ -1375,18 +1379,15 @@ pub mod e18 {
             for &alpha in &dists {
                 let wl = workload(alpha);
                 for adaptive in [false, true] {
-                    let cfg = if adaptive {
-                        AdaptiveConfig {
-                            interval: INTERVAL,
-                            ..AdaptiveConfig::default()
-                        }
+                    let ctl = if adaptive {
+                        Control::adaptive(INTERVAL)
                     } else {
-                        AdaptiveConfig::static_reta(INTERVAL)
+                        Control::fixed(INTERVAL)
                     };
-                    let mut best: Option<AdaptiveOutcome> = None;
+                    let mut best: Option<RunOutcome> = None;
                     for round in 0..=rounds.max(1) {
                         eng.steerer_mut().reset_reta();
-                        let out = eng.run_adaptive(&wl, TOTAL, &cfg, &mut |_, _, _| {});
+                        let out = eng.run_intervals(&wl, TOTAL, &ctl, &mut |_, _, _| {});
                         assert_eq!(
                             out.report.total_rx_packets() as usize,
                             TOTAL,
@@ -1488,9 +1489,8 @@ pub mod e19 {
     use super::e12;
     use super::e13::{self, BATCH_CAP, RING};
     use crate::{Cell, Record};
-    use opendesc_core::{EvolveConfig, Intent, PlanCache, RelayoutRequest, ShardedEngine};
+    use opendesc_core::{Control, Intent, PlanCache, RelayoutRequest, ShardedEngine};
     use opendesc_ir::{names, SemanticRegistry};
-    use opendesc_nicsim::pktgen::ShardedPktGen;
     use opendesc_nicsim::{SteerPolicy, Workload};
 
     /// Queues per engine (E13's ring and batch capacity).
@@ -1535,16 +1535,20 @@ pub mod e19 {
         wl: &Workload,
         rounds: usize,
     ) -> (f64, f64) {
-        let pools = ShardedPktGen::generate(wl.clone(), control.steerer(), TOTAL).into_pools();
+        let once = Control::fixed(TOTAL);
+        let steady = |eng: &mut ShardedEngine| {
+            eng.run_intervals(wl, TOTAL, &once, &mut |_, _, _| {})
+                .report
+        };
         let mut pairs: Vec<(f64, f64)> = Vec::new();
         for round in 0..=rounds.max(1) {
             let (rc, re) = if round % 2 == 0 {
-                let rc = control.run_sequential(&pools);
-                let re = evolved.run_sequential(&pools);
+                let rc = steady(control);
+                let re = steady(evolved);
                 (rc, re)
             } else {
-                let re = evolved.run_sequential(&pools);
-                let rc = control.run_sequential(&pools);
+                let re = steady(evolved);
+                let rc = steady(control);
                 (rc, re)
             };
             assert_eq!(
@@ -1612,10 +1616,13 @@ pub mod e19 {
                     }
                 })
                 .collect();
-            let cfg = EvolveConfig::new(INTERVAL, schedule);
+            let ctl = Control {
+                relayouts: schedule,
+                ..Control::fixed(INTERVAL)
+            };
             let (mut migrate_mpps, mut max_polls) = (0.0f64, 0u64);
             for round in 0..=rounds.max(1) {
-                let out = eng.run_evolving(&wl, TOTAL, &cfg, &mut |_, _, _| {});
+                let out = eng.run_intervals(&wl, TOTAL, &ctl, &mut |_, _, _| {});
                 assert_eq!(out.unresolved, 0, "{}: relayout parked mid-run", model.name);
                 assert_eq!(
                     out.flips.len(),

@@ -33,13 +33,12 @@
 //!   accelerated by a crash, never wedged or rolled back.
 
 use crate::cache::CompiledRx;
-use crate::shard::EngineReport;
 use opendesc_telemetry::MetricRegistry;
 use std::sync::Arc;
 
-/// Default drain budget: polls a queue may spend draining before the
-/// flip is forced (stragglers forgiven and stranded device-side). E19
-/// gates observed flip latency at this many polls.
+/// The drain budget: polls a queue may spend draining before the flip
+/// is forced (stragglers forgiven and stranded device-side). E19 gates
+/// observed flip latency at this many polls.
 pub const FLIP_POLL_BUDGET: u32 = 16;
 
 /// Where a queue's relayout stands.
@@ -98,30 +97,8 @@ pub struct RelayoutRequest {
     pub rx: Arc<CompiledRx>,
 }
 
-/// Configuration of one [`run_evolving`](crate::shard::ShardedEngine::run_evolving)
-/// run: the adaptive loop's interval cadence plus a relayout schedule.
-#[derive(Clone)]
-pub struct EvolveConfig {
-    /// Frames per control interval (relayout decisions land on interval
-    /// boundaries, where the drain-before-remap rule already holds).
-    pub interval: usize,
-    /// Scheduled intent migrations, applied engine-wide.
-    pub schedule: Vec<RelayoutRequest>,
-    /// Drain budget per flip, in polls (see [`FLIP_POLL_BUDGET`]).
-    pub budget: u32,
-}
-
-impl EvolveConfig {
-    pub fn new(interval: usize, schedule: Vec<RelayoutRequest>) -> EvolveConfig {
-        EvolveConfig {
-            interval,
-            schedule,
-            budget: FLIP_POLL_BUDGET,
-        }
-    }
-}
-
-/// One committed (or still-parked) flip, as the evolving run saw it.
+/// One committed flip, as [`run_intervals`](crate::shard::ShardedEngine::run_intervals)
+/// saw it.
 #[derive(Debug, Clone, Copy)]
 pub struct FlipRecord {
     /// Control interval at whose boundary the flip resolved.
@@ -135,29 +112,4 @@ pub struct FlipRecord {
     /// Whether the request spent time parked (`Degraded` deferral)
     /// before committing.
     pub was_deferred: bool,
-}
-
-/// What one evolving run produced.
-pub struct RelayoutOutcome {
-    /// Whole-run per-worker counters (same shape as the adaptive loop).
-    pub report: EngineReport,
-    /// Every committed flip, in commit order.
-    pub flips: Vec<FlipRecord>,
-    /// Queues whose relayout was still parked when the run ended
-    /// (health never recovered; the request survives in the driver and
-    /// commits on the next recovered boundary).
-    pub unresolved: usize,
-}
-
-impl RelayoutOutcome {
-    /// Worst drain-to-commit latency across all flips, in polls — the
-    /// E19 headline number.
-    pub fn max_flip_polls(&self) -> u32 {
-        self.flips.iter().map(|f| f.polls).max().unwrap_or(0)
-    }
-
-    /// Flips that committed.
-    pub fn completed(&self) -> usize {
-        self.flips.len()
-    }
 }

@@ -45,10 +45,7 @@ pub use cache::{AttachError, CompiledRx, PlanCache};
 pub use compiler::{check_contract, CompileError, CompiledInterface, Compiler};
 pub use datapath::{OpenDescDriver, RxBatch, RxPacket};
 pub use equiv::{capabilities, diff, intent_equivalent, ContractDiff, IntentEquivalence};
-pub use evolve::{
-    EvolveConfig, FlipProgress, FlipRecord, RelayoutCounters, RelayoutOutcome, RelayoutRequest,
-    FLIP_POLL_BUDGET,
-};
+pub use evolve::{FlipProgress, FlipRecord, RelayoutCounters, RelayoutRequest, FLIP_POLL_BUDGET};
 pub use intent::{Intent, IntentBuilder, IntentError, FIG1_INTENT_P4};
 pub use lower::{lower, EbpfFieldProg, EbpfWindow, LowerError, LoweredPlan};
 pub use plan::{PlanStep, RxPlan};
@@ -59,8 +56,8 @@ pub use robust::{
 };
 pub use select::{Objective, PathScore, SelectError, Selection, Selector};
 pub use shard::{
-    retain_into, AdaptiveConfig, AdaptiveOutcome, BatchSink, DrainedPacket, EngineReport,
-    EngineWorker, ForwardFn, ShardError, ShardedEngine, TxVerdict, TxWorkerStats, WorkerStats,
+    retain_into, BatchSink, Collected, Control, DrainedPacket, EngineReport, EngineWorker,
+    ForwardFn, RunOutcome, ShardError, ShardedEngine, TxVerdict, TxWorkerStats, WorkerStats,
 };
 pub use tx::{
     compile_tx, compile_tx_checked, lower_tx, txreg, CompiledTx, CompiledTxPlan, TxBatch, TxDriver,

@@ -18,21 +18,24 @@
 //!   cells only after joining — counters never bounce cache lines and
 //!   never need atomics.
 //!
-//! Every run entry point is three pieces: a worker's *feed* step (wire
-//! side, untimed), its *drain* loop (the only poller here; each batch
-//! goes to the caller's sink, then through a TX half's verdict and out
-//! in one doorbell), and `on_each_worker`, which runs a round on scoped
+//! The engine runs three ways, all over one pump — a worker's *feed*
+//! step (wire side, untimed) and its *drain* loop (the only poller here;
+//! each batch goes to the caller's sink, then through a TX half's
+//! verdict and out in one doorbell): [`run`](ShardedEngine::run) and
+//! [`run_collect`](ShardedEngine::run_collect) pump one round on scoped
 //! threads — queues are borrowed in and handed back without
-//! `Arc<Mutex<…>>` wrapping — or in order. Timing is measured per worker
-//! around the drain only (the host datapath, minus time stalled on a
-//! full TX ring), so aggregate throughput — total packets over the
+//! `Arc<Mutex<…>>` wrapping — and
+//! [`run_intervals`](ShardedEngine::run_intervals) is the in-order
+//! control loop every measured figure comes from. Timing is measured per
+//! worker around the drain only (the host datapath, minus time stalled
+//! on a full TX ring), so aggregate throughput — total packets over the
 //! busiest worker's busy time — is the parallel drain's wall clock given
 //! a core per worker, and an honest per-core figure on fewer cores.
 
 use crate::cache::{AttachError, CompiledRx, PlanCache};
 use crate::compiler::CompileError;
 use crate::datapath::{health_rank, OpenDescDriver, RxBatch};
-use crate::evolve::{EvolveConfig, FlipProgress, FlipRecord, RelayoutOutcome};
+use crate::evolve::{FlipProgress, FlipRecord, RelayoutRequest, FLIP_POLL_BUDGET};
 use crate::intent::Intent;
 use crate::rebalance::{RebalanceConfig, RebalanceStats, Rebalancer};
 use crate::robust::{QueueHealth, ValidationStats};
@@ -371,18 +374,18 @@ impl EngineWorker {
     }
 
     /// The one relayout step: drain in-flight work under the *outgoing*
-    /// plan (up to `budget` polls, then force-commit with the stragglers
-    /// forgiven) and commit; on commit a TX half swaps onto the plan
+    /// plan (up to [`FLIP_POLL_BUDGET`] polls, then force-commit with the
+    /// stragglers forgiven) and commit; on commit a TX half swaps onto the plan
     /// [`relayout`](ShardedEngine::relayout) left pending, so both
     /// directions flip on the RX commit edge. Drained batches go to
     /// `sink` and the TX half — delivered packets, not casualties. No
     /// flip pending is `(Idle, 0)`; a parked (`Deferred`) one returns at
     /// once. Returns the final progress and the drain polls spent.
-    fn drive_flip(&mut self, budget: u32, mut sink: impl FnMut(&RxBatch)) -> (FlipProgress, u32) {
+    fn drive_flip(&mut self, mut sink: impl FnMut(&RxBatch)) -> (FlipProgress, u32) {
         let mut polls = 0u32;
         let prog = loop {
             match self.drv.advance_relayout(polls as u64) {
-                FlipProgress::Draining if polls >= budget => {
+                FlipProgress::Draining if polls >= FLIP_POLL_BUDGET => {
                     break self.drv.force_relayout(polls as u64);
                 }
                 FlipProgress::Draining => {
@@ -525,9 +528,6 @@ impl EngineReport {
 pub struct ShardedEngine {
     workers: Vec<EngineWorker>,
     steerer: Steerer,
-    /// Frames pushed through [`deliver`](ShardedEngine::deliver) (the
-    /// round-robin stream position).
-    delivered: u64,
 }
 
 impl ShardedEngine {
@@ -588,7 +588,6 @@ impl ShardedEngine {
         Ok(ShardedEngine {
             workers,
             steerer: Steerer::new(policy, intents.len()),
-            delivered: 0,
         })
     }
 
@@ -618,29 +617,16 @@ impl ShardedEngine {
         &mut self.workers
     }
 
-    /// Steer one frame to its queue and deliver it (the sequential
-    /// wire-side front end). Returns the queue index.
-    pub fn deliver(&mut self, frame: &[u8]) -> Result<usize, NicError> {
-        let idx = self.delivered;
-        self.delivered += 1;
-        let v = self.steerer.steer(idx, frame);
-        let w = &mut self.workers[v.queue];
-        w.drv.deliver_steered(frame, v.parsed.as_ref(), v.rss)?;
-        w.stats.value.steered += 1;
-        Ok(v.queue)
-    }
-
-    /// One round: every worker resets its stats, runs `work` on its
-    /// pool, and reports its RX and TX cells; what `work` returns comes
-    /// back per worker, in queue order.
+    /// One round on scoped threads: every worker resets its stats, runs
+    /// `work` on its pool, and reports its RX and TX cells; what `work`
+    /// returns comes back per worker, in queue order.
     fn round<R: Send>(
         &mut self,
         pools: &[Vec<ShardFrame>],
-        parallel: bool,
         work: impl Fn(&mut EngineWorker, &[ShardFrame]) -> R + Sync,
     ) -> (EngineReport, Vec<R>) {
         assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
-        let cells = on_each_worker(&mut self.workers, parallel, |q, w| {
+        let cells = on_each_worker(&mut self.workers, |q, w| {
             w.reset_stats();
             let out = work(w, &pools[q]);
             ((w.stats(), w.tx_stats()), out)
@@ -657,49 +643,24 @@ impl ShardedEngine {
     /// exactly this round. A worker that panics unwinds this call with
     /// its own payload (the lowest-numbered one, if several did).
     pub fn run(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
-        self.round(pools, true, |w, pool| w.pump(pool, |_| {}, None))
-            .0
+        self.round(pools, |w, pool| w.pump(pool, |_| {}, None)).0
     }
 
-    /// [`run`](ShardedEngine::run) without threads: the same counters
-    /// and throughput model, each worker timed in isolation — the
-    /// measurement harness's variant. With fewer cores than queues,
-    /// concurrent workers time-slice and each one's clock absorbs its
-    /// neighbours' work; pumped one after another, the aggregate (total
-    /// packets over the busiest worker) is what the parallel run
-    /// achieves given one core per worker.
-    pub fn run_sequential(&mut self, pools: &[Vec<ShardFrame>]) -> EngineReport {
-        self.round(pools, false, |w, pool| w.pump(pool, |_| {}, None))
-            .0
-    }
-
-    /// [`run_sequential`](ShardedEngine::run_sequential) that also
-    /// retains every emitted wire frame, per queue — the
-    /// equivalence-test entry point (empty per queue on an RX-only
-    /// engine).
-    pub fn run_collect(&mut self, pools: &[Vec<ShardFrame>]) -> (EngineReport, Vec<Vec<Vec<u8>>>) {
-        self.round(pools, false, |w, pool| {
-            let mut wire = Vec::new();
-            w.pump(pool, |_| {}, Some(&mut wire));
-            wire
-        })
-    }
-
-    /// Parallel drain of everything currently pending (after a
-    /// [`deliver`](ShardedEngine::deliver) phase), collecting each
-    /// worker's `(frame, metadata)` pairs — the equivalence-test entry
-    /// point. Metadata is in accessor order.
-    pub fn drain_collect_parallel(&mut self) -> Vec<Vec<DrainedPacket>> {
-        on_each_worker(&mut self.workers, true, |_, w| {
-            let mut out = Vec::new();
+    /// [`run`](ShardedEngine::run) that also keeps, per queue, every
+    /// drained `(frame, metadata)` pair and every frame the device
+    /// emitted — the equivalence-test view, on the same threads.
+    pub fn run_collect(&mut self, pools: &[Vec<ShardFrame>]) -> (EngineReport, Vec<Collected>) {
+        self.round(pools, |w, pool| {
+            let mut c = Collected::default();
+            let rx = &mut c.rx;
             let sink = |b: &RxBatch| {
-                out.extend((0..b.len()).map(|pkt| {
+                rx.extend((0..b.len()).map(|pkt| {
                     let meta = (0..b.semantics().len()).map(|f| b.value_at(f, pkt));
                     (b.frame(pkt).to_vec(), meta.collect())
                 }));
             };
-            w.drain(u32::MAX, sink, None);
-            out
+            w.pump(pool, sink, Some(&mut c.wire));
+            c
         })
     }
 
@@ -769,7 +730,6 @@ impl ShardedEngine {
         &mut self,
         rx: &Arc<CompiledRx>,
         tx: Option<&Arc<CompiledTxPlan>>,
-        budget: u32,
     ) -> Vec<(FlipProgress, u32)> {
         for w in &mut self.workers {
             w.request_relayout(Arc::clone(rx));
@@ -777,119 +737,64 @@ impl ShardedEngine {
                 half.pending = Some(Arc::clone(tx));
             }
         }
-        self.drive_flips(budget, &mut |_, _| {})
+        self.drive_flips(&mut |_, _| {})
     }
 
     /// One relayout boundary: every worker takes the relayout step
     /// ([`EngineWorker::drive_flip`]), its drained batches going to
     /// `sink` tagged with the queue. Returns per-queue
     /// `(progress, drain_polls)`.
-    fn drive_flips(
-        &mut self,
-        budget: u32,
-        sink: &mut impl FnMut(usize, &RxBatch),
-    ) -> Vec<(FlipProgress, u32)> {
+    fn drive_flips(&mut self, sink: &mut impl FnMut(usize, &RxBatch)) -> Vec<(FlipProgress, u32)> {
         (self.workers.iter_mut())
             .map(|w| {
                 let q = w.queue;
-                w.drive_flip(budget, |b| sink(q, b))
+                w.drive_flip(|b| sink(q, b))
             })
             .collect()
     }
 
-    /// The closed control loop: process `total` frames of `wl` in
-    /// control intervals, folding each interval's per-queue busy/packet
-    /// telemetry and per-bucket packet counts into the [`Rebalancer`],
-    /// and applying its RETA rewrites at interval boundaries — after the
-    /// interval's drain, so migrations are reorder-free
-    /// (drain-before-remap; non-quiesced queues defer their moves).
-    /// With `cfg.rebalance = None` the same loop runs with a frozen RETA
-    /// — the static arm every adaptive claim is normalized against.
+    /// The one control loop: process `total` frames of `wl` in control
+    /// intervals of `ctl.interval`. Per interval it generates the frames,
+    /// steers them with the *live* RETA (tallying per-bucket arrivals),
+    /// hands surplus chunks between pools when `ctl.steal`, and pumps
+    /// every worker in turn; then, at the boundary, it rebalances (when
+    /// `ctl.rebalance` is set) and relayouts (every request of
+    /// `ctl.relayouts` due at this interval, plus every pending flip). A
+    /// bounded recovery drain and one last relayout boundary end the run.
+    /// [`Control::fixed`] with `ctl.interval >= total` is one plain round.
     ///
-    /// Timing follows [`run_sequential`](ShardedEngine::run_sequential):
-    /// workers pump one after another, generation and steering run off
-    /// the clock, so the aggregate (total packets over the busiest
-    /// worker's busy time) models one core per worker.
+    /// Workers pump one after another and generation and steering run
+    /// off the clock: with fewer cores than queues, concurrent workers
+    /// would time-slice and each one's clock absorb its neighbours'
+    /// work, while pumped in turn the aggregate (total packets over the
+    /// busiest worker's busy time) is what one core per worker achieves.
     ///
-    /// Every drained batch goes to `sink`, tagged `(interval, queue)` —
-    /// a no-op to measure, [`retain_into`] to check conservation and
-    /// per-flow order under live migrations — then to any TX half.
-    pub fn run_adaptive(
+    /// Every drained batch — those a drain-and-flip pulls in included —
+    /// goes to `sink`, tagged `(interval, queue)` (a no-op to measure,
+    /// [`retain_into`] to check conservation and per-flow order), then to
+    /// any TX half.
+    pub fn run_intervals(
         &mut self,
         wl: &Workload,
         total: usize,
-        cfg: &AdaptiveConfig,
+        ctl: &Control,
         sink: &mut BatchSink<'_>,
-    ) -> AdaptiveOutcome {
+    ) -> RunOutcome {
         let nq = self.workers.len();
-        let mut reb = cfg.rebalance.clone().map(Rebalancer::new);
-        let (mut prev_busy, mut prev_pkts) = (vec![0u64; nq], vec![0u64; nq]);
-        // Interval boundary: fold the busy/packet deltas, check
-        // quiescence, and let the rebalancer rewrite the RETA.
-        let rebalance: &mut Boundary<'_> = &mut |eng, _, bucket_pkts, _| {
-            let Some(reb) = &mut reb else { return };
-            let mut busy_delta = vec![0u64; nq];
-            let mut pkts_delta = vec![0u64; nq];
-            let mut quiesced = vec![false; nq];
-            for (q, w) in eng.workers.iter().enumerate() {
-                busy_delta[q] = w.stats.value.busy_ns - prev_busy[q];
-                pkts_delta[q] = w.stats.value.packets - prev_pkts[q];
-                prev_busy[q] = w.stats.value.busy_ns;
-                prev_pkts[q] = w.stats.value.packets;
-                quiesced[q] = w.in_flight() == 0;
-            }
-            let moves = reb.plan(
-                eng.steerer.reta(),
-                bucket_pkts,
-                &busy_delta,
-                &pkts_delta,
-                &quiesced,
-            );
-            for m in &moves {
-                eng.steerer.set_reta(m.bucket, m.to);
-            }
-        };
-        let (_, stolen_chunks) =
-            self.run_intervals(wl, total, cfg.interval, cfg.steal, sink, rebalance);
-        AdaptiveOutcome {
-            report: self.report(),
-            rebalance: reb.map(|r| r.stats()),
-            stolen_chunks,
-            reta: *self.steerer.reta(),
-        }
-    }
-
-    /// The interval driver under [`run_adaptive`] and [`run_evolving`]:
-    /// per control interval, generate `interval` frames, steer them
-    /// with the *live* RETA (tallying per-bucket arrivals), optionally
-    /// hand surplus chunks between pools, pump every worker in turn
-    /// (drained batches go to `sink`, tagged with interval and queue),
-    /// then run `boundary` — the one place the two loops differ. Ends
-    /// with a bounded recovery drain. Returns the number of intervals
-    /// run and the chunks the steal planner moved.
-    ///
-    /// [`run_adaptive`]: ShardedEngine::run_adaptive
-    /// [`run_evolving`]: ShardedEngine::run_evolving
-    fn run_intervals(
-        &mut self,
-        wl: &Workload,
-        total: usize,
-        interval: usize,
-        steal: bool,
-        sink: &mut BatchSink<'_>,
-        boundary: &mut Boundary<'_>,
-    ) -> (u32, u64) {
         for w in &mut self.workers {
             w.reset_stats();
         }
+        let mut reb = ctl.rebalance.clone().map(Rebalancer::new);
+        let mut seen = vec![(0u64, 0u64); nq];
+        let (mut parked, mut flips) = (vec![false; nq], Vec::new());
         let mut gen = PktGen::new(wl.clone());
-        let mut pools: Vec<Vec<ShardFrame>> = self.workers.iter().map(|_| Vec::new()).collect();
+        let mut pools: Vec<Vec<ShardFrame>> = vec![Vec::new(); nq];
         let mut stolen_chunks = 0u64;
         let mut stream_idx = 0u64;
         let mut remaining = total;
         let mut index = 0u32;
         while remaining > 0 {
-            let n = remaining.min(interval.max(1));
+            let n = remaining.min(ctl.interval.max(1));
             remaining -= n;
             let mut bucket_pkts = [0u64; RETA_SIZE];
             for p in &mut pools {
@@ -910,14 +815,17 @@ impl ShardedEngine {
             // Work stealing, modeled at the same whole-chunk granularity
             // as the parallel path: surplus tail chunks of overloaded
             // pools hand off to the emptiest pools before the pump.
-            if steal {
+            if ctl.steal {
                 let chunk = self.workers[0].batch.capacity().max(1);
                 stolen_chunks += steal_surplus_chunks(&mut pools, chunk);
             }
             for (q, (w, pool)) in self.workers.iter_mut().zip(&pools).enumerate() {
                 w.pump(pool, |b| sink(index, q, b), None);
             }
-            boundary(self, index, &bucket_pkts, sink);
+            if let Some(reb) = &mut reb {
+                self.rebalance(reb, &bucket_pkts, &mut seen);
+            }
+            self.relayout_boundary(index, &ctl.relayouts, &mut parked, &mut flips, sink);
             index += 1;
         }
         // Recovery drain: a faulted queue (hang, lost doorbell) may end
@@ -932,99 +840,92 @@ impl ShardedEngine {
                 w.drain(u32::MAX, |b| sink(index, q, b), None);
             }
         }
-        (index, stolen_chunks)
-    }
-
-    /// Process `total` frames of `wl` in control intervals while
-    /// executing `cfg.schedule`'s live intent migrations: at each
-    /// scheduled boundary every queue drain-and-flips onto the new
-    /// compiled interface (see [`crate::evolve`]). Steering runs with
-    /// the live RETA but no rebalancing — relayout is the only control
-    /// action, so flip latency is not confounded with RETA moves.
-    /// Requests parked on a `Degraded` queue are retried at every later
-    /// boundary and commit once health recovers. Drained batches —
-    /// including those a drain-and-flip pulls in — go to `sink`, as in
-    /// [`run_adaptive`](ShardedEngine::run_adaptive).
-    pub fn run_evolving(
-        &mut self,
-        wl: &Workload,
-        total: usize,
-        cfg: &EvolveConfig,
-        sink: &mut BatchSink<'_>,
-    ) -> RelayoutOutcome {
-        let mut flips: Vec<FlipRecord> = Vec::new();
-        let mut parked = vec![false; self.workers.len()];
-        // Boundary: submit due requests engine-wide, then drive every
-        // pending flip — fresh ones and requests parked at an earlier
-        // boundary whose queue may have recovered since.
-        let relayout: &mut Boundary<'_> = &mut |eng, interval, _, sink| {
-            for req in cfg.schedule.iter().filter(|r| r.at_interval == interval) {
-                for w in &mut eng.workers {
-                    if w.request_relayout(Arc::clone(&req.rx)) == FlipProgress::Deferred {
-                        parked[w.queue] = true;
-                    }
-                }
-            }
-            let resolved = eng.drive_flips(cfg.budget, &mut |q, b| sink(interval, q, b));
-            log_commits(interval, resolved, &mut parked, &mut flips);
-        };
-        let (intervals, _) = self.run_intervals(wl, total, cfg.interval, false, sink, relayout);
         // Final boundary for flips still parked: a queue whose health
         // recovered during the tail traffic can still commit.
-        let resolved = self.drive_flips(cfg.budget, &mut |q, b| sink(intervals, q, b));
-        log_commits(intervals, resolved, &mut parked, &mut flips);
-        let unresolved = (self.workers.iter())
-            .filter(|w| w.driver().flip_pending())
-            .count();
-        RelayoutOutcome {
+        self.relayout_boundary(index, &[], &mut parked, &mut flips, sink);
+        RunOutcome {
             report: self.report(),
+            rebalance: reb.map(|r| r.stats()),
+            stolen_chunks,
+            reta: *self.steerer.reta(),
             flips,
-            unresolved,
+            unresolved: (self.workers.iter())
+                .filter(|w| w.driver().flip_pending())
+                .count(),
+        }
+    }
+
+    /// Boundary step 1: fold each queue's busy/packet deltas since the
+    /// last boundary (`seen` holds the totals then), check quiescence,
+    /// and apply the rebalancer's RETA rewrites — after the interval's
+    /// drain, so migrations are reorder-free (drain-before-remap;
+    /// non-quiesced queues defer their moves).
+    fn rebalance(
+        &mut self,
+        reb: &mut Rebalancer,
+        bucket_pkts: &[u64; RETA_SIZE],
+        seen: &mut [(u64, u64)],
+    ) {
+        let nq = self.workers.len();
+        let (mut busy, mut pkts, mut quiesced) = (vec![0; nq], vec![0; nq], vec![false; nq]);
+        for (q, w) in self.workers.iter().enumerate() {
+            let s = &w.stats.value;
+            busy[q] = s.busy_ns - seen[q].0;
+            pkts[q] = s.packets - seen[q].1;
+            seen[q] = (s.busy_ns, s.packets);
+            quiesced[q] = w.in_flight() == 0;
+        }
+        for m in reb.plan(self.steerer.reta(), bucket_pkts, &busy, &pkts, &quiesced) {
+            self.steerer.set_reta(m.bucket, m.to);
+        }
+    }
+
+    /// Boundary step 2: ask every queue to flip onto each request of
+    /// `due` scheduled at `interval`, then drive every pending flip —
+    /// fresh ones and requests parked on a `Degraded` queue at an earlier
+    /// boundary, which commit once health recovers. Each commit is
+    /// logged into `flips` with whether its request spent time parked.
+    fn relayout_boundary(
+        &mut self,
+        interval: u32,
+        due: &[RelayoutRequest],
+        parked: &mut [bool],
+        flips: &mut Vec<FlipRecord>,
+        sink: &mut BatchSink<'_>,
+    ) {
+        for req in due.iter().filter(|r| r.at_interval == interval) {
+            for w in &mut self.workers {
+                if w.request_relayout(Arc::clone(&req.rx)) == FlipProgress::Deferred {
+                    parked[w.queue] = true;
+                }
+            }
+        }
+        let resolved = self.drive_flips(&mut |q, b| sink(interval, q, b));
+        for (queue, (prog, polls)) in resolved.into_iter().enumerate() {
+            if let FlipProgress::Committed(generation) = prog {
+                flips.push(FlipRecord {
+                    interval,
+                    queue,
+                    polls,
+                    generation,
+                    was_deferred: std::mem::take(&mut parked[queue]),
+                });
+            }
         }
     }
 }
 
-/// Log one relayout boundary's commits into `flips`, each with whether
-/// its request spent time parked; a commit unparks its queue.
-fn log_commits(
-    interval: u32,
-    resolved: Vec<(FlipProgress, u32)>,
-    parked: &mut [bool],
-    flips: &mut Vec<FlipRecord>,
-) {
-    for (queue, (prog, polls)) in resolved.into_iter().enumerate() {
-        if let FlipProgress::Committed(generation) = prog {
-            flips.push(FlipRecord {
-                interval,
-                queue,
-                polls,
-                generation,
-                was_deferred: std::mem::take(&mut parked[queue]),
-            });
-        }
-    }
-}
-
-/// Run `work` once per worker — each on its own scoped thread when
-/// `parallel`, otherwise one after another on the calling thread — and
-/// return the results in worker order. Scoped threads borrow the
-/// workers and hand them back at the join, which is the only
-/// synchronization a round needs. Every thread is joined before a panic
-/// moves on: the caller unwinds with the payload of the lowest-numbered
-/// worker that panicked, as it would have without threads.
+/// Run `work` once per worker, each on its own scoped thread, and return
+/// the results in worker order. Scoped threads borrow the workers and
+/// hand them back at the join, which is the only synchronization a
+/// round needs. Every thread is joined before a panic moves on: the
+/// caller unwinds with the payload of the lowest-numbered worker that
+/// panicked, as it would have without threads.
 fn on_each_worker<W: Send, R: Send>(
     workers: &mut [W],
-    parallel: bool,
     work: impl Fn(usize, &mut W) -> R + Sync,
 ) -> Vec<R> {
     let work = &work;
-    if !parallel {
-        return workers
-            .iter_mut()
-            .enumerate()
-            .map(|(q, w)| work(q, w))
-            .collect();
-    }
     std::thread::scope(|s| {
         let handles: Vec<_> = workers
             .iter_mut()
@@ -1039,8 +940,9 @@ fn on_each_worker<W: Send, R: Send>(
     })
 }
 
-/// Where the interval loops send each drained batch: `(interval,
-/// queue, batch)`. The measured runs pass a no-op (`&mut |_, _, _| {}`).
+/// Where [`ShardedEngine::run_intervals`] sends each drained batch:
+/// `(interval, queue, batch)`. The measured runs pass a no-op
+/// (`&mut |_, _, _| {}`).
 pub type BatchSink<'a> = dyn FnMut(u32, usize, &RxBatch) + 'a;
 
 /// The "collect" sink: copy every frame out of the batch as
@@ -1049,16 +951,21 @@ pub fn retain_into(out: &mut Vec<(u32, usize, Vec<u8>)>) -> impl FnMut(u32, usiz
     move |interval, q, b| out.extend((0..b.len()).map(|pkt| (interval, q, b.frame(pkt).to_vec())))
 }
 
-/// What runs at an interval boundary: `(engine, interval index, the
-/// interval's arrivals per RETA bucket, sink)`.
-type Boundary<'a> = dyn FnMut(&mut ShardedEngine, u32, &[u64; RETA_SIZE], &mut BatchSink<'_>) + 'a;
+/// What one queue's [`ShardedEngine::run_collect`] round kept.
+#[derive(Debug, Clone, Default)]
+pub struct Collected {
+    /// Every drained `(frame, metadata)` pair, in drain order.
+    pub rx: Vec<DrainedPacket>,
+    /// Every frame the device emitted (empty on an RX-only engine).
+    pub wire: Vec<Vec<u8>>,
+}
 
-/// Configuration of one [`ShardedEngine::run_adaptive`] run.
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfig {
-    /// Frames per control interval — the rebalance decision cadence.
+/// How one [`ShardedEngine::run_intervals`] run is driven.
+#[derive(Clone)]
+pub struct Control {
+    /// Frames per control interval — the boundary cadence.
     pub interval: usize,
-    /// The closed loop; `None` freezes the RETA (the static arm).
+    /// The closed RETA loop; `None` freezes the RETA (the static arm).
     pub rebalance: Option<RebalanceConfig>,
     /// Whole-chunk work stealing between workers. Stealing moves surplus
     /// *tail* chunks of a hot queue's interval pool onto idle queues, so
@@ -1067,48 +974,64 @@ pub struct AdaptiveConfig {
     /// (the one case RETA rewrites cannot split: a single bucket hotter
     /// than a whole queue's fair share).
     pub steal: bool,
+    /// Scheduled intent migrations, applied engine-wide at their
+    /// interval's boundary (see [`crate::evolve`]).
+    pub relayouts: Vec<RelayoutRequest>,
 }
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            interval: 2048,
-            rebalance: Some(RebalanceConfig::default()),
-            steal: true,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// The static control arm: same loop, frozen RETA, no stealing.
-    pub fn static_reta(interval: usize) -> AdaptiveConfig {
-        AdaptiveConfig {
+impl Control {
+    /// Frozen RETA, no stealing, no relayouts: the static arm, and one
+    /// plain measured round when `interval` covers the run.
+    pub fn fixed(interval: usize) -> Control {
+        Control {
             interval,
             rebalance: None,
             steal: false,
+            relayouts: Vec::new(),
+        }
+    }
+
+    /// The closed loop: the default rebalancer with stealing on.
+    pub fn adaptive(interval: usize) -> Control {
+        Control {
+            rebalance: Some(RebalanceConfig::default()),
+            steal: true,
+            ..Control::fixed(interval)
         }
     }
 }
 
-/// What one adaptive run produced.
+/// What one [`ShardedEngine::run_intervals`] run produced.
 #[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
+pub struct RunOutcome {
     /// Whole-run per-worker counters (busy time spans every interval).
     pub report: EngineReport,
-    /// Control-loop accounting; `None` for the static arm.
+    /// Control-loop accounting; `None` with a frozen RETA.
     pub rebalance: Option<RebalanceStats>,
     /// Whole chunks the steal planner handed between queues.
     pub stolen_chunks: u64,
     /// The RETA as the run left it (diagnostics: how far it drifted from
     /// the reset layout).
     pub reta: [u16; RETA_SIZE],
+    /// Every committed flip, in commit order.
+    pub flips: Vec<FlipRecord>,
+    /// Queues whose relayout was still parked when the run ended
+    /// (health never recovered; the request survives in the driver and
+    /// commits on the next recovered boundary).
+    pub unresolved: usize,
 }
 
-impl AdaptiveOutcome {
+impl RunOutcome {
     /// p99/p50 imbalance across per-queue drained packets.
     pub fn occupancy_imbalance(&self) -> f64 {
         let pkts: Vec<u64> = self.report.rx.iter().map(|w| w.packets).collect();
         crate::rebalance::imbalance_p99_p50(&pkts)
+    }
+
+    /// Worst drain-to-commit latency across all flips, in polls — the
+    /// E19 headline number.
+    pub fn max_flip_polls(&self) -> u32 {
+        self.flips.iter().map(|f| f.polls).max().unwrap_or(0)
     }
 }
 
@@ -1142,7 +1065,6 @@ fn steal_surplus_chunks(pools: &mut [Vec<ShardFrame>], chunk: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evolve::RelayoutRequest;
     use opendesc_ir::names;
     use opendesc_nicsim::models;
     use opendesc_nicsim::pktgen::{ShardedPktGen, Workload};
@@ -1252,8 +1174,12 @@ mod tests {
         )
         .unwrap();
         let frames = opendesc_nicsim::PktGen::new(Workload::default()).batch(2);
-        assert_eq!(eng.deliver(&frames[0]).unwrap(), 0);
-        assert_eq!(eng.deliver(&frames[1]).unwrap(), 1);
+        for (i, f) in frames.iter().enumerate() {
+            let v = eng.steerer().steer(i as u64, f);
+            assert_eq!(v.queue, i, "round robin");
+            let drv = eng.workers_mut()[i].driver_mut();
+            drv.deliver_steered(f, v.parsed.as_ref(), v.rss).unwrap();
+        }
         let [q0, q1] = eng.workers_mut() else {
             panic!("two intents, two workers");
         };
@@ -1379,10 +1305,16 @@ mod tests {
         // A second run reports only its own round (stats reset).
         let report2 = eng.run(&pools);
         assert_eq!(report2.total_rx_packets(), 500);
-        // The sequential measurement harness drains identical counts.
-        let seq = eng.run_sequential(&pools);
-        assert_eq!(seq.total_rx_packets(), 500);
-        for (p, w) in report.rx.iter().zip(&seq.rx) {
+        // One fixed interval over the same stream is the same round in
+        // order: the same frames reach the same queues.
+        let fixed = eng.run_intervals(
+            &Workload::default(),
+            500,
+            &Control::fixed(500),
+            &mut |_, _, _| {},
+        );
+        assert_eq!(fixed.report.total_rx_packets(), 500);
+        for (p, w) in report.rx.iter().zip(&fixed.report.rx) {
             assert_eq!(p.packets, w.packets);
             assert_eq!(p.steered, w.steered);
         }
@@ -1418,15 +1350,10 @@ mod tests {
                         .unwrap(),
                 )
                 .unwrap();
-            let frames = opendesc_nicsim::PktGen::new(Workload::default()).batch(40);
-            for f in &frames {
-                eng.deliver(f).unwrap();
-            }
-            let drained: usize = eng
-                .drain_collect_parallel()
-                .iter()
-                .map(|per_q| per_q.len())
-                .sum();
+            let pools =
+                ShardedPktGen::generate(Workload::default(), eng.steerer(), 40).into_pools();
+            let (_, kept) = eng.run_collect(&pools);
+            let drained: usize = kept.iter().map(|c| c.rx.len()).sum();
             assert_eq!(drained, 40, "replays are discarded, originals delivered");
             let snap = eng.snapshot();
             let health = |scope: &str| match snap.get(&format!("{scope}.health")) {
@@ -1494,11 +1421,12 @@ mod tests {
         // The collecting run proves the forwarded bytes are the received
         // bytes: per queue, the emitted wire frames equal the steered
         // pool as a multiset (order preserved per queue here).
-        let (report2, wires) = eng.run_collect(&pools);
+        let (report2, kept) = eng.run_collect(&pools);
         assert_eq!(report2.total_forwarded(), 400);
-        for (q, wire) in wires.iter().enumerate() {
+        for (q, c) in kept.iter().enumerate() {
             let want: Vec<&[u8]> = pools[q].iter().map(|sf| sf.bytes.as_slice()).collect();
-            let got: Vec<&[u8]> = wire.iter().map(|f| f.as_slice()).collect();
+            let got: Vec<&[u8]> = c.wire.iter().map(|f| f.as_slice()).collect();
+            assert_eq!(c.rx.len(), want.len(), "queue {q} drained its pool");
             assert_eq!(got, want, "queue {q} wire frames differ from its pool");
         }
     }
@@ -1535,14 +1463,15 @@ mod tests {
         )
         .unwrap();
         let pools = ShardedPktGen::generate(Workload::default(), eng.steerer(), 100).into_pools();
-        let (report, wires) = eng.run_collect(&pools);
+        let (report, kept) = eng.run_collect(&pools);
         assert_eq!(
             report.total_forwarded() + report.total_dropped(),
             100,
             "every packet got a verdict"
         );
         assert_eq!(report.tx[0].rewritten, report.total_forwarded());
-        for (wire, orig) in wires[0]
+        for (wire, orig) in kept[0]
+            .wire
             .iter()
             .zip(pools[0].iter().filter(|sf| sf.bytes.len() % 2 == 0))
         {
@@ -1593,9 +1522,18 @@ mod tests {
         .unwrap();
         let pools = ShardedPktGen::generate(Workload::default(), eng.steerer(), 64).into_pools();
         let parallel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.run(&pools)));
-        let sequential =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.run_sequential(&pools)));
-        for (how, outcome) in [("run", parallel), ("run_sequential", sequential)] {
+        let in_order = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.run_intervals(
+                &Workload::default(),
+                64,
+                &Control::fixed(64),
+                &mut |_, _, _| {},
+            )
+        }));
+        for (how, outcome) in [
+            ("run", parallel.map(drop)),
+            ("run_intervals", in_order.map(drop)),
+        ] {
             let payload = outcome.expect_err("the verdict panics on the first packet");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&WHY), "{how}");
         }
@@ -1613,11 +1551,11 @@ mod tests {
             assert_eq!(rep.total_wire_frames(), total as u64);
         };
         let wl = Workload::zipf(64, 1.1, 1);
-        let cfg = AdaptiveConfig {
-            interval: 500,
-            ..AdaptiveConfig::default()
-        };
-        conserved(&eng.run_adaptive(&wl, total, &cfg, &mut |_, _, _| {}).report);
+        let sink = &mut |_: u32, _: usize, _: &RxBatch| {};
+        conserved(
+            &eng.run_intervals(&wl, total, &Control::adaptive(500), sink)
+                .report,
+        );
 
         let lean = Intent::builder("lean")
             .want(&mut reg, names::PKT_LEN)
@@ -1631,15 +1569,14 @@ mod tests {
             })
             .collect();
         let migrations = schedule.len();
-        let out = eng.run_evolving(
-            &wl,
-            total,
-            &EvolveConfig::new(500, schedule),
-            &mut |_, _, _| {},
-        );
+        let ctl = Control {
+            relayouts: schedule,
+            ..Control::fixed(500)
+        };
+        let out = eng.run_intervals(&wl, total, &ctl, sink);
         conserved(&out.report);
         assert_eq!(out.unresolved, 0);
-        assert_eq!(out.completed(), queues * migrations, "every flip commits");
+        assert_eq!(out.flips.len(), queues * migrations, "every flip commits");
     }
 
     #[test]
@@ -1660,12 +1597,7 @@ mod tests {
         let wl = Workload::zipf(64, 1.3, 2);
         let total = 6_000;
         // Static arm: frozen RETA, no stealing.
-        let stat = eng.run_adaptive(
-            &wl,
-            total,
-            &AdaptiveConfig::static_reta(1_000),
-            &mut |_, _, _| {},
-        );
+        let stat = eng.run_intervals(&wl, total, &Control::fixed(1_000), &mut |_, _, _| {});
         assert_eq!(stat.report.total_rx_packets(), total as u64);
         assert!(stat.rebalance.is_none());
         assert_eq!(stat.stolen_chunks, 0);
@@ -1679,15 +1611,7 @@ mod tests {
         // Adaptive arm on a fresh table: every frame still delivered,
         // the control loop actually moved buckets, and the per-queue
         // occupancy spread tightened.
-        let adp = eng.run_adaptive(
-            &wl,
-            total,
-            &AdaptiveConfig {
-                interval: 1_000,
-                ..AdaptiveConfig::default()
-            },
-            &mut |_, _, _| {},
-        );
+        let adp = eng.run_intervals(&wl, total, &Control::adaptive(1_000), &mut |_, _, _| {});
         assert_eq!(adp.report.total_rx_packets(), total as u64);
         let reb = adp.rebalance.expect("adaptive arm reports control stats");
         assert!(reb.migrations > 0, "skew must trigger migrations: {reb:?}");
@@ -1700,32 +1624,5 @@ mod tests {
         for w in &adp.report.rx {
             assert_eq!(w.health, QueueHealth::Healthy);
         }
-    }
-
-    #[test]
-    fn sequential_deliver_then_parallel_drain() {
-        let cache = PlanCache::default();
-        let mut reg = SemanticRegistry::with_builtins();
-        let i = intent(&mut reg);
-        let mut eng = ShardedEngine::with_intents(
-            &cache,
-            &models::ixgbe(),
-            &vec![i; 2],
-            &mut reg,
-            512,
-            SteerPolicy::Rss,
-            32,
-        )
-        .unwrap();
-        let frames = opendesc_nicsim::PktGen::new(Workload::default()).batch(100);
-        for f in &frames {
-            eng.deliver(f).unwrap();
-        }
-        let got: usize = eng
-            .drain_collect_parallel()
-            .iter()
-            .map(|per_q| per_q.len())
-            .sum();
-        assert_eq!(got, 100);
     }
 }

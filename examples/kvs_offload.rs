@@ -145,7 +145,7 @@ fn main() {
     wl.zipf_alpha = zipf;
     wl.elephants = elephants;
     let pools = ShardedPktGen::generate(wl, eng.steerer(), REQUESTS).into_pools();
-    let (report, wires) = eng.run_collect(&pools);
+    let (report, kept) = eng.run_collect(&pools);
 
     println!(
         "{}: served {} GET requests on {} full-duplex queues ({} rewritten responses on the wire)",
@@ -163,8 +163,8 @@ fn main() {
 
     // Every response went back to the requester with valid checksums —
     // whichever side of the hardware/software split inserted them.
-    for (q, wire) in wires.iter().enumerate() {
-        for (resp, req) in wire.iter().zip(&pools[q]) {
+    for (q, c) in kept.iter().enumerate() {
+        for (resp, req) in c.wire.iter().zip(&pools[q]) {
             let p = ParsedFrame::parse(resp).expect("response parses");
             let r = ParsedFrame::parse(&req.bytes).unwrap();
             let (psrc, pdst) = p.ports().unwrap();
@@ -246,7 +246,7 @@ fn main() {
             let rx = cache
                 .get_or_compile(&model, target, &mut reg)
                 .expect("alternate kvs layout compiles");
-            let flips = eng.relayout(&rx, Some(&tx), FLIP_POLL_BUDGET);
+            let flips = eng.relayout(&rx, Some(&tx));
             let polls = flips.iter().map(|(_, p)| *p).max().unwrap_or(0);
             worst_polls = worst_polls.max(polls);
             for (q, (prog, _)) in flips.iter().enumerate() {

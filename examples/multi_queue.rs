@@ -70,12 +70,19 @@ fn main() {
         seed: 42,
         ..Workload::default()
     });
-    for _ in 0..300 {
-        eng.deliver(&kvs_gen.next_frame()).unwrap();
-        eng.deliver(&bulk_gen.next_frame()).unwrap();
-        eng.deliver(&bulk_gen.next_frame()).unwrap();
+    // The device's steering stage picks each frame's queue; the frame
+    // then lands on that queue's driver with its steering-time parse.
+    let mut steered = [0u64; 2];
+    for i in 0..900u64 {
+        let f = match i % 3 {
+            0 => kvs_gen.next_frame(),
+            _ => bulk_gen.next_frame(),
+        };
+        let v = eng.steerer().steer(i, &f);
+        steered[v.queue] += 1;
+        let drv = eng.workers_mut()[v.queue].driver_mut();
+        drv.deliver_steered(&f, v.parsed.as_ref(), v.rss).unwrap();
     }
-    let steered: Vec<u64> = eng.workers().iter().map(|w| w.stats().steered).collect();
     println!("\nsteering: {steered:?} frames per queue");
     assert_eq!(steered, [300, 600]);
 

@@ -230,7 +230,7 @@ fn main() {
             let rx = cache
                 .get_or_compile(&models::ice(), target, &mut reg)
                 .expect("alternate firewall layout compiles on ice");
-            let flips = eng.relayout(&rx, None, FLIP_POLL_BUDGET);
+            let flips = eng.relayout(&rx, None);
             let polls = flips.iter().map(|(_, p)| *p).max().unwrap_or(0);
             worst_polls = worst_polls.max(polls);
             for (q, (prog, _)) in flips.iter().enumerate() {

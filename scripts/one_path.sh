@@ -16,7 +16,13 @@
 #    (`read_packet(`, which lives in `opendesc-reference`) is named in
 #    opendesc-core, opendesc-nicsim or `src/`.
 #  * One engine: one admission pipeline, one poller, one pump (one
-#    `feed` site), one thread scope, one coordinator (one `snapshot`);
+#    `feed` site), one thread scope that every round takes (no
+#    `if !parallel` in-order variant), one coordinator (one `snapshot`)
+#    with three loops (`run`, `run_collect`, and `run_intervals`, the one
+#    in-order control loop every measured figure comes from — no
+#    `run_sequential`, `run_adaptive`, `run_evolving` or
+#    `drain_collect_parallel`, and one `Control` instead of
+#    `AdaptiveConfig`/`EvolveConfig`, named anywhere);
 #    one consume of the completion ring (`receive_slot`), which reads
 #    each record where the device wrote it: the copying
 #    `receive_into_hinted` has no caller in opendesc-core, and
@@ -119,6 +125,12 @@ done
 for pat in 'poll_batch_into(' 'thread::scope' '.feed(' 'fn snapshot('; do
     expect "$pat sites in shard.rs" "$(code $src/shard.rs | sites "$pat")" 1
 done
+expect "if !parallel in shard.rs" "$(code $src/shard.rs | sites 'if !parallel')" 0
+expect "pub fn run loops in shard.rs" "$(code $src/shard.rs | sites 'pub fn run')" 3
+for pat in 'run_sequential' 'run_adaptive' 'run_evolving' 'drain_collect_parallel' \
+    'AdaptiveConfig' 'EvolveConfig'; do
+    expect "$pat in crates/ src/ tests/ examples/" "$(anywhere "$pat")" 0
+done
 expect "files in crates/opendesc-bench/src/bin" "$(ls crates/opendesc-bench/src/bin | wc -l)" 1
 for pat in 'insert_vlan_in_slice(' 'run_deparse(' 'copy_from_slice'; do
     expect "$pat call sites in tx.rs" "$(code $src/tx.rs | sites "$pat")" 1
@@ -196,7 +208,7 @@ pin() { # crate, pinned line count
         fail=1
     fi
 }
-pin opendesc-core 5326
+pin opendesc-core 5237
 pin opendesc-ir 1983
 pin opendesc-nicsim 2373
 pin opendesc-softnic 954

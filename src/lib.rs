@@ -69,7 +69,7 @@ pub use opendesc_telemetry as telemetry;
 /// Convenience prelude with the most-used types.
 pub mod prelude {
     pub use opendesc_core::{
-        CompiledInterface, Compiler, EvolveConfig, FlipProgress, Intent, Objective, OpenDescDriver,
+        CompiledInterface, Compiler, Control, FlipProgress, Intent, Objective, OpenDescDriver,
         PlanCache, RelayoutRequest, RxPacket, Selector, ShardedEngine, TxBatch, TxDriver, TxQueue,
         TxRequest, TxVerdict, FLIP_POLL_BUDGET,
     };

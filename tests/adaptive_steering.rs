@@ -26,9 +26,7 @@
 //! `CHAOS_SEED` picks the fault schedule so the CI chaos matrix fans
 //! out across disjoint regions of the space.
 
-use opendesc::compiler::{
-    retain_into, AdaptiveConfig, Intent, PlanCache, RebalanceConfig, ShardedEngine,
-};
+use opendesc::compiler::{retain_into, Control, Intent, PlanCache, RebalanceConfig, ShardedEngine};
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::pktgen::ShardedPktGen;
 use opendesc::nicsim::{models, FaultConfig, PktGen, SteerPolicy, Workload};
@@ -113,18 +111,17 @@ proptest! {
         let total = 4096usize;
         let mut wl = Workload::zipf(64, alpha, elephants);
         wl.seed = seed;
-        let cfg = AdaptiveConfig {
-            interval: 512,
+        let ctl = Control {
             rebalance: Some(eager()),
-            steal: true,
+            ..Control::adaptive(512)
         };
         let (mut delivered, mut reference) = (Vec::new(), Vec::new());
-        let out = engine(queues).run_adaptive(&wl, total, &cfg, &mut retain_into(&mut delivered));
+        let out = engine(queues).run_intervals(&wl, total, &ctl, &mut retain_into(&mut delivered));
         prop_assert_eq!(out.report.total_rx_packets() as usize, total, "adaptive arm lost frames");
-        let sout = engine(queues).run_adaptive(
+        let sout = engine(queues).run_intervals(
             &wl,
             total,
-            &AdaptiveConfig::static_reta(512),
+            &Control::fixed(512),
             &mut retain_into(&mut reference),
         );
         prop_assert_eq!(sout.report.total_rx_packets() as usize, total, "static arm lost frames");
@@ -147,13 +144,12 @@ proptest! {
         let total = 4096usize;
         let mut wl = Workload::zipf(64, alpha, elephants);
         wl.seed = seed;
-        let cfg = AdaptiveConfig {
-            interval: 512,
+        let ctl = Control {
             rebalance: Some(eager()),
-            steal: false,
+            ..Control::fixed(512)
         };
         let mut delivered = Vec::new();
-        let out = engine(queues).run_adaptive(&wl, total, &cfg, &mut retain_into(&mut delivered));
+        let out = engine(queues).run_intervals(&wl, total, &ctl, &mut retain_into(&mut delivered));
         prop_assert_eq!(out.report.total_rx_packets() as usize, total);
         // Migrations must actually be exercised for the property to
         // mean anything on the skewed cases; uniform-ish draws may
@@ -194,12 +190,11 @@ proptest! {
 fn rebalancer_converges_under_stationary_skew() {
     let wl = Workload::zipf(512, 1.3, 2);
     let intervals = 24usize;
-    let cfg = AdaptiveConfig {
-        interval: 1024,
-        rebalance: Some(RebalanceConfig::default()),
+    let ctl = Control {
         steal: false,
+        ..Control::adaptive(1024)
     };
-    let out = engine(16).run_adaptive(&wl, intervals * 1024, &cfg, &mut |_, _, _| {});
+    let out = engine(16).run_intervals(&wl, intervals * 1024, &ctl, &mut |_, _, _| {});
     let stats = out.rebalance.expect("adaptive arm runs a rebalancer");
     assert!(
         stats.migrations > 0,
@@ -253,13 +248,12 @@ fn rebalance_during_hot_queue_chaos_does_not_wedge() {
         )
         .unwrap();
 
-    let cfg = AdaptiveConfig {
-        interval: 512,
+    let ctl = Control {
         rebalance: Some(eager()),
-        steal: true,
+        ..Control::adaptive(512)
     };
     let mut delivered = Vec::new();
-    let out = eng.run_adaptive(&wl, total, &cfg, &mut retain_into(&mut delivered));
+    let out = eng.run_intervals(&wl, total, &ctl, &mut retain_into(&mut delivered));
 
     // Not wedged, nothing stranded: the bounded recovery drain plus
     // watchdog resets leave every queue quiesced.

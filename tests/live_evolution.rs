@@ -1,7 +1,8 @@
 //! Correctness of live interface evolution: hot relayout under traffic
 //! must be invisible in the data and robust against the fault machine.
 //!
-//! Four properties, mirroring the adaptive-steering harness:
+//! Four properties, mirroring the adaptive-steering harness, plus the
+//! two control actions in one run:
 //!
 //! 1. **Multiset conservation**: N random intent migrations mid-stream
 //!    deliver *exactly* the generated frame multiset — zero loss, zero
@@ -19,13 +20,16 @@
 //!    stranded old-generation writebacks are discarded as stale (the
 //!    nicsim stale-generation fault class, exercised intentionally),
 //!    and the old plan is never resurrected.
+//! 5. **Relayouts beside the rebalancer**: scheduled migrations and an
+//!    eager RETA rebalancer at the same boundaries still deliver every
+//!    frame once, in per-flow order, with every flip committed.
 //!
 //! `CHAOS_SEED` fans the fault schedules across the CI chaos matrix.
 
 use opendesc::compiler::cache::CompiledRx;
 use opendesc::compiler::{
-    retain_into, EvolveConfig, FlipProgress, Intent, OpenDescDriver, PlanCache, QueueHealth,
-    RelayoutRequest, ShardedEngine, TraceKind,
+    retain_into, Control, FlipProgress, Intent, OpenDescDriver, PlanCache, QueueHealth,
+    RebalanceConfig, RelayoutRequest, RunOutcome, ShardedEngine, TraceKind,
 };
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::models::NicModel;
@@ -113,9 +117,37 @@ fn schedule(
         .collect()
 }
 
+/// Run `ctl` on `total` frames of `wl`, keeping every delivered frame.
+fn run(
+    eng: &mut ShardedEngine,
+    wl: &Workload,
+    total: usize,
+    ctl: &Control,
+) -> (RunOutcome, Vec<Vec<u8>>) {
+    let mut delivered = Vec::new();
+    let out = eng.run_intervals(wl, total, ctl, &mut retain_into(&mut delivered));
+    (out, delivered.into_iter().map(|(_, _, f)| f).collect())
+}
+
 fn flow_of(frame: &[u8]) -> u32 {
     let p = ParsedFrame::parse(frame).expect("generated frames parse");
     (p.ports().expect("udp traffic").0 - 10_000) as u32
+}
+
+/// Frames grouped by flow, each flow's in arrival order.
+fn by_flow(frames: impl IntoIterator<Item = Vec<u8>>) -> HashMap<u32, Vec<Vec<u8>>> {
+    let mut flows: HashMap<u32, Vec<Vec<u8>>> = HashMap::new();
+    for f in frames {
+        flows.entry(flow_of(&f)).or_default().push(f);
+    }
+    flows
+}
+
+/// What the seed-deterministic generator produces, grouped by flow: the
+/// reference per-flow order.
+fn generated_by_flow(wl: &Workload, total: usize) -> HashMap<u32, Vec<Vec<u8>>> {
+    let mut gen = PktGen::new(wl.clone());
+    by_flow((0..total).map(|_| gen.next_frame()))
 }
 
 fn env_seed() -> u64 {
@@ -145,9 +177,11 @@ proptest! {
         let mut wl = Workload::zipf(64, alpha, 1);
         wl.seed = seed;
         let (cache, mut reg, mut eng) = evolving_engine(model_ix, queues);
-        let cfg = EvolveConfig::new(512, schedule(&cache, &mut reg, model_ix, migrations));
-        let mut delivered = Vec::new();
-        let out = eng.run_evolving(&wl, total, &cfg, &mut retain_into(&mut delivered));
+        let ctl = Control {
+            relayouts: schedule(&cache, &mut reg, model_ix, migrations),
+            ..Control::fixed(512)
+        };
+        let (out, mut got) = run(&mut eng, &wl, total, &ctl);
 
         prop_assert_eq!(out.unresolved, 0, "a healthy run must not park flips");
         prop_assert_eq!(
@@ -161,17 +195,16 @@ proptest! {
             out.max_flip_polls()
         );
         // Zero loss, zero duplication, zero invention: exact multiset.
-        prop_assert_eq!(delivered.len(), total, "relayouts lost or invented frames");
+        prop_assert_eq!(got.len(), total, "relayouts lost or invented frames");
         let mut gen = PktGen::new(wl);
         let mut generated: Vec<Vec<u8>> = (0..total).map(|_| gen.next_frame()).collect();
         generated.sort();
-        let mut got: Vec<Vec<u8>> = delivered.into_iter().map(|(_, _, f)| f).collect();
         got.sort();
         prop_assert_eq!(got, generated, "delivered multiset diverged across migrations");
         // Superseded generations are reclaimable: once the schedule's
         // own handles drop, only the live plan (and at most the one the
         // last flip retired) survive eviction.
-        drop(cfg);
+        drop(ctl);
         cache.evict_superseded();
         prop_assert!(
             cache.len() <= 2,
@@ -195,23 +228,14 @@ proptest! {
         let mut wl = Workload::zipf(64, alpha, 1);
         wl.seed = seed;
         let (cache, mut reg, mut eng) = evolving_engine(model_ix, queues);
-        let cfg = EvolveConfig::new(512, schedule(&cache, &mut reg, model_ix, migrations));
-        let mut delivered = Vec::new();
-        let out = eng.run_evolving(&wl, total, &cfg, &mut retain_into(&mut delivered));
+        let ctl = Control {
+            relayouts: schedule(&cache, &mut reg, model_ix, migrations),
+            ..Control::fixed(512)
+        };
+        let (out, delivered) = run(&mut eng, &wl, total, &ctl);
         prop_assert_eq!(out.report.total_rx_packets() as usize, total);
 
-        // Replay the seed-deterministic generator for the reference
-        // per-flow order.
-        let mut gen = PktGen::new(wl);
-        let mut want: HashMap<u32, Vec<Vec<u8>>> = HashMap::new();
-        for _ in 0..total {
-            let f = gen.next_frame();
-            want.entry(flow_of(&f)).or_default().push(f);
-        }
-        let mut got: HashMap<u32, Vec<Vec<u8>>> = HashMap::new();
-        for (_, _, f) in delivered {
-            got.entry(flow_of(&f)).or_default().push(f);
-        }
+        let (want, got) = (generated_by_flow(&wl, total), by_flow(delivered));
         prop_assert_eq!(got.len(), want.len(), "flows appeared or vanished");
         for (flow, frames) in want {
             prop_assert_eq!(
@@ -221,6 +245,48 @@ proptest! {
                 flow
             );
         }
+    }
+}
+
+/// Property 5: the two control actions at one set of boundaries — an
+/// eager RETA rebalancer (stealing off, so order is owed) and three
+/// scheduled relayouts — on all four models. Every frame is delivered
+/// once and in per-flow order, every queue commits every migration, and
+/// the rebalancer really moved buckets.
+#[test]
+fn relayouts_beside_the_rebalancer_conserve_order() {
+    let (queues, total, migrations) = (8, 8192, 3);
+    let mut wl = Workload::zipf(64, 1.3, 2);
+    wl.seed = env_seed().wrapping_mul(0x9e37_79b9).wrapping_add(5);
+    let want = generated_by_flow(&wl, total);
+    let eager = RebalanceConfig {
+        trigger_ratio: 1.05,
+        max_moves_per_interval: 16,
+        bucket_cooldown: 1,
+        min_window_packets: 64,
+    };
+    for model_ix in 0..4 {
+        let (cache, mut reg, mut eng) = evolving_engine(model_ix, queues);
+        let ctl = Control {
+            rebalance: Some(eager.clone()),
+            relayouts: schedule(&cache, &mut reg, model_ix, migrations),
+            ..Control::fixed(512)
+        };
+        let (out, delivered) = run(&mut eng, &wl, total, &ctl);
+        let name = &model(model_ix).name;
+        assert_eq!(delivered.len(), total, "{name}: lost or invented frames");
+        assert_eq!(by_flow(delivered), want, "{name}: a flow lost its order");
+        assert_eq!(out.unresolved, 0, "{name}: a flip stayed parked");
+        assert_eq!(
+            out.flips.len(),
+            queues * migrations,
+            "{name}: a flip never committed"
+        );
+        let reb = out.rebalance.expect("the rebalancer ran");
+        assert!(
+            reb.migrations > 0,
+            "{name}: the rebalancer never migrated: {reb:?}"
+        );
     }
 }
 

@@ -19,7 +19,7 @@
 
 use opendesc::compiler::{Intent, OpenDescDriver, PlanCache, ShardedEngine};
 use opendesc::ir::{names, SemanticRegistry};
-use opendesc::nicsim::{models, NicModel, SimNic, SteerPolicy};
+use opendesc::nicsim::{models, NicModel, ShardFrame, SimNic, SteerPolicy};
 use opendesc::softnic::testpkt;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -57,7 +57,8 @@ fn sequential_pairs(model: NicModel, frames: &[Vec<u8>]) -> Vec<(Vec<u8>, Vec<Op
     out
 }
 
-/// Sorted (frame, metadata) pairs of an N-worker parallel drain.
+/// Sorted (frame, metadata) pairs of an N-worker parallel run: frames
+/// steered into per-queue pools, then pumped on the engine's threads.
 fn sharded_pairs(
     model: NicModel,
     policy: SteerPolicy,
@@ -70,11 +71,16 @@ fn sharded_pairs(
     let intents = vec![i; workers];
     let mut eng =
         ShardedEngine::with_intents(&cache, &model, &intents, &mut reg, 256, policy, 8).unwrap();
-    for f in frames {
-        eng.deliver(f).unwrap();
+    let mut pools = vec![Vec::new(); workers];
+    for (i, f) in frames.iter().enumerate() {
+        let v = eng.steerer().steer(i as u64, f);
+        pools[v.queue].push(ShardFrame {
+            bytes: f.clone(),
+            rss: v.rss,
+        });
     }
-    let mut out: Vec<(Vec<u8>, Vec<Option<u128>>)> =
-        eng.drain_collect_parallel().into_iter().flatten().collect();
+    let (_, kept) = eng.run_collect(&pools);
+    let mut out: Vec<(Vec<u8>, Vec<Option<u128>>)> = kept.into_iter().flat_map(|c| c.rx).collect();
     out.sort();
     out
 }

@@ -144,7 +144,7 @@ fn sharded_snapshot_json_is_deterministic() {
         let mut eng = engine(4, SteerPolicy::Rss);
         eng.set_telemetry_enabled(true);
         let pools = pools(&eng, 42, 600);
-        let rep = eng.run_sequential(&pools);
+        let rep = eng.run(&pools);
         assert_eq!(rep.total_rx_packets(), 600);
         eng.snapshot().without_timing().to_json()
     };
@@ -168,7 +168,7 @@ fn engine_scope_is_the_sum_of_queue_scopes() {
     let mut eng = engine(2, SteerPolicy::RoundRobin);
     eng.set_telemetry_enabled(true);
     let pools = pools(&eng, 7, 300);
-    eng.run_sequential(&pools);
+    eng.run(&pools);
     let snap = eng.snapshot();
     for metric in [
         "worker.packets",
@@ -210,15 +210,9 @@ fn trace_ring_attributes_fault_events_to_the_faulting_queue() {
                 .unwrap(),
         )
         .unwrap();
-    let frames = opendesc::nicsim::PktGen::new(Workload::default()).batch(40);
-    for f in &frames {
-        eng.deliver(f).unwrap();
-    }
-    let drained: usize = eng
-        .drain_collect_parallel()
-        .iter()
-        .map(|per_q| per_q.len())
-        .sum();
+    let pools = ShardedPktGen::generate(Workload::default(), eng.steerer(), 40).into_pools();
+    let (_, kept) = eng.run_collect(&pools);
+    let drained: usize = kept.iter().map(|c| c.rx.len()).sum();
     assert_eq!(drained, 40);
     assert_eq!(eng.workers()[1].health(), QueueHealth::Degraded);
 
@@ -282,7 +276,7 @@ fn trace_ring_attributes_fault_events_to_the_faulting_queue() {
 fn telemetry_disabled_records_nothing() {
     let mut eng = engine(1, SteerPolicy::RoundRobin);
     let pools = pools(&eng, 9, 100);
-    eng.run_sequential(&pools);
+    eng.run(&pools);
     let w = &eng.workers()[0];
     assert!(!w.driver().telemetry().enabled());
     assert!(w.driver().telemetry().trace.events().is_empty());

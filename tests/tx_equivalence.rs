@@ -353,12 +353,12 @@ proptest! {
             let v = eng.steerer().steer(i as u64, f);
             pools[v.queue].push(ShardFrame { bytes: f.clone(), rss: v.rss });
         }
-        let (report, wires) = eng.run_collect(&pools);
+        let (report, kept) = eng.run_collect(&pools);
         prop_assert_eq!(report.total_forwarded() as usize, frames.len());
         prop_assert_eq!(report.total_wire_frames(), report.total_forwarded());
-        for (q, wire) in wires.iter().enumerate() {
+        for (q, c) in kept.iter().enumerate() {
             let want: Vec<&Vec<u8>> = pools[q].iter().map(|s| &s.bytes).collect();
-            let got: Vec<&Vec<u8>> = wire.iter().collect();
+            let got: Vec<&Vec<u8>> = c.wire.iter().collect();
             prop_assert_eq!(got, want, "queue {}: forwarded frames diverged", q);
         }
     }
