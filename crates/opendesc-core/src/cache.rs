@@ -86,7 +86,7 @@ impl CompiledRx {
         self.lowered.as_ref().err()
     }
 
-    /// Generated driver manifest (TOML): context writes, accessor table,
+    /// Generated driver manifest (JSON): context writes, accessor table,
     /// shim list and the digests of this artifact's own executable
     /// forms — for drivers that consume configuration, not code.
     pub fn manifest(&self) -> String {

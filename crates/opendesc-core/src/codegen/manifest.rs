@@ -6,19 +6,26 @@
 //! driver (or a DPDK hook, per §4's future-work note) would consume to
 //! wire itself up without understanding P4.
 //!
-//! The format is a line-oriented TOML subset with a hand-written,
-//! schema-checked parser: [`ManifestV1::parse`] accepts exactly what
-//! [`ManifestV1::render`] emits, and `generate → parse → render` is
-//! byte-stable (proven by `tests/manifest_roundtrip.rs`). Three
-//! ambiguities of the pre-v1 dump are fixed here:
+//! The text is one JSON object on the workspace's one JSON layer
+//! (`opendesc_telemetry::json`). [`ManifestV1::render`] streams the
+//! fixed schema in [`Json::render`]'s layout, so a rendered manifest is
+//! its own canonical JSON (`parse_json(text).render() == text`);
+//! [`ManifestV1::parse`] reads it with `parse_json` and walks the schema
+//! over the value. `render → parse` is lossless and `generate → parse →
+//! render` is byte-stable (`tests/manifest_roundtrip.rs`). The object
+//! leads with `"schema": "opendesc.manifest"` and `"version": 1`, then:
 //!
-//! * string values are escaped (quotes, backslashes, newlines survive);
-//! * software costs are machine-parseable fields (`cost_base_ns` /
-//!   `cost_per_byte_ns`, or `cost = "infinite"`) instead of the human
-//!   `Display` rendering ("∞", "10ns + 0.15ns/B");
-//! * an empty context assignment and an opaque guard are distinguished
-//!   by an explicit `mode` key (`"programmed"` vs `"manual"`) instead
-//!   of two comment strings.
+//! * the interface's identity, flat (`nic`, `intent`, …, `layout_bits`);
+//!   integers that may pass 2^53 (`selected_path`, `paths_considered`,
+//!   each context write's value) are canonical decimal strings, digests
+//!   `"0x…"` strings, the `u16`/`u32` fields JSON numbers;
+//! * `digests`: `shim_plan`, and `odbc_bytecode` or `"unlowerable"`;
+//! * `context`: `mode` `"programmed"` with a `writes` object (empty
+//!   when the path is unconditional), or `"manual"` alone for an opaque
+//!   guard;
+//! * `slots` and `accessors`, one object each; a software accessor
+//!   carries `cost_base_ns` / `cost_per_byte_ns`, or `"cost":
+//!   "infinite"`.
 //!
 //! A manifest built from an artifact borrows its text from it, so
 //! rendering copies each name once, into the output; a parsed manifest
@@ -28,11 +35,17 @@ use crate::accessor::AccessorKind;
 use crate::cache::CompiledRx;
 use crate::compiler::CompiledInterface;
 use opendesc_ir::semantics::Cost;
+use opendesc_telemetry::json::{self, Json};
+use opendesc_telemetry::parse_json;
 use std::borrow::Cow;
-use std::fmt::{self, Write};
+use std::fmt;
+use std::str::FromStr;
 
 /// Manifest schema version emitted by [`ManifestV1::render`].
 pub const MANIFEST_VERSION: u64 = 1;
+
+/// The `"schema"` a manifest document leads with.
+pub const MANIFEST_SCHEMA: &str = "opendesc.manifest";
 
 /// FNV-1a over a byte string — the digest primitive for manifest
 /// content hashes (same constants as `SemanticRegistry::fingerprint`).
@@ -137,17 +150,21 @@ pub struct ManifestV1<'a> {
     pub accessors: Vec<ManifestAccessor<'a>>,
 }
 
-/// A schema or syntax error while parsing a manifest.
+/// A syntax or schema error while parsing a manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestError {
-    /// 1-based line of the offending input (0 for end-of-input errors).
-    pub line: usize,
+    /// The field path of the offending value, e.g. `slots[2].width_bits`
+    /// or `context.writes.ctx.use_rss`; empty for the document itself.
+    pub path: String,
     pub msg: String,
 }
 
 impl fmt::Display for ManifestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "manifest line {}: {}", self.line, self.msg)
+        match self.path.as_str() {
+            "" => write!(f, "manifest: {}", self.msg),
+            path => write!(f, "manifest {path}: {}", self.msg),
+        }
     }
 }
 
@@ -157,125 +174,52 @@ impl std::error::Error for ManifestError {}
 // Rendering
 // ---------------------------------------------------------------------
 
-/// Append `s` escaped for a quoted TOML value: backslash, quote, and
-/// the common control characters. Everything it escapes is ASCII, so
-/// the runs between escapes are copied whole.
-fn escape(out: &mut String, s: &str) {
-    let mut plain = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escaped = match b {
-            b'\\' => Some("\\\\"),
-            b'"' => Some("\\\""),
-            b'\n' => Some("\\n"),
-            b'\r' => Some("\\r"),
-            b'\t' => Some("\\t"),
-            b if b < 0x20 => None,
-            _ => continue,
-        };
-        out.push_str(&s[plain..i]);
-        match escaped {
-            Some(e) => out.push_str(e),
-            None => {
-                let _ = write!(out, "\\u{{{b:04x}}}");
-            }
-        }
-        plain = i + 1;
-    }
-    out.push_str(&s[plain..]);
+/// The start of a member (`"k": `): the document's, the first of an
+/// inline object's, and a later one of an inline object's.
+macro_rules! top {
+    ($k:literal) => {
+        opendesc_telemetry::json_key!(",\n  ", $k)
+    };
+}
+macro_rules! first {
+    ($k:literal) => {
+        opendesc_telemetry::json_key!("{", $k)
+    };
+}
+macro_rules! next {
+    ($k:literal) => {
+        opendesc_telemetry::json_key!(", ", $k)
+    };
 }
 
-/// Append one `<key> = "<escaped value>"` line. A quoted key (context
-/// writes) is escaped the same way.
-fn quoted_line(out: &mut String, key: &str, value: &str) {
-    out.push_str(key);
-    out.push_str(" = \"");
-    escape(out, value);
-    out.push_str("\"\n");
+/// Append `key` (a member's start), then `v` as a JSON string.
+#[inline]
+fn str_member(o: &mut String, key: &str, v: &str) {
+    o.push_str(key);
+    json::quote(o, v);
 }
 
-/// Append `v` in decimal. Integers are most of a manifest's numbers, and
-/// this is what `{}` prints, without going through `core::fmt`.
-fn push_dec(out: &mut String, v: impl Into<u128>) {
-    let mut v: u128 = v.into();
-    let mut digits = [0u8; 39];
-    let mut at = digits.len();
-    // Only a context value past 2^64 pays for 128-bit division.
-    while v > u64::MAX as u128 {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-    let mut w = v as u64;
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (w % 10) as u8;
-        w /= 10;
-        if w == 0 {
-            break;
-        }
-    }
-    digits[at..].iter().for_each(|&d| out.push(d as char));
+#[inline]
+fn int_member(o: &mut String, key: &str, v: impl Into<u128>) {
+    o.push_str(key);
+    json::push_uint(o, v);
 }
 
-/// Append `v` as `0x` and sixteen lowercase hex digits: `{v:#018x}`.
-fn push_hex(out: &mut String, v: u64) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push_str("0x");
-    for nibble in (0..16).rev() {
-        out.push(HEX[(v >> (4 * nibble)) as usize & 0xF] as char);
-    }
+/// An integer that may pass 2^53, as a decimal string.
+#[inline]
+fn dec_member(o: &mut String, key: &str, v: impl Into<u128>) {
+    o.push_str(key);
+    o.push('"');
+    json::push_uint(o, v);
+    o.push('"');
 }
 
-/// Append one `<key> = <decimal>` line.
-fn int_line(out: &mut String, key: &str, v: impl Into<u128>) {
-    out.push_str(key);
-    out.push_str(" = ");
-    push_dec(out, v);
-    out.push('\n');
-}
-
-/// Append one `<key> = "0x…"` digest line.
-fn hex_line(out: &mut String, key: &str, v: u64) {
-    out.push_str(key);
-    out.push_str(" = \"");
-    push_hex(out, v);
-    out.push_str("\"\n");
-}
-
-/// Inverse of [`escape`]: one pass, runs between escapes copied whole.
-fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(at) = rest.find('\\') {
-        out.push_str(&rest[..at]);
-        let esc = &rest[at + 1..];
-        let (c, len) = match esc.as_bytes().first() {
-            Some(b'\\') => ('\\', 1),
-            Some(b'"') => ('"', 1),
-            Some(b'n') => ('\n', 1),
-            Some(b'r') => ('\r', 1),
-            Some(b't') => ('\t', 1),
-            Some(b'u') => {
-                // `u{hex}`: the braces are found in place, so each
-                // escape costs its own length.
-                let hex = esc[1..]
-                    .strip_prefix('{')
-                    .and_then(|r| r.find('}').map(|close| &r[..close]))
-                    .ok_or("malformed \\u escape")?;
-                let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u codepoint")?;
-                let c = char::from_u32(cp).ok_or("invalid \\u codepoint")?;
-                (c, hex.len() + 3)
-            }
-            _ => {
-                let other = esc.chars().next().unwrap_or(' ');
-                return Err(format!("unknown escape \\{other}"));
-            }
-        };
-        out.push(c);
-        rest = &esc[len..];
-    }
-    out.push_str(rest);
-    Ok(out)
+#[inline]
+fn hex_member(o: &mut String, key: &str, v: u64) {
+    o.push_str(key);
+    o.push('"');
+    json::push_hex(o, v);
+    o.push('"');
 }
 
 impl<'a> ManifestV1<'a> {
@@ -357,130 +301,192 @@ impl<'a> ManifestV1<'a> {
         }
     }
 
-    /// An upper estimate of [`render`](ManifestV1::render)'s output
-    /// length (exact but for escapes and the widths of numbers), so the
-    /// text is written into one allocation.
+    /// An estimate of [`render`](ManifestV1::render)'s output length:
+    /// the fixed text exactly, strings unescaped, integers at their
+    /// type's widest and each cost at eight characters (`40`, `0.15`),
+    /// so the text is written into one allocation.
     fn rendered_len_hint(&self) -> usize {
         let ctx = match &self.context {
-            ContextProgramming::Programmed(w) => w.iter().map(|(k, _)| k.len() + 48).sum(),
+            ContextProgramming::Programmed(w) => w.iter().map(|(k, _)| 47 + k.len()).sum(),
             ContextProgramming::Manual => 0,
         };
-        let slots: usize = self
-            .slots
-            .iter()
+        let slots: usize = (self.slots.iter())
             .map(|s| {
-                96 + s.name.len() + s.source.len() + s.semantic.as_ref().map_or(0, |x| x.len())
+                80 + s.name.len() + s.source.len() + s.semantic.as_ref().map_or(0, |x| 16 + x.len())
             })
             .sum();
-        let accessors: usize = self
-            .accessors
-            .iter()
-            .map(|a| 128 + a.name.len() + a.semantic.len())
+        let accessors: usize = (self.accessors.iter())
+            .map(|a| match a.kind {
+                ManifestAccessorKind::Hardware { .. } => 102 + a.name.len() + a.semantic.len(),
+                ManifestAccessorKind::Software { .. } => 130 + a.name.len() + a.semantic.len(),
+            })
             .sum();
-        448 + self.nic.len() + self.intent.len() + self.guard.len() + ctx + slots + accessors
+        476 + self.nic.len() + self.intent.len() + self.guard.len() + ctx + slots + accessors
     }
 
-    /// Render the canonical textual form. Byte-deterministic: the same
-    /// struct always renders the same string.
+    /// Render the canonical text: one JSON object, laid out as
+    /// [`Json::render`] lays it out, so `parse_json(text).render()` is
+    /// `text`. Byte-deterministic: the same struct always renders the
+    /// same string.
     pub fn render(&self) -> String {
         let mut o = String::with_capacity(self.rendered_len_hint());
-        self.write_to(&mut o)
-            .expect("writing to a String cannot fail");
-        o
-    }
+        str_member(
+            &mut o,
+            opendesc_telemetry::json_key!("{\n  ", "schema"),
+            MANIFEST_SCHEMA,
+        );
+        int_member(&mut o, top!("version"), MANIFEST_VERSION);
+        str_member(&mut o, top!("nic"), &self.nic);
+        str_member(&mut o, top!("intent"), &self.intent);
+        hex_member(
+            &mut o,
+            top!("registry_fingerprint"),
+            self.registry_fingerprint,
+        );
+        int_member(&mut o, top!("completion_bytes"), self.completion_bytes);
+        dec_member(&mut o, top!("selected_path"), self.selected_path);
+        dec_member(&mut o, top!("paths_considered"), self.paths_considered);
+        str_member(&mut o, top!("guard"), &self.guard);
+        int_member(&mut o, top!("layout_bits"), self.layout_bits);
 
-    /// Integers and digests are written directly; only the two float
-    /// cost lines go through `core::fmt`, for shortest-roundtrip output.
-    fn write_to(&self, o: &mut String) -> fmt::Result {
-        o.push_str("# OpenDesc interface manifest — generated; do not edit.\n");
-        o.push_str("[manifest]\n");
-        int_line(o, "version", MANIFEST_VERSION);
-        o.push('\n');
-
-        o.push_str("[interface]\n");
-        quoted_line(o, "nic", &self.nic);
-        quoted_line(o, "intent", &self.intent);
-        hex_line(o, "registry_fingerprint", self.registry_fingerprint);
-        int_line(o, "completion_bytes", self.completion_bytes);
-        int_line(o, "selected_path", self.selected_path);
-        int_line(o, "paths_considered", self.paths_considered);
-        quoted_line(o, "guard", &self.guard);
-        int_line(o, "layout_bits", self.layout_bits);
-        o.push('\n');
-
-        o.push_str("[digests]\n");
-        hex_line(o, "shim_plan", self.shim_plan_digest);
+        o.push_str(top!("digests"));
+        hex_member(&mut o, first!("shim_plan"), self.shim_plan_digest);
         match self.odbc_bytecode {
-            Some(h) => hex_line(o, "odbc_bytecode", h),
-            None => o.push_str("odbc_bytecode = \"unlowerable\"\n"),
+            Some(h) => hex_member(&mut o, next!("odbc_bytecode"), h),
+            None => str_member(&mut o, next!("odbc_bytecode"), "unlowerable"),
         }
-        o.push('\n');
+        o.push('}');
 
-        o.push_str("[context]\n");
+        o.push_str(top!("context"));
         match &self.context {
             ContextProgramming::Programmed(writes) => {
-                o.push_str("mode = \"programmed\"\n");
-                for (k, v) in writes {
-                    o.push('"');
-                    escape(o, k);
-                    o.push_str("\" = ");
-                    push_dec(o, *v);
-                    o.push('\n');
+                str_member(&mut o, first!("mode"), "programmed");
+                o.push_str(next!("writes"));
+                o.push('{');
+                for (i, (k, v)) in writes.iter().enumerate() {
+                    o.push_str(if i > 0 { ", " } else { "" });
+                    json::quote(&mut o, k);
+                    dec_member(&mut o, ": ", *v);
                 }
+                o.push('}');
             }
-            ContextProgramming::Manual => o.push_str("mode = \"manual\"\n"),
+            ContextProgramming::Manual => str_member(&mut o, first!("mode"), "manual"),
         }
-        o.push('\n');
+        o.push('}');
 
-        for s in &self.slots {
-            o.push_str("[[slot]]\n");
-            quoted_line(o, "name", &s.name);
-            quoted_line(o, "source", &s.source);
+        o.push_str(top!("slots"));
+        Self::array(&mut o, &self.slots, |o, s| {
+            str_member(o, first!("name"), &s.name);
+            str_member(o, next!("source"), &s.source);
             if let Some(sem) = &s.semantic {
-                quoted_line(o, "semantic", sem);
+                str_member(o, next!("semantic"), sem);
             }
-            int_line(o, "offset_bits", s.offset_bits);
-            int_line(o, "width_bits", s.width_bits);
-            o.push('\n');
-        }
-
-        for a in &self.accessors {
-            o.push_str("[[accessor]]\n");
-            quoted_line(o, "name", &a.name);
-            quoted_line(o, "semantic", &a.semantic);
+            int_member(o, next!("offset_bits"), s.offset_bits);
+            int_member(o, next!("width_bits"), s.width_bits);
+        });
+        o.push_str(top!("accessors"));
+        Self::array(&mut o, &self.accessors, |o, a| {
+            str_member(o, first!("name"), &a.name);
+            str_member(o, next!("semantic"), &a.semantic);
             match &a.kind {
                 ManifestAccessorKind::Hardware { offset_bits } => {
-                    o.push_str("kind = \"hardware\"\n");
-                    int_line(o, "offset_bits", *offset_bits);
-                    int_line(o, "width_bits", a.width_bits);
-                    o.push('\n');
+                    str_member(o, next!("kind"), "hardware");
+                    int_member(o, next!("offset_bits"), *offset_bits);
+                    int_member(o, next!("width_bits"), a.width_bits);
                 }
                 ManifestAccessorKind::Software { cost } => {
-                    o.push_str("kind = \"softnic\"\n");
-                    int_line(o, "width_bits", a.width_bits);
+                    str_member(o, next!("kind"), "softnic");
+                    int_member(o, next!("width_bits"), a.width_bits);
                     match cost {
                         ManifestCost::Finite {
                             base_ns,
                             per_byte_ns,
                         } => {
-                            writeln!(o, "cost_base_ns = {base_ns}")?;
-                            write!(o, "cost_per_byte_ns = {per_byte_ns}\n\n")?;
+                            o.push_str(next!("cost_base_ns"));
+                            json::push_num(o, *base_ns);
+                            o.push_str(next!("cost_per_byte_ns"));
+                            json::push_num(o, *per_byte_ns);
                         }
-                        ManifestCost::Infinite => o.push_str("cost = \"infinite\"\n\n"),
+                        ManifestCost::Infinite => str_member(o, next!("cost"), "infinite"),
                     }
                 }
             }
+        });
+        o.push_str("\n}\n");
+        o
+    }
+
+    /// A top-level array of inline objects, one per line; `[]` when
+    /// empty. `item` writes an object up to its closing brace.
+    fn array<T>(o: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+        o.push('[');
+        for (i, x) in items.iter().enumerate() {
+            o.push_str(if i > 0 { ",\n    " } else { "\n    " });
+            item(o, x);
+            o.push('}');
         }
-        Ok(())
+        if !items.is_empty() {
+            o.push_str("\n  ");
+        }
+        o.push(']');
     }
 }
 
 impl ManifestV1<'static> {
-    /// Parse a manifest rendered by [`render`](ManifestV1::render).
-    /// Schema-checked: unknown sections or keys, missing required keys,
-    /// duplicate keys, and type mismatches are all errors.
+    /// Parse a manifest rendered by [`render`](ManifestV1::render): the
+    /// text is read by `parse_json`, then the schema is walked over the
+    /// value. An unknown, duplicate or missing key, a value of the wrong
+    /// type, a number that is not an integer in its field's range, a
+    /// decimal string that is not canonical, and another schema or
+    /// version are all errors, each naming its field's path.
     pub fn parse(src: &str) -> Result<ManifestV1<'static>, ManifestError> {
-        Parser::new(src).parse()
+        let doc = parse_json(src).map_err(|msg| ManifestError {
+            path: String::new(),
+            msg,
+        })?;
+        let mut top = Obj::new(&doc, String::new())?;
+        let schema = top.get("schema");
+        if schema.str()? != MANIFEST_SCHEMA {
+            return Err(schema.err(format!("not `{MANIFEST_SCHEMA}`")));
+        }
+        let version = top.get("version");
+        if version.int::<u64>()? != MANIFEST_VERSION {
+            return Err(version.err(format!("unsupported (expected {MANIFEST_VERSION})")));
+        }
+        let mut digests = top.get("digests").obj()?;
+        let odbc_bytecode = digests.get("odbc_bytecode");
+        let m = ManifestV1 {
+            nic: top.get("nic").string()?,
+            intent: top.get("intent").string()?,
+            registry_fingerprint: top.get("registry_fingerprint").hex()?,
+            completion_bytes: top.get("completion_bytes").int()?,
+            selected_path: top.get("selected_path").dec()?,
+            paths_considered: top.get("paths_considered").dec()?,
+            guard: top.get("guard").string()?,
+            layout_bits: top.get("layout_bits").int()?,
+            shim_plan_digest: digests.get("shim_plan").hex()?,
+            odbc_bytecode: match odbc_bytecode.str()? {
+                "unlowerable" => None,
+                _ => Some(odbc_bytecode.hex()?),
+            },
+            context: read_context(top.get("context").obj()?)?,
+            slots: top.get("slots").array(|mut s| {
+                let slot = ManifestSlot {
+                    name: s.get("name").string()?,
+                    source: s.get("source").string()?,
+                    semantic: match s.get("semantic") {
+                        m if m.value.is_some() => Some(m.string()?),
+                        _ => None,
+                    },
+                    offset_bits: s.get("offset_bits").int()?,
+                    width_bits: s.get("width_bits").int()?,
+                };
+                s.done().map(|()| slot)
+            })?,
+            accessors: top.get("accessors").array(read_accessor)?,
+        };
+        digests.done()?;
+        top.done().map(|()| m)
     }
 }
 
@@ -496,439 +502,198 @@ pub fn generate(c: &CompiledInterface) -> String {
 // Parsing
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Section {
-    None,
-    Manifest,
-    Interface,
-    Digests,
-    Context,
-    Slot,
-    Accessor,
+/// `path.key`, or `key` at the top.
+fn join(path: &str, key: &str) -> String {
+    match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    }
 }
 
-/// A parsed `key = value` right-hand side.
-enum Value {
-    Str(String),
-    Int(u128),
-    Float(f64),
+/// A schema object being read: its members, which of them the schema
+/// has read, and its path.
+struct Obj<'j> {
+    path: String,
+    members: &'j [(String, Json)],
+    read: Vec<bool>,
 }
 
-struct Parser<'a> {
-    lines: Vec<(usize, &'a str)>,
-    pos: usize,
-}
-
-/// Field accumulator for one section instance: collected `(key, value,
-/// line)` triples, checked for duplicates on insert.
-#[derive(Default)]
-struct Fields {
-    entries: Vec<(String, Value, usize)>,
-}
-
-impl Fields {
-    fn insert(&mut self, key: String, value: Value, line: usize) -> Result<(), ManifestError> {
-        if self.entries.iter().any(|(k, _, _)| *k == key) {
+impl<'j> Obj<'j> {
+    /// The object `v` at `path`, which names no key twice.
+    fn new(v: &'j Json, path: String) -> Result<Obj<'j>, ManifestError> {
+        let Some(members) = v.as_obj() else {
             return Err(ManifestError {
-                line,
-                msg: format!("duplicate key `{key}`"),
+                path,
+                msg: "must be an object".into(),
+            });
+        };
+        let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        if let Some(k) = keys.windows(2).find(|k| k[0] == k[1]) {
+            return Err(ManifestError {
+                path: join(&path, k[0]),
+                msg: "duplicate key".into(),
             });
         }
-        self.entries.push((key, value, line));
-        Ok(())
-    }
-
-    fn take(&mut self, key: &str) -> Option<(Value, usize)> {
-        let idx = self.entries.iter().position(|(k, _, _)| k == key)?;
-        let (_, v, l) = self.entries.remove(idx);
-        Some((v, l))
-    }
-
-    fn str(&mut self, key: &str, at: usize) -> Result<String, ManifestError> {
-        match self.take(key) {
-            Some((Value::Str(s), _)) => Ok(s),
-            Some((_, l)) => Err(ManifestError {
-                line: l,
-                msg: format!("`{key}` must be a string"),
-            }),
-            None => Err(ManifestError {
-                line: at,
-                msg: format!("missing required key `{key}`"),
-            }),
-        }
-    }
-
-    fn int(&mut self, key: &str, at: usize) -> Result<u128, ManifestError> {
-        match self.take(key) {
-            Some((Value::Int(v), _)) => Ok(v),
-            Some((_, l)) => Err(ManifestError {
-                line: l,
-                msg: format!("`{key}` must be an integer"),
-            }),
-            None => Err(ManifestError {
-                line: at,
-                msg: format!("missing required key `{key}`"),
-            }),
-        }
-    }
-
-    fn float(&mut self, key: &str, at: usize) -> Result<f64, ManifestError> {
-        match self.take(key) {
-            Some((Value::Float(v), _)) => Ok(v),
-            Some((Value::Int(v), _)) => Ok(v as f64),
-            Some((_, l)) => Err(ManifestError {
-                line: l,
-                msg: format!("`{key}` must be a number"),
-            }),
-            None => Err(ManifestError {
-                line: at,
-                msg: format!("missing required key `{key}`"),
-            }),
-        }
-    }
-
-    /// A `"0x…"` hex digest string.
-    fn hex(&mut self, key: &str, at: usize) -> Result<u64, ManifestError> {
-        let s = self.str(key, at)?;
-        parse_hex64(&s).ok_or(ManifestError {
-            line: at,
-            msg: format!("`{key}` must be a \"0x…\" digest"),
+        let read = vec![false; members.len()];
+        Ok(Obj {
+            path,
+            members,
+            read,
         })
     }
 
-    fn reject_unknown(&self, what: &str) -> Result<(), ManifestError> {
-        if let Some((k, _, l)) = self.entries.first() {
-            return Err(ManifestError {
-                line: *l,
-                msg: format!("unknown key `{k}` in {what}"),
-            });
+    /// The member `key`, present or not.
+    fn get(&mut self, key: &str) -> Member<'j> {
+        let at = self.members.iter().position(|(k, _)| k == key);
+        if let Some(i) = at {
+            self.read[i] = true;
         }
-        Ok(())
+        Member {
+            path: join(&self.path, key),
+            value: at.map(|i| &self.members[i].1),
+        }
+    }
+
+    /// Every member was read: one the schema did not ask for is an
+    /// unknown key.
+    fn done(self) -> Result<(), ManifestError> {
+        match self.read.iter().position(|read| !read) {
+            Some(i) => Err(ManifestError {
+                path: join(&self.path, &self.members[i].0),
+                msg: "unknown key".into(),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
-fn parse_hex64(s: &str) -> Option<u64> {
-    let digits = s.strip_prefix("0x")?;
-    if digits.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(digits, 16).ok()
+/// One member being read: its path, and its value when the document
+/// has one.
+struct Member<'j> {
+    path: String,
+    value: Option<&'j Json>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Parser<'a> {
-        let lines = src
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        Parser { lines, pos: 0 }
-    }
-
-    fn peek(&self) -> Option<(usize, &'a str)> {
-        self.lines.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<(usize, &'a str)> {
-        let l = self.peek();
-        if l.is_some() {
-            self.pos += 1;
+impl<'j> Member<'j> {
+    fn err(&self, msg: impl Into<String>) -> ManifestError {
+        ManifestError {
+            path: self.path.clone(),
+            msg: msg.into(),
         }
-        l
     }
 
-    /// Parse one `key = value` line. Keys are bare identifiers or
-    /// quoted strings; values are quoted strings, integers, or floats.
-    fn kv(line: usize, text: &str) -> Result<(String, Value), ManifestError> {
-        let err = |msg: &str| ManifestError {
-            line,
-            msg: msg.to_string(),
-        };
-        let (raw_key, raw_val) = split_eq(text).ok_or_else(|| err("expected `key = value`"))?;
-        let key = if let Some(q) = parse_quoted(raw_key) {
-            unescape(q).map_err(|m| err(&m))?
-        } else if is_bare_key(raw_key) {
-            raw_key.to_string()
-        } else {
-            return Err(err(&format!("malformed key `{raw_key}`")));
-        };
-        let value = if let Some(q) = parse_quoted(raw_val) {
-            Value::Str(unescape(q).map_err(|m| err(&m))?)
-        } else if let Ok(v) = raw_val.parse::<u128>() {
-            Value::Int(v)
-        } else if let Ok(v) = raw_val.parse::<f64>() {
-            if !v.is_finite() {
-                return Err(err("non-finite number"));
-            }
-            Value::Float(v)
-        } else {
-            return Err(err(&format!("malformed value `{raw_val}`")));
-        };
-        Ok((key, value))
+    fn json(&self) -> Result<&'j Json, ManifestError> {
+        self.value.ok_or_else(|| self.err("missing"))
     }
 
-    /// Collect the `key = value` lines of the current section, stopping
-    /// at the next header or end of input.
-    fn fields(&mut self) -> Result<Fields, ManifestError> {
-        let mut f = Fields::default();
-        while let Some((line, text)) = self.peek() {
-            if text.starts_with('[') {
-                break;
-            }
-            self.pos += 1;
-            let (k, v) = Self::kv(line, text)?;
-            f.insert(k, v, line)?;
+    fn obj(self) -> Result<Obj<'j>, ManifestError> {
+        Obj::new(self.json()?, self.path)
+    }
+
+    /// Each element of the array, read as an object by `item`.
+    fn array<T>(
+        &self,
+        item: impl Fn(Obj<'j>) -> Result<T, ManifestError>,
+    ) -> Result<Vec<T>, ManifestError> {
+        let items = (self.json()?.as_arr()).ok_or_else(|| self.err("must be an array"))?;
+        (items.iter().enumerate())
+            .map(|(i, v)| item(Obj::new(v, format!("{}[{i}]", self.path))?))
+            .collect()
+    }
+
+    fn str(&self) -> Result<&'j str, ManifestError> {
+        (self.json()?.as_str()).ok_or_else(|| self.err("must be a string"))
+    }
+
+    fn string(&self) -> Result<Cow<'static, str>, ManifestError> {
+        Ok(Cow::Owned(self.str()?.to_owned()))
+    }
+
+    /// A JSON number that is an integer in `T`'s range (`-0` is not).
+    /// The widest such field is a `u32`, so the cast is exact.
+    fn int<T: TryFrom<u64>>(&self) -> Result<T, ManifestError> {
+        let n = self.num()?;
+        match T::try_from(n as u64) {
+            Ok(v) if n.fract() == 0.0 && n.is_sign_positive() && n <= u32::MAX as f64 => Ok(v),
+            _ => Err(self.err("must be an integer in range")),
         }
-        Ok(f)
     }
 
-    fn parse(mut self) -> Result<ManifestV1<'static>, ManifestError> {
-        let mut saw_version = false;
-        let mut interface: Option<(Fields, usize)> = None;
-        let mut digests: Option<(Fields, usize)> = None;
-        let mut context: Option<(Fields, usize)> = None;
-        let mut slots: Vec<ManifestSlot> = Vec::new();
-        let mut accessors: Vec<ManifestAccessor> = Vec::new();
-        let mut seen_section = Section::None;
+    /// A canonical decimal string: digits only, no leading zero, in
+    /// `T`'s range.
+    fn dec<T: FromStr>(&self) -> Result<T, ManifestError> {
+        let s = self.str()?;
+        let digits = !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        match s.parse() {
+            Ok(v) if digits && (s == "0" || !s.starts_with('0')) => Ok(v),
+            _ => Err(self.err("must be a canonical decimal string in range")),
+        }
+    }
 
-        while let Some((line, text)) = self.next() {
-            let err = |msg: String| ManifestError { line, msg };
-            if !text.starts_with('[') {
-                return Err(err(format!("expected a section header, got `{text}`")));
-            }
-            let section = match text {
-                "[manifest]" => Section::Manifest,
-                "[interface]" => Section::Interface,
-                "[digests]" => Section::Digests,
-                "[context]" => Section::Context,
-                "[[slot]]" => Section::Slot,
-                "[[accessor]]" => Section::Accessor,
-                other => return Err(err(format!("unknown section `{other}`"))),
-            };
-            // Singleton sections may appear once, in order; array
-            // sections repeat.
-            match section {
-                Section::Manifest => {
-                    if seen_section != Section::None {
-                        return Err(err("[manifest] must come first".into()));
-                    }
-                    let mut f = self.fields()?;
-                    let v = f.int("version", line)?;
-                    f.reject_unknown("[manifest]")?;
-                    if v != MANIFEST_VERSION as u128 {
-                        return Err(err(format!(
-                            "unsupported manifest version {v} (expected {MANIFEST_VERSION})"
-                        )));
-                    }
-                    saw_version = true;
-                }
-                Section::Interface => {
-                    if interface.is_some() {
-                        return Err(err("duplicate [interface] section".into()));
-                    }
-                    interface = Some((self.fields()?, line));
-                }
-                Section::Digests => {
-                    if digests.is_some() {
-                        return Err(err("duplicate [digests] section".into()));
-                    }
-                    digests = Some((self.fields()?, line));
-                }
-                Section::Context => {
-                    if context.is_some() {
-                        return Err(err("duplicate [context] section".into()));
-                    }
-                    context = Some((self.fields()?, line));
-                }
-                Section::Slot => {
-                    let mut f = self.fields()?;
-                    let slot = ManifestSlot {
-                        name: f.str("name", line)?.into(),
-                        source: f.str("source", line)?.into(),
-                        semantic: match f.take("semantic") {
-                            Some((Value::Str(s), _)) => Some(s.into()),
-                            Some((_, l)) => {
-                                return Err(ManifestError {
-                                    line: l,
-                                    msg: "`semantic` must be a string".into(),
-                                })
-                            }
-                            None => None,
-                        },
-                        offset_bits: int_as(f.int("offset_bits", line)?, line, "offset_bits")?,
-                        width_bits: int_as(f.int("width_bits", line)?, line, "width_bits")?,
+    /// A digest: `0x` and sixteen lowercase hex digits.
+    fn hex(&self) -> Result<u64, ManifestError> {
+        let digits = self.str()?.strip_prefix("0x").unwrap_or_default();
+        let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        match u64::from_str_radix(digits, 16) {
+            Ok(v) if digits.len() == 16 && digits.bytes().all(lower_hex) => Ok(v),
+            _ => Err(self.err("must be 0x and 16 lowercase hex digits")),
+        }
+    }
+
+    fn num(&self) -> Result<f64, ManifestError> {
+        (self.json()?.as_f64()).ok_or_else(|| self.err("must be a number"))
+    }
+}
+
+fn read_context(mut context: Obj) -> Result<ContextProgramming<'static>, ManifestError> {
+    let mode = context.get("mode");
+    let programming = match mode.str()? {
+        "programmed" => {
+            let writes = context.get("writes").obj()?;
+            let values = (writes.members.iter())
+                .map(|(k, v)| {
+                    let value = Member {
+                        path: join(&writes.path, k),
+                        value: Some(v),
                     };
-                    f.reject_unknown("[[slot]]")?;
-                    slots.push(slot);
-                }
-                Section::Accessor => {
-                    let mut f = self.fields()?;
-                    let name = f.str("name", line)?;
-                    let semantic = f.str("semantic", line)?;
-                    let kind_s = f.str("kind", line)?;
-                    let width_bits = int_as(f.int("width_bits", line)?, line, "width_bits")?;
-                    let kind = match kind_s.as_str() {
-                        "hardware" => ManifestAccessorKind::Hardware {
-                            offset_bits: int_as(f.int("offset_bits", line)?, line, "offset_bits")?,
-                        },
-                        "softnic" => {
-                            let cost = match f.take("cost") {
-                                Some((Value::Str(s), l)) => {
-                                    if s != "infinite" {
-                                        return Err(ManifestError {
-                                            line: l,
-                                            msg: format!("unknown cost `{s}`"),
-                                        });
-                                    }
-                                    ManifestCost::Infinite
-                                }
-                                Some((_, l)) => {
-                                    return Err(ManifestError {
-                                        line: l,
-                                        msg: "`cost` must be \"infinite\"".into(),
-                                    })
-                                }
-                                None => ManifestCost::Finite {
-                                    base_ns: f.float("cost_base_ns", line)?,
-                                    per_byte_ns: f.float("cost_per_byte_ns", line)?,
-                                },
-                            };
-                            ManifestAccessorKind::Software { cost }
-                        }
-                        other => {
-                            return Err(err(format!("unknown accessor kind `{other}`")));
-                        }
-                    };
-                    f.reject_unknown("[[accessor]]")?;
-                    accessors.push(ManifestAccessor {
-                        name: name.into(),
-                        semantic: semantic.into(),
-                        width_bits,
-                        kind,
-                    });
-                }
-                Section::None => unreachable!(),
-            }
-            seen_section = section;
+                    Ok((Cow::Owned(k.clone()), value.dec()?))
+                })
+                .collect::<Result<_, _>>()?;
+            ContextProgramming::Programmed(values)
         }
+        "manual" => ContextProgramming::Manual,
+        _ => return Err(mode.err("must be programmed or manual")),
+    };
+    context.done().map(|()| programming)
+}
 
-        if !saw_version {
-            return Err(ManifestError {
-                line: 0,
-                msg: "missing [manifest] version header".into(),
-            });
-        }
-        let (mut fi, li) = interface.ok_or(ManifestError {
-            line: 0,
-            msg: "missing [interface] section".into(),
-        })?;
-        let (mut fd, ld) = digests.ok_or(ManifestError {
-            line: 0,
-            msg: "missing [digests] section".into(),
-        })?;
-        let (mut fc, lc) = context.ok_or(ManifestError {
-            line: 0,
-            msg: "missing [context] section".into(),
-        })?;
-
-        let m = ManifestV1 {
-            nic: fi.str("nic", li)?.into(),
-            intent: fi.str("intent", li)?.into(),
-            registry_fingerprint: fi.hex("registry_fingerprint", li)?,
-            completion_bytes: int_as(fi.int("completion_bytes", li)?, li, "completion_bytes")?,
-            selected_path: int_as(fi.int("selected_path", li)?, li, "selected_path")?,
-            paths_considered: int_as(fi.int("paths_considered", li)?, li, "paths_considered")?,
-            guard: fi.str("guard", li)?.into(),
-            layout_bits: int_as(fi.int("layout_bits", li)?, li, "layout_bits")?,
-            shim_plan_digest: fd.hex("shim_plan", ld)?,
-            odbc_bytecode: {
-                let s = fd.str("odbc_bytecode", ld)?;
-                if s == "unlowerable" {
-                    None
-                } else {
-                    Some(parse_hex64(&s).ok_or(ManifestError {
-                        line: ld,
-                        msg: "`odbc_bytecode` must be a \"0x…\" digest or \"unlowerable\"".into(),
-                    })?)
-                }
+fn read_accessor(mut a: Obj) -> Result<ManifestAccessor<'static>, ManifestError> {
+    let name = a.get("name").string()?;
+    let semantic = a.get("semantic").string()?;
+    let width_bits = a.get("width_bits").int()?;
+    let kind = a.get("kind");
+    let kind = match kind.str()? {
+        "hardware" => ManifestAccessorKind::Hardware {
+            offset_bits: a.get("offset_bits").int()?,
+        },
+        "softnic" => ManifestAccessorKind::Software {
+            cost: match a.get("cost") {
+                cost if cost.value.is_none() => ManifestCost::Finite {
+                    base_ns: a.get("cost_base_ns").num()?,
+                    per_byte_ns: a.get("cost_per_byte_ns").num()?,
+                },
+                cost if cost.str()? == "infinite" => ManifestCost::Infinite,
+                cost => return Err(cost.err("must be infinite")),
             },
-            context: {
-                let mode = fc.str("mode", lc)?;
-                match mode.as_str() {
-                    "programmed" => {
-                        let writes = fc
-                            .entries
-                            .drain(..)
-                            .map(|(k, v, l)| match v {
-                                Value::Int(x) => Ok((k.into(), x)),
-                                _ => Err(ManifestError {
-                                    line: l,
-                                    msg: format!("context write `{k}` must be an integer"),
-                                }),
-                            })
-                            .collect::<Result<Vec<_>, _>>()?;
-                        ContextProgramming::Programmed(writes)
-                    }
-                    "manual" => ContextProgramming::Manual,
-                    other => {
-                        return Err(ManifestError {
-                            line: lc,
-                            msg: format!("unknown context mode `{other}`"),
-                        })
-                    }
-                }
-            },
-            slots,
-            accessors,
-        };
-        fi.reject_unknown("[interface]")?;
-        fd.reject_unknown("[digests]")?;
-        fc.reject_unknown("[context]")?;
-        Ok(m)
-    }
-}
-
-/// Split `key = value` at the first `=` outside quotes.
-fn split_eq(text: &str) -> Option<(&str, &str)> {
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, c) in text.char_indices() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '=' if !in_str => return Some((text[..i].trim(), text[i + 1..].trim())),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// The inner text of a `"…"` token, or `None` if not a quoted token.
-fn parse_quoted(tok: &str) -> Option<&str> {
-    let inner = tok.strip_prefix('"')?.strip_suffix('"')?;
-    // Reject a trailing escaped quote masquerading as the closer.
-    let trailing_backslashes = inner.chars().rev().take_while(|c| *c == '\\').count();
-    if trailing_backslashes % 2 == 1 {
-        return None;
-    }
-    Some(inner)
-}
-
-fn is_bare_key(tok: &str) -> bool {
-    !tok.is_empty()
-        && tok.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        && !tok.starts_with(|c: char| c.is_ascii_digit())
-}
-
-fn int_as<T: TryFrom<u128>>(v: u128, line: usize, key: &str) -> Result<T, ManifestError> {
-    T::try_from(v).map_err(|_| ManifestError {
-        line,
-        msg: format!("`{key}` out of range"),
+        },
+        _ => return Err(kind.err("must be hardware or softnic")),
+    };
+    a.done().map(|()| ManifestAccessor {
+        name,
+        semantic,
+        width_bits,
+        kind,
     })
 }
 
@@ -952,19 +717,20 @@ mod tests {
     #[test]
     fn manifest_contains_all_sections() {
         let m = compiled().manifest();
-        assert!(m.contains("[manifest]"), "{m}");
-        assert!(m.contains("version = 1"), "{m}");
-        assert!(m.contains("[interface]"), "{m}");
-        assert!(m.contains("nic = \"e1000e\""), "{m}");
-        assert!(m.contains("[digests]"), "{m}");
-        assert!(m.contains("[context]"), "{m}");
-        assert!(m.contains("mode = \"programmed\""), "{m}");
-        assert!(m.contains("\"ctx.use_rss\" = 0"), "{m}");
-        assert!(m.contains("[[slot]]"), "{m}");
-        assert!(m.contains("kind = \"hardware\""), "{m}");
-        assert!(m.contains("kind = \"softnic\""), "{m}");
-        assert!(m.contains("semantic = \"rss_hash\""), "{m}");
-        assert!(m.contains("cost_base_ns = 40"), "{m}");
+        for member in [
+            r#""schema": "opendesc.manifest""#,
+            r#""version": 1"#,
+            r#""nic": "e1000e""#,
+            r#""digests": {"shim_plan": "0x"#,
+            r#""context": {"mode": "programmed", "writes": {"ctx.use_rss": "0"}}"#,
+            r#""slots": ["#,
+            r#""kind": "hardware""#,
+            r#""kind": "softnic""#,
+            r#""semantic": "rss_hash""#,
+            r#""cost_base_ns": 40"#,
+        ] {
+            assert!(m.contains(member), "{member} not in\n{m}");
+        }
     }
 
     #[test]
@@ -978,24 +744,23 @@ mod tests {
             .find(|a| a.kind == AccessorKind::Hardware)
             .unwrap();
         assert!(
-            m.contains(&format!("offset_bits = {}", csum.offset_bits)),
+            m.contains(&format!(r#""offset_bits": {}"#, csum.offset_bits)),
             "{m}"
         );
     }
 
+    /// The streamed text is what the JSON layer renders for it.
     #[test]
-    fn manifest_is_line_oriented_toml_shape() {
-        let m = compiled().manifest();
-        for line in m.lines() {
-            let t = line.trim();
-            if t.is_empty() || t.starts_with('#') {
-                continue;
-            }
-            assert!(
-                t.starts_with('[') || t.contains('='),
-                "unexpected manifest line: {t}"
-            );
-        }
+    fn manifest_is_its_own_json_rendering() {
+        let c = compiled();
+        let mut m = ManifestV1::from_compiled(&c);
+        let s = m.render();
+        assert_eq!(parse_json(&s).unwrap().render(), s);
+        m.context = ContextProgramming::Manual;
+        m.slots.clear();
+        m.odbc_bytecode = None;
+        let s = m.render();
+        assert_eq!(parse_json(&s).unwrap().render(), s);
     }
 
     #[test]
@@ -1025,8 +790,9 @@ mod tests {
     fn escaping_survives_hostile_strings() {
         let c = compiled();
         let mut m = ManifestV1::from_compiled(&c);
-        m.nic = "evil\"\nnic = \\\"x".into();
+        m.nic = "evil\"\n, \"nic\": \\\"x".into();
         m.guard = "a\tb\r∞".into();
+        m.context = ContextProgramming::Programmed(vec![("\"k\\\u{1}".into(), u128::MAX)]);
         let s = m.render();
         let back = ManifestV1::parse(&s).expect("escaped output parses");
         assert_eq!(back, m);
@@ -1034,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn unescape_is_linear_and_round_trips_every_control_character() {
+    fn strings_round_trip_in_linear_time_with_every_control_character() {
         let c = compiled();
         let mut m = ManifestV1::from_compiled(&c);
         m.guard = "\u{1}".repeat(100_000).into();
@@ -1043,35 +809,10 @@ mod tests {
         assert_eq!(back.guard, m.guard);
         m.guard = (0u8..0x20).map(char::from).chain("\\\"∞".chars()).collect();
         let s = m.render();
-        assert!(s.lines().all(|l| !l.contains('\r')), "{s:?}");
+        assert!(!s.contains('\r'), "{s:?}");
         let back = ManifestV1::parse(&s).expect("escaped output parses");
         assert_eq!(back, m);
         assert_eq!(back.render(), s);
-        for bad in ["\\u{110000}", "\\u{zz}", "\\u{41", "\\u41", "\\q", "\\"] {
-            assert!(unescape(bad).is_err(), "{bad}");
-        }
-        assert_eq!(unescape("a\\u{41}b\\u{2192}").unwrap(), "aAb→");
-    }
-
-    #[test]
-    fn number_writers_print_what_fmt_prints() {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut values = vec![0, 1, 9, 10, 99, 100, u64::MAX as u128, 1 << 64, u128::MAX];
-        for _ in 0..64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            values.extend([x as u128 >> (x % 64), (x as u128) << 64 | x as u128]);
-        }
-        for v in values {
-            let mut s = String::new();
-            push_dec(&mut s, v);
-            assert_eq!(s, v.to_string());
-            let h = v as u64;
-            s.clear();
-            push_hex(&mut s, h);
-            assert_eq!(s, format!("0x{h:016x}"));
-        }
     }
 
     #[test]
@@ -1087,23 +828,164 @@ mod tests {
         assert_ne!(empty.render(), manual.render());
     }
 
+    /// Each kind of refusal, named by the path of the field it trips on.
     #[test]
-    fn schema_violations_are_rejected() {
+    fn schema_violations_are_refused_at_their_path() {
         let base = compiled().manifest();
-        // Unknown section.
-        let bad = base.replace("[digests]", "[mystery]");
-        assert!(ManifestV1::parse(&bad).is_err());
-        // Unsupported version.
-        let bad = base.replace("version = 1", "version = 9");
-        assert!(ManifestV1::parse(&bad).is_err());
-        // Unknown key in a known section.
-        let bad = base.replace("layout_bits =", "layout_bitz =");
-        assert!(ManifestV1::parse(&bad).is_err());
-        // Type mismatch.
-        let bad = base.replace("completion_bytes = ", "completion_bytes = \"");
-        assert!(ManifestV1::parse(&bad).is_err());
-        // Truncated: no [interface].
-        assert!(ManifestV1::parse("[manifest]\nversion = 1\n").is_err());
+        let refused = |from: &str, to: &str, path: &str| {
+            assert!(base.contains(from), "{from}");
+            let bad = base.replacen(from, to, 1);
+            let err = ManifestV1::parse(&bad).expect_err(to);
+            assert_eq!(err.path, path, "{to}: {err}");
+        };
+        // The schema and its version.
+        refused(r#""opendesc.manifest""#, r#""opendesc.other""#, "schema");
+        refused(r#""version": 1"#, r#""version": 2"#, "version");
+        // Unknown, duplicate and missing keys.
+        refused(
+            r#""layout_bits""#,
+            r#""layout_bitz": 1, "layout_bits""#,
+            "layout_bitz",
+        );
+        refused(
+            r#""nic": "e1000e","#,
+            r#""nic": "e1000e", "nic": "x","#,
+            "nic",
+        );
+        refused(r#""guard": "#, r#""guardx": "#, "guard");
+        refused(r#""layout_bits": 96,"#, "", "layout_bits");
+        refused(
+            r#""writes": {"ctx.use_rss": "0"}"#,
+            r#""writes": {"ctx.use_rss": "0", "ctx.use_rss": "0"}"#,
+            "context.writes.ctx.use_rss",
+        );
+        refused(
+            r#"{"mode": "programmed", "#,
+            r#"{"mode": "manual", "#,
+            "context.writes",
+        );
+        refused(
+            r#""width_bits": 8}"#,
+            r#""width_bits": 8, "width_bits": 8}"#,
+            "slots[3].width_bits",
+        );
+        refused(r#""cost_base_ns": 40, "#, "", "accessors[2].cost_base_ns");
+        refused(
+            r#""kind": "hardware", "#,
+            r#""kind": "hardware", "cost": "infinite", "#,
+            "accessors[0].cost",
+        );
+        // Wrong types.
+        refused(
+            r#""completion_bytes": 12"#,
+            r#""completion_bytes": "12""#,
+            "completion_bytes",
+        );
+        refused(
+            r#""selected_path": "1""#,
+            r#""selected_path": 1"#,
+            "selected_path",
+        );
+        refused(
+            r#""guard": "ctx.use_rss != 1""#,
+            r#""guard": ["ctx"]"#,
+            "guard",
+        );
+        refused(
+            r#""writes": {"ctx.use_rss": "0"}"#,
+            r#""writes": ["0"]"#,
+            "context.writes",
+        );
+        refused(
+            r#""kind": "softnic""#,
+            r#""kind": "software""#,
+            "accessors[2].kind",
+        );
+        // Numbers that are not integers in range.
+        refused(
+            r#""width_bits": 16}"#,
+            r#""width_bits": 16.5}"#,
+            "slots[0].width_bits",
+        );
+        refused(
+            r#""width_bits": 16}"#,
+            r#""width_bits": 65536}"#,
+            "slots[0].width_bits",
+        );
+        refused(
+            r#""width_bits": 16}"#,
+            r#""width_bits": -0}"#,
+            "slots[0].width_bits",
+        );
+        refused(
+            r#""layout_bits": 96"#,
+            r#""layout_bits": 4294967296"#,
+            "layout_bits",
+        );
+        // Decimal strings that are not canonical or not in range.
+        for bad in ["01", "+1", " 1", "-0", "1e0", "", "18446744073709551616"] {
+            refused(
+                r#""paths_considered": "2""#,
+                &format!(r#""paths_considered": "{bad}""#),
+                "paths_considered",
+            );
+        }
+        refused(
+            r#""ctx.use_rss": "0""#,
+            r#""ctx.use_rss": "340282366920938463463374607431768211456""#,
+            "context.writes.ctx.use_rss",
+        );
+        // Digests that are not 0x and sixteen lowercase hex digits.
+        for bad in [
+            "0x61D9E776F3CF6DE1",
+            "0x+1d9e776f3cf6de1",
+            "61d9e776f3cf6de1",
+            "0x61d9e776f3cf6de",
+        ] {
+            refused(
+                r#""0x61d9e776f3cf6de1""#,
+                &format!("{bad:?}"),
+                "registry_fingerprint",
+            );
+        }
+        // Not JSON, or not an object.
+        assert_eq!(ManifestV1::parse("[1]").unwrap_err().path, "");
+        assert!(ManifestV1::parse(&base[..base.len() / 2]).is_err());
+    }
+
+    /// The integer edges each field's type allows are read back.
+    #[test]
+    fn integers_at_their_edges_round_trip() {
+        let c = compiled();
+        let mut m = ManifestV1::from_compiled(&c);
+        m.completion_bytes = u32::MAX;
+        m.selected_path = u64::MAX;
+        m.paths_considered = 0;
+        m.slots[0].width_bits = u16::MAX;
+        m.context = ContextProgramming::Programmed(vec![("a".into(), u128::MAX), ("b".into(), 0)]);
+        let s = m.render();
+        assert_eq!(ManifestV1::parse(&s), Ok(m));
+        assert_eq!(parse_json(&s).unwrap().render(), s);
+    }
+
+    /// The length hint holds the catalog's manifests without growing,
+    /// and over-counts by less than a fifth.
+    #[test]
+    fn the_length_hint_is_tight() {
+        let mut reg = SemanticRegistry::with_builtins();
+        let intent = Intent::from_p4(crate::intent::FIG1_INTENT_P4, &mut reg).unwrap();
+        for model in models::catalog() {
+            let rx: CompiledRx = (Compiler::default().compile_model(&model, &intent, &mut reg))
+                .unwrap()
+                .into();
+            let m = ManifestV1::from_compiled(&rx);
+            let (hint, len) = (m.rendered_len_hint(), m.render().len());
+            assert!(
+                len <= hint && hint * 5 < len * 6,
+                "{}: {len} in {hint}",
+                model.name
+            );
+        }
     }
 
     #[test]

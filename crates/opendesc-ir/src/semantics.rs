@@ -582,8 +582,8 @@ mod tests {
             let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
             files += 1;
             for line in text.lines() {
-                if let Some(v) = line.strip_prefix("registry_fingerprint = ") {
-                    assert_eq!(v.trim_matches('"'), fp);
+                if let Some(v) = line.strip_prefix(r#"  "registry_fingerprint": "#) {
+                    assert_eq!(v.trim_end_matches(',').trim_matches('"'), fp);
                     seen += 1;
                 }
             }

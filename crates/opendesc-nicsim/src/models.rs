@@ -579,7 +579,7 @@ pub enum ProgGuard {
     Switch { selector_bits: u16 },
     /// Exactly two layouts behind a guard the path solver cannot
     /// analyze (two context fields compared to each other) — the
-    /// negotiated manifest must say `mode = "manual"`.
+    /// negotiated manifest's context must say `"mode": "manual"`.
     Opaque,
 }
 

@@ -37,6 +37,7 @@ use opendesc_nicsim::models::{
 };
 use opendesc_nicsim::SimNic;
 use opendesc_softnic::{testpkt, SoftNic};
+use opendesc_telemetry::parse_json;
 use std::sync::Arc;
 
 /// The semantic pool intents draw from: every entry has a finite
@@ -294,12 +295,16 @@ fn check_pair(model: &NicModel, mask: u32, seed: u64) -> Result<(bool, bool, boo
     let set = &compiled.accessors;
     let plan = &compiled.plan;
 
-    // Manifest contract: generate → parse → render must be byte-stable.
+    // Manifest contract: generate → parse → render must be byte-stable,
+    // and the text is the JSON layer's own rendering of it.
     let manifest = compiled.manifest();
     let parsed =
         ManifestV1::parse(&manifest).map_err(|e| format!("manifest does not re-parse: {e}"))?;
     if parsed.render() != manifest {
         return Err("manifest round-trip is not byte-stable".into());
+    }
+    if parse_json(&manifest).map(|doc| doc.render()).as_ref() != Ok(&manifest) {
+        return Err("manifest is not its own JSON rendering".into());
     }
     let roundtripped = true;
 

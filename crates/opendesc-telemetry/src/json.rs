@@ -6,8 +6,14 @@
 //! small recursive-descent parser over the full JSON grammar — objects,
 //! arrays, strings with the standard escapes, numbers, booleans, null.
 //! Escaping, the spelling of numbers and the layout are decided here and
-//! nowhere else. The reader fails closed: nesting past [`MAX_DEPTH`], a
-//! lone surrogate and a number that overflows to infinity are errors.
+//! nowhere else: a writer that streams a fixed schema (the driver
+//! manifest) spells its keys with [`json_key!`](crate::json_key), its
+//! values with [`quote`], [`push_uint`], [`push_hex`] and [`push_num`],
+//! and lays its members out as [`Json::render`] does. The
+//! reader fails closed: nesting past [`MAX_DEPTH`], a lone surrogate and
+//! a number that overflows to infinity are errors.
+
+use std::fmt::Write;
 
 /// How deep [`parse`] lets containers nest (a bench record nests 4
 /// deep); deeper input is an error, not a stack overflow.
@@ -97,8 +103,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
-            Json::Num(_) => out.push_str("null"),
+            Json::Num(n) => push_num(out, *n),
             Json::Str(s) => quote(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -126,22 +131,124 @@ impl Json {
     }
 }
 
-/// `s` as a JSON string literal: quote, backslash and control
-/// characters escaped, everything else as is.
-fn quote(out: &mut String, s: &str) {
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Append `s` as a JSON string literal: quote, backslash and control
+/// characters escaped (`\u00XX` where JSON has no short form),
+/// everything else as is. Everything it escapes is ASCII, so the runs
+/// between escapes are copied whole.
+#[inline]
+pub fn quote(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(at) = (rest.bytes()).position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&rest[..at]);
+        let b = rest.as_bytes()[at];
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
+}
+
+/// `true` when JSON spells `s` between quotes as is: no quote,
+/// backslash or control character in it. The compile-time check behind
+/// [`json_key!`](crate::json_key).
+pub const fn is_plain(s: &str) -> bool {
+    let b = s.as_bytes();
+    let mut i = 0;
+    while i < b.len() {
+        if b[i] < 0x20 || b[i] == b'"' || b[i] == b'\\' {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// The literal `$sep`, then the member key `$k` as [`quote`] writes it,
+/// then `: `, spelled at compile time: the start of a member for a
+/// writer that streams a fixed schema. A key that would need an escape
+/// fails to compile.
+///
+/// ```
+/// assert_eq!(opendesc_telemetry::json_key!(", ", "nic"), r#", "nic": "#);
+/// ```
+///
+/// ```compile_fail
+/// let _ = opendesc_telemetry::json_key!(", ", "a\"b");
+/// ```
+///
+/// [`quote`]: crate::json::quote
+#[macro_export]
+macro_rules! json_key {
+    ($sep:literal, $k:literal) => {{
+        const _: () = assert!($crate::json::is_plain($k), "a key JSON must escape");
+        concat!($sep, '"', $k, '"', ": ")
+    }};
+}
+
+/// Append `v` in decimal, as `{}` prints it, without going through
+/// `core::fmt`: the integral numbers of [`Json::render`], and the
+/// decimal strings a document holds an integer in when it may pass 2^53.
+pub fn push_uint(out: &mut String, v: impl Into<u128>) {
+    let mut v: u128 = v.into();
+    let mut digits = [0u8; 39];
+    let mut at = digits.len();
+    // Only a value past 2^64 pays for 128-bit division.
+    while v > u128::from(u64::MAX) {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    let mut w = v as u64;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (w % 10) as u8;
+        w /= 10;
+        if w == 0 {
+            break;
         }
     }
-    out.push('"');
+    digits[at..].iter().for_each(|&d| out.push(d as char));
+}
+
+/// Append `v` as `0x` and sixteen lowercase hex digits (`{v:#018x}`):
+/// how a document spells a 64-bit digest, inside a string.
+#[inline]
+pub fn push_hex(out: &mut String, v: u64) {
+    out.push_str("0x");
+    for nibble in (0..16).rev() {
+        out.push(HEX[(v >> (4 * nibble)) as usize & 0xF] as char);
+    }
+}
+
+/// Append the number `n` as [`Json::render`] writes it: a finite number
+/// in Rust's shortest round-trip form (integers below 2^53 through
+/// [`push_uint`]), a non-finite one as `null`.
+pub fn push_num(out: &mut String, n: f64) {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if n.fract() == 0.0 && n.abs() < EXACT && !(n == 0.0 && n.is_sign_negative()) {
+        if n < 0.0 {
+            out.push('-');
+        }
+        push_uint(out, n.abs() as u64);
+    } else if n.is_finite() {
+        write!(out, "{n}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Parse a JSON document. Errors carry the byte offset they tripped at.
@@ -381,6 +488,52 @@ mod tests {
             doc.render(),
             "[40, 12.381, -0.5, 0.0000001, 1000000000000000000000, null, null]\n"
         );
+    }
+
+    /// The integer and digest writers print what `core::fmt` prints, and
+    /// a number is spelled as Rust's shortest round-trip form.
+    #[test]
+    fn number_writers_print_what_fmt_prints() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut values = vec![0, 1, 9, 10, 99, 100, u64::MAX as u128, 1 << 64, u128::MAX];
+        for _ in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.extend([x as u128 >> (x % 64), (x as u128) << 64 | x as u128]);
+        }
+        for v in values {
+            let mut s = String::new();
+            push_uint(&mut s, v);
+            assert_eq!(s, v.to_string());
+            let h = v as u64;
+            s.clear();
+            push_hex(&mut s, h);
+            assert_eq!(s, format!("0x{h:016x}"));
+            for n in [
+                h as f64,
+                -(h as f64),
+                (h >> 11) as f64,
+                -((h >> 11) as f64),
+                h as f64 / 7.0,
+            ] {
+                s.clear();
+                push_num(&mut s, n);
+                assert_eq!(s, n.to_string());
+            }
+        }
+        for n in [
+            0.0,
+            -0.0,
+            9007199254740992.0,
+            -9007199254740993.0,
+            0.15,
+            1e-300,
+        ] {
+            let mut s = String::new();
+            push_num(&mut s, n);
+            assert_eq!(s, n.to_string());
+        }
     }
 
     #[test]

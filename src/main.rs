@@ -76,7 +76,7 @@ USAGE:
   opendesc tx       --nic <model> --want <sem,...>   compile the TX direction
   opendesc fmt      (--nic <model> | --contract <file.p4>)   normalize a contract
   opendesc diff     --nic <a> --nic-b <b>            capability diff of two models
-  opendesc manifests [--out <dir>]        regenerate the golden manifests (default manifests/)
+  opendesc manifests [--out <dir>]        write the golden manifests, <dir>/<model>.json (default manifests/)
 ";
 
 #[derive(Default)]
@@ -310,9 +310,11 @@ fn cmd_diff(o: &Opts) -> Result<(), String> {
 }
 
 /// The golden-manifest set: the Fig. 1 intent negotiated against each
-/// RX-capable catalog model. Regenerated by `opendesc manifests`; CI
-/// fails if the committed `manifests/*.toml` drift from the compiler's
-/// output (and `tests/manifest_golden.rs` checks the same in-process).
+/// RX-capable catalog model, written as `<dir>/<model>.json`.
+/// Regenerated by `opendesc manifests`; CI deletes `manifests/`,
+/// regenerates it and fails on any change git sees there (an added or
+/// removed file included), and `tests/manifest_golden.rs` checks the
+/// committed `manifests/*.json` in-process.
 const GOLDEN_MODELS: [&str; 4] = ["e1000e", "ixgbe", "mlx5", "qdma"];
 
 fn cmd_manifests(o: &Opts) -> Result<(), String> {
@@ -327,7 +329,7 @@ fn cmd_manifests(o: &Opts) -> Result<(), String> {
             .compile(&m.p4_source, &m.deparser, &m.name, &intent, &mut reg)
             .map_err(|e| format!("{name}: {e}"))?
             .into();
-        let path = format!("{dir}/{name}.toml");
+        let path = format!("{dir}/{name}.json");
         std::fs::write(&path, compiled.manifest()).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}");
     }

@@ -53,7 +53,7 @@ fn compile_emits_all_artifact_kinds() {
     for (emit, needle) in [
         ("rust", "CmptView"),
         ("c", "static inline"),
-        ("manifest", "[interface]"),
+        ("manifest", r#""schema": "opendesc.manifest""#),
         ("ebpf", "verifier:"),
         ("dot", "digraph"),
     ] {

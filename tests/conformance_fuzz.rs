@@ -54,7 +54,7 @@ fn fuzzer_negotiates_200_layouts_with_zero_divergence() {
             )
             .expect("write repro");
             std::fs::write(dir.join(format!("{stem}.p4")), &d.contract).expect("write contract");
-            std::fs::write(dir.join(format!("{stem}.toml")), &d.manifest).expect("write manifest");
+            std::fs::write(dir.join(format!("{stem}.json")), &d.manifest).expect("write manifest");
         }
         let first = &report.divergences[0];
         panic!(

@@ -33,7 +33,7 @@ fn generate(name: &str) -> String {
 #[test]
 fn committed_golden_manifests_match_compiler_output() {
     for name in GOLDEN {
-        let path = format!("{}/manifests/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+        let path = format!("{}/manifests/{name}.json", env!("CARGO_MANIFEST_DIR"));
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{path}: {e}; run `cargo run --release -- manifests`"));
         let fresh = generate(name);
@@ -47,7 +47,7 @@ fn committed_golden_manifests_match_compiler_output() {
 #[test]
 fn golden_manifests_parse_under_the_v1_schema() {
     for name in GOLDEN {
-        let path = format!("{}/manifests/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+        let path = format!("{}/manifests/{name}.json", env!("CARGO_MANIFEST_DIR"));
         let committed = std::fs::read_to_string(&path).expect("golden file present");
         let m = ManifestV1::parse(&committed)
             .unwrap_or_else(|e| panic!("{name}: committed golden does not parse: {e}"));

@@ -2,7 +2,8 @@
 //!
 //! Two guarantees: (1) `render → parse` is lossless for *arbitrary*
 //! manifest structs — including hostile strings and awkward floats —
-//! and `generate → parse → render` is byte-stable; (2) compiling the
+//! and `generate → parse → render` is byte-stable, each text being the
+//! JSON layer's own rendering of itself; (2) compiling the
 //! same (model, intent) twice from fresh registries produces
 //! byte-identical manifests (the contract is deterministic, so golden
 //! files and digest pins are meaningful).
@@ -14,6 +15,7 @@ use opendesc::compiler::codegen::manifest::{
 use opendesc::compiler::{Compiler, Intent};
 use opendesc::ir::SemanticRegistry;
 use opendesc::nicsim::models;
+use opendesc::telemetry::parse_json;
 use proptest::prelude::*;
 
 /// Finite f64s built from integer sixteenths: exactly representable, so
@@ -146,7 +148,9 @@ proptest! {
         let back = ManifestV1::parse(&s)
             .map_err(|e| TestCaseError::fail(format!("{e}\n--- in ---\n{s}")))?;
         prop_assert_eq!(&back, &m, "struct round-trip");
-        prop_assert_eq!(back.render(), s, "render is a fixed point");
+        prop_assert_eq!(back.render(), s.clone(), "render is a fixed point");
+        let doc = parse_json(&s).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(doc.render(), s, "the text is the JSON layer's rendering");
     }
 }
 
@@ -167,6 +171,12 @@ fn generated_manifests_round_trip_on_all_models() {
             )
         });
         assert_eq!(parsed.render(), s, "{}: unstable round-trip", model.name);
+        assert_eq!(
+            parse_json(&s).map(|doc| doc.render()),
+            Ok(s),
+            "{}: not the JSON layer's rendering",
+            model.name
+        );
     }
 }
 

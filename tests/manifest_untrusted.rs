@@ -3,15 +3,17 @@
 //! what it cannot give back.
 //!
 //! Two properties, over arbitrary text and over mutations of the
-//! checked-in `manifests/*.toml`:
+//! checked-in `manifests/*.json`:
 //! - `ManifestV1::parse` never panics;
-//! - whatever it accepts renders to text that parses back equal,
-//!   `parse(render(m)) == m`.
+//! - whatever it accepts names no key twice and renders to text that
+//!   parses back equal, `parse(render(m)) == m`, and that text is the
+//!   JSON layer's own rendering of itself.
 //!
 //! Mutations truncate, flip bytes, delete spans, repeat lines and
-//! splice in escapes, quotes, `=`, section headers, `\u{…}` escapes,
-//! integers at the edges of `u128` and non-finite floats, at random
-//! places and in place of a line's value.
+//! splice in JSON syntax, `\u` escapes and lone surrogates, numbers past
+//! 2^53 or past `f64`, `-0`, `NaN`, duplicate keys and decimal strings
+//! at the edges of `u64` and `u128`, at random places and in place of a
+//! member's value.
 //!
 //! `CHAOS_SEED` is mixed into every generated case, so each entry of
 //! the CI chaos matrix explores a different region of the input space.
@@ -19,71 +21,103 @@
 //! manifest_untrusted`.
 
 use opendesc::compiler::codegen::manifest::ManifestV1;
+use opendesc::telemetry::{parse_json, Json};
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// The generated manifests the repository keeps, one per catalog model
 /// that has one.
 const MANIFESTS: &[&str] = &[
-    include_str!("../manifests/e1000e.toml"),
-    include_str!("../manifests/ixgbe.toml"),
-    include_str!("../manifests/mlx5.toml"),
-    include_str!("../manifests/qdma.toml"),
+    include_str!("../manifests/e1000e.json"),
+    include_str!("../manifests/ixgbe.json"),
+    include_str!("../manifests/mlx5.json"),
+    include_str!("../manifests/qdma.json"),
 ];
 
 /// Pieces of almost-valid manifest text, so mutation reaches deep
-/// parser states instead of bouncing off the first line.
+/// reader states instead of bouncing off the first byte.
 const FRAGMENTS: &[&str] = &[
     "\\",
     "\"",
-    "=",
-    " = ",
-    "\n",
-    "#",
-    "[[slot]]",
-    "[[accessor]]",
-    "[context]",
-    "[interface]",
-    "[digests]",
-    "[manifest]",
-    "[[slot]]\nname = \"s\"\nsource = \"m\"\noffset_bits = 0\nwidth_bits = 8\n",
-    "mode = \"programmed\"",
-    "mode = \"manual\"",
-    "\"ctx.a\" = ",
-    "kind = \"hardware\"",
-    "kind = \"softnic\"",
-    "cost = \"infinite\"",
-    "\\u{",
+    ":",
+    ",",
+    "{",
     "}",
-    "\\u{41}",
-    "\\u{10FFFF}",
-    "\\u{110000}",
-    "\\u{D800}",
-    "\\u{}",
-    "\\u{+41}",
-    "\\n",
-    "\\\"",
-    "\\q",
+    "[",
+    "]",
+    "\n",
+    "null",
+    "true",
+    "[]",
+    "{}",
+    r#""""#,
+    r#"{"name": "s", "source": "m", "offset_bits": 0, "width_bits": 8}"#,
+    r#"{"mode": "manual"}"#,
+    r#"{"mode": "programmed", "writes": {}}"#,
+    r#"{"mode": "programmed", "writes": {"ctx.a": "1", "ctx.a": "1"}}"#,
+    r#"{"mode": "manual", "writes": {}}"#,
+    r#"{"name": "a", "semantic": "s", "kind": "softnic", "width_bits": 8, "cost": "infinite"}"#,
+    r#"8, "width_bits": 8"#,
+    r#""x", "name": "x""#,
+    r#"1, "version": 1"#,
+    r#""hardware""#,
+    r#""softnic""#,
+    r#""infinite""#,
+    r#""programmed""#,
+    r#""manual""#,
+    r#""opendesc.manifest""#,
+    r#""A""#,
+    r#""éé""#,
+    r#""\u0000\u001f""#,
+    r#""😀""#,
+    r#""\uD800""#,
+    r#""\uDC00""#,
+    r#""\uD83Dx""#,
+    r#""\uD83DA""#,
+    r#""\u12""#,
+    r#""\u+041""#,
+    r#""\uzzzz""#,
+    r"A",
+    r"\u",
+    r#""\n\"\\\/\b\f""#,
+    r#""\q""#,
     "0",
     "-0",
     "-1",
-    "340282366920938463463374607431768211455",
-    "340282366920938463463374607431768211456",
-    "18446744073709551616",
-    "4294967296",
+    "01",
+    "1.5",
+    "0.0625",
+    "1e2",
+    "65535",
     "65536",
+    "4294967295",
+    "4294967296",
+    "9007199254740992",
+    "9007199254740993",
     "1e308",
     "1e309",
     "-1e309",
-    "NaN",
-    "nan",
-    "inf",
-    "-inf",
-    "infinity",
-    "0.0625",
     "1.5e-320",
-    "\"0x0000000000000000\"",
-    "\"0xffffffffffffffff\"",
-    "\"unlowerable\"",
+    "NaN",
+    "Infinity",
+    "-Infinity",
+    r#""0""#,
+    r#""-0""#,
+    r#""00""#,
+    r#""01""#,
+    r#""+1""#,
+    r#"" 1""#,
+    r#""1e3""#,
+    r#""9007199254740993""#,
+    r#""18446744073709551615""#,
+    r#""18446744073709551616""#,
+    r#""340282366920938463463374607431768211455""#,
+    r#""340282366920938463463374607431768211456""#,
+    r#""0x0000000000000000""#,
+    r#""0xffffffffffffffff""#,
+    r#""0xFFFFFFFFFFFFFFFF""#,
+    r#""0x+fffffffffffffff""#,
+    r#""unlowerable""#,
     "é",
     "\u{2028}",
     "\u{85}",
@@ -156,7 +190,7 @@ impl Gen {
                 let to = self.boundary(rest, 64);
                 format!("{}{}", &text[..from], &rest[to..])
             }
-            // A line repeated.
+            // A line repeated: a duplicate member or array element.
             3 => {
                 let mut lines: Vec<&str> = text.lines().collect();
                 if !lines.is_empty() {
@@ -165,11 +199,15 @@ impl Gen {
                 }
                 lines.join("\n")
             }
-            // A line's value replaced by one to three fragments.
+            // A member's value replaced by one to three fragments.
             4 => {
-                let at = self.below(text.lines().count());
+                let spans = value_spans(text);
+                let at = self.below(spans.len());
                 let value: String = (0..=self.below(3)).map(|_| self.fragment()).collect();
-                with_value(text, at, &value)
+                match spans.get(at) {
+                    Some(span) => with_value(text, span, &value),
+                    None => text.to_string(),
+                }
             }
             // A fragment spliced in anywhere.
             _ => {
@@ -194,65 +232,110 @@ impl Gen {
     }
 }
 
-/// `text` with the value of its line `at` replaced by `value`, when
-/// that line is a `key = value` line.
-fn with_value(text: &str, at: usize, value: &str) -> String {
-    let mut out = String::with_capacity(text.len() + value.len());
-    for (i, line) in text.lines().enumerate() {
-        match line.split_once(" = ") {
-            Some((key, _)) if i == at => {
-                out.push_str(key);
-                out.push_str(" = ");
-                out.push_str(value);
+/// The byte span of every member's value in `text`, in order, nested
+/// ones included: what follows each `": ` outside a string, up to the
+/// `,`, `}` or `]` that ends it at its own depth.
+fn value_spans(text: &str) -> Vec<Range<usize>> {
+    let b = text.as_bytes();
+    let mut spans = Vec::new();
+    let (mut i, mut in_str) = (0, false);
+    while i < b.len() {
+        match b[i] {
+            b'\\' if in_str => i += 1,
+            b'"' => in_str = !in_str,
+            b':' if !in_str => {
+                let start = i + 1 + (b.get(i + 1) == Some(&b' ')) as usize;
+                let (mut end, mut depth, mut quoted) = (start, 0usize, false);
+                while end < b.len() {
+                    match b[end] {
+                        b'\\' if quoted => end += 1,
+                        b'"' => quoted = !quoted,
+                        b'{' | b'[' if !quoted => depth += 1,
+                        b'}' | b']' if !quoted && depth == 0 => break,
+                        b'}' | b']' if !quoted => depth -= 1,
+                        b',' if !quoted && depth == 0 => break,
+                        _ => {}
+                    }
+                    end += 1;
+                }
+                let end = end.min(b.len());
+                spans.push(start..start + text[start..end].trim_end().len());
             }
-            _ => out.push_str(line),
+            _ => {}
         }
-        out.push('\n');
+        i += 1;
     }
-    out
+    spans
 }
 
-/// Parse `text`; a manifest it accepts renders to text that parses
-/// back equal.
+/// `text` with the value at `span` replaced by `value`.
+fn with_value(text: &str, span: &Range<usize>, value: &str) -> String {
+    format!("{}{value}{}", &text[..span.start], &text[span.end..])
+}
+
+/// No object in `doc` names a key twice.
+fn keys_are_unique(doc: &Json) -> bool {
+    match doc {
+        Json::Obj(members) => members.iter().enumerate().all(|(i, (k, v))| {
+            members[..i].iter().all(|(seen, _)| seen != k) && keys_are_unique(v)
+        }),
+        Json::Arr(items) => items.iter().all(keys_are_unique),
+        _ => true,
+    }
+}
+
+/// Parse `text`; a manifest it accepts names no key twice, and renders
+/// to text that parses back equal and that the JSON layer renders
+/// unchanged.
 fn accepts(text: &str) -> bool {
     let Ok(m) = ManifestV1::parse(text) else {
         return false;
     };
+    let doc = parse_json(text).expect("an accepted manifest is JSON");
+    assert!(keys_are_unique(&doc), "accepted a duplicate key: {text:?}");
     let rendered = m.render();
     assert_eq!(
         ManifestV1::parse(&rendered).as_ref(),
         Ok(&m),
         "accepted {text:?}\nrendered {rendered:?}"
     );
+    assert_eq!(
+        parse_json(&rendered).map(|doc| doc.render()).as_ref(),
+        Ok(&rendered),
+        "accepted {text:?}"
+    );
     true
 }
 
-/// Every proper prefix of a manifest is handled without a panic, and
-/// one cut short of its last `[[accessor]]` section is refused.
+/// Every prefix of a manifest is handled without a panic, and each one
+/// cut short of its closing brace is refused; so is a manifest whose
+/// last accessor is cut down to `{}` and the document closed.
 #[test]
 fn truncated_manifests_never_panic() {
     for text in MANIFESTS {
         for (at, _) in text.char_indices() {
-            accepts(&text[..at]);
+            let accepted = accepts(&text[..at]);
+            assert!(!accepted || at >= text.trim_end().len(), "{at}");
         }
-        let last = text.rfind("[[accessor]]").expect("an accessor section");
-        assert!(!accepts(&text[..last + "[[accessor]]\n".len()]));
+        let last = text.rfind("\n    {").expect("an accessor");
+        assert!(!accepts(&format!("{}\n    {{}}\n  ]\n}}\n", &text[..last])));
+        assert!(accepts(text));
     }
 }
 
-/// Every `key = value` line of every manifest, its value replaced by
-/// every fragment in turn: each edge value reaches each key once, so a
-/// parser that accepted what it cannot render back (a NaN cost) fails
-/// here whatever `CHAOS_SEED` is.
+/// Every member value of every manifest, nested ones included, replaced
+/// by every fragment in turn: each edge value reaches each key once, so
+/// a reader that accepted what it cannot render back (a non-finite
+/// cost, a misread `\u` escape) fails here whatever `CHAOS_SEED` is.
 #[test]
 fn every_value_replaced_by_every_fragment() {
     let mut accepted = 0;
     for text in MANIFESTS {
-        for (at, line) in text.lines().enumerate() {
-            if line.contains(" = ") {
-                for value in FRAGMENTS {
-                    accepted += accepts(&with_value(text, at, value)) as usize;
-                }
+        let spans = value_spans(text);
+        assert!(spans.len() > 40, "{} values", spans.len());
+        for span in &spans {
+            for value in FRAGMENTS {
+                accepted += accepts(&with_value(text, span, value)) as usize;
             }
         }
     }
@@ -262,7 +345,7 @@ fn every_value_replaced_by_every_fragment() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
-    /// Arbitrary text, fragment soups included, never panics the parser.
+    /// Arbitrary text, fragment soups included, never panics the reader.
     #[test]
     fn parse_is_total_on_arbitrary_text(seed in any::<u64>()) {
         let mut g = Gen::new(seed);
@@ -270,7 +353,7 @@ proptest! {
     }
 
     /// One to four stacked mutations of a checked-in manifest never
-    /// panic the parser, and whatever it accepts round-trips.
+    /// panic the reader, and whatever it accepts round-trips.
     #[test]
     fn parse_is_total_on_mutated_manifests(seed in any::<u64>()) {
         let mut g = Gen::new(seed);
