@@ -1199,7 +1199,7 @@ mod tests {
         assert!(drv.poll().is_none());
     }
 
-    fn faults(b: opendesc_nicsim::FaultConfigBuilder) -> opendesc_nicsim::FaultConfig {
+    fn faults(b: opendesc_nicsim::FaultConfig) -> opendesc_nicsim::FaultConfig {
         b.build().unwrap()
     }
 

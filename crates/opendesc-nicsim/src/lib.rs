@@ -11,9 +11,12 @@
 //! itself says the bytes must be is `opendesc-reference`'s to check.
 //! Includes descriptor rings, a PCIe/DMA cost model,
 //! an offload engine delegating to the softnic reference implementations,
-//! a deterministic workload generator, and fault injection.
+//! a deterministic workload generator, and fault injection: one fault
+//! plane per queue ([`fault`]) draws every injected fault, at the
+//! injection points of the stages a received frame crosses ([`nic`]).
 pub mod aggregate;
 pub mod dma;
+pub mod fault;
 pub mod hostmem;
 pub mod models;
 pub mod multiqueue;
@@ -26,12 +29,13 @@ pub mod tx;
 
 pub use aggregate::{AsniAggregator, AsniFrame, AsniIter};
 pub use dma::{DmaConfig, DmaMeter};
+pub use fault::FaultConfig;
 pub use hostmem::HostMem;
 pub use models::{
     catalog, e1000_legacy, e1000e, ice, ixgbe, mlx5, qdma, qdma_default, NicModel, QdmaLayout,
 };
 pub use multiqueue::{CachePadded, SteerPolicy, SteerVerdict, Steerer, RETA_SIZE};
-pub use nic::{FaultConfig, FaultConfigBuilder, NicError, NicStats, RxSideband, SimNic};
+pub use nic::{NicError, NicStats, RxSideband, SimNic};
 pub use offload::{DeviceOp, MetaRecord, OffloadEngine, OffloadProgram};
 pub use pktgen::{PktGen, ShardFrame, ShardedPktGen, Transport, Workload};
 pub use ring::{DescRing, RingError};

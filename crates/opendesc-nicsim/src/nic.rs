@@ -20,8 +20,28 @@
 //! descriptor layout (see [`crate::tx`]). What the contract's P4 text
 //! says the bytes must be is checked outside the product, by
 //! `opendesc-reference`'s interpreters.
+//!
+//! A received frame crosses the device in named stages, and each
+//! consults the queue's fault plane ([`crate::fault`]) at its own
+//! injection point:
+//! - `admit`: a queue whose context selects no path refuses the frame;
+//!   a wedged, hanging or dropping queue swallows it;
+//! - `offload`: one parse (none when the steering stage already did
+//!   it), then the compiled ops write the record into the writeback
+//!   buffer;
+//! - `write_back`: the record and its hint torn, corrupted or
+//!   truncated, and the sequence tag fresh or stale;
+//! - `publish`: the record produced into its ring slot (a full ring
+//!   drops it), the doorbell rung or lost, the DMA metered, the slot's
+//!   frame and hint filled, the completion counted;
+//! - `replay`: the duplicate fault publishes the record again.
+//!
+//! `publish` is the one producer of the completion ring:
+//! [`SimNic::post_completion`] puts a caller's bytes through it with
+//! no fault plane.
 
 use crate::dma::{DmaConfig, DmaMeter};
+use crate::fault::{FaultConfig, FaultPlane};
 use crate::hostmem::HostMem;
 use crate::models::NicModel;
 use crate::offload::{MetaRecord, OffloadEngine, OffloadProgram};
@@ -33,8 +53,6 @@ use opendesc_ir::{
 use opendesc_p4::typecheck::{parse_and_check, CheckedProgram};
 use opendesc_p4::types::Ty;
 use opendesc_softnic::wire::ParsedFrame;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::sync::Arc;
 
@@ -50,159 +68,6 @@ pub(crate) fn select_layout<'a>(
     guards
         .into_iter()
         .position(|g| g.iter().all(|c| c.eval(ctx) == Some(true)))
-}
-
-/// Fault injection knobs (in the smoltcp spirit: exercise the unhappy
-/// paths deterministically). Every class defaults off; prefer
-/// [`FaultConfig::builder`] so adding fault classes never changes the
-/// behavior of existing configurations.
-///
-/// Probabilities outside \[0,1\] are rejected by
-/// [`SimNic::set_faults`] and the builder — out-of-range values would
-/// silently saturate in the rand comparison instead of failing loudly.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultConfig {
-    /// Probability \[0,1\] of dropping a frame before processing.
-    pub drop_chance: f64,
-    /// Probability \[0,1\] of flipping one bit of the completion record.
-    pub corrupt_chance: f64,
-    /// Probability \[0,1\] of a torn writeback: only a random prefix of
-    /// the record lands, the tail reads as stale slot bytes (zeros), and
-    /// the sideband DMA never completes.
-    pub torn_chance: f64,
-    /// Probability \[0,1\] of a truncated completion: the DMA write is
-    /// cut short, so the host sees a record shorter than the layout.
-    pub truncate_chance: f64,
-    /// Probability \[0,1\] of duplicating a completion: the device
-    /// re-DMAs the same record (same sequence tag) into the next slot.
-    pub duplicate_chance: f64,
-    /// Probability \[0,1\] of writing a stale generation tag — the DD
-    /// word of a previous ring pass — so the entry looks like an old
-    /// completion the host already consumed.
-    pub stale_gen_chance: f64,
-    /// Probability \[0,1\] of losing the doorbell update: the completion
-    /// is written but not published until a later doorbell (or a host
-    /// ring reset) makes it visible.
-    pub doorbell_loss_chance: f64,
-    /// Probability \[0,1\] per frame of the queue's writeback engine
-    /// wedging: this frame and the next [`hang_cycles`] deliveries are
-    /// swallowed without completions, emulating a transient queue hang.
-    ///
-    /// [`hang_cycles`]: FaultConfig::hang_cycles
-    pub hang_chance: f64,
-    /// How many subsequent deliveries a hang swallows.
-    pub hang_cycles: u32,
-    pub seed: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            drop_chance: 0.0,
-            corrupt_chance: 0.0,
-            torn_chance: 0.0,
-            truncate_chance: 0.0,
-            duplicate_chance: 0.0,
-            stale_gen_chance: 0.0,
-            doorbell_loss_chance: 0.0,
-            hang_chance: 0.0,
-            hang_cycles: 4,
-            seed: 0x0DE5C,
-        }
-    }
-}
-
-impl FaultConfig {
-    /// Builder with every fault class off.
-    pub fn builder() -> FaultConfigBuilder {
-        FaultConfigBuilder {
-            cfg: FaultConfig::default(),
-        }
-    }
-
-    /// Reject probabilities outside \[0,1\] (including NaN).
-    fn validate(&self) -> Result<(), NicError> {
-        let probs = [
-            ("drop_chance", self.drop_chance),
-            ("corrupt_chance", self.corrupt_chance),
-            ("torn_chance", self.torn_chance),
-            ("truncate_chance", self.truncate_chance),
-            ("duplicate_chance", self.duplicate_chance),
-            ("stale_gen_chance", self.stale_gen_chance),
-            ("doorbell_loss_chance", self.doorbell_loss_chance),
-            ("hang_chance", self.hang_chance),
-        ];
-        for (name, p) in probs {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(NicError::BadConfig(format!(
-                    "{name} = {p} is not a probability in [0, 1]"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Builder for [`FaultConfig`]: start from all-off, enable classes one
-/// by one, and get range validation at `build` time.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultConfigBuilder {
-    cfg: FaultConfig,
-}
-
-impl FaultConfigBuilder {
-    pub fn drop_chance(mut self, p: f64) -> Self {
-        self.cfg.drop_chance = p;
-        self
-    }
-
-    pub fn corrupt_chance(mut self, p: f64) -> Self {
-        self.cfg.corrupt_chance = p;
-        self
-    }
-
-    pub fn torn_chance(mut self, p: f64) -> Self {
-        self.cfg.torn_chance = p;
-        self
-    }
-
-    pub fn truncate_chance(mut self, p: f64) -> Self {
-        self.cfg.truncate_chance = p;
-        self
-    }
-
-    pub fn duplicate_chance(mut self, p: f64) -> Self {
-        self.cfg.duplicate_chance = p;
-        self
-    }
-
-    pub fn stale_gen_chance(mut self, p: f64) -> Self {
-        self.cfg.stale_gen_chance = p;
-        self
-    }
-
-    pub fn doorbell_loss_chance(mut self, p: f64) -> Self {
-        self.cfg.doorbell_loss_chance = p;
-        self
-    }
-
-    /// Enable transient queue hangs: each triggers with probability `p`
-    /// per frame and swallows `cycles` further deliveries.
-    pub fn hang(mut self, p: f64, cycles: u32) -> Self {
-        self.cfg.hang_chance = p;
-        self.cfg.hang_cycles = cycles;
-        self
-    }
-
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    pub fn build(self) -> Result<FaultConfig, NicError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
 }
 
 /// Counters for one receive queue.
@@ -325,10 +190,10 @@ pub struct SimNic {
     /// cache-line phase is a cost of its own on the host path (see the
     /// struct's docs): this filler measured faster on `rx_hw` than one
     /// that keeps the offsets a 24-byte registry had. Rustc lays out the
-    /// device's counters, fault state and sequence tag (`stats`,
-    /// `faults`, `fault_rng`, `wb_seq`) after it: at 136 bytes it puts
-    /// them 88 bytes higher than a 48-byte filler does, which measured
-    /// 2–4 % less wall time on `rx_hw` and `fwd`.
+    /// device's counters, fault plane and sequence tag (`stats`,
+    /// `faults`, `wb_seq`) after it: at 136 bytes it puts them 88 bytes
+    /// higher than a 48-byte filler does, which measured 2–4 % less
+    /// wall time on `rx_hw` and `fwd`.
     _phase: [u64; 17],
     pub cfg: Cfg,
     pub paths: Vec<CompletionPath>,
@@ -352,16 +217,14 @@ pub struct SimNic {
     pub dma_cfg: DmaConfig,
     pub dma: DmaMeter,
     pub stats: NicStats,
-    faults: FaultConfig,
-    fault_rng: SmallRng,
+    /// Every fault the queue injects, drawn in one place.
+    faults: FaultPlane,
     /// Next writeback sequence tag (increments per fresh completion).
     wb_seq: u64,
     /// Ring/context generation: bumped by every
     /// [`reprogram_queue`](SimNic::reprogram_queue) — the device-side
     /// view of how many live relayouts this queue has been through.
     ring_generation: u32,
-    /// Remaining deliveries a wedged writeback engine swallows.
-    hang_remaining: u32,
     /// The frame of each completion-ring slot's entry, indexed like
     /// the ring's slots: what the host swaps out when it consumes the
     /// slot.
@@ -445,7 +308,6 @@ impl SimNic {
 
         let slot = model.completion_slot_bytes.max(1);
         let cq = DescRing::new(ring_entries, slot);
-        let faults = FaultConfig::default();
         let mut nic = SimNic {
             checked,
             reg,
@@ -465,11 +327,9 @@ impl SimNic {
             dma_cfg: DmaConfig::default(),
             dma: DmaMeter::default(),
             stats: NicStats::default(),
-            fault_rng: SmallRng::seed_from_u64(faults.seed),
-            faults,
+            faults: FaultPlane::new(FaultConfig::default()),
             wb_seq: 0,
             ring_generation: 0,
-            hang_remaining: 0,
             tx_ring: DescRing::new(ring_entries, 64),
             host_mem: HostMem::new(),
             h2c_context: Assignment::new(),
@@ -487,11 +347,7 @@ impl SimNic {
     /// Configure fault injection. Rejects out-of-range probabilities;
     /// reseeds the fault RNG so runs are deterministic per config.
     pub fn set_faults(&mut self, faults: FaultConfig) -> Result<(), NicError> {
-        faults.validate()?;
-        self.fault_rng = SmallRng::seed_from_u64(faults.seed);
-        self.faults = faults;
-        self.hang_remaining = 0;
-        Ok(())
+        self.faults.configure(faults)
     }
 
     /// Post `cmpt` as the completion of `frame`, tagged with the next
@@ -505,12 +361,8 @@ impl SimNic {
         cmpt: &[u8],
         rss_hint: Option<u32>,
     ) -> Result<(), NicError> {
-        let pos = (self.cq)
-            .produce_tagged(cmpt, self.wb_seq)
-            .map_err(NicError::Ring)?;
+        self.publish(Some(cmpt), frame, self.wb_seq, rss_hint, false)?;
         self.wb_seq += 1;
-        self.cq.ring_doorbell();
-        self.fill_slot(pos, frame, rss_hint);
         Ok(())
     }
 
@@ -518,7 +370,7 @@ impl SimNic {
     /// any produced-but-unannounced completions (lost doorbells) and
     /// un-wedges a hung writeback engine; an honest queue is unaffected.
     pub fn reset_queue(&mut self) {
-        self.hang_remaining = 0;
+        self.faults.unwedge();
         self.cq.ring_doorbell();
         self.stats.resets += 1;
     }
@@ -567,7 +419,7 @@ impl SimNic {
             return Err(e);
         }
         let stranded = self.cq.retag_pending_stale();
-        self.hang_remaining = 0;
+        self.faults.unwedge();
         self.cq.ring_doorbell();
         self.ring_generation += 1;
         self.stats.reprograms += 1;
@@ -583,12 +435,6 @@ impl SimNic {
         self.stats.register_into(reg, scope);
         reg.gauge(&format!("{scope}.ring_pending"), self.cq.len() as f64);
         reg.gauge(&format!("{scope}.ring_capacity"), self.cq.capacity() as f64);
-    }
-
-    /// One roll of the fault dice at probability `p`.
-    #[inline]
-    fn roll(&mut self, p: f64) -> bool {
-        p > 0.0 && self.fault_rng.random::<f64>() < p
     }
 
     /// Override the DMA link model.
@@ -658,16 +504,14 @@ impl SimNic {
     fn refresh_active_path(&mut self) {
         self.active_path =
             select_layout(self.paths.iter().map(|p| p.guard.as_slice()), &self.context);
-        self.offload_prog = match self.active_path() {
-            Some(path) => {
-                let computed: Vec<SemanticId> = (self.supported.iter())
-                    .filter(|sem| path.slot_for(**sem).is_some())
-                    .copied()
-                    .collect();
-                OffloadProgram::compile(&self.reg, &computed, path)
-            }
-            None => OffloadProgram::default(),
-        };
+        match self.active_path.map(|i| &self.paths[i]) {
+            Some(path) => self.offload_prog.recompile(
+                &self.reg,
+                (self.supported.iter().copied()).filter(|&sem| path.slot_for(sem).is_some()),
+                path,
+            ),
+            None => self.offload_prog.clear(),
+        }
     }
 
     /// Deliver one frame from the wire. Computes offloads, serializes the
@@ -685,123 +529,111 @@ impl SimNic {
     /// Toeplitz hash (primed into the shim memo, and carried to the host
     /// as completion sideband). Passing `None` for both is exactly
     /// `deliver` — the single-queue path pays the parse itself.
+    ///
+    /// The frame crosses the device in stages — `admit`, `offload`,
+    /// `write_back`, `publish`, `replay` — and each consults the
+    /// queue's fault plane ([`crate::fault`]) at its own injection point.
     pub fn deliver_steered(
         &mut self,
         frame: &[u8],
         parsed: Option<&ParsedFrame<'_>>,
         rss_hint: Option<u32>,
     ) -> Result<(), NicError> {
-        if self.active_path.is_none() {
-            return Err(NicError::NoPathForContext);
-        }
-        // Transient queue hang: a wedged writeback engine swallows this
-        // and the next `hang_cycles` deliveries without completions.
-        if self.hang_remaining > 0 {
-            self.hang_remaining -= 1;
-            self.stats.hang_dropped += 1;
+        if !self.admit()? {
             return Ok(());
         }
-        if self.roll(self.faults.hang_chance) {
-            self.hang_remaining = self.faults.hang_cycles;
-            self.stats.hang_dropped += 1;
-            return Ok(());
-        }
-        if self.roll(self.faults.drop_chance) {
-            self.stats.dropped_faults += 1;
-            return Ok(());
-        }
-        // Offloads, pre-lowered ops over one parse (zero when the
-        // steering stage already did it), each value going straight
-        // into its slots of the reusable writeback buffer.
-        self.engine.process_into_completion(
-            &self.offload_prog,
-            frame,
-            parsed,
-            rss_hint,
-            &mut self.wb_scratch,
-        );
-        // Corruption faults hit the record *and* the sideband in
-        // lockstep: a fault that mangles the completion DMA has no
-        // reason to spare the hint word, and a pristine hint would let
-        // hint-primed plans silently repair the damage.
+        self.offload(frame, parsed, rss_hint);
         let mut hint = rss_hint;
-        if !self.wb_scratch.is_empty() && self.roll(self.faults.torn_chance) {
-            // Torn writeback: only a prefix lands; the tail keeps the
-            // slot's stale bytes (zeros here) and the sideband is lost.
-            let cut = self.fault_rng.random_range(0..self.wb_scratch.len());
-            for b in &mut self.wb_scratch[cut..] {
-                *b = 0;
-            }
-            hint = None;
-            self.stats.torn += 1;
-        }
-        if !self.wb_scratch.is_empty() && self.roll(self.faults.corrupt_chance) {
-            let idx = self.fault_rng.random_range(0..self.wb_scratch.len());
-            self.wb_scratch[idx] ^= 1 << self.fault_rng.random_range(0..8);
-            if let Some(h) = hint.as_mut() {
-                *h ^= 1 << self.fault_rng.random_range(0..32);
-            }
-            self.stats.corrupted += 1;
-        }
-        if !self.wb_scratch.is_empty() && self.roll(self.faults.truncate_chance) {
-            let keep = self.fault_rng.random_range(0..self.wb_scratch.len());
-            self.wb_scratch.truncate(keep);
-            hint = None;
-            self.stats.truncated += 1;
-        }
-        // Generation tag: fresh by default; a stale-gen fault re-writes
-        // a tag from the previous ring pass, so the entry looks like a
-        // completion the host already consumed.
-        let mut tag = self.wb_seq;
-        if self.roll(self.faults.stale_gen_chance) {
-            tag = tag.wrapping_sub(self.cq.capacity() as u64);
-            self.stats.stale_gen += 1;
-        }
-        let pos = match self.cq.produce_tagged(&self.wb_scratch, tag) {
-            Ok(pos) => {
-                self.wb_seq += 1;
-                pos
-            }
-            Err(RingError::Full) => {
-                self.stats.dropped_ring_full += 1;
-                return Ok(());
-            }
-            Err(e) => return Err(NicError::Ring(e)),
-        };
-        if self.roll(self.faults.doorbell_loss_chance) {
-            self.stats.doorbell_lost += 1;
-        } else {
-            self.cq.ring_doorbell();
-        }
-        self.dma.record(&self.dma_cfg, self.wb_scratch.len() as u32);
-        self.fill_slot(pos, frame, hint);
-        self.stats.rx_frames += 1;
-        self.stats.rx_bytes += frame.len() as u64;
-        self.stats.completions += 1;
-        // Duplicated completion: the device re-DMAs the same record with
-        // the same tag into the next slot; the host sees the packet
-        // twice and must discard the replay by its sequence tag.
-        if self.roll(self.faults.duplicate_chance) {
-            if let Ok(pos) = self.cq.produce_tagged(&self.wb_scratch, tag) {
-                self.cq.ring_doorbell();
-                self.fill_slot(pos, frame, hint);
-                self.stats.duplicated += 1;
-            }
+        let tag = self.write_back(&mut hint);
+        if self.publish(None, frame, tag, hint, true)? {
+            self.wb_seq += 1;
+            self.replay(frame, tag, hint);
         }
         Ok(())
     }
 
-    /// Give the entry just produced at ring position `pos` its frame
-    /// and steering sideband, in that entry's own slot: the frame is
-    /// copied into the warmest parked buffer.
+    /// Queue admission: a queue whose context selects no path refuses
+    /// the frame before anything — fault roll, buffer, ring or counter —
+    /// is touched; a wedged, hanging or dropping queue swallows it
+    /// (`false`).
+    fn admit(&mut self) -> Result<bool, NicError> {
+        if self.active_path.is_none() {
+            return Err(NicError::NoPathForContext);
+        }
+        Ok(self.faults.admit(&mut self.stats))
+    }
+
+    /// Offloads: the pre-lowered ops over one parse (none when the
+    /// steering stage already did it), each value going straight into
+    /// its slots of the reusable writeback buffer.
+    fn offload(&mut self, frame: &[u8], parsed: Option<&ParsedFrame<'_>>, rss_hint: Option<u32>) {
+        let (prog, record) = (&self.offload_prog, &mut self.wb_scratch);
+        (self.engine).process_into_completion(prog, frame, parsed, rss_hint, record);
+    }
+
+    /// Completion writeback: the record and `hint` as the DMA lands
+    /// them (torn, corrupted or truncated by the fault plane), and the
+    /// sequence tag they are written under — the next fresh one, or a
+    /// stale generation's.
+    fn write_back(&mut self, hint: &mut Option<u32>) -> u64 {
+        let (seq, ring) = (self.wb_seq, self.cq.capacity());
+        (self.faults).write_back(&mut self.wb_scratch, hint, seq, ring, &mut self.stats)
+    }
+
+    /// Produce `posted` (the writeback buffer when `None`) under `tag`
+    /// into the next ring slot, publish it, and give the slot `frame`
+    /// and `hint`; `false` when a full ring dropped it. A frame from the
+    /// wire (`plane`) consults the fault plane, which may lose its
+    /// doorbell, and a full ring is its drop; the DMA meter and the
+    /// receive counters take it. Without the plane — a completion a
+    /// caller posts, or the duplicate fault's replay — the doorbell is
+    /// rung and every ring error is returned.
     #[inline]
-    fn fill_slot(&mut self, pos: u64, frame: &[u8], hint: Option<u32>) {
+    fn publish(
+        &mut self,
+        posted: Option<&[u8]>,
+        frame: &[u8],
+        tag: u64,
+        hint: Option<u32>,
+        plane: bool,
+    ) -> Result<bool, NicError> {
+        let record = posted.unwrap_or(&self.wb_scratch);
+        let pos = match self.cq.produce_tagged(record, tag) {
+            Ok(pos) => pos,
+            Err(RingError::Full) if plane => {
+                self.stats.dropped_ring_full += 1;
+                return Ok(false);
+            }
+            Err(e) => return Err(NicError::Ring(e)),
+        };
+        if !(plane && self.faults.lose_doorbell(&mut self.stats)) {
+            self.cq.ring_doorbell();
+        }
+        if plane {
+            self.dma.record(&self.dma_cfg, record.len() as u32);
+            self.stats.rx_frames += 1;
+            self.stats.rx_bytes += frame.len() as u64;
+            self.stats.completions += 1;
+        }
+        // The entry's frame and steering sideband, in its own slot: the
+        // frame is copied into the warmest parked buffer.
         let slot = self.cq.slot_of(pos);
         self.slot_hints[slot] = hint;
         let mut buf = self.frame_pool.pop().unwrap_or_default();
         buf.clear();
         buf.extend_from_slice(frame);
         self.slot_frames[slot] = buf;
+        Ok(true)
+    }
+
+    /// Duplicated completion: the device re-DMAs the record it just
+    /// published, with the same tag, into the next slot; the host sees
+    /// the packet twice and must discard the replay by its sequence tag.
+    /// A full ring swallows the replay.
+    fn replay(&mut self, frame: &[u8], tag: u64, hint: Option<u32>) {
+        if self.faults.duplicate() && self.publish(None, frame, tag, hint, false).is_ok() {
+            self.stats.duplicated += 1;
+        }
     }
 
     /// Host side: pop the next (frame, completion) pair into fresh
@@ -980,7 +812,8 @@ mod tests {
                     &full.supported,
                     full.active_path().unwrap(),
                 );
-                restricted_somewhere |= nic.offload_prog.len() < full.offload_prog.len();
+                restricted_somewhere |=
+                    nic.offload_prog.ops().len() < full.offload_prog.ops().len();
                 for f in &probe_frames() {
                     nic.deliver(f).unwrap();
                     full.deliver(f).unwrap();
@@ -1218,10 +1051,7 @@ mod tests {
             );
         }
         let mut nic = SimNic::new(models::e1000_legacy(), 16).unwrap();
-        let cfg = FaultConfig {
-            drop_chance: 2.0,
-            ..FaultConfig::default()
-        };
+        let cfg = FaultConfig::builder().drop_chance(2.0);
         assert!(matches!(nic.set_faults(cfg), Err(NicError::BadConfig(_))));
         // Builder defaults leave every class off.
         let off = FaultConfig::builder().build().unwrap();

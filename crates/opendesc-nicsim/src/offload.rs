@@ -4,12 +4,17 @@
 //! per semantic the device computes, compiled against the active
 //! completion layout, so every op carries the slots its value lands in
 //! and the engine writes the completion record directly
-//! ([`OffloadEngine::process_into_completion`]). The same op loop can
-//! fill a [`MetaRecord`] instead — what a reference serializer of the
-//! contract takes as its input. The engine delegates stateless
-//! semantics to the SoftNIC reference implementations — hardware and
-//! software compute identical values by construction — and adds the
-//! device-only ones (timestamps from the device clock).
+//! ([`OffloadEngine::process_into_completion`], the device's `offload`
+//! stage, which reuses the steering stage's parse and RSS hash). The
+//! same op loop can fill a [`MetaRecord`] instead
+//! ([`OffloadEngine::process_program_into`]) — what a reference
+//! serializer of the contract takes as its input. A queue compiles its
+//! program into the storage of the one before
+//! ([`OffloadProgram::compile`] builds a fresh one). The engine
+//! delegates stateless semantics to the SoftNIC reference
+//! implementations — hardware and software compute identical values by
+//! construction — and adds the device-only ones (timestamps from the
+//! device clock).
 
 use opendesc_ir::bits::{read_bits, write_bits};
 use opendesc_ir::semantics::{names, SemanticRegistry};
@@ -154,33 +159,47 @@ impl OffloadProgram {
         sems: &[SemanticId],
         layout: &CompletionPath,
     ) -> OffloadProgram {
-        let mut slots = Vec::new();
-        let ops = sems
-            .iter()
-            .map(|&sem| {
-                let op = match reg.name(sem) {
-                    names::TIMESTAMP => DeviceOp::Timestamp,
-                    names::CRYPTO_CTX => DeviceOp::CryptoCtx,
-                    name => DeviceOp::Shim(ShimOp::from_name(name)),
-                };
-                let start = slots.len() as u16;
-                slots.extend(
-                    (layout.slots.iter())
-                        .filter(|s| s.semantic == Some(sem))
-                        .map(Slot::of),
-                );
-                OffloadOp {
-                    sem,
-                    op,
-                    slots: (start, slots.len() as u16),
-                }
-            })
-            .collect();
-        OffloadProgram {
-            ops,
-            slots,
-            record_bytes: layout.size_bytes() as usize,
+        let mut prog = OffloadProgram::default();
+        prog.recompile(reg, sems.iter().copied(), layout);
+        prog
+    }
+
+    /// [`compile`](Self::compile) into this program's own storage: a
+    /// queue relayout reprograms its device without allocating once the
+    /// program has held as many ops and slots.
+    pub(crate) fn recompile(
+        &mut self,
+        reg: &SemanticRegistry,
+        sems: impl IntoIterator<Item = SemanticId>,
+        layout: &CompletionPath,
+    ) {
+        self.clear();
+        for sem in sems {
+            let op = match reg.name(sem) {
+                names::TIMESTAMP => DeviceOp::Timestamp,
+                names::CRYPTO_CTX => DeviceOp::CryptoCtx,
+                name => DeviceOp::Shim(ShimOp::from_name(name)),
+            };
+            let start = self.slots.len() as u16;
+            self.slots.extend(
+                (layout.slots.iter())
+                    .filter(|s| s.semantic == Some(sem))
+                    .map(Slot::of),
+            );
+            self.ops.push(OffloadOp {
+                sem,
+                op,
+                slots: (start, self.slots.len() as u16),
+            });
         }
+        self.record_bytes = layout.size_bytes() as usize;
+    }
+
+    /// No ops: what a queue whose context selects no layout computes.
+    pub(crate) fn clear(&mut self) {
+        self.ops.clear();
+        self.slots.clear();
+        self.record_bytes = 0;
     }
 
     pub fn ops(&self) -> &[OffloadOp] {
@@ -190,14 +209,6 @@ impl OffloadProgram {
     /// The completion slots `op` (one of [`ops`](Self::ops)) writes.
     fn slots_of(&self, op: &OffloadOp) -> &[Slot] {
         &self.slots[op.slots.0 as usize..op.slots.1 as usize]
-    }
-
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 }
 
@@ -242,39 +253,24 @@ impl OffloadEngine {
         frame: &[u8],
         rec: &mut MetaRecord,
     ) {
-        self.process_program_with(prog, frame, None, None, rec);
-    }
-
-    /// [`process_program_into`] with work the steering stage already did:
-    /// a multi-queue NIC parses the frame and runs Toeplitz RSS to pick a
-    /// queue, and a real pipeline never repeats either — pass the parse
-    /// as `steer_parsed` and the hash as `rss_hint` and this engine reuses
-    /// both instead of recomputing. `steer_parsed = None` parses here;
-    /// `rss_hint = None` leaves RSS to the shim. The hint must be the
-    /// frame's own [`opendesc_softnic::rss_frame`] (true for
-    /// [`crate::multiqueue::Steerer`], which calls it).
-    ///
-    /// [`process_program_into`]: OffloadEngine::process_program_into
-    pub fn process_program_with(
-        &mut self,
-        prog: &OffloadProgram,
-        frame: &[u8],
-        steer_parsed: Option<&ParsedFrame<'_>>,
-        rss_hint: Option<u32>,
-        rec: &mut MetaRecord,
-    ) {
         rec.clear();
-        self.run_ops(prog, frame, steer_parsed, rss_hint, |op, v| {
-            rec.set(op.sem, v.into())
-        });
+        self.run_ops(prog, frame, None, None, |op, v| rec.set(op.sem, v.into()));
     }
 
     /// Run a program compiled against a completion layout over one frame
     /// and write the completion record itself into `record` (cleared and
     /// sized to the layout first): every value goes from its op straight
     /// to the slots the op carries, bits no op writes stay zero. Same
-    /// arguments and same device-state effects as
-    /// [`process_program_with`](OffloadEngine::process_program_with).
+    /// device-state effects as
+    /// [`process_program_into`](OffloadEngine::process_program_into).
+    ///
+    /// Work the steering stage already did is reused, never repeated: a
+    /// multi-queue NIC parses the frame and runs Toeplitz RSS to pick a
+    /// queue, so pass the parse as `steer_parsed` and the hash as
+    /// `rss_hint`. `steer_parsed = None` parses here; `rss_hint = None`
+    /// leaves RSS to the shim. The hint must be the frame's own
+    /// [`opendesc_softnic::rss_frame`] (true for
+    /// [`crate::multiqueue::Steerer`], which calls it).
     pub fn process_into_completion(
         &mut self,
         prog: &OffloadProgram,
@@ -471,7 +467,9 @@ mod tests {
         let mut ra = MetaRecord::default();
         let mut rb = MetaRecord::default();
         a.process_program_into(&prog, &f, &mut ra);
-        b.process_program_with(&prog, &f, Some(&parsed), hint, &mut rb);
+        b.run_ops(&prog, &f, Some(&parsed), hint, |op, v| {
+            rb.set(op.sem, v.into())
+        });
         assert_eq!(ra, rb, "steer-reuse diverged from fresh parse");
         assert_eq!(a.clock_ns, b.clock_ns);
     }

@@ -45,6 +45,14 @@
 #    mode, the contract interpreter is called only inside
 #    `opendesc-reference`, and the device turns a context into a layout
 #    in one place (`select_layout`), once per direction.
+#  * Device: one fault plane. Every fault the device injects is drawn
+#    in opendesc-nicsim's fault.rs (`roll(`, the generator and the wedge
+#    counter are named nowhere else), the frame crosses the device in
+#    named stages, and every completion the device or a caller puts on
+#    the ring is produced in one place, `publish` (one `produce_tagged(`
+#    in nic.rs). One way to set a fault: `FaultConfig`'s own setters (no
+#    `FaultConfigBuilder`), and one record-building engine entry point
+#    (no `process_program_with`).
 #  * Front end: one interner. The AST names things by symbol and holds
 #    its expressions in one arena (no `Box<Expr>`), the builtin
 #    semantics are a static table (no `HashMap` in semantics.rs), and
@@ -172,6 +180,15 @@ expect "HashMap in opendesc-ir's semantics.rs" \
 expect "stack_size( in crates/ src/ tests/ examples/" "$(anywhere 'stack_size(')" 0
 expect ".eval( guard-resolution sites in opendesc-nicsim" "$(sim_total '.eval(')" 1
 expect "select_layout( call sites in opendesc-nicsim (RX, TX)" "$(sim_total 'select_layout(')" 2
+# Device: one fault plane
+for pat in 'FaultConfigBuilder' 'process_program_with'; do
+    expect "$pat in crates/ src/ tests/ examples/" "$(anywhere "$pat")" 0
+done
+for pat in 'roll(' 'fault_rng' 'hang_remaining'; do
+    expect "$pat in crates/ src/ tests/ examples/ outside opendesc-nicsim's non-test fault.rs" \
+        "$(($(anywhere "$pat") - $(code $sim/fault.rs | sites "$pat")))" 0
+done
+expect "produce_tagged( call sites in nic.rs (publish)" "$(code $sim/nic.rs | sites 'produce_tagged(')" 1
 # Layout IR: names are shared
 ir=crates/opendesc-ir/src
 expect "Vec<String> in opendesc-ir's pred.rs, path.rs, txpath.rs" \
@@ -227,7 +244,7 @@ pin() { # crate, pinned line count
 }
 pin opendesc-core 5005
 pin opendesc-ir 1983
-pin opendesc-nicsim 2373
+pin opendesc-nicsim 2371
 pin opendesc-softnic 954
 pin opendesc-p4 4122
 pin opendesc-ebpf 1219

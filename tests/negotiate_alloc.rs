@@ -26,8 +26,10 @@
 //!   a slot name, source or context field, and cloning the context its
 //!   guard solves to allocates the assignment's one node.
 //!
-//! The counter is process-global, so this file runs exactly one test;
-//! `stage_table` (ignored) prints the per-stage counts CHANGES.md quotes:
+//! The counter (`counting/mod.rs`) counts the allocations of the
+//! thread that reads it, so the harness's own threads never reach a
+//! window. `stage_table` (ignored) prints the per-stage counts
+//! CHANGES.md quotes:
 //! `cargo test --release --test negotiate_alloc -- --ignored --nocapture`.
 
 use opendesc::compiler::{
@@ -41,44 +43,10 @@ use opendesc::ir::{
 use opendesc::nicsim::multiqueue::SteerPolicy;
 use opendesc::nicsim::{models, NicModel};
 use opendesc::p4::parse_and_check;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards to `System` with the caller's layout
-// unchanged; the counter is a statistic that publishes no data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(l)
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(l)
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(p, l, new)
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        System.dealloc(p, l)
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
-
-/// Allocation events of `f`, and its result (dropped by the caller, off
-/// the count).
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
-}
+mod counting;
+use counting::counted;
 
 /// The frozen benchmark's RX intent.
 const BENCH7: [&str; 7] = [

@@ -9,10 +9,12 @@
 //! every disposition a batch can take: trusted, trusted with truncated
 //! records among its rows, verified (`ValidationMode::Full`, repairs
 //! included) and degraded; and after a relayout commit, on the new
-//! plan. [`OpenDescDriver::poll`], the one-slot batch, allocates only
-//! what the packet it returns owns, and an empty poll nothing.
-//! This file holds exactly one test: the counter is process-global, so
-//! any concurrent test would pollute the measurement.
+//! plan. The commit itself allocates exactly once, the device's copy
+//! of the new context. [`OpenDescDriver::poll`], the one-slot batch,
+//! allocates only what the packet it returns owns, and an empty poll
+//! nothing.
+//! The counter (`counting/mod.rs`) counts the allocations of the
+//! thread that reads it.
 
 use opendesc::compiler::{
     FlipProgress, HealthConfig, Intent, OpenDescDriver, PlanCache, QueueHealth, RxBatch,
@@ -21,42 +23,10 @@ use opendesc::compiler::{
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::{models, FaultConfig, SimNic};
 use opendesc::softnic::testpkt;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// Only allocation events are counted; deallocation is free to happen.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(l)
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        System.alloc_zeroed(l)
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(p, l, new)
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        System.dealloc(p, l)
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
-
-/// Allocations `f` makes, and what it returns.
-fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let out = f();
-    (ALLOCS.load(Ordering::SeqCst) - before, out)
-}
+mod counting;
+use counting::counted;
 
 const BATCH: usize = 32;
 const RING: usize = 64;
@@ -112,12 +82,12 @@ const NARROW: [&str; 3] = [names::VLAN_TCI, names::PKT_LEN, names::PACKET_TYPE];
 /// the rows served.
 fn round(drv: &mut OpenDescDriver, batch: &mut RxBatch) -> (u64, u64, usize) {
     let frames = frames();
-    let (device, ()) = allocs(|| {
+    let ((), device) = counted(|| {
         for f in &frames {
             drv.deliver(f).unwrap();
         }
     });
-    let (host, rows) = allocs(|| {
+    let (rows, host) = counted(|| {
         let mut rows = 0;
         loop {
             match drv.poll_batch_into(batch) {
@@ -237,8 +207,8 @@ fn steady_state_rx_allocates_nothing() {
     }
     for _ in 0..WARM_UP {
         for f in &frames() {
-            let (device, ()) = allocs(|| drv.deliver(f).unwrap());
-            let (host, pkt) = allocs(|| drv.poll());
+            let ((), device) = counted(|| drv.deliver(f).unwrap());
+            let (pkt, host) = counted(|| drv.poll());
             assert_eq!(pkt.map(|p| p.meta.len()), Some(WIDE.len()));
             assert_eq!(
                 (device, host),
@@ -247,25 +217,32 @@ fn steady_state_rx_allocates_nothing() {
             );
         }
     }
-    let (n, pkt) = allocs(|| drv.poll());
+    let (pkt, n) = counted(|| drv.poll());
     assert!(pkt.is_none());
     assert_eq!(n, 0, "an empty poll() hit the allocator");
 
-    // Relayout: flip between two plans and poll on each. After the
-    // first cycles, the deliveries and polls after a commit (the batch
-    // reshaping for the new plan included) allocate nothing. The
-    // commit itself is a control-plane call and is not held here: the
-    // device's reprogram builds its new context map and offload
-    // program.
+    // Relayout: flip between two plans and poll on each. A request
+    // allocates nothing, and a commit once: the device's copy of the
+    // new context (one map node); the device compiles the new offload
+    // program into the old one's storage. After the first cycles, the
+    // deliveries and polls after a commit (the batch reshaping for the
+    // new plan included) allocate nothing.
     let mut drv = attach();
     let mut batch = drv.make_batch(BATCH);
     let mut generation = 0;
     for cycle in 0..WARM_UP {
         for target in [&narrow, &wide] {
             let target = Arc::clone(target);
-            assert_eq!(drv.request_relayout(target), FlipProgress::Draining);
+            let (request, requested) = counted(|| drv.request_relayout(target));
+            assert_eq!(request, FlipProgress::Draining);
             generation += 1;
-            assert_eq!(drv.advance_relayout(0), FlipProgress::Committed(generation));
+            let (commit, committed) = counted(|| drv.advance_relayout(0));
+            assert_eq!(commit, FlipProgress::Committed(generation));
+            assert_eq!(
+                (requested, committed),
+                (0, 1),
+                "cycle {cycle}: a relayout allocates only the device's copy of its context"
+            );
             let (device, host, rows) = round(&mut drv, &mut batch);
             assert_eq!(rows, BATCH);
             if cycle >= WARM_UP / 2 {

@@ -9,8 +9,8 @@
 //! perform no heap allocation at all.
 //! A second window holds [`TxDriver::send`], the one-slot case of the
 //! same path, to the same zero.
-//! This file holds exactly one test: the counter is process-global, so
-//! any concurrent test would pollute the measurement.
+//! The counter (`counting/mod.rs`) counts the allocations of the
+//! thread that reads it.
 
 use opendesc::compiler::{
     compile_tx, CompiledTxPlan, Intent, Selector, TxBatch, TxDriver, TxQueue, TxRequest,
@@ -18,37 +18,10 @@ use opendesc::compiler::{
 use opendesc::ir::{names, SemanticRegistry};
 use opendesc::nicsim::{models, SimNic};
 use opendesc::softnic::testpkt;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// Only allocation events are counted; deallocation is free to happen
-// (it never does in the measured window either, since nothing is
-// allocated to free).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(l)
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        System.alloc_zeroed(l)
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(p, l, new)
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        System.dealloc(p, l)
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
+mod counting;
+use counting::{allocs, counted};
 
 #[test]
 fn steady_state_batched_submit_allocates_nothing() {
@@ -99,14 +72,14 @@ fn steady_state_batched_submit_allocates_nothing() {
 
     // Measured steady state: several full batch cycles, zero allocs.
     for round in 0..4 {
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = allocs();
         for _ in 0..32 {
             assert!(batch.push(&frame, req));
         }
         let placed = q.submit(&mut nic, &mut batch).unwrap();
-        let submitted = ALLOCS.load(Ordering::SeqCst);
+        let submitted = allocs();
         let drained = nic.process_tx_drain();
-        let after = ALLOCS.load(Ordering::SeqCst);
+        let after = allocs();
         assert_eq!((placed, drained), (32, 32));
         assert_eq!(
             submitted - before,
@@ -136,23 +109,20 @@ fn steady_state_batched_submit_allocates_nothing() {
     // holds what attach registered.
     let slots = nic.tx_ring.capacity();
     assert_eq!(nic.host_mem.len(), slots);
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..3 {
-        for _ in 0..slots / 32 {
-            for _ in 0..32 {
-                assert!(batch.push(&frame, req));
+    let ((), laps) = counted(|| {
+        for _ in 0..3 {
+            for _ in 0..slots / 32 {
+                for _ in 0..32 {
+                    assert!(batch.push(&frame, req));
+                }
+                assert_eq!(q.submit(&mut nic, &mut batch).unwrap(), 32);
+                batch.clear();
             }
-            assert_eq!(q.submit(&mut nic, &mut batch).unwrap(), 32);
-            batch.clear();
+            assert_eq!(q.in_flight(&nic), slots as u64, "the lap filled the ring");
+            assert_eq!(nic.process_tx_drain(), slots as u64);
         }
-        assert_eq!(q.in_flight(&nic), slots as u64, "the lap filled the ring");
-        assert_eq!(nic.process_tx_drain(), slots as u64);
-    }
-    assert_eq!(
-        ALLOCS.load(Ordering::SeqCst) - before,
-        0,
-        "buffer exchange hit the allocator"
-    );
+    });
+    assert_eq!(laps, 0, "buffer exchange hit the allocator");
     assert_eq!(
         nic.host_mem.len(),
         slots,
@@ -185,14 +155,14 @@ fn steady_state_batched_submit_allocates_nothing() {
     let mut tx = TxDriver::attach(&mut nic, compiled, reg).unwrap();
     tx.send(&mut nic, &frame, req).unwrap();
     assert_eq!(nic.process_tx_drain(), 1);
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..256 {
-        tx.send(&mut nic, &frame, req).unwrap();
-        assert_eq!(nic.process_tx_drain(), 1);
-    }
+    let ((), sends) = counted(|| {
+        for _ in 0..256 {
+            tx.send(&mut nic, &frame, req).unwrap();
+            assert_eq!(nic.process_tx_drain(), 1);
+        }
+    });
     assert_eq!(
-        ALLOCS.load(Ordering::SeqCst) - before,
-        0,
+        sends, 0,
         "TxDriver::send or its device drain hit the allocator"
     );
 }
